@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
+    InternalContradiction,
     InvalidStructure,
     NotAqs,
     PreconditionError,
@@ -284,7 +285,8 @@ def xi_killing_check(S: AcmStructure) -> bool:
     # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
     eta = S.eta_row()
     for j in range(n):
-        assert s_is_zero(dot(eta, ad_xi_cols[j])), "Killing xi with d eta(xi,.) != 0"
+        if not s_is_zero(dot(eta, ad_xi_cols[j])):
+            raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
     return True
 
 
@@ -341,10 +343,12 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
             tors = _vsub(
                 _vsub(list(table.gamma[i][j]), list(table.gamma[j][i])), br[i][j]
             )
-            assert vec_is_zero(tors), "Koszul solve lost torsion-freeness"
+            if not vec_is_zero(tors):
+                raise InternalContradiction("Koszul solve lost torsion-freeness")
             for k in range(n):
                 compat = s_add(g_gamma[i][j][k], g_gamma[i][k][j])
-                assert s_is_zero(compat), "Koszul solve lost metric compatibility"
+                if not s_is_zero(compat):
+                    raise InternalContradiction("Koszul solve lost metric compatibility")
     S._memo["connection"] = table
     return table
 

@@ -41,7 +41,13 @@ from .constructors import (
     weighted_heisenberg_2n1,
     weighted_heisenberg_4n1,
 )
-from .errors import AqslieError, InputError, NotAqs, PreconditionError
+from .errors import (
+    AqslieError,
+    InputError,
+    InternalContradiction,
+    NotAqs,
+    PreconditionError,
+)
 from .exterior import ce_betti
 from .invariant_forms import (
     centralizer_of_torus,
@@ -411,12 +417,18 @@ def _run_single(args, input_path: str | None = None) -> tuple[int, dict]:
             digest = aqio.digest(_read_text(in_file))
         payload = args.handler(args)
         code = 0
-    except AqslieError as exc:
+    except Exception as exc:
+        if not isinstance(exc, AqslieError):  # outside the taxonomy: a defect
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            code_obj = tb.tb_frame.f_code
+            exc = InternalContradiction(
+                f"{type(exc).__name__}: {exc} "
+                f"[in {code_obj.co_name}, {Path(code_obj.co_filename).name}:{tb.tb_lineno}]"
+            )
         error = {"code": exc.code, "family": exc.family, "message": str(exc)}
         code = exc.exit_code
-    except AssertionError as exc:
-        error = {"code": "InternalContradiction", "family": "internal", "message": str(exc)}
-        code = 4
     report = {
         "schema": REPORT_SCHEMA,
         "command": args.command,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DimensionMismatch, PreconditionError
+from .errors import DimensionMismatch, InternalContradiction, PreconditionError
 from .lie_core import LieAlgebra
 from .linalg import Mat, Vec, det, nullspace, rank
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
@@ -282,7 +282,8 @@ def rank_of_eta(L: LieAlgebra, eta: KForm) -> RankReport:
     deta = ce_d(L, eta)
     B = bilinear_from_form(deta)
     full = rank(B)
-    assert full % 2 == 0, "antisymmetric form with odd rank"
+    if full % 2:
+        raise InternalContradiction("antisymmetric form with odd rank")
     m = full // 2
     eta_row = [eta.coeff((i,)) for i in range(L.dim)]
     kernel = nullspace([eta_row], L.dim)

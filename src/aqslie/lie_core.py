@@ -3,16 +3,26 @@
 Structure constants are stored sparsely for i < j only, so antisymmetry is
 a storage invariant rather than a runtime check.  Indices are 0-based
 internally; the file format is 1-based (see io.py).
+
+Each algebra builds, on first use, a lookup table {(i, j): {k: c_ij^k}}
+that serves :meth:`LieAlgebra.c` in O(1).  When every constant is a
+Fraction the table holds integers over one common denominator, and
+:func:`bracket` of two rational vectors runs on integers.  The table is a
+private attribute, not a dataclass field, so equality, hashing and
+serialization see only the sparse tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+
 from .errors import DimensionMismatch, JacobiError, PreconditionError
 from .linalg import (
     Mat,
     Subspace,
     Vec,
+    _int_scaled,
     inertia_symmetric,
     inverse,
     mat_vec,
@@ -66,19 +76,35 @@ class LieAlgebra:
     def table(self) -> BracketTable:
         return {(i, j): dict(entries) for (i, j), entries in self.brackets}
 
+    def _tables(self) -> tuple[dict, int | None]:
+        """({(i, j): {k: entry}} for i < j, den), built once.  When every
+        constant is a Fraction the entries are integers over the common
+        denominator den, c_ij^k = entry / den; otherwise they are the
+        constants themselves and den is None."""
+        cached = self.__dict__.get("_cached_tables")
+        if cached is None:
+            scaled = _int_scaled([v for _, entries in self.brackets for _, v in entries])
+            if scaled is None:
+                cached = (self.table(), None)
+            else:
+                flat = iter(scaled[0])
+                table = {pair: {k: next(flat) for k, _ in entries}
+                         for pair, entries in self.brackets}
+                cached = (table, scaled[1])
+            object.__setattr__(self, "_cached_tables", cached)
+        return cached
+
     def c(self, i: int, j: int, k: int):
         """Signed structure constant c_{ij}^k."""
         if i == j:
             return ZERO
         if i > j:
             return s_neg(self.c(j, i, k))
-        for (a, b), entries in self.brackets:
-            if (a, b) == (i, j):
-                for kk, v in entries:
-                    if kk == k:
-                        return v
-                return ZERO
-        return ZERO
+        table, den = self._tables()
+        v = table.get((i, j), {}).get(k)
+        if v is None:
+            return ZERO
+        return v if den is None else Fraction(v, den)
 
     def basis_vector(self, i: int) -> Vec:
         return [ONE if t == i else ZERO for t in range(self.dim)]
@@ -88,8 +114,24 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
     """[X, Y] by bilinear expansion of the structure constants."""
     if len(X) != L.dim or len(Y) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
+    table, den = L._tables()
+    sx = _int_scaled(X) if den is not None else None
+    sy = _int_scaled(Y) if sx is not None else None
+    if sy is not None:
+        (xi, dx), (yi, dy) = sx, sy
+        acc = [0] * L.dim
+        for (i, j), entries in table.items():
+            coeff = xi[i] * yi[j] - xi[j] * yi[i]
+            if coeff:
+                for k, v in entries.items():
+                    acc[k] += coeff * v
+        den *= dx * dy
+        return [Fraction(a, den) if a else ZERO for a in acc]
     out = [ZERO] * L.dim
     for (i, j), entries in L.brackets:
+        # exact zeros on both sides: the pair contributes nothing
+        if (not X[i] or not Y[j]) and (not X[j] or not Y[i]):
+            continue
         coeff = s_sub(s_mul(X[i], Y[j]), s_mul(X[j], Y[i]))
         if s_is_zero(coeff):
             continue

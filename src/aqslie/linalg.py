@@ -1,16 +1,23 @@
 """Small dense linear algebra over the scalar tower (exact) or floats.
 
-Matrices are lists of rows, vectors plain lists.  Exact rank/det go through
-fraction-free (Bareiss) elimination on integer-scaled rows whenever all
-entries are rational, which keeps intermediate growth polynomial; matrices
-with adjoined square roots fall back to ordinary field elimination, where
-division is still exact.  Float matrices use the same code paths with
-tolerance-based zero tests and magnitude pivoting.
+Matrices are lists of rows, vectors plain lists.  Each kernel decides the
+field once per call, from its whole input:
+
+* every entry a ``Fraction``: the kernel runs on Python integers over a
+  common denominator (fraction-free Gauss-Jordan with row-content removal
+  for rank and rref, Bareiss elimination for det and char_poly) and
+  divides only at the end, once per output entry;
+* anything else (square-root tower ``Ext`` entries, floats, plain ints):
+  per-scalar arithmetic through ``scalars``.  Tower division is still
+  exact; floats use tolerance-based zero tests and magnitude pivoting.
+
+Both routes return the same values: a normalised ``Fraction`` is unique.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,7 +58,35 @@ def transpose(M: Mat) -> Mat:
     return [list(col) for col in zip(*M)] if M else []
 
 
+def _int_scaled(xs) -> tuple[list[int], int] | None:
+    """(ints, den) with xs[i] == ints[i] / den when every entry of the
+    sequence xs is a Fraction; None otherwise."""
+    # _numerator/_denominator are Fraction's slots; the public properties
+    # cost a Python call each, and this loop is the integer kernels' entry
+    den = 1
+    for x in xs:
+        if type(x) is not Fraction:
+            return None
+        d = x._denominator
+        if den % d:
+            den = den * d // math.gcd(den, d)
+    if den == 1:
+        return [x._numerator for x in xs], 1
+    return [x._numerator * (den // x._denominator) for x in xs], den
+
+
+def _flat(M: Mat) -> list:
+    return [x for row in M for x in row]
+
+
 def mat_vec(M: Mat, v: Vec) -> Vec:
+    sv = _int_scaled(v)
+    sm = _int_scaled(_flat(M)) if sv is not None else None
+    if sm is not None:
+        (vi, dv), (mi, dm) = sv, sm
+        w, den = len(M[0]) if M else 0, dv * dm
+        sums = (sum(map(operator.mul, mi[r * w : r * w + w], vi)) for r in range(len(M)))
+        return [Fraction(t, den) if t else ZERO for t in sums]
     return [
         _sum(s_mul(M[i][j], v[j]) for j in range(len(v)) if not s_is_zero(v[j]))
         for i in range(len(M))
@@ -62,6 +97,15 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0
     Bt = transpose(B)
+    sa = _int_scaled(_flat(A))
+    sb = _int_scaled(_flat(Bt)) if sa is not None else None
+    if sb is not None:
+        (ai, da), (bi, db) = sa, sb
+        w, den = len(A[0]) if A else 0, da * db
+        rows = [ai[i * w : i * w + k] for i in range(n)]
+        cols = [bi[j * k : j * k + k] for j in range(m)]
+        sums = ([sum(map(operator.mul, row, col)) for col in cols] for row in rows)
+        return [[Fraction(t, den) if t else ZERO for t in line] for line in sums]
     out = zeros(n, m)
     for i in range(n):
         Ai = A[i]
@@ -89,18 +133,6 @@ def mat_eq(A: Mat, B: Mat) -> bool:
     )
 
 
-def mat_is_zero(M: Mat) -> bool:
-    return all(s_is_zero(x) for row in M for x in row)
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return [s_add(a, b) for a, b in zip(u, v)]
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [s_sub(a, b) for a, b in zip(u, v)]
-
-
 def vec_scale(v: Vec, c) -> Vec:
     return [s_mul(c, x) for x in v]
 
@@ -114,6 +146,10 @@ def vec_eq(u: Vec, v: Vec) -> bool:
 
 
 def dot(u: Vec, v: Vec):
+    su = _int_scaled(u)
+    sv = _int_scaled(v) if su is not None else None
+    if sv is not None:
+        return Fraction(sum(map(operator.mul, su[0], sv[0])), su[1] * sv[1])
     return _sum(s_mul(a, b) for a, b in zip(u, v))
 
 
@@ -151,11 +187,55 @@ def _pivot_row(M: Mat, rows: range, col: int, exact: bool) -> int | None:
     return best
 
 
+def _rows_to_int(M: Mat) -> list[tuple[list[int], int]] | None:
+    """Each row as (ints, den) over its own denominator when every entry is
+    a Fraction (scaling a row changes neither rank nor RREF); else None."""
+    rows = [_int_scaled(row) for row in M]
+    return None if None in rows else rows
+
+
+def _rref_int(A: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan in place: every pivot column ends with a
+    single nonzero entry, in its pivot row; each combined row is divided by
+    the gcd of its entries to keep them small.  Returns the pivot columns."""
+    n_rows, n_cols = len(A), len(A[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r >= n_rows:
+            break
+        p = next((i for i in range(r, n_rows) if A[i][c]), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        pr, a = A[r], A[r][c]
+        for i in range(n_rows):
+            f = A[i][c]
+            if i == r or not f:
+                continue
+            row = [a * x - f * y for x, y in zip(A[i], pr)]
+            g = math.gcd(*row)
+            A[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def rref(M: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form (copy) and pivot column list."""
+    if not M:
+        return [], []
+    rows = _rows_to_int(M) if M[0] else None
+    if rows is not None:
+        ints = [r for r, _ in rows]
+        pivots = _rref_int(ints)
+        zero_row = [ZERO] * len(ints[0])
+        R = [
+            [Fraction(x, row[c]) if x else ZERO for x in row]
+            for row, c in zip(ints, pivots)
+        ]
+        return R + [zero_row[:] for _ in range(len(ints) - len(pivots))], pivots
     A = mat_copy(M)
-    if not A:
-        return A, []
     n_rows, n_cols = len(A), len(A[0])
     exact = all(is_exact(x) for row in A for x in row)
     pivots: list[int] = []
@@ -178,55 +258,12 @@ def rref(M: Mat) -> tuple[Mat, list[int]]:
     return A, pivots
 
 
-def _rows_to_int(M: Mat) -> Mat | None:
-    """Scale each row to integers when all entries are rational."""
-    out = []
-    for row in M:
-        scaled = []
-        lcm = 1
-        for x in row:
-            if isinstance(x, Ext):
-                if not x.is_rational():
-                    return None
-                x = x.rational_part()
-            if not isinstance(x, Fraction):
-                return None
-            scaled.append(x)
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in scaled])
-    return out
-
-
-def _bareiss_rank(M: list[list[int]]) -> int:
-    """Fraction-free elimination; all divisions are exact over the integers."""
-    A = [row[:] for row in M]
-    if not A or not A[0]:
-        return 0
-    n_rows, n_cols = len(A), len(A[0])
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        p = next((i for i in range(r, n_rows) if A[i][c] != 0), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                A[i][j] = (A[r][c] * A[i][j] - A[i][c] * A[r][j]) // prev
-            A[i][c] = 0
-        prev = A[r][c]
-        r += 1
-    return r
-
-
 def rank(M: Mat) -> int:
     if not M or not M[0]:
         return 0
-    ints = _rows_to_int(M)
-    if ints is not None:
-        return _bareiss_rank(ints)
+    rows = _rows_to_int(M)
+    if rows is not None:
+        return len(_rref_int([r for r, _ in rows]))
     _, pivots = rref(M)
     return len(pivots)
 
@@ -272,6 +309,9 @@ def solve(M: Mat, b: Vec) -> Vec | None:
 
 def det(M: Mat):
     n = len(M)
+    rows = _rows_to_int(M)
+    if rows is not None:
+        return Fraction(_bareiss_det([r for r, _ in rows]), math.prod(d for _, d in rows))
     A = mat_copy(M)
     exact = all(is_exact(x) for row in A for x in row)
     sign = 1
@@ -351,21 +391,11 @@ def char_poly(M: Mat) -> list:
 
 def _char_poly_rational(M: Mat) -> list | None:
     n = len(M)
-    q = 1
-    plain = []
-    for row in M:
-        scaled_row = []
-        for x in row:
-            if isinstance(x, Ext):
-                if not x.is_rational():
-                    return None
-                x = x.rational_part()
-            if not isinstance(x, Fraction):
-                return None
-            scaled_row.append(x)
-            q = q * x.denominator // math.gcd(q, x.denominator)
-        plain.append(scaled_row)
-    P = [[int(x * q) for x in row] for row in plain]
+    scaled = _int_scaled(_flat(M))
+    if scaled is None:
+        return None
+    flat, q = scaled
+    P = [flat[i * n : i * n + n] for i in range(n)]
     # det(xI - M) = det(q x I - P) / q^n; sample at x = 0..n and interpolate
     xs = list(range(n + 1))
     ys = []
@@ -425,51 +455,74 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b (coefficients highest degree first,
+    b[0] != 0); the remainder keeps len(b) - 1 coefficients."""
+    rem, quo = list(a), []
+    for _ in range(len(a) - len(b) + 1):
+        f = rem[0] / b[0]
+        quo.append(f)
+        rem = [x - f * y for x, y in zip(rem[1:], b[1:])] + rem[len(b):]
+    return quo, rem
+
+
+def _squarefree_part(p: list) -> list:
+    """p / gcd(p, p') over the rationals: the same roots, each simple."""
+    deg = len(p) - 1
+    a, b = p, [c * (deg - i) for i, c in enumerate(p[:-1])]
+    while b:
+        _, r = _poly_divmod(a, b)
+        while r and r[0] == 0:
+            r = r[1:]
+        a, b = b, r
+    return _poly_divmod(p, a)[0]
+
+
+def _deflate(p: list, root: Fraction) -> list | None:
+    """p / (x - root) when root is a root of p, else None."""
+    out, acc = [], Fraction(0)
+    for c in p:
+        acc = acc * root + c
+        out.append(acc)
+    return out[:-1] if out[-1] == 0 else None
+
+
 def rational_roots(coeffs: list) -> tuple[dict[Fraction, int], int]:
     """All rational roots (with multiplicity) of a monic rational polynomial.
 
     Returns (roots, residual_degree); residual_degree > 0 means the
     polynomial does not split over the rationals.  Candidates come from the
-    rational root theorem on the cleared-denominator polynomial: p divides
-    the constant term, q divides the leading coefficient.
+    rational root theorem applied to the squarefree part p / gcd(p, p')
+    (Yun 1976), whose constant term is far smaller than p's when roots
+    repeat: its numerator divides the constant term and its denominator
+    the leading coefficient.  Each root's multiplicity is then recovered by
+    exact repeated division of p.  Roots are listed by increasing absolute
+    value, a positive root before its negative.
     """
     work = [Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
     roots: dict[Fraction, int] = {}
-    while len(work) > 1:
-        # strip trailing zero coefficients: root 0
-        if work[-1] == 0:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            work = work[:-1]
-            continue
-        lcm = 1
-        for c in work:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in work]  # leading coefficient is lcm
-        deg = len(work) - 1
-        found = None
-        candidates = set()
-        for p in _divisors(ints[-1]):
-            for q in _divisors(ints[0]):
-                if math.gcd(p, q) == 1:
-                    candidates.add(Fraction(p, q))
-        for cand in sorted(candidates):
-            if poly_eval(work, cand) == 0:
-                found = cand
-                break
-            if poly_eval(work, -cand) == 0:
-                found = -cand
-                break
-        if found is None:
-            return roots, deg
-        # deflate by (x - found)
-        new = []
-        acc = Fraction(0)
-        for c in work[:-1]:
-            acc = acc * found + c
-            new.append(acc)
-        work = new
-        roots[found] = roots.get(found, 0) + 1
-    return roots, 0
+    while len(work) > 1 and work[-1] == 0:
+        work = work[:-1]
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+    if len(work) == 1:
+        return roots, 0
+    simple = _squarefree_part(work)
+    ints = _int_scaled(simple)[0]
+    content = math.gcd(*ints)
+    candidates = {
+        Fraction(p, q)
+        for p in _divisors(ints[-1] // content)
+        for q in _divisors(ints[0] // content)
+    }
+    for cand in sorted(candidates):
+        for root in (cand, -cand):
+            if poly_eval(simple, root) != 0:
+                continue
+            mult = 0
+            while (quotient := _deflate(work, root)) is not None:
+                work, mult = quotient, mult + 1
+            roots[root] = mult
+    return roots, len(work) - 1
 
 
 def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
@@ -664,10 +717,6 @@ class Subspace:
         if self.dim != other.dim or self.ambient_dim != other.ambient_dim:
             return False
         return all(self.contains(list(v)) for v in other.basis)
-
-    def matrix_columns(self) -> Mat:
-        """Ambient x dim matrix whose columns are the basis vectors."""
-        return [[self.basis[j][i] for j in range(self.dim)] for i in range(self.ambient_dim)]
 
 
 def random_unimodular(n: int, rng, steps: int | None = None) -> Mat:

@@ -20,7 +20,7 @@ import re
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from .errors import ScalarParseError
+from .errors import InternalContradiction, ScalarParseError
 
 DEFAULT_TOLERANCE = 1e-9
 _tolerance = DEFAULT_TOLERANCE
@@ -185,6 +185,8 @@ def _lift(x):
 
 
 def s_add(a, b):
+    if type(a) is Fraction and type(b) is Fraction:
+        return a + b
     a, b = _lift(a), _lift(b)
     if isinstance(a, float) or isinstance(b, float):
         return s_to_float(a) + s_to_float(b)
@@ -198,6 +200,8 @@ def s_add(a, b):
 
 
 def s_neg(a):
+    if type(a) is Fraction:
+        return -a
     a = _lift(a)
     if isinstance(a, float):
         return -a
@@ -207,10 +211,14 @@ def s_neg(a):
 
 
 def s_sub(a, b):
+    if type(a) is Fraction and type(b) is Fraction:
+        return a - b
     return s_add(a, s_neg(b))
 
 
 def s_mul(a, b):
+    if type(a) is Fraction and type(b) is Fraction:
+        return a * b
     a, b = _lift(a), _lift(b)
     if isinstance(a, float) or isinstance(b, float):
         return s_to_float(a) * s_to_float(b)
@@ -243,7 +251,8 @@ def s_inv(a):
             if r != 1:
                 p = _least_prime_factor(r)
                 break
-        assert p is not None
+        if p is None:
+            raise InternalContradiction(f"no radicand left to rationalize in {s_str(den)}")
         conj = Ext({r: (-c if r % p == 0 else c) for r, c in den.terms.items()})
         num = s_mul(num, conj)
         den = s_mul(den, conj)
@@ -260,6 +269,8 @@ def s_div(a, b):
 
 
 def s_is_zero(a) -> bool:
+    if type(a) is Fraction:
+        return not a
     a = _lift(a)
     if isinstance(a, float):
         return abs(a) <= _tolerance
@@ -287,10 +298,6 @@ def s_sign(a) -> int:
 
 def s_lt(a, b) -> bool:
     return s_sign(s_sub(a, b)) < 0
-
-
-def s_le(a, b) -> bool:
-    return s_sign(s_sub(a, b)) <= 0
 
 
 def s_abs(a):

@@ -26,7 +26,7 @@ from aqslie.acm import (
     xi_killing_check,
 )
 from aqslie.constructors import abelian, weighted_heisenberg_2n1, weighted_heisenberg_4n1
-from aqslie.errors import NotAqs, PreconditionError
+from aqslie.errors import InternalContradiction, NotAqs, PreconditionError
 from aqslie.exterior import bilinear_from_form, ce_d
 from aqslie.lie_core import LieAlgebra
 from aqslie.linalg import identity, mat_eq, mat_mul, mat_vec, vec_is_zero, zeros
@@ -182,6 +182,24 @@ def test_levi_civita_values():
     for i in range(3):
         for j in range(3):
             assert vec_is_zero(list(cab.gamma[i][j]))
+
+
+def test_levi_civita_certificate_catches_corrupted_coefficient(monkeypatch):
+    import aqslie.acm as acm
+
+    _, (S1, _, _) = h5_structures()
+    real = acm.ConnectionTable
+
+    def corrupting(gamma):
+        rows = [list(row) for row in gamma]
+        entry = list(rows[1][4])
+        entry[0] += F(1, 7)
+        rows[1][4] = tuple(entry)
+        return real(tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(acm, "ConnectionTable", corrupting)
+    with pytest.raises(InternalContradiction, match="Koszul solve lost"):
+        levi_civita(S1)
 
 
 def test_levi_civita_rejects_indefinite_metric():

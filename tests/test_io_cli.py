@@ -388,3 +388,34 @@ def test_cli_seed_and_tolerance_flags(tmp_path, capsys):
 
     assert get_tolerance() == 1e-8
     set_tolerance(1e-9)
+
+
+def test_cli_classify_dim21_heisenberg(tmp_path, capsys):
+    # the characteristic polynomial's constant term is (5!)^8: root
+    # candidates must come from its squarefree part
+    out_file = tmp_path / "h21.json"
+    args = ["construct", "heisenberg", "--dim-family", "4n1", "--weights", "1,2,3,4,5"]
+    assert main(args + ["-o", str(out_file)]) == 0
+    capsys.readouterr()
+    code = main(["classify", str(out_file), "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["error"] is None
+    assert out["payload"]["normal_form"]["weights"] == ["5", "4", "3", "2", "1"]
+
+
+def test_cli_defect_outside_taxonomy_is_an_internal_report(tmp_path, capsys, monkeypatch):
+    import aqslie.cli as cli
+
+    def broken(S):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "classify_structure", broken)
+    path = _structure_file(tmp_path, 1, (1,))
+    code = main(["classify", path, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 4 and out["payload"] is None
+    assert out["error"]["code"] == "InternalContradiction"
+    assert out["error"]["family"] == "internal"
+    assert out["error"]["message"].startswith(
+        "ZeroDivisionError: division by zero [in broken, test_io_cli.py:"
+    )

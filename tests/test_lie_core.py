@@ -1,9 +1,12 @@
 """Lie algebra kernel: brackets, Jacobi, center, series, Killing,
 derivations, central quotients."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqslie.constructors import (
     abelian,
@@ -29,7 +32,7 @@ from aqslie.lie_core import (
     quotient_by_center_line,
 )
 from aqslie.linalg import Subspace, identity, mat_vec, nullspace, vec_eq, vec_is_zero
-from aqslie.scalars import s_add, s_is_zero, s_mul
+from aqslie.scalars import Ext, s_add, s_eq, s_is_zero, s_mul
 
 
 def h5():
@@ -235,3 +238,85 @@ def test_ad_matrix_action():
     assert mat_vec(ad1, L.basis_vector(1)) == bracket(
         L, L.basis_vector(0), L.basis_vector(1)
     )
+
+
+# ---------------------------------------------------------------------------
+# differential tests: bracket and c against the structure-constant formula
+# ---------------------------------------------------------------------------
+
+fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def tables(draw):
+    """Random sparse structure constants (Jacobi not required here)."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    table = {}
+    for pair in chosen:
+        ks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        table[pair] = {k: draw(fractions) for k in ks}
+    return n, table
+
+
+def vectors(n):
+    basis = st.integers(0, n - 1).map(lambda i: [F(int(t == i)) for t in range(n)])
+    return st.lists(fractions, min_size=n, max_size=n) | basis | st.just([F(0)] * n)
+
+
+def ref_bracket(n, table, X, Y):
+    out = [F(0)] * n
+    for (i, j), coeffs in table.items():
+        for k, v in coeffs.items():
+            out[k] += v * (X[i] * Y[j] - X[j] * Y[i])
+    return out
+
+
+def _scaled(table, c):
+    return {pair: {k: s_mul(c, v) for k, v in coeffs.items()} for pair, coeffs in table.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(), st.data())
+def test_bracket_matches_fraction_reference(nt, data):
+    n, table = nt
+    X, Y = data.draw(vectors(n)), data.draw(vectors(n))
+    expected = ref_bracket(n, table, X, Y)
+    L = LieAlgebra.from_brackets(n, table, check=False)
+    got = bracket(L, X, Y)
+    assert got == expected and all(type(x) is F for x in got)
+    # fallbacks: tower constants, plain ints in a vector, float mode
+    r2 = Ext.of_sqrt(2)
+    L2 = LieAlgebra.from_brackets(n, _scaled(table, r2), check=False)
+    assert all(s_eq(a, s_mul(r2, b)) for a, b in zip(bracket(L2, X, Y), expected))
+    ints = [int(x) if x.denominator == 1 else x for x in X]
+    assert bracket(L, ints, Y) == expected
+    Lf = LieAlgebra.from_brackets(n, _scaled(table, 1.0), mode="float", check=False)
+    assert all(abs(a - float(b)) < 1e-9 for a, b in zip(bracket(Lf, X, Y), expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables())
+def test_structure_constant_lookup_signs(nt):
+    n, table = nt
+    L = LieAlgebra.from_brackets(n, table, check=False)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if i == j:
+                    expected = F(0)
+                elif i < j:
+                    expected = table.get((i, j), {}).get(k, F(0))
+                else:
+                    expected = -table.get((j, i), {}).get(k, F(0))
+                assert L.c(i, j, k) == expected
+
+
+def test_cached_tables_leave_equality_and_hash_alone():
+    L1 = weighted_heisenberg_4n1(2, [1, 2])[0]
+    L2 = weighted_heisenberg_4n1(2, [1, 2])[0]
+    bracket(L1, L1.basis_vector(1), L1.basis_vector(3))
+    L1.c(3, 1, 0)
+    assert L1 == L2 and hash(L1) == hash(L2)
+    assert [f.name for f in fields(L1)] == ["dim", "brackets", "basis_names", "mode"]

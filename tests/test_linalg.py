@@ -12,6 +12,7 @@ from aqslie.linalg import (
     Subspace,
     char_poly,
     det,
+    dot,
     eig_sym_exact,
     eigh_float,
     identity,
@@ -29,6 +30,7 @@ from aqslie.linalg import (
     vec_eq,
     vec_is_zero,
 )
+from aqslie.scalars import Ext, s_eq, s_inv, s_mul
 
 small_mats = st.integers(-4, 4)
 
@@ -135,3 +137,218 @@ def test_subspace_membership_and_equality():
     assert not S.contains([F(1), F(0), F(0)])
     T = Subspace.from_vectors(3, [[F(1), F(1), F(1)], [F(1), F(-1), F(1)]])
     assert S.equals(T)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the kernels against a plain Fraction reference
+# ---------------------------------------------------------------------------
+
+fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Wide, tall or square rational matrices with non-unit denominators;
+    some rows are zero and some combine earlier rows (rank deficiency)."""
+    m = draw(st.integers(1, 6))
+    n = m if square else draw(st.integers(1, 6))
+    M = [draw(st.lists(fractions, min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(1, m):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "combine")))
+        if kind == "zero":
+            M[i] = [F(0)] * n
+        elif kind == "combine":
+            a, b, j = draw(fractions), draw(fractions), draw(st.integers(0, i - 1))
+            M[i] = [a * x + b * y for x, y in zip(M[j], M[i - 1])]
+    return M
+
+
+def ref_mat_mul(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*B)] for row in A]
+
+
+def ref_rref(M):
+    A = [row[:] for row in M]
+    pivots, r = [], 0
+    for c in range(len(A[0])):
+        p = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        pivot = A[r][c]
+        A[r] = [x / pivot for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(A):
+            break
+    return A, pivots
+
+
+def ref_nullspace(M):
+    R, pivots = ref_rref(M)
+    n = len(M[0])
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[free] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -R[r][free]
+        basis.append(v)
+    return basis
+
+
+def ref_solve(M, b):
+    n = len(M[0])
+    R, pivots = ref_rref([row + [x] for row, x in zip(M, b)])
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for r, c in enumerate(pivots):
+        x[c] = R[r][n]
+    return x
+
+
+def ref_inverse(M):
+    n = len(M)
+    R, pivots = ref_rref([row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(M)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in R]
+
+
+def _all_fractions(obj):
+    if isinstance(obj, list):
+        return all(_all_fractions(x) for x in obj)
+    return type(obj) is F
+
+
+def _close(a, b):
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_close(x, y) for x, y in zip(a, b))
+    return abs(float(a) - float(b)) <= 1e-6 * (1 + abs(float(b)))
+
+
+def _same(a, b):
+    """Exact value equality of nested lists of scalars of any kind."""
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return s_eq(a, b)
+
+
+def _map(fn, obj):
+    return [_map(fn, x) for x in obj] if isinstance(obj, list) else fn(obj)
+
+
+def _intify(x):
+    return int(x) if x.denominator == 1 else x
+
+
+SQRT2 = Ext.of_sqrt(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_products_match_fraction_reference(A, data):
+    k = len(A[0])
+    vectors = st.lists(fractions, min_size=k, max_size=k)
+    B = data.draw(rational_matrices().map(lambda M: [M[i % len(M)] for i in range(k)]))
+    u, v = data.draw(vectors), data.draw(vectors)
+    AB = ref_mat_mul(A, B)
+    Av = [row[0] for row in ref_mat_mul(A, [[x] for x in v])]
+    uv = ref_mat_mul([u], [[x] for x in v])[0][0]
+    assert mat_mul(A, B) == AB and _all_fractions(mat_mul(A, B))
+    assert mat_vec(A, v) == Av and _all_fractions(mat_vec(A, v))
+    assert dot(u, v) == uv and type(dot(u, v)) is F
+    # fallbacks: square-root tower, plain ints mixed in, floats
+    rA = _map(lambda x: s_mul(SQRT2, x), A)
+    assert _same(mat_mul(rA, B), _map(lambda x: s_mul(SQRT2, x), AB))
+    assert _same(mat_vec(rA, v), _map(lambda x: s_mul(SQRT2, x), Av))
+    assert s_eq(dot(rA[0], v), s_mul(SQRT2, dot(A[0], v)))
+    assert mat_mul(_map(_intify, A), _map(_intify, B)) == AB
+    assert mat_vec(A, _map(_intify, v)) == Av
+    assert dot(_map(_intify, u), v) == uv
+    assert _close(mat_mul(_map(float, A), _map(float, B)), AB)
+    assert _close(mat_vec(_map(float, A), _map(float, v)), Av)
+    assert _close(dot(_map(float, u), v), uv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(), st.data())
+def test_eliminations_match_fraction_reference(M, data):
+    b = data.draw(st.lists(fractions, min_size=len(M), max_size=len(M)))
+    R, pivots = ref_rref(M)
+    got = rref(M)
+    assert got == (R, pivots) and _all_fractions(got[0])
+    assert nullspace(M) == ref_nullspace(M) and _all_fractions(nullspace(M))
+    assert solve(M, b) == ref_solve(M, b)
+    assert rank(M) == len(pivots)
+    # fallbacks reach the same reduced form
+    assert _same(rref(_map(lambda x: s_mul(SQRT2, x), M))[0], R)
+    assert rref(_map(_intify, M)) == (R, pivots)
+    assert _same(nullspace(_map(lambda x: s_mul(SQRT2, x), M)), ref_nullspace(M))
+    assert nullspace(_map(_intify, M)) == ref_nullspace(M)
+    scaled = solve(_map(lambda x: s_mul(SQRT2, x), M), [s_mul(SQRT2, x) for x in b])
+    expected = ref_solve(M, b)
+    assert (scaled is None) == (expected is None)
+    if expected is not None:
+        assert _same(scaled, expected)
+    float_R, float_pivots = rref(_map(float, M))
+    assert float_pivots == pivots and _close(float_R, R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(square=True))
+def test_inverse_and_det_match_fraction_reference(M):
+    expected = ref_inverse(M)
+    if expected is None:
+        with pytest.raises(ValueError):
+            inverse(M)
+        assert det(M) == 0
+        return
+    assert inverse(M) == expected and _all_fractions(inverse(M))
+    assert det(M) != 0 and det(M) == det(_map(_intify, M))
+    inv_sqrt2 = s_inv(SQRT2)
+    assert _same(
+        inverse(_map(lambda x: s_mul(SQRT2, x), M)),
+        _map(lambda x: s_mul(inv_sqrt2, x), expected),
+    )
+    assert inverse(_map(_intify, M)) == expected
+    assert _close(inverse(_map(float, M)), expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_matrices())
+def test_rref_and_inverse_agree_with_sympy(M):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(A):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in A])
+
+    R, pivots = rref(M)
+    sR, spivots = to_sympy(M).rref()
+    assert list(spivots) == pivots
+    assert to_sympy(R) == sR
+    if len(M) == len(M[0]) and len(pivots) == len(M):
+        assert to_sympy(inverse(M)) == to_sympy(M).inv()
+
+
+def test_rational_roots_squarefree_candidates():
+    # (x-1)^8 (x-2)^8 ... (x-5)^8 has constant term (5!)^8; the squarefree
+    # part keeps the divisor search small
+    p = [F(1)]
+    for r in (1, 2, 3, 4, 5):
+        for _ in range(8):
+            p = [a - r * b for a, b in zip(p + [F(0)], [F(0)] + p)]
+    roots, residual = rational_roots(p)
+    assert residual == 0 and roots == {F(r): 8 for r in (1, 2, 3, 4, 5)}
+    # multiplicities survive alongside an irreducible factor and root 0
+    q = [F(1), F(0), F(-2)]  # x^2 - 2
+    for r in (F(1, 2), F(1, 2), F(-3), F(0)):
+        q = [a - r * b for a, b in zip(q + [F(0)], [F(0)] + q)]
+    roots, residual = rational_roots(q)
+    assert residual == 2 and roots == {F(0): 1, F(1, 2): 2, F(-3): 1}
