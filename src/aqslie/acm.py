@@ -6,6 +6,13 @@ d Phi, d eta and the Nijenhuis tensor N_phi = [phi, phi] + d eta (x) xi,
 and returns every class whose defining equations hold (classes overlap).
 
 Sign convention, fixed package-wide: d eta (X, Y) = -eta([X, Y]).
+
+Shared formulas live here once: :func:`nijenhuis` is the Nijenhuis bracket
+of any endomorphism (phi here, the complex structure J of a Kahler algebra
+in ``constructors``), and :func:`psi_matrix` is psi = -nabla xi for both
+the anti-quasi-Sasakian operator pack and the quasi-Sasakian classifier.
+Basis-pair checks of 2-forms and bilinear forms are Gram products, e.g.
+d eta(phi X, phi Y) = -d eta(X, Y) is phi^T B phi + B = 0.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .exterior import (
     form_sub,
     rank_of_eta,
 )
-from .lie_core import LieAlgebra, bracket
+from .lie_core import LieAlgebra, ad_matrix, bracket
 from .linalg import (
     Mat,
     Vec,
@@ -39,11 +46,14 @@ from .linalg import (
     identity,
     inverse,
     is_positive_definite,
+    mat_add,
     mat_mul,
     mat_sub,
     mat_vec,
     transpose,
+    vec_add,
     vec_is_zero,
+    vec_sub,
     zeros,
 )
 from .scalars import ONE, ZERO, s_abs, s_add, s_div, s_is_zero, s_lt, s_mul, s_neg, s_sub
@@ -152,10 +162,6 @@ def validate_acm(S: AcmStructure) -> ValidationReport:
     return ValidationReport(passed, residuals, worst, worst_name)
 
 
-def _e(i: int, n: int) -> Vec:
-    return [ONE if t == i else ZERO for t in range(n)]
-
-
 def fundamental_form(S: AcmStructure) -> KForm:
     """Phi(X, Y) = g(X, phi Y)."""
     M = mat_mul(S.g_mat(), S.phi_mat())
@@ -165,29 +171,25 @@ def fundamental_form(S: AcmStructure) -> KForm:
         raise InvalidStructure("g(., phi .) is not alternating; structure invalid") from exc
 
 
-def nijenhuis_phi(S: AcmStructure) -> dict:
-    """Nijenhuis torsion [phi, phi] on basis pairs: {(i, j): vector}, i < j."""
-    L, phi = S.L, S.phi_mat()
+def nijenhuis(L: LieAlgebra, J: Mat) -> dict:
+    """Nijenhuis bracket [J, J] of an endomorphism on basis pairs, i < j:
+    {(i, j): [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]}."""
     n = L.dim
+    cols = transpose(J)
+    basis = [L.basis_vector(i) for i in range(n)]
     out = {}
-    phi_cols = [mat_vec(phi, _e(j, n)) for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            bi, bj = _e(i, n), _e(j, n)
-            term = bracket(L, phi_cols[i], phi_cols[j])
-            term = _vadd(term, mat_vec(phi, mat_vec(phi, bracket(L, bi, bj))))
-            term = _vsub(term, mat_vec(phi, bracket(L, bi, phi_cols[j])))
-            term = _vsub(term, mat_vec(phi, bracket(L, phi_cols[i], bj)))
-            out[(i, j)] = term
+            term = bracket(L, cols[i], cols[j])
+            term = vec_add(term, mat_vec(J, mat_vec(J, bracket(L, basis[i], basis[j]))))
+            term = vec_sub(term, mat_vec(J, bracket(L, basis[i], cols[j])))
+            out[(i, j)] = vec_sub(term, mat_vec(J, bracket(L, cols[i], basis[j])))
     return out
 
 
-def _vadd(u, v):
-    return [s_add(a, b) for a, b in zip(u, v)]
-
-
-def _vsub(u, v):
-    return [s_sub(a, b) for a, b in zip(u, v)]
+def nijenhuis_phi(S: AcmStructure) -> dict:
+    """Nijenhuis torsion [phi, phi] on basis pairs: {(i, j): vector}, i < j."""
+    return nijenhuis(S.L, S.phi_mat())
 
 
 @dataclass(frozen=True)
@@ -221,14 +223,14 @@ def classify_structure(S: AcmStructure) -> StructureClass:
 
     # N_phi = [phi, phi] + d eta (x) xi on basis pairs
     n_phi = {
-        key: _vadd(val, [s_mul(deta_mat[key[0]][key[1]], x) for x in xi])
+        key: vec_add(val, [s_mul(deta_mat[key[0]][key[1]], x) for x in xi])
         for key, val in nij.items()
     }
     n_phi_zero = all(vec_is_zero(v) for v in n_phi.values())
     # anti-normal: N_phi = 2 d eta (x) xi
     anti = all(
         vec_is_zero(
-            _vsub(v, [s_mul(s_mul(Fraction(2), deta_mat[i][j]), x) for x in xi])
+            vec_sub(v, [s_mul(s_mul(Fraction(2), deta_mat[i][j]), x) for x in xi])
         )
         for (i, j), v in n_phi.items()
     )
@@ -256,7 +258,7 @@ def classify_structure(S: AcmStructure) -> StructureClass:
         "anti_normal": _max_abs(
             x
             for (i, j), v in n_phi.items()
-            for x in _vsub(v, [s_mul(s_mul(Fraction(2), deta_mat[i][j]), w) for w in xi])
+            for x in vec_sub(v, [s_mul(s_mul(Fraction(2), deta_mat[i][j]), w) for w in xi])
         ),
         "contact_metric": _max_abs(
             c for _, c in form_sub(deta, form_scale(Phi, Fraction(2))).coeffs
@@ -270,23 +272,16 @@ def classify_structure(S: AcmStructure) -> StructureClass:
 def xi_killing_check(S: AcmStructure) -> bool:
     """g([xi, X], Y) + g(X, [xi, Y]) = 0 on all basis pairs, i.e.
     g ad_xi + (g ad_xi)^T = 0."""
-    L, g, xi = S.L, S.g_mat(), S.xi_vec()
-    n = L.dim
-    ad_xi = [[ZERO] * n for _ in range(n)]
-    ad_xi_cols = [bracket(L, xi, _e(j, n)) for j in range(n)]
-    for j in range(n):
-        for i in range(n):
-            ad_xi[i][j] = ad_xi_cols[j][i]
-    M = mat_mul(g, ad_xi)
+    n = S.L.dim
+    ad_xi = ad_matrix(S.L, S.xi_vec())
+    M = mat_mul(S.g_mat(), ad_xi)
     for i in range(n):
         for j in range(i, n):
             if not s_is_zero(s_add(M[i][j], M[j][i])):
                 return False
     # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
-    eta = S.eta_row()
-    for j in range(n):
-        if not s_is_zero(dot(eta, ad_xi_cols[j])):
-            raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
+    if not vec_is_zero(mat_vec(transpose(ad_xi), S.eta_row())):
+        raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
     return True
 
 
@@ -319,7 +314,7 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     if not is_positive_definite(g):
         raise PreconditionError("metric is not positive definite")
     g_inv = inverse(g)
-    basis = [_e(i, n) for i in range(n)]
+    basis = [L.basis_vector(i) for i in range(n)]
     br = [[bracket(L, basis[i], basis[j]) for j in range(n)] for i in range(n)]
     gb = [[mat_vec(g, br[i][j]) for j in range(n)] for i in range(n)]
     half = Fraction(1, 2)
@@ -340,8 +335,8 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     ]
     for i in range(n):
         for j in range(n):
-            tors = _vsub(
-                _vsub(list(table.gamma[i][j]), list(table.gamma[j][i])), br[i][j]
+            tors = vec_sub(
+                vec_sub(list(table.gamma[i][j]), list(table.gamma[j][i])), br[i][j]
             )
             if not vec_is_zero(tors):
                 raise InternalContradiction("Koszul solve lost torsion-freeness")
@@ -363,17 +358,25 @@ class OperatorPack:
     residuals: dict
 
 
+def psi_matrix(S: AcmStructure, conn: ConnectionTable | None = None) -> Mat:
+    """psi = -nabla xi: column j is -nabla_{b_j} xi."""
+    if conn is None:
+        conn = levi_civita(S)
+    xi = S.xi_vec()
+    return transpose(
+        [[s_neg(x) for x in conn.nabla(S.L.basis_vector(j), xi)] for j in range(S.L.dim)]
+    )
+
+
 def operators_A_psi(S: AcmStructure, conn: ConnectionTable | None = None) -> OperatorPack:
     """Operators A = -phi o nabla xi and psi = -nabla xi, with the identity
     suite (A phi = psi = -phi A, phi psi = A = -psi phi, psi A = -phi A^2
     = -A psi, A xi = psi xi = 0, skew-symmetry) asserted, not assumed."""
     if "operators" in S._memo:
         return S._memo["operators"]
-    if conn is None:
-        conn = levi_civita(S)
-    L, phi, g, xi, eta = S.L, S.phi_mat(), S.g_mat(), S.xi_vec(), S.eta_row()
-    n = L.dim
-    psi = transpose([[s_neg(x) for x in conn.nabla(_e(j, n), xi)] for j in range(n)])
+    phi, g, xi, eta = S.phi_mat(), S.g_mat(), S.xi_vec(), S.eta_row()
+    n = S.L.dim
+    psi = psi_matrix(S, conn)
     A = mat_mul(phi, psi)
     residuals = {}
     residuals["A_phi_eq_psi"] = _mat_res(mat_mul(A, phi), psi)
@@ -443,23 +446,12 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     )
     if not pack.ok:
         residuals["operator_identities"] = ONE
-    deta_mat = bilinear_from_form(deta)
-    phi = S.phi_mat()
-    n = L.dim
-    witness = None
-    worst = ZERO
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = s_add(
-                bilinear(mat_vec(phi, _e(i, n)), deta_mat, mat_vec(phi, _e(j, n))),
-                deta_mat[i][j],
-            )
-            if not s_is_zero(val) and witness is None:
-                witness = (i, j)
-            a = s_abs(val)
-            if s_lt(worst, a):
-                worst = a
-    residuals["deta_anti_invariance"] = worst
+    # d eta(phi X, phi Y) + d eta(X, Y) on basis pairs: phi^T B phi + B
+    B, phi = bilinear_from_form(deta), S.phi_mat()
+    anti = mat_add(mat_mul(transpose(phi), mat_mul(B, phi)), B)
+    pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
+    witness = next(((i, j) for i, j in pairs if not s_is_zero(anti[i][j])), None)
+    residuals["deta_anti_invariance"] = _max_abs(anti[i][j] for i, j in pairs)
     ok = all(s_is_zero(r) for r in residuals.values())
     return ClosednessReport(ok, residuals, witness)
 
@@ -473,8 +465,8 @@ class CurvatureData:
     def riemann(self, X: Vec, Y: Vec, Z: Vec, L: LieAlgebra) -> Vec:
         """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
         c = self.connection
-        out = _vsub(c.nabla(X, c.nabla(Y, Z)), c.nabla(Y, c.nabla(X, Z)))
-        return _vsub(out, c.nabla(bracket(L, X, Y), Z))
+        out = vec_sub(c.nabla(X, c.nabla(Y, Z)), c.nabla(Y, c.nabla(X, Z)))
+        return vec_sub(out, c.nabla(bracket(L, X, Y), Z))
 
 
 def curvature(S: AcmStructure, conn: ConnectionTable | None = None) -> CurvatureData:
@@ -484,7 +476,7 @@ def curvature(S: AcmStructure, conn: ConnectionTable | None = None) -> Curvature
     L, g = S.L, S.g_mat()
     n = L.dim
     data = CurvatureData(conn, (), ZERO)
-    basis = [_e(i, n) for i in range(n)]
+    basis = [L.basis_vector(i) for i in range(n)]
     ricci = zeros(n, n)
     for i in range(n):
         for j in range(n):
@@ -528,9 +520,9 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
     for a, b in ((S1, S2), (S1, S3)):
         shared = _max_abs(
             [shared]
-            + [s_sub(x, y) for x, y in zip(a.xi, b.xi)]
-            + [s_sub(x, y) for x, y in zip(a.eta, b.eta)]
-            + [s_sub(x, y) for ra, rb in zip(a.g, b.g) for x, y in zip(ra, rb)]
+            + vec_sub(a.xi, b.xi)
+            + vec_sub(a.eta, b.eta)
+            + [x for row in mat_sub(a.g, b.g) for x in row]
         )
     residuals["shared_tensors"] = shared
     p1, p2, p3 = S1.phi_mat(), S2.phi_mat(), S3.phi_mat()
@@ -556,7 +548,7 @@ def conjugate_structure(S: AcmStructure, Q: Mat) -> AcmStructure:
     L = S.L
     n = L.dim
     Q_inv = inverse(Q)
-    cols = [[Q[r][c] for r in range(n)] for c in range(n)]
+    cols = transpose(Q)
     table = {}
     for a in range(n):
         for b in range(a + 1, n):

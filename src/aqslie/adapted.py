@@ -10,9 +10,13 @@ with psi^2 e_i = -w_i^2 e_i produces the orthonormal frame
 {xi, e_i, e_{n+i}, e_{2n+i}, e_{3n+i}}.  Pivots stay rational until the
 final normalization, so exact frames live in the square-root tower.
 
+psi^2 is eigendecomposed once per frame, through ``linalg.eigenspaces``
+(exact, or the generalized float problem with tolerance clustering).
+
 Determinism: eigenvalues are processed by descending weight and the pivot
 inside an eigendistribution is the first reduced-echelon kernel vector
 (lexicographically least free column); this is a repository convention.
+The quasi-Sasakian classifier picks its pairs with the same pivot rule.
 """
 
 from __future__ import annotations
@@ -33,24 +37,22 @@ from .errors import (
     NotMaximalRank,
     PreconditionError,
 )
-from .exterior import evaluate
+from .exterior import bilinear_from_form
 from .linalg import (
     Mat,
     Vec,
     bilinear,
     dot,
-    eig_sym_exact,
-    eigh_g_float,
+    eigenspaces,
     mat_mul,
     mat_vec,
     nullspace,
+    transpose,
     vec_scale,
 )
 from .scalars import (
     ONE,
     ZERO,
-    is_exact,
-    s_add,
     s_div,
     s_eq,
     s_is_zero,
@@ -70,32 +72,31 @@ def _require_aqs_maximal(S: AcmStructure) -> None:
         raise NotMaximalRank(f"rank {rr.rank} < dim {S.L.dim}")
 
 
-def _psi_squared(S: AcmStructure, pack: OperatorPack | None = None):
-    if pack is None:
-        pack = operators_A_psi(S)
+def _psi2_eigenspaces(S: AcmStructure, pack: OperatorPack) -> list:
+    """[(eigenvalue, multiplicity, eigenbasis)] of psi^2 on D, most
+    negative first; psi^2 is only g-symmetric, so the float route solves
+    the generalized problem."""
     if not pack.ok:
         raise NotAqs("operator identities fail; structure is not aqS")
     psi = [list(r) for r in pack.psi]
-    return pack, mat_mul(psi, psi)
-
-
-def _eigendecompose_psi2(S: AcmStructure, pack: OperatorPack | None):
-    """[(eigenvalue, multiplicity, eigenbasis)] of psi^2; psi^2 is only
-    g-symmetric, so the float route solves the generalized problem."""
-    pack, psi2 = _psi_squared(S, pack)
-    if all(is_exact(x) for row in psi2 for x in row):
-        return pack, eig_sym_exact(psi2)
-    evals, V = eigh_g_float(psi2, S.g_mat())
-    n = len(evals)
-    clustered: list = []
-    for idx, ev in enumerate(evals):
-        vec = [V[r][idx] for r in range(n)]
-        if clustered and s_eq(clustered[-1][0], ev):
-            prev = clustered[-1]
-            clustered[-1] = (prev[0], prev[1] + 1, prev[2] + [vec])
-        else:
-            clustered.append((ev, 1, [vec]))
-    return pack, clustered
+    eig = eigenspaces(mat_mul(psi, psi), S.g_mat())
+    # drop the simple zero eigenvalue carried by xi
+    zero_mult = sum(mult for ev, mult, _ in eig if s_is_zero(ev))
+    spectrum = [entry for entry in eig if not s_is_zero(entry[0])]
+    if zero_mult != 1:
+        raise NotMaximalRank(
+            f"psi^2 kernel has dimension {zero_mult}; psi is singular on D"
+        )
+    for ev, mult, _ in spectrum:
+        if s_sign(ev) > 0:
+            raise InternalContradiction(f"psi^2 has positive eigenvalue {ev}")
+        if mult % 4 != 0:
+            raise InternalContradiction(
+                f"eigenvalue {ev} has multiplicity {mult}, not divisible by 4"
+            )
+    # most negative eigenvalue (largest weight) first; exact and float alike
+    spectrum.sort(key=lambda entry: s_to_float(entry[0]))
+    return spectrum
 
 
 def psi_squared_spectrum(
@@ -107,33 +108,9 @@ def psi_squared_spectrum(
     has non-rational roots (retry in float mode in that case).
     """
     _require_aqs_maximal(S)
-    _, eig = _eigendecompose_psi2(S, pack)
-    # drop the simple zero eigenvalue carried by xi
-    spectrum = []
-    zero_mult = 0
-    for ev, mult, _ in eig:
-        if s_is_zero(ev):
-            zero_mult += mult
-        else:
-            spectrum.append((ev, mult))
-    if zero_mult != 1:
-        raise NotMaximalRank(
-            f"psi^2 kernel has dimension {zero_mult}; psi is singular on D"
-        )
-    for ev, mult in spectrum:
-        if s_sign(ev) > 0:
-            raise InternalContradiction(f"psi^2 has positive eigenvalue {ev}")
-        if mult % 4 != 0:
-            raise InternalContradiction(
-                f"eigenvalue {ev} has multiplicity {mult}, not divisible by 4"
-            )
-    spectrum.sort(key=lambda p: _sort_key(p[0]))
-    return spectrum
-
-
-def _sort_key(ev):
-    # most negative eigenvalue (largest weight) first; exact and float alike
-    return s_to_float(ev)
+    if pack is None:
+        pack = operators_A_psi(S)
+    return [(ev, mult) for ev, mult, _ in _psi2_eigenspaces(S, pack)]
 
 
 @dataclass(frozen=True)
@@ -155,21 +132,14 @@ def adapted_frame(S: AcmStructure, pack: OperatorPack | None = None) -> AdaptedF
     _require_aqs_maximal(S)
     if pack is None:
         pack = operators_A_psi(S)
-    spectrum = psi_squared_spectrum(S, pack)
-    pack, eig = _eigendecompose_psi2(S, pack)
-    bases = {}
-    for ev, _, basis in eig:
-        bases[_sort_key(ev)] = basis
-    if len(bases) != len(eig):
-        raise InternalContradiction("eigenvalues collide at float precision")
-    L, g = S.L, S.g_mat()
+    g = S.g_mat()
     A = [list(r) for r in pack.A]
     psi = [list(r) for r in pack.psi]
     phi = S.phi_mat()
 
     quadruples: list[tuple[Vec, Vec, Vec, Vec]] = []  # (v, Av, phi v, psi v)
     weights = []
-    for ev, mult in spectrum:
+    for ev, mult, eig_basis in _psi2_eigenspaces(S, pack):
         weight_sq = s_neg(ev)
         try:
             weight = s_sqrt(weight_sq)
@@ -177,9 +147,6 @@ def adapted_frame(S: AcmStructure, pack: OperatorPack | None = None) -> AdaptedF
             raise IrrationalSpectrum(
                 f"weight^2 = {weight_sq} is not a rational square"
             ) from exc
-        eig_basis = bases[_sort_key(ev)]
-        if len(eig_basis) != mult:
-            raise InternalContradiction("eigenspace dimension mismatch")
         chosen: list[Vec] = []
         for _ in range(mult // 4):
             pivot = _orthogonal_pivot(eig_basis, chosen, g)
@@ -213,18 +180,17 @@ def adapted_frame(S: AcmStructure, pack: OperatorPack | None = None) -> AdaptedF
                 raise InternalContradiction(
                     f"frame is not orthonormal at pair ({a}, {b})"
                 )
-    n_amb = L.dim
-    T = [[cols[j][i] for j in range(len(cols))] for i in range(n_amb)]
     return AdaptedFrame(
         n,
         tuple(tuple(c) for c in cols),
         tuple(weights),
-        tuple(tuple(r) for r in T),
+        tuple(tuple(r) for r in transpose(cols)),
     )
 
 
 def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:
-    """First kernel vector of the eigenspace orthogonal to everything chosen."""
+    """First kernel vector of the eigenspace g-orthogonal to everything
+    chosen (the reduced-echelon convention of the module docstring)."""
     if not chosen:
         return list(eig_basis[0])
     rows = []
@@ -234,13 +200,7 @@ def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:
     coeff_basis = nullspace(rows, len(eig_basis))
     if not coeff_basis:
         raise InternalContradiction("eigenspace exhausted before its multiplicity")
-    coords = coeff_basis[0]
-    out = [ZERO] * len(eig_basis[0])
-    for c, v in zip(coords, eig_basis):
-        if not s_is_zero(c):
-            for t in range(len(out)):
-                out[t] = s_add(out[t], s_mul(c, v[t]))
-    return out
+    return mat_vec(transpose(eig_basis), coeff_basis[0])
 
 
 def _check_quadruple(quad, g: Mat, weight_sq) -> None:
@@ -304,11 +264,14 @@ def coframe_expansion_check(S: AcmStructure, F: AdaptedFrame) -> CoframeReport:
         "Phi": fundamental_form(S),
         "Psi": pack.psi_form,
     }
+    T = transpose(cols)
     mismatches = []
     for name, form in forms.items():
+        # the form on frame pairs: the Gram matrix T^T W T
+        gram = mat_mul(cols, mat_mul(bilinear_from_form(form), T))
         for a in range(dimension):
             for b in range(a + 1, dimension):
-                got = evaluate(form, [cols[a], cols[b]])
+                got = gram[a][b]
                 want = expected(name, a, b)
                 if not s_eq(got, want):
                     mismatches.append((name, (a, b), got, want))

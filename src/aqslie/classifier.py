@@ -22,10 +22,11 @@ from .acm import (
     CLASS_QUASI_SASAKIAN,
     AcmStructure,
     classify_structure,
+    psi_matrix,
     structure_rank,
     xi_killing_check,
 )
-from .adapted import adapted_frame
+from .adapted import _orthogonal_pivot, adapted_frame
 from .constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from .errors import (
     CenterTooBig,
@@ -50,9 +51,7 @@ from .linalg import (
     Subspace,
     Vec,
     bilinear,
-    dot,
-    eig_sym_exact,
-    eigh_g_float,
+    eigenspaces,
     inverse,
     mat_eq,
     mat_mul,
@@ -66,13 +65,10 @@ from .linalg import (
 from .scalars import (
     ONE,
     ZERO,
-    is_exact,
     s_abs,
-    s_add,
     s_div,
     s_eq,
     s_is_zero,
-    s_mul,
     s_neg,
     s_sign,
     s_sqrt,
@@ -130,15 +126,11 @@ def _verify_iso(
     """F must be a Lie algebra isomorphism matching all structure tensors."""
     L = S.L
     n = L.dim
-    F_inv = inverse(F)
+    F_inv, F_cols = inverse(F), transpose(F)
     for a in range(n):
         for b in range(a + 1, n):
             lhs = mat_vec(F, bracket(L, L.basis_vector(a), L.basis_vector(b)))
-            rhs = bracket(
-                target_L,
-                [F[r][a] for r in range(n)],
-                [F[r][b] for r in range(n)],
-            )
+            rhs = bracket(target_L, F_cols[a], F_cols[b])
             if not vec_eq(lhs, rhs):
                 raise InternalContradiction(
                     f"F is not a Lie algebra morphism at pair ({a}, {b})"
@@ -202,27 +194,11 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     (e_i, phi e_i) and an isomorphism onto h^{2n+1}_w."""
     _common_preconditions(S, CLASS_QUASI_SASAKIAN)
     _center_and_quotient(S)
-    pack = operators_A_psi_qs(S)
-    L, g = S.L, S.g_mat()
-    dim = L.dim
-    phi = S.phi_mat()
-    A = pack  # symmetric operator matrix
-    if all(is_exact(x) for row in A for x in row):
-        eig = [(ev, mult, basis) for ev, mult, basis in eig_sym_exact(A)]
-    else:
-        # A is g-symmetric, not plain symmetric: generalized float problem
-        evals, V = eigh_g_float(A, g)
-        eig = []
-        for idx, ev in enumerate(evals):
-            vec = [V[r][idx] for r in range(dim)]
-            if eig and s_eq(eig[-1][0], ev):
-                prev = eig[-1]
-                eig[-1] = (prev[0], prev[1] + 1, prev[2] + [vec])
-            else:
-                eig.append((ev, 1, [vec]))
+    A = operators_A_psi_qs(S)  # g-symmetric, not plain symmetric
+    g, phi = S.g_mat(), S.phi_mat()
     pairs = []  # (weight, sign, v, phi v) with v rational, unnormalized
     zero_mult = 0
-    for ev, mult, basis in eig:
+    for ev, mult, basis in eigenspaces(A, g):
         if s_is_zero(ev):
             zero_mult += mult
             continue
@@ -234,7 +210,7 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
         sign = 1 if s_sign(ev) < 0 else -1  # bracket [u, phi u] = -2 ev |u|^2 xi
         chosen: list[Vec] = []
         for _ in range(mult // 2):
-            pivot = _pair_pivot(basis, chosen, g)
+            pivot = _orthogonal_pivot(basis, chosen, g)
             pair = (pivot, mat_vec(phi, pivot))
             chosen.extend(pair)
             pairs.append((weight, sign, pair[0], pair[1]))
@@ -252,9 +228,7 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
         e_second.append(second)
         weights.append(weight)
         signs.append(sign)
-    cols = [S.xi_vec()] + e_first + e_second
-    T = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    F = inverse(T)
+    F = inverse(transpose([S.xi_vec()] + e_first + e_second))
     target_L, target_S = weighted_heisenberg_2n1(n, weights)
     signed_phi = _signed_phi_2n1(n, signs)
     signed_target = AcmStructure.make(
@@ -281,29 +255,10 @@ def _signed_phi_2n1(n: int, signs: list[int]) -> Mat:
     return phi
 
 
-def _pair_pivot(basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:
-    if not chosen:
-        return list(basis[0])
-    rows = []
-    for c in chosen:
-        gc = mat_vec(g, c)
-        rows.append([dot(gc, v) for v in basis])
-    coeffs = nullspace(rows, len(basis))
-    if not coeffs:
-        raise InternalContradiction("A-eigenspace exhausted early")
-    out = [ZERO] * len(basis[0])
-    for c, v in zip(coeffs[0], basis):
-        if not s_is_zero(c):
-            for t in range(len(out)):
-                out[t] = s_add(out[t], s_mul(c, v[t]))
-    return out
-
-
 def operators_A_psi_qs(S: AcmStructure) -> Mat:
     """A = phi psi for the quasi-Sasakian route; asserts g-symmetry, which
     encodes the phi-invariance of d eta."""
-    pack_psi = _psi_matrix(S)
-    A = mat_mul(S.phi_mat(), pack_psi)
+    A = mat_mul(S.phi_mat(), psi_matrix(S))
     g = S.g_mat()
     gA = mat_mul(g, A)
     for i in range(len(gA)):
@@ -313,28 +268,12 @@ def operators_A_psi_qs(S: AcmStructure) -> Mat:
     return A
 
 
-def _psi_matrix(S: AcmStructure) -> Mat:
-    from .acm import levi_civita
-
-    conn = levi_civita(S)
-    n = S.L.dim
-    cols = [
-        [s_neg(x) for x in conn.nabla(S.L.basis_vector(j), S.xi_vec())]
-        for j in range(n)
-    ]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def reeb_uniqueness_check(S: AcmStructure) -> bool:
     """True iff xi is the unique vector with eta(v) = 1 and d eta(v, .) = 0."""
-    L = S.L
-    n = L.dim
-    deta = bilinear_from_form(ce_d(L, S.eta_form()))
-    rows = [S.eta_row()]
-    rhs = [ONE]
-    for j in range(n):
-        rows.append([deta[i][j] for i in range(n)])
-        rhs.append(ZERO)
+    n = S.L.dim
+    deta = bilinear_from_form(ce_d(S.L, S.eta_form()))
+    rows = [S.eta_row()] + transpose(deta)
+    rhs = [ONE] + [ZERO] * n
     if nullspace(rows, n):
         return False  # solution set is a positive-dimensional affine space
     sol = solve(rows, rhs)

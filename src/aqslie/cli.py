@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from pathlib import Path
@@ -303,26 +302,29 @@ def cmd_invariant_forms(args) -> dict:
 # dispatch and reporting
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit a machine-readable report"
+def _add_global_flags(parser: argparse.ArgumentParser, **default) -> None:
+    parser.add_argument(
+        "--json", action="store_true", help="emit a machine-readable report", **default
     )
-    common.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized helpers"
-    )
-    common.add_argument(
+    parser.add_argument(
         "--tolerance",
         type=float,
-        default=None,
         help="float-mode comparison tolerance (default 1e-9, env AQSLIE_TOLERANCE)",
+        **default,
     )
+
+
+def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="aqslie",
-        parents=[common],
         description="Exact classification of almost contact metric structures "
         "on Lie algebras (d eta(X,Y) = -eta([X,Y]) convention).",
     )
+    _add_global_flags(p)
+    # the subcommand copies set a flag only when given, so a flag placed
+    # before the subcommand is not overwritten by their defaults
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(common, default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name: str, **kw):
@@ -443,8 +445,6 @@ def _run_single(args, input_path: str | None = None) -> tuple[int, dict]:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     tol = args.tolerance
     if tol is None and os.environ.get("AQSLIE_TOLERANCE"):
         try:

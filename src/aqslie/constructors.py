@@ -22,23 +22,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .acm import AcmStructure
+from .acm import AcmStructure, nijenhuis
 from .errors import DimensionMismatch, PreconditionError
 from .exterior import KForm, ce_d, form_add, form_scale, form_sub, pullback
-from .lie_core import LieAlgebra, bracket
+from .lie_core import LieAlgebra
 from .linalg import (
     Mat,
-    Vec,
     identity,
     is_positive_definite,
     mat_eq,
     mat_mul,
     mat_scale,
-    mat_vec,
+    transpose,
     vec_is_zero,
     zeros,
 )
-from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg, s_sub
+from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
 
 
 def weighted_heisenberg_4n1(n: int, weights) -> tuple[LieAlgebra, tuple]:
@@ -144,40 +143,15 @@ def kahler(L: LieAlgebra, J: Mat, k: Mat, check: bool = True) -> KahlerLieAlgebr
         raise PreconditionError("J^2 != -I")
     if not is_positive_definite(k):
         raise PreconditionError("k is not positive definite")
-    for i in range(n):
-        for j in range(n):
-            lhs = _bil(mat_vec(J, _e(i, n)), k, mat_vec(J, _e(j, n)))
-            if not s_is_zero(s_sub(lhs, k[i][j])):
-                raise PreconditionError("k is not Hermitian for J")
-    for i in range(n):
-        for j in range(i + 1, n):
-            nij = _nijenhuis_j(L, J, i, j)
-            if not vec_is_zero(nij):
-                raise PreconditionError(f"J is not integrable: N_J(e{i+1},e{j+1}) != 0")
+    # k(J X, J Y) = k(X, Y) on basis pairs: J^T k J = k
+    if not mat_eq(mat_mul(transpose(J), mat_mul(k, J)), k):
+        raise PreconditionError("k is not Hermitian for J")
+    for (i, j), nij in nijenhuis(L, J).items():
+        if not vec_is_zero(nij):
+            raise PreconditionError(f"J is not integrable: N_J(e{i+1},e{j+1}) != 0")
     if not ce_d(L, H.omega()).is_zero():
         raise PreconditionError("fundamental form is not closed")
     return H
-
-
-def _e(i: int, n: int) -> Vec:
-    return [ONE if t == i else ZERO for t in range(n)]
-
-
-def _bil(u, G, v):
-    from .linalg import bilinear
-
-    return bilinear(u, G, v)
-
-
-def _nijenhuis_j(L: LieAlgebra, J: Mat, i: int, j: int) -> Vec:
-    n = L.dim
-    bi, bj = _e(i, n), _e(j, n)
-    Ji, Jj = mat_vec(J, bi), mat_vec(J, bj)
-    out = bracket(L, Ji, Jj)
-    out = [s_add(a, b) for a, b in zip(out, mat_vec(J, mat_vec(J, bracket(L, bi, bj))))]
-    out = [s_sub(a, b) for a, b in zip(out, mat_vec(J, bracket(L, bi, Jj)))]
-    out = [s_sub(a, b) for a, b in zip(out, mat_vec(J, bracket(L, Ji, bj)))]
-    return out
 
 
 def standard_kahler(m: int) -> KahlerLieAlgebra:
@@ -252,7 +226,7 @@ def central_extension(
             phi[i][j] = H.J[i][j]
             g[i][j] = H.k[i][j]
     g[m][m] = ONE
-    S = AcmStructure.make(L, phi, _e(m, dim), _e(m, dim), g)
+    S = AcmStructure.make(L, phi, L.basis_vector(m), L.basis_vector(m), g)
     return L, S
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .errors import DimensionMismatch, InternalContradiction, PreconditionError
 from .lie_core import LieAlgebra
-from .linalg import Mat, Vec, det, nullspace, rank
+from .linalg import Mat, Vec, det, mat_mul, nullspace, rank, transpose
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
 
 
@@ -187,7 +187,7 @@ def bilinear_from_form(a: KForm) -> Mat:
 def pullback(a: KForm, A: Mat) -> KForm:
     """(A^* a)(v_1..v_k) = a(A v_1, .., A v_k) for a square matrix A."""
     n = a.dim
-    cols = [[A[r][c] for r in range(n)] for c in range(n)]
+    cols = transpose(A)
     terms: dict[tuple, object] = {}
     for J in combinations(range(n), a.degree):
         val = evaluate(a, [cols[j] for j in J])
@@ -286,8 +286,9 @@ def rank_of_eta(L: LieAlgebra, eta: KForm) -> RankReport:
         raise InternalContradiction("antisymmetric form with odd rank")
     m = full // 2
     eta_row = [eta.coeff((i,)) for i in range(L.dim)]
-    kernel = nullspace([eta_row], L.dim)
-    restricted = [[evaluate(deta, [u, v]) for v in kernel] for u in kernel]
+    kernel = nullspace([eta_row], L.dim)  # rows: a basis K of Ker eta
+    # B restricted to Ker eta: the Gram matrix K B K^T
+    restricted = mat_mul(kernel, mat_mul(B, transpose(kernel)))
     if rank(restricted) == full:
         return RankReport(2 * m + 1, "odd", m, m, 2 * m + 1 == L.dim)
     return RankReport(2 * m, "even", m, m, False)

@@ -21,12 +21,13 @@ from .errors import (
     NotCompactSemisimple,
     PreconditionError,
 )
-from .exterior import KForm, form_scale, form_sub, pullback
+from .exterior import KForm, evaluate, form_scale, form_sub, pullback
 from .lie_core import LieAlgebra, ad_matrix, bracket, derivations, killing_form
 from .linalg import (
     Mat,
     Subspace,
     Vec,
+    dot,
     identity,
     inverse,
     mat_eq,
@@ -35,7 +36,10 @@ from .linalg import (
     nullspace,
     solve,
     transpose,
+    vec_add,
+    vec_eq,
     vec_is_zero,
+    vec_sub,
     zeros,
 )
 from .scalars import ONE, ZERO, s_add, s_eq, s_is_zero, s_mul, s_neg, s_sub
@@ -93,9 +97,7 @@ def reductive_split(g: LieAlgebra, k: Subspace) -> ReductiveSplit:
     m = Subspace.from_vectors(g.dim, nullspace(rows, g.dim))
     if k.dim + m.dim != g.dim:
         raise InternalContradiction("k and its Killing-perp do not span g")
-    cols = [list(b) for b in k.basis] + [list(b) for b in m.basis]
-    T = [[cols[j][i] for j in range(g.dim)] for i in range(g.dim)]
-    Tinv = inverse(T)
+    Tinv = inverse(transpose([list(b) for b in k.basis + m.basis]))
     coords_k = Tinv[: k.dim]
     coords_m = Tinv[k.dim :]
     for a in k.basis:
@@ -157,25 +159,12 @@ def invariant_closed_2forms(R: ReductiveSplit) -> list[KForm]:
 def center_of_k(R: ReductiveSplit) -> list[Vec]:
     """Basis of z(k) in g-coordinates."""
     k_cols = R.k_cols()
-    dk = len(k_cols)
     rows: Mat = []
     for U in k_cols:
-        block = []
-        for i in range(dk):
-            block.append(bracket(R.g, k_cols[i], U))
-        # rows: for each ambient coordinate t, sum_i c_i block[i][t] = 0
-        for t in range(R.g.dim):
-            rows.append([block[i][t] for i in range(dk)])
-    basis = nullspace(rows, dk)
-    out = []
-    for coeffs in basis:
-        v = [ZERO] * R.g.dim
-        for c, col in zip(coeffs, k_cols):
-            if not s_is_zero(c):
-                for t in range(R.g.dim):
-                    v[t] = s_add(v[t], s_mul(c, col[t]))
-        out.append(v)
-    return out
+        # sum_i c_i [k_i, U] = 0: one row per ambient coordinate
+        rows.extend(transpose([bracket(R.g, col, U) for col in k_cols]))
+    K = transpose(k_cols)
+    return [mat_vec(K, coeffs) for coeffs in nullspace(rows, len(k_cols))]
 
 
 def moment_element(R: ReductiveSplit, w: KForm) -> Vec:
@@ -191,34 +180,23 @@ def moment_element(R: ReductiveSplit, w: KForm) -> Vec:
         for b in range(a + 1, len(m_cols)):
             br = bracket(R.g, m_cols[a], m_cols[b])
             kill_row = mat_vec(B, br)
-            rows.append([_dot(kill_row, z) for z in zk])
+            rows.append([dot(kill_row, z) for z in zk])
             rhs.append(w.coeff((a, b)))
     coeffs = solve(rows, rhs)
     if coeffs is None:
         raise NoSolution("form admits no moment element in z(k)")
-    Z = [ZERO] * R.g.dim
-    for c, z in zip(coeffs, zk):
-        if not s_is_zero(c):
-            for t in range(R.g.dim):
-                Z[t] = s_add(Z[t], s_mul(c, z[t]))
+    Z = mat_vec(transpose(zk), coeffs)
     # verify both stated equalities on all basis pairs
     for a in range(len(m_cols)):
         for b in range(len(m_cols)):
             if a == b:
                 continue
             want = w.coeff((a, b)) if a < b else s_neg(w.coeff((b, a)))
-            first = _dot(mat_vec(B, bracket(R.g, m_cols[a], m_cols[b])), Z)
-            second = _dot(mat_vec(B, bracket(R.g, Z, m_cols[a])), m_cols[b])
+            first = dot(mat_vec(B, bracket(R.g, m_cols[a], m_cols[b])), Z)
+            second = dot(mat_vec(B, bracket(R.g, Z, m_cols[a])), m_cols[b])
             if not (s_eq(first, want) and s_eq(second, want)):
                 raise InternalContradiction("moment element equalities fail")
     return Z
-
-
-def _dot(u: Vec, v: Vec):
-    total = ZERO
-    for a, b in zip(u, v):
-        total = s_add(total, s_mul(a, b))
-    return total
 
 
 @dataclass(frozen=True)
@@ -238,24 +216,16 @@ def verify_invariant_complex_structure(R: ReductiveSplit, J: Mat) -> list[str]:
     if not mat_eq(mat_mul(J, J), minus_I):
         failures.append("J_squared")
     m_cols = R.m_cols()
-
-    def J_apply(coords: Vec) -> Vec:
-        return mat_vec(J, coords)
-
-    def m_vec(coords: Vec) -> Vec:
-        out = [ZERO] * R.g.dim
-        for c, col in zip(coords, m_cols):
-            if not s_is_zero(c):
-                for t in range(R.g.dim):
-                    out[t] = s_add(out[t], s_mul(c, col[t]))
-        return out
+    # J X_a in g-coordinates: column a of J, mapped through the m basis
+    M = transpose(m_cols)
+    JX = [mat_vec(M, col) for col in transpose(J)]
 
     equivariant = True
     for U in R.k_cols():
         for a in range(dm):
-            lhs = J_apply(R.to_m_coords(bracket(R.g, m_cols[a], U)))
-            rhs = R.to_m_coords(bracket(R.g, m_vec(J_apply(_unit(a, dm))), U))
-            if not vec_is_zero([s_sub(x, y) for x, y in zip(lhs, rhs)]):
+            lhs = mat_vec(J, R.to_m_coords(bracket(R.g, m_cols[a], U)))
+            rhs = R.to_m_coords(bracket(R.g, JX[a], U))
+            if not vec_eq(lhs, rhs):
                 equivariant = False
     if not equivariant:
         failures.append("equivariance")
@@ -263,27 +233,14 @@ def verify_invariant_complex_structure(R: ReductiveSplit, J: Mat) -> list[str]:
     for a in range(dm):
         for b in range(a + 1, dm):
             Xa, Xb = m_cols[a], m_cols[b]
-            JXa = m_vec(J_apply(_unit(a, dm)))
-            JXb = m_vec(J_apply(_unit(b, dm)))
-            term = R.bracket_m(JXa, JXb)
-            term = [s_sub(x, y) for x, y in zip(term, R.bracket_m(Xa, Xb))]
-            term = [
-                s_sub(x, y)
-                for x, y in zip(term, J_apply(R.bracket_m(Xa, JXb)))
-            ]
-            term = [
-                s_sub(x, y)
-                for x, y in zip(term, J_apply(R.bracket_m(JXa, Xb)))
-            ]
+            term = vec_sub(R.bracket_m(JX[a], JX[b]), R.bracket_m(Xa, Xb))
+            term = vec_sub(term, mat_vec(J, R.bracket_m(Xa, JX[b])))
+            term = vec_sub(term, mat_vec(J, R.bracket_m(JX[a], Xb)))
             if not vec_is_zero(term):
                 integrable = False
     if not integrable:
         failures.append("integrability")
     return failures
-
-
-def _unit(i: int, n: int) -> Vec:
-    return [ONE if t == i else ZERO for t in range(n)]
 
 
 def type_11_check(R: ReductiveSplit, forms: list[KForm], J: Mat) -> TypeReport:
@@ -293,28 +250,18 @@ def type_11_check(R: ReductiveSplit, forms: list[KForm], J: Mat) -> TypeReport:
     if failures:
         return TypeReport(False, failures, False, False)
     dm = R.m.dim
+    J_cols = transpose(J)
     invariant = True
     anti_zero = True
     for w in forms:
         for a in range(dm):
             for b in range(a + 1, dm):
-                Ja = mat_vec(J, _unit(a, dm))
-                Jb = mat_vec(J, _unit(b, dm))
-                if not s_eq(_eval_2form(w, Ja, Jb), w.coeff((a, b))):
+                if not s_eq(evaluate(w, [J_cols[a], J_cols[b]]), w.coeff((a, b))):
                     invariant = False
         anti_part = form_scale(form_sub(w, pullback(w, J)), Fraction(1, 2))
         if not anti_part.is_zero():
             anti_zero = False
     return TypeReport(True, [], invariant, anti_zero)
-
-
-def _eval_2form(w: KForm, u: Vec, v: Vec):
-    total = ZERO
-    for (i, j), c in w.coeffs:
-        total = s_add(
-            total, s_mul(c, s_sub(s_mul(u[i], v[j]), s_mul(u[j], v[i])))
-        )
-    return total
 
 
 def synthesize_j_dim2(R: ReductiveSplit) -> list[Mat]:
@@ -357,13 +304,13 @@ def extension_by_zero_derivation_check(R: ReductiveSplit, w: KForm, Z: Vec) -> b
     # phi^T B = Omega
     phi = transpose(mat_mul(Omega, inverse(B)))
     # Leibniz on all basis pairs
+    basis, phi_cols = [R.g.basis_vector(a) for a in range(n)], transpose(phi)
     for a in range(n):
         for b in range(a + 1, n):
-            ea, eb = _unit(a, n), _unit(b, n)
+            ea, eb = basis[a], basis[b]
             lhs = mat_vec(phi, bracket(R.g, ea, eb))
-            rhs = bracket(R.g, mat_vec(phi, ea), eb)
-            rhs = [s_add(x, y) for x, y in zip(rhs, bracket(R.g, ea, mat_vec(phi, eb)))]
-            if not vec_is_zero([s_sub(x, y) for x, y in zip(lhs, rhs)]):
+            rhs = vec_add(bracket(R.g, phi_cols[a], eb), bracket(R.g, ea, phi_cols[b]))
+            if not vec_eq(lhs, rhs):
                 return False
     # membership in the derivation algebra computed independently
     der = derivations(R.g)

@@ -27,7 +27,12 @@ from .linalg import (
     inverse,
     mat_vec,
     nullspace,
+    transpose,
+    vec_add,
+    vec_eq,
     vec_is_zero,
+    vec_scale,
+    vec_sub,
     zeros,
 )
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg, s_sub
@@ -142,8 +147,7 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
 
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:
     """Matrix of ad_X, column j = [X, b_j]."""
-    cols = [bracket(L, X, L.basis_vector(j)) for j in range(L.dim)]
-    return [[cols[j][i] for j in range(L.dim)] for i in range(L.dim)]
+    return transpose([bracket(L, X, L.basis_vector(j)) for j in range(L.dim)])
 
 
 def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
@@ -154,19 +158,11 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
         for j in range(i + 1, L.dim):
             bij = bracket(L, basis[i], basis[j])
             for k in range(j + 1, L.dim):
-                total = bracket(L, bij, basis[k])
-                total = [
-                    s_add(a, b)
-                    for a, b in zip(
-                        total, bracket(L, bracket(L, basis[j], basis[k]), basis[i])
-                    )
-                ]
-                total = [
-                    s_add(a, b)
-                    for a, b in zip(
-                        total, bracket(L, bracket(L, basis[k], basis[i]), basis[j])
-                    )
-                ]
+                total = vec_add(
+                    bracket(L, bij, basis[k]),
+                    bracket(L, bracket(L, basis[j], basis[k]), basis[i]),
+                )
+                total = vec_add(total, bracket(L, bracket(L, basis[k], basis[i]), basis[j]))
                 if not vec_is_zero(total):
                     bad.append((i, j, k))
     return bad
@@ -298,8 +294,7 @@ def quotient_by_center_line(L: LieAlgebra, xi: Vec, D: Subspace) -> CentralQuoti
     if D.contains(list(xi)):
         raise PreconditionError("xi lies in the complement")
     cols = [list(b) for b in D.basis] + [list(xi)]
-    T = [[cols[j][i] for j in range(n)] for i in range(n)]  # columns d_1..d_{n-1}, xi
-    Tinv = inverse(T)
+    Tinv = inverse(transpose(cols))  # columns d_1..d_{n-1}, xi
     m = n - 1
     table: BracketTable = {}
     omega = zeros(m, m)
@@ -321,18 +316,13 @@ def quotient_by_center_line(L: LieAlgebra, xi: Vec, D: Subspace) -> CentralQuoti
             names.append(f"d{a+1}")
     quotient = LieAlgebra.from_brackets(m, table, names, L.mode, check=True)
     # certificate: [d_a, d_b] = incl([.,.]_D) - omega_ab * xi, exactly
+    D_cols = transpose(cols[:m])
     for a in range(m):
         for b in range(a + 1, m):
             lhs = bracket(L, cols[a], cols[b])
-            rhs = [ZERO] * n
-            for k in range(m):
-                ck = quotient.c(a, b, k)
-                if not s_is_zero(ck):
-                    for t in range(n):
-                        rhs[t] = s_add(rhs[t], s_mul(ck, cols[k][t]))
-            for t in range(n):
-                rhs[t] = s_sub(rhs[t], s_mul(omega[a][b], xi[t]))
-            if not vec_is_zero([s_sub(x, y) for x, y in zip(lhs, rhs)]):
+            rhs = mat_vec(D_cols, [quotient.c(a, b, k) for k in range(m)])
+            rhs = vec_sub(rhs, vec_scale(xi, omega[a][b]))
+            if not vec_eq(lhs, rhs):
                 raise PreconditionError("bracket does not split along the given complement")
     return CentralQuotient(
         quotient,

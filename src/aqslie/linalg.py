@@ -12,6 +12,13 @@ field once per call, from its whole input:
   exact; floats use tolerance-based zero tests and magnitude pivoting.
 
 Both routes return the same values: a normalised ``Fraction`` is unique.
+
+The other modules use these helpers instead of private copies: ``vec_add``
+and ``vec_sub`` for vector sums, ``mat_vec(transpose(vectors), coeffs)``
+for linear combinations, ``dot`` and ``bilinear`` for pairings, and
+``eigenspaces`` for every eigendecomposition of a g-symmetric operator
+(exact or float, decided once per call; the float eigenvalue clustering
+lives only there).
 """
 
 from __future__ import annotations
@@ -131,6 +138,14 @@ def mat_eq(A: Mat, B: Mat) -> bool:
         len(ra) == len(rb) and all(s_eq(a, b) for a, b in zip(ra, rb))
         for ra, rb in zip(A, B)
     )
+
+
+def vec_add(u: Vec, v: Vec) -> Vec:
+    return [s_add(a, b) for a, b in zip(u, v)]
+
+
+def vec_sub(u: Vec, v: Vec) -> Vec:
+    return [s_sub(a, b) for a, b in zip(u, v)]
 
 
 def vec_scale(v: Vec, c) -> Vec:
@@ -624,6 +639,29 @@ def eigh_g_float(M: Mat, G: Mat) -> tuple[list[float], Mat]:
     evals, U = eigh_float(sym)
     V = mat_mul(Winv, U)
     return evals, V
+
+
+def eigenspaces(M: Mat, G: Mat) -> list[tuple[object, int, list[Vec]]]:
+    """[(eigenvalue, multiplicity, eigenbasis)] of a G-symmetric operator M
+    (G M symmetric, G positive definite), eigenvalues ascending.
+
+    The field is chosen once: exact entries go through eig_sym_exact (which
+    raises IrrationalSpectrum off the rationals); otherwise the generalized
+    float problem is solved and consecutive eigenvalues equal under the
+    global tolerance are clustered into one eigenspace.
+    """
+    if all(is_exact(x) for row in M for x in row):
+        return eig_sym_exact(M)
+    evals, V = eigh_g_float(M, G)
+    clustered: list = []
+    for idx, ev in enumerate(evals):
+        vec = [row[idx] for row in V]
+        if clustered and s_eq(clustered[-1][0], ev):
+            first, mult, basis = clustered[-1]
+            clustered[-1] = (first, mult + 1, basis + [vec])
+        else:
+            clustered.append((ev, 1, [vec]))
+    return clustered
 
 
 def inertia_symmetric(M: Mat) -> tuple[int, int, int]:

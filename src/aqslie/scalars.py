@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from .errors import InternalContradiction, ScalarParseError
@@ -117,31 +116,21 @@ class Ext:
     def __repr__(self) -> str:
         return f"Ext({s_str(self)})"
 
-    # Decimal evaluation with escalating precision; used only for signs of
-    # provably nonzero values, so the loop terminates.
-    def _decimal(self, digits: int) -> Decimal:
-        ctx = getcontext().copy()
-        ctx.prec = digits
-        total = Decimal(0)
-        for r, c in self.terms.items():
-            root = ctx.sqrt(Decimal(r))
-            total += ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) * root
-        return total
-
     def sign(self) -> int:
-        if not self.terms:
-            return 0
-        if self.is_rational():
+        """Exact sign.  With p a prime dividing some radicand, write
+        x = u + v sqrt(p) where no radicand of u or v is divisible by p;
+        then sign(x) follows from sign(u), sign(v) and, when those differ,
+        sign(u^2 - p v^2).  Each recursive call has one prime fewer."""
+        p = next((_least_prime_factor(r) for r in self.terms if r != 1), None)
+        if p is None:
             q = self.rational_part()
             return (q > 0) - (q < 0)
-        approx = float(self)
-        if abs(approx) > 1e-6:
-            return 1 if approx > 0 else -1
-        for digits in (60, 120, 240, 480):
-            val = self._decimal(digits)
-            if abs(val) > Decimal(10) ** (-(digits // 2)):
-                return 1 if val > 0 else -1
-        raise ArithmeticError(f"cannot certify sign of {s_str(self)}")
+        u = normalize(Ext({r: c for r, c in self.terms.items() if r % p}))
+        v = normalize(Ext({r // p: c for r, c in self.terms.items() if r % p == 0}))
+        su, sv = s_sign(u), s_sign(v)
+        if su * sv >= 0:
+            return su or sv
+        return su * s_sign(s_sub(s_mul(u, u), s_mul(Fraction(p), s_mul(v, v))))
 
 
 Scalar = Fraction | Ext | float  # type alias for annotations
@@ -236,7 +225,7 @@ def s_mul(a, b):
 
 
 def s_inv(a):
-    a = _lift(a)
+    a = normalize(_lift(a))
     if isinstance(a, float):
         return 1.0 / a
     if isinstance(a, Fraction):

@@ -7,7 +7,13 @@ from math import comb
 
 import pytest
 
-from aqslie.constructors import abelian, su2, weighted_heisenberg_2n1, weighted_heisenberg_4n1
+from aqslie.constructors import (
+    abelian,
+    shipped_algebras,
+    su2,
+    weighted_heisenberg_2n1,
+    weighted_heisenberg_4n1,
+)
 from aqslie.errors import PreconditionError
 from aqslie.exterior import (
     KForm,
@@ -183,6 +189,26 @@ def test_poincare_duality_nilpotent():
     for L in algebras:
         bettis = [ce_betti(L, k) for k in range(L.dim + 1)]
         assert bettis == bettis[::-1], (L.basis_names, bettis)
+
+
+def test_ce_betti_agrees_with_sympy_ranks():
+    sympy = pytest.importorskip("sympy")
+
+    def sympy_rank(M):
+        if not M or not M[0]:
+            return 0
+        return sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in M]
+        ).rank()
+
+    for name, L in shipped_algebras().items():
+        # dim 13 stops at degree 2: sympy's rank of the 715 x 286 degree-3
+        # matrix alone takes seconds
+        top = 2 if L.dim > 9 else L.dim
+        ranks = [sympy_rank(ce_d_matrix(L, k)) if k < L.dim else 0 for k in range(top + 1)]
+        for k in range(top + 1):
+            expected = comb(L.dim, k) - ranks[k] - (ranks[k - 1] if k else 0)
+            assert ce_betti(L, k) == expected, (name, k)
 
 
 def test_ce_d_matrix_shape_and_rank():

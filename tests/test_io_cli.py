@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import aqslie.io as aqio
-from aqslie.cli import main
+from aqslie.cli import _build_parser, main
 from aqslie.constructors import (
     standard_kahler,
     su3,
@@ -380,14 +380,27 @@ def test_cli_invariant_forms_strict(tmp_path, capsys):
     assert code == 0 and out["payload"]["warnings"] == []
 
 
-def test_cli_seed_and_tolerance_flags(tmp_path, capsys):
-    path = _structure_file(tmp_path, 1, (1,))
-    assert main(["classify", path, "--seed", "7", "--tolerance", "1e-8"]) == 0
-    capsys.readouterr()
+def test_cli_global_flags_before_and_after_subcommand(tmp_path, capsys):
     from aqslie.scalars import get_tolerance, set_tolerance
 
-    assert get_tolerance() == 1e-8
-    set_tolerance(1e-9)
+    flags = ["--json", "--tolerance", "1e-3"]
+    for argv in (flags + ["classify", "x"], ["classify", "x"] + flags):
+        args = _build_parser().parse_args(argv)
+        assert args.json is True and args.tolerance == 1e-3
+    args = _build_parser().parse_args(["classify", "x"])
+    assert args.json is False and args.tolerance is None
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["classify", "x", "--seed", "7"])
+    capsys.readouterr()
+    path = _structure_file(tmp_path, 1, (1,))
+    try:
+        for argv in (["--json", "--tolerance", "1e-8", "classify", path],
+                     ["classify", path, "--json", "--tolerance", "1e-7"]):
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["error"] is None
+            assert get_tolerance() == float(argv[argv.index("--tolerance") + 1])
+    finally:
+        set_tolerance(1e-9)
 
 
 def test_cli_classify_dim21_heisenberg(tmp_path, capsys):

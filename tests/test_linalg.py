@@ -337,6 +337,16 @@ def test_rref_and_inverse_agree_with_sympy(M):
         assert to_sympy(inverse(M)) == to_sympy(M).inv()
 
 
+@settings(max_examples=30, deadline=None)
+@given(rational_matrices(square=True))
+def test_rank_det_char_poly_agree_with_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    sM = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in M])
+    assert rank(M) == sM.rank()
+    assert det(M) == sM.det()
+    assert char_poly(M) == sM.charpoly(sympy.Symbol("x")).all_coeffs()
+
+
 def test_rational_roots_squarefree_candidates():
     # (x-1)^8 (x-2)^8 ... (x-5)^8 has constant term (5!)^8; the squarefree
     # part keeps the divisor search small

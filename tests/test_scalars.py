@@ -80,6 +80,37 @@ def test_signs_and_ordering():
     assert s_eq(s_abs(s_neg(Ext.of_sqrt(5))), Ext.of_sqrt(5))
 
 
+def test_sign_is_exact_on_pell_near_cancellations():
+    # q sqrt(2) - p for the convergents p/q of sqrt(2): |q sqrt(2) - p| is
+    # about 1 / (2 sqrt(2) q), far below float resolution once q is large
+    p, q = 1, 1
+    for _ in range(60):
+        x = s_sub(s_mul(F(q), Ext.of_sqrt(2)), F(p))
+        want = (2 * q * q > p * p) - (2 * q * q < p * p)
+        assert (s_sign(x), s_sign(s_neg(x))) == (want, -want)
+        p, q = p + 2 * q, p + q
+
+
+@settings(max_examples=100, deadline=None)
+@given(tower_elements(), tower_elements())
+def test_sign_is_consistent(a, b):
+    s = s_sign(a)
+    assert s_sign(s_neg(a)) == -s
+    assert (s == 0) == s_is_zero(a)
+    assert s_sign(s_mul(a, a)) == abs(s)
+    assert s_sign(s_mul(a, b)) == s * s_sign(b)
+    if abs(float(a)) > 1e-6:
+        assert s == (1 if float(a) > 0 else -1)
+
+
+def test_inverse_of_rational_valued_ext():
+    # Ext({1: q}) is a rational in tower form; it must invert like q
+    two = Ext({1: F(2)})
+    assert s_inv(two) == F(1, 2) and type(s_inv(two)) is F
+    assert s_div(F(1), two) == F(1, 2)
+    assert s_eq(s_div(Ext.of_sqrt(2), two), s_mul(F(1, 2), Ext.of_sqrt(2)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(tower_elements(), tower_elements(), tower_elements())
 def test_field_axioms(a, b, c):
