@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    AqslieError,
     DimensionMismatch,
     InternalContradiction,
     InvalidStructure,
     NotAqs,
     PreconditionError,
+    ToleranceExceeded,
 )
 from .exterior import (
     KForm,
@@ -56,7 +58,8 @@ from .linalg import (
     vec_sub,
     zeros,
 )
-from .scalars import ONE, ZERO, s_abs, s_add, s_div, s_is_zero, s_lt, s_mul, s_neg, s_sub
+from .scalars import ONE, ZERO, get_tolerance, s_abs, s_add, s_div, s_is_zero, s_lt, s_mul
+from .scalars import s_neg, s_sub
 
 CLASS_CONTACT_METRIC = "ContactMetric"
 CLASS_SASAKIAN = "Sasakian"
@@ -228,13 +231,13 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     }
     n_phi_zero = all(vec_is_zero(v) for v in n_phi.values())
     # anti-normal: N_phi = 2 d eta (x) xi
-    anti = all(
-        vec_is_zero(
-            vec_sub(v, [s_mul(s_mul(Fraction(2), deta_mat[i][j]), x) for x in xi])
-        )
+    anti_diff = [
+        vec_sub(v, [s_mul(s_mul(Fraction(2), deta_mat[i][j]), x) for x in xi])
         for (i, j), v in n_phi.items()
-    )
-    deta_is_2phi = form_sub(deta, form_scale(Phi, Fraction(2))).is_zero()
+    ]
+    anti = all(vec_is_zero(d) for d in anti_diff)
+    contact_diff = form_sub(deta, form_scale(Phi, Fraction(2)))
+    deta_is_2phi = contact_diff.is_zero()
     deta_zero = deta.is_zero()
     dphi_zero = dPhi.is_zero()
 
@@ -255,14 +258,8 @@ def classify_structure(S: AcmStructure) -> StructureClass:
         "d_phi": _max_abs(c for _, c in dPhi.coeffs),
         "d_eta": _max_abs(c for _, c in deta.coeffs),
         "n_phi": _max_abs(x for v in n_phi.values() for x in v),
-        "anti_normal": _max_abs(
-            x
-            for (i, j), v in n_phi.items()
-            for x in vec_sub(v, [s_mul(s_mul(Fraction(2), deta_mat[i][j]), w) for w in xi])
-        ),
-        "contact_metric": _max_abs(
-            c for _, c in form_sub(deta, form_scale(Phi, Fraction(2))).coeffs
-        ),
+        "anti_normal": _max_abs(x for d in anti_diff for x in d),
+        "contact_metric": _max_abs(c for _, c in contact_diff.coeffs),
     }
     result = StructureClass(frozenset(tags), residuals)
     S._memo["classification"] = result
@@ -272,13 +269,10 @@ def classify_structure(S: AcmStructure) -> StructureClass:
 def xi_killing_check(S: AcmStructure) -> bool:
     """g([xi, X], Y) + g(X, [xi, Y]) = 0 on all basis pairs, i.e.
     g ad_xi + (g ad_xi)^T = 0."""
-    n = S.L.dim
     ad_xi = ad_matrix(S.L, S.xi_vec())
     M = mat_mul(S.g_mat(), ad_xi)
-    for i in range(n):
-        for j in range(i, n):
-            if not s_is_zero(s_add(M[i][j], M[j][i])):
-                return False
+    if not all(s_is_zero(x) for row in mat_add(M, transpose(M)) for x in row):
+        return False
     # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
     if not vec_is_zero(mat_vec(transpose(ad_xi), S.eta_row())):
         raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
@@ -318,34 +312,41 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     br = [[bracket(L, basis[i], basis[j]) for j in range(n)] for i in range(n)]
     gb = [[mat_vec(g, br[i][j]) for j in range(n)] for i in range(n)]
     half = Fraction(1, 2)
-    gamma = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            rhs = [
-                s_mul(half, s_add(s_sub(gb[i][j][k], gb[j][k][i]), gb[k][i][j]))
-                for k in range(n)
-            ]
-            row.append(tuple(mat_vec(g_inv, rhs)))
-        gamma.append(tuple(row))
-    table = ConnectionTable(tuple(gamma))
-    # certify: torsion-free and metric on the basis
-    g_gamma = [
-        [mat_vec(g, list(table.gamma[i][j])) for j in range(n)] for i in range(n)
+    gamma = [
+        [
+            mat_vec(g_inv, [s_mul(half, s_add(s_sub(gb[i][j][k], gb[j][k][i]), gb[k][i][j]))
+                            for k in range(n)])
+            for j in range(n)
+        ]
+        for i in range(n)
     ]
+    table = ConnectionTable(tuple(tuple(tuple(v) for v in row) for row in gamma))
+    # certify what the table holds: torsion-free and metric on the basis
+    gamma = table.gamma
+    g_gamma = [[mat_vec(g, v) for v in row] for row in gamma]
     for i in range(n):
         for j in range(n):
-            tors = vec_sub(
-                vec_sub(list(table.gamma[i][j]), list(table.gamma[j][i])), br[i][j]
-            )
+            tors = vec_sub(vec_sub(gamma[i][j], gamma[j][i]), br[i][j])
             if not vec_is_zero(tors):
-                raise InternalContradiction("Koszul solve lost torsion-freeness")
+                raise _koszul_failure("torsion-freeness", _max_abs(tors))
             for k in range(n):
                 compat = s_add(g_gamma[i][j][k], g_gamma[i][k][j])
                 if not s_is_zero(compat):
-                    raise InternalContradiction("Koszul solve lost metric compatibility")
+                    raise _koszul_failure("metric compatibility", s_abs(compat))
     S._memo["connection"] = table
     return table
+
+
+def _koszul_failure(lost: str, residual) -> AqslieError:
+    """A failed Koszul certificate: a contradiction in exact arithmetic, a
+    precision limit when the residual is a float."""
+    if isinstance(residual, float):
+        return ToleranceExceeded(
+            f"Koszul solve lost {lost} at float precision: residual {residual:.3g} "
+            f"exceeds the absolute tolerance {get_tolerance():g}; rerun with a "
+            f"larger --tolerance or in exact mode"
+        )
+    return InternalContradiction(f"Koszul solve lost {lost}")
 
 
 @dataclass(frozen=True)
@@ -380,29 +381,19 @@ def operators_A_psi(S: AcmStructure, conn: ConnectionTable | None = None) -> Ope
     A = mat_mul(phi, psi)
     residuals = {}
     residuals["A_phi_eq_psi"] = _mat_res(mat_mul(A, phi), psi)
-    residuals["phi_A_eq_minus_psi"] = _mat_res(
-        mat_mul(phi, A), [[s_neg(x) for x in row] for row in psi]
-    )
-    residuals["psi_phi_eq_minus_A"] = _mat_res(
-        mat_mul(psi, phi), [[s_neg(x) for x in row] for row in A]
-    )
+    residuals["phi_A_eq_minus_psi"] = _mat_res(mat_mul(phi, A), psi, s_add)
+    residuals["psi_phi_eq_minus_A"] = _mat_res(mat_mul(psi, phi), A, s_add)
     psiA = mat_mul(psi, A)
-    residuals["psi_A_anticommute"] = _mat_res(
-        psiA, [[s_neg(x) for x in row] for row in mat_mul(A, psi)]
-    )
-    residuals["psi_A_eq_minus_phi_A2"] = _mat_res(
-        psiA, [[s_neg(x) for x in row] for row in mat_mul(phi, mat_mul(A, A))]
-    )
+    residuals["psi_A_anticommute"] = _mat_res(psiA, mat_mul(A, psi), s_add)
+    residuals["psi_A_eq_minus_phi_A2"] = _mat_res(psiA, mat_mul(phi, mat_mul(A, A)), s_add)
     residuals["A_xi"] = _max_abs(mat_vec(A, xi))
     residuals["psi_xi"] = _max_abs(mat_vec(psi, xi))
     residuals["eta_A"] = _max_abs(mat_vec(transpose(A), eta))
     residuals["eta_psi"] = _max_abs(mat_vec(transpose(psi), eta))
     gA = mat_mul(g, A)
     gpsi = mat_mul(g, psi)
-    residuals["A_skew"] = _mat_res(transpose(gA), [[s_neg(x) for x in row] for row in gA])
-    residuals["psi_skew"] = _mat_res(
-        transpose(gpsi), [[s_neg(x) for x in row] for row in gpsi]
-    )
+    residuals["A_skew"] = _mat_res(transpose(gA), gA, s_add)
+    residuals["psi_skew"] = _mat_res(transpose(gpsi), gpsi, s_add)
     ok = all(s_is_zero(r) for r in residuals.values())
     a_form = form_from_bilinear(gA) if ok else KForm.make(2, n)
     psi_form = form_from_bilinear(gpsi) if ok else KForm.make(2, n)
@@ -418,8 +409,9 @@ def operators_A_psi(S: AcmStructure, conn: ConnectionTable | None = None) -> Ope
     return pack
 
 
-def _mat_res(A: Mat, B: Mat):
-    return _max_abs(s_sub(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+def _mat_res(A: Mat, B: Mat, op=s_sub):
+    """max |A - B|, or max |A + B| (the residual of A = -B) with op=s_add."""
+    return _max_abs(op(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 @dataclass(frozen=True)
@@ -527,9 +519,7 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
     residuals["shared_tensors"] = shared
     p1, p2, p3 = S1.phi_mat(), S2.phi_mat(), S3.phi_mat()
     residuals["phi1_phi2_eq_phi3"] = _mat_res(mat_mul(p1, p2), p3)
-    residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(
-        mat_mul(p2, p1), [[s_neg(x) for x in row] for row in p3]
-    )
+    residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(mat_mul(p2, p1), p3, s_add)
     L = S1.L
     residuals["dPhi1"] = _max_abs(c for _, c in ce_d(L, fundamental_form(S1)).coeffs)
     residuals["dPhi2"] = _max_abs(c for _, c in ce_d(L, fundamental_form(S2)).coeffs)

@@ -7,8 +7,11 @@ eigenvalues; each eigendistribution splits into g-orthogonal quadruples
     e_{n+i} = (1/w_i) A e_i,  e_{2n+i} = phi e_i,  e_{3n+i} = (1/w_i) psi e_i
 
 with psi^2 e_i = -w_i^2 e_i produces the orthonormal frame
-{xi, e_i, e_{n+i}, e_{2n+i}, e_{3n+i}}.  Pivots stay rational until the
-final normalization, so exact frames live in the square-root tower.
+{xi, e_i, e_{n+i}, e_{2n+i}, e_{3n+i}}.  The frame is kept factored as
+T = R Delta: the columns of R are the unnormalized quadruples, in the
+input's field (rational for rational inputs), and the diagonal Delta =
+(1, 1/|v|, 1/(w|v|), ...) holds the square roots.  Exact frames are
+certified by the Gram check R^T g R = Delta^-2 in the input's field.
 
 psi^2 is eigendecomposed once per frame, through ``linalg.eigenspaces``
 (exact, or the generalized float problem with tolerance clustering).
@@ -53,6 +56,7 @@ from .linalg import (
 from .scalars import (
     ONE,
     ZERO,
+    is_exact,
     s_div,
     s_eq,
     s_is_zero,
@@ -119,6 +123,10 @@ class AdaptedFrame:
     vectors: tuple  # columns (xi, e_1..e_n, e_{n+1}..e_{2n}, ...en bloc)
     weights: tuple  # w_1 >= w_2 >= ... > 0
     change_of_basis: tuple  # matrix whose column l is vectors[l]
+    # the factorization T = R Delta: columns of R in the input's field and
+    # the diagonal of Delta (1 for xi, then 1/|v| or 1/(w |v|))
+    unscaled: tuple = ()
+    scales: tuple = ()
 
     def columns(self) -> list[Vec]:
         return [list(v) for v in self.vectors]
@@ -162,21 +170,24 @@ def adapted_frame(S: AcmStructure, pack: OperatorPack | None = None) -> AdaptedF
             chosen.extend(quad)
 
     n = len(quadruples)
-    e_blocks: list[list[Vec]] = [[], [], [], []]
-    for (v, Av, phv, psv), w in zip(quadruples, weights):
-        norm = s_sqrt(bilinear(v, g, v))
-        wn = s_mul(w, norm)
-        e_blocks[0].append(vec_scale(v, s_div(ONE, norm)))
-        e_blocks[1].append(vec_scale(Av, s_div(ONE, wn)))
-        e_blocks[2].append(vec_scale(phv, s_div(ONE, norm)))
-        e_blocks[3].append(vec_scale(psv, s_div(ONE, wn)))
-    cols = [S.xi_vec()] + e_blocks[0] + e_blocks[1] + e_blocks[2] + e_blocks[3]
-    # certificate: the frame is g-orthonormal
-    g_cols = [mat_vec(g, c) for c in cols]
+    norms_sq = [bilinear(v, g, v) for v, _, _, _ in quadruples]
+    norms = [s_sqrt(x) for x in norms_sq]
+    inv = [s_div(ONE, x) for x in norms]
+    inv_w = [s_div(ONE, s_mul(w, x)) for w, x in zip(weights, norms)]
+    R = [S.xi_vec()] + [quad[b] for b in range(4) for quad in quadruples]
+    scales = [ONE] + inv + inv_w + inv + inv_w
+    cols = [vec_scale(c, x) for c, x in zip(R, scales)]
+    # certificate: the frame is g-orthonormal; exact frames check the Gram
+    # matrix of R instead, R^T g R = Delta^-2, all in the input's field
+    if all(is_exact(x) for c in R for x in c):
+        wide_sq = [s_mul(s_mul(w, w), x) for w, x in zip(weights, norms_sq)]
+        gram_cols, want = R, [ONE] + norms_sq + wide_sq + norms_sq + wide_sq
+    else:
+        gram_cols, want = cols, [ONE] * len(cols)
+    g_cols = [mat_vec(g, c) for c in gram_cols]
     for a in range(len(cols)):
         for b in range(a, len(cols)):
-            want = ONE if a == b else ZERO
-            if not s_eq(dot(cols[a], g_cols[b]), want):
+            if not s_eq(dot(gram_cols[a], g_cols[b]), want[a] if a == b else ZERO):
                 raise InternalContradiction(
                     f"frame is not orthonormal at pair ({a}, {b})"
                 )
@@ -185,6 +196,8 @@ def adapted_frame(S: AcmStructure, pack: OperatorPack | None = None) -> AdaptedF
         tuple(tuple(c) for c in cols),
         tuple(weights),
         tuple(tuple(r) for r in transpose(cols)),
+        tuple(tuple(c) for c in R),
+        tuple(scales),
     )
 
 
@@ -242,22 +255,12 @@ def coframe_expansion_check(S: AcmStructure, F: AdaptedFrame) -> CoframeReport:
     if 4 * n + 1 != dimension or len(cols) != dimension:
         raise PreconditionError("frame does not match the structure")
 
-    def expected(name: str, a: int, b: int):
-        # frame positions: xi = 0, e_i = i, e_{n+i} = n+i, ... (i = 1..n)
-        for i in range(1, n + 1):
-            w = F.weights[i - 1]
-            if name == "A":
-                if (a, b) == (i, n + i) or (a, b) == (2 * n + i, 3 * n + i):
-                    return s_neg(w)
-            elif name == "Phi":
-                if (a, b) == (i, 2 * n + i):
-                    return s_neg(ONE)
-                if (a, b) == (n + i, 3 * n + i):
-                    return ONE
-            elif name == "Psi":
-                if (a, b) == (i, 3 * n + i) or (a, b) == (n + i, 2 * n + i):
-                    return s_neg(w)
-        return ZERO
+    # frame positions: xi = 0, e_i = i, e_{n+i} = n+i, ... (i = 1..n)
+    expected: dict = {"A": {}, "Phi": {}, "Psi": {}}
+    for i, w in enumerate(F.weights, start=1):
+        expected["A"].update({(i, n + i): s_neg(w), (2 * n + i, 3 * n + i): s_neg(w)})
+        expected["Phi"].update({(i, 2 * n + i): s_neg(ONE), (n + i, 3 * n + i): ONE})
+        expected["Psi"].update({(i, 3 * n + i): s_neg(w), (n + i, 2 * n + i): s_neg(w)})
 
     forms = {
         "A": pack.a_form,
@@ -272,7 +275,7 @@ def coframe_expansion_check(S: AcmStructure, F: AdaptedFrame) -> CoframeReport:
         for a in range(dimension):
             for b in range(a + 1, dimension):
                 got = gram[a][b]
-                want = expected(name, a, b)
+                want = expected[name].get((a, b), ZERO)
                 if not s_eq(got, want):
                     mismatches.append((name, (a, b), got, want))
     return CoframeReport(not mismatches, mismatches)

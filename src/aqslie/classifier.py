@@ -5,7 +5,10 @@ Pipeline for the anti-quasi-Sasakian case: center = R xi, the quotient by
 the center is abelian, the adapted frame extracts the weights, and the
 change of basis to the frame is the isomorphism onto h^{4n+1}_w.  In frame
 terms the source phi acts by e_i -> e_{2n+i}, which is the phi_2 of the
-target family; companion structures are pulled back through F.
+target family; companion structures are pulled back through F.  For a
+frame T = R Delta, F = T^-1 = Delta^-1 R^-1: exact frames invert R in the
+input's field and check M = R^-1 against the target rewritten in the basis
+Delta_k^-1 e_k (rational for these targets); float frames invert T.
 
 Weights are reported positive and sorted descending.  In the quasi-Sasakian
 case a positive eigenvalue of the symmetric operator A = phi psi forces a
@@ -65,10 +68,12 @@ from .linalg import (
 from .scalars import (
     ONE,
     ZERO,
+    is_exact,
     s_abs,
     s_div,
-    s_eq,
+    s_inv,
     s_is_zero,
+    s_mul,
     s_neg,
     s_sign,
     s_sqrt,
@@ -121,12 +126,12 @@ def _center_and_quotient(S: AcmStructure):
 
 
 def _verify_iso(
-    S: AcmStructure, target_L: LieAlgebra, target_S: AcmStructure, F: Mat
+    S: AcmStructure, target_L: LieAlgebra, target_S: AcmStructure, F: Mat, F_inv: Mat
 ) -> None:
     """F must be a Lie algebra isomorphism matching all structure tensors."""
     L = S.L
     n = L.dim
-    F_inv, F_cols = inverse(F), transpose(F)
+    F_cols = transpose(F)
     for a in range(n):
         for b in range(a + 1, n):
             lhs = mat_vec(F, bracket(L, L.basis_vector(a), L.basis_vector(b)))
@@ -147,6 +152,41 @@ def _verify_iso(
         raise InternalContradiction("F is not an isometry onto the target metric")
 
 
+def _frame_isomorphism(
+    S: AcmStructure, target_L: LieAlgebra, target_S: AcmStructure, columns: list, scales: list
+) -> Mat:
+    """F = T^-1 for the frame T = R diag(scales), R with the given columns,
+    verified to be an isomorphism onto the target.  Exact frames invert R in
+    the input's field and check M = R^-1 against the target in the basis
+    D_k e_k, D = 1 / scales (only its nonzero entries are rescaled); then
+    F = D M.  Float frames invert T itself, so float F keeps its rounding."""
+    R = transpose(columns)
+    if not all(is_exact(x) for row in R for x in row):
+        F = inverse(transpose([vec_scale(c, x) for c, x in zip(columns, scales)]))
+        _verify_iso(S, target_L, target_S, F, inverse(F))
+        return F
+    D = [s_inv(x) for x in scales]
+
+    def scaled(x, left, right):  # left * x * right
+        return x if s_is_zero(x) else s_mul(s_mul(left, x), right)
+
+    def rescaled(A, left, right):  # diag(left) A diag(right)
+        return [[scaled(x, left[k], right[l]) for l, x in enumerate(row)]
+                for k, row in enumerate(A)]
+
+    table = {
+        (i, j): {k: scaled(v, s_mul(D[i], D[j]), scales[k]) for k, v in entries}
+        for (i, j), entries in target_L.brackets
+    }
+    L = LieAlgebra.from_brackets(target_L.dim, table, list(target_L.basis_names), check=False)
+    xi, eta = rescaled([target_S.xi], [ONE], scales)[0], rescaled([target_S.eta], [ONE], D)[0]
+    phi, g = rescaled(target_S.phi, scales, D), rescaled(target_S.g, D, D)
+    T = AcmStructure.make(L, phi, xi, eta, g)
+    M = inverse(R)
+    _verify_iso(S, L, T, M, R)
+    return [vec_scale(row, d) for row, d in zip(M, D)]
+
+
 def classify_nilpotent_aqs(S: AcmStructure) -> HeisenbergIso:
     """Normal form of a nilpotent anti-quasi-Sasakian structure of maximal
     rank: an explicit isomorphism onto h^{4n+1}_w (source phi -> target
@@ -156,9 +196,8 @@ def classify_nilpotent_aqs(S: AcmStructure) -> HeisenbergIso:
     frame = adapted_frame(S)
     n = frame.n
     weights = list(frame.weights)
-    F = inverse(frame.matrix())
     target_L, (t1, t2, t3) = weighted_heisenberg_4n1(n, weights)
-    _verify_iso(S, target_L, t2, F)
+    F = _frame_isomorphism(S, target_L, t2, list(frame.unscaled), list(frame.scales))
     return HeisenbergIso(
         "4n+1",
         n,
@@ -218,23 +257,21 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
         raise NotMaximalRank(f"A has kernel of dimension {zero_mult} > 1")
     pairs.sort(key=lambda p: -s_to_float(p[0]))
     n = len(pairs)
-    e_first, e_second, weights, signs = [], [], [], []
+    first, second, inv_norms, weights, signs = [], [], [], [], []
     for weight, sign, v, phv in pairs:
-        norm = s_sqrt(bilinear(v, g, v))
-        e_first.append(vec_scale(v, s_div(ONE, norm)))
-        second = vec_scale(phv, s_div(ONE, norm))
-        if sign < 0:
-            second = vec_scale(second, s_neg(ONE))
-        e_second.append(second)
+        first.append(v)
+        second.append(phv if sign > 0 else vec_scale(phv, s_neg(ONE)))
+        inv_norms.append(s_div(ONE, s_sqrt(bilinear(v, g, v))))
         weights.append(weight)
         signs.append(sign)
-    F = inverse(transpose([S.xi_vec()] + e_first + e_second))
     target_L, target_S = weighted_heisenberg_2n1(n, weights)
     signed_phi = _signed_phi_2n1(n, signs)
     signed_target = AcmStructure.make(
         target_L, signed_phi, target_S.xi_vec(), target_S.eta_row(), target_S.g_mat()
     )
-    _verify_iso(S, target_L, signed_target, F)
+    F = _frame_isomorphism(
+        S, target_L, signed_target, [S.xi_vec()] + first + second, [ONE] + inv_norms * 2
+    )
     return HeisenbergIso(
         "2n+1",
         n,
@@ -261,10 +298,8 @@ def operators_A_psi_qs(S: AcmStructure) -> Mat:
     A = mat_mul(S.phi_mat(), psi_matrix(S))
     g = S.g_mat()
     gA = mat_mul(g, A)
-    for i in range(len(gA)):
-        for j in range(i + 1, len(gA)):
-            if not s_eq(gA[i][j], gA[j][i]):
-                raise NotQs("phi psi is not symmetric; d eta is not phi-invariant")
+    if not mat_eq(gA, transpose(gA)):
+        raise NotQs("phi psi is not symmetric; d eta is not phi-invariant")
     return A
 
 

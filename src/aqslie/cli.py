@@ -78,14 +78,6 @@ def _load_document(path: str) -> tuple[dict, str]:
     return aqio.loads(text), text
 
 
-def _builtin_algebra(name: str):
-    if name == "su2":
-        return su2(), aqio.dumps(aqio.algebra_to_json(su2()))
-    if name == "su3":
-        return su3(), aqio.dumps(aqio.algebra_to_json(su3()))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns a payload dict
 # ---------------------------------------------------------------------------
@@ -164,10 +156,7 @@ def cmd_classify(args) -> dict:
 def cmd_construct(args) -> dict:
     if args.model != "heisenberg":
         raise InputError(f"unknown construction {args.model!r}")
-    try:
-        weights = [w for w in (args.weights or "").split(",") if w != ""]
-    except AttributeError as exc:
-        raise InputError("bad --weights list") from exc
+    weights = [w for w in args.weights.split(",") if w != ""]
     if not weights:
         raise InputError("--weights must be a nonempty comma list")
     from .scalars import parse_scalar
@@ -240,12 +229,8 @@ def cmd_curvature(args) -> dict:
 
 
 def cmd_invariant_forms(args) -> dict:
-    builtin = _builtin_algebra(args.algebra)
-    if builtin is not None:
-        g = builtin[0]
-    else:
-        doc, _ = _load_document(args.algebra)
-        g = aqio.algebra_from_json(doc)
+    builtin = {"su2": su2, "su3": su3}.get(args.algebra)
+    g = builtin() if builtin else aqio.algebra_from_json(_load_document(args.algebra)[0])
     try:
         torus_idx = [int(t) - 1 for t in args.torus.split(",")]
     except ValueError as exc:

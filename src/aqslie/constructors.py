@@ -40,19 +40,23 @@ from .linalg import (
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
 
 
-def weighted_heisenberg_4n1(n: int, weights) -> tuple[LieAlgebra, tuple]:
-    """h^{4n+1}_w with its three structures (phi_1, phi_2, phi_3) sharing
-    (xi, eta, g); phi_1, phi_2 are anti-quasi-Sasakian and phi_3 is
-    quasi-Sasakian for nonzero weights."""
+def _doubled_weights(n: int, weights) -> list:
+    """[2 w_1, ..., 2 w_n], the bracket constants, after checking n."""
     if n < 1:
         raise PreconditionError("n must be positive")
     w = [coerce(x) for x in weights]
     if len(w) != n:
         raise DimensionMismatch(f"expected {n} weights, got {len(w)}")
+    return [s_mul(Fraction(2), x) for x in w]
+
+
+def weighted_heisenberg_4n1(n: int, weights) -> tuple[LieAlgebra, tuple]:
+    """h^{4n+1}_w with its three structures (phi_1, phi_2, phi_3) sharing
+    (xi, eta, g); phi_1, phi_2 are anti-quasi-Sasakian and phi_3 is
+    quasi-Sasakian for nonzero weights."""
     dim = 4 * n + 1
     table = {}
-    for r in range(1, n + 1):
-        c = s_mul(Fraction(2), w[r - 1])
+    for r, c in enumerate(_doubled_weights(n, weights), start=1):
         if not s_is_zero(c):
             table[(r, 3 * n + r)] = {0: c}
             table[(n + r, 2 * n + r)] = {0: c}
@@ -83,15 +87,9 @@ def _phi_4n1(n: int, perm: tuple[int, int, int]) -> Mat:
 def weighted_heisenberg_2n1(n: int, weights) -> tuple[LieAlgebra, AcmStructure]:
     """h^{2n+1}_w with its standard quasi-Sasakian structure
     phi = sum_r (th_r (x) tau_{n+r} - th_{n+r} (x) tau_r)."""
-    if n < 1:
-        raise PreconditionError("n must be positive")
-    w = [coerce(x) for x in weights]
-    if len(w) != n:
-        raise DimensionMismatch(f"expected {n} weights, got {len(w)}")
     dim = 2 * n + 1
     table = {}
-    for r in range(1, n + 1):
-        c = s_mul(Fraction(2), w[r - 1])
+    for r, c in enumerate(_doubled_weights(n, weights), start=1):
         if not s_is_zero(c):
             table[(r, n + r)] = {0: c}
     names = ["xi"] + [f"tau{l}" for l in range(1, 2 * n + 1)]
@@ -173,14 +171,8 @@ def invariance_type(H: KahlerLieAlgebra, w: KForm) -> tuple[str, KForm, KForm]:
     half = Fraction(1, 2)
     inv = form_scale(form_add(w, P), half)
     anti = form_scale(form_sub(w, P), half)
-    if anti.is_zero() and inv.is_zero():
-        tag = "invariant"  # zero form; both hold, report the normal case
-    elif anti.is_zero():
-        tag = "invariant"
-    elif inv.is_zero():
-        tag = "anti-invariant"
-    else:
-        tag = "neither"
+    # the zero form is both; it is reported as invariant
+    tag = "invariant" if anti.is_zero() else "anti-invariant" if inv.is_zero() else "neither"
     return tag, inv, anti
 
 
@@ -211,21 +203,15 @@ def central_extension(
     w = cocycle.form
     m = H.L.dim
     dim = m + 1
-    table = {}
-    for (a, b), entries in H.L.brackets:
-        table[(a, b)] = dict(entries)
-    for (a, b), c in [(key, c) for key, c in w.coeffs]:
+    table = H.L.table()
+    for (a, b), c in w.coeffs:
         row = table.setdefault((a, b), {})
         row[m] = s_add(row.get(m, ZERO), s_neg(c))
     names = list(H.L.basis_names) + ["xi"]
     L = LieAlgebra.from_brackets(dim, table, names)
-    phi = zeros(dim, dim)
-    g = zeros(dim, dim)
-    for i in range(m):
-        for j in range(m):
-            phi[i][j] = H.J[i][j]
-            g[i][j] = H.k[i][j]
-    g[m][m] = ONE
+    # (J, k) on h, phi xi = 0, xi unit and orthogonal to h
+    phi = [list(row) + [ZERO] for row in H.J] + [[ZERO] * dim]
+    g = [list(row) + [ZERO] for row in H.k] + [[ZERO] * m + [ONE]]
     S = AcmStructure.make(L, phi, L.basis_vector(m), L.basis_vector(m), g)
     return L, S
 

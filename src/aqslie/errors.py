@@ -83,6 +83,11 @@ class IrrationalSpectrum(PreconditionError):
     rational scalar tower.  Callers may retry in float mode."""
 
 
+class ToleranceExceeded(PreconditionError):
+    """Float mode only: rounding pushed a certificate's residual past the
+    absolute tolerance; a precision limit of the input, not of the theory."""
+
+
 class NoSolution(PreconditionError):
     """A linear system certified solvable by hypothesis has no solution;
     signals input outside the certified space."""

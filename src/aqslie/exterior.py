@@ -6,17 +6,21 @@ are alternating by construction.  The convention for the differential is
     d w (X_0..X_k) = sum_{i<j} (-1)^{i+j} w([X_i,X_j], X_0..^i..^j..X_k),
 
 so on 1-forms d eta (X, Y) = -eta([X, Y]), the sign fixed throughout the
-package, and d(theta^m) = - sum_{i<j} c_ij^m theta^i ^ theta^j.
+package, and d(theta^m) = - sum_{i<j} c_ij^m theta^i ^ theta^j.  ``ce_d``
+and the columns of ``ce_d_matrix`` are read off c_ij^k in one pass over the
+algebra's structure table (integers over a common denominator if rational).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import DimensionMismatch, InternalContradiction, PreconditionError
 from .lie_core import LieAlgebra
-from .linalg import Mat, Vec, det, mat_mul, nullspace, rank, transpose
+from .linalg import Mat, Vec, _int_scaled, det, mat_mul, nullspace, rank, transpose
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
 
 
@@ -72,10 +76,6 @@ def _sort_with_sign(idx: tuple) -> tuple[tuple, int]:
     return tuple(lst), sign
 
 
-def zero_form(degree: int, dim: int) -> KForm:
-    return KForm.make(degree, dim)
-
-
 def one_scalar_form(dim: int, c=ONE) -> KForm:
     return KForm.make(0, dim, {(): c})
 
@@ -116,27 +116,18 @@ def _check_compatible(a: KForm, b: KForm, same_degree: bool = False) -> None:
         raise DimensionMismatch("forms have different degrees")
 
 
-def _merge_sign(I: tuple, J: tuple) -> tuple[tuple, int] | None:
-    """Concatenate two increasing tuples; None when they intersect."""
-    if set(I) & set(J):
-        return None
-    merged = I + J
-    return _sort_with_sign(merged)
-
-
 def wedge(a: KForm, b: KForm) -> KForm:
     """Graded-commutative product; degree overflow gives the zero form."""
     _check_compatible(a, b)
     deg = a.degree + b.degree
     if deg > a.dim:
-        return zero_form(deg, a.dim)
+        return KForm.make(deg, a.dim)
     terms: dict[tuple, object] = {}
     for I, ca in a.coeffs:
         for J, cb in b.coeffs:
-            hit = _merge_sign(I, J)
-            if hit is None:
+            if set(I) & set(J):
                 continue
-            key, sign = hit
+            key, sign = _sort_with_sign(I + J)
             c = s_mul(ca, cb)
             c = c if sign > 0 else s_neg(c)
             terms[key] = s_add(terms.get(key, ZERO), c)
@@ -200,44 +191,68 @@ def pullback(a: KForm, A: Mat) -> KForm:
 # Chevalley-Eilenberg differential
 # ---------------------------------------------------------------------------
 
-def d_theta(L: LieAlgebra, m: int) -> KForm:
-    """d theta^m = - sum_{i<j} c_ij^m theta^i ^ theta^j."""
-    terms = {}
-    for (i, j), entries in L.brackets:
-        for k, v in entries:
-            if k == m:
-                terms[(i, j)] = s_neg(v)
-    return KForm.make(2, L.dim, terms)
+def _d_targets(L: LieAlgebra) -> tuple[dict, int | None]:
+    """({m: [(i, j, c_ij^m)] for i < j ascending}, den) from L._tables()."""
+    table, den = L._tables()
+    targets: dict[int, list] = {}
+    for (i, j), entries in table.items():
+        for m, v in entries.items():
+            targets.setdefault(m, []).append((i, j, v))
+    return targets, den
+
+
+def _ce_d(targets: dict, den: int | None, w: KForm) -> KForm:
+    """d w in one pass: theta^I contributes (-1)^r theta^{I - I_r} ^
+    d theta^{I_r} for each position r (Leibniz), all into one accumulator.
+    Rational w over rational constants sums integers over the common
+    denominator; other scalars add in the order of the term-by-term
+    Leibniz sum, dropping entries that reach zero, so floats round alike."""
+    scaled = _int_scaled([c for _, c in w.coeffs]) if den is not None else None
+    coeffs = scaled[0] if scaled is not None else [c for _, c in w.coeffs]
+    acc: dict[tuple, object] = {}
+    for (I, _), c in zip(w.coeffs, coeffs):
+        for r, m in enumerate(I):
+            rest = I[:r] + I[r + 1 :]
+            for i, j, v in targets.get(m, ()):
+                if i in rest or j in rest:
+                    continue
+                pi, pj = bisect(rest, i), bisect(rest, j)
+                key = rest[:pi] + (i,) + rest[pi:pj] + (j,) + rest[pj:]
+                # (-1)^r, the minus of d theta, and the sort of rest + (i, j)
+                negative = (r + 1 + pi + pj) % 2
+                if scaled is not None:
+                    acc[key] = acc.get(key, 0) + (-c * v if negative else c * v)
+                    continue
+                t = s_mul(c, v if den is None else Fraction(v, den))
+                if s_is_zero(t):
+                    continue
+                total = s_add(acc.get(key, ZERO), s_neg(t) if negative else t)
+                if s_is_zero(total):
+                    acc.pop(key, None)
+                else:
+                    acc[key] = total
+    if scaled is not None:
+        den *= scaled[1]
+        acc = {key: Fraction(a, den) for key, a in acc.items() if a}
+    return KForm(w.degree + 1, w.dim, tuple(sorted(acc.items())))
 
 
 def ce_d(L: LieAlgebra, w: KForm) -> KForm:
-    """Differential via the graded Leibniz rule on basis monomials."""
+    """Chevalley-Eilenberg differential of w, from the structure constants."""
     if w.dim != L.dim:
         raise DimensionMismatch("form does not live on this algebra")
-    dthetas = [d_theta(L, m) for m in range(L.dim)]
-    out = zero_form(w.degree + 1, L.dim)
-    for I, c in w.coeffs:
-        for r, idx in enumerate(I):
-            dth = dthetas[idx]
-            if dth.is_zero():
-                continue
-            rest = KForm.make(
-                w.degree - 1, L.dim, {tuple(x for t, x in enumerate(I) if t != r): ONE}
-            )
-            sign_c = c if r % 2 == 0 else s_neg(c)
-            out = form_add(out, form_scale(wedge(rest, dth), sign_c))
-    return out
+    return _ce_d(*_d_targets(L), w)
 
 
 def ce_d_matrix(L: LieAlgebra, k: int) -> Mat:
-    """Matrix of d: Lambda^k -> Lambda^{k+1} in the monomial bases."""
+    """Matrix of d: Lambda^k -> Lambda^{k+1}; column I is d theta^I."""
     n = L.dim
+    targets, den = _d_targets(L)
     rows_idx = {J: r for r, J in enumerate(combinations(range(n), k + 1))}
     cols = list(combinations(range(n), k))
     M = [[ZERO] * len(cols) for _ in rows_idx] if rows_idx else []
     for c_i, I in enumerate(cols):
-        img = ce_d(L, KForm.make(k, n, {I: ONE}))
-        for J, v in img.coeffs:
+        for J, v in _ce_d(targets, den, KForm(k, n, ((I, ONE),))).coeffs:
             M[rows_idx[J]][c_i] = v
     return M
 

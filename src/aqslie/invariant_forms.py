@@ -21,7 +21,7 @@ from .errors import (
     NotCompactSemisimple,
     PreconditionError,
 )
-from .exterior import KForm, evaluate, form_scale, form_sub, pullback
+from .exterior import KForm, bilinear_from_form, evaluate, form_scale, form_sub, pullback
 from .lie_core import LieAlgebra, ad_matrix, bracket, derivations, killing_form
 from .linalg import (
     Mat,
@@ -40,7 +40,6 @@ from .linalg import (
     vec_eq,
     vec_is_zero,
     vec_sub,
-    zeros,
 )
 from .scalars import ONE, ZERO, s_add, s_eq, s_is_zero, s_mul, s_neg, s_sub
 
@@ -272,10 +271,7 @@ def synthesize_j_dim2(R: ReductiveSplit) -> list[Mat]:
     from .scalars import s_div, s_sqrt
 
     for U in center_of_k(R):
-        M = [
-            R.to_m_coords(bracket(R.g, U, X)) for X in R.m_cols()
-        ]  # rows currently; transpose to columns
-        M = transpose(M)
+        M = transpose([R.to_m_coords(bracket(R.g, U, X)) for X in R.m_cols()])
         d = s_sub(s_mul(M[0][0], M[1][1]), s_mul(M[0][1], M[1][0]))
         if s_is_zero(d):
             continue
@@ -296,11 +292,7 @@ def extension_by_zero_derivation_check(R: ReductiveSplit, w: KForm, Z: Vec) -> b
     B = [list(r) for r in killing_form(R.g).matrix]
     n = R.g.dim
     Cm = [list(r) for r in R.coords_m]
-    w_m = zeros(R.m.dim, R.m.dim)
-    for (i, j), c in w.coeffs:
-        w_m[i][j] = c
-        w_m[j][i] = s_neg(c)
-    Omega = mat_mul(transpose(Cm), mat_mul(w_m, Cm))
+    Omega = mat_mul(transpose(Cm), mat_mul(bilinear_from_form(w), Cm))
     # phi^T B = Omega
     phi = transpose(mat_mul(Omega, inverse(B)))
     # Leibniz on all basis pairs

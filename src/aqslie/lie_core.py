@@ -225,18 +225,12 @@ def killing_form(L: LieAlgebra) -> KillingForm:
             B[i][j] = val
             B[j][i] = val
     pos, neg, zero = inertia_symmetric(B)
-    if pos == 0 and neg == 0:
-        label = "zero"
-    elif zero == 0 and neg == 0:
-        label = "positive_definite"
-    elif zero == 0 and pos == 0:
-        label = "negative_definite"
-    elif pos > 0 and neg > 0:
+    if pos and neg:
         label = "indefinite"
-    elif pos == 0:
-        label = "negative_semidefinite"
+    elif pos or neg:
+        label = ("positive" if pos else "negative") + ("_semidefinite" if zero else "_definite")
     else:
-        label = "positive_semidefinite"
+        label = "zero"
     return KillingForm(tuple(tuple(r) for r in B), (pos, neg, zero), label)
 
 
@@ -307,13 +301,10 @@ def quotient_by_center_line(L: LieAlgebra, xi: Vec, D: Subspace) -> CentralQuoti
             omega[a][b] = s_neg(w[m])
             omega[b][a] = w[m]
     names = []
-    for a in range(m):
-        col = cols[a]
+    for a, col in enumerate(cols[:m]):
         hits = [i for i in range(n) if not s_is_zero(col[i])]
-        if len(hits) == 1 and s_is_zero(s_sub(col[hits[0]], ONE)):
-            names.append(L.basis_names[hits[0]])
-        else:
-            names.append(f"d{a+1}")
+        unit = len(hits) == 1 and s_is_zero(s_sub(col[hits[0]], ONE))
+        names.append(L.basis_names[hits[0]] if unit else f"d{a+1}")
     quotient = LieAlgebra.from_brackets(m, table, names, L.mode, check=True)
     # certificate: [d_a, d_b] = incl([.,.]_D) - omega_ab * xi, exactly
     D_cols = transpose(cols[:m])

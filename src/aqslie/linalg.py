@@ -618,13 +618,11 @@ def eigh_g_float(M: Mat, G: Mat) -> tuple[list[float], Mat]:
     with G symmetric positive definite): conjugating by G^(1/2) gives an
     ordinary symmetric problem.  Returns (eigenvalues ascending, V) with
     V[:, k] the eigenvector of eigenvalue k (G-orthonormal columns)."""
-    import math as _math
-
     n = len(M)
     gd, gv = eigh_float(G)
     if any(d <= 0 for d in gd):
         raise ValueError("metric is not positive definite")
-    sq = [_math.sqrt(d) for d in gd]
+    sq = [math.sqrt(d) for d in gd]
     W = [
         [sum(gv[i][k] * sq[k] * gv[j][k] for k in range(n)) for j in range(n)]
         for i in range(n)

@@ -13,7 +13,9 @@ from aqslie.acm import (
     classify_structure,
     conjugate_structure,
 )
+from aqslie.adapted import adapted_frame
 from aqslie.classifier import (
+    _signed_phi_2n1,
     classify_nilpotent_aqs,
     classify_nilpotent_qs,
     companion_structures,
@@ -26,6 +28,7 @@ from aqslie.constructors import (
     weighted_heisenberg_4n1,
 )
 from aqslie.errors import (
+    InternalContradiction,
     NotAqs,
     NotMaximalRank,
     NotNilpotent,
@@ -40,10 +43,11 @@ from aqslie.linalg import (
     random_unimodular,
     transpose,
     vec_eq,
+    vec_scale,
     zeros,
 )
 from aqslie.lie_core import bracket
-from aqslie.scalars import s_abs, s_eq, s_is_zero, s_neg, s_str, ONE
+from aqslie.scalars import Ext, ONE, is_exact, s_abs, s_eq, s_inv, s_is_zero, s_neg, s_str
 
 
 def test_identity_input_is_normal_form_up_to_weight_order():
@@ -225,3 +229,106 @@ def test_weight_cross_check_between_modules():
     eigen_sq = sorted((s_neg(e) for e, _ in spec), key=float, reverse=True)
     for w, e in zip(iso.weights, eigen_sq):
         assert s_eq(s_mul(w, w), e)
+
+
+# ---------------------------------------------------------------------------
+# factored frames T = R Delta and the isomorphism check on M = R^-1
+# ---------------------------------------------------------------------------
+
+def old_verify_iso(S, target_L, target_S, F):
+    """The isomorphism check written directly on F and F^-1 (the oracle)."""
+    L = S.L
+    F_inv, F_cols = inverse(F), transpose(F)
+    for a in range(L.dim):
+        for b in range(a + 1, L.dim):
+            lhs = mat_vec(F, bracket(L, L.basis_vector(a), L.basis_vector(b)))
+            if not vec_eq(lhs, bracket(target_L, F_cols[a], F_cols[b])):
+                raise InternalContradiction(
+                    f"F is not a Lie algebra morphism at pair ({a}, {b})"
+                )
+    if not mat_eq(mat_mul(F, mat_mul(S.phi_mat(), F_inv)), target_S.phi_mat()):
+        raise InternalContradiction("F does not map phi onto the target structure")
+    if not vec_eq(mat_vec(F, S.xi_vec()), target_S.xi_vec()):
+        raise InternalContradiction("F does not map xi onto the target Reeb vector")
+    if not vec_eq(mat_vec(transpose(F), target_S.eta_row()), S.eta_row()):
+        raise InternalContradiction("F does not pull the target eta back to eta")
+    if not mat_eq(mat_mul(transpose(F), mat_mul(target_S.g_mat(), F)), S.g_mat()):
+        raise InternalContradiction("F is not an isometry onto the target metric")
+
+
+def _tower_weight_structure():
+    # anti-invariant cocycle with |psi^2| eigenvalue 2: weight sqrt(2)
+    from aqslie.constructors import central_extension, standard_kahler
+    from aqslie.exterior import KForm
+
+    w = KForm.make(2, 4, {(0, 1): F(2), (2, 3): F(-2), (0, 3): F(2), (1, 2): F(-2)})
+    return central_extension(standard_kahler(2), w)[1]
+
+
+def _factored_frame_inputs():
+    _, (h9, _, _) = weighted_heisenberg_4n1(2, [1, 2])
+    _, (h13, _, _) = weighted_heisenberg_4n1(3, [1, 2, 3])
+    return {
+        "h9": conjugate_structure(h9, random_unimodular(9, random.Random(3))),
+        "h13": conjugate_structure(h13, random_unimodular(13, random.Random(4))),
+        "tower": _tower_weight_structure(),
+    }
+
+
+def test_factored_frame_matches_the_scaled_frame():
+    for name, S in _factored_frame_inputs().items():
+        frame = adapted_frame(S)
+        cols = frame.columns()
+        assert all(is_exact(x) and not isinstance(x, Ext) for c in frame.unscaled for x in c)
+        for col, unscaled, scale in zip(cols, frame.unscaled, frame.scales):
+            assert vec_eq(col, vec_scale(list(unscaled), scale)), name
+        T = frame.matrix()
+        assert mat_eq(transpose(cols), T)
+        assert mat_eq(mat_mul(transpose(T), mat_mul(S.g_mat(), T)), identity(S.L.dim)), name
+        iso = classify_nilpotent_aqs(S)
+        old_F = inverse(T)
+        assert [[s_str(x) for x in r] for r in iso.F_mat()] == [[s_str(x) for x in r] for r in old_F]
+        target_L, (_, t2, _) = weighted_heisenberg_4n1(iso.n, list(iso.weights))
+        old_verify_iso(S, target_L, t2, iso.F_mat())
+    assert [s_str(w) for w in iso.weights] == ["sqrt(2)"]
+
+
+def test_qs_frame_is_orthonormal_with_signed_pairs():
+    _, base = weighted_heisenberg_2n1(4, [1, 2, 3, 4])
+    S = conjugate_structure(base, random_unimodular(9, random.Random(5)))
+    iso = classify_nilpotent_qs(S)
+    n, g, phi = iso.n, S.g_mat(), S.phi_mat()
+    cols = transpose(inverse(iso.F_mat()))  # the normalized frame F^-1
+    assert vec_eq(cols[0], S.xi_vec())
+    assert mat_eq(mat_mul(cols, mat_mul(g, transpose(cols))), identity(9))
+    for i, sign in enumerate(iso.phi_signs, start=1):
+        assert vec_eq(cols[n + i], vec_scale(mat_vec(phi, cols[i]), F(sign)))
+    target_L, target_S = weighted_heisenberg_2n1(n, list(iso.weights))
+    signed = AcmStructure.make(
+        target_L, _signed_phi_2n1(n, list(iso.phi_signs)), target_S.xi_vec(),
+        target_S.eta_row(), target_S.g_mat(),
+    )
+    old_verify_iso(S, target_L, signed, iso.F_mat())
+
+
+def test_perturbed_M_fails_with_the_message_of_the_check_on_F(monkeypatch):
+    import aqslie.classifier as classifier_module
+
+    S0 = _factored_frame_inputs()["h9"]
+    frame = adapted_frame(S0)
+    R = transpose([list(c) for c in frame.unscaled])
+    D = [s_inv(x) for x in frame.scales]
+    target_L, (_, t2, _) = weighted_heisenberg_4n1(2, list(frame.weights))
+    real_inverse = classifier_module.inverse
+    for a, b in ((0, 0), (3, 5), (8, 2)):
+        M = inverse(R)
+        M[a][b] += 1
+        with pytest.raises(InternalContradiction) as old:
+            old_verify_iso(S0, target_L, t2, [vec_scale(row, d) for row, d in zip(M, D)])
+        monkeypatch.setattr(
+            classifier_module, "inverse", lambda A, M=M: M if A == R else real_inverse(A)
+        )
+        S = AcmStructure.make(S0.L, S0.phi_mat(), S0.xi_vec(), S0.eta_row(), S0.g_mat())
+        with pytest.raises(InternalContradiction) as new:
+            classify_nilpotent_aqs(S)
+        assert str(new.value) == str(old.value), (a, b)

@@ -32,7 +32,7 @@ from aqslie.exterior import (
     wedge_power,
 )
 from aqslie.linalg import rank
-from aqslie.scalars import s_eq
+from aqslie.scalars import s_add, s_eq, s_mul, s_neg
 
 
 def random_form(L, degree, rng, max_terms=8):
@@ -239,3 +239,107 @@ def test_form_linear_ops():
     assert form_sub(s, b).coeffs == a.coeffs
     assert form_eq(form_scale(a, F(0)), KForm.make(1, 3, {}))
     assert form_eq(wedge_power(a, 0), KForm.make(0, 3, {(): F(1)}))
+
+
+# ---------------------------------------------------------------------------
+# ce_d against the term-by-term Leibniz/wedge construction
+# ---------------------------------------------------------------------------
+
+def leibniz_d_theta(L, m):
+    """d theta^m = - sum_{i<j} c_ij^m theta^i ^ theta^j."""
+    terms = {}
+    for (i, j), entries in L.brackets:
+        for k, v in entries:
+            if k == m:
+                terms[(i, j)] = s_neg(v)
+    return KForm.make(2, L.dim, terms)
+
+
+def leibniz_ce_d(L, w):
+    """Differential via the graded Leibniz rule on basis monomials, one
+    wedge and one form_add per term (the oracle for ce_d)."""
+    dthetas = [leibniz_d_theta(L, m) for m in range(L.dim)]
+    out = KForm.make(w.degree + 1, L.dim)
+    for I, c in w.coeffs:
+        for r, idx in enumerate(I):
+            dth = dthetas[idx]
+            if dth.is_zero():
+                continue
+            rest = KForm.make(
+                w.degree - 1, L.dim, {tuple(x for t, x in enumerate(I) if t != r): F(1)}
+            )
+            sign_c = c if r % 2 == 0 else s_neg(c)
+            out = form_add(out, form_scale(wedge(rest, dth), sign_c))
+    return out
+
+
+def _conjugated_algebra(n, weights, seed):
+    from aqslie.acm import conjugate_structure
+    from aqslie.linalg import random_unimodular
+
+    _, (S1, _, _) = weighted_heisenberg_4n1(n, weights)
+    return conjugate_structure(S1, random_unimodular(S1.L.dim, random.Random(seed))).L
+
+
+def _float_algebra(L):
+    from aqslie.lie_core import LieAlgebra
+
+    table = {pair: {k: float(v) for k, v in entries} for pair, entries in L.brackets}
+    return LieAlgebra.from_brackets(L.dim, table, list(L.basis_names), "float", check=False)
+
+
+def _ce_d_oracle_algebras():
+    from aqslie.constructors import su3
+
+    return {
+        "h9": _conjugated_algebra(2, [1, 2], 1),
+        "h13": _conjugated_algebra(3, [1, 2, 3], 2),
+        "su3": su3(),
+    }
+
+
+def test_ce_d_matches_leibniz_oracle():
+    from aqslie.scalars import Ext
+
+    rng = random.Random(17)
+    sqrt2, sqrt3 = Ext.of_sqrt(2), Ext.of_sqrt(3)
+    for name, L in _ce_d_oracle_algebras().items():
+        Lf = _float_algebra(L)
+        for degree in range(4):
+            for _ in range(4):
+                w = random_form(L, degree, rng)
+                assert ce_d(L, w) == leibniz_ce_d(L, w), (name, degree)
+                ext = KForm.make(degree, L.dim, {
+                    I: s_add(c, s_mul(F(rng.randrange(-3, 4)), rng.choice((sqrt2, sqrt3))))
+                    for I, c in w.coeffs
+                })
+                assert ce_d(L, ext) == leibniz_ce_d(L, ext), (name, degree)
+                flt = KForm.make(degree, L.dim, {I: float(c) / 7 for I, c in w.coeffs})
+                # float results must agree bit for bit, zero drops included
+                assert ce_d(Lf, flt) == leibniz_ce_d(Lf, flt), (name, degree)
+                assert ce_d(L, flt) == leibniz_ce_d(L, flt), (name, degree)
+
+
+def test_ce_d_float_drops_entries_that_reach_zero_midway():
+    # on [e0, e1] = e2 + e3 + e4 the first two terms of d w cancel below the
+    # tolerance; the term-by-term sum drops that entry before the third term
+    # lands, and ce_d must round the same way
+    from aqslie.lie_core import LieAlgebra
+
+    L = LieAlgebra.from_brackets(5, {(0, 1): {2: 1.0, 3: 1.0, 4: 1.0}}, None, "float", False)
+    w = KForm.make(1, 5, {(2,): 1.0, (3,): -1.0 + 1e-12, (4,): 0.1})
+    assert ce_d(L, w) == leibniz_ce_d(L, w)
+    assert ce_d(L, w).coeffs == (((0, 1), -0.1),)
+
+
+def test_ce_d_matrix_columns_are_ce_d_of_monomials():
+    from aqslie.scalars import ZERO
+
+    for name, L in _ce_d_oracle_algebras().items():
+        for k in range(3 if L.dim > 9 else 4):
+            M = ce_d_matrix(L, k)
+            rows = list(combinations(range(L.dim), k + 1))
+            for c_i, I in enumerate(combinations(range(L.dim), k)):
+                image = ce_d(L, KForm.make(k, L.dim, {I: F(1)}))
+                column = {J: M[r][c_i] for r, J in enumerate(rows) if M[r][c_i] != ZERO}
+                assert column == dict(image.coeffs), (name, k, I)

@@ -173,3 +173,49 @@ def test_tolerance_is_configurable():
         assert validate_acm(S).passed
     finally:
         set_tolerance(old)
+
+
+def test_cli_float_rounding_beyond_tolerance_is_a_precondition(tmp_path, capsys):
+    # conjugation by random_unimodular(9, Random(1)) grows the metric entries
+    # to a few hundred; float rounding in the Koszul solve then exceeds the
+    # absolute default tolerance, which is a limit of the input (exit 3),
+    # not a contradiction in the theory (exit 4)
+    import random
+    from fractions import Fraction
+
+    from aqslie.acm import conjugate_structure
+    from aqslie.cli import main
+    from aqslie.linalg import random_unimodular
+
+    _, (S1, _, _) = weighted_heisenberg_4n1(2, [1, 2])
+    Sc = conjugate_structure(S1, random_unimodular(9, random.Random(1)))
+    text = aqio.dumps(aqio.structure_to_json(Sc)).replace('"mode": "exact"', '"mode": "float"')
+    doc = aqio.loads(text)
+
+    def floatify(v):
+        if isinstance(v, str):
+            return repr(float(Fraction(v)))
+        if isinstance(v, list):
+            return [floatify(x) for x in v]
+        return {k: floatify(x) for k, x in v.items()}
+
+    for key in ("phi", "xi", "eta", "metric"):
+        doc[key] = floatify(doc[key])
+    for rec in doc["brackets"]:
+        rec["coeffs"] = floatify(rec["coeffs"])
+    path = tmp_path / "h9_float.json"
+    path.write_text(aqio.dumps(doc), "utf-8")
+    old = get_tolerance()
+    try:
+        for command in ("classify", "curvature"):
+            assert main([command, str(path), "--json"]) == 3
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["code"] == "ToleranceExceeded"
+            assert error["family"] == "precondition"
+            assert "absolute tolerance 1e-09" in error["message"]
+            assert "--tolerance" in error["message"]
+        # the remedy the message names
+        assert main(["classify", str(path), "--json", "--tolerance", "1e-6"]) == 0
+        capsys.readouterr()
+    finally:
+        set_tolerance(old)

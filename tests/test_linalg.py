@@ -30,7 +30,7 @@ from aqslie.linalg import (
     vec_eq,
     vec_is_zero,
 )
-from aqslie.scalars import Ext, s_eq, s_inv, s_mul
+from aqslie.scalars import Ext, s_add, s_eq, s_inv, s_mul
 
 small_mats = st.integers(-4, 4)
 
@@ -362,3 +362,38 @@ def test_rational_roots_squarefree_candidates():
         q = [a - r * b for a, b in zip(q + [F(0)], [F(0)] + q)]
     roots, residual = rational_roots(q)
     assert residual == 2 and roots == {F(0): 1, F(1, 2): 2, F(-3): 1}
+
+
+def test_tower_inverse_and_mat_mul_agree_with_sympy():
+    # square-root-tower entries a + b sqrt(2) + c sqrt(3) take the per-scalar
+    # path of mat_mul and inverse; sympy is the independent oracle
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    sqrt2, sqrt3 = Ext.of_sqrt(2), Ext.of_sqrt(3)
+
+    def entry():
+        x = F(rng.randrange(-4, 5), rng.randrange(1, 3))
+        for root in (sqrt2, sqrt3):
+            if rng.random() < 0.5:
+                x = s_add(x, s_mul(F(rng.randrange(-3, 4)), root))
+        return x
+
+    def to_sympy(A):
+        def conv(x):
+            terms = x.terms.items() if isinstance(x, Ext) else [(1, x)]
+            return sum(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(r)
+                       for r, c in terms)
+        return sympy.Matrix([[conv(x) for x in row] for row in A])
+
+    inverted = 0
+    for size in (2, 3, 3, 4):
+        A = [[entry() for _ in range(size)] for _ in range(size)]
+        B = [[entry() for _ in range(size)] for _ in range(size)]
+        sA = to_sympy(A)
+        assert (to_sympy(mat_mul(A, B)) - sA * to_sympy(B)).expand().is_zero_matrix
+        if sympy.radsimp(sA.det()) == 0:
+            continue
+        diff = to_sympy(inverse(A)) - sA.inv()
+        assert diff.applyfunc(lambda e: sympy.radsimp(e).expand()).is_zero_matrix
+        inverted += 1
+    assert inverted >= 3
