@@ -49,6 +49,7 @@ from .linalg import (
     inverse,
     is_positive_definite,
     mat_add,
+    mat_eq,
     mat_mul,
     mat_sub,
     mat_vec,
@@ -135,21 +136,14 @@ def validate_acm(S: AcmStructure) -> ValidationReport:
     phi, g, xi, eta = S.phi_mat(), S.g_mat(), S.xi_vec(), S.eta_row()
     residuals: dict = {}
 
-    phi2 = mat_mul(phi, phi)
     target = mat_sub([[s_mul(xi[i], eta[j]) for j in range(n)] for i in range(n)], identity(n))
-    residuals["phi_squared"] = _max_abs(
-        s_sub(phi2[i][j], target[i][j]) for i in range(n) for j in range(n)
-    )
+    residuals["phi_squared"] = _mat_res(mat_mul(phi, phi), target)
     residuals["eta_xi"] = s_abs(s_sub(dot(eta, xi), ONE))
-    residuals["g_symmetric"] = _max_abs(
-        s_sub(g[i][j], g[j][i]) for i in range(n) for j in range(n)
-    )
+    residuals["g_symmetric"] = _mat_res(g, transpose(g))
     # g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y): phi^T g phi = g - eta^T eta
-    pullback_g = mat_mul(transpose(phi), mat_mul(g, phi))
-    residuals["compatibility"] = _max_abs(
-        s_sub(pullback_g[i][j], s_sub(g[i][j], s_mul(eta[i], eta[j])))
-        for i in range(n)
-        for j in range(n)
+    eta_eta = [[s_mul(eta[i], eta[j]) for j in range(n)] for i in range(n)]
+    residuals["compatibility"] = _mat_res(
+        mat_mul(transpose(phi), mat_mul(g, phi)), mat_sub(g, eta_eta)
     )
     residuals["phi_xi"] = _max_abs(mat_vec(phi, xi))
     residuals["eta_phi"] = _max_abs(mat_vec(transpose(phi), eta))
@@ -305,6 +299,8 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
         return S._memo["connection"]
     L, g = S.L, S.g_mat()
     n = L.dim
+    if not mat_eq(g, transpose(g)):
+        raise PreconditionError("metric is not symmetric")
     if not is_positive_definite(g):
         raise PreconditionError("metric is not positive definite")
     g_inv = inverse(g)
@@ -328,25 +324,27 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
         for j in range(n):
             tors = vec_sub(vec_sub(gamma[i][j], gamma[j][i]), br[i][j])
             if not vec_is_zero(tors):
-                raise _koszul_failure("torsion-freeness", _max_abs(tors))
+                raise certificate_failure("Koszul solve lost torsion-freeness", tors)
             for k in range(n):
                 compat = s_add(g_gamma[i][j][k], g_gamma[i][k][j])
                 if not s_is_zero(compat):
-                    raise _koszul_failure("metric compatibility", s_abs(compat))
+                    raise certificate_failure("Koszul solve lost metric compatibility", [compat])
     S._memo["connection"] = table
     return table
 
 
-def _koszul_failure(lost: str, residual) -> AqslieError:
-    """A failed Koszul certificate: a contradiction in exact arithmetic, a
-    precision limit when the residual is a float."""
-    if isinstance(residual, float):
+def certificate_failure(what: str, residuals) -> AqslieError:
+    """The error for a failed certificate, given its residual entries: a
+    contradiction in exact arithmetic, a precision limit of the input when
+    the residuals are floats (rounding exceeded the absolute tolerance)."""
+    worst = _max_abs(residuals)
+    if isinstance(worst, float):
         return ToleranceExceeded(
-            f"Koszul solve lost {lost} at float precision: residual {residual:.3g} "
-            f"exceeds the absolute tolerance {get_tolerance():g}; rerun with a "
-            f"larger --tolerance or in exact mode"
+            f"{what} at float precision: residual {worst:.3g} exceeds the absolute "
+            f"tolerance {get_tolerance():g}; rerun with a larger --tolerance or in "
+            f"exact mode"
         )
-    return InternalContradiction(f"Koszul solve lost {lost}")
+    return InternalContradiction(what)
 
 
 @dataclass(frozen=True)
@@ -359,17 +357,16 @@ class OperatorPack:
     residuals: dict
 
 
-def psi_matrix(S: AcmStructure, conn: ConnectionTable | None = None) -> Mat:
+def psi_matrix(S: AcmStructure) -> Mat:
     """psi = -nabla xi: column j is -nabla_{b_j} xi."""
-    if conn is None:
-        conn = levi_civita(S)
+    conn = levi_civita(S)
     xi = S.xi_vec()
     return transpose(
         [[s_neg(x) for x in conn.nabla(S.L.basis_vector(j), xi)] for j in range(S.L.dim)]
     )
 
 
-def operators_A_psi(S: AcmStructure, conn: ConnectionTable | None = None) -> OperatorPack:
+def operators_A_psi(S: AcmStructure) -> OperatorPack:
     """Operators A = -phi o nabla xi and psi = -nabla xi, with the identity
     suite (A phi = psi = -phi A, phi psi = A = -psi phi, psi A = -phi A^2
     = -A psi, A xi = psi xi = 0, skew-symmetry) asserted, not assumed."""
@@ -377,7 +374,7 @@ def operators_A_psi(S: AcmStructure, conn: ConnectionTable | None = None) -> Ope
         return S._memo["operators"]
     phi, g, xi, eta = S.phi_mat(), S.g_mat(), S.xi_vec(), S.eta_row()
     n = S.L.dim
-    psi = psi_matrix(S, conn)
+    psi = psi_matrix(S)
     A = mat_mul(phi, psi)
     residuals = {}
     residuals["A_phi_eq_psi"] = _mat_res(mat_mul(A, phi), psi)
@@ -461,10 +458,9 @@ class CurvatureData:
         return vec_sub(out, c.nabla(bracket(L, X, Y), Z))
 
 
-def curvature(S: AcmStructure, conn: ConnectionTable | None = None) -> CurvatureData:
+def curvature(S: AcmStructure) -> CurvatureData:
     """Riemann evaluator, Ricci tensor and scalar curvature."""
-    if conn is None:
-        conn = levi_civita(S)
+    conn = levi_civita(S)
     L, g = S.L, S.g_mat()
     n = L.dim
     data = CurvatureData(conn, (), ZERO)

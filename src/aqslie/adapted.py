@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .acm import (
     CLASS_ANTI_QUASI_SASAKIAN,
     AcmStructure,
-    OperatorPack,
+    certificate_failure,
     classify_structure,
     operators_A_psi,
     structure_rank,
@@ -64,7 +64,7 @@ from .scalars import (
     s_neg,
     s_sign,
     s_sqrt,
-    s_to_float,
+    s_sub,
 )
 
 
@@ -76,10 +76,11 @@ def _require_aqs_maximal(S: AcmStructure) -> None:
         raise NotMaximalRank(f"rank {rr.rank} < dim {S.L.dim}")
 
 
-def _psi2_eigenspaces(S: AcmStructure, pack: OperatorPack) -> list:
+def _psi2_eigenspaces(S: AcmStructure) -> list:
     """[(eigenvalue, multiplicity, eigenbasis)] of psi^2 on D, most
     negative first; psi^2 is only g-symmetric, so the float route solves
     the generalized problem."""
+    pack = operators_A_psi(S)
     if not pack.ok:
         raise NotAqs("operator identities fail; structure is not aqS")
     psi = [list(r) for r in pack.psi]
@@ -99,47 +100,43 @@ def _psi2_eigenspaces(S: AcmStructure, pack: OperatorPack) -> list:
                 f"eigenvalue {ev} has multiplicity {mult}, not divisible by 4"
             )
     # most negative eigenvalue (largest weight) first; exact and float alike
-    spectrum.sort(key=lambda entry: s_to_float(entry[0]))
+    spectrum.sort(key=lambda entry: float(entry[0]))
     return spectrum
 
 
-def psi_squared_spectrum(
-    S: AcmStructure, pack: OperatorPack | None = None
-) -> list[tuple[object, int]]:
+def psi_squared_spectrum(S: AcmStructure) -> list[tuple[object, int]]:
     """Eigenvalues of psi^2 on D with multiplicities, most negative first.
 
     Exact mode raises IrrationalSpectrum when the characteristic polynomial
     has non-rational roots (retry in float mode in that case).
     """
     _require_aqs_maximal(S)
-    if pack is None:
-        pack = operators_A_psi(S)
-    return [(ev, mult) for ev, mult, _ in _psi2_eigenspaces(S, pack)]
+    return [(ev, mult) for ev, mult, _ in _psi2_eigenspaces(S)]
 
 
 @dataclass(frozen=True)
 class AdaptedFrame:
     n: int  # number of quadruples; dim = 4n + 1
-    vectors: tuple  # columns (xi, e_1..e_n, e_{n+1}..e_{2n}, ...en bloc)
     weights: tuple  # w_1 >= w_2 >= ... > 0
-    change_of_basis: tuple  # matrix whose column l is vectors[l]
-    # the factorization T = R Delta: columns of R in the input's field and
-    # the diagonal of Delta (1 for xi, then 1/|v| or 1/(w |v|))
-    unscaled: tuple = ()
-    scales: tuple = ()
+    # the factorization T = R Delta: columns of R in the input's field, in
+    # the order (xi, e_1..e_n, e_{n+1}..e_{2n}, ...), and the diagonal of
+    # Delta (1 for xi, then 1/|v| or 1/(w |v|))
+    unscaled: tuple
+    scales: tuple
 
     def columns(self) -> list[Vec]:
-        return [list(v) for v in self.vectors]
+        """The frame vectors, the columns of T."""
+        return [vec_scale(c, x) for c, x in zip(self.unscaled, self.scales)]
 
     def matrix(self) -> Mat:
-        return [list(r) for r in self.change_of_basis]
+        """The change of basis T."""
+        return transpose(self.columns())
 
 
-def adapted_frame(S: AcmStructure, pack: OperatorPack | None = None) -> AdaptedFrame:
+def adapted_frame(S: AcmStructure) -> AdaptedFrame:
     """Orthonormal adapted frame of an aqS structure of maximal rank."""
     _require_aqs_maximal(S)
-    if pack is None:
-        pack = operators_A_psi(S)
+    pack = operators_A_psi(S)
     g = S.g_mat()
     A = [list(r) for r in pack.A]
     psi = [list(r) for r in pack.psi]
@@ -147,7 +144,7 @@ def adapted_frame(S: AcmStructure, pack: OperatorPack | None = None) -> AdaptedF
 
     quadruples: list[tuple[Vec, Vec, Vec, Vec]] = []  # (v, Av, phi v, psi v)
     weights = []
-    for ev, mult, eig_basis in _psi2_eigenspaces(S, pack):
+    for ev, mult, eig_basis in _psi2_eigenspaces(S):
         weight_sq = s_neg(ev)
         try:
             weight = s_sqrt(weight_sq)
@@ -176,29 +173,22 @@ def adapted_frame(S: AcmStructure, pack: OperatorPack | None = None) -> AdaptedF
     inv_w = [s_div(ONE, s_mul(w, x)) for w, x in zip(weights, norms)]
     R = [S.xi_vec()] + [quad[b] for b in range(4) for quad in quadruples]
     scales = [ONE] + inv + inv_w + inv + inv_w
-    cols = [vec_scale(c, x) for c, x in zip(R, scales)]
+    frame = AdaptedFrame(n, tuple(weights), tuple(tuple(c) for c in R), tuple(scales))
     # certificate: the frame is g-orthonormal; exact frames check the Gram
     # matrix of R instead, R^T g R = Delta^-2, all in the input's field
     if all(is_exact(x) for c in R for x in c):
         wide_sq = [s_mul(s_mul(w, w), x) for w, x in zip(weights, norms_sq)]
         gram_cols, want = R, [ONE] + norms_sq + wide_sq + norms_sq + wide_sq
     else:
-        gram_cols, want = cols, [ONE] * len(cols)
+        gram_cols, want = frame.columns(), [ONE] * len(R)
     g_cols = [mat_vec(g, c) for c in gram_cols]
-    for a in range(len(cols)):
-        for b in range(a, len(cols)):
-            if not s_eq(dot(gram_cols[a], g_cols[b]), want[a] if a == b else ZERO):
-                raise InternalContradiction(
-                    f"frame is not orthonormal at pair ({a}, {b})"
-                )
-    return AdaptedFrame(
-        n,
-        tuple(tuple(c) for c in cols),
-        tuple(weights),
-        tuple(tuple(r) for r in transpose(cols)),
-        tuple(tuple(c) for c in R),
-        tuple(scales),
-    )
+    for a in range(len(R)):
+        for b in range(a, len(R)):
+            residual = s_sub(dot(gram_cols[a], g_cols[b]), want[a] if a == b else ZERO)
+            if not s_is_zero(residual):
+                what = f"frame is not orthonormal at pair ({a}, {b})"
+                raise certificate_failure(what, [residual])
+    return frame
 
 
 def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:
@@ -217,19 +207,17 @@ def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:
 
 
 def _check_quadruple(quad, g: Mat, weight_sq) -> None:
-    v, Av, phv, psv = quad
     norms = [bilinear(x, g, x) for x in quad]
     # |Av|^2 = |psi v|^2 = w^2 |v|^2 and |phi v| = |v|
-    if not (
-        s_eq(norms[1], s_mul(weight_sq, norms[0]))
-        and s_eq(norms[2], norms[0])
-        and s_eq(norms[3], s_mul(weight_sq, norms[0]))
-    ):
-        raise InternalContradiction("quadruple norm relations fail")
+    wide = s_mul(weight_sq, norms[0])
+    residuals = [s_sub(norms[1], wide), s_sub(norms[2], norms[0]), s_sub(norms[3], wide)]
+    if not all(s_is_zero(x) for x in residuals):
+        raise certificate_failure("quadruple norm relations fail", residuals)
     for a in range(4):
         for b in range(a + 1, 4):
-            if not s_is_zero(bilinear(quad[a], g, quad[b])):
-                raise InternalContradiction("quadruple is not orthogonal")
+            x = bilinear(quad[a], g, quad[b])
+            if not s_is_zero(x):
+                raise certificate_failure("quadruple is not orthogonal", [x])
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .acm import (
     CLASS_ANTI_QUASI_SASAKIAN,
     CLASS_QUASI_SASAKIAN,
     AcmStructure,
+    certificate_failure,
     classify_structure,
     psi_matrix,
     structure_rank,
@@ -58,6 +59,7 @@ from .linalg import (
     inverse,
     mat_eq,
     mat_mul,
+    mat_sub,
     mat_vec,
     nullspace,
     solve,
@@ -77,7 +79,6 @@ from .scalars import (
     s_neg,
     s_sign,
     s_sqrt,
-    s_to_float,
 )
 
 
@@ -129,6 +130,11 @@ def _verify_iso(
     S: AcmStructure, target_L: LieAlgebra, target_S: AcmStructure, F: Mat, F_inv: Mat
 ) -> None:
     """F must be a Lie algebra isomorphism matching all structure tensors."""
+
+    def require(got: Mat, want: Mat, what: str) -> None:
+        if not mat_eq(got, want):
+            raise certificate_failure(what, [x for row in mat_sub(got, want) for x in row])
+
     L = S.L
     n = L.dim
     F_cols = transpose(F)
@@ -136,20 +142,15 @@ def _verify_iso(
         for b in range(a + 1, n):
             lhs = mat_vec(F, bracket(L, L.basis_vector(a), L.basis_vector(b)))
             rhs = bracket(target_L, F_cols[a], F_cols[b])
-            if not vec_eq(lhs, rhs):
-                raise InternalContradiction(
-                    f"F is not a Lie algebra morphism at pair ({a}, {b})"
-                )
+            require([lhs], [rhs], f"F is not a Lie algebra morphism at pair ({a}, {b})")
     push_phi = mat_mul(F, mat_mul(S.phi_mat(), F_inv))
-    if not mat_eq(push_phi, target_S.phi_mat()):
-        raise InternalContradiction("F does not map phi onto the target structure")
-    if not vec_eq(mat_vec(F, S.xi_vec()), target_S.xi_vec()):
-        raise InternalContradiction("F does not map xi onto the target Reeb vector")
-    if not vec_eq(mat_vec(transpose(F), target_S.eta_row()), S.eta_row()):
-        raise InternalContradiction("F does not pull the target eta back to eta")
+    require(push_phi, target_S.phi_mat(), "F does not map phi onto the target structure")
+    require([mat_vec(F, S.xi_vec())], [target_S.xi_vec()],
+            "F does not map xi onto the target Reeb vector")
+    require([mat_vec(transpose(F), target_S.eta_row())], [S.eta_row()],
+            "F does not pull the target eta back to eta")
     gram = mat_mul(transpose(F), mat_mul(target_S.g_mat(), F))
-    if not mat_eq(gram, S.g_mat()):
-        raise InternalContradiction("F is not an isometry onto the target metric")
+    require(gram, S.g_mat(), "F is not an isometry onto the target metric")
 
 
 def _frame_isomorphism(
@@ -255,7 +256,7 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
             pairs.append((weight, sign, pair[0], pair[1]))
     if zero_mult != 1:
         raise NotMaximalRank(f"A has kernel of dimension {zero_mult} > 1")
-    pairs.sort(key=lambda p: -s_to_float(p[0]))
+    pairs.sort(key=lambda p: -float(p[0]))
     n = len(pairs)
     first, second, inv_norms, weights, signs = [], [], [], [], []
     for weight, sign, v, phv in pairs:

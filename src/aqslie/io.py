@@ -228,7 +228,7 @@ def frame_to_json(frame, mode: str = "exact") -> dict:
     return {
         "kind": "adapted_frame",
         "mode": mode,
-        "dim": len(frame.change_of_basis),
+        "dim": len(frame.unscaled),
         "columns": [[s_str(x) for x in col] for col in frame.columns()],
         "weights": [s_str(w) for w in frame.weights],
     }

@@ -42,7 +42,6 @@ from .scalars import (
     s_neg,
     s_sign,
     s_sub,
-    s_to_float,
 )
 
 Vec = list
@@ -196,7 +195,7 @@ def _pivot_row(M: Mat, rows: range, col: int, exact: bool) -> int | None:
             continue
         if exact:
             return r
-        mag = abs(s_to_float(x))
+        mag = abs(float(x))
         if best is None or mag > best_mag:
             best, best_mag = r, mag
     return best
@@ -550,13 +549,11 @@ def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
     """
     n = len(M)
     coeffs = char_poly(M)
-    for c in coeffs:
-        if isinstance(c, Ext) and not c.is_rational():
-            raise IrrationalSpectrum(
-                "characteristic polynomial has non-rational tower coefficients"
-            )
-    plain = [c.rational_part() if isinstance(c, Ext) else c for c in coeffs]
-    roots, residual = rational_roots(plain)
+    if any(isinstance(c, Ext) for c in coeffs):  # a rational value is a Fraction
+        raise IrrationalSpectrum(
+            "characteristic polynomial has non-rational tower coefficients"
+        )
+    roots, residual = rational_roots(coeffs)
     if residual > 0:
         raise IrrationalSpectrum(
             f"characteristic polynomial does not split over the rationals "
@@ -583,7 +580,7 @@ def eigh_float(M: Mat, sweeps: int = 60) -> tuple[list[float], Mat]:
     eigenvalues ascending.
     """
     n = len(M)
-    A = [[s_to_float(x) for x in row] for row in M]
+    A = [[float(x) for x in row] for row in M]
     V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for _ in range(sweeps):
         off = math.sqrt(sum(A[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
@@ -631,7 +628,7 @@ def eigh_g_float(M: Mat, G: Mat) -> tuple[list[float], Mat]:
         [sum(gv[i][k] / sq[k] * gv[j][k] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    Mf = [[s_to_float(x) for x in row] for row in M]
+    Mf = [[float(x) for x in row] for row in M]
     Ms = mat_mul(W, mat_mul(Mf, Winv))
     sym = [[(Ms[i][j] + Ms[j][i]) / 2 for j in range(n)] for i in range(n)]
     evals, U = eigh_float(sym)

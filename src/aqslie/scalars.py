@@ -8,18 +8,29 @@ independent over the rationals, so equality is coefficient-wise and exact.
 Square roots of positive rationals embed via sqrt(p/q) = sqrt(p*q)/q.
 
 Float mode stores plain Python floats; a single global tolerance (default
-1e-9) governs every equality and sign test on floats.  Mixing a float into
-exact arithmetic demotes the result to float; algebras declare their mode
-explicitly, this never happens silently for well-formed inputs.
+1e-9) governs every equality and sign test on floats.
+
+The kinds combine in one place, the arithmetic operators of :class:`Ext`;
+Python's numeric protocol dispatches every other pairing (Fraction, int and
+float among themselves).  An int operand is exact.  A float operand demotes
+the result to float, computed as ``float(a) op float(b)``; algebras declare
+their mode explicitly, so this never happens silently for well-formed
+inputs.  An exact result that is rational is a Fraction.
+
+The kernels call the named functions ``s_add``, ``s_mul``, ... instead of
+the bare operators, so that one operation is one function a profiler or a
+counter can rebind.  Their bodies are the operators; only the comparisons
+(``s_is_zero``, ``s_sign``) tell floats apart, for the tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
-from .errors import InternalContradiction, ScalarParseError
+from .errors import ScalarParseError
 
 DEFAULT_TOLERANCE = 1e-9
 _tolerance = DEFAULT_TOLERANCE
@@ -78,9 +89,12 @@ def _least_prime_factor(n: int) -> int:
 class Ext:
     """Element of the compositum of real quadratic fields over Q.
 
-    Stored as {squarefree radicand: Fraction coefficient}; kept normalized
-    (no zero coefficients).  Collapses back to Fraction via
-    :func:`normalize` when the support is rational.
+    Stored as {squarefree radicand: Fraction coefficient} without zero
+    coefficients.  Ext is a number type: ``+ - * /`` and unary minus accept
+    an int, Fraction, float or Ext on either side.  An exact result that is
+    rational collapses to a Fraction (:func:`normalize`), a float operand
+    demotes the result to float, and the left operand's radicands come
+    first in the result, which fixes the order in which ``float`` sums it.
     """
 
     __slots__ = ("terms",)
@@ -103,6 +117,8 @@ class Ext:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
+        if _exact_terms(other) is None and not isinstance(other, float):
+            return NotImplemented
         return s_eq(self, other)
 
     def __hash__(self):
@@ -113,8 +129,61 @@ class Ext:
     def __float__(self) -> float:
         return sum(float(c) * math.sqrt(r) for r, c in self.terms.items())
 
+    def __str__(self) -> str:
+        parts = []
+        for r in sorted(self.terms):
+            c = self.terms[r]
+            if r == 1:
+                text = str(c)
+            elif c == 1:
+                text = f"sqrt({r})"
+            elif c == -1:
+                text = f"-sqrt({r})"
+            else:
+                text = f"{c}*sqrt({r})"
+            parts.append(text if not parts or text.startswith("-") else "+" + text)
+        return "".join(parts) or "0"
+
     def __repr__(self) -> str:
-        return f"Ext({s_str(self)})"
+        return f"Ext({self})"
+
+    def __add__(self, other):
+        return _sum_terms(self, other, operator.add)
+
+    def __radd__(self, other):
+        return _sum_terms(other, self, operator.add)
+
+    def __sub__(self, other):
+        return _sum_terms(self, other, operator.sub)
+
+    def __rsub__(self, other):
+        return _sum_terms(other, self, operator.sub)
+
+    def __mul__(self, other):
+        return _product(self, other)
+
+    def __rmul__(self, other):
+        return _product(other, self)
+
+    def __neg__(self):
+        return normalize(Ext({r: -c for r, c in self.terms.items()}))
+
+    def __truediv__(self, other):
+        if isinstance(other, float):
+            return float(self) / other
+        return self * (ONE / other)
+
+    def __rtruediv__(self, other):
+        if isinstance(other, float):
+            return other / float(self)
+        # Rationalize: multiplying by the conjugate that flips every radicand
+        # divisible by a chosen prime removes that prime from the support.
+        num, den = ONE, normalize(self)
+        while isinstance(den, Ext):
+            p = _least_prime_factor(next(r for r in den.terms if r != 1))
+            conj = Ext({r: (-c if r % p == 0 else c) for r, c in den.terms.items()})
+            num, den = num * conj, den * conj
+        return other * (num * (ONE / den))
 
     def sign(self) -> int:
         """Exact sign.  With p a prime dividing some radicand, write
@@ -130,7 +199,48 @@ class Ext:
         su, sv = s_sign(u), s_sign(v)
         if su * sv >= 0:
             return su or sv
-        return su * s_sign(s_sub(s_mul(u, u), s_mul(Fraction(p), s_mul(v, v))))
+        return su * s_sign(u * u - p * (v * v))
+
+
+def _exact_terms(x) -> dict | None:
+    """The terms of an exact operand; None for a float or a foreign type."""
+    if isinstance(x, Ext):
+        return x.terms
+    if isinstance(x, (int, Fraction)):
+        return {1: Fraction(x)} if x else {}
+    return None
+
+
+def _float_or_not_implemented(a, b, op):
+    if isinstance(a, float) or isinstance(b, float):
+        return op(float(a), float(b))
+    return NotImplemented
+
+
+def _sum_terms(a, b, op):
+    """a + b or a - b (op) with an Ext operand."""
+    ta, tb = _exact_terms(a), _exact_terms(b)
+    if ta is None or tb is None:
+        return _float_or_not_implemented(a, b, op)
+    terms = dict(ta)
+    for r, c in tb.items():
+        terms[r] = op(terms.get(r, ZERO), c)
+    return normalize(Ext(terms))
+
+
+def _product(a, b):
+    """a * b with an Ext operand: sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2)
+    for g = gcd(r1, r2)."""
+    ta, tb = _exact_terms(a), _exact_terms(b)
+    if ta is None or tb is None:
+        return _float_or_not_implemented(a, b, operator.mul)
+    terms: dict[int, Fraction] = {}
+    for r1, c1 in ta.items():
+        for r2, c2 in tb.items():
+            g = math.gcd(r1, r2)
+            rad = (r1 // g) * (r2 // g)
+            terms[rad] = terms.get(rad, ZERO) + c1 * c2 * g
+    return normalize(Ext(terms))
 
 
 Scalar = Fraction | Ext | float  # type alias for annotations
@@ -162,127 +272,43 @@ def is_exact(x) -> bool:
     return not isinstance(x, float)
 
 
-def _as_ext(x) -> Ext:
-    if isinstance(x, Ext):
-        return x
-    return Ext({1: Fraction(x)})
-
-
-def _lift(x):
-    # ints appear naturally in user-supplied vectors; fold them in
-    return Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else x
-
-
 def s_add(a, b):
-    if type(a) is Fraction and type(b) is Fraction:
-        return a + b
-    a, b = _lift(a), _lift(b)
-    if isinstance(a, float) or isinstance(b, float):
-        return s_to_float(a) + s_to_float(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    ea, eb = _as_ext(a), _as_ext(b)
-    terms = dict(ea.terms)
-    for r, c in eb.terms.items():
-        terms[r] = terms.get(r, ZERO) + c
-    return normalize(Ext(terms))
+    return a + b
 
 
 def s_neg(a):
-    if type(a) is Fraction:
-        return -a
-    a = _lift(a)
-    if isinstance(a, float):
-        return -a
-    if isinstance(a, Fraction):
-        return -a
-    return Ext({r: -c for r, c in a.terms.items()})
+    return -a
 
 
 def s_sub(a, b):
-    if type(a) is Fraction and type(b) is Fraction:
-        return a - b
-    return s_add(a, s_neg(b))
+    return a - b
 
 
 def s_mul(a, b):
-    if type(a) is Fraction and type(b) is Fraction:
-        return a * b
-    a, b = _lift(a), _lift(b)
-    if isinstance(a, float) or isinstance(b, float):
-        return s_to_float(a) * s_to_float(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    ea, eb = _as_ext(a), _as_ext(b)
-    terms: dict[int, Fraction] = {}
-    for r1, c1 in ea.terms.items():
-        for r2, c2 in eb.terms.items():
-            g = math.gcd(r1, r2)
-            rad = (r1 // g) * (r2 // g)
-            coeff = c1 * c2 * g
-            terms[rad] = terms.get(rad, ZERO) + coeff
-    return normalize(Ext(terms))
+    return a * b
 
 
 def s_inv(a):
-    a = normalize(_lift(a))
-    if isinstance(a, float):
-        return 1.0 / a
-    if isinstance(a, Fraction):
-        return ONE / a
-    # Rationalize: multiplying by the conjugate that flips every radicand
-    # divisible by a chosen prime removes that prime from the support.
-    num: Scalar = ONE
-    den = a
-    while isinstance(den, Ext):
-        p = None
-        for r in den.terms:
-            if r != 1:
-                p = _least_prime_factor(r)
-                break
-        if p is None:
-            raise InternalContradiction(f"no radicand left to rationalize in {s_str(den)}")
-        conj = Ext({r: (-c if r % p == 0 else c) for r, c in den.terms.items()})
-        num = s_mul(num, conj)
-        den = s_mul(den, conj)
-    return s_mul(num, ONE / den)
+    return ONE / a
 
 
 def s_div(a, b):
-    a, b = _lift(a), _lift(b)
-    if isinstance(a, float) or isinstance(b, float):
-        return s_to_float(a) / s_to_float(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
-    return s_mul(a, s_inv(b))
+    # int / int is true division in Python; an int numerator stays exact
+    return (Fraction(a) if type(a) is int else a) / b
 
 
 def s_is_zero(a) -> bool:
-    if type(a) is Fraction:
-        return not a
-    a = _lift(a)
-    if isinstance(a, float):
-        return abs(a) <= _tolerance
-    if isinstance(a, Fraction):
-        return a == 0
-    return not a.terms
+    return abs(a) <= _tolerance if isinstance(a, float) else not a
 
 
 def s_eq(a, b) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        return abs(s_to_float(a) - s_to_float(b)) <= _tolerance
-    return s_is_zero(s_sub(a, b))
+    return s_is_zero(a - b)
 
 
 def s_sign(a) -> int:
-    a = _lift(a)
     if isinstance(a, float):
-        if abs(a) <= _tolerance:
-            return 0
-        return 1 if a > 0 else -1
-    if isinstance(a, Fraction):
-        return (a > 0) - (a < 0)
-    return a.sign()
+        return 0 if abs(a) <= _tolerance else (1 if a > 0 else -1)
+    return a.sign() if isinstance(a, Ext) else (a > 0) - (a < 0)
 
 
 def s_lt(a, b) -> bool:
@@ -300,29 +326,19 @@ def s_sqrt(a):
     an Ext); the result lives in the extension tower.  Raises ValueError on
     negative or non-rational exact input.
     """
-    a = _lift(a)
     if isinstance(a, float):
         if a < -_tolerance:
             raise ValueError("sqrt of negative scalar")
         return math.sqrt(max(a, 0.0))
+    a = normalize(a)
     if isinstance(a, Ext):
-        if not a.is_rational():
-            raise ValueError(f"sqrt of non-rational tower element {s_str(a)}")
-        a = a.rational_part()
+        raise ValueError(f"sqrt of non-rational tower element {a}")
     if a < 0:
         raise ValueError("sqrt of negative scalar")
     if a == 0:
         return ZERO
-    n = a.numerator * a.denominator
-    s, r = squarefree_split(n)
-    coeff = Fraction(s, a.denominator)
-    if r == 1:
-        return coeff
-    return Ext({r: coeff})
-
-
-def s_to_float(a) -> float:
-    return float(a)
+    s, r = squarefree_split(a.numerator * a.denominator)
+    return normalize(Ext({r: Fraction(s, a.denominator)}))
 
 
 _TERM_RE = re.compile(
@@ -332,27 +348,7 @@ _TERM_RE = re.compile(
 
 def s_str(a) -> str:
     """Canonical string form; inverse of :func:`parse_scalar`."""
-    a = _lift(a)
-    if isinstance(a, float):
-        return repr(a)
-    if isinstance(a, Fraction):
-        return str(a)
-    parts = []
-    for r in sorted(a.terms):
-        c = a.terms[r]
-        if r == 1:
-            text = str(c)
-        elif c == 1:
-            text = f"sqrt({r})"
-        elif c == -1:
-            text = f"-sqrt({r})"
-        else:
-            text = f"{c}*sqrt({r})"
-        if parts and not text.startswith("-"):
-            parts.append("+" + text)
-        else:
-            parts.append(text)
-    return "".join(parts) if parts else "0"
+    return repr(a) if isinstance(a, float) else str(a)
 
 
 def _split_terms(text: str) -> list[str]:
@@ -400,7 +396,7 @@ def parse_scalar(text: str, mode: str = "exact"):
             rad = int(rad_s)
             if rad <= 0:
                 raise ScalarParseError(f"bad radicand in {text!r}")
-            total = s_add(total, s_mul(coeff, Ext.of_sqrt(rad)))
+            total = total + coeff * Ext.of_sqrt(rad)
         else:
-            total = s_add(total, coeff)
+            total = total + coeff
     return total

@@ -153,15 +153,9 @@ def test_coframe_detects_sign_flip():
 
     _, (S1, _, _) = weighted_heisenberg_4n1(1, [1])
     fr = adapted_frame(S1)
-    cols = fr.columns()
+    cols = list(fr.unscaled)
     cols[4] = [s_mul(F(-1), x) for x in cols[4]]  # negate e_{3n+i}
-    T = [[cols[j][i] for j in range(5)] for i in range(5)]
-    bad = AdaptedFrame(
-        fr.n,
-        tuple(tuple(c) for c in cols),
-        fr.weights,
-        tuple(tuple(r) for r in T),
-    )
+    bad = AdaptedFrame(fr.n, fr.weights, tuple(tuple(c) for c in cols), fr.scales)
     rep = coframe_expansion_check(S1, bad)
     assert not rep.ok
     names = {name for name, _, _, _ in rep.mismatches}

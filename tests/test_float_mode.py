@@ -219,3 +219,46 @@ def test_cli_float_rounding_beyond_tolerance_is_a_precondition(tmp_path, capsys)
         capsys.readouterr()
     finally:
         set_tolerance(old)
+
+
+def _floatified(doc: dict) -> dict:
+    """An exact structure document re-declared in float mode."""
+    from fractions import Fraction
+
+    def floatify(v):
+        if isinstance(v, str):
+            return repr(float(Fraction(v)))
+        if isinstance(v, list):
+            return [floatify(x) for x in v]
+        return {k: floatify(x) for k, x in v.items()}
+
+    out = dict(doc, mode="float")
+    for key in ("phi", "xi", "eta", "metric"):
+        out[key] = floatify(doc[key])
+    out["brackets"] = [dict(rec, coeffs=floatify(rec["coeffs"])) for rec in doc["brackets"]]
+    return out
+
+
+def test_cli_float_isomorphism_certificate_beyond_tolerance_is_a_precondition(tmp_path, capsys):
+    # the same conjugated float h9 at --tolerance 1e-7 passes the Koszul
+    # certificates but not the isomorphism check: rounding again, so exit 3
+    import random
+
+    from aqslie.acm import conjugate_structure
+    from aqslie.cli import main
+    from aqslie.linalg import random_unimodular
+
+    _, (S1, _, _) = weighted_heisenberg_4n1(2, [1, 2])
+    doc = aqio.structure_to_json(conjugate_structure(S1, random_unimodular(9, random.Random(1))))
+    path = tmp_path / "h9_float.json"
+    path.write_text(aqio.dumps(_floatified(doc)), "utf-8")
+    old = get_tolerance()
+    try:
+        assert main(["classify", str(path), "--json", "--tolerance", "1e-7"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "ToleranceExceeded"
+        assert error["message"].startswith("F is not a Lie algebra morphism")
+        assert "absolute tolerance 1e-07" in error["message"]
+        assert "--tolerance" in error["message"]
+    finally:
+        set_tolerance(old)

@@ -432,3 +432,17 @@ def test_cli_defect_outside_taxonomy_is_an_internal_report(tmp_path, capsys, mon
     assert out["error"]["message"].startswith(
         "ZeroDivisionError: division by zero [in broken, test_io_cli.py:"
     )
+
+
+def test_cli_curvature_rejects_an_asymmetric_metric(tmp_path, capsys):
+    # classify stops at validation (g_symmetric); curvature runs no
+    # validation, so the Levi-Civita solve must refuse the metric itself
+    _, (S1, _, _) = weighted_heisenberg_4n1(1, [1])
+    doc = aqio.structure_to_json(S1)
+    doc["metric"][1][2] = "1/3"
+    path = _write(tmp_path, "asym.json", doc)
+    assert main(["curvature", path, "--json"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["code"], error["message"]) == ("PreconditionError", "metric is not symmetric")
+    assert main(["classify", path, "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidStructure"

@@ -160,3 +160,77 @@ def test_exact_zero_only_by_cancellation():
     a = s_add(Ext.of_sqrt(2), s_neg(Ext.of_sqrt(2)))
     assert s_is_zero(a)
     assert not s_is_zero(s_sub(Ext.of_sqrt(2), F(141421356, 100000000)))
+
+
+# ---------------------------------------------------------------------------
+# Ext as a number type
+# ---------------------------------------------------------------------------
+
+ROOT2 = Ext.of_sqrt(2)
+OPERATIONS = (
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a * b,
+    lambda a, b: a / b,
+)
+
+
+def test_operators_mix_exact_kinds_on_either_side():
+    x = s_add(F(1, 3), s_mul(F(2), ROOT2))  # 1/3 + 2 sqrt(2)
+    for other in (F(3, 4), 5, -2):
+        q = F(other)
+        assert x + other == s_add(x, q) and other + x == s_add(q, x)
+        assert x - other == s_sub(x, q) and other - x == s_sub(q, x)
+        assert x * other == s_mul(x, q) and other * x == s_mul(q, x)
+        assert x / other == s_div(x, q) and other / x == s_div(q, x)
+        assert s_eq((other / x) * x, q)
+    assert -x == s_sub(F(0), x)
+    assert s_eq(x + ROOT2, s_add(F(1, 3), s_mul(F(3), ROOT2)))
+    assert s_eq(x * x, s_add(F(1, 9) + 8, s_mul(F(4, 3), ROOT2)))
+    assert s_eq((x / ROOT2) * ROOT2, x)
+
+
+def test_rational_results_are_fractions():
+    for got in (
+        ROOT2 * ROOT2,
+        ROOT2 - ROOT2,
+        (F(1) + ROOT2) - ROOT2,
+        F(1) - (ROOT2 - F(2)) + ROOT2,
+        ROOT2 / ROOT2,
+        -Ext({1: F(3)}),
+        1 / Ext({1: F(2)}),
+        s_div(1, 2),
+        s_inv(2),
+    ):
+        assert type(got) is F
+    assert 1 / Ext({1: F(2)}) == F(1, 2)
+    assert s_div(1, 2) == F(1, 2)
+
+
+def test_float_operand_demotes_to_float_bit_for_bit():
+    for x in (F(1) + ROOT2, s_mul(F(-5, 7), Ext.of_sqrt(15)) + Ext.of_sqrt(3)):
+        for f in (0.1, -3.75, 1e-12):
+            for op in OPERATIONS:
+                left, right = op(x, f), op(f, x)
+                assert type(left) is float and type(right) is float
+                assert left == op(float(x), f)
+                assert right == op(f, float(x))
+        assert type(-x) is Ext
+
+
+def test_term_order_follows_the_left_operand():
+    assert list((F(1) + ROOT2).terms) == [1, 2]
+    assert list((ROOT2 + F(1)).terms) == [2, 1]
+    assert list((F(1) - ROOT2).terms) == [1, 2]
+    assert list((ROOT2 * (F(1) + Ext.of_sqrt(3))).terms) == [2, 6]
+    assert list(((F(1) + Ext.of_sqrt(3)) * ROOT2).terms) == [2, 6]
+    assert list((Ext.of_sqrt(3) * ROOT2 + F(1)).terms) == [6, 1]
+
+
+def test_operators_refuse_foreign_types():
+    for bad in ("1", None, [1]):
+        assert ROOT2 != bad and not (bad == ROOT2)
+        with pytest.raises(TypeError):
+            ROOT2 + bad
+        with pytest.raises(TypeError):
+            bad * ROOT2
