@@ -13,6 +13,13 @@ in ``constructors``), and :func:`psi_matrix` is psi = -nabla xi for both
 the anti-quasi-Sasakian operator pack and the quasi-Sasakian classifier.
 Basis-pair checks of 2-forms and bilinear forms are Gram products, e.g.
 d eta(phi X, phi Y) = -d eta(X, Y) is phi^T B phi + B = 0.
+
+The Levi-Civita connection is one matrix per basis vector, Gamma_i b_j =
+nabla_{b_i} b_j.  For a left-invariant metric the Koszul formula reads
+2 g Gamma_i = g ad_i - ad_i^T g - B_i with (B_i)_kj = g([b_j, b_k], b_i),
+and the stored table is certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j]
+and g Gamma_i + Gamma_i^T g = 0 (J. Milnor, "Curvatures of left invariant
+metrics on Lie groups", Adv. Math. 21, 1976).
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .lie_core import LieAlgebra, ad_matrix, bracket
 from .linalg import (
     Mat,
     Vec,
+    _flat,
     bilinear,
     dot,
     identity,
@@ -51,16 +59,16 @@ from .linalg import (
     mat_add,
     mat_eq,
     mat_mul,
+    mat_scale,
     mat_sub,
     mat_vec,
     transpose,
-    vec_add,
     vec_is_zero,
     vec_sub,
     zeros,
 )
 from .scalars import ONE, ZERO, get_tolerance, s_abs, s_add, s_div, s_is_zero, s_lt, s_mul
-from .scalars import s_neg, s_sub
+from .scalars import is_exact, s_neg, s_sub
 
 CLASS_CONTACT_METRIC = "ContactMetric"
 CLASS_SASAKIAN = "Sasakian"
@@ -114,8 +122,11 @@ class AcmStructure:
 
 
 def _max_abs(entries):
+    xs = list(entries)
+    if all(type(x) is Fraction for x in xs):
+        return max(map(abs, filter(None, xs)), default=ZERO)
     worst = ZERO
-    for x in entries:
+    for x in xs:
         a = s_abs(x)
         if s_lt(worst, a):
             worst = a
@@ -171,16 +182,12 @@ def fundamental_form(S: AcmStructure) -> KForm:
 def nijenhuis(L: LieAlgebra, J: Mat) -> dict:
     """Nijenhuis bracket [J, J] of an endomorphism on basis pairs, i < j:
     {(i, j): [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]}."""
-    n = L.dim
-    cols = transpose(J)
-    basis = [L.basis_vector(i) for i in range(n)]
-    out = {}
+    n, cols, out = L.dim, transpose(J), {}
     for i in range(n):
-        for j in range(i + 1, n):
-            term = bracket(L, cols[i], cols[j])
-            term = vec_add(term, mat_vec(J, mat_vec(J, bracket(L, basis[i], basis[j]))))
-            term = vec_sub(term, mat_vec(J, bracket(L, basis[i], cols[j])))
-            out[(i, j)] = vec_sub(term, mat_vec(J, bracket(L, cols[i], basis[j])))
+        # column j of [M_i, J], M_i = ad_{J b_i} - J ad_i, is the pair (i, j)
+        M = mat_sub(ad_matrix(L, cols[i]), mat_mul(J, ad_matrix(L, L.basis_vector(i))))
+        N = transpose(mat_sub(mat_mul(M, J), mat_mul(J, M)))
+        out.update(((i, j), N[j]) for j in range(i + 1, n))
     return out
 
 
@@ -209,27 +216,21 @@ def classify_structure(S: AcmStructure) -> StructureClass:
             f"not an almost contact metric structure (worst: {report.worst_check})"
         )
     L = S.L
-    n = L.dim
     Phi = fundamental_form(S)
     dPhi = ce_d(L, Phi)
     eta_f = S.eta_form()
     deta = ce_d(L, eta_f)
     deta_mat = bilinear_from_form(deta)
     nij = nijenhuis_phi(S)
-    xi = S.xi_vec()
+    xi_col = [[x] for x in S.xi]
 
-    # N_phi = [phi, phi] + d eta (x) xi on basis pairs
-    n_phi = {
-        key: vec_add(val, [s_mul(deta_mat[key[0]][key[1]], x) for x in xi])
-        for key, val in nij.items()
-    }
-    n_phi_zero = all(vec_is_zero(v) for v in n_phi.values())
+    # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi
+    deta_pairs = [[deta_mat[i][j] for i, j in nij]]
+    n_phi = mat_add(transpose(list(nij.values())), mat_mul(xi_col, deta_pairs))
+    n_phi_zero = all(map(vec_is_zero, n_phi))
     # anti-normal: N_phi = 2 d eta (x) xi
-    anti_diff = [
-        vec_sub(v, [s_mul(s_mul(Fraction(2), deta_mat[i][j]), x) for x in xi])
-        for (i, j), v in n_phi.items()
-    ]
-    anti = all(vec_is_zero(d) for d in anti_diff)
+    anti_diff = mat_sub(n_phi, mat_mul(xi_col, mat_scale(deta_pairs, Fraction(2))))
+    anti = all(map(vec_is_zero, anti_diff))
     contact_diff = form_sub(deta, form_scale(Phi, Fraction(2)))
     deta_is_2phi = contact_diff.is_zero()
     deta_zero = deta.is_zero()
@@ -251,8 +252,8 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     residuals = {
         "d_phi": _max_abs(c for _, c in dPhi.coeffs),
         "d_eta": _max_abs(c for _, c in deta.coeffs),
-        "n_phi": _max_abs(x for v in n_phi.values() for x in v),
-        "anti_normal": _max_abs(x for d in anti_diff for x in d),
+        "n_phi": _max_abs(_flat(n_phi)),
+        "anti_normal": _max_abs(_flat(anti_diff)),
         "contact_metric": _max_abs(c for _, c in contact_diff.coeffs),
     }
     result = StructureClass(frozenset(tags), residuals)
@@ -292,9 +293,13 @@ class ConnectionTable:
         return out
 
 
+def _by_columns(M: Mat, B: Mat) -> Mat:
+    """M B through mat_vec, whose near-zero skips float Koszul sums keep."""
+    return transpose([mat_vec(M, col) for col in transpose(B)])
+
+
 def levi_civita(S: AcmStructure) -> ConnectionTable:
-    """Koszul formula for a left-invariant metric:
-    2 g(nabla_X Y, Z) = g([X,Y],Z) - g([Y,Z],X) + g([Z,X],Y)."""
+    """The Koszul formula in matrix form (see the module docstring)."""
     if "connection" in S._memo:
         return S._memo["connection"]
     L, g = S.L, S.g_mat()
@@ -304,31 +309,30 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     if not is_positive_definite(g):
         raise PreconditionError("metric is not positive definite")
     g_inv = inverse(g)
-    basis = [L.basis_vector(i) for i in range(n)]
-    br = [[bracket(L, basis[i], basis[j]) for j in range(n)] for i in range(n)]
-    gb = [[mat_vec(g, br[i][j]) for j in range(n)] for i in range(n)]
-    half = Fraction(1, 2)
-    gamma = [
-        [
-            mat_vec(g_inv, [s_mul(half, s_add(s_sub(gb[i][j][k], gb[j][k][i]), gb[k][i][j]))
-                            for k in range(n)])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    table = ConnectionTable(tuple(tuple(tuple(v) for v in row) for row in gamma))
-    # certify what the table holds: torsion-free and metric on the basis
-    gamma = table.gamma
-    g_gamma = [[mat_vec(g, v) for v in row] for row in gamma]
+    consts = [v for _, entries in L.brackets for _, v in entries]
+    times = mat_mul if all(map(is_exact, _flat(g) + consts)) else _by_columns
+    ads = [ad_matrix(L, L.basis_vector(i)) for i in range(n)]
+    gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
+    gammas = []
     for i in range(n):
-        for j in range(n):
-            tors = vec_sub(vec_sub(gamma[i][j], gamma[j][i]), br[i][j])
-            if not vec_is_zero(tors):
-                raise certificate_failure("Koszul solve lost torsion-freeness", tors)
-            for k in range(n):
-                compat = s_add(g_gamma[i][j][k], g_gamma[i][k][j])
-                if not s_is_zero(compat):
-                    raise certificate_failure("Koszul solve lost metric compatibility", [compat])
+        # entry (k, j) in the historical float order:
+        # (g([b_i,b_j],b_k) - g([b_j,b_k],b_i)) + g([b_k,b_i],b_j)
+        B = [[gads[j][i][k] for j in range(n)] for k in range(n)]
+        C = [[gads[k][j][i] for j in range(n)] for k in range(n)]  # = -ad_i^T g
+        koszul = mat_add(mat_sub(gads[i], B), C)
+        gammas.append(times(g_inv, mat_scale(koszul, Fraction(1, 2))))
+    table = ConnectionTable(tuple(tuple(map(tuple, transpose(G))) for G in gammas))
+    gamma = table.gamma  # certify what the table holds, pair (i, j) after pair
+    for i in range(n):
+        G = transpose(gamma[i])
+        tors = mat_sub(mat_sub(G, transpose([gamma[j][i] for j in range(n)])), ads[i])
+        gG = times(g, G)
+        for t, c in zip(transpose(tors), mat_add(transpose(gG), gG)):
+            if not vec_is_zero(t):
+                raise certificate_failure("Koszul solve lost torsion-freeness", t)
+            if not vec_is_zero(c):
+                bad = next(x for x in c if not s_is_zero(x))
+                raise certificate_failure("Koszul solve lost metric compatibility", [bad])
     S._memo["connection"] = table
     return table
 
@@ -359,11 +363,9 @@ class OperatorPack:
 
 def psi_matrix(S: AcmStructure) -> Mat:
     """psi = -nabla xi: column j is -nabla_{b_j} xi."""
-    conn = levi_civita(S)
+    gamma = levi_civita(S).gamma
     xi = S.xi_vec()
-    return transpose(
-        [[s_neg(x) for x in conn.nabla(S.L.basis_vector(j), xi)] for j in range(S.L.dim)]
-    )
+    return transpose([[s_neg(x) for x in mat_vec(transpose(row), xi)] for row in gamma])
 
 
 def operators_A_psi(S: AcmStructure) -> OperatorPack:
@@ -378,19 +380,19 @@ def operators_A_psi(S: AcmStructure) -> OperatorPack:
     A = mat_mul(phi, psi)
     residuals = {}
     residuals["A_phi_eq_psi"] = _mat_res(mat_mul(A, phi), psi)
-    residuals["phi_A_eq_minus_psi"] = _mat_res(mat_mul(phi, A), psi, s_add)
-    residuals["psi_phi_eq_minus_A"] = _mat_res(mat_mul(psi, phi), A, s_add)
+    residuals["phi_A_eq_minus_psi"] = _mat_res(mat_mul(phi, A), psi, mat_add)
+    residuals["psi_phi_eq_minus_A"] = _mat_res(mat_mul(psi, phi), A, mat_add)
     psiA = mat_mul(psi, A)
-    residuals["psi_A_anticommute"] = _mat_res(psiA, mat_mul(A, psi), s_add)
-    residuals["psi_A_eq_minus_phi_A2"] = _mat_res(psiA, mat_mul(phi, mat_mul(A, A)), s_add)
+    residuals["psi_A_anticommute"] = _mat_res(psiA, mat_mul(A, psi), mat_add)
+    residuals["psi_A_eq_minus_phi_A2"] = _mat_res(psiA, mat_mul(phi, mat_mul(A, A)), mat_add)
     residuals["A_xi"] = _max_abs(mat_vec(A, xi))
     residuals["psi_xi"] = _max_abs(mat_vec(psi, xi))
     residuals["eta_A"] = _max_abs(mat_vec(transpose(A), eta))
     residuals["eta_psi"] = _max_abs(mat_vec(transpose(psi), eta))
     gA = mat_mul(g, A)
     gpsi = mat_mul(g, psi)
-    residuals["A_skew"] = _mat_res(transpose(gA), gA, s_add)
-    residuals["psi_skew"] = _mat_res(transpose(gpsi), gpsi, s_add)
+    residuals["A_skew"] = _mat_res(transpose(gA), gA, mat_add)
+    residuals["psi_skew"] = _mat_res(transpose(gpsi), gpsi, mat_add)
     ok = all(s_is_zero(r) for r in residuals.values())
     a_form = form_from_bilinear(gA) if ok else KForm.make(2, n)
     psi_form = form_from_bilinear(gpsi) if ok else KForm.make(2, n)
@@ -406,9 +408,9 @@ def operators_A_psi(S: AcmStructure) -> OperatorPack:
     return pack
 
 
-def _mat_res(A: Mat, B: Mat, op=s_sub):
-    """max |A - B|, or max |A + B| (the residual of A = -B) with op=s_add."""
-    return _max_abs(op(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+def _mat_res(A: Mat, B: Mat, op=mat_sub):
+    """max |A - B|, or max |A + B| (the residual of A = -B) with op=mat_add."""
+    return _max_abs(_flat(op(A, B)))
 
 
 @dataclass(frozen=True)
@@ -515,7 +517,7 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
     residuals["shared_tensors"] = shared
     p1, p2, p3 = S1.phi_mat(), S2.phi_mat(), S3.phi_mat()
     residuals["phi1_phi2_eq_phi3"] = _mat_res(mat_mul(p1, p2), p3)
-    residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(mat_mul(p2, p1), p3, s_add)
+    residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(mat_mul(p2, p1), p3, mat_add)
     L = S1.L
     residuals["dPhi1"] = _max_abs(c for _, c in ce_d(L, fundamental_form(S1)).coeffs)
     residuals["dPhi2"] = _max_abs(c for _, c in ce_d(L, fundamental_form(S2)).coeffs)

@@ -138,11 +138,12 @@ def _verify_iso(
     L = S.L
     n = L.dim
     F_cols = transpose(F)
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs = mat_vec(F, bracket(L, L.basis_vector(a), L.basis_vector(b)))
-            rhs = bracket(target_L, F_cols[a], F_cols[b])
-            require([lhs], [rhs], f"F is not a Lie algebra morphism at pair ({a}, {b})")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    # column p: F [b_a, b_b], the source brackets pushed forward in one product
+    pushed = transpose(mat_mul(F, [[L.c(a, b, k) for a, b in pairs] for k in range(n)]))
+    for (a, b), lhs in zip(pairs, pushed):
+        rhs = bracket(target_L, F_cols[a], F_cols[b])
+        require([lhs], [rhs], f"F is not a Lie algebra morphism at pair ({a}, {b})")
     push_phi = mat_mul(F, mat_mul(S.phi_mat(), F_inv))
     require(push_phi, target_S.phi_mat(), "F does not map phi onto the target structure")
     require([mat_vec(F, S.xi_vec())], [target_S.xi_vec()],

@@ -25,14 +25,13 @@ from .linalg import (
     _int_scaled,
     inertia_symmetric,
     inverse,
-    mat_vec,
+    mat_eq,
+    mat_mul,
+    mat_sub,
     nullspace,
     transpose,
     vec_add,
-    vec_eq,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
     zeros,
 )
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg, s_sub
@@ -146,12 +145,30 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
 
 
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:
-    """Matrix of ad_X, column j = [X, b_j]."""
-    return transpose([bracket(L, X, L.basis_vector(j)) for j in range(L.dim)])
+    """Matrix of ad_X, column j = [X, b_j].  Rational X takes one pass over the integer
+    table: c_ij^k adds X_i c_ij^k at (k, j) and -X_j c_ij^k at (k, i)."""
+    table, den = L._tables()
+    sx = _int_scaled(X) if den is not None and len(X) == L.dim else None
+    if sx is None:
+        return transpose([bracket(L, X, L.basis_vector(j)) for j in range(L.dim)])
+    (xs, dx), acc = sx, [[0] * L.dim for _ in range(L.dim)]
+    for (i, j), entries in table.items():
+        if xs[i] or xs[j]:
+            for k, v in entries.items():
+                acc[k][j] += xs[i] * v
+                acc[k][i] -= xs[j] * v
+    return [[Fraction(t, den * dx) if t else ZERO for t in row] for row in acc]
 
 
 def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
-    """Triples (i, j, k), i<j<k, where the cyclic Jacobi sum is nonzero."""
+    """Triples (i, j, k), i<j<k, where the cyclic Jacobi sum is nonzero.
+
+    When no bracket lands on an index that takes part in a bracket, every
+    [b_i, b_j] is central and every double bracket vanishes: one O(nnz) pass
+    proves Jacobi (weighted Heisenberg, abelian quotients).  Else the triple loop."""
+    paired = {i for pair, _ in L.brackets for i in pair}
+    if not any(k in paired for _, entries in L.brackets for k, _ in entries):
+        return []
     bad = []
     basis = [L.basis_vector(i) for i in range(L.dim)]
     for i in range(L.dim):
@@ -283,38 +300,37 @@ def quotient_by_center_line(L: LieAlgebra, xi: Vec, D: Subspace) -> CentralQuoti
     n = L.dim
     if D.dim != n - 1:
         raise PreconditionError("complement must have codimension 1")
-    if not center(L).contains(list(xi)):
+    if not all(map(vec_is_zero, ad_matrix(L, list(xi)))):
         raise PreconditionError("xi is not central")
     if D.contains(list(xi)):
         raise PreconditionError("xi lies in the complement")
     cols = [list(b) for b in D.basis] + [list(xi)]
     Tinv = inverse(transpose(cols))  # columns d_1..d_{n-1}, xi
     m = n - 1
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    # W[p]: the coordinates of [d_a, d_b] in the basis d_1..d_{n-1}, xi, for pair p
+    brackets = [bracket(L, cols[a], cols[b]) for a, b in pairs]
+    W = transpose(mat_mul(Tinv, transpose(brackets)))
     table: BracketTable = {}
     omega = zeros(m, m)
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = mat_vec(Tinv, bracket(L, cols[a], cols[b]))
-            coeffs = {k: w[k] for k in range(m) if not s_is_zero(w[k])}
-            if coeffs:
-                table[(a, b)] = coeffs
-            omega[a][b] = s_neg(w[m])
-            omega[b][a] = w[m]
+    for (a, b), w in zip(pairs, W):
+        coeffs = {k: w[k] for k in range(m) if not s_is_zero(w[k])}
+        if coeffs:
+            table[(a, b)] = coeffs
+        omega[a][b] = s_neg(w[m])
+        omega[b][a] = w[m]
     names = []
     for a, col in enumerate(cols[:m]):
         hits = [i for i in range(n) if not s_is_zero(col[i])]
         unit = len(hits) == 1 and s_is_zero(s_sub(col[hits[0]], ONE))
         names.append(L.basis_names[hits[0]] if unit else f"d{a+1}")
     quotient = LieAlgebra.from_brackets(m, table, names, L.mode, check=True)
-    # certificate: [d_a, d_b] = incl([.,.]_D) - omega_ab * xi, exactly
-    D_cols = transpose(cols[:m])
-    for a in range(m):
-        for b in range(a + 1, m):
-            lhs = bracket(L, cols[a], cols[b])
-            rhs = mat_vec(D_cols, [quotient.c(a, b, k) for k in range(m)])
-            rhs = vec_sub(rhs, vec_scale(xi, omega[a][b]))
-            if not vec_eq(lhs, rhs):
-                raise PreconditionError("bracket does not split along the given complement")
+    # certificate, pairs as columns: [d_a, d_b] = incl([.,.]_D) - omega_ab * xi, exactly
+    coords = [[quotient.c(a, b, k) for a, b in pairs] for k in range(m)]
+    rhs = mat_sub(mat_mul(transpose(cols[:m]), coords),
+                  mat_mul([[x] for x in xi], [[omega[a][b] for a, b in pairs]]))
+    if pairs and not mat_eq(transpose(brackets), rhs):
+        raise PreconditionError("bracket does not split along the given complement")
     return CentralQuotient(
         quotient,
         tuple(tuple(r) for r in omega),

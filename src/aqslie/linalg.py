@@ -13,16 +13,18 @@ field once per call, from its whole input:
 
 Both routes return the same values: a normalised ``Fraction`` is unique.
 
-The other modules use these helpers instead of private copies: ``vec_add``
-and ``vec_sub`` for vector sums, ``mat_vec(transpose(vectors), coeffs)``
-for linear combinations, ``dot`` and ``bilinear`` for pairings, and
-``eigenspaces`` for every eigendecomposition of a g-symmetric operator
-(exact or float, decided once per call; the float eigenvalue clustering
-lives only there).
+Kernels with the integer route: ``mat_vec``, ``mat_mul``, ``mat_add``,
+``mat_sub``, ``mat_scale``, ``dot``, ``rref``/``rank``/``nullspace``/
+``solve``/``inverse``, ``det``, ``char_poly`` and ``inertia_symmetric``
+(fraction-free congruence); ``mat_eq`` on Fraction matrices is plain ``==``.
+The other modules use these helpers instead of private copies, and
+``eigenspaces`` for every eigendecomposition of a g-symmetric operator (the
+float eigenvalue clustering lives only there).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -64,25 +66,32 @@ def transpose(M: Mat) -> Mat:
     return [list(col) for col in zip(*M)] if M else []
 
 
+# Fraction's slots; the public properties cost a Python call each, and
+# _int_scaled is the integer kernels' entry
+_NUMERATOR = operator.attrgetter("_numerator")
+_DENOMINATOR = operator.attrgetter("_denominator")
+
+
 def _int_scaled(xs) -> tuple[list[int], int] | None:
     """(ints, den) with xs[i] == ints[i] / den when every entry of the
     sequence xs is a Fraction; None otherwise."""
-    # _numerator/_denominator are Fraction's slots; the public properties
-    # cost a Python call each, and this loop is the integer kernels' entry
-    den = 1
-    for x in xs:
-        if type(x) is not Fraction:
-            return None
-        d = x._denominator
-        if den % d:
-            den = den * d // math.gcd(den, d)
+    if not {Fraction}.issuperset(map(type, xs)):
+        return None
+    nums, dens = list(map(_NUMERATOR, xs)), list(map(_DENOMINATOR, xs))
+    den = math.lcm(*dens)
     if den == 1:
-        return [x._numerator for x in xs], 1
-    return [x._numerator * (den // x._denominator) for x in xs], den
+        return nums, 1
+    return [x * (den // d) for x, d in zip(nums, dens)], den
 
 
 def _flat(M: Mat) -> list:
     return [x for row in M for x in row]
+
+
+def _reshaped(flat: list, M: Mat) -> Mat:
+    """The entries of flat in the row shape of M."""
+    it = iter(flat)
+    return [list(itertools.islice(it, len(row))) for row in M]
 
 
 def mat_vec(M: Mat, v: Vec) -> Vec:
@@ -112,31 +121,40 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
         cols = [bi[j * k : j * k + k] for j in range(m)]
         sums = ([sum(map(operator.mul, row, col)) for col in cols] for row in rows)
         return [[Fraction(t, den) if t else ZERO for t in line] for line in sums]
-    out = zeros(n, m)
-    for i in range(n):
-        Ai = A[i]
-        for j in range(m):
-            out[i][j] = _sum(s_mul(Ai[t], Bt[j][t]) for t in range(k))
-    return out
+    return [[_dot(row, col) for col in Bt] for row in A]
+
+
+def _entrywise(A: Mat, B: Mat, int_op, scalar_op) -> Mat:
+    """A op B entry by entry; Fraction matrices of one shape combine as integers."""
+    sa, sb = _int_scaled(_flat(A)), _int_scaled(_flat(B))
+    if sa and sb and list(map(len, A)) == list(map(len, B)):
+        den = math.lcm(sa[1], sb[1])
+        ai, bi = ([x * (den // d) for x in xs] for xs, d in (sa, sb))
+        return _reshaped([Fraction(t, den) if t else ZERO for t in map(int_op, ai, bi)], A)
+    return [[scalar_op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_add(A: Mat, B: Mat) -> Mat:
-    return [[s_add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return _entrywise(A, B, operator.add, s_add)
 
 
 def mat_sub(A: Mat, B: Mat) -> Mat:
-    return [[s_sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return _entrywise(A, B, operator.sub, s_sub)
 
 
 def mat_scale(M: Mat, c) -> Mat:
-    return [[s_mul(c, x) for x in row] for row in M]
+    sm = _int_scaled(_flat(M)) if type(c) is Fraction else None
+    if sm is None:
+        return [[s_mul(c, x) for x in row] for row in M]
+    den, ints = sm[1] * c._denominator, map(c._numerator.__mul__, sm[0])
+    return _reshaped([Fraction(t, den) if t else ZERO for t in ints], M)
 
 
 def mat_eq(A: Mat, B: Mat) -> bool:
-    return len(A) == len(B) and all(
-        len(ra) == len(rb) and all(s_eq(a, b) for a, b in zip(ra, rb))
-        for ra, rb in zip(A, B)
-    )
+    fa, fb = _flat(A), _flat(B)
+    # normalised Fractions are equal exactly when their parts are, so == is exact
+    eq = operator.eq if {Fraction}.issuperset(map(type, fa + fb)) else s_eq
+    return list(map(len, A)) == list(map(len, B)) and all(map(eq, fa, fb))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -164,7 +182,7 @@ def dot(u: Vec, v: Vec):
     sv = _int_scaled(v) if su is not None else None
     if sv is not None:
         return Fraction(sum(map(operator.mul, su[0], sv[0])), su[1] * sv[1])
-    return _sum(s_mul(a, b) for a, b in zip(u, v))
+    return _dot(u, v)
 
 
 def bilinear(u: Vec, G: Mat, v: Vec):
@@ -174,6 +192,20 @@ def bilinear(u: Vec, G: Mat, v: Vec):
 
 def trace(M: Mat):
     return _sum(M[i][i] for i in range(len(M)))
+
+
+def _dot(u: Vec, v: Vec):
+    """The fold ZERO + u0 v0 + u1 v1 + ... without the zero terms that cannot change it:
+    exact zero products, and float zeros once the sum is a float (never -0.0)."""
+    total = ZERO
+    for a, b in zip(u, v):
+        if not a or not b:
+            other = b if not a else a
+            exact = not isinstance(a, float) and not isinstance(b, float)
+            if exact or (isinstance(total, float) and math.isfinite(other)):
+                continue
+        total = s_add(total, s_mul(a, b))
+    return total
 
 
 def _sum(items):
@@ -662,53 +694,51 @@ def eigenspaces(M: Mat, G: Mat) -> list[tuple[object, int, list[Vec]]]:
 def inertia_symmetric(M: Mat) -> tuple[int, int, int]:
     """Signature (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Exact mode: congruence diagonalization (Sylvester's law); float mode:
-    Jacobi eigenvalue signs under the global tolerance.
+    Float mode: Jacobi eigenvalue signs under the global tolerance.  Exact
+    mode: congruence diagonalization (Sylvester's law).  W is the Schur
+    complement left so far times a scalar of sign ``sign``; pivot d = W[k][k]
+    counts with the sign of sign * d, and the next W is d W' - a a^T (a = row
+    k).  Fraction input runs on integers, each W divided by its content (so
+    never larger than Bareiss's); other exact entries divide W by |d|.
     """
     n = len(M)
-    if n == 0:
-        return (0, 0, 0)
     if not all(is_exact(x) for row in M for x in row):
         evals, _ = eigh_float(M)
         pos = sum(1 for e in evals if s_sign(e) > 0)
         neg = sum(1 for e in evals if s_sign(e) < 0)
         return pos, neg, n - pos - neg
-    A = mat_copy(M)
-    pos = neg = zero = 0
-    idx = list(range(n))
-    while idx:
-        # find a nonzero diagonal entry, else create one from an off-diagonal
-        k = next((i for i in idx if not s_is_zero(A[i][i])), None)
+    scaled = _int_scaled(_flat(M))
+    W = _reshaped(scaled[0], M) if scaled is not None else mat_copy(M)
+    pos = neg = 0
+    sign = 1
+    while W:
+        k = next((i for i, row in enumerate(W) if row[i]), None)
         if k is None:
-            pair = next(
-                ((i, j) for i in idx for j in idx if i < j and not s_is_zero(A[i][j])),
-                None,
-            )
+            pair = next(((i, j) for i, row in enumerate(W)
+                         for j in range(i + 1, len(W)) if row[j]), None)
             if pair is None:
-                zero += len(idx)
                 break
             i, j = pair
-            # row/col addition makes the (i,i) entry 2*A[i][j] != 0
-            for t in range(n):
-                A[i][t] = s_add(A[i][t], A[j][t])
-            for t in range(n):
-                A[t][i] = s_add(A[t][i], A[t][j])
+            # row and column i += j makes the (i, i) entry 2 W[i][j] != 0
+            W[i] = [x + y for x, y in zip(W[i], W[j])]
+            for row in W:
+                row[i] += row[j]
             k = i
-        d = A[k][k]
-        if s_sign(d) > 0:
+        d, a = W[k][k], W[k]
+        s = s_sign(d)
+        if s == sign:
             pos += 1
         else:
             neg += 1
-        idx.remove(k)
-        for i in idx:
-            if s_is_zero(A[i][k]):
-                continue
-            f = s_div(A[i][k], d)
-            for t in range(n):
-                A[i][t] = s_sub(A[i][t], s_mul(f, A[k][t]))
-            for t in range(n):
-                A[t][i] = s_sub(A[t][i], s_mul(f, A[t][k]))
-    return pos, neg, zero
+        sign *= s
+        rest = [i for i in range(len(W)) if i != k]
+        W = [[d * W[i][j] - W[i][k] * a[j] for j in rest] for i in rest]
+        if scaled is None:
+            inv = ONE / (s * d)
+            W = [[x * inv for x in row] for row in W]
+        elif (g := math.gcd(*_flat(W))) > 1:
+            W = [[x // g for x in row] for row in W]
+    return pos, neg, n - pos - neg
 
 
 def is_positive_definite(G: Mat) -> bool:

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqslie.acm import (
     CLASS_ANTI_QUASI_SASAKIAN,
@@ -11,6 +13,7 @@ from aqslie.acm import (
     CLASS_QUASI_SASAKIAN,
     CLASS_SASAKIAN,
     AcmStructure,
+    _max_abs,
     classify_structure,
     closedness_suite,
     conjugate_structure,
@@ -30,7 +33,7 @@ from aqslie.errors import InternalContradiction, NotAqs, PreconditionError
 from aqslie.exterior import bilinear_from_form, ce_d
 from aqslie.lie_core import LieAlgebra
 from aqslie.linalg import identity, mat_eq, mat_mul, mat_vec, vec_is_zero, zeros
-from aqslie.scalars import s_add, s_eq, s_is_zero, s_mul, s_neg
+from aqslie.scalars import ZERO, s_abs, s_add, s_eq, s_is_zero, s_lt, s_mul, s_neg
 
 
 def h5_structures():
@@ -373,3 +376,15 @@ def test_rank_mod_4_for_aqs():
         _, (S1, _, _) = weighted_heisenberg_4n1(n, w)
         assert classify_structure(S1).has(CLASS_ANTI_QUASI_SASAKIAN)
         assert structure_rank(S1).rank % 4 == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 6)), max_size=12))
+def test_max_abs_of_fractions_matches_the_per_scalar_route(xs):
+    want = ZERO
+    for x in xs:
+        if s_lt(want, s_abs(x)):
+            want = s_abs(x)
+    assert _max_abs(xs) == want and type(_max_abs(xs)) is F
+    assert _max_abs(iter(xs)) == want
+    assert _max_abs([]) == ZERO

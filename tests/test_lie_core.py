@@ -76,6 +76,81 @@ def test_jacobi_cyclic_tensor_is_consistent():
         LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 2): {1: 1}})
 
 
+def _reference_jacobi(L):
+    """Triples (i, j, k), i < j < k, whose cyclic sum is nonzero, from L.c:
+    the b_m component of [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]."""
+    n = L.dim
+    c = [[[L.c(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+
+    def double(i, j, k, m):
+        return sum((c[i][j][t] * c[t][k][m] for t in range(n) if c[i][j][t]), F(0))
+
+    return [
+        (i, j, k)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+        if any(double(i, j, k, m) + double(j, k, i, m) + double(k, i, j, m) for m in range(n))
+    ]
+
+
+coefficients = st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def two_step_tables(draw):
+    """Basis-aligned 2-step tables: brackets of indices in one set land on
+    indices of a disjoint set, so every bracket is central."""
+    n = draw(st.integers(2, 8))
+    targets = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    paired = [i for i in range(n) if i not in targets]
+    table = {}
+    for i in paired:
+        for j in paired:
+            if i < j and draw(st.booleans()):
+                ks = draw(st.sets(st.sampled_from(sorted(targets)), min_size=1))
+                table[(i, j)] = {k: draw(coefficients) for k in ks}
+    return n, table
+
+
+@st.composite
+def random_tables(draw):
+    """Sparse tables with arbitrary targets (mostly not Jacobi)."""
+    n = draw(st.integers(3, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = {}
+    for pair in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True)):
+        ks = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+        table[pair] = {k: draw(coefficients) for k in ks}
+    return n, table
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_step_tables())
+def test_jacobi_proof_on_two_step_tables_matches_the_triple_loop(case):
+    n, table = case
+    L = LieAlgebra.from_brackets(n, table, check=False)
+    assert jacobi_check(L) == _reference_jacobi(L) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_tables())
+def test_jacobi_check_off_the_central_condition_matches_the_triple_loop(case):
+    n, table = case
+    L = LieAlgebra.from_brackets(n, table, check=False)
+    assert jacobi_check(L) == _reference_jacobi(L)
+
+
+def test_non_jacobi_table_still_raises():
+    # [b1,b2] = b5, [b3,b4] = b5 is 2-step; [b1,b5] = b2 breaks the central
+    # condition and Jacobi at (b1, b3, b4): [[b3,b4],b1] = -b2
+    table = {(0, 1): {4: 1}, (2, 3): {4: 1}, (0, 4): {1: 1}}
+    bad = LieAlgebra.from_brackets(5, table, check=False)
+    assert jacobi_check(bad) == _reference_jacobi(bad) != []
+    with pytest.raises(JacobiError):
+        LieAlgebra.from_brackets(5, table)
+
+
 def test_center_weighted_heisenberg():
     L = weighted_heisenberg_4n1(2, [1, 2])[0]
     Z = center(L)

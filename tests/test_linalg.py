@@ -1,5 +1,6 @@
 """Exact linear algebra kernels: elimination, spectra, inertia."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,8 +19,12 @@ from aqslie.linalg import (
     identity,
     inertia_symmetric,
     inverse,
+    is_positive_definite,
+    mat_add,
     mat_eq,
     mat_mul,
+    mat_scale,
+    mat_sub,
     mat_vec,
     nullspace,
     random_unimodular,
@@ -30,7 +35,7 @@ from aqslie.linalg import (
     vec_eq,
     vec_is_zero,
 )
-from aqslie.scalars import Ext, s_add, s_eq, s_inv, s_mul
+from aqslie.scalars import ZERO, Ext, s_add, s_eq, s_inv, s_mul, s_sub
 
 small_mats = st.integers(-4, 4)
 
@@ -397,3 +402,116 @@ def test_tower_inverse_and_mat_mul_agree_with_sympy():
         assert diff.applyfunc(lambda e: sympy.radsimp(e).expand()).is_zero_matrix
         inverted += 1
     assert inverted >= 3
+
+
+# ---------------------------------------------------------------------------
+# entrywise kernels and inertia: the integer routes against the per-scalar one
+# ---------------------------------------------------------------------------
+
+def _per_scalar(op, A, B):
+    return [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_entrywise_kernels_match_the_per_scalar_route(A, data):
+    B = [data.draw(st.lists(fractions, min_size=len(A[0]), max_size=len(A[0]))) for _ in A]
+    c = data.draw(fractions)
+    for got, want in (
+        (mat_add(A, B), _per_scalar(s_add, A, B)),
+        (mat_sub(A, B), _per_scalar(s_sub, A, B)),
+        (mat_scale(A, c), [[s_mul(c, x) for x in row] for row in A]),
+    ):
+        assert got == want
+        assert all(type(x) is F and (x or x is ZERO) for row in got for x in row)
+    assert mat_eq(A, [row[:] for row in A])
+    assert mat_eq(A, B) == (A == B)
+
+
+mixed_scalars = st.sampled_from(
+    [F(0), F(0), 0.0, -0.0, F(1, 3), F(-2), 1.5, -2.25, -3.0, Ext.of_sqrt(2), Ext.of_sqrt(3) / 2]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(mixed_scalars, mixed_scalars), max_size=6))
+def test_per_scalar_products_skip_zero_terms_bit_for_bit(pairs):
+    # the reference fold keeps every term; skipping zero terms may change
+    # neither the value, nor its type, nor the sign of a float zero
+    want = F(0)
+    for a, b in pairs:
+        want = want + a * b
+    u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    for got in (dot(u, v), mat_mul([u], [[b] for b in v])[0][0] if pairs else want):
+        assert type(got) is type(want) and got == want
+        if isinstance(want, float):
+            assert math.copysign(1, got) == math.copysign(1, want)
+
+
+def test_entrywise_kernels_fall_back_on_mixed_input():
+    r2 = Ext.of_sqrt(2)
+    A = [[F(1, 2), r2], [F(0), F(3)]]
+    B = [[F(1, 3), F(1)], [2.5, F(-3)]]
+    for op, kernel in ((s_add, mat_add), (s_sub, mat_sub)):
+        assert kernel(A, B) == _per_scalar(op, A, B)
+        assert kernel(A, A) == _per_scalar(op, A, A)
+    got = mat_add(A, B)
+    assert isinstance(got[0][1], Ext) and isinstance(got[1][0], float)
+    for c in (r2, 0.5, F(2)):
+        assert mat_scale(A, c) == [[s_mul(c, x) for x in row] for row in A]
+    assert mat_eq(A, [[F(1, 2), r2], [F(0), F(3)]])
+    assert not mat_eq(A, [[F(1, 2), r2], [F(0), F(4)]])
+
+
+def test_mat_eq_tolerance_and_shapes():
+    assert mat_eq([[1.0, 2.0]], [[1.0 + 1e-12, 2.0]])
+    assert not mat_eq([[1.0, 2.0]], [[1.1, 2.0]])
+    assert mat_eq([[F(1), 2.0]], [[1.0, F(2)]])
+    assert not mat_eq([[F(1), F(2)]], [[F(1)], [F(2)]])
+    assert not mat_eq([[F(1)]], [[F(1)], [F(1)]])
+    assert not mat_eq([[1.0, 2.0]], [[1.0], [2.0]])
+    assert mat_eq([], [])
+
+
+def _random_symmetric(rng, n):
+    """Dense, zero-diagonal or low-rank (singular) rational symmetric."""
+    def q():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    kind = rng.choice(("dense", "zero_diagonal", "low_rank"))
+    if kind == "low_rank":  # B diag(d) B^T with B n x r, r < n
+        r = rng.randint(0, n - 1)
+        B = [[q() for _ in range(r)] for _ in range(n)]
+        d = [q() for _ in range(r)]
+        return [[sum((B[i][t] * d[t] * B[j][t] for t in range(r)), F(0)) for j in range(n)]
+                for i in range(n)]
+    M = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if kind == "dense" else i + 1, n):
+            M[i][j] = M[j][i] = q()
+    return M
+
+
+def test_inertia_agrees_with_sympy_eigenvalue_signs():
+    # the signs of sympy's eigenvalues, counted with multiplicity by its
+    # real-root counter on the square-free factors of det(x I - M)
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        M = _random_symmetric(rng, n)
+        sM = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in M])
+        pos = neg = 0
+        for factor, mult in sM.charpoly(x).sqf_list()[1]:
+            at_zero = mult * (factor.eval(0) == 0)
+            pos += mult * factor.count_roots(0, None) - at_zero
+            neg += mult * factor.count_roots(None, 0) - at_zero
+        assert inertia_symmetric(M) == (pos, neg, n - pos - neg)
+        seen.update({"singular": pos + neg < n, "indefinite": pos and neg,
+                     "zero_diagonal": n > 1 and not any(M[i][i] for i in range(n))}.items())
+    assert {(k, True) for k in ("singular", "indefinite", "zero_diagonal")} <= seen
+    assert not is_positive_definite(_mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
+    assert not is_positive_definite(_mat([[1, 1], [1, 1]]))  # singular, positive semidefinite
+    assert is_positive_definite(_mat([[2, 1], [1, 2]]))
