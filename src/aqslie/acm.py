@@ -68,7 +68,7 @@ from .linalg import (
     zeros,
 )
 from .scalars import ONE, ZERO, get_tolerance, s_abs, s_add, s_div, s_is_zero, s_lt, s_mul
-from .scalars import is_exact, s_neg, s_sub
+from .scalars import s_neg, s_sub
 
 CLASS_CONTACT_METRIC = "ContactMetric"
 CLASS_SASAKIAN = "Sasakian"
@@ -294,7 +294,8 @@ class ConnectionTable:
 
 
 def _by_columns(M: Mat, B: Mat) -> Mat:
-    """M B through mat_vec, whose near-zero skips float Koszul sums keep."""
+    """M B through mat_vec, column by column: the products of the per-vector Koszul
+    solve, near-zero skips of float columns included."""
     return transpose([mat_vec(M, col) for col in transpose(B)])
 
 
@@ -309,8 +310,6 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     if not is_positive_definite(g):
         raise PreconditionError("metric is not positive definite")
     g_inv = inverse(g)
-    consts = [v for _, entries in L.brackets for _, v in entries]
-    times = mat_mul if all(map(is_exact, _flat(g) + consts)) else _by_columns
     ads = [ad_matrix(L, L.basis_vector(i)) for i in range(n)]
     gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
     gammas = []
@@ -320,13 +319,13 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
         B = [[gads[j][i][k] for j in range(n)] for k in range(n)]
         C = [[gads[k][j][i] for j in range(n)] for k in range(n)]  # = -ad_i^T g
         koszul = mat_add(mat_sub(gads[i], B), C)
-        gammas.append(times(g_inv, mat_scale(koszul, Fraction(1, 2))))
+        gammas.append(_by_columns(g_inv, mat_scale(koszul, Fraction(1, 2))))
     table = ConnectionTable(tuple(tuple(map(tuple, transpose(G))) for G in gammas))
     gamma = table.gamma  # certify what the table holds, pair (i, j) after pair
     for i in range(n):
         G = transpose(gamma[i])
         tors = mat_sub(mat_sub(G, transpose([gamma[j][i] for j in range(n)])), ads[i])
-        gG = times(g, G)
+        gG = _by_columns(g, G)
         for t, c in zip(transpose(tors), mat_add(transpose(gG), gG)):
             if not vec_is_zero(t):
                 raise certificate_failure("Koszul solve lost torsion-freeness", t)

@@ -145,19 +145,8 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
 
 
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:
-    """Matrix of ad_X, column j = [X, b_j].  Rational X takes one pass over the integer
-    table: c_ij^k adds X_i c_ij^k at (k, j) and -X_j c_ij^k at (k, i)."""
-    table, den = L._tables()
-    sx = _int_scaled(X) if den is not None and len(X) == L.dim else None
-    if sx is None:
-        return transpose([bracket(L, X, L.basis_vector(j)) for j in range(L.dim)])
-    (xs, dx), acc = sx, [[0] * L.dim for _ in range(L.dim)]
-    for (i, j), entries in table.items():
-        if xs[i] or xs[j]:
-            for k, v in entries.items():
-                acc[k][j] += xs[i] * v
-                acc[k][i] -= xs[j] * v
-    return [[Fraction(t, den * dx) if t else ZERO for t in row] for row in acc]
+    """Matrix of ad_X, column j = [X, b_j]."""
+    return transpose([bracket(L, X, L.basis_vector(j)) for j in range(L.dim)])
 
 
 def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:

@@ -1,17 +1,20 @@
 """Structure validation, classification, connection, operators, curvature."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aqslie.acm as acm
 from aqslie.acm import (
     CLASS_ANTI_QUASI_SASAKIAN,
     CLASS_COKAHLER,
     CLASS_CONTACT_METRIC,
     CLASS_QUASI_SASAKIAN,
     CLASS_SASAKIAN,
+    CLASS_UNCLASSIFIED,
     AcmStructure,
     _max_abs,
     classify_structure,
@@ -31,8 +34,19 @@ from aqslie.acm import (
 from aqslie.constructors import abelian, weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from aqslie.errors import InternalContradiction, NotAqs, PreconditionError
 from aqslie.exterior import bilinear_from_form, ce_d
-from aqslie.lie_core import LieAlgebra
-from aqslie.linalg import identity, mat_eq, mat_mul, mat_vec, vec_is_zero, zeros
+from aqslie.lie_core import LieAlgebra, bracket
+from aqslie.linalg import (
+    identity,
+    mat_eq,
+    mat_mul,
+    mat_vec,
+    random_unimodular,
+    transpose,
+    vec_add,
+    vec_is_zero,
+    vec_sub,
+    zeros,
+)
 from aqslie.scalars import ZERO, s_abs, s_add, s_eq, s_is_zero, s_lt, s_mul, s_neg
 
 
@@ -125,6 +139,54 @@ def test_nijenhuis_phi1_equals_deta_xi():
     for (i, j), v in nij.items():
         want = [s_mul(deta[i][j], x) for x in S1.xi_vec()]
         assert all(s_eq(a, b) for a, b in zip(v, want))
+
+
+def _nijenhuis_per_pair(L, J):
+    """[J, J] pair by pair from four brackets, summed in the order
+    [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]."""
+    n, cols = L.dim, transpose(J)
+    basis = [L.basis_vector(i) for i in range(n)]
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            term = bracket(L, cols[i], cols[j])
+            term = vec_add(term, mat_vec(J, mat_vec(J, bracket(L, basis[i], basis[j]))))
+            term = vec_sub(term, mat_vec(J, bracket(L, basis[i], cols[j])))
+            out[(i, j)] = vec_sub(term, mat_vec(J, bracket(L, cols[i], basis[j])))
+    return out
+
+
+def _float_copy(S):
+    table = {p: {k: float(v) for k, v in e.items()} for p, e in S.L.table().items()}
+    L = LieAlgebra.from_brackets(S.L.dim, table, mode="float", check=False)
+    rows = lambda M: [[float(x) for x in r] for r in M]  # noqa: E731
+    return AcmStructure.make(L, rows(S.phi), [float(x) for x in S.xi],
+                             [float(x) for x in S.eta], rows(S.g))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float_nijenhuis_classifies_as_the_per_pair_formula(seed, monkeypatch):
+    # Non-dyadic weights and basis change: the float sums round, and the matrix
+    # form [M_i, J] sums in another order than the per-pair formula, so their
+    # values differ in the last bits.  Seed 3 sits near the tolerance: its float
+    # anti-normal residual is about 1.1e-9 (1.2e-9 per pair) against 1e-9.
+    _, (_, S, _) = weighted_heisenberg_4n1(3, [F(1, 3), F(5, 7), F(3, 11)])
+    n = S.L.dim
+    D = [[F(1, 3 + r) if r == c else ZERO for c in range(n)] for r in range(n)]
+    Sc = conjugate_structure(S, mat_mul(random_unimodular(n, random.Random(seed)), D))
+    Sf = _float_copy(Sc)
+    matrix = classify_structure(Sf)
+    ref = _nijenhuis_per_pair(Sf.L, Sf.phi_mat())
+    scale = max(abs(x) for v in ref.values() for x in v)
+    got = nijenhuis_phi(Sf)
+    assert got.keys() == ref.keys()
+    assert max(abs(a - b) for k in ref for a, b in zip(got[k], ref[k])) <= 1e-10 * scale
+    monkeypatch.setattr(acm, "nijenhuis", _nijenhuis_per_pair)
+    per_pair = classify_structure(_float_copy(Sc))
+    assert matrix.tags == per_pair.tags
+    assert matrix.tags == ({CLASS_UNCLASSIFIED} if seed == 3 else classify_structure(Sc).tags)
+    for key, r in per_pair.residuals.items():
+        assert abs(matrix.residuals[key] - r) <= 1e-10 * scale, key
 
 
 def test_classification_table():

@@ -1,6 +1,7 @@
 """Lie algebra kernel: brackets, Jacobi, center, series, Killing,
 derivations, central quotients."""
 
+import random
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqslie.acm import conjugate_structure
 from aqslie.constructors import (
     abelian,
     central_extension,
@@ -31,8 +33,16 @@ from aqslie.lie_core import (
     lower_central_series,
     quotient_by_center_line,
 )
-from aqslie.linalg import Subspace, identity, mat_vec, nullspace, vec_eq, vec_is_zero
-from aqslie.scalars import Ext, s_add, s_eq, s_is_zero, s_mul
+from aqslie.linalg import (
+    Subspace,
+    identity,
+    mat_vec,
+    nullspace,
+    random_unimodular,
+    vec_eq,
+    vec_is_zero,
+)
+from aqslie.scalars import Ext, get_tolerance, s_add, s_eq, s_is_zero, s_mul, set_tolerance
 
 
 def h5():
@@ -274,6 +284,41 @@ def test_quotient_preconditions():
     bad = Subspace.from_vectors(5, [L.basis_vector(i) for i in (0, 1, 2, 3)])
     with pytest.raises(PreconditionError):
         quotient_by_center_line(L, L.basis_vector(0), bad)  # xi inside complement
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-6])
+def test_float_centrality_check_against_the_rank_test(tol):
+    """quotient_by_center_line tests that xi is central by ad(xi) = 0 entrywise,
+    within the absolute tolerance.  The rank test of xi against center(L) decides
+    the same on the float copy of h9 conjugated by random_unimodular(9, Random(1))
+    (structure constants up to 222): both accept xi and both reject xi moved by
+    1e-5 or more.  For moves of about the tolerance the entrywise test is the
+    stricter one: it rejects some xi the rank test accepts, never the reverse."""
+    Sc = conjugate_structure(weighted_heisenberg_4n1(2, [1, 2])[1][0],
+                             random_unimodular(9, random.Random(1)))
+    table = {p: {k: float(v) for k, v in e.items()} for p, e in Sc.L.table().items()}
+    L = LieAlgebra.from_brackets(9, table, mode="float", check=False)
+    xi = [float(x) for x in Sc.xi]
+    p = next(i for i, x in enumerate(xi) if x)
+    D = Subspace.from_vectors(9, [L.basis_vector(i) for i in range(9) if i != p])
+    old = get_tolerance()
+    set_tolerance(tol)
+    try:
+        for eps in (0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-3):
+            for k in (0, 4):
+                x = list(xi)
+                x[k] += eps
+                try:
+                    quotient_by_center_line(L, x, D)
+                    entrywise = True
+                except PreconditionError as err:
+                    entrywise = str(err) != "xi is not central"
+                rank_test = center(L).contains(x)
+                assert rank_test or not entrywise, (eps, k)
+                if eps == 0 or eps >= 1e-5:
+                    assert entrywise == rank_test == (eps == 0), (eps, k)
+    finally:
+        set_tolerance(old)
 
 
 def test_quotient_then_extension_round_trip():
