@@ -14,11 +14,13 @@ the anti-quasi-Sasakian operator pack and the quasi-Sasakian classifier.
 Basis-pair checks of 2-forms and bilinear forms are Gram products, e.g.
 d eta(phi X, phi Y) = -d eta(X, Y) is phi^T B phi + B = 0.
 
-The Levi-Civita connection is one matrix per basis vector, Gamma_i b_j =
-nabla_{b_i} b_j.  For a left-invariant metric the Koszul formula reads
-2 g Gamma_i = g ad_i - ad_i^T g - B_i with (B_i)_kj = g([b_j, b_k], b_i),
-and the stored table is certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j]
-and g Gamma_i + Gamma_i^T g = 0 (J. Milnor, "Curvatures of left invariant
+The Levi-Civita connection is stored as n matrices, gamma[i] = Gamma_i as
+rows, Gamma_i b_j = nabla_{b_i} b_j.  For a left-invariant metric the Koszul
+formula reads 2 g Gamma_i = g ad_i - ad_i^T g - B_i with (B_i)_kj =
+g([b_j, b_k], b_i), certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j] and
+g Gamma_i + Gamma_i^T g = 0.  Curvature reads the same matrices: Ric_ij =
+sum_a R(b_a, b_i)_aj with R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k
+Gamma_k, row a only, O(n^4) in all (J. Milnor, "Curvatures of left invariant
 metrics on Lie groups", Adv. Math. 21, 1976).
 """
 
@@ -67,7 +69,7 @@ from .linalg import (
     vec_sub,
     zeros,
 )
-from .scalars import ONE, ZERO, get_tolerance, s_abs, s_add, s_div, s_is_zero, s_lt, s_mul
+from .scalars import ONE, ZERO, get_tolerance, s_abs, s_div, s_is_zero, s_lt, s_mul
 from .scalars import s_neg, s_sub
 
 CLASS_CONTACT_METRIC = "ContactMetric"
@@ -276,26 +278,23 @@ def xi_killing_check(S: AcmStructure) -> bool:
 
 @dataclass(frozen=True)
 class ConnectionTable:
-    gamma: tuple  # gamma[i][j] = nabla_{b_i} b_j as a coordinate tuple
+    gamma: tuple  # gamma[i] = Gamma_i as rows; its column j is nabla_{b_i} b_j
 
     def nabla(self, X: Vec, Y: Vec) -> Vec:
-        n = len(X)
-        out = [ZERO] * n
-        for i in range(n):
-            if s_is_zero(X[i]):
-                continue
-            for j in range(n):
-                if s_is_zero(Y[j]):
-                    continue
-                c = s_mul(X[i], Y[j])
-                for t in range(n):
-                    out[t] = s_add(out[t], s_mul(c, self.gamma[i][j][t]))
-        return out
+        """nabla_X Y = sum of (X_i Y_j) Gamma_i b_j over the pairs (i, j) in order,
+        skipping near-zero X_i and Y_j."""
+        pairs = [(i, j) for i in range(len(X)) if not s_is_zero(X[i])
+                 for j in range(len(Y)) if not s_is_zero(Y[j])]
+        if not pairs:
+            return [ZERO] * len(X)
+        coeffs = [[s_mul(X[i], Y[j]) for i, j in pairs]]
+        columns = [[row[j] for row in self.gamma[i]] for i, j in pairs]
+        return mat_mul(coeffs, columns)[0]
 
 
 def _by_columns(M: Mat, B: Mat) -> Mat:
     """M B through mat_vec, column by column: the products of the per-vector Koszul
-    solve, near-zero skips of float columns included."""
+    solve and of the Ricci sum, near-zero skips of float columns included."""
     return transpose([mat_vec(M, col) for col in transpose(B)])
 
 
@@ -320,12 +319,12 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
         C = [[gads[k][j][i] for j in range(n)] for k in range(n)]  # = -ad_i^T g
         koszul = mat_add(mat_sub(gads[i], B), C)
         gammas.append(_by_columns(g_inv, mat_scale(koszul, Fraction(1, 2))))
-    table = ConnectionTable(tuple(tuple(map(tuple, transpose(G))) for G in gammas))
+    table = ConnectionTable(tuple(tuple(map(tuple, G)) for G in gammas))
     gamma = table.gamma  # certify what the table holds, pair (i, j) after pair
     for i in range(n):
-        G = transpose(gamma[i])
-        tors = mat_sub(mat_sub(G, transpose([gamma[j][i] for j in range(n)])), ads[i])
-        gG = _by_columns(g, G)
+        swapped = [[gamma[j][t][i] for j in range(n)] for t in range(n)]  # column j: Gamma_j b_i
+        tors = mat_sub(mat_sub(gamma[i], swapped), ads[i])
+        gG = _by_columns(g, gamma[i])
         for t, c in zip(transpose(tors), mat_add(transpose(gG), gG)):
             if not vec_is_zero(t):
                 raise certificate_failure("Koszul solve lost torsion-freeness", t)
@@ -362,9 +361,8 @@ class OperatorPack:
 
 def psi_matrix(S: AcmStructure) -> Mat:
     """psi = -nabla xi: column j is -nabla_{b_j} xi."""
-    gamma = levi_civita(S).gamma
     xi = S.xi_vec()
-    return transpose([[s_neg(x) for x in mat_vec(transpose(row), xi)] for row in gamma])
+    return transpose([[s_neg(x) for x in mat_vec(G, xi)] for G in levi_civita(S).gamma])
 
 
 def operators_A_psi(S: AcmStructure) -> OperatorPack:
@@ -452,40 +450,31 @@ class CurvatureData:
     ricci: tuple
     scalar: object
 
-    def riemann(self, X: Vec, Y: Vec, Z: Vec, L: LieAlgebra) -> Vec:
-        """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
-        c = self.connection
-        out = vec_sub(c.nabla(X, c.nabla(Y, Z)), c.nabla(Y, c.nabla(X, Z)))
-        return vec_sub(out, c.nabla(bracket(L, X, Y), Z))
-
 
 def curvature(S: AcmStructure) -> CurvatureData:
-    """Riemann evaluator, Ricci tensor and scalar curvature."""
-    conn = levi_civita(S)
-    L, g = S.L, S.g_mat()
-    n = L.dim
-    data = CurvatureData(conn, (), ZERO)
-    basis = [L.basis_vector(i) for i in range(n)]
-    ricci = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            # Ric(X, Y) = trace(Z -> R(Z, X) Y)
-            val = ZERO
-            for a in range(n):
-                val = s_add(val, data.riemann(basis[a], basis[i], basis[j], L)[a])
-            ricci[i][j] = val
-    g_inv = inverse(g)
-    scal = ZERO
-    for i in range(n):
-        for j in range(n):
-            scal = s_add(scal, s_mul(g_inv[i][j], ricci[i][j]))
+    """Ricci tensor and scalar curvature: Ric_ij = sum over a of entry (a, j) of
+    R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only."""
+    conn, L = levi_civita(S), S.L
+    gamma, ricci = conn.gamma, zeros(L.dim, L.dim)
+    for a in range(L.dim):
+        rows = [G[a] for G in gamma]  # rows[k] = row a of Gamma_k
+        left = [_by_columns([gamma[a][a]], G)[0] for G in gamma]  # (Gamma_a Gamma_i)_a
+        right = _by_columns(rows, gamma[a])  # (Gamma_i Gamma_a)_a
+        # column i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
+        brackets = _by_columns(transpose(rows), ad_matrix(L, L.basis_vector(a)))
+        # summed as the full-vector R(b_a, b_i) b_j was: float entries keep their bits
+        ricci = mat_add(ricci, mat_sub(mat_sub(left, right), transpose(brackets)))
+    scal = dot(_flat(inverse(S.g_mat())), _flat(ricci))
     return CurvatureData(conn, tuple(tuple(r) for r in ricci), scal)
 
 
 def sectional_curvature(S: AcmStructure, curv: CurvatureData, X: Vec, Y: Vec):
-    """K(X, Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2)."""
-    g = S.g_mat()
-    num = bilinear(curv.riemann(X, Y, Y, S.L), g, X)
+    """K(X, Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2) with
+    R(X,Y)Y = nabla_X nabla_Y Y - nabla_Y nabla_X Y - nabla_[X,Y] Y."""
+    g, nabla = S.g_mat(), curv.connection.nabla
+    RY = vec_sub(nabla(X, nabla(Y, Y)), nabla(Y, nabla(X, Y)))
+    RY = vec_sub(RY, nabla(bracket(S.L, X, Y), Y))
+    num = bilinear(RY, g, X)
     den = s_sub(
         s_mul(bilinear(X, g, X), bilinear(Y, g, Y)),
         s_mul(bilinear(X, g, Y), bilinear(X, g, Y)),

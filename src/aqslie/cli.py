@@ -59,7 +59,7 @@ from .invariant_forms import (
 )
 from .lie_core import lower_central_series
 from .linalg import Subspace
-from .scalars import s_str, set_tolerance
+from .scalars import finite_positive, s_str, set_tolerance
 
 REPORT_SCHEMA = "aqslie.report.v1"
 
@@ -293,7 +293,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, **default) -> None:
     )
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=finite_positive,
         help="float-mode comparison tolerance (default 1e-9, env AQSLIE_TOLERANCE)",
         **default,
     )
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     tol = args.tolerance
     if tol is None and os.environ.get("AQSLIE_TOLERANCE"):
         try:
-            tol = float(os.environ["AQSLIE_TOLERANCE"])
+            tol = finite_positive(os.environ["AQSLIE_TOLERANCE"])
         except ValueError:
             print("bad AQSLIE_TOLERANCE, ignoring", file=sys.stderr)
     if tol is not None:

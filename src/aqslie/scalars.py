@@ -36,11 +36,17 @@ DEFAULT_TOLERANCE = 1e-9
 _tolerance = DEFAULT_TOLERANCE
 
 
+def finite_positive(x) -> float:
+    """x as a float; ValueError unless it is finite and positive."""
+    x = float(x)
+    if not 0 < x < math.inf:
+        raise ValueError(f"{x} is not a finite positive number")
+    return x
+
+
 def set_tolerance(tol: float) -> None:
     global _tolerance
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    _tolerance = float(tol)
+    _tolerance = finite_positive(tol)
 
 
 def get_tolerance() -> float:

@@ -47,7 +47,7 @@ from aqslie.linalg import (
     vec_sub,
     zeros,
 )
-from aqslie.scalars import ZERO, s_abs, s_add, s_eq, s_is_zero, s_lt, s_mul, s_neg
+from aqslie.scalars import ZERO, s_abs, s_add, s_eq, s_is_zero, s_lt, s_mul, s_neg, s_sub
 
 
 def h5_structures():
@@ -365,6 +365,125 @@ def test_curvature_abelian_flat():
     data = curvature(A1)
     assert s_eq(data.scalar, F(0))
     assert all(s_is_zero(x) for row in data.ricci for x in row)
+
+
+def _reference_nabla(gamma, X, Y):
+    """nabla_X Y by the per-vector triple loop that curvature replaced."""
+    n = len(X)
+    out = [ZERO] * n
+    for i in range(n):
+        if s_is_zero(X[i]):
+            continue
+        for j in range(n):
+            if s_is_zero(Y[j]):
+                continue
+            c = s_mul(X[i], Y[j])
+            for t in range(n):
+                out[t] = s_add(out[t], s_mul(c, gamma[i][t][j]))
+    return out
+
+
+def _reference_riemann(S, X, Y, Z):
+    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z, full vector."""
+    gamma = levi_civita(S).gamma
+    out = vec_sub(
+        _reference_nabla(gamma, X, _reference_nabla(gamma, Y, Z)),
+        _reference_nabla(gamma, Y, _reference_nabla(gamma, X, Z)),
+    )
+    return vec_sub(out, _reference_nabla(gamma, bracket(S.L, X, Y), Z))
+
+
+def _reference_curvature(S):
+    """(Ricci, scalar, xi-sectional values or None) from the full-vector
+    evaluator, one component kept per call."""
+    from aqslie.linalg import bilinear, inverse
+    from aqslie.scalars import s_div
+
+    n, g = S.L.dim, S.g_mat()
+    basis = [S.L.basis_vector(i) for i in range(n)]
+    ricci = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for a in range(n):
+                ricci[i][j] = s_add(ricci[i][j], _reference_riemann(S, basis[a], basis[i], basis[j])[a])
+    g_inv, scalar = inverse(g), ZERO
+    for i in range(n):
+        for j in range(n):
+            scalar = s_add(scalar, s_mul(g_inv[i][j], ricci[i][j]))
+    X, sectional = S.xi_vec(), []
+    for Y in basis:
+        num = bilinear(_reference_riemann(S, X, Y, Y), g, X)
+        den = s_sub(
+            s_mul(bilinear(X, g, X), bilinear(Y, g, Y)),
+            s_mul(bilinear(X, g, Y), bilinear(X, g, Y)),
+        )
+        sectional.append(None if s_is_zero(den) else s_div(num, den))
+    return ricci, scalar, sectional
+
+
+def _same(x, y) -> bool:
+    """Bit for bit on floats, value for value on exact scalars."""
+    if isinstance(x, float) or isinstance(y, float):
+        return type(x) is type(y) and repr(x) == repr(y)
+    return x == y
+
+
+def _differential_cases():
+    from aqslie.scalars import parse_scalar
+
+    h9 = weighted_heisenberg_4n1(2, [1, 2])[1][0]
+    h9c1 = conjugate_structure(h9, random_unimodular(9, random.Random(1)))
+    sqrt_h9 = weighted_heisenberg_4n1(2, [parse_scalar("sqrt(2)"), parse_scalar("3/2*sqrt(5)")])
+    yield "h5", h5_structures()[1][0], None
+    yield "h9", h9, None
+    yield "sqrt-h9", sqrt_h9[1][0], None
+    yield "h9c1", h9c1, None
+    for tol in (1e-7, 1e-6):
+        yield f"float-h9c1-tol{tol:g}", _float_copy(h9c1), tol
+
+
+def test_curvature_matches_the_per_vector_evaluator():
+    # Ricci from [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, against
+    # the full R(b_a, b_i) b_j evaluator: the same bits, float terms included
+    from aqslie.scalars import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
+
+    old = get_tolerance()
+    try:
+        for name, S, tol in _differential_cases():
+            set_tolerance(tol or DEFAULT_TOLERANCE)
+            data = curvature(S)
+            ricci, scalar, sectional = _reference_curvature(S)
+            n = S.L.dim
+            assert all(_same(data.ricci[i][j], ricci[i][j]) for i in range(n) for j in range(n)), name
+            assert _same(data.scalar, scalar), name
+            for i, want in enumerate(sectional):
+                if want is None:
+                    with pytest.raises(PreconditionError):
+                        sectional_curvature(S, data, S.xi_vec(), S.L.basis_vector(i))
+                else:
+                    got = sectional_curvature(S, data, S.xi_vec(), S.L.basis_vector(i))
+                    assert _same(got, want), (name, i)
+            if tol:
+                assert isinstance(data.scalar, float), name
+    finally:
+        set_tolerance(old)
+
+
+def test_ricci_transforms_as_a_bilinear_form():
+    # exact and independent of how Ricci is computed: in the basis given by
+    # the columns of Q, Ric' = Q^T Ric Q, symmetric, with the same scalar
+    h9 = weighted_heisenberg_4n1(2, [1, 2])[1][0]
+    qs9 = weighted_heisenberg_2n1(4, [1, 2, 3, 4])[1]
+    for S in (h9, qs9):
+        base = curvature(S)
+        ric = [list(r) for r in base.ricci]
+        for seed in (1, 2, 3):
+            Q = random_unimodular(9, random.Random(seed))
+            data = curvature(conjugate_structure(S, Q))
+            conj = [list(r) for r in data.ricci]
+            assert mat_eq(conj, mat_mul(transpose(Q), mat_mul(ric, Q)))
+            assert mat_eq(conj, transpose(conj))
+            assert data.scalar == base.scalar
 
 
 def test_double_aqs_check():

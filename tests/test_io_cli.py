@@ -403,6 +403,38 @@ def test_cli_global_flags_before_and_after_subcommand(tmp_path, capsys):
         set_tolerance(1e-9)
 
 
+BAD_TOLERANCES = ("0", "-1", "nan", "inf")
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_cli_tolerance_flag_must_be_finite_and_positive(tmp_path, capsys, bad):
+    from aqslie.scalars import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
+
+    path = _structure_file(tmp_path, 1, (1,))
+    for argv in (["--tolerance", bad, "check", path], ["check", path, f"--tolerance={bad}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --tolerance" in capsys.readouterr().err
+    assert get_tolerance() == DEFAULT_TOLERANCE
+    with pytest.raises(ValueError):
+        set_tolerance(float(bad))
+    assert get_tolerance() == DEFAULT_TOLERANCE
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_cli_bad_tolerance_variable_is_ignored(tmp_path, capsys, monkeypatch, bad):
+    from aqslie.scalars import DEFAULT_TOLERANCE, get_tolerance
+
+    monkeypatch.setenv("AQSLIE_TOLERANCE", bad)
+    path = _structure_file(tmp_path, 1, (1,))
+    assert main(["check", path, "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "bad AQSLIE_TOLERANCE, ignoring" in captured.err
+    assert json.loads(captured.out)["error"] is None
+    assert get_tolerance() == DEFAULT_TOLERANCE
+
+
 def test_cli_classify_dim21_heisenberg(tmp_path, capsys):
     # the characteristic polynomial's constant term is (5!)^8: root
     # candidates must come from its squarefree part
