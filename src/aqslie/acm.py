@@ -64,6 +64,7 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_vec,
+    mat_vecs,
     transpose,
     vec_is_zero,
     vec_sub,
@@ -187,7 +188,7 @@ def nijenhuis(L: LieAlgebra, J: Mat) -> dict:
     n, cols, out = L.dim, transpose(J), {}
     for i in range(n):
         # column j of [M_i, J], M_i = ad_{J b_i} - J ad_i, is the pair (i, j)
-        M = mat_sub(ad_matrix(L, cols[i]), mat_mul(J, ad_matrix(L, L.basis_vector(i))))
+        M = mat_sub(ad_matrix(L, cols[i]), mat_mul(J, L.ad(i)))
         N = transpose(mat_sub(mat_mul(M, J), mat_mul(J, M)))
         out.update(((i, j), N[j]) for j in range(i + 1, n))
     return out
@@ -293,9 +294,10 @@ class ConnectionTable:
 
 
 def _by_columns(M: Mat, B: Mat) -> Mat:
-    """M B through mat_vec, column by column: the products of the per-vector Koszul
-    solve and of the Ricci sum, near-zero skips of float columns included."""
-    return transpose([mat_vec(M, col) for col in transpose(B)])
+    """M B as one mat_vecs call on the columns of B: the products of the Koszul
+    solve and of the Ricci sum.  A rational M is scaled to integers once, and
+    float columns keep mat_vec's near-zero skips."""
+    return transpose(mat_vecs(M, transpose(B)))
 
 
 def levi_civita(S: AcmStructure) -> ConnectionTable:
@@ -309,7 +311,7 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     if not is_positive_definite(g):
         raise PreconditionError("metric is not positive definite")
     g_inv = inverse(g)
-    ads = [ad_matrix(L, L.basis_vector(i)) for i in range(n)]
+    ads = [L.ad(i) for i in range(n)]
     gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
     gammas = []
     for i in range(n):
@@ -461,7 +463,7 @@ def curvature(S: AcmStructure) -> CurvatureData:
         left = [_by_columns([gamma[a][a]], G)[0] for G in gamma]  # (Gamma_a Gamma_i)_a
         right = _by_columns(rows, gamma[a])  # (Gamma_i Gamma_a)_a
         # column i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
-        brackets = _by_columns(transpose(rows), ad_matrix(L, L.basis_vector(a)))
+        brackets = _by_columns(transpose(rows), L.ad(a))
         # summed as the full-vector R(b_a, b_i) b_j was: float entries keep their bits
         ricci = mat_add(ricci, mat_sub(mat_sub(left, right), transpose(brackets)))
     scal = dot(_flat(inverse(S.g_mat())), _flat(ricci))

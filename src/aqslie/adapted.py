@@ -49,6 +49,7 @@ from .linalg import (
     eigenspaces,
     mat_mul,
     mat_vec,
+    mat_vecs,
     nullspace,
     transpose,
     vec_scale,
@@ -181,7 +182,7 @@ def adapted_frame(S: AcmStructure) -> AdaptedFrame:
         gram_cols, want = R, [ONE] + norms_sq + wide_sq + norms_sq + wide_sq
     else:
         gram_cols, want = frame.columns(), [ONE] * len(R)
-    g_cols = [mat_vec(g, c) for c in gram_cols]
+    g_cols = mat_vecs(g, gram_cols)
     for a in range(len(R)):
         for b in range(a, len(R)):
             residual = s_sub(dot(gram_cols[a], g_cols[b]), want[a] if a == b else ZERO)

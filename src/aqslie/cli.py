@@ -196,7 +196,7 @@ def cmd_cohomology(args) -> dict:
         L = aqio.algebra_from_json(doc)
     else:
         raise InputError("cohomology expects an algebra or structure file")
-    if args.degrees:
+    if args.degrees is not None:  # only a missing flag means every degree
         try:
             degrees = sorted({int(d) for d in args.degrees.split(",")})
         except ValueError as exc:

@@ -33,6 +33,7 @@ from .linalg import (
     mat_eq,
     mat_mul,
     mat_vec,
+    mat_vecs,
     nullspace,
     solve,
     transpose,
@@ -92,7 +93,7 @@ def reductive_split(g: LieAlgebra, k: Subspace) -> ReductiveSplit:
             f"Killing form is {kf.definiteness}, not negative definite"
         )
     B = [list(r) for r in kf.matrix]
-    rows = [mat_vec(B, list(b)) for b in k.basis]
+    rows = mat_vecs(B, [list(b) for b in k.basis])
     m = Subspace.from_vectors(g.dim, nullspace(rows, g.dim))
     if k.dim + m.dim != g.dim:
         raise InternalContradiction("k and its Killing-perp do not span g")
@@ -163,7 +164,7 @@ def center_of_k(R: ReductiveSplit) -> list[Vec]:
         # sum_i c_i [k_i, U] = 0: one row per ambient coordinate
         rows.extend(transpose([bracket(R.g, col, U) for col in k_cols]))
     K = transpose(k_cols)
-    return [mat_vec(K, coeffs) for coeffs in nullspace(rows, len(k_cols))]
+    return mat_vecs(K, nullspace(rows, len(k_cols)))
 
 
 def moment_element(R: ReductiveSplit, w: KForm) -> Vec:
@@ -217,7 +218,7 @@ def verify_invariant_complex_structure(R: ReductiveSplit, J: Mat) -> list[str]:
     m_cols = R.m_cols()
     # J X_a in g-coordinates: column a of J, mapped through the m basis
     M = transpose(m_cols)
-    JX = [mat_vec(M, col) for col in transpose(J)]
+    JX = mat_vecs(M, transpose(J))
 
     equivariant = True
     for U in R.k_cols():

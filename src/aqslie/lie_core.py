@@ -14,6 +14,7 @@ serialization see only the sparse tuple.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,6 +114,17 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vec:
         return [ONE if t == i else ZERO for t in range(self.dim)]
 
+    def ad(self, i: int) -> Mat:
+        """ad_{b_i}, entry (k, j) = c_ij^k, in one pass over the sparse table.  Each
+        entry is a stored constant or its negative, so it equals the bracket
+        columns of ad_matrix(L, b_i) bit for bit in every field."""
+        M = zeros(self.dim, self.dim)
+        for (p, q), entries in self.brackets:
+            if i in (p, q):
+                for k, v in entries:  # p + q - i: the other index of the pair
+                    M[k][p + q - i] = v if p == i else -v
+        return M
+
 
 def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
     """[X, Y] by bilinear expansion of the structure constants."""
@@ -176,9 +188,7 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
 
 def center(L: LieAlgebra) -> Subspace:
     """Kernel of the joint adjoint action, as a null space of stacked ads."""
-    rows: Mat = []
-    for i in range(L.dim):
-        rows.extend(ad_matrix(L, L.basis_vector(i)))
+    rows = [row for i in range(L.dim) for row in L.ad(i)]
     return Subspace.from_vectors(L.dim, nullspace(rows, L.dim))
 
 
@@ -220,16 +230,13 @@ class KillingForm:
 
 def killing_form(L: LieAlgebra) -> KillingForm:
     """B(X, Y) = trace(ad_X ad_Y) on the basis, with a definiteness report."""
-    ads = [ad_matrix(L, L.basis_vector(i)) for i in range(L.dim)]
-    B = zeros(L.dim, L.dim)
-    for i in range(L.dim):
-        for j in range(i, L.dim):
-            val = ZERO
-            for a in range(L.dim):
-                for b in range(L.dim):
-                    val = s_add(val, s_mul(ads[i][a][b], ads[j][b][a]))
-            B[i][j] = val
-            B[j][i] = val
+    n, ads = L.dim, [L.ad(i) for i in range(L.dim)]
+    B = zeros(n, n)
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        val = ZERO
+        for a, b in itertools.product(range(n), repeat=2):
+            val = s_add(val, s_mul(ads[i][a][b], ads[j][b][a]))
+        B[i][j] = B[j][i] = val
     pos, neg, zero = inertia_symmetric(B)
     if pos and neg:
         label = "indefinite"

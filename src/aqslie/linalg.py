@@ -13,10 +13,11 @@ field once per call, from its whole input:
 
 Both routes return the same values: a normalised ``Fraction`` is unique.
 
-Kernels with the integer route: ``mat_vec``, ``mat_mul``, ``mat_add``,
-``mat_sub``, ``mat_scale``, ``dot``, ``rref``/``rank``/``nullspace``/
-``solve``/``inverse``, ``det``, ``char_poly`` and ``inertia_symmetric``
-(fraction-free congruence); ``mat_eq`` on Fraction matrices is plain ``==``.
+Kernels with the integer route: ``mat_vec``, ``mat_vecs`` (M scaled once
+for a whole batch of vectors), ``mat_mul``, ``mat_add``, ``mat_sub``,
+``mat_scale``, ``dot``, ``rref``/``rank``/``nullspace``/``solve``/``inverse``,
+``det``, ``char_poly`` and ``inertia_symmetric`` (fraction-free congruence);
+``mat_eq`` on Fraction matrices is plain ``==``.
 The other modules use these helpers instead of private copies, and
 ``eigenspaces`` for every eigendecomposition of a g-symmetric operator (the
 float eigenvalue clustering lives only there).
@@ -94,33 +95,37 @@ def _reshaped(flat: list, M: Mat) -> Mat:
     return [list(itertools.islice(it, len(row))) for row in M]
 
 
-def mat_vec(M: Mat, v: Vec) -> Vec:
-    sv = _int_scaled(v)
-    sm = _int_scaled(_flat(M)) if sv is not None else None
-    if sm is not None:
-        (vi, dv), (mi, dm) = sv, sm
-        w, den = len(M[0]) if M else 0, dv * dm
-        sums = (sum(map(operator.mul, mi[r * w : r * w + w], vi)) for r in range(len(M)))
-        return [Fraction(t, den) if t else ZERO for t in sums]
+def _int_products(rows: list[list[int]], cols: list[list[int]], den: int) -> Mat:
+    """[[row . col / den for col in cols] for row in rows], the integer core of products."""
+    sums = ([sum(map(operator.mul, row, col)) for col in cols] for row in rows)
+    return [[Fraction(t, den) if t else ZERO for t in line] for line in sums]
+
+
+def mat_vecs(M: Mat, vs: list[Vec]) -> list[Vec]:
+    """[M v for v in vs].  A Fraction M is scaled to integers once per call and
+    each Fraction v over its own denominator; any other v takes the per-scalar
+    fold, which skips the near-zero entries of v."""
+    svs = [_int_scaled(v) for v in vs]
+    sm = _int_scaled(_flat(M)) if any(svs) else None
+    rows = _reshaped(sm[0], M) if sm else None
     return [
-        _sum(s_mul(M[i][j], v[j]) for j in range(len(v)) if not s_is_zero(v[j]))
-        for i in range(len(M))
+        _int_products([sv[0]], rows, sm[1] * sv[1])[0] if sm and sv
+        else [_sum(s_mul(M[i][j], v[j]) for j in range(len(v)) if not s_is_zero(v[j]))
+              for i in range(len(M))]
+        for v, sv in zip(vs, svs)
     ]
 
 
+def mat_vec(M: Mat, v: Vec) -> Vec:
+    return mat_vecs(M, [v])[0]
+
+
 def mat_mul(A: Mat, B: Mat) -> Mat:
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
     Bt = transpose(B)
     sa = _int_scaled(_flat(A))
     sb = _int_scaled(_flat(Bt)) if sa is not None else None
     if sb is not None:
-        (ai, da), (bi, db) = sa, sb
-        w, den = len(A[0]) if A else 0, da * db
-        rows = [ai[i * w : i * w + k] for i in range(n)]
-        cols = [bi[j * k : j * k + k] for j in range(m)]
-        sums = ([sum(map(operator.mul, row, col)) for col in cols] for row in rows)
-        return [[Fraction(t, den) if t else ZERO for t in line] for line in sums]
+        return _int_products(_reshaped(sa[0], A), _reshaped(sb[0], Bt), sa[1] * sb[1])
     return [[_dot(row, col) for col in Bt] for row in A]
 
 
@@ -170,7 +175,7 @@ def vec_scale(v: Vec, c) -> Vec:
 
 
 def vec_is_zero(v: Vec) -> bool:
-    return all(s_is_zero(x) for x in v)
+    return all(map(s_is_zero, v))
 
 
 def vec_eq(u: Vec, v: Vec) -> bool:

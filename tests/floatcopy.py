@@ -1,0 +1,41 @@
+"""Float-mode copies of exact structures, shared by the float tests.
+
+Two routes give the same float structure (``test_float_mode`` checks this):
+``float_doc`` re-declares a JSON structure document in float mode, for tests
+that go through the parser or the CLI; ``float_structure`` rebuilds an
+``AcmStructure`` from ``LieAlgebra.table()`` without a Jacobi check, for tests
+on float inputs that the parser's check would reject.  Every rational scalar
+becomes the float nearest to it.
+"""
+
+from fractions import Fraction
+
+from aqslie.acm import AcmStructure
+from aqslie.lie_core import LieAlgebra
+
+
+def _floatify(v):
+    if isinstance(v, str):
+        return repr(float(Fraction(v)))
+    if isinstance(v, list):
+        return [_floatify(x) for x in v]
+    return {k: _floatify(x) for k, x in v.items()}
+
+
+def float_doc(doc: dict) -> dict:
+    """The exact structure document re-declared in float mode (fresh lists)."""
+    out = dict(doc, mode="float")
+    for key in ("phi", "xi", "eta", "metric"):
+        out[key] = _floatify(doc[key])
+    out["brackets"] = [dict(rec, coeffs=_floatify(rec["coeffs"])) for rec in doc["brackets"]]
+    return out
+
+
+def float_structure(S: AcmStructure) -> AcmStructure:
+    """S with every scalar converted to float, in a float-mode algebra."""
+    table = {p: {k: float(v) for k, v in e.items()} for p, e in S.L.table().items()}
+    L = LieAlgebra.from_brackets(S.L.dim, table, list(S.L.basis_names), mode="float",
+                                 check=False)
+    rows = lambda M: [[float(x) for x in r] for r in M]  # noqa: E731
+    return AcmStructure.make(L, rows(S.phi), [float(x) for x in S.xi],
+                             [float(x) for x in S.eta], rows(S.g))

@@ -48,6 +48,7 @@ from aqslie.linalg import (
     zeros,
 )
 from aqslie.scalars import ZERO, s_abs, s_add, s_eq, s_is_zero, s_lt, s_mul, s_neg, s_sub
+from floatcopy import float_structure
 
 
 def h5_structures():
@@ -156,14 +157,6 @@ def _nijenhuis_per_pair(L, J):
     return out
 
 
-def _float_copy(S):
-    table = {p: {k: float(v) for k, v in e.items()} for p, e in S.L.table().items()}
-    L = LieAlgebra.from_brackets(S.L.dim, table, mode="float", check=False)
-    rows = lambda M: [[float(x) for x in r] for r in M]  # noqa: E731
-    return AcmStructure.make(L, rows(S.phi), [float(x) for x in S.xi],
-                             [float(x) for x in S.eta], rows(S.g))
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_float_nijenhuis_classifies_as_the_per_pair_formula(seed, monkeypatch):
     # Non-dyadic weights and basis change: the float sums round, and the matrix
@@ -174,7 +167,7 @@ def test_float_nijenhuis_classifies_as_the_per_pair_formula(seed, monkeypatch):
     n = S.L.dim
     D = [[F(1, 3 + r) if r == c else ZERO for c in range(n)] for r in range(n)]
     Sc = conjugate_structure(S, mat_mul(random_unimodular(n, random.Random(seed)), D))
-    Sf = _float_copy(Sc)
+    Sf = float_structure(Sc)
     matrix = classify_structure(Sf)
     ref = _nijenhuis_per_pair(Sf.L, Sf.phi_mat())
     scale = max(abs(x) for v in ref.values() for x in v)
@@ -182,7 +175,7 @@ def test_float_nijenhuis_classifies_as_the_per_pair_formula(seed, monkeypatch):
     assert got.keys() == ref.keys()
     assert max(abs(a - b) for k in ref for a, b in zip(got[k], ref[k])) <= 1e-10 * scale
     monkeypatch.setattr(acm, "nijenhuis", _nijenhuis_per_pair)
-    per_pair = classify_structure(_float_copy(Sc))
+    per_pair = classify_structure(float_structure(Sc))
     assert matrix.tags == per_pair.tags
     assert matrix.tags == ({CLASS_UNCLASSIFIED} if seed == 3 else classify_structure(Sc).tags)
     for key, r in per_pair.residuals.items():
@@ -265,6 +258,32 @@ def test_levi_civita_certificate_catches_corrupted_coefficient(monkeypatch):
     monkeypatch.setattr(acm, "ConnectionTable", corrupting)
     with pytest.raises(InternalContradiction, match="Koszul solve lost"):
         levi_civita(S1)
+
+
+def test_levi_civita_scales_each_product_operand_once(monkeypatch):
+    # g^-1 and g are scaled to integers once per matrix product (mat_vecs),
+    # not once per column: 2n^2 scalings of n^2 entries before, 4n now
+    import sys
+
+    import aqslie.linalg as linalg
+
+    n = 13
+    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
+    S = conjugate_structure(h13, random_unimodular(n, random.Random(7)))
+    real, callers = linalg._int_scaled, []
+
+    def counting(xs):
+        if len(xs) == n * n:
+            callers.append(sys._getframe(1).f_code.co_name)
+        return real(xs)
+
+    monkeypatch.setattr(linalg, "_int_scaled", counting)
+    levi_civita(S)
+    # the entrywise Koszul sum and certificates (mat_add, mat_sub, mat_scale)
+    # scale their operands per call: 11n more, until the sum stays on integers
+    entrywise = [c for c in callers if c in ("_entrywise", "mat_scale")]
+    assert len(callers) - len(entrywise) <= 4 * n + 1  # + 1: the inertia of g
+    assert len(entrywise) <= 11 * n
 
 
 def test_levi_civita_rejects_indefinite_metric():
@@ -439,7 +458,7 @@ def _differential_cases():
     yield "sqrt-h9", sqrt_h9[1][0], None
     yield "h9c1", h9c1, None
     for tol in (1e-7, 1e-6):
-        yield f"float-h9c1-tol{tol:g}", _float_copy(h9c1), tol
+        yield f"float-h9c1-tol{tol:g}", float_structure(h9c1), tol
 
 
 def test_curvature_matches_the_per_vector_evaluator():

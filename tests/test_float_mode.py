@@ -10,37 +10,15 @@ from aqslie.adapted import adapted_frame, psi_squared_spectrum
 from aqslie.classifier import classify_nilpotent_aqs
 from aqslie.constructors import weighted_heisenberg_4n1
 from aqslie.scalars import get_tolerance, set_tolerance
+from floatcopy import float_doc, float_structure
 
 
-def _float_structure_doc(n, weights):
-    """The 4n+1 structure re-serialized with float scalars."""
-    _, (S1, _, _) = weighted_heisenberg_4n1(n, weights)
-    doc = aqio.structure_to_json(S1)
-    text = aqio.dumps(doc).replace('"mode": "exact"', '"mode": "float"')
-    doc = aqio.loads(text)
-
-    def floatify(v):
-        if isinstance(v, str):
-            try:
-                from fractions import Fraction
-
-                return repr(float(Fraction(v)))
-            except ValueError:
-                return v
-        if isinstance(v, list):
-            return [floatify(x) for x in v]
-        if isinstance(v, dict):
-            return {k: floatify(x) for k, x in v.items()}
-        return v
-
-    for key in ("phi", "xi", "eta", "metric"):
-        doc[key] = floatify(doc[key])
-    doc["brackets"] = floatify(doc["brackets"])
-    return doc
+def _heisenberg_doc(n, weights):
+    return aqio.structure_to_json(weighted_heisenberg_4n1(n, weights)[1][0])
 
 
 def test_float_structure_classifies():
-    doc = _float_structure_doc(2, [1, 2])
+    doc = float_doc(_heisenberg_doc(2, [1, 2]))
     S, _ = aqio.structure_from_json(doc)
     assert isinstance(S.phi[1][1], float)
     assert classify_structure(S).has("AntiQuasiSasakian")
@@ -64,26 +42,7 @@ def test_float_non_identity_metric_spectrum():
     _, (S1, _, _) = weighted_heisenberg_4n1(2, [1, 2])
     Q = random_unimodular(9, rng)
     Sc = conjugate_structure(S1, Q)
-    doc = aqio.structure_to_json(Sc)
-    text = aqio.dumps(doc).replace('"mode": "exact"', '"mode": "float"')
-    doc = aqio.loads(text)
-
-    def floatify(v):
-        if isinstance(v, str):
-            try:
-                from fractions import Fraction
-
-                return repr(float(Fraction(v)))
-            except ValueError:
-                return v
-        if isinstance(v, list):
-            return [floatify(x) for x in v]
-        if isinstance(v, dict):
-            return {k: floatify(x) for k, x in v.items()}
-        return v
-
-    for key in ("phi", "xi", "eta", "metric", "brackets"):
-        doc[key] = floatify(doc[key])
+    doc = float_doc(aqio.structure_to_json(Sc))
     Sf, _ = aqio.structure_from_json(doc)
     assert any(abs(float(Sf.g[i][j])) > 1e-9 for i in range(9) for j in range(9) if i != j)
     spec = psi_squared_spectrum(Sf)
@@ -107,26 +66,7 @@ def test_float_qs_route_non_identity_metric():
     _, S = weighted_heisenberg_2n1(2, [1, 3])
     Q = random_unimodular(5, rng)
     Sc = conjugate_structure(S, Q)
-    doc = aqio.structure_to_json(Sc)
-    text = aqio.dumps(doc).replace('"mode": "exact"', '"mode": "float"')
-    doc = aqio.loads(text)
-
-    def floatify(v):
-        if isinstance(v, str):
-            try:
-                from fractions import Fraction
-
-                return repr(float(Fraction(v)))
-            except ValueError:
-                return v
-        if isinstance(v, list):
-            return [floatify(x) for x in v]
-        if isinstance(v, dict):
-            return {k: floatify(x) for k, x in v.items()}
-        return v
-
-    for key in ("phi", "xi", "eta", "metric", "brackets"):
-        doc[key] = floatify(doc[key])
+    doc = float_doc(aqio.structure_to_json(Sc))
     Sf, _ = aqio.structure_from_json(doc)
     old = get_tolerance()
     try:
@@ -138,14 +78,14 @@ def test_float_qs_route_non_identity_metric():
 
 
 def test_float_curvature_within_tolerance():
-    doc = _float_structure_doc(1, [1])
+    doc = float_doc(_heisenberg_doc(1, [1]))
     S, _ = aqio.structure_from_json(doc)
     data = curvature(S)
     assert abs(float(data.scalar) + 4.0) <= 1e-9
 
 
 def test_tolerance_absorbs_small_noise():
-    doc = _float_structure_doc(1, [1])
+    doc = float_doc(_heisenberg_doc(1, [1]))
     # inject noise below the default tolerance
     doc["phi"][2][1] = repr(float(doc["phi"][2][1]) + 2e-10)
     S, _ = aqio.structure_from_json(doc)
@@ -153,7 +93,7 @@ def test_tolerance_absorbs_small_noise():
 
 
 def test_tolerance_flags_large_noise():
-    doc = _float_structure_doc(1, [1])
+    doc = float_doc(_heisenberg_doc(1, [1]))
     doc["phi"][2][1] = repr(float(doc["phi"][2][1]) + 1e-4)
     S, _ = aqio.structure_from_json(doc)
     from aqslie.acm import validate_acm
@@ -165,7 +105,7 @@ def test_tolerance_is_configurable():
     old = get_tolerance()
     try:
         set_tolerance(1e-2)
-        doc = _float_structure_doc(1, [1])
+        doc = float_doc(_heisenberg_doc(1, [1]))
         doc["phi"][2][1] = repr(float(doc["phi"][2][1]) + 1e-4)
         S, _ = aqio.structure_from_json(doc)
         from aqslie.acm import validate_acm
@@ -181,7 +121,6 @@ def test_cli_float_rounding_beyond_tolerance_is_a_precondition(tmp_path, capsys)
     # absolute default tolerance, which is a limit of the input (exit 3),
     # not a contradiction in the theory (exit 4)
     import random
-    from fractions import Fraction
 
     from aqslie.acm import conjugate_structure
     from aqslie.cli import main
@@ -189,20 +128,7 @@ def test_cli_float_rounding_beyond_tolerance_is_a_precondition(tmp_path, capsys)
 
     _, (S1, _, _) = weighted_heisenberg_4n1(2, [1, 2])
     Sc = conjugate_structure(S1, random_unimodular(9, random.Random(1)))
-    text = aqio.dumps(aqio.structure_to_json(Sc)).replace('"mode": "exact"', '"mode": "float"')
-    doc = aqio.loads(text)
-
-    def floatify(v):
-        if isinstance(v, str):
-            return repr(float(Fraction(v)))
-        if isinstance(v, list):
-            return [floatify(x) for x in v]
-        return {k: floatify(x) for k, x in v.items()}
-
-    for key in ("phi", "xi", "eta", "metric"):
-        doc[key] = floatify(doc[key])
-    for rec in doc["brackets"]:
-        rec["coeffs"] = floatify(rec["coeffs"])
+    doc = float_doc(aqio.structure_to_json(Sc))
     path = tmp_path / "h9_float.json"
     path.write_text(aqio.dumps(doc), "utf-8")
     old = get_tolerance()
@@ -221,24 +147,6 @@ def test_cli_float_rounding_beyond_tolerance_is_a_precondition(tmp_path, capsys)
         set_tolerance(old)
 
 
-def _floatified(doc: dict) -> dict:
-    """An exact structure document re-declared in float mode."""
-    from fractions import Fraction
-
-    def floatify(v):
-        if isinstance(v, str):
-            return repr(float(Fraction(v)))
-        if isinstance(v, list):
-            return [floatify(x) for x in v]
-        return {k: floatify(x) for k, x in v.items()}
-
-    out = dict(doc, mode="float")
-    for key in ("phi", "xi", "eta", "metric"):
-        out[key] = floatify(doc[key])
-    out["brackets"] = [dict(rec, coeffs=floatify(rec["coeffs"])) for rec in doc["brackets"]]
-    return out
-
-
 def test_cli_float_isomorphism_certificate_beyond_tolerance_is_a_precondition(tmp_path, capsys):
     # the same conjugated float h9 at --tolerance 1e-7 passes the Koszul
     # certificates but not the isomorphism check: rounding again, so exit 3
@@ -251,7 +159,7 @@ def test_cli_float_isomorphism_certificate_beyond_tolerance_is_a_precondition(tm
     _, (S1, _, _) = weighted_heisenberg_4n1(2, [1, 2])
     doc = aqio.structure_to_json(conjugate_structure(S1, random_unimodular(9, random.Random(1))))
     path = tmp_path / "h9_float.json"
-    path.write_text(aqio.dumps(_floatified(doc)), "utf-8")
+    path.write_text(aqio.dumps(float_doc(doc)), "utf-8")
     old = get_tolerance()
     try:
         assert main(["classify", str(path), "--json", "--tolerance", "1e-7"]) == 3
@@ -262,3 +170,21 @@ def test_cli_float_isomorphism_certificate_beyond_tolerance_is_a_precondition(tm
         assert "--tolerance" in error["message"]
     finally:
         set_tolerance(old)
+
+
+def test_float_copy_routes_agree():
+    # the JSON-document route and the LieAlgebra.table() route of floatcopy
+    # give the same float structure, bit for bit
+    import random
+
+    from aqslie.acm import conjugate_structure
+    from aqslie.linalg import random_unimodular
+
+    h9 = weighted_heisenberg_4n1(2, [1, 2])[1][0]
+    for S in (h9, conjugate_structure(h9, random_unimodular(9, random.Random(1)))):
+        via_doc, _ = aqio.structure_from_json(float_doc(aqio.structure_to_json(S)))
+        via_table = float_structure(S)
+        fields = lambda T: (T.L.dim, T.L.brackets, T.L.basis_names, T.L.mode,  # noqa: E731
+                            T.phi, T.xi, T.eta, T.g)
+        assert repr(fields(via_doc)) == repr(fields(via_table))
+        assert isinstance(via_doc.g[0][0], float)

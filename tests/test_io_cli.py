@@ -217,6 +217,17 @@ def test_cli_curvature_and_cohomology(tmp_path, capsys):
     assert out["payload"]["betti"] == {"1": 4, "2": 5}
 
 
+@pytest.mark.parametrize("degrees", ["", " ", " , "])
+def test_cli_cohomology_empty_degrees_is_a_usage_error(tmp_path, capsys, degrees):
+    # only a missing --degrees means every degree, as an empty --weights is an error
+    path = _structure_file(tmp_path, 1, (1,))
+    code = main(["cohomology", path, "--degrees", degrees, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["payload"] is None
+    assert out["error"]["code"] == "InputError"
+    assert out["error"]["message"] == "bad --degrees list"
+
+
 def test_cli_extend(tmp_path, capsys):
     H = standard_kahler(2)
     kpath = _write(tmp_path, "k.json", aqio.kahler_to_json(H))

@@ -360,6 +360,34 @@ def test_ad_matrix_action():
     )
 
 
+def _bits(x):
+    """Floats by repr (bit for bit), exact scalars by type and value."""
+    return (float, repr(x)) if isinstance(x, float) else (type(x), x)
+
+
+def test_basis_ad_is_the_bracket_columns_bit_for_bit():
+    from aqslie.scalars import parse_scalar
+    from floatcopy import float_structure
+
+    h9 = weighted_heisenberg_4n1(2, [1, 2])
+    sqrt_weights = [parse_scalar("sqrt(2)"), parse_scalar("3/2*sqrt(5)")]
+    h9c1 = conjugate_structure(h9[1][0], random_unimodular(9, random.Random(1)))
+    cases = {
+        "h9": h9[0],
+        "su2": su2(),
+        "su3": su3(),
+        "sqrt-h9": weighted_heisenberg_4n1(2, sqrt_weights)[0],
+        "h9c1": h9c1.L,
+        "float-h9c1": float_structure(h9c1).L,
+    }
+    assert any(isinstance(v, Ext) for _, e in cases["sqrt-h9"].brackets for _, v in e)
+    assert all(isinstance(v, float) for _, e in cases["float-h9c1"].brackets for _, v in e)
+    for name, L in cases.items():
+        for i in range(L.dim):
+            got, want = L.ad(i), ad_matrix(L, L.basis_vector(i))
+            assert [list(map(_bits, r)) for r in got] == [list(map(_bits, r)) for r in want], (name, i)
+
+
 # ---------------------------------------------------------------------------
 # differential tests: bracket and c against the structure-constant formula
 # ---------------------------------------------------------------------------

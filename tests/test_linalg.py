@@ -1,6 +1,7 @@
 """Exact linear algebra kernels: elimination, spectra, inertia."""
 
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqslie.errors import IrrationalSpectrum
+import aqslie.linalg as linalg
 from aqslie.linalg import (
     Subspace,
     char_poly,
@@ -26,6 +28,7 @@ from aqslie.linalg import (
     mat_scale,
     mat_sub,
     mat_vec,
+    mat_vecs,
     nullspace,
     random_unimodular,
     rank,
@@ -35,7 +38,7 @@ from aqslie.linalg import (
     vec_eq,
     vec_is_zero,
 )
-from aqslie.scalars import ZERO, Ext, s_add, s_eq, s_inv, s_mul, s_sub
+from aqslie.scalars import ZERO, Ext, s_add, s_eq, s_inv, s_is_zero, s_mul, s_sub
 
 small_mats = st.integers(-4, 4)
 
@@ -446,6 +449,47 @@ def test_per_scalar_products_skip_zero_terms_bit_for_bit(pairs):
         assert type(got) is type(want) and got == want
         if isinstance(want, float):
             assert math.copysign(1, got) == math.copysign(1, want)
+
+
+def _ref_mat_vec(M, v):
+    """mat_vec as it was before mat_vecs: the integer route when M and v are
+    all Fractions, else the per-scalar fold over the non-near-zero v[j]."""
+    sv = linalg._int_scaled(v)
+    sm = linalg._int_scaled(linalg._flat(M)) if sv is not None else None
+    if sm is not None:
+        (vi, dv), (mi, dm) = sv, sm
+        w, den = len(M[0]) if M else 0, dv * dm
+        sums = (sum(map(operator.mul, mi[r * w : r * w + w], vi)) for r in range(len(M)))
+        return [F(t, den) if t else ZERO for t in sums]
+    return [
+        linalg._sum(s_mul(M[i][j], v[j]) for j in range(len(v)) if not s_is_zero(v[j]))
+        for i in range(len(M))
+    ]
+
+
+def _bits(x):
+    """Floats by repr (bit for bit, the sign of zero included), exact scalars
+    by type and value."""
+    return (float, repr(x)) if isinstance(x, float) else (type(x), x)
+
+
+tower_scalars = fractions | fractions.map(lambda c: c * SQRT2)
+float_scalars = st.floats(-8, 8) | st.sampled_from([0.0, -0.0, 1e-12, -3e-10, 2.5])
+scalar_kinds = st.sampled_from([fractions, tower_scalars, float_scalars, mixed_scalars])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_mat_vecs_matches_the_per_vector_mat_vec(m, k, data):
+    # one kind for M, each v its own: a batch mixes the integer route and the fold
+    M_kind = data.draw(scalar_kinds)
+    M = [data.draw(st.lists(M_kind, min_size=k, max_size=k)) for _ in range(m)]
+    vs = data.draw(st.lists(scalar_kinds.flatmap(
+        lambda kind: st.lists(kind, min_size=k, max_size=k)), max_size=4))
+    got = mat_vecs(M, vs)
+    want = [_ref_mat_vec(M, v) for v in vs]
+    assert [list(map(_bits, w)) for w in got] == [list(map(_bits, w)) for w in want]
+    assert [mat_vec(M, v) for v in vs] == got
 
 
 def test_entrywise_kernels_fall_back_on_mixed_input():

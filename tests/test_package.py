@@ -40,3 +40,24 @@ def test_package_imports_only_itself_and_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names | {"aqslie"}
             ]
     assert offenders == []
+
+
+def _callee(node: ast.Call) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_basis_ad_matrices_come_from_the_structure_constants():
+    # ad_{b_i} has one representation, LieAlgebra.ad(i), read from the table;
+    # ad_matrix(L, L.basis_vector(i)) would rebuild it from n brackets
+    sources = sorted(Path(aqslie.__file__).parent.glob("*.py"))
+    assert sources
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Call) and _callee(node) == "ad_matrix"
+        and any(isinstance(arg, ast.Call) and _callee(arg) == "basis_vector"
+                for arg in node.args)
+    ]
+    assert offenders == []

@@ -18,7 +18,6 @@ import io
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import aqslie.io as aqio
@@ -27,29 +26,13 @@ from aqslie.cli import main
 from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from aqslie.linalg import random_unimodular
 from aqslie.scalars import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
+from floatcopy import float_doc
 
 SQRT_WEIGHTS = "sqrt(2),1,3/2*sqrt(5)"
 
 
 def _conjugated(S, seed: int):
     return conjugate_structure(S, random_unimodular(S.L.dim, random.Random(seed)))
-
-
-def _float_copy(doc: dict) -> dict:
-    """The exact structure document re-declared in float mode."""
-
-    def floatify(v):
-        if isinstance(v, str):
-            return repr(float(Fraction(v)))
-        if isinstance(v, list):
-            return [floatify(x) for x in v]
-        return {k: floatify(x) for k, x in v.items()}
-
-    out = dict(doc, mode="float")
-    for key in ("phi", "xi", "eta", "metric"):
-        out[key] = floatify(doc[key])
-    out["brackets"] = [dict(rec, coeffs=floatify(rec["coeffs"])) for rec in doc["brackets"]]
-    return out
 
 
 def _run(argv: list[str]) -> tuple[int, dict]:
@@ -96,8 +79,8 @@ def corpus_outcomes(workdir: Path) -> dict:
     write("h13c2", aqio.structure_to_json(_conjugated(h13, 2)))
     qs9 = weighted_heisenberg_2n1(4, [1, 2, 3, 4])[1]
     write("qs9c1", aqio.structure_to_json(_conjugated(qs9, 1)))
-    write("f9", _float_copy(aqio.structure_to_json(h9)))
-    write("f9c1", _float_copy(aqio.structure_to_json(_conjugated(h9, 1))))
+    write("f9", float_doc(aqio.structure_to_json(h9)))
+    write("f9c1", float_doc(aqio.structure_to_json(_conjugated(h9, 1))))
     h5 = aqio.structure_to_json(weighted_heisenberg_4n1(1, [1])[1][0])
     h5["metric"][1][2] = "1/3"  # the metric is no longer symmetric
     write("h5asym", h5)
