@@ -262,7 +262,7 @@ def test_levi_civita_certificate_catches_corrupted_coefficient(monkeypatch):
 
 def test_levi_civita_scales_each_product_operand_once(monkeypatch):
     # g^-1 and g are scaled to integers once per matrix product (mat_vecs),
-    # not once per column: 2n^2 scalings of n^2 entries before, 4n now
+    # not once per column, which would be 2n^2 scalings of n^2 entries
     import sys
 
     import aqslie.linalg as linalg
