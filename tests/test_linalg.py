@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqslie.errors import IrrationalSpectrum
 import aqslie.linalg as linalg
+from aqslie.errors import IrrationalSpectrum
 from aqslie.linalg import (
     Subspace,
     char_poly,
@@ -452,8 +452,8 @@ def test_per_scalar_products_skip_zero_terms_bit_for_bit(pairs):
 
 
 def _ref_mat_vec(M, v):
-    """mat_vec as it was before mat_vecs: the integer route when M and v are
-    all Fractions, else the per-scalar fold over the non-near-zero v[j]."""
+    """Reference: one product decided per vector, the integer route when M and
+    v are all Fractions, else the per-scalar fold over the non-near-zero v[j]."""
     sv = linalg._int_scaled(v)
     sm = linalg._int_scaled(linalg._flat(M)) if sv is not None else None
     if sm is not None:
