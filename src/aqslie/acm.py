@@ -22,6 +22,12 @@ g Gamma_i + Gamma_i^T g = 0.  Curvature reads the same matrices: Ric_ij =
 sum_a R(b_a, b_i)_aj with R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k
 Gamma_k, row a only, O(n^4) in all (J. Milnor, "Curvatures of left invariant
 metrics on Lie groups", Adv. Math. 21, 1976).
+
+The Koszul solve with its certificates and the Nijenhuis bracket run on
+numerators: ``LieAlgebra.ad_numerators`` and ``linalg.numerators`` scale
+their inputs once, the formulas are written once for every field, and
+``linalg.over`` turns each returned entry into one Fraction.  Which field a
+computation runs in is decided in those kernels, never here.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .exterior import (
     form_sub,
     rank_of_eta,
 )
-from .lie_core import LieAlgebra, ad_matrix, bracket
+from .lie_core import LieAlgebra, ad_matrix, ad_matrix_numerators, bracket
 from .linalg import (
     Mat,
     Vec,
@@ -65,6 +71,8 @@ from .linalg import (
     mat_sub,
     mat_vec,
     mat_vecs,
+    numerators,
+    over,
     transpose,
     vec_is_zero,
     vec_sub,
@@ -184,13 +192,21 @@ def fundamental_form(S: AcmStructure) -> KForm:
 
 def nijenhuis(L: LieAlgebra, J: Mat) -> dict:
     """Nijenhuis bracket [J, J] of an endomorphism on basis pairs, i < j:
-    {(i, j): [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]}."""
-    n, cols, out = L.dim, transpose(J), {}
+    {(i, j): [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]}.
+    J and the ad_i go to numerators once (dj, da).  With ad_{x_i} = A_i / dx for
+    x_i column i of the numerators of J, M_i is over dx dj da and [M_i, J] over
+    dx dj^2 da, divided back only in the returned columns."""
+    n = L.dim
+    ads, da, (J,), dj = L.ad_numerators(J)
+    cols, out = transpose(J), {}
     for i in range(n):
-        # column j of [M_i, J], M_i = ad_{J b_i} - J ad_i, is the pair (i, j)
-        M = mat_sub(ad_matrix(L, cols[i]), mat_mul(J, L.ad(i)))
-        N = transpose(mat_sub(mat_mul(M, J), mat_mul(J, M)))
-        out.update(((i, j), N[j]) for j in range(i + 1, n))
+        # column j of [M_i, J], M_i = ad_{J b_i} - J ad_i, is the pair (i, j);
+        # only the columns j > i are formed
+        A, dx = ad_matrix_numerators(L, cols[i])
+        M = mat_sub(mat_scale(A, da), mat_scale(mat_mul(J, ads[i]), dx))
+        J_right, M_right = ([row[i + 1:] for row in X] for X in (J, M))
+        N = transpose(mat_sub(mat_mul(M, J_right), mat_mul(J, M_right)))
+        out.update(zip([(i, j) for j in range(i + 1, n)], over(N, dx * dj * dj * da)))
     return out
 
 
@@ -295,13 +311,17 @@ class ConnectionTable:
 
 def _by_columns(M: Mat, B: Mat) -> Mat:
     """M B as one mat_vecs call on the columns of B: the products of the Koszul
-    solve and of the Ricci sum.  A rational M is scaled to integers once, and
-    float columns keep mat_vec's near-zero skips."""
+    solve, its metric certificate and the Ricci sum.  M is scaled once per call
+    (integer M and B, the numerators of levi_civita, stay integers), and float
+    columns keep mat_vec's near-zero skips."""
     return transpose(mat_vecs(M, transpose(B)))
 
 
 def levi_civita(S: AcmStructure) -> ConnectionTable:
-    """The Koszul formula in matrix form (see the module docstring)."""
+    """The Koszul formula in matrix form (see the module docstring), on the
+    numerators of g, g^-1 / 2 (one denominator dm) and the ad_i (da): g ad_i
+    and the Koszul sums are over dm da, Gamma_i over dm^2 da.  The
+    certificates read the stored table back through numerators."""
     if "connection" in S._memo:
         return S._memo["connection"]
     L, g = S.L, S.g_mat()
@@ -310,8 +330,7 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
         raise PreconditionError("metric is not symmetric")
     if not is_positive_definite(g):
         raise PreconditionError("metric is not positive definite")
-    g_inv = inverse(g)
-    ads = [L.ad(i) for i in range(n)]
+    ads, da, (g, half_g_inv), dm = L.ad_numerators(g, mat_scale(inverse(g), ONE / 2))
     gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
     gammas = []
     for i in range(n):
@@ -320,19 +339,20 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
         B = [[gads[j][i][k] for j in range(n)] for k in range(n)]
         C = [[gads[k][j][i] for j in range(n)] for k in range(n)]  # = -ad_i^T g
         koszul = mat_add(mat_sub(gads[i], B), C)
-        gammas.append(_by_columns(g_inv, mat_scale(koszul, Fraction(1, 2))))
+        gammas.append(over(_by_columns(half_g_inv, koszul), dm * dm * da))
     table = ConnectionTable(tuple(tuple(map(tuple, G)) for G in gammas))
-    gamma = table.gamma  # certify what the table holds, pair (i, j) after pair
+    # certify what the table holds, pair (i, j) after pair, scaled by da dG (torsion)
+    # and dm dG (metric), with dG the table's common denominator
+    gamma, dG = numerators(*table.gamma)
     for i in range(n):
         swapped = [[gamma[j][t][i] for j in range(n)] for t in range(n)]  # column j: Gamma_j b_i
-        tors = mat_sub(mat_sub(gamma[i], swapped), ads[i])
+        tors = mat_sub(mat_scale(mat_sub(gamma[i], swapped), da), mat_scale(ads[i], dG))
         gG = _by_columns(g, gamma[i])
         for t, c in zip(transpose(tors), mat_add(transpose(gG), gG)):
             if not vec_is_zero(t):
                 raise certificate_failure("Koszul solve lost torsion-freeness", t)
             if not vec_is_zero(c):
-                bad = next(x for x in c if not s_is_zero(x))
-                raise certificate_failure("Koszul solve lost metric compatibility", [bad])
+                raise certificate_failure("Koszul solve lost metric compatibility", c)
     S._memo["connection"] = table
     return table
 

@@ -23,13 +23,16 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    _group,
     _int_scaled,
+    _integers,
     inertia_symmetric,
     inverse,
     mat_eq,
     mat_mul,
     mat_sub,
     nullspace,
+    over,
     transpose,
     vec_add,
     vec_is_zero,
@@ -125,14 +128,33 @@ class LieAlgebra:
                     M[k][p + q - i] = v if p == i else -v
         return M
 
+    def ad_numerators(self, *mats: Mat) -> tuple[list[Mat], int, list[Mat], int]:
+        """(ads, da, ints, dm): every ad_{b_i} over the table's common denominator
+        and mats over theirs, with L.ad(i) == over(ads[i], da) and
+        (ints, dm) == numerators(*mats).  Integers, read from the integer table
+        with no Fraction built, when every constant and every entry of mats is
+        a Fraction; otherwise the L.ad(i) and mats as they are, over 1.  One
+        field decision for the algebra and the matrices that act with it."""
+        table, den = self._tables()
+        scaled = _group(mats) if den is not None else None
+        if scaled is None:
+            return [self.ad(i) for i in range(self.dim)], 1, list(mats), 1
+        n = self.dim
+        ads = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for (p, q), entries in table.items():
+            for k, v in entries.items():
+                ads[p][k][q], ads[q][k][p] = v, -v
+        return ads, den, *scaled
+
 
 def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
-    """[X, Y] by bilinear expansion of the structure constants."""
+    """[X, Y] by bilinear expansion of the structure constants.  On a rational
+    algebra, rational (or int) X and Y run on integers."""
     if len(X) != L.dim or len(Y) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
     table, den = L._tables()
-    sx = _int_scaled(X) if den is not None else None
-    sy = _int_scaled(Y) if sx is not None else None
+    sx = _integers(X) if den is not None else None
+    sy = _integers(Y) if sx is not None else None
     if sy is not None:
         (xi, dx), (yi, dy) = sx, sy
         acc = [0] * L.dim
@@ -141,7 +163,7 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
             if coeff:
                 for k, v in entries.items():
                     acc[k] += coeff * v
-        den *= dx * dy
+        den *= (dx or 1) * (dy or 1)
         return [Fraction(a, den) if a else ZERO for a in acc]
     out = [ZERO] * L.dim
     for (i, j), entries in L.brackets:
@@ -156,9 +178,31 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
     return out
 
 
+def ad_matrix_numerators(L: LieAlgebra, X: Vec) -> tuple[Mat, int]:
+    """(N, den) with ad_X == over(N, den), column j = [X, b_j].  On a rational
+    algebra a rational (or int) X takes one pass over the integer table,
+    N[k][j] = sum_i x_i c_ij^k on the numerators, over the table's denominator
+    times that of X; any other X gives the bracket columns over 1."""
+    if len(X) != L.dim:
+        raise DimensionMismatch("vector length != algebra dimension")
+    table, den = L._tables()
+    sx = _integers(X) if den is not None else None
+    if sx is None:
+        return transpose([bracket(L, X, L.basis_vector(j)) for j in range(L.dim)]), 1
+    xi, dx = sx
+    N = [[0] * L.dim for _ in range(L.dim)]
+    for (p, q), entries in table.items():
+        a, b = xi[p], xi[q]
+        if a or b:
+            for k, v in entries.items():
+                N[k][q] += a * v
+                N[k][p] -= b * v
+    return N, den * (dx or 1)
+
+
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:
     """Matrix of ad_X, column j = [X, b_j]."""
-    return transpose([bracket(L, X, L.basis_vector(j)) for j in range(L.dim)])
+    return over(*ad_matrix_numerators(L, X))
 
 
 def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:

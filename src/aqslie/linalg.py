@@ -7,7 +7,7 @@ field once per call, from its whole input:
   common denominator (fraction-free Gauss-Jordan with row-content removal
   for rank and rref, Bareiss elimination for det and char_poly) and
   divides only at the end, once per output entry;
-* anything else (square-root tower ``Ext`` entries, floats, plain ints):
+* anything else (square-root tower ``Ext`` entries, floats, mixed kinds):
   per-scalar arithmetic through ``scalars``.  Tower division is still
   exact; floats use tolerance-based zero tests and magnitude pivoting.
 
@@ -18,6 +18,16 @@ for a whole batch of vectors), ``mat_mul``, ``mat_add``, ``mat_sub``,
 ``mat_scale``, ``dot``, ``rref``/``rank``/``nullspace``/``solve``/``inverse``,
 ``det``, ``char_poly`` and ``inertia_symmetric`` (fraction-free congruence);
 ``mat_eq`` on Fraction matrices is plain ``==``.
+
+A computation of several kernels stays on integers between them.
+``numerators(*mats)`` puts a group of Fraction matrices over one common
+denominator and ``over(N, den)`` builds one Fraction per nonzero entry of
+an integer result; for float and tower input they are the identity (den
+1), so one formula serves every field.  The products, the entrywise kernels
+and ``mat_scale`` by an int take all-int operands as their integer core's
+own input and return ints; their Fraction route is numerators, core, over.
+``lie_core.ad_matrix_numerators`` is the same for ad_X, with the table's
+denominator returned beside the integers.
 The other modules use these helpers instead of private copies, and
 ``eigenspaces`` for every eigendecomposition of a g-symmetric operator (the
 float eigenvalue clustering lives only there).
@@ -85,31 +95,85 @@ def _int_scaled(xs) -> tuple[list[int], int] | None:
     return [x * (den // d) for x, d in zip(nums, dens)], den
 
 
+def _integers(xs) -> tuple[list[int], int | None] | None:
+    """(ints, den) as _int_scaled when every entry of xs is a Fraction;
+    (ints, None) when every entry already is an int, the integer cores' own
+    input, whose result stays int; None otherwise."""
+    scaled = _int_scaled(xs)
+    if scaled is None and {int}.issuperset(map(type, xs)):
+        return list(xs), None
+    return scaled
+
+
+def _int_rows(M: Mat) -> tuple[Mat, int | None] | None:
+    """_integers of the entries of M, in the row shape of M."""
+    scaled = _integers(_flat(M))
+    return scaled and (_reshaped(scaled[0], M), scaled[1])
+
+
+def _group(mats) -> tuple[list[Mat], int] | None:
+    """numerators(*mats) when every entry is a Fraction, else None; a float or
+    tower group is rejected at its first such entry."""
+    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(mats))
+    if not {Fraction}.issuperset(map(type, entries)):
+        return None
+    ints, den = _int_scaled([x for M in mats for row in M for x in row])
+    it = iter(ints)  # _reshaped continues the one iterator from matrix to matrix
+    return [_reshaped(it, M) for M in mats], den
+
+
+def numerators(*mats: Mat) -> tuple[list[Mat], int]:
+    """(ints, den) with mats[k] == over(ints[k], den): one common denominator
+    for the whole group when every entry is a Fraction.  Any other group
+    (float, tower, plain int) comes back as it is, over 1, so that one
+    formula on the result serves every field."""
+    return _group(mats) or (list(mats), 1)
+
+
+def over(N: Mat, den: int) -> Mat:
+    """N / den.  An all-int N (an integer core's output on numerators) gets one
+    normalised Fraction per nonzero entry, ZERO for the zeros.  Any other N is
+    returned as it is when den is 1, as it is for float and tower input, whose
+    numerators are the input itself; otherwise it is divided entry by entry."""
+    if all({int}.issuperset(map(type, row)) for row in N):
+        return _back(N, den)
+    return N if den == 1 else [[s_div(x, den) for x in row] for row in N]
+
+
+def _back(N, *dens) -> Mat:
+    """The integer matrix N over the product of the denominators that are not
+    None; N itself when all are None (all-int input stays int)."""
+    dens = [d for d in dens if d is not None]
+    if not dens:
+        return N
+    den = math.prod(dens)
+    return [[Fraction(t, den) if t else ZERO for t in row] for row in N]
+
+
 def _flat(M: Mat) -> list:
     return [x for row in M for x in row]
 
 
-def _reshaped(flat: list, M: Mat) -> Mat:
-    """The entries of flat in the row shape of M."""
+def _reshaped(flat, M: Mat) -> Mat:
+    """The entries of flat (a sequence, or an iterator to continue) in the row
+    shape of M."""
     it = iter(flat)
     return [list(itertools.islice(it, len(row))) for row in M]
 
 
-def _int_products(rows: list[list[int]], cols: list[list[int]], den: int) -> Mat:
-    """[[row . col / den for col in cols] for row in rows], the integer core of products."""
-    sums = ([sum(map(operator.mul, row, col)) for col in cols] for row in rows)
-    return [[Fraction(t, den) if t else ZERO for t in line] for line in sums]
+def _int_products(rows: list[list[int]], cols: list[list[int]]) -> list[list[int]]:
+    """[[row . col for col in cols] for row in rows], the integer core of products."""
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
 
 
 def mat_vecs(M: Mat, vs: list[Vec]) -> list[Vec]:
-    """[M v for v in vs].  A Fraction M is scaled to integers once per call and
-    each Fraction v over its own denominator; any other v takes the per-scalar
-    fold, which skips the near-zero entries of v."""
-    svs = [_int_scaled(v) for v in vs]
-    sm = _int_scaled(_flat(M)) if any(svs) else None
-    rows = _reshaped(sm[0], M) if sm else None
+    """[M v for v in vs].  M goes to integers once per call and each v over its
+    own denominator when both are rational (or already integers); any other v
+    takes the per-scalar fold, which skips the near-zero entries of v."""
+    svs = [_integers(v) for v in vs]
+    sm = _int_rows(M) if any(svs) else None
     return [
-        _int_products([sv[0]], rows, sm[1] * sv[1])[0] if sm and sv
+        _back(_int_products([sv[0]], sm[0]), sm[1], sv[1])[0] if sm and sv
         else [_sum(s_mul(M[i][j], v[j]) for j in range(len(v)) if not s_is_zero(v[j]))
               for i in range(len(M))]
         for v, sv in zip(vs, svs)
@@ -122,20 +186,25 @@ def mat_vec(M: Mat, v: Vec) -> Vec:
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
     Bt = transpose(B)
-    sa = _int_scaled(_flat(A))
-    sb = _int_scaled(_flat(Bt)) if sa is not None else None
+    sa = _int_rows(A)
+    sb = _int_rows(Bt) if sa is not None else None
     if sb is not None:
-        return _int_products(_reshaped(sa[0], A), _reshaped(sb[0], Bt), sa[1] * sb[1])
+        return _back(_int_products(sa[0], sb[0]), sa[1], sb[1])
     return [[_dot(row, col) for col in Bt] for row in A]
 
 
 def _entrywise(A: Mat, B: Mat, int_op, scalar_op) -> Mat:
-    """A op B entry by entry; Fraction matrices of one shape combine as integers."""
-    sa, sb = _int_scaled(_flat(A)), _int_scaled(_flat(B))
-    if sa and sb and list(map(len, A)) == list(map(len, B)):
-        den = math.lcm(sa[1], sb[1])
-        ai, bi = ([x * (den // d) for x in xs] for xs, d in (sa, sb))
-        return _reshaped([Fraction(t, den) if t else ZERO for t in map(int_op, ai, bi)], A)
+    """A op B entry by entry; rational (or int) matrices of one shape combine
+    as integers over the lcm of their denominators."""
+    sa = _integers(_flat(A))
+    sb = _integers(_flat(B)) if sa is not None else None
+    if sb is not None and list(map(len, A)) == list(map(len, B)):
+        (ai, da), (bi, db) = sa, sb
+        den = math.lcm(da or 1, db or 1)
+        ai, bi = (xs if (d or 1) == den else [x * (den // (d or 1)) for x in xs]
+                  for xs, d in ((ai, da), (bi, db)))
+        N = _reshaped(list(map(int_op, ai, bi)), A)
+        return _back(N, None if da is None and db is None else den)
     return [[scalar_op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
@@ -148,11 +217,16 @@ def mat_sub(A: Mat, B: Mat) -> Mat:
 
 
 def mat_scale(M: Mat, c) -> Mat:
-    sm = _int_scaled(_flat(M)) if type(c) is Fraction else None
+    """c M.  The int 1 scales nothing in any field; an int or Fraction c times
+    a rational (or int) M runs on integers."""
+    if type(c) is int and c == 1:
+        return [list(row) for row in M]
+    sc = _integers([c])
+    sm = _int_rows(M) if sc is not None else None
     if sm is None:
         return [[s_mul(c, x) for x in row] for row in M]
-    den, ints = sm[1] * c._denominator, map(c._numerator.__mul__, sm[0])
-    return _reshaped([Fraction(t, den) if t else ZERO for t in ints], M)
+    (num,), den = sc
+    return _back([[num * x for x in row] for row in sm[0]], sm[1], den)
 
 
 def mat_eq(A: Mat, B: Mat) -> bool:

@@ -24,6 +24,7 @@ from aqslie.acm import (
     double_aqs_check,
     fundamental_form,
     levi_civita,
+    nijenhuis,
     nijenhuis_phi,
     operators_A_psi,
     sectional_curvature,
@@ -31,15 +32,20 @@ from aqslie.acm import (
     validate_acm,
     xi_killing_check,
 )
-from aqslie.constructors import abelian, weighted_heisenberg_2n1, weighted_heisenberg_4n1
-from aqslie.errors import InternalContradiction, NotAqs, PreconditionError
+from aqslie.constructors import abelian, su3, weighted_heisenberg_2n1, weighted_heisenberg_4n1
+from aqslie.errors import InternalContradiction, NotAqs, PreconditionError, ToleranceExceeded
 from aqslie.exterior import bilinear_from_form, ce_d
-from aqslie.lie_core import LieAlgebra, bracket
+from aqslie.lie_core import LieAlgebra, ad_matrix, bracket
 from aqslie.linalg import (
     identity,
+    inverse,
+    mat_add,
     mat_eq,
     mat_mul,
+    mat_scale,
+    mat_sub,
     mat_vec,
+    mat_vecs,
     random_unimodular,
     transpose,
     vec_add,
@@ -47,7 +53,21 @@ from aqslie.linalg import (
     vec_sub,
     zeros,
 )
-from aqslie.scalars import ZERO, s_abs, s_add, s_eq, s_is_zero, s_lt, s_mul, s_neg, s_sub
+from aqslie.scalars import (
+    DEFAULT_TOLERANCE,
+    ZERO,
+    Ext,
+    s_abs,
+    s_add,
+    s_eq,
+    s_is_zero,
+    s_lt,
+    s_mul,
+    s_neg,
+    s_sub,
+    set_tolerance,
+)
+from aqslie.scalars import set_tolerance
 from floatcopy import float_structure
 
 
@@ -260,30 +280,112 @@ def test_levi_civita_certificate_catches_corrupted_coefficient(monkeypatch):
         levi_civita(S1)
 
 
-def test_levi_civita_scales_each_product_operand_once(monkeypatch):
-    # g^-1 and g are scaled to integers once per matrix product (mat_vecs),
-    # not once per column, which would be 2n^2 scalings of n^2 entries
-    import sys
+def test_levi_civita_metric_certificate_names_the_worst_residual(monkeypatch):
+    # the same vector added to Gamma_0 b_1 and Gamma_1 b_0 keeps the table
+    # torsion-free and breaks metric compatibility in column 1 of g Gamma_0 +
+    # Gamma_0^T g, at two rows; a float message names the larger residual
+    _, (S1, _, _) = h5_structures()
+    real = acm.ConnectionTable
 
-    import aqslie.linalg as linalg
+    def shifted(shift):
+        def make(gamma):
+            rows = [[list(row) for row in G] for G in gamma]
+            for i, j in ((0, 1), (1, 0)):
+                for r, x in shift.items():
+                    rows[i][r][j] += x
+            return real(tuple(tuple(map(tuple, G)) for G in rows))
+        return make
 
+    monkeypatch.setattr(acm, "ConnectionTable", shifted({2: F(1, 7), 3: F(2, 7)}))
+    with pytest.raises(InternalContradiction, match="Koszul solve lost metric compatibility"):
+        levi_civita(S1)
+    monkeypatch.setattr(acm, "ConnectionTable", shifted({2: 1e-3, 3: 4e-3}))
+    with pytest.raises(ToleranceExceeded, match=r"metric compatibility .* residual 0\.004 "):
+        levi_civita(float_structure(S1))
+
+
+def test_levi_civita_and_nijenhuis_build_one_fraction_per_returned_entry(monkeypatch):
+    # the Koszul solve, its certificates and the Nijenhuis bracket run on integer
+    # numerators: Fractions are built for the returned entries (n^3 Gamma entries,
+    # n^2 (n - 1) / 2 Nijenhuis entries) and for a few n^2 matrices (g^-1, g^-1 / 2)
     n = 13
     h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
     S = conjugate_structure(h13, random_unimodular(n, random.Random(7)))
-    real, callers = linalg._int_scaled, []
+    phi = S.phi_mat()
+    real, built = F.__new__, [0]
 
-    def counting(xs):
-        if len(xs) == n * n:
-            callers.append(sys._getframe(1).f_code.co_name)
-        return real(xs)
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return real(cls, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_int_scaled", counting)
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
     levi_civita(S)
-    # the entrywise Koszul sum and certificates (mat_add, mat_sub, mat_scale)
-    # scale their operands per call: 11n more, until the sum stays on integers
-    entrywise = [c for c in callers if c in ("_entrywise", "mat_scale")]
-    assert len(callers) - len(entrywise) <= 4 * n + 1  # + 1: the inertia of g
-    assert len(entrywise) <= 11 * n
+    in_levi_civita = built[0]
+    nijenhuis(S.L, phi)
+    in_nijenhuis = built[0] - in_levi_civita
+    monkeypatch.undo()
+    assert in_levi_civita <= n**3 + 4 * n * n
+    assert in_nijenhuis <= n * n * (n - 1) // 2 + 2 * n * n
+
+
+def _reference_gamma(S):
+    """The Koszul solve with every matrix in its own field, one kernel call per
+    step and the 1/2 on each Koszul matrix: the body levi_civita had before it
+    ran on numerators.  Float and tower input take the kernels' per-scalar route."""
+    L, g = S.L, S.g_mat()
+    n = L.dim
+    g_inv, ads = inverse(g), [L.ad(i) for i in range(n)]
+    gads = [mat_mul(g, ad) for ad in ads]
+    gammas = []
+    for i in range(n):
+        B = [[gads[j][i][k] for j in range(n)] for k in range(n)]
+        C = [[gads[k][j][i] for j in range(n)] for k in range(n)]
+        koszul = mat_scale(mat_add(mat_sub(gads[i], B), C), F(1, 2))
+        gammas.append(transpose(mat_vecs(g_inv, transpose(koszul))))
+    return gammas
+
+
+def _reference_nijenhuis(L, J):
+    """[J, J] as nijenhuis computed it before it ran on numerators."""
+    n, cols, out = L.dim, transpose(J), {}
+    for i in range(n):
+        M = mat_sub(ad_matrix(L, cols[i]), mat_mul(J, L.ad(i)))
+        N = transpose(mat_sub(mat_mul(M, J), mat_mul(J, M)))
+        out.update(((i, j), N[j]) for j in range(i + 1, n))
+    return out
+
+
+def _su3_structure():
+    # J h1 = h2 on the torus and J u = v on each root pair; g = I
+    L = su3()
+    J = zeros(8, 8)
+    for p in range(4):
+        J[2 * p + 1][2 * p], J[2 * p][2 * p + 1] = F(1), F(-1)
+    return AcmStructure.make(L, J, L.basis_vector(0), L.basis_vector(0), identity(8))
+
+
+@pytest.mark.parametrize("name", ["f9c1", "sqrt-h9", "su3"])
+def test_connection_and_nijenhuis_match_the_reference_bit_for_bit(name):
+    # floats by repr (every bit and the sign of zero), tower and rational
+    # entries by their canonical repr
+    h9 = weighted_heisenberg_4n1(2, [1, 2])[1][0]
+    S, tol = {
+        "f9c1": lambda: (float_structure(conjugate_structure(
+            h9, random_unimodular(9, random.Random(1)))), 1e-6),
+        "sqrt-h9": lambda: (weighted_heisenberg_4n1(
+            2, [Ext.of_sqrt(2), F(3, 2) * Ext.of_sqrt(5)])[1][0], DEFAULT_TOLERANCE),
+        "su3": lambda: (_su3_structure(), DEFAULT_TOLERANCE),
+    }[name]()
+    set_tolerance(tol)  # f9c1 certifies at 1e-6, as its digest entry does
+    try:
+        gamma = [[list(map(repr, row)) for row in G] for G in levi_civita(S).gamma]
+        want = [[list(map(repr, row)) for row in G] for G in _reference_gamma(S)]
+        got_nij = {k: list(map(repr, v)) for k, v in nijenhuis(S.L, S.phi_mat()).items()}
+        want_nij = {k: list(map(repr, v)) for k, v in _reference_nijenhuis(S.L, S.phi_mat()).items()}
+    finally:
+        set_tolerance(DEFAULT_TOLERANCE)
+    assert gamma == want
+    assert got_nij == want_nij
 
 
 def test_levi_civita_rejects_indefinite_metric():

@@ -24,6 +24,7 @@ from aqslie.exterior import form_from_bilinear
 from aqslie.lie_core import (
     LieAlgebra,
     ad_matrix,
+    ad_matrix_numerators,
     bracket,
     center,
     derivations,
@@ -38,6 +39,7 @@ from aqslie.linalg import (
     identity,
     mat_vec,
     nullspace,
+    over,
     random_unimodular,
     vec_eq,
     vec_is_zero,
@@ -58,6 +60,24 @@ def test_bracket_heisenberg_and_antisymmetry():
     # bilinearity on a combination
     x = [F(0), F(1), F(0), F(0), F(3)]
     assert bracket(L, x, x) == [F(0)] * 5
+
+
+def test_ad_matrix_numerators_carry_the_table_denominator():
+    # c_01^2 = 1/2 and c_02^1 = -1/3: the table's common denominator is 6.  An
+    # all-int vector is an exact vector to bracket and ad_matrix; its numerator
+    # form comes only with its denominator
+    L = LieAlgebra.from_brackets(3, {(0, 1): {2: F(1, 2)}, (0, 2): {1: F(-1, 3)}})
+    X = [2, 3, 0]
+    N, den = ad_matrix_numerators(L, X)
+    assert den == 6 and all(type(x) is int for row in N for x in row)
+    exact = ad_matrix(L, [F(x) for x in X])
+    assert over(N, den) == ad_matrix(L, X) == exact
+    assert ad_matrix_numerators(L, [F(x, 5) for x in X]) == (N, 30)
+    assert bracket(L, [1, 0, 0], [0, 1, 0]) == [0, 0, F(1, 2)]
+    assert all(type(x) is F for x in bracket(L, [1, 0, 0], [0, 1, 0]))
+    Lf = LieAlgebra.from_brackets(3, {(0, 1): {2: 0.5}, (0, 2): {1: -1 / 3}}, mode="float")
+    Nf, df = ad_matrix_numerators(Lf, [2.0, 3.0, 0.0])
+    assert df == 1 and Nf == ad_matrix(Lf, [2.0, 3.0, 0.0])
 
 
 def test_bracket_abelian():

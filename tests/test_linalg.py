@@ -30,6 +30,8 @@ from aqslie.linalg import (
     mat_vec,
     mat_vecs,
     nullspace,
+    numerators,
+    over,
     random_unimodular,
     rank,
     rational_roots,
@@ -490,6 +492,51 @@ def test_mat_vecs_matches_the_per_vector_mat_vec(m, k, data):
     want = [_ref_mat_vec(M, v) for v in vs]
     assert [list(map(_bits, w)) for w in got] == [list(map(_bits, w)) for w in want]
     assert [mat_vec(M, v) for v in vs] == got
+
+
+ints = st.integers(-50, 50)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5), st.data())
+def test_integer_cores_return_ints_equal_to_the_fraction_route(m, k, p, data):
+    # all-int operands are the cores' own input: the result stays int and equals
+    # what the same values give as Fractions
+    A = [data.draw(st.lists(ints, min_size=k, max_size=k)) for _ in range(m)]
+    A2 = [data.draw(st.lists(ints, min_size=k, max_size=k)) for _ in range(m)]
+    B = [data.draw(st.lists(ints, min_size=p, max_size=p)) for _ in range(k)]
+    vs = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k), max_size=3))
+    c = data.draw(ints)
+    fr = lambda M: [[F(x) for x in row] for row in M]  # noqa: E731
+    for got, want in (
+        (mat_mul(A, B), mat_mul(fr(A), fr(B))),
+        (mat_vecs(A, vs), mat_vecs(fr(A), fr(vs))),
+        (mat_add(A, A2), mat_add(fr(A), fr(A2))),
+        (mat_sub(A, A2), mat_sub(fr(A), fr(A2))),
+        (mat_scale(A, c), mat_scale(fr(A), F(c))),
+    ):
+        assert got == want
+        assert all(type(x) is int for row in got for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), rational_matrices(), st.sampled_from(["fraction", "tower", "float"]))
+def test_over_inverts_numerators(A, B, kind):
+    to = {"fraction": lambda x: x, "tower": lambda x: s_mul(SQRT2, x) if x else x,
+          "float": float}[kind]
+    A, B = _map(to, A), _map(to, B)
+    mats, den = numerators(A, B)
+    back = [over(M, den) for M in mats]
+    assert [list(map(_bits, row)) for M in back for row in M] == \
+        [list(map(_bits, row)) for M in (A, B) for row in M]
+    if kind == "fraction":
+        assert all(type(x) is int for M in mats for row in M for x in row)
+        flat = [x for M in (A, B) for row in M for x in row]
+        assert den == math.lcm(*(x.denominator for x in flat))
+    else:
+        assert (mats, den) == ([A, B], 1)
+    # a matrix of another kind over a denominator other than 1 is divided entrywise
+    assert _same(over(A, 3), [[s_mul(x, F(1, 3)) for x in row] for row in A])
 
 
 def test_entrywise_kernels_fall_back_on_mixed_input():

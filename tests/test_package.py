@@ -61,3 +61,33 @@ def test_basis_ad_matrices_come_from_the_structure_constants():
                 for arg in node.args)
     ]
     assert offenders == []
+
+
+def acm_field_decisions(source: str) -> list[str]:
+    """Calls in source that scale scalars to integers or divide them back:
+    _int_scaled, math.lcm and two-argument Fraction(...).  In acm the
+    formulas run on linalg.numerators and linalg.over; the field is decided
+    in the kernels."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _callee(node)
+        if name in ("_int_scaled", "lcm") or (
+            name == "Fraction" and len(node.args) + len(node.keywords) >= 2
+        ):
+            offenders.append(f"acm.py:{node.lineno} {name}")
+    return offenders
+
+
+def test_acm_leaves_the_field_decision_to_linalg():
+    path = Path(aqslie.__file__).parent / "acm.py"
+    assert acm_field_decisions(path.read_text("utf-8")) == []
+    # a rational-only branch of the Koszul solve is what the check is for
+    forked = (
+        "def levi_civita(S):\n"
+        "    scaled = _int_scaled(_flat(S.g))\n"
+        "    den = math.lcm(scaled[1], 2)\n"
+        "    return [Fraction(t, den) for t in scaled[0]]\n"
+    )
+    assert len(acm_field_decisions(forked)) == 3
