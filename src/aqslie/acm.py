@@ -71,6 +71,7 @@ from .linalg import (
     mat_sub,
     mat_vec,
     mat_vecs,
+    max_abs,
     numerators,
     over,
     transpose,
@@ -132,18 +133,6 @@ class AcmStructure:
         return covector_form(list(self.eta))
 
 
-def _max_abs(entries):
-    xs = list(entries)
-    if all(type(x) is Fraction for x in xs):
-        return max(map(abs, filter(None, xs)), default=ZERO)
-    worst = ZERO
-    for x in xs:
-        a = s_abs(x)
-        if s_lt(worst, a):
-            worst = a
-    return worst
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     passed: bool
@@ -167,8 +156,8 @@ def validate_acm(S: AcmStructure) -> ValidationReport:
     residuals["compatibility"] = _mat_res(
         mat_mul(transpose(phi), mat_mul(g, phi)), mat_sub(g, eta_eta)
     )
-    residuals["phi_xi"] = _max_abs(mat_vec(phi, xi))
-    residuals["eta_phi"] = _max_abs(mat_vec(transpose(phi), eta))
+    residuals["phi_xi"] = max_abs(mat_vec(phi, xi))
+    residuals["eta_phi"] = max_abs(mat_vec(transpose(phi), eta))
     residuals["xi_unit"] = s_abs(s_sub(bilinear(xi, g, xi), ONE))
     pd = is_positive_definite(g)
     residuals["g_positive_definite"] = ZERO if pd else ONE
@@ -269,11 +258,11 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     if not tags:
         tags.add(CLASS_UNCLASSIFIED)
     residuals = {
-        "d_phi": _max_abs(c for _, c in dPhi.coeffs),
-        "d_eta": _max_abs(c for _, c in deta.coeffs),
-        "n_phi": _max_abs(_flat(n_phi)),
-        "anti_normal": _max_abs(_flat(anti_diff)),
-        "contact_metric": _max_abs(c for _, c in contact_diff.coeffs),
+        "d_phi": max_abs(c for _, c in dPhi.coeffs),
+        "d_eta": max_abs(c for _, c in deta.coeffs),
+        "n_phi": max_abs(_flat(n_phi)),
+        "anti_normal": max_abs(_flat(anti_diff)),
+        "contact_metric": max_abs(c for _, c in contact_diff.coeffs),
     }
     result = StructureClass(frozenset(tags), residuals)
     S._memo["classification"] = result
@@ -361,7 +350,7 @@ def certificate_failure(what: str, residuals) -> AqslieError:
     """The error for a failed certificate, given its residual entries: a
     contradiction in exact arithmetic, a precision limit of the input when
     the residuals are floats (rounding exceeded the absolute tolerance)."""
-    worst = _max_abs(residuals)
+    worst = max_abs(residuals)
     if isinstance(worst, float):
         return ToleranceExceeded(
             f"{what} at float precision: residual {worst:.3g} exceeds the absolute "
@@ -404,10 +393,10 @@ def operators_A_psi(S: AcmStructure) -> OperatorPack:
     psiA = mat_mul(psi, A)
     residuals["psi_A_anticommute"] = _mat_res(psiA, mat_mul(A, psi), mat_add)
     residuals["psi_A_eq_minus_phi_A2"] = _mat_res(psiA, mat_mul(phi, mat_mul(A, A)), mat_add)
-    residuals["A_xi"] = _max_abs(mat_vec(A, xi))
-    residuals["psi_xi"] = _max_abs(mat_vec(psi, xi))
-    residuals["eta_A"] = _max_abs(mat_vec(transpose(A), eta))
-    residuals["eta_psi"] = _max_abs(mat_vec(transpose(psi), eta))
+    residuals["A_xi"] = max_abs(mat_vec(A, xi))
+    residuals["psi_xi"] = max_abs(mat_vec(psi, xi))
+    residuals["eta_A"] = max_abs(mat_vec(transpose(A), eta))
+    residuals["eta_psi"] = max_abs(mat_vec(transpose(psi), eta))
     gA = mat_mul(g, A)
     gpsi = mat_mul(g, psi)
     residuals["A_skew"] = _mat_res(transpose(gA), gA, mat_add)
@@ -429,7 +418,7 @@ def operators_A_psi(S: AcmStructure) -> OperatorPack:
 
 def _mat_res(A: Mat, B: Mat, op=mat_sub):
     """max |A - B|, or max |A + B| (the residual of A = -B) with op=mat_add."""
-    return _max_abs(_flat(op(A, B)))
+    return max_abs(_flat(op(A, B)))
 
 
 @dataclass(frozen=True)
@@ -448,10 +437,10 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     L = S.L
     pack = operators_A_psi(S)
     residuals = {}
-    residuals["dA"] = _max_abs(c for _, c in ce_d(L, pack.a_form).coeffs)
-    residuals["dPhi"] = _max_abs(c for _, c in ce_d(L, fundamental_form(S)).coeffs)
+    residuals["dA"] = max_abs(c for _, c in ce_d(L, pack.a_form).coeffs)
+    residuals["dPhi"] = max_abs(c for _, c in ce_d(L, fundamental_form(S)).coeffs)
     deta = ce_d(L, S.eta_form())
-    residuals["deta_eq_2Psi"] = _max_abs(
+    residuals["deta_eq_2Psi"] = max_abs(
         c for _, c in form_sub(deta, form_scale(pack.psi_form, Fraction(2))).coeffs
     )
     if not pack.ok:
@@ -461,7 +450,7 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     anti = mat_add(mat_mul(transpose(phi), mat_mul(B, phi)), B)
     pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
     witness = next(((i, j) for i, j in pairs if not s_is_zero(anti[i][j])), None)
-    residuals["deta_anti_invariance"] = _max_abs(anti[i][j] for i, j in pairs)
+    residuals["deta_anti_invariance"] = max_abs(anti[i][j] for i, j in pairs)
     ok = all(s_is_zero(r) for r in residuals.values())
     return ClosednessReport(ok, residuals, witness)
 
@@ -478,12 +467,13 @@ def curvature(S: AcmStructure) -> CurvatureData:
     R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only."""
     conn, L = levi_civita(S), S.L
     gamma, ricci = conn.gamma, zeros(L.dim, L.dim)
+    ads, da, _, _ = L.ad_numerators()
     for a in range(L.dim):
         rows = [G[a] for G in gamma]  # rows[k] = row a of Gamma_k
         left = [_by_columns([gamma[a][a]], G)[0] for G in gamma]  # (Gamma_a Gamma_i)_a
         right = _by_columns(rows, gamma[a])  # (Gamma_i Gamma_a)_a
         # column i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
-        brackets = _by_columns(transpose(rows), L.ad(a))
+        brackets = _by_columns(transpose(rows), over(ads[a], da))
         # summed as the full-vector R(b_a, b_i) b_j was: float entries keep their bits
         ricci = mat_add(ricci, mat_sub(mat_sub(left, right), transpose(brackets)))
     scal = dot(_flat(inverse(S.g_mat())), _flat(ricci))
@@ -518,7 +508,7 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
     residuals = {}
     shared = ZERO
     for a, b in ((S1, S2), (S1, S3)):
-        shared = _max_abs(
+        shared = max_abs(
             [shared]
             + vec_sub(a.xi, b.xi)
             + vec_sub(a.eta, b.eta)
@@ -529,10 +519,10 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
     residuals["phi1_phi2_eq_phi3"] = _mat_res(mat_mul(p1, p2), p3)
     residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(mat_mul(p2, p1), p3, mat_add)
     L = S1.L
-    residuals["dPhi1"] = _max_abs(c for _, c in ce_d(L, fundamental_form(S1)).coeffs)
-    residuals["dPhi2"] = _max_abs(c for _, c in ce_d(L, fundamental_form(S2)).coeffs)
+    residuals["dPhi1"] = max_abs(c for _, c in ce_d(L, fundamental_form(S1)).coeffs)
+    residuals["dPhi2"] = max_abs(c for _, c in ce_d(L, fundamental_form(S2)).coeffs)
     deta = ce_d(L, S1.eta_form())
-    residuals["deta_eq_2Phi3"] = _max_abs(
+    residuals["deta_eq_2Phi3"] = max_abs(
         c
         for _, c in form_sub(deta, form_scale(fundamental_form(S3), Fraction(2))).coeffs
     )

@@ -232,7 +232,7 @@ def _ce_d(targets: dict, den: int | None, w: KForm) -> KForm:
                 else:
                     acc[key] = total
     if scaled is not None:
-        den *= scaled[1]
+        den *= scaled[1] or 1
         acc = {key: Fraction(a, den) for key, a in acc.items() if a}
     return KForm(w.degree + 1, w.dim, tuple(sorted(acc.items())))
 

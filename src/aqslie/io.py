@@ -97,14 +97,16 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
     if not isinstance(dim, int) or dim < 1:
         raise InputError("dim must be a positive integer")
     names = doc.get("basis_names") or [f"e{i+1}" for i in range(dim)]
-    if len(names) != dim:
-        raise InputError("basis_names length != dim")
+    if not (isinstance(names, list) and len(names) == dim
+            and all(isinstance(x, str) for x in names)):
+        raise InputError("basis_names must be a list of dim strings")
     table: dict = {}
     seen = set()
     for rec in doc.get("brackets", []):
         try:
             i, j = int(rec["i"]), int(rec["j"])
-        except (KeyError, TypeError, ValueError) as exc:
+            targets = {int(k): val for k, val in rec.get("coeffs", {}).items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad bracket record {rec!r}") from exc
         if not (1 <= i < j <= dim):
             raise InputError(f"bracket record must have 1 <= i < j <= dim, got ({i},{j})")
@@ -112,8 +114,7 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
             raise InputError(f"duplicate bracket record for ({i},{j})")
         seen.add((i, j))
         coeffs = {}
-        for k_str, val in rec.get("coeffs", {}).items():
-            k = int(k_str)
+        for k, val in targets.items():
             if not 1 <= k <= dim:
                 raise InputError(f"bracket target {k} out of range")
             coeffs[k - 1] = parse_scalar(str(val), mode)
@@ -202,12 +203,15 @@ def form_from_json(doc: dict) -> KForm:
         raise InputError("form file needs integer dim and degree")
     terms = {}
     for rec in doc.get("terms", []):
-        idx = tuple(int(x) - 1 for x in rec["indices"])
+        try:
+            idx, coeff = tuple(int(x) - 1 for x in rec["indices"]), rec["coeff"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad term record {rec!r}") from exc
         if len(idx) != degree:
             raise InputError(f"term indices {rec['indices']} have wrong arity")
         if any(not 0 <= i < dim for i in idx):
             raise InputError(f"term indices {rec['indices']} out of range")
-        terms[idx] = parse_scalar(str(rec["coeff"]), mode)
+        terms[idx] = parse_scalar(str(coeff), mode)
     return KForm.make(degree, dim, terms)
 
 

@@ -23,9 +23,10 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
-    _group,
+    _flat,
+    _int_rows,
     _int_scaled,
-    _integers,
+    dot,
     inertia_symmetric,
     inverse,
     mat_eq,
@@ -117,34 +118,25 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vec:
         return [ONE if t == i else ZERO for t in range(self.dim)]
 
-    def ad(self, i: int) -> Mat:
-        """ad_{b_i}, entry (k, j) = c_ij^k, in one pass over the sparse table.  Each
-        entry is a stored constant or its negative, so it equals the bracket
-        columns of ad_matrix(L, b_i) bit for bit in every field."""
-        M = zeros(self.dim, self.dim)
-        for (p, q), entries in self.brackets:
-            if i in (p, q):
-                for k, v in entries:  # p + q - i: the other index of the pair
-                    M[k][p + q - i] = v if p == i else -v
-        return M
-
     def ad_numerators(self, *mats: Mat) -> tuple[list[Mat], int, list[Mat], int]:
-        """(ads, da, ints, dm): every ad_{b_i} over the table's common denominator
-        and mats over theirs, with L.ad(i) == over(ads[i], da) and
-        (ints, dm) == numerators(*mats).  Integers, read from the integer table
-        with no Fraction built, when every constant and every entry of mats is
-        a Fraction; otherwise the L.ad(i) and mats as they are, over 1.  One
-        field decision for the algebra and the matrices that act with it."""
+        """(ads, da, ints, dm) with ad_{b_i} == over(ads[i], da), entry (k, j) =
+        c_ij^k, and (ints, dm) == numerators(*mats): one field decision for the
+        algebra and the matrices that act with it, and the one reader of the
+        table for ad_{b_i}.  A rational algebra with rational or all-int mats
+        gives the integer table over its denominator, with no Fraction built;
+        otherwise the stored constants (each entry a constant or its negative,
+        the bracket columns bit for bit) and mats as they are, over 1."""
         table, den = self._tables()
-        scaled = _group(mats) if den is not None else None
-        if scaled is None:
-            return [self.ad(i) for i in range(self.dim)], 1, list(mats), 1
+        scaled = _int_rows(*mats) if den is not None else None
+        zero = 0
+        if scaled is None:  # not the integer table: its entries are over den
+            table, den, zero, scaled = self.table(), 1, ZERO, (list(mats), 1)
         n = self.dim
-        ads = [[[0] * n for _ in range(n)] for _ in range(n)]
+        ads = [[[zero] * n for _ in range(n)] for _ in range(n)]
         for (p, q), entries in table.items():
             for k, v in entries.items():
                 ads[p][k][q], ads[q][k][p] = v, -v
-        return ads, den, *scaled
+        return ads, den, scaled[0], scaled[1] or 1
 
 
 def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
@@ -153,8 +145,8 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
     if len(X) != L.dim or len(Y) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
     table, den = L._tables()
-    sx = _integers(X) if den is not None else None
-    sy = _integers(Y) if sx is not None else None
+    sx = _int_scaled(X) if den is not None else None
+    sy = _int_scaled(Y) if sx is not None else None
     if sy is not None:
         (xi, dx), (yi, dy) = sx, sy
         acc = [0] * L.dim
@@ -186,7 +178,7 @@ def ad_matrix_numerators(L: LieAlgebra, X: Vec) -> tuple[Mat, int]:
     if len(X) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
     table, den = L._tables()
-    sx = _integers(X) if den is not None else None
+    sx = _int_scaled(X) if den is not None else None
     if sx is None:
         return transpose([bracket(L, X, L.basis_vector(j)) for j in range(L.dim)]), 1
     xi, dx = sx
@@ -232,7 +224,7 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
 
 def center(L: LieAlgebra) -> Subspace:
     """Kernel of the joint adjoint action, as a null space of stacked ads."""
-    rows = [row for i in range(L.dim) for row in L.ad(i)]
+    rows = [row for ad in L.ad_numerators()[0] for row in ad]  # scaled by da: same kernel
     return Subspace.from_vectors(L.dim, nullspace(rows, L.dim))
 
 
@@ -274,13 +266,12 @@ class KillingForm:
 
 def killing_form(L: LieAlgebra) -> KillingForm:
     """B(X, Y) = trace(ad_X ad_Y) on the basis, with a definiteness report."""
-    n, ads = L.dim, [L.ad(i) for i in range(L.dim)]
+    n, (ads, da, _, _) = L.dim, L.ad_numerators()
+    rows, cols = [_flat(ad) for ad in ads], [_flat(transpose(ad)) for ad in ads]
     B = zeros(n, n)
     for i, j in itertools.combinations_with_replacement(range(n), 2):
-        val = ZERO
-        for a, b in itertools.product(range(n), repeat=2):
-            val = s_add(val, s_mul(ads[i][a][b], ads[j][b][a]))
-        B[i][j] = B[j][i] = val
+        B[i][j] = B[j][i] = dot(rows[i], cols[j])  # sum over (a, b) of ad_i[a][b] ad_j[b][a]
+    B = over(B, da * da)
     pos, neg, zero = inertia_symmetric(B)
     if pos and neg:
         label = "indefinite"

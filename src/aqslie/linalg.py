@@ -1,36 +1,33 @@
 """Small dense linear algebra over the scalar tower (exact) or floats.
 
 Matrices are lists of rows, vectors plain lists.  Each kernel decides the
-field once per call, from its whole input:
+field once per call, from its whole input, through ``_int_scaled``:
 
-* every entry a ``Fraction``: the kernel runs on Python integers over a
-  common denominator (fraction-free Gauss-Jordan with row-content removal
-  for rank and rref, Bareiss elimination for det and char_poly) and
-  divides only at the end, once per output entry;
+* every entry a ``Fraction``: Python integers over a common denominator,
+  divided back once per output entry;
+* every entry an ``int`` (an integer core's output on numerators): the same
+  integers over none.  Products, sums and scalings return ints; elimination,
+  char_poly and inertia return what the same values give as Fractions;
 * anything else (square-root tower ``Ext`` entries, floats, mixed kinds):
   per-scalar arithmetic through ``scalars``.  Tower division is still
   exact; floats use tolerance-based zero tests and magnitude pivoting.
 
-Both routes return the same values: a normalised ``Fraction`` is unique.
+Both exact routes return the same values: a normalised ``Fraction`` is
+unique.  The integer route serves the products (``mat_vecs`` scales M once
+for a batch of vectors), ``mat_add``/``mat_sub``/``mat_scale``, ``dot``,
+``mat_eq``, ``max_abs``, elimination (fraction-free Gauss-Jordan with
+row-content removal for ``rref``/``rank``/``nullspace``/``solve``/
+``inverse``, Bareiss for ``det`` and ``char_poly``) and
+``inertia_symmetric`` (fraction-free congruence).
 
-Kernels with the integer route: ``mat_vec``, ``mat_vecs`` (M scaled once
-for a whole batch of vectors), ``mat_mul``, ``mat_add``, ``mat_sub``,
-``mat_scale``, ``dot``, ``rref``/``rank``/``nullspace``/``solve``/``inverse``,
-``det``, ``char_poly`` and ``inertia_symmetric`` (fraction-free congruence);
-``mat_eq`` on Fraction matrices is plain ``==``.
-
-A computation of several kernels stays on integers between them.
-``numerators(*mats)`` puts a group of Fraction matrices over one common
-denominator and ``over(N, den)`` builds one Fraction per nonzero entry of
-an integer result; for float and tower input they are the identity (den
-1), so one formula serves every field.  The products, the entrywise kernels
-and ``mat_scale`` by an int take all-int operands as their integer core's
-own input and return ints; their Fraction route is numerators, core, over.
-``lie_core.ad_matrix_numerators`` is the same for ad_X, with the table's
-denominator returned beside the integers.
-The other modules use these helpers instead of private copies, and
-``eigenspaces`` for every eigendecomposition of a g-symmetric operator (the
-float eigenvalue clustering lives only there).
+A computation of several kernels stays on integers between them:
+``numerators(*mats)`` puts a group of matrices over one common denominator
+and ``over(N, den)`` builds one Fraction per nonzero entry of an integer
+result; for float and tower input they are the identity (den 1), so one
+formula serves every field.  ``LieAlgebra.ad_numerators`` and
+``lie_core.ad_matrix_numerators`` do the same for ad matrices.
+``eigenspaces`` serves every eigendecomposition of a g-symmetric operator
+(the float eigenvalue clustering lives only there).
 """
 
 from __future__ import annotations
@@ -47,10 +44,12 @@ from .scalars import (
     ZERO,
     Ext,
     is_exact,
+    s_abs,
     s_add,
     s_div,
     s_eq,
     s_is_zero,
+    s_lt,
     s_mul,
     s_neg,
     s_sign,
@@ -83,60 +82,48 @@ _NUMERATOR = operator.attrgetter("_numerator")
 _DENOMINATOR = operator.attrgetter("_denominator")
 
 
-def _int_scaled(xs) -> tuple[list[int], int] | None:
-    """(ints, den) with xs[i] == ints[i] / den when every entry of the
-    sequence xs is a Fraction; None otherwise."""
-    if not {Fraction}.issuperset(map(type, xs)):
+def _int_scaled(xs) -> tuple[list[int], int | None] | None:
+    """The field decision of every integer route, on a flat sequence xs:
+    (ints, den) with xs[i] == ints[i] / den when every entry is a Fraction;
+    (ints, None) when every entry is an int, the integer cores' own input,
+    whose results stay int; None otherwise (tower, float or mixed kinds)."""
+    if {Fraction}.issuperset(map(type, xs)):
+        nums, dens = list(map(_NUMERATOR, xs)), list(map(_DENOMINATOR, xs))
+        den = math.lcm(*dens)
+        if den == 1:
+            return nums, 1
+        return [x * (den // d) for x, d in zip(nums, dens)], den
+    return (list(xs), None) if {int}.issuperset(map(type, xs)) else None
+
+
+def _int_rows(*mats: Mat) -> tuple[list[Mat], int | None] | None:
+    """_int_scaled of all entries of mats together, in their row shapes."""
+    scaled = _int_scaled([x for M in mats for row in M for x in row])
+    if scaled is None:
         return None
-    nums, dens = list(map(_NUMERATOR, xs)), list(map(_DENOMINATOR, xs))
-    den = math.lcm(*dens)
-    if den == 1:
-        return nums, 1
-    return [x * (den // d) for x, d in zip(nums, dens)], den
-
-
-def _integers(xs) -> tuple[list[int], int | None] | None:
-    """(ints, den) as _int_scaled when every entry of xs is a Fraction;
-    (ints, None) when every entry already is an int, the integer cores' own
-    input, whose result stays int; None otherwise."""
-    scaled = _int_scaled(xs)
-    if scaled is None and {int}.issuperset(map(type, xs)):
-        return list(xs), None
-    return scaled
-
-
-def _int_rows(M: Mat) -> tuple[Mat, int | None] | None:
-    """_integers of the entries of M, in the row shape of M."""
-    scaled = _integers(_flat(M))
-    return scaled and (_reshaped(scaled[0], M), scaled[1])
-
-
-def _group(mats) -> tuple[list[Mat], int] | None:
-    """numerators(*mats) when every entry is a Fraction, else None; a float or
-    tower group is rejected at its first such entry."""
-    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(mats))
-    if not {Fraction}.issuperset(map(type, entries)):
-        return None
-    ints, den = _int_scaled([x for M in mats for row in M for x in row])
-    it = iter(ints)  # _reshaped continues the one iterator from matrix to matrix
-    return [_reshaped(it, M) for M in mats], den
+    it = iter(scaled[0])  # _reshaped continues the one iterator from matrix to matrix
+    return [_reshaped(it, M) for M in mats], scaled[1]
 
 
 def numerators(*mats: Mat) -> tuple[list[Mat], int]:
     """(ints, den) with mats[k] == over(ints[k], den): one common denominator
-    for the whole group when every entry is a Fraction.  Any other group
-    (float, tower, plain int) comes back as it is, over 1, so that one
-    formula on the result serves every field."""
-    return _group(mats) or (list(mats), 1)
+    for the whole group when every entry is a Fraction, the ints themselves
+    over 1 when every entry is an int.  Any other group (float, tower, mixed)
+    comes back as it is, over 1, so that one formula on the result serves
+    every field."""
+    scaled = _int_rows(*mats)
+    return (scaled[0], scaled[1] or 1) if scaled else (list(mats), 1)
 
 
 def over(N: Mat, den: int) -> Mat:
-    """N / den.  An all-int N (an integer core's output on numerators) gets one
-    normalised Fraction per nonzero entry, ZERO for the zeros.  Any other N is
-    returned as it is when den is 1, as it is for float and tower input, whose
-    numerators are the input itself; otherwise it is divided entry by entry."""
-    if all({int}.issuperset(map(type, row)) for row in N):
-        return _back(N, den)
+    """N / den.  A rational or all-int N (an integer core's output on
+    numerators) gets one normalised Fraction per nonzero entry, ZERO for the
+    zeros.  Any other N is returned as it is when den is 1, as it is for float
+    and tower input, whose numerators are the input itself; otherwise it is
+    divided entry by entry."""
+    scaled = _int_rows(N)
+    if scaled is not None:
+        return _back(scaled[0][0], scaled[1], den)
     return N if den == 1 else [[s_div(x, den) for x in row] for row in N]
 
 
@@ -170,10 +157,10 @@ def mat_vecs(M: Mat, vs: list[Vec]) -> list[Vec]:
     """[M v for v in vs].  M goes to integers once per call and each v over its
     own denominator when both are rational (or already integers); any other v
     takes the per-scalar fold, which skips the near-zero entries of v."""
-    svs = [_integers(v) for v in vs]
+    svs = [_int_scaled(v) for v in vs]
     sm = _int_rows(M) if any(svs) else None
     return [
-        _back(_int_products([sv[0]], sm[0]), sm[1], sv[1])[0] if sm and sv
+        _back(_int_products([sv[0]], sm[0][0]), sm[1], sv[1])[0] if sm and sv
         else [_sum(s_mul(M[i][j], v[j]) for j in range(len(v)) if not s_is_zero(v[j]))
               for i in range(len(M))]
         for v, sv in zip(vs, svs)
@@ -189,22 +176,17 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     sa = _int_rows(A)
     sb = _int_rows(Bt) if sa is not None else None
     if sb is not None:
-        return _back(_int_products(sa[0], sb[0]), sa[1], sb[1])
+        return _back(_int_products(sa[0][0], sb[0][0]), sa[1], sb[1])
     return [[_dot(row, col) for col in Bt] for row in A]
 
 
 def _entrywise(A: Mat, B: Mat, int_op, scalar_op) -> Mat:
-    """A op B entry by entry; rational (or int) matrices of one shape combine
-    as integers over the lcm of their denominators."""
-    sa = _integers(_flat(A))
-    sb = _integers(_flat(B)) if sa is not None else None
-    if sb is not None and list(map(len, A)) == list(map(len, B)):
-        (ai, da), (bi, db) = sa, sb
-        den = math.lcm(da or 1, db or 1)
-        ai, bi = (xs if (d or 1) == den else [x * (den // (d or 1)) for x in xs]
-                  for xs, d in ((ai, da), (bi, db)))
-        N = _reshaped(list(map(int_op, ai, bi)), A)
-        return _back(N, None if da is None and db is None else den)
+    """A op B entry by entry; two rational (or two all-int) matrices of one
+    shape combine as integers over their common denominator."""
+    scaled = _int_rows(A, B) if list(map(len, A)) == list(map(len, B)) else None
+    if scaled is not None:
+        (ai, bi), den = scaled
+        return _back([list(map(int_op, ra, rb)) for ra, rb in zip(ai, bi)], den)
     return [[scalar_op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
@@ -221,19 +203,18 @@ def mat_scale(M: Mat, c) -> Mat:
     a rational (or int) M runs on integers."""
     if type(c) is int and c == 1:
         return [list(row) for row in M]
-    sc = _integers([c])
+    sc = _int_scaled([c])
     sm = _int_rows(M) if sc is not None else None
     if sm is None:
         return [[s_mul(c, x) for x in row] for row in M]
     (num,), den = sc
-    return _back([[num * x for x in row] for row in sm[0]], sm[1], den)
+    return _back([[num * x for x in row] for row in sm[0][0]], sm[1], den)
 
 
 def mat_eq(A: Mat, B: Mat) -> bool:
-    fa, fb = _flat(A), _flat(B)
-    # normalised Fractions are equal exactly when their parts are, so == is exact
-    eq = operator.eq if {Fraction}.issuperset(map(type, fa + fb)) else s_eq
-    return list(map(len, A)) == list(map(len, B)) and all(map(eq, fa, fb))
+    scaled = _int_rows(A, B)  # one denominator for both: equal when the integers are
+    eq = scaled[0][0] == scaled[0][1] if scaled else all(map(s_eq, _flat(A), _flat(B)))
+    return list(map(len, A)) == list(map(len, B)) and eq
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -260,8 +241,23 @@ def dot(u: Vec, v: Vec):
     su = _int_scaled(u)
     sv = _int_scaled(v) if su is not None else None
     if sv is not None:
-        return Fraction(sum(map(operator.mul, su[0], sv[0])), su[1] * sv[1])
+        return _back(_int_products([su[0]], [sv[0]]), su[1], sv[1])[0][0]
     return _dot(u, v)
+
+
+def max_abs(entries):
+    """The largest |x| over entries, ZERO for none: on integers for rational
+    input, else a fold under the float tolerance."""
+    xs = list(entries)
+    scaled = _int_scaled(xs)
+    if scaled is not None:
+        return Fraction(max(map(abs, scaled[0]), default=0), scaled[1] or 1)
+    worst = ZERO
+    for x in xs:
+        a = s_abs(x)
+        if s_lt(worst, a):
+            worst = a
+    return worst
 
 
 def bilinear(u: Vec, G: Mat, v: Vec):
@@ -312,13 +308,6 @@ def _pivot_row(M: Mat, rows: range, col: int, exact: bool) -> int | None:
     return best
 
 
-def _rows_to_int(M: Mat) -> list[tuple[list[int], int]] | None:
-    """Each row as (ints, den) over its own denominator when every entry is
-    a Fraction (scaling a row changes neither rank nor RREF); else None."""
-    rows = [_int_scaled(row) for row in M]
-    return None if None in rows else rows
-
-
 def _rref_int(A: list[list[int]]) -> list[int]:
     """Fraction-free Gauss-Jordan in place: every pivot column ends with a
     single nonzero entry, in its pivot row; each combined row is divided by
@@ -350,8 +339,8 @@ def rref(M: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form (copy) and pivot column list."""
     if not M:
         return [], []
-    rows = _rows_to_int(M) if M[0] else None
-    if rows is not None:
+    rows = [_int_scaled(row) for row in M]  # a row's scale changes no RREF
+    if M[0] and None not in rows:
         ints = [r for r, _ in rows]
         pivots = _rref_int(ints)
         zero_row = [ZERO] * len(ints[0])
@@ -386,8 +375,8 @@ def rref(M: Mat) -> tuple[Mat, list[int]]:
 def rank(M: Mat) -> int:
     if not M or not M[0]:
         return 0
-    rows = _rows_to_int(M)
-    if rows is not None:
+    rows = [_int_scaled(row) for row in M]
+    if None not in rows:
         return len(_rref_int([r for r, _ in rows]))
     _, pivots = rref(M)
     return len(pivots)
@@ -434,9 +423,9 @@ def solve(M: Mat, b: Vec) -> Vec | None:
 
 def det(M: Mat):
     n = len(M)
-    rows = _rows_to_int(M)
-    if rows is not None:
-        return Fraction(_bareiss_det([r for r, _ in rows]), math.prod(d for _, d in rows))
+    rows = [_int_scaled(row) for row in M]
+    if None not in rows:
+        return Fraction(_bareiss_det([r for r, _ in rows]), math.prod(d or 1 for _, d in rows))
     A = mat_copy(M)
     exact = all(is_exact(x) for row in A for x in row)
     sign = 1
@@ -501,9 +490,8 @@ def char_poly(M: Mat) -> list:
     roots fall back to Faddeev-LeVerrier.
     """
     n = len(M)
-    ints_scaled = _char_poly_rational(M)
-    if ints_scaled is not None:
-        return ints_scaled
+    if (coeffs := _char_poly_rational(M)) is not None:
+        return coeffs
     coeffs = [ONE]
     Mk = mat_copy(M)
     for k in range(1, n + 1):
@@ -519,7 +507,7 @@ def _char_poly_rational(M: Mat) -> list | None:
     scaled = _int_scaled(_flat(M))
     if scaled is None:
         return None
-    flat, q = scaled
+    flat, q = scaled[0], scaled[1] or 1
     P = [flat[i * n : i * n + n] for i in range(n)]
     # det(xI - M) = det(q x I - P) / q^n; sample at x = 0..n and interpolate
     xs = list(range(n + 1))
@@ -777,8 +765,9 @@ def inertia_symmetric(M: Mat) -> tuple[int, int, int]:
     mode: congruence diagonalization (Sylvester's law).  W is the Schur
     complement left so far times a scalar of sign ``sign``; pivot d = W[k][k]
     counts with the sign of sign * d, and the next W is d W' - a a^T (a = row
-    k).  Fraction input runs on integers, each W divided by its content (so
-    never larger than Bareiss's); other exact entries divide W by |d|.
+    k).  Rational and all-int input runs on integers, each W divided by its
+    content (so never larger than Bareiss's); other exact entries divide W
+    by |d|.
     """
     n = len(M)
     if not all(is_exact(x) for row in M for x in row):
@@ -786,8 +775,8 @@ def inertia_symmetric(M: Mat) -> tuple[int, int, int]:
         pos = sum(1 for e in evals if s_sign(e) > 0)
         neg = sum(1 for e in evals if s_sign(e) < 0)
         return pos, neg, n - pos - neg
-    scaled = _int_scaled(_flat(M))
-    W = _reshaped(scaled[0], M) if scaled is not None else mat_copy(M)
+    scaled = _int_rows(M)
+    W = scaled[0][0] if scaled is not None else mat_copy(M)
     pos = neg = 0
     sign = 1
     while W:

@@ -379,11 +379,12 @@ def parse_scalar(text: str, mode: str = "exact"):
         raise ScalarParseError("empty scalar string")
     if mode == "float":
         try:
-            if "/" in text:
-                return float(Fraction(text))
-            return float(text)
-        except (ValueError, ZeroDivisionError) as exc:
+            x = float(Fraction(text)) if "/" in text else float(text)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ScalarParseError(f"bad float scalar {text!r}") from exc
+        if not math.isfinite(x):  # nan or inf, also from an overflowing decimal
+            raise ScalarParseError(f"float scalar {text!r} is not finite")
+        return x
     total: Scalar = ZERO
     for term in _split_terms(text):
         m = _TERM_RE.match(term)

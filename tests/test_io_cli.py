@@ -141,6 +141,46 @@ def test_cli_classify_qs_family(tmp_path, capsys):
     assert out["payload"]["normal_form"]["weights"] == ["3", "1"]
 
 
+ALGEBRA_DOC = {
+    "kind": "lie_algebra",
+    "mode": "exact",
+    "dim": 3,
+    "basis_names": ["a", "b", "c"],
+    "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}],
+}
+
+MALFORMED = {
+    "bracket-target-not-int": ("algebra", {"brackets": [{"i": 1, "j": 2, "coeffs": {"x": "1"}}]}),
+    "bracket-coeffs-a-list": ("algebra", {"brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]}),
+    "basis-names-a-number": ("algebra", {"basis_names": 5}),
+    "term-without-indices": ("form", [{"coeff": "1"}]),
+    "term-index-not-an-int": ("form", [{"indices": [1, "b"], "coeff": "1"}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
+    kind, change = MALFORMED[case]
+    if kind == "algebra":
+        argv = ["check", _write(tmp_path, "a.json", {**ALGEBRA_DOC, **change}), "--json"]
+    else:
+        kpath = _write(tmp_path, "k.json", aqio.kahler_to_json(standard_kahler(2)))
+        w = aqio.form_to_json(KForm.make(2, 4, {(0, 1): F(2), (2, 3): F(-2)}))
+        wpath = _write(tmp_path, "w.json", {**w, "terms": change})
+        argv = ["extend", "--kahler", kpath, "--cocycle", wpath, "--json"]
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error"]["code"] == "InputError"
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf", "1e400"])
+def test_cli_float_algebra_with_a_non_finite_constant_exits_2(tmp_path, capsys, bad):
+    doc = {**ALGEBRA_DOC, "mode": "float", "brackets": [{"i": 1, "j": 2, "coeffs": {"3": bad}}]}
+    code = main(["check", _write(tmp_path, "f.json", doc), "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error"]["code"] == "ScalarParseError"
+
+
 def test_cli_exit_codes_taxonomy(tmp_path, capsys):
     # parse family: Jacobi violator -> 2
     bad = {

@@ -403,8 +403,31 @@ def test_basis_ad_is_the_bracket_columns_bit_for_bit():
     assert any(isinstance(v, Ext) for _, e in cases["sqrt-h9"].brackets for _, v in e)
     assert all(isinstance(v, float) for _, e in cases["float-h9c1"].brackets for _, v in e)
     for name, L in cases.items():
+        ads, da, _, _ = L.ad_numerators()
         for i in range(L.dim):
-            got, want = L.ad(i), ad_matrix(L, L.basis_vector(i))
+            got, want = over(ads[i], da), ad_matrix(L, L.basis_vector(i))
+            assert [list(map(_bits, r)) for r in got] == [list(map(_bits, r)) for r in want], (name, i)
+
+
+def test_ad_numerators_across_fields_keep_the_true_ad_matrices():
+    # a rational algebra with a tower or float matrix is no integer route: its
+    # ad matrices are the stored constants, not the table integers, over 1
+    from aqslie.scalars import parse_scalar
+
+    rational = weighted_heisenberg_4n1(2, [F(1, 3), F(3, 4)])[0]
+    assert rational._tables()[1] == 6
+    sqrt_h9 = weighted_heisenberg_4n1(2, [parse_scalar("sqrt(2)"), F(1, 2)])[0]
+    matrix = lambda f: [[f(i, j) for j in range(9)] for i in range(9)]  # noqa: E731
+    cases = {
+        "rational-h9-sqrt2-matrix": (rational, matrix(lambda i, j: Ext.of_sqrt(2) * (i - j))),
+        "rational-h9-float-matrix": (rational, matrix(lambda i, j: 0.5 * i - j)),
+        "sqrt-h9-rational-matrix": (sqrt_h9, matrix(lambda i, j: F(i - j, 3))),
+    }
+    for name, (L, M) in cases.items():
+        ads, da, mats, dm = L.ad_numerators(M)
+        assert (mats, dm) == ([M], 1), name
+        for i in range(L.dim):
+            got, want = over(ads[i], da), ad_matrix(L, L.basis_vector(i))
             assert [list(map(_bits, r)) for r in got] == [list(map(_bits, r)) for r in want], (name, i)
 
 

@@ -456,10 +456,11 @@ def test_per_scalar_products_skip_zero_terms_bit_for_bit(pairs):
 def _ref_mat_vec(M, v):
     """Reference: one product decided per vector, the integer route when M and
     v are all Fractions, else the per-scalar fold over the non-near-zero v[j]."""
-    sv = linalg._int_scaled(v)
-    sm = linalg._int_scaled(linalg._flat(M)) if sv is not None else None
-    if sm is not None:
-        (vi, dv), (mi, dm) = sv, sm
+    flat = [x for row in M for x in row]
+    if all(type(x) is F for x in v + flat):
+        dv, dm = (math.lcm(*(x.denominator for x in xs)) for xs in (v, flat))
+        vi, mi = ([x.numerator * (d // x.denominator) for x in xs]
+                  for xs, d in ((v, dv), (flat, dm)))
         w, den = len(M[0]) if M else 0, dv * dm
         sums = (sum(map(operator.mul, mi[r * w : r * w + w], vi)) for r in range(len(M)))
         return [F(t, den) if t else ZERO for t in sums]
@@ -507,6 +508,8 @@ def test_integer_cores_return_ints_equal_to_the_fraction_route(m, k, p, data):
     B = [data.draw(st.lists(ints, min_size=p, max_size=p)) for _ in range(k)]
     vs = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k), max_size=3))
     c = data.draw(ints)
+    Q = [data.draw(st.lists(ints, min_size=k, max_size=k)) for _ in range(k)]
+    sym = [[Q[i][j] + Q[j][i] for j in range(k)] for i in range(k)]
     fr = lambda M: [[F(x) for x in row] for row in M]  # noqa: E731
     for got, want in (
         (mat_mul(A, B), mat_mul(fr(A), fr(B))),
@@ -517,6 +520,28 @@ def test_integer_cores_return_ints_equal_to_the_fraction_route(m, k, p, data):
     ):
         assert got == want
         assert all(type(x) is int for row in got for x in row)
+    # elimination divides: its results are the Fraction route's, type for type
+    for got, want in (
+        (rank(A), rank(fr(A))),
+        (nullspace(A), nullspace(fr(A))),
+        (det(Q), det(fr(Q))),
+        (char_poly(Q), char_poly(fr(Q))),
+        (inertia_symmetric(sym), inertia_symmetric(fr(sym))),
+    ):
+        assert repr(got) == repr(want)
+
+
+def test_rank_of_an_int_matrix_builds_no_fraction(monkeypatch):
+    real, built = F.__new__, [0]
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    got = rank([[1, 2], [3, 4]])
+    monkeypatch.undo()
+    assert (got, built[0]) == (2, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -48,7 +48,7 @@ def _callee(node: ast.Call) -> str | None:
 
 
 def test_basis_ad_matrices_come_from_the_structure_constants():
-    # ad_{b_i} has one representation, LieAlgebra.ad(i), read from the table;
+    # ad_{b_i} has one reader of the table, LieAlgebra.ad_numerators();
     # ad_matrix(L, L.basis_vector(i)) would rebuild it from n brackets
     sources = sorted(Path(aqslie.__file__).parent.glob("*.py"))
     assert sources

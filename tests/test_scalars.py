@@ -143,6 +143,13 @@ def test_parse_float_mode():
         parse_scalar("nope", mode="float")
 
 
+@pytest.mark.parametrize("text", ["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400"])
+def test_parse_float_mode_rejects_non_finite_values(text):
+    # --tolerance rejects nan and inf too; a float scalar must be finite
+    with pytest.raises(ScalarParseError):
+        parse_scalar(text, mode="float")
+
+
 def test_float_tolerance_governs_equality():
     old = get_tolerance()
     try:
