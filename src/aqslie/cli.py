@@ -59,7 +59,7 @@ from .invariant_forms import (
 )
 from .lie_core import lower_central_series
 from .linalg import Subspace
-from .scalars import finite_positive, s_str, set_tolerance
+from .scalars import finite_positive, parse_scalar, s_str, set_tolerance
 
 REPORT_SCHEMA = "aqslie.report.v1"
 
@@ -73,9 +73,28 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_document(path: str) -> tuple[dict, str]:
-    text = _read_text(path)
-    return aqio.loads(text), text
+def _load(path: str, *kinds: str) -> tuple:
+    """(kind, object) read from the document at path, of one of kinds."""
+    return aqio.read(aqio.loads(_read_text(path)), *kinds)
+
+
+def _comma_list(text: str, flag: str, allowed: range | None = None) -> list:
+    """The items of the comma list given to flag: strings, or with allowed
+    the integers in that range.  An empty, non-integer or out-of-range item
+    is an InputError."""
+    items = [t.strip() for t in text.split(",")]
+    if not all(items):
+        raise InputError(f"bad {flag} list")
+    if allowed is None:
+        return items
+    try:
+        values = [int(t) for t in items]
+    except ValueError as exc:
+        raise InputError(f"bad {flag} list") from exc
+    for v in values:
+        if v not in allowed:
+            raise InputError(f"{flag}: {v} is not in [{allowed.start}, {allowed.stop - 1}]")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +102,14 @@ def _load_document(path: str) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> dict:
-    doc, _ = _load_document(args.file)
-    kind = aqio.document_kind(doc)
+    kind, obj = _load(args.file, "lie_algebra", "acm_structure", "kahler_lie_algebra")
     payload: dict = {"kind": kind}
-    if kind == "lie_algebra":
-        L = aqio.algebra_from_json(doc)  # raises JacobiError on violators
-        payload["dim"] = L.dim
+    if kind == "lie_algebra":  # the reader raises JacobiError on violators
+        payload["dim"] = obj.dim
         payload["jacobi"] = "pass"
-        payload["nilpotent"] = lower_central_series(L).is_nilpotent
+        payload["nilpotent"] = lower_central_series(obj).is_nilpotent
     elif kind == "acm_structure":
-        S, companions = aqio.structure_from_json(doc)
+        S, companions = obj
         payload["dim"] = S.L.dim
         payload["jacobi"] = "pass"
         reports = [validate_acm(S)] + [validate_acm(c) for c in companions]
@@ -109,19 +126,13 @@ def cmd_check(args) -> dict:
                 "structure identities fail: "
                 + ", ".join(r.worst_check for r in reports if not r.passed)
             )
-    elif kind == "kahler_lie_algebra":
-        aqio.kahler_from_json(doc)
-        payload["valid"] = True
     else:
-        raise InputError(f"cannot check files of kind {kind!r}")
+        payload["valid"] = True
     return payload
 
 
 def cmd_classify(args) -> dict:
-    doc, _ = _load_document(args.file)
-    if aqio.document_kind(doc) != "acm_structure":
-        raise InputError("classify expects an acm_structure file")
-    S, companions = aqio.structure_from_json(doc)
+    _, (S, companions) = _load(args.file, "acm_structure")
     all_structures = [S] + companions
     payload: dict = {"structures": []}
     for T in all_structures:
@@ -154,64 +165,36 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_construct(args) -> dict:
-    if args.model != "heisenberg":
-        raise InputError(f"unknown construction {args.model!r}")
-    weights = [w for w in args.weights.split(",") if w != ""]
-    if not weights:
-        raise InputError("--weights must be a nonempty comma list")
-    from .scalars import parse_scalar
-
-    parsed = [parse_scalar(w) for w in weights]
-    n = len(parsed)
+    # argparse has already limited the model to heisenberg and the family to 4n1 or 2n1
+    parsed = [parse_scalar(w) for w in _comma_list(args.weights, "--weights")]
     if args.dim_family == "4n1":
-        _, (s1, s2, s3) = weighted_heisenberg_4n1(n, parsed)
+        _, (s1, s2, s3) = weighted_heisenberg_4n1(len(parsed), parsed)
         doc = aqio.structure_to_json(s1, companions=[s2.phi_mat(), s3.phi_mat()])
-    elif args.dim_family == "2n1":
-        _, s = weighted_heisenberg_2n1(n, parsed)
-        doc = aqio.structure_to_json(s)
     else:
-        raise InputError("--dim-family must be 4n1 or 2n1")
+        _, s = weighted_heisenberg_2n1(len(parsed), parsed)
+        doc = aqio.structure_to_json(s)
     return {"document": doc}
 
 
 def cmd_extend(args) -> dict:
-    kdoc, _ = _load_document(args.kahler)
-    if aqio.document_kind(kdoc) != "kahler_lie_algebra":
-        raise InputError("--kahler expects a kahler_lie_algebra file")
-    H = aqio.kahler_from_json(kdoc)
-    cdoc, _ = _load_document(args.cocycle)
-    if aqio.document_kind(cdoc) != "k_form":
-        raise InputError("--cocycle expects a k_form file")
-    w = aqio.form_from_json(cdoc)
+    _, H = _load(args.kahler, "kahler_lie_algebra")
+    _, w = _load(args.cocycle, "k_form")
     _, S = central_extension(H, w)
     return {"document": aqio.structure_to_json(S)}
 
 
 def cmd_cohomology(args) -> dict:
-    doc, _ = _load_document(args.file)
-    kind = aqio.document_kind(doc)
-    if kind == "acm_structure":
-        L = aqio.structure_from_json(doc)[0].L
-    elif kind == "lie_algebra":
-        L = aqio.algebra_from_json(doc)
-    else:
-        raise InputError("cohomology expects an algebra or structure file")
+    kind, obj = _load(args.file, "acm_structure", "lie_algebra")
+    L = obj[0].L if kind == "acm_structure" else obj
+    degrees = range(L.dim + 1)
     if args.degrees is not None:  # only a missing flag means every degree
-        try:
-            degrees = sorted({int(d) for d in args.degrees.split(",")})
-        except ValueError as exc:
-            raise InputError("bad --degrees list") from exc
-    else:
-        degrees = list(range(L.dim + 1))
+        degrees = sorted(set(_comma_list(args.degrees, "--degrees", degrees)))
     betti = {str(k): ce_betti(L, k) for k in degrees}
     return {"dim": L.dim, "betti": betti}
 
 
 def cmd_curvature(args) -> dict:
-    doc, _ = _load_document(args.file)
-    if aqio.document_kind(doc) != "acm_structure":
-        raise InputError("curvature expects an acm_structure file")
-    S, _ = aqio.structure_from_json(doc)
+    _, (S, _) = _load(args.file, "acm_structure")
     data = curvature(S)
     payload = {
         "scalar": s_str(data.scalar),
@@ -230,14 +213,9 @@ def cmd_curvature(args) -> dict:
 
 def cmd_invariant_forms(args) -> dict:
     builtin = {"su2": su2, "su3": su3}.get(args.algebra)
-    g = builtin() if builtin else aqio.algebra_from_json(_load_document(args.algebra)[0])
-    try:
-        torus_idx = [int(t) - 1 for t in args.torus.split(",")]
-    except ValueError as exc:
-        raise InputError("bad --torus index list") from exc
-    if any(not 0 <= t < g.dim for t in torus_idx):
-        raise InputError("--torus index out of range")
-    S = Subspace.from_vectors(g.dim, [g.basis_vector(t) for t in torus_idx])
+    g = builtin() if builtin else _load(args.algebra, "lie_algebra")[1]
+    torus = _comma_list(args.torus, "--torus", range(1, g.dim + 1))
+    S = Subspace.from_vectors(g.dim, [g.basis_vector(t - 1) for t in torus])
     k = centralizer_of_torus(g, S)
     R = reductive_split(g, k)
     warnings = []
@@ -261,10 +239,7 @@ def cmd_invariant_forms(args) -> dict:
     }
     J = None
     if args.J:
-        jdoc, _ = _load_document(args.J)
-        if aqio.document_kind(jdoc) != "matrix":
-            raise InputError("--J expects a matrix file")
-        J = aqio.matrix_from_json(jdoc)
+        _, J = _load(args.J, "matrix")
         if len(J) != R.m.dim:
             raise InputError("J size must match dim m")
     elif R.m.dim == 2:
@@ -451,40 +426,31 @@ def main(argv=None) -> int:
                 continue
             code, report = _run_single(args, str(path))
             out_path = path.parent / (path.stem + ".report.json")
-            out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")
+            out_path.write_text(aqio.dumps(report), "utf-8")
             worst = max(worst, code)
         return worst
 
     code, report = _run_single(args)
-    if report["error"] is not None:
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            err = report["error"]
-            print(
-                f"aqslie {args.command}: {err['code']} ({err['family']}): {err['message']}",
-                file=sys.stderr,
-            )
-        return code
-    if getattr(args, "emits_document", False):
+    if report["error"] is None and getattr(args, "emits_document", False):
         text = aqio.dumps(report["payload"]["document"])
-        output = getattr(args, "output", None)
-        if output:
-            Path(output).write_text(text, "utf-8")
-            if args.json:
-                report["payload"] = {"written": output, "digest": aqio.digest(text)}
-                print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            if args.json:
-                print(json.dumps(report, indent=2, sort_keys=True))
-            else:
-                sys.stdout.write(text)
-        return 0
+        if args.output:
+            Path(args.output).write_text(text, "utf-8")
+            report["payload"] = {"written": args.output, "digest": aqio.digest(text)}
+        elif not args.json:
+            sys.stdout.write(text)
+        if not args.json:
+            return code
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.write(aqio.dumps(report))
+    elif report["error"] is not None:
+        err = report["error"]
+        print(
+            f"aqslie {args.command}: {err['code']} ({err['family']}): {err['message']}",
+            file=sys.stderr,
+        )
     else:
         print(_summary(args.command, report["payload"]))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

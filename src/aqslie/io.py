@@ -5,6 +5,13 @@ serialization; float mode is declared in the file header, not guessed.
 Indices are 1-based in files and 0-based in memory.  Bracket records are
 accepted for i < j only and duplicate (i, j) pairs are rejected.
 
+Every field is read by one typed accessor, `_field`: indices, dims and
+degrees are JSON integers (never booleans, fractions or strings), lists
+and objects are required where the format has them, and a violation is
+an InputError naming its JSON path (`brackets[3].i`).  A dim must be the
+length of a list in the document (basis_names, rows, columns), so nothing
+of size dim is built first.  `read(doc, *kinds)` dispatches on `kind`.
+
 Serialization is canonical (sorted keys, two-space indent, trailing
 newline), so serialize -> parse -> serialize is byte-identical.
 """
@@ -13,13 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 from .acm import AcmStructure
 from .errors import InputError
 from .exterior import KForm
 from .lie_core import LieAlgebra
-from .linalg import Mat, Vec
+from .linalg import Mat, Vec, transpose
 from .scalars import parse_scalar, s_str
+
+_KIND_NAMES = {list: "a list", dict: "an object", str: "a string"}
 
 
 def dumps(document: dict) -> str:
@@ -40,32 +50,75 @@ def digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def _at(path: str, key) -> str:
+    if isinstance(key, str):
+        return f"{path}.{key}" if path else key
+    return f"{path}[{key}]"
+
+
+def _field(doc, key, kind, path: str = "", default=None):
+    """doc[key] checked against kind, or an InputError naming its JSON path.
+
+    doc is a JSON object, or a list and key a position in it.  kind is
+    list, dict, str or object (any value); a tuple of the allowed values;
+    or a range: a JSON integer in it, never a bool, a non-integral number
+    or a string.  A missing key gives default when one is passed.
+    """
+    if isinstance(doc, dict) and key not in doc:
+        if default is None:
+            raise InputError(f"{_at(path, key)}: missing")
+        return default
+    value = doc[key]
+    if isinstance(kind, range):
+        if isinstance(value, int) and not isinstance(value, bool) and value in kind:
+            return value
+        wanted = (f"an integer >= {kind.start}" if kind.stop == sys.maxsize
+                  else f"an integer in [{kind.start}, {kind.stop - 1}]")
+    elif isinstance(kind, tuple):
+        if value in kind:
+            return value
+        wanted = " or ".join(map(json.dumps, kind))
+    elif isinstance(value, kind):
+        return value
+    else:
+        wanted = _KIND_NAMES[kind]
+    shown = json.dumps(value, default=str)[:40]
+    raise InputError(f"{_at(path, key)}: expected {wanted}, got {shown}")
+
+
+def _dim(doc: dict, carrier: str) -> int:
+    """doc["dim"], which must be the length of the nonempty list
+    doc[carrier]; a dim is never trusted beyond what the document carries."""
+    n = len(_field(doc, carrier, list))
+    if not n:
+        raise InputError(f"{carrier}: expected a nonempty list")
+    return _field(doc, "dim", range(n, n + 1))
+
+
 def _mode_of(doc: dict) -> str:
-    mode = doc.get("mode", "exact")
-    if mode not in ("exact", "float"):
-        raise InputError(f"unknown mode {mode!r}")
-    return mode
+    return _field(doc, "mode", ("exact", "float"), "", "exact")
 
 
 def _matrix_to_json(M: Mat) -> list:
     return [[s_str(x) for x in row] for row in M]
 
 
-def _matrix_from_json(rows, n: int, mode: str, what: str) -> Mat:
-    if not isinstance(rows, list) or len(rows) != n:
-        raise InputError(f"{what}: expected {n} rows")
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != n:
-            raise InputError(f"{what}: expected {n} columns per row")
-        out.append([parse_scalar(str(x), mode) for x in row])
-    return out
+def _sized(doc, key, n: int, path: str = "") -> list:
+    """The list doc[key], which must have n entries."""
+    value = _field(doc, key, list, path)
+    if len(value) != n:
+        raise InputError(f"{_at(path, key)}: expected {n} entries, got {len(value)}")
+    return value
 
 
-def _vector_from_json(row, n: int, mode: str, what: str) -> Vec:
-    if not isinstance(row, list) or len(row) != n:
-        raise InputError(f"{what}: expected a vector of length {n}")
-    return [parse_scalar(str(x), mode) for x in row]
+def _vector(doc, key, n: int, mode: str, path: str = "") -> Vec:
+    return [parse_scalar(str(x), mode) for x in _sized(doc, key, n, path)]
+
+
+def _matrix(doc, key, n: int, mode: str, path: str = "") -> Mat:
+    """The n x n matrix doc[key], a list of n rows of n scalar strings."""
+    rows, at = _sized(doc, key, n, path), _at(path, key)
+    return [_vector(rows, r, n, mode, at) for r in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -93,33 +146,25 @@ def algebra_to_json(L: LieAlgebra) -> dict:
 
 def algebra_from_json(doc: dict) -> LieAlgebra:
     mode = _mode_of(doc)
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError("dim must be a positive integer")
-    names = doc.get("basis_names") or [f"e{i+1}" for i in range(dim)]
-    if not (isinstance(names, list) and len(names) == dim
-            and all(isinstance(x, str) for x in names)):
-        raise InputError("basis_names must be a list of dim strings")
+    dim = _dim(doc, "basis_names")
+    names = [_field(doc["basis_names"], t, str, "basis_names") for t in range(dim)]
+    index = {str(k + 1): k for k in range(dim)}  # so "03" or " 3" names no target
     table: dict = {}
-    seen = set()
-    for rec in doc.get("brackets", []):
-        try:
-            i, j = int(rec["i"]), int(rec["j"])
-            targets = {int(k): val for k, val in rec.get("coeffs", {}).items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad bracket record {rec!r}") from exc
-        if not (1 <= i < j <= dim):
-            raise InputError(f"bracket record must have 1 <= i < j <= dim, got ({i},{j})")
-        if (i, j) in seen:
-            raise InputError(f"duplicate bracket record for ({i},{j})")
-        seen.add((i, j))
+    records = _field(doc, "brackets", list, "", [])
+    for r in range(len(records)):
+        at = _at("brackets", r)
+        rec = _field(records, r, dict, "brackets")
+        i = _field(rec, "i", range(1, dim), at)
+        j = _field(rec, "j", range(i + 1, dim + 1), at)
+        if (i - 1, j - 1) in table:
+            raise InputError(f"{at}: duplicate bracket record for ({i},{j})")
         coeffs = {}
-        for k, val in targets.items():
-            if not 1 <= k <= dim:
-                raise InputError(f"bracket target {k} out of range")
-            coeffs[k - 1] = parse_scalar(str(val), mode)
+        for k, val in _field(rec, "coeffs", dict, at, {}).items():
+            if k not in index:
+                raise InputError(f"{at}.coeffs: target {k!r} is not an index in [1, {dim}]")
+            coeffs[index[k]] = parse_scalar(str(val), mode)
         table[(i - 1, j - 1)] = coeffs
-    return LieAlgebra.from_brackets(dim, table, list(names), mode, check=True)
+    return LieAlgebra.from_brackets(dim, table, names, mode, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +186,15 @@ def structure_to_json(S: AcmStructure, companions: list[Mat] | None = None) -> d
 def structure_from_json(doc: dict) -> tuple[AcmStructure, list[AcmStructure]]:
     """The structure plus any companion structures (same xi, eta, g)."""
     L = algebra_from_json(doc)
-    mode = _mode_of(doc)
-    n = L.dim
-    for fieldname in ("phi", "xi", "eta", "metric"):
-        if fieldname not in doc:
-            raise InputError(f"structure file missing field {fieldname!r}")
-    phi = _matrix_from_json(doc["phi"], n, mode, "phi")
-    xi = _vector_from_json(doc["xi"], n, mode, "xi")
-    eta = _vector_from_json(doc["eta"], n, mode, "eta")
-    g = _matrix_from_json(doc["metric"], n, mode, "metric")
-    S = AcmStructure.make(L, phi, xi, eta, g)
-    companions = [
-        AcmStructure.make(L, _matrix_from_json(M, n, mode, "companion"), xi, eta, g)
-        for M in doc.get("companions", [])
+    mode, n = _mode_of(doc), L.dim
+    phi = _matrix(doc, "phi", n, mode)
+    xi, eta = _vector(doc, "xi", n, mode), _vector(doc, "eta", n, mode)
+    g = _matrix(doc, "metric", n, mode)
+    companions = _field(doc, "companions", list, "", [])
+    return AcmStructure.make(L, phi, xi, eta, g), [
+        AcmStructure.make(L, _matrix(companions, c, n, mode, "companions"), xi, eta, g)
+        for c in range(len(companions))
     ]
-    return S, companions
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +214,7 @@ def kahler_from_json(doc: dict):
 
     L = algebra_from_json(doc)
     mode = _mode_of(doc)
-    for fieldname in ("J", "metric"):
-        if fieldname not in doc:
-            raise InputError(f"kahler file missing field {fieldname!r}")
-    J = _matrix_from_json(doc["J"], L.dim, mode, "J")
-    k = _matrix_from_json(doc["metric"], L.dim, mode, "metric")
+    J, k = _matrix(doc, "J", L.dim, mode), _matrix(doc, "metric", L.dim, mode)
     return kahler(L, J, k, check=True)
 
 
@@ -198,20 +233,17 @@ def form_to_json(w: KForm, mode: str = "exact") -> dict:
 
 def form_from_json(doc: dict) -> KForm:
     mode = _mode_of(doc)
-    dim, degree = doc.get("dim"), doc.get("degree")
-    if not isinstance(dim, int) or not isinstance(degree, int):
-        raise InputError("form file needs integer dim and degree")
+    dim = _field(doc, "dim", range(1, sys.maxsize))  # no list of a form carries it
+    degree = _field(doc, "degree", range(dim + 1))
     terms = {}
-    for rec in doc.get("terms", []):
-        try:
-            idx, coeff = tuple(int(x) - 1 for x in rec["indices"]), rec["coeff"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad term record {rec!r}") from exc
-        if len(idx) != degree:
-            raise InputError(f"term indices {rec['indices']} have wrong arity")
-        if any(not 0 <= i < dim for i in idx):
-            raise InputError(f"term indices {rec['indices']} out of range")
-        terms[idx] = parse_scalar(str(coeff), mode)
+    records = _field(doc, "terms", list, "", [])
+    for t in range(len(records)):
+        at = _at("terms", t)
+        rec = _field(records, t, dict, "terms")
+        indices = _sized(rec, "indices", degree, at)
+        idx = tuple(_field(indices, s, range(1, dim + 1), f"{at}.indices") - 1
+                    for s in range(degree))
+        terms[idx] = parse_scalar(str(_field(rec, "coeff", object, at)), mode)
     return KForm.make(degree, dim, terms)
 
 
@@ -220,11 +252,7 @@ def matrix_to_json(M: Mat, mode: str = "exact") -> dict:
 
 
 def matrix_from_json(doc: dict) -> Mat:
-    mode = _mode_of(doc)
-    n = doc.get("dim")
-    if not isinstance(n, int) or n < 1:
-        raise InputError("matrix file needs a positive dim")
-    return _matrix_from_json(doc.get("rows"), n, mode, "matrix")
+    return _matrix(doc, "rows", _dim(doc, "rows"), _mode_of(doc))
 
 
 def frame_to_json(frame, mode: str = "exact") -> dict:
@@ -241,20 +269,21 @@ def frame_to_json(frame, mode: str = "exact") -> dict:
 def frame_from_json(doc: dict) -> tuple[Mat, list]:
     """(change-of-basis matrix, weights); columns are the frame vectors."""
     mode = _mode_of(doc)
-    n = doc.get("dim")
-    if not isinstance(n, int) or n < 1:
-        raise InputError("frame file needs a positive dim")
-    cols = doc.get("columns")
-    if not isinstance(cols, list) or len(cols) != n:
-        raise InputError(f"frame file: expected {n} columns")
-    parsed = [_vector_from_json(c, n, mode, "frame column") for c in cols]
-    T = [[parsed[j][i] for j in range(n)] for i in range(n)]
-    weights = [parse_scalar(str(w), mode) for w in doc.get("weights", [])]
-    return T, weights
+    T = transpose(_matrix(doc, "columns", _dim(doc, "columns"), mode))
+    return T, [parse_scalar(str(w), mode) for w in _field(doc, "weights", list, "", [])]
 
 
-def document_kind(doc: dict) -> str:
-    kind = doc.get("kind")
-    if not isinstance(kind, str):
-        raise InputError("file has no 'kind' field")
-    return kind
+_READERS = {
+    "lie_algebra": algebra_from_json,
+    "acm_structure": structure_from_json,
+    "kahler_lie_algebra": kahler_from_json,
+    "k_form": form_from_json,
+    "matrix": matrix_from_json,
+    "adapted_frame": frame_from_json,
+}
+
+
+def read(doc: dict, *kinds: str) -> tuple:
+    """(kind, object): doc read by the reader of its kind, one of kinds."""
+    kind = _field(doc, "kind", kinds)
+    return kind, _READERS[kind](doc)

@@ -149,28 +149,65 @@ ALGEBRA_DOC = {
     "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}],
 }
 
+
+def _bracket(**fields) -> dict:
+    return {"brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}, **fields}]}
+
+
+# case: (input, change, what the message names).  "algebra" and "structure"
+# rows update ALGEBRA_DOC or the h5 structure document and run `check`;
+# "form" rows update the cocycle of an `extend`; "argv" rows are command
+# lines whose {structure} and {matrix} stand for valid files of that kind
 MALFORMED = {
-    "bracket-target-not-int": ("algebra", {"brackets": [{"i": 1, "j": 2, "coeffs": {"x": "1"}}]}),
-    "bracket-coeffs-a-list": ("algebra", {"brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]}),
-    "basis-names-a-number": ("algebra", {"basis_names": 5}),
-    "term-without-indices": ("form", [{"coeff": "1"}]),
-    "term-index-not-an-int": ("form", [{"indices": [1, "b"], "coeff": "1"}]),
+    "bracket-target-not-int": ("algebra", _bracket(coeffs={"x": "1"}), "brackets[0].coeffs"),
+    "bracket-coeffs-a-list": ("algebra", _bracket(coeffs=["1"]), "brackets[0].coeffs"),
+    "bracket-index-not-integral": ("algebra", _bracket(i=1.7, j=2.2), "brackets[0].i"),
+    "bracket-index-a-string": ("algebra", _bracket(i="1"), "brackets[0].i"),
+    "bracket-index-a-bool": ("algebra", _bracket(i=True), "brackets[0].i"),
+    "basis-names-a-number": ("algebra", {"basis_names": 5}, "basis_names"),
+    "basis-names-false": ("algebra", {"basis_names": False}, "basis_names"),
+    "basis-names-empty": ("algebra", {"basis_names": []}, "basis_names"),
+    "dim-a-bool": ("algebra", {"dim": True, "basis_names": ["a"], "brackets": []}, "dim"),
+    "brackets-a-number": ("algebra", {"brackets": 5}, "brackets"),
+    "brackets-null": ("algebra", {"brackets": None}, "brackets"),
+    "companions-a-number": ("structure", {"companions": 5}, "companions"),
+    "term-without-indices": ("form", {"terms": [{"coeff": "1"}]}, "terms[0].indices"),
+    "term-index-not-an-int": (
+        "form", {"terms": [{"indices": [1, "b"], "coeff": "1"}]}, "terms[0].indices[1]"),
+    "terms-a-number": ("form", {"terms": 5}, "terms"),
+    "form-dim-and-degree-bools": (
+        "form", {"dim": True, "degree": True, "terms": [{"indices": [1.9], "coeff": "1"}]}, "dim"),
+    "invariant-forms-algebra-is-a-matrix": (
+        "argv", ["invariant-forms", "--algebra", "{matrix}", "--torus", "1"], "kind"),
+    "weights-with-an-empty-item": (
+        "argv", ["construct", "heisenberg", "--dim-family", "4n1", "--weights", "1,,2"],
+        "--weights"),
+    "degrees-out-of-range": (
+        "argv", ["cohomology", "{structure}", "--degrees", "0,6"], "--degrees"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
-    kind, change = MALFORMED[case]
+    kind, change, where = MALFORMED[case]
     if kind == "algebra":
-        argv = ["check", _write(tmp_path, "a.json", {**ALGEBRA_DOC, **change}), "--json"]
-    else:
+        argv = ["check", _write(tmp_path, "a.json", {**ALGEBRA_DOC, **change})]
+    elif kind == "structure":
+        _, (S1, _, _) = weighted_heisenberg_4n1(1, [1])
+        argv = ["check", _write(tmp_path, "s.json", {**aqio.structure_to_json(S1), **change})]
+    elif kind == "form":
         kpath = _write(tmp_path, "k.json", aqio.kahler_to_json(standard_kahler(2)))
         w = aqio.form_to_json(KForm.make(2, 4, {(0, 1): F(2), (2, 3): F(-2)}))
-        wpath = _write(tmp_path, "w.json", {**w, "terms": change})
-        argv = ["extend", "--kahler", kpath, "--cocycle", wpath, "--json"]
-    code = main(argv)
+        wpath = _write(tmp_path, "w.json", {**w, **change})
+        argv = ["extend", "--kahler", kpath, "--cocycle", wpath]
+    else:
+        files = {"structure": _structure_file(tmp_path),
+                 "matrix": _write(tmp_path, "m.json", aqio.matrix_to_json([[F(1)]]))}
+        argv = [arg.format(**files) for arg in change]
+    code = main(argv + ["--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["error"]["code"] == "InputError"
+    assert where in out["error"]["message"]
 
 
 @pytest.mark.parametrize("bad", ["nan", "-inf", "1e400"])
@@ -257,15 +294,27 @@ def test_cli_curvature_and_cohomology(tmp_path, capsys):
     assert out["payload"]["betti"] == {"1": 4, "2": 5}
 
 
-@pytest.mark.parametrize("degrees", ["", " ", " , "])
-def test_cli_cohomology_empty_degrees_is_a_usage_error(tmp_path, capsys, degrees):
-    # only a missing --degrees means every degree, as an empty --weights is an error
-    path = _structure_file(tmp_path, 1, (1,))
-    code = main(["cohomology", path, "--degrees", degrees, "--json"])
+EMPTY_ITEMS = ["", " ", " , ", "1,,2"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    *(pytest.param("--degrees", v, id=v) for v in EMPTY_ITEMS),
+    *(pytest.param(flag, v, id=f"{flag}={v}") for flag in ("--weights", "--torus")
+      for v in EMPTY_ITEMS),
+])
+def test_cli_cohomology_empty_degrees_is_a_usage_error(tmp_path, capsys, flag, value):
+    # only a missing --degrees means every degree; an empty item of any
+    # comma list is an error, never skipped
+    argv = {
+        "--degrees": ["cohomology", _structure_file(tmp_path, 1, (1,))],
+        "--weights": ["construct", "heisenberg", "--dim-family", "4n1"],
+        "--torus": ["invariant-forms", "--algebra", "su3"],
+    }[flag]
+    code = main(argv + [flag, value, "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["payload"] is None
     assert out["error"]["code"] == "InputError"
-    assert out["error"]["message"] == "bad --degrees list"
+    assert out["error"]["message"] == f"bad {flag} list"
 
 
 def test_cli_extend(tmp_path, capsys):

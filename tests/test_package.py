@@ -91,3 +91,44 @@ def test_acm_leaves_the_field_decision_to_linalg():
         "    return [Fraction(t, den) for t in scaled[0]]\n"
     )
     assert len(acm_field_decisions(forked)) == 3
+
+
+
+def calls_outside(source: str, helper: str, matches) -> list[int]:
+    """Lines of the calls in source that match, outside the function helper."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == helper for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside and matches(node)]
+
+
+def _reads_an_int(node: ast.Call) -> bool:
+    name = _callee(node)
+    return name == "int" or name == "isinstance" and any(
+        isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node.args[-1]))
+
+
+def _splits_a_comma_list(node: ast.Call) -> bool:
+    return _callee(node) == "split" and any(
+        isinstance(arg, ast.Constant) and arg.value == "," for arg in node.args)
+
+
+def test_input_fields_are_read_in_one_place():
+    # io reads every field through _field and cli every comma list through
+    # _comma_list, so each input is checked one way wherever it appears
+    package = Path(aqslie.__file__).parent
+    assert calls_outside((package / "io.py").read_text("utf-8"), "_field", _reads_an_int) == []
+    cli_source = (package / "cli.py").read_text("utf-8")
+    assert calls_outside(cli_source, "_comma_list", _splits_a_comma_list) == []
+    # the hand-written checks the typed reader replaced are what it is for
+    forked = (
+        "def form_from_json(doc):\n"
+        "    if not isinstance(doc['degree'], (int, float)):\n"
+        "        raise InputError('degree')\n"
+        "    return [int(x) - 1 for x in doc['indices']]\n"
+        "def cmd_cohomology(args):\n"
+        "    return args.degrees.split(',')\n"
+    )
+    assert calls_outside(forked, "_field", _reads_an_int) == [2, 4]
+    assert calls_outside(forked, "_comma_list", _splits_a_comma_list) == [6]
