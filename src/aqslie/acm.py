@@ -90,6 +90,17 @@ CLASS_ANTI_QUASI_SASAKIAN = "AntiQuasiSasakian"
 CLASS_DOUBLE_AQS_SASAKIAN = "DoubleAqsSasakian"
 CLASS_UNCLASSIFIED = "Unclassified"
 
+# each class of classify_structure and the residuals that vanish on it:
+# d eta = 2 Phi (contact metric), N_phi = 0 (normal), d Phi = 0, d eta = 0,
+# and N_phi = 2 d eta (x) xi (anti-normal)
+CLASS_RESIDUALS = {
+    CLASS_CONTACT_METRIC: ("contact_metric",),
+    CLASS_SASAKIAN: ("contact_metric", "n_phi"),
+    CLASS_QUASI_SASAKIAN: ("d_phi", "n_phi"),
+    CLASS_ANTI_QUASI_SASAKIAN: ("d_phi", "anti_normal"),
+    CLASS_COKAHLER: ("d_eta", "d_phi", "n_phi"),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class AcmStructure:
@@ -166,8 +177,13 @@ def validate_acm(S: AcmStructure) -> ValidationReport:
     for name, r in residuals.items():
         if s_lt(worst, r):
             worst_name, worst = name, r
-    passed = pd and all(s_is_zero(r) for r in residuals.values())
+    passed = pd and _all_vanish(residuals)
     return ValidationReport(passed, residuals, worst, worst_name)
+
+
+def _all_vanish(residuals: dict, names=None) -> bool:
+    """Every residual, or every one named, is zero (under the float tolerance)."""
+    return all(s_is_zero(residuals[name]) for name in names or residuals)
 
 
 def fundamental_form(S: AcmStructure) -> KForm:
@@ -215,7 +231,8 @@ class StructureClass:
 
 def classify_structure(S: AcmStructure) -> StructureClass:
     """All satisfied class tags among contact metric / Sasakian / cokahler /
-    quasi-Sasakian / anti-quasi-Sasakian."""
+    quasi-Sasakian / anti-quasi-Sasakian, each read from the residuals that
+    CLASS_RESIDUALS names for it."""
     if "classification" in S._memo:
         return S._memo["classification"]
     report = validate_acm(S)
@@ -223,11 +240,8 @@ def classify_structure(S: AcmStructure) -> StructureClass:
         raise InvalidStructure(
             f"not an almost contact metric structure (worst: {report.worst_check})"
         )
-    L = S.L
     Phi = fundamental_form(S)
-    dPhi = ce_d(L, Phi)
-    eta_f = S.eta_form()
-    deta = ce_d(L, eta_f)
+    dPhi, deta = ce_d(S.L, Phi), ce_d(S.L, S.eta_form())
     deta_mat = bilinear_from_form(deta)
     nij = nijenhuis_phi(S)
     xi_col = [[x] for x in S.xi]
@@ -235,28 +249,9 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi
     deta_pairs = [[deta_mat[i][j] for i, j in nij]]
     n_phi = mat_add(transpose(list(nij.values())), mat_mul(xi_col, deta_pairs))
-    n_phi_zero = all(map(vec_is_zero, n_phi))
     # anti-normal: N_phi = 2 d eta (x) xi
     anti_diff = mat_sub(n_phi, mat_mul(xi_col, mat_scale(deta_pairs, Fraction(2))))
-    anti = all(map(vec_is_zero, anti_diff))
     contact_diff = form_sub(deta, form_scale(Phi, Fraction(2)))
-    deta_is_2phi = contact_diff.is_zero()
-    deta_zero = deta.is_zero()
-    dphi_zero = dPhi.is_zero()
-
-    tags = set()
-    if deta_is_2phi:
-        tags.add(CLASS_CONTACT_METRIC)
-        if n_phi_zero:
-            tags.add(CLASS_SASAKIAN)
-    if dphi_zero and n_phi_zero:
-        tags.add(CLASS_QUASI_SASAKIAN)
-    if dphi_zero and anti:
-        tags.add(CLASS_ANTI_QUASI_SASAKIAN)
-    if deta_zero and dphi_zero and n_phi_zero:
-        tags.add(CLASS_COKAHLER)
-    if not tags:
-        tags.add(CLASS_UNCLASSIFIED)
     residuals = {
         "d_phi": max_abs(c for _, c in dPhi.coeffs),
         "d_eta": max_abs(c for _, c in deta.coeffs),
@@ -264,7 +259,8 @@ def classify_structure(S: AcmStructure) -> StructureClass:
         "anti_normal": max_abs(_flat(anti_diff)),
         "contact_metric": max_abs(c for _, c in contact_diff.coeffs),
     }
-    result = StructureClass(frozenset(tags), residuals)
+    tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
+    result = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
     S._memo["classification"] = result
     return result
 
@@ -401,7 +397,7 @@ def operators_A_psi(S: AcmStructure) -> OperatorPack:
     gpsi = mat_mul(g, psi)
     residuals["A_skew"] = _mat_res(transpose(gA), gA, mat_add)
     residuals["psi_skew"] = _mat_res(transpose(gpsi), gpsi, mat_add)
-    ok = all(s_is_zero(r) for r in residuals.values())
+    ok = _all_vanish(residuals)
     a_form = form_from_bilinear(gA) if ok else KForm.make(2, n)
     psi_form = form_from_bilinear(gpsi) if ok else KForm.make(2, n)
     pack = OperatorPack(
@@ -451,7 +447,7 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
     witness = next(((i, j) for i, j in pairs if not s_is_zero(anti[i][j])), None)
     residuals["deta_anti_invariance"] = max_abs(anti[i][j] for i, j in pairs)
-    ok = all(s_is_zero(r) for r in residuals.values())
+    ok = _all_vanish(residuals)
     return ClosednessReport(ok, residuals, witness)
 
 
@@ -526,7 +522,7 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
         c
         for _, c in form_sub(deta, form_scale(fundamental_form(S3), Fraction(2))).coeffs
     )
-    ok = all(s_is_zero(r) for r in residuals.values())
+    ok = _all_vanish(residuals)
     return DoubleReport(ok, residuals)
 
 

@@ -1,25 +1,27 @@
-"""Adapted frames for anti-quasi-Sasakian structures of maximal rank.
+"""Adapted frames for structures of maximal rank, read off one operator.
 
-The operator psi^2 restricted to D = Ker eta is g-symmetric with negative
-eigenvalues; each eigendistribution splits into g-orthogonal quadruples
-(X, AX, phi X, psi X).  Normalizing
+Both normal forms of the classifier start from a g-symmetric operator M
+whose kernel is the line R xi: psi^2 for anti-quasi-Sasakian structures,
+A = phi psi for quasi-Sasakian ones.  :func:`eigen_orbits` eigendecomposes
+M once, through ``linalg.eigenspaces`` (exact, or the generalized float
+problem with tolerance clustering), and splits each eigenspace into
+g-orthogonal orbits: (v, Av, phi v, psi v) for psi^2, (v, phi v) for A.
+
+For psi^2 the eigenvalues are -w_i^2 and normalizing
 
     e_{n+i} = (1/w_i) A e_i,  e_{2n+i} = phi e_i,  e_{3n+i} = (1/w_i) psi e_i
 
-with psi^2 e_i = -w_i^2 e_i produces the orthonormal frame
-{xi, e_i, e_{n+i}, e_{2n+i}, e_{3n+i}}.  The frame is kept factored as
-T = R Delta: the columns of R are the unnormalized quadruples, in the
-input's field (rational for rational inputs), and the diagonal Delta =
-(1, 1/|v|, 1/(w|v|), ...) holds the square roots.  Exact frames are
-certified by the Gram check R^T g R = Delta^-2 in the input's field.
+produces the orthonormal frame {xi, e_i, e_{n+i}, e_{2n+i}, e_{3n+i}}.  The
+frame is kept factored as T = R Delta: the columns of R are the unnormalized
+quadruples, in the input's field (rational for rational inputs), and the
+diagonal Delta = (1, 1/|v|, 1/(w|v|), ...) holds the square roots.  Exact
+frames are certified by the Gram check R^T g R = Delta^-2 in the input's
+field.
 
-psi^2 is eigendecomposed once per frame, through ``linalg.eigenspaces``
-(exact, or the generalized float problem with tolerance clustering).
-
-Determinism: eigenvalues are processed by descending weight and the pivot
-inside an eigendistribution is the first reduced-echelon kernel vector
+Determinism: eigenvalues are processed by descending |eigenvalue|, ties in
+ascending order, and the pivot inside an eigenspace is the first
+reduced-echelon kernel vector orthogonal to the orbits chosen so far
 (lexicographically least free column); this is a repository convention.
-The quasi-Sasakian classifier picks its pairs with the same pivot rule.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import (
     IrrationalSpectrum,
     NotAqs,
     NotMaximalRank,
+    NotQs,
     PreconditionError,
 )
 from .exterior import bilinear_from_form
@@ -69,39 +72,52 @@ from .scalars import (
 )
 
 
-def _require_aqs_maximal(S: AcmStructure) -> None:
-    if CLASS_ANTI_QUASI_SASAKIAN not in classify_structure(S).tags:
-        raise NotAqs("structure is not anti-quasi-Sasakian")
+def require_maximal(S: AcmStructure, tag: str) -> None:
+    """The gate of every normal form: S carries the class tag (NotAqs or
+    NotQs otherwise) and eta has maximal rank (NotMaximalRank otherwise)."""
+    if tag not in classify_structure(S).tags:
+        exc = NotAqs if tag == CLASS_ANTI_QUASI_SASAKIAN else NotQs
+        raise exc(f"structure is not {tag}")
     rr = structure_rank(S)
     if not rr.is_maximal:
         raise NotMaximalRank(f"rank {rr.rank} < dim {S.L.dim}")
 
 
-def _psi2_eigenspaces(S: AcmStructure) -> list:
-    """[(eigenvalue, multiplicity, eigenbasis)] of psi^2 on D, most
-    negative first; psi^2 is only g-symmetric, so the float route solves
-    the generalized problem."""
+def eigen_orbits(M: Mat, g: Mat, maps: list[Mat]) -> list[tuple[object, int, list[tuple]]]:
+    """[(eigenvalue, multiplicity, orbits)] of the g-symmetric operator M off
+    its kernel R xi, largest |eigenvalue| first.  Each eigenspace splits into
+    g-orthogonal orbits (v, M_1 v, M_2 v, ...) of the given maps, v the
+    first kernel vector orthogonal to the orbits chosen before it."""
+    spectrum = eigenspaces(M, g)
+    kernel = sum(mult for ev, mult, _ in spectrum if s_is_zero(ev))
+    if kernel != 1:
+        raise NotMaximalRank(f"kernel of dimension {kernel}, not the line R xi")
+    size = len(maps) + 1
+    out = []
+    nonzero = [entry for entry in spectrum if not s_is_zero(entry[0])]
+    for ev, mult, basis in sorted(nonzero, key=lambda entry: -abs(float(entry[0]))):
+        if mult % size:
+            raise InternalContradiction(
+                f"eigenvalue {ev} has multiplicity {mult}, not divisible by {size}"
+            )
+        orbits: list[tuple] = []
+        for _ in range(mult // size):
+            v = _orthogonal_pivot(basis, [x for orbit in orbits for x in orbit], g)
+            orbits.append((v, *(mat_vec(m, v) for m in maps)))
+        out.append((ev, mult, orbits))
+    return out
+
+
+def _psi2_orbits(S: AcmStructure) -> list:
+    """eigen_orbits of psi^2 with the quadruples (v, Av, phi v, psi v)."""
     pack = operators_A_psi(S)
     if not pack.ok:
         raise NotAqs("operator identities fail; structure is not aqS")
-    psi = [list(r) for r in pack.psi]
-    eig = eigenspaces(mat_mul(psi, psi), S.g_mat())
-    # drop the simple zero eigenvalue carried by xi
-    zero_mult = sum(mult for ev, mult, _ in eig if s_is_zero(ev))
-    spectrum = [entry for entry in eig if not s_is_zero(entry[0])]
-    if zero_mult != 1:
-        raise NotMaximalRank(
-            f"psi^2 kernel has dimension {zero_mult}; psi is singular on D"
-        )
-    for ev, mult, _ in spectrum:
+    A, psi = [list(r) for r in pack.A], [list(r) for r in pack.psi]
+    spectrum = eigen_orbits(mat_mul(psi, psi), S.g_mat(), [A, S.phi_mat(), psi])
+    for ev, _, _ in spectrum:
         if s_sign(ev) > 0:
             raise InternalContradiction(f"psi^2 has positive eigenvalue {ev}")
-        if mult % 4 != 0:
-            raise InternalContradiction(
-                f"eigenvalue {ev} has multiplicity {mult}, not divisible by 4"
-            )
-    # most negative eigenvalue (largest weight) first; exact and float alike
-    spectrum.sort(key=lambda entry: float(entry[0]))
     return spectrum
 
 
@@ -111,8 +127,8 @@ def psi_squared_spectrum(S: AcmStructure) -> list[tuple[object, int]]:
     Exact mode raises IrrationalSpectrum when the characteristic polynomial
     has non-rational roots (retry in float mode in that case).
     """
-    _require_aqs_maximal(S)
-    return [(ev, mult) for ev, mult, _ in _psi2_eigenspaces(S)]
+    require_maximal(S, CLASS_ANTI_QUASI_SASAKIAN)
+    return [(ev, mult) for ev, mult, _ in _psi2_orbits(S)]
 
 
 @dataclass(frozen=True)
@@ -136,16 +152,11 @@ class AdaptedFrame:
 
 def adapted_frame(S: AcmStructure) -> AdaptedFrame:
     """Orthonormal adapted frame of an aqS structure of maximal rank."""
-    _require_aqs_maximal(S)
-    pack = operators_A_psi(S)
+    require_maximal(S, CLASS_ANTI_QUASI_SASAKIAN)
     g = S.g_mat()
-    A = [list(r) for r in pack.A]
-    psi = [list(r) for r in pack.psi]
-    phi = S.phi_mat()
-
     quadruples: list[tuple[Vec, Vec, Vec, Vec]] = []  # (v, Av, phi v, psi v)
     weights = []
-    for ev, mult, eig_basis in _psi2_eigenspaces(S):
+    for ev, _, orbits in _psi2_orbits(S):
         weight_sq = s_neg(ev)
         try:
             weight = s_sqrt(weight_sq)
@@ -153,19 +164,10 @@ def adapted_frame(S: AcmStructure) -> AdaptedFrame:
             raise IrrationalSpectrum(
                 f"weight^2 = {weight_sq} is not a rational square"
             ) from exc
-        chosen: list[Vec] = []
-        for _ in range(mult // 4):
-            pivot = _orthogonal_pivot(eig_basis, chosen, g)
-            quad = (
-                pivot,
-                mat_vec(A, pivot),
-                mat_vec(phi, pivot),
-                mat_vec(psi, pivot),
-            )
+        for quad in orbits:
             _check_quadruple(quad, g, weight_sq)
             quadruples.append(quad)
             weights.append(weight)
-            chosen.extend(quad)
 
     n = len(quadruples)
     norms_sq = [bilinear(v, g, v) for v, _, _, _ in quadruples]
@@ -193,8 +195,8 @@ def adapted_frame(S: AcmStructure) -> AdaptedFrame:
 
 
 def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:
-    """First kernel vector of the eigenspace g-orthogonal to everything
-    chosen (the reduced-echelon convention of the module docstring)."""
+    """First vector of the eigenspace g-orthogonal to everything chosen
+    (the reduced-echelon convention of the module docstring)."""
     if not chosen:
         return list(eig_basis[0])
     rows = []
@@ -234,7 +236,7 @@ def coframe_expansion_check(S: AcmStructure, F: AdaptedFrame) -> CoframeReport:
         Phi    = -sum_i (eps_i ^ eps_{2n+i} + eps_{3n+i} ^ eps_{n+i})
         Psi    = -sum_i w_i (eps_i ^ eps_{3n+i} + eps_{n+i} ^ eps_{2n+i})
     """
-    _require_aqs_maximal(S)
+    require_maximal(S, CLASS_ANTI_QUASI_SASAKIAN)
     pack = operators_A_psi(S)
     from .acm import fundamental_form
 

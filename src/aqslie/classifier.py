@@ -1,20 +1,27 @@
 """Constructive normal forms: nilpotent maximal-rank structures are mapped
 onto weighted Heisenberg algebras with an explicit, re-verified isomorphism.
 
-Pipeline for the anti-quasi-Sasakian case: center = R xi, the quotient by
-the center is abelian, the adapted frame extracts the weights, and the
-change of basis to the frame is the isomorphism onto h^{4n+1}_w.  In frame
-terms the source phi acts by e_i -> e_{2n+i}, which is the phi_2 of the
-target family; companion structures are pulled back through F.  For a
-frame T = R Delta, F = T^-1 = Delta^-1 R^-1: exact frames invert R in the
-input's field and check M = R^-1 against the target rewritten in the basis
-Delta_k^-1 e_k (rational for these targets); float frames invert T.
+Both families run one pipeline.  The gate ``adapted.require_maximal``
+checks the class tag and the rank of eta; the algebra must be nilpotent
+with Killing xi, center R xi, and [g, g] inside R xi (the quotient by the
+center is abelian).  Then ``adapted.eigen_orbits`` reads a frame off one
+g-symmetric operator, and the change of basis to the frame is the
+isomorphism onto the target:
 
-Weights are reported positive and sorted descending.  In the quasi-Sasakian
-case a positive eigenvalue of the symmetric operator A = phi psi forces a
-sign flip of e_{n+i}; the bracket normal form absorbs the sign and the flip
-is recorded in phi_signs (the pushed-forward phi then matches the target
-phi with those per-pair signs).
+* anti-quasi-Sasakian: the adapted frame of psi^2 (quadruples
+  (v, Av, phi v, psi v)) onto h^{4n+1}_w.  In frame terms the source phi
+  acts by e_i -> e_{2n+i}, which is the phi_2 of the target family;
+  companion structures are pulled back through F.
+* quasi-Sasakian: pairs (v, phi v) of A = phi psi onto h^{2n+1}_w.  A
+  positive eigenvalue of A forces a sign flip of e_{n+i}; the bracket
+  normal form absorbs the sign and the flip is recorded in phi_signs (the
+  pushed-forward phi then matches the target phi with those per-pair
+  signs).
+
+For a frame T = R Delta, F = T^-1 = Delta^-1 R^-1: exact frames invert R in
+the input's field and check M = R^-1 against the target rewritten in the
+basis Delta_k^-1 e_k (rational for these targets); float frames invert T.
+Weights are reported positive and sorted descending.
 """
 
 from __future__ import annotations
@@ -25,43 +32,31 @@ from .acm import (
     CLASS_QUASI_SASAKIAN,
     AcmStructure,
     certificate_failure,
-    classify_structure,
     psi_matrix,
-    structure_rank,
     xi_killing_check,
 )
-from .adapted import _orthogonal_pivot, adapted_frame
+from .adapted import adapted_frame, eigen_orbits, require_maximal
 from .constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from .errors import (
     CenterTooBig,
     InternalContradiction,
     NonAbelianQuotient,
-    NotAqs,
-    NotMaximalRank,
     NotNilpotent,
     NotQs,
     PreconditionError,
 )
 from .exterior import bilinear_from_form, ce_d
-from .lie_core import (
-    LieAlgebra,
-    bracket,
-    center,
-    lower_central_series,
-    quotient_by_center_line,
-)
+from .lie_core import LieAlgebra, bracket, center, lower_central_series
 from .linalg import (
     Mat,
-    Subspace,
-    Vec,
     bilinear,
-    eigenspaces,
     inverse,
     mat_eq,
     mat_mul,
     mat_sub,
     mat_vec,
     nullspace,
+    rank,
     solve,
     transpose,
     vec_eq,
@@ -98,18 +93,15 @@ class HeisenbergIso:
 def _common_preconditions(S: AcmStructure, want_tag: str) -> None:
     if not lower_central_series(S.L).is_nilpotent:
         raise NotNilpotent("algebra is not nilpotent")
-    tags = classify_structure(S).tags
-    if want_tag not in tags:
-        exc = NotAqs if want_tag == CLASS_ANTI_QUASI_SASAKIAN else NotQs
-        raise exc(f"structure is not {want_tag}")
-    rr = structure_rank(S)
-    if not rr.is_maximal:
-        raise NotMaximalRank(f"rank {rr.rank} < dim {S.L.dim}")
+    require_maximal(S, want_tag)
     if not xi_killing_check(S):
         raise PreconditionError("xi is not a Killing vector")
+    _center_and_quotient(S)
 
 
-def _center_and_quotient(S: AcmStructure):
+def _center_and_quotient(S: AcmStructure) -> None:
+    """The center is R xi and the quotient by it is abelian: every bracket
+    [b_i, b_j], a column of ad_i, lies on the line R xi."""
     L = S.L
     Z = center(L)
     if Z.dim > 1:
@@ -118,12 +110,9 @@ def _center_and_quotient(S: AcmStructure):
         )
     if Z.dim == 0 or not Z.contains(S.xi_vec()):
         raise InternalContradiction("center of a nilpotent algebra must be R xi here")
-    # complement D = Ker eta
-    D = Subspace.from_vectors(L.dim, nullspace([S.eta_row()], L.dim))
-    quot = quotient_by_center_line(L, S.xi_vec(), D)
-    if quot.algebra.brackets:
+    ads, _, (xi,), _ = L.ad_numerators([S.xi_vec()])
+    if rank(xi + [col for ad in ads for col in transpose(ad)]) > 1:
         raise NonAbelianQuotient("quotient by the center is not abelian")
-    return quot
 
 
 def _verify_iso(
@@ -194,20 +183,12 @@ def classify_nilpotent_aqs(S: AcmStructure) -> HeisenbergIso:
     rank: an explicit isomorphism onto h^{4n+1}_w (source phi -> target
     phi_2, per the adapted-frame convention)."""
     _common_preconditions(S, CLASS_ANTI_QUASI_SASAKIAN)
-    _center_and_quotient(S)
     frame = adapted_frame(S)
     n = frame.n
     weights = list(frame.weights)
     target_L, (t1, t2, t3) = weighted_heisenberg_4n1(n, weights)
     F = _frame_isomorphism(S, target_L, t2, list(frame.unscaled), list(frame.scales))
-    return HeisenbergIso(
-        "4n+1",
-        n,
-        tuple(weights),
-        tuple(tuple(r) for r in F),
-        tuple(1 for _ in range(n)),
-        2,
-    )
+    return HeisenbergIso("4n+1", n, tuple(weights), tuple(map(tuple, F)), (1,) * n, 2)
 
 
 def companion_structures(S: AcmStructure, iso: HeisenbergIso):
@@ -234,38 +215,17 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     eigenvectors of the symmetric operator A = phi psi give pairs
     (e_i, phi e_i) and an isomorphism onto h^{2n+1}_w."""
     _common_preconditions(S, CLASS_QUASI_SASAKIAN)
-    _center_and_quotient(S)
-    A = operators_A_psi_qs(S)  # g-symmetric, not plain symmetric
-    g, phi = S.g_mat(), S.phi_mat()
-    pairs = []  # (weight, sign, v, phi v) with v rational, unnormalized
-    zero_mult = 0
-    for ev, mult, basis in eigenspaces(A, g):
-        if s_is_zero(ev):
-            zero_mult += mult
-            continue
-        if mult % 2 != 0:
-            raise InternalContradiction(
-                f"A-eigenvalue {ev} has odd multiplicity {mult}"
-            )
-        weight = s_abs(ev)
-        sign = 1 if s_sign(ev) < 0 else -1  # bracket [u, phi u] = -2 ev |u|^2 xi
-        chosen: list[Vec] = []
-        for _ in range(mult // 2):
-            pivot = _orthogonal_pivot(basis, chosen, g)
-            pair = (pivot, mat_vec(phi, pivot))
-            chosen.extend(pair)
-            pairs.append((weight, sign, pair[0], pair[1]))
-    if zero_mult != 1:
-        raise NotMaximalRank(f"A has kernel of dimension {zero_mult} > 1")
-    pairs.sort(key=lambda p: -float(p[0]))
-    n = len(pairs)
+    g = S.g_mat()
     first, second, inv_norms, weights, signs = [], [], [], [], []
-    for weight, sign, v, phv in pairs:
-        first.append(v)
-        second.append(phv if sign > 0 else vec_scale(phv, s_neg(ONE)))
-        inv_norms.append(s_div(ONE, s_sqrt(bilinear(v, g, v))))
-        weights.append(weight)
-        signs.append(sign)
+    for ev, _, orbits in eigen_orbits(operators_A_psi_qs(S), g, [S.phi_mat()]):
+        sign = 1 if s_sign(ev) < 0 else -1  # bracket [u, phi u] = -2 ev |u|^2 xi
+        for v, phv in orbits:
+            first.append(v)
+            second.append(phv if sign > 0 else vec_scale(phv, s_neg(ONE)))
+            inv_norms.append(s_div(ONE, s_sqrt(bilinear(v, g, v))))
+            weights.append(s_abs(ev))
+            signs.append(sign)
+    n = len(first)
     target_L, target_S = weighted_heisenberg_2n1(n, weights)
     signed_phi = _signed_phi_2n1(n, signs)
     signed_target = AcmStructure.make(
@@ -274,14 +234,7 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     F = _frame_isomorphism(
         S, target_L, signed_target, [S.xi_vec()] + first + second, [ONE] + inv_norms * 2
     )
-    return HeisenbergIso(
-        "2n+1",
-        n,
-        tuple(weights),
-        tuple(tuple(r) for r in F),
-        tuple(signs),
-        1,
-    )
+    return HeisenbergIso("2n+1", n, tuple(weights), tuple(map(tuple, F)), tuple(signs), 1)
 
 
 def _signed_phi_2n1(n: int, signs: list[int]) -> Mat:

@@ -73,9 +73,9 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load(path: str, *kinds: str) -> tuple:
-    """(kind, object) read from the document at path, of one of kinds."""
-    return aqio.read(aqio.loads(_read_text(path)), *kinds)
+def _parse(text: str, *kinds: str) -> tuple:
+    """(kind, object) read from the document text, of one of kinds."""
+    return aqio.read(aqio.loads(text), *kinds)
 
 
 def _comma_list(text: str, flag: str, allowed: range | None = None) -> list:
@@ -102,7 +102,7 @@ def _comma_list(text: str, flag: str, allowed: range | None = None) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> dict:
-    kind, obj = _load(args.file, "lie_algebra", "acm_structure", "kahler_lie_algebra")
+    kind, obj = _parse(args.text, "lie_algebra", "acm_structure", "kahler_lie_algebra")
     payload: dict = {"kind": kind}
     if kind == "lie_algebra":  # the reader raises JacobiError on violators
         payload["dim"] = obj.dim
@@ -132,7 +132,7 @@ def cmd_check(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    _, (S, companions) = _load(args.file, "acm_structure")
+    _, (S, companions) = _parse(args.text, "acm_structure")
     all_structures = [S] + companions
     payload: dict = {"structures": []}
     for T in all_structures:
@@ -177,14 +177,14 @@ def cmd_construct(args) -> dict:
 
 
 def cmd_extend(args) -> dict:
-    _, H = _load(args.kahler, "kahler_lie_algebra")
-    _, w = _load(args.cocycle, "k_form")
+    _, H = _parse(_read_text(args.kahler), "kahler_lie_algebra")
+    _, w = _parse(_read_text(args.cocycle), "k_form")
     _, S = central_extension(H, w)
     return {"document": aqio.structure_to_json(S)}
 
 
 def cmd_cohomology(args) -> dict:
-    kind, obj = _load(args.file, "acm_structure", "lie_algebra")
+    kind, obj = _parse(args.text, "acm_structure", "lie_algebra")
     L = obj[0].L if kind == "acm_structure" else obj
     degrees = range(L.dim + 1)
     if args.degrees is not None:  # only a missing flag means every degree
@@ -194,7 +194,7 @@ def cmd_cohomology(args) -> dict:
 
 
 def cmd_curvature(args) -> dict:
-    _, (S, _) = _load(args.file, "acm_structure")
+    _, (S, _) = _parse(args.text, "acm_structure")
     data = curvature(S)
     payload = {
         "scalar": s_str(data.scalar),
@@ -213,7 +213,7 @@ def cmd_curvature(args) -> dict:
 
 def cmd_invariant_forms(args) -> dict:
     builtin = {"su2": su2, "su3": su3}.get(args.algebra)
-    g = builtin() if builtin else _load(args.algebra, "lie_algebra")[1]
+    g = builtin() if builtin else _parse(_read_text(args.algebra), "lie_algebra")[1]
     torus = _comma_list(args.torus, "--torus", range(1, g.dim + 1))
     S = Subspace.from_vectors(g.dim, [g.basis_vector(t - 1) for t in torus])
     k = centralizer_of_torus(g, S)
@@ -239,7 +239,7 @@ def cmd_invariant_forms(args) -> dict:
     }
     J = None
     if args.J:
-        _, J = _load(args.J, "matrix")
+        _, J = _parse(_read_text(args.J), "matrix")
         if len(J) != R.m.dim:
             raise InputError("J size must match dim m")
     elif R.m.dim == 2:
@@ -375,8 +375,9 @@ def _run_single(args, input_path: str | None = None) -> tuple[int, dict]:
         if input_path is not None:
             args.file = input_path
         in_file = getattr(args, "file", None)
-        if in_file and in_file != "-":
-            digest = aqio.digest(_read_text(in_file))
+        if in_file is not None:  # read once: the digest is of the text that is parsed
+            args.text = _read_text(in_file)
+            digest = None if in_file == "-" else aqio.digest(args.text)
         payload = args.handler(args)
         code = 0
     except Exception as exc:

@@ -129,14 +129,12 @@ class KahlerLieAlgebra:
         return form_from_bilinear(mat_mul(self.k_mat(), self.J_mat()))
 
 
-def kahler(L: LieAlgebra, J: Mat, k: Mat, check: bool = True) -> KahlerLieAlgebra:
+def kahler(L: LieAlgebra, J: Mat, k: Mat) -> KahlerLieAlgebra:
     """Validate J^2 = -I, N_J = 0, k Hermitian positive definite, d Omega = 0."""
     n = L.dim
     H = KahlerLieAlgebra(
         L, tuple(tuple(r) for r in J), tuple(tuple(r) for r in k)
     )
-    if not check:
-        return H
     if not mat_eq(mat_mul(J, J), mat_scale(identity(n), s_neg(ONE))):
         raise PreconditionError("J^2 != -I")
     if not is_positive_definite(k):

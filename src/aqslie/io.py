@@ -8,9 +8,11 @@ accepted for i < j only and duplicate (i, j) pairs are rejected.
 Every field is read by one typed accessor, `_field`: indices, dims and
 degrees are JSON integers (never booleans, fractions or strings), lists
 and objects are required where the format has them, and a violation is
-an InputError naming its JSON path (`brackets[3].i`).  A dim must be the
-length of a list in the document (basis_names, rows, columns), so nothing
-of size dim is built first.  `read(doc, *kinds)` dispatches on `kind`.
+an InputError naming its JSON path (`brackets[3].i`); a scalar string is
+read by `_scalar`, whose ScalarParseError names it the same way.  A dim
+must be the length of a list in the document (basis_names, rows,
+columns), so nothing of size dim is built first.  `read(doc, *kinds)`
+dispatches on `kind`.
 
 Serialization is canonical (sorted keys, two-space indent, trailing
 newline), so serialize -> parse -> serialize is byte-identical.
@@ -23,7 +25,7 @@ import json
 import sys
 
 from .acm import AcmStructure
-from .errors import InputError
+from .errors import InputError, ScalarParseError
 from .exterior import KForm
 from .lie_core import LieAlgebra
 from .linalg import Mat, Vec, transpose
@@ -111,8 +113,19 @@ def _sized(doc, key, n: int, path: str = "") -> list:
     return value
 
 
+def _scalar(doc, key, mode: str, path: str = ""):
+    """doc[key] parsed as a scalar string; a bad one is a ScalarParseError
+    naming its JSON path (`phi[2][3]: bad exact scalar 'x'`)."""
+    value = _field(doc, key, object, path)
+    try:
+        return parse_scalar(str(value), mode)
+    except ScalarParseError as exc:
+        raise ScalarParseError(f"{_at(path, key)}: {exc}") from exc
+
+
 def _vector(doc, key, n: int, mode: str, path: str = "") -> Vec:
-    return [parse_scalar(str(x), mode) for x in _sized(doc, key, n, path)]
+    values, at = _sized(doc, key, n, path), _at(path, key)
+    return [_scalar(values, c, mode, at) for c in range(n)]
 
 
 def _matrix(doc, key, n: int, mode: str, path: str = "") -> Mat:
@@ -159,12 +172,13 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
         if (i - 1, j - 1) in table:
             raise InputError(f"{at}: duplicate bracket record for ({i},{j})")
         coeffs = {}
-        for k, val in _field(rec, "coeffs", dict, at, {}).items():
+        targets = _field(rec, "coeffs", dict, at, {})
+        for k in targets:
             if k not in index:
                 raise InputError(f"{at}.coeffs: target {k!r} is not an index in [1, {dim}]")
-            coeffs[index[k]] = parse_scalar(str(val), mode)
+            coeffs[index[k]] = _scalar(targets, k, mode, f"{at}.coeffs")
         table[(i - 1, j - 1)] = coeffs
-    return LieAlgebra.from_brackets(dim, table, names, mode, check=True)
+    return LieAlgebra.from_brackets(dim, table, names, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +229,7 @@ def kahler_from_json(doc: dict):
     L = algebra_from_json(doc)
     mode = _mode_of(doc)
     J, k = _matrix(doc, "J", L.dim, mode), _matrix(doc, "metric", L.dim, mode)
-    return kahler(L, J, k, check=True)
+    return kahler(L, J, k)
 
 
 def form_to_json(w: KForm, mode: str = "exact") -> dict:
@@ -243,7 +257,7 @@ def form_from_json(doc: dict) -> KForm:
         indices = _sized(rec, "indices", degree, at)
         idx = tuple(_field(indices, s, range(1, dim + 1), f"{at}.indices") - 1
                     for s in range(degree))
-        terms[idx] = parse_scalar(str(_field(rec, "coeff", object, at)), mode)
+        terms[idx] = _scalar(rec, "coeff", mode, at)
     return KForm.make(degree, dim, terms)
 
 
@@ -270,7 +284,8 @@ def frame_from_json(doc: dict) -> tuple[Mat, list]:
     """(change-of-basis matrix, weights); columns are the frame vectors."""
     mode = _mode_of(doc)
     T = transpose(_matrix(doc, "columns", _dim(doc, "columns"), mode))
-    return T, [parse_scalar(str(w), mode) for w in _field(doc, "weights", list, "", [])]
+    weights = _field(doc, "weights", list, "", [])
+    return T, [_scalar(weights, w, mode, "weights") for w in range(len(weights))]
 
 
 _READERS = {

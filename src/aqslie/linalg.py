@@ -247,8 +247,10 @@ def dot(u: Vec, v: Vec):
 
 def max_abs(entries):
     """The largest |x| over entries, ZERO for none: on integers for rational
-    input, else a fold under the float tolerance."""
-    xs = list(entries)
+    input, else a fold under the float tolerance.  Zeros are skipped: they
+    cannot raise the maximum, and comparing a tower maximum with each of
+    them would cost an Ext.sign."""
+    xs = [x for x in entries if x]
     scaled = _int_scaled(xs)
     if scaled is not None:
         return Fraction(max(map(abs, scaled[0]), default=0), scaled[1] or 1)

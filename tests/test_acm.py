@@ -690,3 +690,17 @@ def test_max_abs_of_fractions_matches_the_per_scalar_route(xs):
     assert max_abs(xs) == want and type(max_abs(xs)) is F
     assert max_abs(iter(xs)) == want
     assert max_abs([]) == ZERO
+
+
+def test_max_abs_compares_a_tower_maximum_with_no_zero(monkeypatch):
+    # each comparison with a tower maximum costs an Ext.sign; a zero cannot
+    # raise the maximum, so padding the entries with zeros adds no comparison
+    calls = []
+    sign = Ext.sign
+    monkeypatch.setattr(Ext, "sign", lambda self: calls.append(self) or sign(self))
+    counts = []
+    for k in (0, 1, 40):
+        calls.clear()
+        assert str(max_abs([Ext.of_sqrt(2)] + [ZERO] * k)) == "sqrt(2)"
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 3

@@ -15,6 +15,7 @@ from aqslie.acm import (
 )
 from aqslie.adapted import adapted_frame
 from aqslie.classifier import (
+    _center_and_quotient,
     _signed_phi_2n1,
     classify_nilpotent_aqs,
     classify_nilpotent_qs,
@@ -28,7 +29,9 @@ from aqslie.constructors import (
     weighted_heisenberg_4n1,
 )
 from aqslie.errors import (
+    CenterTooBig,
     InternalContradiction,
+    NonAbelianQuotient,
     NotAqs,
     NotMaximalRank,
     NotNilpotent,
@@ -46,7 +49,7 @@ from aqslie.linalg import (
     vec_scale,
     zeros,
 )
-from aqslie.lie_core import bracket
+from aqslie.lie_core import LieAlgebra, bracket
 from aqslie.scalars import Ext, ONE, is_exact, s_abs, s_eq, s_inv, s_is_zero, s_neg, s_str
 
 
@@ -332,3 +335,18 @@ def test_perturbed_M_fails_with_the_message_of_the_check_on_F(monkeypatch):
         with pytest.raises(InternalContradiction) as new:
             classify_nilpotent_aqs(S)
         assert str(new.value) == str(old.value), (a, b)
+
+
+@pytest.mark.parametrize("case", ["abelian5-xi-e1", "filiform5-xi-e5"])
+def test_center_and_quotient_errors(case):
+    # the two ways the center can fail the normal-form pipeline: a center
+    # larger than R xi, and xi central but [g, g] not inside R xi
+    if case == "abelian5-xi-e1":
+        L, k, error = abelian(5), 0, CenterTooBig
+    else:  # [e1,e2] = e3, [e1,e3] = e4, [e1,e4] = e5; the center is R e5
+        table = {(0, 1): {2: F(1)}, (0, 2): {3: F(1)}, (0, 3): {4: F(1)}}
+        L, k, error = LieAlgebra.from_brackets(5, table), 4, NonAbelianQuotient
+    e = L.basis_vector(k)
+    S = AcmStructure.make(L, zeros(5, 5), e, e, identity(5))
+    with pytest.raises(error):
+        _center_and_quotient(S)

@@ -157,7 +157,9 @@ def _bracket(**fields) -> dict:
 # case: (input, change, what the message names).  "algebra" and "structure"
 # rows update ALGEBRA_DOC or the h5 structure document and run `check`;
 # "form" rows update the cocycle of an `extend`; "argv" rows are command
-# lines whose {structure} and {matrix} stand for valid files of that kind
+# lines whose {structure} and {matrix} stand for valid files of that kind.
+# Every row exits 2 with InputError, the "scalar-" rows with its subclass
+# ScalarParseError.
 MALFORMED = {
     "bracket-target-not-int": ("algebra", _bracket(coeffs={"x": "1"}), "brackets[0].coeffs"),
     "bracket-coeffs-a-list": ("algebra", _bracket(coeffs=["1"]), "brackets[0].coeffs"),
@@ -171,6 +173,9 @@ MALFORMED = {
     "brackets-a-number": ("algebra", {"brackets": 5}, "brackets"),
     "brackets-null": ("algebra", {"brackets": None}, "brackets"),
     "companions-a-number": ("structure", {"companions": 5}, "companions"),
+    "scalar-phi-cell-not-a-scalar": (
+        "structure", {"phi": [["x" if (r, c) == (2, 3) else "0" for c in range(5)]
+                              for r in range(5)]}, "phi[2][3]: bad exact scalar 'x'"),
     "term-without-indices": ("form", {"terms": [{"coeff": "1"}]}, "terms[0].indices"),
     "term-index-not-an-int": (
         "form", {"terms": [{"indices": [1, "b"], "coeff": "1"}]}, "terms[0].indices[1]"),
@@ -206,7 +211,8 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
         argv = [arg.format(**files) for arg in change]
     code = main(argv + ["--json"])
     out = json.loads(capsys.readouterr().out)
-    assert code == 2 and out["error"]["code"] == "InputError"
+    want = "ScalarParseError" if case.startswith("scalar-") else "InputError"
+    assert code == 2 and out["error"]["code"] == want
     assert where in out["error"]["message"]
 
 
@@ -441,6 +447,20 @@ def test_cli_classify_reads_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out["payload"]["double_aqs_sasakian"] is True
     assert out["input_digest"] is None  # stdin has no digestable file
+
+
+def test_cli_reads_the_input_file_once(tmp_path, capsys, monkeypatch):
+    # the digest is taken from the text that is parsed, in one read
+    import aqslie.cli as cli
+
+    path = _structure_file(tmp_path)
+    reads = []
+    read_text = cli._read_text
+    monkeypatch.setattr(cli, "_read_text", lambda p: reads.append(p) or read_text(p))
+    assert main(["check", path, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert reads == [path]
+    assert out["input_digest"] == aqio.digest(Path(path).read_text("utf-8"))
 
 
 def test_cli_invariant_forms_with_j_file(tmp_path, capsys):

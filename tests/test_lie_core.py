@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from aqslie.acm import conjugate_structure
 from aqslie.constructors import (
+    KahlerLieAlgebra,
     abelian,
     central_extension,
-    kahler,
     su2,
     su3,
     weighted_heisenberg_2n1,
@@ -345,7 +345,8 @@ def test_quotient_then_extension_round_trip():
     # re-extending the quotient by its cocycle reproduces the brackets
     L = weighted_heisenberg_4n1(2, [1, 2])[0]
     quot = quotient_by_center_line(L, L.basis_vector(0), _kernel_complement(L))
-    H = kahler(quot.algebra, _phi_on_quotient(), identity(8), check=False)
+    H = KahlerLieAlgebra(quot.algebra, tuple(map(tuple, _phi_on_quotient())),
+                         tuple(map(tuple, identity(8))))  # built without validation
     w = form_from_bilinear([list(r) for r in quot.cocycle])
     L2, S2 = central_extension(H, w)
     # extension has xi last; original has xi first: compare bracket tables

@@ -132,3 +132,26 @@ def test_input_fields_are_read_in_one_place():
     )
     assert calls_outside(forked, "_field", _reads_an_int) == [2, 4]
     assert calls_outside(forked, "_comma_list", _splits_a_comma_list) == [6]
+
+
+def _calls_to(name: str):
+    return lambda node: _callee(node) == name
+
+
+def test_the_normal_forms_share_one_orbit_routine():
+    # both normal forms pick their frame vectors in adapted.eigen_orbits, and
+    # the classifier tests [g, g] inside R xi by a rank, building no quotient
+    package = Path(aqslie.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text("utf-8")
+        assert calls_outside(source, "eigen_orbits", _calls_to("_orthogonal_pivot")) == []
+    classifier = (package / "classifier.py").read_text("utf-8")
+    assert calls_outside(classifier, "", _calls_to("quotient_by_center_line")) == []
+    # a private eigenvalue loop beside the routine is what the check is for
+    forked = (
+        "def classify_nilpotent_qs(S):\n"
+        "    quotient_by_center_line(S.L, xi, D)\n"
+        "    return _orthogonal_pivot(basis, [], g)\n"
+    )
+    assert calls_outside(forked, "eigen_orbits", _calls_to("_orthogonal_pivot")) == [3]
+    assert calls_outside(forked, "", _calls_to("quotient_by_center_line")) == [2]
