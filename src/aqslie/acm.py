@@ -11,8 +11,16 @@ Shared formulas live here once: :func:`nijenhuis` is the Nijenhuis bracket
 of any endomorphism (phi here, the complex structure J of a Kahler algebra
 in ``constructors``), and :func:`psi_matrix` is psi = -nabla xi for both
 the anti-quasi-Sasakian operator pack and the quasi-Sasakian classifier.
-Basis-pair checks of 2-forms and bilinear forms are Gram products, e.g.
-d eta(phi X, phi Y) = -d eta(X, Y) is phi^T B phi + B = 0.
+
+Throughout the package a check on all basis pairs is one matrix identity,
+never a loop of per-pair evaluations.  2-forms and bilinear forms are
+compared as Gram products: d eta(phi X, phi Y) = -d eta(X, Y) is
+phi^T B phi + B = 0 here, w(JX, JY) = w(X, Y) is J^T W J = W in
+``constructors`` and ``invariant_forms``, the adapted frame is certified by
+R^T g R = Delta^-2 and its coframe expansions by T^T W T.  Brackets are
+products of ad matrices: the Nijenhuis bracket and the Koszul solve here,
+the bracket inclusions, equivariance and integrability of J on m-blocks
+C_m ad_U M in ``invariant_forms``.
 
 The Levi-Civita connection is stored as n matrices, gamma[i] = Gamma_i as
 rows, Gamma_i b_j = nabla_{b_i} b_j.  For a left-invariant metric the Koszul
@@ -360,8 +368,6 @@ def certificate_failure(what: str, residuals) -> AqslieError:
 class OperatorPack:
     A: tuple  # A = phi psi = -phi o nabla xi
     psi: tuple  # psi = -nabla xi
-    a_form: KForm  # g(., A .)
-    psi_form: KForm  # g(., psi .)
     ok: bool
     residuals: dict
 
@@ -379,7 +385,6 @@ def operators_A_psi(S: AcmStructure) -> OperatorPack:
     if "operators" in S._memo:
         return S._memo["operators"]
     phi, g, xi, eta = S.phi_mat(), S.g_mat(), S.xi_vec(), S.eta_row()
-    n = S.L.dim
     psi = psi_matrix(S)
     A = mat_mul(phi, psi)
     residuals = {}
@@ -398,16 +403,7 @@ def operators_A_psi(S: AcmStructure) -> OperatorPack:
     residuals["A_skew"] = _mat_res(transpose(gA), gA, mat_add)
     residuals["psi_skew"] = _mat_res(transpose(gpsi), gpsi, mat_add)
     ok = _all_vanish(residuals)
-    a_form = form_from_bilinear(gA) if ok else KForm.make(2, n)
-    psi_form = form_from_bilinear(gpsi) if ok else KForm.make(2, n)
-    pack = OperatorPack(
-        tuple(tuple(r) for r in A),
-        tuple(tuple(r) for r in psi),
-        a_form,
-        psi_form,
-        ok,
-        residuals,
-    )
+    pack = OperatorPack(tuple(map(tuple, A)), tuple(map(tuple, psi)), ok, residuals)
     S._memo["operators"] = pack
     return pack
 
@@ -426,18 +422,24 @@ class ClosednessReport:
 
 def closedness_suite(S: AcmStructure) -> ClosednessReport:
     """For an anti-quasi-Sasakian structure: d(g(.,A.)) = 0, d Phi = 0,
-    d eta = 2 g(., psi .), and d eta(phi X, phi Y) = -d eta(X, Y)."""
+    d eta = 2 g(., psi .), and d eta(phi X, phi Y) = -d eta(X, Y).  The forms
+    g(., A .) and g(., psi .) are read as zero when the operator identities
+    fail (they need not be alternating then)."""
     cls = classify_structure(S)
     if CLASS_ANTI_QUASI_SASAKIAN not in cls.tags:
         raise NotAqs("closedness suite requires an anti-quasi-Sasakian structure")
-    L = S.L
+    L, g = S.L, S.g_mat()
     pack = operators_A_psi(S)
+    a_form, psi_form = (
+        form_from_bilinear(mat_mul(g, [list(r) for r in X])) if pack.ok else KForm.make(2, L.dim)
+        for X in (pack.A, pack.psi)
+    )
     residuals = {}
-    residuals["dA"] = max_abs(c for _, c in ce_d(L, pack.a_form).coeffs)
-    residuals["dPhi"] = max_abs(c for _, c in ce_d(L, fundamental_form(S)).coeffs)
+    residuals["dA"] = max_abs(c for _, c in ce_d(L, a_form).coeffs)
+    residuals["dPhi"] = cls.residuals["d_phi"]
     deta = ce_d(L, S.eta_form())
     residuals["deta_eq_2Psi"] = max_abs(
-        c for _, c in form_sub(deta, form_scale(pack.psi_form, Fraction(2))).coeffs
+        c for _, c in form_sub(deta, form_scale(psi_form, Fraction(2))).coeffs
     )
     if not pack.ok:
         residuals["operator_identities"] = ONE

@@ -43,7 +43,6 @@ from .errors import (
     NotQs,
     PreconditionError,
 )
-from .exterior import bilinear_from_form
 from .linalg import (
     Mat,
     Vec,
@@ -164,10 +163,8 @@ def adapted_frame(S: AcmStructure) -> AdaptedFrame:
             raise IrrationalSpectrum(
                 f"weight^2 = {weight_sq} is not a rational square"
             ) from exc
-        for quad in orbits:
-            _check_quadruple(quad, g, weight_sq)
-            quadruples.append(quad)
-            weights.append(weight)
+        quadruples.extend(orbits)
+        weights.extend([weight] * len(orbits))
 
     n = len(quadruples)
     norms_sq = [bilinear(v, g, v) for v, _, _, _ in quadruples]
@@ -184,10 +181,10 @@ def adapted_frame(S: AcmStructure) -> AdaptedFrame:
         gram_cols, want = R, [ONE] + norms_sq + wide_sq + norms_sq + wide_sq
     else:
         gram_cols, want = frame.columns(), [ONE] * len(R)
-    g_cols = mat_vecs(g, gram_cols)
+    gram = mat_mul(gram_cols, transpose(mat_vecs(g, gram_cols)))
     for a in range(len(R)):
         for b in range(a, len(R)):
-            residual = s_sub(dot(gram_cols[a], g_cols[b]), want[a] if a == b else ZERO)
+            residual = s_sub(gram[a][b], want[a] if a == b else ZERO)
             if not s_is_zero(residual):
                 what = f"frame is not orthonormal at pair ({a}, {b})"
                 raise certificate_failure(what, [residual])
@@ -209,20 +206,6 @@ def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:
     return mat_vec(transpose(eig_basis), coeff_basis[0])
 
 
-def _check_quadruple(quad, g: Mat, weight_sq) -> None:
-    norms = [bilinear(x, g, x) for x in quad]
-    # |Av|^2 = |psi v|^2 = w^2 |v|^2 and |phi v| = |v|
-    wide = s_mul(weight_sq, norms[0])
-    residuals = [s_sub(norms[1], wide), s_sub(norms[2], norms[0]), s_sub(norms[3], wide)]
-    if not all(s_is_zero(x) for x in residuals):
-        raise certificate_failure("quadruple norm relations fail", residuals)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            x = bilinear(quad[a], g, quad[b])
-            if not s_is_zero(x):
-                raise certificate_failure("quadruple is not orthogonal", [x])
-
-
 @dataclass(frozen=True)
 class CoframeReport:
     ok: bool
@@ -237,9 +220,7 @@ def coframe_expansion_check(S: AcmStructure, F: AdaptedFrame) -> CoframeReport:
         Psi    = -sum_i w_i (eps_i ^ eps_{3n+i} + eps_{n+i} ^ eps_{2n+i})
     """
     require_maximal(S, CLASS_ANTI_QUASI_SASAKIAN)
-    pack = operators_A_psi(S)
-    from .acm import fundamental_form
-
+    pack, g = operators_A_psi(S), S.g_mat()
     n = F.n
     cols = F.columns()
     dimension = S.L.dim
@@ -253,16 +234,14 @@ def coframe_expansion_check(S: AcmStructure, F: AdaptedFrame) -> CoframeReport:
         expected["Phi"].update({(i, 2 * n + i): s_neg(ONE), (n + i, 3 * n + i): ONE})
         expected["Psi"].update({(i, 3 * n + i): s_neg(w), (n + i, 2 * n + i): s_neg(w)})
 
-    forms = {
-        "A": pack.a_form,
-        "Phi": fundamental_form(S),
-        "Psi": pack.psi_form,
-    }
+    # the matrices W of g(., A .), Phi = g(., phi .) and g(., psi .)
+    forms = {name: mat_mul(g, [list(r) for r in X])
+             for name, X in (("A", pack.A), ("Phi", S.phi), ("Psi", pack.psi))}
     T = transpose(cols)
     mismatches = []
-    for name, form in forms.items():
+    for name, W in forms.items():
         # the form on frame pairs: the Gram matrix T^T W T
-        gram = mat_mul(cols, mat_mul(bilinear_from_form(form), T))
+        gram = mat_mul(cols, mat_mul(W, T))
         for a in range(dimension):
             for b in range(a + 1, dimension):
                 got = gram[a][b]

@@ -46,6 +46,7 @@ from .errors import (
     InternalContradiction,
     NotAqs,
     PreconditionError,
+    ScalarParseError,
 )
 from .exterior import ce_betti
 from .invariant_forms import (
@@ -166,7 +167,10 @@ def cmd_classify(args) -> dict:
 
 def cmd_construct(args) -> dict:
     # argparse has already limited the model to heisenberg and the family to 4n1 or 2n1
-    parsed = [parse_scalar(w) for w in _comma_list(args.weights, "--weights")]
+    try:
+        parsed = [parse_scalar(w) for w in _comma_list(args.weights, "--weights")]
+    except ScalarParseError as exc:  # named like a document scalar names its JSON path
+        raise ScalarParseError(f"--weights: {exc}") from exc
     if args.dim_family == "4n1":
         _, (s1, s2, s3) = weighted_heisenberg_4n1(len(parsed), parsed)
         doc = aqio.structure_to_json(s1, companions=[s2.phi_mat(), s3.phi_mat()])

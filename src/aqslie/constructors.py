@@ -24,7 +24,7 @@ from importlib import resources
 
 from .acm import AcmStructure, nijenhuis
 from .errors import DimensionMismatch, PreconditionError
-from .exterior import KForm, ce_d, form_add, form_scale, form_sub, pullback
+from .exterior import KForm, bilinear_from_form, ce_d, form_add, form_scale, form_sub
 from .lie_core import LieAlgebra
 from .linalg import (
     Mat,
@@ -161,11 +161,14 @@ def standard_kahler(m: int) -> KahlerLieAlgebra:
 
 
 def invariance_type(H: KahlerLieAlgebra, w: KForm) -> tuple[str, KForm, KForm]:
-    """Classify w against the J-pullback: returns (tag, invariant part,
-    anti-invariant part) with w = inv + anti exactly."""
-    if w.degree != 2 or w.dim != H.L.dim:
+    """Classify w against its J-pullback w(J ., J .), the Gram product J^T W J:
+    returns (tag, invariant part, anti-invariant part) with w = inv + anti
+    exactly."""
+    n, J = H.L.dim, H.J_mat()
+    if w.degree != 2 or w.dim != n:
         raise DimensionMismatch("need a 2-form on the Kahler algebra")
-    P = pullback(w, H.J_mat())
+    JWJ = mat_mul(transpose(J), mat_mul(bilinear_from_form(w), J))
+    P = KForm.make(2, n, {(i, j): JWJ[i][j] for i in range(n) for j in range(i + 1, n)})
     half = Fraction(1, 2)
     inv = form_scale(form_add(w, P), half)
     anti = form_scale(form_sub(w, P), half)

@@ -142,7 +142,9 @@ def wedge_power(a: KForm, p: int) -> KForm:
 
 
 def evaluate(a: KForm, vectors: list[Vec]):
-    """a(v_1, ..., v_k) via k x k minors."""
+    """a(v_1, ..., v_k) via k x k minors.  The package compares 2-forms on
+    basis pairs as Gram products (w(A e_a, A e_b) is entry (a, b) of A^T W A);
+    this is the independent oracle the tests hold them against."""
     if len(vectors) != a.degree:
         raise DimensionMismatch("wrong number of arguments")
     total = ZERO
@@ -173,18 +175,6 @@ def bilinear_from_form(a: KForm) -> Mat:
         M[i][j] = c
         M[j][i] = s_neg(c)
     return M
-
-
-def pullback(a: KForm, A: Mat) -> KForm:
-    """(A^* a)(v_1..v_k) = a(A v_1, .., A v_k) for a square matrix A."""
-    n = a.dim
-    cols = transpose(A)
-    terms: dict[tuple, object] = {}
-    for J in combinations(range(n), a.degree):
-        val = evaluate(a, [cols[j] for j in J])
-        if not s_is_zero(val):
-            terms[J] = val
-    return KForm.make(a.degree, n, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -2,64 +2,81 @@
 algebras: the moment element, the (1,1) property, and the vanishing of the
 anti-invariant (2,0) part.
 
-For g compact semisimple (Killing form negative definite) and k the
+For g compact semisimple (Killing form B negative definite) and k the
 centralizer of a torus, g = k (+) m with m = k-perp under the Killing form.
 Every closed ad(k)-invariant 2-form w on m is Kill([., .], Z_w) for a unique
 Z_w in the center of k, and is J-invariant (type (1,1)) for every invariant
 integrable complex structure J on m.  All systems are solved exactly.
+
+Every check on basis pairs is one matrix identity of m-blocks.  M and K hold
+the bases of m and k as columns, C_m and C_k are the coordinate maps of the
+split (the rows of [K M]^-1), and N_U = C_m ad_U M is the m-part of ad_U on
+m in m-coordinates, for any U in g.  With W the matrix of w:
+
+    [k, k] in k, [k, m] in m    C_m ad_U K = 0 and C_k ad_U M = 0, U in k
+    J is ad(k)-equivariant      J N_U = N_U J, U in k
+    J is integrable             N_{J X_a} J - N_{X_a} - J (N_{X_a} J + N_{J X_a}) = 0
+    w is of type (1,1)          J^T W J = W
+    Z is the moment element     M^T ad_Z^T B M = W
+
+Column b of the integrability matrix is the m-part of [JX_a, JX_b] - [X_a, X_b]
+- J [X_a, JX_b] - J [JX_a, X_b].  The anti-invariant part of w is
+(W - J^T W J) / 2, so the (1,1) test decides it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
+from .acm import certificate_failure
 from .errors import (
     InternalContradiction,
     NoSolution,
     NotCompactSemisimple,
     PreconditionError,
 )
-from .exterior import KForm, bilinear_from_form, evaluate, form_scale, form_sub, pullback
+from .exterior import KForm, bilinear_from_form
 from .lie_core import LieAlgebra, ad_matrix, bracket, derivations, killing_form
 from .linalg import (
     Mat,
     Subspace,
     Vec,
-    dot,
+    _flat,
     identity,
     inverse,
+    mat_add,
     mat_eq,
     mat_mul,
+    mat_sub,
     mat_vec,
     mat_vecs,
     nullspace,
     solve,
     transpose,
-    vec_add,
-    vec_eq,
     vec_is_zero,
     vec_sub,
 )
-from .scalars import ONE, ZERO, s_add, s_eq, s_is_zero, s_mul, s_neg, s_sub
+from .scalars import ONE, ZERO, s_add, s_is_zero, s_mul, s_neg, s_sub
 
 
 def centralizer_of_torus(g: LieAlgebra, S: Subspace) -> Subspace:
-    """k = {X : [X, s] = 0 for every s in a basis of the abelian S}."""
-    for a in range(S.dim):
-        for b in range(a + 1, S.dim):
-            if not vec_is_zero(bracket(g, list(S.basis[a]), list(S.basis[b]))):
-                raise PreconditionError("torus subspace is not abelian")
-    rows: Mat = []
-    for s in S.basis:
-        ad_s = ad_matrix(g, list(s))
-        rows.extend([[s_neg(x) for x in row] for row in ad_s])  # [X, s] = -ad_s X
-    k = Subspace.from_vectors(g.dim, nullspace(rows, g.dim))
+    """k = {X : [s, X] = 0 for every s in a basis of the abelian S}, the
+    common kernel of the ad_s stacked."""
+    ads = [ad_matrix(g, list(s)) for s in S.basis]
+    if not all(vec_is_zero(_flat(mat_vecs(ad, [list(t) for t in S.basis]))) for ad in ads):
+        raise PreconditionError("torus subspace is not abelian")
+    k = Subspace.from_vectors(g.dim, nullspace([row for ad in ads for row in ad], g.dim))
     for s in S.basis:
         if not k.contains(list(s)):
             raise InternalContradiction("centralizer does not contain the torus")
     return k
+
+
+def _block(coords: tuple, ad: Mat, cols: list[Vec]) -> Mat:
+    """coords ad cols: ad applied to the columns cols, read in the coordinate
+    rows coords (C_m ad_U M is N_U)."""
+    return transpose(mat_vecs([list(r) for r in coords], mat_vecs(ad, cols)))
 
 
 @dataclass(frozen=True)
@@ -67,8 +84,8 @@ class ReductiveSplit:
     g: LieAlgebra
     k: Subspace
     m: Subspace
-    coords_k: tuple  # (dim k) x (dim g): g-coordinates -> k-coordinates
-    coords_m: tuple  # (dim m) x (dim g)
+    coords_k: tuple  # C_k, (dim k) x (dim g): g-coordinates -> k-coordinates
+    coords_m: tuple  # C_m, (dim m) x (dim g)
 
     def m_cols(self) -> list[Vec]:
         return [list(b) for b in self.m.basis]
@@ -76,17 +93,17 @@ class ReductiveSplit:
     def k_cols(self) -> list[Vec]:
         return [list(b) for b in self.k.basis]
 
-    def to_m_coords(self, v: Vec) -> Vec:
-        return mat_vec([list(r) for r in self.coords_m], v)
-
-    def bracket_m(self, a: Vec, b: Vec) -> Vec:
-        """m-part of [a, b], in m-coordinates."""
-        return self.to_m_coords(bracket(self.g, a, b))
+    def ad_m(self, U: Vec) -> Mat:
+        """N_U = C_m ad_U M; its column b is [U, X_b]_m in m-coordinates."""
+        return _block(self.coords_m, ad_matrix(self.g, U), self.m_cols())
 
 
 def reductive_split(g: LieAlgebra, k: Subspace) -> ReductiveSplit:
     """g = k (+) m with m = k-perp under the Killing form; both bracket
-    inclusions [k,k] in k and [k,m] in m are verified exhaustively."""
+    inclusions [k,k] in k and [k,m] in m are verified on the basis of k.  A
+    k that is not a subalgebra is a PreconditionError; [k,m] in m is then
+    implied, so its failure is a certificate failure (ToleranceExceeded
+    for float input)."""
     kf = killing_form(g)
     if kf.definiteness != "negative_definite":
         raise NotCompactSemisimple(
@@ -98,22 +115,19 @@ def reductive_split(g: LieAlgebra, k: Subspace) -> ReductiveSplit:
     if k.dim + m.dim != g.dim:
         raise InternalContradiction("k and its Killing-perp do not span g")
     Tinv = inverse(transpose([list(b) for b in k.basis + m.basis]))
-    coords_k = Tinv[: k.dim]
-    coords_m = Tinv[k.dim :]
-    for a in k.basis:
-        for b in k.basis:
-            if not k.contains(bracket(g, list(a), list(b))):
-                raise PreconditionError("[k, k] is not contained in k")
-        for b in m.basis:
-            if not m.contains(bracket(g, list(a), list(b))):
-                raise PreconditionError("[k, m] is not contained in m")
-    return ReductiveSplit(
-        g,
-        k,
-        m,
-        tuple(tuple(r) for r in coords_k),
-        tuple(tuple(r) for r in coords_m),
+    R = ReductiveSplit(
+        g, k, m, tuple(map(tuple, Tinv[: k.dim])), tuple(map(tuple, Tinv[k.dim :]))
     )
+    for U in R.k_cols():
+        ad = ad_matrix(g, U)
+        if not vec_is_zero(_flat(_block(R.coords_m, ad, R.k_cols()))):
+            raise PreconditionError("[k, k] is not contained in k")
+        # [k, m] in m follows from [k, k] in k, as m = k-perp and Kill is
+        # ad-invariant: a certificate of the split that only rounding can fail
+        residual = _flat(_block(R.coords_k, ad, R.m_cols()))
+        if not vec_is_zero(residual):
+            raise certificate_failure("[k, m] is not contained in m", residual)
+    return R
 
 
 def invariant_closed_2forms(R: ReductiveSplit) -> list[KForm]:
@@ -135,20 +149,20 @@ def invariant_closed_2forms(R: ReductiveSplit) -> list[KForm]:
             row[index[key]] = s_add(row[index[key]], s_mul(scale, s_mul(c, sgn)))
 
     rows: Mat = []
-    m_cols = R.m_cols()
     for U in R.k_cols():
-        ad_images = [R.to_m_coords(bracket(R.g, U, X)) for X in m_cols]
+        ad_images = transpose(R.ad_m(U))  # [U, X_a]_m
         for a, b in pairs:
             row = [ZERO] * len(pairs)
             w_entry(row, ad_images[a], b)
             # w(X_a, ad_U X_b) = -w(ad_U X_b, X_a)
             w_entry(row, ad_images[b], a, s_neg(ONE))
             rows.append(row)
+    brackets = [transpose(R.ad_m(X)) for X in R.m_cols()]  # [a][b] = [X_a, X_b]_m
     for a, b, c in combinations(range(dm), 3):
         row = [ZERO] * len(pairs)
-        w_entry(row, R.bracket_m(m_cols[a], m_cols[b]), c)
-        w_entry(row, R.bracket_m(m_cols[b], m_cols[c]), a)
-        w_entry(row, R.bracket_m(m_cols[c], m_cols[a]), b)
+        w_entry(row, brackets[a][b], c)
+        w_entry(row, brackets[b][c], a)
+        w_entry(row, brackets[c][a], b)
         rows.append(row)
     basis = nullspace(rows, len(pairs))
     return [
@@ -168,34 +182,28 @@ def center_of_k(R: ReductiveSplit) -> list[Vec]:
 
 
 def moment_element(R: ReductiveSplit, w: KForm) -> Vec:
-    """Z_w in z(k) with w(X, Y) = Kill([X, Y], Z_w) = Kill([Z_w, X], Y)."""
+    """Z_w in z(k) with w(X, Y) = Kill([X, Y], Z_w) = Kill([Z_w, X], Y): the
+    first equality is solved on the pairs a < b and certified by the residual
+    of the solve, the second by the Gram product M^T ad_Z^T B M = W."""
     if w.degree != 2 or w.dim != R.m.dim:
         raise PreconditionError("need a 2-form on m")
     B = [list(r) for r in killing_form(R.g).matrix]
     zk = center_of_k(R)
     m_cols = R.m_cols()
-    rows: Mat = []
-    rhs: Vec = []
-    for a in range(len(m_cols)):
-        for b in range(a + 1, len(m_cols)):
-            br = bracket(R.g, m_cols[a], m_cols[b])
-            kill_row = mat_vec(B, br)
-            rows.append([dot(kill_row, z) for z in zk])
-            rhs.append(w.coeff((a, b)))
+    pairs = list(combinations(range(len(m_cols)), 2))
+    # row (a, b): Kill([X_a, X_b], z) for z in z(k)
+    brackets = [bracket(R.g, m_cols[a], m_cols[b]) for a, b in pairs]
+    rows = mat_mul(brackets, mat_mul(B, transpose(zk)))
+    rhs = [w.coeff(p) for p in pairs]
     coeffs = solve(rows, rhs)
     if coeffs is None:
         raise NoSolution("form admits no moment element in z(k)")
-    Z = mat_vec(transpose(zk), coeffs)
-    # verify both stated equalities on all basis pairs
-    for a in range(len(m_cols)):
-        for b in range(len(m_cols)):
-            if a == b:
-                continue
-            want = w.coeff((a, b)) if a < b else s_neg(w.coeff((b, a)))
-            first = dot(mat_vec(B, bracket(R.g, m_cols[a], m_cols[b])), Z)
-            second = dot(mat_vec(B, bracket(R.g, Z, m_cols[a])), m_cols[b])
-            if not (s_eq(first, want) and s_eq(second, want)):
-                raise InternalContradiction("moment element equalities fail")
+    Z = mat_vec(transpose(zk), coeffs) if zk else [ZERO] * R.g.dim
+    ad_Z_M = mat_vecs(ad_matrix(R.g, Z), m_cols)  # rows of M^T ad_Z^T
+    gram = mat_mul(ad_Z_M, mat_mul(B, transpose(m_cols)))
+    residual = vec_sub(mat_vec(rows, coeffs), rhs) + _flat(mat_sub(gram, bilinear_from_form(w)))
+    if not vec_is_zero(residual):
+        raise certificate_failure("moment element equalities fail", residual)
     return Z
 
 
@@ -208,60 +216,37 @@ class TypeReport:
 
 
 def verify_invariant_complex_structure(R: ReductiveSplit, J: Mat) -> list[str]:
-    """J^2 = -I, ad(k)-equivariance and the integrability condition, all on
-    basis elements of m (J given in m-coordinates).  Returns failure names."""
-    dm = R.m.dim
+    """J^2 = -I, ad(k)-equivariance and the integrability condition, each one
+    matrix identity in m-coordinates (see the module docstring).  Returns
+    failure names."""
     failures = []
-    minus_I = [[s_neg(x) for x in row] for row in identity(dm)]
+    minus_I = [[s_neg(x) for x in row] for row in identity(R.m.dim)]
     if not mat_eq(mat_mul(J, J), minus_I):
         failures.append("J_squared")
-    m_cols = R.m_cols()
-    # J X_a in g-coordinates: column a of J, mapped through the m basis
-    M = transpose(m_cols)
-    JX = mat_vecs(M, transpose(J))
-
-    equivariant = True
-    for U in R.k_cols():
-        for a in range(dm):
-            lhs = mat_vec(J, R.to_m_coords(bracket(R.g, m_cols[a], U)))
-            rhs = R.to_m_coords(bracket(R.g, JX[a], U))
-            if not vec_eq(lhs, rhs):
-                equivariant = False
-    if not equivariant:
+    if not all(mat_eq(mat_mul(J, N), mat_mul(N, J)) for N in map(R.ad_m, R.k_cols())):
         failures.append("equivariance")
-    integrable = True
-    for a in range(dm):
-        for b in range(a + 1, dm):
-            Xa, Xb = m_cols[a], m_cols[b]
-            term = vec_sub(R.bracket_m(JX[a], JX[b]), R.bracket_m(Xa, Xb))
-            term = vec_sub(term, mat_vec(J, R.bracket_m(Xa, JX[b])))
-            term = vec_sub(term, mat_vec(J, R.bracket_m(JX[a], Xb)))
-            if not vec_is_zero(term):
-                integrable = False
-    if not integrable:
-        failures.append("integrability")
+    m_cols = R.m_cols()
+    JX = mat_vecs(transpose(m_cols), transpose(J))  # J X_a in g-coordinates
+    for X, JX_a in zip(m_cols, JX):
+        Q, P = R.ad_m(X), R.ad_m(JX_a)
+        torsion = mat_sub(mat_sub(mat_mul(P, J), Q), mat_mul(J, mat_add(mat_mul(Q, J), P)))
+        if not vec_is_zero(_flat(torsion)):
+            failures.append("integrability")
+            break
     return failures
 
 
 def type_11_check(R: ReductiveSplit, forms: list[KForm], J: Mat) -> TypeReport:
-    """Assert w(JX, JY) = w(X, Y) for each form, and that the anti-invariant
-    projection of the span is zero; J is user-supplied and verified first."""
+    """J^T W J = W for each form: w(JX, JY) = w(X, Y), and with it the
+    anti-invariant part (W - J^T W J) / 2 vanishes; J is user-supplied and
+    verified first."""
     failures = verify_invariant_complex_structure(R, J)
     if failures:
         return TypeReport(False, failures, False, False)
-    dm = R.m.dim
-    J_cols = transpose(J)
-    invariant = True
-    anti_zero = True
-    for w in forms:
-        for a in range(dm):
-            for b in range(a + 1, dm):
-                if not s_eq(evaluate(w, [J_cols[a], J_cols[b]]), w.coeff((a, b))):
-                    invariant = False
-        anti_part = form_scale(form_sub(w, pullback(w, J)), Fraction(1, 2))
-        if not anti_part.is_zero():
-            anti_zero = False
-    return TypeReport(True, [], invariant, anti_zero)
+    J_t = transpose(J)
+    Ws = [bilinear_from_form(w) for w in forms]
+    invariant = all(mat_eq(mat_mul(J_t, mat_mul(W, J)), W) for W in Ws)
+    return TypeReport(True, [], invariant, invariant)
 
 
 def synthesize_j_dim2(R: ReductiveSplit) -> list[Mat]:
@@ -272,7 +257,7 @@ def synthesize_j_dim2(R: ReductiveSplit) -> list[Mat]:
     from .scalars import s_div, s_sqrt
 
     for U in center_of_k(R):
-        M = transpose([R.to_m_coords(bracket(R.g, U, X)) for X in R.m_cols()])
+        M = R.ad_m(U)
         d = s_sub(s_mul(M[0][0], M[1][1]), s_mul(M[0][1], M[1][0]))
         if s_is_zero(d):
             continue
@@ -291,24 +276,10 @@ def extension_by_zero_derivation_check(R: ReductiveSplit, w: KForm, Z: Vec) -> b
     """Extend w by w(U, .) = 0 on k; the endomorphism phi with
     Kill(phi X, Y) = w_ext(X, Y) must be a derivation of g (it is ad_Z)."""
     B = [list(r) for r in killing_form(R.g).matrix]
-    n = R.g.dim
     Cm = [list(r) for r in R.coords_m]
     Omega = mat_mul(transpose(Cm), mat_mul(bilinear_from_form(w), Cm))
     # phi^T B = Omega
     phi = transpose(mat_mul(Omega, inverse(B)))
-    # Leibniz on all basis pairs
-    basis, phi_cols = [R.g.basis_vector(a) for a in range(n)], transpose(phi)
-    for a in range(n):
-        for b in range(a + 1, n):
-            ea, eb = basis[a], basis[b]
-            lhs = mat_vec(phi, bracket(R.g, ea, eb))
-            rhs = vec_add(bracket(R.g, phi_cols[a], eb), bracket(R.g, ea, phi_cols[b]))
-            if not vec_eq(lhs, rhs):
-                return False
-    # membership in the derivation algebra computed independently
-    der = derivations(R.g)
-    flat = [phi[i][j] for i in range(n) for j in range(n)]
-    if not der.contains(flat):
-        return False
-    # and phi coincides with ad_Z
-    return mat_eq(phi, ad_matrix(R.g, Z))
+    # membership in the derivation algebra (Leibniz on all basis pairs), and
+    # phi coincides with ad_Z
+    return derivations(R.g).contains(_flat(phi)) and mat_eq(phi, ad_matrix(R.g, Z))

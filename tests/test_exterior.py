@@ -25,7 +25,6 @@ from aqslie.exterior import (
     form_eq,
     form_scale,
     form_sub,
-    pullback,
     rank_of_eta,
     theta,
     wedge,
@@ -218,17 +217,6 @@ def test_ce_d_matrix_shape_and_rank():
     assert rank(d1) == 1  # only d eta is nonzero
     d2 = ce_d_matrix(L, 2)
     assert rank(d2) == 4
-
-
-def test_pullback_composition():
-    w = KForm.make(2, 3, {(0, 1): F(1), (1, 2): F(-2)})
-    A = [[F(1), F(1), F(0)], [F(0), F(1), F(0)], [F(2), F(0), F(1)]]
-    B = [[F(0), F(1), F(0)], [F(1), F(0), F(1)], [F(0), F(0), F(1)]]
-    from aqslie.linalg import mat_mul
-
-    lhs = pullback(pullback(w, A), B)
-    rhs = pullback(w, mat_mul(A, B))
-    assert form_eq(lhs, rhs)
 
 
 def test_form_linear_ops():

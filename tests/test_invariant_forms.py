@@ -1,12 +1,24 @@
 """Reductive splits and closed invariant 2-forms: moment elements, (1,1)."""
 
+import functools
+import re
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aqslie.constructors import abelian, su2, su3, weighted_heisenberg_4n1
+from aqslie.constructors import (
+    abelian,
+    invariance_type,
+    standard_kahler,
+    su2,
+    su3,
+    weighted_heisenberg_4n1,
+)
 from aqslie.errors import NoSolution, NotCompactSemisimple, PreconditionError
-from aqslie.exterior import KForm
+from aqslie.exterior import KForm, evaluate, form_add, form_eq, form_scale, form_sub
 from aqslie.invariant_forms import (
     center_of_k,
     centralizer_of_torus,
@@ -18,7 +30,7 @@ from aqslie.invariant_forms import (
     type_11_check,
     verify_invariant_complex_structure,
 )
-from aqslie.linalg import Subspace, rank, vec_is_zero
+from aqslie.linalg import Subspace, rank, transpose, vec_is_zero
 from aqslie.scalars import s_eq, s_str
 
 
@@ -28,6 +40,7 @@ def su2_split():
     return g, reductive_split(g, centralizer_of_torus(g, S))
 
 
+@functools.cache
 def su3_split():
     g = su3()
     S = Subspace.from_vectors(8, [g.basis_vector(0), g.basis_vector(1)])
@@ -70,6 +83,14 @@ def test_reductive_split_dimensions():
     assert R2.k.dim == 1 and R2.m.dim == 2
     _, R3 = su3_split()
     assert R3.k.dim == 2 and R3.m.dim == 6
+
+
+def test_reductive_split_rejects_a_k_that_is_not_a_subalgebra():
+    # k = span(b1, b2) in su(2): m = R b3 and [b1, b2] = b3 leaves k
+    g = su2()
+    k = Subspace.from_vectors(3, [g.basis_vector(0), g.basis_vector(1)])
+    with pytest.raises(PreconditionError, match=re.escape("[k, k] is not contained in k")):
+        reductive_split(g, k)
 
 
 def test_reductive_split_rejects_non_compact():
@@ -172,7 +193,27 @@ def test_type_11_rejects_bad_j():
     _, R3 = su3_split()
     J_bad = [[F(0)] * 6 for _ in range(6)]
     rep = type_11_check(R3, invariant_closed_2forms(R3), J_bad)
-    assert not rep.j_ok and "J_squared" in rep.j_failures
+    assert not rep.j_ok and rep.j_failures == ["J_squared", "integrability"]
+
+
+def test_su3_flag_manifold_has_six_integrable_sign_choices():
+    # J = +-1 on each root pair is equivariant; the two cyclic sign choices
+    # are the non-integrable invariant almost complex structures of SU(3)/T^2
+    _, R3 = su3_split()
+    failing = {}
+    for signs in product((1, -1), repeat=3):
+        J = [[F(0)] * 6 for _ in range(6)]
+        for p, s in enumerate(signs):
+            J[2 * p + 1][2 * p], J[2 * p][2 * p + 1] = F(s), F(-s)
+        failures = verify_invariant_complex_structure(R3, J)
+        if failures:
+            failing[signs] = failures
+    assert failing == {(1, 1, -1): ["integrability"], (-1, -1, 1): ["integrability"]}
+    # pairing u12 with u23 (and v12 with v23) is not ad(k)-equivariant
+    J = [[F(0)] * 6 for _ in range(6)]
+    for a, b in ((0, 2), (1, 3), (4, 5)):
+        J[b][a], J[a][b] = F(1), F(-1)
+    assert verify_invariant_complex_structure(R3, J) == ["equivariance"]
 
 
 def test_extension_by_zero_derivation():
@@ -187,3 +228,51 @@ def test_synthesize_requires_dim2():
     _, R3 = su3_split()
     with pytest.raises(PreconditionError):
         synthesize_j_dim2(R3)
+
+
+# ---------------------------------------------------------------------------
+# the Gram products J^T W J against the determinant minors of evaluate
+# ---------------------------------------------------------------------------
+
+def pulled_back(w, J):
+    """w(J ., J .) by exterior.evaluate, the minor oracle."""
+    cols = transpose(J)
+    pairs = combinations(range(w.dim), 2)
+    return KForm.make(2, w.dim, {(a, b): evaluate(w, [cols[a], cols[b]]) for a, b in pairs})
+
+
+@st.composite
+def two_forms(draw, dim, J):
+    """A random rational 2-form, or its J-invariant or J-anti-invariant part."""
+    pairs = list(combinations(range(dim), 2))
+    coeffs = draw(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 5)),
+                           min_size=len(pairs), max_size=len(pairs)))
+    w = KForm.make(2, dim, dict(zip(pairs, coeffs)))
+    part = draw(st.sampled_from([None, form_add, form_sub]))
+    return w if part is None else form_scale(part(w, pulled_back(w, J)), F(1, 2))
+
+
+STANDARD_KAHLER_2 = standard_kahler(2)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(two_forms(4, STANDARD_KAHLER_2.J_mat()))
+def test_invariance_type_matches_the_minor_oracle(w):
+    P = pulled_back(w, STANDARD_KAHLER_2.J_mat())
+    half = F(1, 2)
+    want_inv, want_anti = form_scale(form_add(w, P), half), form_scale(form_sub(w, P), half)
+    tag, inv, anti = invariance_type(STANDARD_KAHLER_2, w)
+    assert form_eq(inv, want_inv) and form_eq(anti, want_anti)
+    want = ("invariant" if want_anti.is_zero()
+            else "anti-invariant" if want_inv.is_zero() else "neither")
+    assert tag == want
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(two_forms(6, canonical_su3_j()))
+def test_type_11_check_matches_the_minor_oracle(w):
+    _, R = su3_split()
+    J = canonical_su3_j()
+    rep = type_11_check(R, [w], J)
+    assert rep.j_ok
+    assert rep.invariant == rep.anti_projection_zero == form_eq(pulled_back(w, J), w)

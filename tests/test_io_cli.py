@@ -184,6 +184,9 @@ MALFORMED = {
         "form", {"dim": True, "degree": True, "terms": [{"indices": [1.9], "coeff": "1"}]}, "dim"),
     "invariant-forms-algebra-is-a-matrix": (
         "argv", ["invariant-forms", "--algebra", "{matrix}", "--torus", "1"], "kind"),
+    "scalar-weights-item-not-a-scalar": (
+        "argv", ["construct", "heisenberg", "--dim-family", "4n1", "--weights", "1,x"],
+        "--weights: bad exact scalar 'x'"),
     "weights-with-an-empty-item": (
         "argv", ["construct", "heisenberg", "--dim-family", "4n1", "--weights", "1,,2"],
         "--weights"),

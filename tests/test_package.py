@@ -155,3 +155,44 @@ def test_the_normal_forms_share_one_orbit_routine():
     )
     assert calls_outside(forked, "eigen_orbits", _calls_to("_orthogonal_pivot")) == [3]
     assert calls_outside(forked, "", _calls_to("quotient_by_center_line")) == [2]
+
+
+def minor_route_uses(name: str, source: str) -> list[str]:
+    """Where source, the module name, reaches exterior.evaluate (an import or
+    an attribute outside exterior) or defines pullback.  Basis-pair checks of
+    2-forms are Gram products; the determinant minors of evaluate are the
+    tests' oracle for them."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "pullback":
+            offenders.append((node.lineno, "def pullback"))
+        elif name != "exterior.py" and (
+            isinstance(node, ast.ImportFrom) and any(a.name == "evaluate" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "evaluate"
+        ):
+            offenders.append((node.lineno, "evaluate"))
+    return [f"{name}:{line} {what}" for line, what in sorted(offenders)]
+
+
+def test_two_forms_are_compared_as_gram_products():
+    package = Path(aqslie.__file__).parent
+    offenders = [
+        line
+        for path in sorted(package.glob("*.py"))
+        for line in minor_route_uses(path.name, path.read_text("utf-8"))
+    ]
+    assert offenders == []
+    # the per-pair minors and the determinant pullback are what the check is for
+    forked = (
+        "from .exterior import KForm, evaluate\n"
+        "def type_11_check(R, forms, J):\n"
+        "    return exterior.evaluate(forms[0], J)\n"
+        "def pullback(a, A):\n"
+        "    return a\n"
+    )
+    assert minor_route_uses("invariant_forms.py", forked) == [
+        "invariant_forms.py:1 evaluate",
+        "invariant_forms.py:3 evaluate",
+        "invariant_forms.py:4 def pullback",
+    ]
+    assert minor_route_uses("exterior.py", forked) == ["exterior.py:4 def pullback"]
