@@ -48,7 +48,7 @@ from .errors import (
     PreconditionError,
     ScalarParseError,
 )
-from .exterior import ce_betti
+from .exterior import ce_bettis
 from .invariant_forms import (
     centralizer_of_torus,
     center_of_k,
@@ -193,8 +193,7 @@ def cmd_cohomology(args) -> dict:
     degrees = range(L.dim + 1)
     if args.degrees is not None:  # only a missing flag means every degree
         degrees = sorted(set(_comma_list(args.degrees, "--degrees", degrees)))
-    betti = {str(k): ce_betti(L, k) for k in degrees}
-    return {"dim": L.dim, "betti": betti}
+    return {"dim": L.dim, "betti": {str(k): b for k, b in ce_bettis(L, degrees).items()}}
 
 
 def cmd_curvature(args) -> dict:

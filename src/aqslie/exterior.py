@@ -17,6 +17,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import DimensionMismatch, InternalContradiction, PreconditionError
 from .lie_core import LieAlgebra
@@ -254,14 +255,15 @@ def ce_betti(L: LieAlgebra, k: int) -> int:
     with de Rham Betti numbers of a compact quotient only in the nilpotent
     lattice case (Nomizu), so treat them as a proxy elsewhere.
     """
-    if k < 0 or k > L.dim:
-        raise PreconditionError("degree out of range")
-    from math import comb
+    return ce_bettis(L, [k])[k]
 
-    dim_k = comb(L.dim, k)
-    rank_k = rank(ce_d_matrix(L, k)) if k < L.dim else 0
-    rank_prev = rank(ce_d_matrix(L, k - 1)) if k > 0 else 0
-    return dim_k - rank_k - rank_prev
+
+def ce_bettis(L: LieAlgebra, degrees: list[int]) -> dict[int, int]:
+    """{k: ce_betti(L, k) for k in degrees}, ranking each differential once."""
+    if any(k < 0 or k > L.dim for k in degrees):
+        raise PreconditionError("degree out of range")
+    ranks = {j: rank(ce_d_matrix(L, j)) for j in range(L.dim) if {j, j + 1} & {*degrees}}
+    return {k: comb(L.dim, k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in degrees}
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .errors import (
     PreconditionError,
 )
 from .exterior import KForm, bilinear_from_form
-from .lie_core import LieAlgebra, ad_matrix, bracket, derivations, killing_form
+from .lie_core import LieAlgebra, ad_matrix, bracket, killing_form
 from .linalg import (
     Mat,
     Subspace,
@@ -280,6 +280,8 @@ def extension_by_zero_derivation_check(R: ReductiveSplit, w: KForm, Z: Vec) -> b
     Omega = mat_mul(transpose(Cm), mat_mul(bilinear_from_form(w), Cm))
     # phi^T B = Omega
     phi = transpose(mat_mul(Omega, inverse(B)))
-    # membership in the derivation algebra (Leibniz on all basis pairs), and
-    # phi coincides with ad_Z
-    return derivations(R.g).contains(_flat(phi)) and mat_eq(phi, ad_matrix(R.g, Z))
+    # Leibniz, phi ad_i - ad_i phi = ad_{phi b_i} = sum_j phi_ji ad_j, and phi = ad_Z
+    ads, _, (P,), _ = R.g.ad_numerators(phi)
+    by_phi = mat_vecs(transpose([_flat(A) for A in ads]), transpose(P))
+    leibniz = [_flat(mat_sub(mat_mul(P, A), mat_mul(A, P))) for A in ads]
+    return mat_eq(leibniz, by_phi) and mat_eq(phi, ad_matrix(R.g, Z))

@@ -9,8 +9,10 @@ field once per call, from its whole input, through ``_int_scaled``:
   integers over none.  Products, sums and scalings return ints; elimination,
   char_poly and inertia return what the same values give as Fractions;
 * anything else (square-root tower ``Ext`` entries, floats, mixed kinds):
-  per-scalar arithmetic through ``scalars``.  Tower division is still
-  exact; floats use tolerance-based zero tests and magnitude pivoting.
+  products are one sparse fold, ``_fold``, over the pairs of nonzero entries,
+  whose exact sum turns float where the full fold's does; the rest is
+  per-scalar arithmetic.  Tower division is still exact; floats use
+  tolerance-based zero tests and magnitude pivoting.
 
 Both exact routes return the same values: a normalised ``Fraction`` is
 unique.  The integer route serves the products (``mat_vecs`` scales M once
@@ -80,6 +82,7 @@ def transpose(M: Mat) -> Mat:
 # _int_scaled is the integer kernels' entry
 _NUMERATOR = operator.attrgetter("_numerator")
 _DENOMINATOR = operator.attrgetter("_denominator")
+_is_float = float.__instancecheck__  # isinstance(x, float) as a callable for map
 
 
 def _int_scaled(xs) -> tuple[list[int], int | None] | None:
@@ -155,15 +158,16 @@ def _int_products(rows: list[list[int]], cols: list[list[int]]) -> list[list[int
 
 def mat_vecs(M: Mat, vs: list[Vec]) -> list[Vec]:
     """[M v for v in vs].  M goes to integers once per call and each v over its
-    own denominator when both are rational (or already integers); any other v
-    takes the per-scalar fold, which skips the near-zero entries of v."""
+    own denominator when both are rational (or already integers); the other vs
+    take one sparse fold together, over the v[j] that are not near zero."""
     svs = [_int_scaled(v) for v in vs]
     sm = _int_rows(M) if any(svs) else None
+    rest = [v for v, sv in zip(vs, svs) if not (sm and sv)]
+    folded = zip(*_fold(M, rest, near_zero=True)) if rest else None
     return [
         _back(_int_products([sv[0]], sm[0][0]), sm[1], sv[1])[0] if sm and sv
-        else [_sum(s_mul(M[i][j], v[j]) for j in range(len(v)) if not s_is_zero(v[j]))
-              for i in range(len(M))]
-        for v, sv in zip(vs, svs)
+        else list(next(folded, ()))  # () when M has no rows
+        for sv in svs
     ]
 
 
@@ -177,17 +181,54 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     sb = _int_rows(Bt) if sa is not None else None
     if sb is not None:
         return _back(_int_products(sa[0][0], sb[0][0]), sa[1], sb[1])
-    return [[_dot(row, col) for col in Bt] for row in A]
+    return _fold(A, Bt)
+
+
+def _fold(rows: list[Vec], cols: list[Vec], near_zero: bool = False) -> Mat:
+    """[[ZERO + row[0] col[0] + row[1] col[1] + ... for col in cols] for row in rows]
+    bit for bit, from the pairs of nonzero entries in index order (Gustavson's
+    row-wise product).  As in the full fold, the exact sum goes to float()
+    before the first pair at or past the first float of the row or the column,
+    or at the end.  An inf or a nan makes every pair visited (0 inf is nan).
+    With near_zero, only the col[j] not near zero make pairs."""
+    n = min(map(len, [*rows, *cols]), default=0)  # zip's length
+    dense = not all(map(math.isfinite, filter(_is_float, itertools.chain(*rows, *cols))))
+    pairs = [[j for j in itertools.compress(range(n), col) if not s_is_zero(col[j])]
+             if near_zero else range(n) for col in cols]
+    tc = [_first_float(col, p, n) for col, p in zip(cols, pairs)]
+    nz = [[] for _ in range(n)]
+    for k, (col, p) in enumerate(zip(cols, pairs)):
+        for j in p if near_zero or dense else itertools.compress(p, col):
+            nz[j].append((k, col[j]))
+    out = []
+    for row in rows:
+        fa = _first_float(row, range(n), n)  # t[k]: the first float of row or column k at a pair
+        t = tc if fa == n else [min(c, _first_float(row, p, n) if near_zero else fa)
+                                for c, p in zip(tc, pairs)]
+        acc = [ZERO] * len(cols)
+        for j in range(n) if dense else itertools.compress(range(n), row):
+            for k, b in nz[j]:
+                acc[k] = (float(acc[k]) if j >= t[k] else acc[k]) + row[j] * b
+        out.append([(0.0 if x is ZERO else float(x)) if c < n else x for x, c in zip(acc, t)])
+    return out
+
+
+def _first_float(v: Vec, idx, stop: int) -> int:
+    """The first j in idx with v[j] a float, else stop."""
+    return next(itertools.compress(idx, map(_is_float, map(v.__getitem__, idx))), stop)
 
 
 def _entrywise(A: Mat, B: Mat, int_op, scalar_op) -> Mat:
     """A op B entry by entry; two rational (or two all-int) matrices of one
-    shape combine as integers over their common denominator."""
+    shape combine as integers over their common denominator.  Otherwise ZERO
+    op ZERO is ZERO, and ZERO meets a float as 0.0, as Fraction's fallback does."""
     scaled = _int_rows(A, B) if list(map(len, A)) == list(map(len, B)) else None
     if scaled is not None:
         (ai, bi), den = scaled
         return _back([list(map(int_op, ra, rb)) for ra, rb in zip(ai, bi)], den)
-    return [[scalar_op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[ZERO if a is ZERO is b else scalar_op(0.0 if a is ZERO and _is_float(b) else a,
+                                                  0.0 if b is ZERO and _is_float(a) else b)
+             for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_add(A: Mat, B: Mat) -> Mat:
@@ -218,11 +259,11 @@ def mat_eq(A: Mat, B: Mat) -> bool:
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return [s_add(a, b) for a, b in zip(u, v)]
+    return mat_add([u], [v])[0]
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [s_sub(a, b) for a, b in zip(u, v)]
+    return mat_sub([u], [v])[0]
 
 
 def vec_scale(v: Vec, c) -> Vec:
@@ -242,7 +283,7 @@ def dot(u: Vec, v: Vec):
     sv = _int_scaled(v) if su is not None else None
     if sv is not None:
         return _back(_int_products([su[0]], [sv[0]]), su[1], sv[1])[0][0]
-    return _dot(u, v)
+    return _fold([u], [v])[0][0]
 
 
 def max_abs(entries):
@@ -268,28 +309,7 @@ def bilinear(u: Vec, G: Mat, v: Vec):
 
 
 def trace(M: Mat):
-    return _sum(M[i][i] for i in range(len(M)))
-
-
-def _dot(u: Vec, v: Vec):
-    """The fold ZERO + u0 v0 + u1 v1 + ... without the zero terms that cannot change it:
-    exact zero products, and float zeros once the sum is a float (never -0.0)."""
-    total = ZERO
-    for a, b in zip(u, v):
-        if not a or not b:
-            other = b if not a else a
-            exact = not isinstance(a, float) and not isinstance(b, float)
-            if exact or (isinstance(total, float) and math.isfinite(other)):
-                continue
-        total = s_add(total, s_mul(a, b))
-    return total
-
-
-def _sum(items):
-    total = ZERO
-    for x in items:
-        total = s_add(total, x)
-    return total
+    return sum((M[i][i] for i in range(len(M))), ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ the result to float, computed as ``float(a) op float(b)``; algebras declare
 their mode explicitly, so this never happens silently for well-formed
 inputs.  An exact result that is rational is a Fraction.
 
-The kernels call the named functions ``s_add``, ``s_mul``, ... instead of
-the bare operators, so that one operation is one function a profiler or a
-counter can rebind.  Their bodies are the operators; only the comparisons
-(``s_is_zero``, ``s_sign``) tell floats apart, for the tolerance.
+Most kernels call the named functions ``s_add``, ``s_mul``, ... so that one
+operation is one function a profiler or a counter can rebind; the product
+fold ``linalg._fold`` uses the operators, which are their bodies.  Only the
+comparisons (``s_is_zero``, ``s_sign``) tell floats apart, for the tolerance.
 """
 
 from __future__ import annotations

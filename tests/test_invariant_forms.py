@@ -18,7 +18,15 @@ from aqslie.constructors import (
     weighted_heisenberg_4n1,
 )
 from aqslie.errors import NoSolution, NotCompactSemisimple, PreconditionError
-from aqslie.exterior import KForm, evaluate, form_add, form_eq, form_scale, form_sub
+from aqslie.exterior import (
+    KForm,
+    bilinear_from_form,
+    evaluate,
+    form_add,
+    form_eq,
+    form_scale,
+    form_sub,
+)
 from aqslie.invariant_forms import (
     center_of_k,
     centralizer_of_torus,
@@ -30,7 +38,8 @@ from aqslie.invariant_forms import (
     type_11_check,
     verify_invariant_complex_structure,
 )
-from aqslie.linalg import Subspace, rank, transpose, vec_is_zero
+from aqslie.lie_core import derivations, killing_form
+from aqslie.linalg import Subspace, _flat, inverse, mat_mul, rank, transpose, vec_is_zero
 from aqslie.scalars import s_eq, s_str
 
 
@@ -222,6 +231,29 @@ def test_extension_by_zero_derivation():
         for w in invariant_closed_2forms(R):
             Z = moment_element(R, w)
             assert extension_by_zero_derivation_check(R, w, Z)
+
+
+def test_extension_by_zero_rejects_a_perturbed_phi(monkeypatch):
+    import aqslie.invariant_forms as invariant_forms
+
+    g, R = su3_split()
+    w = invariant_closed_2forms(R)[0]
+    Z = moment_element(R, w)
+    B, Cm = [list(r) for r in killing_form(g).matrix], [list(r) for r in R.coords_m]
+
+    def phi_of(form):  # Kill(phi X, Y) = w_ext(X, Y)
+        Omega = mat_mul(transpose(Cm), mat_mul(bilinear_from_form(form), Cm))
+        return transpose(mat_mul(Omega, inverse(B)))
+
+    for a, b in ((0, 1), (0, 3), (2, 5)):
+        bumped = form_add(w, KForm.make(2, w.dim, {(a, b): F(1, 7)}))
+        assert not derivations(g).contains(_flat(phi_of(bumped)))
+        assert not extension_by_zero_derivation_check(R, bumped, Z)
+        # read ad_Z as phi itself: the n Leibniz identities alone decide
+        with monkeypatch.context() as patch:
+            patch.setattr(invariant_forms, "ad_matrix", lambda g, phi: phi)
+            assert extension_by_zero_derivation_check(R, w, phi_of(w))
+            assert not extension_by_zero_derivation_check(R, bumped, phi_of(bumped))
 
 
 def test_synthesize_requires_dim2():

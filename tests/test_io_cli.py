@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -482,6 +483,30 @@ def test_cli_invariant_forms_with_j_file(tmp_path, capsys):
     assert code == 0
     t11 = out["payload"]["type_11"]
     assert t11["j_ok"] and t11["invariant"] and t11["anti_projection_zero"]
+
+
+def test_cohomology_ranks_each_differential_once(tmp_path, capsys, monkeypatch):
+    # every degree of h13: b_k and b_{k+1} share d_k, which is ranked once
+    import aqslie.exterior as exterior
+
+    ranks, real = {}, exterior.rank
+
+    def counting(M):
+        ranks.setdefault((len(M), len(M[0])), []).append(real(M))
+        return ranks[len(M), len(M[0])][-1]
+
+    monkeypatch.setattr(exterior, "rank", counting)
+    path = _structure_file(tmp_path, 3, (1, 2, 3))
+    assert main(["cohomology", path, "--json"]) == 0
+    betti = json.loads(capsys.readouterr().out)["payload"]["betti"]
+    # d_k: Lambda^k -> Lambda^{k+1} is C(13, k+1) x C(13, k), k = 0..12
+    assert sorted(ranks) == sorted((comb(13, k + 1), comb(13, k)) for k in range(13))
+    assert all(len(r) == 1 for r in ranks.values())
+    # the per-degree formula on the same ranks
+    monkeypatch.setattr(exterior, "rank", lambda M: ranks[len(M), len(M[0])][0])
+    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[0]
+    assert betti == {str(k): exterior.ce_betti(h13, k) for k in range(14)}
+    assert betti["2"] == betti["11"] and betti["6"] == betti["7"]
 
 
 def test_cli_cohomology_on_algebra_file(tmp_path, capsys):

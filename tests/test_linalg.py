@@ -13,6 +13,7 @@ import aqslie.linalg as linalg
 from aqslie.errors import IrrationalSpectrum
 from aqslie.linalg import (
     Subspace,
+    bilinear,
     char_poly,
     det,
     dot,
@@ -431,6 +432,10 @@ def test_entrywise_kernels_match_the_per_scalar_route(A, data):
         assert all(type(x) is F and (x or x is ZERO) for row in got for x in row)
     assert mat_eq(A, [row[:] for row in A])
     assert mat_eq(A, B) == (A == B)
+    # every kind, zeros of each kind and non-finite floats: bit for bit
+    X, Y = (data.draw(sparse_mixed(len(A), len(A[0]), 0.5)) for _ in "XY")
+    for kernel, op in ((mat_add, s_add), (mat_sub, s_sub)):
+        assert _all_bits(kernel(X, Y)) == _all_bits(_per_scalar(op, X, Y))
 
 
 mixed_scalars = st.sampled_from(
@@ -464,16 +469,78 @@ def _ref_mat_vec(M, v):
         w, den = len(M[0]) if M else 0, dv * dm
         sums = (sum(map(operator.mul, mi[r * w : r * w + w], vi)) for r in range(len(M)))
         return [F(t, den) if t else ZERO for t in sums]
-    return [
-        linalg._sum(s_mul(M[i][j], v[j]) for j in range(len(v)) if not s_is_zero(v[j]))
-        for i in range(len(M))
-    ]
+    return [_fold_ref((M[i][j], v[j]) for j in range(len(v)) if not s_is_zero(v[j]))
+            for i in range(len(M))]
+
+
+def _fold_ref(pairs, start=ZERO):
+    """start + a0 b0 + a1 b1 + ... over every pair, in order."""
+    total = start
+    for a, b in pairs:
+        total = total + a * b
+    return total
 
 
 def _bits(x):
     """Floats by repr (bit for bit, the sign of zero included), exact scalars
     by type and value."""
     return (float, repr(x)) if isinstance(x, float) else (type(x), x)
+
+
+def _all_bits(M):
+    return [list(map(_bits, row)) for row in M]
+
+
+NONZERO = [F(1, 3), F(1, 10), F(-1, 5), 3, SQRT2, Ext.of_sqrt(3) / 2, 1.5, -2.25, 1e-12, -3e-10]
+NONFINITE = [math.inf, -math.inf, math.nan]
+ZEROS = [ZERO, F(0), 0, 0.0, -0.0]
+
+
+@st.composite
+def sparse_mixed(draw, m, n, density=0.2):
+    """An m x n matrix with at most density * m * n nonzero entries, of every
+    kind (now and then an inf or a nan), and zeros of every kind."""
+    hot = draw(st.sets(st.integers(0, max(m * n - 1, 0)), max_size=int(density * m * n)))
+    nonzero = st.sampled_from(NONZERO * 4 + NONFINITE)
+    flat = [draw(nonzero if i in hot else st.sampled_from(ZEROS)) for i in range(m * n)]
+    return [flat[i * n : i * n + n] for i in range(m)]
+
+
+def _all_ints(*mats):
+    """Both operands all ints (and not empty): the integer cores' own input,
+    whose results stay int; every other product is the fold from ZERO."""
+    return all(any(M) and all(type(x) is int for row in M for x in row) for M in mats)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 5), st.integers(0, 6), st.integers(0, 5), st.data())
+def test_products_are_the_full_fold_bit_for_bit(m, k, p, data):
+    # the sparse fold visits only the pairs of nonzero entries; the full fold
+    # visits every pair, so the float conversion, -0.0 and nan all show
+    A, B, G = (data.draw(sparse_mixed(r, c)) for r, c in ((m, k), (k, p), (k, k)))
+    vs = data.draw(st.lists(sparse_mixed(1, k, 0.6).map(lambda M: M[0]), max_size=3))
+    u = data.draw(sparse_mixed(1, k, 0.6))[0]
+    start = lambda *mats: 0 if _all_ints(*mats) else ZERO  # noqa: E731
+    want = [[_fold_ref(zip(row, col), start(A, B)) for col in zip(*B)] for row in A]
+    assert _all_bits(mat_mul(A, B)) == _all_bits(want if k else [[] for _ in A])
+    want = [[_fold_ref(((row[j], v[j]) for j in range(k) if not s_is_zero(v[j])), start(A, [v]))
+             for row in A] for v in vs]
+    assert _all_bits(mat_vecs(A, vs)) == _all_bits(want)
+    for v in vs:
+        assert _bits(dot(u, v)) == _bits(_fold_ref(zip(u, v), start([u], [v])))
+        Gv = [_fold_ref(((row[j], v[j]) for j in range(k) if not s_is_zero(v[j])), start(G, [v]))
+              for row in G]
+        assert _bits(bilinear(u, G, v)) == _bits(_fold_ref(zip(u, Gv), start([u], [Gv])))
+
+
+def test_the_sum_turns_float_where_the_full_fold_meets_a_float():
+    # 1/10 stays exact up to the float zero, then 0.1 + 0.2 rounds up, where
+    # the exact 3/10 would give 0.3; a near-zero v[1] makes no pair in mat_vecs
+    u = [F(1, 10), 0.0, F(1, 5)]
+    assert _bits(dot(u, [1, 1, 1])) == _bits(0.1 + 0.2) != _bits(0.3)
+    assert mat_mul([u, u[::-1]], [[1], [1], [1]]) == [[0.1 + 0.2], [0.2 + 0.1]]
+    assert mat_vecs([u], [[1, 1, 1], [1, 1e-12, 1]]) == [[0.1 + 0.2], [F(3, 10)]]
+    assert type(mat_vec([u], [1, 1e-12, 1])[0]) is F
 
 
 tower_scalars = fractions | fractions.map(lambda c: c * SQRT2)

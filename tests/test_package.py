@@ -196,3 +196,42 @@ def test_two_forms_are_compared_as_gram_products():
         "invariant_forms.py:4 def pullback",
     ]
     assert minor_route_uses("exterior.py", forked) == ["exterior.py:4 def pullback"]
+
+
+PRODUCT_KERNELS = ("mat_mul", "mat_vecs", "mat_vec", "dot", "bilinear", "_fold")
+
+
+def product_path_offenders(source: str) -> list[str]:
+    """Where linalg's source defines _dot, calls s_mul or s_add in a product
+    kernel (a call per pair), or has a product kernel that calls neither _fold
+    nor another product kernel.  Outside the integer route every matrix,
+    matrix-vector and vector product is the one sparse fold."""
+    offenders = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name == "_dot":
+            offenders.append(f"{fn.lineno} def _dot")
+        if fn.name not in PRODUCT_KERNELS:
+            continue
+        names = {_callee(node): node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        offenders += [f"{names[s]} {fn.name} calls {s}" for s in ("s_mul", "s_add") if s in names]
+        if fn.name != "_fold" and not names.keys() & set(PRODUCT_KERNELS) - {fn.name}:
+            offenders.append(f"{fn.lineno} {fn.name} skips _fold")
+    return offenders
+
+
+def test_products_outside_the_integer_route_are_one_sparse_fold():
+    path = Path(aqslie.__file__).parent / "linalg.py"
+    assert product_path_offenders(path.read_text("utf-8")) == []
+    # a per-pair fold beside the sparse one is what the check is for
+    forked = (
+        "def _dot(u, v):\n"
+        "    return _sum(s_mul(a, b) for a, b in zip(u, v))\n"
+        "def mat_vecs(M, vs):\n"
+        "    return [[_dot(row, v) for row in M] for v in vs]\n"
+        "def dot(u, v):\n"
+        "    return _fold([u], [v])[0][0] if u else s_add(ZERO, s_mul(u, v))\n"
+    )
+    assert product_path_offenders(forked) == [
+        "1 def _dot", "3 mat_vecs skips _fold", "6 dot calls s_mul", "6 dot calls s_add"]
