@@ -56,6 +56,7 @@ from .linalg import (
     mat_sub,
     mat_vec,
     nullspace,
+    over,
     rank,
     solve,
     transpose,
@@ -128,8 +129,10 @@ def _verify_iso(
     n = L.dim
     F_cols = transpose(F)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    # column p: F [b_a, b_b], the source brackets pushed forward in one product
-    pushed = transpose(mat_mul(F, [[L.c(a, b, k) for a, b in pairs] for k in range(n)]))
+    # column p: F [b_a, b_b], the source brackets pushed forward in one product;
+    # c_ab^k is entry (k, b) of ad_{b_a}
+    ads, da, _, _ = L.ad_numerators()
+    pushed = transpose(mat_mul(F, over([[ads[a][k][b] for a, b in pairs] for k in range(n)], da)))
     for (a, b), lhs in zip(pairs, pushed):
         rhs = bracket(target_L, F_cols[a], F_cols[b])
         require([lhs], [rhs], f"F is not a Lie algebra morphism at pair ({a}, {b})")

@@ -42,8 +42,9 @@ class JacobiError(InputError):
     """Structure constants violate the Jacobi identity."""
 
     def __init__(self, triples):
-        self.triples = list(triples)
-        super().__init__(f"Jacobi identity fails on triples {self.triples}")
+        self.triples = list(triples)  # 0-based, as jacobi_check returns them
+        named = [tuple(i + 1 for i in t) for t in self.triples]  # 1-based, as the file
+        super().__init__(f"Jacobi identity fails on triples {named}")
 
 
 class PreconditionError(AqslieError):

@@ -173,11 +173,9 @@ def invariant_closed_2forms(R: ReductiveSplit) -> list[KForm]:
 def center_of_k(R: ReductiveSplit) -> list[Vec]:
     """Basis of z(k) in g-coordinates."""
     k_cols = R.k_cols()
-    rows: Mat = []
-    for U in k_cols:
-        # sum_i c_i [k_i, U] = 0: one row per ambient coordinate
-        rows.extend(transpose([bracket(R.g, col, U) for col in k_cols]))
     K = transpose(k_cols)
+    # ad_U sum_i c_i k_i = 0 for U in k: one row per ambient coordinate
+    rows = [row for U in k_cols for row in mat_mul(ad_matrix(R.g, U), K)]
     return mat_vecs(K, nullspace(rows, len(k_cols)))
 
 

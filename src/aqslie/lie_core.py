@@ -10,6 +10,10 @@ Fraction the table holds integers over one common denominator, and
 :func:`bracket` of two rational vectors runs on integers.  The table is a
 private attribute, not a dataclass field, so equality, hashing and
 serialization see only the sparse tuple.
+
+Jacobi, the lower central series and the derivations are read off that
+table: one sparse Jacobi pass, [g, V] from the columns of
+:func:`ad_matrix_numerators`, derivation rows from the basis ad matrices.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .linalg import (
     nullspace,
     over,
     transpose,
-    vec_add,
     vec_is_zero,
     zeros,
 )
@@ -200,26 +203,27 @@ def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:
 def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
     """Triples (i, j, k), i<j<k, where the cyclic Jacobi sum is nonzero.
 
-    When no bracket lands on an index that takes part in a bracket, every
-    [b_i, b_j] is central and every double bracket vanishes: one O(nnz) pass
-    proves Jacobi (weighted Heisenberg, abelian quotients).  Else the triple loop."""
-    paired = {i for pair, _ in L.brackets for i in pair}
-    if not any(k in paired for _, entries in L.brackets for k, _ in entries):
-        return []
-    bad = []
-    basis = [L.basis_vector(i) for i in range(L.dim)]
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            bij = bracket(L, basis[i], basis[j])
-            for k in range(j + 1, L.dim):
-                total = vec_add(
-                    bracket(L, bij, basis[k]),
-                    bracket(L, bracket(L, basis[j], basis[k]), basis[i]),
-                )
-                total = vec_add(total, bracket(L, bracket(L, basis[k], basis[i]), basis[j]))
-                if not vec_is_zero(total):
-                    bad.append((i, j, k))
-    return bad
+    One pass over the table: each stored c_ij^k meets only the stored brackets
+    [b_k, b_m], and c_ij^k [b_k, b_m] adds to the Jacobiator of the sorted
+    triple of (i, j, m), with sign -1 exactly when i < m < j (the Jacobiator is
+    alternating).  Terms with m in {i, j} cancel inside their own triple.  On a
+    central table no target has a partner, so the pass is O(nnz)."""
+    table, _ = L._tables()  # integers over one denominator: the same zeros
+    partners: list[list] = [[] for _ in range(L.dim)]  # k -> (m, s, e): [b_k, b_m] = s e
+    for (p, q), entries in table.items():
+        partners[p].append((q, 1, entries))
+        partners[q].append((p, -1, entries))
+    sums: dict = {}  # sorted triple -> {t: b_t component of its Jacobiator}
+    for (i, j), entries in table.items():
+        for k, v in entries.items():
+            for m, sign, target in partners[k]:
+                if m == i or m == j:
+                    continue
+                coeff = v if (sign > 0) != (i < m < j) else -v
+                acc = sums.setdefault(tuple(sorted((i, j, m))), {})
+                for t, w in target.items():
+                    acc[t] = acc.get(t, 0) + coeff * w
+    return sorted(t for t, acc in sums.items() if not all(map(s_is_zero, acc.values())))
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -240,11 +244,9 @@ def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
     terms = [full]
     current = full
     while True:
-        vectors = []
-        for i in range(L.dim):
-            for w in current.basis:
-                vectors.append(bracket(L, L.basis_vector(i), list(w)))
-        nxt = Subspace.from_vectors(L.dim, vectors)
+        # [g, V] is spanned by the columns of ad_w, w in the basis of V
+        ads = [ad_matrix_numerators(L, list(w))[0] for w in current.basis]
+        nxt = Subspace.from_vectors(L.dim, [col for N in ads for col in transpose(N)])
         if nxt.dim == current.dim:
             return LowerCentralSeries(tuple(terms), False, None)
         terms.append(nxt)
@@ -287,28 +289,16 @@ def derivations(L: LieAlgebra) -> Subspace:
 
     Elements are row-major flattened N x N matrices (ambient dim N^2).
     """
-    n = L.dim
+    n, (ads, _, _, _) = L.dim, L.ad_numerators()  # scaled by da: same kernel
     rows: Mat = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for m in range(n):
-                row = [ZERO] * (n * n)
-                # D [b_i, b_j] component on b_m: sum_k c_ij^k d_mk
-                for k in range(n):
-                    cijk = L.c(i, j, k)
-                    if not s_is_zero(cijk):
-                        row[m * n + k] = s_add(row[m * n + k], cijk)
-                # -[D b_i, b_j]: - sum_a d_ai c_aj^m
-                for a in range(n):
-                    cajm = L.c(a, j, m)
-                    if not s_is_zero(cajm):
-                        row[a * n + i] = s_sub(row[a * n + i], cajm)
-                # -[b_i, D b_j]: - sum_a d_aj c_ia^m
-                for a in range(n):
-                    ciam = L.c(i, a, m)
-                    if not s_is_zero(ciam):
-                        row[a * n + j] = s_sub(row[a * n + j], ciam)
-                rows.append(row)
+    for i, j in itertools.combinations(range(n), 2):
+        for m in range(n):
+            row = [0] * (n * n)
+            for t in range(n):
+                row[m * n + t] += ads[i][t][j]  # D [b_i, b_j] on b_m: sum_t c_ij^t d_mt
+                row[t * n + i] += ads[j][m][t]  # -[D b_i, b_j]: -sum_t d_ti c_tj^m
+                row[t * n + j] -= ads[i][m][t]  # -[b_i, D b_j]: -sum_t d_tj c_it^m
+            rows.append(row)
     return Subspace.from_vectors(n * n, nullspace(rows, n * n))
 
 

@@ -228,6 +228,29 @@ def test_cli_float_algebra_with_a_non_finite_constant_exits_2(tmp_path, capsys, 
     assert code == 2 and out["error"]["code"] == "ScalarParseError"
 
 
+def test_cli_jacobi_error_names_the_triples_1_based(tmp_path, capsys):
+    # [e1,e2] = e5, [e3,e4] = e5, [e1,e5] = e2 fails Jacobi only on (e1, e3, e4);
+    # the message names it as the file does, the exception keeps it 0-based
+    doc = {
+        "kind": "lie_algebra",
+        "mode": "exact",
+        "dim": 5,
+        "basis_names": [f"e{i}" for i in range(1, 6)],
+        "brackets": [
+            {"i": 1, "j": 2, "coeffs": {"5": "1"}},
+            {"i": 3, "j": 4, "coeffs": {"5": "1"}},
+            {"i": 1, "j": 5, "coeffs": {"2": "1"}},
+        ],
+    }
+    code = main(["check", _write(tmp_path, "bad.json", doc), "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error"]["code"] == "JacobiError"
+    assert "(1, 3, 4)" in out["error"]["message"]
+    with pytest.raises(JacobiError) as err:
+        aqio.algebra_from_json(doc)
+    assert err.value.triples == [(0, 2, 3)]
+
+
 def test_cli_exit_codes_taxonomy(tmp_path, capsys):
     # parse family: Jacobi violator -> 2
     bad = {

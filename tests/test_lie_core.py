@@ -23,6 +23,7 @@ from aqslie.errors import JacobiError, PreconditionError
 from aqslie.exterior import form_from_bilinear
 from aqslie.lie_core import (
     LieAlgebra,
+    LowerCentralSeries,
     ad_matrix,
     ad_matrix_numerators,
     bracket,
@@ -108,7 +109,8 @@ def test_jacobi_cyclic_tensor_is_consistent():
 
 def _reference_jacobi(L):
     """Triples (i, j, k), i < j < k, whose cyclic sum is nonzero, from L.c:
-    the b_m component of [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]."""
+    the b_m component of [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]
+    (zero within the tolerance in float mode)."""
     n = L.dim
     c = [[[L.c(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
 
@@ -120,7 +122,8 @@ def _reference_jacobi(L):
         for i in range(n)
         for j in range(i + 1, n)
         for k in range(j + 1, n)
-        if any(double(i, j, k, m) + double(j, k, i, m) + double(k, i, j, m) for m in range(n))
+        if not all(s_is_zero(double(i, j, k, m) + double(j, k, i, m) + double(k, i, j, m))
+                   for m in range(n))
     ]
 
 
@@ -166,9 +169,32 @@ def test_jacobi_proof_on_two_step_tables_matches_the_triple_loop(case):
 @settings(max_examples=80, deadline=None)
 @given(random_tables())
 def test_jacobi_check_off_the_central_condition_matches_the_triple_loop(case):
+    # the same triples on the rational table, its sqrt(2)-scaled tower copy
+    # (every Jacobiator doubles) and its float copy
     n, table = case
     L = LieAlgebra.from_brackets(n, table, check=False)
-    assert jacobi_check(L) == _reference_jacobi(L)
+    expected = _reference_jacobi(L)
+    assert jacobi_check(L) == expected
+    for scale, mode in ((Ext.of_sqrt(2), "exact"), (1.0, "float")):
+        Ls = LieAlgebra.from_brackets(n, _scaled(table, scale), mode=mode, check=False)
+        assert jacobi_check(Ls) == _reference_jacobi(Ls) == expected, mode
+
+
+def test_jacobi_check_on_a_bumped_float_conjugated_h9():
+    # constants up to 222: rounding stays inside the tolerance, a bump of 1e-6
+    # on one constant does not, and both passes name the same triples
+    from floatcopy import float_structure
+
+    S = weighted_heisenberg_4n1(2, [1, 2])[1][0]
+    Lf = float_structure(conjugate_structure(S, random_unimodular(9, random.Random(1)))).L
+    assert jacobi_check(Lf) == _reference_jacobi(Lf) == []
+    table = Lf.table()
+    pair = min(table)
+    k = min(table[pair])
+    table[pair][k] += 1e-6
+    bumped = LieAlgebra.from_brackets(9, table, mode="float", check=False)
+    bad = jacobi_check(bumped)
+    assert bad == _reference_jacobi(bumped) and len(bad) == 38
 
 
 def test_non_jacobi_table_still_raises():
@@ -209,6 +235,68 @@ def test_lower_central_series():
     s = lower_central_series(su2())
     assert not s.is_nilpotent and s.step is None
     assert s.terms[-1].dim == 3  # stabilizes at the full algebra
+
+
+def _reference_lower_central_series(L):
+    """The series from brackets of basis vectors: [g, V] spanned by [b_i, w]."""
+    full = Subspace.from_vectors(L.dim, [L.basis_vector(i) for i in range(L.dim)])
+    terms, current = [full], full
+    while True:
+        nxt = Subspace.from_vectors(L.dim, [bracket(L, L.basis_vector(i), list(w))
+                                            for i in range(L.dim) for w in current.basis])
+        if nxt.dim == current.dim:
+            return LowerCentralSeries(tuple(terms), False, None)
+        terms.append(nxt)
+        current = nxt
+        if nxt.dim == 0:
+            return LowerCentralSeries(tuple(terms), True, len(terms) - 1)
+
+
+def _reference_derivations(L):
+    """Derivations from L.c: row (i < j, m) is the b_m component of
+    D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j] on the flattened D."""
+    n = L.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for m in range(n):
+                row = [F(0)] * (n * n)
+                for k in range(n):
+                    row[m * n + k] += L.c(i, j, k)
+                    row[k * n + i] -= L.c(k, j, m)
+                    row[k * n + j] -= L.c(i, k, m)
+                rows.append(row)
+    return Subspace.from_vectors(n * n, nullspace(rows, n * n))
+
+
+def _table_cases():
+    from aqslie.scalars import parse_scalar
+
+    h9c1 = conjugate_structure(weighted_heisenberg_4n1(2, [1, 2])[1][0],
+                               random_unimodular(9, random.Random(1)))
+    return {
+        "su3": su3(),
+        "h9c1": h9c1.L,
+        "sqrt-h9": weighted_heisenberg_4n1(2, [parse_scalar("sqrt(2)"), F(3, 2)])[0],
+        "sqrt-su2": LieAlgebra.from_brackets(3, _scaled(su2().table(), Ext.of_sqrt(2))),
+    }
+
+
+@pytest.mark.parametrize("name", ["su3", "h9c1", "sqrt-h9", "sqrt-su2"])
+def test_series_and_derivations_match_the_bracket_oracles(name):
+    L = _table_cases()[name]
+    assert lower_central_series(L) == _reference_lower_central_series(L)
+    assert derivations(L) == _reference_derivations(L)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_tables())
+def test_series_and_derivations_match_the_oracles_on_random_tables(case):
+    n, table = case
+    for scale in (1, Ext.of_sqrt(2)):
+        L = LieAlgebra.from_brackets(n, _scaled(table, scale), check=False)
+        assert lower_central_series(L) == _reference_lower_central_series(L)
+        assert derivations(L) == _reference_derivations(L)
 
 
 def test_killing_su2():

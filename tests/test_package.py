@@ -157,6 +157,46 @@ def test_the_normal_forms_share_one_orbit_routine():
     assert calls_outside(forked, "", _calls_to("quotient_by_center_line")) == [2]
 
 
+TABLE_READERS = ("jacobi_check", "lower_central_series", "derivations")
+
+
+def basis_bracket_uses(source: str) -> list[str]:
+    """Calls to bracket or .c inside the functions of TABLE_READERS, which
+    read the structure table through ad_numerators and ad columns."""
+    return [f"{fn.name}:{node.lineno}" for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, ast.FunctionDef) and fn.name in TABLE_READERS
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and _callee(node) in ("bracket", "c")]
+
+
+def _brackets_a_basis_vector(node: ast.Call) -> bool:
+    return _callee(node) == "bracket" and any(
+        isinstance(arg, ast.Call) and _callee(arg) == "basis_vector" for arg in node.args)
+
+
+def test_the_structure_table_is_read_not_bracketed_on_basis_vectors():
+    # Jacobi, the series and the derivations read the table; a bracket with a
+    # basis vector is a column of an ad matrix, which ad_matrix_numerators
+    # builds (bracketing only in its non-rational fallback)
+    package = Path(aqslie.__file__).parent
+    assert basis_bracket_uses((package / "lie_core.py").read_text("utf-8")) == []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text("utf-8")
+        assert calls_outside(source, "ad_matrix_numerators", _brackets_a_basis_vector) == [], path
+    # the per-triple and per-constant loops the table readers replaced
+    forked = (
+        "def jacobi_check(L):\n"
+        "    b = [L.basis_vector(i) for i in range(L.dim)]\n"
+        "    return bracket(L, bracket(L, b[0], b[1]), b[2])\n"
+        "def derivations(L):\n"
+        "    return L.c(0, 1, 2)\n"
+        "def center_of_k(R, U):\n"
+        "    return bracket(R.g, R.g.basis_vector(0), U)\n"
+    )
+    assert basis_bracket_uses(forked) == ["jacobi_check:3", "jacobi_check:3", "derivations:5"]
+    assert calls_outside(forked, "ad_matrix_numerators", _brackets_a_basis_vector) == [7]
+
+
 def minor_route_uses(name: str, source: str) -> list[str]:
     """Where source, the module name, reaches exterior.evaluate (an import or
     an attribute outside exterior) or defines pullback.  Basis-pair checks of
