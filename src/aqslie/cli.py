@@ -13,6 +13,7 @@ The d eta sign convention is d eta(X, Y) = -eta([X, Y]) everywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -277,6 +278,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, **default) -> None:
     )
 
 
+@functools.cache  # built once per process: a parse leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="aqslie",

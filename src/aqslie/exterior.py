@@ -9,6 +9,17 @@ so on 1-forms d eta (X, Y) = -eta([X, Y]), the sign fixed throughout the
 package, and d(theta^m) = - sum_{i<j} c_ij^m theta^i ^ theta^j.  ``ce_d``
 and the columns of ``ce_d_matrix`` are read off c_ij^k in one pass over the
 algebra's structure table (integers over a common denominator if rational).
+
+Betti numbers are ranked by torus weight.  The diagonal derivations
+D = diag(l) of the basis are the l with l_i + l_j = l_k wherever c_ij^k is
+stored; theta^I has weight sum_{i in I} l_i under each of them.  A
+derivation's action D* on forms commutes with d, so d maps each weight
+space of Lambda^k into the same weight space of Lambda^{k+1}, and rank d_k
+is the sum of the ranks of its weight blocks.  Each block takes its own
+field route in ``linalg.rank``; a trivial torus (a conjugated basis, say)
+leaves one block, the whole differential.  The Betti numbers are those of
+the Chevalley-Eilenberg complex; ``ce_betti`` says when they are de Rham
+Betti numbers (Nomizu).
 """
 
 from __future__ import annotations
@@ -192,16 +203,18 @@ def _d_targets(L: LieAlgebra) -> tuple[dict, int | None]:
     return targets, den
 
 
-def _ce_d(targets: dict, den: int | None, w: KForm) -> KForm:
-    """d w in one pass: theta^I contributes (-1)^r theta^{I - I_r} ^
-    d theta^{I_r} for each position r (Leibniz), all into one accumulator.
-    Rational w over rational constants sums integers over the common
-    denominator; other scalars add in the order of the term-by-term
-    Leibniz sum, dropping entries that reach zero, so floats round alike."""
-    scaled = _int_scaled([c for _, c in w.coeffs]) if den is not None else None
-    coeffs = scaled[0] if scaled is not None else [c for _, c in w.coeffs]
+def _ce_d(targets: dict, den: int | None, terms) -> tuple[dict, int | None]:
+    """d(sum c theta^I) over terms [(I, c)] in one pass: theta^I contributes
+    (-1)^r theta^{I - I_r} ^ d theta^{I_r} for each position r (Leibniz),
+    all into one accumulator {J: entry}.  Rational coefficients over
+    rational constants sum integers: the entries are numerators over the
+    returned denominator.  Other scalars add in the order of the term-by-term
+    Leibniz sum, dropping entries that reach zero, so floats round alike;
+    the entries are the coefficients and the denominator is None."""
+    scaled = _int_scaled([c for _, c in terms]) if den is not None else None
+    coeffs = scaled[0] if scaled is not None else [c for _, c in terms]
     acc: dict[tuple, object] = {}
-    for (I, _), c in zip(w.coeffs, coeffs):
+    for (I, _), c in zip(terms, coeffs):
         for r, m in enumerate(I):
             rest = I[:r] + I[r + 1 :]
             for i, j, v in targets.get(m, ()):
@@ -222,30 +235,83 @@ def _ce_d(targets: dict, den: int | None, w: KForm) -> KForm:
                     acc.pop(key, None)
                 else:
                     acc[key] = total
-    if scaled is not None:
-        den *= scaled[1] or 1
-        acc = {key: Fraction(a, den) for key, a in acc.items() if a}
-    return KForm(w.degree + 1, w.dim, tuple(sorted(acc.items())))
+    if scaled is None:
+        return acc, None
+    return {key: a for key, a in acc.items() if a}, den * (scaled[1] or 1)
+
+
+def _d_columns(targets: dict, den: int | None, monomials) -> list[dict]:
+    """[{J: entry} of d theta^I for I in monomials], the columns of d_k: over
+    the integer table the numerators over den, else the scalars."""
+    return [_ce_d(targets, den, [(I, ONE)])[0] for I in monomials]
+
+
+def _over(acc: dict, den: int | None) -> dict:
+    """The entries of acc over den, as Fractions; acc itself for None."""
+    return acc if den is None else {key: Fraction(a, den) for key, a in acc.items()}
 
 
 def ce_d(L: LieAlgebra, w: KForm) -> KForm:
     """Chevalley-Eilenberg differential of w, from the structure constants."""
     if w.dim != L.dim:
         raise DimensionMismatch("form does not live on this algebra")
-    return _ce_d(*_d_targets(L), w)
+    acc = _over(*_ce_d(*_d_targets(L), w.coeffs))
+    return KForm(w.degree + 1, w.dim, tuple(sorted(acc.items())))
+
+
+def _matrix(columns: list[dict], rows, zero) -> Mat:
+    """The matrix with the given columns {J: entry} on the row keys rows."""
+    index = {J: r for r, J in enumerate(rows)}
+    M = [[zero] * len(columns) for _ in index]
+    for c_i, column in enumerate(columns):
+        for J, v in column.items():
+            M[index[J]][c_i] = v
+    return M
 
 
 def ce_d_matrix(L: LieAlgebra, k: int) -> Mat:
     """Matrix of d: Lambda^k -> Lambda^{k+1}; column I is d theta^I."""
     n = L.dim
     targets, den = _d_targets(L)
-    rows_idx = {J: r for r, J in enumerate(combinations(range(n), k + 1))}
-    cols = list(combinations(range(n), k))
-    M = [[ZERO] * len(cols) for _ in rows_idx] if rows_idx else []
-    for c_i, I in enumerate(cols):
-        for J, v in _ce_d(targets, den, KForm(k, n, ((I, ONE),))).coeffs:
-            M[rows_idx[J]][c_i] = v
-    return M
+    columns = [_over(col, den) for col in _d_columns(targets, den, combinations(range(n), k))]
+    return _matrix(columns, combinations(range(n), k + 1), ZERO)
+
+
+def _torus_weights(L: LieAlgebra) -> list[int]:
+    """The torus weight w_i of each basis index i, packed into one integer.
+
+    The diagonal derivations diag(l) are the l with l_i + l_j = l_k for
+    every stored c_ij^k: read off the stored support, so float and tower
+    tables are graded exactly.  Over an integer basis v_1..v_r of them, w_i
+    is sum_t v_t[i] B^t with B above twice any |sum_{i in I} v_t[i]|, so
+    sums of weights over index sets are equal exactly when every
+    coordinate is; a trivial torus gives every index the weight 0."""
+    rows = [[(t == i) + (t == j) - (t == k) for t in range(L.dim)]
+            for (i, j), entries in L.brackets for k, _ in entries]
+    basis = [_int_scaled(v)[0] for v in nullspace(rows, L.dim)]
+    B = 2 * L.dim * max((abs(x) for v in basis for x in v), default=0) + 1
+    return [sum(v[i] * B**t for t, v in enumerate(basis)) for i in range(L.dim)]
+
+
+def _weight_blocks(weights: list[int], k: int) -> dict[int, list[tuple]]:
+    """{weight: [I, ...]}: the k-subsets I grouped by sum_{i in I} w_i."""
+    blocks: dict[int, list[tuple]] = {}
+    for I in combinations(range(len(weights)), k):
+        blocks.setdefault(sum(map(weights.__getitem__, I)), []).append(I)
+    return blocks
+
+
+def _graded_rank(targets: dict, den: int | None, weights: list[int], k: int) -> int:
+    """rank d_k as the sum of the ranks of its weight blocks: d maps each
+    weight space of Lambda^k into the same weight space of Lambda^{k+1}, so a
+    block's rows are the (k+1)-subsets its columns reach."""
+    total = 0
+    for monomials in _weight_blocks(weights, k).values():
+        columns = _d_columns(targets, den, monomials)
+        rows = dict.fromkeys(J for col in columns for J in col)
+        if rows:
+            total += rank(_matrix(columns, rows, ZERO if den is None else 0))
+    return total
 
 
 def ce_betti(L: LieAlgebra, k: int) -> int:
@@ -259,10 +325,14 @@ def ce_betti(L: LieAlgebra, k: int) -> int:
 
 
 def ce_bettis(L: LieAlgebra, degrees: list[int]) -> dict[int, int]:
-    """{k: ce_betti(L, k) for k in degrees}, ranking each differential once."""
+    """{k: ce_betti(L, k) for k in degrees}, ranking each differential once,
+    one torus weight block at a time."""
     if any(k < 0 or k > L.dim for k in degrees):
         raise PreconditionError("degree out of range")
-    ranks = {j: rank(ce_d_matrix(L, j)) for j in range(L.dim) if {j, j + 1} & {*degrees}}
+    targets, den = _d_targets(L)
+    weights = _torus_weights(L)
+    ranks = {j: _graded_rank(targets, den, weights, j)
+             for j in range(L.dim) if {j, j + 1} & {*degrees}}
     return {k: comb(L.dim, k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in degrees}
 
 

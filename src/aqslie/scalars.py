@@ -350,6 +350,8 @@ def s_sqrt(a):
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-])?(?P<coeff>\d+(?:/\d+)?)?(?P<star>\*)?(?:sqrt\((?P<rad>\d+)\))?$"
 )
+# a plain rational, the commonest exact cell, read without the term grammar
+_PLAIN_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def s_str(a) -> str:
@@ -385,6 +387,16 @@ def parse_scalar(text: str, mode: str = "exact"):
         if not math.isfinite(x):  # nan or inf, also from an overflowing decimal
             raise ScalarParseError(f"float scalar {text!r} is not finite")
         return x
+    if _PLAIN_RE.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ScalarParseError(f"bad exact scalar {text!r}") from exc
+    return _parse_tower(text)
+
+
+def _parse_tower(text: str):
+    """Sum of the 'p/q*sqrt(r)' terms of text (stripped, spaces removed)."""
     total: Scalar = ZERO
     for term in _split_terms(text):
         m = _TERM_RE.match(term)

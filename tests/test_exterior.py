@@ -11,13 +11,19 @@ from aqslie.constructors import (
     abelian,
     shipped_algebras,
     su2,
+    su3,
     weighted_heisenberg_2n1,
     weighted_heisenberg_4n1,
 )
 from aqslie.errors import PreconditionError
 from aqslie.exterior import (
     KForm,
+    _d_targets,
+    _graded_rank,
+    _torus_weights,
+    _weight_blocks,
     ce_betti,
+    ce_bettis,
     ce_d,
     ce_d_matrix,
     evaluate,
@@ -188,6 +194,64 @@ def test_poincare_duality_nilpotent():
     for L in algebras:
         bettis = [ce_betti(L, k) for k in range(L.dim + 1)]
         assert bettis == bettis[::-1], (L.basis_names, bettis)
+
+
+SQRT_WEIGHTS = "sqrt(2),1,3/2*sqrt(5)"  # the square-root weights of the CLI benchmark
+
+
+def _sqrt_h13():
+    from aqslie.scalars import parse_scalar
+
+    return weighted_heisenberg_4n1(3, [parse_scalar(w) for w in SQRT_WEIGHTS.split(",")])[0]
+
+
+def santharoubane(m):
+    """Betti numbers of h_{2m+1}: C(2m, k) - C(2m, k - 2) for k <= m, mirrored
+    (L. J. Santharoubane, Proc. AMS 87, 1983)."""
+    low = [comb(2 * m, k) - (comb(2 * m, k - 2) if k > 1 else 0) for k in range(m + 1)]
+    return low + low[::-1]
+
+
+def test_weighted_heisenberg_bettis_follow_the_closed_form():
+    # every nonzero weighting of h^{2n+1} and h^{4n+1} is the Heisenberg
+    # algebra h_{2m+1}; the graded ranks must give its closed-form Betti numbers
+    algebras = [weighted_heisenberg_2n1(n, list(range(1, n + 1)))[0] for n in range(1, 7)]
+    algebras += [weighted_heisenberg_4n1(n, list(range(1, n + 1)))[0] for n in (1, 2, 3)]
+    for L in algebras + [_sqrt_h13()]:
+        bettis = ce_bettis(L, range(L.dim + 1))
+        assert list(bettis.values()) == santharoubane(L.dim // 2), (L.dim, L.brackets)
+    assert santharoubane(6)[:7] == [1, 12, 65, 208, 429, 572, 429]
+
+
+def test_graded_ranks_equal_the_whole_differential():
+    # the sum of the weight-block ranks is the rank of ce_d_matrix: on a
+    # conjugated h9 (trivial torus, one block), on su3, on a float copy and
+    # on the square-root weights
+    from floatcopy import float_structure
+
+    h9 = _conjugated_algebra(2, [1, 2], 1)
+    assert set(_torus_weights(h9)) == {0}
+    float_h9 = float_structure(weighted_heisenberg_4n1(2, [1, 2])[1][0]).L
+    cases = [(h9, 9), (su3(), 8), (float_h9, 9), (_sqrt_h13(), 3)]
+    for L, top in cases:
+        targets, den = _d_targets(L)
+        weights = _torus_weights(L)
+        for k in range(top + 1):
+            graded = _graded_rank(targets, den, weights, k)
+            assert graded == rank(ce_d_matrix(L, k)), (L.mode, L.dim, k)
+
+
+def test_weight_blocks_are_preserved_by_d():
+    # d maps each weight space of Lambda^k into the same weight space of
+    # Lambda^{k+1}: every image of a block's monomial stays in its weight
+    L = weighted_heisenberg_4n1(2, [1, 3])[0]
+    weights = _torus_weights(L)
+    assert len(set(weights)) == L.dim  # weights separate the basis here
+    for k in range(L.dim):
+        for weight, monomials in _weight_blocks(weights, k).items():
+            for I in monomials:
+                image = ce_d(L, KForm.make(k, L.dim, {I: F(1)}))
+                assert all(sum(weights[i] for i in J) == weight for J, _ in image.coeffs)
 
 
 def test_ce_betti_agrees_with_sympy_ranks():

@@ -509,25 +509,36 @@ def test_cli_invariant_forms_with_j_file(tmp_path, capsys):
 
 
 def test_cohomology_ranks_each_differential_once(tmp_path, capsys, monkeypatch):
-    # every degree of h13: b_k and b_{k+1} share d_k, which is ranked once
+    # every degree of h13: b_k and b_{k+1} share d_k, which is reduced once,
+    # one torus weight block at a time; no (k, weight) block is ranked twice
     import aqslie.exterior as exterior
 
-    ranks, real = {}, exterior.rank
+    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[0]
+    weights = exterior._torus_weights(h13)
+    blocks, ranked = [], {}
+    real_columns, real_rank = exterior._d_columns, exterior.rank
+
+    def columns(targets, den, monomials):
+        blocks.append(monomials)
+        return real_columns(targets, den, monomials)
 
     def counting(M):
-        ranks.setdefault((len(M), len(M[0])), []).append(real(M))
-        return ranks[len(M), len(M[0])][-1]
+        I = blocks[-1][0]  # the block whose columns were just built
+        key = (len(I), sum(weights[i] for i in I))
+        ranked[key] = ranked.get(key, 0) + 1
+        return real_rank(M)
 
+    monkeypatch.setattr(exterior, "_d_columns", columns)
     monkeypatch.setattr(exterior, "rank", counting)
     path = _structure_file(tmp_path, 3, (1, 2, 3))
     assert main(["cohomology", path, "--json"]) == 0
     betti = json.loads(capsys.readouterr().out)["payload"]["betti"]
-    # d_k: Lambda^k -> Lambda^{k+1} is C(13, k+1) x C(13, k), k = 0..12
-    assert sorted(ranks) == sorted((comb(13, k + 1), comb(13, k)) for k in range(13))
-    assert all(len(r) == 1 for r in ranks.values())
-    # the per-degree formula on the same ranks
-    monkeypatch.setattr(exterior, "rank", lambda M: ranks[len(M), len(M[0])][0])
-    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[0]
+    assert ranked and set(ranked.values()) == {1}
+    # d_k: Lambda^k -> Lambda^{k+1} for k = 0..12; d_0 and d_12 are zero
+    assert {k for k, _ in ranked} == set(range(1, 12))
+    low = [1, 12, 65, 208, 429, 572, 429]  # Santharoubane's closed form for h_13
+    assert [betti[str(k)] for k in range(14)] == low + low[::-1]
+    monkeypatch.undo()
     assert betti == {str(k): exterior.ce_betti(h13, k) for k in range(14)}
     assert betti["2"] == betti["11"] and betti["6"] == betti["7"]
 
@@ -572,6 +583,30 @@ def test_cli_global_flags_before_and_after_subcommand(tmp_path, capsys):
             assert get_tolerance() == float(argv[argv.index("--tolerance") + 1])
     finally:
         set_tolerance(1e-9)
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # two in-process calls share one parser; the first call's flags do not
+    # reach the second call's namespace
+    import aqslie.cli as cli
+
+    path = _structure_file(tmp_path, 1, (1,))
+    out = tmp_path / "h5.json"
+    seen = []
+    real_run = cli._run_single
+    monkeypatch.setattr(cli, "_run_single", lambda args: seen.append(vars(args).copy())
+                        or real_run(args))
+    cli._build_parser.cache_clear()
+    assert main(["cohomology", path, "--degrees", "0,1", "--json"]) == 0
+    assert main(["construct", "heisenberg", "--dim-family", "4n1", "--weights", "1",
+                 "-o", str(out)]) == 0
+    assert main(["cohomology", path]) == 0
+    capsys.readouterr()
+    assert cli._build_parser.cache_info().misses == 1
+    first, second, third = seen
+    assert first["json"] is True and first["degrees"] == "0,1"
+    assert second["json"] is False and "degrees" not in second and second["output"] == str(out)
+    assert third["json"] is False and third["degrees"] is None and "output" not in third
 
 
 BAD_TOLERANCES = ("0", "-1", "nan", "inf")

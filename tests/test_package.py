@@ -275,3 +275,37 @@ def test_products_outside_the_integer_route_are_one_sparse_fold():
     )
     assert product_path_offenders(forked) == [
         "1 def _dot", "3 mat_vecs skips _fold", "6 dot calls s_mul", "6 dot calls s_add"]
+
+
+def reachable_calls(source: str, start: str) -> set[str]:
+    """Names called by the function start of source, directly or through the
+    module-level functions of source that it calls."""
+    defs = {fn.name: fn for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
+    seen, called, todo = set(), set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        names = {_callee(node) for node in ast.walk(defs[name]) if isinstance(node, ast.Call)}
+        called |= names
+        todo += names
+    return called
+
+
+def test_cohomology_builds_no_whole_differential():
+    # the CLI's Betti numbers rank d_k one torus weight block at a time;
+    # ce_d_matrix, the whole differential, is left to its oracle tests
+    package = Path(aqslie.__file__).parent
+    cli = reachable_calls((package / "cli.py").read_text("utf-8"), "cmd_cohomology")
+    assert "ce_bettis" in cli and "ce_d_matrix" not in cli
+    exterior = reachable_calls((package / "exterior.py").read_text("utf-8"), "ce_bettis")
+    assert {"_graded_rank", "rank"} <= exterior and "ce_d_matrix" not in exterior
+    # a whole-matrix rank on the way is what the check is for
+    forked = (
+        "def ce_bettis(L, degrees):\n"
+        "    return {k: _whole(L, k) for k in degrees}\n"
+        "def _whole(L, k):\n"
+        "    return rank(ce_d_matrix(L, k))\n"
+    )
+    assert "ce_d_matrix" in reachable_calls(forked, "ce_bettis")

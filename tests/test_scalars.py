@@ -136,6 +136,52 @@ def test_parse_rejects_garbage():
             parse_scalar(bad)
 
 
+def _outcome(parse, text):
+    """(type, value) of parse(text), or ("error", message)."""
+    try:
+        value = parse(text)
+    except ScalarParseError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+PLAIN_EDGES = ["1/0", "+3", "-0", "007", "3/-4", "1_000", "1.5", "/3", "3/", "+", "0/5",
+               "\u0663", "\uff11/\uff12", "-\u0667/3", "2\u0663", "1/0+sqrt(2)", "12 / 4"]
+term = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["", "0", "3", "07", "2/3", "5/0", "\u0664"]),
+    st.sampled_from(["", "*sqrt(2)", "sqrt(3)", "*sqrt(0)", "sqrt(5)"]),
+)
+scalar_texts = st.one_of(
+    st.sampled_from(PLAIN_EDGES),
+    st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 10**6),
+              st.sampled_from(["", "/0", "/1", "/7", "/012", "/360"])),
+    st.lists(term, min_size=1, max_size=3).map("".join),
+    st.text(alphabet="0123456789+-/*._ \u0663sqrt()", max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scalar_texts)
+def test_plain_rationals_read_like_the_tower_grammar(text):
+    # the plain-rational shortcut gives the term grammar's value and message
+    from aqslie.scalars import _parse_tower
+
+    normal = text.strip().replace(" ", "")
+    if not normal:
+        return  # the empty string is refused before either reader
+    assert _outcome(parse_scalar, text) == _outcome(_parse_tower, normal), text
+
+
+def test_plain_rational_edges():
+    assert parse_scalar("+3") == F(3) and parse_scalar("007") == F(7)
+    assert parse_scalar("-0") == F(0) and parse_scalar("\u0663") == F(3)
+    for bad in ("1/0", "3/-4", "1_000", "1.5", "/3", "3/"):
+        with pytest.raises(ScalarParseError, match="bad exact scalar"):
+            parse_scalar(bad)
+
+
 def test_parse_float_mode():
     assert parse_scalar("0.25", mode="float") == 0.25
     assert parse_scalar("1/4", mode="float") == 0.25
