@@ -58,7 +58,6 @@ from .lie_core import (
     jacobi_check,
     killing_form,
     lower_central_series,
-    quotient_by_center_line,
 )
 from .linalg import Subspace
 
@@ -103,7 +102,6 @@ __all__ = [
     "nijenhuis_phi",
     "operators_A_psi",
     "psi_squared_spectrum",
-    "quotient_by_center_line",
     "rank_of_eta",
     "reductive_split",
     "reeb_uniqueness_check",

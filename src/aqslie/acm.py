@@ -303,18 +303,22 @@ class ConnectionTable:
 
 
 def _by_columns(M: Mat, B: Mat) -> Mat:
-    """M B as one mat_vecs call on the columns of B: the products of the Koszul
-    solve, its metric certificate and the Ricci sum.  M is scaled once per call
-    (integer M and B, the numerators of levi_civita, stay integers), and float
-    columns keep mat_vec's near-zero skips."""
+    """M B as one mat_vecs call on the columns of B: the metric certificate of
+    the Koszul solve and the per-a terms of the Ricci sum.  M is scaled once
+    per call (integer M and B, the numerators of levi_civita, stay integers),
+    and float columns keep mat_vec's near-zero skips."""
     return transpose(mat_vecs(M, transpose(B)))
 
 
 def levi_civita(S: AcmStructure) -> ConnectionTable:
     """The Koszul formula in matrix form (see the module docstring), on the
     numerators of g, g^-1 / 2 (one denominator dm) and the ad_i (da): g ad_i
-    and the Koszul sums are over dm da, Gamma_i over dm^2 da.  The
-    certificates read the stored table back through numerators."""
+    and the Koszul sums are over dm da, Gamma_i over dm^2 da.  The n Koszul
+    matrices are solved by g^-1 / 2 in one mat_vecs call on their n^2 columns,
+    and the certificates read the stored table back through numerators, one
+    g Gamma_i at a time: all n of them in one call would hold n^3 more product
+    entries at once.  Each output entry keeps its own fold, so the batching
+    moves no float bit."""
     if "connection" in S._memo:
         return S._memo["connection"]
     L, g = S.L, S.g_mat()
@@ -325,15 +329,22 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
         raise PreconditionError("metric is not positive definite")
     ads, da, (g, half_g_inv), dm = L.ad_numerators(g, mat_scale(inverse(g), ONE / 2))
     gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
-    gammas = []
+    koszul = []  # the columns of every Koszul matrix, block i after block i - 1
     for i in range(n):
         # entry (k, j) in the historical float order:
         # (g([b_i,b_j],b_k) - g([b_j,b_k],b_i)) + g([b_k,b_i],b_j)
         B = [[gads[j][i][k] for j in range(n)] for k in range(n)]
         C = [[gads[k][j][i] for j in range(n)] for k in range(n)]  # = -ad_i^T g
-        koszul = mat_add(mat_sub(gads[i], B), C)
-        gammas.append(over(_by_columns(half_g_inv, koszul), dm * dm * da))
-    table = ConnectionTable(tuple(tuple(map(tuple, G)) for G in gammas))
+        koszul += transpose(mat_add(mat_sub(gads[i], B), C))
+    # each n^3 list is dropped once used: kept to the end, they raise the peak
+    # heap by half
+    del gads
+    solved = mat_vecs(half_g_inv, koszul)  # column j of Gamma_i at i n + j
+    del koszul
+    table = ConnectionTable(tuple(
+        tuple(map(tuple, over(transpose(solved[i * n:i * n + n]), dm * dm * da)))
+        for i in range(n)))
+    del solved
     # certify what the table holds, pair (i, j) after pair, scaled by da dG (torsion)
     # and dm dG (metric), with dG the table's common denominator
     gamma, dG = numerators(*table.gamma)
@@ -462,13 +473,20 @@ class CurvatureData:
 
 def curvature(S: AcmStructure) -> CurvatureData:
     """Ricci tensor and scalar curvature: Ric_ij = sum over a of entry (a, j) of
-    R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only."""
+    R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only.  The
+    rows a of every Gamma_a Gamma_i are one mat_vecs call (the n rows
+    Gamma_a[a] against the n^2 columns of the Gamma_i); Gamma_i Gamma_a and
+    the bracket term take one call per a, and the terms are summed over a in
+    order, so float entries keep their bits."""
     conn, L = levi_civita(S), S.L
-    gamma, ricci = conn.gamma, zeros(L.dim, L.dim)
+    gamma, n, ricci = conn.gamma, L.dim, zeros(L.dim, L.dim)
     ads, da, _, _ = L.ad_numerators()
-    for a in range(L.dim):
+    # lefts[a][i n + j] = (Gamma_a Gamma_i)_aj
+    lefts = transpose(mat_vecs([G[a] for a, G in enumerate(gamma)],
+                               [c for G in gamma for c in transpose(G)]))
+    for a in range(n):
         rows = [G[a] for G in gamma]  # rows[k] = row a of Gamma_k
-        left = [_by_columns([gamma[a][a]], G)[0] for G in gamma]  # (Gamma_a Gamma_i)_a
+        left = [lefts[a][i * n:i * n + n] for i in range(n)]
         right = _by_columns(rows, gamma[a])  # (Gamma_i Gamma_a)_a
         # column i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
         brackets = _by_columns(transpose(rows), over(ads[a], da))

@@ -10,8 +10,11 @@ field once per call, from its whole input, through ``_int_scaled``:
   char_poly and inertia return what the same values give as Fractions;
 * anything else (square-root tower ``Ext`` entries, floats, mixed kinds):
   products are one sparse fold, ``_fold``, over the pairs of nonzero entries,
-  whose exact sum turns float where the full fold's does; the rest is
-  per-scalar arithmetic.  Tower division is still exact; floats use
+  whose exact sum turns float where the full fold's does.  When every nonzero
+  entry is a finite float, every pair is a float product, so the full fold
+  turns float at the first pair: the fold then sums floats from 0.0 with no
+  per-entry threshold, and keeps the bits.  The rest is per-scalar
+  arithmetic.  Tower division is still exact; floats use
   tolerance-based zero tests and magnitude pivoting.
 
 Both exact routes return the same values: a normalised ``Fraction`` is
@@ -190,16 +193,41 @@ def _fold(rows: list[Vec], cols: list[Vec], near_zero: bool = False) -> Mat:
     row-wise product).  As in the full fold, the exact sum goes to float()
     before the first pair at or past the first float of the row or the column,
     or at the end.  An inf or a nan makes every pair visited (0 inf is nan).
-    With near_zero, only the col[j] not near zero make pairs."""
+    With near_zero, only the col[j] not near zero make pairs.
+
+    Pure-float input (every nonzero entry a finite float) skips that
+    threshold: every pair is then a float product, so the full fold turns
+    float at the first pair anyway, and ZERO + x is float(ZERO) + x = 0.0 + x.
+    The sums start at 0.0; an entry is left ZERO exactly where the full fold
+    meets no float: with near_zero, when column k makes no pair, otherwise
+    when neither the row nor the column holds a float."""
     n = min(map(len, [*rows, *cols]), default=0)  # zip's length
-    dense = not all(map(math.isfinite, filter(_is_float, itertools.chain(*rows, *cols))))
+    floats = list(filter(_is_float, itertools.chain(*rows, *cols)))
+    dense = not all(map(math.isfinite, floats))
+    # exact input (no float at all) skips the scan for an exact nonzero
+    pure = bool(floats) and not dense and not any(
+        itertools.filterfalse(_is_float, itertools.chain(*rows, *cols)))
     pairs = [[j for j in itertools.compress(range(n), col) if not s_is_zero(col[j])]
              if near_zero else range(n) for col in cols]
-    tc = [_first_float(col, p, n) for col, p in zip(cols, pairs)]
     nz = [[] for _ in range(n)]
     for k, (col, p) in enumerate(zip(cols, pairs)):
         for j in p if near_zero or dense else itertools.compress(p, col):
             nz[j].append((k, col[j]))
+    if pure:
+        has = list(map(bool, pairs)) if near_zero else [
+            any(map(_is_float, col[:n])) for col in cols]
+        out = []
+        for row in rows:
+            acc = [0.0] * len(cols)
+            for j in itertools.compress(range(n), row):
+                r = row[j]
+                for k, b in nz[j]:
+                    acc[k] += r * b
+            if near_zero or not any(map(_is_float, row[:n])):
+                acc = [x if h else ZERO for x, h in zip(acc, has)]
+            out.append(acc)
+        return out
+    tc = [_first_float(col, p, n) for col, p in zip(cols, pairs)]
     out = []
     for row in rows:
         fa = _first_float(row, range(n), n)  # t[k]: the first float of row or column k at a pair

@@ -590,6 +590,120 @@ def test_curvature_matches_the_per_vector_evaluator():
         set_tolerance(old)
 
 
+def _per_index_product(M, B):
+    """M B as one mat_vecs call on the columns of B."""
+    return transpose(mat_vecs(M, transpose(B)))
+
+
+def _reference_koszul(S):
+    """The Gamma table as levi_civita solved it before the n Koszul matrices
+    became one product: one g^-1 / 2 product per i, on the same numerators."""
+    from aqslie.linalg import over
+    from aqslie.scalars import ONE
+
+    L, g = S.L, S.g_mat()
+    n = L.dim
+    ads, da, (g, half_g_inv), dm = L.ad_numerators(g, mat_scale(inverse(g), ONE / 2))
+    gads = [mat_mul(g, ad) for ad in ads]
+    gammas = []
+    for i in range(n):
+        B = [[gads[j][i][k] for j in range(n)] for k in range(n)]
+        C = [[gads[k][j][i] for j in range(n)] for k in range(n)]
+        koszul = mat_add(mat_sub(gads[i], B), C)
+        gammas.append(over(_per_index_product(half_g_inv, koszul), dm * dm * da))
+    return gammas
+
+
+def _reference_ricci(S):
+    """(Ricci, scalar) by the per-a loop curvature ran before the rows a of
+    every Gamma_a Gamma_i became one product: n^2 one-row products."""
+    from aqslie.linalg import dot, over
+
+    gamma, n = levi_civita(S).gamma, S.L.dim
+    ads, da, _, _ = S.L.ad_numerators()
+    ricci = zeros(n, n)
+    for a in range(n):
+        rows = [G[a] for G in gamma]
+        left = [_per_index_product([gamma[a][a]], G)[0] for G in gamma]
+        right = _per_index_product(rows, gamma[a])
+        brackets = _per_index_product(transpose(rows), over(ads[a], da))
+        ricci = mat_add(ricci, mat_sub(mat_sub(left, right), transpose(brackets)))
+    flat = lambda M: [x for row in M for x in row]  # noqa: E731
+    return ricci, dot(flat(inverse(S.g_mat())), flat(ricci))
+
+
+def _h13_case(name):
+    """The float copy of h13 (as the benchmark's cli-mixed reads it), the
+    square-root-weight h13, and h13 conjugated by random_unimodular(13, Random(7))."""
+    import aqslie.io as aqio
+    from aqslie.scalars import parse_scalar
+    from floatcopy import float_doc
+
+    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
+    if name == "float-h13":
+        return aqio.structure_from_json(float_doc(aqio.structure_to_json(h13)))[0]
+    if name == "sqrt-h13":
+        weights = [parse_scalar(w) for w in ("sqrt(2)", "1", "3/2*sqrt(5)")]
+        return weighted_heisenberg_4n1(3, weights)[1][0]
+    return conjugate_structure(h13, random_unimodular(13, random.Random(7)))
+
+
+@pytest.mark.parametrize("name", ["float-h13", "sqrt-h13", "h13c7"])
+def test_whole_table_products_match_the_per_index_loops_at_dim_13(name):
+    # the batched Koszul solve and Ricci sum against the loops they replaced,
+    # by repr: every float bit and sign of zero, canonical exact values
+    S = _h13_case(name)
+    rep = lambda M: [list(map(repr, row)) for row in M]  # noqa: E731
+    assert [rep(G) for G in levi_civita(S).gamma] == [rep(G) for G in _reference_koszul(S)]
+    data = curvature(S)
+    ricci, scalar = _reference_ricci(S)
+    assert rep(data.ricci) == rep(ricci)
+    assert repr(data.scalar) == repr(scalar)
+
+
+def test_connection_and_ricci_are_whole_table_products(monkeypatch):
+    # on h13, curvature makes at most 2n + 1 product calls of its own (the
+    # per-index loops made n^2 + 2n) and levi_civita one Koszul solve and n
+    # certificate products besides the n products g ad_i (2n before).  Its
+    # heap peak on a conjugated h13 is 0.33-0.35 MB: the per-index loops
+    # peaked at 0.41-0.42 MB, and one certificate call for all i, which holds
+    # n^3 more entries at once, at 0.40-0.41 MB
+    import tracemalloc
+
+    n = 13
+    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
+    calls = {"mat_vecs": 0, "mat_mul": 0}
+
+    def counting(name, real):
+        def kernel(*args):
+            calls[name] += 1
+            return real(*args)
+        return kernel
+
+    for name in calls:
+        monkeypatch.setattr(acm, name, counting(name, getattr(acm, name)))
+    levi_civita(h13)
+    assert calls["mat_vecs"] <= n + 1 and calls["mat_mul"] == n
+    calls.update(mat_vecs=0, mat_mul=0)
+    curvature(h13)
+    assert calls["mat_vecs"] <= 2 * n + 1 and calls["mat_mul"] == 0
+    monkeypatch.undo()
+
+    S = conjugate_structure(h13, random_unimodular(n, random.Random(7)))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        levi_civita(S)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 385_000, peak
+
+
 def test_ricci_transforms_as_a_bilinear_form():
     # exact and independent of how Ricci is computed: in the basis given by
     # the columns of Q, Ric' = Q^T Ric Q, symmetric, with the same scalar

@@ -33,7 +33,6 @@ from aqslie.lie_core import (
     jacobi_check,
     killing_form,
     lower_central_series,
-    quotient_by_center_line,
 )
 from aqslie.linalg import (
     Subspace,
@@ -46,6 +45,7 @@ from aqslie.linalg import (
     vec_is_zero,
 )
 from aqslie.scalars import Ext, get_tolerance, s_add, s_eq, s_is_zero, s_mul, set_tolerance
+from central_quotient import quotient_by_center_line
 
 
 def h5():

@@ -41,7 +41,7 @@ from aqslie.linalg import (
     vec_eq,
     vec_is_zero,
 )
-from aqslie.scalars import ZERO, Ext, s_add, s_eq, s_inv, s_is_zero, s_mul, s_sub
+from aqslie.scalars import ONE, ZERO, Ext, s_add, s_eq, s_inv, s_is_zero, s_mul, s_sub
 
 small_mats = st.integers(-4, 4)
 
@@ -531,6 +531,39 @@ def test_products_are_the_full_fold_bit_for_bit(m, k, p, data):
         Gv = [_fold_ref(((row[j], v[j]) for j in range(k) if not s_is_zero(v[j])), start(G, [v]))
               for row in G]
         assert _bits(bilinear(u, G, v)) == _bits(_fold_ref(zip(u, Gv), start([u], [Gv])))
+
+
+@st.composite
+def pure_floats(draw, m, n, density=0.5):
+    """An m x n matrix whose nonzero entries are finite floats (the near-zeros
+    1e-12 and -3e-10 among them), zeros ZERO, 0.0 or -0.0; now and then one
+    exact ONE, which sends the operand down the fold's general path."""
+    hot = draw(st.sets(st.integers(0, max(m * n - 1, 0)), max_size=int(density * m * n)))
+    nonzero = st.floats(-8, 8).filter(bool) | st.sampled_from([1e-12, -3e-10, 0.1, -2.25])
+    flat = [draw(nonzero if i in hot else st.sampled_from([ZERO, 0.0, -0.0]))
+            for i in range(m * n)]
+    if flat and draw(st.integers(0, 7)) == 0:
+        flat[draw(st.integers(0, m * n - 1))] = ONE
+    return [flat[i * n : i * n + n] for i in range(m)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 5), st.integers(0, 6), st.integers(0, 5), st.data())
+def test_pure_float_products_are_the_full_fold_bit_for_bit(m, k, p, data):
+    # all-float operands sum in floats from the first pair; the full fold
+    # turns float there too, and leaves ZERO where it meets no float
+    A, B, G = (data.draw(pure_floats(r, c)) for r, c in ((m, k), (k, p), (k, k)))
+    vs = data.draw(st.lists(pure_floats(1, k, 0.6).map(lambda M: M[0]), max_size=3))
+    u = data.draw(pure_floats(1, k, 0.6))[0]
+    want = [[_fold_ref(zip(row, col)) for col in zip(*B)] for row in A]
+    assert _all_bits(mat_mul(A, B)) == _all_bits(want if k else [[] for _ in A])
+    want = [[_fold_ref((row[j], v[j]) for j in range(k) if not s_is_zero(v[j])) for row in A]
+            for v in vs]
+    assert _all_bits(mat_vecs(A, vs)) == _all_bits(want)
+    for v in vs:
+        assert _bits(dot(u, v)) == _bits(_fold_ref(zip(u, v)))
+        Gv = [_fold_ref((row[j], v[j]) for j in range(k) if not s_is_zero(v[j])) for row in G]
+        assert _bits(bilinear(u, G, v)) == _bits(_fold_ref(zip(u, Gv)))
 
 
 def test_the_sum_turns_float_where_the_full_fold_meets_a_float():

@@ -21,6 +21,55 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
+def _payloads(argvs: list) -> list:
+    """[exit code, canonical payload JSON] of each in-process CLI call."""
+    import contextlib
+    import io
+    import json
+
+    from aqslie.cli import main
+    from aqslie.scalars import DEFAULT_TOLERANCE, set_tolerance
+
+    out = []
+    for argv in argvs:
+        set_tolerance(DEFAULT_TOLERANCE)  # --tolerance sets it globally
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(argv)
+        payload = json.loads(text.getvalue())["payload"]
+        out.append([code, json.dumps(payload, sort_keys=True, separators=(",", ":"))])
+    return out
+
+
+def test_certificates_survive_python_O(tmp_path):
+    # the same classify and curvature payloads, byte for byte, when python -O
+    # has stripped every assert: of h9 and of its float copy
+    import json
+    import os
+    import subprocess
+
+    import aqslie.io as aqio
+    from aqslie.constructors import weighted_heisenberg_4n1
+    from floatcopy import float_doc
+
+    doc = aqio.structure_to_json(weighted_heisenberg_4n1(2, [1, 2])[1][0])
+    argvs = []
+    for key, d in (("h9", doc), ("f9", float_doc(doc))):
+        path = tmp_path / f"{key}.json"
+        path.write_text(aqio.dumps(d), "utf-8")
+        argvs += [[command, str(path), "--json"] for command in ("classify", "curvature")]
+    here = _payloads(argvs)
+    script = ("import json, sys\nfrom test_package import _payloads\n"
+              "print(json.dumps([__debug__, _payloads(json.loads(sys.argv[1]))]))")
+    path = os.pathsep.join([str(Path(aqslie.__file__).parent.parent), str(Path(__file__).parent)])
+    run = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(argvs)], check=True,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    debug, there = json.loads(run.stdout)
+    assert debug is False
+    assert [code for code, _ in here] == [0, 0, 0, 0]
+    assert there == here
+
+
 def test_package_imports_only_itself_and_the_standard_library():
     # the runtime is stdlib-only; sympy, numpy and the like are test-side
     sources = sorted(Path(aqslie.__file__).parent.glob("*.py"))
