@@ -5,11 +5,13 @@ a storage invariant rather than a runtime check.  Indices are 0-based
 internally; the file format is 1-based (see io.py).
 
 Each algebra builds, on first use, a lookup table {(i, j): {k: c_ij^k}}
-that serves :meth:`LieAlgebra.c` in O(1).  When every constant is a
-Fraction the table holds integers over one common denominator, and
-:func:`bracket` of two rational vectors runs on integers.  The table is a
-private attribute, not a dataclass field, so equality, hashing and
-serialization see only the sparse tuple.
+that serves :meth:`LieAlgebra.c` in O(1): integers over one common
+denominator when every constant is a Fraction.  The table is a private
+attribute, not a dataclass field, so equality, hashing and serialization
+see only the sparse tuple.  :meth:`LieAlgebra._operands` decides the field
+once for the table and a reader's operands; :meth:`ad_numerators`,
+:func:`bracket` and :func:`ad_matrix_numerators` each read the table in one
+sparse loop in pair order, the same for every field.
 
 Jacobi, the lower central series and the derivations are read off that
 table: one sparse Jacobi pass, [g, V] from the columns of
@@ -37,7 +39,7 @@ from .linalg import (
     transpose,
     zeros,
 )
-from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg, s_sub
+from .scalars import ONE, ZERO, coerce, s_is_zero, s_neg
 
 BracketTable = dict  # {(i, j): {k: scalar}} with i < j
 
@@ -116,78 +118,76 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vec:
         return [ONE if t == i else ZERO for t in range(self.dim)]
 
-    def ad_numerators(self, *mats: Mat) -> tuple[list[Mat], int, list[Mat], int]:
-        """(ads, da, ints, dm) with ad_{b_i} == over(ads[i], da), entry (k, j) =
-        c_ij^k, and (ints, dm) == numerators(*mats): one field decision for the
-        algebra and the matrices that act with it, and the one reader of the
-        table for ad_{b_i}.  A rational algebra with rational or all-int mats
-        gives the integer table over its denominator, with no Fraction built;
-        otherwise the stored constants (each entry a constant or its negative,
-        the bracket columns bit for bit) and mats as they are, over 1."""
+    def _operands(self, *mats: Mat) -> tuple[dict, int | None, object, list[Mat], int]:
+        """(table, den, zero, ints, dm): the one field decision of the readers
+        of the table, for it and the matrices that act with it.  A rational
+        algebra with rational or all-int mats gives the integer table, c_ij^k =
+        entry / den, the numerators of mats over dm and the zero 0; otherwise
+        the stored constants, den None, mats as they are over 1 and ZERO."""
         table, den = self._tables()
         scaled = _int_rows(*mats) if den is not None else None
-        zero = 0
-        if scaled is None:  # not the integer table: its entries are over den
-            table, den, zero, scaled = self.table(), 1, ZERO, (list(mats), 1)
+        if scaled is None:  # the stored constants; a cached table with a den holds integers
+            return (table if den is None else self.table()), None, ZERO, list(mats), 1
+        return table, den, 0, scaled[0], scaled[1] or 1
+
+    def ad_numerators(self, *mats: Mat) -> tuple[list[Mat], int, list[Mat], int]:
+        """(ads, da, ints, dm) with ad_{b_i} == over(ads[i], da), entry (k, j) =
+        c_ij^k, and (ints, dm) == numerators(*mats), on the field of
+        :meth:`_operands`: the one reader of the table for ad_{b_i}.  Off the
+        integer table each entry is a constant or its negative, the bracket
+        columns bit for bit."""
+        table, den, zero, ints, dm = self._operands(*mats)
         n = self.dim
         ads = [[[zero] * n for _ in range(n)] for _ in range(n)]
         for (p, q), entries in table.items():
             for k, v in entries.items():
                 ads[p][k][q], ads[q][k][p] = v, -v
-        return ads, den, scaled[0], scaled[1] or 1
+        return ads, den or 1, ints, dm
 
 
 def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
-    """[X, Y] by bilinear expansion of the structure constants.  On a rational
-    algebra, rational (or int) X and Y run on integers."""
+    """[X, Y] by bilinear expansion of the structure constants, on the field
+    of :meth:`LieAlgebra._operands`: rational (or int) X and Y on a rational
+    algebra run on integers."""
     if len(X) != L.dim or len(Y) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
-    table, den = L._tables()
-    sx = _int_scaled(X) if den is not None else None
-    sy = _int_scaled(Y) if sx is not None else None
-    if sy is not None:
-        (xi, dx), (yi, dy) = sx, sy
-        acc = [0] * L.dim
-        for (i, j), entries in table.items():
-            coeff = xi[i] * yi[j] - xi[j] * yi[i]
-            if coeff:
-                for k, v in entries.items():
-                    acc[k] += coeff * v
-        den *= (dx or 1) * (dy or 1)
-        return [Fraction(a, den) if a else ZERO for a in acc]
-    out = [ZERO] * L.dim
-    for (i, j), entries in L.brackets:
+    table, den, zero, ((X, Y),), d = L._operands([X, Y])
+    acc = [zero] * L.dim
+    for (i, j), entries in table.items():
         # exact zeros on both sides: the pair contributes nothing
         if (not X[i] or not Y[j]) and (not X[j] or not Y[i]):
             continue
-        coeff = s_sub(s_mul(X[i], Y[j]), s_mul(X[j], Y[i]))
-        if s_is_zero(coeff):
-            continue
-        for k, v in entries:
-            out[k] = s_add(out[k], s_mul(coeff, v))
-    return out
+        coeff = X[i] * Y[j] - X[j] * Y[i]
+        if not s_is_zero(coeff):
+            for k, v in entries.items():
+                acc[k] += coeff * v
+    if den is not None:
+        acc = [Fraction(a, den * d * d) if a else ZERO for a in acc]
+    return acc
 
 
 def ad_matrix_numerators(L: LieAlgebra, X: Vec) -> tuple[Mat, int]:
-    """(N, den) with ad_X == over(N, den), column j = [X, b_j].  On a rational
-    algebra a rational (or int) X takes one pass over the integer table,
-    N[k][j] = sum_i x_i c_ij^k on the numerators, over the table's denominator
-    times that of X; any other X gives the bracket columns over 1."""
+    """(N, den) with ad_X == over(N, den), column j = [X, b_j]: one pass over
+    the table on the field of :meth:`LieAlgebra._operands`, N[k][j] = sum_i
+    x_i c_ij^k.  Off the integer table N is the bracket columns bit for bit:
+    x_i enters where bracket's tolerance keeps it, the sums run in pair order."""
     if len(X) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
-    table, den = L._tables()
-    sx = _int_scaled(X) if den is not None else None
-    if sx is None:
-        return transpose([bracket(L, X, L.basis_vector(j)) for j in range(L.dim)]), 1
-    xi, dx = sx
-    N = [[0] * L.dim for _ in range(L.dim)]
+    table, den, zero, ((X,),), dx = L._operands([X])
+    n = L.dim
+    N = [[zero] * n for _ in range(n)]
+    live = [not s_is_zero(x) for x in X]
     for (p, q), entries in table.items():
-        a, b = xi[p], xi[q]
-        if a or b:
+        lp, lq = live[p], live[q]
+        if lp or lq:
+            a, b = X[p], X[q]
             for k, v in entries.items():
-                N[k][q] += a * v
-                N[k][p] -= b * v
-    return N, den * (dx or 1)
+                row = N[k]
+                if lp:
+                    row[q] += a * v
+                if lq:
+                    row[p] -= b * v
+    return N, (den or 1) * dx
 
 
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:
@@ -248,10 +248,6 @@ def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
         current = nxt
         if nxt.dim == 0:
             return LowerCentralSeries(tuple(terms), True, len(terms) - 1)
-
-
-def is_nilpotent(L: LieAlgebra) -> bool:
-    return lower_central_series(L).is_nilpotent
 
 
 @dataclass(frozen=True)

@@ -104,11 +104,20 @@ def _int_scaled(xs) -> tuple[list[int], int | None] | None:
 
 def _int_rows(*mats: Mat) -> tuple[list[Mat], int | None] | None:
     """_int_scaled of all entries of mats together, in their row shapes."""
-    scaled = _int_scaled([x for M in mats for row in M for x in row])
+    flat: list = []
+    for M in mats:
+        for row in M:
+            flat += row
+    scaled = _int_scaled(flat)
     if scaled is None:
         return None
-    it = iter(scaled[0])  # _reshaped continues the one iterator from matrix to matrix
-    return [_reshaped(it, M) for M in mats], scaled[1]
+    ints, at, out = scaled[0], 0, []
+    for M in mats:
+        rows = []
+        for row in M:  # each row takes the next len(row) integers
+            rows.append(ints[at:(at := at + len(row))])
+        out.append(rows)
+    return out, scaled[1]
 
 
 def numerators(*mats: Mat) -> tuple[list[Mat], int]:
@@ -145,13 +154,6 @@ def _back(N, *dens) -> Mat:
 
 def _flat(M: Mat) -> list:
     return [x for row in M for x in row]
-
-
-def _reshaped(flat, M: Mat) -> Mat:
-    """The entries of flat (a sequence, or an iterator to continue) in the row
-    shape of M."""
-    it = iter(flat)
-    return [list(itertools.islice(it, len(row))) for row in M]
 
 
 def _int_products(rows: list[list[int]], cols: list[list[int]]) -> list[list[int]]:

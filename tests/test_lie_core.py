@@ -45,6 +45,7 @@ from aqslie.linalg import (
     vec_is_zero,
 )
 from aqslie.scalars import Ext, get_tolerance, s_add, s_eq, s_is_zero, s_mul, set_tolerance
+from bracket_routes import ad_matrix_routes, bracket_routes
 from central_quotient import quotient_by_center_line
 
 
@@ -600,3 +601,93 @@ def test_cached_tables_leave_equality_and_hash_alone():
     L1.c(3, 1, 0)
     assert L1 == L2 and hash(L1) == hash(L2)
     assert [f.name for f in fields(L1)] == ["dim", "brackets", "basis_names", "mode"]
+
+
+# ---------------------------------------------------------------------------
+# the one-loop table readers against the two-route bracket and ad matrix
+# ---------------------------------------------------------------------------
+
+def _reader_structures():
+    """Float, tower, rational and conjugated structures on h9 and h13."""
+    from aqslie.scalars import parse_scalar
+    from floatcopy import float_structure
+
+    h9 = weighted_heisenberg_4n1(2, [1, 2])[1][0]
+    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
+    sqrt_weights = [parse_scalar(w) for w in "sqrt(2),1,3/2*sqrt(5)".split(",")]
+    conj = lambda S, seed: conjugate_structure(  # noqa: E731
+        S, random_unimodular(S.L.dim, random.Random(seed)))
+    return {
+        "f9c1": float_structure(conj(h9, 1)),
+        "f13": float_structure(h13),
+        "f13c2": float_structure(conj(h13, 2)),
+        "sqrt-h13": weighted_heisenberg_4n1(3, sqrt_weights)[1][0],
+        "h9c1": conj(h9, 1),
+        "h13c2": conj(h13, 2),
+    }
+
+
+def test_table_readers_match_the_two_routes_on_the_structures():
+    # the columns of phi and g, xi, eta and the basis: every bit, the sign of
+    # a zero and ZERO against 0.0 show in the repr
+    for name, S in _reader_structures().items():
+        L = S.L
+        vecs = [*zip(*S.phi_mat()), *zip(*S.g_mat()), S.xi_vec(), S.eta_row()]
+        vecs = [list(v) for v in vecs] + [L.basis_vector(i) for i in range(L.dim)]
+        for X in vecs:
+            assert repr(ad_matrix_numerators(L, X)) == repr(ad_matrix_routes(L, X)), name
+            for Y in vecs[::3]:
+                assert repr(bracket(L, X, Y)) == repr(bracket_routes(L, X, Y)), name
+
+
+def test_nijenhuis_brackets_nothing(monkeypatch):
+    # ad of each column of phi is one pass over the table on every field, not
+    # n bracket columns
+    from aqslie import acm, lie_core
+
+    structures, calls = _reader_structures(), []
+
+    def counted(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(lie_core, "bracket", counted)
+    monkeypatch.setattr(acm, "bracket", counted)
+    for name in ("sqrt-h13", "f13"):
+        S = structures[name]
+        acm.nijenhuis(S.L, S.phi_mat())
+    assert calls == []
+
+
+SQRT2 = Ext.of_sqrt(2)
+exact_zeros = st.sampled_from([F(0), 0])
+rationals = fractions | st.integers(-4, 4)
+towers = st.builds(lambda a, b: a + b * SQRT2, fractions, fractions)
+# near-zeros, the tolerance edge (1e-9 is zero, 1.5e-9 is not) and factors
+# whose products land on it
+floats = st.floats(-4, 4) | st.sampled_from(
+    [0.0, -0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1.5e-9, 3.2e-5, -3.1e-5, 0.1, 2.5])
+FIELDS = {  # constants, operand entries: an exact table meets exact operands
+    "rational": (rationals, rationals | exact_zeros),
+    "tower": (towers, towers | rationals | exact_zeros),
+    "float": (floats, floats | rationals | exact_zeros),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FIELDS)), st.integers(2, 6), st.data())
+def test_table_readers_match_the_two_routes_on_random_tables(field, n, data):
+    constants, entries = FIELDS[field]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = {pair: data.draw(st.dictionaries(st.integers(0, n - 1), constants, max_size=3))
+             for pair in data.draw(st.lists(st.sampled_from(pairs), unique=True))}
+    mode = "float" if field == "float" else "exact"
+    L = LieAlgebra.from_brackets(n, table, mode=mode, check=False)
+    vector = st.lists(entries, min_size=n, max_size=n)
+    all_ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    X, Y = (data.draw(vector | all_ints) for _ in range(2))
+    assert repr(bracket(L, X, Y)) == repr(bracket_routes(L, X, Y))
+    assert repr(ad_matrix_numerators(L, X)) == repr(ad_matrix_routes(L, X))
+    ints = [[int(x) for x in v] for v in ([1] * n, list(range(n)))]
+    assert repr(bracket(L, *ints)) == repr(bracket_routes(L, *ints))
+    assert repr(ad_matrix_numerators(L, ints[1])) == repr(ad_matrix_routes(L, ints[1]))

@@ -223,16 +223,44 @@ def _brackets_a_basis_vector(node: ast.Call) -> bool:
         isinstance(arg, ast.Call) and _callee(arg) == "basis_vector" for arg in node.args)
 
 
+ONE_LOOP_READERS = ("bracket", "ad_matrix_numerators")
+
+
+def second_route_uses(source: str) -> list[str]:
+    """Inside the functions of ONE_LOOP_READERS: calls to bracket, _int_scaled
+    or _int_rows, reads of .brackets, and every outer loop after the first.
+    Each reads the table in one loop, on the field LieAlgebra._operands
+    decides for every reader."""
+    offenders = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in ONE_LOOP_READERS):
+            continue
+        nested = {id(inner) for loop in ast.walk(fn) if isinstance(loop, ast.For)
+                  for stmt in loop.body for inner in ast.walk(stmt)}
+        loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)
+                 and id(node) not in nested]
+        offenders += [f"{fn.name}:{loop.lineno} second loop" for loop in loops[1:]]
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and _callee(node) in ("bracket", "_int_scaled", "_int_rows"):
+                offenders.append(f"{fn.name}:{node.lineno} {_callee(node)}")
+            elif isinstance(node, ast.Attribute) and node.attr == "brackets":
+                offenders.append(f"{fn.name}:{node.lineno} .brackets")
+    return sorted(offenders)
+
+
 def test_the_structure_table_is_read_not_bracketed_on_basis_vectors():
-    # Jacobi, the series and the derivations read the table; a bracket with a
-    # basis vector is a column of an ad matrix, which ad_matrix_numerators
-    # builds (bracketing only in its non-rational fallback)
+    # Jacobi, the series and the derivations read the table, and a bracket
+    # with a basis vector is a column of an ad matrix; bracket and
+    # ad_matrix_numerators read it in one loop, on one field decision
     package = Path(aqslie.__file__).parent
-    assert basis_bracket_uses((package / "lie_core.py").read_text("utf-8")) == []
+    lie_core = (package / "lie_core.py").read_text("utf-8")
+    assert basis_bracket_uses(lie_core) == []
+    assert second_route_uses(lie_core) == []
     for path in sorted(package.glob("*.py")):
         source = path.read_text("utf-8")
-        assert calls_outside(source, "ad_matrix_numerators", _brackets_a_basis_vector) == [], path
-    # the per-triple and per-constant loops the table readers replaced
+        assert calls_outside(source, "", _brackets_a_basis_vector) == [], path
+    # the per-triple and per-constant loops the table readers replaced, and
+    # the second routes of bracket and ad_matrix_numerators
     forked = (
         "def jacobi_check(L):\n"
         "    b = [L.basis_vector(i) for i in range(L.dim)]\n"
@@ -241,9 +269,23 @@ def test_the_structure_table_is_read_not_bracketed_on_basis_vectors():
         "    return L.c(0, 1, 2)\n"
         "def center_of_k(R, U):\n"
         "    return bracket(R.g, R.g.basis_vector(0), U)\n"
+        "def bracket(L, X, Y):\n"
+        "    sx = _int_scaled(X)\n"
+        "    for pair, entries in table.items():\n"
+        "        for k, v in entries.items():\n"
+        "            pass\n"
+        "    for pair, entries in L.brackets:\n"
+        "        pass\n"
+        "def ad_matrix_numerators(L, X):\n"
+        "    if _int_rows([X]) is None:\n"
+        "        return [bracket(L, X, L.basis_vector(j)) for j in range(L.dim)]\n"
     )
     assert basis_bracket_uses(forked) == ["jacobi_check:3", "jacobi_check:3", "derivations:5"]
-    assert calls_outside(forked, "ad_matrix_numerators", _brackets_a_basis_vector) == [7]
+    assert calls_outside(forked, "", _brackets_a_basis_vector) == [7, 17]
+    assert second_route_uses(forked) == [
+        "ad_matrix_numerators:16 _int_rows", "ad_matrix_numerators:17 bracket",
+        "bracket:13 .brackets", "bracket:13 second loop", "bracket:9 _int_scaled",
+    ]
 
 
 def minor_route_uses(name: str, source: str) -> list[str]:

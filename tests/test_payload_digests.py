@@ -166,6 +166,19 @@ def test_payload_digests_match_the_table(tmp_path, monkeypatch):
     assert not mismatched
 
 
+def test_the_benchmark_reference_matches():
+    # perfbench/reference.py recomputes the exit code, error code and payload
+    # digest of every cli-mixed operation and compares them with the
+    # committed reference.json; it is never run with --write here
+    import subprocess
+
+    script = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "reference.json matches"
+
+
 if __name__ == "__main__":
     import tempfile
 
