@@ -20,14 +20,8 @@ from .acm import (
     validate_acm,
     xi_killing_check,
 )
-from .adapted import AdaptedFrame, adapted_frame, coframe_expansion_check, psi_squared_spectrum
-from .classifier import (
-    HeisenbergIso,
-    classify_nilpotent_aqs,
-    classify_nilpotent_qs,
-    companion_structures,
-    reeb_uniqueness_check,
-)
+from .adapted import AdaptedFrame, adapted_frame
+from .classifier import HeisenbergIso, classify_nilpotent_aqs, classify_nilpotent_qs
 from .constructors import (
     Cocycle,
     KahlerLieAlgebra,
@@ -85,8 +79,6 @@ __all__ = [
     "classify_nilpotent_qs",
     "classify_structure",
     "closedness_suite",
-    "coframe_expansion_check",
-    "companion_structures",
     "curvature",
     "derivations",
     "double_aqs_check",
@@ -101,10 +93,8 @@ __all__ = [
     "moment_element",
     "nijenhuis_phi",
     "operators_A_psi",
-    "psi_squared_spectrum",
     "rank_of_eta",
     "reductive_split",
-    "reeb_uniqueness_check",
     "sectional_curvature",
     "standard_kahler",
     "structure_rank",

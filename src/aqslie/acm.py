@@ -16,8 +16,9 @@ Throughout the package a check on all basis pairs is one matrix identity,
 never a loop of per-pair evaluations.  2-forms and bilinear forms are
 compared as Gram products: d eta(phi X, phi Y) = -d eta(X, Y) is
 phi^T B phi + B = 0 here, w(JX, JY) = w(X, Y) is J^T W J = W in
-``constructors`` and ``invariant_forms``, the adapted frame is certified by
-R^T g R = Delta^-2 and its coframe expansions by T^T W T.  Brackets are
+``constructors`` and ``invariant_forms``, d eta = 2 Phi is the matrix of
+d eta minus twice that of Phi, and the adapted frame is certified by
+R^T g R = Delta^-2.  Brackets are
 products of ad matrices: the Nijenhuis bracket and the Koszul solve here,
 the bracket inclusions, equivariance and integrability of J on m-blocks
 C_m ad_U M in ``invariant_forms``.
@@ -58,8 +59,6 @@ from .exterior import (
     ce_d,
     covector_form,
     form_from_bilinear,
-    form_scale,
-    form_sub,
     rank_of_eta,
 )
 from .lie_core import LieAlgebra, ad_matrix, ad_matrix_numerators, bracket
@@ -257,15 +256,12 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi
     deta_pairs = [[deta_mat[i][j] for i, j in nij]]
     n_phi = mat_add(transpose(list(nij.values())), mat_mul(xi_col, deta_pairs))
-    # anti-normal: N_phi = 2 d eta (x) xi
-    anti_diff = mat_sub(n_phi, mat_mul(xi_col, mat_scale(deta_pairs, Fraction(2))))
-    contact_diff = form_sub(deta, form_scale(Phi, Fraction(2)))
     residuals = {
         "d_phi": max_abs(c for _, c in dPhi.coeffs),
         "d_eta": max_abs(c for _, c in deta.coeffs),
         "n_phi": max_abs(_flat(n_phi)),
-        "anti_normal": max_abs(_flat(anti_diff)),
-        "contact_metric": max_abs(c for _, c in contact_diff.coeffs),
+        "anti_normal": _mat_res(n_phi, mat_mul(xi_col, mat_scale(deta_pairs, Fraction(2)))),
+        "contact_metric": _mat_res(deta_mat, mat_scale(bilinear_from_form(Phi), 2)),
     }
     tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
     result = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
@@ -448,14 +444,11 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     residuals = {}
     residuals["dA"] = max_abs(c for _, c in ce_d(L, a_form).coeffs)
     residuals["dPhi"] = cls.residuals["d_phi"]
-    deta = ce_d(L, S.eta_form())
-    residuals["deta_eq_2Psi"] = max_abs(
-        c for _, c in form_sub(deta, form_scale(psi_form, Fraction(2))).coeffs
-    )
+    B, phi = bilinear_from_form(ce_d(L, S.eta_form())), S.phi_mat()
+    residuals["deta_eq_2Psi"] = _mat_res(B, mat_scale(bilinear_from_form(psi_form), 2))
     if not pack.ok:
         residuals["operator_identities"] = ONE
     # d eta(phi X, phi Y) + d eta(X, Y) on basis pairs: phi^T B phi + B
-    B, phi = bilinear_from_form(deta), S.phi_mat()
     anti = mat_add(mat_mul(transpose(phi), mat_mul(B, phi)), B)
     pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
     witness = next(((i, j) for i, j in pairs if not s_is_zero(anti[i][j])), None)
@@ -520,7 +513,8 @@ class DoubleReport:
 
 def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> DoubleReport:
     """Double aqS-Sasakian test: shared (xi, eta, g), phi1 phi2 = phi3
-    = -phi2 phi1, d Phi1 = d Phi2 = 0 and d eta = 2 Phi3."""
+    = -phi2 phi1, d Phi1 = d Phi2 = 0 and d eta = 2 Phi3, the last three read
+    from the classification residuals of S1, S2 and S3."""
     residuals = {}
     shared = ZERO
     for a, b in ((S1, S2), (S1, S3)):
@@ -534,14 +528,9 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
     p1, p2, p3 = S1.phi_mat(), S2.phi_mat(), S3.phi_mat()
     residuals["phi1_phi2_eq_phi3"] = _mat_res(mat_mul(p1, p2), p3)
     residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(mat_mul(p2, p1), p3, mat_add)
-    L = S1.L
-    residuals["dPhi1"] = max_abs(c for _, c in ce_d(L, fundamental_form(S1)).coeffs)
-    residuals["dPhi2"] = max_abs(c for _, c in ce_d(L, fundamental_form(S2)).coeffs)
-    deta = ce_d(L, S1.eta_form())
-    residuals["deta_eq_2Phi3"] = max_abs(
-        c
-        for _, c in form_sub(deta, form_scale(fundamental_form(S3), Fraction(2))).coeffs
-    )
+    residuals["dPhi1"] = classify_structure(S1).residuals["d_phi"]
+    residuals["dPhi2"] = classify_structure(S2).residuals["d_phi"]
+    residuals["deta_eq_2Phi3"] = classify_structure(S3).residuals["contact_metric"]
     ok = _all_vanish(residuals)
     return DoubleReport(ok, residuals)
 

@@ -41,7 +41,6 @@ from .errors import (
     NotAqs,
     NotMaximalRank,
     NotQs,
-    PreconditionError,
 )
 from .linalg import (
     Mat,
@@ -61,7 +60,6 @@ from .scalars import (
     ZERO,
     is_exact,
     s_div,
-    s_eq,
     s_is_zero,
     s_mul,
     s_neg,
@@ -120,16 +118,6 @@ def _psi2_orbits(S: AcmStructure) -> list:
     return spectrum
 
 
-def psi_squared_spectrum(S: AcmStructure) -> list[tuple[object, int]]:
-    """Eigenvalues of psi^2 on D with multiplicities, most negative first.
-
-    Exact mode raises IrrationalSpectrum when the characteristic polynomial
-    has non-rational roots (retry in float mode in that case).
-    """
-    require_maximal(S, CLASS_ANTI_QUASI_SASAKIAN)
-    return [(ev, mult) for ev, mult, _ in _psi2_orbits(S)]
-
-
 @dataclass(frozen=True)
 class AdaptedFrame:
     n: int  # number of quadruples; dim = 4n + 1
@@ -143,10 +131,6 @@ class AdaptedFrame:
     def columns(self) -> list[Vec]:
         """The frame vectors, the columns of T."""
         return [vec_scale(c, x) for c, x in zip(self.unscaled, self.scales)]
-
-    def matrix(self) -> Mat:
-        """The change of basis T."""
-        return transpose(self.columns())
 
 
 def adapted_frame(S: AcmStructure) -> AdaptedFrame:
@@ -204,48 +188,3 @@ def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:
     if not coeff_basis:
         raise InternalContradiction("eigenspace exhausted before its multiplicity")
     return mat_vec(transpose(eig_basis), coeff_basis[0])
-
-
-@dataclass(frozen=True)
-class CoframeReport:
-    ok: bool
-    mismatches: list  # (form name, (a, b), got, expected)
-
-
-def coframe_expansion_check(S: AcmStructure, F: AdaptedFrame) -> CoframeReport:
-    """Verify the adapted-coframe expansions coefficient by coefficient:
-
-        A-form = -sum_i w_i (eps_i ^ eps_{n+i} + eps_{2n+i} ^ eps_{3n+i})
-        Phi    = -sum_i (eps_i ^ eps_{2n+i} + eps_{3n+i} ^ eps_{n+i})
-        Psi    = -sum_i w_i (eps_i ^ eps_{3n+i} + eps_{n+i} ^ eps_{2n+i})
-    """
-    require_maximal(S, CLASS_ANTI_QUASI_SASAKIAN)
-    pack, g = operators_A_psi(S), S.g_mat()
-    n = F.n
-    cols = F.columns()
-    dimension = S.L.dim
-    if 4 * n + 1 != dimension or len(cols) != dimension:
-        raise PreconditionError("frame does not match the structure")
-
-    # frame positions: xi = 0, e_i = i, e_{n+i} = n+i, ... (i = 1..n)
-    expected: dict = {"A": {}, "Phi": {}, "Psi": {}}
-    for i, w in enumerate(F.weights, start=1):
-        expected["A"].update({(i, n + i): s_neg(w), (2 * n + i, 3 * n + i): s_neg(w)})
-        expected["Phi"].update({(i, 2 * n + i): s_neg(ONE), (n + i, 3 * n + i): ONE})
-        expected["Psi"].update({(i, 3 * n + i): s_neg(w), (n + i, 2 * n + i): s_neg(w)})
-
-    # the matrices W of g(., A .), Phi = g(., phi .) and g(., psi .)
-    forms = {name: mat_mul(g, [list(r) for r in X])
-             for name, X in (("A", pack.A), ("Phi", S.phi), ("Psi", pack.psi))}
-    T = transpose(cols)
-    mismatches = []
-    for name, W in forms.items():
-        # the form on frame pairs: the Gram matrix T^T W T
-        gram = mat_mul(cols, mat_mul(W, T))
-        for a in range(dimension):
-            for b in range(a + 1, dimension):
-                got = gram[a][b]
-                want = expected[name].get((a, b), ZERO)
-                if not s_eq(got, want):
-                    mismatches.append((name, (a, b), got, want))
-    return CoframeReport(not mismatches, mismatches)

@@ -10,8 +10,7 @@ isomorphism onto the target:
 
 * anti-quasi-Sasakian: the adapted frame of psi^2 (quadruples
   (v, Av, phi v, psi v)) onto h^{4n+1}_w.  In frame terms the source phi
-  acts by e_i -> e_{2n+i}, which is the phi_2 of the target family;
-  companion structures are pulled back through F.
+  acts by e_i -> e_{2n+i}, which is the phi_2 of the target family.
 * quasi-Sasakian: pairs (v, phi v) of A = phi psi onto h^{2n+1}_w.  A
   positive eigenvalue of A forces a sign flip of e_{n+i}; the bracket
   normal form absorbs the sign and the flip is recorded in phi_signs (the
@@ -45,7 +44,6 @@ from .errors import (
     NotQs,
     PreconditionError,
 )
-from .exterior import bilinear_from_form, ce_d
 from .lie_core import LieAlgebra, bracket, center, lower_central_series
 from .linalg import (
     Mat,
@@ -55,12 +53,9 @@ from .linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
-    nullspace,
     over,
     rank,
-    solve,
     transpose,
-    vec_eq,
     vec_scale,
 )
 from .scalars import (
@@ -194,25 +189,6 @@ def classify_nilpotent_aqs(S: AcmStructure) -> HeisenbergIso:
     return HeisenbergIso("4n+1", n, tuple(weights), tuple(map(tuple, F)), (1,) * n, 2)
 
 
-def companion_structures(S: AcmStructure, iso: HeisenbergIso):
-    """Pull the remaining target structures back through F.
-
-    Returns (aqs_companion, qs_companion) on the source algebra; together
-    with the source phi they satisfy phi_1 phi_2 = phi_3 = -phi_2 phi_1,
-    the source phi sitting in the middle slot.
-    """
-    if iso.family != "4n+1":
-        raise PreconditionError("companions exist for the 4n+1 family only")
-    target_L, (t1, t2, t3) = weighted_heisenberg_4n1(iso.n, list(iso.weights))
-    F = iso.F_mat()
-    F_inv = inverse(F)
-    phi1 = mat_mul(F_inv, mat_mul(t1.phi_mat(), F))
-    phi3 = mat_mul(F_inv, mat_mul(t3.phi_mat(), F))
-    aqs = AcmStructure.make(S.L, phi1, S.xi_vec(), S.eta_row(), S.g_mat())
-    qs = AcmStructure.make(S.L, phi3, S.xi_vec(), S.eta_row(), S.g_mat())
-    return aqs, qs
-
-
 def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     """Normal form of a nilpotent quasi-Sasakian structure of maximal rank:
     eigenvectors of the symmetric operator A = phi psi give pairs
@@ -259,15 +235,3 @@ def operators_A_psi_qs(S: AcmStructure) -> Mat:
     if not mat_eq(gA, transpose(gA)):
         raise NotQs("phi psi is not symmetric; d eta is not phi-invariant")
     return A
-
-
-def reeb_uniqueness_check(S: AcmStructure) -> bool:
-    """True iff xi is the unique vector with eta(v) = 1 and d eta(v, .) = 0."""
-    n = S.L.dim
-    deta = bilinear_from_form(ce_d(S.L, S.eta_form()))
-    rows = [S.eta_row()] + transpose(deta)
-    rhs = [ONE] + [ZERO] * n
-    if nullspace(rows, n):
-        return False  # solution set is a positive-dimensional affine space
-    sol = solve(rows, rhs)
-    return sol is not None and vec_eq(sol, S.xi_vec())

@@ -7,8 +7,10 @@ are alternating by construction.  The convention for the differential is
 
 so on 1-forms d eta (X, Y) = -eta([X, Y]), the sign fixed throughout the
 package, and d(theta^m) = - sum_{i<j} c_ij^m theta^i ^ theta^j.  ``ce_d``
-and the columns of ``ce_d_matrix`` are read off c_ij^k in one pass over the
-algebra's structure table (integers over a common denominator if rational).
+and the columns d theta^I of each weight block are read off c_ij^k in one
+pass over the algebra's structure table (integers over a common denominator
+if rational).  The Betti numbers never build the whole matrix of d_k;
+``ce_d_matrix`` builds it for the tests and the benchmark's per-layer timing.
 
 Betti numbers are ranked by torus weight.  The diagonal derivations
 D = diag(l) of the basis are the l with l_i + l_j = l_k wherever c_ij^k is
@@ -32,7 +34,7 @@ from math import comb
 
 from .errors import DimensionMismatch, InternalContradiction, PreconditionError
 from .lie_core import LieAlgebra
-from .linalg import Mat, Vec, _int_scaled, det, mat_mul, nullspace, rank, transpose
+from .linalg import Mat, Vec, _int_scaled, mat_mul, nullspace, rank, transpose
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
 
 
@@ -117,10 +119,6 @@ def form_scale(a: KForm, c) -> KForm:
     return KForm.make(a.degree, a.dim, {k: s_mul(c, v) for k, v in a.coeffs})
 
 
-def form_eq(a: KForm, b: KForm) -> bool:
-    return form_sub(a, b).is_zero()
-
-
 def _check_compatible(a: KForm, b: KForm, same_degree: bool = False) -> None:
     if a.dim != b.dim:
         raise DimensionMismatch("forms live on different ambient dimensions")
@@ -144,26 +142,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
             c = c if sign > 0 else s_neg(c)
             terms[key] = s_add(terms.get(key, ZERO), c)
     return KForm.make(deg, a.dim, terms)
-
-
-def wedge_power(a: KForm, p: int) -> KForm:
-    out = one_scalar_form(a.dim)
-    for _ in range(p):
-        out = wedge(out, a)
-    return out
-
-
-def evaluate(a: KForm, vectors: list[Vec]):
-    """a(v_1, ..., v_k) via k x k minors.  The package compares 2-forms on
-    basis pairs as Gram products (w(A e_a, A e_b) is entry (a, b) of A^T W A);
-    this is the independent oracle the tests hold them against."""
-    if len(vectors) != a.degree:
-        raise DimensionMismatch("wrong number of arguments")
-    total = ZERO
-    for I, c in a.coeffs:
-        minor = [[vectors[col][row] for col in range(a.degree)] for row in I]
-        total = s_add(total, s_mul(c, det(minor)))
-    return total
 
 
 def form_from_bilinear(M: Mat) -> KForm:

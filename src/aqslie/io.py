@@ -1,4 +1,4 @@
-"""Shared text file format (JSON) for algebras, structures, forms, frames.
+"""Shared text file format (JSON) for algebras, structures, forms, matrices.
 
 Scalars are strings, never native JSON numbers, so exact mode survives
 serialization; float mode is declared in the file header, not guessed.
@@ -10,9 +10,9 @@ degrees are JSON integers (never booleans, fractions or strings), lists
 and objects are required where the format has them, and a violation is
 an InputError naming its JSON path (`brackets[3].i`); a scalar string is
 read by `_scalar`, whose ScalarParseError names it the same way.  A dim
-must be the length of a list in the document (basis_names, rows,
-columns), so nothing of size dim is built first.  `read(doc, *kinds)`
-dispatches on `kind`.
+must be the length of a list in the document (basis_names or rows), so
+nothing of size dim is built first.  `read(doc, *kinds)` dispatches on
+`kind`.
 
 Serialization is canonical (sorted keys, two-space indent, trailing
 newline), so serialize -> parse -> serialize is byte-identical.
@@ -28,7 +28,7 @@ from .acm import AcmStructure
 from .errors import InputError, ScalarParseError
 from .exterior import KForm
 from .lie_core import LieAlgebra
-from .linalg import Mat, Vec, transpose
+from .linalg import Mat, Vec
 from .scalars import parse_scalar, s_str
 
 _KIND_NAMES = {list: "a list", dict: "an object", str: "a string"}
@@ -212,16 +212,8 @@ def structure_from_json(doc: dict) -> tuple[AcmStructure, list[AcmStructure]]:
 
 
 # ---------------------------------------------------------------------------
-# Kahler algebras, forms, frames, matrices
+# Kahler algebras, forms, matrices
 # ---------------------------------------------------------------------------
-
-def kahler_to_json(H) -> dict:
-    doc = algebra_to_json(H.L)
-    doc["kind"] = "kahler_lie_algebra"
-    doc["J"] = _matrix_to_json(H.J_mat())
-    doc["metric"] = _matrix_to_json(H.k_mat())
-    return doc
-
 
 def kahler_from_json(doc: dict):
     from .constructors import kahler
@@ -261,31 +253,8 @@ def form_from_json(doc: dict) -> KForm:
     return KForm.make(degree, dim, terms)
 
 
-def matrix_to_json(M: Mat, mode: str = "exact") -> dict:
-    return {"kind": "matrix", "mode": mode, "dim": len(M), "rows": _matrix_to_json(M)}
-
-
 def matrix_from_json(doc: dict) -> Mat:
     return _matrix(doc, "rows", _dim(doc, "rows"), _mode_of(doc))
-
-
-def frame_to_json(frame, mode: str = "exact") -> dict:
-    """Adapted frame: change-of-basis columns plus the weight list."""
-    return {
-        "kind": "adapted_frame",
-        "mode": mode,
-        "dim": len(frame.unscaled),
-        "columns": [[s_str(x) for x in col] for col in frame.columns()],
-        "weights": [s_str(w) for w in frame.weights],
-    }
-
-
-def frame_from_json(doc: dict) -> tuple[Mat, list]:
-    """(change-of-basis matrix, weights); columns are the frame vectors."""
-    mode = _mode_of(doc)
-    T = transpose(_matrix(doc, "columns", _dim(doc, "columns"), mode))
-    weights = _field(doc, "weights", list, "", [])
-    return T, [_scalar(weights, w, mode, "weights") for w in range(len(weights))]
 
 
 _READERS = {
@@ -294,7 +263,6 @@ _READERS = {
     "kahler_lie_algebra": kahler_from_json,
     "k_form": form_from_json,
     "matrix": matrix_from_json,
-    "adapted_frame": frame_from_json,
 }
 
 

@@ -8,8 +8,9 @@ Each algebra builds, on first use, a lookup table {(i, j): {k: c_ij^k}}
 that serves :meth:`LieAlgebra.c` in O(1): integers over one common
 denominator when every constant is a Fraction.  The table is a private
 attribute, not a dataclass field, so equality, hashing and serialization
-see only the sparse tuple.  :meth:`LieAlgebra._operands` decides the field
-once for the table and a reader's operands; :meth:`ad_numerators`,
+see only the sparse tuple; a rational algebra keeps its stored constants
+beside it.  :meth:`LieAlgebra._operands` decides the field once for the
+table and a reader's operands; :meth:`ad_numerators`,
 :func:`bracket` and :func:`ad_matrix_numerators` each read the table in one
 sparse loop in pair order, the same for every field.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatch, JacobiError
 from .linalg import (
@@ -103,6 +105,11 @@ class LieAlgebra:
             object.__setattr__(self, "_cached_tables", cached)
         return cached
 
+    @cached_property
+    def _stored(self) -> BracketTable:
+        """table(), built once: a rational algebra's constants for other operands."""
+        return self.table()
+
     def c(self, i: int, j: int, k: int):
         """Signed structure constant c_{ij}^k."""
         if i == j:
@@ -127,7 +134,7 @@ class LieAlgebra:
         table, den = self._tables()
         scaled = _int_rows(*mats) if den is not None else None
         if scaled is None:  # the stored constants; a cached table with a den holds integers
-            return (table if den is None else self.table()), None, ZERO, list(mats), 1
+            return (table if den is None else self._stored), None, ZERO, list(mats), 1
         return table, den, 0, scaled[0], scaled[1] or 1
 
     def ad_numerators(self, *mats: Mat) -> tuple[list[Mat], int, list[Mat], int]:
@@ -152,13 +159,14 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
     if len(X) != L.dim or len(Y) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
     table, den, zero, ((X, Y),), d = L._operands([X, Y])
+    integers = den is not None  # a coefficient is zero when it is 0, else by tolerance
     acc = [zero] * L.dim
     for (i, j), entries in table.items():
         # exact zeros on both sides: the pair contributes nothing
         if (not X[i] or not Y[j]) and (not X[j] or not Y[i]):
             continue
         coeff = X[i] * Y[j] - X[j] * Y[i]
-        if not s_is_zero(coeff):
+        if coeff if integers else not s_is_zero(coeff):
             for k, v in entries.items():
                 acc[k] += coeff * v
     if den is not None:
@@ -291,7 +299,3 @@ def derivations(L: LieAlgebra) -> Subspace:
                 row[t * n + j] -= ads[i][m][t]  # -[b_i, D b_j]: -sum_t d_tj c_it^m
             rows.append(row)
     return Subspace.from_vectors(n * n, nullspace(rows, n * n))
-
-
-def endomorphism_from_flat(v: Vec, n: int) -> Mat:
-    return [list(v[i * n : (i + 1) * n]) for i in range(n)]

@@ -288,10 +288,6 @@ def mat_eq(A: Mat, B: Mat) -> bool:
     return list(map(len, A)) == list(map(len, B)) and eq
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return mat_add([u], [v])[0]
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return mat_sub([u], [v])[0]
 

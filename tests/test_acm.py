@@ -48,7 +48,6 @@ from aqslie.linalg import (
     max_abs,
     random_unimodular,
     transpose,
-    vec_add,
     vec_is_zero,
     vec_sub,
     zeros,
@@ -67,8 +66,8 @@ from aqslie.scalars import (
     s_sub,
     set_tolerance,
 )
-from aqslie.scalars import set_tolerance
 from floatcopy import float_structure
+from oracles import evaluate
 
 
 def h5_structures():
@@ -120,8 +119,6 @@ def test_fundamental_form_unit_vectors():
     # Phi(e, phi e) = -1 for unit e orthogonal to xi
     _, (S1, _, _) = h5_structures()
     Phi = fundamental_form(S1)
-    from aqslie.exterior import evaluate
-
     for i in range(1, 5):
         e = S1.L.basis_vector(i)
         phe = mat_vec(S1.phi_mat(), e)
@@ -171,7 +168,7 @@ def _nijenhuis_per_pair(L, J):
     for i in range(n):
         for j in range(i + 1, n):
             term = bracket(L, cols[i], cols[j])
-            term = vec_add(term, mat_vec(J, mat_vec(J, bracket(L, basis[i], basis[j]))))
+            term = mat_add([term], [mat_vec(J, mat_vec(J, bracket(L, basis[i], basis[j])))])[0]
             term = vec_sub(term, mat_vec(J, bracket(L, basis[i], cols[j])))
             out[(i, j)] = vec_sub(term, mat_vec(J, bracket(L, cols[i], basis[j])))
     return out
@@ -731,6 +728,20 @@ def test_double_aqs_check():
     rep = double_aqs_check(U1, U2, U3)
     assert not rep.ok
     assert not s_is_zero(rep.residuals["deta_eq_2Phi3"])
+
+
+def test_double_aqs_check_reads_the_classification_residuals(monkeypatch):
+    # d Phi1, d Phi2 and d eta - 2 Phi3 are classification residuals: once
+    # classify_structure has run, the double check differentiates nothing
+    calls, ce_d = [], acm.ce_d
+    monkeypatch.setattr(acm, "ce_d", lambda L, w: calls.append(w) or ce_d(L, w))
+    _, structures = weighted_heisenberg_4n1(2, [1, 2])
+    classes = [classify_structure(S).residuals for S in structures]
+    calls.clear()
+    rep = double_aqs_check(*structures).residuals
+    assert calls == []
+    assert [rep["dPhi1"], rep["dPhi2"], rep["deta_eq_2Phi3"]] == [
+        classes[0]["d_phi"], classes[1]["d_phi"], classes[2]["contact_metric"]]
 
 
 def test_double_scalar_curvature_minus_4n():

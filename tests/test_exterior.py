@@ -26,18 +26,16 @@ from aqslie.exterior import (
     ce_bettis,
     ce_d,
     ce_d_matrix,
-    evaluate,
     form_add,
-    form_eq,
     form_scale,
     form_sub,
     rank_of_eta,
     theta,
     wedge,
-    wedge_power,
 )
 from aqslie.linalg import rank
 from aqslie.scalars import s_add, s_eq, s_mul, s_neg
+from oracles import evaluate, form_eq, wedge_power
 
 
 def random_form(L, degree, rng, max_terms=8):

@@ -2,15 +2,14 @@
 
 import json
 
-import pytest
-
 import aqslie.io as aqio
 from aqslie.acm import classify_structure, curvature
-from aqslie.adapted import adapted_frame, psi_squared_spectrum
+from aqslie.adapted import adapted_frame
 from aqslie.classifier import classify_nilpotent_aqs
 from aqslie.constructors import weighted_heisenberg_4n1
 from aqslie.scalars import get_tolerance, set_tolerance
 from floatcopy import float_doc, float_structure
+from oracles import psi_squared_spectrum
 
 
 def _heisenberg_doc(n, weights):

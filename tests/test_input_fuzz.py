@@ -4,7 +4,7 @@ Small documents of every kind are mutated by one edit: a key or entry
 dropped, a value replaced by each JSON type, an index moved by a half or
 out of range, a bracket record duplicated.  Algebra and structure mutants
 run through `aqslie check`, Kahler and cocycle mutants through `aqslie
-extend`, and matrix and frame mutants go to their readers.  Every mutant
+extend`, and matrix mutants go to their reader.  Every mutant
 ends in exit 0, 2 or 3 with no exception escaping, and an accepted mutant
 reads back with the integers and shapes it was given, so no 1.7 is ever
 read as 1.
@@ -24,18 +24,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aqslie.io as aqio
-from aqslie.adapted import adapted_frame
 from aqslie.cli import main
 from aqslie.constructors import standard_kahler, weighted_heisenberg_4n1
 from aqslie.errors import AqslieError
 from aqslie.exterior import KForm
-from aqslie.linalg import transpose
-from aqslie.scalars import s_str
 from floatcopy import float_doc
+from oracles import kahler_to_json, matrix_to_json
 
 _, (_S1, _S2, _S3) = weighted_heisenberg_4n1(1, [1])
 _H5 = aqio.structure_to_json(_S1, companions=[_S2.phi_mat(), _S3.phi_mat()])
-_KAHLER = aqio.kahler_to_json(standard_kahler(2))
+_KAHLER = kahler_to_json(standard_kahler(2))
 _COCYCLE = aqio.form_to_json(KForm.make(2, 4, {(0, 1): F(2), (2, 3): F(-2)}))
 DOCUMENTS = {
     "h5": _H5,
@@ -43,8 +41,7 @@ DOCUMENTS = {
     "su3": aqio.loads(resources.files("aqslie").joinpath("data/su3.json").read_text("utf-8")),
     "kahler": _KAHLER,
     "cocycle": _COCYCLE,
-    "matrix": aqio.matrix_to_json([[F(0), F(-1)], [F(1), F(0)]]),
-    "frame": aqio.frame_to_json(adapted_frame(_S1)),
+    "matrix": matrix_to_json([[F(0), F(-1)], [F(1), F(0)]]),
 }
 JSON_VALUES = (True, 1.5, "x", [[1]], None, 10**30)
 
@@ -110,7 +107,7 @@ def _outcome(name: str, doc: dict, workdir: Path) -> int:
         path.write_text(json.dumps(document), "utf-8")
         return str(path)
 
-    if name in ("matrix", "frame"):
+    if name == "matrix":
         try:
             aqio.read(doc, DOCUMENTS[name]["kind"])
         except AqslieError as exc:
@@ -134,13 +131,9 @@ def _written(kind: str, obj, doc: dict) -> dict:
     mode = doc.get("mode", "exact")
     if kind == "acm_structure":
         return aqio.structure_to_json(obj[0], companions=[c.phi_mat() for c in obj[1]])
-    if kind == "adapted_frame":
-        T, weights = obj
-        return {"dim": len(T), "columns": [[s_str(x) for x in col] for col in transpose(T)],
-                "weights": [s_str(w) for w in weights]}
-    writer = {"lie_algebra": aqio.algebra_to_json, "kahler_lie_algebra": aqio.kahler_to_json,
+    writer = {"lie_algebra": aqio.algebra_to_json, "kahler_lie_algebra": kahler_to_json,
               "k_form": lambda w: aqio.form_to_json(w, mode),
-              "matrix": lambda M: aqio.matrix_to_json(M, mode)}[kind]
+              "matrix": lambda M: matrix_to_json(M, mode)}[kind]
     return writer(obj)
 
 

@@ -21,9 +21,7 @@ from aqslie.errors import NoSolution, NotCompactSemisimple, PreconditionError
 from aqslie.exterior import (
     KForm,
     bilinear_from_form,
-    evaluate,
     form_add,
-    form_eq,
     form_scale,
     form_sub,
 )
@@ -41,6 +39,7 @@ from aqslie.invariant_forms import (
 from aqslie.lie_core import derivations, killing_form
 from aqslie.linalg import Subspace, _flat, inverse, mat_mul, rank, transpose, vec_is_zero
 from aqslie.scalars import s_eq, s_str
+from oracles import evaluate, form_eq
 
 
 def su2_split():
@@ -267,7 +266,7 @@ def test_synthesize_requires_dim2():
 # ---------------------------------------------------------------------------
 
 def pulled_back(w, J):
-    """w(J ., J .) by exterior.evaluate, the minor oracle."""
+    """w(J ., J .) by evaluate, the minor oracle."""
     cols = transpose(J)
     pairs = combinations(range(w.dim), 2)
     return KForm.make(2, w.dim, {(a, b): evaluate(w, [cols[a], cols[b]]) for a, b in pairs})

@@ -2,7 +2,6 @@
 
 import json
 from fractions import Fraction as F
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ from aqslie.constructors import (
 )
 from aqslie.errors import InputError, JacobiError
 from aqslie.exterior import KForm
+from oracles import kahler_to_json, matrix_to_json
 
 
 def test_algebra_round_trip_byte_identical():
@@ -52,9 +52,9 @@ def test_form_and_kahler_round_trip():
     w2 = aqio.form_from_json(aqio.loads(text))
     assert aqio.dumps(aqio.form_to_json(w2)) == text
     H = standard_kahler(2)
-    ktext = aqio.dumps(aqio.kahler_to_json(H))
+    ktext = aqio.dumps(kahler_to_json(H))
     H2 = aqio.kahler_from_json(aqio.loads(ktext))
-    assert aqio.dumps(aqio.kahler_to_json(H2)) == ktext
+    assert aqio.dumps(kahler_to_json(H2)) == ktext
 
 
 def test_reader_rejects_duplicates_and_bad_order():
@@ -205,13 +205,13 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
         _, (S1, _, _) = weighted_heisenberg_4n1(1, [1])
         argv = ["check", _write(tmp_path, "s.json", {**aqio.structure_to_json(S1), **change})]
     elif kind == "form":
-        kpath = _write(tmp_path, "k.json", aqio.kahler_to_json(standard_kahler(2)))
+        kpath = _write(tmp_path, "k.json", kahler_to_json(standard_kahler(2)))
         w = aqio.form_to_json(KForm.make(2, 4, {(0, 1): F(2), (2, 3): F(-2)}))
         wpath = _write(tmp_path, "w.json", {**w, **change})
         argv = ["extend", "--kahler", kpath, "--cocycle", wpath]
     else:
         files = {"structure": _structure_file(tmp_path),
-                 "matrix": _write(tmp_path, "m.json", aqio.matrix_to_json([[F(1)]]))}
+                 "matrix": _write(tmp_path, "m.json", matrix_to_json([[F(1)]]))}
         argv = [arg.format(**files) for arg in change]
     code = main(argv + ["--json"])
     out = json.loads(capsys.readouterr().out)
@@ -352,7 +352,7 @@ def test_cli_cohomology_empty_degrees_is_a_usage_error(tmp_path, capsys, flag, v
 
 def test_cli_extend(tmp_path, capsys):
     H = standard_kahler(2)
-    kpath = _write(tmp_path, "k.json", aqio.kahler_to_json(H))
+    kpath = _write(tmp_path, "k.json", kahler_to_json(H))
     w = KForm.make(2, 4, {(0, 1): F(2), (2, 3): F(-2)})
     wpath = _write(tmp_path, "w.json", aqio.form_to_json(w))
     code = main(["extend", "--kahler", kpath, "--cocycle", wpath, "--json"])
@@ -448,19 +448,6 @@ def test_cli_reports_validate_against_shipped_schema(tmp_path, capsys):
     assert err_report["error"]["code"] == "NotMaximalRank"
 
 
-def test_frame_serialization_round_trip(tmp_path):
-    from aqslie.adapted import adapted_frame
-    from aqslie.linalg import mat_eq
-    from aqslie.scalars import s_eq
-
-    _, (S1, _, _) = weighted_heisenberg_4n1(2, [1, 2])
-    fr = adapted_frame(S1)
-    text = aqio.dumps(aqio.frame_to_json(fr))
-    T, weights = aqio.frame_from_json(aqio.loads(text))
-    assert mat_eq(T, fr.matrix())
-    assert all(s_eq(a, b) for a, b in zip(weights, fr.weights))
-
-
 def test_cli_classify_reads_stdin(tmp_path, capsys, monkeypatch):
     import io as _io
 
@@ -498,7 +485,7 @@ def test_cli_invariant_forms_with_j_file(tmp_path, capsys):
     for p in range(3):
         J[2 * p + 1][2 * p] = Fr(1)
         J[2 * p][2 * p + 1] = Fr(-1)
-    jpath = _write(tmp_path, "j.json", aqio.matrix_to_json(J))
+    jpath = _write(tmp_path, "j.json", matrix_to_json(J))
     code = main(
         ["invariant-forms", "--algebra", "su3", "--torus", "1,2", "--J", jpath, "--json"]
     )

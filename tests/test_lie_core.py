@@ -29,7 +29,6 @@ from aqslie.lie_core import (
     bracket,
     center,
     derivations,
-    endomorphism_from_flat,
     jacobi_check,
     killing_form,
     lower_central_series,
@@ -46,7 +45,7 @@ from aqslie.linalg import (
 )
 from aqslie.scalars import Ext, get_tolerance, s_add, s_eq, s_is_zero, s_mul, set_tolerance
 from bracket_routes import ad_matrix_routes, bracket_routes
-from central_quotient import quotient_by_center_line
+from oracles import quotient_by_center_line
 
 
 def h5():
@@ -350,7 +349,7 @@ def test_derivations_satisfy_leibniz():
     L = weighted_heisenberg_2n1(1, [1])[0]
     der = derivations(L)
     for flat in der.basis:
-        D = endomorphism_from_flat(list(flat), L.dim)
+        D = [list(flat[i * L.dim:(i + 1) * L.dim]) for i in range(L.dim)]
         for i in range(L.dim):
             for j in range(L.dim):
                 lhs = mat_vec(D, bracket(L, L.basis_vector(i), L.basis_vector(j)))
@@ -657,6 +656,19 @@ def test_nijenhuis_brackets_nothing(monkeypatch):
         S = structures[name]
         acm.nijenhuis(S.L, S.phi_mat())
     assert calls == []
+
+
+def test_a_rational_algebra_builds_its_stored_constants_once(monkeypatch):
+    # tower operands on a rational algebra read the stored constants, which
+    # the algebra keeps beside its integer table instead of rebuilding them
+    L, calls, table = weighted_heisenberg_2n1(2, [1, 2])[0], [], LieAlgebra.table
+    monkeypatch.setattr(LieAlgebra, "table", lambda self: calls.append(self) or table(self))
+    X = [Ext.of_sqrt(2) * k for k in range(L.dim)]
+    Y = [F(1, k + 1) for k in range(L.dim)]
+    for _ in range(4):
+        assert repr(bracket(L, X, Y)) == repr(bracket_routes(L, X, Y))
+        assert repr(bracket(L, Y, X)) == repr(bracket_routes(L, Y, X))
+    assert len([c for c in calls if c is L]) <= 1
 
 
 SQRT2 = Ext.of_sqrt(2)

@@ -1,6 +1,7 @@
 """Source-level guards on the installed package."""
 
 import ast
+import json
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ def _payloads(argvs: list) -> list:
     """[exit code, canonical payload JSON] of each in-process CLI call."""
     import contextlib
     import io
-    import json
 
     from aqslie.cli import main
     from aqslie.scalars import DEFAULT_TOLERANCE, set_tolerance
@@ -44,7 +44,6 @@ def _payloads(argvs: list) -> list:
 def test_certificates_survive_python_O(tmp_path):
     # the same classify and curvature payloads, byte for byte, when python -O
     # has stripped every assert: of h9 and of its float copy
-    import json
     import os
     import subprocess
 
@@ -289,10 +288,10 @@ def test_the_structure_table_is_read_not_bracketed_on_basis_vectors():
 
 
 def minor_route_uses(name: str, source: str) -> list[str]:
-    """Where source, the module name, reaches exterior.evaluate (an import or
-    an attribute outside exterior) or defines pullback.  Basis-pair checks of
-    2-forms are Gram products; the determinant minors of evaluate are the
-    tests' oracle for them."""
+    """Where source, the module name, reaches evaluate (an import or an
+    attribute outside exterior) or defines pullback.  Basis-pair checks of
+    2-forms are Gram products; the determinant minors of evaluate, in
+    tests/oracles.py, are the tests' oracle for them."""
     offenders = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef) and node.name == "pullback":
@@ -400,3 +399,55 @@ def test_cohomology_builds_no_whole_differential():
         "    return rank(ce_d_matrix(L, k))\n"
     )
     assert "ce_d_matrix" in reachable_calls(forked, "ce_bettis")
+
+
+
+UNREACHED_ALLOWED = {"derivations"}  # README kernel API, a table reader guarded above
+
+
+def used_names(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Name ids, Attribute attrs and import aliases in tree, and with strings
+    its string constants too."""
+    names: set = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name.rpartition(".")[2], node.asname}
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unreached_definitions(modules: dict, outside: set) -> list[str]:
+    """'module.name' of each module-level def or class of modules ({file
+    name: source}) that no other statement of the modules names, nor outside."""
+    bodies = {name: [(stmt, used_names(stmt)) for stmt in ast.parse(source).body]
+              for name, source in modules.items()}
+    return [f"{name[:-3]}.{stmt.name}" for name, body in bodies.items() for stmt, _ in body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name not in outside | UNREACHED_ALLOWED
+            and not any(stmt.name in names for other in bodies.values()
+                        for s, names in other if s is not stmt)]
+
+
+def test_every_definition_is_reached_by_the_cli_the_criteria_or_perfbench():
+    # src keeps what the CLI, the criteria or perfbench reach; perfbench looks
+    # kernels up by string and times each function a per-layer metric names
+    package, root = Path(aqslie.__file__).parent, Path(__file__).parent.parent
+    modules = {path.name: path.read_text("utf-8")
+               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    outside = used_names(ast.parse((root / "tests" / "test_acceptance.py").read_text("utf-8")))
+    for path in sorted((root / "perfbench").glob("*.py")):
+        outside |= used_names(ast.parse(path.read_text("utf-8")), strings=True)
+    declared = json.loads((root / "BENCHMARK.json").read_text("utf-8"))["per_layer"]
+    outside |= {part for metric in declared for part in metric["name"].split(".")}
+    assert "s_add" in outside and "ce_d_matrix" in outside
+    assert unreached_definitions(modules, outside) == []
+    # a definition named only inside itself is what the check is for
+    forked = {"a.py": "def kernel():\n    return Report()\ndef helper():\n    return helper()\n"
+                      "class Report:\n    pass\n", "b.py": "from .a import kernel\n"}
+    assert unreached_definitions(forked, set()) == ["a.helper"]
+    assert unreached_definitions(forked, {"helper"}) == []
