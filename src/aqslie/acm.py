@@ -41,8 +41,9 @@ computation runs in is decided in those kernels, never here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AqslieError,
@@ -61,7 +62,7 @@ from .exterior import (
     form_from_bilinear,
     rank_of_eta,
 )
-from .lie_core import LieAlgebra, ad_matrix, ad_matrix_numerators, bracket
+from .lie_core import LieAlgebra, ad_matrix_numerators, bracket
 from .linalg import (
     Mat,
     Vec,
@@ -152,6 +153,33 @@ class AcmStructure:
 
 
 @dataclass(frozen=True)
+class TensorNumerators:
+    """The numerator view of a structure: phi, g, xi, eta and the identity
+    over one common denominator den, and the basis ad matrices over da."""
+
+    phi: Mat
+    g: Mat
+    xi: Vec
+    eta: Vec
+    one: Mat  # the identity over den: its entry 1 is den, or ONE for den 1
+    den: int
+    ads: list
+    da: int
+
+
+def numerator_view(S: AcmStructure) -> TensorNumerators:
+    """The one field decision of a structure, made by
+    ``LieAlgebra.ad_numerators`` on its algebra and tensors together and kept
+    in the memo: integers when all of them are rational, else every tensor as
+    it is over 1.  The view is shared, so no stage may change it."""
+    if "numerators" not in S._memo:
+        ads, da, (phi, g, (xi,), (eta,), one), den = S.L.ad_numerators(
+            S.phi_mat(), S.g_mat(), [S.xi_vec()], [S.eta_row()], identity(S.L.dim))
+        S._memo["numerators"] = TensorNumerators(phi, g, xi, eta, one, den, ads, da)
+    return S._memo["numerators"]
+
+
+@dataclass(frozen=True)
 class ValidationReport:
     passed: bool
     residuals: dict = field(default_factory=dict)  # check name -> max |residual|
@@ -161,22 +189,26 @@ class ValidationReport:
 
 def validate_acm(S: AcmStructure) -> ValidationReport:
     """Check the defining identities; failures are report entries."""
-    n = S.L.dim
-    phi, g, xi, eta = S.phi_mat(), S.g_mat(), S.xi_vec(), S.eta_row()
+    n, v = S.L.dim, numerator_view(S)
+    phi, g, xi, eta, d = v.phi, v.g, v.xi, v.eta, v.den
+    one = v.one[0][0]  # 1 over d
     residuals: dict = {}
 
-    target = mat_sub([[s_mul(xi[i], eta[j]) for j in range(n)] for i in range(n)], identity(n))
-    residuals["phi_squared"] = _mat_res(mat_mul(phi, phi), target)
-    residuals["eta_xi"] = s_abs(s_sub(dot(eta, xi), ONE))
-    residuals["g_symmetric"] = _mat_res(g, transpose(g))
+    # each residual is max |numerator| over the denominator of its terms
+    target = mat_sub([[s_mul(xi[i], eta[j]) for j in range(n)] for i in range(n)],
+                     mat_scale(v.one, d))
+    residuals["phi_squared"] = _mat_res(mat_mul(phi, phi), target, d * d)
+    residuals["eta_xi"] = _divided(s_abs(s_sub(dot(eta, xi), one * d)), d * d)
+    residuals["g_symmetric"] = _mat_res(g, transpose(g), d)
     # g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y): phi^T g phi = g - eta^T eta
     eta_eta = [[s_mul(eta[i], eta[j]) for j in range(n)] for i in range(n)]
     residuals["compatibility"] = _mat_res(
-        mat_mul(transpose(phi), mat_mul(g, phi)), mat_sub(g, eta_eta)
+        mat_mul(transpose(phi), mat_mul(g, phi)),
+        mat_scale(mat_sub(mat_scale(g, d), eta_eta), d), d ** 3
     )
-    residuals["phi_xi"] = max_abs(mat_vec(phi, xi))
-    residuals["eta_phi"] = max_abs(mat_vec(transpose(phi), eta))
-    residuals["xi_unit"] = s_abs(s_sub(bilinear(xi, g, xi), ONE))
+    residuals["phi_xi"] = _divided(max_abs(mat_vec(phi, xi)), d * d)
+    residuals["eta_phi"] = _divided(max_abs(mat_vec(transpose(phi), eta)), d * d)
+    residuals["xi_unit"] = _divided(s_abs(s_sub(bilinear(xi, g, xi), one * d * d)), d ** 3)
     pd = is_positive_definite(g)
     residuals["g_positive_definite"] = ZERO if pd else ONE
 
@@ -204,22 +236,33 @@ def fundamental_form(S: AcmStructure) -> KForm:
 
 def nijenhuis(L: LieAlgebra, J: Mat) -> dict:
     """Nijenhuis bracket [J, J] of an endomorphism on basis pairs, i < j:
-    {(i, j): [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]}.
-    J and the ad_i go to numerators once (dj, da).  With ad_{x_i} = A_i / dx for
-    x_i column i of the numerators of J, M_i is over dx dj da and [M_i, J] over
-    dx dj^2 da, divided back only in the returned columns."""
-    n = L.dim
+    {(i, j): [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]}."""
     ads, da, (J,), dj = L.ad_numerators(J)
-    cols, out = transpose(J), {}
+    N, den = _nijenhuis_columns(L, ads, da, J, dj)
+    return dict(zip(_pairs(L.dim), over(transpose(N), den)))
+
+
+def _pairs(n: int) -> list:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _nijenhuis_columns(L: LieAlgebra, ads: list, da: int, J: Mat, dj: int) -> tuple:
+    """(N, den): [J, J] on the pairs i < j, in order, as the columns of N, for
+    J and the ad_i on numerators over dj and da.  With ad_{x_i} = A_i / dx for
+    x_i column i of J, M_i is over dx dj da and [M_i, J] over dx dj^2 da."""
+    n = L.dim
+    cols, blocks = transpose(J), []
     for i in range(n):
         # column j of [M_i, J], M_i = ad_{J b_i} - J ad_i, is the pair (i, j);
         # only the columns j > i are formed
         A, dx = ad_matrix_numerators(L, cols[i])
         M = mat_sub(mat_scale(A, da), mat_scale(mat_mul(J, ads[i]), dx))
         J_right, M_right = ([row[i + 1:] for row in X] for X in (J, M))
-        N = transpose(mat_sub(mat_mul(M, J_right), mat_mul(J, M_right)))
-        out.update(zip([(i, j) for j in range(i + 1, n)], over(N, dx * dj * dj * da)))
-    return out
+        blocks.append((mat_sub(mat_mul(M, J_right), mat_mul(J, M_right)), dx))
+    # every dx is the same unless J mixes kinds; their product is over all
+    common = math.prod({dx for _, dx in blocks})
+    scaled = [mat_scale(B, common // dx) for B, dx in blocks]
+    return [sum((B[k] for B in scaled), []) for k in range(n)], common * dj * dj * da
 
 
 def nijenhuis_phi(S: AcmStructure) -> dict:
@@ -249,19 +292,21 @@ def classify_structure(S: AcmStructure) -> StructureClass:
         )
     Phi = fundamental_form(S)
     dPhi, deta = ce_d(S.L, Phi), ce_d(S.L, S.eta_form())
-    deta_mat = bilinear_from_form(deta)
-    nij = nijenhuis_phi(S)
-    xi_col = [[x] for x in S.xi]
+    S._memo["d_eta"] = deta_mat = bilinear_from_form(deta)
+    v = numerator_view(S)
+    nij, dn = _nijenhuis_columns(S.L, v.ads, v.da, v.phi, v.den)
+    (B, W), db = numerators(deta_mat, bilinear_from_form(Phi))
 
-    # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi
-    deta_pairs = [[deta_mat[i][j] for i, j in nij]]
-    n_phi = mat_add(transpose(list(nij.values())), mat_mul(xi_col, deta_pairs))
+    # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi, over dn d db
+    outer = mat_mul([[x] for x in v.xi], [[B[i][j] for i, j in _pairs(S.L.dim)]])
+    n_phi = mat_add(mat_scale(nij, v.den * db), mat_scale(outer, dn))
+    den = dn * v.den * db
     residuals = {
         "d_phi": max_abs(c for _, c in dPhi.coeffs),
         "d_eta": max_abs(c for _, c in deta.coeffs),
-        "n_phi": max_abs(_flat(n_phi)),
-        "anti_normal": _mat_res(n_phi, mat_mul(xi_col, mat_scale(deta_pairs, Fraction(2)))),
-        "contact_metric": _mat_res(deta_mat, mat_scale(bilinear_from_form(Phi), 2)),
+        "n_phi": _divided(max_abs(_flat(n_phi)), den),
+        "anti_normal": _mat_res(n_phi, mat_scale(outer, 2 * dn), den),
+        "contact_metric": _mat_res(B, mat_scale(W, 2), db),
     }
     tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
     result = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
@@ -271,20 +316,29 @@ def classify_structure(S: AcmStructure) -> StructureClass:
 
 def xi_killing_check(S: AcmStructure) -> bool:
     """g([xi, X], Y) + g(X, [xi, Y]) = 0 on all basis pairs, i.e.
-    g ad_xi + (g ad_xi)^T = 0."""
-    ad_xi = ad_matrix(S.L, S.xi_vec())
-    M = mat_mul(S.g_mat(), ad_xi)
-    if not all(s_is_zero(x) for row in mat_add(M, transpose(M)) for x in row):
-        return False
-    # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
-    if not vec_is_zero(mat_vec(transpose(ad_xi), S.eta_row())):
-        raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
-    return True
+    g ad_xi + (g ad_xi)^T = 0, on numerators; the verdict is kept in the memo,
+    an exception is raised again on every call."""
+    if "xi_killing" not in S._memo:
+        v = numerator_view(S)
+        ad_xi, _ = ad_matrix_numerators(S.L, v.xi)
+        M = mat_mul(v.g, ad_xi)
+        killing = vec_is_zero(_flat(mat_add(M, transpose(M))))
+        # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
+        if killing and not vec_is_zero(mat_vec(transpose(ad_xi), v.eta)):
+            raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
+        S._memo["xi_killing"] = killing
+    return S._memo["xi_killing"]
 
 
 @dataclass(frozen=True)
 class ConnectionTable:
-    gamma: tuple  # gamma[i] = Gamma_i as rows; its column j is nabla_{b_i} b_j
+    numerators: tuple  # Gamma_i as rows over den; its column j is nabla_{b_i} b_j
+    den: int
+
+    @cached_property
+    def gamma(self) -> tuple:
+        """gamma[i] = Gamma_i as rows, divided back on first use."""
+        return tuple(tuple(map(tuple, over(G, self.den))) for G in self.numerators)
 
     def nabla(self, X: Vec, Y: Vec) -> Vec:
         """nabla_X Y = sum of (X_i Y_j) Gamma_i b_j over the pairs (i, j) in order,
@@ -299,31 +353,31 @@ class ConnectionTable:
 
 
 def _by_columns(M: Mat, B: Mat) -> Mat:
-    """M B as one mat_vecs call on the columns of B: the metric certificate of
-    the Koszul solve and the per-a terms of the Ricci sum.  M is scaled once
-    per call (integer M and B, the numerators of levi_civita, stay integers),
-    and float columns keep mat_vec's near-zero skips."""
+    """M B as one mat_vecs call on the columns of B: the per-a terms of the
+    Ricci sum.  M is scaled once per call, and float columns keep mat_vec's
+    near-zero skips."""
     return transpose(mat_vecs(M, transpose(B)))
 
 
 def levi_civita(S: AcmStructure) -> ConnectionTable:
     """The Koszul formula in matrix form (see the module docstring), on the
-    numerators of g, g^-1 / 2 (one denominator dm) and the ad_i (da): g ad_i
-    and the Koszul sums are over dm da, Gamma_i over dm^2 da.  The n Koszul
-    matrices are solved by g^-1 / 2 in one mat_vecs call on their n^2 columns,
-    and the certificates read the stored table back through numerators, one
-    g Gamma_i at a time: all n of them in one call would hold n^3 more product
-    entries at once.  Each output entry keeps its own fold, so the batching
-    moves no float bit."""
+    numerator view (g over d, the ad_i over da) and the numerators of
+    d g^-1 / 2 (over dh): g ad_i and the Koszul sums are over d da, Gamma_i
+    over dh d^2 da.  The n Koszul matrices are solved by g^-1 / 2 in one
+    mat_vecs call on their n^2 columns.  The table keeps those numerators,
+    and the certificates read them in whole-table passes: torsion on the
+    pairs i < j, metric compatibility from one product of g with all n^2
+    columns.  Each output entry keeps its own fold, so the batching moves no
+    float bit."""
     if "connection" in S._memo:
         return S._memo["connection"]
-    L, g = S.L, S.g_mat()
-    n = L.dim
+    L, v = S.L, numerator_view(S)
+    n, g, ads, da = L.dim, v.g, v.ads, v.da
     if not mat_eq(g, transpose(g)):
         raise PreconditionError("metric is not symmetric")
     if not is_positive_definite(g):
         raise PreconditionError("metric is not positive definite")
-    ads, da, (g, half_g_inv), dm = L.ad_numerators(g, mat_scale(inverse(g), ONE / 2))
+    (half_g_inv,), dh = numerators(mat_scale(inverse(g), ONE / 2))
     gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
     koszul = []  # the columns of every Koszul matrix, block i after block i - 1
     for i in range(n):
@@ -337,20 +391,25 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     del gads
     solved = mat_vecs(half_g_inv, koszul)  # column j of Gamma_i at i n + j
     del koszul
-    table = ConnectionTable(tuple(
-        tuple(map(tuple, over(transpose(solved[i * n:i * n + n]), dm * dm * da)))
-        for i in range(n)))
+    table = ConnectionTable(tuple(tuple(map(tuple, transpose(solved[i * n:i * n + n])))
+                                  for i in range(n)), dh * v.den * v.den * da)
     del solved
-    # certify what the table holds, pair (i, j) after pair, scaled by da dG (torsion)
-    # and dm dG (metric), with dG the table's common denominator
-    gamma, dG = numerators(*table.gamma)
+    # certify what the table holds: Gamma_i b_j - Gamma_j b_i = [b_i, b_j],
+    # scaled by da dG, and g Gamma_i + Gamma_i^T g = 0, over d dG
+    gamma, dG = table.numerators, table.den
+    cols = [c for G in gamma for c in transpose(G)]  # Gamma_i b_j at i n + j
+    pairs = _pairs(n)
+    tors = mat_sub(
+        mat_scale(mat_sub([cols[i * n + j] for i, j in pairs], [cols[j * n + i] for i, j in pairs]),
+                  da),
+        mat_scale([[ads[i][k][j] for k in range(n)] for i, j in pairs], dG))
+    for t in tors:
+        if not vec_is_zero(t):
+            raise certificate_failure("Koszul solve lost torsion-freeness", t)
+    g_cols = mat_vecs(g, cols)  # column j of g Gamma_i at i n + j
     for i in range(n):
-        swapped = [[gamma[j][t][i] for j in range(n)] for t in range(n)]  # column j: Gamma_j b_i
-        tors = mat_sub(mat_scale(mat_sub(gamma[i], swapped), da), mat_scale(ads[i], dG))
-        gG = _by_columns(g, gamma[i])
-        for t, c in zip(transpose(tors), mat_add(transpose(gG), gG)):
-            if not vec_is_zero(t):
-                raise certificate_failure("Koszul solve lost torsion-freeness", t)
+        block = g_cols[i * n:i * n + n]
+        for c in mat_add(block, transpose(block)):  # column j of g Gamma_i + Gamma_i^T g
             if not vec_is_zero(c):
                 raise certificate_failure("Koszul solve lost metric compatibility", c)
     S._memo["connection"] = table
@@ -373,51 +432,73 @@ def certificate_failure(what: str, residuals) -> AqslieError:
 
 @dataclass(frozen=True)
 class OperatorPack:
-    A: tuple  # A = phi psi = -phi o nabla xi
-    psi: tuple  # psi = -nabla xi
+    numerators: tuple  # (A, psi) over den: A = phi psi = -phi o nabla xi, psi = -nabla xi
+    den: int
     ok: bool
     residuals: dict
 
+    @cached_property
+    def A(self) -> tuple:
+        return tuple(map(tuple, over(self.numerators[0], self.den)))
 
-def psi_matrix(S: AcmStructure) -> Mat:
-    """psi = -nabla xi: column j is -nabla_{b_j} xi."""
-    xi = S.xi_vec()
-    return transpose([[s_neg(x) for x in mat_vec(G, xi)] for G in levi_civita(S).gamma])
+    @cached_property
+    def psi(self) -> tuple:
+        return tuple(map(tuple, over(self.numerators[1], self.den)))
+
+
+def psi_matrix(S: AcmStructure) -> tuple[Mat, int]:
+    """(N, den) with psi = -nabla xi = N / den: column j is -nabla_{b_j} xi,
+    read off the connection's numerators and xi's."""
+    conn, v = levi_civita(S), numerator_view(S)
+    return (transpose([[s_neg(x) for x in mat_vec(G, v.xi)] for G in conn.numerators]),
+            conn.den * v.den)
 
 
 def operators_A_psi(S: AcmStructure) -> OperatorPack:
     """Operators A = -phi o nabla xi and psi = -nabla xi, with the identity
     suite (A phi = psi = -phi A, phi psi = A = -psi phi, psi A = -phi A^2
-    = -A psi, A xi = psi xi = 0, skew-symmetry) asserted, not assumed."""
+    = -A psi, A xi = psi xi = 0, skew-symmetry) asserted, not assumed.  On
+    numerators: phi over d and psi over p make A over d p, and each residual
+    is divided by the denominator of its terms."""
     if "operators" in S._memo:
         return S._memo["operators"]
-    phi, g, xi, eta = S.phi_mat(), S.g_mat(), S.xi_vec(), S.eta_row()
-    psi = psi_matrix(S)
+    v = numerator_view(S)
+    phi, g, xi, eta, d = v.phi, v.g, v.xi, v.eta, v.den
+    psi, p = psi_matrix(S)
     A = mat_mul(phi, psi)
     residuals = {}
-    residuals["A_phi_eq_psi"] = _mat_res(mat_mul(A, phi), psi)
-    residuals["phi_A_eq_minus_psi"] = _mat_res(mat_mul(phi, A), psi, mat_add)
-    residuals["psi_phi_eq_minus_A"] = _mat_res(mat_mul(psi, phi), A, mat_add)
+    residuals["A_phi_eq_psi"] = _mat_res(mat_mul(A, phi), mat_scale(psi, d * d), d * d * p)
+    residuals["phi_A_eq_minus_psi"] = _mat_res(
+        mat_mul(phi, A), mat_scale(psi, d * d), d * d * p, mat_add)
+    residuals["psi_phi_eq_minus_A"] = _mat_res(mat_mul(psi, phi), A, d * p, mat_add)
     psiA = mat_mul(psi, A)
-    residuals["psi_A_anticommute"] = _mat_res(psiA, mat_mul(A, psi), mat_add)
-    residuals["psi_A_eq_minus_phi_A2"] = _mat_res(psiA, mat_mul(phi, mat_mul(A, A)), mat_add)
-    residuals["A_xi"] = max_abs(mat_vec(A, xi))
-    residuals["psi_xi"] = max_abs(mat_vec(psi, xi))
-    residuals["eta_A"] = max_abs(mat_vec(transpose(A), eta))
-    residuals["eta_psi"] = max_abs(mat_vec(transpose(psi), eta))
+    residuals["psi_A_anticommute"] = _mat_res(psiA, mat_mul(A, psi), d * p * p, mat_add)
+    residuals["psi_A_eq_minus_phi_A2"] = _mat_res(
+        mat_scale(psiA, d * d), mat_mul(phi, mat_mul(A, A)), d ** 3 * p * p, mat_add)
+    residuals["A_xi"] = _divided(max_abs(mat_vec(A, xi)), d * d * p)
+    residuals["psi_xi"] = _divided(max_abs(mat_vec(psi, xi)), d * p)
+    residuals["eta_A"] = _divided(max_abs(mat_vec(transpose(A), eta)), d * d * p)
+    residuals["eta_psi"] = _divided(max_abs(mat_vec(transpose(psi), eta)), d * p)
     gA = mat_mul(g, A)
     gpsi = mat_mul(g, psi)
-    residuals["A_skew"] = _mat_res(transpose(gA), gA, mat_add)
-    residuals["psi_skew"] = _mat_res(transpose(gpsi), gpsi, mat_add)
+    residuals["A_skew"] = _mat_res(transpose(gA), gA, d * d * p, mat_add)
+    residuals["psi_skew"] = _mat_res(transpose(gpsi), gpsi, d * p, mat_add)
     ok = _all_vanish(residuals)
-    pack = OperatorPack(tuple(map(tuple, A)), tuple(map(tuple, psi)), ok, residuals)
+    pack = OperatorPack((A, mat_scale(psi, d)), d * p, ok, residuals)
     S._memo["operators"] = pack
     return pack
 
 
-def _mat_res(A: Mat, B: Mat, op=mat_sub):
-    """max |A - B|, or max |A + B| (the residual of A = -B) with op=mat_add."""
-    return max_abs(_flat(op(A, B)))
+def _mat_res(A: Mat, B: Mat, den: int = 1, op=mat_sub):
+    """max |A - B| / den, or max |A + B| / den (the residual of A = -B) with
+    op=mat_add: A and B are numerators over den."""
+    return _divided(max_abs(_flat(op(A, B))), den)
+
+
+def _divided(x, den: int):
+    """The scalar x / den: one Fraction for a rational or int x, else x itself
+    when den is 1, as it is for float and tower input."""
+    return over([[x]], den)[0][0]
 
 
 @dataclass(frozen=True)
@@ -444,7 +525,7 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     residuals = {}
     residuals["dA"] = max_abs(c for _, c in ce_d(L, a_form).coeffs)
     residuals["dPhi"] = cls.residuals["d_phi"]
-    B, phi = bilinear_from_form(ce_d(L, S.eta_form())), S.phi_mat()
+    B, phi = S._memo["d_eta"], S.phi_mat()  # d eta, as classify_structure built it
     residuals["deta_eq_2Psi"] = _mat_res(B, mat_scale(bilinear_from_form(psi_form), 2))
     if not pack.ok:
         residuals["operator_identities"] = ONE
@@ -527,7 +608,7 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
     residuals["shared_tensors"] = shared
     p1, p2, p3 = S1.phi_mat(), S2.phi_mat(), S3.phi_mat()
     residuals["phi1_phi2_eq_phi3"] = _mat_res(mat_mul(p1, p2), p3)
-    residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(mat_mul(p2, p1), p3, mat_add)
+    residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(mat_mul(p2, p1), p3, op=mat_add)
     residuals["dPhi1"] = classify_structure(S1).residuals["d_phi"]
     residuals["dPhi2"] = classify_structure(S2).residuals["d_phi"]
     residuals["deta_eq_2Phi3"] = classify_structure(S3).residuals["contact_metric"]

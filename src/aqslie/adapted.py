@@ -32,6 +32,7 @@ from .acm import (
     AcmStructure,
     certificate_failure,
     classify_structure,
+    numerator_view,
     operators_A_psi,
     structure_rank,
 )
@@ -52,6 +53,8 @@ from .linalg import (
     mat_vec,
     mat_vecs,
     nullspace,
+    numerators,
+    over,
     transpose,
     vec_scale,
 )
@@ -80,11 +83,15 @@ def require_maximal(S: AcmStructure, tag: str) -> None:
         raise NotMaximalRank(f"rank {rr.rank} < dim {S.L.dim}")
 
 
-def eigen_orbits(M: Mat, g: Mat, maps: list[Mat]) -> list[tuple[object, int, list[tuple]]]:
+def eigen_orbits(M: tuple, g: Mat, maps: list[tuple]) -> list[tuple[object, int, list[tuple]]]:
     """[(eigenvalue, multiplicity, orbits)] of the g-symmetric operator M off
     its kernel R xi, largest |eigenvalue| first.  Each eigenspace splits into
     g-orthogonal orbits (v, M_1 v, M_2 v, ...) of the given maps, v the
-    first kernel vector orthogonal to the orbits chosen before it."""
+    first kernel vector orthogonal to the orbits chosen before it.  M and the
+    maps come as (numerators, den) pairs and g as numerators: M's numerators
+    have the same eigenvectors, and eigenvalues and orbit vectors are
+    divided back once, as they leave."""
+    M, dm = M
     spectrum = eigenspaces(M, g)
     kernel = sum(mult for ev, mult, _ in spectrum if s_is_zero(ev))
     if kernel != 1:
@@ -93,6 +100,7 @@ def eigen_orbits(M: Mat, g: Mat, maps: list[Mat]) -> list[tuple[object, int, lis
     out = []
     nonzero = [entry for entry in spectrum if not s_is_zero(entry[0])]
     for ev, mult, basis in sorted(nonzero, key=lambda entry: -abs(float(entry[0]))):
+        ev = over([[ev]], dm)[0][0]
         if mult % size:
             raise InternalContradiction(
                 f"eigenvalue {ev} has multiplicity {mult}, not divisible by {size}"
@@ -100,7 +108,8 @@ def eigen_orbits(M: Mat, g: Mat, maps: list[Mat]) -> list[tuple[object, int, lis
         orbits: list[tuple] = []
         for _ in range(mult // size):
             v = _orthogonal_pivot(basis, [x for orbit in orbits for x in orbit], g)
-            orbits.append((v, *(mat_vec(m, v) for m in maps)))
+            ((vn,),), dv = numerators([v])
+            orbits.append((v, *(over([mat_vec(m, vn)], dv * d)[0] for m, d in maps)))
         out.append((ev, mult, orbits))
     return out
 
@@ -110,8 +119,8 @@ def _psi2_orbits(S: AcmStructure) -> list:
     pack = operators_A_psi(S)
     if not pack.ok:
         raise NotAqs("operator identities fail; structure is not aqS")
-    A, psi = [list(r) for r in pack.A], [list(r) for r in pack.psi]
-    spectrum = eigen_orbits(mat_mul(psi, psi), S.g_mat(), [A, S.phi_mat(), psi])
+    (A, psi), p, v = pack.numerators, pack.den, numerator_view(S)
+    spectrum = eigen_orbits((mat_mul(psi, psi), p * p), v.g, [(A, p), (v.phi, v.den), (psi, p)])
     for ev, _, _ in spectrum:
         if s_sign(ev) > 0:
             raise InternalContradiction(f"psi^2 has positive eigenvalue {ev}")
@@ -170,7 +179,7 @@ def adapted_frame(S: AcmStructure) -> AdaptedFrame:
         for b in range(a, len(R)):
             residual = s_sub(gram[a][b], want[a] if a == b else ZERO)
             if not s_is_zero(residual):
-                what = f"frame is not orthonormal at pair ({a}, {b})"
+                what = f"frame is not orthonormal at pair ({a + 1}, {b + 1})"
                 raise certificate_failure(what, [residual])
     return frame
 

@@ -31,6 +31,7 @@ from .acm import (
     CLASS_QUASI_SASAKIAN,
     AcmStructure,
     certificate_failure,
+    numerator_view,
     psi_matrix,
     xi_killing_check,
 )
@@ -51,9 +52,10 @@ from .linalg import (
     inverse,
     mat_eq,
     mat_mul,
+    mat_scale,
     mat_sub,
     mat_vec,
-    over,
+    numerators,
     rank,
     transpose,
     vec_scale,
@@ -106,39 +108,46 @@ def _center_and_quotient(S: AcmStructure) -> None:
         )
     if Z.dim == 0 or not Z.contains(S.xi_vec()):
         raise InternalContradiction("center of a nilpotent algebra must be R xi here")
-    ads, _, (xi,), _ = L.ad_numerators([S.xi_vec()])
-    if rank(xi + [col for ad in ads for col in transpose(ad)]) > 1:
+    v = numerator_view(S)  # row scales change no rank
+    if rank([v.xi] + [col for ad in v.ads for col in transpose(ad)]) > 1:
         raise NonAbelianQuotient("quotient by the center is not abelian")
 
 
 def _verify_iso(
     S: AcmStructure, target_L: LieAlgebra, target_S: AcmStructure, F: Mat, F_inv: Mat
 ) -> None:
-    """F must be a Lie algebra isomorphism matching all structure tensors."""
+    """F must be a Lie algebra isomorphism matching all structure tensors.
+    Each identity is checked on numerators: F and F_inv over df, the source's
+    view over d and da, the target's tensors over dt; both sides of an
+    identity are brought to one denominator by integer scalings."""
 
-    def require(got: Mat, want: Mat, what: str) -> None:
+    def require(got: Mat, want: Mat, what: str, scale_got=1, scale_want=1) -> None:
+        got, want = mat_scale(got, scale_got), mat_scale(want, scale_want)
         if not mat_eq(got, want):
             raise certificate_failure(what, [x for row in mat_sub(got, want) for x in row])
 
-    L = S.L
-    n = L.dim
-    F_cols = transpose(F)
+    v, n = numerator_view(S), S.L.dim
+    (F, F_inv), df = numerators(F, F_inv)
+    (phi_t, g_t, (xi_t,), (eta_t,)), dt = numerators(
+        target_S.phi_mat(), target_S.g_mat(), [target_S.xi_vec()], [target_S.eta_row()])
+    d, da, F_cols = v.den, v.da, transpose(F)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    # column p: F [b_a, b_b], the source brackets pushed forward in one product;
-    # c_ab^k is entry (k, b) of ad_{b_a}
-    ads, da, _, _ = L.ad_numerators()
-    pushed = transpose(mat_mul(F, over([[ads[a][k][b] for a, b in pairs] for k in range(n)], da)))
+    # column p: F [b_a, b_b], the source brackets pushed forward in one product
+    # (over df da); c_ab^k is entry (k, b) of ad_{b_a}.  The target brackets of
+    # the columns of F are over df^2
+    pushed = transpose(mat_mul(F, [[v.ads[a][k][b] for a, b in pairs] for k in range(n)]))
     for (a, b), lhs in zip(pairs, pushed):
         rhs = bracket(target_L, F_cols[a], F_cols[b])
-        require([lhs], [rhs], f"F is not a Lie algebra morphism at pair ({a}, {b})")
-    push_phi = mat_mul(F, mat_mul(S.phi_mat(), F_inv))
-    require(push_phi, target_S.phi_mat(), "F does not map phi onto the target structure")
-    require([mat_vec(F, S.xi_vec())], [target_S.xi_vec()],
-            "F does not map xi onto the target Reeb vector")
-    require([mat_vec(transpose(F), target_S.eta_row())], [S.eta_row()],
-            "F does not pull the target eta back to eta")
-    gram = mat_mul(transpose(F), mat_mul(target_S.g_mat(), F))
-    require(gram, S.g_mat(), "F is not an isometry onto the target metric")
+        require([lhs], [rhs], f"F is not a Lie algebra morphism at pair ({a + 1}, {b + 1})",
+                df, da)
+    push_phi = mat_mul(F, mat_mul(v.phi, F_inv))
+    require(push_phi, phi_t, "F does not map phi onto the target structure", dt, df * d * df)
+    require([mat_vec(F, v.xi)], [xi_t], "F does not map xi onto the target Reeb vector",
+            dt, df * d)
+    require([mat_vec(transpose(F), eta_t)], [v.eta], "F does not pull the target eta back to eta",
+            d, df * dt)
+    gram = mat_mul(transpose(F), mat_mul(g_t, F))
+    require(gram, v.g, "F is not an isometry onto the target metric", d, df * df * dt)
 
 
 def _frame_isomorphism(
@@ -196,7 +205,8 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     _common_preconditions(S, CLASS_QUASI_SASAKIAN)
     g = S.g_mat()
     first, second, inv_norms, weights, signs = [], [], [], [], []
-    for ev, _, orbits in eigen_orbits(operators_A_psi_qs(S), g, [S.phi_mat()]):
+    v = numerator_view(S)
+    for ev, _, orbits in eigen_orbits(operators_A_psi_qs(S), v.g, [(v.phi, v.den)]):
         sign = 1 if s_sign(ev) < 0 else -1  # bracket [u, phi u] = -2 ev |u|^2 xi
         for v, phv in orbits:
             first.append(v)
@@ -226,12 +236,13 @@ def _signed_phi_2n1(n: int, signs: list[int]) -> Mat:
     return phi
 
 
-def operators_A_psi_qs(S: AcmStructure) -> Mat:
-    """A = phi psi for the quasi-Sasakian route; asserts g-symmetry, which
-    encodes the phi-invariance of d eta."""
-    A = mat_mul(S.phi_mat(), psi_matrix(S))
-    g = S.g_mat()
-    gA = mat_mul(g, A)
+def operators_A_psi_qs(S: AcmStructure) -> tuple[Mat, int]:
+    """(N, den) with A = phi psi = N / den for the quasi-Sasakian route;
+    asserts g-symmetry, which encodes the phi-invariance of d eta."""
+    v = numerator_view(S)
+    psi, p = psi_matrix(S)
+    A = mat_mul(v.phi, psi)
+    gA = mat_mul(v.g, A)
     if not mat_eq(gA, transpose(gA)):
         raise NotQs("phi psi is not symmetric; d eta is not phi-invariant")
-    return A
+    return A, v.den * p

@@ -3,8 +3,8 @@
 Matrices are lists of rows, vectors plain lists.  Each kernel decides the
 field once per call, from its whole input, through ``_int_scaled``:
 
-* every entry a ``Fraction``: Python integers over a common denominator,
-  divided back once per output entry;
+* every entry a ``Fraction``, or a ``Fraction`` or an ``int``: Python
+  integers over a common denominator, divided back once per output entry;
 * every entry an ``int`` (an integer core's output on numerators): the same
   integers over none.  Products, sums and scalings return ints; elimination,
   char_poly and inertia return what the same values give as Fractions;
@@ -85,21 +85,28 @@ def transpose(M: Mat) -> Mat:
 # _int_scaled is the integer kernels' entry
 _NUMERATOR = operator.attrgetter("_numerator")
 _DENOMINATOR = operator.attrgetter("_denominator")
+_PROPERTIES = operator.attrgetter("numerator"), operator.attrgetter("denominator")
 _is_float = float.__instancecheck__  # isinstance(x, float) as a callable for map
 
 
 def _int_scaled(xs) -> tuple[list[int], int | None] | None:
     """The field decision of every integer route, on a flat sequence xs:
-    (ints, den) with xs[i] == ints[i] / den when every entry is a Fraction;
-    (ints, None) when every entry is an int, the integer cores' own input,
-    whose results stay int; None otherwise (tower, float or mixed kinds)."""
-    if {Fraction}.issuperset(map(type, xs)):
-        nums, dens = list(map(_NUMERATOR, xs)), list(map(_DENOMINATOR, xs))
-        den = math.lcm(*dens)
-        if den == 1:
-            return nums, 1
-        return [x * (den // d) for x, d in zip(nums, dens)], den
-    return (list(xs), None) if {int}.issuperset(map(type, xs)) else None
+    (ints, den) with xs[i] == ints[i] / den when every entry is a Fraction,
+    or a Fraction or an int (an int is over 1); (ints, None) when every entry
+    is an int, the integer cores' own input, whose results stay int; None
+    otherwise (tower, float, or rationals mixed with either)."""
+    kinds = set(map(type, xs))
+    if kinds == {int}:
+        return list(xs), None
+    if not kinds <= {Fraction, int}:
+        return None
+    # Fraction's slots are the fast read; an int has only the properties
+    num, den = (_NUMERATOR, _DENOMINATOR) if int not in kinds else _PROPERTIES
+    nums, dens = list(map(num, xs)), list(map(den, xs))
+    den = math.lcm(*dens)
+    if den == 1:
+        return nums, 1
+    return [x * (den // d) for x, d in zip(nums, dens)], den
 
 
 def _int_rows(*mats: Mat) -> tuple[list[Mat], int | None] | None:
@@ -693,8 +700,16 @@ def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
     non-rational root (the tower stores roots of rationals only, and a
     symmetric matrix that splits over the tower with non-rational
     eigenvalues is outside the supported normal-form pipeline).
+
+    A rational (or int) M is replaced by its primitive integer multiple
+    M / scale: the same eigenvectors, eigenvalues divided by scale, and the
+    smallest constant term for the rational root search.
     """
-    n = len(M)
+    scale, scaled = ONE, _int_rows(M)
+    if scaled is not None:
+        (ints,), den = scaled
+        content = math.gcd(*_flat(ints)) or 1
+        M, scale = [[x // content for x in row] for row in ints], Fraction(content, den or 1)
     coeffs = char_poly(M)
     if any(isinstance(c, Ext) for c in coeffs):  # a rational value is a Fraction
         raise IrrationalSpectrum(
@@ -707,9 +722,10 @@ def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
             f"(residual degree {residual})"
         )
     out = []
-    for ev in sorted(roots):
-        mult = roots[ev]
-        shifted = mat_sub(M, mat_scale(identity(n), ev))
+    for root in sorted(roots):
+        mult, ev = roots[root], root * scale
+        shifted = [[s_sub(x, root) if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(M)]
         basis = nullspace(shifted)
         if len(basis) != mult:
             raise IrrationalSpectrum(

@@ -4,25 +4,38 @@ No command, acceptance criterion or benchmark reaches these, so they live
 beside the tests: the exterior oracles (``evaluate``, the determinant minors
 the Gram products are held against), the paper checks of the adapted
 coframe, psi^2, the companion structures and the Reeb vector, the writers of
-Kahler and matrix documents, and the central quotient the classifier does
-without (it tests [g, g] inside R xi by a rank).
+Kahler and matrix documents, the central quotient the classifier does
+without (it tests [g, g] inside R xi by a rank), and the classify stages as
+they ran before they passed numerators to each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, operators_A_psi
+from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, nijenhuis, operators_A_psi
 from aqslie.adapted import AdaptedFrame, _psi2_orbits, require_maximal
 from aqslie.classifier import HeisenbergIso
 from aqslie.constructors import weighted_heisenberg_4n1
 from aqslie.errors import DimensionMismatch, PreconditionError
-from aqslie.exterior import KForm, bilinear_from_form, ce_d, form_sub, one_scalar_form, wedge
+from aqslie.exterior import (
+    KForm,
+    bilinear_from_form,
+    ce_d,
+    form_from_bilinear,
+    form_sub,
+    one_scalar_form,
+    wedge,
+)
 from aqslie.io import _matrix_to_json, algebra_to_json
 from aqslie.lie_core import BracketTable, LieAlgebra, ad_matrix, bracket
-from aqslie.linalg import Mat, Subspace, Vec, det, inverse, mat_eq, mat_mul, mat_sub, nullspace
-from aqslie.linalg import solve, transpose, vec_eq, vec_is_zero, zeros
-from aqslie.scalars import ONE, ZERO, s_add, s_eq, s_is_zero, s_mul, s_neg, s_sub
+from aqslie.linalg import Mat, Subspace, Vec, _flat, bilinear, det, dot, eigenspaces, identity
+from aqslie.linalg import inverse, is_positive_definite, mat_add, mat_eq, mat_mul, mat_scale
+from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, over, solve
+from aqslie.linalg import transpose, vec_eq, vec_is_zero, vec_scale, zeros
+from aqslie.scalars import ONE, ZERO, is_exact, s_abs, s_add, s_div, s_eq, s_inv, s_is_zero
+from aqslie.scalars import s_mul, s_neg, s_sqrt, s_sub
 
 
 def wedge_power(a: KForm, p: int) -> KForm:
@@ -199,3 +212,130 @@ def quotient_by_center_line(L: LieAlgebra, xi: Vec, D: Subspace) -> CentralQuoti
         tuple(tuple(c) for c in cols[:m]),
         tuple(xi),
     )
+
+
+# ---------------------------------------------------------------------------
+# the classify stages as they ran before the numerator view
+# ---------------------------------------------------------------------------
+# Each stage below scales its own Fraction inputs in every kernel call and
+# divides every kernel result back: the formulas the package ran before a
+# structure kept one numerator view (``acm.numerator_view``) and the stages
+# passed (numerators, den) pairs.  The tests compare the stages with these by
+# repr, so every float bit, the sign of a zero and ZERO against 0.0 show.
+
+def _res(A: Mat, B: Mat, op=mat_sub):
+    return max_abs(_flat(op(A, B)))
+
+
+def stage_validation(S: AcmStructure) -> dict:
+    n = S.L.dim
+    phi, g, xi, eta = S.phi_mat(), S.g_mat(), S.xi_vec(), S.eta_row()
+    target = mat_sub([[s_mul(xi[i], eta[j]) for j in range(n)] for i in range(n)], identity(n))
+    eta_eta = [[s_mul(eta[i], eta[j]) for j in range(n)] for i in range(n)]
+    return {
+        "phi_squared": _res(mat_mul(phi, phi), target),
+        "eta_xi": s_abs(s_sub(dot(eta, xi), ONE)),
+        "g_symmetric": _res(g, transpose(g)),
+        "compatibility": _res(mat_mul(transpose(phi), mat_mul(g, phi)), mat_sub(g, eta_eta)),
+        "phi_xi": max_abs(mat_vec(phi, xi)),
+        "eta_phi": max_abs(mat_vec(transpose(phi), eta)),
+        "xi_unit": s_abs(s_sub(bilinear(xi, g, xi), ONE)),
+        "g_positive_definite": ZERO if is_positive_definite(g) else ONE,
+    }
+
+
+def stage_classification(S: AcmStructure) -> dict:
+    Phi = form_from_bilinear(mat_mul(S.g_mat(), S.phi_mat()))
+    dPhi, deta = ce_d(S.L, Phi), ce_d(S.L, S.eta_form())
+    deta_mat = bilinear_from_form(deta)
+    nij = nijenhuis(S.L, S.phi_mat())
+    xi_col = [[x] for x in S.xi]
+    deta_pairs = [[deta_mat[i][j] for i, j in nij]]
+    n_phi = mat_add(transpose(list(nij.values())), mat_mul(xi_col, deta_pairs))
+    return {
+        "d_phi": max_abs(c for _, c in dPhi.coeffs),
+        "d_eta": max_abs(c for _, c in deta.coeffs),
+        "n_phi": max_abs(_flat(n_phi)),
+        "anti_normal": _res(n_phi, mat_mul(xi_col, mat_scale(deta_pairs, Fraction(2)))),
+        "contact_metric": _res(deta_mat, mat_scale(bilinear_from_form(Phi), 2)),
+    }
+
+
+def stage_connection(S: AcmStructure) -> tuple:
+    """Gamma_i as rows, the Koszul solve on numerators divided back at once."""
+    L, g = S.L, S.g_mat()
+    n = L.dim
+    ads, da, (g, half_g_inv), dm = L.ad_numerators(g, mat_scale(inverse(g), ONE / 2))
+    gads = [mat_mul(g, ad) for ad in ads]
+    koszul = []
+    for i in range(n):
+        B = [[gads[j][i][k] for j in range(n)] for k in range(n)]
+        C = [[gads[k][j][i] for j in range(n)] for k in range(n)]
+        koszul += transpose(mat_add(mat_sub(gads[i], B), C))
+    solved = mat_vecs(half_g_inv, koszul)
+    return tuple(tuple(map(tuple, over(transpose(solved[i * n:i * n + n]), dm * dm * da)))
+                 for i in range(n))
+
+
+def stage_operators(S: AcmStructure) -> tuple:
+    """(A, psi, residuals) of the operator pack."""
+    phi, g, xi, eta = S.phi_mat(), S.g_mat(), S.xi_vec(), S.eta_row()
+    psi = transpose([[s_neg(x) for x in mat_vec(G, xi)] for G in stage_connection(S)])
+    A = mat_mul(phi, psi)
+    psiA, gA, gpsi = mat_mul(psi, A), mat_mul(g, A), mat_mul(g, psi)
+    residuals = {
+        "A_phi_eq_psi": _res(mat_mul(A, phi), psi),
+        "phi_A_eq_minus_psi": _res(mat_mul(phi, A), psi, mat_add),
+        "psi_phi_eq_minus_A": _res(mat_mul(psi, phi), A, mat_add),
+        "psi_A_anticommute": _res(psiA, mat_mul(A, psi), mat_add),
+        "psi_A_eq_minus_phi_A2": _res(psiA, mat_mul(phi, mat_mul(A, A)), mat_add),
+        "A_xi": max_abs(mat_vec(A, xi)),
+        "psi_xi": max_abs(mat_vec(psi, xi)),
+        "eta_A": max_abs(mat_vec(transpose(A), eta)),
+        "eta_psi": max_abs(mat_vec(transpose(psi), eta)),
+        "A_skew": _res(transpose(gA), gA, mat_add),
+        "psi_skew": _res(transpose(gpsi), gpsi, mat_add),
+    }
+    return A, psi, residuals
+
+
+def stage_spectrum(S: AcmStructure) -> list:
+    """[(eigenvalue, multiplicity, quadruples (v, Av, phi v, psi v))] of psi^2."""
+    A, psi, _ = stage_operators(S)
+    g, phi = S.g_mat(), S.phi_mat()
+    out = []
+    spectrum = [e for e in eigenspaces(mat_mul(psi, psi), g) if not s_is_zero(e[0])]
+    for ev, mult, basis in sorted(spectrum, key=lambda entry: -abs(float(entry[0]))):
+        orbits: list = []
+        for _ in range(mult // 4):
+            chosen = [x for orbit in orbits for x in orbit]
+            v = list(basis[0])
+            if chosen:
+                rows = [[dot(mat_vec(g, c), b) for b in basis] for c in chosen]
+                v = mat_vec(transpose(basis), nullspace(rows, len(basis))[0])
+            orbits.append((v, *(mat_vec(m, v) for m in (A, phi, psi))))
+        out.append((ev, mult, orbits))
+    return out
+
+
+def stage_frame(S: AcmStructure) -> tuple:
+    """(weights, unscaled columns, scales) of the adapted frame."""
+    quadruples, weights = [], []
+    for ev, _, orbits in stage_spectrum(S):
+        quadruples.extend(orbits)
+        weights.extend([s_sqrt(s_neg(ev))] * len(orbits))
+    g = S.g_mat()
+    norms = [s_sqrt(bilinear(v, g, v)) for v, _, _, _ in quadruples]
+    inv = [s_div(ONE, x) for x in norms]
+    inv_w = [s_div(ONE, s_mul(w, x)) for w, x in zip(weights, norms)]
+    R = [S.xi_vec()] + [quad[b] for b in range(4) for quad in quadruples]
+    return tuple(weights), tuple(tuple(c) for c in R), tuple([ONE] + inv + inv_w + inv + inv_w)
+
+
+def stage_isomorphism(S: AcmStructure) -> Mat:
+    """F = T^-1 for the adapted frame T = R diag(scales): D R^-1 with
+    D = 1 / scales for an exact frame, the inverse of T itself for floats."""
+    _, columns, scales = stage_frame(S)
+    if not all(is_exact(x) for c in columns for x in c):
+        return inverse(transpose([vec_scale(list(c), x) for c, x in zip(columns, scales)]))
+    return [vec_scale(row, s_inv(x)) for row, x in zip(inverse(transpose(columns)), scales)]

@@ -265,12 +265,13 @@ def test_levi_civita_certificate_catches_corrupted_coefficient(monkeypatch):
     _, (S1, _, _) = h5_structures()
     real = acm.ConnectionTable
 
-    def corrupting(gamma):
+    def corrupting(gamma, den):
+        # the table stores numerators over den: one more in a numerator
         rows = [list(row) for row in gamma]
         entry = list(rows[1][4])
-        entry[0] += F(1, 7)
+        entry[0] += 1
         rows[1][4] = tuple(entry)
-        return real(tuple(tuple(row) for row in rows))
+        return real(tuple(tuple(row) for row in rows), den)
 
     monkeypatch.setattr(acm, "ConnectionTable", corrupting)
     with pytest.raises(InternalContradiction, match="Koszul solve lost"):
@@ -280,20 +281,21 @@ def test_levi_civita_certificate_catches_corrupted_coefficient(monkeypatch):
 def test_levi_civita_metric_certificate_names_the_worst_residual(monkeypatch):
     # the same vector added to Gamma_0 b_1 and Gamma_1 b_0 keeps the table
     # torsion-free and breaks metric compatibility in column 1 of g Gamma_0 +
-    # Gamma_0^T g, at two rows; a float message names the larger residual
+    # Gamma_0^T g, at two rows; a float message names the larger residual.  The
+    # table stores numerators over den, so the exact shift is in numerators
     _, (S1, _, _) = h5_structures()
     real = acm.ConnectionTable
 
     def shifted(shift):
-        def make(gamma):
+        def make(gamma, den):
             rows = [[list(row) for row in G] for G in gamma]
             for i, j in ((0, 1), (1, 0)):
                 for r, x in shift.items():
                     rows[i][r][j] += x
-            return real(tuple(tuple(map(tuple, G)) for G in rows))
+            return real(tuple(tuple(map(tuple, G)) for G in rows), den)
         return make
 
-    monkeypatch.setattr(acm, "ConnectionTable", shifted({2: F(1, 7), 3: F(2, 7)}))
+    monkeypatch.setattr(acm, "ConnectionTable", shifted({2: 1, 3: 2}))
     with pytest.raises(InternalContradiction, match="Koszul solve lost metric compatibility"):
         levi_civita(S1)
     monkeypatch.setattr(acm, "ConnectionTable", shifted({2: 1e-3, 3: 4e-3}))

@@ -245,7 +245,7 @@ def old_verify_iso(S, target_L, target_S, F):
             lhs = mat_vec(F, bracket(L, L.basis_vector(a), L.basis_vector(b)))
             if not vec_eq(lhs, bracket(target_L, F_cols[a], F_cols[b])):
                 raise InternalContradiction(
-                    f"F is not a Lie algebra morphism at pair ({a}, {b})"
+                    f"F is not a Lie algebra morphism at pair ({a + 1}, {b + 1})"
                 )
     if not mat_eq(mat_mul(F, mat_mul(S.phi_mat(), F_inv)), target_S.phi_mat()):
         raise InternalContradiction("F does not map phi onto the target structure")

@@ -111,11 +111,11 @@ def test_basis_ad_matrices_come_from_the_structure_constants():
     assert offenders == []
 
 
-def acm_field_decisions(source: str) -> list[str]:
+def field_decisions(source: str) -> list[str]:
     """Calls in source that scale scalars to integers or divide them back:
-    _int_scaled, math.lcm and two-argument Fraction(...).  In acm the
-    formulas run on linalg.numerators and linalg.over; the field is decided
-    in the kernels."""
+    _int_scaled, math.lcm and two-argument Fraction(...).  In acm, adapted
+    and classifier the formulas run on the numerator view, linalg.numerators
+    and linalg.over; the field is decided in the kernels."""
     offenders = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -124,13 +124,15 @@ def acm_field_decisions(source: str) -> list[str]:
         if name in ("_int_scaled", "lcm") or (
             name == "Fraction" and len(node.args) + len(node.keywords) >= 2
         ):
-            offenders.append(f"acm.py:{node.lineno} {name}")
+            offenders.append(f"{node.lineno} {name}")
     return offenders
 
 
 def test_acm_leaves_the_field_decision_to_linalg():
-    path = Path(aqslie.__file__).parent / "acm.py"
-    assert acm_field_decisions(path.read_text("utf-8")) == []
+    # so do the stages of the normal forms that read acm's numerator view
+    package = Path(aqslie.__file__).parent
+    for module in ("acm.py", "adapted.py", "classifier.py"):
+        assert field_decisions((package / module).read_text("utf-8")) == [], module
     # a rational-only branch of the Koszul solve is what the check is for
     forked = (
         "def levi_civita(S):\n"
@@ -138,7 +140,7 @@ def test_acm_leaves_the_field_decision_to_linalg():
         "    den = math.lcm(scaled[1], 2)\n"
         "    return [Fraction(t, den) for t in scaled[0]]\n"
     )
-    assert len(acm_field_decisions(forked)) == 3
+    assert len(field_decisions(forked)) == 3
 
 
 
