@@ -80,7 +80,6 @@ from .linalg import (
     mat_vec,
     mat_vecs,
     max_abs,
-    numerators,
     over,
     transpose,
     vec_is_zero,
@@ -295,17 +294,18 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     S._memo["d_eta"] = deta_mat = bilinear_from_form(deta)
     v = numerator_view(S)
     nij, dn = _nijenhuis_columns(S.L, v.ads, v.da, v.phi, v.den)
-    (B, W), db = numerators(deta_mat, bilinear_from_form(Phi))
+    (B, W), db = S.L.numerators(deta_mat, bilinear_from_form(Phi))
 
     # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi, over dn d db
-    outer = mat_mul([[x] for x in v.xi], [[B[i][j] for i, j in _pairs(S.L.dim)]])
-    n_phi = mat_add(mat_scale(nij, v.den * db), mat_scale(outer, dn))
+    xi_col, deta_pairs = [[x] for x in v.xi], [[B[i][j] for i, j in _pairs(S.L.dim)]]
+    n_phi = mat_add(mat_scale(nij, v.den * db), mat_scale(mat_mul(xi_col, deta_pairs), dn))
     den = dn * v.den * db
     residuals = {
         "d_phi": max_abs(c for _, c in dPhi.coeffs),
         "d_eta": max_abs(c for _, c in deta.coeffs),
         "n_phi": _divided(max_abs(_flat(n_phi)), den),
-        "anti_normal": _mat_res(n_phi, mat_scale(outer, 2 * dn), den),
+        "anti_normal": _mat_res(
+            n_phi, mat_scale(mat_mul(xi_col, mat_scale(deta_pairs, 2)), dn), den),
         "contact_metric": _mat_res(B, mat_scale(W, 2), db),
     }
     tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
@@ -361,9 +361,9 @@ def _by_columns(M: Mat, B: Mat) -> Mat:
 
 def levi_civita(S: AcmStructure) -> ConnectionTable:
     """The Koszul formula in matrix form (see the module docstring), on the
-    numerator view (g over d, the ad_i over da) and the numerators of
-    d g^-1 / 2 (over dh): g ad_i and the Koszul sums are over d da, Gamma_i
-    over dh d^2 da.  The n Koszul matrices are solved by g^-1 / 2 in one
+    numerator view (g over d, the ad_i over da), with d g and d g^-1 / 2 on
+    the algebra's field over dm: g ad_i and the Koszul sums are over dm d da,
+    Gamma_i over (dm d)^2 da.  The n Koszul matrices are solved by g^-1 / 2 in one
     mat_vecs call on their n^2 columns.  The table keeps those numerators,
     and the certificates read them in whole-table passes: torsion on the
     pairs i < j, metric compatibility from one product of g with all n^2
@@ -372,12 +372,12 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     if "connection" in S._memo:
         return S._memo["connection"]
     L, v = S.L, numerator_view(S)
-    n, g, ads, da = L.dim, v.g, v.ads, v.da
-    if not mat_eq(g, transpose(g)):
+    n, ads, da = L.dim, v.ads, v.da
+    if not mat_eq(v.g, transpose(v.g)):
         raise PreconditionError("metric is not symmetric")
-    if not is_positive_definite(g):
+    if not is_positive_definite(v.g):
         raise PreconditionError("metric is not positive definite")
-    (half_g_inv,), dh = numerators(mat_scale(inverse(g), ONE / 2))
+    (g, half_g_inv), dm = L.numerators(v.g, mat_scale(inverse(v.g), ONE / 2))
     gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
     koszul = []  # the columns of every Koszul matrix, block i after block i - 1
     for i in range(n):
@@ -392,7 +392,7 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     solved = mat_vecs(half_g_inv, koszul)  # column j of Gamma_i at i n + j
     del koszul
     table = ConnectionTable(tuple(tuple(map(tuple, transpose(solved[i * n:i * n + n])))
-                                  for i in range(n)), dh * v.den * v.den * da)
+                                  for i in range(n)), (dm * v.den) ** 2 * da)
     del solved
     # certify what the table holds: Gamma_i b_j - Gamma_j b_i = [b_i, b_j],
     # scaled by da dG, and g Gamma_i + Gamma_i^T g = 0, over d dG

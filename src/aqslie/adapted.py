@@ -53,7 +53,6 @@ from .linalg import (
     mat_vec,
     mat_vecs,
     nullspace,
-    numerators,
     over,
     transpose,
     vec_scale,
@@ -108,8 +107,7 @@ def eigen_orbits(M: tuple, g: Mat, maps: list[tuple]) -> list[tuple[object, int,
         orbits: list[tuple] = []
         for _ in range(mult // size):
             v = _orthogonal_pivot(basis, [x for orbit in orbits for x in orbit], g)
-            ((vn,),), dv = numerators([v])
-            orbits.append((v, *(over([mat_vec(m, vn)], dv * d)[0] for m, d in maps)))
+            orbits.append((v, *(over([mat_vec(m, v)], d)[0] for m, d in maps)))
         out.append((ev, mult, orbits))
     return out
 

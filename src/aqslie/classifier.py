@@ -55,7 +55,6 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_vec,
-    numerators,
     rank,
     transpose,
     vec_scale,
@@ -127,8 +126,8 @@ def _verify_iso(
             raise certificate_failure(what, [x for row in mat_sub(got, want) for x in row])
 
     v, n = numerator_view(S), S.L.dim
-    (F, F_inv), df = numerators(F, F_inv)
-    (phi_t, g_t, (xi_t,), (eta_t,)), dt = numerators(
+    (F, F_inv), df = S.L.numerators(F, F_inv)
+    (phi_t, g_t, (xi_t,), (eta_t,)), dt = target_L.numerators(
         target_S.phi_mat(), target_S.g_mat(), [target_S.xi_vec()], [target_S.eta_row()])
     d, da, F_cols = v.den, v.da, transpose(F)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]

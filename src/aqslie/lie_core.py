@@ -137,6 +137,11 @@ class LieAlgebra:
             return (table if den is None else self._stored), None, ZERO, list(mats), 1
         return table, den, 0, scaled[0], scaled[1] or 1
 
+    def numerators(self, *mats: Mat) -> tuple[list[Mat], int]:
+        """(ints, dm): the matrices that act with the table on its field, as
+        :meth:`ad_numerators` returns them, without the ad matrices."""
+        return self._operands(*mats)[3:]
+
     def ad_numerators(self, *mats: Mat) -> tuple[list[Mat], int, list[Mat], int]:
         """(ads, da, ints, dm) with ad_{b_i} == over(ads[i], da), entry (k, j) =
         c_ij^k, and (ints, dm) == numerators(*mats), on the field of
