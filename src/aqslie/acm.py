@@ -32,16 +32,28 @@ sum_a R(b_a, b_i)_aj with R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k
 Gamma_k, row a only, O(n^4) in all (J. Milnor, "Curvatures of left invariant
 metrics on Lie groups", Adv. Math. 21, 1976).
 
-The Koszul solve with its certificates and the Nijenhuis bracket run on
-numerators: ``LieAlgebra.ad_numerators`` and ``linalg.numerators`` scale
-their inputs once, the formulas are written once for every field, and
-``linalg.over`` turns each returned entry into one Fraction.  Which field a
-computation runs in is decided in those kernels, never here.
+The field is decided once per structure.  :func:`numerator_view` keeps in
+the structure's memo phi, g, xi, eta (and the identity) over one common
+denominator and the basis ad matrices over theirs, as
+``LieAlgebra.ad_numerators`` returns them: integers when the algebra and the
+tensors are all rational, else every tensor as it is over 1.  The stages
+pass (numerators, den) pairs to each other: ``levi_civita`` stores the
+Koszul solve's own numerators and certifies them, ``psi_matrix`` reads them,
+``operators_A_psi``, ``validate_acm`` and ``classify_structure`` bring the
+two sides of each identity to one denominator by integer scalings, and
+``adapted`` and ``classifier`` read the same view.  ``linalg.over`` runs only
+where a value leaves the pipeline: a residual, a returned table or operator
+(``ConnectionTable.gamma``, ``OperatorPack.A``/``psi``, divided back on
+first use), a frame or an isomorphism.  Tower and float structures are
+their own view over 1, so they run the same formulas with every scaling by
+1, kernel call for kernel call; which field a kernel runs in is decided in
+``linalg`` and ``lie_core``, never here.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -151,19 +163,9 @@ class AcmStructure:
         return covector_form(list(self.eta))
 
 
-@dataclass(frozen=True)
-class TensorNumerators:
-    """The numerator view of a structure: phi, g, xi, eta and the identity
-    over one common denominator den, and the basis ad matrices over da."""
-
-    phi: Mat
-    g: Mat
-    xi: Vec
-    eta: Vec
-    one: Mat  # the identity over den: its entry 1 is den, or ONE for den 1
-    den: int
-    ads: list
-    da: int
+# phi, g, xi, eta and the identity ("one", whose entry 1 is den) over one
+# denominator den, and the basis ad matrices over da
+TensorNumerators = namedtuple("TensorNumerators", "phi g xi eta one den ads da")
 
 
 def numerator_view(S: AcmStructure) -> TensorNumerators:
@@ -334,11 +336,9 @@ def xi_killing_check(S: AcmStructure) -> bool:
 class ConnectionTable:
     numerators: tuple  # Gamma_i as rows over den; its column j is nabla_{b_i} b_j
     den: int
-
-    @cached_property
-    def gamma(self) -> tuple:
-        """gamma[i] = Gamma_i as rows, divided back on first use."""
-        return tuple(tuple(map(tuple, over(G, self.den))) for G in self.numerators)
+    # gamma[i] = Gamma_i as rows, divided back on first use
+    gamma = cached_property(lambda self: tuple(
+        tuple(map(tuple, over(G, self.den))) for G in self.numerators))
 
     def nabla(self, X: Vec, Y: Vec) -> Vec:
         """nabla_X Y = sum of (X_i Y_j) Gamma_i b_j over the pairs (i, j) in order,
@@ -350,13 +350,6 @@ class ConnectionTable:
         coeffs = [[s_mul(X[i], Y[j]) for i, j in pairs]]
         columns = [[row[j] for row in self.gamma[i]] for i, j in pairs]
         return mat_mul(coeffs, columns)[0]
-
-
-def _by_columns(M: Mat, B: Mat) -> Mat:
-    """M B as one mat_vecs call on the columns of B: the per-a terms of the
-    Ricci sum.  M is scaled once per call, and float columns keep mat_vec's
-    near-zero skips."""
-    return transpose(mat_vecs(M, transpose(B)))
 
 
 def levi_civita(S: AcmStructure) -> ConnectionTable:
@@ -399,11 +392,9 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     gamma, dG = table.numerators, table.den
     cols = [c for G in gamma for c in transpose(G)]  # Gamma_i b_j at i n + j
     pairs = _pairs(n)
-    tors = mat_sub(
-        mat_scale(mat_sub([cols[i * n + j] for i, j in pairs], [cols[j * n + i] for i, j in pairs]),
-                  da),
-        mat_scale([[ads[i][k][j] for k in range(n)] for i, j in pairs], dG))
-    for t in tors:
+    swapped = mat_sub([cols[i * n + j] for i, j in pairs], [cols[j * n + i] for i, j in pairs])
+    brackets = [[ads[i][k][j] for k in range(n)] for i, j in pairs]  # [b_i, b_j]
+    for t in mat_sub(mat_scale(swapped, da), mat_scale(brackets, dG)):
         if not vec_is_zero(t):
             raise certificate_failure("Koszul solve lost torsion-freeness", t)
     g_cols = mat_vecs(g, cols)  # column j of g Gamma_i at i n + j
@@ -436,14 +427,9 @@ class OperatorPack:
     den: int
     ok: bool
     residuals: dict
-
-    @cached_property
-    def A(self) -> tuple:
-        return tuple(map(tuple, over(self.numerators[0], self.den)))
-
-    @cached_property
-    def psi(self) -> tuple:
-        return tuple(map(tuple, over(self.numerators[1], self.den)))
+    # A and psi divided back on first use
+    A = cached_property(lambda self: tuple(map(tuple, over(self.numerators[0], self.den))))
+    psi = cached_property(lambda self: tuple(map(tuple, over(self.numerators[1], self.den))))
 
 
 def psi_matrix(S: AcmStructure) -> tuple[Mat, int]:
@@ -561,11 +547,12 @@ def curvature(S: AcmStructure) -> CurvatureData:
     for a in range(n):
         rows = [G[a] for G in gamma]  # rows[k] = row a of Gamma_k
         left = [lefts[a][i * n:i * n + n] for i in range(n)]
-        right = _by_columns(rows, gamma[a])  # (Gamma_i Gamma_a)_a
-        # column i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
-        brackets = _by_columns(transpose(rows), over(ads[a], da))
+        # (Gamma_i Gamma_a)_a, one mat_vecs call on the columns of Gamma_a
+        right = transpose(mat_vecs(rows, transpose(gamma[a])))
+        # row i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
+        brackets = mat_vecs(transpose(rows), transpose(over(ads[a], da)))
         # summed as the full-vector R(b_a, b_i) b_j was: float entries keep their bits
-        ricci = mat_add(ricci, mat_sub(mat_sub(left, right), transpose(brackets)))
+        ricci = mat_add(ricci, mat_sub(mat_sub(left, right), brackets))
     scal = dot(_flat(inverse(S.g_mat())), _flat(ricci))
     return CurvatureData(conn, tuple(tuple(r) for r in ricci), scal)
 

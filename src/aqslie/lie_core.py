@@ -10,9 +10,10 @@ denominator when every constant is a Fraction.  The table is a private
 attribute, not a dataclass field, so equality, hashing and serialization
 see only the sparse tuple; a rational algebra keeps its stored constants
 beside it.  :meth:`LieAlgebra._operands` decides the field once for the
-table and a reader's operands; :meth:`ad_numerators`,
-:func:`bracket` and :func:`ad_matrix_numerators` each read the table in one
-sparse loop in pair order, the same for every field.
+table and a reader's operands, and :meth:`numerators` puts matrices that act
+with the table on that field; :meth:`ad_numerators`, :func:`bracket` and
+:func:`ad_matrix_numerators` each read the table in one sparse loop in pair
+order, the same for every field.
 
 Jacobi, the lower central series and the derivations are read off that
 table: one sparse Jacobi pass, [g, V] from the columns of

@@ -26,11 +26,15 @@ row-content removal for ``rref``/``rank``/``nullspace``/``solve``/
 ``inertia_symmetric`` (fraction-free congruence).
 
 A computation of several kernels stays on integers between them:
-``numerators(*mats)`` puts a group of matrices over one common denominator
-and ``over(N, den)`` builds one Fraction per nonzero entry of an integer
-result; for float and tower input they are the identity (den 1), so one
-formula serves every field.  ``LieAlgebra.ad_numerators`` and
-``lie_core.ad_matrix_numerators`` do the same for ad matrices.
+``LieAlgebra.numerators`` and ``LieAlgebra.ad_numerators`` put a group of
+matrices (and the ad matrices) over one common denominator on the algebra's
+field, ``acm.numerator_view`` keeps that view once per structure, and
+``over(N, den)`` builds one Fraction per nonzero entry of an integer result
+where a value leaves the computation.  For float and tower input the
+numerators are the input itself over 1 and ``over`` is the identity, so one
+formula serves every field.  An ``int`` next to a ``Fraction`` (a numerator
+next to a divided-back value, such as an identity block) joins the integer
+route over 1.
 ``eigenspaces`` serves every eigendecomposition of a g-symmetric operator
 (the float eigenvalue clustering lives only there).
 """
@@ -125,16 +129,6 @@ def _int_rows(*mats: Mat) -> tuple[list[Mat], int | None] | None:
             rows.append(ints[at:(at := at + len(row))])
         out.append(rows)
     return out, scaled[1]
-
-
-def numerators(*mats: Mat) -> tuple[list[Mat], int]:
-    """(ints, den) with mats[k] == over(ints[k], den): one common denominator
-    for the whole group when every entry is a Fraction, the ints themselves
-    over 1 when every entry is an int.  Any other group (float, tower, mixed)
-    comes back as it is, over 1, so that one formula on the result serves
-    every field."""
-    scaled = _int_rows(*mats)
-    return (scaled[0], scaled[1] or 1) if scaled else (list(mats), 1)
 
 
 def over(N: Mat, den: int) -> Mat:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aqslie.linalg as linalg
+from aqslie.constructors import abelian
 from aqslie.errors import IrrationalSpectrum
 from aqslie.linalg import (
     Subspace,
@@ -31,7 +32,6 @@ from aqslie.linalg import (
     mat_vec,
     mat_vecs,
     nullspace,
-    numerators,
     over,
     random_unimodular,
     rank,
@@ -647,10 +647,11 @@ def test_rank_of_an_int_matrix_builds_no_fraction(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(rational_matrices(), rational_matrices(), st.sampled_from(["fraction", "tower", "float"]))
 def test_over_inverts_numerators(A, B, kind):
+    # the numerators a rational algebra gives the matrices that act with it
     to = {"fraction": lambda x: x, "tower": lambda x: s_mul(SQRT2, x) if x else x,
           "float": float}[kind]
     A, B = _map(to, A), _map(to, B)
-    mats, den = numerators(A, B)
+    mats, den = abelian(1).numerators(A, B)
     back = [over(M, den) for M in mats]
     assert [list(map(_bits, row)) for M in back for row in M] == \
         [list(map(_bits, row)) for M in (A, B) for row in M]
