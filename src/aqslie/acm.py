@@ -354,9 +354,9 @@ class ConnectionTable:
 
 def levi_civita(S: AcmStructure) -> ConnectionTable:
     """The Koszul formula in matrix form (see the module docstring), on the
-    numerator view (g over d, the ad_i over da), with d g and d g^-1 / 2 on
-    the algebra's field over dm: g ad_i and the Koszul sums are over dm d da,
-    Gamma_i over (dm d)^2 da.  The n Koszul matrices are solved by g^-1 / 2 in one
+    numerator view (g over d, the ad_i over da) and g^-1 / 2 on the algebra's
+    field over dh: g ad_i and the Koszul sums are over d da, Gamma_i over
+    dh d da.  The n Koszul matrices are solved by g^-1 / 2 in one
     mat_vecs call on their n^2 columns.  The table keeps those numerators,
     and the certificates read them in whole-table passes: torsion on the
     pairs i < j, metric compatibility from one product of g with all n^2
@@ -365,12 +365,12 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     if "connection" in S._memo:
         return S._memo["connection"]
     L, v = S.L, numerator_view(S)
-    n, ads, da = L.dim, v.ads, v.da
-    if not mat_eq(v.g, transpose(v.g)):
+    n, g, ads, da = L.dim, v.g, v.ads, v.da
+    if not mat_eq(g, transpose(g)):
         raise PreconditionError("metric is not symmetric")
-    if not is_positive_definite(v.g):
+    if not is_positive_definite(g):
         raise PreconditionError("metric is not positive definite")
-    (g, half_g_inv), dm = L.numerators(v.g, mat_scale(inverse(v.g), ONE / 2))
+    (half_g_inv,), dh = L.numerators(mat_scale(inverse(S.g_mat()), ONE / 2))
     gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
     koszul = []  # the columns of every Koszul matrix, block i after block i - 1
     for i in range(n):
@@ -385,10 +385,10 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     solved = mat_vecs(half_g_inv, koszul)  # column j of Gamma_i at i n + j
     del koszul
     table = ConnectionTable(tuple(tuple(map(tuple, transpose(solved[i * n:i * n + n])))
-                                  for i in range(n)), (dm * v.den) ** 2 * da)
+                                  for i in range(n)), dh * v.den * da)
     del solved
     # certify what the table holds: Gamma_i b_j - Gamma_j b_i = [b_i, b_j],
-    # scaled by da dG, and g Gamma_i + Gamma_i^T g = 0, over d dG
+    # scaled by da dG, and g Gamma_i + Gamma_i^T g = 0
     gamma, dG = table.numerators, table.den
     cols = [c for G in gamma for c in transpose(G)]  # Gamma_i b_j at i n + j
     pairs = _pairs(n)

@@ -132,13 +132,13 @@ def _verify_iso(
     d, da, F_cols = v.den, v.da, transpose(F)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     # column p: F [b_a, b_b], the source brackets pushed forward in one product
-    # (over df da); c_ab^k is entry (k, b) of ad_{b_a}.  The target brackets of
-    # the columns of F are over df^2
+    # (over df da); c_ab^k is entry (k, b) of ad_{b_a}.  The target bracket of
+    # two columns of F is over df^2, its numerators over dr more
     pushed = transpose(mat_mul(F, [[v.ads[a][k][b] for a, b in pairs] for k in range(n)]))
     for (a, b), lhs in zip(pairs, pushed):
-        rhs = bracket(target_L, F_cols[a], F_cols[b])
-        require([lhs], [rhs], f"F is not a Lie algebra morphism at pair ({a + 1}, {b + 1})",
-                df, da)
+        (rhs,), dr = target_L.numerators([bracket(target_L, F_cols[a], F_cols[b])])
+        require([lhs], rhs, f"F is not a Lie algebra morphism at pair ({a + 1}, {b + 1})",
+                dr * df, da)
     push_phi = mat_mul(F, mat_mul(v.phi, F_inv))
     require(push_phi, phi_t, "F does not map phi onto the target structure", dt, df * d * df)
     require([mat_vec(F, v.xi)], [xi_t], "F does not map xi onto the target Reeb vector",

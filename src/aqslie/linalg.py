@@ -3,8 +3,8 @@
 Matrices are lists of rows, vectors plain lists.  Each kernel decides the
 field once per call, from its whole input, through ``_int_scaled``:
 
-* every entry a ``Fraction``, or a ``Fraction`` or an ``int``: Python
-  integers over a common denominator, divided back once per output entry;
+* every entry a ``Fraction``: Python integers over a common denominator,
+  divided back once per output entry;
 * every entry an ``int`` (an integer core's output on numerators): the same
   integers over none.  Products, sums and scalings return ints; elimination,
   char_poly and inertia return what the same values give as Fractions;
@@ -32,9 +32,7 @@ field, ``acm.numerator_view`` keeps that view once per structure, and
 ``over(N, den)`` builds one Fraction per nonzero entry of an integer result
 where a value leaves the computation.  For float and tower input the
 numerators are the input itself over 1 and ``over`` is the identity, so one
-formula serves every field.  An ``int`` next to a ``Fraction`` (a numerator
-next to a divided-back value, such as an identity block) joins the integer
-route over 1.
+formula serves every field.
 ``eigenspaces`` serves every eigendecomposition of a g-symmetric operator
 (the float eigenvalue clustering lives only there).
 """
@@ -89,28 +87,21 @@ def transpose(M: Mat) -> Mat:
 # _int_scaled is the integer kernels' entry
 _NUMERATOR = operator.attrgetter("_numerator")
 _DENOMINATOR = operator.attrgetter("_denominator")
-_PROPERTIES = operator.attrgetter("numerator"), operator.attrgetter("denominator")
 _is_float = float.__instancecheck__  # isinstance(x, float) as a callable for map
 
 
 def _int_scaled(xs) -> tuple[list[int], int | None] | None:
     """The field decision of every integer route, on a flat sequence xs:
-    (ints, den) with xs[i] == ints[i] / den when every entry is a Fraction,
-    or a Fraction or an int (an int is over 1); (ints, None) when every entry
-    is an int, the integer cores' own input, whose results stay int; None
-    otherwise (tower, float, or rationals mixed with either)."""
-    kinds = set(map(type, xs))
-    if kinds == {int}:
-        return list(xs), None
-    if not kinds <= {Fraction, int}:
-        return None
-    # Fraction's slots are the fast read; an int has only the properties
-    num, den = (_NUMERATOR, _DENOMINATOR) if int not in kinds else _PROPERTIES
-    nums, dens = list(map(num, xs)), list(map(den, xs))
-    den = math.lcm(*dens)
-    if den == 1:
-        return nums, 1
-    return [x * (den // d) for x, d in zip(nums, dens)], den
+    (ints, den) with xs[i] == ints[i] / den when every entry is a Fraction;
+    (ints, None) when every entry is an int, the integer cores' own input,
+    whose results stay int; None otherwise (tower, float or mixed kinds)."""
+    if {Fraction}.issuperset(map(type, xs)):
+        nums, dens = list(map(_NUMERATOR, xs)), list(map(_DENOMINATOR, xs))
+        den = math.lcm(*dens)
+        if den == 1:
+            return nums, 1
+        return [x * (den // d) for x, d in zip(nums, dens)], den
+    return (list(xs), None) if {int}.issuperset(map(type, xs)) else None
 
 
 def _int_rows(*mats: Mat) -> tuple[list[Mat], int | None] | None:
@@ -697,7 +688,9 @@ def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
 
     A rational (or int) M is replaced by its primitive integer multiple
     M / scale: the same eigenvectors, eigenvalues divided by scale, and the
-    smallest constant term for the rational root search.
+    smallest constant term for the rational root search.  The rational roots
+    of its monic integer characteristic polynomial are integers, so the
+    shifted matrices stay integer.
     """
     scale, scaled = ONE, _int_rows(M)
     if scaled is not None:
@@ -718,7 +711,8 @@ def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
     out = []
     for root in sorted(roots):
         mult, ev = roots[root], root * scale
-        shifted = [[s_sub(x, root) if i == j else x for j, x in enumerate(row)]
+        shift = root if scaled is None else int(root)
+        shifted = [[s_sub(x, shift) if i == j else x for j, x in enumerate(row)]
                    for i, row in enumerate(M)]
         basis = nullspace(shifted)
         if len(basis) != mult:

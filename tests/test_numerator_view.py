@@ -52,6 +52,10 @@ CASES = {
     "h13": lambda: _h(3),
     "h9c": lambda: conjugate_structure(_h(2), random_unimodular(9, random.Random(3))),
     "h13c": lambda: conjugate_structure(_h(3), random_unimodular(13, random.Random(7))),
+    # a change of basis of determinant 1/2: the tensors are over 4, not 1
+    "h9h": lambda: conjugate_structure(_h(2), [
+        [x / 2 if i == 0 else x for x in row]
+        for i, row in enumerate(random_unimodular(9, random.Random(3)))]),
     "sqrt-h13": lambda: weighted_heisenberg_4n1(
         3, [Ext.of_sqrt(2), Fraction(1), Fraction(3, 2) * Ext.of_sqrt(5)])[1][0],
     "float-h9": lambda: float_structure(_h(2)),
@@ -94,7 +98,8 @@ def test_stages_match_the_formulas_they_replaced(name):
 
 def test_a_classify_builds_at_most_half_the_fractions_it_did(monkeypatch):
     # the stages pass numerators to each other and divide back only what
-    # leaves them: the conjugated h13 built 13,739 Fractions before
+    # leaves them: the conjugated h13 builds 3,830 Fractions, 13,739 when
+    # every kernel call divided its result back
     S = CASES["h13c"]()
     real, built = Fraction.__new__, [0]
 
@@ -105,7 +110,7 @@ def test_a_classify_builds_at_most_half_the_fractions_it_did(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     classify_nilpotent_aqs(S)
     monkeypatch.undo()
-    assert built[0] <= 4_200, built[0]
+    assert built[0] <= 4_000, built[0]
 
 
 def test_closedness_suite_reads_the_d_eta_of_the_classification(monkeypatch):
@@ -124,7 +129,8 @@ def test_xi_killing_verdict_is_kept_and_its_contradiction_raised_again(monkeypat
     S = CASES["h9c"]()
     assert xi_killing_check(S) and xi_killing_check(S)
     assert len(builds) == 1
-    # a Killing xi with d eta(xi, .) != 0 raises on every call, nothing kept
+    # a Killing xi with d eta(xi, .) != 0 raises on every call, nothing kept:
+    # the Killing test (n^2 entries) passes, the eta([xi, .]) = 0 test (n) fails
     monkeypatch.setattr(acm, "vec_is_zero", lambda v: len(v) != S.L.dim)
     T = CASES["h9c"]()
     for _ in range(2):
