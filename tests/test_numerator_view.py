@@ -4,8 +4,9 @@ A rational structure keeps phi, g, xi, eta and the basis ad matrices as
 integers over common denominators (``acm.numerator_view``), and the stages
 pass (numerators, den) pairs to each other; tower and float structures are
 their own view over 1.  The stages are compared by repr with the formulas
-they ran before (``oracles.stage_*``), on rational, conjugated, square-root
-weight and float structures.
+they ran before (``oracles.stage_*``), on rational structures, conjugated
+ones (one of them over a denominator of 4), square-root weights and float
+copies.
 """
 
 import random
