@@ -32,22 +32,23 @@ sum_a R(b_a, b_i)_aj with R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k
 Gamma_k, row a only, O(n^4) in all (J. Milnor, "Curvatures of left invariant
 metrics on Lie groups", Adv. Math. 21, 1976).
 
-The field is decided once per structure.  :func:`numerator_view` keeps in
-the structure's memo phi, g, xi, eta (and the identity) over one common
-denominator and the basis ad matrices over theirs, as
-``LieAlgebra.ad_numerators`` returns them: integers when the algebra and the
-tensors are all rational, else every tensor as it is over 1.  The stages
-pass (numerators, den) pairs to each other: ``levi_civita`` stores the
-Koszul solve's own numerators and certifies them, ``psi_matrix`` reads them,
-``operators_A_psi``, ``validate_acm`` and ``classify_structure`` bring the
-two sides of each identity to one denominator by integer scalings, and
-``adapted`` and ``classifier`` read the same view.  ``linalg.over`` runs only
-where a value leaves the pipeline: a residual, a returned table or operator
-(``ConnectionTable.gamma``, ``OperatorPack.A``/``psi``, divided back on
-first use), a frame or an isomorphism.  Tower and float structures are
-their own view over 1, so they run the same formulas with every scaling by
-1, kernel call for kernel call; which field a kernel runs in is decided in
-``linalg`` and ``lie_core``, never here.
+The field is decided once per structure, with three outcomes.  A rational
+structure runs on its numerator view (:func:`numerator_view`, kept in the
+memo): phi, g, xi, eta and the identity over one common denominator and the
+basis ad matrices over theirs, as ``LieAlgebra.ad_numerators`` returns them.
+The stages pass (numerators, den) pairs to each other and bring the two
+sides of each identity to one denominator by integer scalings.  A tower
+structure whose entries are one term each and factor over their indices has
+a :func:`rational_rescaling` (``LieAlgebra.sqrt_basis``), a rational copy in
+the basis sqrt(d_k) e_k: ``classify_structure``, ``structure_rank``,
+``xi_killing_check``, ``curvature`` and the classifier's normal forms run on
+it.  Any other structure is its own view over 1 and runs the same formulas
+per scalar.  Values map back only where they leave: ``linalg.over`` for a
+residual, a returned table or operator (``ConnectionTable.gamma``,
+``OperatorPack.A``/``psi``, divided back on first use), a frame or an
+isomorphism, and ``linalg.diag_scaled`` for the residual entries, the Ricci
+tensor and F of a rescaled structure.  Which field a kernel runs in is
+decided in ``linalg`` and ``lie_core``, never here.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from .linalg import (
     Vec,
     _flat,
     bilinear,
+    diag_scaled,
     dot,
     identity,
     inverse,
@@ -178,6 +180,27 @@ def numerator_view(S: AcmStructure) -> TensorNumerators:
             S.phi_mat(), S.g_mat(), [S.xi_vec()], [S.eta_row()], identity(S.L.dim))
         S._memo["numerators"] = TensorNumerators(phi, g, xi, eta, one, den, ads, da)
     return S._memo["numerators"]
+
+
+Rescaling = namedtuple("Rescaling", "S up down")  # S in the basis up_k e_k, down = 1 / up
+
+
+def rescaled(S: AcmStructure, up: list, down: list) -> AcmStructure:
+    """S in the basis up_k e_k, down_k = 1 / up_k: phi' = diag(down) phi diag(up),
+    g' = diag(up) g diag(up), xi' = down xi, eta' = up eta; one product per entry."""
+    (xi,), (eta,) = diag_scaled([S.xi], None, down), diag_scaled([S.eta], None, up)
+    return AcmStructure.make(
+        S.L.rescaled(up, down), diag_scaled(S.phi, down, up), xi, eta, diag_scaled(S.g, up, up))
+
+
+def rational_rescaling(S: AcmStructure) -> Rescaling | None:
+    """S in the basis sqrt(d_k) e_k of the square classes of its constants,
+    phi, g, xi and eta (``LieAlgebra.sqrt_basis``), where it is rational; None
+    when there is none.  Kept in the memo."""
+    if "rescaling" not in S._memo:
+        scales = S.L.sqrt_basis([S.phi, S.g], [S.xi, S.eta])
+        S._memo["rescaling"] = scales and Rescaling(rescaled(S, *scales), *scales)
+    return S._memo["rescaling"]
 
 
 @dataclass(frozen=True)
@@ -283,43 +306,58 @@ class StructureClass:
 def classify_structure(S: AcmStructure) -> StructureClass:
     """All satisfied class tags among contact metric / Sasakian / cokahler /
     quasi-Sasakian / anti-quasi-Sasakian, each read from the residuals that
-    CLASS_RESIDUALS names for it."""
+    CLASS_RESIDUALS names for it.  With a rational rescaling the work runs on
+    it, each residual entry is mapped back, and both memos keep the result."""
     if "classification" in S._memo:
         return S._memo["classification"]
-    report = validate_acm(S)
-    if not report.passed:
+    r = rational_rescaling(S)
+    T = S if r is None else r.S
+    if not validate_acm(T).passed:  # the worst check is named in the input basis
         raise InvalidStructure(
-            f"not an almost contact metric structure (worst: {report.worst_check})"
+            f"not an almost contact metric structure (worst: {validate_acm(S).worst_check})"
         )
-    Phi = fundamental_form(S)
-    dPhi, deta = ce_d(S.L, Phi), ce_d(S.L, S.eta_form())
-    S._memo["d_eta"] = deta_mat = bilinear_from_form(deta)
-    v = numerator_view(S)
-    nij, dn = _nijenhuis_columns(S.L, v.ads, v.da, v.phi, v.den)
-    (B, W), db = S.L.numerators(deta_mat, bilinear_from_form(Phi))
+    Phi = fundamental_form(T)
+    dPhi, deta = ce_d(T.L, Phi), ce_d(T.L, T.eta_form())
+    T._memo["d_eta"] = deta_mat = bilinear_from_form(deta)
+    v = numerator_view(T)
+    nij, dn = _nijenhuis_columns(T.L, v.ads, v.da, v.phi, v.den)
+    (B, W), db = T.L.numerators(deta_mat, bilinear_from_form(Phi))
 
     # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi, over dn d db
-    xi_col, deta_pairs = [[x] for x in v.xi], [[B[i][j] for i, j in _pairs(S.L.dim)]]
+    pairs = _pairs(T.L.dim)
+    xi_col, deta_pairs = [[x] for x in v.xi], [[B[i][j] for i, j in pairs]]
     n_phi = mat_add(mat_scale(nij, v.den * db), mat_scale(mat_mul(xi_col, deta_pairs), dn))
+    anti = mat_sub(n_phi, mat_scale(mat_mul(xi_col, mat_scale(deta_pairs, 2)), dn))
+    forms, contact = [[c for _, c in w.coeffs] for w in (dPhi, deta)], mat_sub(B, mat_scale(W, 2))
+    if r is not None:  # the residuals are read in the input's basis: each entry maps back
+        down = r.down
+        by_pair = [down[i] * down[j] for i, j in pairs]
+        n_phi, anti = diag_scaled(n_phi, r.up, by_pair), diag_scaled(anti, r.up, by_pair)
+        forms = [[c * math.prod(map(down.__getitem__, I)) for I, c in w.coeffs]
+                 for w in (dPhi, deta)]
+        contact = diag_scaled(contact, down, down)
+        S._memo["d_eta"] = diag_scaled(deta_mat, down, down)
     den = dn * v.den * db
     residuals = {
-        "d_phi": max_abs(c for _, c in dPhi.coeffs),
-        "d_eta": max_abs(c for _, c in deta.coeffs),
+        "d_phi": max_abs(forms[0]),
+        "d_eta": max_abs(forms[1]),
         "n_phi": _divided(max_abs(_flat(n_phi)), den),
-        "anti_normal": _mat_res(
-            n_phi, mat_scale(mat_mul(xi_col, mat_scale(deta_pairs, 2)), dn), den),
-        "contact_metric": _mat_res(B, mat_scale(W, 2), db),
+        "anti_normal": _divided(max_abs(_flat(anti)), den),
+        "contact_metric": _divided(max_abs(_flat(contact)), db),
     }
     tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
     result = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
-    S._memo["classification"] = result
+    S._memo["classification"] = T._memo["classification"] = result
     return result
 
 
 def xi_killing_check(S: AcmStructure) -> bool:
     """g([xi, X], Y) + g(X, [xi, Y]) = 0 on all basis pairs, i.e.
     g ad_xi + (g ad_xi)^T = 0, on numerators; the verdict is kept in the memo,
-    an exception is raised again on every call."""
+    an exception is raised again on every call.  Invariant: read on the
+    rational rescaling when there is one."""
+    if r := rational_rescaling(S):
+        return xi_killing_check(r.S)
     if "xi_killing" not in S._memo:
         v = numerator_view(S)
         ad_xi, _ = ad_matrix_numerators(S.L, v.xi)
@@ -526,7 +564,7 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
 
 @dataclass(frozen=True)
 class CurvatureData:
-    connection: ConnectionTable
+    connection: ConnectionTable  # of the rational rescaling, when there is one
     ricci: tuple
     scalar: object
 
@@ -537,7 +575,12 @@ def curvature(S: AcmStructure) -> CurvatureData:
     rows a of every Gamma_a Gamma_i are one mat_vecs call (the n rows
     Gamma_a[a] against the n^2 columns of the Gamma_i); Gamma_i Gamma_a and
     the bracket term take one call per a, and the terms are summed over a in
-    order, so float entries keep their bits."""
+    order, so float entries keep their bits.  With a rational rescaling it runs
+    there and Ric_ij = Ric'_ij down_i down_j; the scalar curvature is invariant."""
+    if r := rational_rescaling(S):
+        data = curvature(r.S)
+        return CurvatureData(data.connection, tuple(map(tuple, diag_scaled(
+            data.ricci, r.down, r.down))), data.scalar)
     conn, L = levi_civita(S), S.L
     gamma, n, ricci = conn.gamma, L.dim, zeros(L.dim, L.dim)
     ads, da, _, _ = L.ad_numerators()
@@ -559,7 +602,11 @@ def curvature(S: AcmStructure) -> CurvatureData:
 
 def sectional_curvature(S: AcmStructure, curv: CurvatureData, X: Vec, Y: Vec):
     """K(X, Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2) with
-    R(X,Y)Y = nabla_X nabla_Y Y - nabla_Y nabla_X Y - nabla_[X,Y] Y."""
+    R(X,Y)Y = nabla_X nabla_Y Y - nabla_Y nabla_X Y - nabla_[X,Y] Y.
+    With a rational rescaling, curv holds its connection and X, Y map to its basis."""
+    if r := rational_rescaling(S):
+        X, Y = diag_scaled([X, Y], None, r.down)
+        return sectional_curvature(r.S, curv, X, Y)
     g, nabla = S.g_mat(), curv.connection.nabla
     RY = vec_sub(nabla(X, nabla(Y, Y)), nabla(Y, nabla(X, Y)))
     RY = vec_sub(RY, nabla(bracket(S.L, X, Y), Y))
@@ -628,7 +675,10 @@ def conjugate_structure(S: AcmStructure, Q: Mat) -> AcmStructure:
 
 
 def structure_rank(S: AcmStructure):
-    """Rank report of eta for this structure."""
+    """Rank report of eta for this structure (invariant: read on the rational
+    rescaling when there is one)."""
+    if r := rational_rescaling(S):
+        return structure_rank(r.S)
     if "rank" not in S._memo:
         S._memo["rank"] = rank_of_eta(S.L, S.eta_form())
     return S._memo["rank"]

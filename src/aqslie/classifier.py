@@ -25,7 +25,7 @@ Weights are reported positive and sorted descending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from .acm import (
     CLASS_ANTI_QUASI_SASAKIAN,
     CLASS_QUASI_SASAKIAN,
@@ -33,6 +33,8 @@ from .acm import (
     certificate_failure,
     numerator_view,
     psi_matrix,
+    rational_rescaling,
+    rescaled,
     xi_killing_check,
 )
 from .adapted import adapted_frame, eigen_orbits, require_maximal
@@ -45,17 +47,17 @@ from .errors import (
     NotQs,
     PreconditionError,
 )
-from .lie_core import LieAlgebra, bracket, center, lower_central_series
+from .lie_core import bracket, center, lower_central_series
 from .linalg import (
     Mat,
     bilinear,
+    diag_scaled,
     inverse,
     mat_eq,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_vec,
-    rank,
     transpose,
     vec_scale,
 )
@@ -66,8 +68,6 @@ from .scalars import (
     s_abs,
     s_div,
     s_inv,
-    s_is_zero,
-    s_mul,
     s_neg,
     s_sign,
     s_sqrt,
@@ -97,8 +97,8 @@ def _common_preconditions(S: AcmStructure, want_tag: str) -> None:
 
 
 def _center_and_quotient(S: AcmStructure) -> None:
-    """The center is R xi and the quotient by it is abelian: every bracket
-    [b_i, b_j], a column of ad_i, lies on the line R xi."""
+    """The center is R xi and the quotient by it is abelian: [g, g] lies in
+    the center, so the (nilpotent) lower central series has at most 2 steps."""
     L = S.L
     Z = center(L)
     if Z.dim > 1:
@@ -107,14 +107,11 @@ def _center_and_quotient(S: AcmStructure) -> None:
         )
     if Z.dim == 0 or not Z.contains(S.xi_vec()):
         raise InternalContradiction("center of a nilpotent algebra must be R xi here")
-    v = numerator_view(S)  # row scales change no rank
-    if rank([v.xi] + [col for ad in v.ads for col in transpose(ad)]) > 1:
+    if lower_central_series(L).step > 2:
         raise NonAbelianQuotient("quotient by the center is not abelian")
 
 
-def _verify_iso(
-    S: AcmStructure, target_L: LieAlgebra, target_S: AcmStructure, F: Mat, F_inv: Mat
-) -> None:
+def _verify_iso(S: AcmStructure, target_S: AcmStructure, F: Mat, F_inv: Mat) -> None:
     """F must be a Lie algebra isomorphism matching all structure tensors.
     Each identity is checked on numerators: F and F_inv over df, the source's
     view over d and da, the target's tensors over dt; both sides of an
@@ -125,7 +122,7 @@ def _verify_iso(
         if not mat_eq(got, want):
             raise certificate_failure(what, [x for row in mat_sub(got, want) for x in row])
 
-    v, n = numerator_view(S), S.L.dim
+    v, n, target_L = numerator_view(S), S.L.dim, target_S.L
     (F, F_inv), df = S.L.numerators(F, F_inv)
     (phi_t, g_t, (xi_t,), (eta_t,)), dt = target_L.numerators(
         target_S.phi_mat(), target_S.g_mat(), [target_S.xi_vec()], [target_S.eta_row()])
@@ -149,58 +146,53 @@ def _verify_iso(
     require(gram, v.g, "F is not an isometry onto the target metric", d, df * df * dt)
 
 
-def _frame_isomorphism(
-    S: AcmStructure, target_L: LieAlgebra, target_S: AcmStructure, columns: list, scales: list
-) -> Mat:
+def _frame_isomorphism(S: AcmStructure, target_S: AcmStructure, columns: list,
+                       scales: list) -> Mat:
     """F = T^-1 for the frame T = R diag(scales), R with the given columns,
     verified to be an isomorphism onto the target.  Exact frames invert R in
     the input's field and check M = R^-1 against the target in the basis
-    D_k e_k, D = 1 / scales (only its nonzero entries are rescaled); then
-    F = D M.  Float frames invert T itself, so float F keeps its rounding."""
+    D_k e_k, D = 1 / scales (``acm.rescaled``); then F = D M.  Float frames
+    invert T itself, so float F keeps its rounding."""
     R = transpose(columns)
     if not all(is_exact(x) for row in R for x in row):
         F = inverse(transpose([vec_scale(c, x) for c, x in zip(columns, scales)]))
-        _verify_iso(S, target_L, target_S, F, inverse(F))
+        _verify_iso(S, target_S, F, inverse(F))
         return F
     D = [s_inv(x) for x in scales]
-
-    def scaled(x, left, right):  # left * x * right
-        return x if s_is_zero(x) else s_mul(s_mul(left, x), right)
-
-    def rescaled(A, left, right):  # diag(left) A diag(right)
-        return [[scaled(x, left[k], right[l]) for l, x in enumerate(row)]
-                for k, row in enumerate(A)]
-
-    table = {
-        (i, j): {k: scaled(v, s_mul(D[i], D[j]), scales[k]) for k, v in entries}
-        for (i, j), entries in target_L.brackets
-    }
-    L = LieAlgebra.from_brackets(target_L.dim, table, list(target_L.basis_names), check=False)
-    xi, eta = rescaled([target_S.xi], [ONE], scales)[0], rescaled([target_S.eta], [ONE], D)[0]
-    phi, g = rescaled(target_S.phi, scales, D), rescaled(target_S.g, D, D)
-    T = AcmStructure.make(L, phi, xi, eta, g)
     M = inverse(R)
-    _verify_iso(S, L, T, M, R)
-    return [vec_scale(row, d) for row, d in zip(M, D)]
+    _verify_iso(S, rescaled(target_S, D, scales), M, R)
+    return diag_scaled(M, D, None)
+
+
+def _mapped_back(iso: HeisenbergIso, down: list) -> HeisenbergIso:
+    """The isomorphism found on a rational rescaling, on the input's basis:
+    F = F' diag(down)."""
+    return replace(iso, F=tuple(map(tuple, diag_scaled(iso.F, None, down))))
 
 
 def classify_nilpotent_aqs(S: AcmStructure) -> HeisenbergIso:
     """Normal form of a nilpotent anti-quasi-Sasakian structure of maximal
     rank: an explicit isomorphism onto h^{4n+1}_w (source phi -> target
-    phi_2, per the adapted-frame convention)."""
+    phi_2, per the adapted-frame convention).  A structure with a rational
+    rescaling is classified on it and F is mapped back."""
+    if r := rational_rescaling(S):
+        return _mapped_back(classify_nilpotent_aqs(r.S), r.down)
     _common_preconditions(S, CLASS_ANTI_QUASI_SASAKIAN)
     frame = adapted_frame(S)
     n = frame.n
     weights = list(frame.weights)
-    target_L, (t1, t2, t3) = weighted_heisenberg_4n1(n, weights)
-    F = _frame_isomorphism(S, target_L, t2, list(frame.unscaled), list(frame.scales))
+    _, (_, t2, _) = weighted_heisenberg_4n1(n, weights)
+    F = _frame_isomorphism(S, t2, list(frame.unscaled), list(frame.scales))
     return HeisenbergIso("4n+1", n, tuple(weights), tuple(map(tuple, F)), (1,) * n, 2)
 
 
 def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     """Normal form of a nilpotent quasi-Sasakian structure of maximal rank:
     eigenvectors of the symmetric operator A = phi psi give pairs
-    (e_i, phi e_i) and an isomorphism onto h^{2n+1}_w."""
+    (e_i, phi e_i) and an isomorphism onto h^{2n+1}_w (mapped back from the
+    rational rescaling when there is one)."""
+    if r := rational_rescaling(S):
+        return _mapped_back(classify_nilpotent_qs(r.S), r.down)
     _common_preconditions(S, CLASS_QUASI_SASAKIAN)
     g = S.g_mat()
     first, second, inv_norms, weights, signs = [], [], [], [], []
@@ -219,9 +211,7 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     signed_target = AcmStructure.make(
         target_L, signed_phi, target_S.xi_vec(), target_S.eta_row(), target_S.g_mat()
     )
-    F = _frame_isomorphism(
-        S, target_L, signed_target, [S.xi_vec()] + first + second, [ONE] + inv_norms * 2
-    )
+    F = _frame_isomorphism(S, signed_target, [S.xi_vec()] + first + second, [ONE] + inv_norms * 2)
     return HeisenbergIso("2n+1", n, tuple(weights), tuple(map(tuple, F)), tuple(signs), 1)
 
 

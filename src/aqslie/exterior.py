@@ -304,9 +304,12 @@ def ce_betti(L: LieAlgebra, k: int) -> int:
 
 def ce_bettis(L: LieAlgebra, degrees: list[int]) -> dict[int, int]:
     """{k: ce_betti(L, k) for k in degrees}, ranking each differential once,
-    one torus weight block at a time."""
+    one torus weight block at a time, in the rational basis of
+    ``LieAlgebra.sqrt_basis`` when there is one (they do not depend on the basis)."""
     if any(k < 0 or k > L.dim for k in degrees):
         raise PreconditionError("degree out of range")
+    if scales := L.sqrt_basis():
+        L = L.rescaled(*scales)
     targets, den = _d_targets(L)
     weights = _torus_weights(L)
     ranks = {j: _graded_rank(targets, den, weights, j)

@@ -18,14 +18,22 @@ order, the same for every field.
 Jacobi, the lower central series and the derivations are read off that
 table: one sparse Jacobi pass, [g, V] from the columns of
 :func:`ad_matrix_numerators`, derivation rows from the basis ad matrices.
+The center and the lower central series are kept on the algebra.
+
+:meth:`LieAlgebra.sqrt_basis` is the field decision for square-root tower
+constants and the tensors that act with them: the scalings to the basis of
+their square classes (:func:`square_classes`), where all are rational, or
+None; :meth:`LieAlgebra.rescaled` rewrites the table in a diagonal basis.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import DimensionMismatch, JacobiError
 from .linalg import (
@@ -42,9 +50,41 @@ from .linalg import (
     transpose,
     zeros,
 )
-from .scalars import ONE, ZERO, coerce, s_is_zero, s_neg
+from .scalars import ONE, ZERO, Ext, coerce, s_is_zero, s_neg, s_sqrt
 
 BracketTable = dict  # {(i, j): {k: scalar}} with i < j
+
+
+def square_classes(n: int, entries: list[tuple]) -> list[int] | None:
+    """Squarefree d_0..d_{n-1} with every entry rational in the basis
+    sqrt(d_i) e_i, or None.  An entry (indices, q sqrt(s)) of exact scalars,
+    an index counted as often as it occurs, needs s prod_indices d_i to be a
+    square: one GF(2) equation per prime, all on the bitmask of the indices,
+    so one elimination on the masks solves them together, the right sides
+    multiplying in Q^x / Q^x^2; free classes are 1.  None for a multi-term
+    entry or when the equations are inconsistent."""
+    pivots: dict[int, tuple[int, int]] = {}  # highest bit -> (mask, class)
+    for indices, x in entries:
+        if isinstance(x, Ext) and len(x.terms) > 1:
+            return None
+        mask = reduce(operator.xor, (1 << i for i in indices), 0)
+        s = next(iter(x.terms)) if isinstance(x, Ext) else 1
+        while mask and (top := mask.bit_length() - 1) in pivots:
+            mask, s = mask ^ pivots[top][0], _class_product(s, pivots[top][1])
+        if mask:
+            pivots[top] = mask, s
+        elif s != 1:
+            return None
+    d = [1] * n
+    for top in sorted(pivots):  # the other bits of a pivot's mask are lower
+        mask, s = pivots[top]
+        d[top] = reduce(_class_product, (d[i] for i in range(top) if mask >> i & 1), s)
+    return d
+
+
+def _class_product(a: int, b: int) -> int:
+    """The squarefree representative of a b modulo squares."""
+    return a * b // math.gcd(a, b) ** 2
 
 
 @dataclass(frozen=True)
@@ -110,6 +150,54 @@ class LieAlgebra:
     def _stored(self) -> BracketTable:
         """table(), built once: a rational algebra's constants for other operands."""
         return self.table()
+
+    def sqrt_basis(self, mats=(), vecs=()) -> tuple[list, list] | None:
+        """(up, down), up_k = sqrt(d_k) = 1 / down_k, for the square classes d
+        (:func:`square_classes`) of the constants, the n x n mats and the
+        n-vectors vecs: all are rational in the basis up_k e_k.  Or None, at
+        once without a tower entry or with a float: rational and float input
+        never reach the solve."""
+        kinds = {type(v) for _, es in self.brackets for _, v in es}
+        kinds.update(type(x) for M in mats for row in M for x in row)
+        kinds.update(type(x) for v in vecs for x in v)
+        if Ext not in kinds or not kinds <= {Fraction, Ext}:
+            return None
+        entries = [((i, j, k), v) for (i, j), es in self.brackets for k, v in es]
+        entries += [((i, j), x) for M in mats for i, row in enumerate(M)
+                    for j, x in enumerate(row) if x]
+        entries += [((i,), x) for v in vecs for i, x in enumerate(v) if x]
+        d = square_classes(self.dim, entries)
+        return d and ([s_sqrt(Fraction(x)) for x in d], [s_sqrt(Fraction(1, x)) for x in d])
+
+    def rescaled(self, up: list, down: list) -> "LieAlgebra":
+        """The algebra in the basis up_k e_k, down_k = 1 / up_k:
+        c'_ij^k = up_i up_j c_ij^k down_k, one scaling per stored constant."""
+        table = {(i, j): {k: up[i] * up[j] * v * down[k] for k, v in es}
+                 for (i, j), es in self.brackets}
+        return LieAlgebra.from_brackets(
+            self.dim, table, list(self.basis_names), self.mode, check=False)
+
+    @cached_property
+    def center(self) -> Subspace:
+        """Kernel of the joint adjoint action, as a null space of stacked ads."""
+        rows = [row for ad in self.ad_numerators()[0] for row in ad]  # scaled by da: same kernel
+        return Subspace.from_vectors(self.dim, nullspace(rows, self.dim))
+
+    @cached_property
+    def lower_central_series(self) -> "LowerCentralSeries":
+        """g, [g, g], [g, [g, g]], ... down to stabilization."""
+        current = Subspace.from_vectors(self.dim, [self.basis_vector(i) for i in range(self.dim)])
+        terms = [current]
+        while True:
+            # [g, V] is spanned by the columns of ad_w, w in the basis of V
+            ads = [ad_matrix_numerators(self, list(w))[0] for w in current.basis]
+            nxt = Subspace.from_vectors(self.dim, [col for N in ads for col in transpose(N)])
+            if nxt.dim == current.dim:
+                return LowerCentralSeries(tuple(terms), False, None)
+            terms.append(nxt)
+            current = nxt
+            if nxt.dim == 0:
+                return LowerCentralSeries(tuple(terms), True, len(terms) - 1)
 
     def c(self, i: int, j: int, k: int):
         """Signed structure constant c_{ij}^k."""
@@ -235,10 +323,7 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
     return sorted(t for t, acc in sums.items() if not all(map(s_is_zero, acc.values())))
 
 
-def center(L: LieAlgebra) -> Subspace:
-    """Kernel of the joint adjoint action, as a null space of stacked ads."""
-    rows = [row for ad in L.ad_numerators()[0] for row in ad]  # scaled by da: same kernel
-    return Subspace.from_vectors(L.dim, nullspace(rows, L.dim))
+center = operator.attrgetter("center")  # center(L) is L.center
 
 
 @dataclass(frozen=True)
@@ -248,20 +333,7 @@ class LowerCentralSeries:
     step: int | None  # number of nonzero terms when nilpotent
 
 
-def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
-    full = Subspace.from_vectors(L.dim, [L.basis_vector(i) for i in range(L.dim)])
-    terms = [full]
-    current = full
-    while True:
-        # [g, V] is spanned by the columns of ad_w, w in the basis of V
-        ads = [ad_matrix_numerators(L, list(w))[0] for w in current.basis]
-        nxt = Subspace.from_vectors(L.dim, [col for N in ads for col in transpose(N)])
-        if nxt.dim == current.dim:
-            return LowerCentralSeries(tuple(terms), False, None)
-        terms.append(nxt)
-        current = nxt
-        if nxt.dim == 0:
-            return LowerCentralSeries(tuple(terms), True, len(terms) - 1)
+lower_central_series = operator.attrgetter("lower_central_series")
 
 
 @dataclass(frozen=True)

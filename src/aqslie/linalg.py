@@ -1,40 +1,39 @@
 """Small dense linear algebra over the scalar tower (exact) or floats.
 
-Matrices are lists of rows, vectors plain lists.  Each kernel decides the
-field once per call, from its whole input, through ``_int_scaled``:
+Matrices are lists of rows, vectors plain lists.  The field is decided once,
+from the whole input, with three outcomes:
 
-* every entry a ``Fraction``: Python integers over a common denominator,
-  divided back once per output entry;
-* every entry an ``int`` (an integer core's output on numerators): the same
-  integers over none.  Products, sums and scalings return ints; elimination,
-  char_poly and inertia return what the same values give as Fractions;
-* anything else (square-root tower ``Ext`` entries, floats, mixed kinds):
-  products are one sparse fold, ``_fold``, over the pairs of nonzero entries,
-  whose exact sum turns float where the full fold's does.  When every nonzero
-  entry is a finite float, every pair is a float product, so the full fold
-  turns float at the first pair: the fold then sums floats from 0.0 with no
-  per-entry threshold, and keeps the bits.  The rest is per-scalar
-  arithmetic.  Tower division is still exact; floats use
-  tolerance-based zero tests and magnitude pivoting.
+* rational (or all-int) input runs on Python integers over a common
+  denominator, decided per kernel call by ``_int_scaled``: products
+  (``mat_vecs`` scales M once for a batch of vectors),
+  ``mat_add``/``mat_sub``/``mat_scale``, ``dot``, ``mat_eq``, ``max_abs``,
+  fraction-free Gauss-Jordan with row-content removal (``rref``, ``rank``,
+  ``nullspace``, ``solve``, ``inverse``), Bareiss (``det``, ``char_poly``)
+  and fraction-free congruence (``inertia_symmetric``).  On all-int input
+  products, sums and scalings return ints, and elimination, char_poly and
+  inertia what the same values give as Fractions;
+* tower input whose entries are each one term q sqrt(s), with radicands that
+  factor over the indices, is rational in the basis sqrt(d_i) e_i of its
+  square classes d (``lie_core.square_classes``), decided once per structure
+  or algebra (``LieAlgebra.sqrt_basis``) and run there on the integer route;
+* anything else (other tower entries, floats, mixed kinds) is per-scalar:
+  products are one sparse fold, ``_fold``, over the pairs of nonzero
+  entries, whose exact sum turns float where the full fold's does (pure
+  finite-float input sums from 0.0 and keeps the bits); tower division is
+  exact, floats use tolerance-based zero tests and magnitude pivoting.
 
 Both exact routes return the same values: a normalised ``Fraction`` is
-unique.  The integer route serves the products (``mat_vecs`` scales M once
-for a batch of vectors), ``mat_add``/``mat_sub``/``mat_scale``, ``dot``,
-``mat_eq``, ``max_abs``, elimination (fraction-free Gauss-Jordan with
-row-content removal for ``rref``/``rank``/``nullspace``/``solve``/
-``inverse``, Bareiss for ``det`` and ``char_poly``) and
-``inertia_symmetric`` (fraction-free congruence).
-
-A computation of several kernels stays on integers between them:
+unique.  A computation of several kernels stays on integers between them:
 ``LieAlgebra.numerators`` and ``LieAlgebra.ad_numerators`` put a group of
 matrices (and the ad matrices) over one common denominator on the algebra's
-field, ``acm.numerator_view`` keeps that view once per structure, and
+field, and ``acm.numerator_view`` keeps that view once per structure.  A
+value is mapped back only where it leaves a computation:
 ``over(N, den)`` builds one Fraction per nonzero entry of an integer result
-where a value leaves the computation.  For float and tower input the
-numerators are the input itself over 1 and ``over`` is the identity, so one
-formula serves every field.
-``eigenspaces`` serves every eigendecomposition of a g-symmetric operator
-(the float eigenvalue clustering lives only there).
+(for float and tower input the numerators are the input over 1 and ``over``
+is the identity), and ``diag_scaled`` takes a result of a rescaled
+structure back to the input's basis.  ``eigenspaces`` serves every
+eigendecomposition of a g-symmetric operator (the float eigenvalue
+clustering lives only there).
 """
 
 from __future__ import annotations
@@ -146,6 +145,16 @@ def _back(N, *dens) -> Mat:
 
 def _flat(M: Mat) -> list:
     return [x for row in M for x in row]
+
+
+def diag_scaled(A: Mat, left: Vec | None, right: Vec | None) -> Mat:
+    """diag(left) A diag(right), None for the identity: one product per
+    nonzero entry and scaled side, zeros kept."""
+    if left is not None:
+        A = [[s_mul(lv, x) if x else x for x in row] for lv, row in zip(left, A)]
+    if right is None:
+        return [list(row) for row in A]
+    return [[s_mul(x, rv) if x else x for rv, x in zip(right, row)] for row in A]
 
 
 def _int_products(rows: list[list[int]], cols: list[list[int]]) -> list[list[int]]:

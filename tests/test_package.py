@@ -113,15 +113,19 @@ def test_basis_ad_matrices_come_from_the_structure_constants():
 
 def field_decisions(source: str) -> list[str]:
     """Calls in source that scale scalars to integers or divide them back:
-    _int_scaled, math.lcm and two-argument Fraction(...).  In acm, adapted
-    and classifier the formulas run on the numerator view, linalg.numerators
-    and linalg.over; the field is decided in the kernels."""
+    _int_scaled, math.lcm and two-argument Fraction(...); and reads of a
+    radicand: squarefree_split(...) and the .terms of a tower scalar.  In
+    acm, adapted and classifier the formulas run on the numerator view or the
+    rational rescaling, linalg.numerators, linalg.over and linalg.diag_scaled;
+    the field and the square classes are decided in linalg and lie_core."""
     offenders = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "terms":
+            offenders.append(f"{node.lineno} .terms")
         if not isinstance(node, ast.Call):
             continue
         name = _callee(node)
-        if name in ("_int_scaled", "lcm") or (
+        if name in ("_int_scaled", "lcm", "squarefree_split") or (
             name == "Fraction" and len(node.args) + len(node.keywords) >= 2
         ):
             offenders.append(f"{node.lineno} {name}")
@@ -141,6 +145,13 @@ def test_acm_leaves_the_field_decision_to_linalg():
         "    return [Fraction(t, den) for t in scaled[0]]\n"
     )
     assert len(field_decisions(forked)) == 3
+    # so is a private square-class solve on the radicands of the entries
+    forked = (
+        "def rational_rescaling(S):\n"
+        "    classes = [squarefree_split(x.terms.popitem()[0])[1] for x in S.xi]\n"
+        "    return [next(iter(c.terms)) for c in S.eta], classes\n"
+    )
+    assert sorted(field_decisions(forked)) == ["2 .terms", "2 squarefree_split", "3 .terms"]
 
 
 

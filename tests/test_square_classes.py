@@ -1,0 +1,131 @@
+"""Square classes: tower structures that are diagonal rescalings of rational ones.
+
+A structure whose every entry is one term q sqrt(s), with radicands that
+factor over the entries' indices, is rational in the basis sqrt(d_i) e_i of
+its square classes d (``lie_core.square_classes`` through
+``LieAlgebra.sqrt_basis``).  ``acm.rational_rescaling`` keeps that copy, the
+classify, curvature and cohomology stages run on it, and only F and the Ricci
+tensor map back.  The payloads are compared with the per-scalar route, which
+a test gets by making the solve return None.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import aqslie.io as aqio
+import aqslie.lie_core as lie_core
+from aqslie.acm import conjugate_structure, rational_rescaling, rescaled
+from aqslie.classifier import classify_nilpotent_aqs
+from aqslie.cli import main
+from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
+from aqslie.lie_core import bracket
+from aqslie.linalg import inverse, mat_eq, mat_mul, mat_vec, random_unimodular, transpose, vec_eq
+from aqslie.scalars import Ext, s_sqrt
+from floatcopy import float_structure
+
+CLASSES = (1, 2, 3, 5, 6, 10, 15, 30)
+SQRT_WEIGHTS = [Ext.of_sqrt(2), Fraction(1), Fraction(3, 2) * Ext.of_sqrt(5)]
+
+BASES = {
+    "h9c": lambda: conjugate_structure(
+        weighted_heisenberg_4n1(2, [1, 2])[1][0], random_unimodular(9, random.Random(3))),
+    "h13": lambda: weighted_heisenberg_4n1(3, [1, 2, 3])[1][0],
+}
+# the dense conjugation is slow on the per-scalar route: Betti numbers in low degrees only
+COMMANDS = {"h9c": (["classify"], ["curvature"], ["cohomology", "--degrees", "0,1,2"]),
+            "h13": (["classify"], ["curvature"], ["cohomology"])}
+
+
+def _payload_digest(argv: list[str]) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    report = json.loads(out.getvalue())
+    text = json.dumps(report["payload"], sort_keys=True, separators=(",", ":"))
+    return code, report["error"], hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _check_push_forward(T, iso) -> None:
+    """Criterion 4's checks of F against the input T, on F as returned."""
+    F = iso.F_mat()
+    target_L, (_, t2, _) = weighted_heisenberg_4n1(iso.n, list(iso.weights))
+    assert mat_eq(mat_mul(F, mat_mul(T.phi_mat(), inverse(F))), t2.phi_mat())
+    assert vec_eq(mat_vec(F, T.xi_vec()), t2.xi_vec())
+    assert vec_eq(mat_vec(transpose(F), t2.eta_row()), T.eta_row())
+    assert mat_eq(mat_mul(transpose(F), mat_mul(t2.g_mat(), F)), T.g_mat())
+    cols = transpose(F)
+    for a in range(T.L.dim):
+        for b in range(a + 1, T.L.dim):
+            lhs = mat_vec(F, bracket(T.L, T.L.basis_vector(a), T.L.basis_vector(b)))
+            assert vec_eq(lhs, bracket(target_L, cols[a], cols[b]))
+
+
+@pytest.mark.parametrize("base,examples", [("h9c", 2), ("h13", 3)])
+def test_rescaled_rational_structures_give_the_per_scalar_payloads(base, examples, tmp_path):
+    S = BASES[base]()
+
+    @settings(max_examples=examples, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from(CLASSES), min_size=S.L.dim, max_size=S.L.dim)
+           .filter(lambda d: any(x > 1 for x in d)))
+    def check(d):
+        # T is S in the basis e_k / sqrt(d_k): one term per entry, radicands that factor
+        T = rescaled(S, [s_sqrt(Fraction(1, x)) for x in d], [s_sqrt(Fraction(x)) for x in d])
+        assert any(isinstance(x, Ext) for row in T.phi + T.g for x in row)
+        assert rational_rescaling(T) is not None
+        path = tmp_path / "T.json"
+        path.write_text(aqio.dumps(aqio.structure_to_json(T)), "utf-8")
+        for command in COMMANDS[base]:
+            argv = [command[0], str(path)] + command[1:]
+            fast = _payload_digest(argv)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lie_core, "square_classes", lambda n, entries: None)
+                assert _payload_digest(argv) == fast, (d, command)
+            assert fast[0] == 0, (d, command, fast)
+        _check_push_forward(T, classify_nilpotent_aqs(T))
+
+    check()
+
+
+def test_the_square_root_weights_rescale_where_their_entries_factor():
+    _, (S, c1, c2) = weighted_heisenberg_4n1(3, SQRT_WEIGHTS)
+    assert rational_rescaling(S) is not None and rational_rescaling(c1) is not None
+    r = rational_rescaling(S)
+    assert all(isinstance(x, Fraction) for M in (r.S.phi, r.S.g) for row in M for x in row)
+    assert all(isinstance(v, Fraction) for _, es in r.S.L.brackets for _, v in es)
+    # phi_3 pairs tau_r with tau_{3n+r}, whose bracket is 2 w_r xi: sqrt(2) for r = 1
+    assert rational_rescaling(c2) is None
+    _, S7 = weighted_heisenberg_2n1(3, SQRT_WEIGHTS)
+    # phi pairs tau_1 and tau_4, and [tau_1, tau_4] = 2 sqrt(2) xi
+    assert rational_rescaling(S7) is None
+    assert S7.L.sqrt_basis() is not None  # the algebra alone rescales, for cohomology
+
+
+def test_multi_term_and_float_entries_keep_the_per_scalar_route():
+    _, (S, _, _) = weighted_heisenberg_4n1(1, [1 + Ext.of_sqrt(2)])
+    assert rational_rescaling(S) is None
+    _, (S, _, _) = weighted_heisenberg_4n1(3, SQRT_WEIGHTS)
+    assert rational_rescaling(float_structure(S)) is None
+    # rational input never reaches the elimination
+    assert rational_rescaling(BASES["h13"]()) is None
+
+
+def test_a_classify_eliminates_the_ad_columns_once(monkeypatch):
+    # the center and the lower central series are kept on the algebra, and the
+    # quotient test reads the series' step (center R xi: [g, g] in R xi iff
+    # [g, [g, g]] = 0); 641 rows went through _rref_int when it eliminated the
+    # ad columns again
+    import aqslie.linalg as linalg
+
+    S = conjugate_structure(BASES["h13"](), random_unimodular(13, random.Random(7)))
+    real, rows = linalg._rref_int, []
+    monkeypatch.setattr(linalg, "_rref_int", lambda A: rows.append(len(A)) or real(A))
+    classify_nilpotent_aqs(S)
+    assert sum(rows) <= 480, rows
