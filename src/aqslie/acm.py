@@ -19,18 +19,20 @@ phi^T B phi + B = 0 here, w(JX, JY) = w(X, Y) is J^T W J = W in
 ``constructors`` and ``invariant_forms``, d eta = 2 Phi is the matrix of
 d eta minus twice that of Phi, and the adapted frame is certified by
 R^T g R = Delta^-2.  Brackets are
-products of ad matrices: the Nijenhuis bracket and the Koszul solve here,
+products of ad matrices: the Nijenhuis bracket and the Koszul solves here,
 the bracket inclusions, equivariance and integrability of J on m-blocks
 C_m ad_U M in ``invariant_forms``.
 
-The Levi-Civita connection is stored as n matrices, gamma[i] = Gamma_i as
-rows, Gamma_i b_j = nabla_{b_i} b_j.  For a left-invariant metric the Koszul
-formula reads 2 g Gamma_i = g ad_i - ad_i^T g - B_i with (B_i)_kj =
-g([b_j, b_k], b_i), certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j] and
-g Gamma_i + Gamma_i^T g = 0.  Curvature reads the same matrices: Ric_ij =
-sum_a R(b_a, b_i)_aj with R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k
-Gamma_k, row a only, O(n^4) in all (J. Milnor, "Curvatures of left invariant
-metrics on Lie groups", Adv. Math. 21, 1976).
+For a left-invariant metric the Koszul formula reads 2 g Gamma_i = g ad_i -
+ad_i^T g - B_i with (B_i)_kj = g([b_j, b_k], b_i), Gamma_i b_j = nabla_{b_i} b_j
+(J. Milnor, "Curvatures of left invariant metrics on Lie groups", Adv. Math.
+21, 1976).  Classification reads only psi = -nabla xi, from one Koszul solve
+along xi (:func:`psi_matrix`) certified by the two halves of g psi: g psi +
+(g psi)^T = -L_xi g and g psi - (g psi)^T = d eta.  The whole connection is
+built for curvature and for float psi, as the n matrices gamma[i] = Gamma_i
+as rows, certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j] and g Gamma_i +
+Gamma_i^T g = 0.  Ricci reads them: Ric_ij = sum_a R(b_a, b_i)_aj with
+R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, O(n^4).
 
 The field is decided once per structure, with three outcomes.  A rational
 structure runs on its numerator view (:func:`numerator_view`, kept in the
@@ -95,13 +97,14 @@ from .linalg import (
     mat_vecs,
     max_abs,
     over,
+    rref,
     transpose,
     vec_is_zero,
     vec_sub,
     zeros,
 )
-from .scalars import ONE, ZERO, get_tolerance, s_abs, s_div, s_is_zero, s_lt, s_mul
-from .scalars import s_neg, s_sub
+from .scalars import ONE, ZERO, get_tolerance, is_exact, s_abs, s_div, s_is_zero, s_lt
+from .scalars import s_mul, s_neg, s_sub
 
 CLASS_CONTACT_METRIC = "ContactMetric"
 CLASS_SASAKIAN = "Sasakian"
@@ -404,10 +407,7 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
         return S._memo["connection"]
     L, v = S.L, numerator_view(S)
     n, g, ads, da = L.dim, v.g, v.ads, v.da
-    if not mat_eq(g, transpose(g)):
-        raise PreconditionError("metric is not symmetric")
-    if not is_positive_definite(g):
-        raise PreconditionError("metric is not positive definite")
+    _metric_preconditions(g)
     (half_g_inv,), dh = L.numerators(mat_scale(inverse(S.g_mat()), ONE / 2))
     gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
     koszul = []  # the columns of every Koszul matrix, block i after block i - 1
@@ -445,6 +445,14 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     return table
 
 
+def _metric_preconditions(g: Mat) -> None:
+    """What both Koszul solves require of the view's metric g."""
+    if not mat_eq(g, transpose(g)):
+        raise PreconditionError("metric is not symmetric")
+    if not is_positive_definite(g):
+        raise PreconditionError("metric is not positive definite")
+
+
 def certificate_failure(what: str, residuals) -> AqslieError:
     """The error for a failed certificate, given its residual entries: a
     contradiction in exact arithmetic, a precision limit of the input when
@@ -471,19 +479,42 @@ class OperatorPack:
 
 
 def psi_matrix(S: AcmStructure) -> tuple[Mat, int]:
-    """(N, den) with psi = -nabla xi = N / den: column j is -nabla_{b_j} xi,
-    read off the connection's numerators and xi's."""
-    conn, v = levi_civita(S), numerator_view(S)
-    return (transpose([[s_neg(x) for x in mat_vec(G, v.xi)] for G in conn.numerators]),
-            conn.den * v.den)
+    """(N, den) with psi = -nabla xi = N / den, column j = -nabla_{b_j} xi, read
+    off the connection table for a float view.  An exact view solves 2 g nabla xi
+    = K = -(G + G^T) + E, G = g ad_xi, E_kj = eta([b_k, b_j]), by one elimination
+    g psi = -K / 2, and certifies g psi + (g psi)^T = G + G^T = -L_xi g and
+    g psi - (g psi)^T = d eta, the latter as ce_d gives it."""
+    v = numerator_view(S)
+    if not is_exact(v.g[0][0]):
+        conn = levi_civita(S)
+        return (transpose([[s_neg(x) for x in mat_vec(G, v.xi)] for G in conn.numerators]),
+                conn.den * v.den)
+    L, n, d, da = S.L, S.L.dim, v.den, v.da
+    _metric_preconditions(v.g)
+    # G and -K over d^2 da (ad_xi of the numerators v.xi is over da d); E over d da
+    G = mat_mul(v.g, ad_matrix_numerators(L, v.xi)[0])
+    sym = mat_add(G, transpose(G))
+    E = mat_vec([col for ad in v.ads for col in transpose(ad)], v.eta)  # E_kj at k n + j
+    minus_K = mat_sub(sym, mat_scale([E[k * n:k * n + n] for k in range(n)], d))
+    R, _ = rref([row + rhs for row, rhs in zip(v.g, minus_K)])
+    (psi,), dr = L.numerators([row[n:] for row in R])  # v.g^-1 (-K) = 2 d da psi
+    den = 2 * d * da * dr
+    (B,), db = L.numerators(S._memo.get("d_eta") or bilinear_from_form(ce_d(L, S.eta_form())))
+    P = mat_mul(v.g, psi)  # g psi over d den
+    sym_t = mat_sub(mat_scale(mat_add(P, transpose(P)), d * da), mat_scale(sym, den))
+    skew_t = mat_sub(mat_scale(mat_sub(P, transpose(P)), db), mat_scale(B, d * den))
+    for part, t in (("symmetric part -L_xi g", sym_t), ("skew part d eta", skew_t)):
+        if not vec_is_zero(_flat(t)):
+            raise certificate_failure(f"Koszul solve along xi: g psi lost its {part}", _flat(t))
+    return psi, den
 
 
 def operators_A_psi(S: AcmStructure) -> OperatorPack:
-    """Operators A = -phi o nabla xi and psi = -nabla xi, with the identity
-    suite (A phi = psi = -phi A, phi psi = A = -psi phi, psi A = -phi A^2
-    = -A psi, A xi = psi xi = 0, skew-symmetry) asserted, not assumed.  On
-    numerators: phi over d and psi over p make A over d p, and each residual
-    is divided by the denominator of its terms."""
+    """Operators A = -phi o nabla xi and psi = -nabla xi (:func:`psi_matrix`),
+    with the identity suite (A phi = psi = -phi A, phi psi = A = -psi phi,
+    psi A = -phi A^2 = -A psi, A xi = psi xi = 0, skew-symmetry) asserted, not
+    assumed.  On numerators: phi over d and psi over p make A over d p, and
+    each residual is divided by the denominator of its terms."""
     if "operators" in S._memo:
         return S._memo["operators"]
     v = numerator_view(S)
@@ -631,15 +662,8 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
     = -phi2 phi1, d Phi1 = d Phi2 = 0 and d eta = 2 Phi3, the last three read
     from the classification residuals of S1, S2 and S3."""
     residuals = {}
-    shared = ZERO
-    for a, b in ((S1, S2), (S1, S3)):
-        shared = max_abs(
-            [shared]
-            + vec_sub(a.xi, b.xi)
-            + vec_sub(a.eta, b.eta)
-            + [x for row in mat_sub(a.g, b.g) for x in row]
-        )
-    residuals["shared_tensors"] = shared
+    residuals["shared_tensors"] = max_abs(x for b in (S2, S3) for x in vec_sub(S1.xi, b.xi)
+                                          + vec_sub(S1.eta, b.eta) + _flat(mat_sub(S1.g, b.g)))
     p1, p2, p3 = S1.phi_mat(), S2.phi_mat(), S3.phi_mat()
     residuals["phi1_phi2_eq_phi3"] = _mat_res(mat_mul(p1, p2), p3)
     residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(mat_mul(p2, p1), p3, op=mat_add)

@@ -497,7 +497,7 @@ def det(M: Mat):
 
 def inverse(M: Mat) -> Mat:
     n = len(M)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(M)]
+    aug = [row + e for row, e in zip(M, identity(n))]
     R, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
