@@ -31,8 +31,8 @@ along xi (:func:`psi_matrix`) certified by the two halves of g psi: g psi +
 (g psi)^T = -L_xi g and g psi - (g psi)^T = d eta.  The whole connection is
 built for curvature and for float psi, as the n matrices gamma[i] = Gamma_i
 as rows, certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j] and g Gamma_i +
-Gamma_i^T g = 0.  Ricci reads them: Ric_ij = sum_a R(b_a, b_i)_aj with
-R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, O(n^4).
+Gamma_i^T g = 0.  Ricci reads their numerators: Ric_ij = sum_a R(b_a, b_i)_aj
+with R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, O(n^4).
 
 The field is decided once per structure, with three outcomes.  A rational
 structure runs on its numerator view (:func:`numerator_view`, kept in the
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import (
     AqslieError,
@@ -101,7 +101,6 @@ from .linalg import (
     transpose,
     vec_is_zero,
     vec_sub,
-    zeros,
 )
 from .scalars import ONE, ZERO, get_tolerance, is_exact, s_abs, s_div, s_is_zero, s_lt
 from .scalars import s_mul, s_neg, s_sub
@@ -362,15 +361,21 @@ def xi_killing_check(S: AcmStructure) -> bool:
     if r := rational_rescaling(S):
         return xi_killing_check(r.S)
     if "xi_killing" not in S._memo:
-        v = numerator_view(S)
-        ad_xi, _ = ad_matrix_numerators(S.L, v.xi)
-        M = mat_mul(v.g, ad_xi)
+        ad_xi, M = _g_ad_xi(S)
         killing = vec_is_zero(_flat(mat_add(M, transpose(M))))
         # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
-        if killing and not vec_is_zero(mat_vec(transpose(ad_xi), v.eta)):
+        if killing and not vec_is_zero(mat_vec(transpose(ad_xi), numerator_view(S).eta)):
             raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
         S._memo["xi_killing"] = killing
     return S._memo["xi_killing"]
+
+
+def _g_ad_xi(S: AcmStructure) -> tuple[Mat, Mat]:
+    """(ad_xi, g ad_xi) on the numerator view, kept for the Killing check and psi."""
+    if "g_ad_xi" not in S._memo:
+        ad_xi = ad_matrix_numerators(S.L, numerator_view(S).xi)[0]
+        S._memo["g_ad_xi"] = ad_xi, mat_mul(numerator_view(S).g, ad_xi)
+    return S._memo["g_ad_xi"]
 
 
 @dataclass(frozen=True)
@@ -408,7 +413,8 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     L, v = S.L, numerator_view(S)
     n, g, ads, da = L.dim, v.g, v.ads, v.da
     _metric_preconditions(g)
-    (half_g_inv,), dh = L.numerators(mat_scale(inverse(S.g_mat()), ONE / 2))
+    g_inv = S._memo["g_inverse"] = inverse(S.g_mat())  # the scalar curvature reads it
+    (half_g_inv,), dh = L.numerators(mat_scale(g_inv, ONE / 2))
     gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
     koszul = []  # the columns of every Koszul matrix, block i after block i - 1
     for i in range(n):
@@ -492,7 +498,7 @@ def psi_matrix(S: AcmStructure) -> tuple[Mat, int]:
     L, n, d, da = S.L, S.L.dim, v.den, v.da
     _metric_preconditions(v.g)
     # G and -K over d^2 da (ad_xi of the numerators v.xi is over da d); E over d da
-    G = mat_mul(v.g, ad_matrix_numerators(L, v.xi)[0])
+    G = _g_ad_xi(S)[1]
     sym = mat_add(G, transpose(G))
     E = mat_vec([col for ad in v.ads for col in transpose(ad)], v.eta)  # E_kj at k n + j
     minus_K = mat_sub(sym, mat_scale([E[k * n:k * n + n] for k in range(n)], d))
@@ -602,32 +608,35 @@ class CurvatureData:
 
 def curvature(S: AcmStructure) -> CurvatureData:
     """Ricci tensor and scalar curvature: Ric_ij = sum over a of entry (a, j) of
-    R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only.  The
-    rows a of every Gamma_a Gamma_i are one mat_vecs call (the n rows
-    Gamma_a[a] against the n^2 columns of the Gamma_i); Gamma_i Gamma_a and
-    the bracket term take one call per a, and the terms are summed over a in
-    order, so float entries keep their bits.  With a rational rescaling it runs
-    there and Ric_ij = Ric'_ij down_i down_j; the scalar curvature is invariant."""
+    R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, on the
+    numerators of the table and the ad matrices, divided back once.  The rows a
+    of every Gamma_a Gamma_i are one mat_vecs call (the n rows Gamma_a[a]
+    against the n^2 columns of the Gamma_i); Gamma_i Gamma_a and the bracket
+    term take one call per a, and the terms are summed over a in order, so
+    float entries keep their bits.  With a rational rescaling it runs there and
+    Ric_ij = Ric'_ij down_i down_j; the scalar curvature is invariant."""
     if r := rational_rescaling(S):
         data = curvature(r.S)
         return CurvatureData(data.connection, tuple(map(tuple, diag_scaled(
             data.ricci, r.down, r.down))), data.scalar)
     conn, L = levi_civita(S), S.L
-    gamma, n, ricci = conn.gamma, L.dim, zeros(L.dim, L.dim)
+    gamma, dG, n = conn.numerators, conn.den, L.dim
     ads, da, _, _ = L.ad_numerators()
     # lefts[a][i n + j] = (Gamma_a Gamma_i)_aj
     lefts = transpose(mat_vecs([G[a] for a, G in enumerate(gamma)],
                                [c for G in gamma for c in transpose(G)]))
+    terms = []
     for a in range(n):
         rows = [G[a] for G in gamma]  # rows[k] = row a of Gamma_k
         left = [lefts[a][i * n:i * n + n] for i in range(n)]
         # (Gamma_i Gamma_a)_a, one mat_vecs call on the columns of Gamma_a
         right = transpose(mat_vecs(rows, transpose(gamma[a])))
         # row i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
-        brackets = mat_vecs(transpose(rows), transpose(over(ads[a], da)))
-        # summed as the full-vector R(b_a, b_i) b_j was: float entries keep their bits
-        ricci = mat_add(ricci, mat_sub(mat_sub(left, right), brackets))
-    scal = dot(_flat(inverse(S.g_mat())), _flat(ricci))
+        brackets = mat_vecs(transpose(rows), transpose(ads[a]))
+        terms.append(mat_sub(mat_scale(mat_sub(left, right), da), mat_scale(brackets, dG)))
+    # summed from the first term: no float term is -0.0, so ZERO + term is term
+    ricci = over(reduce(mat_add, terms), dG * dG * da)
+    scal = dot(_flat(S._memo["g_inverse"]), _flat(ricci))  # as levi_civita kept it
     return CurvatureData(conn, tuple(tuple(r) for r in ricci), scal)
 
 

@@ -5,7 +5,7 @@ from the whole input, with three outcomes:
 
 * rational (or all-int) input runs on Python integers over a common
   denominator, decided per kernel call by ``_int_scaled``: products
-  (``mat_vecs`` scales M once for a batch of vectors),
+  (Gustavson's row-wise product, as on every field; one per ``mat_vecs``),
   ``mat_add``/``mat_sub``/``mat_scale``, ``dot``, ``mat_eq``, ``max_abs``,
   fraction-free Gauss-Jordan with row-content removal (``rref``, ``rank``,
   ``nullspace``, ``solve``, ``inverse``), Bareiss (``det``, ``char_poly``)
@@ -158,20 +158,39 @@ def diag_scaled(A: Mat, left: Vec | None, right: Vec | None) -> Mat:
 
 
 def _int_products(rows: list[list[int]], cols: list[list[int]]) -> list[list[int]]:
-    """[[row . col for col in cols] for row in rows], the integer core of products."""
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+    """[[row . col for col in cols] for row in rows] on integers: ``_rowwise`` on
+    the nonzero entries of cols, indexed once (a pair sums as far as zip goes)."""
+    nz = [[] for _ in range(max(map(len, cols), default=0))]
+    for k, col in enumerate(cols):
+        for j in itertools.compress(range(len(col)), col):
+            nz[j].append((k, col[j]))
+    return _rowwise(rows, nz, len(cols), 0)
+
+
+def _rowwise(rows: list[Vec], nz: list[list[tuple]], width: int, zero) -> Mat:
+    """Gustavson's row-wise product (ACM TOMS 4(3), 1978) on integers and pure
+    floats, nz[j] holding (k, b) for each nonzero entry b at j of column k: a
+    row meets nz[j] only at its nonzero j, and k sums zero + row[j] b in order."""
+    out = []
+    for row in rows:
+        out.append(acc := [zero] * width)
+        for j in itertools.compress(range(len(nz)), row):
+            r = row[j]
+            for k, b in nz[j]:
+                acc[k] += r * b
+    return out
 
 
 def mat_vecs(M: Mat, vs: list[Vec]) -> list[Vec]:
-    """[M v for v in vs].  M goes to integers once per call and each v over its
-    own denominator when both are rational (or already integers); the other vs
-    take one sparse fold together, over the v[j] that are not near zero."""
+    """[M v for v in vs]: one integer product for the vs rational (or all-int) with
+    M, each over its own denominator, and one sparse fold (no near-zero v[j]) for the rest."""
     svs = [_int_scaled(v) for v in vs]
     sm = _int_rows(M) if any(svs) else None
+    ints = iter(_int_products([sv[0] for sv in svs if sv], sm[0][0])) if sm else None
     rest = [v for v, sv in zip(vs, svs) if not (sm and sv)]
     folded = zip(*_fold(M, rest, near_zero=True)) if rest else None
     return [
-        _back(_int_products([sv[0]], sm[0][0]), sm[1], sv[1])[0] if sm and sv
+        _back([next(ints)], sm[1], sv[1])[0] if sm and sv
         else list(next(folded, ()))  # () when M has no rows
         for sv in svs
     ]
@@ -201,9 +220,9 @@ def _fold(rows: list[Vec], cols: list[Vec], near_zero: bool = False) -> Mat:
     Pure-float input (every nonzero entry a finite float) skips that
     threshold: every pair is then a float product, so the full fold turns
     float at the first pair anyway, and ZERO + x is float(ZERO) + x = 0.0 + x.
-    The sums start at 0.0; an entry is left ZERO exactly where the full fold
-    meets no float: with near_zero, when column k makes no pair, otherwise
-    when neither the row nor the column holds a float."""
+    The sums start at 0.0 (``_rowwise``); an entry is left ZERO exactly where
+    the full fold meets no float: with near_zero, when column k makes no
+    pair, otherwise when neither the row nor the column holds a float."""
     n = min(map(len, [*rows, *cols]), default=0)  # zip's length
     floats = list(filter(_is_float, itertools.chain(*rows, *cols)))
     dense = not all(map(math.isfinite, floats))
@@ -219,17 +238,9 @@ def _fold(rows: list[Vec], cols: list[Vec], near_zero: bool = False) -> Mat:
     if pure:
         has = list(map(bool, pairs)) if near_zero else [
             any(map(_is_float, col[:n])) for col in cols]
-        out = []
-        for row in rows:
-            acc = [0.0] * len(cols)
-            for j in itertools.compress(range(n), row):
-                r = row[j]
-                for k, b in nz[j]:
-                    acc[k] += r * b
-            if near_zero or not any(map(_is_float, row[:n])):
-                acc = [x if h else ZERO for x, h in zip(acc, has)]
-            out.append(acc)
-        return out
+        return [[x if h else ZERO for x, h in zip(acc, has)]
+                if near_zero or not any(map(_is_float, row[:n])) else acc
+                for row, acc in zip(rows, _rowwise(rows, nz, len(cols), 0.0))]
     tc = [_first_float(col, p, n) for col, p in zip(cols, pairs)]
     out = []
     for row in rows:
@@ -308,8 +319,8 @@ def vec_eq(u: Vec, v: Vec) -> bool:
 def dot(u: Vec, v: Vec):
     su = _int_scaled(u)
     sv = _int_scaled(v) if su is not None else None
-    if sv is not None:
-        return _back(_int_products([su[0]], [sv[0]]), su[1], sv[1])[0][0]
+    if sv is not None:  # two vectors leave no index to amortise
+        return _back([[sum(map(operator.mul, su[0], sv[0]))]], su[1], sv[1])[0][0]
     return _fold([u], [v])[0][0]
 
 

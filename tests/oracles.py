@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, nijenhuis, operators_A_psi
+from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, levi_civita, nijenhuis
+from aqslie.acm import operators_A_psi, rational_rescaling
 from aqslie.adapted import AdaptedFrame, _psi2_orbits, require_maximal
 from aqslie.classifier import HeisenbergIso
 from aqslie.constructors import weighted_heisenberg_4n1
@@ -30,7 +31,8 @@ from aqslie.exterior import (
 )
 from aqslie.io import _matrix_to_json, algebra_to_json
 from aqslie.lie_core import BracketTable, LieAlgebra, ad_matrix, bracket
-from aqslie.linalg import Mat, Subspace, Vec, _flat, bilinear, det, dot, eigenspaces, identity
+from aqslie.linalg import Mat, Subspace, Vec, _flat, bilinear, det, diag_scaled, dot, eigenspaces
+from aqslie.linalg import identity
 from aqslie.linalg import inverse, is_positive_definite, mat_add, mat_eq, mat_mul, mat_scale
 from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, over, solve
 from aqslie.linalg import transpose, vec_eq, vec_is_zero, vec_scale, zeros
@@ -275,6 +277,31 @@ def stage_connection(S: AcmStructure) -> tuple:
     solved = mat_vecs(half_g_inv, koszul)
     return tuple(tuple(map(tuple, over(transpose(solved[i * n:i * n + n]), dm * dm * da)))
                  for i in range(n))
+
+
+def stage_ricci(S: AcmStructure) -> tuple:
+    """(Ricci, scalar curvature) by the loop on the divided-back table
+    ``ConnectionTable.gamma`` that curvature ran before it read numerators."""
+    if r := rational_rescaling(S):
+        ricci, scal = stage_ricci(r.S)
+        return tuple(map(tuple, diag_scaled(ricci, r.down, r.down))), scal
+    conn, L = levi_civita(S), S.L
+    gamma, n, ricci = conn.gamma, L.dim, zeros(L.dim, L.dim)
+    ads, da, _, _ = L.ad_numerators()
+    # lefts[a][i n + j] = (Gamma_a Gamma_i)_aj
+    lefts = transpose(mat_vecs([G[a] for a, G in enumerate(gamma)],
+                               [c for G in gamma for c in transpose(G)]))
+    for a in range(n):
+        rows = [G[a] for G in gamma]  # rows[k] = row a of Gamma_k
+        left = [lefts[a][i * n:i * n + n] for i in range(n)]
+        # (Gamma_i Gamma_a)_a, one mat_vecs call on the columns of Gamma_a
+        right = transpose(mat_vecs(rows, transpose(gamma[a])))
+        # row i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
+        brackets = mat_vecs(transpose(rows), transpose(over(ads[a], da)))
+        # summed as the full-vector R(b_a, b_i) b_j was: float entries keep their bits
+        ricci = mat_add(ricci, mat_sub(mat_sub(left, right), brackets))
+    scal = dot(_flat(inverse(S.g_mat())), _flat(ricci))
+    return tuple(tuple(r) for r in ricci), scal
 
 
 def stage_operators(S: AcmStructure) -> tuple:

@@ -595,6 +595,85 @@ def test_mat_vecs_matches_the_per_vector_mat_vec(m, k, data):
     assert [mat_vec(M, v) for v in vs] == got
 
 
+BIG = 2 ** 200
+DENSITIES = [0, 0.1, 0.5, 1]
+# the corner shapes (m, k, p) of A (m x k) times B (k x p), then any shape
+corner_shapes = st.sampled_from([(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (1, 4, 1), (1, 4, 5)])
+shapes = corner_shapes | st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+
+
+@st.composite
+def integer_route(draw, m, n, density, blank_row=None, blank_col=None):
+    """An m x n matrix of ints or of Fractions (zeros ZERO) with round(density
+    m n) nonzero entries, 2^200 and negatives among them; row blank_row and
+    column blank_col all zero."""
+    order = draw(st.permutations(range(m * n)))
+    hot = set(order[:round(density * m * n)])
+    nonzero = st.integers(-50, 50).filter(bool) | st.sampled_from([BIG, -BIG, BIG + 1])
+    if draw(st.booleans()):
+        nonzero = st.builds(F, nonzero, st.integers(1, 12))
+        zero = ZERO
+    else:
+        zero = 0
+    flat = [draw(nonzero) if i in hot and i // n != blank_row and i % n != blank_col
+            else zero for i in range(m * n)]
+    return [flat[i * n : i * n + n] for i in range(m)]
+
+
+def _dense(rows, cols):
+    """The dense oracle: every pair of every row and column, zeros included."""
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+
+
+def _typed(M):
+    return [[(type(x), x) for x in row] for row in M]
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shapes, st.data())
+def test_integer_products_match_the_dense_oracle(density, shape, data):
+    # Gustavson's product visits only pairs of nonzero entries: every value and
+    # type must be the dense sum's, all-int operands giving ints
+    m, k, p = shape
+    blank = st.none() | st.integers(0, 6)
+    A = data.draw(integer_route(m, k, density, data.draw(blank)))
+    B = data.draw(integer_route(k, p, density, None, data.draw(blank)))
+    vs = [row for row, in (data.draw(integer_route(1, k, density)) for _ in range(3))]
+    kind = lambda *mats: int if _all_ints(*mats) else F  # noqa: E731
+    want = [[kind(A, B)(x) for x in row] for row in _dense(A, list(zip(*B)))]
+    assert _typed(mat_mul(A, B)) == _typed(want)
+    want = [[kind(A, [v])(x) for (x,) in _dense(A, [v])] for v in vs]
+    assert _typed(mat_vecs(A, vs)) == _typed(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_a_mixed_mat_vecs_batch_is_its_vectors_in_order(m, k, data):
+    # int and Fraction vectors share one integer product, the tower and float
+    # ones one fold; each result must be its own mat_vec's, by repr
+    M = data.draw(integer_route(m, k, data.draw(st.sampled_from(DENSITIES))))
+    kinds = st.sampled_from([ints, fractions, tower_scalars, float_scalars])
+    vs = data.draw(st.lists(kinds.flatmap(lambda kind: st.lists(kind, min_size=k, max_size=k)),
+                            max_size=6))
+    assert repr(mat_vecs(M, vs)) == repr([mat_vec(M, v) for v in vs])
+
+
+def test_mat_vecs_makes_one_integer_product_per_batch(monkeypatch):
+    calls, real = [], linalg._int_products
+
+    def counting(rows, cols):
+        calls.append(rows)
+        return real(rows, cols)
+
+    monkeypatch.setattr(linalg, "_int_products", counting)
+    M = [[F(1, 2), ZERO, F(3)], [ZERO, ZERO, F(-1, 3)]]
+    vs = [[1, 2, 3], [F(1, 3), ZERO, ZERO], [SQRT2, 0, 1], [0.5, 0, 0], [0, BIG, -1]]
+    got = mat_vecs(M, vs)
+    assert len(calls) == 1 and len(calls[0]) == 3
+    assert repr(got) == repr([mat_vec(M, v) for v in vs])
+
+
 ints = st.integers(-50, 50)
 
 

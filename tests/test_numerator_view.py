@@ -20,6 +20,7 @@ from aqslie.acm import (
     classify_structure,
     closedness_suite,
     conjugate_structure,
+    curvature,
     levi_civita,
     operators_A_psi,
     psi_matrix,
@@ -39,6 +40,7 @@ from oracles import (
     stage_frame,
     stage_isomorphism,
     stage_operators,
+    stage_ricci,
     stage_spectrum,
     stage_validation,
 )
@@ -97,6 +99,41 @@ def test_stages_match_the_formulas_they_replaced(name):
         set_tolerance(DEFAULT_TOLERANCE)
 
 
+def _weighted_h9c():
+    # weights 1/3 and 5/7 put the ad matrices over 21, not 1
+    S = weighted_heisenberg_4n1(2, [Fraction(1, 3), Fraction(5, 7)])[1][0]
+    return conjugate_structure(S, random_unimodular(9, random.Random(3)))
+
+
+RICCI_CASES = {
+    **{name: CASES[name] for name in ("h13c", "sqrt-h13", "float-h13", "float-h9c")},
+    "h9wc": _weighted_h9c,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RICCI_CASES))
+def test_ricci_on_numerators_matches_the_gamma_loop(name):
+    S = RICCI_CASES[name]()
+    set_tolerance(1e-7 if name == "float-h9c" else DEFAULT_TOLERANCE)
+    try:
+        ricci, scalar = stage_ricci(S)
+        data = curvature(S)
+        assert rep(data.ricci) == rep(ricci) and rep(data.scalar) == rep(scalar)
+    finally:
+        set_tolerance(DEFAULT_TOLERANCE)
+
+
+def test_exact_curvature_reads_no_divided_back_table(monkeypatch):
+    ricci, scalar = stage_ricci(CASES["h13c"]())
+
+    def unread(table):
+        raise AssertionError("ConnectionTable.gamma read")
+
+    monkeypatch.setattr(acm.ConnectionTable, "gamma", property(unread))
+    data = curvature(CASES["h13c"]())
+    assert rep(data.ricci) == rep(ricci) and rep(data.scalar) == rep(scalar)
+
+
 def test_a_classify_builds_at_most_half_the_fractions_it_did(monkeypatch):
     # the stages pass numerators to each other and divide back only what
     # leaves them: the conjugated h13 builds 3,830 Fractions, 13,739 when
@@ -130,6 +167,13 @@ def test_xi_killing_verdict_is_kept_and_its_contradiction_raised_again(monkeypat
     S = CASES["h9c"]()
     assert xi_killing_check(S) and xi_killing_check(S)
     assert len(builds) == 1
+    # the Koszul solve along xi reads the Killing check's g ad_xi: one exact
+    # classify builds ad_xi once
+    builds.clear()
+    U = CASES["h13c"]()
+    classify_nilpotent_aqs(U)
+    xi = list(acm.numerator_view(U).xi)
+    assert [list(X) for X in builds].count(xi) == 1
     # a Killing xi with d eta(xi, .) != 0 raises on every call, nothing kept:
     # the Killing test (n^2 entries) passes, the eta([xi, .]) = 0 test (n) fails
     monkeypatch.setattr(acm, "vec_is_zero", lambda v: len(v) != S.L.dim)

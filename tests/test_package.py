@@ -344,30 +344,47 @@ def test_two_forms_are_compared_as_gram_products():
 PRODUCT_KERNELS = ("mat_mul", "mat_vecs", "mat_vec", "dot", "bilinear", "_fold")
 
 
+def _dense_sum(node: ast.AST) -> bool:
+    """node is sum(map(operator.mul, ...)), a product that visits every pair."""
+    summed = isinstance(node, ast.Call) and _callee(node) == "sum" and node.args
+    inner = node.args[0] if summed else None
+    return (isinstance(inner, ast.Call) and _callee(inner) == "map" and bool(inner.args)
+            and ast.unparse(inner.args[0]) == "operator.mul")
+
+
 def product_path_offenders(source: str) -> list[str]:
     """Where linalg's source defines _dot, calls s_mul or s_add in a product
-    kernel (a call per pair), or has a product kernel that calls neither _fold
-    nor another product kernel.  Outside the integer route every matrix,
-    matrix-vector and vector product is the one sparse fold."""
+    kernel (a call per pair), has a product kernel that calls neither _fold
+    nor another product kernel, sums a dense product outside dot, or has a
+    mat_mul or mat_vecs that does not reach _int_products.  Outside the
+    integer route every matrix, matrix-vector and vector product is the one
+    sparse fold; on it, every matrix product is the one Gustavson product of
+    _int_products, and only dot, with no index to amortise, sums every pair."""
     offenders = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, ast.FunctionDef):
             continue
         if fn.name == "_dot":
             offenders.append(f"{fn.lineno} def _dot")
+        if fn.name != "dot":
+            offenders += [f"{node.lineno} {fn.name} sums every pair"
+                          for node in ast.walk(fn) if _dense_sum(node)]
         if fn.name not in PRODUCT_KERNELS:
             continue
         names = {_callee(node): node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)}
         offenders += [f"{names[s]} {fn.name} calls {s}" for s in ("s_mul", "s_add") if s in names]
         if fn.name != "_fold" and not names.keys() & set(PRODUCT_KERNELS) - {fn.name}:
             offenders.append(f"{fn.lineno} {fn.name} skips _fold")
+        if fn.name in ("mat_mul", "mat_vecs") and "_int_products" not in names:
+            offenders.append(f"{fn.lineno} {fn.name} skips _int_products")
     return offenders
 
 
 def test_products_outside_the_integer_route_are_one_sparse_fold():
     path = Path(aqslie.__file__).parent / "linalg.py"
     assert product_path_offenders(path.read_text("utf-8")) == []
-    # a per-pair fold beside the sparse one is what the check is for
+    # a per-pair fold beside the sparse one, and a dense integer product
+    # beside Gustavson's, are what the check is for
     forked = (
         "def _dot(u, v):\n"
         "    return _sum(s_mul(a, b) for a, b in zip(u, v))\n"
@@ -375,9 +392,15 @@ def test_products_outside_the_integer_route_are_one_sparse_fold():
         "    return [[_dot(row, v) for row in M] for v in vs]\n"
         "def dot(u, v):\n"
         "    return _fold([u], [v])[0][0] if u else s_add(ZERO, s_mul(u, v))\n"
+        "def mat_mul(A, B):\n"
+        "    if ints(A, B):\n"
+        "        return [[sum(map(operator.mul, r, c)) for c in zip(*B)] for r in A]\n"
+        "    return _fold(A, transpose(B))\n"
     )
     assert product_path_offenders(forked) == [
-        "1 def _dot", "3 mat_vecs skips _fold", "6 dot calls s_mul", "6 dot calls s_add"]
+        "1 def _dot", "3 mat_vecs skips _fold", "3 mat_vecs skips _int_products",
+        "6 dot calls s_mul", "6 dot calls s_add", "9 mat_mul sums every pair",
+        "7 mat_mul skips _int_products"]
 
 
 def reachable_calls(source: str, start: str) -> set[str]:
