@@ -18,10 +18,9 @@ compared as Gram products: d eta(phi X, phi Y) = -d eta(X, Y) is
 phi^T B phi + B = 0 here, w(JX, JY) = w(X, Y) is J^T W J = W in
 ``constructors`` and ``invariant_forms``, d eta = 2 Phi is the matrix of
 d eta minus twice that of Phi, and the adapted frame is certified by
-R^T g R = Delta^-2.  Brackets are
-products of ad matrices: the Nijenhuis bracket and the Koszul solves here,
-the bracket inclusions, equivariance and integrability of J on m-blocks
-C_m ad_U M in ``invariant_forms``.
+R^T g R = Delta^-2.  Brackets are products of ad matrices: the Nijenhuis
+bracket and the Koszul solves here, the bracket inclusions, equivariance and
+integrability of J on m-blocks C_m ad_U M in ``invariant_forms``.
 
 For a left-invariant metric the Koszul formula reads 2 g Gamma_i = g ad_i -
 ad_i^T g - B_i with (B_i)_kj = g([b_j, b_k], b_i), Gamma_i b_j = nabla_{b_i} b_j
@@ -29,28 +28,21 @@ ad_i^T g - B_i with (B_i)_kj = g([b_j, b_k], b_i), Gamma_i b_j = nabla_{b_i} b_j
 21, 1976).  Classification reads only psi = -nabla xi, from one Koszul solve
 along xi (:func:`psi_matrix`) certified by the two halves of g psi: g psi +
 (g psi)^T = -L_xi g and g psi - (g psi)^T = d eta.  The whole connection is
-built for curvature and for float psi, as the n matrices gamma[i] = Gamma_i
-as rows, certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j] and g Gamma_i +
-Gamma_i^T g = 0.  Ricci reads their numerators: Ric_ij = sum_a R(b_a, b_i)_aj
-with R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, O(n^4).
+built for curvature and for float psi, as the n^2 vectors Gamma_i b_j,
+certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j] and g Gamma_i +
+Gamma_i^T g = 0.  Ricci reads them: Ric_ij = sum_a R(b_a, b_i)_aj with
+R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, O(n^4).
 
-The field is decided once per structure, with three outcomes.  A rational
-structure runs on its numerator view (:func:`numerator_view`, kept in the
-memo): phi, g, xi, eta and the identity over one common denominator and the
-basis ad matrices over theirs, as ``LieAlgebra.ad_numerators`` returns them.
-The stages pass (numerators, den) pairs to each other and bring the two
-sides of each identity to one denominator by integer scalings.  A tower
-structure whose entries are one term each and factor over their indices has
-a :func:`rational_rescaling` (``LieAlgebra.sqrt_basis``), a rational copy in
-the basis sqrt(d_k) e_k: ``classify_structure``, ``structure_rank``,
-``xi_killing_check``, ``curvature`` and the classifier's normal forms run on
-it.  Any other structure is its own view over 1 and runs the same formulas
-per scalar.  Values map back only where they leave: ``linalg.over`` for a
-residual, a returned table or operator (``ConnectionTable.gamma``,
-``OperatorPack.A``/``psi``, divided back on first use), a frame or an
-isomorphism, and ``linalg.diag_scaled`` for the residual entries, the Ricci
-tensor and F of a rescaled structure.  Which field a kernel runs in is
-decided in ``linalg`` and ``lie_core``, never here.
+The field is decided once per structure, by its numerator view
+(:func:`numerator_view`): phi, g, the rows xi and eta, the identity and the
+basis ad matrices as ``linalg.MatOver`` values, integers over a denominator
+when all are rational, else the tensors over 1.  Identities are written on
+values, which meet at a common denominator by themselves, and a value is
+divided back only where it leaves (a residual, a table, an operator, a frame
+or an isomorphism).  A tower structure whose entries are one term each and
+factor over their indices runs on its :func:`rational_rescaling`, rational in
+the basis sqrt(d_k) e_k (``LieAlgebra.sqrt_basis``); ``linalg.diag_scaled``
+maps its residual entries, Ricci tensor and F back.
 """
 
 from __future__ import annotations
@@ -77,9 +69,10 @@ from .exterior import (
     form_from_bilinear,
     rank_of_eta,
 )
-from .lie_core import LieAlgebra, ad_matrix_numerators, bracket
+from .lie_core import LieAlgebra, ad_value, bracket
 from .linalg import (
     Mat,
+    MatOver,
     Vec,
     _flat,
     bilinear,
@@ -89,21 +82,18 @@ from .linalg import (
     inverse,
     is_positive_definite,
     mat_add,
-    mat_eq,
     mat_mul,
     mat_scale,
+    mat_solve,
     mat_sub,
     mat_vec,
-    mat_vecs,
     max_abs,
-    over,
-    rref,
+    stacked,
     transpose,
     vec_is_zero,
     vec_sub,
 )
-from .scalars import ONE, ZERO, get_tolerance, is_exact, s_abs, s_div, s_is_zero, s_lt
-from .scalars import s_mul, s_neg, s_sub
+from .scalars import ONE, ZERO, get_tolerance, is_exact, s_abs, s_div, s_is_zero, s_lt, s_mul, s_sub
 
 CLASS_CONTACT_METRIC = "ContactMetric"
 CLASS_SASAKIAN = "Sasakian"
@@ -167,20 +157,17 @@ class AcmStructure:
         return covector_form(list(self.eta))
 
 
-# phi, g, xi, eta and the identity ("one", whose entry 1 is den) over one
-# denominator den, and the basis ad matrices over da
-TensorNumerators = namedtuple("TensorNumerators", "phi g xi eta one den ads da")
+TensorNumerators = namedtuple("TensorNumerators", "phi g xi eta one ads")
 
 
 def numerator_view(S: AcmStructure) -> TensorNumerators:
-    """The one field decision of a structure, made by
-    ``LieAlgebra.ad_numerators`` on its algebra and tensors together and kept
-    in the memo: integers when all of them are rational, else every tensor as
-    it is over 1.  The view is shared, so no stage may change it."""
+    """phi, g, the rows xi and eta, the identity and the basis ad matrices as
+    values: the one field decision of a structure (``LieAlgebra.ad_values`` on
+    its algebra and tensors together), kept in the memo."""
     if "numerators" not in S._memo:
-        ads, da, (phi, g, (xi,), (eta,), one), den = S.L.ad_numerators(
+        ads, tensors = S.L.ad_values(
             S.phi_mat(), S.g_mat(), [S.xi_vec()], [S.eta_row()], identity(S.L.dim))
-        S._memo["numerators"] = TensorNumerators(phi, g, xi, eta, one, den, ads, da)
+        S._memo["numerators"] = TensorNumerators(*tensors, ads)
     return S._memo["numerators"]
 
 
@@ -215,28 +202,19 @@ class ValidationReport:
 
 def validate_acm(S: AcmStructure) -> ValidationReport:
     """Check the defining identities; failures are report entries."""
-    n, v = S.L.dim, numerator_view(S)
-    phi, g, xi, eta, d = v.phi, v.g, v.xi, v.eta, v.den
-    one = v.one[0][0]  # 1 over d
-    residuals: dict = {}
-
-    # each residual is max |numerator| over the denominator of its terms
-    target = mat_sub([[s_mul(xi[i], eta[j]) for j in range(n)] for i in range(n)],
-                     mat_scale(v.one, d))
-    residuals["phi_squared"] = _mat_res(mat_mul(phi, phi), target, d * d)
-    residuals["eta_xi"] = _divided(s_abs(s_sub(dot(eta, xi), one * d)), d * d)
-    residuals["g_symmetric"] = _mat_res(g, transpose(g), d)
-    # g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y): phi^T g phi = g - eta^T eta
-    eta_eta = [[s_mul(eta[i], eta[j]) for j in range(n)] for i in range(n)]
-    residuals["compatibility"] = _mat_res(
-        mat_mul(transpose(phi), mat_mul(g, phi)),
-        mat_scale(mat_sub(mat_scale(g, d), eta_eta), d), d ** 3
-    )
-    residuals["phi_xi"] = _divided(max_abs(mat_vec(phi, xi)), d * d)
-    residuals["eta_phi"] = _divided(max_abs(mat_vec(transpose(phi), eta)), d * d)
-    residuals["xi_unit"] = _divided(s_abs(s_sub(bilinear(xi, g, xi), one * d * d)), d ** 3)
-    pd = is_positive_definite(g)
-    residuals["g_positive_definite"] = ZERO if pd else ONE
+    v = numerator_view(S)
+    phi, g, xi, eta, pd = v.phi, v.g, v.xi, v.eta, is_positive_definite(v.g.N)
+    residuals = {
+        "phi_squared": (phi @ phi - (xi.T @ eta - v.one)).max_abs(),
+        "eta_xi": s_abs(s_sub((eta @ xi.T).mat()[0][0], ONE)),
+        "g_symmetric": (g - g.T).max_abs(),
+        # g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y): phi^T g phi = g - eta^T eta
+        "compatibility": (phi.T @ (g @ phi) - (g - eta.T @ eta)).max_abs(),
+        "phi_xi": phi.on_rows(xi).max_abs(),
+        "eta_phi": phi.T.on_rows(eta).max_abs(),
+        "xi_unit": s_abs(s_sub((xi @ g.on_rows(xi).T).mat()[0][0], ONE)),
+        "g_positive_definite": ZERO if pd else ONE,
+    }
 
     worst_name, worst = "", ZERO
     for name, r in residuals.items():
@@ -263,32 +241,24 @@ def fundamental_form(S: AcmStructure) -> KForm:
 def nijenhuis(L: LieAlgebra, J: Mat) -> dict:
     """Nijenhuis bracket [J, J] of an endomorphism on basis pairs, i < j:
     {(i, j): [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]}."""
-    ads, da, (J,), dj = L.ad_numerators(J)
-    N, den = _nijenhuis_columns(L, ads, da, J, dj)
-    return dict(zip(_pairs(L.dim), over(transpose(N), den)))
+    ads, (J,) = L.ad_values(J)
+    return dict(zip(_pairs(L.dim), _nijenhuis_columns(L, ads, J).T.mat()))
 
 
 def _pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _nijenhuis_columns(L: LieAlgebra, ads: list, da: int, J: Mat, dj: int) -> tuple:
-    """(N, den): [J, J] on the pairs i < j, in order, as the columns of N, for
-    J and the ad_i on numerators over dj and da.  With ad_{x_i} = A_i / dx for
-    x_i column i of J, M_i is over dx dj da and [M_i, J] over dx dj^2 da."""
-    n = L.dim
-    cols, blocks = transpose(J), []
-    for i in range(n):
+def _nijenhuis_columns(L: LieAlgebra, ads: list, J: MatOver) -> MatOver:
+    """[J, J] on the pairs i < j, in order, as the columns of one value."""
+    cols, blocks = J.T, []
+    for i in range(L.dim):
         # column j of [M_i, J], M_i = ad_{J b_i} - J ad_i, is the pair (i, j);
         # only the columns j > i are formed
-        A, dx = ad_matrix_numerators(L, cols[i])
-        M = mat_sub(mat_scale(A, da), mat_scale(mat_mul(J, ads[i]), dx))
-        J_right, M_right = ([row[i + 1:] for row in X] for X in (J, M))
-        blocks.append((mat_sub(mat_mul(M, J_right), mat_mul(J, M_right)), dx))
-    # every dx is the same unless J mixes kinds; their product is over all
-    common = math.prod({dx for _, dx in blocks})
-    scaled = [mat_scale(B, common // dx) for B, dx in blocks]
-    return [sum((B[k] for B in scaled), []) for k in range(n)], common * dj * dj * da
+        M = ad_value(L, cols[i:i + 1]) - J @ ads[i]
+        J_right, M_right = (X.regroup(lambda N: [row[i + 1:] for row in N]) for X in (J, M))
+        blocks.append((M @ J_right - J @ M_right).T)
+    return stacked(blocks).T
 
 
 def nijenhuis_phi(S: AcmStructure) -> dict:
@@ -321,31 +291,27 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     Phi = fundamental_form(T)
     dPhi, deta = ce_d(T.L, Phi), ce_d(T.L, T.eta_form())
     T._memo["d_eta"] = deta_mat = bilinear_from_form(deta)
-    v = numerator_view(T)
-    nij, dn = _nijenhuis_columns(T.L, v.ads, v.da, v.phi, v.den)
-    (B, W), db = T.L.numerators(deta_mat, bilinear_from_form(Phi))
-
-    # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi, over dn d db
-    pairs = _pairs(T.L.dim)
-    xi_col, deta_pairs = [[x] for x in v.xi], [[B[i][j] for i, j in pairs]]
-    n_phi = mat_add(mat_scale(nij, v.den * db), mat_scale(mat_mul(xi_col, deta_pairs), dn))
-    anti = mat_sub(n_phi, mat_scale(mat_mul(xi_col, mat_scale(deta_pairs, 2)), dn))
-    forms, contact = [[c for _, c in w.coeffs] for w in (dPhi, deta)], mat_sub(B, mat_scale(W, 2))
+    v, pairs = numerator_view(T), _pairs(T.L.dim)
+    deta_pairs, B, W = T.L.values(
+        [[deta_mat[i][j] for i, j in pairs]], deta_mat, bilinear_from_form(Phi))
+    # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi
+    n_phi = _nijenhuis_columns(T.L, v.ads, v.phi) + v.xi.T @ deta_pairs
+    anti = n_phi - v.xi.T @ (deta_pairs * 2)
+    forms, contact = [[c for _, c in w.coeffs] for w in (dPhi, deta)], B - W * 2
     if r is not None:  # the residuals are read in the input's basis: each entry maps back
         down = r.down
         by_pair = [down[i] * down[j] for i, j in pairs]
-        n_phi, anti = diag_scaled(n_phi, r.up, by_pair), diag_scaled(anti, r.up, by_pair)
+        n_phi, anti = (X.regroup(lambda N: diag_scaled(N, r.up, by_pair)) for X in (n_phi, anti))
         forms = [[c * math.prod(map(down.__getitem__, I)) for I, c in w.coeffs]
                  for w in (dPhi, deta)]
-        contact = diag_scaled(contact, down, down)
+        contact = contact.regroup(lambda N: diag_scaled(N, down, down))
         S._memo["d_eta"] = diag_scaled(deta_mat, down, down)
-    den = dn * v.den * db
     residuals = {
         "d_phi": max_abs(forms[0]),
         "d_eta": max_abs(forms[1]),
-        "n_phi": _divided(max_abs(_flat(n_phi)), den),
-        "anti_normal": _divided(max_abs(_flat(anti)), den),
-        "contact_metric": _divided(max_abs(_flat(contact)), db),
+        "n_phi": n_phi.max_abs(),
+        "anti_normal": anti.max_abs(),
+        "contact_metric": contact.max_abs(),
     }
     tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
     result = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
@@ -354,108 +320,105 @@ def classify_structure(S: AcmStructure) -> StructureClass:
 
 
 def xi_killing_check(S: AcmStructure) -> bool:
-    """g([xi, X], Y) + g(X, [xi, Y]) = 0 on all basis pairs, i.e.
-    g ad_xi + (g ad_xi)^T = 0, on numerators; the verdict is kept in the memo,
-    an exception is raised again on every call.  Invariant: read on the
-    rational rescaling when there is one."""
+    """g([xi, X], Y) + g(X, [xi, Y]) = 0 on all basis pairs, i.e. g ad_xi +
+    (g ad_xi)^T = 0 on the view; the verdict is kept in the memo, an exception
+    raised again on every call.  Read on the rational rescaling if there is one."""
     if r := rational_rescaling(S):
         return xi_killing_check(r.S)
     if "xi_killing" not in S._memo:
         ad_xi, M = _g_ad_xi(S)
-        killing = vec_is_zero(_flat(mat_add(M, transpose(M))))
+        killing = vec_is_zero(_flat((M + M.T).N))
         # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
-        if killing and not vec_is_zero(mat_vec(transpose(ad_xi), numerator_view(S).eta)):
+        if killing and not vec_is_zero(ad_xi.T.on_rows(numerator_view(S).eta).N[0]):
             raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
         S._memo["xi_killing"] = killing
     return S._memo["xi_killing"]
 
 
-def _g_ad_xi(S: AcmStructure) -> tuple[Mat, Mat]:
+def _g_ad_xi(S: AcmStructure) -> tuple[MatOver, MatOver]:
     """(ad_xi, g ad_xi) on the numerator view, kept for the Killing check and psi."""
     if "g_ad_xi" not in S._memo:
-        ad_xi = ad_matrix_numerators(S.L, numerator_view(S).xi)[0]
-        S._memo["g_ad_xi"] = ad_xi, mat_mul(numerator_view(S).g, ad_xi)
+        ad_xi = ad_value(S.L, numerator_view(S).xi)
+        S._memo["g_ad_xi"] = ad_xi, numerator_view(S).g @ ad_xi
     return S._memo["g_ad_xi"]
 
 
 @dataclass(frozen=True)
 class ConnectionTable:
-    numerators: tuple  # Gamma_i as rows over den; its column j is nabla_{b_i} b_j
-    den: int
-    # gamma[i] = Gamma_i as rows, divided back on first use
-    gamma = cached_property(lambda self: tuple(
-        tuple(map(tuple, over(G, self.den))) for G in self.numerators))
+    columns: MatOver  # row i n + j: nabla_{b_i} b_j, the column j of Gamma_i
+    _back = cached_property(lambda self: self.columns.mat())  # divided back on first use
+
+    @cached_property
+    def gamma(self) -> tuple:  # gamma[i] = Gamma_i as rows
+        back, n = self._back, math.isqrt(len(self._back))
+        return tuple(tuple(zip(*back[i * n:i * n + n])) for i in range(n))
 
     def nabla(self, X: Vec, Y: Vec) -> Vec:
         """nabla_X Y = sum of (X_i Y_j) Gamma_i b_j over the pairs (i, j) in order,
         skipping near-zero X_i and Y_j."""
-        pairs = [(i, j) for i in range(len(X)) if not s_is_zero(X[i])
+        n = len(X)
+        pairs = [(i, j) for i in range(n) if not s_is_zero(X[i])
                  for j in range(len(Y)) if not s_is_zero(Y[j])]
         if not pairs:
-            return [ZERO] * len(X)
+            return [ZERO] * n
         coeffs = [[s_mul(X[i], Y[j]) for i, j in pairs]]
-        columns = [[row[j] for row in self.gamma[i]] for i, j in pairs]
-        return mat_mul(coeffs, columns)[0]
+        return mat_mul(coeffs, [self._back[i * n + j] for i, j in pairs])[0]
+
+
+def _pair_brackets(v: TensorNumerators, pairs: list) -> MatOver:
+    """Row p: [b_i, b_j] for the p-th pair (i, j), the column j of ad_i."""
+    n = len(v.ads)
+    return stacked([ad.T for ad in v.ads]).regroup(lambda N: [N[i * n + j] for i, j in pairs])
 
 
 def levi_civita(S: AcmStructure) -> ConnectionTable:
-    """The Koszul formula in matrix form (see the module docstring), on the
-    numerator view (g over d, the ad_i over da) and g^-1 / 2 on the algebra's
-    field over dh: g ad_i and the Koszul sums are over d da, Gamma_i over
-    dh d da.  The n Koszul matrices are solved by g^-1 / 2 in one
-    mat_vecs call on their n^2 columns.  The table keeps those numerators,
-    and the certificates read them in whole-table passes: torsion on the
-    pairs i < j, metric compatibility from one product of g with all n^2
-    columns.  Each output entry keeps its own fold, so the batching moves no
-    float bit."""
+    """The Koszul formula in matrix form (module docstring): g^-1 / 2 times all
+    n^2 Koszul columns in one product, certified in whole-table passes (torsion
+    on the pairs i < j, g Gamma_i + Gamma_i^T g from one product with g).  Each
+    output entry keeps its own fold, so the batching moves no float bit."""
     if "connection" in S._memo:
         return S._memo["connection"]
-    L, v = S.L, numerator_view(S)
-    n, g, ads, da = L.dim, v.g, v.ads, v.da
-    _metric_preconditions(g)
-    g_inv = S._memo["g_inverse"] = inverse(S.g_mat())  # the scalar curvature reads it
-    (half_g_inv,), dh = L.numerators(mat_scale(g_inv, ONE / 2))
-    gads = [mat_mul(g, ad) for ad in ads]  # gads[i][k][j] = g([b_i, b_j], b_k)
-    koszul = []  # the columns of every Koszul matrix, block i after block i - 1
-    for i in range(n):
-        # entry (k, j) in the historical float order:
-        # (g([b_i,b_j],b_k) - g([b_j,b_k],b_i)) + g([b_k,b_i],b_j)
-        B = [[gads[j][i][k] for j in range(n)] for k in range(n)]
-        C = [[gads[k][j][i] for j in range(n)] for k in range(n)]  # = -ad_i^T g
-        koszul += transpose(mat_add(mat_sub(gads[i], B), C))
-    # each n^3 list is dropped once used: kept to the end, they raise the peak
-    # heap by half
-    del gads
-    solved = mat_vecs(half_g_inv, koszul)  # column j of Gamma_i at i n + j
-    del koszul
-    table = ConnectionTable(tuple(tuple(map(tuple, transpose(solved[i * n:i * n + n])))
-                                  for i in range(n)), dh * v.den * da)
-    del solved
-    # certify what the table holds: Gamma_i b_j - Gamma_j b_i = [b_i, b_j],
-    # scaled by da dG, and g Gamma_i + Gamma_i^T g = 0
-    gamma, dG = table.numerators, table.den
-    cols = [c for G in gamma for c in transpose(G)]  # Gamma_i b_j at i n + j
+    v, n = numerator_view(S), S.L.dim
+    _metric_preconditions(g := v.g)
+    g_inv = mat_solve(g, v.one)
+    S._memo["g_inverse"] = g_inv.mat()  # the scalar curvature reads it
+
+    def koszul(T: Mat) -> Mat:  # T[i n + k][j] = g([b_i, b_j], b_k)
+        cols = []  # column j of Koszul matrix i at i n + j, in the historical float order:
+        for i in range(n):  # (g([b_i,b_j],b_k) - g([b_j,b_k],b_i)) + g([b_k,b_i],b_j)
+            B = [[T[j * n + i][k] for j in range(n)] for k in range(n)]
+            C = [[T[k * n + j][i] for j in range(n)] for k in range(n)]  # = -ad_i^T g
+            cols += transpose(mat_add(mat_sub(T[i * n:i * n + n], B), C))
+        return cols
+
+    # each n^3 list is dropped once used: kept to the end, they raise the peak heap by half
+    K = stacked([g @ ad for ad in v.ads]).regroup(koszul)
+    table = ConnectionTable((g_inv * (ONE / 2)).on_rows(K))
+    del K
+    # certify the table: Gamma_i b_j - Gamma_j b_i = [b_i, b_j], g Gamma_i + Gamma_i^T g = 0
     pairs = _pairs(n)
-    swapped = mat_sub([cols[i * n + j] for i, j in pairs], [cols[j * n + i] for i, j in pairs])
-    brackets = [[ads[i][k][j] for k in range(n)] for i, j in pairs]  # [b_i, b_j]
-    for t in mat_sub(mat_scale(swapped, da), mat_scale(brackets, dG)):
-        if not vec_is_zero(t):
-            raise certificate_failure("Koszul solve lost torsion-freeness", t)
-    g_cols = mat_vecs(g, cols)  # column j of g Gamma_i at i n + j
-    for i in range(n):
-        block = g_cols[i * n:i * n + n]
-        for c in mat_add(block, transpose(block)):  # column j of g Gamma_i + Gamma_i^T g
-            if not vec_is_zero(c):
-                raise certificate_failure("Koszul solve lost metric compatibility", c)
+    swapped = table.columns.regroup(lambda N: mat_sub([N[i * n + j] for i, j in pairs],
+                                                      [N[j * n + i] for i, j in pairs]))
+    _require_zero(swapped - _pair_brackets(v, pairs), "Koszul solve lost torsion-freeness")
+    g_cols = g.on_rows(table.columns)  # column j of g Gamma_i at i n + j
+    blocks = (g_cols[i * n:i * n + n] for i in range(n))  # B + B^T: g Gamma_i + Gamma_i^T g
+    _require_zero(stacked([B + B.T for B in blocks]), "Koszul solve lost metric compatibility")
     S._memo["connection"] = table
     return table
 
 
-def _metric_preconditions(g: Mat) -> None:
+def _require_zero(residual: MatOver, what: str) -> None:
+    """The certificate failure of what on the first row of residual not zero."""
+    for r, row in enumerate(residual.N):
+        if not vec_is_zero(row):
+            raise certificate_failure(what, residual[r:r + 1].mat()[0])
+
+
+def _metric_preconditions(g: MatOver) -> None:
     """What both Koszul solves require of the view's metric g."""
-    if not mat_eq(g, transpose(g)):
+    if not g == g.T:
         raise PreconditionError("metric is not symmetric")
-    if not is_positive_definite(g):
+    if not is_positive_definite(g.N):
         raise PreconditionError("metric is not positive definite")
 
 
@@ -475,91 +438,60 @@ def certificate_failure(what: str, residuals) -> AqslieError:
 
 @dataclass(frozen=True)
 class OperatorPack:
-    numerators: tuple  # (A, psi) over den: A = phi psi = -phi o nabla xi, psi = -nabla xi
-    den: int
+    operators: tuple  # values (A, psi): A = phi psi = -phi o nabla xi, psi = -nabla xi
     ok: bool
     residuals: dict
-    # A and psi divided back on first use
-    A = cached_property(lambda self: tuple(map(tuple, over(self.numerators[0], self.den))))
-    psi = cached_property(lambda self: tuple(map(tuple, over(self.numerators[1], self.den))))
+    A = cached_property(lambda self: tuple(map(tuple, self.operators[0].mat())))
+    psi = cached_property(lambda self: tuple(map(tuple, self.operators[1].mat())))
 
 
-def psi_matrix(S: AcmStructure) -> tuple[Mat, int]:
-    """(N, den) with psi = -nabla xi = N / den, column j = -nabla_{b_j} xi, read
-    off the connection table for a float view.  An exact view solves 2 g nabla xi
-    = K = -(G + G^T) + E, G = g ad_xi, E_kj = eta([b_k, b_j]), by one elimination
-    g psi = -K / 2, and certifies g psi + (g psi)^T = G + G^T = -L_xi g and
-    g psi - (g psi)^T = d eta, the latter as ce_d gives it."""
-    v = numerator_view(S)
-    if not is_exact(v.g[0][0]):
-        conn = levi_civita(S)
-        return (transpose([[s_neg(x) for x in mat_vec(G, v.xi)] for G in conn.numerators]),
-                conn.den * v.den)
-    L, n, d, da = S.L, S.L.dim, v.den, v.da
+def psi_matrix(S: AcmStructure) -> MatOver:
+    """psi = -nabla xi, column j = -nabla_{b_j} xi, off the connection table
+    for a float view.  An exact view solves 2 g nabla xi = K = -(G + G^T) + E,
+    G = g ad_xi, E_kj = eta([b_k, b_j]), by one elimination g psi = -K / 2,
+    certified by g psi + (g psi)^T = -L_xi g and g psi - (g psi)^T = d eta."""
+    v, L, n = numerator_view(S), S.L, S.L.dim
+    if not is_exact(v.g.N[0][0]):
+        C = levi_civita(S).columns
+        return -stacked([C[j * n:j * n + n].T.on_rows(v.xi) for j in range(n)]).T
     _metric_preconditions(v.g)
-    # G and -K over d^2 da (ad_xi of the numerators v.xi is over da d); E over d da
     G = _g_ad_xi(S)[1]
-    sym = mat_add(G, transpose(G))
-    E = mat_vec([col for ad in v.ads for col in transpose(ad)], v.eta)  # E_kj at k n + j
-    minus_K = mat_sub(sym, mat_scale([E[k * n:k * n + n] for k in range(n)], d))
-    R, _ = rref([row + rhs for row, rhs in zip(v.g, minus_K)])
-    (psi,), dr = L.numerators([row[n:] for row in R])  # v.g^-1 (-K) = 2 d da psi
-    den = 2 * d * da * dr
-    (B,), db = L.numerators(S._memo.get("d_eta") or bilinear_from_form(ce_d(L, S.eta_form())))
-    P = mat_mul(v.g, psi)  # g psi over d den
-    sym_t = mat_sub(mat_scale(mat_add(P, transpose(P)), d * da), mat_scale(sym, den))
-    skew_t = mat_sub(mat_scale(mat_sub(P, transpose(P)), db), mat_scale(B, d * den))
-    for part, t in (("symmetric part -L_xi g", sym_t), ("skew part d eta", skew_t)):
-        if not vec_is_zero(_flat(t)):
-            raise certificate_failure(f"Koszul solve along xi: g psi lost its {part}", _flat(t))
-    return psi, den
+    sym, E = G + G.T, stacked([ad.T for ad in v.ads]).on_rows(v.eta)  # E_kj at k n + j
+    psi = mat_solve(v.g, sym - E.regroup(lambda N: [N[0][k * n:k * n + n] for k in range(n)]))
+    psi = psi * (ONE / 2)
+    (B,) = L.values(S._memo.get("d_eta") or bilinear_from_form(ce_d(L, S.eta_form())))
+    P = v.g @ psi
+    _require_zero(P + P.T - sym, "Koszul solve along xi: g psi lost its symmetric part -L_xi g")
+    _require_zero(P - P.T - B, "Koszul solve along xi: g psi lost its skew part d eta")
+    return psi
 
 
 def operators_A_psi(S: AcmStructure) -> OperatorPack:
     """Operators A = -phi o nabla xi and psi = -nabla xi (:func:`psi_matrix`),
     with the identity suite (A phi = psi = -phi A, phi psi = A = -psi phi,
     psi A = -phi A^2 = -A psi, A xi = psi xi = 0, skew-symmetry) asserted, not
-    assumed.  On numerators: phi over d and psi over p make A over d p, and
-    each residual is divided by the denominator of its terms."""
+    assumed, on the values of the numerator view."""
     if "operators" in S._memo:
         return S._memo["operators"]
-    v = numerator_view(S)
-    phi, g, xi, eta, d = v.phi, v.g, v.xi, v.eta, v.den
-    psi, p = psi_matrix(S)
-    A = mat_mul(phi, psi)
-    residuals = {}
-    residuals["A_phi_eq_psi"] = _mat_res(mat_mul(A, phi), mat_scale(psi, d * d), d * d * p)
-    residuals["phi_A_eq_minus_psi"] = _mat_res(
-        mat_mul(phi, A), mat_scale(psi, d * d), d * d * p, mat_add)
-    residuals["psi_phi_eq_minus_A"] = _mat_res(mat_mul(psi, phi), A, d * p, mat_add)
-    psiA = mat_mul(psi, A)
-    residuals["psi_A_anticommute"] = _mat_res(psiA, mat_mul(A, psi), d * p * p, mat_add)
-    residuals["psi_A_eq_minus_phi_A2"] = _mat_res(
-        mat_scale(psiA, d * d), mat_mul(phi, mat_mul(A, A)), d ** 3 * p * p, mat_add)
-    residuals["A_xi"] = _divided(max_abs(mat_vec(A, xi)), d * d * p)
-    residuals["psi_xi"] = _divided(max_abs(mat_vec(psi, xi)), d * p)
-    residuals["eta_A"] = _divided(max_abs(mat_vec(transpose(A), eta)), d * d * p)
-    residuals["eta_psi"] = _divided(max_abs(mat_vec(transpose(psi), eta)), d * p)
-    gA = mat_mul(g, A)
-    gpsi = mat_mul(g, psi)
-    residuals["A_skew"] = _mat_res(transpose(gA), gA, d * d * p, mat_add)
-    residuals["psi_skew"] = _mat_res(transpose(gpsi), gpsi, d * p, mat_add)
-    ok = _all_vanish(residuals)
-    pack = OperatorPack((A, mat_scale(psi, d)), d * p, ok, residuals)
+    v, psi = numerator_view(S), psi_matrix(S)
+    phi, g, xi, eta, A = v.phi, v.g, v.xi, v.eta, v.phi @ psi
+    psiA, gA, gpsi = psi @ A, g @ A, g @ psi
+    residuals = {
+        "A_phi_eq_psi": (A @ phi - psi).max_abs(),
+        "phi_A_eq_minus_psi": (phi @ A + psi).max_abs(),
+        "psi_phi_eq_minus_A": (psi @ phi + A).max_abs(),
+        "psi_A_anticommute": (psiA + A @ psi).max_abs(),
+        "psi_A_eq_minus_phi_A2": (psiA + phi @ (A @ A)).max_abs(),
+        "A_xi": A.on_rows(xi).max_abs(),
+        "psi_xi": psi.on_rows(xi).max_abs(),
+        "eta_A": A.T.on_rows(eta).max_abs(),
+        "eta_psi": psi.T.on_rows(eta).max_abs(),
+        "A_skew": (gA.T + gA).max_abs(),
+        "psi_skew": (gpsi.T + gpsi).max_abs(),
+    }
+    pack = OperatorPack((A, psi), _all_vanish(residuals), residuals)
     S._memo["operators"] = pack
     return pack
-
-
-def _mat_res(A: Mat, B: Mat, den: int = 1, op=mat_sub):
-    """max |A - B| / den, or max |A + B| / den (the residual of A = -B) with
-    op=mat_add: A and B are numerators over den."""
-    return _divided(max_abs(_flat(op(A, B))), den)
-
-
-def _divided(x, den: int):
-    """The scalar x / den: one Fraction for a rational or int x, else x itself
-    when den is 1, as it is for float and tower input."""
-    return over([[x]], den)[0][0]
 
 
 @dataclass(frozen=True)
@@ -577,22 +509,19 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     cls = classify_structure(S)
     if CLASS_ANTI_QUASI_SASAKIAN not in cls.tags:
         raise NotAqs("closedness suite requires an anti-quasi-Sasakian structure")
-    L, g = S.L, S.g_mat()
-    pack = operators_A_psi(S)
-    a_form, psi_form = (
-        form_from_bilinear(mat_mul(g, [list(r) for r in X])) if pack.ok else KForm.make(2, L.dim)
-        for X in (pack.A, pack.psi)
-    )
+    L, pack, g = S.L, operators_A_psi(S), numerator_view(S).g
+    a_form, psi_form = (form_from_bilinear((g @ X).mat()) if pack.ok else KForm.make(2, L.dim)
+                        for X in pack.operators)
     residuals = {}
     residuals["dA"] = max_abs(c for _, c in ce_d(L, a_form).coeffs)
     residuals["dPhi"] = cls.residuals["d_phi"]
-    B, phi = S._memo["d_eta"], S.phi_mat()  # d eta, as classify_structure built it
-    residuals["deta_eq_2Psi"] = _mat_res(B, mat_scale(bilinear_from_form(psi_form), 2))
+    B, phi, two_psi = S._memo["d_eta"], S.phi_mat(), mat_scale(bilinear_from_form(psi_form), 2)
+    residuals["deta_eq_2Psi"] = max_abs(_flat(mat_sub(B, two_psi)))  # B as classify built it
     if not pack.ok:
         residuals["operator_identities"] = ONE
     # d eta(phi X, phi Y) + d eta(X, Y) on basis pairs: phi^T B phi + B
     anti = mat_add(mat_mul(transpose(phi), mat_mul(B, phi)), B)
-    pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
+    pairs = _pairs(L.dim)
     witness = next(((i, j) for i, j in pairs if not s_is_zero(anti[i][j])), None)
     residuals["deta_anti_invariance"] = max_abs(anti[i][j] for i, j in pairs)
     ok = _all_vanish(residuals)
@@ -609,33 +538,26 @@ class CurvatureData:
 def curvature(S: AcmStructure) -> CurvatureData:
     """Ricci tensor and scalar curvature: Ric_ij = sum over a of entry (a, j) of
     R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, on the
-    numerators of the table and the ad matrices, divided back once.  The rows a
-    of every Gamma_a Gamma_i are one mat_vecs call (the n rows Gamma_a[a]
-    against the n^2 columns of the Gamma_i); Gamma_i Gamma_a and the bracket
-    term take one call per a, and the terms are summed over a in order, so
-    float entries keep their bits.  With a rational rescaling it runs there and
-    Ric_ij = Ric'_ij down_i down_j; the scalar curvature is invariant."""
+    values of the table and the ad matrices.  The rows a of every Gamma_a
+    Gamma_i are one product, the other terms one per a, summed over a in order
+    (float entries keep their bits).  With a rational rescaling it runs there,
+    Ric_ij = Ric'_ij down_i down_j, and the scalar curvature is invariant."""
     if r := rational_rescaling(S):
         data = curvature(r.S)
         return CurvatureData(data.connection, tuple(map(tuple, diag_scaled(
             data.ricci, r.down, r.down))), data.scalar)
-    conn, L = levi_civita(S), S.L
-    gamma, dG, n = conn.numerators, conn.den, L.dim
-    ads, da, _, _ = L.ad_numerators()
-    # lefts[a][i n + j] = (Gamma_a Gamma_i)_aj
-    lefts = transpose(mat_vecs([G[a] for a, G in enumerate(gamma)],
-                               [c for G in gamma for c in transpose(G)]))
-    terms = []
-    for a in range(n):
-        rows = [G[a] for G in gamma]  # rows[k] = row a of Gamma_k
-        left = [lefts[a][i * n:i * n + n] for i in range(n)]
-        # (Gamma_i Gamma_a)_a, one mat_vecs call on the columns of Gamma_a
-        right = transpose(mat_vecs(rows, transpose(gamma[a])))
-        # row i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
-        brackets = mat_vecs(transpose(rows), transpose(ads[a]))
-        terms.append(mat_sub(mat_scale(mat_sub(left, right), da), mat_scale(brackets, dG)))
+    conn, n, ads = levi_civita(S), S.L.dim, S.L.ad_values()[0]
+    C = conn.columns  # C[i n + j] = Gamma_i b_j
+    # rows[a][k] = row a of Gamma_k; lefts[a][i n + j] = (Gamma_a Gamma_i)_aj
+    rows = [C.regroup(lambda N: [[N[k * n + j][a] for j in range(n)] for k in range(n)])
+            for a in range(n)]
+    lefts = stacked([R[a:a + 1] for a, R in enumerate(rows)]).on_rows(C).T
+    # term a: (Gamma_a Gamma_i)_a, (Gamma_i Gamma_a)_a on the columns of Gamma_a, and
+    # (sum_k c_ai^k Gamma_k)_a with [b_a, b_i] the column i of ad_a, row i each
+    terms = [lefts[a:a + 1].regroup(lambda N: [N[0][i * n:i * n + n] for i in range(n)])
+             - R.on_rows(C[a * n:a * n + n]).T - R.T.on_rows(ads[a].T) for a, R in enumerate(rows)]
     # summed from the first term: no float term is -0.0, so ZERO + term is term
-    ricci = over(reduce(mat_add, terms), dG * dG * da)
+    ricci = reduce(MatOver.__add__, terms).mat()
     scal = dot(_flat(S._memo["g_inverse"]), _flat(ricci))  # as levi_civita kept it
     return CurvatureData(conn, tuple(tuple(r) for r in ricci), scal)
 
@@ -670,17 +592,17 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
     """Double aqS-Sasakian test: shared (xi, eta, g), phi1 phi2 = phi3
     = -phi2 phi1, d Phi1 = d Phi2 = 0 and d eta = 2 Phi3, the last three read
     from the classification residuals of S1, S2 and S3."""
-    residuals = {}
-    residuals["shared_tensors"] = max_abs(x for b in (S2, S3) for x in vec_sub(S1.xi, b.xi)
-                                          + vec_sub(S1.eta, b.eta) + _flat(mat_sub(S1.g, b.g)))
     p1, p2, p3 = S1.phi_mat(), S2.phi_mat(), S3.phi_mat()
-    residuals["phi1_phi2_eq_phi3"] = _mat_res(mat_mul(p1, p2), p3)
-    residuals["phi2_phi1_eq_minus_phi3"] = _mat_res(mat_mul(p2, p1), p3, op=mat_add)
-    residuals["dPhi1"] = classify_structure(S1).residuals["d_phi"]
-    residuals["dPhi2"] = classify_structure(S2).residuals["d_phi"]
-    residuals["deta_eq_2Phi3"] = classify_structure(S3).residuals["contact_metric"]
-    ok = _all_vanish(residuals)
-    return DoubleReport(ok, residuals)
+    residuals = {
+        "shared_tensors": max_abs(x for b in (S2, S3) for x in vec_sub(S1.xi, b.xi)
+                                  + vec_sub(S1.eta, b.eta) + _flat(mat_sub(S1.g, b.g))),
+        "phi1_phi2_eq_phi3": max_abs(_flat(mat_sub(mat_mul(p1, p2), p3))),
+        "phi2_phi1_eq_minus_phi3": max_abs(_flat(mat_add(mat_mul(p2, p1), p3))),
+        "dPhi1": classify_structure(S1).residuals["d_phi"],
+        "dPhi2": classify_structure(S2).residuals["d_phi"],
+        "deta_eq_2Phi3": classify_structure(S3).residuals["contact_metric"],
+    }
+    return DoubleReport(_all_vanish(residuals), residuals)
 
 
 def conjugate_structure(S: AcmStructure, Q: Mat) -> AcmStructure:

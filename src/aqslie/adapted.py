@@ -3,7 +3,7 @@
 Both normal forms of the classifier start from a g-symmetric operator M
 whose kernel is the line R xi: psi^2 for anti-quasi-Sasakian structures,
 A = phi psi for quasi-Sasakian ones.  :func:`eigen_orbits` eigendecomposes
-M once, through ``linalg.eigenspaces`` (exact, or the generalized float
+M once, through ``MatOver.eigenspaces`` (exact, or the generalized float
 problem with tolerance clustering), and splits each eigenspace into
 g-orthogonal orbits: (v, Av, phi v, psi v) for psi^2, (v, phi v) for A.
 
@@ -45,15 +45,14 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    MatOver,
     Vec,
     bilinear,
     dot,
-    eigenspaces,
     mat_mul,
     mat_vec,
     mat_vecs,
     nullspace,
-    over,
     transpose,
     vec_scale,
 )
@@ -82,16 +81,13 @@ def require_maximal(S: AcmStructure, tag: str) -> None:
         raise NotMaximalRank(f"rank {rr.rank} < dim {S.L.dim}")
 
 
-def eigen_orbits(M: tuple, g: Mat, maps: list[tuple]) -> list[tuple[object, int, list[tuple]]]:
+def eigen_orbits(M: MatOver, g: MatOver, maps: list[MatOver]) -> list[tuple]:
     """[(eigenvalue, multiplicity, orbits)] of the g-symmetric operator M off
     its kernel R xi, largest |eigenvalue| first.  Each eigenspace splits into
     g-orthogonal orbits (v, M_1 v, M_2 v, ...) of the given maps, v the
-    first kernel vector orthogonal to the orbits chosen before it.  M and the
-    maps come as (numerators, den) pairs and g as numerators: M's numerators
-    have the same eigenvectors, and eigenvalues and orbit vectors are
-    divided back once, as they leave."""
-    M, dm = M
-    spectrum = eigenspaces(M, g)
+    first kernel vector orthogonal to the orbits chosen before it.  M, g and
+    the maps are values, divided back once, as eigenvalues and orbits leave."""
+    spectrum = M.eigenspaces(g)
     kernel = sum(mult for ev, mult, _ in spectrum if s_is_zero(ev))
     if kernel != 1:
         raise NotMaximalRank(f"kernel of dimension {kernel}, not the line R xi")
@@ -99,15 +95,14 @@ def eigen_orbits(M: tuple, g: Mat, maps: list[tuple]) -> list[tuple[object, int,
     out = []
     nonzero = [entry for entry in spectrum if not s_is_zero(entry[0])]
     for ev, mult, basis in sorted(nonzero, key=lambda entry: -abs(float(entry[0]))):
-        ev = over([[ev]], dm)[0][0]
         if mult % size:
             raise InternalContradiction(
                 f"eigenvalue {ev} has multiplicity {mult}, not divisible by {size}"
             )
         orbits: list[tuple] = []
         for _ in range(mult // size):
-            v = _orthogonal_pivot(basis, [x for orbit in orbits for x in orbit], g)
-            orbits.append((v, *(over([mat_vec(m, v)], d)[0] for m, d in maps)))
+            v = _orthogonal_pivot(basis, [x for orbit in orbits for x in orbit], g.N)
+            orbits.append((v, *(m.on_rows(MatOver([v])).mat()[0] for m in maps)))
         out.append((ev, mult, orbits))
     return out
 
@@ -117,8 +112,8 @@ def _psi2_orbits(S: AcmStructure) -> list:
     pack = operators_A_psi(S)
     if not pack.ok:
         raise NotAqs("operator identities fail; structure is not aqS")
-    (A, psi), p, v = pack.numerators, pack.den, numerator_view(S)
-    spectrum = eigen_orbits((mat_mul(psi, psi), p * p), v.g, [(A, p), (v.phi, v.den), (psi, p)])
+    (A, psi), v = pack.operators, numerator_view(S)
+    spectrum = eigen_orbits(psi @ psi, v.g, [A, v.phi, psi])
     for ev, _, _ in spectrum:
         if s_sign(ev) > 0:
             raise InternalContradiction(f"psi^2 has positive eigenvalue {ev}")

@@ -30,6 +30,8 @@ from .acm import (
     CLASS_ANTI_QUASI_SASAKIAN,
     CLASS_QUASI_SASAKIAN,
     AcmStructure,
+    _pair_brackets,
+    _pairs,
     certificate_failure,
     numerator_view,
     psi_matrix,
@@ -47,17 +49,14 @@ from .errors import (
     NotQs,
     PreconditionError,
 )
-from .lie_core import bracket, center, lower_central_series
+from .lie_core import center, lower_central_series, pair_brackets
 from .linalg import (
     Mat,
+    MatOver,
+    _flat,
     bilinear,
     diag_scaled,
     inverse,
-    mat_eq,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    mat_vec,
     transpose,
     vec_scale,
 )
@@ -112,38 +111,26 @@ def _center_and_quotient(S: AcmStructure) -> None:
 
 
 def _verify_iso(S: AcmStructure, target_S: AcmStructure, F: Mat, F_inv: Mat) -> None:
-    """F must be a Lie algebra isomorphism matching all structure tensors.
-    Each identity is checked on numerators: F and F_inv over df, the source's
-    view over d and da, the target's tensors over dt; both sides of an
-    identity are brought to one denominator by integer scalings."""
+    """F must be a Lie algebra isomorphism matching all structure tensors,
+    each identity checked on the values of F, F_inv and both structures."""
 
-    def require(got: Mat, want: Mat, what: str, scale_got=1, scale_want=1) -> None:
-        got, want = mat_scale(got, scale_got), mat_scale(want, scale_want)
-        if not mat_eq(got, want):
-            raise certificate_failure(what, [x for row in mat_sub(got, want) for x in row])
+    def require(got: MatOver, want: MatOver, what: str) -> None:
+        if not got == want:
+            raise certificate_failure(what, _flat((got - want).mat()))
 
-    v, n, target_L = numerator_view(S), S.L.dim, target_S.L
-    (F, F_inv), df = S.L.numerators(F, F_inv)
-    (phi_t, g_t, (xi_t,), (eta_t,)), dt = target_L.numerators(
+    v, target_L, pairs = numerator_view(S), target_S.L, _pairs(S.L.dim)
+    phi_t, g_t, xi_t, eta_t = target_L.values(
         target_S.phi_mat(), target_S.g_mat(), [target_S.xi_vec()], [target_S.eta_row()])
-    d, da, F_cols = v.den, v.da, transpose(F)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    # column p: F [b_a, b_b], the source brackets pushed forward in one product
-    # (over df da); c_ab^k is entry (k, b) of ad_{b_a}.  The target bracket of
-    # two columns of F is over df^2, its numerators over dr more
-    pushed = transpose(mat_mul(F, [[v.ads[a][k][b] for a, b in pairs] for k in range(n)]))
-    for (a, b), lhs in zip(pairs, pushed):
-        (rhs,), dr = target_L.numerators([bracket(target_L, F_cols[a], F_cols[b])])
-        require([lhs], rhs, f"F is not a Lie algebra morphism at pair ({a + 1}, {b + 1})",
-                dr * df, da)
-    push_phi = mat_mul(F, mat_mul(v.phi, F_inv))
-    require(push_phi, phi_t, "F does not map phi onto the target structure", dt, df * d * df)
-    require([mat_vec(F, v.xi)], [xi_t], "F does not map xi onto the target Reeb vector",
-            dt, df * d)
-    require([mat_vec(transpose(F), eta_t)], [v.eta], "F does not pull the target eta back to eta",
-            d, df * dt)
-    gram = mat_mul(transpose(F), mat_mul(g_t, F))
-    require(gram, v.g, "F is not an isometry onto the target metric", d, df * df * dt)
+    F, F_inv = S.L.values(F, F_inv)
+    # row p: F [b_a, b_b] (one product) and [F b_a, F b_b]; the first failing pair is named
+    pushed, rhs = (F @ _pair_brackets(v, pairs).T).T, pair_brackets(target_L, F.T, pairs)
+    for p, (a, b) in enumerate(() if pushed == rhs else pairs):
+        require(pushed[p:p + 1], rhs[p:p + 1],
+                f"F is not a Lie algebra morphism at pair ({a + 1}, {b + 1})")
+    require(F @ (v.phi @ F_inv), phi_t, "F does not map phi onto the target structure")
+    require(F.on_rows(v.xi), xi_t, "F does not map xi onto the target Reeb vector")
+    require(F.T.on_rows(eta_t), v.eta, "F does not pull the target eta back to eta")
+    require(F.T @ (g_t @ F), v.g, "F is not an isometry onto the target metric")
 
 
 def _frame_isomorphism(S: AcmStructure, target_S: AcmStructure, columns: list,
@@ -194,10 +181,9 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     if r := rational_rescaling(S):
         return _mapped_back(classify_nilpotent_qs(r.S), r.down)
     _common_preconditions(S, CLASS_QUASI_SASAKIAN)
-    g = S.g_mat()
+    g, view = S.g_mat(), numerator_view(S)
     first, second, inv_norms, weights, signs = [], [], [], [], []
-    v = numerator_view(S)
-    for ev, _, orbits in eigen_orbits(operators_A_psi_qs(S), v.g, [(v.phi, v.den)]):
+    for ev, _, orbits in eigen_orbits(operators_A_psi_qs(S), view.g, [view.phi]):
         sign = 1 if s_sign(ev) < 0 else -1  # bracket [u, phi u] = -2 ev |u|^2 xi
         for v, phv in orbits:
             first.append(v)
@@ -225,13 +211,12 @@ def _signed_phi_2n1(n: int, signs: list[int]) -> Mat:
     return phi
 
 
-def operators_A_psi_qs(S: AcmStructure) -> tuple[Mat, int]:
-    """(N, den) with A = phi psi = N / den for the quasi-Sasakian route;
-    asserts g-symmetry, which encodes the phi-invariance of d eta."""
+def operators_A_psi_qs(S: AcmStructure) -> MatOver:
+    """A = phi psi for the quasi-Sasakian route; asserts g-symmetry, which
+    encodes the phi-invariance of d eta."""
     v = numerator_view(S)
-    psi, p = psi_matrix(S)
-    A = mat_mul(v.phi, psi)
-    gA = mat_mul(v.g, A)
-    if not mat_eq(gA, transpose(gA)):
+    A = v.phi @ psi_matrix(S)
+    gA = v.g @ A
+    if not gA == gA.T:
         raise NotQs("phi psi is not symmetric; d eta is not phi-invariant")
-    return A, v.den * p
+    return A

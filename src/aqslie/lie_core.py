@@ -10,10 +10,10 @@ denominator when every constant is a Fraction.  The table is a private
 attribute, not a dataclass field, so equality, hashing and serialization
 see only the sparse tuple; a rational algebra keeps its stored constants
 beside it.  :meth:`LieAlgebra._operands` decides the field once for the
-table and a reader's operands, and :meth:`numerators` puts matrices that act
-with the table on that field; :meth:`ad_numerators`, :func:`bracket` and
-:func:`ad_matrix_numerators` each read the table in one sparse loop in pair
-order, the same for every field.
+table and a reader's operands, :meth:`numerators` (:meth:`values` as
+``linalg.MatOver``) put matrices that act with it on that field, and
+:meth:`ad_numerators`, :func:`bracket` and :func:`ad_matrix_numerators` read
+the table in one sparse loop in pair order, the same for every field.
 
 Jacobi, the lower central series and the derivations are read off that
 table: one sparse Jacobi pass, [g, V] from the columns of
@@ -38,6 +38,7 @@ from functools import cached_property, reduce
 from .errors import DimensionMismatch, JacobiError
 from .linalg import (
     Mat,
+    MatOver,
     Subspace,
     Vec,
     _flat,
@@ -245,6 +246,16 @@ class LieAlgebra:
                 ads[p][k][q], ads[q][k][p] = v, -v
         return ads, den or 1, ints, dm
 
+    def values(self, *mats: Mat) -> list[MatOver]:
+        """:meth:`numerators` as values, each over the common denominator."""
+        ints, dm = self.numerators(*mats)
+        return [MatOver(M, dm) for M in ints]
+
+    def ad_values(self, *mats: Mat) -> tuple[list[MatOver], list[MatOver]]:
+        """(ad_{b_i} for each i, mats) as values, from :meth:`ad_numerators`."""
+        ads, da, ints, dm = self.ad_numerators(*mats)
+        return [MatOver(ad, da) for ad in ads], [MatOver(M, dm) for M in ints]
+
 
 def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
     """[X, Y] by bilinear expansion of the structure constants, on the field
@@ -290,6 +301,18 @@ def ad_matrix_numerators(L: LieAlgebra, X: Vec) -> tuple[Mat, int]:
                 if lq:
                     row[p] -= b * v
     return N, (den or 1) * dx
+
+
+def ad_value(L: LieAlgebra, X: MatOver) -> MatOver:
+    """ad_x as a value for x the one row of X, from the numerators of X."""
+    N, den = ad_matrix_numerators(L, X.N[0])
+    return MatOver(N, den * X.den)
+
+
+def pair_brackets(L: LieAlgebra, X: MatOver, pairs: list) -> MatOver:
+    """Row p: [x_a, x_b] for the p-th pair (a, b), x_a the row a of X, from its numerators."""
+    (N,), den = L.numerators([bracket(L, X.N[a], X.N[b]) for a, b in pairs])
+    return MatOver(N, den * X.den * X.den)
 
 
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:

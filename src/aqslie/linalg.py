@@ -8,7 +8,7 @@ from the whole input, with three outcomes:
   (Gustavson's row-wise product, as on every field; one per ``mat_vecs``),
   ``mat_add``/``mat_sub``/``mat_scale``, ``dot``, ``mat_eq``, ``max_abs``,
   fraction-free Gauss-Jordan with row-content removal (``rref``, ``rank``,
-  ``nullspace``, ``solve``, ``inverse``), Bareiss (``det``, ``char_poly``)
+  ``nullspace``, ``solve``, ``mat_solve``), Bareiss (``det``, ``char_poly``)
   and fraction-free congruence (``inertia_symmetric``).  On all-int input
   products, sums and scalings return ints, and elimination, char_poly and
   inertia what the same values give as Fractions;
@@ -23,17 +23,13 @@ from the whole input, with three outcomes:
   exact, floats use tolerance-based zero tests and magnitude pivoting.
 
 Both exact routes return the same values: a normalised ``Fraction`` is
-unique.  A computation of several kernels stays on integers between them:
-``LieAlgebra.numerators`` and ``LieAlgebra.ad_numerators`` put a group of
-matrices (and the ad matrices) over one common denominator on the algebra's
-field, and ``acm.numerator_view`` keeps that view once per structure.  A
-value is mapped back only where it leaves a computation:
-``over(N, den)`` builds one Fraction per nonzero entry of an integer result
-(for float and tower input the numerators are the input over 1 and ``over``
-is the identity), and ``diag_scaled`` takes a result of a rescaled
-structure back to the input's basis.  ``eigenspaces`` serves every
-eigendecomposition of a g-symmetric operator (the float eigenvalue
-clustering lives only there).
+unique.  A computation of several kernels stays on integers in one value,
+:class:`MatOver`, integer numerators over a denominator that meets another
+at their lcm by itself (tower and float matrices are their own numerators
+over 1); ``LieAlgebra.values`` builds values, ``mat_solve`` solves on them
+from one integer RREF, and ``over`` divides a value back where it leaves.
+``eigenspaces`` serves every eigendecomposition of a g-symmetric operator
+(the float eigenvalue clustering lives only there).
 """
 
 from __future__ import annotations
@@ -122,12 +118,10 @@ def _int_rows(*mats: Mat) -> tuple[list[Mat], int | None] | None:
 
 
 def over(N: Mat, den: int) -> Mat:
-    """N / den.  A rational or all-int N (an integer core's output on
-    numerators) gets one normalised Fraction per nonzero entry, ZERO for the
-    zeros.  Any other N is returned as it is when den is 1, as it is for float
-    and tower input, whose numerators are the input itself; otherwise it is
-    divided entry by entry."""
-    scaled = _int_rows(N)
+    """N / den: one normalised Fraction per nonzero entry of an all-int N, or of
+    a rational N over den > 1, ZERO for the zeros; any other N is itself when
+    den is 1 (float, tower or Fraction numerators), else divided entry by entry."""
+    scaled = None if den == 1 and not {int}.issuperset(map(type, _flat(N))) else _int_rows(N)
     if scaled is not None:
         return _back(scaled[0][0], scaled[1], den)
     return N if den == 1 else [[s_div(x, den) for x in row] for row in N]
@@ -395,20 +389,14 @@ def _rref_int(A: list[list[int]]) -> list[int]:
     return pivots
 
 
-def rref(M: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form (copy) and pivot column list."""
-    if not M:
-        return [], []
+def _reduced(M: Mat) -> tuple[Mat, list[int], list | None]:
+    """(R, pivots, heads), row r of the RREF of a nonempty M being R[r] / heads[r]
+    on rational rows (fraction-free, ``_rref_int``); else R is the RREF, heads None."""
     rows = [_int_scaled(row) for row in M]  # a row's scale changes no RREF
     if M[0] and None not in rows:
-        ints = [r for r, _ in rows]
-        pivots = _rref_int(ints)
-        zero_row = [ZERO] * len(ints[0])
-        R = [
-            [Fraction(x, row[c]) if x else ZERO for x in row]
-            for row, c in zip(ints, pivots)
-        ]
-        return R + [zero_row[:] for _ in range(len(ints) - len(pivots))], pivots
+        R = [r for r, _ in rows]
+        pivots = _rref_int(R)
+        return R, pivots, [row[c] for row, c in zip(R, pivots)]
     A = mat_copy(M)
     n_rows, n_cols = len(A), len(A[0])
     exact = all(is_exact(x) for row in A for x in row)
@@ -429,17 +417,22 @@ def rref(M: Mat) -> tuple[Mat, list[int]]:
                 A[i] = [s_sub(x, s_mul(f, y)) for x, y in zip(A[i], A[r])]
         pivots.append(c)
         r += 1
-    return A, pivots
+    return A, pivots, None
+
+
+def rref(M: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form (copy) and pivot column list."""
+    if not M:
+        return [], []
+    R, pivots, heads = _reduced(M)
+    if heads is not None:  # the rows past the pivots are zero
+        heads += [1] * (len(R) - len(heads))
+        R = [[Fraction(x, h) if x else ZERO for x in row] for row, h in zip(R, heads)]
+    return R, pivots
 
 
 def rank(M: Mat) -> int:
-    if not M or not M[0]:
-        return 0
-    rows = [_int_scaled(row) for row in M]
-    if None not in rows:
-        return len(_rref_int([r for r, _ in rows]))
-    _, pivots = rref(M)
-    return len(pivots)
+    return len(_reduced(M)[1]) if M and M[0] else 0
 
 
 def nullspace(M: Mat, n_cols: int | None = None) -> list[Vec]:
@@ -507,12 +500,93 @@ def det(M: Mat):
 
 
 def inverse(M: Mat) -> Mat:
-    n = len(M)
-    aug = [row + e for row, e in zip(M, identity(n))]
-    R, pivots = rref(aug)
+    return mat_solve(MatOver(M), MatOver(identity(len(M)))).mat()
+
+
+# ---------------------------------------------------------------------------
+# values: numerators over one denominator
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True, eq=False)
+class MatOver:
+    """N / den, den a positive int: ints N on the integer route, any other N (tower,
+    float, Fraction, mixed) over 1, each operation the kernel on N bit for bit.  Operands
+    over different denominators meet at their lcm, here only; none changes in place."""
+
+    N: Mat
+    den: int = 1
+
+    T = property(lambda self: MatOver(transpose(self.N), self.den))
+
+    def __getitem__(self, rows: slice) -> MatOver:
+        return MatOver(self.N[rows], self.den)
+
+    def regroup(self, fn) -> MatOver:
+        """fn(N) over den, for a linear fn: picks, moves, sums, diagonal scalings."""
+        return MatOver(fn(self.N), self.den)
+
+    def __matmul__(self, other: MatOver) -> MatOver:
+        return MatOver(mat_mul(self.N, other.N), self.den * other.den)
+
+    def on_rows(self, V: MatOver) -> MatOver:
+        """Row k: self times row k of V, one ``mat_vecs`` call."""
+        return MatOver(mat_vecs(self.N, V.N), self.den * V.den)
+
+    def __add__(self, other: MatOver) -> MatOver:
+        (A, B), den = _at_lcm([self, other])
+        return MatOver(mat_add(A, B), den)
+
+    def __sub__(self, other: MatOver) -> MatOver:
+        (A, B), den = _at_lcm([self, other])
+        return MatOver(mat_sub(A, B), den)
+
+    def __neg__(self) -> MatOver:
+        return MatOver([[s_neg(x) for x in row] for row in self.N], self.den)
+
+    def __mul__(self, c) -> MatOver:
+        """c self, c an int or a Fraction, whose denominator joins den on integers."""
+        if c.denominator == 1 or (ints := _int_rows(self.N)) and ints[1] is None:
+            return MatOver(mat_scale(self.N, c.numerator), self.den * c.denominator)
+        return MatOver(mat_scale(self.N, c), self.den)
+
+    def __eq__(self, other: MatOver) -> bool:
+        return mat_eq(*_at_lcm([self, other])[0])
+
+    def max_abs(self):
+        """max |N| / den, the residual of an identity."""
+        return over([[max_abs(_flat(self.N))]], self.den)[0][0]
+
+    def eigenspaces(self, G: MatOver) -> list:
+        """``eigenspaces`` of N and G.N, each eigenvalue divided by den."""
+        return [(over([[ev]], self.den)[0][0], *rest) for ev, *rest in eigenspaces(self.N, G.N)]
+
+    def mat(self) -> Mat:
+        return over(self.N, self.den)
+
+
+def _at_lcm(values: list[MatOver]) -> tuple[list[Mat], int]:
+    den = math.lcm(*(v.den for v in values))
+    return [v.N if v.den == den else mat_scale(v.N, den // v.den) for v in values], den
+
+
+def stacked(values: list[MatOver]) -> MatOver:
+    """The rows of all values, in order, as one value."""
+    mats, den = _at_lcm(values)
+    return MatOver([row for M in mats for row in M], den)
+
+
+def mat_solve(A: MatOver, B: MatOver) -> MatOver:
+    """X with A X = B for a square A (ValueError when singular), off the RREF
+    of [A.N | B.N]: on all-int numerators row i of X is row i of the B block
+    over its pivot, all at the lcm of the pivots; else it is ``rref``'s, over 1."""
+    n, aug = len(A.N), [[*a, *b] for a, b in zip(A.N, B.N)]
+    ints = aug and {int}.issuperset(map(type, _flat(aug)))
+    R, pivots, heads = _reduced(aug) if ints else (*rref(aug), [1] * n)  # rref's pivots are 1
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [R[i][n:] for i in range(n)]
+    den = math.lcm(*heads)
+    X = [row[n:] if h == den else [x * (den // h) for x in row[n:]] for row, h in zip(R, heads)]
+    return MatOver(X, den * B.den) * A.den  # (A.N / a)^-1 B.N / b = a A.N^-1 B.N / b
 
 
 # ---------------------------------------------------------------------------

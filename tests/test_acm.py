@@ -36,6 +36,7 @@ from aqslie.errors import InternalContradiction, NotAqs, PreconditionError, Tole
 from aqslie.exterior import bilinear_from_form, ce_d
 from aqslie.lie_core import LieAlgebra, ad_matrix, bracket
 from aqslie.linalg import (
+    MatOver,
     identity,
     inverse,
     mat_add,
@@ -265,13 +266,11 @@ def test_levi_civita_certificate_catches_corrupted_coefficient(monkeypatch):
     _, (S1, _, _) = h5_structures()
     real = acm.ConnectionTable
 
-    def corrupting(gamma, den):
+    def corrupting(columns):
         # the table stores numerators over den: one more in a numerator
-        rows = [list(row) for row in gamma]
-        entry = list(rows[1][4])
-        entry[0] += 1
-        rows[1][4] = tuple(entry)
-        return real(tuple(tuple(row) for row in rows), den)
+        rows, n = [list(row) for row in columns.N], len(columns.N[0])
+        rows[1 * n + 0][4] += 1  # row 4, column 0 of Gamma_1
+        return real(MatOver(rows, columns.den))
 
     monkeypatch.setattr(acm, "ConnectionTable", corrupting)
     with pytest.raises(InternalContradiction, match="Koszul solve lost"):
@@ -287,12 +286,12 @@ def test_levi_civita_metric_certificate_names_the_worst_residual(monkeypatch):
     real = acm.ConnectionTable
 
     def shifted(shift):
-        def make(gamma, den):
-            rows = [[list(row) for row in G] for G in gamma]
+        def make(columns):
+            rows, n = [list(row) for row in columns.N], len(columns.N[0])
             for i, j in ((0, 1), (1, 0)):
                 for r, x in shift.items():
-                    rows[i][r][j] += x
-            return real(tuple(tuple(map(tuple, G)) for G in rows), den)
+                    rows[i * n + j][r] += x  # row r, column j of Gamma_i
+            return real(MatOver(rows, columns.den))
         return make
 
     monkeypatch.setattr(acm, "ConnectionTable", shifted({2: 1, 3: 2}))
@@ -669,6 +668,8 @@ def test_connection_and_ricci_are_whole_table_products(monkeypatch):
     # n^3 more entries at once, at 0.40-0.41 MB
     import tracemalloc
 
+    import aqslie.linalg as linalg
+
     n = 13
     h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
     calls = {"mat_vecs": 0, "mat_mul": 0}
@@ -680,7 +681,7 @@ def test_connection_and_ricci_are_whole_table_products(monkeypatch):
         return kernel
 
     for name in calls:
-        monkeypatch.setattr(acm, name, counting(name, getattr(acm, name)))
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
     levi_civita(h13)
     assert calls["mat_vecs"] <= n + 1 and calls["mat_mul"] == n
     calls.update(mat_vecs=0, mat_mul=0)

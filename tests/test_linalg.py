@@ -13,12 +13,15 @@ import aqslie.linalg as linalg
 from aqslie.constructors import abelian
 from aqslie.errors import IrrationalSpectrum
 from aqslie.linalg import (
+    MatOver,
     Subspace,
+    _flat,
     bilinear,
     char_poly,
     det,
     dot,
     eig_sym_exact,
+    eigenspaces,
     eigh_float,
     identity,
     inertia_symmetric,
@@ -28,9 +31,11 @@ from aqslie.linalg import (
     mat_eq,
     mat_mul,
     mat_scale,
+    mat_solve,
     mat_sub,
     mat_vec,
     mat_vecs,
+    max_abs,
     nullspace,
     over,
     random_unimodular,
@@ -38,6 +43,8 @@ from aqslie.linalg import (
     rational_roots,
     rref,
     solve,
+    stacked,
+    transpose,
     vec_eq,
     vec_is_zero,
 )
@@ -811,3 +818,89 @@ def test_inertia_agrees_with_sympy_eigenvalue_signs():
     assert not is_positive_definite(_mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
     assert not is_positive_definite(_mat([[1, 1], [1, 1]]))  # singular, positive semidefinite
     assert is_positive_definite(_mat([[2, 1], [1, 2]]))
+
+
+# ---------------------------------------------------------------------------
+# MatOver: numerators over one denominator
+# ---------------------------------------------------------------------------
+
+@st.composite
+def values(draw, m, n, exact):
+    """An m x n MatOver: ints or Fractions over 1..12, or numerators of every
+    kind (tower, float, -0.0, inf, nan, zeros of each kind) over 1."""
+    if exact:
+        return MatOver(draw(integer_route(m, n, 0.5)), draw(st.integers(1, 12)))
+    return MatOver(draw(sparse_mixed(m, n, 0.5)))
+
+
+def _outcome(fn):
+    """fn()'s result bit for bit (a value divided back first), or its exception."""
+    try:
+        got = fn()
+    except Exception as exc:  # both sides must fail alike
+        return type(exc).__name__, str(exc)
+    return _deep_bits(got.mat() if isinstance(got, MatOver) else got)
+
+
+def _deep_bits(x):
+    """_bits all the way down, an int read as a Fraction: a kernel on a matrix
+    mixing ints and Fractions keeps its ints, where ``over`` gives Fractions."""
+    if isinstance(x, (list, tuple)):
+        return [_deep_bits(y) for y in x]
+    return _bits(F(x) if type(x) is int else x)
+
+
+def _solved_by_rref(A, B):
+    """X with A X = B off the RREF of [A | B], as inverse took it before."""
+    n = len(A)
+    R, pivots = rref([list(a) + list(b) for a, b in zip(A, B)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in R[:n]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.booleans(), st.data())
+def test_values_match_the_kernels_on_their_divided_back_matrices(m, k, p, exact, data):
+    # every operation of a value is the kernel on the divided-back matrices: the
+    # same values and types on the exact route, where the operands' denominators
+    # differ, and the same float bits (-0.0 included) for numerators over 1
+    A, A2 = data.draw(values(m, k, exact)), data.draw(values(m, k, exact))
+    B, V = data.draw(values(k, p, exact)), data.draw(values(p, k, exact))
+    Q, X = data.draw(values(k, k, exact)), data.draw(values(k, p, exact))
+    c = data.draw(st.sampled_from([1, 2, -3, F(1, 2), F(-5, 3), F(4)]))
+    same = MatOver(mat_scale(A.N, 3), A.den * 3) if exact else A
+    for got, want in (
+        (lambda: A @ B, lambda: mat_mul(A.mat(), B.mat())),
+        (lambda: A.on_rows(V), lambda: mat_vecs(A.mat(), V.mat())),
+        (lambda: A + A2, lambda: mat_add(A.mat(), A2.mat())),
+        (lambda: A - A2, lambda: mat_sub(A.mat(), A2.mat())),
+        (lambda: -A, lambda: mat_scale(A.mat(), -1)),
+        (lambda: A * c, lambda: mat_scale(A.mat(), c)),
+        (lambda: A == A2, lambda: mat_eq(A.mat(), A2.mat())),
+        (lambda: A == same, lambda: mat_eq(A.mat(), same.mat())),
+        (lambda: A.T, lambda: transpose(A.mat())),
+        (lambda: A.max_abs(), lambda: max_abs(_flat(A.mat()))),
+        (lambda: stacked([A, A2, B.T]), lambda: A.mat() + A2.mat() + transpose(B.mat())),
+        (lambda: mat_solve(Q, X), lambda: _solved_by_rref(Q.mat(), X.mat())),
+    ):
+        assert _outcome(got) == _outcome(want)
+    if exact:  # a value is equal to itself over any denominator
+        assert _outcome(lambda: A == same) == (bool, True)
+        if all(type(x) is int for x in _flat(A.N)):  # c's denominator joins den
+            assert all(type(x) is int for x in _flat((A * c).N))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_value_eigenspaces_divide_the_eigenvalues(seed):
+    # M = P D P^-1 over 6 has the eigenvalues D / 6 and the eigenvectors of its
+    # numerators; floats over 1 take the same call
+    P = random_unimodular(4, random.Random(seed))
+    D = [[[3, 3, -6, 12][i] if i == j else 0 for j in range(4)] for i in range(4)]
+    N = [[int(x) for x in row] for row in mat_mul(P, mat_mul(D, inverse(P)))]
+    G = MatOver(identity(4))
+    assert repr(MatOver(N, 6).eigenspaces(G)) == repr(eigenspaces(over(N, 6), G.mat()))
+    floats = [[float(x) for x in row] for row in N]
+    assert repr(MatOver(floats).eigenspaces(G)) == repr(eigenspaces(floats, G.mat()))
+    with pytest.raises(ValueError, match="singular"):
+        mat_solve(MatOver([[0] * 4 for _ in range(4)], 5), MatOver(N))

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -153,6 +154,58 @@ def test_acm_leaves_the_field_decision_to_linalg():
     )
     assert sorted(field_decisions(forked)) == ["2 .terms", "2 squarefree_split", "3 .terms"]
 
+
+
+# the producers of (numerators, den) tuples, which LieAlgebra.values and
+# ad_values, lie_core.ad_value and lie_core.pair_brackets turn into values
+PAIR_PRODUCERS = ("numerators", "ad_numerators", "ad_matrix_numerators")
+
+
+def _a_denominator(node: ast.AST) -> bool:
+    """node names a denominator (den, d, da, df, dG, ...) or reads .den or .da."""
+    return (isinstance(node, ast.Name) and re.fullmatch(r"den|d[a-zA-Z]?", node.id) is not None
+            or isinstance(node, ast.Attribute) and node.attr in ("den", "da"))
+
+
+def hand_carried_denominators(source: str) -> list[str]:
+    """Where source reads .den or .da, calls a producer of (numerators, den)
+    tuples, builds, returns or unpacks a tuple that holds a denominator, or
+    applies *, ** or // to one.  In acm, adapted and classifier denominators
+    live in linalg.MatOver values, which bring operands to one themselves."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("den", "da"):
+            offenders.append(f"{node.lineno} .{node.attr}")
+        elif isinstance(node, ast.Call) and _callee(node) in PAIR_PRODUCERS:
+            offenders.append(f"{node.lineno} {_callee(node)}")
+        elif isinstance(node, ast.Tuple) and any(map(_a_denominator, node.elts)):
+            offenders.append(f"{node.lineno} tuple")
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Pow, ast.FloorDiv))
+              and (_a_denominator(node.left) or _a_denominator(node.right))):
+            offenders.append(f"{node.lineno} {type(node.op).__name__}")
+    return sorted(offenders)
+
+
+def test_denominators_are_carried_by_the_values():
+    package = Path(aqslie.__file__).parent
+    for module in ("acm.py", "adapted.py", "classifier.py"):
+        assert hand_carried_denominators((package / module).read_text("utf-8")) == [], module
+    # the hand-scaled identities the values replaced are what the check is for
+    forked = (
+        "def validate_acm(S):\n"
+        "    v = numerator_view(S)\n"
+        "    phi, xi, d = v.phi, v.xi, v.den\n"
+        "    return _divided(max_abs(mat_vec(phi, xi)), d ** 3)\n"
+        "def psi_matrix(S):\n"
+        "    (psi,), dr = L.numerators([row[n:] for row in R])\n"
+        "    den = 2 * v.da * dr\n"
+        "    return psi, den\n"
+        "def _verify_iso(S, F, F_inv):\n"
+        "    require(gram, v.g, 'not an isometry', d, df * d // df)\n"
+    )
+    assert hand_carried_denominators(forked) == [
+        "10 FloorDiv", "10 Mult", "3 .den", "3 tuple", "3 tuple", "4 Pow", "6 numerators",
+        "6 tuple", "7 .da", "7 Mult", "7 Mult", "8 tuple"]
 
 
 def calls_outside(source: str, helper: str, matches) -> list[int]:

@@ -21,7 +21,7 @@ from aqslie.acm import AcmStructure, conjugate_structure, operators_A_psi, psi_m
 from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from aqslie.errors import InternalContradiction
 from aqslie.lie_core import LieAlgebra
-from aqslie.linalg import identity, over, random_unimodular, zeros
+from aqslie.linalg import MatOver, identity, random_unimodular, zeros
 from aqslie.scalars import Ext
 from floatcopy import float_structure
 from oracles import stage_operators
@@ -65,7 +65,7 @@ def _rep(M):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_xi_solve_matches_the_table(name):
     S = CASES[name]()
-    assert _rep(over(*psi_matrix(S))) == _rep(stage_operators(S)[1])
+    assert _rep(psi_matrix(S).mat()) == _rep(stage_operators(S)[1])
     assert "connection" not in S._memo
     assert acm.xi_killing_check(S) != name.startswith("not-killing")
 
@@ -75,14 +75,15 @@ def test_xi_solve_certificate_catches_a_corrupted_numerator(name, monkeypatch):
     # one more in one entry of the solved block g^-1 (-K): g psi is no longer
     # (L_xi g + d eta) / 2, on h5 (d eta != 0) and on the non-Killing structure
     S = weighted_heisenberg_4n1(1, [1])[1][0] if name == "h5" else CASES[name]()
-    real = acm.rref
+    real = acm.mat_solve
 
-    def corrupting(M):
-        R, pivots = real(M)
-        R[1][len(R) + 2] += 1
-        return R, pivots
+    def corrupting(A, B):
+        X = real(A, B)
+        N = [list(row) for row in X.N]
+        N[1][2] += 1
+        return MatOver(N, X.den)
 
-    monkeypatch.setattr(acm, "rref", corrupting)
+    monkeypatch.setattr(acm, "mat_solve", corrupting)
     with pytest.raises(InternalContradiction, match="Koszul solve along xi"):
         psi_matrix(S)
 
