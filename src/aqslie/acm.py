@@ -32,6 +32,8 @@ built for curvature and for float psi, as the n^2 vectors Gamma_i b_j,
 certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j] and g Gamma_i +
 Gamma_i^T g = 0.  Ricci reads them: Ric_ij = sum_a R(b_a, b_i)_aj with
 R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, O(n^4).
+Sectional curvatures through one X are a batch: the inner nablas of every
+R(X, Y)Y are one table product, the outer ones another.
 
 The field is decided once per structure, by its numerator view
 (:func:`numerator_view`): phi, g, the rows xi and eta, the identity and the
@@ -75,7 +77,6 @@ from .linalg import (
     MatOver,
     Vec,
     _flat,
-    bilinear,
     diag_scaled,
     dot,
     identity,
@@ -87,6 +88,7 @@ from .linalg import (
     mat_solve,
     mat_sub,
     mat_vec,
+    mat_vecs,
     max_abs,
     stacked,
     transpose,
@@ -353,16 +355,21 @@ class ConnectionTable:
         back, n = self._back, math.isqrt(len(self._back))
         return tuple(tuple(zip(*back[i * n:i * n + n])) for i in range(n))
 
-    def nabla(self, X: Vec, Y: Vec) -> Vec:
-        """nabla_X Y = sum of (X_i Y_j) Gamma_i b_j over the pairs (i, j) in order,
-        skipping near-zero X_i and Y_j."""
-        n = len(X)
-        pairs = [(i, j) for i in range(n) if not s_is_zero(X[i])
-                 for j in range(len(Y)) if not s_is_zero(Y[j])]
-        if not pairs:
-            return [ZERO] * n
-        coeffs = [[s_mul(X[i], Y[j]) for i, j in pairs]]
-        return mat_mul(coeffs, [self._back[i * n + j] for i, j in pairs])[0]
+    def nablas(self, pairs: list) -> list[Vec]:
+        """nabla_X Y for each (X, Y) of pairs: the sums of (X_i Y_j) Gamma_i b_j over
+        the (i, j) in order, near-zero X_i and Y_j skipped, as one product on the
+        table rows i n + j the pairs use, ascending.  A row is ZERO off its own
+        pairs; on a float table a row of exact coefficients meets the other rows'
+        floats, so where its own rows hold none it reads 0.0, not ZERO."""
+        back, n = self._back, math.isqrt(len(self._back))
+        supports = [[(i, x) for i, x in enumerate(v) if not s_is_zero(x)]
+                    for pair in pairs for v in pair]  # X, then Y, of each pair
+        coeffs = [{i * n + j: s_mul(x, y) for i, x in xs for j, y in ys}
+                  for xs, ys in zip(supports[::2], supports[1::2])]
+        used = sorted(set().union(*coeffs))
+        if not used:  # no pair has a coefficient
+            return [[ZERO] * n for _ in pairs]
+        return mat_mul([[c.get(u, ZERO) for u in used] for c in coeffs], [back[u] for u in used])
 
 
 def _pair_brackets(v: TensorNumerators, pairs: list) -> MatOver:
@@ -562,24 +569,34 @@ def curvature(S: AcmStructure) -> CurvatureData:
     return CurvatureData(conn, tuple(tuple(r) for r in ricci), scal)
 
 
-def sectional_curvature(S: AcmStructure, curv: CurvatureData, X: Vec, Y: Vec):
-    """K(X, Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2) with
-    R(X,Y)Y = nabla_X nabla_Y Y - nabla_Y nabla_X Y - nabla_[X,Y] Y.
-    With a rational rescaling, curv holds its connection and X, Y map to its basis."""
+def sectional_curvatures(S: AcmStructure, curv: CurvatureData, X: Vec, Ys: list) -> list:
+    """K(X, Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2) for each Y of Ys, None
+    on a degenerate plane, with R(X,Y)Y = nabla_X nabla_Y Y - nabla_Y nabla_X Y -
+    nabla_[X,Y] Y: two table products for all Ys, then each pairing with g one
+    product.  With a rational rescaling, curv holds its connection and X and
+    the Ys map to its basis."""
     if r := rational_rescaling(S):
-        X, Y = diag_scaled([X, Y], None, r.down)
-        return sectional_curvature(r.S, curv, X, Y)
-    g, nabla = S.g_mat(), curv.connection.nabla
-    RY = vec_sub(nabla(X, nabla(Y, Y)), nabla(Y, nabla(X, Y)))
-    RY = vec_sub(RY, nabla(bracket(S.L, X, Y), Y))
-    num = bilinear(RY, g, X)
-    den = s_sub(
-        s_mul(bilinear(X, g, X), bilinear(Y, g, Y)),
-        s_mul(bilinear(X, g, Y), bilinear(X, g, Y)),
-    )
-    if s_is_zero(den):
+        X, *Ys = diag_scaled([X, *Ys], None, r.down)
+        return sectional_curvatures(r.S, curv, X, Ys)
+    g, nablas, m = S.g_mat(), curv.connection.nablas, len(Ys)
+    inner = nablas([(Y, Y) for Y in Ys] + [(X, Y) for Y in Ys])
+    outer = nablas([(X, v) for v in inner[:m]] + list(zip(Ys, inner[m:]))
+                   + [(bracket(S.L, X, Y), Y) for Y in Ys])
+    RYs = [vec_sub(vec_sub(a, b), c) for a, b, c in zip(outer, outer[m:], outer[2 * m:])]
+    gX, gYs = mat_vec(g, X), mat_vecs(g, Ys)
+    # g(RY, X) = RY . gX and g(X, Y) = gY . X, one single-column product each
+    nums, gXYs = (_flat(mat_mul(rows, transpose([v]))) for rows, v in ((RYs, gX), (gYs, X)))
+    XX = dot(X, gX)  # |X|^2 |Y|^2 - g(X,Y)^2 is the squared area of the plane
+    areas = [s_sub(s_mul(XX, dot(Y, gY)), s_mul(c, c)) for Y, gY, c in zip(Ys, gYs, gXYs)]
+    return [None if s_is_zero(a) else s_div(num, a) for num, a in zip(nums, areas)]
+
+
+def sectional_curvature(S: AcmStructure, curv: CurvatureData, X: Vec, Y: Vec):
+    """K(X, Y), :func:`sectional_curvatures` on one Y."""
+    (K,) = sectional_curvatures(S, curv, X, [Y])
+    if K is None:
         raise PreconditionError("degenerate 2-plane")
-    return s_div(num, den)
+    return K
 
 
 @dataclass(frozen=True)

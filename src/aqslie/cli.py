@@ -28,7 +28,7 @@ from .acm import (
     classify_structure,
     curvature,
     double_aqs_check,
-    sectional_curvature,
+    sectional_curvatures,
     structure_rank,
     validate_acm,
     xi_killing_check,
@@ -200,19 +200,14 @@ def cmd_cohomology(args) -> dict:
 def cmd_curvature(args) -> dict:
     _, (S, _) = _parse(args.text, "acm_structure")
     data = curvature(S)
-    payload = {
+    basis = [S.L.basis_vector(i) for i in range(S.L.dim)]
+    sectional = zip(S.L.basis_names, sectional_curvatures(S, data, S.xi_vec(), basis))
+    return {
         "scalar": s_str(data.scalar),
         "ricci": [[s_str(x) for x in row] for row in data.ricci],
+        # None: a basis vector parallel to xi
+        "xi_sectional": {name: s_str(K) for name, K in sectional if K is not None},
     }
-    xi_sec = {}
-    for i in range(S.L.dim):
-        b = S.L.basis_vector(i)
-        try:
-            xi_sec[S.L.basis_names[i]] = s_str(sectional_curvature(S, data, S.xi_vec(), b))
-        except PreconditionError:
-            continue  # basis vector parallel to xi
-    payload["xi_sectional"] = xi_sec
-    return payload
 
 
 def cmd_invariant_forms(args) -> dict:

@@ -34,7 +34,7 @@ from math import comb
 
 from .errors import DimensionMismatch, InternalContradiction, PreconditionError
 from .lie_core import LieAlgebra
-from .linalg import Mat, Vec, _int_scaled, mat_mul, nullspace, rank, transpose
+from .linalg import Mat, Vec, _int_scaled, nullspace, rank
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
 
 
@@ -344,9 +344,9 @@ def rank_of_eta(L: LieAlgebra, eta: KForm) -> RankReport:
         raise InternalContradiction("antisymmetric form with odd rank")
     m = full // 2
     eta_row = [eta.coeff((i,)) for i in range(L.dim)]
-    kernel = nullspace([eta_row], L.dim)  # rows: a basis K of Ker eta
-    # B restricted to Ker eta: the Gram matrix K B K^T
-    restricted = mat_mul(kernel, mat_mul(B, transpose(kernel)))
-    if rank(restricted) == full:
+    # B restricted to Ker eta: the Gram matrix K B K^T, K the rows of a basis of
+    # Ker eta, ranked on its numerators
+    K, B = L.values(nullspace([eta_row], L.dim), B)
+    if rank((K @ (B @ K.T)).N) == full:
         return RankReport(2 * m + 1, "odd", m, m, 2 * m + 1 == L.dim)
     return RankReport(2 * m, "even", m, m, False)

@@ -27,6 +27,7 @@ from aqslie.acm import (
     nijenhuis_phi,
     operators_A_psi,
     sectional_curvature,
+    sectional_curvatures,
     structure_rank,
     validate_acm,
     xi_killing_check,
@@ -245,8 +246,13 @@ def test_levi_civita_values():
     L, (S1, _, _) = h5_structures()
     conn = levi_civita(S1)
     # nabla_tau1 xi = -tau4, nabla_xi xi = 0
-    assert conn.nabla(L.basis_vector(1), L.basis_vector(0)) == [0, 0, 0, 0, F(-1)]
-    assert vec_is_zero(conn.nabla(L.basis_vector(0), L.basis_vector(0)))
+    tau1_xi, xi_xi = conn.nablas([(L.basis_vector(1), L.basis_vector(0)),
+                                  (L.basis_vector(0), L.basis_vector(0))])
+    assert tau1_xi == [0, 0, 0, 0, F(-1)]
+    assert vec_is_zero(xi_xi)
+    # pairs with no coefficient multiply nothing
+    assert conn.nablas([([ZERO] * 5, L.basis_vector(0))]) == [[ZERO] * 5]
+    assert conn.nablas([]) == []
     # abelian: everything flat
     Lab = abelian(3)
     phi = zeros(3, 3)
@@ -515,8 +521,7 @@ def _reference_riemann(S, X, Y, Z):
 def _reference_curvature(S):
     """(Ricci, scalar, xi-sectional values or None) from the full-vector
     evaluator, one component kept per call."""
-    from aqslie.linalg import bilinear, inverse
-    from aqslie.scalars import s_div
+    from aqslie.linalg import inverse
 
     n, g = S.L.dim, S.g_mat()
     basis = [S.L.basis_vector(i) for i in range(n)]
@@ -529,15 +534,24 @@ def _reference_curvature(S):
     for i in range(n):
         for j in range(n):
             scalar = s_add(scalar, s_mul(g_inv[i][j], ricci[i][j]))
-    X, sectional = S.xi_vec(), []
-    for Y in basis:
+    return ricci, scalar, _reference_sectional(S, S.xi_vec())
+
+
+def _reference_sectional(S, X):
+    """K(X, b_i) for each i, None on a degenerate plane, from the full-vector
+    evaluator, one plane at a time."""
+    from aqslie.linalg import bilinear
+    from aqslie.scalars import s_div
+
+    g, sectional = S.g_mat(), []
+    for Y in (S.L.basis_vector(i) for i in range(S.L.dim)):
         num = bilinear(_reference_riemann(S, X, Y, Y), g, X)
         den = s_sub(
             s_mul(bilinear(X, g, X), bilinear(Y, g, Y)),
             s_mul(bilinear(X, g, Y), bilinear(X, g, Y)),
         )
         sectional.append(None if s_is_zero(den) else s_div(num, den))
-    return ricci, scalar, sectional
+    return sectional
 
 
 def _same(x, y) -> bool:
@@ -553,17 +567,23 @@ def _differential_cases():
     h9 = weighted_heisenberg_4n1(2, [1, 2])[1][0]
     h9c1 = conjugate_structure(h9, random_unimodular(9, random.Random(1)))
     sqrt_h9 = weighted_heisenberg_4n1(2, [parse_scalar("sqrt(2)"), parse_scalar("3/2*sqrt(5)")])
+    sqrt_weights = [parse_scalar(w) for w in ("sqrt(2)", "1", "3/2*sqrt(5)")]
     yield "h5", h5_structures()[1][0], None
     yield "h9", h9, None
     yield "sqrt-h9", sqrt_h9[1][0], None
     yield "h9c1", h9c1, None
     for tol in (1e-7, 1e-6):
         yield f"float-h9c1-tol{tol:g}", float_structure(h9c1), tol
+    # rescaled to a rational structure; the qS h7 is not, and runs per scalar
+    yield "sqrt-h13", _h13_case("sqrt-h13"), None
+    yield "sqrt-h7", weighted_heisenberg_2n1(3, sqrt_weights)[1], None
+    yield "float-h13", _h13_case("float-h13"), None
 
 
 def test_curvature_matches_the_per_vector_evaluator():
-    # Ricci from [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, against
-    # the full R(b_a, b_i) b_j evaluator: the same bits, float terms included
+    # Ricci from [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, and the
+    # xi-sectional values of the whole basis from one batch, against the full
+    # R(X, Y) Z evaluator: the same bits, float terms included
     from aqslie.scalars import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
 
     old = get_tolerance()
@@ -575,6 +595,15 @@ def test_curvature_matches_the_per_vector_evaluator():
             n = S.L.dim
             assert all(_same(data.ricci[i][j], ricci[i][j]) for i in range(n) for j in range(n)), name
             assert _same(data.scalar, scalar), name
+            # the whole basis in one batch, through xi and through a vector off
+            # the center that no rescaling maps to a multiple of a basis vector
+            basis = [S.L.basis_vector(i) for i in range(n)]
+            other = mat_add([basis[1]], [basis[-1]])[0]
+            for X, wants in ((S.xi_vec(), sectional), (other, _reference_sectional(S, other))):
+                batch = sectional_curvatures(S, data, X, basis)
+                assert len(batch) == n, name
+                for i, (got, want) in enumerate(zip(batch, wants)):
+                    assert got is None if want is None else _same(got, want), (name, i)
             for i, want in enumerate(sectional):
                 if want is None:
                     with pytest.raises(PreconditionError):
@@ -702,6 +731,32 @@ def test_connection_and_ricci_are_whole_table_products(monkeypatch):
         if not tracing:
             tracemalloc.stop()
     assert peak <= 385_000, peak
+
+
+def test_xi_sectional_curvatures_are_two_table_products(monkeypatch, tmp_path):
+    # one curvature command reads all its xi-sectional values off two table
+    # products, the inner nablas (Y, Y) and (xi, Y) and the outer ones, and
+    # two pairings with g, at any dimension: one plane at a time it made five
+    # nabla products per basis vector (45 on h9, 65 on h13)
+    import contextlib
+    import io
+
+    import aqslie.io as aqio
+    from aqslie.cli import main
+    from floatcopy import float_doc
+
+    rows, real = [], acm.mat_mul
+    monkeypatch.setattr(acm, "mat_mul", lambda A, B: rows.append(len(A)) or real(A, B))
+    for n, weights in ((2, [1, 2]), (3, [1, 2, 3])):
+        doc = aqio.structure_to_json(weighted_heisenberg_4n1(n, weights)[1][0])
+        for key, d in (("exact", doc), ("float", float_doc(doc))):
+            path = tmp_path / f"{key}{n}.json"
+            path.write_text(aqio.dumps(d), "utf-8")
+            rows.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["curvature", str(path), "--json"]) == 0
+            dim = 4 * n + 1
+            assert rows == [2 * dim, 3 * dim, dim, dim], (key, n, rows)
 
 
 def test_ricci_transforms_as_a_bilinear_form():

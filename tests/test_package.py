@@ -37,24 +37,29 @@ def _payloads(argvs: list) -> list:
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
             code = main(argv)
-        payload = json.loads(text.getvalue())["payload"]
-        out.append([code, json.dumps(payload, sort_keys=True, separators=(",", ":"))])
+        report = json.loads(text.getvalue())
+        out.append([code, report["error"] and report["error"]["code"],
+                    json.dumps(report["payload"], sort_keys=True, separators=(",", ":"))])
     return out
 
 
 def test_certificates_survive_python_O(tmp_path):
-    # the same classify and curvature payloads, byte for byte, when python -O
-    # has stripped every assert: of h9 and of its float copy
+    # the same classify and curvature payloads and errors, byte for byte, when
+    # python -O has stripped every assert: of h9, of its float copy and of the
+    # square-root-weight qS h7, which does not rescale and runs per scalar
     import os
     import subprocess
 
     import aqslie.io as aqio
-    from aqslie.constructors import weighted_heisenberg_4n1
+    from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
+    from aqslie.scalars import parse_scalar
     from floatcopy import float_doc
 
     doc = aqio.structure_to_json(weighted_heisenberg_4n1(2, [1, 2])[1][0])
+    sqrt_weights = [parse_scalar(w) for w in ("sqrt(2)", "1", "3/2*sqrt(5)")]
+    sqrt7 = aqio.structure_to_json(weighted_heisenberg_2n1(3, sqrt_weights)[1])
     argvs = []
-    for key, d in (("h9", doc), ("f9", float_doc(doc))):
+    for key, d in (("h9", doc), ("f9", float_doc(doc)), ("s7", sqrt7)):
         path = tmp_path / f"{key}.json"
         path.write_text(aqio.dumps(d), "utf-8")
         argvs += [[command, str(path), "--json"] for command in ("classify", "curvature")]
@@ -66,7 +71,10 @@ def test_certificates_survive_python_O(tmp_path):
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     debug, there = json.loads(run.stdout)
     assert debug is False
-    assert [code for code, _ in here] == [0, 0, 0, 0]
+    # the qS h7's classify ends in its typed error: a characteristic polynomial
+    # with coefficients outside the rationals
+    assert [code for code, _, _ in here] == [0, 0, 0, 0, 3, 0]
+    assert here[4][1] == "IrrationalSpectrum"
     assert there == here
 
 
