@@ -350,11 +350,6 @@ class ConnectionTable:
     columns: MatOver  # row i n + j: nabla_{b_i} b_j, the column j of Gamma_i
     _back = cached_property(lambda self: self.columns.mat())  # divided back on first use
 
-    @cached_property
-    def gamma(self) -> tuple:  # gamma[i] = Gamma_i as rows
-        back, n = self._back, math.isqrt(len(self._back))
-        return tuple(tuple(zip(*back[i * n:i * n + n])) for i in range(n))
-
     def nablas(self, pairs: list) -> list[Vec]:
         """nabla_X Y for each (X, Y) of pairs: the sums of (X_i Y_j) Gamma_i b_j over
         the (i, j) in order, near-zero X_i and Y_j skipped, as one product on the

@@ -279,7 +279,7 @@ def extension_by_zero_derivation_check(R: ReductiveSplit, w: KForm, Z: Vec) -> b
     # phi^T B = Omega
     phi = transpose(mat_mul(Omega, inverse(B)))
     # Leibniz, phi ad_i - ad_i phi = ad_{phi b_i} = sum_j phi_ji ad_j, and phi = ad_Z
-    ads, _, (P,), _ = R.g.ad_numerators(phi)
-    by_phi = mat_vecs(transpose([_flat(A) for A in ads]), transpose(P))
-    leibniz = [_flat(mat_sub(mat_mul(P, A), mat_mul(A, P))) for A in ads]
+    ads, (P,) = R.g.ad_values(phi)  # the numerators of both sides: one denominator
+    by_phi = mat_vecs(transpose([_flat(A.N) for A in ads]), P.T.N)
+    leibniz = [_flat(mat_sub(mat_mul(P.N, A.N), mat_mul(A.N, P.N))) for A in ads]
     return mat_eq(leibniz, by_phi) and mat_eq(phi, ad_matrix(R.g, Z))

@@ -10,15 +10,17 @@ denominator when every constant is a Fraction.  The table is a private
 attribute, not a dataclass field, so equality, hashing and serialization
 see only the sparse tuple; a rational algebra keeps its stored constants
 beside it.  :meth:`LieAlgebra._operands` decides the field once for the
-table and a reader's operands, :meth:`numerators` (:meth:`values` as
-``linalg.MatOver``) put matrices that act with it on that field, and
-:meth:`ad_numerators`, :func:`bracket` and :func:`ad_matrix_numerators` read
-the table in one sparse loop in pair order, the same for every field.
+table and a reader's operands.  The table is read only as values
+(``linalg.MatOver``, numerators over a denominator): :meth:`values` puts
+matrices that act with it on that field, and :meth:`ad_values`,
+:func:`ad_value` and :func:`bracket` read the table in one sparse loop in
+pair order, the same for every field.
 
-Jacobi, the lower central series and the derivations are read off that
-table: one sparse Jacobi pass, [g, V] from the columns of
-:func:`ad_matrix_numerators`, derivation rows from the basis ad matrices.
-The center and the lower central series are kept on the algebra.
+Jacobi, the center, the lower central series, the Killing form and the
+derivations are read off that table: one sparse Jacobi pass, [g, V] from the
+columns of :func:`ad_value`, the rest from the basis ad matrices of
+:meth:`ad_values`.  The center and the lower central series are kept on the
+algebra.
 
 :meth:`LieAlgebra.sqrt_basis` is the field decision for square-root tower
 constants and the tensors that act with them: the scalings to the basis of
@@ -47,8 +49,6 @@ from .linalg import (
     dot,
     inertia_symmetric,
     nullspace,
-    over,
-    transpose,
     zeros,
 )
 from .scalars import ONE, ZERO, Ext, coerce, s_is_zero, s_neg, s_sqrt
@@ -181,7 +181,7 @@ class LieAlgebra:
     @cached_property
     def center(self) -> Subspace:
         """Kernel of the joint adjoint action, as a null space of stacked ads."""
-        rows = [row for ad in self.ad_numerators()[0] for row in ad]  # scaled by da: same kernel
+        rows = [row for ad in self.ad_values()[0] for row in ad.N]  # over a den: same kernel
         return Subspace.from_vectors(self.dim, nullspace(rows, self.dim))
 
     @cached_property
@@ -191,8 +191,8 @@ class LieAlgebra:
         terms = [current]
         while True:
             # [g, V] is spanned by the columns of ad_w, w in the basis of V
-            ads = [ad_matrix_numerators(self, list(w))[0] for w in current.basis]
-            nxt = Subspace.from_vectors(self.dim, [col for N in ads for col in transpose(N)])
+            ads = [ad_value(self, MatOver([list(w)])) for w in current.basis]
+            nxt = Subspace.from_vectors(self.dim, [col for ad in ads for col in ad.T.N])
             if nxt.dim == current.dim:
                 return LowerCentralSeries(tuple(terms), False, None)
             terms.append(nxt)
@@ -227,34 +227,24 @@ class LieAlgebra:
             return (table if den is None else self._stored), None, ZERO, list(mats), 1
         return table, den, 0, scaled[0], scaled[1] or 1
 
-    def numerators(self, *mats: Mat) -> tuple[list[Mat], int]:
-        """(ints, dm): the matrices that act with the table on its field, as
-        :meth:`ad_numerators` returns them, without the ad matrices."""
-        return self._operands(*mats)[3:]
+    def values(self, *mats: Mat) -> list[MatOver]:
+        """The matrices that act with the table, as values on its field: the
+        numerators of :meth:`_operands` over their common denominator."""
+        _, _, _, ints, dm = self._operands(*mats)
+        return [MatOver(M, dm) for M in ints]
 
-    def ad_numerators(self, *mats: Mat) -> tuple[list[Mat], int, list[Mat], int]:
-        """(ads, da, ints, dm) with ad_{b_i} == over(ads[i], da), entry (k, j) =
-        c_ij^k, and (ints, dm) == numerators(*mats), on the field of
-        :meth:`_operands`: the one reader of the table for ad_{b_i}.  Off the
-        integer table each entry is a constant or its negative, the bracket
-        columns bit for bit."""
+    def ad_values(self, *mats: Mat) -> tuple[list[MatOver], list[MatOver]]:
+        """(ad_{b_i} for each i, :meth:`values` of mats), entry (k, j) of ad_{b_i}
+        c_ij^k, on the field of :meth:`_operands`: the one reader of the table
+        for ad_{b_i}.  Off the integer table each entry is a constant or its
+        negative, the bracket columns bit for bit."""
         table, den, zero, ints, dm = self._operands(*mats)
         n = self.dim
         ads = [[[zero] * n for _ in range(n)] for _ in range(n)]
         for (p, q), entries in table.items():
             for k, v in entries.items():
                 ads[p][k][q], ads[q][k][p] = v, -v
-        return ads, den or 1, ints, dm
-
-    def values(self, *mats: Mat) -> list[MatOver]:
-        """:meth:`numerators` as values, each over the common denominator."""
-        ints, dm = self.numerators(*mats)
-        return [MatOver(M, dm) for M in ints]
-
-    def ad_values(self, *mats: Mat) -> tuple[list[MatOver], list[MatOver]]:
-        """(ad_{b_i} for each i, mats) as values, from :meth:`ad_numerators`."""
-        ads, da, ints, dm = self.ad_numerators(*mats)
-        return [MatOver(ad, da) for ad in ads], [MatOver(M, dm) for M in ints]
+        return [MatOver(ad, den or 1) for ad in ads], [MatOver(M, dm) for M in ints]
 
 
 def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
@@ -279,45 +269,40 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
     return acc
 
 
-def ad_matrix_numerators(L: LieAlgebra, X: Vec) -> tuple[Mat, int]:
-    """(N, den) with ad_X == over(N, den), column j = [X, b_j]: one pass over
-    the table on the field of :meth:`LieAlgebra._operands`, N[k][j] = sum_i
-    x_i c_ij^k.  Off the integer table N is the bracket columns bit for bit:
-    x_i enters where bracket's tolerance keeps it, the sums run in pair order."""
-    if len(X) != L.dim:
+def ad_value(L: LieAlgebra, X: MatOver) -> MatOver:
+    """ad_x as a value for x the one row of X, column j = [x, b_j]: one pass
+    over the table on the field of :meth:`LieAlgebra._operands`, numerator
+    (k, j) = sum_i x_i c_ij^k.  Off the integer table the numerators are the
+    bracket columns bit for bit: x_i enters where bracket's tolerance keeps
+    it, the sums run in pair order."""
+    if len(X.N[0]) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
-    table, den, zero, ((X,),), dx = L._operands([X])
+    table, den, zero, ((x,),), dx = L._operands(X.N[:1])
     n = L.dim
     N = [[zero] * n for _ in range(n)]
-    live = [not s_is_zero(x) for x in X]
+    live = [not s_is_zero(a) for a in x]
     for (p, q), entries in table.items():
         lp, lq = live[p], live[q]
         if lp or lq:
-            a, b = X[p], X[q]
+            a, b = x[p], x[q]
             for k, v in entries.items():
                 row = N[k]
                 if lp:
                     row[q] += a * v
                 if lq:
                     row[p] -= b * v
-    return N, (den or 1) * dx
-
-
-def ad_value(L: LieAlgebra, X: MatOver) -> MatOver:
-    """ad_x as a value for x the one row of X, from the numerators of X."""
-    N, den = ad_matrix_numerators(L, X.N[0])
-    return MatOver(N, den * X.den)
+    return MatOver(N, (den or 1) * dx * X.den)
 
 
 def pair_brackets(L: LieAlgebra, X: MatOver, pairs: list) -> MatOver:
     """Row p: [x_a, x_b] for the p-th pair (a, b), x_a the row a of X, from its numerators."""
-    (N,), den = L.numerators([bracket(L, X.N[a], X.N[b]) for a, b in pairs])
-    return MatOver(N, den * X.den * X.den)
+    (V,) = L.values([bracket(L, X.N[a], X.N[b]) for a, b in pairs])
+    return MatOver(V.N, V.den * X.den ** 2)
 
 
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:
     """Matrix of ad_X, column j = [X, b_j]."""
-    return over(*ad_matrix_numerators(L, X))
+    return ad_value(L, MatOver([X])).mat()
 
 
 def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
@@ -368,12 +353,12 @@ class KillingForm:
 
 def killing_form(L: LieAlgebra) -> KillingForm:
     """B(X, Y) = trace(ad_X ad_Y) on the basis, with a definiteness report."""
-    n, (ads, da, _, _) = L.dim, L.ad_numerators()
-    rows, cols = [_flat(ad) for ad in ads], [_flat(transpose(ad)) for ad in ads]
+    n, ads = L.dim, L.ad_values()[0]
+    rows, cols = [_flat(ad.N) for ad in ads], [_flat(ad.T.N) for ad in ads]
     B = zeros(n, n)
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         B[i][j] = B[j][i] = dot(rows[i], cols[j])  # sum over (a, b) of ad_i[a][b] ad_j[b][a]
-    B = over(B, da * da)
+    B = MatOver(B, ads[0].den ** 2 if ads else 1).mat()
     pos, neg, zero = inertia_symmetric(B)
     if pos and neg:
         label = "indefinite"
@@ -389,7 +374,7 @@ def derivations(L: LieAlgebra) -> Subspace:
 
     Elements are row-major flattened N x N matrices (ambient dim N^2).
     """
-    n, (ads, _, _, _) = L.dim, L.ad_numerators()  # scaled by da: same kernel
+    n, ads = L.dim, [ad.N for ad in L.ad_values()[0]]  # over a den: same kernel
     rows: Mat = []
     for i, j in itertools.combinations(range(n), 2):
         for m in range(n):

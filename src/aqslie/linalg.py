@@ -27,7 +27,10 @@ unique.  A computation of several kernels stays on integers in one value,
 :class:`MatOver`, integer numerators over a denominator that meets another
 at their lcm by itself (tower and float matrices are their own numerators
 over 1); ``LieAlgebra.values`` builds values, ``mat_solve`` solves on them
-from one integer RREF, and ``over`` divides a value back where it leaves.
+from one integer RREF, and ``MatOver.mat`` divides a value back where it
+leaves.  ``nullspace``, ``solve`` and ``mat_solve`` read the integer rows and
+pivots of ``_reduced`` and divide only the entries they return; ``rref``
+divides every entry back, for ``Subspace.from_vectors``.
 ``eigenspaces`` serves every eigendecomposition of a g-symmetric operator
 (the float eigenvalue clustering lives only there).
 """
@@ -115,16 +118,6 @@ def _int_rows(*mats: Mat) -> tuple[list[Mat], int | None] | None:
             rows.append(ints[at:(at := at + len(row))])
         out.append(rows)
     return out, scaled[1]
-
-
-def over(N: Mat, den: int) -> Mat:
-    """N / den: one normalised Fraction per nonzero entry of an all-int N, or of
-    a rational N over den > 1, ZERO for the zeros; any other N is itself when
-    den is 1 (float, tower or Fraction numerators), else divided entry by entry."""
-    scaled = None if den == 1 and not {int}.issuperset(map(type, _flat(N))) else _int_rows(N)
-    if scaled is not None:
-        return _back(scaled[0][0], scaled[1], den)
-    return N if den == 1 else [[s_div(x, den) for x in row] for row in N]
 
 
 def _back(N, *dens) -> Mat:
@@ -435,42 +428,45 @@ def rank(M: Mat) -> int:
     return len(_reduced(M)[1]) if M and M[0] else 0
 
 
+def _divided(column: Vec, heads: list | None) -> Vec:
+    """Entry r of column over heads[r], the pivot rows of ``_reduced``'s integer
+    rows (ZERO for 0); the column itself when heads is None (the RREF itself)."""
+    if heads is None:
+        return column
+    return [Fraction(x, h) if x else ZERO for x, h in zip(column, heads)]
+
+
 def nullspace(M: Mat, n_cols: int | None = None) -> list[Vec]:
     """Deterministic kernel basis from the RREF (free columns ascending)."""
     if n_cols is None:
         n_cols = len(M[0]) if M else 0
     if not M:
         return [[ONE if i == j else ZERO for i in range(n_cols)] for j in range(n_cols)]
-    R, pivots = rref(M)
-    pivot_of_col = {c: r for r, c in enumerate(pivots)}
+    R, pivots, heads = _reduced(M)
     basis = []
     for free in range(n_cols):
-        if free in pivot_of_col:
+        if free in pivots:
             continue
         v = [ZERO] * n_cols
         v[free] = ONE
-        for c, r in pivot_of_col.items():
-            v[c] = s_neg(R[r][free])
+        for c, x in zip(pivots, _divided([s_neg(row[free]) for row in R[:len(pivots)]], heads)):
+            v[c] = x
         basis.append(v)
     return basis
 
 
 def solve(M: Mat, b: Vec) -> Vec | None:
-    """One solution of M x = b (free variables zero), or None if inconsistent."""
+    """One solution of M x = b (free variables zero), or None if inconsistent:
+    when the RREF of [M | b] has a pivot in the b column."""
     if not M:
         return [] if vec_is_zero(b) else None
     n_cols = len(M[0])
-    aug = [row[:] + [bv] for row, bv in zip(M, b)]
-    R, pivots = rref(aug)
-    for r in range(len(R)):
-        if all(s_is_zero(R[r][c]) for c in range(n_cols)) and not s_is_zero(R[r][n_cols]):
-            return None
-    x = [ZERO] * n_cols
-    for r, c in enumerate(pivots):
-        if c < n_cols:
-            x[c] = R[r][n_cols]
+    R, pivots, heads = _reduced([row[:] + [bv] for row, bv in zip(M, b)])
     if n_cols in pivots:
         return None
+    x = [ZERO] * n_cols
+    for c, v in zip(pivots, _divided([row[n_cols] for row in R[:len(pivots)]], heads)):
+        x[c] = v
     return x
 
 
@@ -554,14 +550,22 @@ class MatOver:
 
     def max_abs(self):
         """max |N| / den, the residual of an identity."""
-        return over([[max_abs(_flat(self.N))]], self.den)[0][0]
+        return MatOver([[max_abs(_flat(self.N))]], self.den).mat()[0][0]
 
     def eigenspaces(self, G: MatOver) -> list:
         """``eigenspaces`` of N and G.N, each eigenvalue divided by den."""
-        return [(over([[ev]], self.den)[0][0], *rest) for ev, *rest in eigenspaces(self.N, G.N)]
+        return [(MatOver([[ev]], self.den).mat()[0][0], *rest)
+                for ev, *rest in eigenspaces(self.N, G.N)]
 
     def mat(self) -> Mat:
-        return over(self.N, self.den)
+        """N / den: one normalised Fraction per nonzero entry of an all-int N, or
+        of a rational N over den > 1, ZERO for the zeros; any other N is itself
+        over 1 (float, tower or Fraction numerators), else divided entry by entry."""
+        N, den = self.N, self.den
+        scaled = None if den == 1 and not {int}.issuperset(map(type, _flat(N))) else _int_rows(N)
+        if scaled is not None:
+            return _back(scaled[0][0], scaled[1], den)
+        return N if den == 1 else [[s_div(x, den) for x in row] for row in N]
 
 
 def _at_lcm(values: list[MatOver]) -> tuple[list[Mat], int]:
@@ -577,13 +581,14 @@ def stacked(values: list[MatOver]) -> MatOver:
 
 def mat_solve(A: MatOver, B: MatOver) -> MatOver:
     """X with A X = B for a square A (ValueError when singular), off the RREF
-    of [A.N | B.N]: on all-int numerators row i of X is row i of the B block
-    over its pivot, all at the lcm of the pivots; else it is ``rref``'s, over 1."""
+    of [A.N | B.N] (``_reduced``): on rational rows row i of X is row i of the
+    B block over its pivot, all at the lcm of the pivots; else it is the
+    RREF's, over 1."""
     n, aug = len(A.N), [[*a, *b] for a, b in zip(A.N, B.N)]
-    ints = aug and {int}.issuperset(map(type, _flat(aug)))
-    R, pivots, heads = _reduced(aug) if ints else (*rref(aug), [1] * n)  # rref's pivots are 1
+    R, pivots, heads = _reduced(aug) if aug else ([], [], None)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
+    heads = heads or [1] * n  # the RREF's pivots are 1
     den = math.lcm(*heads)
     X = [row[n:] if h == den else [x * (den // h) for x in row[n:]] for row, h in zip(R, heads)]
     return MatOver(X, den * B.den) * A.den  # (A.N / a)^-1 B.N / b = a A.N^-1 B.N / b
@@ -818,7 +823,10 @@ def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
     return out
 
 
-def eigh_float(M: Mat, sweeps: int = 60) -> tuple[list[float], Mat]:
+_JACOBI_SWEEPS = 60
+
+
+def eigh_float(M: Mat) -> tuple[list[float], Mat]:
     """Cyclic Jacobi eigensolver for symmetric float matrices.
 
     Returns (eigenvalues, V) with V[:, k] the eigenvector of eigenvalue k;
@@ -827,7 +835,7 @@ def eigh_float(M: Mat, sweeps: int = 60) -> tuple[list[float], Mat]:
     n = len(M)
     A = [[float(x) for x in row] for row in M]
     V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for _ in range(sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = math.sqrt(sum(A[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
         if off < 1e-14:
             break

@@ -1,12 +1,13 @@
 """The two-route bracket and ad matrix of ``lie_core``, kept as oracles.
 
-``lie_core.bracket`` and ``lie_core.ad_matrix_numerators`` read the table in
-one loop for every field.  Before that, each had an integer route over the
-scaled table and a second route for every other field: ``bracket`` looped
-over ``L.brackets`` with the scalar functions, and ``ad_matrix_numerators``
-assembled ad_X from n ``bracket`` columns.  The tests compare the one loop
-with these routes by ``repr``, so the bits of a float, the sign of a zero and
-``ZERO`` against ``0.0`` all show.
+``lie_core.bracket`` and ``lie_core.ad_value`` read the table in one loop
+for every field.  Before that, each had an integer route over the scaled
+table and a second route for every other field: ``bracket`` looped over
+``L.brackets`` with the scalar functions, and the ad matrix was assembled
+from n ``bracket`` columns.  The tests compare the one loop, ad_X as the
+numerators and denominator of its value, with these routes by ``repr``, so
+the bits of a float, the sign of a zero and ``ZERO`` against ``0.0`` all
+show.
 """
 
 from fractions import Fraction

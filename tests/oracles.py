@@ -11,10 +11,12 @@ they ran before they passed numerators to each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, levi_civita, nijenhuis
+from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, ConnectionTable, levi_civita
+from aqslie.acm import nijenhuis
 from aqslie.acm import operators_A_psi, rational_rescaling
 from aqslie.adapted import AdaptedFrame, _psi2_orbits, require_maximal
 from aqslie.classifier import HeisenbergIso
@@ -31,10 +33,10 @@ from aqslie.exterior import (
 )
 from aqslie.io import _matrix_to_json, algebra_to_json
 from aqslie.lie_core import BracketTable, LieAlgebra, ad_matrix, bracket
-from aqslie.linalg import Mat, Subspace, Vec, _flat, bilinear, det, diag_scaled, dot, eigenspaces
+from aqslie.linalg import Mat, MatOver, Subspace, Vec, _flat, bilinear, det, diag_scaled, dot, eigenspaces
 from aqslie.linalg import identity
 from aqslie.linalg import inverse, is_positive_definite, mat_add, mat_eq, mat_mul, mat_scale
-from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, over, solve
+from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, solve
 from aqslie.linalg import transpose, vec_eq, vec_is_zero, vec_scale, zeros
 from aqslie.scalars import ONE, ZERO, is_exact, s_abs, s_add, s_div, s_eq, s_inv, s_is_zero
 from aqslie.scalars import s_mul, s_neg, s_sqrt, s_sub
@@ -267,7 +269,9 @@ def stage_connection(S: AcmStructure) -> tuple:
     """Gamma_i as rows, the Koszul solve on numerators divided back at once."""
     L, g = S.L, S.g_mat()
     n = L.dim
-    ads, da, (g, half_g_inv), dm = L.ad_numerators(g, mat_scale(inverse(g), ONE / 2))
+    ads, (g, half_g_inv) = L.ad_values(g, mat_scale(inverse(g), ONE / 2))
+    den = g.den * half_g_inv.den * ads[0].den
+    g, half_g_inv, ads = g.N, half_g_inv.N, [ad.N for ad in ads]
     gads = [mat_mul(g, ad) for ad in ads]
     koszul = []
     for i in range(n):
@@ -275,19 +279,26 @@ def stage_connection(S: AcmStructure) -> tuple:
         C = [[gads[k][j][i] for j in range(n)] for k in range(n)]
         koszul += transpose(mat_add(mat_sub(gads[i], B), C))
     solved = mat_vecs(half_g_inv, koszul)
-    return tuple(tuple(map(tuple, over(transpose(solved[i * n:i * n + n]), dm * dm * da)))
+    return tuple(tuple(map(tuple, MatOver(transpose(solved[i * n:i * n + n]), den).mat()))
                  for i in range(n))
+
+
+def gamma_rows(conn: ConnectionTable) -> tuple:
+    """Gamma_i as rows for each i, from the table's columns divided back."""
+    back = conn.columns.mat()
+    n = math.isqrt(len(back))
+    return tuple(tuple(zip(*back[i * n:i * n + n])) for i in range(n))
 
 
 def stage_ricci(S: AcmStructure) -> tuple:
     """(Ricci, scalar curvature) by the loop on the divided-back table
-    ``ConnectionTable.gamma`` that curvature ran before it read numerators."""
+    :func:`gamma_rows` that curvature ran before it read numerators."""
     if r := rational_rescaling(S):
         ricci, scal = stage_ricci(r.S)
         return tuple(map(tuple, diag_scaled(ricci, r.down, r.down))), scal
     conn, L = levi_civita(S), S.L
-    gamma, n, ricci = conn.gamma, L.dim, zeros(L.dim, L.dim)
-    ads, da, _, _ = L.ad_numerators()
+    gamma, n, ricci = gamma_rows(conn), L.dim, zeros(L.dim, L.dim)
+    ads = L.ad_values()[0]
     # lefts[a][i n + j] = (Gamma_a Gamma_i)_aj
     lefts = transpose(mat_vecs([G[a] for a, G in enumerate(gamma)],
                                [c for G in gamma for c in transpose(G)]))
@@ -297,7 +308,7 @@ def stage_ricci(S: AcmStructure) -> tuple:
         # (Gamma_i Gamma_a)_a, one mat_vecs call on the columns of Gamma_a
         right = transpose(mat_vecs(rows, transpose(gamma[a])))
         # row i: (sum_k c_ai^k Gamma_k)_a, with [b_a, b_i] the column i of ad_a
-        brackets = mat_vecs(transpose(rows), transpose(over(ads[a], da)))
+        brackets = mat_vecs(transpose(rows), transpose(ads[a].mat()))
         # summed as the full-vector R(b_a, b_i) b_j was: float entries keep their bits
         ricci = mat_add(ricci, mat_sub(mat_sub(left, right), brackets))
     scal = dot(_flat(inverse(S.g_mat())), _flat(ricci))

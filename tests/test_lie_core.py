@@ -25,7 +25,7 @@ from aqslie.lie_core import (
     LieAlgebra,
     LowerCentralSeries,
     ad_matrix,
-    ad_matrix_numerators,
+    ad_value,
     bracket,
     center,
     derivations,
@@ -34,11 +34,11 @@ from aqslie.lie_core import (
     lower_central_series,
 )
 from aqslie.linalg import (
+    MatOver,
     Subspace,
     identity,
     mat_vec,
     nullspace,
-    over,
     random_unimodular,
     vec_eq,
     vec_is_zero,
@@ -63,21 +63,30 @@ def test_bracket_heisenberg_and_antisymmetry():
     assert bracket(L, x, x) == [F(0)] * 5
 
 
-def test_ad_matrix_numerators_carry_the_table_denominator():
+def _ad_numerators(L, X):
+    """(numerators, denominator) of ad_X as a value."""
+    V = ad_value(L, MatOver([X]))
+    return V.N, V.den
+
+
+def test_ad_value_carries_the_table_denominator():
     # c_01^2 = 1/2 and c_02^1 = -1/3: the table's common denominator is 6.  An
     # all-int vector is an exact vector to bracket and ad_matrix; its numerator
     # form comes only with its denominator
     L = LieAlgebra.from_brackets(3, {(0, 1): {2: F(1, 2)}, (0, 2): {1: F(-1, 3)}})
     X = [2, 3, 0]
-    N, den = ad_matrix_numerators(L, X)
+    N, den = _ad_numerators(L, X)
     assert den == 6 and all(type(x) is int for row in N for x in row)
     exact = ad_matrix(L, [F(x) for x in X])
-    assert over(N, den) == ad_matrix(L, X) == exact
-    assert ad_matrix_numerators(L, [F(x, 5) for x in X]) == (N, 30)
+    assert MatOver(N, den).mat() == ad_matrix(L, X) == exact
+    assert _ad_numerators(L, [F(x, 5) for x in X]) == (N, 30)
+    # a vector over its own denominator joins the table's
+    V = ad_value(L, MatOver([X], 5))
+    assert (V.N, V.den) == (N, 30)
     assert bracket(L, [1, 0, 0], [0, 1, 0]) == [0, 0, F(1, 2)]
     assert all(type(x) is F for x in bracket(L, [1, 0, 0], [0, 1, 0]))
     Lf = LieAlgebra.from_brackets(3, {(0, 1): {2: 0.5}, (0, 2): {1: -1 / 3}}, mode="float")
-    Nf, df = ad_matrix_numerators(Lf, [2.0, 3.0, 0.0])
+    Nf, df = _ad_numerators(Lf, [2.0, 3.0, 0.0])
     assert df == 1 and Nf == ad_matrix(Lf, [2.0, 3.0, 0.0])
 
 
@@ -492,13 +501,13 @@ def test_basis_ad_is_the_bracket_columns_bit_for_bit():
     assert any(isinstance(v, Ext) for _, e in cases["sqrt-h9"].brackets for _, v in e)
     assert all(isinstance(v, float) for _, e in cases["float-h9c1"].brackets for _, v in e)
     for name, L in cases.items():
-        ads, da, _, _ = L.ad_numerators()
+        ads = L.ad_values()[0]
         for i in range(L.dim):
-            got, want = over(ads[i], da), ad_matrix(L, L.basis_vector(i))
+            got, want = ads[i].mat(), ad_matrix(L, L.basis_vector(i))
             assert [list(map(_bits, r)) for r in got] == [list(map(_bits, r)) for r in want], (name, i)
 
 
-def test_ad_numerators_across_fields_keep_the_true_ad_matrices():
+def test_ad_values_across_fields_keep_the_true_ad_matrices():
     # a rational algebra with a tower or float matrix is no integer route: its
     # ad matrices are the stored constants, not the table integers, over 1
     from aqslie.scalars import parse_scalar
@@ -513,10 +522,10 @@ def test_ad_numerators_across_fields_keep_the_true_ad_matrices():
         "sqrt-h9-rational-matrix": (sqrt_h9, matrix(lambda i, j: F(i - j, 3))),
     }
     for name, (L, M) in cases.items():
-        ads, da, mats, dm = L.ad_numerators(M)
-        assert (mats, dm) == ([M], 1), name
+        ads, (V,) = L.ad_values(M)
+        assert (V.N, V.den) == (M, 1) and {ad.den for ad in ads} == {1}, name
         for i in range(L.dim):
-            got, want = over(ads[i], da), ad_matrix(L, L.basis_vector(i))
+            got, want = ads[i].mat(), ad_matrix(L, L.basis_vector(i))
             assert [list(map(_bits, r)) for r in got] == [list(map(_bits, r)) for r in want], (name, i)
 
 
@@ -634,7 +643,7 @@ def test_table_readers_match_the_two_routes_on_the_structures():
         vecs = [*zip(*S.phi_mat()), *zip(*S.g_mat()), S.xi_vec(), S.eta_row()]
         vecs = [list(v) for v in vecs] + [L.basis_vector(i) for i in range(L.dim)]
         for X in vecs:
-            assert repr(ad_matrix_numerators(L, X)) == repr(ad_matrix_routes(L, X)), name
+            assert repr(_ad_numerators(L, X)) == repr(ad_matrix_routes(L, X)), name
             for Y in vecs[::3]:
                 assert repr(bracket(L, X, Y)) == repr(bracket_routes(L, X, Y)), name
 
@@ -699,7 +708,7 @@ def test_table_readers_match_the_two_routes_on_random_tables(field, n, data):
     all_ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     X, Y = (data.draw(vector | all_ints) for _ in range(2))
     assert repr(bracket(L, X, Y)) == repr(bracket_routes(L, X, Y))
-    assert repr(ad_matrix_numerators(L, X)) == repr(ad_matrix_routes(L, X))
+    assert repr(_ad_numerators(L, X)) == repr(ad_matrix_routes(L, X))
     ints = [[int(x) for x in v] for v in ([1] * n, list(range(n)))]
     assert repr(bracket(L, *ints)) == repr(bracket_routes(L, *ints))
-    assert repr(ad_matrix_numerators(L, ints[1])) == repr(ad_matrix_routes(L, ints[1]))
+    assert repr(_ad_numerators(L, ints[1])) == repr(ad_matrix_routes(L, ints[1]))

@@ -37,7 +37,6 @@ from aqslie.linalg import (
     mat_vecs,
     max_abs,
     nullspace,
-    over,
     random_unimodular,
     rank,
     rational_roots,
@@ -730,17 +729,39 @@ def test_rank_of_an_int_matrix_builds_no_fraction(monkeypatch):
     assert (got, built[0]) == (2, 0)
 
 
+def test_nullspace_and_solve_of_an_int_matrix_build_only_their_results(monkeypatch):
+    # the integer RREF is read as it is: one Fraction per nonzero entry returned
+    # off the pivot rows, none for the free ONEs and the ZEROs
+    real, built = F.__new__, [0]
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return real(cls, *args, **kwargs)
+
+    M = [[2, 4, 0, 6], [1, 2, 3, 4], [3, 6, 3, 10]]
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    kernel = nullspace(M)
+    kernel_built, built[0] = built[0], 0
+    x = solve(M, [2, 4, 6])
+    monkeypatch.undo()
+    assert kernel == [[-2, 1, 0, 0], [-3, 0, F(-1, 3), 1]]
+    assert kernel_built == 3  # -2, -3 and -1/3
+    assert (x, built[0]) == ([1, 0, 1, 0], 2)
+    assert solve(M, [2, 4, 7]) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_matrices(), rational_matrices(), st.sampled_from(["fraction", "tower", "float"]))
-def test_over_inverts_numerators(A, B, kind):
-    # the numerators a rational algebra gives the matrices that act with it
+def test_values_divide_back_to_their_matrices(A, B, kind):
+    # the values a rational algebra gives the matrices that act with it
     to = {"fraction": lambda x: x, "tower": lambda x: s_mul(SQRT2, x) if x else x,
           "float": float}[kind]
     A, B = _map(to, A), _map(to, B)
-    mats, den = abelian(1).numerators(A, B)
-    back = [over(M, den) for M in mats]
+    vals = abelian(1).values(A, B)
+    back = [V.mat() for V in vals]
     assert [list(map(_bits, row)) for M in back for row in M] == \
         [list(map(_bits, row)) for M in (A, B) for row in M]
+    mats, (den,) = [V.N for V in vals], {V.den for V in vals}
     if kind == "fraction":
         assert all(type(x) is int for M in mats for row in M for x in row)
         flat = [x for M in (A, B) for row in M for x in row]
@@ -748,7 +769,7 @@ def test_over_inverts_numerators(A, B, kind):
     else:
         assert (mats, den) == ([A, B], 1)
     # a matrix of another kind over a denominator other than 1 is divided entrywise
-    assert _same(over(A, 3), [[s_mul(x, F(1, 3)) for x in row] for row in A])
+    assert _same(MatOver(A, 3).mat(), [[s_mul(x, F(1, 3)) for x in row] for row in A])
 
 
 def test_entrywise_kernels_fall_back_on_mixed_input():
@@ -844,7 +865,7 @@ def _outcome(fn):
 
 def _deep_bits(x):
     """_bits all the way down, an int read as a Fraction: a kernel on a matrix
-    mixing ints and Fractions keeps its ints, where ``over`` gives Fractions."""
+    mixing ints and Fractions keeps its ints, where ``MatOver.mat`` gives Fractions."""
     if isinstance(x, (list, tuple)):
         return [_deep_bits(y) for y in x]
     return _bits(F(x) if type(x) is int else x)
@@ -899,7 +920,7 @@ def test_value_eigenspaces_divide_the_eigenvalues(seed):
     D = [[[3, 3, -6, 12][i] if i == j else 0 for j in range(4)] for i in range(4)]
     N = [[int(x) for x in row] for row in mat_mul(P, mat_mul(D, inverse(P)))]
     G = MatOver(identity(4))
-    assert repr(MatOver(N, 6).eigenspaces(G)) == repr(eigenspaces(over(N, 6), G.mat()))
+    assert repr(MatOver(N, 6).eigenspaces(G)) == repr(eigenspaces(MatOver(N, 6).mat(), G.mat()))
     floats = [[float(x) for x in row] for row in N]
     assert repr(MatOver(floats).eigenspaces(G)) == repr(eigenspaces(floats, G.mat()))
     with pytest.raises(ValueError, match="singular"):

@@ -105,7 +105,7 @@ def _callee(node: ast.Call) -> str | None:
 
 
 def test_basis_ad_matrices_come_from_the_structure_constants():
-    # ad_{b_i} has one reader of the table, LieAlgebra.ad_numerators();
+    # ad_{b_i} has one reader of the table, LieAlgebra.ad_values();
     # ad_matrix(L, L.basis_vector(i)) would rebuild it from n brackets
     sources = sorted(Path(aqslie.__file__).parent.glob("*.py"))
     assert sources
@@ -125,7 +125,7 @@ def field_decisions(source: str) -> list[str]:
     _int_scaled, math.lcm and two-argument Fraction(...); and reads of a
     radicand: squarefree_split(...) and the .terms of a tower scalar.  In
     acm, adapted and classifier the formulas run on the numerator view or the
-    rational rescaling, linalg.numerators, linalg.over and linalg.diag_scaled;
+    rational rescaling, LieAlgebra.values, MatOver.mat and linalg.diag_scaled;
     the field and the square classes are decided in linalg and lie_core."""
     offenders = []
     for node in ast.walk(ast.parse(source)):
@@ -164,9 +164,10 @@ def test_acm_leaves_the_field_decision_to_linalg():
 
 
 
-# the producers of (numerators, den) tuples, which LieAlgebra.values and
-# ad_values, lie_core.ad_value and lie_core.pair_brackets turn into values
-PAIR_PRODUCERS = ("numerators", "ad_numerators", "ad_matrix_numerators")
+# the readers of the table and the scalings that hand out (numerators, den)
+# tuples, which LieAlgebra.values and ad_values, lie_core.ad_value and
+# lie_core.pair_brackets turn into values
+TUPLE_PRODUCERS = ("_tables", "_operands", "_int_rows", "_int_scaled")
 
 
 def _a_denominator(node: ast.AST) -> bool:
@@ -178,13 +179,14 @@ def _a_denominator(node: ast.AST) -> bool:
 def hand_carried_denominators(source: str) -> list[str]:
     """Where source reads .den or .da, calls a producer of (numerators, den)
     tuples, builds, returns or unpacks a tuple that holds a denominator, or
-    applies *, ** or // to one.  In acm, adapted and classifier denominators
-    live in linalg.MatOver values, which bring operands to one themselves."""
+    applies *, ** or // to one.  Outside linalg, lie_core and exterior
+    denominators live in linalg.MatOver values, which bring operands to one
+    themselves."""
     offenders = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in ("den", "da"):
             offenders.append(f"{node.lineno} .{node.attr}")
-        elif isinstance(node, ast.Call) and _callee(node) in PAIR_PRODUCERS:
+        elif isinstance(node, ast.Call) and _callee(node) in TUPLE_PRODUCERS:
             offenders.append(f"{node.lineno} {_callee(node)}")
         elif isinstance(node, ast.Tuple) and any(map(_a_denominator, node.elts)):
             offenders.append(f"{node.lineno} tuple")
@@ -194,9 +196,14 @@ def hand_carried_denominators(source: str) -> list[str]:
     return sorted(offenders)
 
 
+# the modules that read the table and their matrices only as values
+VALUE_READERS = ("acm.py", "adapted.py", "classifier.py", "invariant_forms.py",
+                 "constructors.py", "cli.py", "io.py")
+
+
 def test_denominators_are_carried_by_the_values():
     package = Path(aqslie.__file__).parent
-    for module in ("acm.py", "adapted.py", "classifier.py"):
+    for module in VALUE_READERS:
         assert hand_carried_denominators((package / module).read_text("utf-8")) == [], module
     # the hand-scaled identities the values replaced are what the check is for
     forked = (
@@ -205,15 +212,22 @@ def test_denominators_are_carried_by_the_values():
         "    phi, xi, d = v.phi, v.xi, v.den\n"
         "    return _divided(max_abs(mat_vec(phi, xi)), d ** 3)\n"
         "def psi_matrix(S):\n"
-        "    (psi,), dr = L.numerators([row[n:] for row in R])\n"
+        "    *_, (psi,), dr = L._operands([row[n:] for row in R])\n"
         "    den = 2 * v.da * dr\n"
         "    return psi, den\n"
         "def _verify_iso(S, F, F_inv):\n"
         "    require(gram, v.g, 'not an isometry', d, df * d // df)\n"
     )
     assert hand_carried_denominators(forked) == [
-        "10 FloorDiv", "10 Mult", "3 .den", "3 tuple", "3 tuple", "4 Pow", "6 numerators",
+        "10 FloorDiv", "10 Mult", "3 .den", "3 tuple", "3 tuple", "4 Pow", "6 _operands",
         "6 tuple", "7 .da", "7 Mult", "7 Mult", "8 tuple"]
+    # so is the ad matrix as (numerators, den) in a module that reads values
+    forked = (
+        "def extension_by_zero_derivation_check(R, w, Z):\n"
+        "    table, den = R.g._tables()\n"
+        "    return _int_rows(phi)\n"
+    )
+    assert hand_carried_denominators(forked) == ["2 _tables", "2 tuple", "3 _int_rows"]
 
 
 def calls_outside(source: str, helper: str, matches) -> list[int]:
@@ -284,7 +298,7 @@ TABLE_READERS = ("jacobi_check", "lower_central_series", "derivations")
 
 def basis_bracket_uses(source: str) -> list[str]:
     """Calls to bracket or .c inside the functions of TABLE_READERS, which
-    read the structure table through ad_numerators and ad columns."""
+    read the structure table through ad_values and ad_value columns."""
     return [f"{fn.name}:{node.lineno}" for fn in ast.walk(ast.parse(source))
             if isinstance(fn, ast.FunctionDef) and fn.name in TABLE_READERS
             for node in ast.walk(fn)
@@ -296,7 +310,7 @@ def _brackets_a_basis_vector(node: ast.Call) -> bool:
         isinstance(arg, ast.Call) and _callee(arg) == "basis_vector" for arg in node.args)
 
 
-ONE_LOOP_READERS = ("bracket", "ad_matrix_numerators")
+ONE_LOOP_READERS = ("bracket", "ad_value")
 
 
 def second_route_uses(source: str) -> list[str]:
@@ -324,7 +338,7 @@ def second_route_uses(source: str) -> list[str]:
 def test_the_structure_table_is_read_not_bracketed_on_basis_vectors():
     # Jacobi, the series and the derivations read the table, and a bracket
     # with a basis vector is a column of an ad matrix; bracket and
-    # ad_matrix_numerators read it in one loop, on one field decision
+    # ad_value read it in one loop, on one field decision
     package = Path(aqslie.__file__).parent
     lie_core = (package / "lie_core.py").read_text("utf-8")
     assert basis_bracket_uses(lie_core) == []
@@ -333,7 +347,7 @@ def test_the_structure_table_is_read_not_bracketed_on_basis_vectors():
         source = path.read_text("utf-8")
         assert calls_outside(source, "", _brackets_a_basis_vector) == [], path
     # the per-triple and per-constant loops the table readers replaced, and
-    # the second routes of bracket and ad_matrix_numerators
+    # the second routes of bracket and ad_value
     forked = (
         "def jacobi_check(L):\n"
         "    b = [L.basis_vector(i) for i in range(L.dim)]\n"
@@ -349,14 +363,14 @@ def test_the_structure_table_is_read_not_bracketed_on_basis_vectors():
         "            pass\n"
         "    for pair, entries in L.brackets:\n"
         "        pass\n"
-        "def ad_matrix_numerators(L, X):\n"
+        "def ad_value(L, X):\n"
         "    if _int_rows([X]) is None:\n"
         "        return [bracket(L, X, L.basis_vector(j)) for j in range(L.dim)]\n"
     )
     assert basis_bracket_uses(forked) == ["jacobi_check:3", "jacobi_check:3", "derivations:5"]
     assert calls_outside(forked, "", _brackets_a_basis_vector) == [7, 17]
     assert second_route_uses(forked) == [
-        "ad_matrix_numerators:16 _int_rows", "ad_matrix_numerators:17 bracket",
+        "ad_value:16 _int_rows", "ad_value:17 bracket",
         "bracket:13 .brackets", "bracket:13 second loop", "bracket:9 _int_scaled",
     ]
 
@@ -518,16 +532,44 @@ def used_names(tree: ast.AST, strings: bool = False) -> set[str]:
     return names
 
 
+def _units(tree: ast.Module):
+    """(statement, definition, names, texts) for each module-level statement and,
+    inside a class, for its header and each statement of its body: the
+    module-level statement, the definition the unit is (or None), the names
+    the unit uses, and those together with its string constants."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            yield stmt, stmt if isinstance(stmt, ast.FunctionDef) else None, used_names(stmt), \
+                used_names(stmt, strings=True)
+            continue
+        header = ast.Module([ast.Expr(node) for node in (*stmt.decorator_list, *stmt.bases,
+                                                            *stmt.keywords)], [])
+        yield stmt, stmt, used_names(header), used_names(header, strings=True)
+        for part in stmt.body:
+            member = part if isinstance(part, ast.FunctionDef) else None
+            yield stmt, member, used_names(part), used_names(part, strings=True)
+
+
 def unreached_definitions(modules: dict, outside: set) -> list[str]:
     """'module.name' of each module-level def or class of modules ({file
-    name: source}) that no other statement of the modules names, nor outside."""
-    bodies = {name: [(stmt, used_names(stmt)) for stmt in ast.parse(source).body]
-              for name, source in modules.items()}
-    return [f"{name[:-3]}.{stmt.name}" for name, body in bodies.items() for stmt, _ in body
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and stmt.name not in outside | UNREACHED_ALLOWED
-            and not any(stmt.name in names for other in bodies.values()
-                        for s, names in other if s is not stmt)]
+    name: source}) that no other statement of the modules names, nor outside,
+    and 'module.Class.name' of each method or property but the dunders that
+    no other statement names, nor a string constant of the modules (an
+    operator.attrgetter("center") names a member), nor outside."""
+    units = {name: list(_units(ast.parse(source))) for name, source in modules.items()}
+    every = [unit for body in units.values() for unit in body]
+    unreached = []
+    for name, body in units.items():
+        for stmt, defined, _, _ in body:
+            if defined is None or defined.name in outside | UNREACHED_ALLOWED:
+                continue
+            if defined is stmt:  # module-level: named outside its own statement
+                reached = any(defined.name in names for s, _, names, _ in every if s is not stmt)
+                unreached += [] if reached else [f"{name[:-3]}.{stmt.name}"]
+            elif not (defined.name.startswith("__") and defined.name.endswith("__")):
+                reached = any(defined.name in texts for _, d, _, texts in every if d is not defined)
+                unreached += [] if reached else [f"{name[:-3]}.{stmt.name}.{defined.name}"]
+    return unreached
 
 
 def test_every_definition_is_reached_by_the_cli_the_criteria_or_perfbench():
@@ -548,3 +590,12 @@ def test_every_definition_is_reached_by_the_cli_the_criteria_or_perfbench():
                       "class Report:\n    pass\n", "b.py": "from .a import kernel\n"}
     assert unreached_definitions(forked, set()) == ["a.helper"]
     assert unreached_definitions(forked, {"helper"}) == []
+    # so is a member that only tests read, and a string constant reaches one
+    forked = {"a.py": "class Table:\n    @property\n    def gamma(self):\n        return self.rows\n"
+                      "    @property\n    def rows(self):\n        return []\n"
+                      "    def __len__(self):\n        return 0\n"
+                      "center = operator.attrgetter('center')\n",
+              "b.py": "from .a import Table\nclass Algebra(Table):\n    def center(self):\n"
+                      "        return self.center\nALGEBRAS = [Algebra]\n"}
+    assert unreached_definitions(forked, set()) == ["a.Table.gamma"]
+    assert unreached_definitions(forked, {"gamma"}) == []
