@@ -11,7 +11,6 @@ from .acm import (
     closedness_suite,
     curvature,
     double_aqs_check,
-    fundamental_form,
     levi_civita,
     nijenhuis_phi,
     operators_A_psi,
@@ -82,7 +81,6 @@ __all__ = [
     "curvature",
     "derivations",
     "double_aqs_check",
-    "fundamental_form",
     "invariance_type",
     "invariant_closed_2forms",
     "jacobi_check",

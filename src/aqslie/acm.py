@@ -11,6 +11,9 @@ Shared formulas live here once: :func:`nijenhuis` is the Nijenhuis bracket
 of any endomorphism (phi here, the complex structure J of a Kahler algebra
 in ``constructors``), and :func:`psi_matrix` is psi = -nabla xi for both
 the anti-quasi-Sasakian operator pack and the quasi-Sasakian classifier.
+[J, J] is four products (every M_i = ad_{J b_i} - J ad_i at once, then M_i J e_j -
+J M_i e_j), d Phi the scatter onto triples of P = C g phi, C the pair brackets
+(``exterior.d_of_pairs``), and d eta = -eta([., .]) one product with the brackets.
 
 Throughout the package a check on all basis pairs is one matrix identity,
 never a loop of per-pair evaluations.  2-forms and bilinear forms are
@@ -68,6 +71,7 @@ from .exterior import (
     bilinear_from_form,
     ce_d,
     covector_form,
+    d_of_pairs,
     form_from_bilinear,
     rank_of_eta,
 )
@@ -231,36 +235,31 @@ def _all_vanish(residuals: dict, names=None) -> bool:
     return all(s_is_zero(residuals[name]) for name in names or residuals)
 
 
-def fundamental_form(S: AcmStructure) -> KForm:
-    """Phi(X, Y) = g(X, phi Y)."""
-    M = mat_mul(S.g_mat(), S.phi_mat())
-    try:
-        return form_from_bilinear(M)
-    except PreconditionError as exc:
-        raise InvalidStructure("g(., phi .) is not alternating; structure invalid") from exc
-
-
 def nijenhuis(L: LieAlgebra, J: Mat) -> dict:
     """Nijenhuis bracket [J, J] of an endomorphism on basis pairs, i < j:
     {(i, j): [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]}."""
     ads, (J,) = L.ad_values(J)
-    return dict(zip(_pairs(L.dim), _nijenhuis_columns(L, ads, J).T.mat()))
+    return dict(zip(_pairs(L.dim), _nijenhuis_columns(ads, J).T.mat()))
 
 
 def _pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _nijenhuis_columns(L: LieAlgebra, ads: list, J: MatOver) -> MatOver:
-    """[J, J] on the pairs i < j, in order, as the columns of one value."""
-    cols, blocks = J.T, []
-    for i in range(L.dim):
-        # column j of [M_i, J], M_i = ad_{J b_i} - J ad_i, is the pair (i, j);
-        # only the columns j > i are formed
-        M = ad_value(L, cols[i:i + 1]) - J @ ads[i]
-        J_right, M_right = (X.regroup(lambda N: [row[i + 1:] for row in N]) for X in (J, M))
-        blocks.append((M @ J_right - J @ M_right).T)
-    return stacked(blocks).T
+def _nijenhuis_columns(ads: list, J: MatOver) -> MatOver:
+    """[J, J] on the pairs i < j, in order, as the columns of one value: column (i, j)
+    = M_i J e_j - J M_i e_j, row k of M_i = ad_{J b_i} - J ad_i at row i n + k of M.  Each
+    entry keeps its own fold; ad_{J b_i} skips the near-zero J_ai, as the table's readers do."""
+    n, pairs = len(ads), _pairs(len(ads))
+    rows = stacked(ads)  # row a n + k: row k of ad_a; J ad_i is block i of J_ad
+    ad_J = rows.regroup(lambda N: [[N[a * n + k][j] for a in range(n)]
+                                   for k in range(n) for j in range(n)]).on_rows(J.T)
+    J_ad = J @ rows.regroup(lambda N: [_flat(N[m::n]) for m in range(n)])
+    M = (ad_J.regroup(lambda N: [row[k * n:k * n + n] for row in N for k in range(n)])
+         - J_ad.regroup(lambda N: [row[i * n:i * n + n] for i in range(n) for row in N]))
+    on_pairs = lambda N: [[N[i * n + k][j] for i, j in pairs] for k in range(n)]  # noqa: E731
+    del ad_J, J_ad  # each n^3 list is dropped once used
+    return (M @ J).regroup(on_pairs) - J @ M.regroup(on_pairs)
 
 
 def nijenhuis_phi(S: AcmStructure) -> dict:
@@ -290,31 +289,27 @@ def classify_structure(S: AcmStructure) -> StructureClass:
         raise InvalidStructure(
             f"not an almost contact metric structure (worst: {validate_acm(S).worst_check})"
         )
-    Phi = fundamental_form(T)
-    dPhi, deta = ce_d(T.L, Phi), ce_d(T.L, T.eta_form())
-    T._memo["d_eta"] = deta_mat = bilinear_from_form(deta)
     v, pairs = numerator_view(T), _pairs(T.L.dim)
-    deta_pairs, B, W = T.L.values(
-        [[deta_mat[i][j] for i, j in pairs]], deta_mat, bilinear_from_form(Phi))
-    # basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi
-    n_phi = _nijenhuis_columns(T.L, v.ads, v.phi) + v.xi.T @ deta_pairs
-    anti = n_phi - v.xi.T @ (deta_pairs * 2)
-    forms, contact = [[c for _, c in w.coeffs] for w in (dPhi, deta)], B - W * 2
+    W = v.g @ v.phi  # W_kl = Phi(b_k, b_l) = g(b_k, phi b_l)
+    if not vec_is_zero(_flat((W + W.T).N)):
+        raise InvalidStructure("g(., phi .) is not alternating; structure invalid")
+    at_pairs = lambda X: X.regroup(lambda N: [[N[i][j] for i, j in pairs]])  # noqa: E731
+    # d Phi from Phi([b_a, b_b], b_l), one product with the pair brackets; d eta on the pairs
+    triples, d_phi = d_of_pairs(_pair_brackets(v, pairs) @ W, pairs)
+    deta_pairs = at_pairs(_d_eta(T))
+    # each residual's entries, the basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi
+    n_phi = _nijenhuis_columns(v.ads, v.phi) + v.xi.T @ deta_pairs
+    entries = {"d_phi": d_phi, "d_eta": deta_pairs, "n_phi": n_phi,
+               "anti_normal": n_phi - v.xi.T @ (deta_pairs * 2),
+               "contact_metric": deta_pairs - at_pairs(W) * 2}
     if r is not None:  # the residuals are read in the input's basis: each entry maps back
-        down = r.down
-        by_pair = [down[i] * down[j] for i, j in pairs]
-        n_phi, anti = (X.regroup(lambda N: diag_scaled(N, r.up, by_pair)) for X in (n_phi, anti))
-        forms = [[c * math.prod(map(down.__getitem__, I)) for I, c in w.coeffs]
-                 for w in (dPhi, deta)]
-        contact = contact.regroup(lambda N: diag_scaled(N, down, down))
-        S._memo["d_eta"] = diag_scaled(deta_mat, down, down)
-    residuals = {
-        "d_phi": max_abs(forms[0]),
-        "d_eta": max_abs(forms[1]),
-        "n_phi": n_phi.max_abs(),
-        "anti_normal": anti.max_abs(),
-        "contact_metric": contact.max_abs(),
-    }
+        by_pair = [r.down[i] * r.down[j] for i, j in pairs]
+        scalings = {"d_phi": (None, [math.prod(map(r.down.__getitem__, I)) for I in triples]),
+                    "n_phi": (r.up, by_pair), "anti_normal": (r.up, by_pair)}
+        entries = {name: X.regroup(lambda N: diag_scaled(N, *scalings.get(name, (None, by_pair))))
+                   for name, X in entries.items()}
+        S._memo["d_eta"] = _d_eta(T).regroup(lambda N: diag_scaled(N, r.down, r.down))
+    residuals = {name: X.max_abs() for name, X in entries.items()}
     tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
     result = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
     S._memo["classification"] = T._memo["classification"] = result
@@ -335,6 +330,16 @@ def xi_killing_check(S: AcmStructure) -> bool:
             raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
         S._memo["xi_killing"] = killing
     return S._memo["xi_killing"]
+
+
+def _d_eta(S: AcmStructure) -> MatOver:
+    """The matrix of d eta, d eta(b_k, b_j) = -eta([b_k, b_j]), as a value: one
+    product of eta with the brackets of all basis pairs.  Kept in the memo."""
+    if "d_eta" not in S._memo:
+        v, n = numerator_view(S), S.L.dim
+        E = stacked([ad.T for ad in v.ads]).on_rows(v.eta)  # eta([b_k, b_j]) at k n + j
+        S._memo["d_eta"] = -E.regroup(lambda N: [N[0][k * n:k * n + n] for k in range(n)])
+    return S._memo["d_eta"]
 
 
 def _g_ad_xi(S: AcmStructure) -> tuple[MatOver, MatOver]:
@@ -449,19 +454,17 @@ class OperatorPack:
 
 def psi_matrix(S: AcmStructure) -> MatOver:
     """psi = -nabla xi, column j = -nabla_{b_j} xi, off the connection table
-    for a float view.  An exact view solves 2 g nabla xi = K = -(G + G^T) + E,
-    G = g ad_xi, E_kj = eta([b_k, b_j]), by one elimination g psi = -K / 2,
+    for a float view.  An exact view solves 2 g nabla xi = K = -(G + G^T) - B,
+    G = g ad_xi, B the matrix of d eta, by one elimination g psi = -K / 2,
     certified by g psi + (g psi)^T = -L_xi g and g psi - (g psi)^T = d eta."""
-    v, L, n = numerator_view(S), S.L, S.L.dim
+    v, n = numerator_view(S), S.L.dim
     if not is_exact(v.g.N[0][0]):
         C = levi_civita(S).columns
         return -stacked([C[j * n:j * n + n].T.on_rows(v.xi) for j in range(n)]).T
     _metric_preconditions(v.g)
-    G = _g_ad_xi(S)[1]
-    sym, E = G + G.T, stacked([ad.T for ad in v.ads]).on_rows(v.eta)  # E_kj at k n + j
-    psi = mat_solve(v.g, sym - E.regroup(lambda N: [N[0][k * n:k * n + n] for k in range(n)]))
-    psi = psi * (ONE / 2)
-    (B,) = L.values(S._memo.get("d_eta") or bilinear_from_form(ce_d(L, S.eta_form())))
+    G, B = _g_ad_xi(S)[1], _d_eta(S)
+    sym = G + G.T
+    psi = mat_solve(v.g, sym + B) * (ONE / 2)
     P = v.g @ psi
     _require_zero(P + P.T - sym, "Koszul solve along xi: g psi lost its symmetric part -L_xi g")
     _require_zero(P - P.T - B, "Koszul solve along xi: g psi lost its skew part d eta")
@@ -517,7 +520,7 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     residuals = {}
     residuals["dA"] = max_abs(c for _, c in ce_d(L, a_form).coeffs)
     residuals["dPhi"] = cls.residuals["d_phi"]
-    B, phi, two_psi = S._memo["d_eta"], S.phi_mat(), mat_scale(bilinear_from_form(psi_form), 2)
+    B, phi, two_psi = _d_eta(S).mat(), S.phi_mat(), mat_scale(bilinear_from_form(psi_form), 2)
     residuals["deta_eq_2Psi"] = max_abs(_flat(mat_sub(B, two_psi)))  # B as classify built it
     if not pack.ok:
         residuals["operator_identities"] = ONE
@@ -569,9 +572,11 @@ def sectional_curvatures(S: AcmStructure, curv: CurvatureData, X: Vec, Ys: list)
     on a degenerate plane, with R(X,Y)Y = nabla_X nabla_Y Y - nabla_Y nabla_X Y -
     nabla_[X,Y] Y: two table products for all Ys, then each pairing with g one
     product.  With a rational rescaling, curv holds its connection and X and
-    the Ys map to its basis."""
+    the Ys map to its basis: a multiple of b_k to its b_k, since K(cX, Y) =
+    K(X, cY) = K(X, Y), any other vector by the diagonal map."""
     if r := rational_rescaling(S):
-        X, *Ys = diag_scaled([X, *Ys], None, r.down)
+        X, *Ys = (r.S.L.basis_vector(s[0]) if len(s := [i for i, x in enumerate(v) if x]) == 1
+                  else diag_scaled([v], None, r.down)[0] for v in (X, *Ys))
         return sectional_curvatures(r.S, curv, X, Ys)
     g, nablas, m = S.g_mat(), curv.connection.nablas, len(Ys)
     inner = nablas([(Y, Y) for Y in Ys] + [(X, Y) for Y in Ys])
@@ -620,20 +625,10 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
 def conjugate_structure(S: AcmStructure, Q: Mat) -> AcmStructure:
     """Transport the algebra and all structure tensors to the basis whose
     j-th vector is column j of Q (coordinates in the old basis)."""
-    L = S.L
-    n = L.dim
-    Q_inv = inverse(Q)
-    cols = transpose(Q)
-    table = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = mat_vec(Q_inv, bracket(L, cols[a], cols[b]))
-            coeffs = {k: w[k] for k in range(n) if not s_is_zero(w[k])}
-            if coeffs:
-                table[(a, b)] = coeffs
-    L2 = LieAlgebra.from_brackets(
-        n, table, [f"b{i+1}" for i in range(n)], L.mode, check=False
-    )
+    L, Q_inv, cols, pairs = S.L, inverse(Q), transpose(Q), _pairs(S.L.dim)
+    images = mat_vecs(Q_inv, [bracket(L, cols[a], cols[b]) for a, b in pairs])  # zeros drop
+    L2 = LieAlgebra.from_brackets(L.dim, {p: dict(enumerate(w)) for p, w in zip(pairs, images)},
+                                  [f"b{i+1}" for i in range(L.dim)], L.mode, check=False)
     phi2 = mat_mul(Q_inv, mat_mul(S.phi_mat(), Q))
     xi2 = mat_vec(Q_inv, S.xi_vec())
     eta2 = mat_vec(transpose(Q), S.eta_row())

@@ -9,7 +9,8 @@ so on 1-forms d eta (X, Y) = -eta([X, Y]), the sign fixed throughout the
 package, and d(theta^m) = - sum_{i<j} c_ij^m theta^i ^ theta^j.  ``ce_d``
 and the columns d theta^I of each weight block are read off c_ij^k in one
 pass over the algebra's structure table (integers over a common denominator
-if rational).  The Betti numbers never build the whole matrix of d_k;
+if rational); ``d_of_pairs`` reads d of a 2-form off its product with the
+pair brackets.  The Betti numbers never build the whole matrix of d_k;
 ``ce_d_matrix`` builds it for the tests and the benchmark's per-layer timing.
 
 Betti numbers are ranked by torus weight.  The diagonal derivations
@@ -29,12 +30,12 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 from .errors import DimensionMismatch, InternalContradiction, PreconditionError
 from .lie_core import LieAlgebra
-from .linalg import Mat, Vec, _int_scaled, nullspace, rank
+from .linalg import Mat, MatOver, Vec, _int_scaled, nullspace, rank
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
 
 
@@ -235,6 +236,20 @@ def ce_d(L: LieAlgebra, w: KForm) -> KForm:
         raise DimensionMismatch("form does not live on this algebra")
     acc = _over(*_ce_d(*_d_targets(L), w.coeffs))
     return KForm(w.degree + 1, w.dim, tuple(sorted(acc.items())))
+
+
+def d_of_pairs(P: MatOver, pairs: list) -> tuple[list[tuple], MatOver]:
+    """(triples, one row over P's denominator) of d w, w a 2-form with matrix W, from
+    P = C W, row p of C [b_a, b_b] for the p-th pair (a, b): by dw(a, b, c) = -w([a, b], c)
+    + w([a, c], b) - w([b, c], a), each nonzero P[p][l], l not in {a, b}, adds to the
+    sorted triple of {a, b, l} in pair order, with sign + when a < l < b."""
+    acc: dict[tuple, object] = {}
+    for (a, b), row in zip(pairs, P.N):
+        for l in compress(range(len(row)), row):
+            if l != a and l != b:
+                key = tuple(sorted((a, b, l)))
+                acc[key] = acc.get(key, 0) + (row[l] if a < l < b else -row[l])
+    return list(acc), MatOver([list(acc.values())], P.den)
 
 
 def _matrix(columns: list[dict], rows, zero) -> Mat:

@@ -5,8 +5,9 @@ beside the tests: the exterior oracles (``evaluate``, the determinant minors
 the Gram products are held against), the paper checks of the adapted
 coframe, psi^2, the companion structures and the Reeb vector, the writers of
 Kahler and matrix documents, the central quotient the classifier does
-without (it tests [g, g] inside R xi by a rank), and the classify stages as
-they ran before they passed numerators to each other.
+without (it tests [g, g] inside R xi by a rank), the 2-form Phi and the
+loop over i for [J, J] that classification no longer runs, and the classify
+stages as they ran before they passed numerators to each other.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, ConnectionTable, levi_civita
-from aqslie.acm import nijenhuis
-from aqslie.acm import operators_A_psi, rational_rescaling
+from aqslie.acm import _pairs, operators_A_psi, rational_rescaling
 from aqslie.adapted import AdaptedFrame, _psi2_orbits, require_maximal
 from aqslie.classifier import HeisenbergIso
 from aqslie.constructors import weighted_heisenberg_4n1
@@ -32,9 +32,9 @@ from aqslie.exterior import (
     wedge,
 )
 from aqslie.io import _matrix_to_json, algebra_to_json
-from aqslie.lie_core import BracketTable, LieAlgebra, ad_matrix, bracket
+from aqslie.lie_core import BracketTable, LieAlgebra, ad_matrix, ad_value, bracket
 from aqslie.linalg import Mat, MatOver, Subspace, Vec, _flat, bilinear, det, diag_scaled, dot, eigenspaces
-from aqslie.linalg import identity
+from aqslie.linalg import identity, stacked
 from aqslie.linalg import inverse, is_positive_definite, mat_add, mat_eq, mat_mul, mat_scale
 from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, solve
 from aqslie.linalg import transpose, vec_eq, vec_is_zero, vec_scale, zeros
@@ -248,11 +248,29 @@ def stage_validation(S: AcmStructure) -> dict:
     }
 
 
+def nijenhuis_loop(L: LieAlgebra, J: Mat) -> dict:
+    """[J, J] on the pairs i < j as ``acm.nijenhuis`` formed it one i at a time:
+    M_i = ad_{J b_i} - J ad_i from a table pass and a product, then the
+    columns j > i of M_i J - J M_i, four products for each i."""
+    ads, (J,) = L.ad_values(J)
+    cols, blocks = J.T, []
+    for i in range(L.dim):
+        M = ad_value(L, cols[i:i + 1]) - J @ ads[i]
+        J_right, M_right = (X.regroup(lambda N: [row[i + 1:] for row in N]) for X in (J, M))
+        blocks.append((M @ J_right - J @ M_right).T)
+    return dict(zip(_pairs(L.dim), stacked(blocks).mat()))
+
+
+def fundamental_form(S: AcmStructure) -> KForm:
+    """Phi(X, Y) = g(X, phi Y) as a 2-form (classify reads the matrix g phi)."""
+    return form_from_bilinear(mat_mul(S.g_mat(), S.phi_mat()))
+
+
 def stage_classification(S: AcmStructure) -> dict:
-    Phi = form_from_bilinear(mat_mul(S.g_mat(), S.phi_mat()))
+    Phi = fundamental_form(S)
     dPhi, deta = ce_d(S.L, Phi), ce_d(S.L, S.eta_form())
     deta_mat = bilinear_from_form(deta)
-    nij = nijenhuis(S.L, S.phi_mat())
+    nij = nijenhuis_loop(S.L, S.phi_mat())
     xi_col = [[x] for x in S.xi]
     deta_pairs = [[deta_mat[i][j] for i, j in nij]]
     n_phi = mat_add(transpose(list(nij.values())), mat_mul(xi_col, deta_pairs))

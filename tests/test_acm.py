@@ -21,7 +21,6 @@ from aqslie.acm import (
     conjugate_structure,
     curvature,
     double_aqs_check,
-    fundamental_form,
     levi_civita,
     nijenhuis,
     nijenhuis_phi,
@@ -69,7 +68,7 @@ from aqslie.scalars import (
     set_tolerance,
 )
 from floatcopy import float_structure
-from oracles import evaluate, gamma_rows
+from oracles import evaluate, fundamental_form, gamma_rows
 
 
 def h5_structures():

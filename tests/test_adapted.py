@@ -46,6 +46,27 @@ def test_spectrum_rejections():
         psi_squared_spectrum(S3)  # quasi-Sasakian input
 
 
+def test_failed_operator_identities_are_a_verdict_only_when_exact(monkeypatch):
+    # an exact residual says the structure is not aqS; a float one says
+    # rounding exceeded the tolerance, and names the worst identity
+    import aqslie.adapted as adapted
+    from aqslie.acm import OperatorPack
+    from aqslie.errors import ToleranceExceeded
+    from floatcopy import float_structure
+
+    _, (S, _, _) = weighted_heisenberg_4n1(1, [1])
+    for T, failed, error in ((S, {"psi_skew": ONE}, NotAqs),
+                             (float_structure(S), {"A_xi": 2e-9, "psi_skew": 5e-9},
+                              ToleranceExceeded)):
+        pack = operators_A_psi(T)
+        monkeypatch.setattr(adapted, "operators_A_psi", lambda T, pack=pack: OperatorPack(
+            pack.operators, False, {**pack.residuals, **failed}))
+        with pytest.raises(error) as info:
+            adapted._psi2_orbits(T)
+        assert error is NotAqs or "operator identity psi_skew" in str(info.value)
+        assert error is NotAqs or "5e-09" in str(info.value)
+
+
 def test_spectrum_irrational_exact_mode():
     # cross-coupled anti-invariant cocycle on R^8 has a non-splitting
     # characteristic polynomial; exact mode must refuse, not round

@@ -16,12 +16,15 @@ import pytest
 
 import aqslie.acm as acm
 import aqslie.adapted as adapted
+import aqslie.exterior as exterior
+import aqslie.linalg as linalg
 from aqslie.acm import (
     classify_structure,
     closedness_suite,
     conjugate_structure,
     curvature,
     levi_civita,
+    nijenhuis,
     operators_A_psi,
     psi_matrix,
     validate_acm,
@@ -36,6 +39,7 @@ from aqslie.scalars import DEFAULT_TOLERANCE, Ext, set_tolerance
 from floatcopy import float_structure
 from oracles import (
     gamma_rows,
+    nijenhuis_loop,
     stage_classification,
     stage_connection,
     stage_frame,
@@ -137,7 +141,8 @@ def test_exact_curvature_reads_no_divided_back_table(monkeypatch):
 
 def test_a_classify_builds_at_most_half_the_fractions_it_did(monkeypatch):
     # the stages pass values to each other and divide back only what leaves
-    # them: the conjugated h13 builds 2,963 Fractions (3,172 when nullspace,
+    # them: the conjugated h13 builds 2,370 Fractions (2,963 when classify
+    # went through the 2-form Phi and ce_d of Phi and eta, 3,172 when nullspace,
     # solve and mat_solve divided back every entry of the RREF, 3,444 when the
     # rank of eta divided K B K^T back before ranking it, 3,630 when the Koszul
     # solve along xi and g^-1 went through Fractions), 13,739 when every kernel
@@ -152,7 +157,47 @@ def test_a_classify_builds_at_most_half_the_fractions_it_did(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     classify_nilpotent_aqs(S)
     monkeypatch.undo()
-    assert built[0] <= 2_963, built[0]
+    assert built[0] <= 2_370, built[0]
+
+
+def _nudged(S):
+    # a float phi with one entry 1e-12 where 0.0 was: near zero, skipped by the
+    # reader of the table, kept by the products
+    phi = S.phi_mat()
+    phi[0][next(j for j, x in enumerate(phi[0]) if x == 0.0)] = 1e-12
+    return acm.AcmStructure.make(S.L, phi, S.xi_vec(), S.eta_row(), S.g_mat())
+
+
+NIJENHUIS_CASES = {
+    **{name: CASES[name] for name in ("h9h", "h13c", "float-h9c", "float-h13")},
+    "float-h9c-nudged": lambda: _nudged(CASES["float-h9c"]()),
+    # its algebra does not rescale: tower ad matrices, per-scalar products
+    "sqrt-h13-companion2": lambda: weighted_heisenberg_4n1(
+        3, [Ext.of_sqrt(2), Fraction(1), Fraction(3, 2) * Ext.of_sqrt(5)])[1][2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NIJENHUIS_CASES))
+def test_nijenhuis_products_match_the_loop_over_i(name):
+    # [J, J] from four products against four products per i, every bit, the
+    # sign of a zero and ZERO against 0.0; phi and the dense g as J
+    S = NIJENHUIS_CASES[name]()
+    for J in (S.phi_mat(), S.g_mat()):
+        assert rep(nijenhuis(S.L, J)) == rep(nijenhuis_loop(S.L, J))
+
+
+def test_a_classify_differentiates_nothing_and_multiplies_little(monkeypatch):
+    # d Phi is read off one product with the pair brackets, d eta off one with
+    # eta and [phi, phi] off four: no ce_d, and 14 mat_mul calls on the
+    # conjugated h13 (49 when [phi, phi] made four products per i)
+    S, calls, ce_d, mat_mul = CASES["h13c"](), [], exterior.ce_d, linalg.mat_mul
+    for module in (acm, exterior):
+        monkeypatch.setattr(module, "ce_d", lambda L, w: calls.append("ce_d") or ce_d(L, w))
+    for module in (acm, linalg):
+        monkeypatch.setattr(module, "mat_mul", lambda A, B: calls.append("mul") or mat_mul(A, B))
+    classify_structure(S)
+    assert "ce_d" not in calls
+    assert calls.count("mul") <= 14, calls.count("mul")
 
 
 def test_closedness_suite_reads_the_d_eta_of_the_classification(monkeypatch):

@@ -98,6 +98,8 @@ def corpus_outcomes(workdir: Path) -> dict:
         for tol in ("1e-9", "1e-7", "1e-6"):
             for command in ("check", "classify", "curvature"):
                 run(f"{command}-{key}-tol{tol}", [command, files[key], "--tolerance", tol])
+    # the operator identities fail on rounding alone: a precision limit, not NotAqs
+    run("classify-f9c1-tol1e-8", ["classify", files["f9c1"], "--tolerance", "1e-8"])
     run("invariant-forms-su3-t12", ["invariant-forms", "--algebra", "su3", "--torus", "1,2"])
     run("invariant-forms-su2-t3", ["invariant-forms", "--algebra", "su2", "--torus", "3"])
     return outcomes
@@ -149,6 +151,7 @@ EXPECTED = {
     "check-f9c1-tol1e-6": [0, None, "fc133cda1f2cb35a4dbd8e722b50e6d53f281bf6ad9b8e7ff47a580d3891acd8"],
     "classify-f9c1-tol1e-6": [0, None, "e39c50e3f727bcd1d7e96b7b258730f9d3ebc3db44d6ced920e7c11f59c38c0a"],
     "curvature-f9c1-tol1e-6": [0, None, "d455b1e5385d0fa1cb28430b9c0c48ef3e83212b5c32097ed0b5e6b02c2106c6"],
+    "classify-f9c1-tol1e-8": [3, "ToleranceExceeded", None],
     "invariant-forms-su3-t12": [0, None, "2de234e81e0a33cb2b41f2487a8e9882089858e0230d534aa29d7e5efbd2e52e"],
     "invariant-forms-su2-t3": [0, None, "dfc25162039a77e630a620e3770795deadce7b1a69661c8f731f5679e42b1536"],
 }

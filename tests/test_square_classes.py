@@ -129,3 +129,23 @@ def test_a_classify_eliminates_the_ad_columns_once(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_int", lambda A: rows.append(len(A)) or real(A))
     classify_nilpotent_aqs(S)
     assert sum(rows) <= 480, rows
+
+
+def test_xi_sectional_curvatures_of_a_rescaled_structure_run_on_integers(monkeypatch):
+    # a multiple of b_k maps to the rescaled b_k itself (K(cX, Y) = K(X, Y)),
+    # not to a one-term tower vector whose products fold per scalar; a general
+    # vector keeps the diagonal map
+    import aqslie.linalg as linalg
+    from aqslie.acm import curvature, sectional_curvatures
+
+    S = weighted_heisenberg_4n1(3, SQRT_WEIGHTS)[1][0]
+    data, n = curvature(S), S.L.dim
+    basis = [S.L.basis_vector(i) for i in range(n)]
+    scaled = [[x * Ext.of_sqrt(3) for x in v] for v in basis]
+    general = [a + b for a, b in zip(basis[1], basis[-1])]
+    want = sectional_curvatures(S, data, S.xi_vec(), basis + [general])
+    real, folds = linalg._fold, []
+    monkeypatch.setattr(linalg, "_fold", lambda *a, **k: folds.append(1) or real(*a, **k))
+    assert repr(sectional_curvatures(S, data, S.xi_vec(), scaled)) == repr(want[:n])
+    assert folds == []
+    assert repr(sectional_curvatures(S, data, S.xi_vec(), [general])) == repr(want[n:])
