@@ -12,8 +12,9 @@ of any endomorphism (phi here, the complex structure J of a Kahler algebra
 in ``constructors``), and :func:`psi_matrix` is psi = -nabla xi for both
 the anti-quasi-Sasakian operator pack and the quasi-Sasakian classifier.
 [J, J] is four products (every M_i = ad_{J b_i} - J ad_i at once, then M_i J e_j -
-J M_i e_j), d Phi the scatter onto triples of P = C g phi, C the pair brackets
-(``exterior.d_of_pairs``), and d eta = -eta([., .]) one product with the brackets.
+J M_i e_j), d Phi and d g(., A .) the scatter onto triples of P = C W, C the pair
+brackets (``exterior.d_of_pairs``), and d eta = -eta([., .]) one product with the
+brackets (``exterior.d_of_covector``): no KForm is differentiated here.
 
 Throughout the package a check on all basis pairs is one matrix identity,
 never a loop of per-pair evaluations.  2-forms and bilinear forms are
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 from .errors import (
@@ -66,15 +67,7 @@ from .errors import (
     PreconditionError,
     ToleranceExceeded,
 )
-from .exterior import (
-    KForm,
-    bilinear_from_form,
-    ce_d,
-    covector_form,
-    d_of_pairs,
-    form_from_bilinear,
-    rank_of_eta,
-)
+from .exterior import KForm, covector_form, d_of_covector, d_of_pairs, rank_of_eta
 from .lie_core import LieAlgebra, ad_value, bracket
 from .linalg import (
     Mat,
@@ -88,7 +81,6 @@ from .linalg import (
     is_positive_definite,
     mat_add,
     mat_mul,
-    mat_scale,
     mat_solve,
     mat_sub,
     mat_vec,
@@ -280,7 +272,8 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     """All satisfied class tags among contact metric / Sasakian / cokahler /
     quasi-Sasakian / anti-quasi-Sasakian, each read from the residuals that
     CLASS_RESIDUALS names for it.  With a rational rescaling the work runs on
-    it, each residual entry is mapped back, and both memos keep the result."""
+    it and each memo keeps the result in its own basis: the rescaling's the
+    entries as computed, S's each entry mapped back (the tags are the same)."""
     if "classification" in S._memo:
         return S._memo["classification"]
     r = rational_rescaling(S)
@@ -302,18 +295,19 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     entries = {"d_phi": d_phi, "d_eta": deta_pairs, "n_phi": n_phi,
                "anti_normal": n_phi - v.xi.T @ (deta_pairs * 2),
                "contact_metric": deta_pairs - at_pairs(W) * 2}
-    if r is not None:  # the residuals are read in the input's basis: each entry maps back
+    residuals = {name: X.max_abs() for name, X in entries.items()}
+    tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
+    T._memo["classification"] = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
+    if r is not None:  # S's residuals are read in its own basis: each entry maps back
         by_pair = [r.down[i] * r.down[j] for i, j in pairs]
         scalings = {"d_phi": (None, [math.prod(map(r.down.__getitem__, I)) for I in triples]),
                     "n_phi": (r.up, by_pair), "anti_normal": (r.up, by_pair)}
-        entries = {name: X.regroup(lambda N: diag_scaled(N, *scalings.get(name, (None, by_pair))))
-                   for name, X in entries.items()}
+        mapped = {name: X.regroup(lambda N: diag_scaled(N, *scalings.get(name, (None, by_pair))))
+                  for name, X in entries.items()}
+        S._memo["classification"] = replace(T._memo["classification"], residuals={
+            name: X.max_abs() for name, X in mapped.items()})
         S._memo["d_eta"] = _d_eta(T).regroup(lambda N: diag_scaled(N, r.down, r.down))
-    residuals = {name: X.max_abs() for name, X in entries.items()}
-    tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
-    result = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
-    S._memo["classification"] = T._memo["classification"] = result
-    return result
+    return S._memo["classification"]
 
 
 def xi_killing_check(S: AcmStructure) -> bool:
@@ -333,12 +327,9 @@ def xi_killing_check(S: AcmStructure) -> bool:
 
 
 def _d_eta(S: AcmStructure) -> MatOver:
-    """The matrix of d eta, d eta(b_k, b_j) = -eta([b_k, b_j]), as a value: one
-    product of eta with the brackets of all basis pairs.  Kept in the memo."""
+    """The matrix of d eta on the numerator view (``exterior.d_of_covector``), in the memo."""
     if "d_eta" not in S._memo:
-        v, n = numerator_view(S), S.L.dim
-        E = stacked([ad.T for ad in v.ads]).on_rows(v.eta)  # eta([b_k, b_j]) at k n + j
-        S._memo["d_eta"] = -E.regroup(lambda N: [N[0][k * n:k * n + n] for k in range(n)])
+        S._memo["d_eta"] = d_of_covector(numerator_view(S).ads, numerator_view(S).eta)
     return S._memo["d_eta"]
 
 
@@ -514,23 +505,19 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     cls = classify_structure(S)
     if CLASS_ANTI_QUASI_SASAKIAN not in cls.tags:
         raise NotAqs("closedness suite requires an anti-quasi-Sasakian structure")
-    L, pack, g = S.L, operators_A_psi(S), numerator_view(S).g
-    a_form, psi_form = (form_from_bilinear((g @ X).mat()) if pack.ok else KForm.make(2, L.dim)
-                        for X in pack.operators)
-    residuals = {}
-    residuals["dA"] = max_abs(c for _, c in ce_d(L, a_form).coeffs)
-    residuals["dPhi"] = cls.residuals["d_phi"]
-    B, phi, two_psi = _d_eta(S).mat(), S.phi_mat(), mat_scale(bilinear_from_form(psi_form), 2)
-    residuals["deta_eq_2Psi"] = max_abs(_flat(mat_sub(B, two_psi)))  # B as classify built it
+    pack, v, pairs, B = operators_A_psi(S), numerator_view(S), _pairs(S.L.dim), _d_eta(S)
+    # the matrices of g(., A .) and g(., psi .); d of the first off the pair brackets
+    gA, g_psi = (v.g @ X if pack.ok else v.g * 0 for X in pack.operators)
+    residuals = {"dA": d_of_pairs(_pair_brackets(v, pairs) @ gA, pairs)[1].max_abs(),
+                 "dPhi": cls.residuals["d_phi"],
+                 "deta_eq_2Psi": (B - g_psi * 2).max_abs()}  # B as classify built it
     if not pack.ok:
         residuals["operator_identities"] = ONE
     # d eta(phi X, phi Y) + d eta(X, Y) on basis pairs: phi^T B phi + B
-    anti = mat_add(mat_mul(transpose(phi), mat_mul(B, phi)), B)
-    pairs = _pairs(L.dim)
+    anti = (v.phi.T @ (B @ v.phi) + B).mat()
     witness = next(((i, j) for i, j in pairs if not s_is_zero(anti[i][j])), None)
     residuals["deta_anti_invariance"] = max_abs(anti[i][j] for i, j in pairs)
-    ok = _all_vanish(residuals)
-    return ClosednessReport(ok, residuals, witness)
+    return ClosednessReport(_all_vanish(residuals), residuals, witness)
 
 
 @dataclass(frozen=True)

@@ -366,21 +366,22 @@ def _summary(command: str, payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _run_single(args, input_path: str | None = None) -> tuple[int, dict]:
-    started = time.monotonic()
-    digest = None
-    error = None
-    payload = None
+def _run_single(args) -> tuple[int, dict]:
+    started, digest = time.monotonic(), None
     try:
-        if input_path is not None:
-            args.file = input_path
         in_file = getattr(args, "file", None)
         if in_file is not None:  # read once: the digest is of the text that is parsed
             args.text = _read_text(in_file)
             digest = None if in_file == "-" else aqio.digest(args.text)
-        payload = args.handler(args)
-        code = 0
+        return _report(args, started, digest, args.handler(args), None)
     except Exception as exc:
+        return _report(args, started, digest, None, exc)
+
+
+def _report(args, started: float, digest, payload, exc: Exception | None) -> tuple[int, dict]:
+    """(exit code, report envelope) of a payload, or of the exception raised instead."""
+    error, code = None, 0
+    if exc is not None:
         if not isinstance(exc, AqslieError):  # outside the taxonomy: a defect
             tb = exc.__traceback__
             while tb.tb_next is not None:
@@ -403,6 +404,13 @@ def _run_single(args, input_path: str | None = None) -> tuple[int, dict]:
     return code, report
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, "utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -415,32 +423,31 @@ def main(argv=None) -> int:
     if tol is not None:
         set_tolerance(tol)
 
-    batch_dir = getattr(args, "batch", None)
-    if batch_dir:
-        worst = 0
-        directory = Path(batch_dir)
-        if not directory.is_dir():
-            print(f"not a directory: {batch_dir}", file=sys.stderr)
-            return 2
-        for path in sorted(directory.glob("*.json")):
-            if path.name.endswith(".report.json"):
-                continue
-            code, report = _run_single(args, str(path))
-            out_path = path.parent / (path.stem + ".report.json")
-            out_path.write_text(aqio.dumps(report), "utf-8")
-            worst = max(worst, code)
-        return worst
-
-    code, report = _run_single(args)
-    if report["error"] is None and getattr(args, "emits_document", False):
-        text = aqio.dumps(report["payload"]["document"])
-        if args.output:
-            Path(args.output).write_text(text, "utf-8")
-            report["payload"] = {"written": args.output, "digest": aqio.digest(text)}
-        elif not args.json:
-            sys.stdout.write(text)
-        if not args.json:
-            return code
+    started = time.monotonic()
+    try:  # a directory or file the command cannot use is reported like a bad input
+        if getattr(args, "batch", None):  # each input's report beside it; the worst code
+            if not Path(args.batch).is_dir():
+                raise InputError(f"not a directory: {args.batch}")
+            codes = [0]
+            for path in sorted(Path(args.batch).glob("*.json")):
+                if not path.name.endswith(".report.json"):
+                    args.file = str(path)
+                    code, report = _run_single(args)
+                    _write_text(path.with_name(path.stem + ".report.json"), aqio.dumps(report))
+                    codes.append(code)
+            return max(codes)
+        code, report = _run_single(args)
+        if report["error"] is None and getattr(args, "emits_document", False):
+            text = aqio.dumps(report["payload"]["document"])
+            if args.output:
+                _write_text(args.output, text)
+                report["payload"] = {"written": args.output, "digest": aqio.digest(text)}
+            elif not args.json:
+                sys.stdout.write(text)
+            if not args.json:
+                return code
+    except InputError as exc:
+        code, report = _report(args, started, None, None, exc)
     if args.json:
         sys.stdout.write(aqio.dumps(report))
     elif report["error"] is not None:

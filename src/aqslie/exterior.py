@@ -9,9 +9,11 @@ so on 1-forms d eta (X, Y) = -eta([X, Y]), the sign fixed throughout the
 package, and d(theta^m) = - sum_{i<j} c_ij^m theta^i ^ theta^j.  ``ce_d``
 and the columns d theta^I of each weight block are read off c_ij^k in one
 pass over the algebra's structure table (integers over a common denominator
-if rational); ``d_of_pairs`` reads d of a 2-form off its product with the
-pair brackets.  The Betti numbers never build the whole matrix of d_k;
-``ce_d_matrix`` builds it for the tests and the benchmark's per-layer timing.
+if rational); ``d_of_covector`` and ``d_of_pairs`` read d of a 1-form and
+of a 2-form off their products with the basis ad matrices and the pair
+brackets, so ``acm`` and the rank of eta differentiate no KForm.  The Betti
+numbers never build the whole matrix of d_k; ``ce_d_matrix`` builds it for
+the tests and the benchmark's per-layer timing.
 
 Betti numbers are ranked by torus weight.  The diagonal derivations
 D = diag(l) of the basis are the l with l_i + l_j = l_k wherever c_ij^k is
@@ -35,7 +37,7 @@ from math import comb
 
 from .errors import DimensionMismatch, InternalContradiction, PreconditionError
 from .lie_core import LieAlgebra
-from .linalg import Mat, MatOver, Vec, _int_scaled, nullspace, rank
+from .linalg import Mat, MatOver, Vec, _int_scaled, nullspace, rank, stacked
 from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
 
 
@@ -252,6 +254,15 @@ def d_of_pairs(P: MatOver, pairs: list) -> tuple[list[tuple], MatOver]:
     return list(acc), MatOver([list(acc.values())], P.den)
 
 
+def d_of_covector(ads: list[MatOver], E: MatOver) -> MatOver:
+    """The matrix of d eta, d eta(b_k, b_j) = -eta([b_k, b_j]), as a value, eta the
+    one row of E and ads the basis ad matrices: one product of eta with the
+    brackets of all basis pairs."""
+    n = len(ads)
+    P = stacked([ad.T for ad in ads]).on_rows(E)  # eta([b_k, b_j]) at k n + j
+    return -P.regroup(lambda N: [N[0][k * n:k * n + n] for k in range(n)])
+
+
 def _matrix(columns: list[dict], rows, zero) -> Mat:
     """The matrix with the given columns {J: entry} on the row keys rows."""
     index = {J: r for r, J in enumerate(rows)}
@@ -342,26 +353,21 @@ class RankReport:
 
 
 def rank_of_eta(L: LieAlgebra, eta: KForm) -> RankReport:
-    """Constant rank of a 1-form: 2p+1 when eta ^ (d eta)^p != 0 and
+    """Constant rank (class) of a 1-form: 2p+1 when eta ^ (d eta)^p != 0 and
     (d eta)^{p+1} = 0, else 2p with (d eta)^p the largest nonzero power.
 
-    Computed by fraction-free matrix ranks: for an antisymmetric bilinear
-    form B, the largest nonvanishing wedge power is rank(B)/2, and
-    eta ^ (d eta)^p != 0 exactly when B restricted to Ker eta still has
-    rank 2p.  (The wedge-power expansion is the independent test oracle.)
+    Two fraction-free ranks decide it (Pfaff-Darboux; Bryant et al., "Exterior
+    Differential Systems", 1991, ch. II): (d eta)^p, p = rank(B)/2 for B its
+    matrix, is a nonzero multiple of the wedge of a basis of the rows of B, so
+    eta ^ (d eta)^p != 0 exactly when eta stacked under B raises the rank.
+    (The wedge-power expansion is the independent test oracle.)
     """
     if eta.degree != 1 or eta.is_zero():
         raise PreconditionError("eta must be a nonzero 1-form")
-    deta = ce_d(L, eta)
-    B = bilinear_from_form(deta)
-    full = rank(B)
+    ads, (E,) = L.ad_values([[eta.coeff((i,)) for i in range(L.dim)]])
+    B = d_of_covector(ads, E)
+    full = rank(B.N)
     if full % 2:
         raise InternalContradiction("antisymmetric form with odd rank")
-    m = full // 2
-    eta_row = [eta.coeff((i,)) for i in range(L.dim)]
-    # B restricted to Ker eta: the Gram matrix K B K^T, K the rows of a basis of
-    # Ker eta, ranked on its numerators
-    K, B = L.values(nullspace([eta_row], L.dim), B)
-    if rank((K @ (B @ K.T)).N) == full:
-        return RankReport(2 * m + 1, "odd", m, m, 2 * m + 1 == L.dim)
-    return RankReport(2 * m, "even", m, m, False)
+    p, odd = full // 2, rank(stacked([B, E]).N) > full
+    return RankReport(2 * p + odd, "odd" if odd else "even", p, p, odd and 2 * p + 1 == L.dim)

@@ -993,15 +993,13 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Vec) -> bool:
-        if vec_is_zero(v):
-            return True
-        rows = [list(b) for b in self.basis]
-        return rank(rows + [list(v)]) == len(self.basis)
+        return rank([list(b) for b in self.basis] + [list(v)]) == self.dim
 
     def equals(self, other: "Subspace") -> bool:
+        """Same dimension, and one rank: the other basis stacked under this one adds none."""
         if self.dim != other.dim or self.ambient_dim != other.ambient_dim:
             return False
-        return all(self.contains(list(v)) for v in other.basis)
+        return rank([list(b) for b in self.basis + other.basis]) == self.dim
 
 
 def random_unimodular(n: int, rng, steps: int | None = None) -> Mat:

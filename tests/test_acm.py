@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aqslie.acm as acm
+import aqslie.exterior as exterior
 from aqslie.acm import (
     CLASS_ANTI_QUASI_SASAKIAN,
     CLASS_COKAHLER,
@@ -792,8 +793,8 @@ def test_double_aqs_check():
 def test_double_aqs_check_reads_the_classification_residuals(monkeypatch):
     # d Phi1, d Phi2 and d eta - 2 Phi3 are classification residuals: once
     # classify_structure has run, the double check differentiates nothing
-    calls, ce_d = [], acm.ce_d
-    monkeypatch.setattr(acm, "ce_d", lambda L, w: calls.append(w) or ce_d(L, w))
+    calls, ce_d = [], exterior.ce_d
+    monkeypatch.setattr(exterior, "ce_d", lambda L, w: calls.append(w) or ce_d(L, w))
     _, structures = weighted_heisenberg_4n1(2, [1, 2])
     classes = [classify_structure(S).residuals for S in structures]
     calls.clear()
@@ -801,6 +802,23 @@ def test_double_aqs_check_reads_the_classification_residuals(monkeypatch):
     assert calls == []
     assert [rep["dPhi1"], rep["dPhi2"], rep["deta_eq_2Phi3"]] == [
         classes[0]["d_phi"], classes[1]["d_phi"], classes[2]["contact_metric"]]
+
+
+def test_a_classification_is_kept_in_each_structure_s_own_basis():
+    # classifying the sqrt-weight h13 runs on its rational rescaling; each memo
+    # keeps the residuals in its own basis, so neither depends on call order
+    from aqslie.acm import rational_rescaling
+    from aqslie.scalars import Ext
+
+    def structure():
+        return weighted_heisenberg_4n1(3, [Ext.of_sqrt(2), F(1), F(3, 2) * Ext.of_sqrt(5)])[1][0]
+
+    S, T = structure(), structure()
+    first = classify_structure(S), classify_structure(rational_rescaling(S).S)
+    second = classify_structure(rational_rescaling(T).S), classify_structure(T)
+    assert [repr(c) for c in first] == [repr(c) for c in second[::-1]]
+    assert str(first[0].residuals["d_eta"]) == "3*sqrt(5)"
+    assert first[1].residuals["d_eta"] == 15 and first[0].tags == first[1].tags
 
 
 def test_double_scalar_curvature_minus_4n():

@@ -175,6 +175,20 @@ def test_qs_conjugated():
         assert [s_str(w) for w in iso.weights] == ["3", "1"]
 
 
+def test_qs_on_a_square_root_basis_is_classified_on_its_rescaling():
+    # h3 in the basis (sqrt(2) xi, e_1, e_2): a tower qS structure whose rational
+    # rescaling is classified, F mapped back to the input's basis
+    from aqslie.acm import rational_rescaling, rescaled
+
+    r2 = Ext.of_sqrt(2)
+    S = rescaled(weighted_heisenberg_2n1(1, [1])[1], [r2, ONE, ONE], [s_inv(r2), ONE, ONE])
+    assert rational_rescaling(S) is not None
+    iso = classify_nilpotent_qs(S)
+    assert [s_str(w) for w in iso.weights] == ["1"] and iso.phi_signs == (1,)
+    assert [[s_str(x) for x in row] for row in iso.F] == [
+        ["sqrt(2)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
 def test_negative_controls():
     # su(2) (+) R^2: not nilpotent, never a silent wrong answer
     L = su2_plus_abelian()

@@ -173,6 +173,54 @@ def test_rank_rejects_zero_form():
         rank_of_eta(abelian(3), KForm.make(1, 3, {}))
 
 
+def _aff(copies):
+    """aff(1) summed copies times: [e_1, e_2] = e_2 in each copy."""
+    from aqslie.lie_core import LieAlgebra
+
+    return LieAlgebra.from_brackets(
+        2 * copies, {(2 * c, 2 * c + 1): {2 * c + 1: F(1)} for c in range(copies)})
+
+
+def test_rank_of_eta_even_class():
+    # aff(1): d e^2 = -e^1 ^ e^2 and e^2 ^ d e^2 = 0, class 2; e^1 is closed
+    rr = rank_of_eta(_aff(1), theta(1, 2))
+    assert (rr.rank, rr.parity, rr.p, rr.largest_power, rr.is_maximal) == (2, "even", 1, 1, False)
+    assert rank_of_eta(_aff(1), theta(0, 2)).rank == 1
+
+
+def _wedge_class(L, eta):
+    """The class of eta from its wedge powers: p the largest power with
+    (d eta)^p != 0, then 2p+1 when eta ^ (d eta)^p != 0, else 2p."""
+    deta, p = ce_d(L, eta), 0
+    while not wedge_power(deta, p + 1).is_zero():
+        p += 1
+    return 2 * p + (not wedge(eta, wedge_power(deta, p)).is_zero())
+
+
+CLASS_ALGEBRAS = {
+    "aff1": lambda: _aff(1),
+    "aff1+aff1": lambda: _aff(2),
+    "su2": su2,
+    "su3": su3,
+    "h5": lambda: weighted_heisenberg_4n1(1, [1])[0],
+    "h9": lambda: weighted_heisenberg_4n1(2, [1, 2])[0],
+    "h5-2n1": lambda: weighted_heisenberg_2n1(2, [1, 3])[0],
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(CLASS_ALGEBRAS)), st.data())
+def test_rank_of_eta_matches_the_wedge_powers(name, data):
+    # the two ranks against the wedge powers on random 1-forms; only the
+    # aff(1) sums have 1-forms of even class
+    L = CLASS_ALGEBRAS[name]()
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=L.dim, max_size=L.dim).filter(any))
+    eta = KForm.make(1, L.dim, {(i,): F(c) for i, c in enumerate(coeffs)})
+    rr = rank_of_eta(L, eta)
+    assert rr.rank == _wedge_class(L, eta)
+    assert rr.parity == ("odd" if rr.rank % 2 else "even") and rr.p == rr.rank // 2
+
+
 def test_ce_betti_abelian():
     L = abelian(5)
     for k in range(6):

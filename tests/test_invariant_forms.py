@@ -79,6 +79,21 @@ def test_centralizer_of_torus():
     assert kab.dim == 4
 
 
+def test_centralizer_contains_the_torus_by_one_rank(monkeypatch):
+    import aqslie.invariant_forms as inv
+    from aqslie.errors import InternalContradiction
+
+    ranks, real = [], inv.rank
+    monkeypatch.setattr(inv, "rank", lambda M: ranks.append(len(M)) or real(M))
+    g3 = su3()
+    k3 = centralizer_of_torus(g3, Subspace.from_vectors(8, [g3.basis_vector(i) for i in (0, 1)]))
+    assert k3.dim == 2 and ranks == [4]
+    # a kernel that misses the torus is a contradiction, named as before
+    monkeypatch.setattr(inv, "nullspace", lambda M, n: [g3.basis_vector(2), g3.basis_vector(3)])
+    with pytest.raises(InternalContradiction, match="^centralizer does not contain the torus$"):
+        centralizer_of_torus(g3, Subspace.from_vectors(8, [g3.basis_vector(0)]))
+
+
 def test_centralizer_rejects_non_abelian_torus():
     g = su2()
     S = Subspace.from_vectors(3, [g.basis_vector(0), g.basis_vector(1)])

@@ -392,6 +392,65 @@ def test_cli_batch_mode(tmp_path, capsys):
         assert rep["error"] is None and rep["payload"]["normal_form"]["weights"] == ["1"]
 
 
+def _unwritable(tmp_path):
+    # a report path that is a directory: the batch cannot write it
+    _structure_file(tmp_path, 1, (1,))
+    (tmp_path / "s.report.json").mkdir()
+    return ["classify", "--batch", str(tmp_path)]
+
+
+UNUSABLE_PATHS = {
+    "construct-output": (lambda tmp_path: ["construct", "heisenberg", "--dim-family", "4n1",
+                                           "--weights", "1", "-o", str(tmp_path / "no" / "x.json")],
+                         "cannot write "),
+    "batch-report": (_unwritable, "cannot write "),
+    "batch-directory": (lambda tmp_path: ["classify", "--batch", str(tmp_path / "none")],
+                        "not a directory: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_PATHS))
+def test_cli_unusable_path_is_an_input_error_in_the_envelope(tmp_path, capsys, case):
+    # a path the command cannot read or write is an InputError, exit 2: in the
+    # envelope with --json, one line on stderr without it
+    argv, message = UNUSABLE_PATHS[case]
+    argv = argv(tmp_path)
+    assert main(argv + ["--json"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["payload"] is None and out["command"] == argv[0]
+    assert out["error"]["code"] == "InputError" and out["error"]["family"] == "parse"
+    assert out["error"]["message"].startswith(message)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"aqslie {argv[0]}: InputError (parse): {out['error']['message']}\n"
+
+
+def test_cli_summaries_without_json(tmp_path, capsys):
+    path = _structure_file(tmp_path, 1, (1,))
+    assert main(["classify", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "aqslie classify: ok",
+        "  structure 1: AntiQuasiSasakian, DoubleAqsSasakian",
+        "  structure 2: AntiQuasiSasakian",
+        "  structure 3: ContactMetric, QuasiSasakian, Sasakian",
+        "  normal form: h^{4n+1} with weights (1)",
+        "  rank 5 (maximal)",
+    ]
+    assert main(["curvature", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "aqslie curvature: ok",
+        "  scalar curvature: -4",
+        "  K(xi,tau1)=1, K(xi,tau2)=1, K(xi,tau3)=1, K(xi,tau4)=1",
+    ]
+    assert main(["invariant-forms", "--algebra", "su2", "--torus", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "aqslie invariant-forms: ok",
+        "  dim k = 1, dim m = 2, solution space dimension = 1",
+        "  type (1,1): J ok = True, invariant = True, anti-invariant projection zero = True",
+    ]
+
+
 def test_cli_payload_determinism(tmp_path, capsys):
     path = _structure_file(tmp_path, 2, (1, 2))
     main(["classify", path, "--json"])

@@ -154,6 +154,20 @@ def test_subspace_membership_and_equality():
     assert not S.contains([F(1), F(0), F(0)])
     T = Subspace.from_vectors(3, [[F(1), F(1), F(1)], [F(1), F(-1), F(1)]])
     assert S.equals(T)
+    U = Subspace.from_vectors(3, [[F(1), F(0), F(1)], [F(0), F(0), F(1)]])
+    assert not S.equals(U) and not U.equals(S)
+    assert Subspace(3, ()).equals(Subspace(3, ())) and not S.equals(Subspace(3, ()))
+
+
+def test_subspace_equality_is_one_rank(monkeypatch):
+    # the other basis stacked under this one: one rank, whatever the dimension
+    ranks, real = [], linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda M: ranks.append(len(M)) or real(M))
+    S = Subspace.from_vectors(4, [[F(int(i == j)) for j in range(4)] for i in range(3)])
+    T = Subspace.from_vectors(4, [[F(1), F(2), F(3), F(0)], [F(0), F(1), F(1), F(0)],
+                                  [F(1), F(0), F(0), F(0)]])
+    assert S.equals(T)
+    assert ranks == [6]
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,7 @@ def test_a_classify_differentiates_nothing_and_multiplies_little(monkeypatch):
     # eta and [phi, phi] off four: no ce_d, and 14 mat_mul calls on the
     # conjugated h13 (49 when [phi, phi] made four products per i)
     S, calls, ce_d, mat_mul = CASES["h13c"](), [], exterior.ce_d, linalg.mat_mul
-    for module in (acm, exterior):
-        monkeypatch.setattr(module, "ce_d", lambda L, w: calls.append("ce_d") or ce_d(L, w))
+    monkeypatch.setattr(exterior, "ce_d", lambda L, w: calls.append("ce_d") or ce_d(L, w))
     for module in (acm, linalg):
         monkeypatch.setattr(module, "mat_mul", lambda A, B: calls.append("mul") or mat_mul(A, B))
     classify_structure(S)
@@ -201,13 +200,26 @@ def test_a_classify_differentiates_nothing_and_multiplies_little(monkeypatch):
 
 
 def test_closedness_suite_reads_the_d_eta_of_the_classification(monkeypatch):
-    # after classify_structure, only g(., A .) is differentiated
+    # after classify_structure, only g(., A .) is differentiated, off the pair
+    # brackets: no ce_d
     S = _h(3)
     classify_structure(S)
-    calls, ce_d = [], acm.ce_d
-    monkeypatch.setattr(acm, "ce_d", lambda L, w: calls.append(w) or ce_d(L, w))
+    calls, ce_d = [], exterior.ce_d
+    monkeypatch.setattr(exterior, "ce_d", lambda L, w: calls.append(w) or ce_d(L, w))
     assert closedness_suite(S).ok
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_a_normal_form_ranks_eta_twice_and_differentiates_no_form(monkeypatch):
+    # the class of eta is rank d eta against the rank with eta stacked under
+    # it: no null space of eta and no ce_d on the conjugated h13
+    calls = []
+    for name in ("ce_d", "rank", "nullspace"):
+        real = getattr(exterior, name)
+        monkeypatch.setattr(exterior, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    classify_nilpotent_aqs(CASES["h13c"]())
+    assert calls == ["rank", "rank"]
 
 
 def test_xi_killing_verdict_is_kept_and_its_contradiction_raised_again(monkeypatch):
