@@ -241,7 +241,8 @@ def _pairs(n: int) -> list:
 def _nijenhuis_columns(ads: list, J: MatOver) -> MatOver:
     """[J, J] on the pairs i < j, in order, as the columns of one value: column (i, j)
     = M_i J e_j - J M_i e_j, row k of M_i = ad_{J b_i} - J ad_i at row i n + k of M.  Each
-    entry keeps its own fold; ad_{J b_i} skips the near-zero J_ai, as the table's readers do."""
+    entry keeps its own fold; ad_{J b_i} skips the near-zero J_ai, as the table's readers do.
+    Block i of M J is read at j > i: two products make 2/3 of it, cut at h = n // 2."""
     n, pairs = len(ads), _pairs(len(ads))
     rows = stacked(ads)  # row a n + k: row k of ad_a; J ad_i is block i of J_ad
     ad_J = rows.regroup(lambda N: [[N[a * n + k][j] for a in range(n)]
@@ -251,7 +252,11 @@ def _nijenhuis_columns(ads: list, J: MatOver) -> MatOver:
          - J_ad.regroup(lambda N: [row[i * n:i * n + n] for i in range(n) for row in N]))
     on_pairs = lambda N: [[N[i * n + k][j] for i, j in pairs] for k in range(n)]  # noqa: E731
     del ad_J, J_ad  # each n^3 list is dropped once used
-    return (M @ J).regroup(on_pairs) - J @ M.regroup(on_pairs)
+    h = n // 2  # the blocks below h from column 1 on, the others from column h + 1 on
+    MJ = stacked([M[a * n:b * n] @ J.regroup(lambda N, s=s: [row[s:] for row in N])
+                  for a, b, s in ((0, h, 1), (h, n, h + 1))])
+    return MJ.regroup(lambda N: [[N[i * n + k][j - (1 if i < h else h + 1)] for i, j in pairs]
+                                 for k in range(n)]) - J @ M.regroup(on_pairs)
 
 
 def nijenhuis_phi(S: AcmStructure) -> dict:
@@ -291,9 +296,10 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     triples, d_phi = d_of_pairs(_pair_brackets(v, pairs) @ W, pairs)
     deta_pairs = at_pairs(_d_eta(T))
     # each residual's entries, the basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi
-    n_phi = _nijenhuis_columns(v.ads, v.phi) + v.xi.T @ deta_pairs
+    xi_deta = v.xi.T @ deta_pairs
+    n_phi = _nijenhuis_columns(v.ads, v.phi) + xi_deta
     entries = {"d_phi": d_phi, "d_eta": deta_pairs, "n_phi": n_phi,
-               "anti_normal": n_phi - v.xi.T @ (deta_pairs * 2),
+               "anti_normal": n_phi - xi_deta * 2,
                "contact_metric": deta_pairs - at_pairs(W) * 2}
     residuals = {name: X.max_abs() for name, X in entries.items()}
     tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}

@@ -182,7 +182,7 @@ class LieAlgebra:
     def center(self) -> Subspace:
         """Kernel of the joint adjoint action, as a null space of stacked ads."""
         rows = [row for ad in self.ad_values()[0] for row in ad.N]  # over a den: same kernel
-        return Subspace.from_vectors(self.dim, nullspace(rows, self.dim))
+        return Subspace.from_vectors(self.dim, nullspace(_distinct_lines(rows), self.dim))
 
     @cached_property
     def lower_central_series(self) -> "LowerCentralSeries":
@@ -192,7 +192,8 @@ class LieAlgebra:
         while True:
             # [g, V] is spanned by the columns of ad_w, w in the basis of V
             ads = [ad_value(self, MatOver([list(w)])) for w in current.basis]
-            nxt = Subspace.from_vectors(self.dim, [col for ad in ads for col in ad.T.N])
+            cols = _distinct_lines([col for ad in ads for col in ad.T.N])
+            nxt = Subspace.from_vectors(self.dim, cols)
             if nxt.dim == current.dim:
                 return LowerCentralSeries(tuple(terms), False, None)
             terms.append(nxt)
@@ -245,6 +246,15 @@ class LieAlgebra:
             for k, v in entries.items():
                 ads[p][k][q], ads[q][k][p] = v, -v
         return [MatOver(ad, den or 1) for ad in ads], [MatOver(M, dm) for M in ints]
+
+
+def _distinct_lines(rows: list[Vec]) -> list[Vec]:
+    """Integer rows as one primitive row per line, first nonzero entry positive,
+    zero rows dropped: the same row space and RREF.  Other rows as they are."""
+    if not all(type(x) is int for row in rows for x in row):
+        return rows
+    signed = [(g if next(filter(None, r)) > 0 else -g, r) for r in rows if (g := math.gcd(*r))]
+    return list(map(list, dict.fromkeys(tuple(x // g for x in r) for g, r in signed)))
 
 
 def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:

@@ -8,10 +8,12 @@ from the whole input, with three outcomes:
   (Gustavson's row-wise product, as on every field; one per ``mat_vecs``),
   ``mat_add``/``mat_sub``/``mat_scale``, ``dot``, ``mat_eq``, ``max_abs``,
   fraction-free Gauss-Jordan with row-content removal (``rref``, ``rank``,
-  ``nullspace``, ``solve``, ``mat_solve``), Bareiss (``det``, ``char_poly``)
-  and fraction-free congruence (``inertia_symmetric``).  On all-int input
-  products, sums and scalings return ints, and elimination, char_poly and
-  inertia what the same values give as Fractions;
+  ``nullspace``, ``solve``, ``mat_solve``), Bareiss (``det``, ``char_poly``),
+  Krylov minimal polynomials of integer vectors (``eig_sym_exact``, which
+  takes no characteristic polynomial) and fraction-free congruence
+  (``inertia_symmetric``).  On all-int input products, sums and scalings
+  return ints, and elimination, spectra and inertia what the same values
+  give as Fractions;
 * tower input whose entries are each one term q sqrt(s), with radicands that
   factor over the indices, is rational in the basis sqrt(d_i) e_i of its
   square classes d (``lie_core.square_classes``), decided once per structure
@@ -147,11 +149,16 @@ def diag_scaled(A: Mat, left: Vec | None, right: Vec | None) -> Mat:
 def _int_products(rows: list[list[int]], cols: list[list[int]]) -> list[list[int]]:
     """[[row . col for col in cols] for row in rows] on integers: ``_rowwise`` on
     the nonzero entries of cols, indexed once (a pair sums as far as zip goes)."""
+    return _rowwise(rows, _int_index(cols), len(cols), 0)
+
+
+def _int_index(cols: list[list[int]]) -> list[list[tuple]]:
+    """nz[j] = [(k, col[j]) for each col k nonzero at j], ``_rowwise``'s index."""
     nz = [[] for _ in range(max(map(len, cols), default=0))]
     for k, col in enumerate(cols):
         for j in itertools.compress(range(len(col)), col):
             nz[j].append((k, col[j]))
-    return _rowwise(rows, nz, len(cols), 0)
+    return nz
 
 
 def _rowwise(rows: list[Vec], nz: list[list[tuple]], width: int, zero) -> Mat:
@@ -624,13 +631,16 @@ def char_poly(M: Mat) -> list:
     """Coefficients [1, c1, ..., cn] of det(xI - M).
 
     Rational matrices go through integer Bareiss determinants at n+1
-    sample points and exact Lagrange interpolation, which avoids the
-    coefficient growth of iterative schemes; matrices with adjoined square
-    roots fall back to Faddeev-LeVerrier.
+    sample points, det(xI - M) = det(q x I - P) / q^n for M = P / q, and an
+    exact Vandermonde solve, which avoids the coefficient growth of iterative
+    schemes; matrices with adjoined square roots fall back to Faddeev-LeVerrier.
     """
-    n = len(M)
-    if (coeffs := _char_poly_rational(M)) is not None:
-        return coeffs
+    n, scaled = len(M), _int_scaled(_flat(M))
+    if scaled is not None:
+        P, q = [scaled[0][i * n:i * n + n] for i in range(n)], scaled[1] or 1
+        ys = [Fraction(_bareiss_det([[q * t - x if i == j else -x for j, x in enumerate(row)]
+                                     for i, row in enumerate(P)]), q**n) for t in range(n + 1)]
+        return solve([[Fraction(t) ** (n - k) for k in range(n + 1)] for t in range(n + 1)], ys)
     coeffs = [ONE]
     Mk = mat_copy(M)
     for k in range(1, n + 1):
@@ -639,43 +649,6 @@ def char_poly(M: Mat) -> list:
         if k < n:
             Mk = mat_mul(M, mat_add(Mk, mat_scale(identity(n), ck)))
     return coeffs
-
-
-def _char_poly_rational(M: Mat) -> list | None:
-    n = len(M)
-    scaled = _int_scaled(_flat(M))
-    if scaled is None:
-        return None
-    flat, q = scaled[0], scaled[1] or 1
-    P = [flat[i * n : i * n + n] for i in range(n)]
-    # det(xI - M) = det(q x I - P) / q^n; sample at x = 0..n and interpolate
-    xs = list(range(n + 1))
-    ys = []
-    for t in xs:
-        Mt = [
-            [q * t - P[i][j] if i == j else -P[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        ys.append(Fraction(_bareiss_det(Mt), q**n))
-    return _lagrange_coeffs(xs, ys)
-
-
-def _lagrange_coeffs(xs: list[int], ys: list[Fraction]) -> list:
-    """Coefficients (highest degree first) of the Newton-form interpolant."""
-    n = len(xs)
-    divided = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion, coefficients lowest degree first
-    poly = [divided[n - 1]]
-    for i in range(n - 2, -1, -1):
-        shifted = [Fraction(0)] + poly  # poly * x
-        for t in range(len(poly)):
-            shifted[t] -= xs[i] * poly[t]
-        shifted[0] += divided[i]
-        poly = shifted
-    return list(reversed(poly))
 
 
 def poly_eval(coeffs: list, x):
@@ -689,22 +662,11 @@ _DIVISOR_BUDGET = 3_000_000
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    steps = 0
-    while d * d <= n:
-        steps += 1
-        if steps > _DIVISOR_BUDGET:
-            raise ArithmeticError(
-                f"constant term {n} is too large to factor at desk scale"
-            )
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """The positive divisors of |n|, ascending (none for 0)."""
+    if (root := math.isqrt(n := abs(n))) > _DIVISOR_BUDGET:
+        raise ArithmeticError(f"constant term {n} is too large to factor at desk scale")
+    small = [d for d in range(1, root + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _poly_divmod(a: list, b: list) -> tuple[list, list]:
@@ -777,25 +739,88 @@ def rational_roots(coeffs: list) -> tuple[dict[Fraction, int], int]:
     return roots, len(work) - 1
 
 
+def _shifted(M: Mat, root) -> Mat:
+    return [[s_sub(x, root) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
+
+
+def _min_poly(index: list[list[tuple]], v: list[int]) -> list[int]:
+    """The minimal polynomial of v under the integer P indexed by ``_int_index``,
+    highest degree first, read off the first Krylov vector P^d v that depends on
+    v, ..., P^(d-1) v: forward fraction-free elimination of the rows [P^j v | e_j]
+    until one reduces to [0 | c], c_0 v + ... + c_d P^d v = 0.  It divides the
+    characteristic polynomial of P, so it is monic with integer coefficients
+    (Gauss's lemma) and c / c_d is exact."""
+    n, echelon = len(v), []  # (pivot, row), each row zero at the pivots before it
+    for d in range(n + 1):
+        row = v + [int(j == d) for j in range(n + 1)]
+        for c, r in echelon:
+            if row[c]:
+                row = [r[c] * x - row[c] * y for x, y in zip(row, r)]
+        if (pivot := next((c for c in range(n) if row[c]), None)) is None:
+            return [x // row[n + d] for x in row[n:n + d + 1][::-1]]
+        g = math.gcd(*row)
+        echelon.append((pivot, [x // g for x in row]))
+        v = _rowwise([v], index, n, 0)[0]
+
+
+def _simple_int_roots(p: list[int]) -> list[int]:
+    """The roots of the monic integer p: 0 and the divisors of its last nonzero
+    coefficient, each tested by Horner's rule on ints.  IrrationalSpectrum unless
+    p is a product of distinct linear factors."""
+    horner = lambda p, r: list(itertools.accumulate(p, lambda acc, c: acc * r + c))  # noqa: E731
+    roots, low = [], next(c for c in reversed(p) if c)
+    for r in [0, *(s * a for a in _divisors(low) for s in (1, -1))]:
+        if (quotient := horner(p, r)).pop() == 0:  # p = (x - r) quotient
+            if horner(quotient, r)[-1] == 0:
+                raise IrrationalSpectrum(f"eigenvalue {r} repeats in a minimal polynomial: "
+                                         f"matrix not diagonalizable")
+            p, roots = quotient, roots + [r]
+    if len(p) > 1:
+        raise IrrationalSpectrum(f"minimal polynomial does not split over the rationals "
+                                 f"(residual degree {len(p) - 1})")
+    return roots
+
+
 def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
-    """Exact eigendecomposition of a symmetric matrix with rational spectrum.
+    """Exact eigendecomposition of a symmetric matrix with rational spectrum:
+    [(eigenvalue, multiplicity, basis)], eigenvalues ascending, each basis the
+    ``nullspace`` of M - eigenvalue I.
 
-    Raises IrrationalSpectrum when the characteristic polynomial has a
-    non-rational root (the tower stores roots of rationals only, and a
-    symmetric matrix that splits over the tower with non-rational
-    eigenvalues is outside the supported normal-form pipeline).
+    Raises IrrationalSpectrum unless M is diagonalizable over the rationals
+    (the tower stores roots of rationals only, and a symmetric matrix that
+    splits over the tower with non-rational eigenvalues is outside the
+    supported normal-form pipeline).
 
-    A rational (or int) M is replaced by its primitive integer multiple
-    M / scale: the same eigenvectors, eigenvalues divided by scale, and the
-    smallest constant term for the rational root search.  The rational roots
-    of its monic integer characteristic polynomial are integers, so the
-    shifted matrices stay integer.
+    A rational (or int) M is replaced by its primitive integer multiple P =
+    M / scale: the same eigenvectors, eigenvalues divided by scale.  They come
+    from minimal polynomials of vectors read off their Krylov sequences (the
+    idea of Wiedemann's method, IEEE Trans. Inf. Theory 32(1), 1986; H. Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138, 2.2).  For
+    each e_k in turn, v = prod (P - r) e_k over the eigenvalues r found so
+    far vanishes exactly when e_k lies in their eigenspaces; else each root
+    of v's minimal polynomial, monic over the integers (Gauss's lemma), so
+    with integer roots, is a new eigenvalue.  A repeated or non-integer root,
+    or eigenspaces that do not span, raise.  Other exact input reads the
+    rational roots of its characteristic polynomial (Faddeev-LeVerrier).
     """
-    scale, scaled = ONE, _int_rows(M)
-    if scaled is not None:
+    if (scaled := _int_rows(M)) is not None:
         (ints,), den = scaled
         content = math.gcd(*_flat(ints)) or 1
-        M, scale = [[x // content for x in row] for row in ints], Fraction(content, den or 1)
+        P, scale = [[x // content for x in row] for row in ints], Fraction(content, den or 1)
+        n, index, spaces = len(P), _int_index(P), {}
+        for k in range(n):
+            if sum(map(len, spaces.values())) == n:
+                break
+            v = [int(i == k) for i in range(n)]
+            for r in spaces:
+                v = [x - r * y for x, y in zip(_rowwise([v], index, n, 0)[0], v)]
+            if any(v):
+                spaces.update((r, nullspace(_shifted(P, r)))
+                              for r in _simple_int_roots(_min_poly(index, v)) if r not in spaces)
+        if (dim := sum(map(len, spaces.values()))) != n:
+            raise IrrationalSpectrum(f"eigenspaces span {dim} of {n} dimensions: "
+                                     f"matrix not diagonalizable")
+        return [(r * scale, len(basis), basis) for r, basis in sorted(spaces.items())]
     coeffs = char_poly(M)
     if any(isinstance(c, Ext) for c in coeffs):  # a rational value is a Fraction
         raise IrrationalSpectrum(
@@ -809,17 +834,13 @@ def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
         )
     out = []
     for root in sorted(roots):
-        mult, ev = roots[root], root * scale
-        shift = root if scaled is None else int(root)
-        shifted = [[s_sub(x, shift) if i == j else x for j, x in enumerate(row)]
-                   for i, row in enumerate(M)]
-        basis = nullspace(shifted)
-        if len(basis) != mult:
+        basis = nullspace(_shifted(M, root))
+        if len(basis) != roots[root]:
             raise IrrationalSpectrum(
-                f"eigenvalue {ev}: geometric multiplicity {len(basis)} != "
-                f"algebraic {mult}; matrix not symmetric over the scalars"
+                f"eigenvalue {root}: geometric multiplicity {len(basis)} != "
+                f"algebraic {roots[root]}; matrix not symmetric over the scalars"
             )
-        out.append((ev, mult, basis))
+        out.append((root, roots[root], basis))
     return out
 
 

@@ -6,8 +6,10 @@ the Gram products are held against), the paper checks of the adapted
 coframe, psi^2, the companion structures and the Reeb vector, the writers of
 Kahler and matrix documents, the central quotient the classifier does
 without (it tests [g, g] inside R xi by a rank), the 2-form Phi and the
-loop over i for [J, J] that classification no longer runs, and the classify
-stages as they ran before they passed numerators to each other.
+loop over i for [J, J] that classification no longer runs, the classify
+stages as they ran before they passed numerators to each other, and the
+eigendecomposition through the characteristic polynomial that the rational
+route of ``linalg.eig_sym_exact`` replaced with Krylov minimal polynomials.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from aqslie.acm import _pairs, operators_A_psi, rational_rescaling
 from aqslie.adapted import AdaptedFrame, _psi2_orbits, require_maximal
 from aqslie.classifier import HeisenbergIso
 from aqslie.constructors import weighted_heisenberg_4n1
-from aqslie.errors import DimensionMismatch, PreconditionError
+from aqslie.errors import DimensionMismatch, IrrationalSpectrum, PreconditionError
 from aqslie.exterior import (
     KForm,
     bilinear_from_form,
@@ -34,11 +36,11 @@ from aqslie.exterior import (
 from aqslie.io import _matrix_to_json, algebra_to_json
 from aqslie.lie_core import BracketTable, LieAlgebra, ad_matrix, ad_value, bracket
 from aqslie.linalg import Mat, MatOver, Subspace, Vec, _flat, bilinear, det, diag_scaled, dot, eigenspaces
-from aqslie.linalg import identity, stacked
+from aqslie.linalg import _int_rows, char_poly, identity, rational_roots, stacked
 from aqslie.linalg import inverse, is_positive_definite, mat_add, mat_eq, mat_mul, mat_scale
 from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, solve
 from aqslie.linalg import transpose, vec_eq, vec_is_zero, vec_scale, zeros
-from aqslie.scalars import ONE, ZERO, is_exact, s_abs, s_add, s_div, s_eq, s_inv, s_is_zero
+from aqslie.scalars import ONE, ZERO, Ext, is_exact, s_abs, s_add, s_div, s_eq, s_inv, s_is_zero
 from aqslie.scalars import s_mul, s_neg, s_sqrt, s_sub
 
 
@@ -395,3 +397,40 @@ def stage_isomorphism(S: AcmStructure) -> Mat:
     if not all(is_exact(x) for c in columns for x in c):
         return inverse(transpose([vec_scale(list(c), x) for c, x in zip(columns, scales)]))
     return [vec_scale(row, s_inv(x)) for row, x in zip(inverse(transpose(columns)), scales)]
+
+
+def eig_sym_char_poly(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
+    """``linalg.eig_sym_exact`` as it read the rational roots of the whole
+    characteristic polynomial (n + 1 Bareiss determinants and a Lagrange
+    interpolation on rational input) and certified each eigenspace by its
+    algebraic multiplicity."""
+    scale, scaled = ONE, _int_rows(M)
+    if scaled is not None:
+        (ints,), den = scaled
+        content = math.gcd(*_flat(ints)) or 1
+        M, scale = [[x // content for x in row] for row in ints], Fraction(content, den or 1)
+    coeffs = char_poly(M)
+    if any(isinstance(c, Ext) for c in coeffs):  # a rational value is a Fraction
+        raise IrrationalSpectrum(
+            "characteristic polynomial has non-rational tower coefficients"
+        )
+    roots, residual = rational_roots(coeffs)
+    if residual > 0:
+        raise IrrationalSpectrum(
+            f"characteristic polynomial does not split over the rationals "
+            f"(residual degree {residual})"
+        )
+    out = []
+    for root in sorted(roots):
+        mult, ev = roots[root], root * scale
+        shift = root if scaled is None else int(root)
+        shifted = [[s_sub(x, shift) if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(M)]
+        basis = nullspace(shifted)
+        if len(basis) != mult:
+            raise IrrationalSpectrum(
+                f"eigenvalue {ev}: geometric multiplicity {len(basis)} != "
+                f"algebraic {mult}; matrix not symmetric over the scalars"
+            )
+        out.append((ev, mult, basis))
+    return out

@@ -122,6 +122,74 @@ def test_eig_sym_exact_multiplicity():
         eig_sym_exact(_mat([[0, 1], [1, 1]]))  # golden-ratio spectrum
 
 
+def _diag_blocks(*blocks):
+    """The block-diagonal matrix of the square blocks, Fraction zeros around them."""
+    n, out, at = sum(map(len, blocks)), [], 0
+    for B in blocks:
+        out += [[F(0)] * at + list(row) + [F(0)] * (n - at - len(B)) for row in B]
+        at += len(B)
+    return out
+
+
+@st.composite
+def planted_spectra(draw):
+    """(M, G), M = P D P^-1 and G = P^-T P^-1, so G M = P^-T D P^-1 is symmetric:
+    D diagonal with few distinct rational values, repeats and a zero often.  Half
+    the time M is block diagonal with disjoint spectra on the blocks, so that e_1
+    sees the first block only and the second's eigenvalues come from a later e_k."""
+    def planted(n, values):
+        D = _diag_blocks(*([[draw(st.sampled_from(values))]] for _ in range(n)))
+        Q = random_unimodular(n, random.Random(draw(st.integers(0, 2**16))))
+        scales = draw(st.lists(fractions.filter(bool), min_size=n, max_size=n))
+        P = [[x * c for x, c in zip(row, scales)] for row in Q]
+        Pi = inverse(P)
+        return mat_mul(mat_mul(P, D), Pi), mat_mul(transpose(Pi), Pi)
+
+    values = draw(st.lists(fractions, min_size=1, max_size=3)) + [F(0)]
+    if draw(st.booleans()):
+        return planted(draw(st.integers(1, 6)), values)
+    (M1, G1), (M2, G2) = (planted(draw(st.integers(1, 3)), values),
+                          planted(draw(st.integers(1, 3)), [v + 13 for v in values]))
+    return _diag_blocks(M1, M2), _diag_blocks(G1, G2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(planted_spectra())
+def test_krylov_spectra_match_the_characteristic_polynomial(case):
+    # eig_sym_exact reads its eigenvalues off Krylov minimal polynomials; the
+    # oracle off the rational roots of the whole characteristic polynomial:
+    # the same eigenvalues, multiplicities and bases, every repr, for the
+    # Fraction matrix, its all-int numerators and through eigenspaces
+    from oracles import eig_sym_char_poly
+
+    M, G = case
+    assert mat_eq(mat_mul(G, M), transpose(mat_mul(G, M)))
+    den = math.lcm(*(x.denominator for x in _flat(M)))
+    ints = [[int(x * den) for x in row] for row in M]
+    for A in (M, ints):
+        want = repr(eig_sym_char_poly(A))
+        assert repr(eig_sym_exact(A)) == want
+    assert repr(eigenspaces(M, G)) == repr(eig_sym_char_poly(M))
+    assert sum(mult for _, mult, _ in eig_sym_exact(M)) == len(M)
+
+
+@pytest.mark.parametrize("rows, verdict", [
+    ([[0, 1], [1, 1]], "residual degree 2"),  # golden ratio
+    ([[0, 1, 0], [2, 0, 0], [0, 0, 3]], "residual degree 2"),  # x^2 - 2 beside 3
+    ([[1, 1], [0, 1]], "span 1 of 2"),  # a Jordan block: e_1 is an eigenvector
+    ([[1, 0], [1, 1]], "repeats"),  # its transpose: (x - 1)^2 is e_1's minimal polynomial
+])
+def test_krylov_verdicts_are_irrational_spectra(rows, verdict):
+    # the oracle raises the same error type, from the characteristic polynomial
+    from oracles import eig_sym_char_poly
+
+    for M in (_mat(rows), rows):
+        with pytest.raises(IrrationalSpectrum, match=verdict):
+            eig_sym_exact(M)
+        with pytest.raises(IrrationalSpectrum):
+            eig_sym_char_poly(M)
+
+
 def test_inertia():
     assert inertia_symmetric(_mat([[2, 0], [0, -3]])) == (1, 1, 0)
     assert inertia_symmetric(_mat([[0, 0], [0, 0]])) == (0, 0, 2)

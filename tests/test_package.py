@@ -46,23 +46,32 @@ def _payloads(argvs: list) -> list:
 def test_certificates_survive_python_O(tmp_path):
     # the same classify and curvature payloads and errors, byte for byte, when
     # python -O has stripped every assert: of h9, of its float copy and of the
-    # square-root-weight qS h7, which does not rescale and runs per scalar
+    # square-root-weight qS h7, which does not rescale and runs per scalar; and
+    # the classify of a conjugated h13, whose eigenvalues come from a Krylov
+    # minimal polynomial certified by raises (a repeated root, eigenspaces
+    # that do not span)
     import os
+    import random
     import subprocess
 
     import aqslie.io as aqio
+    from aqslie.acm import conjugate_structure
     from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
+    from aqslie.linalg import random_unimodular
     from aqslie.scalars import parse_scalar
     from floatcopy import float_doc
 
     doc = aqio.structure_to_json(weighted_heisenberg_4n1(2, [1, 2])[1][0])
     sqrt_weights = [parse_scalar(w) for w in ("sqrt(2)", "1", "3/2*sqrt(5)")]
     sqrt7 = aqio.structure_to_json(weighted_heisenberg_2n1(3, sqrt_weights)[1])
+    h13c = aqio.structure_to_json(conjugate_structure(
+        weighted_heisenberg_4n1(3, [1, 2, 3])[1][0], random_unimodular(13, random.Random(7))))
     argvs = []
-    for key, d in (("h9", doc), ("f9", float_doc(doc)), ("s7", sqrt7)):
+    for key, d in (("h9", doc), ("f9", float_doc(doc)), ("s7", sqrt7), ("h13c", h13c)):
         path = tmp_path / f"{key}.json"
         path.write_text(aqio.dumps(d), "utf-8")
-        argvs += [[command, str(path), "--json"] for command in ("classify", "curvature")]
+        commands = ("classify",) if key == "h13c" else ("classify", "curvature")
+        argvs += [[command, str(path), "--json"] for command in commands]
     here = _payloads(argvs)
     script = ("import json, sys\nfrom test_package import _payloads\n"
               "print(json.dumps([__debug__, _payloads(json.loads(sys.argv[1]))]))")
@@ -73,8 +82,9 @@ def test_certificates_survive_python_O(tmp_path):
     assert debug is False
     # the qS h7's classify ends in its typed error: a characteristic polynomial
     # with coefficients outside the rationals
-    assert [code for code, _, _ in here] == [0, 0, 0, 0, 3, 0]
+    assert [code for code, _, _ in here] == [0, 0, 0, 0, 3, 0, 0]
     assert here[4][1] == "IrrationalSpectrum"
+    assert '"weights":["3","2","1"]' in here[6][2]
     assert there == here
 
 

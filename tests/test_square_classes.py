@@ -121,14 +121,31 @@ def test_a_classify_eliminates_the_ad_columns_once(monkeypatch):
     # the center and the lower central series are kept on the algebra, and the
     # quotient test reads the series' step (center R xi: [g, g] in R xi iff
     # [g, [g, g]] = 0); 641 rows went through _rref_int when it eliminated the
-    # ad columns again
+    # ad columns again, 472 when the center and the series eliminated every
+    # stacked ad row and column (169 each) rather than one primitive row per line
     import aqslie.linalg as linalg
 
     S = conjugate_structure(BASES["h13"](), random_unimodular(13, random.Random(7)))
     real, rows = linalg._rref_int, []
     monkeypatch.setattr(linalg, "_rref_int", lambda A: rows.append(len(A)) or real(A))
     classify_nilpotent_aqs(S)
-    assert sum(rows) <= 480, rows
+    assert sum(rows) <= 150, rows
+
+
+def test_a_classify_reads_no_characteristic_polynomial(monkeypatch):
+    # the eigenvalues of psi^2 come from a Krylov minimal polynomial: no
+    # char_poly, and none of the 14 Bareiss determinants (n + 1 sample points)
+    # that interpolated it
+    import aqslie.linalg as linalg
+
+    S = conjugate_structure(BASES["h13"](), random_unimodular(13, random.Random(7)))
+    calls = []
+    for name in ("char_poly", "_bareiss_det"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name: calls.append(name)
+                            or real(*a))
+    assert classify_nilpotent_aqs(S).weights == (3, 2, 1)
+    assert calls == []
 
 
 def test_xi_sectional_curvatures_of_a_rescaled_structure_run_on_integers(monkeypatch):
