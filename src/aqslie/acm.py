@@ -67,7 +67,7 @@ from .errors import (
     PreconditionError,
     ToleranceExceeded,
 )
-from .exterior import KForm, covector_form, d_of_covector, d_of_pairs, rank_of_eta
+from .exterior import KForm, covector_class, covector_form, d_of_covector, d_of_pairs
 from .lie_core import LieAlgebra, ad_value, bracket
 from .linalg import (
     Mat,
@@ -631,9 +631,9 @@ def conjugate_structure(S: AcmStructure, Q: Mat) -> AcmStructure:
 
 def structure_rank(S: AcmStructure):
     """Rank report of eta for this structure (invariant: read on the rational
-    rescaling when there is one)."""
+    rescaling when there is one), from the d eta in the memo."""
     if r := rational_rescaling(S):
         return structure_rank(r.S)
     if "rank" not in S._memo:
-        S._memo["rank"] = rank_of_eta(S.L, S.eta_form())
+        S._memo["rank"] = covector_class(_d_eta(S), numerator_view(S).eta)
     return S._memo["rank"]

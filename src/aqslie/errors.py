@@ -80,8 +80,9 @@ class InvalidStructure(PreconditionError):
 
 
 class IrrationalSpectrum(PreconditionError):
-    """Exact mode only: a characteristic polynomial does not split over the
-    rational scalar tower.  Callers may retry in float mode."""
+    """Exact mode only: an operator is not diagonalizable over the rationals
+    (a minimal polynomial that does not split or repeats a root, or
+    eigenspaces that do not span).  Callers may retry in float mode."""
 
 
 class ToleranceExceeded(PreconditionError):

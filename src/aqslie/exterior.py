@@ -353,21 +353,28 @@ class RankReport:
 
 
 def rank_of_eta(L: LieAlgebra, eta: KForm) -> RankReport:
-    """Constant rank (class) of a 1-form: 2p+1 when eta ^ (d eta)^p != 0 and
-    (d eta)^{p+1} = 0, else 2p with (d eta)^p the largest nonzero power.
+    """Constant rank (class) of a 1-form: ``covector_class`` of its d eta."""
+    if eta.degree != 1:
+        raise PreconditionError("eta must be a nonzero 1-form")
+    ads, (E,) = L.ad_values([[eta.coeff((i,)) for i in range(L.dim)]])
+    return covector_class(d_of_covector(ads, E), E)
+
+
+def covector_class(B: MatOver, E: MatOver) -> RankReport:
+    """Constant rank (class) of the 1-form eta, the one row of E, from B, the
+    matrix of d eta: 2p+1 when eta ^ (d eta)^p != 0 and (d eta)^{p+1} = 0,
+    else 2p with (d eta)^p the largest nonzero power.
 
     Two fraction-free ranks decide it (Pfaff-Darboux; Bryant et al., "Exterior
-    Differential Systems", 1991, ch. II): (d eta)^p, p = rank(B)/2 for B its
-    matrix, is a nonzero multiple of the wedge of a basis of the rows of B, so
+    Differential Systems", 1991, ch. II): (d eta)^p, p = rank(B)/2, is a
+    nonzero multiple of the wedge of a basis of the rows of B, so
     eta ^ (d eta)^p != 0 exactly when eta stacked under B raises the rank.
     (The wedge-power expansion is the independent test oracle.)
     """
-    if eta.degree != 1 or eta.is_zero():
+    if all(map(s_is_zero, E.N[0])):
         raise PreconditionError("eta must be a nonzero 1-form")
-    ads, (E,) = L.ad_values([[eta.coeff((i,)) for i in range(L.dim)]])
-    B = d_of_covector(ads, E)
     full = rank(B.N)
     if full % 2:
         raise InternalContradiction("antisymmetric form with odd rank")
     p, odd = full // 2, rank(stacked([B, E]).N) > full
-    return RankReport(2 * p + odd, "odd" if odd else "even", p, p, odd and 2 * p + 1 == L.dim)
+    return RankReport(2 * p + odd, "odd" if odd else "even", p, p, odd and 2 * p + 1 == len(B.N))

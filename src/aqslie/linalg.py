@@ -8,9 +8,10 @@ from the whole input, with three outcomes:
   (Gustavson's row-wise product, as on every field; one per ``mat_vecs``),
   ``mat_add``/``mat_sub``/``mat_scale``, ``dot``, ``mat_eq``, ``max_abs``,
   fraction-free Gauss-Jordan with row-content removal (``rref``, ``rank``,
-  ``nullspace``, ``solve``, ``mat_solve``), Bareiss (``det``, ``char_poly``),
-  Krylov minimal polynomials of integer vectors (``eig_sym_exact``, which
-  takes no characteristic polynomial) and fraction-free congruence
+  ``nullspace``, ``solve``, ``mat_solve``), Bareiss (``det``), Krylov
+  minimal polynomials of integer vectors with their roots read on the
+  operator's own scale or its integer multiple's (``eig_sym_exact``, no
+  characteristic polynomial) and fraction-free congruence
   (``inertia_symmetric``).  On all-int input products, sums and scalings
   return ints, and elimination, spectra and inertia what the same values
   give as Fractions;
@@ -18,6 +19,9 @@ from the whole input, with three outcomes:
   factor over the indices, is rational in the basis sqrt(d_i) e_i of its
   square classes d (``lie_core.square_classes``), decided once per structure
   or algebra (``LieAlgebra.sqrt_basis``) and run there on the integer route;
+  any other exact tower matrix takes its spectrum on the integer route too,
+  through rho(M), the rational matrix of the same Q-linear map in the basis
+  sqrt(t) e_j over its square classes t (restriction of scalars);
 * anything else (other tower entries, floats, mixed kinds) is per-scalar:
   products are one sparse fold, ``_fold``, over the pairs of nonzero
   entries, whose exact sum turns float where the full fold's does (pure
@@ -340,10 +344,6 @@ def bilinear(u: Vec, G: Mat, v: Vec):
     return dot(u, mat_vec(G, v))
 
 
-def trace(M: Mat):
-    return sum((M[i][i] for i in range(len(M))), ZERO)
-
-
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
@@ -560,9 +560,8 @@ class MatOver:
         return MatOver([[max_abs(_flat(self.N))]], self.den).mat()[0][0]
 
     def eigenspaces(self, G: MatOver) -> list:
-        """``eigenspaces`` of N and G.N, each eigenvalue divided by den."""
-        return [(MatOver([[ev]], self.den).mat()[0][0], *rest)
-                for ev, *rest in eigenspaces(self.N, G.N)]
+        """``eigenspaces`` of N / den and G.N."""
+        return eigenspaces(self.N, G.N, self.den)
 
     def mat(self) -> Mat:
         """N / den: one normalised Fraction per nonzero entry of an all-int N, or
@@ -628,34 +627,14 @@ def _bareiss_det(M: list[list[int]]) -> int:
 
 
 def char_poly(M: Mat) -> list:
-    """Coefficients [1, c1, ..., cn] of det(xI - M).
-
-    Rational matrices go through integer Bareiss determinants at n+1
-    sample points, det(xI - M) = det(q x I - P) / q^n for M = P / q, and an
-    exact Vandermonde solve, which avoids the coefficient growth of iterative
-    schemes; matrices with adjoined square roots fall back to Faddeev-LeVerrier.
-    """
-    n, scaled = len(M), _int_scaled(_flat(M))
-    if scaled is not None:
-        P, q = [scaled[0][i * n:i * n + n] for i in range(n)], scaled[1] or 1
-        ys = [Fraction(_bareiss_det([[q * t - x if i == j else -x for j, x in enumerate(row)]
-                                     for i, row in enumerate(P)]), q**n) for t in range(n + 1)]
-        return solve([[Fraction(t) ** (n - k) for k in range(n + 1)] for t in range(n + 1)], ys)
-    coeffs = [ONE]
-    Mk = mat_copy(M)
+    """Coefficients [1, c1, ..., cn] of det(xI - M), by Faddeev-LeVerrier on
+    every exact field: c_k = -tr(M_k) / k, M_(k+1) = M (M_k + c_k I)."""
+    n, coeffs, Mk = len(M), [ONE], mat_copy(M)
     for k in range(1, n + 1):
-        ck = s_div(s_neg(trace(Mk)), Fraction(k))
-        coeffs.append(ck)
+        coeffs.append(ck := s_div(s_neg(sum((Mk[i][i] for i in range(n)), ZERO)), Fraction(k)))
         if k < n:
             Mk = mat_mul(M, mat_add(Mk, mat_scale(identity(n), ck)))
     return coeffs
-
-
-def poly_eval(coeffs: list, x):
-    acc = ZERO
-    for c in coeffs:
-        acc = s_add(s_mul(acc, x), c)
-    return acc
 
 
 _DIVISOR_BUDGET = 3_000_000
@@ -669,78 +648,28 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    """Quotient and remainder of a by b (coefficients highest degree first,
-    b[0] != 0); the remainder keeps len(b) - 1 coefficients."""
-    rem, quo = list(a), []
-    for _ in range(len(a) - len(b) + 1):
-        f = rem[0] / b[0]
-        quo.append(f)
-        rem = [x - f * y for x, y in zip(rem[1:], b[1:])] + rem[len(b):]
-    return quo, rem
-
-
-def _squarefree_part(p: list) -> list:
-    """p / gcd(p, p') over the rationals: the same roots, each simple."""
-    deg = len(p) - 1
-    a, b = p, [c * (deg - i) for i, c in enumerate(p[:-1])]
-    while b:
-        _, r = _poly_divmod(a, b)
-        while r and r[0] == 0:
-            r = r[1:]
-        a, b = b, r
-    return _poly_divmod(p, a)[0]
-
-
-def _deflate(p: list, root: Fraction) -> list | None:
-    """p / (x - root) when root is a root of p, else None."""
-    out, acc = [], Fraction(0)
-    for c in p:
-        acc = acc * root + c
-        out.append(acc)
-    return out[:-1] if out[-1] == 0 else None
-
-
-def rational_roots(coeffs: list) -> tuple[dict[Fraction, int], int]:
-    """All rational roots (with multiplicity) of a monic rational polynomial.
-
-    Returns (roots, residual_degree); residual_degree > 0 means the
-    polynomial does not split over the rationals.  Candidates come from the
-    rational root theorem applied to the squarefree part p / gcd(p, p')
-    (Yun 1976), whose constant term is far smaller than p's when roots
-    repeat: its numerator divides the constant term and its denominator
-    the leading coefficient.  Each root's multiplicity is then recovered by
-    exact repeated division of p.  Roots are listed by increasing absolute
-    value, a positive root before its negative.
-    """
-    work = [Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
-    roots: dict[Fraction, int] = {}
-    while len(work) > 1 and work[-1] == 0:
-        work = work[:-1]
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-    if len(work) == 1:
-        return roots, 0
-    simple = _squarefree_part(work)
-    ints = _int_scaled(simple)[0]
-    content = math.gcd(*ints)
-    candidates = {
-        Fraction(p, q)
-        for p in _divisors(ints[-1] // content)
-        for q in _divisors(ints[0] // content)
-    }
-    for cand in sorted(candidates):
-        for root in (cand, -cand):
-            if poly_eval(simple, root) != 0:
-                continue
-            mult = 0
-            while (quotient := _deflate(work, root)) is not None:
-                work, mult = quotient, mult + 1
-            roots[root] = mult
-    return roots, len(work) - 1
-
-
 def _shifted(M: Mat, root) -> Mat:
     return [[s_sub(x, root) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
+
+
+def _restricted(M: Mat) -> Mat:
+    """rho(M), the tower matrix M as the rational matrix of the same Q-linear map
+    (restriction of scalars: S. Lang, Algebra, ch. VI 8; H. Cohen, GTM 138,
+    ch. 4), in the basis sqrt(t) e_j, t over the square classes its radicands
+    generate, ascending: entry (i, s), (j, t) is the coefficient of sqrt(s) in
+    M_ij sqrt(t), and sqrt(r) sqrt(t) = g sqrt(r t / g^2) for g = gcd(r, t)."""
+    terms = [[x.terms if isinstance(x, Ext) else {1: x} if x else {} for x in row] for row in M]
+    classes = [1]  # a group: a new radicand doubles it by a coset
+    for r in {r for row in terms for ts in row for r in ts}:
+        classes += [] if r in classes else [r * t // math.gcd(r, t) ** 2 for t in classes]
+    m, at = len(classes), {t: k for k, t in enumerate(sorted(classes))}
+    R = zeros(len(M) * m, len(M) * m)
+    for (i, row), (t, k) in itertools.product(enumerate(terms), at.items()):
+        for j, ts in enumerate(row):
+            for r, c in ts.items():
+                g = math.gcd(r, t)
+                R[i * m + at[r * t // g**2]][j * m + k] += c * g
+    return R
 
 
 def _min_poly(index: list[list[tuple]], v: list[int]) -> list[int]:
@@ -763,85 +692,85 @@ def _min_poly(index: list[list[tuple]], v: list[int]) -> list[int]:
         v = _rowwise([v], index, n, 0)[0]
 
 
-def _simple_int_roots(p: list[int]) -> list[int]:
-    """The roots of the monic integer p: 0 and the divisors of its last nonzero
-    coefficient, each tested by Horner's rule on ints.  IrrationalSpectrum unless
-    p is a product of distinct linear factors."""
-    horner = lambda p, r: list(itertools.accumulate(p, lambda acc, c: acc * r + c))  # noqa: E731
-    roots, low = [], next(c for c in reversed(p) if c)
-    for r in [0, *(s * a for a in _divisors(low) for s in (1, -1))]:
-        if (quotient := horner(p, r)).pop() == 0:  # p = (x - r) quotient
-            if horner(quotient, r)[-1] == 0:
-                raise IrrationalSpectrum(f"eigenvalue {r} repeats in a minimal polynomial: "
-                                         f"matrix not diagonalizable")
-            p, roots = quotient, roots + [r]
-    if len(p) > 1:
+def _over_linear(q: list[int], r: Fraction) -> list[int] | None:
+    """q / (b x - a) for r = a / b a root of the integer q, whose quotient then
+    has integer coefficients (Gauss's lemma); None when r is not a root."""
+    a, b, out = r.numerator, r.denominator, [0]
+    for c in q[:-1]:
+        t, rest = divmod(c + a * out[-1], b)
+        if rest:
+            return None
+        out.append(t)
+    return out[1:] if q[-1] + a * out[-1] == 0 else None
+
+
+def _integer_roots(p: list[int], scale: Fraction) -> list[int]:
+    """The roots of p, the minimal polynomial of a vector under the integer P =
+    M / scale, as r / t for the roots r of q, the primitive integer multiple of
+    t^d p(x / t), d = deg p, on M's own scale t = scale or on P's, t = 1,
+    whichever leaves q the smaller end coefficients.  Numerators of r divide
+    q's last nonzero coefficient, denominators its leading one (the rational
+    root theorem).  IrrationalSpectrum unless q splits into distinct factors."""
+    d, qs = len(p) - 1, []
+    for t in (scale, Fraction(1)):
+        q = [c * t.numerator**j * t.denominator**(d - j) for j, c in enumerate(p)]
+        q = [c // math.gcd(*q) for c in q]
+        qs.append((max(abs(low := next(c for c in reversed(q) if c)), q[0]), low, q, t))
+    _, low, q, t = min(qs, key=lambda entry: entry[0])
+    roots = []
+    for r in [Fraction(0), *(Fraction(s * u, v) for u in _divisors(low) for v in _divisors(q[0])
+                             if math.gcd(u, v) == 1 for s in (1, -1))]:
+        if (quotient := _over_linear(q, r)) is not None:
+            if _over_linear(quotient, r) is not None:
+                raise IrrationalSpectrum(f"eigenvalue {r * scale / t} repeats in a minimal "
+                                         f"polynomial: matrix not diagonalizable")
+            q, roots = quotient, roots + [int(r / t)]
+    if len(q) > 1:
         raise IrrationalSpectrum(f"minimal polynomial does not split over the rationals "
-                                 f"(residual degree {len(p) - 1})")
+                                 f"(residual degree {len(q) - 1})")
     return roots
 
 
-def eig_sym_exact(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
-    """Exact eigendecomposition of a symmetric matrix with rational spectrum:
-    [(eigenvalue, multiplicity, basis)], eigenvalues ascending, each basis the
-    ``nullspace`` of M - eigenvalue I.
+def eig_sym_exact(M: Mat, den: int = 1) -> list[tuple[Fraction, int, list[Vec]]]:
+    """Exact eigendecomposition of the symmetric matrix M / den with rational
+    spectrum: [(eigenvalue, multiplicity, basis)], eigenvalues ascending, each
+    basis the ``nullspace`` of M - den eigenvalue I.
 
     Raises IrrationalSpectrum unless M is diagonalizable over the rationals
     (the tower stores roots of rationals only, and a symmetric matrix that
     splits over the tower with non-rational eigenvalues is outside the
     supported normal-form pipeline).
 
-    A rational (or int) M is replaced by its primitive integer multiple P =
-    M / scale: the same eigenvectors, eigenvalues divided by scale.  They come
-    from minimal polynomials of vectors read off their Krylov sequences (the
-    idea of Wiedemann's method, IEEE Trans. Inf. Theory 32(1), 1986; H. Cohen,
-    A Course in Computational Algebraic Number Theory, GTM 138, 2.2).  For
-    each e_k in turn, v = prod (P - r) e_k over the eigenvalues r found so
-    far vanishes exactly when e_k lies in their eigenspaces; else each root
-    of v's minimal polynomial, monic over the integers (Gauss's lemma), so
-    with integer roots, is a new eigenvalue.  A repeated or non-integer root,
-    or eigenspaces that do not span, raise.  Other exact input reads the
-    rational roots of its characteristic polynomial (Faddeev-LeVerrier).
+    A tower M runs as rho(M) (``_restricted``): rho is injective, so rho(M)
+    has M's rational eigenvalues, each with m times its dimension over the m
+    square classes, and is diagonalizable over the rationals exactly when M
+    is.  The rational matrix (M or rho(M)) / den is scale P for its primitive
+    integer multiple P.  P's eigenvalues come from minimal polynomials of
+    vectors read off their Krylov sequences (the idea of Wiedemann's method,
+    IEEE Trans. Inf. Theory 32(1), 1986; H. Cohen, GTM 138, 2.2): for each
+    e_k in turn, v = prod (P - r) e_k over the eigenvalues r found so far
+    vanishes exactly when e_k lies in their eigenspaces; else the roots of
+    v's minimal polynomial (``_integer_roots``) are new eigenvalues.  A
+    repeated or irrational root, or eigenspaces that do not span, raise.
     """
-    if (scaled := _int_rows(M)) is not None:
-        (ints,), den = scaled
-        content = math.gcd(*_flat(ints)) or 1
-        P, scale = [[x // content for x in row] for row in ints], Fraction(content, den or 1)
-        n, index, spaces = len(P), _int_index(P), {}
-        for k in range(n):
-            if sum(map(len, spaces.values())) == n:
-                break
-            v = [int(i == k) for i in range(n)]
-            for r in spaces:
-                v = [x - r * y for x, y in zip(_rowwise([v], index, n, 0)[0], v)]
-            if any(v):
-                spaces.update((r, nullspace(_shifted(P, r)))
-                              for r in _simple_int_roots(_min_poly(index, v)) if r not in spaces)
-        if (dim := sum(map(len, spaces.values()))) != n:
-            raise IrrationalSpectrum(f"eigenspaces span {dim} of {n} dimensions: "
-                                     f"matrix not diagonalizable")
-        return [(r * scale, len(basis), basis) for r, basis in sorted(spaces.items())]
-    coeffs = char_poly(M)
-    if any(isinstance(c, Ext) for c in coeffs):  # a rational value is a Fraction
-        raise IrrationalSpectrum(
-            "characteristic polynomial has non-rational tower coefficients"
-        )
-    roots, residual = rational_roots(coeffs)
-    if residual > 0:
-        raise IrrationalSpectrum(
-            f"characteristic polynomial does not split over the rationals "
-            f"(residual degree {residual})"
-        )
-    out = []
-    for root in sorted(roots):
-        basis = nullspace(_shifted(M, root))
-        if len(basis) != roots[root]:
-            raise IrrationalSpectrum(
-                f"eigenvalue {root}: geometric multiplicity {len(basis)} != "
-                f"algebraic {roots[root]}; matrix not symmetric over the scalars"
-            )
-        out.append((root, roots[root], basis))
-    return out
+    n, scaled = len(M), _int_rows(M)
+    (ints,), d = scaled or _int_rows(_restricted(M))
+    content = math.gcd(*_flat(ints)) or 1
+    P, scale = [[x // content for x in row] for row in ints], Fraction(content, (d or 1) * den)
+    index, spaces = _int_index(P), {}
+    for k in range(len(P)):
+        if sum(map(len, spaces.values())) == n:
+            break
+        v = [int(i == k) for i in range(len(P))]
+        for r in spaces:
+            v = [x - r * y for x, y in zip(_rowwise([v], index, len(P), 0)[0], v)]
+        for r in _integer_roots(_min_poly(index, v), scale) if any(v) else ():
+            if r not in spaces:
+                spaces[r] = nullspace(_shifted(P, r) if scaled else _shifted(M, r * scale * den))
+    if (dim := sum(map(len, spaces.values()))) != n:
+        raise IrrationalSpectrum(f"eigenspaces span {dim} of {n} dimensions: "
+                                 f"matrix not diagonalizable")
+    return [(r * scale, len(basis), basis) for r, basis in sorted(spaces.items())]
 
 
 _JACOBI_SWEEPS = 60
@@ -910,17 +839,18 @@ def eigh_g_float(M: Mat, G: Mat) -> tuple[list[float], Mat]:
     return evals, V
 
 
-def eigenspaces(M: Mat, G: Mat) -> list[tuple[object, int, list[Vec]]]:
-    """[(eigenvalue, multiplicity, eigenbasis)] of a G-symmetric operator M
+def eigenspaces(M: Mat, G: Mat, den: int = 1) -> list[tuple[object, int, list[Vec]]]:
+    """[(eigenvalue, multiplicity, eigenbasis)] of a G-symmetric operator M / den
     (G M symmetric, G positive definite), eigenvalues ascending.
 
-    The field is chosen once: exact entries go through eig_sym_exact (which
-    raises IrrationalSpectrum off the rationals); otherwise the generalized
-    float problem is solved and consecutive eigenvalues equal under the
-    global tolerance are clustered into one eigenspace.
+    The field is chosen once: exact entries go through eig_sym_exact, which
+    reads the spectrum on M / den's own scale (and raises IrrationalSpectrum
+    off the rationals); otherwise the generalized float problem of M is solved,
+    consecutive eigenvalues equal under the global tolerance are clustered
+    into one eigenspace, and each is divided by den.
     """
     if all(is_exact(x) for row in M for x in row):
-        return eig_sym_exact(M)
+        return eig_sym_exact(M, den)
     evals, V = eigh_g_float(M, G)
     clustered: list = []
     for idx, ev in enumerate(evals):
@@ -930,7 +860,7 @@ def eigenspaces(M: Mat, G: Mat) -> list[tuple[object, int, list[Vec]]]:
             clustered[-1] = (first, mult + 1, basis + [vec])
         else:
             clustered.append((ev, 1, [vec]))
-    return clustered
+    return [(s_div(ev, den), *rest) for ev, *rest in clustered] if den != 1 else clustered
 
 
 def inertia_symmetric(M: Mat) -> tuple[int, int, int]:

@@ -8,8 +8,9 @@ Kahler and matrix documents, the central quotient the classifier does
 without (it tests [g, g] inside R xi by a rank), the 2-form Phi and the
 loop over i for [J, J] that classification no longer runs, the classify
 stages as they ran before they passed numerators to each other, and the
-eigendecomposition through the characteristic polynomial that the rational
-route of ``linalg.eig_sym_exact`` replaced with Krylov minimal polynomials.
+eigendecomposition through the characteristic polynomial and its rational
+roots (``rational_roots``, on the squarefree part) that
+``linalg.eig_sym_exact`` replaced with Krylov minimal polynomials.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from aqslie.exterior import (
 from aqslie.io import _matrix_to_json, algebra_to_json
 from aqslie.lie_core import BracketTable, LieAlgebra, ad_matrix, ad_value, bracket
 from aqslie.linalg import Mat, MatOver, Subspace, Vec, _flat, bilinear, det, diag_scaled, dot, eigenspaces
-from aqslie.linalg import _int_rows, char_poly, identity, rational_roots, stacked
+from aqslie.linalg import _divisors, _int_rows, _int_scaled, char_poly, identity, stacked
 from aqslie.linalg import inverse, is_positive_definite, mat_add, mat_eq, mat_mul, mat_scale
 from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, solve
 from aqslie.linalg import transpose, vec_eq, vec_is_zero, vec_scale, zeros
@@ -399,11 +400,88 @@ def stage_isomorphism(S: AcmStructure) -> Mat:
     return [vec_scale(row, s_inv(x)) for row, x in zip(inverse(transpose(columns)), scales)]
 
 
+def poly_eval(coeffs: list, x):
+    acc = ZERO
+    for c in coeffs:
+        acc = s_add(s_mul(acc, x), c)
+    return acc
+
+
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b (coefficients highest degree first,
+    b[0] != 0); the remainder keeps len(b) - 1 coefficients."""
+    rem, quo = list(a), []
+    for _ in range(len(a) - len(b) + 1):
+        f = rem[0] / b[0]
+        quo.append(f)
+        rem = [x - f * y for x, y in zip(rem[1:], b[1:])] + rem[len(b):]
+    return quo, rem
+
+
+def _squarefree_part(p: list) -> list:
+    """p / gcd(p, p') over the rationals: the same roots, each simple."""
+    deg = len(p) - 1
+    a, b = p, [c * (deg - i) for i, c in enumerate(p[:-1])]
+    while b:
+        _, r = _poly_divmod(a, b)
+        while r and r[0] == 0:
+            r = r[1:]
+        a, b = b, r
+    return _poly_divmod(p, a)[0]
+
+
+def _deflate(p: list, root: Fraction) -> list | None:
+    """p / (x - root) when root is a root of p, else None."""
+    out, acc = [], Fraction(0)
+    for c in p:
+        acc = acc * root + c
+        out.append(acc)
+    return out[:-1] if out[-1] == 0 else None
+
+
+def rational_roots(coeffs: list) -> tuple[dict[Fraction, int], int]:
+    """All rational roots (with multiplicity) of a monic rational polynomial.
+
+    Returns (roots, residual_degree); residual_degree > 0 means the
+    polynomial does not split over the rationals.  Candidates come from the
+    rational root theorem applied to the squarefree part p / gcd(p, p')
+    (Yun 1976), whose constant term is far smaller than p's when roots
+    repeat: its numerator divides the constant term and its denominator
+    the leading coefficient.  Each root's multiplicity is then recovered by
+    exact repeated division of p.  Roots are listed by increasing absolute
+    value, a positive root before its negative.
+    """
+    work = [Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
+    roots: dict[Fraction, int] = {}
+    while len(work) > 1 and work[-1] == 0:
+        work = work[:-1]
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+    if len(work) == 1:
+        return roots, 0
+    simple = _squarefree_part(work)
+    ints = _int_scaled(simple)[0]
+    content = math.gcd(*ints)
+    candidates = {
+        Fraction(p, q)
+        for p in _divisors(ints[-1] // content)
+        for q in _divisors(ints[0] // content)
+    }
+    for cand in sorted(candidates):
+        for root in (cand, -cand):
+            if poly_eval(simple, root) != 0:
+                continue
+            mult = 0
+            while (quotient := _deflate(work, root)) is not None:
+                work, mult = quotient, mult + 1
+            roots[root] = mult
+    return roots, len(work) - 1
+
+
 def eig_sym_char_poly(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
     """``linalg.eig_sym_exact`` as it read the rational roots of the whole
-    characteristic polynomial (n + 1 Bareiss determinants and a Lagrange
-    interpolation on rational input) and certified each eigenspace by its
-    algebraic multiplicity."""
+    characteristic polynomial (``rational_roots`` of ``linalg.char_poly``) on
+    every exact field and certified each eigenspace by its algebraic
+    multiplicity."""
     scale, scaled = ONE, _int_rows(M)
     if scaled is not None:
         (ints,), den = scaled

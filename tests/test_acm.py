@@ -842,6 +842,28 @@ def test_conjugate_structure_preserves_classification():
     assert structure_rank(Sc).rank == structure_rank(S1).rank
 
 
+def test_structure_rank_reads_the_d_eta_of_the_classification(monkeypatch):
+    # the class of eta is two ranks of the d eta value classify keeps in the
+    # memo, stacked with eta's row: no second d eta product; a zero eta is
+    # refused as by rank_of_eta
+    S = conjugate_structure(weighted_heisenberg_4n1(2, [1, 2])[1][0],
+                            random_unimodular(9, random.Random(3)))
+    classify_structure(S)
+
+    def refused(*args):
+        raise AssertionError("d eta computed again")
+
+    for module in (acm, exterior):
+        monkeypatch.setattr(module, "d_of_covector", refused)
+    rr = structure_rank(S)
+    assert (rr.rank, rr.parity, rr.is_maximal) == (9, "odd", True)
+    monkeypatch.undo()
+    assert rr == exterior.rank_of_eta(S.L, S.eta_form())
+    Z = AcmStructure.make(S.L, S.phi_mat(), S.xi_vec(), [F(0)] * 9, S.g_mat())
+    with pytest.raises(PreconditionError, match="eta must be a nonzero 1-form"):
+        structure_rank(Z)
+
+
 def test_psi_squared_equals_A_squared():
     for n, w in ((1, [1]), (2, [1, 2])):
         _, (S1, _, _) = weighted_heisenberg_4n1(n, w)

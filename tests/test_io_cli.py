@@ -688,8 +688,8 @@ def test_cli_bad_tolerance_variable_is_ignored(tmp_path, capsys, monkeypatch, ba
 
 
 def test_cli_classify_dim21_heisenberg(tmp_path, capsys):
-    # the characteristic polynomial's constant term is (5!)^8: root
-    # candidates must come from its squarefree part
+    # psi^2 has each eigenvalue -1, -4, ..., -25 four times: each is read once,
+    # off a minimal polynomial
     out_file = tmp_path / "h21.json"
     args = ["construct", "heisenberg", "--dim-family", "4n1", "--weights", "1,2,3,4,5"]
     assert main(args + ["-o", str(out_file)]) == 0
@@ -698,6 +698,28 @@ def test_cli_classify_dim21_heisenberg(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["error"] is None
     assert out["payload"]["normal_form"]["weights"] == ["5", "4", "3", "2", "1"]
+
+
+def test_cli_classify_reads_roots_on_the_operators_scale(tmp_path, capsys):
+    # h13 conjugated by a dense integer Q (det 941547): psi^2's primitive
+    # integer multiple has eigenvalues of 20 digits, whose product no desk can
+    # factor; on psi^2's own scale they are -9, -4, -1 and 0
+    import random
+
+    from aqslie.acm import conjugate_structure
+    from aqslie.linalg import det
+
+    rng = random.Random(0)
+    while det(Q := [[F(rng.randint(-2, 2)) for _ in range(13)] for _ in range(13)]) == 0:
+        pass
+    assert det(Q) == 941547
+    S = conjugate_structure(weighted_heisenberg_4n1(3, [3, 2, 1])[1][0], Q)
+    path = tmp_path / "h13q.json"
+    path.write_text(aqio.dumps(aqio.structure_to_json(S)), "utf-8")
+    code = main(["classify", str(path), "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["error"] is None
+    assert out["payload"]["normal_form"]["weights"] == ["3", "2", "1"]
 
 
 def test_cli_defect_outside_taxonomy_is_an_internal_report(tmp_path, capsys, monkeypatch):

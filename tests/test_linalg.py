@@ -39,7 +39,6 @@ from aqslie.linalg import (
     nullspace,
     random_unimodular,
     rank,
-    rational_roots,
     rref,
     solve,
     stacked,
@@ -48,6 +47,7 @@ from aqslie.linalg import (
     vec_is_zero,
 )
 from aqslie.scalars import ONE, ZERO, Ext, s_add, s_eq, s_inv, s_is_zero, s_mul, s_sub
+from oracles import eig_sym_char_poly, rational_roots
 
 small_mats = st.integers(-4, 4)
 
@@ -153,24 +153,58 @@ def planted_spectra(draw):
     return _diag_blocks(M1, M2), _diag_blocks(G1, G2)
 
 
+TOWER_ENTRIES = [ZERO] * 5 + [ONE, Ext.of_sqrt(2), -Ext.of_sqrt(3), F(1, 2) * Ext.of_sqrt(5),
+                               ONE + Ext.of_sqrt(6)]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(planted_spectra())
-def test_krylov_spectra_match_the_characteristic_polynomial(case):
+@given(planted_spectra(), st.lists(st.sampled_from(TOWER_ENTRIES), min_size=15, max_size=15))
+def test_krylov_spectra_match_the_characteristic_polynomial(case, uppers):
     # eig_sym_exact reads its eigenvalues off Krylov minimal polynomials; the
     # oracle off the rational roots of the whole characteristic polynomial:
     # the same eigenvalues, multiplicities and bases, every repr, for the
-    # Fraction matrix, its all-int numerators and through eigenspaces
-    from oracles import eig_sym_char_poly
-
+    # Fraction matrix, its all-int numerators, its conjugate T M T^-1 by a
+    # unit upper triangular tower T (through the rational matrix of the same
+    # map) and through eigenspaces
     M, G = case
     assert mat_eq(mat_mul(G, M), transpose(mat_mul(G, M)))
     den = math.lcm(*(x.denominator for x in _flat(M)))
     ints = [[int(x * den) for x in row] for row in M]
-    for A in (M, ints):
+    at = iter(uppers)
+    T = [[ONE if i == j else next(at) if i < j else ZERO for j in range(len(M))]
+         for i in range(len(M))]
+    for A in (M, ints, mat_mul(T, mat_mul(M, inverse(T)))):
         want = repr(eig_sym_char_poly(A))
         assert repr(eig_sym_exact(A)) == want
     assert repr(eigenspaces(M, G)) == repr(eig_sym_char_poly(M))
     assert sum(mult for _, mult, _ in eig_sym_exact(M)) == len(M)
+
+
+def test_roots_are_read_on_the_operators_own_scale():
+    # Q D Q^-1 over det Q = -71418: its primitive integer multiple has the
+    # eigenvalues D den / content, whose product is too large to factor by
+    # trial division; on M's own scale the candidates divide 2 * 3
+    rng = random.Random(0)  # the first nonsingular Q it draws, then D
+    while det(Q := [[F(rng.randint(-3, 3)) for _ in range(9)] for _ in range(9)]) == 0:
+        pass
+    values = [rng.choice([-2, -1, 0, 1, 3]) for _ in range(9)]
+    assert det(Q) == -71418
+    M = mat_mul(mat_mul(Q, _diag_blocks(*([[F(v)]] for v in values))), inverse(Q))
+    eig = eig_sym_exact(M)
+    assert [(ev, m) for ev, m, _ in eig] == [(F(v), values.count(v)) for v in sorted(set(values))]
+    for ev, _, basis in eig:  # each eigenspace is spanned by Q's columns at ev
+        want = [col for col, v in zip(transpose(Q), values) if v == ev]
+        assert Subspace.from_vectors(9, basis).equals(Subspace.from_vectors(9, want))
+    # a common factor of the entries, or a large common denominator, is read
+    # on P's scale, where the eigenvalues are 1, 2, 3, 5
+    P = random_unimodular(4, random.Random(1))
+    for c in (F(10**15), F(1, 10**15)):
+        D = _diag_blocks(*([[c * v]] for v in (1, 2, 3, 5)))
+        assert [ev for ev, _, _ in eig_sym_exact(mat_mul(mat_mul(P, D), inverse(P)))] == [
+            c * v for v in (1, 2, 3, 5)]
+
+
+S2 = Ext.of_sqrt(2)
 
 
 @pytest.mark.parametrize("rows, verdict", [
@@ -178,12 +212,16 @@ def test_krylov_spectra_match_the_characteristic_polynomial(case):
     ([[0, 1, 0], [2, 0, 0], [0, 0, 3]], "residual degree 2"),  # x^2 - 2 beside 3
     ([[1, 1], [0, 1]], "span 1 of 2"),  # a Jordan block: e_1 is an eigenvector
     ([[1, 0], [1, 1]], "repeats"),  # its transpose: (x - 1)^2 is e_1's minimal polynomial
+    ([[0, S2], [S2, 0]], "residual degree 2"),  # +-sqrt(2), roots of x^2 - 2 on rho's e_1
+    ([[0, S2], [S2, 1]], [F(-1), F(2)]),  # (x + 1)(x - 2): a tower matrix, rational spectrum
 ])
 def test_krylov_verdicts_are_irrational_spectra(rows, verdict):
     # the oracle raises the same error type, from the characteristic polynomial
-    from oracles import eig_sym_char_poly
-
-    for M in (_mat(rows), rows):
+    for M in ([[x if isinstance(x, Ext) else F(x) for x in row] for row in rows], rows):
+        if isinstance(verdict, list):
+            assert [ev for ev, _, _ in eig_sym_exact(M)] == verdict
+            assert repr(eig_sym_exact(M)) == repr(eig_sym_char_poly(M))
+            continue
         with pytest.raises(IrrationalSpectrum, match=verdict):
             eig_sym_exact(M)
         with pytest.raises(IrrationalSpectrum):
@@ -496,6 +534,31 @@ def test_tower_inverse_and_mat_mul_agree_with_sympy():
         assert diff.applyfunc(lambda e: sympy.radsimp(e).expand()).is_zero_matrix
         inverted += 1
     assert inverted >= 3
+
+
+@pytest.mark.parametrize("primes", [(2,), (3, 5), (2, 3, 7)])
+def test_restriction_of_scalars_is_multiplicative_by_sympy(primes):
+    # rho(A B) = rho(A) rho(B), the product on the right by sympy: the rational
+    # matrices of tower matrices multiply as the Q-linear maps do.  A last
+    # diagonal entry 1 + sum sqrt(p) puts every square class of the primes in
+    # all three, so they share one basis
+    sympy = pytest.importorskip("sympy")
+    rng, roots = random.Random(len(primes)), [Ext.of_sqrt(p) for p in primes]
+
+    def rho(X):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in linalg._restricted(X)])
+
+    def tower(n):
+        M = [[sum((F(rng.randrange(-3, 4)) * r for r in roots if rng.random() < 0.6),
+                  F(rng.randrange(-3, 4), rng.randrange(1, 3))) for _ in range(n)] + [ZERO]
+             for _ in range(n)]
+        return M + [[ZERO] * n + [1 + sum(roots)]]
+
+    for n in (1, 2, 3):
+        A, B = tower(n), tower(n)
+        assert rho(A).shape == ((n + 1) * 2 ** len(primes),) * 2
+        assert rho(mat_mul(A, B)) == rho(A) * rho(B)
 
 
 # ---------------------------------------------------------------------------

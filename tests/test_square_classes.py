@@ -132,20 +132,34 @@ def test_a_classify_eliminates_the_ad_columns_once(monkeypatch):
     assert sum(rows) <= 150, rows
 
 
-def test_a_classify_reads_no_characteristic_polynomial(monkeypatch):
-    # the eigenvalues of psi^2 come from a Krylov minimal polynomial: no
-    # char_poly, and none of the 14 Bareiss determinants (n + 1 sample points)
-    # that interpolated it
+def test_a_classify_reads_no_characteristic_polynomial(monkeypatch, tmp_path):
+    # the eigenvalues of psi^2 (and of A = phi psi for the qS h7) come from
+    # Krylov minimal polynomials, of the rational matrix of the same map on
+    # tower input: no char_poly and no determinant, on a conjugated h13, on
+    # the h9c rescaled by square roots on the per-scalar route, and on the qS
+    # h7 with square-root weights, whose spectrum is irrational
     import aqslie.linalg as linalg
 
     S = conjugate_structure(BASES["h13"](), random_unimodular(13, random.Random(7)))
+    d = [2, 3, 1, 5, 6, 1, 10, 1, 15]
+    T = rescaled(BASES["h9c"](), [s_sqrt(Fraction(1, x)) for x in d],
+                 [s_sqrt(Fraction(x)) for x in d])
+    _, S7 = weighted_heisenberg_2n1(3, SQRT_WEIGHTS)
+    path = tmp_path / "s7.json"
+    path.write_text(aqio.dumps(aqio.structure_to_json(S7)), "utf-8")
     calls = []
-    for name in ("char_poly", "_bareiss_det"):
+    for name in ("char_poly", "_bareiss_det", "_restricted"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name: calls.append(name)
                             or real(*a))
     assert classify_nilpotent_aqs(S).weights == (3, 2, 1)
-    assert calls == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lie_core, "square_classes", lambda n, entries: None)
+        assert classify_nilpotent_aqs(T).weights == (2, 1)
+    assert _payload_digest(["classify", str(path)])[:2] == (3, {
+        "code": "IrrationalSpectrum", "family": "precondition",
+        "message": "minimal polynomial does not split over the rationals (residual degree 2)"})
+    assert calls == ["_restricted", "_restricted"]
 
 
 def test_xi_sectional_curvatures_of_a_rescaled_structure_run_on_integers(monkeypatch):
