@@ -67,11 +67,9 @@ REPORT_SCHEMA = "aqslie.report.v1"
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_text("utf-8")
-    except OSError as exc:
+    try:  # strict UTF-8 from stdin as from a file; a UnicodeDecodeError names the byte offset
+        return Path(path).read_text("utf-8") if path != "-" else sys.stdin.buffer.read().decode()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -423,7 +421,7 @@ def main(argv=None) -> int:
     if tol is not None:
         set_tolerance(tol)
 
-    started = time.monotonic()
+    started, out = time.monotonic(), None
     try:  # a directory or file the command cannot use is reported like a bad input
         if getattr(args, "batch", None):  # each input's report beside it; the worst code
             if not Path(args.batch).is_dir():
@@ -442,22 +440,26 @@ def main(argv=None) -> int:
             if args.output:
                 _write_text(args.output, text)
                 report["payload"] = {"written": args.output, "digest": aqio.digest(text)}
-            elif not args.json:
-                sys.stdout.write(text)
-            if not args.json:
-                return code
+            out = "" if args.output else text  # a document is its own summary, a file none
     except InputError as exc:
         code, report = _report(args, started, None, None, exc)
     if args.json:
-        sys.stdout.write(aqio.dumps(report))
-    elif report["error"] is not None:
+        out = aqio.dumps(report)
+    elif out is None and report["error"] is None:
+        out = _summary(args.command, report["payload"]) + "\n"
+    try:
+        sys.stdout.write(out or "")
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # closed by the reader: the rest goes to devnull (signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        closed = InputError(f"cannot write to stdout: {exc}")
+        args.json, (code, report) = False, _report(args, started, None, None, closed)
+    if report["error"] is not None and not args.json:
         err = report["error"]
         print(
             f"aqslie {args.command}: {err['code']} ({err['family']}): {err['message']}",
             file=sys.stderr,
         )
-    else:
-        print(_summary(args.command, report["payload"]))
     return code
 
 

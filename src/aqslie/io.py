@@ -41,7 +41,7 @@ def dumps(document: dict) -> str:
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("top-level JSON value must be an object")

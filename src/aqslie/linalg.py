@@ -9,9 +9,9 @@ from the whole input, with three outcomes:
   ``mat_add``/``mat_sub``/``mat_scale``, ``dot``, ``mat_eq``, ``max_abs``,
   fraction-free Gauss-Jordan with row-content removal (``rref``, ``rank``,
   ``nullspace``, ``solve``, ``mat_solve``), Bareiss (``det``), Krylov
-  minimal polynomials of integer vectors with their roots read on the
-  operator's own scale or its integer multiple's (``eig_sym_exact``, no
-  characteristic polynomial) and fraction-free congruence
+  minimal polynomials of integer vectors with their integer roots found by
+  sign-variation bisection (``eig_sym_exact``, no characteristic polynomial,
+  nothing factored) and fraction-free congruence
   (``inertia_symmetric``).  On all-int input products, sums and scalings
   return ints, and elimination, spectra and inertia what the same values
   give as Fractions;
@@ -637,17 +637,6 @@ def char_poly(M: Mat) -> list:
     return coeffs
 
 
-_DIVISOR_BUDGET = 3_000_000
-
-
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of |n|, ascending (none for 0)."""
-    if (root := math.isqrt(n := abs(n))) > _DIVISOR_BUDGET:
-        raise ArithmeticError(f"constant term {n} is too large to factor at desk scale")
-    small = [d for d in range(1, root + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
 def _shifted(M: Mat, root) -> Mat:
     return [[s_sub(x, root) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
 
@@ -692,42 +681,45 @@ def _min_poly(index: list[list[tuple]], v: list[int]) -> list[int]:
         v = _rowwise([v], index, n, 0)[0]
 
 
-def _over_linear(q: list[int], r: Fraction) -> list[int] | None:
-    """q / (b x - a) for r = a / b a root of the integer q, whose quotient then
-    has integer coefficients (Gauss's lemma); None when r is not a root."""
-    a, b, out = r.numerator, r.denominator, [0]
-    for c in q[:-1]:
-        t, rest = divmod(c + a * out[-1], b)
-        if rest:
-            return None
-        out.append(t)
-    return out[1:] if q[-1] + a * out[-1] == 0 else None
-
-
 def _integer_roots(p: list[int], scale: Fraction) -> list[int]:
     """The roots of p, the minimal polynomial of a vector under the integer P =
-    M / scale, as r / t for the roots r of q, the primitive integer multiple of
-    t^d p(x / t), d = deg p, on M's own scale t = scale or on P's, t = 1,
-    whichever leaves q the smaller end coefficients.  Numerators of r divide
-    q's last nonzero coefficient, denominators its leading one (the rational
-    root theorem).  IrrationalSpectrum unless q splits into distinct factors."""
-    d, qs = len(p) - 1, []
-    for t in (scale, Fraction(1)):
-        q = [c * t.numerator**j * t.denominator**(d - j) for j, c in enumerate(p)]
-        q = [c // math.gcd(*q) for c in q]
-        qs.append((max(abs(low := next(c for c in reversed(q) if c)), q[0]), low, q, t))
-    _, low, q, t = min(qs, key=lambda entry: entry[0])
-    roots = []
-    for r in [Fraction(0), *(Fraction(s * u, v) for u in _divisors(low) for v in _divisors(q[0])
-                             if math.gcd(u, v) == 1 for s in (1, -1))]:
-        if (quotient := _over_linear(q, r)) is not None:
-            if _over_linear(quotient, r) is not None:
-                raise IrrationalSpectrum(f"eigenvalue {r * scale / t} repeats in a minimal "
+    M / scale.  p is monic over the integers, so its rational roots are
+    integers, all in (-B, B] for Cauchy's bound B = 1 + max |c_i|.  V(a), the
+    sign changes of the coefficients of p(x + a), falls from a to b by at
+    least the number of roots in (a, b] (the Budan-Fourier theorem; root
+    isolation as in Collins and Akritas, SYMSAC 1976), so the search bisects
+    only the intervals where V falls, at most deg p per halving.  A width-1
+    (a, b] holds the root b when p(x + b) ends in 0 (synthetic division by
+    x - b leaves no remainder), a repeated one when in 0, 0.  V falls exactly
+    at the roots of a real-rooted p (a g-symmetric P); a non-real root makes
+    it fall where no integer root lies and ends in the residual verdict.
+    IrrationalSpectrum unless p splits into distinct integer factors."""
+    def at(a: int) -> tuple[int, int, list[int]]:
+        q = list(p)  # p(x + a): d rounds of Horner's rule, each dividing by x - a
+        for end in range(len(q) - 1, 0, -1):
+            for j in range(1, end + 1):
+                q[j] += a * q[j - 1]
+        signs = [c > 0 for c in q if c]
+        return a, sum(map(operator.ne, signs, signs[1:])), q
+
+    bound, roots = 1 + max(map(abs, p)), []
+    stack = [(at(-bound), at(bound))]
+    while stack:
+        low, high = stack.pop()
+        (lo, v_lo, _), (hi, v_hi, q) = low, high
+        if v_lo == v_hi:
+            continue
+        if hi - lo > 1:
+            mid = at((lo + hi) // 2)
+            stack += [(mid, high), (low, mid)]  # the lower half first
+        elif q[-1] == 0:
+            if q[-2] == 0:
+                raise IrrationalSpectrum(f"eigenvalue {hi * scale} repeats in a minimal "
                                          f"polynomial: matrix not diagonalizable")
-            q, roots = quotient, roots + [int(r / t)]
-    if len(q) > 1:
+            roots.append(hi)
+    if len(roots) < len(p) - 1:
         raise IrrationalSpectrum(f"minimal polynomial does not split over the rationals "
-                                 f"(residual degree {len(q) - 1})")
+                                 f"(residual degree {len(p) - 1 - len(roots)})")
     return roots
 
 
@@ -745,13 +737,16 @@ def eig_sym_exact(M: Mat, den: int = 1) -> list[tuple[Fraction, int, list[Vec]]]
     has M's rational eigenvalues, each with m times its dimension over the m
     square classes, and is diagonalizable over the rationals exactly when M
     is.  The rational matrix (M or rho(M)) / den is scale P for its primitive
-    integer multiple P.  P's eigenvalues come from minimal polynomials of
-    vectors read off their Krylov sequences (the idea of Wiedemann's method,
-    IEEE Trans. Inf. Theory 32(1), 1986; H. Cohen, GTM 138, 2.2): for each
-    e_k in turn, v = prod (P - r) e_k over the eigenvalues r found so far
-    vanishes exactly when e_k lies in their eigenspaces; else the roots of
-    v's minimal polynomial (``_integer_roots``) are new eigenvalues.  A
-    repeated or irrational root, or eigenspaces that do not span, raise.
+    integer multiple P, and each eigenvalue is r scale for an integer
+    eigenvalue r of P.  They come from minimal polynomials of vectors read
+    off their Krylov sequences (the idea of Wiedemann's method, IEEE Trans.
+    Inf. Theory 32(1), 1986; H. Cohen, GTM 138, 2.2): for each e_k in turn,
+    v = prod (P - r) e_k over the eigenvalues r found so far vanishes exactly
+    when e_k lies in their eigenspaces; else the integer roots of v's minimal
+    polynomial, found by sign-variation bisection (``_integer_roots``), are
+    new eigenvalues.  Nothing is factored, so no size of the entries is too
+    large.  A repeated or irrational root, or eigenspaces that do not span,
+    raise.
     """
     n, scaled = len(M), _int_rows(M)
     (ints,), d = scaled or _int_rows(_restricted(M))

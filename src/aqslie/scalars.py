@@ -388,9 +388,9 @@ def parse_scalar(text: str, mode: str = "exact"):
             raise ScalarParseError(f"float scalar {text!r} is not finite")
         return x
     if _PLAIN_RE.fullmatch(text):
-        try:
+        try:  # a ValueError: past the interpreter's limit on int-string digits
             return Fraction(text)
-        except ZeroDivisionError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ScalarParseError(f"bad exact scalar {text!r}") from exc
     return _parse_tower(text)
 
@@ -407,12 +407,12 @@ def _parse_tower(text: str):
             raise ScalarParseError(f"bad exact scalar {text!r}")
         try:
             coeff = Fraction(coeff_s) if coeff_s is not None else Fraction(1)
+            rad = int(rad_s) if rad_s is not None else None
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarParseError(f"bad exact scalar {text!r}") from exc
         if m.group("sign") == "-":
             coeff = -coeff
-        if rad_s is not None:
-            rad = int(rad_s)
+        if rad is not None:
             if rad <= 0:
                 raise ScalarParseError(f"bad radicand in {text!r}")
             total = total + coeff * Ext.of_sqrt(rad)

@@ -37,7 +37,7 @@ from aqslie.exterior import (
 from aqslie.io import _matrix_to_json, algebra_to_json
 from aqslie.lie_core import BracketTable, LieAlgebra, ad_matrix, ad_value, bracket
 from aqslie.linalg import Mat, MatOver, Subspace, Vec, _flat, bilinear, det, diag_scaled, dot, eigenspaces
-from aqslie.linalg import _divisors, _int_rows, _int_scaled, char_poly, identity, stacked
+from aqslie.linalg import _int_rows, _int_scaled, char_poly, identity, stacked
 from aqslie.linalg import inverse, is_positive_definite, mat_add, mat_eq, mat_mul, mat_scale
 from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, solve
 from aqslie.linalg import transpose, vec_eq, vec_is_zero, vec_scale, zeros
@@ -437,6 +437,16 @@ def _deflate(p: list, root: Fraction) -> list | None:
         acc = acc * root + c
         out.append(acc)
     return out[:-1] if out[-1] == 0 else None
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of |n|, ascending (none for 0), by trial division
+    up to sqrt|n|; ArithmeticError past 3 * 10^6 of them, so a reference
+    call on large input gives up instead of running for minutes."""
+    if (root := math.isqrt(n := abs(n))) > 3_000_000:
+        raise ArithmeticError(f"constant term {n} is too large to factor at desk scale")
+    small = [d for d in range(1, root + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def rational_roots(coeffs: list) -> tuple[dict[Fraction, int], int]:

@@ -508,9 +508,9 @@ def _reference_nabla(gamma, X, Y):
     return out
 
 
-def _reference_riemann(S, X, Y, Z):
-    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z, full vector."""
-    gamma = gamma_rows(levi_civita(S))
+def _reference_riemann(S, gamma, X, Y, Z):
+    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z, full vector,
+    gamma the Christoffel rows of S (``gamma_rows``)."""
     out = vec_sub(
         _reference_nabla(gamma, X, _reference_nabla(gamma, Y, Z)),
         _reference_nabla(gamma, Y, _reference_nabla(gamma, X, Z)),
@@ -518,7 +518,7 @@ def _reference_riemann(S, X, Y, Z):
     return vec_sub(out, _reference_nabla(gamma, bracket(S.L, X, Y), Z))
 
 
-def _reference_curvature(S):
+def _reference_curvature(S, gamma):
     """(Ricci, scalar, xi-sectional values or None) from the full-vector
     evaluator, one component kept per call."""
     from aqslie.linalg import inverse
@@ -529,15 +529,15 @@ def _reference_curvature(S):
     for i in range(n):
         for j in range(n):
             for a in range(n):
-                ricci[i][j] = s_add(ricci[i][j], _reference_riemann(S, basis[a], basis[i], basis[j])[a])
+                ricci[i][j] = s_add(ricci[i][j], _reference_riemann(S, gamma, basis[a], basis[i], basis[j])[a])
     g_inv, scalar = inverse(g), ZERO
     for i in range(n):
         for j in range(n):
             scalar = s_add(scalar, s_mul(g_inv[i][j], ricci[i][j]))
-    return ricci, scalar, _reference_sectional(S, S.xi_vec())
+    return ricci, scalar, _reference_sectional(S, gamma, S.xi_vec())
 
 
-def _reference_sectional(S, X):
+def _reference_sectional(S, gamma, X):
     """K(X, b_i) for each i, None on a degenerate plane, from the full-vector
     evaluator, one plane at a time."""
     from aqslie.linalg import bilinear
@@ -545,7 +545,7 @@ def _reference_sectional(S, X):
 
     g, sectional = S.g_mat(), []
     for Y in (S.L.basis_vector(i) for i in range(S.L.dim)):
-        num = bilinear(_reference_riemann(S, X, Y, Y), g, X)
+        num = bilinear(_reference_riemann(S, gamma, X, Y, Y), g, X)
         den = s_sub(
             s_mul(bilinear(X, g, X), bilinear(Y, g, Y)),
             s_mul(bilinear(X, g, Y), bilinear(X, g, Y)),
@@ -591,7 +591,8 @@ def test_curvature_matches_the_per_vector_evaluator():
         for name, S, tol in _differential_cases():
             set_tolerance(tol or DEFAULT_TOLERANCE)
             data = curvature(S)
-            ricci, scalar, sectional = _reference_curvature(S)
+            gamma = gamma_rows(levi_civita(S))  # read once per structure
+            ricci, scalar, sectional = _reference_curvature(S, gamma)
             n = S.L.dim
             assert all(_same(data.ricci[i][j], ricci[i][j]) for i in range(n) for j in range(n)), name
             assert _same(data.scalar, scalar), name
@@ -599,7 +600,7 @@ def test_curvature_matches_the_per_vector_evaluator():
             # the center that no rescaling maps to a multiple of a basis vector
             basis = [S.L.basis_vector(i) for i in range(n)]
             other = mat_add([basis[1]], [basis[-1]])[0]
-            for X, wants in ((S.xi_vec(), sectional), (other, _reference_sectional(S, other))):
+            for X, wants in ((S.xi_vec(), sectional), (other, _reference_sectional(S, gamma, other))):
                 batch = sectional_curvatures(S, data, X, basis)
                 assert len(batch) == n, name
                 for i, (got, want) in enumerate(zip(batch, wants)):

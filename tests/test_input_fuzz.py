@@ -7,13 +7,18 @@ run through `aqslie check`, Kahler and cocycle mutants through `aqslie
 extend`, and matrix mutants go to their reader.  Every mutant
 ends in exit 0, 2 or 3 with no exception escaping, and an accepted mutant
 reads back with the integers and shapes it was given, so no 1.7 is ever
-read as 1.
+read as 1.  A byte-level corpus (truncations, foreign encodings, deep
+nesting, integers past the interpreter's int-string digit limit) and a
+closed stdout end in exit 2 with one line and no traceback on stderr.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as F
 from importlib import resources
@@ -23,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aqslie
 import aqslie.io as aqio
 from aqslie.cli import main
 from aqslie.constructors import standard_kahler, weighted_heisenberg_4n1
@@ -173,3 +179,62 @@ def test_a_huge_dim_is_refused_before_anything_of_its_size(name, tmp_path):
     assert _outcome(name, doc, tmp_path) == 2
     with pytest.raises(AqslieError, match="dim"):
         aqio.read(doc, doc["kind"])
+
+
+_H5_TEXT = aqio.dumps(_H5)
+_DIGITS = "7" * 5000  # past CPython's 4,300-digit limit on int-string conversion
+
+
+def _byte_corpus():
+    data = _H5_TEXT.encode("utf-8")
+    for cut in range(0, len(data), 97):  # a truncation at every 97th byte
+        yield f"truncated-{cut}", data[:cut]
+    yield "latin-1", _H5_TEXT.replace('"tau1', '"tau\xe9', 1).encode("latin-1")
+    yield "invalid-utf-8", data[:40] + b"\xff\xfe" + data[40:]
+    yield "utf-16-bom", _H5_TEXT.encode("utf-16")
+    yield "nested-1e5", ("{\"phi\": " + "[" * 10**5 + "]" * 10**5 + "}").encode()
+    yield "digits-in-a-scalar", _H5_TEXT.replace('"0"', f'"{_DIGITS}"', 1).encode()
+    yield "digits-in-a-radicand", _H5_TEXT.replace('"0"', f'"sqrt({_DIGITS})"', 1).encode()
+    yield "digits-in-a-bracket", _H5_TEXT.replace('"1": "2"', f'"1": "{_DIGITS}"', 1).encode()
+    yield "digits-as-a-number", _H5_TEXT.replace('"dim": 5', f'"dim": {_DIGITS}', 1).encode()
+
+
+@pytest.mark.parametrize("name, data", [pytest.param(*case, id=case[0]) for case in _byte_corpus()])
+def test_bytes_end_in_a_typed_outcome(name, data, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    for source in (str(path), "-"):  # a file, and the same bytes on stdin
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["classify", source])
+        assert code == 2
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+        if name.startswith("digits-in"):  # named by its JSON path
+            at = "brackets[0].coeffs.1" if name.endswith("bracket") else "companions[0][0][0]"
+            assert f"ScalarParseError (parse): {at}: bad exact scalar" in err.getvalue()
+
+
+def test_a_weight_past_the_digit_limit_is_a_scalar_parse_error():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["construct", "heisenberg", "--dim-family", "4n1", "--weights", f"1,{_DIGITS}"])
+    assert code == 2
+    assert err.getvalue().startswith("aqslie construct: ScalarParseError (parse): --weights: ")
+
+
+@pytest.mark.parametrize("argv", [["classify", "{doc}", "--json"], ["classify", "{doc}"],
+                                  ["construct", "heisenberg", "--dim-family", "4n1", "--weights", "1"]])
+def test_a_closed_stdout_exits_2_with_one_line(argv, tmp_path):
+    # the reader closes the pipe before the command writes: its report cannot
+    # be written, which is reported like an unwritable -o
+    doc = tmp_path / "h5.json"
+    doc.write_text(_H5_TEXT, "utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(aqslie.__file__).parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "aqslie.cli", *(a.format(doc=doc) for a in argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"aqslie {argv[0]}: InputError (parse): cannot write to stdout")

@@ -514,7 +514,7 @@ def test_cli_classify_reads_stdin(tmp_path, capsys, monkeypatch):
     text = aqio.dumps(
         aqio.structure_to_json(S1, companions=[S2.phi_mat(), S3.phi_mat()])
     )
-    monkeypatch.setattr("sys.stdin", _io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _io.TextIOWrapper(_io.BytesIO(text.encode())))
     code = main(["classify", "-", "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -703,7 +703,8 @@ def test_cli_classify_dim21_heisenberg(tmp_path, capsys):
 def test_cli_classify_reads_roots_on_the_operators_scale(tmp_path, capsys):
     # h13 conjugated by a dense integer Q (det 941547): psi^2's primitive
     # integer multiple has eigenvalues of 20 digits, whose product no desk can
-    # factor; on psi^2's own scale they are -9, -4, -1 and 0
+    # factor; the sign-variation search factors nothing (on psi^2's own scale
+    # they are -9, -4, -1 and 0)
     import random
 
     from aqslie.acm import conjugate_structure
@@ -720,6 +721,20 @@ def test_cli_classify_reads_roots_on_the_operators_scale(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["error"] is None
     assert out["payload"]["normal_form"]["weights"] == ["3", "2", "1"]
+
+
+@pytest.mark.parametrize("weights", ["3100000,1", "31000000000,7,1/3"])
+def test_cli_classify_large_weights(tmp_path, capsys, weights):
+    # psi^2's minimal polynomials end in coefficients past trial division
+    # (9.61 10^12 for the first weights); the sign-variation search factors nothing
+    path = str(tmp_path / "h.json")
+    assert main(["construct", "heisenberg", "--dim-family", "4n1", "--weights", weights,
+                 "-o", path]) == 0
+    capsys.readouterr()
+    code = main(["classify", path, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["error"] is None
+    assert out["payload"]["normal_form"]["weights"] == weights.split(",")
 
 
 def test_cli_defect_outside_taxonomy_is_an_internal_report(tmp_path, capsys, monkeypatch):

@@ -180,23 +180,33 @@ def test_krylov_spectra_match_the_characteristic_polynomial(case, uppers):
     assert sum(mult for _, mult, _ in eig_sym_exact(M)) == len(M)
 
 
+def _planted(values, Q) -> list:
+    """Q diag(values) Q^-1."""
+    return mat_mul(mat_mul(Q, _diag_blocks(*([[F(v)]] for v in values))), inverse(Q))
+
+
+def _assert_planted_spectrum(M, values, Q):
+    """eig_sym_exact(M) has exactly the values, each with its multiplicity and
+    the span of Q's columns at it as eigenspace."""
+    eig = eig_sym_exact(M)
+    assert [(ev, m) for ev, m, _ in eig] == [(v, values.count(v)) for v in sorted(set(values))]
+    for ev, _, basis in eig:
+        want = [col for col, v in zip(transpose(Q), values) if v == ev]
+        assert Subspace.from_vectors(len(M), basis).equals(Subspace.from_vectors(len(M), want))
+
+
 def test_roots_are_read_on_the_operators_own_scale():
     # Q D Q^-1 over det Q = -71418: its primitive integer multiple has the
     # eigenvalues D den / content, whose product is too large to factor by
-    # trial division; on M's own scale the candidates divide 2 * 3
+    # trial division; the sign-variation search factors nothing
     rng = random.Random(0)  # the first nonsingular Q it draws, then D
     while det(Q := [[F(rng.randint(-3, 3)) for _ in range(9)] for _ in range(9)]) == 0:
         pass
-    values = [rng.choice([-2, -1, 0, 1, 3]) for _ in range(9)]
+    values = [F(rng.choice([-2, -1, 0, 1, 3])) for _ in range(9)]
     assert det(Q) == -71418
-    M = mat_mul(mat_mul(Q, _diag_blocks(*([[F(v)]] for v in values))), inverse(Q))
-    eig = eig_sym_exact(M)
-    assert [(ev, m) for ev, m, _ in eig] == [(F(v), values.count(v)) for v in sorted(set(values))]
-    for ev, _, basis in eig:  # each eigenspace is spanned by Q's columns at ev
-        want = [col for col, v in zip(transpose(Q), values) if v == ev]
-        assert Subspace.from_vectors(9, basis).equals(Subspace.from_vectors(9, want))
-    # a common factor of the entries, or a large common denominator, is read
-    # on P's scale, where the eigenvalues are 1, 2, 3, 5
+    _assert_planted_spectrum(_planted(values, Q), values, Q)
+    # a common factor of the entries, or a large common denominator: P's
+    # eigenvalues are 1, 2, 3, 5, named on M's own scale
     P = random_unimodular(4, random.Random(1))
     for c in (F(10**15), F(1, 10**15)):
         D = _diag_blocks(*([[c * v]] for v in (1, 2, 3, 5)))
@@ -214,9 +224,11 @@ S2 = Ext.of_sqrt(2)
     ([[1, 0], [1, 1]], "repeats"),  # its transpose: (x - 1)^2 is e_1's minimal polynomial
     ([[0, S2], [S2, 0]], "residual degree 2"),  # +-sqrt(2), roots of x^2 - 2 on rho's e_1
     ([[0, S2], [S2, 1]], [F(-1), F(2)]),  # (x + 1)(x - 2): a tower matrix, rational spectrum
+    ([[0, -10**40], [1, 0]], "residual degree 2"),  # x^2 + 10^40: non-real roots
 ])
 def test_krylov_verdicts_are_irrational_spectra(rows, verdict):
-    # the oracle raises the same error type, from the characteristic polynomial
+    # the oracle raises the same error type, from the characteristic polynomial,
+    # except that its trial division gives up on the end coefficient 10^40
     for M in ([[x if isinstance(x, Ext) else F(x) for x in row] for row in rows], rows):
         if isinstance(verdict, list):
             assert [ev for ev, _, _ in eig_sym_exact(M)] == verdict
@@ -224,8 +236,32 @@ def test_krylov_verdicts_are_irrational_spectra(rows, verdict):
             continue
         with pytest.raises(IrrationalSpectrum, match=verdict):
             eig_sym_exact(M)
-        with pytest.raises(IrrationalSpectrum):
+        with pytest.raises(ArithmeticError if -10**40 in rows[0] else IrrationalSpectrum):
             eig_sym_char_poly(M)
+
+
+def test_eigenvalues_near_a_million_are_found_without_factoring():
+    # the end coefficients of the minimal polynomials run to 10^48 and more: the
+    # divisor search this route replaced gave up on them with ArithmeticError
+    values = [F(10**6 + k) for k in range(-4, 5)]
+    Q = random_unimodular(9, random.Random(5))
+    _assert_planted_spectrum(_planted(values, Q), values, Q)
+
+
+# (m 10^e + k) / d: below 10^30 in absolute value, often near each other
+huge_fractions = st.builds(lambda m, e, k, d: F(m * 10**e + k, d), st.integers(-999, 999),
+                           st.integers(0, 27), st.integers(-3, 3), st.integers(1, 10**3))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(huge_fractions, min_size=2, max_size=3), st.integers(3, 7),
+       st.integers(0, 2**16), st.data())
+def test_planted_spectra_up_to_1e30_are_read_exactly(pool, n, seed, data):
+    # repeats and a zero often; eigenvalues read off minimal polynomials whose
+    # coefficients run to hundreds of digits, compared with the planted D
+    values = data.draw(st.lists(st.sampled_from(pool + [F(0)]), min_size=n, max_size=n))
+    Q = random_unimodular(n, random.Random(seed))
+    _assert_planted_spectrum(_planted(values, Q), values, Q)
 
 
 def test_inertia():
