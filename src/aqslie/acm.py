@@ -68,7 +68,7 @@ from .errors import (
     ToleranceExceeded,
 )
 from .exterior import KForm, covector_class, covector_form, d_of_covector, d_of_pairs
-from .lie_core import LieAlgebra, ad_value, bracket
+from .lie_core import LieAlgebra, ad_value, bracket, in_basis
 from .linalg import (
     Mat,
     MatOver,
@@ -618,10 +618,8 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
 def conjugate_structure(S: AcmStructure, Q: Mat) -> AcmStructure:
     """Transport the algebra and all structure tensors to the basis whose
     j-th vector is column j of Q (coordinates in the old basis)."""
-    L, Q_inv, cols, pairs = S.L, inverse(Q), transpose(Q), _pairs(S.L.dim)
-    images = mat_vecs(Q_inv, [bracket(L, cols[a], cols[b]) for a, b in pairs])  # zeros drop
-    L2 = LieAlgebra.from_brackets(L.dim, {p: dict(enumerate(w)) for p, w in zip(pairs, images)},
-                                  [f"b{i+1}" for i in range(L.dim)], L.mode, check=False)
+    Q_inv = inverse(Q)
+    L2 = in_basis(S.L, Q, Q_inv)
     phi2 = mat_mul(Q_inv, mat_mul(S.phi_mat(), Q))
     xi2 = mat_vec(Q_inv, S.xi_vec())
     eta2 = mat_vec(transpose(Q), S.eta_row())

@@ -40,7 +40,7 @@ from .acm import (
     xi_killing_check,
 )
 from .adapted import adapted_frame, eigen_orbits, require_maximal
-from .constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
+from .constructors import _rotation, weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from .errors import (
     CenterTooBig,
     InternalContradiction,
@@ -62,7 +62,6 @@ from .linalg import (
 )
 from .scalars import (
     ONE,
-    ZERO,
     is_exact,
     s_abs,
     s_div,
@@ -193,22 +192,12 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
             signs.append(sign)
     n = len(first)
     target_L, target_S = weighted_heisenberg_2n1(n, weights)
-    signed_phi = _signed_phi_2n1(n, signs)
+    signed_phi = _rotation(2 * n + 1, [(r, n + r, s) for r, s in enumerate(signs, start=1)])
     signed_target = AcmStructure.make(
         target_L, signed_phi, target_S.xi_vec(), target_S.eta_row(), target_S.g_mat()
     )
     F = _frame_isomorphism(S, signed_target, [S.xi_vec()] + first + second, [ONE] + inv_norms * 2)
     return HeisenbergIso("2n+1", n, tuple(weights), tuple(map(tuple, F)), tuple(signs), 1)
-
-
-def _signed_phi_2n1(n: int, signs: list[int]) -> Mat:
-    dim = 2 * n + 1
-    phi = [[ZERO] * dim for _ in range(dim)]
-    for r in range(1, n + 1):
-        s = ONE if signs[r - 1] > 0 else s_neg(ONE)
-        phi[n + r][r] = s
-        phi[r][n + r] = s_neg(s)
-    return phi
 
 
 def operators_A_psi_qs(S: AcmStructure) -> MatOver:

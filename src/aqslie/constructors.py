@@ -11,6 +11,9 @@ and for (i,j,k) an even permutation of (1,2,3)
     phi_i = sum_r (th_r (x) tau_{in+r} - th_{in+r} (x) tau_r
                    + th_{jn+r} (x) tau_{kn+r} - th_{kn+r} (x) tau_{jn+r}).
 
+Both families come from one builder, and every phi, like the standard
+Kahler J, is a rotation of basis pairs (``_rotation``).
+
 Zero weights are legal; downstream maximal-rank operations reject them with
 a precise error rather than the constructor.
 """
@@ -24,7 +27,7 @@ from importlib import resources
 
 from .acm import AcmStructure, nijenhuis
 from .errors import DimensionMismatch, PreconditionError
-from .exterior import KForm, bilinear_from_form, ce_d, form_add, form_scale, form_sub
+from .exterior import KForm, bilinear_from_form, ce_d
 from .lie_core import LieAlgebra
 from .linalg import (
     Mat,
@@ -37,7 +40,7 @@ from .linalg import (
     vec_is_zero,
     zeros,
 )
-from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
+from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg, s_sub
 
 
 def _doubled_weights(n: int, weights) -> list:
@@ -50,55 +53,42 @@ def _doubled_weights(n: int, weights) -> list:
     return [s_mul(Fraction(2), x) for x in w]
 
 
+def _rotation(dim: int, pairs) -> Mat:
+    """The dim x dim matrix mapping b_a to s b_b and b_b to -s b_a for each
+    (a, b, s) of pairs, and every other basis vector to zero."""
+    R = zeros(dim, dim)
+    for a, b, s in pairs:
+        R[b][a], R[a][b] = coerce(s), coerce(-s)
+    return R
+
+
+def _heisenberg(n: int, weights, blocks, phis) -> tuple[LieAlgebra, tuple]:
+    """h_w on xi, tau_1..tau_{2 len(blocks) n}, [tau_{a n+r}, tau_{b n+r}] = 2 w_r xi
+    for (a, b) in blocks, with one structure (phi, xi, eta = xi^flat, I) per
+    entry of phis: phi rotates tau_{a n+r} to tau_{b n+r} for (a, b) in it."""
+    dim = 2 * len(blocks) * n + 1
+    table = {(a * n + r, b * n + r): {0: c}
+             for r, c in enumerate(_doubled_weights(n, weights), start=1) if not s_is_zero(c)
+             for a, b in blocks}
+    L = LieAlgebra.from_brackets(dim, table, ["xi"] + [f"tau{l}" for l in range(1, dim)])
+    xi = L.basis_vector(0)
+    rotations = [_rotation(dim, [(a * n + r, b * n + r, 1) for a, b in pairs
+                                 for r in range(1, n + 1)]) for pairs in phis]
+    return L, tuple(AcmStructure.make(L, phi, xi, xi, identity(dim)) for phi in rotations)
+
+
 def weighted_heisenberg_4n1(n: int, weights) -> tuple[LieAlgebra, tuple]:
     """h^{4n+1}_w with its three structures (phi_1, phi_2, phi_3) sharing
     (xi, eta, g); phi_1, phi_2 are anti-quasi-Sasakian and phi_3 is
     quasi-Sasakian for nonzero weights."""
-    dim = 4 * n + 1
-    table = {}
-    for r, c in enumerate(_doubled_weights(n, weights), start=1):
-        if not s_is_zero(c):
-            table[(r, 3 * n + r)] = {0: c}
-            table[(n + r, 2 * n + r)] = {0: c}
-    names = ["xi"] + [f"tau{l}" for l in range(1, 4 * n + 1)]
-    L = LieAlgebra.from_brackets(dim, table, names)
-    xi = L.basis_vector(0)
-    eta = L.basis_vector(0)
-    g = identity(dim)
-    structures = tuple(
-        AcmStructure.make(L, _phi_4n1(n, perm), xi, eta, g)
-        for perm in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-    )
-    return L, structures
-
-
-def _phi_4n1(n: int, perm: tuple[int, int, int]) -> Mat:
-    i, j, k = perm
-    dim = 4 * n + 1
-    phi = zeros(dim, dim)
-    for r in range(1, n + 1):
-        phi[i * n + r][r] = ONE
-        phi[r][i * n + r] = s_neg(ONE)
-        phi[k * n + r][j * n + r] = ONE
-        phi[j * n + r][k * n + r] = s_neg(ONE)
-    return phi
+    return _heisenberg(n, weights, ((0, 3), (1, 2)),
+                       [((0, i), (j, k)) for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))])
 
 
 def weighted_heisenberg_2n1(n: int, weights) -> tuple[LieAlgebra, AcmStructure]:
     """h^{2n+1}_w with its standard quasi-Sasakian structure
     phi = sum_r (th_r (x) tau_{n+r} - th_{n+r} (x) tau_r)."""
-    dim = 2 * n + 1
-    table = {}
-    for r, c in enumerate(_doubled_weights(n, weights), start=1):
-        if not s_is_zero(c):
-            table[(r, n + r)] = {0: c}
-    names = ["xi"] + [f"tau{l}" for l in range(1, 2 * n + 1)]
-    L = LieAlgebra.from_brackets(dim, table, names)
-    phi = zeros(dim, dim)
-    for r in range(1, n + 1):
-        phi[n + r][r] = ONE
-        phi[r][n + r] = s_neg(ONE)
-    S = AcmStructure.make(L, phi, L.basis_vector(0), L.basis_vector(0), identity(dim))
+    L, (S,) = _heisenberg(n, weights, ((0, 1),), [((0, 1),)])
     return L, S
 
 
@@ -152,26 +142,23 @@ def kahler(L: LieAlgebra, J: Mat, k: Mat) -> KahlerLieAlgebra:
 
 def standard_kahler(m: int) -> KahlerLieAlgebra:
     """Abelian R^{2m} with J e_r = e_{m+r} and the flat metric."""
-    L = abelian(2 * m)
-    J = zeros(2 * m, 2 * m)
-    for r in range(m):
-        J[m + r][r] = ONE
-        J[r][m + r] = s_neg(ONE)
-    return kahler(L, J, identity(2 * m))
+    return kahler(abelian(2 * m), _rotation(2 * m, [(r, m + r, 1) for r in range(m)]),
+                  identity(2 * m))
 
 
 def invariance_type(H: KahlerLieAlgebra, w: KForm) -> tuple[str, KForm, KForm]:
     """Classify w against its J-pullback w(J ., J .), the Gram product J^T W J:
-    returns (tag, invariant part, anti-invariant part) with w = inv + anti
-    exactly."""
+    returns (tag, invariant part, anti-invariant part), (W +- J^T W J) / 2 on
+    the upper triangle, with w = inv + anti exactly."""
     n, J = H.L.dim, H.J_mat()
     if w.degree != 2 or w.dim != n:
         raise DimensionMismatch("need a 2-form on the Kahler algebra")
-    JWJ = mat_mul(transpose(J), mat_mul(bilinear_from_form(w), J))
-    P = KForm.make(2, n, {(i, j): JWJ[i][j] for i in range(n) for j in range(i + 1, n)})
+    W = bilinear_from_form(w)
+    JWJ = mat_mul(transpose(J), mat_mul(W, J))
     half = Fraction(1, 2)
-    inv = form_scale(form_add(w, P), half)
-    anti = form_scale(form_sub(w, P), half)
+    inv, anti = (KForm.make(2, n, {(i, j): s_mul(half, op(W[i][j], JWJ[i][j]))
+                                   for i in range(n) for j in range(i + 1, n)})
+                 for op in (s_add, s_sub))
     # the zero form is both; it is reported as invariant
     tag = "invariant" if anti.is_zero() else "anti-invariant" if inv.is_zero() else "neither"
     return tag, inv, anti

@@ -106,32 +106,14 @@ def covector_form(row: Vec) -> KForm:
     return KForm.make(1, len(row), {(i,): c for i, c in enumerate(row)})
 
 
-def form_add(a: KForm, b: KForm) -> KForm:
-    _check_compatible(a, b, same_degree=True)
-    terms = {k: v for k, v in a.coeffs}
-    for k, v in b.coeffs:
-        terms[k] = s_add(terms.get(k, ZERO), v)
-    return KForm.make(a.degree, a.dim, terms)
-
-
-def form_sub(a: KForm, b: KForm) -> KForm:
-    return form_add(a, form_scale(b, s_neg(ONE)))
-
-
 def form_scale(a: KForm, c) -> KForm:
     return KForm.make(a.degree, a.dim, {k: s_mul(c, v) for k, v in a.coeffs})
 
 
-def _check_compatible(a: KForm, b: KForm, same_degree: bool = False) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch("forms live on different ambient dimensions")
-    if same_degree and a.degree != b.degree:
-        raise DimensionMismatch("forms have different degrees")
-
-
 def wedge(a: KForm, b: KForm) -> KForm:
     """Graded-commutative product; degree overflow gives the zero form."""
-    _check_compatible(a, b)
+    if a.dim != b.dim:
+        raise DimensionMismatch("forms live on different ambient dimensions")
     deg = a.degree + b.degree
     if deg > a.dim:
         return KForm.make(deg, a.dim)
@@ -305,17 +287,28 @@ def _weight_blocks(weights: list[int], k: int) -> dict[int, list[tuple]]:
     return blocks
 
 
+def _d_block(targets: dict, den: int | None, monomials) -> Mat:
+    """The matrix of d on the span of the theta^I, I in monomials: the columns
+    d theta^I, on the rows they reach."""
+    columns = _d_columns(targets, den, monomials)
+    rows = dict.fromkeys(J for col in columns for J in col)
+    return _matrix(columns, rows, ZERO if den is None else 0)
+
+
 def _graded_rank(targets: dict, den: int | None, weights: list[int], k: int) -> int:
     """rank d_k as the sum of the ranks of its weight blocks: d maps each
     weight space of Lambda^k into the same weight space of Lambda^{k+1}, so a
     block's rows are the (k+1)-subsets its columns reach."""
-    total = 0
-    for monomials in _weight_blocks(weights, k).values():
-        columns = _d_columns(targets, den, monomials)
-        rows = dict.fromkeys(J for col in columns for J in col)
-        if rows:
-            total += rank(_matrix(columns, rows, ZERO if den is None else 0))
-    return total
+    blocks = (_d_block(targets, den, block) for block in _weight_blocks(weights, k).values())
+    return sum(rank(M) for M in blocks if M)  # a block that reaches no row has rank 0
+
+
+def cocycles(L: LieAlgebra, monomials: list[tuple]) -> list[Vec]:
+    """Basis of the closed forms sum_I c_I theta^I, I in monomials (of one
+    degree), as the vectors (c_I) in the order of monomials: the kernel of
+    the columns d theta^I.  On the pairs of m in a basis k (+) m of g these
+    are the relative 2-cocycles Z^2(g, k) (Chevalley-Eilenberg, 1948)."""
+    return nullspace(_d_block(*_d_targets(L), monomials), len(monomials))
 
 
 def ce_betti(L: LieAlgebra, k: int) -> int:

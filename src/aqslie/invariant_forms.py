@@ -8,12 +8,17 @@ Every closed ad(k)-invariant 2-form w on m is Kill([., .], Z_w) for a unique
 Z_w in the center of k, and is J-invariant (type (1,1)) for every invariant
 integrable complex structure J on m.  All systems are solved exactly.
 
-Every check on basis pairs is one matrix identity of m-blocks.  M and K hold
-the bases of m and k as columns, C_m and C_k are the coordinate maps of the
-split (the rows of [K M]^-1), and N_U = C_m ad_U M is the m-part of ad_U on
-m in m-coordinates, for any U in g.  With W the matrix of w:
+The split holds g once in the basis k (+) m, the columns of [K M]
+(``lie_core.in_basis``); C_k and C_m, the rows of [K M]^-1, are the
+coordinate maps.  [k, k] in k and [k, m] in m are read off its table, and
+N_U, the m-part of ad_U on m in m-coordinates, is the m-block of ad_U there.
+The closed ad(k)-invariant 2-forms are the relative 2-cocycles Z^2(g, k):
+by Cartan's formula L_U = i_U d + d i_U, a 2-form that vanishes on k and is
+closed on g is ad(k)-invariant, and dw(U, X, Y) is the invariance equation,
+so they are the kernel of the one differential (``exterior.cocycles``) on
+the pairs of m.  Every other check is one matrix identity of m-blocks.
+With W the matrix of w:
 
-    [k, k] in k, [k, m] in m    C_m ad_U K = 0 and C_k ad_U M = 0, U in k
     J is ad(k)-equivariant      J N_U = N_U J, U in k
     J is integrable             N_{J X_a} J - N_{X_a} - J (N_{X_a} J + N_{J X_a}) = 0
     w is of type (1,1)          J^T W J = W
@@ -36,8 +41,8 @@ from .errors import (
     NotCompactSemisimple,
     PreconditionError,
 )
-from .exterior import KForm, bilinear_from_form
-from .lie_core import LieAlgebra, ad_matrix, bracket, killing_form
+from .exterior import KForm, bilinear_from_form, cocycles
+from .lie_core import LieAlgebra, ad_matrix, bracket, in_basis, killing_form
 from .linalg import (
     Mat,
     Subspace,
@@ -58,7 +63,7 @@ from .linalg import (
     vec_is_zero,
     vec_sub,
 )
-from .scalars import ONE, ZERO, s_add, s_is_zero, s_mul, s_neg, s_sub
+from .scalars import ZERO, s_is_zero, s_mul, s_neg, s_sub
 
 
 def centralizer_of_torus(g: LieAlgebra, S: Subspace) -> Subspace:
@@ -73,12 +78,6 @@ def centralizer_of_torus(g: LieAlgebra, S: Subspace) -> Subspace:
     return k
 
 
-def _block(coords: tuple, ad: Mat, cols: list[Vec]) -> Mat:
-    """coords ad cols: ad applied to the columns cols, read in the coordinate
-    rows coords (C_m ad_U M is N_U)."""
-    return transpose(mat_vecs([list(r) for r in coords], mat_vecs(ad, cols)))
-
-
 @dataclass(frozen=True)
 class ReductiveSplit:
     g: LieAlgebra
@@ -86,6 +85,7 @@ class ReductiveSplit:
     m: Subspace
     coords_k: tuple  # C_k, (dim k) x (dim g): g-coordinates -> k-coordinates
     coords_m: tuple  # C_m, (dim m) x (dim g)
+    split: LieAlgebra  # g in the basis k (+) m, the columns of [K M]
 
     def m_cols(self) -> list[Vec]:
         return [list(b) for b in self.m.basis]
@@ -94,16 +94,19 @@ class ReductiveSplit:
         return [list(b) for b in self.k.basis]
 
     def ad_m(self, U: Vec) -> Mat:
-        """N_U = C_m ad_U M; its column b is [U, X_b]_m in m-coordinates."""
-        return _block(self.coords_m, ad_matrix(self.g, U), self.m_cols())
+        """N_U = C_m ad_U M, the m-block of ad_U in the split basis; its column b
+        is [U, X_b]_m in m-coordinates."""
+        nk = self.k.dim
+        ad = ad_matrix(self.split, mat_vec(self.coords_k + self.coords_m, U))
+        return [row[nk:] for row in ad[nk:]]
 
 
 def reductive_split(g: LieAlgebra, k: Subspace) -> ReductiveSplit:
     """g = k (+) m with m = k-perp under the Killing form; both bracket
-    inclusions [k,k] in k and [k,m] in m are verified on the basis of k.  A
-    k that is not a subalgebra is a PreconditionError; [k,m] in m is then
-    implied, so its failure is a certificate failure (ToleranceExceeded
-    for float input)."""
+    inclusions [k,k] in k and [k,m] in m are read off the table of g in the
+    basis k (+) m.  A k that is not a subalgebra is a PreconditionError;
+    [k,m] in m is then implied, so its failure is a certificate failure
+    (ToleranceExceeded for float input)."""
     kf = killing_form(g)
     if kf.definiteness != "negative_definite":
         raise NotCompactSemisimple(
@@ -114,60 +117,31 @@ def reductive_split(g: LieAlgebra, k: Subspace) -> ReductiveSplit:
     m = Subspace.from_vectors(g.dim, nullspace(rows, g.dim))
     if k.dim + m.dim != g.dim:
         raise InternalContradiction("k and its Killing-perp do not span g")
-    Tinv = inverse(transpose([list(b) for b in k.basis + m.basis]))
-    R = ReductiveSplit(
-        g, k, m, tuple(map(tuple, Tinv[: k.dim])), tuple(map(tuple, Tinv[k.dim :]))
-    )
-    for U in R.k_cols():
-        ad = ad_matrix(g, U)
-        if not vec_is_zero(_flat(_block(R.coords_m, ad, R.k_cols()))):
-            raise PreconditionError("[k, k] is not contained in k")
-        # [k, m] in m follows from [k, k] in k, as m = k-perp and Kill is
-        # ad-invariant: a certificate of the split that only rounding can fail
-        residual = _flat(_block(R.coords_k, ad, R.m_cols()))
-        if not vec_is_zero(residual):
-            raise certificate_failure("[k, m] is not contained in m", residual)
+    T = transpose([list(b) for b in k.basis + m.basis])
+    Tinv = inverse(T)
+    split, nk = in_basis(g, T, Tinv), k.dim
+    R = ReductiveSplit(g, k, m, tuple(map(tuple, Tinv[:nk])), tuple(map(tuple, Tinv[nk:])), split)
+    # stored c_ij^l of the split: i < j < nk lands in k, i < nk <= j in m
+    if any(l >= nk for (_, j), entries in split.brackets if j < nk for l, _ in entries):
+        raise PreconditionError("[k, k] is not contained in k")
+    # [k, m] in m follows from [k, k] in k, as m = k-perp and Kill is
+    # ad-invariant: a certificate of the split that only rounding can fail
+    residual = [v for (i, j), entries in split.brackets if i < nk <= j
+                for l, v in entries if l < nk]
+    if residual:
+        raise certificate_failure("[k, m] is not contained in m", residual)
     return R
 
 
 def invariant_closed_2forms(R: ReductiveSplit) -> list[KForm]:
-    """Basis of the space of closed ad(k)-invariant 2-forms on m.
-
-    Invariance: w(ad_U X, Y) + w(X, ad_U Y) = 0 for all U in k.
-    Closedness: w([X,Y]_m, Z) + w([Y,Z]_m, X) + w([Z,X]_m, Y) = 0.
-    """
-    dm = R.m.dim
-    pairs = list(combinations(range(dm), 2))
-    index = {p: t for t, p in enumerate(pairs)}
-
-    def w_entry(row: Vec, a_coords: Vec, b: int, scale=ONE) -> None:
-        # accumulate w(sum_t a_t X_t, X_b) into the row of unknowns
-        for t, c in enumerate(a_coords):
-            if s_is_zero(c) or t == b:
-                continue
-            key, sgn = ((t, b), ONE) if t < b else ((b, t), s_neg(ONE))
-            row[index[key]] = s_add(row[index[key]], s_mul(scale, s_mul(c, sgn)))
-
-    rows: Mat = []
-    for U in R.k_cols():
-        ad_images = transpose(R.ad_m(U))  # [U, X_a]_m
-        for a, b in pairs:
-            row = [ZERO] * len(pairs)
-            w_entry(row, ad_images[a], b)
-            # w(X_a, ad_U X_b) = -w(ad_U X_b, X_a)
-            w_entry(row, ad_images[b], a, s_neg(ONE))
-            rows.append(row)
-    brackets = [transpose(R.ad_m(X)) for X in R.m_cols()]  # [a][b] = [X_a, X_b]_m
-    for a, b, c in combinations(range(dm), 3):
-        row = [ZERO] * len(pairs)
-        w_entry(row, brackets[a][b], c)
-        w_entry(row, brackets[b][c], a)
-        w_entry(row, brackets[c][a], b)
-        rows.append(row)
-    basis = nullspace(rows, len(pairs))
-    return [
-        KForm.make(2, dm, {pairs[t]: v[t] for t in range(len(pairs))}) for v in basis
-    ]
+    """Basis of the space of closed ad(k)-invariant 2-forms on m: the relative
+    2-cocycles Z^2(g, k), the kernel of d on the pairs of m in the split basis.
+    Extended by zero on k, w has dw(U, X, Y) = -w([U, X], Y) - w(X, [U, Y])
+    for U in k, and dw(U, V, X) = -w([U, V], X) = 0 as [k, k] is in k."""
+    nk, nm = R.k.dim, R.m.dim
+    pairs = list(combinations(range(nk, nk + nm), 2))
+    return [KForm.make(2, nm, {(a - nk, b - nk): c for (a, b), c in zip(pairs, v)})
+            for v in cocycles(R.split, pairs)]
 
 
 def center_of_k(R: ReductiveSplit) -> list[Vec]:

@@ -9,7 +9,9 @@ Every field is read by one typed accessor, `_field`: indices, dims and
 degrees are JSON integers (never booleans, fractions or strings), lists
 and objects are required where the format has them, and a violation is
 an InputError naming its JSON path (`brackets[3].i`); a scalar string is
-read by `_scalar`, whose ScalarParseError names it the same way.  A dim
+read by `_scalar`, whose ScalarParseError names it the same way.  An
+integer past the interpreter's limit on int-string digits is decoded as
+its digits, so `_field` refuses it by its path too.  A dim
 must be the length of a list in the document (basis_names or rows), so
 nothing of size dim is built first.  `read(doc, *kinds)` dispatches on
 `kind`.
@@ -38,10 +40,21 @@ def dumps(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+class _Digits(str):
+    """A JSON integer past the interpreter's limit on int-string digits (0:
+    none), kept as its digits: `_field` refuses it by its path wherever an
+    integer or a string is wanted, and a scalar cell reads it as a scalar."""
+
+
+def _json_int(digits: str):
+    limit = sys.get_int_max_str_digits()
+    return _Digits(digits) if limit and len(digits.lstrip("-")) > limit else int(digits)
+
+
 def loads(text: str) -> dict:
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
+        doc = json.loads(text, parse_int=_json_int)
+    except (ValueError, RecursionError) as exc:  # deep nesting too
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("top-level JSON value must be an object")
@@ -80,7 +93,7 @@ def _field(doc, key, kind, path: str = "", default=None):
         if value in kind:
             return value
         wanted = " or ".join(map(json.dumps, kind))
-    elif isinstance(value, kind):
+    elif isinstance(value, kind) and not (kind is str and isinstance(value, _Digits)):
         return value
     else:
         wanted = _KIND_NAMES[kind]

@@ -4,9 +4,8 @@ Structure constants are stored sparsely for i < j only, so antisymmetry is
 a storage invariant rather than a runtime check.  Indices are 0-based
 internally; the file format is 1-based (see io.py).
 
-Each algebra builds, on first use, a lookup table {(i, j): {k: c_ij^k}}
-that serves :meth:`LieAlgebra.c` in O(1): integers over one common
-denominator when every constant is a Fraction.  The table is a private
+Each algebra builds, on first use, a lookup table {(i, j): {k: c_ij^k}}:
+integers over one common denominator when every constant is a Fraction.  The table is a private
 attribute, not a dataclass field, so equality, hashing and serialization
 see only the sparse tuple; a rational algebra keeps its stored constants
 beside it.  :meth:`LieAlgebra._operands` decides the field once for the
@@ -25,7 +24,8 @@ algebra.
 :meth:`LieAlgebra.sqrt_basis` is the field decision for square-root tower
 constants and the tensors that act with them: the scalings to the basis of
 their square classes (:func:`square_classes`), where all are rational, or
-None; :meth:`LieAlgebra.rescaled` rewrites the table in a diagonal basis.
+None; :meth:`LieAlgebra.rescaled` rewrites the table in a diagonal basis, :func:`in_basis`
+in any basis (a conjugated structure, the basis k (+) m of a reductive split).
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ from .linalg import (
     _int_scaled,
     dot,
     inertia_symmetric,
+    mat_vecs,
     nullspace,
+    transpose,
     zeros,
 )
-from .scalars import ONE, ZERO, Ext, coerce, s_is_zero, s_neg, s_sqrt
+from .scalars import ONE, ZERO, Ext, coerce, s_is_zero, s_sqrt
 
 BracketTable = dict  # {(i, j): {k: scalar}} with i < j
 
@@ -201,18 +203,6 @@ class LieAlgebra:
             if nxt.dim == 0:
                 return LowerCentralSeries(tuple(terms), True, len(terms) - 1)
 
-    def c(self, i: int, j: int, k: int):
-        """Signed structure constant c_{ij}^k."""
-        if i == j:
-            return ZERO
-        if i > j:
-            return s_neg(self.c(j, i, k))
-        table, den = self._tables()
-        v = table.get((i, j), {}).get(k)
-        if v is None:
-            return ZERO
-        return v if den is None else Fraction(v, den)
-
     def basis_vector(self, i: int) -> Vec:
         return [ONE if t == i else ZERO for t in range(self.dim)]
 
@@ -308,6 +298,16 @@ def pair_brackets(L: LieAlgebra, X: MatOver, pairs: list) -> MatOver:
     """Row p: [x_a, x_b] for the p-th pair (a, b), x_a the row a of X, from its numerators."""
     (V,) = L.values([bracket(L, X.N[a], X.N[b]) for a, b in pairs])
     return MatOver(V.N, V.den * X.den ** 2)
+
+
+def in_basis(L: LieAlgebra, Q: Mat, Q_inv: Mat, names: list[str] | None = None) -> LieAlgebra:
+    """L in the basis whose j-th vector is column j of Q, Q_inv the inverse of
+    Q: c'_ab = Q_inv [q_a, q_b] on the pairs a < b, named b1, b2, ... unless
+    names are given."""
+    cols, pairs = transpose(Q), list(itertools.combinations(range(L.dim), 2))
+    images = mat_vecs(Q_inv, [bracket(L, cols[a], cols[b]) for a, b in pairs])  # zeros drop
+    return LieAlgebra.from_brackets(L.dim, {p: dict(enumerate(w)) for p, w in zip(pairs, images)},
+                                    names or [f"b{i+1}" for i in range(L.dim)], L.mode, check=False)
 
 
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:

@@ -57,30 +57,25 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n > 0 as s*s*r with r squarefree; returns (s, r)."""
+    """Write n > 0 as s*s*r with r squarefree; returns (s, r).  The least
+    prime factor p of what is left goes into s when p*p divides it, else
+    into r."""
     if n <= 0:
         raise ValueError("radicand must be positive")
     s, r = 1, 1
-    for p in _SMALL_PRIMES:
-        while n % (p * p) == 0:
-            n //= p * p
-            s *= p
-        if n % p == 0:
-            n //= p
+    while n > 1:
+        p = _least_prime_factor(n)
+        n //= p
+        if n % p:
             r *= p
-    p = 41
-    while p * p <= n:
-        while n % (p * p) == 0:
-            n //= p * p
-            s *= p
-        if n % p == 0:
+        else:
             n //= p
-            r *= p
-        p += 2
-    return s, r * n
+            s *= p
+    return s, r
 
 
 def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n > 1 (n itself when prime), by trial division."""
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return p
@@ -383,15 +378,15 @@ def parse_scalar(text: str, mode: str = "exact"):
         try:
             x = float(Fraction(text)) if "/" in text else float(text)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ScalarParseError(f"bad float scalar {text!r}") from exc
+            raise ScalarParseError(f"bad float scalar {text[:40]!r}") from exc
         if not math.isfinite(x):  # nan or inf, also from an overflowing decimal
-            raise ScalarParseError(f"float scalar {text!r} is not finite")
+            raise ScalarParseError(f"float scalar {text[:40]!r} is not finite")
         return x
     if _PLAIN_RE.fullmatch(text):
         try:  # a ValueError: past the interpreter's limit on int-string digits
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarParseError(f"bad exact scalar {text!r}") from exc
+            raise ScalarParseError(f"bad exact scalar {text[:40]!r}") from exc
     return _parse_tower(text)
 
 
@@ -401,20 +396,20 @@ def _parse_tower(text: str):
     for term in _split_terms(text):
         m = _TERM_RE.match(term)
         if not m or (m.group("star") and not (m.group("coeff") and m.group("rad"))):
-            raise ScalarParseError(f"bad exact scalar {text!r}")
+            raise ScalarParseError(f"bad exact scalar {text[:40]!r}")
         coeff_s, rad_s = m.group("coeff"), m.group("rad")
         if coeff_s is None and rad_s is None:
-            raise ScalarParseError(f"bad exact scalar {text!r}")
+            raise ScalarParseError(f"bad exact scalar {text[:40]!r}")
         try:
             coeff = Fraction(coeff_s) if coeff_s is not None else Fraction(1)
             rad = int(rad_s) if rad_s is not None else None
         except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarParseError(f"bad exact scalar {text!r}") from exc
+            raise ScalarParseError(f"bad exact scalar {text[:40]!r}") from exc
         if m.group("sign") == "-":
             coeff = -coeff
         if rad is not None:
             if rad <= 0:
-                raise ScalarParseError(f"bad radicand in {text!r}")
+                raise ScalarParseError(f"bad radicand in {text[:40]!r}")
             total = total + coeff * Ext.of_sqrt(rad)
         else:
             total = total + coeff

@@ -3,8 +3,9 @@
 Two routes give the same float structure (``test_float_mode`` checks this):
 ``float_doc`` re-declares a JSON structure document in float mode, for tests
 that go through the parser or the CLI; ``float_structure`` rebuilds an
-``AcmStructure`` from ``LieAlgebra.table()`` without a Jacobi check, for tests
-on float inputs that the parser's check would reject.  Every rational scalar
+``AcmStructure`` on ``float_algebra``, the algebra rebuilt from
+``LieAlgebra.table()`` without a Jacobi check, for tests on float inputs that
+the parser's check would reject.  Every rational scalar
 becomes the float nearest to it.
 """
 
@@ -31,11 +32,15 @@ def float_doc(doc: dict) -> dict:
     return out
 
 
+def float_algebra(L: LieAlgebra) -> LieAlgebra:
+    """L with every structure constant converted to float, in float mode."""
+    table = {p: {k: float(v) for k, v in e.items()} for p, e in L.table().items()}
+    return LieAlgebra.from_brackets(L.dim, table, list(L.basis_names), mode="float",
+                                    check=False)
+
+
 def float_structure(S: AcmStructure) -> AcmStructure:
     """S with every scalar converted to float, in a float-mode algebra."""
-    table = {p: {k: float(v) for k, v in e.items()} for p, e in S.L.table().items()}
-    L = LieAlgebra.from_brackets(S.L.dim, table, list(S.L.basis_names), mode="float",
-                                 check=False)
     rows = lambda M: [[float(x) for x in r] for r in M]  # noqa: E731
-    return AcmStructure.make(L, rows(S.phi), [float(x) for x in S.xi],
+    return AcmStructure.make(float_algebra(S.L), rows(S.phi), [float(x) for x in S.xi],
                              [float(x) for x in S.eta], rows(S.g))

@@ -10,13 +10,18 @@ loop over i for [J, J] that classification no longer runs, the classify
 stages as they ran before they passed numerators to each other, and the
 eigendecomposition through the characteristic polynomial and its rational
 roots (``rational_roots``, on the squarefree part) that
-``linalg.eig_sym_exact`` replaced with Krylov minimal polynomials.
+``linalg.eig_sym_exact`` replaced with Krylov minimal polynomials; the signed
+structure constant lookup, the sum and difference of forms, and the closed
+invariant 2-forms of a reductive split from their defining equations, one row
+per invariance and closedness condition, which ``invariant_closed_2forms``
+reads as the kernel of the one differential.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from fractions import Fraction
 
 from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, ConnectionTable, levi_civita
@@ -30,10 +35,11 @@ from aqslie.exterior import (
     bilinear_from_form,
     ce_d,
     form_from_bilinear,
-    form_sub,
+    form_scale,
     one_scalar_form,
     wedge,
 )
+from aqslie.invariant_forms import ReductiveSplit
 from aqslie.io import _matrix_to_json, algebra_to_json
 from aqslie.lie_core import BracketTable, LieAlgebra, ad_matrix, ad_value, bracket
 from aqslie.linalg import Mat, MatOver, Subspace, Vec, _flat, bilinear, det, diag_scaled, dot, eigenspaces
@@ -50,6 +56,28 @@ def wedge_power(a: KForm, p: int) -> KForm:
     for _ in range(p):
         out = wedge(out, a)
     return out
+
+
+def structure_constant(L: LieAlgebra, i: int, j: int, k: int):
+    """Signed structure constant c_ij^k, from the stored table."""
+    if i == j:
+        return ZERO
+    if i > j:
+        return s_neg(structure_constant(L, j, i, k))
+    return dict(dict(L.brackets).get((i, j), ())).get(k, ZERO)
+
+
+def form_add(a: KForm, b: KForm) -> KForm:
+    if a.dim != b.dim or a.degree != b.degree:
+        raise DimensionMismatch("forms of different degrees or ambient dimensions")
+    terms = {k: v for k, v in a.coeffs}
+    for k, v in b.coeffs:
+        terms[k] = s_add(terms.get(k, ZERO), v)
+    return KForm.make(a.degree, a.dim, terms)
+
+
+def form_sub(a: KForm, b: KForm) -> KForm:
+    return form_add(a, form_scale(b, s_neg(ONE)))
 
 
 def form_eq(a: KForm, b: KForm) -> bool:
@@ -208,7 +236,7 @@ def quotient_by_center_line(L: LieAlgebra, xi: Vec, D: Subspace) -> CentralQuoti
         names.append(L.basis_names[hits[0]] if unit else f"d{a+1}")
     quotient = LieAlgebra.from_brackets(m, table, names, L.mode, check=True)
     # certificate, pairs as columns: [d_a, d_b] = incl([.,.]_D) - omega_ab * xi, exactly
-    coords = [[quotient.c(a, b, k) for a, b in pairs] for k in range(m)]
+    coords = [[structure_constant(quotient, a, b, k) for a, b in pairs] for k in range(m)]
     rhs = mat_sub(mat_mul(transpose(cols[:m]), coords),
                   mat_mul([[x] for x in xi], [[omega[a][b] for a, b in pairs]]))
     if pairs and not mat_eq(transpose(brackets), rhs):
@@ -522,3 +550,48 @@ def eig_sym_char_poly(M: Mat) -> list[tuple[Fraction, int, list[Vec]]]:
             )
         out.append((ev, mult, basis))
     return out
+
+
+# ---------------------------------------------------------------------------
+# closed invariant 2-forms from their defining equations
+# ---------------------------------------------------------------------------
+
+def invariant_closed_2forms_by_equations(R: ReductiveSplit) -> list[KForm]:
+    """Basis of the closed ad(k)-invariant 2-forms on m, one equation row at a
+    time on the unknowns w(X_a, X_b), a < b.
+
+    Invariance: w(ad_U X, Y) + w(X, ad_U Y) = 0 for all U in k.
+    Closedness: w([X,Y]_m, Z) + w([Y,Z]_m, X) + w([Z,X]_m, Y) = 0.
+    """
+    dm = R.m.dim
+    pairs = list(combinations(range(dm), 2))
+    index = {p: t for t, p in enumerate(pairs)}
+
+    def w_entry(row: Vec, a_coords: Vec, b: int, scale=ONE) -> None:
+        # accumulate w(sum_t a_t X_t, X_b) into the row of unknowns
+        for t, c in enumerate(a_coords):
+            if s_is_zero(c) or t == b:
+                continue
+            key, sgn = ((t, b), ONE) if t < b else ((b, t), s_neg(ONE))
+            row[index[key]] = s_add(row[index[key]], s_mul(scale, s_mul(c, sgn)))
+
+    rows: Mat = []
+    for U in R.k_cols():
+        ad_images = transpose(R.ad_m(U))  # [U, X_a]_m
+        for a, b in pairs:
+            row = [ZERO] * len(pairs)
+            w_entry(row, ad_images[a], b)
+            # w(X_a, ad_U X_b) = -w(ad_U X_b, X_a)
+            w_entry(row, ad_images[b], a, s_neg(ONE))
+            rows.append(row)
+    brackets = [transpose(R.ad_m(X)) for X in R.m_cols()]  # [a][b] = [X_a, X_b]_m
+    for a, b, c in combinations(range(dm), 3):
+        row = [ZERO] * len(pairs)
+        w_entry(row, brackets[a][b], c)
+        w_entry(row, brackets[b][c], a)
+        w_entry(row, brackets[c][a], b)
+        rows.append(row)
+    basis = nullspace(rows, len(pairs))
+    return [
+        KForm.make(2, dm, {pairs[t]: v[t] for t in range(len(pairs))}) for v in basis
+    ]

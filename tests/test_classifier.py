@@ -16,11 +16,11 @@ from aqslie.acm import (
 from aqslie.adapted import adapted_frame
 from aqslie.classifier import (
     _center_and_quotient,
-    _signed_phi_2n1,
     classify_nilpotent_aqs,
     classify_nilpotent_qs,
 )
 from aqslie.constructors import (
+    _rotation,
     abelian,
     su2_plus_abelian,
     weighted_heisenberg_2n1,
@@ -319,7 +319,8 @@ def test_qs_frame_is_orthonormal_with_signed_pairs():
         assert vec_eq(cols[n + i], vec_scale(mat_vec(phi, cols[i]), F(sign)))
     target_L, target_S = weighted_heisenberg_2n1(n, list(iso.weights))
     signed = AcmStructure.make(
-        target_L, _signed_phi_2n1(n, list(iso.phi_signs)), target_S.xi_vec(),
+        target_L, _rotation(2 * n + 1, [(r, n + r, s) for r, s in enumerate(iso.phi_signs, 1)]),
+        target_S.xi_vec(),
         target_S.eta_row(), target_S.g_mat(),
     )
     old_verify_iso(S, target_L, signed, iso.F_mat())

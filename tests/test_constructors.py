@@ -31,11 +31,11 @@ from aqslie.constructors import (
     weighted_heisenberg_4n1,
 )
 from aqslie.errors import DimensionMismatch, PreconditionError
-from aqslie.exterior import KForm, ce_d, form_add, form_scale, rank_of_eta
+from aqslie.exterior import KForm, ce_d, form_scale, rank_of_eta
 from aqslie.lie_core import bracket, jacobi_check, killing_form, lower_central_series
 from aqslie.linalg import identity, mat_eq, mat_mul, rank
 from aqslie.scalars import s_eq, s_neg
-from oracles import form_eq
+from oracles import form_add, form_eq
 
 
 def test_4n1_brackets_match_displayed_formula():

@@ -31,16 +31,14 @@ from aqslie.exterior import (
     ce_d,
     ce_d_matrix,
     d_of_pairs,
-    form_add,
     form_scale,
-    form_sub,
     rank_of_eta,
     theta,
     wedge,
 )
 from aqslie.linalg import rank
 from aqslie.scalars import s_add, s_eq, s_mul, s_neg
-from oracles import evaluate, form_eq, wedge_power
+from oracles import evaluate, form_add, form_eq, form_sub, wedge_power
 
 
 def random_form(L, degree, rng, max_terms=8):

@@ -17,6 +17,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -213,6 +214,36 @@ def test_bytes_end_in_a_typed_outcome(name, data, tmp_path, monkeypatch):
         if name.startswith("digits-in"):  # named by its JSON path
             at = "brackets[0].coeffs.1" if name.endswith("bracket") else "companions[0][0][0]"
             assert f"ScalarParseError (parse): {at}: bad exact scalar" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["classify", "{doc}"], ["construct", "heisenberg",
+                                  "--dim-family", "4n1", "--weights", f"1,{_DIGITS}"]])
+def test_a_scalar_past_the_digit_limit_is_quoted_in_one_short_line(argv, tmp_path):
+    # the scalar is quoted to 40 characters, as _field shows a value
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(dict(_byte_corpus())["digits-in-a-scalar"])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([a.format(doc=doc) for a in argv])
+    assert code == 2
+    assert err.getvalue().count("\n") == 1 and len(err.getvalue()) < 200
+    assert f"bad exact scalar '{'7' * 40}'" in err.getvalue()
+
+
+def test_an_integer_past_the_digit_limit_is_named_by_its_path(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(dict(_byte_corpus())["digits-as-a-number"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["classify", str(doc), "--json"])
+    assert code == 2
+    error = json.loads(out.getvalue())["error"]
+    assert error["code"] == "InputError" and error["message"].startswith("dim: ")
+    # a number past the limit is no string either, nor a scalar past it a number
+    for text, at in ((_H5_TEXT.replace('"xi"', _DIGITS, 1), "basis_names[0]: expected a string"),
+                     (_H5_TEXT.replace('"0"', _DIGITS, 1), "companions[0][0][0]: bad exact")):
+        with pytest.raises(AqslieError, match=re.escape(at)):
+            aqio.read(aqio.loads(text), "acm_structure")
 
 
 def test_a_weight_past_the_digit_limit_is_a_scalar_parse_error():

@@ -1,6 +1,7 @@
 """Reductive splits and closed invariant 2-forms: moment elements, (1,1)."""
 
 import functools
+import random
 import re
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -18,13 +19,7 @@ from aqslie.constructors import (
     weighted_heisenberg_4n1,
 )
 from aqslie.errors import NoSolution, NotCompactSemisimple, PreconditionError
-from aqslie.exterior import (
-    KForm,
-    bilinear_from_form,
-    form_add,
-    form_scale,
-    form_sub,
-)
+from aqslie.exterior import KForm, bilinear_from_form, form_scale
 from aqslie.invariant_forms import (
     center_of_k,
     centralizer_of_torus,
@@ -36,10 +31,20 @@ from aqslie.invariant_forms import (
     type_11_check,
     verify_invariant_complex_structure,
 )
-from aqslie.lie_core import derivations, killing_form
-from aqslie.linalg import Subspace, _flat, inverse, mat_mul, rank, transpose, vec_is_zero
-from aqslie.scalars import s_eq, s_str
-from oracles import evaluate, form_eq
+from aqslie.lie_core import derivations, in_basis, killing_form
+from aqslie.linalg import (
+    Subspace,
+    _flat,
+    inverse,
+    mat_mul,
+    random_unimodular,
+    rank,
+    transpose,
+    vec_is_zero,
+)
+from aqslie.scalars import get_tolerance, s_eq, s_str
+from floatcopy import float_algebra
+from oracles import evaluate, form_add, form_eq, form_sub, invariant_closed_2forms_by_equations
 
 
 def su2_split():
@@ -116,6 +121,27 @@ def test_reductive_split_rejects_a_k_that_is_not_a_subalgebra():
         reductive_split(g, k)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_reductive_split_certifies_k_m_in_m(mode, monkeypatch):
+    # a k part of [k_1, X_1] in the split's table fails the certificate: a
+    # contradiction in exact arithmetic, a tolerance failure for floats
+    import aqslie.invariant_forms as invariant_forms
+    from aqslie.errors import InternalContradiction, ToleranceExceeded
+    from aqslie.lie_core import LieAlgebra
+
+    def bumped(*args):
+        L = in_basis(*args)
+        table = L.table()
+        table.setdefault((0, 2), {})[0] = F(1, 7) if mode == "exact" else 1 / 7
+        return LieAlgebra.from_brackets(L.dim, table, mode=L.mode, check=False)
+
+    monkeypatch.setattr(invariant_forms, "in_basis", bumped)
+    g = su3() if mode == "exact" else float_algebra(su3())
+    error = InternalContradiction if mode == "exact" else ToleranceExceeded
+    with pytest.raises(error, match=re.escape("[k, m] is not contained in m")):
+        split_on(g, [g.basis_vector(0), g.basis_vector(1)])
+
+
 def test_reductive_split_rejects_non_compact():
     h5 = weighted_heisenberg_4n1(1, [1])[0]
     with pytest.raises(NotCompactSemisimple):
@@ -135,6 +161,54 @@ def test_solution_space_dimensions():
     R_full = reductive_split(g, k_full)
     assert R_full.m.dim == 0
     assert invariant_closed_2forms(R_full) == []
+
+
+def split_on(g, torus):
+    """The reductive split of g at the centralizer of the torus spanned by
+    the given vectors."""
+    return reductive_split(g, centralizer_of_torus(g, Subspace.from_vectors(g.dim, torus)))
+
+
+def conjugated_su3():
+    """su3 in the basis of the columns of a unimodular Q, where k (+) m is no
+    permutation of the basis."""
+    Q = random_unimodular(8, random.Random(5))
+    return in_basis(su3(), Q, inverse(Q))
+
+
+# the tori of the CLI's --torus 3 on su2 and --torus 1, 1,2 and 2 on su3, and
+# h1 + h2 on su3, which gives k another basis; and the torus h1, h2 of su3 in
+# the conjugated basis, Q^-1 e_1 and Q^-1 e_2
+TORI = {
+    "su2-t3": (su2, [[0, 0, 1]]),
+    "su3-t1": (su3, [[1] + [0] * 7]),
+    "su3-t12": (su3, [[1] + [0] * 7, [0, 1] + [0] * 6]),
+    "su3-t2": (su3, [[0, 1] + [0] * 6]),
+    "su3-h1+h2": (su3, [[1, 1] + [0] * 6]),
+    "su3-conjugated": (conjugated_su3, transpose(
+        inverse(random_unimodular(8, random.Random(5))))[:2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORI))
+def test_closed_invariant_forms_are_the_relative_cocycles(name):
+    # the kernel of d on the pairs of m in the split basis is the solution
+    # space of the invariance and closedness equations, basis form for form
+    make, torus = TORI[name]
+    R = split_on(make(), [list(map(F, v)) for v in torus])
+    forms = invariant_closed_2forms(R)
+    assert len(forms) == R.k.dim and forms == invariant_closed_2forms_by_equations(R)
+
+
+def test_float_closed_invariant_forms_match_the_exact_ones():
+    _, torus = TORI["su3-t12"]
+    exact = invariant_closed_2forms(su3_split()[1])
+    floats = invariant_closed_2forms(split_on(float_algebra(su3()), [list(map(float, v))
+                                                                     for v in torus]))
+    assert len(floats) == len(exact) == 2
+    for w, v in zip(floats, exact):
+        assert all(abs(w.coeff(p) - float(v.coeff(p))) <= get_tolerance()
+                   for p in combinations(range(6), 2))
 
 
 def test_moment_element_su2():

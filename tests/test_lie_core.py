@@ -45,7 +45,7 @@ from aqslie.linalg import (
 )
 from aqslie.scalars import Ext, get_tolerance, s_add, s_eq, s_is_zero, s_mul, set_tolerance
 from bracket_routes import ad_matrix_routes, bracket_routes
-from oracles import quotient_by_center_line
+from oracles import quotient_by_center_line, structure_constant
 
 
 def h5():
@@ -117,11 +117,11 @@ def test_jacobi_cyclic_tensor_is_consistent():
 
 
 def _reference_jacobi(L):
-    """Triples (i, j, k), i < j < k, whose cyclic sum is nonzero, from L.c:
+    """Triples (i, j, k), i < j < k, whose cyclic sum is nonzero, from c_ij^k:
     the b_m component of [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]
     (zero within the tolerance in float mode)."""
     n = L.dim
-    c = [[[L.c(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+    c = [[[structure_constant(L, i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
 
     def double(i, j, k, m):
         return sum((c[i][j][t] * c[t][k][m] for t in range(n) if c[i][j][t]), F(0))
@@ -262,7 +262,7 @@ def _reference_lower_central_series(L):
 
 
 def _reference_derivations(L):
-    """Derivations from L.c: row (i < j, m) is the b_m component of
+    """Derivations from c_ij^k: row (i < j, m) is the b_m component of
     D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j] on the flattened D."""
     n = L.dim
     rows = []
@@ -271,9 +271,9 @@ def _reference_derivations(L):
             for m in range(n):
                 row = [F(0)] * (n * n)
                 for k in range(n):
-                    row[m * n + k] += L.c(i, j, k)
-                    row[k * n + i] -= L.c(k, j, m)
-                    row[k * n + j] -= L.c(i, k, m)
+                    row[m * n + k] += structure_constant(L, i, j, k)
+                    row[k * n + i] -= structure_constant(L, k, j, m)
+                    row[k * n + j] -= structure_constant(L, i, k, m)
                 rows.append(row)
     return Subspace.from_vectors(n * n, nullspace(rows, n * n))
 
@@ -588,8 +588,11 @@ def test_bracket_matches_fraction_reference(nt, data):
 @settings(max_examples=40, deadline=None)
 @given(tables())
 def test_structure_constant_lookup_signs(nt):
+    # entry (k, j) of ad_{b_i} is c_ij^k: the stored constant for i < j, its
+    # negative for i > j, zero on the diagonal
     n, table = nt
     L = LieAlgebra.from_brackets(n, table, check=False)
+    ads = [ad.mat() for ad in L.ad_values()[0]]
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -599,14 +602,14 @@ def test_structure_constant_lookup_signs(nt):
                     expected = table.get((i, j), {}).get(k, F(0))
                 else:
                     expected = -table.get((j, i), {}).get(k, F(0))
-                assert L.c(i, j, k) == expected
+                assert ads[i][k][j] == expected
 
 
 def test_cached_tables_leave_equality_and_hash_alone():
     L1 = weighted_heisenberg_4n1(2, [1, 2])[0]
     L2 = weighted_heisenberg_4n1(2, [1, 2])[0]
     bracket(L1, L1.basis_vector(1), L1.basis_vector(3))
-    L1.c(3, 1, 0)
+    L1.ad_values()
     assert L1 == L2 and hash(L1) == hash(L2)
     assert [f.name for f in fields(L1)] == ["dim", "brackets", "basis_names", "mode"]
 

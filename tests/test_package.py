@@ -240,11 +240,12 @@ def test_denominators_are_carried_by_the_values():
     assert hand_carried_denominators(forked) == ["2 _tables", "2 tuple", "3 _int_rows"]
 
 
-def calls_outside(source: str, helper: str, matches) -> list[int]:
-    """Lines of the calls in source that match, outside the function helper."""
+def calls_outside(source: str, helper: str, matches, *others: str) -> list[int]:
+    """Lines of the calls in source that match, outside the function helper
+    and the functions others."""
     tree = ast.parse(source)
-    inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name == helper for node in ast.walk(fn)}
+    inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              and fn.name in (helper, *others) for node in ast.walk(fn)}
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call) and id(node) not in inside and matches(node)]
 
@@ -262,9 +263,11 @@ def _splits_a_comma_list(node: ast.Call) -> bool:
 
 def test_input_fields_are_read_in_one_place():
     # io reads every field through _field and cli every comma list through
-    # _comma_list, so each input is checked one way wherever it appears
+    # _comma_list, so each input is checked one way wherever it appears; the
+    # JSON decoder's integer hook _json_int makes the ints _field reads
     package = Path(aqslie.__file__).parent
-    assert calls_outside((package / "io.py").read_text("utf-8"), "_field", _reads_an_int) == []
+    io_source = (package / "io.py").read_text("utf-8")
+    assert calls_outside(io_source, "_field", _reads_an_int, "_json_int") == []
     cli_source = (package / "cli.py").read_text("utf-8")
     assert calls_outside(cli_source, "_comma_list", _splits_a_comma_list) == []
     # the hand-written checks the typed reader replaced are what it is for
@@ -277,6 +280,7 @@ def test_input_fields_are_read_in_one_place():
         "    return args.degrees.split(',')\n"
     )
     assert calls_outside(forked, "_field", _reads_an_int) == [2, 4]
+    assert calls_outside(forked, "_field", _reads_an_int, "_json_int") == [2, 4]
     assert calls_outside(forked, "_comma_list", _splits_a_comma_list) == [6]
 
 
@@ -522,16 +526,47 @@ def test_cohomology_builds_no_whole_differential():
     assert "ce_d_matrix" in reachable_calls(forked, "ce_bettis")
 
 
+def private_differentials(source: str) -> list[str]:
+    """Where source, invariant_forms, defines _block or calls s_add, and
+    whether its invariant_closed_2forms misses exterior.cocycles: the closed
+    invariant 2-forms are the kernel of the one differential, read on the
+    split, with no equation rows built beside it."""
+    offenders = [f"{node.lineno} def _block" for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == "_block"]
+    offenders += [f"{line} s_add" for line in calls_outside(source, "", _calls_to("s_add"))]
+    if "cocycles" not in reachable_calls(source, "invariant_closed_2forms"):
+        offenders.append("invariant_closed_2forms skips cocycles")
+    return offenders
+
+
+def test_closed_invariant_forms_are_read_by_the_one_differential():
+    package = Path(aqslie.__file__).parent
+    assert private_differentials((package / "invariant_forms.py").read_text("utf-8")) == []
+    # the m-blocks and the per-pair equation rows beside d are what the check is for
+    forked = (
+        "def _block(coords, ad, cols):\n"
+        "    return transpose(mat_vecs(coords, mat_vecs(ad, cols)))\n"
+        "def invariant_closed_2forms(R):\n"
+        "    row[t] = s_add(row[t], s_mul(c, sgn))\n"
+        "    return nullspace(rows, len(pairs))\n"
+    )
+    assert private_differentials(forked) == [
+        "1 def _block", "4 s_add", "invariant_closed_2forms skips cocycles"]
+    assert private_differentials(
+        "def invariant_closed_2forms(R):\n    return _kernel(R)\n"
+        "def _kernel(R):\n    return cocycles(R.split, pairs)\n") == []
+
+
 
 UNREACHED_ALLOWED = {"derivations"}  # README kernel API, a table reader guarded above
 
 
-def used_names(tree: ast.AST, strings: bool = False) -> set[str]:
-    """Name ids, Attribute attrs and import aliases in tree, and with strings
-    its string constants too."""
+def used_names(tree: ast.AST, strings: bool = False, bare: bool = True) -> set[str]:
+    """Attribute attrs and import aliases in tree, with bare its Name ids
+    too, and with strings its string constants."""
     names: set = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if bare and isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -546,26 +581,29 @@ def _units(tree: ast.Module):
     """(statement, definition, names, texts) for each module-level statement and,
     inside a class, for its header and each statement of its body: the
     module-level statement, the definition the unit is (or None), the names
-    the unit uses, and those together with its string constants."""
+    the unit uses, and the texts that can reach a member: its attributes,
+    import aliases and string constants, but no bare name."""
+    member_texts = lambda node: used_names(node, strings=True, bare=False)  # noqa: E731
     for stmt in tree.body:
         if not isinstance(stmt, ast.ClassDef):
             yield stmt, stmt if isinstance(stmt, ast.FunctionDef) else None, used_names(stmt), \
-                used_names(stmt, strings=True)
+                member_texts(stmt)
             continue
         header = ast.Module([ast.Expr(node) for node in (*stmt.decorator_list, *stmt.bases,
                                                             *stmt.keywords)], [])
-        yield stmt, stmt, used_names(header), used_names(header, strings=True)
+        yield stmt, stmt, used_names(header), member_texts(header)
         for part in stmt.body:
             member = part if isinstance(part, ast.FunctionDef) else None
-            yield stmt, member, used_names(part), used_names(part, strings=True)
+            yield stmt, member, used_names(part), member_texts(part)
 
 
 def unreached_definitions(modules: dict, outside: set) -> list[str]:
     """'module.name' of each module-level def or class of modules ({file
     name: source}) that no other statement of the modules names, nor outside,
     and 'module.Class.name' of each method or property but the dunders that
-    no other statement names, nor a string constant of the modules (an
-    operator.attrgetter("center") names a member), nor outside."""
+    no other statement reaches by an attribute, an import alias or a string
+    constant (an operator.attrgetter("center") names a member), nor outside:
+    a local variable of the same name is not a use."""
     units = {name: list(_units(ast.parse(source))) for name, source in modules.items()}
     every = [unit for body in units.values() for unit in body]
     unreached = []
@@ -588,10 +626,11 @@ def test_every_definition_is_reached_by_the_cli_the_criteria_or_perfbench():
     package, root = Path(aqslie.__file__).parent, Path(__file__).parent.parent
     modules = {path.name: path.read_text("utf-8")
                for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
-    criteria = used_names(ast.parse((root / "tests" / "test_acceptance.py").read_text("utf-8")))
+    criteria = used_names(ast.parse((root / "tests" / "test_acceptance.py").read_text("utf-8")),
+                          bare=False)
     outside = set(criteria)
     for path in sorted((root / "perfbench").glob("*.py")):
-        outside |= used_names(ast.parse(path.read_text("utf-8")), strings=True)
+        outside |= used_names(ast.parse(path.read_text("utf-8")), strings=True, bare=False)
     declared = json.loads((root / "BENCHMARK.json").read_text("utf-8"))["per_layer"]
     outside |= {part for metric in declared for part in metric["name"].split(".")}
     assert "s_add" in outside and "ce_d_matrix" in outside
@@ -611,6 +650,9 @@ def test_every_definition_is_reached_by_the_cli_the_criteria_or_perfbench():
                       "    def __len__(self):\n        return 0\n"
                       "center = operator.attrgetter('center')\n",
               "b.py": "from .a import Table\nclass Algebra(Table):\n    def center(self):\n"
-                      "        return self.center\nALGEBRAS = [Algebra]\n"}
+                      "        c = 0\n        return self.center\nALGEBRAS = [Algebra]\n"}
     assert unreached_definitions(forked, set()) == ["a.Table.gamma"]
     assert unreached_definitions(forked, {"gamma"}) == []
+    # and a member that only a local variable of its name hides
+    forked["a.py"] += "class Algebra:\n    def c(self, i, j, k):\n        return 0\n"
+    assert unreached_definitions(forked, {"gamma"}) == ["a.Algebra.c"]

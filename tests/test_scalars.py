@@ -1,5 +1,6 @@
 """Scalar tower: field axioms, canonical strings, square roots, tolerance."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -51,6 +52,21 @@ def test_squarefree_split():
     assert squarefree_split(36) == (6, 1)
     assert squarefree_split(360) == (6, 10)
     assert squarefree_split(7 * 7 * 11) == (7, 11)
+
+
+# products of primes around the end of the small-prime table, repeated so
+# that squares and higher powers occur, beside arbitrary n up to 10^12
+_POWERS = st.lists(st.sampled_from([2, 3, 37, 41, 43, 997, 1009]), max_size=8).map(
+    math.prod).filter(lambda n: n <= 10**12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(st.integers(1, 10**12), _POWERS))
+def test_squarefree_split_matches_sympy_factorint(n):
+    sympy = pytest.importorskip("sympy")
+    factors = sympy.factorint(n)
+    assert squarefree_split(n) == (math.prod(p ** (e // 2) for p, e in factors.items()),
+                                   math.prod(p for p, e in factors.items() if e % 2))
 
 
 def test_radical_multiplication_reduces():
