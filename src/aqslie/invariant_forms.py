@@ -9,8 +9,8 @@ Z_w in the center of k, and is J-invariant (type (1,1)) for every invariant
 integrable complex structure J on m.  All systems are solved exactly.
 
 The split holds g once in the basis k (+) m, the columns of [K M]
-(``lie_core.in_basis``); C_k and C_m, the rows of [K M]^-1, are the
-coordinate maps.  [k, k] in k and [k, m] in m are read off its table, and
+(``lie_core.in_basis``); [K M]^-1 is the coordinate map, and its rows
+from dim k on are C_m.  [k, k] in k and [k, m] in m are read off its table, and
 N_U, the m-part of ad_U on m in m-coordinates, is the m-block of ad_U there.
 The closed ad(k)-invariant 2-forms are the relative 2-cocycles Z^2(g, k):
 by Cartan's formula L_U = i_U d + d i_U, a 2-form that vanishes on k and is
@@ -83,8 +83,7 @@ class ReductiveSplit:
     g: LieAlgebra
     k: Subspace
     m: Subspace
-    coords_k: tuple  # C_k, (dim k) x (dim g): g-coordinates -> k-coordinates
-    coords_m: tuple  # C_m, (dim m) x (dim g)
+    coords: tuple  # [K M]^-1: g-coordinates -> split coordinates; C_m is rows dim k on
     split: LieAlgebra  # g in the basis k (+) m, the columns of [K M]
 
     def m_cols(self) -> list[Vec]:
@@ -97,7 +96,7 @@ class ReductiveSplit:
         """N_U = C_m ad_U M, the m-block of ad_U in the split basis; its column b
         is [U, X_b]_m in m-coordinates."""
         nk = self.k.dim
-        ad = ad_matrix(self.split, mat_vec(self.coords_k + self.coords_m, U))
+        ad = ad_matrix(self.split, mat_vec(self.coords, U))
         return [row[nk:] for row in ad[nk:]]
 
 
@@ -120,7 +119,7 @@ def reductive_split(g: LieAlgebra, k: Subspace) -> ReductiveSplit:
     T = transpose([list(b) for b in k.basis + m.basis])
     Tinv = inverse(T)
     split, nk = in_basis(g, T, Tinv), k.dim
-    R = ReductiveSplit(g, k, m, tuple(map(tuple, Tinv[:nk])), tuple(map(tuple, Tinv[nk:])), split)
+    R = ReductiveSplit(g, k, m, tuple(map(tuple, Tinv)), split)
     # stored c_ij^l of the split: i < j < nk lands in k, i < nk <= j in m
     if any(l >= nk for (_, j), entries in split.brackets if j < nk for l, _ in entries):
         raise PreconditionError("[k, k] is not contained in k")
@@ -248,7 +247,7 @@ def extension_by_zero_derivation_check(R: ReductiveSplit, w: KForm, Z: Vec) -> b
     """Extend w by w(U, .) = 0 on k; the endomorphism phi with
     Kill(phi X, Y) = w_ext(X, Y) must be a derivation of g (it is ad_Z)."""
     B = [list(r) for r in killing_form(R.g).matrix]
-    Cm = [list(r) for r in R.coords_m]
+    Cm = [list(r) for r in R.coords[R.k.dim:]]
     Omega = mat_mul(transpose(Cm), mat_mul(bilinear_from_form(w), Cm))
     # phi^T B = Omega
     phi = transpose(mat_mul(Omega, inverse(B)))

@@ -47,7 +47,7 @@ class _Digits(str):
 
 
 def _json_int(digits: str):
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # before 3.10.7: none
     return _Digits(digits) if limit and len(digits.lstrip("-")) > limit else int(digits)
 
 

@@ -300,14 +300,13 @@ def pair_brackets(L: LieAlgebra, X: MatOver, pairs: list) -> MatOver:
     return MatOver(V.N, V.den * X.den ** 2)
 
 
-def in_basis(L: LieAlgebra, Q: Mat, Q_inv: Mat, names: list[str] | None = None) -> LieAlgebra:
-    """L in the basis whose j-th vector is column j of Q, Q_inv the inverse of
-    Q: c'_ab = Q_inv [q_a, q_b] on the pairs a < b, named b1, b2, ... unless
-    names are given."""
+def in_basis(L: LieAlgebra, Q: Mat, Q_inv: Mat) -> LieAlgebra:
+    """L in the basis b1, b2, ... whose j-th vector is column j of Q, Q_inv the
+    inverse of Q: c'_ab = Q_inv [q_a, q_b] on the pairs a < b."""
     cols, pairs = transpose(Q), list(itertools.combinations(range(L.dim), 2))
     images = mat_vecs(Q_inv, [bracket(L, cols[a], cols[b]) for a, b in pairs])  # zeros drop
     return LieAlgebra.from_brackets(L.dim, {p: dict(enumerate(w)) for p, w in zip(pairs, images)},
-                                    names or [f"b{i+1}" for i in range(L.dim)], L.mode, check=False)
+                                    [f"b{i+1}" for i in range(L.dim)], L.mode, check=False)
 
 
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:

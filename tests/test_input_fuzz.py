@@ -246,6 +246,13 @@ def test_an_integer_past_the_digit_limit_is_named_by_its_path(tmp_path):
             aqio.read(aqio.loads(text), "acm_structure")
 
 
+def test_an_interpreter_without_a_digit_limit_reads_every_integer(monkeypatch):
+    # sys.get_int_max_str_digits is new in 3.10.7; before it no limit applies
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert aqio.loads(_H5_TEXT) == json.loads(_H5_TEXT)
+    assert aqio.loads('{"dim": 12345}')["dim"] == 12345
+
+
 def test_a_weight_past_the_digit_limit_is_a_scalar_parse_error():
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

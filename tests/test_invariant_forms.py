@@ -327,7 +327,7 @@ def test_extension_by_zero_rejects_a_perturbed_phi(monkeypatch):
     g, R = su3_split()
     w = invariant_closed_2forms(R)[0]
     Z = moment_element(R, w)
-    B, Cm = [list(r) for r in killing_form(g).matrix], [list(r) for r in R.coords_m]
+    B, Cm = [list(r) for r in killing_form(g).matrix], [list(r) for r in R.coords[R.k.dim:]]
 
     def phi_of(form):  # Kill(phi X, Y) = w_ext(X, Y)
         Omega = mat_mul(transpose(Cm), mat_mul(bilinear_from_form(form), Cm))
