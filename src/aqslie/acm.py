@@ -41,8 +41,10 @@ R(X, Y)Y are one table product, the outer ones another.
 
 The field is decided once per structure, by its numerator view
 (:func:`numerator_view`): phi, g, the rows xi and eta, the identity and the
-basis ad matrices as ``linalg.MatOver`` values, integers over a denominator
-when all are rational, else the tensors over 1.  Identities are written on
+basis ad matrices as ``linalg.MatOver`` values: integers over a denominator
+when all are rational, one integer matrix per square class over a denominator
+(``tower.TowerOver``) when all are exact, else the tensors over 1, per scalar
+(float or mixed).  Identities are written on
 values, which meet at a common denominator by themselves, and a value is
 divided back only where it leaves (a residual, a table, an operator, a frame
 or an isomorphism).  A tower structure whose entries are one term each and
@@ -289,7 +291,7 @@ def classify_structure(S: AcmStructure) -> StructureClass:
         )
     v, pairs = numerator_view(T), _pairs(T.L.dim)
     W = v.g @ v.phi  # W_kl = Phi(b_k, b_l) = g(b_k, phi b_l)
-    if not vec_is_zero(_flat((W + W.T).N)):
+    if not (W + W.T).is_zero():
         raise InvalidStructure("g(., phi .) is not alternating; structure invalid")
     at_pairs = lambda X: X.regroup(lambda N: [[N[i][j] for i, j in pairs]])  # noqa: E731
     # d Phi from Phi([b_a, b_b], b_l), one product with the pair brackets; d eta on the pairs
@@ -324,9 +326,9 @@ def xi_killing_check(S: AcmStructure) -> bool:
         return xi_killing_check(r.S)
     if "xi_killing" not in S._memo:
         ad_xi, M = _g_ad_xi(S)
-        killing = vec_is_zero(_flat((M + M.T).N))
+        killing = (M + M.T).is_zero()
         # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
-        if killing and not vec_is_zero(ad_xi.T.on_rows(numerator_view(S).eta).N[0]):
+        if killing and not ad_xi.T.on_rows(numerator_view(S).eta).is_zero():
             raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
         S._memo["xi_killing"] = killing
     return S._memo["xi_killing"]
@@ -350,15 +352,15 @@ def _g_ad_xi(S: AcmStructure) -> tuple[MatOver, MatOver]:
 @dataclass(frozen=True)
 class ConnectionTable:
     columns: MatOver  # row i n + j: nabla_{b_i} b_j, the column j of Gamma_i
-    _back = cached_property(lambda self: self.columns.mat())  # divided back on first use
 
     def nablas(self, pairs: list) -> list[Vec]:
         """nabla_X Y for each (X, Y) of pairs: the sums of (X_i Y_j) Gamma_i b_j over
-        the (i, j) in order, near-zero X_i and Y_j skipped, as one product on the
-        table rows i n + j the pairs use, ascending.  A row is ZERO off its own
+        the (i, j) in order, near-zero X_i and Y_j skipped, as one product of the
+        coefficient rows, one value, with the table rows i n + j the pairs use,
+        ascending; the table is never divided back.  A row is ZERO off its own
         pairs; on a float table a row of exact coefficients meets the other rows'
         floats, so where its own rows hold none it reads 0.0, not ZERO."""
-        back, n = self._back, math.isqrt(len(self._back))
+        n = len(pairs[0][0]) if pairs else 0
         supports = [[(i, x) for i, x in enumerate(v) if not s_is_zero(x)]
                     for pair in pairs for v in pair]  # X, then Y, of each pair
         coeffs = [{i * n + j: s_mul(x, y) for i, x in xs for j, y in ys}
@@ -366,7 +368,8 @@ class ConnectionTable:
         used = sorted(set().union(*coeffs))
         if not used:  # no pair has a coefficient
             return [[ZERO] * n for _ in pairs]
-        return mat_mul([[c.get(u, ZERO) for u in used] for c in coeffs], [back[u] for u in used])
+        K = MatOver.of([[c.get(u, ZERO) for u in used] for c in coeffs])
+        return (K @ self.columns.regroup(lambda N: [N[u] for u in used])).mat()
 
 
 def _pair_brackets(v: TensorNumerators, pairs: list) -> MatOver:
@@ -413,9 +416,8 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
 
 def _require_zero(residual: MatOver, what: str) -> None:
     """The certificate failure of what on the first row of residual not zero."""
-    for r, row in enumerate(residual.N):
-        if not vec_is_zero(row):
-            raise certificate_failure(what, residual[r:r + 1].mat()[0])
+    if not residual.is_zero():
+        raise certificate_failure(what, next(row for row in residual.mat() if not vec_is_zero(row)))
 
 
 def _metric_preconditions(g: MatOver) -> None:

@@ -52,7 +52,6 @@ from .errors import (
 from .exterior import ce_bettis
 from .invariant_forms import (
     centralizer_of_torus,
-    center_of_k,
     invariant_closed_2forms,
     moment_element,
     reductive_split,
@@ -216,9 +215,7 @@ def cmd_invariant_forms(args) -> dict:
     k = centralizer_of_torus(g, S)
     R = reductive_split(g, k)
     warnings = []
-    recomputed = centralizer_of_torus(
-        g, Subspace.from_vectors(g.dim, center_of_k(R))
-    )
+    recomputed = centralizer_of_torus(g, Subspace.from_vectors(g.dim, list(R.center)))
     if not recomputed.equals(k):
         msg = "k is not the centralizer of its own center"
         if args.strict:

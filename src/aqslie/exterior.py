@@ -224,16 +224,20 @@ def ce_d(L: LieAlgebra, w: KForm) -> KForm:
 
 def d_of_pairs(P: MatOver, pairs: list) -> tuple[list[tuple], MatOver]:
     """(triples, one row over P's denominator) of d w, w a 2-form with matrix W, from
-    P = C W, row p of C [b_a, b_b] for the p-th pair (a, b): by dw(a, b, c) = -w([a, b], c)
-    + w([a, c], b) - w([b, c], a), each nonzero P[p][l], l not in {a, b}, adds to the
-    sorted triple of {a, b, l} in pair order, with sign + when a < l < b."""
-    acc: dict[tuple, object] = {}
-    for (a, b), row in zip(pairs, P.N):
-        for l in compress(range(len(row)), row):
-            if l != a and l != b:
-                key = tuple(sorted((a, b, l)))
-                acc[key] = acc.get(key, 0) + (row[l] if a < l < b else -row[l])
-    return list(acc), MatOver([list(acc.values())], P.den)
+    P = C W, row p of C [b_a, b_b] for the p-th pair (a, b) of range(n): by dw(a, b, c) =
+    -w([a, b], c) + w([a, c], b) - w([b, c], a), each nonzero P[p][l], l not in {a, b},
+    adds to the sorted triple of {a, b, l} in pair order, with sign + when a < l < b.
+    The triples are all of them, ascending; a tower P scatters class by class."""
+    at = {t: k for k, t in enumerate(combinations(range(1 + max(map(max, pairs), default=-1)), 3))}
+
+    def scatter(N: Mat) -> Mat:
+        acc = [0] * len(at)
+        for (a, b), row in zip(pairs, N):
+            for l in compress(range(len(row)), row):
+                if l != a and l != b:
+                    acc[at[tuple(sorted((a, b, l)))]] += row[l] if a < l < b else -row[l]
+        return [acc]
+    return list(at), P.regroup(scatter)
 
 
 def d_of_covector(ads: list[MatOver], E: MatOver) -> MatOver:
@@ -364,10 +368,10 @@ def covector_class(B: MatOver, E: MatOver) -> RankReport:
     eta ^ (d eta)^p != 0 exactly when eta stacked under B raises the rank.
     (The wedge-power expansion is the independent test oracle.)
     """
-    if all(map(s_is_zero, E.N[0])):
+    if E.is_zero():
         raise PreconditionError("eta must be a nonzero 1-form")
-    full = rank(B.N)
+    full, n = rank(B.N), len(E.N[0])
     if full % 2:
         raise InternalContradiction("antisymmetric form with odd rank")
     p, odd = full // 2, rank(stacked([B, E]).N) > full
-    return RankReport(2 * p + odd, "odd" if odd else "even", p, p, odd and 2 * p + 1 == len(B.N))
+    return RankReport(2 * p + odd, "odd" if odd else "even", p, p, odd and 2 * p + 1 == n)

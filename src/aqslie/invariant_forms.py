@@ -85,6 +85,8 @@ class ReductiveSplit:
     m: Subspace
     coords: tuple  # [K M]^-1: g-coordinates -> split coordinates; C_m is rows dim k on
     split: LieAlgebra  # g in the basis k (+) m, the columns of [K M]
+    killing: tuple  # the Killing matrix B of g
+    center: tuple  # a basis of z(k) in g-coordinates
 
     def m_cols(self) -> list[Vec]:
         return [list(b) for b in self.m.basis]
@@ -101,7 +103,8 @@ class ReductiveSplit:
 
 
 def reductive_split(g: LieAlgebra, k: Subspace) -> ReductiveSplit:
-    """g = k (+) m with m = k-perp under the Killing form; both bracket
+    """g = k (+) m with m = k-perp under the Killing form B, with B and z(k)
+    kept on the split; both bracket
     inclusions [k,k] in k and [k,m] in m are read off the table of g in the
     basis k (+) m.  A k that is not a subalgebra is a PreconditionError;
     [k,m] in m is then implied, so its failure is a certificate failure
@@ -119,7 +122,12 @@ def reductive_split(g: LieAlgebra, k: Subspace) -> ReductiveSplit:
     T = transpose([list(b) for b in k.basis + m.basis])
     Tinv = inverse(T)
     split, nk = in_basis(g, T, Tinv), k.dim
-    R = ReductiveSplit(g, k, m, tuple(map(tuple, Tinv)), split)
+    # z(k): ad_U sum_i c_i k_i = 0 for U in k, one row per ambient coordinate
+    K = transpose([list(b) for b in k.basis])
+    rows = [row for U in k.basis for row in mat_mul(ad_matrix(g, list(U)), K)]
+    center = mat_vecs(K, nullspace(rows, k.dim))
+    R = ReductiveSplit(g, k, m, tuple(map(tuple, Tinv)), split, kf.matrix,
+                       tuple(map(tuple, center)))
     # stored c_ij^l of the split: i < j < nk lands in k, i < nk <= j in m
     if any(l >= nk for (_, j), entries in split.brackets if j < nk for l, _ in entries):
         raise PreconditionError("[k, k] is not contained in k")
@@ -143,23 +151,13 @@ def invariant_closed_2forms(R: ReductiveSplit) -> list[KForm]:
             for v in cocycles(R.split, pairs)]
 
 
-def center_of_k(R: ReductiveSplit) -> list[Vec]:
-    """Basis of z(k) in g-coordinates."""
-    k_cols = R.k_cols()
-    K = transpose(k_cols)
-    # ad_U sum_i c_i k_i = 0 for U in k: one row per ambient coordinate
-    rows = [row for U in k_cols for row in mat_mul(ad_matrix(R.g, U), K)]
-    return mat_vecs(K, nullspace(rows, len(k_cols)))
-
-
 def moment_element(R: ReductiveSplit, w: KForm) -> Vec:
     """Z_w in z(k) with w(X, Y) = Kill([X, Y], Z_w) = Kill([Z_w, X], Y): the
     first equality is solved on the pairs a < b and certified by the residual
     of the solve, the second by the Gram product M^T ad_Z^T B M = W."""
     if w.degree != 2 or w.dim != R.m.dim:
         raise PreconditionError("need a 2-form on m")
-    B = [list(r) for r in killing_form(R.g).matrix]
-    zk = center_of_k(R)
+    B, zk = [list(r) for r in R.killing], [list(z) for z in R.center]
     m_cols = R.m_cols()
     pairs = list(combinations(range(len(m_cols)), 2))
     # row (a, b): Kill([X_a, X_b], z) for z in z(k)
@@ -227,7 +225,7 @@ def synthesize_j_dim2(R: ReductiveSplit) -> list[Mat]:
         raise PreconditionError("exhaustive synthesis is provided for dim m = 2 only")
     from .scalars import s_div, s_sqrt
 
-    for U in center_of_k(R):
+    for U in map(list, R.center):
         M = R.ad_m(U)
         d = s_sub(s_mul(M[0][0], M[1][1]), s_mul(M[0][1], M[1][0]))
         if s_is_zero(d):
@@ -246,7 +244,7 @@ def synthesize_j_dim2(R: ReductiveSplit) -> list[Mat]:
 def extension_by_zero_derivation_check(R: ReductiveSplit, w: KForm, Z: Vec) -> bool:
     """Extend w by w(U, .) = 0 on k; the endomorphism phi with
     Kill(phi X, Y) = w_ext(X, Y) must be a derivation of g (it is ad_Z)."""
-    B = [list(r) for r in killing_form(R.g).matrix]
+    B = [list(r) for r in R.killing]
     Cm = [list(r) for r in R.coords[R.k.dim:]]
     Omega = mat_mul(transpose(Cm), mat_mul(bilinear_from_form(w), Cm))
     # phi^T B = Omega

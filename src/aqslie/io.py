@@ -9,7 +9,8 @@ Every field is read by one typed accessor, `_field`: indices, dims and
 degrees are JSON integers (never booleans, fractions or strings), lists
 and objects are required where the format has them, and a violation is
 an InputError naming its JSON path (`brackets[3].i`); a scalar string is
-read by `_scalar`, whose ScalarParseError names it the same way.  An
+read by `_scalar`, whose ScalarParseError names it the same way (`read`
+parses each distinct scalar string of a document once).  An
 integer past the interpreter's limit on int-string digits is decoded as
 its digits, so `_field` refuses it by its path too.  A dim
 must be the length of a list in the document (basis_names or rows), so
@@ -22,6 +23,7 @@ newline), so serialize -> parse -> serialize is byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -126,12 +128,15 @@ def _sized(doc, key, n: int, path: str = "") -> list:
     return value
 
 
+_parse = parse_scalar  # memoized while `read` reads a document: errors are not kept
+
+
 def _scalar(doc, key, mode: str, path: str = ""):
     """doc[key] parsed as a scalar string; a bad one is a ScalarParseError
     naming its JSON path (`phi[2][3]: bad exact scalar 'x'`)."""
     value = _field(doc, key, object, path)
     try:
-        return parse_scalar(str(value), mode)
+        return _parse(str(value), mode)
     except ScalarParseError as exc:
         raise ScalarParseError(f"{_at(path, key)}: {exc}") from exc
 
@@ -280,6 +285,11 @@ _READERS = {
 
 
 def read(doc: dict, *kinds: str) -> tuple:
-    """(kind, object): doc read by the reader of its kind, one of kinds."""
-    kind = _field(doc, "kind", kinds)
-    return kind, _READERS[kind](doc)
+    """(kind, object): doc read by the reader of its kind, one of kinds, each
+    distinct scalar string of it parsed once (the memo ends with the read)."""
+    global _parse
+    kind, _parse = _field(doc, "kind", kinds), functools.cache(parse_scalar)
+    try:
+        return kind, _READERS[kind](doc)
+    finally:
+        _parse = parse_scalar

@@ -9,7 +9,8 @@ integers over one common denominator when every constant is a Fraction.  The tab
 attribute, not a dataclass field, so equality, hashing and serialization
 see only the sparse tuple; a rational algebra keeps its stored constants
 beside it.  :meth:`LieAlgebra._operands` decides the field once for the
-table and a reader's operands.  The table is read only as values
+table and a reader's operands: integers, square-root tower classes
+(``tower.TowerOver``) or scalars.  The table is read only as values
 (``linalg.MatOver``, numerators over a denominator): :meth:`values` puts
 matrices that act with it on that field, and :meth:`ad_values`,
 :func:`ad_value` and :func:`bracket` read the table in one sparse loop in
@@ -46,6 +47,7 @@ from .linalg import (
     _flat,
     _int_rows,
     _int_scaled,
+    _is_float,
     dot,
     inertia_symmetric,
     mat_vecs,
@@ -54,6 +56,7 @@ from .linalg import (
     zeros,
 )
 from .scalars import ONE, ZERO, Ext, coerce, s_is_zero, s_sqrt
+from .tower import tower_values
 
 BracketTable = dict  # {(i, j): {k: scalar}} with i < j
 
@@ -154,6 +157,9 @@ class LieAlgebra:
         """table(), built once: a rational algebra's constants for other operands."""
         return self.table()
 
+    _float_constants = cached_property(lambda self: any(
+        _is_float(v) for _, entries in self.brackets for _, v in entries))
+
     def sqrt_basis(self, mats=(), vecs=()) -> tuple[list, list] | None:
         """(up, down), up_k = sqrt(d_k) = 1 / down_k, for the square classes d
         (:func:`square_classes`) of the constants, the n x n mats and the
@@ -206,36 +212,43 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vec:
         return [ONE if t == i else ZERO for t in range(self.dim)]
 
-    def _operands(self, *mats: Mat) -> tuple[dict, int | None, object, list[Mat], int]:
-        """(table, den, zero, ints, dm): the one field decision of the readers
-        of the table, for it and the matrices that act with it.  A rational
-        algebra with rational or all-int mats gives the integer table, c_ij^k =
-        entry / den, the numerators of mats over dm and the zero 0; otherwise
-        the stored constants, den None, mats as they are over 1 and ZERO."""
+    def _operands(self, *mats: Mat) -> tuple[dict, int | None, object, list[Mat], int, object]:
+        """(table, den, zero, ints, dm, values): the one field decision of the
+        readers of the table, for it and the matrices that act with it.  A
+        rational algebra with rational or all-int mats gives the integer table,
+        c_ij^k = entry / den, the numerators of mats over dm and the zero 0;
+        otherwise the stored constants, den None, mats as they are over 1 and
+        ZERO.  values(Ns, d) makes the route's values Ns / d: tower values
+        (``tower.tower_values``) off the integer table where no constant and no
+        entry of mats is a float, else MatOvers."""
         table, den = self._tables()
         scaled = _int_rows(*mats) if den is not None else None
+        mat_values = lambda Ns, d: [MatOver(N, d) for N in Ns]  # noqa: E731
         if scaled is None:  # the stored constants; a cached table with a den holds integers
-            return (table if den is None else self._stored), None, ZERO, list(mats), 1
-        return table, den, 0, scaled[0], scaled[1] or 1
+            entries = itertools.chain.from_iterable(itertools.chain.from_iterable(mats))
+            floats = self._float_constants or any(map(_is_float, entries))
+            return ((table if den is None else self._stored), None, ZERO, list(mats), 1,
+                    mat_values if floats else tower_values)
+        return table, den, 0, scaled[0], scaled[1] or 1, mat_values
 
     def values(self, *mats: Mat) -> list[MatOver]:
         """The matrices that act with the table, as values on its field: the
         numerators of :meth:`_operands` over their common denominator."""
-        _, _, _, ints, dm = self._operands(*mats)
-        return [MatOver(M, dm) for M in ints]
+        *_, ints, dm, values = self._operands(*mats)
+        return values(ints, dm)
 
     def ad_values(self, *mats: Mat) -> tuple[list[MatOver], list[MatOver]]:
         """(ad_{b_i} for each i, :meth:`values` of mats), entry (k, j) of ad_{b_i}
         c_ij^k, on the field of :meth:`_operands`: the one reader of the table
         for ad_{b_i}.  Off the integer table each entry is a constant or its
         negative, the bracket columns bit for bit."""
-        table, den, zero, ints, dm = self._operands(*mats)
-        n = self.dim
+        table, den, zero, ints, dm, values = self._operands(*mats)
+        n, zero = self.dim, 0 if values is tower_values else zero  # int 0: split fast
         ads = [[[zero] * n for _ in range(n)] for _ in range(n)]
         for (p, q), entries in table.items():
             for k, v in entries.items():
                 ads[p][k][q], ads[q][k][p] = v, -v
-        return [MatOver(ad, den or 1) for ad in ads], [MatOver(M, dm) for M in ints]
+        return values(ads, den or 1), values(ints, dm)
 
 
 def _distinct_lines(rows: list[Vec]) -> list[Vec]:
@@ -253,7 +266,7 @@ def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
     algebra run on integers."""
     if len(X) != L.dim or len(Y) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
-    table, den, zero, ((X, Y),), d = L._operands([X, Y])
+    table, den, zero, ((X, Y),), d, _ = L._operands([X, Y])
     integers = den is not None  # a coefficient is zero when it is 0, else by tolerance
     acc = [zero] * L.dim
     for (i, j), entries in table.items():
@@ -275,9 +288,9 @@ def ad_value(L: LieAlgebra, X: MatOver) -> MatOver:
     (k, j) = sum_i x_i c_ij^k.  Off the integer table the numerators are the
     bracket columns bit for bit: x_i enters where bracket's tolerance keeps
     it, the sums run in pair order."""
-    if len(X.N[0]) != L.dim:
+    if len((rows := X.N[:1])[0]) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
-    table, den, zero, ((x,),), dx = L._operands(X.N[:1])
+    table, den, zero, ((x,),), dx, values = L._operands(rows)
     n = L.dim
     N = [[zero] * n for _ in range(n)]
     live = [not s_is_zero(a) for a in x]
@@ -291,13 +304,14 @@ def ad_value(L: LieAlgebra, X: MatOver) -> MatOver:
                     row[q] += a * v
                 if lq:
                     row[p] -= b * v
-    return MatOver(N, (den or 1) * dx * X.den)
+    return values([N], (den or 1) * dx * X.den)[0]
 
 
 def pair_brackets(L: LieAlgebra, X: MatOver, pairs: list) -> MatOver:
     """Row p: [x_a, x_b] for the p-th pair (a, b), x_a the row a of X, from its numerators."""
-    (V,) = L.values([bracket(L, X.N[a], X.N[b]) for a, b in pairs])
-    return MatOver(V.N, V.den * X.den ** 2)
+    rows = X.N
+    *_, ints, dm, values = L._operands([bracket(L, rows[a], rows[b]) for a, b in pairs])
+    return values(ints, dm * X.den ** 2)[0]
 
 
 def in_basis(L: LieAlgebra, Q: Mat, Q_inv: Mat) -> LieAlgebra:

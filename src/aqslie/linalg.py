@@ -15,30 +15,30 @@ from the whole input, with three outcomes:
   (``inertia_symmetric``).  On all-int input products, sums and scalings
   return ints, and elimination, spectra and inertia what the same values
   give as Fractions;
-* tower input whose entries are each one term q sqrt(s), with radicands that
-  factor over the indices, is rational in the basis sqrt(d_i) e_i of its
-  square classes d (``lie_core.square_classes``), decided once per structure
-  or algebra (``LieAlgebra.sqrt_basis``) and run there on the integer route;
-  any other exact tower matrix takes its spectrum on the integer route too,
-  through rho(M), the rational matrix of the same Q-linear map in the basis
-  sqrt(t) e_j over its square classes t (restriction of scalars);
-* anything else (other tower entries, floats, mixed kinds) is per-scalar:
-  products are one sparse fold, ``_fold``, over the pairs of nonzero
-  entries, whose exact sum turns float where the full fold's does (pure
-  finite-float input sums from 0.0 and keeps the bits); tower division is
-  exact, floats use tolerance-based zero tests and magnitude pivoting.
+* exact tower input runs by square class: ``tower.TowerOver`` values hold
+  one integer matrix per class for the integer kernels, and a tower matrix
+  takes its spectrum through rho(M), the rational matrix of the same
+  Q-linear map in the basis sqrt(t) e_j over its square classes t
+  (restriction of scalars), its other eliminations per scalar.  A structure
+  whose entries are each one term q sqrt(s), radicands factoring over the
+  indices, is rational in the basis sqrt(d_i) e_i (``LieAlgebra.sqrt_basis``);
+* float or mixed input is per-scalar: products are one sparse fold,
+  ``_fold``, over the pairs of nonzero entries, whose exact sum turns float
+  where the full fold's does (pure finite-float input sums from 0.0 and
+  keeps the bits); floats use tolerance-based zero tests and magnitude
+  pivoting.
 
-Both exact routes return the same values: a normalised ``Fraction`` is
+The exact routes return the same values: a normalised ``Fraction`` is
 unique.  A computation of several kernels stays on integers in one value,
 :class:`MatOver`, integer numerators over a denominator that meets another
-at their lcm by itself (tower and float matrices are their own numerators
-over 1); ``LieAlgebra.values`` builds values, ``mat_solve`` solves on them
-from one integer RREF, and ``MatOver.mat`` divides a value back where it
-leaves.  ``nullspace``, ``solve`` and ``mat_solve`` read the integer rows and
-pivots of ``_reduced`` and divide only the entries they return; ``rref``
-divides every entry back, for ``Subspace.from_vectors``.
-``eigenspaces`` serves every eigendecomposition of a g-symmetric operator
-(the float eigenvalue clustering lives only there).
+at their lcm by itself (float matrices are their own numerators over 1);
+``LieAlgebra.values`` builds values, ``mat_solve`` solves on them from one
+integer RREF, and ``MatOver.mat`` divides a value back where it leaves.
+``nullspace``, ``solve`` and ``mat_solve`` read the integer rows and pivots
+of ``_reduced`` and divide only the entries they return; ``rref`` divides
+every entry back, for ``Subspace.from_vectors``.  ``eigenspaces`` serves
+every eigendecomposition of a g-symmetric operator (the float eigenvalue
+clustering lives only there).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .errors import IrrationalSpectrum
 from .scalars import (
     ONE,
     ZERO,
-    Ext,
     is_exact,
     s_abs,
     s_add,
@@ -332,7 +331,7 @@ def max_abs(entries):
     if scaled is not None:
         return Fraction(max(map(abs, scaled[0]), default=0), scaled[1] or 1)
     worst = ZERO
-    for x in xs:
+    for x in dict.fromkeys(xs):  # an entry that repeats is compared once
         a = s_abs(x)
         if s_lt(worst, a):
             worst = a
@@ -512,14 +511,20 @@ def inverse(M: Mat) -> Mat:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class MatOver:
-    """N / den, den a positive int: ints N on the integer route, any other N (tower,
-    float, Fraction, mixed) over 1, each operation the kernel on N bit for bit.  Operands
-    over different denominators meet at their lcm, here only; none changes in place."""
+    """N / den, den a positive int: ints N on the integer route, any other N (float,
+    Fraction, mixed; tower values are ``tower.TowerOver``) over 1, each operation the
+    kernel on N bit for bit.  Operands meet at the lcm of their denominators."""
 
     N: Mat
     den: int = 1
 
     T = property(lambda self: MatOver(transpose(self.N), self.den))
+
+    @staticmethod
+    def of(M: Mat) -> MatOver:
+        """M as a value: a rational M as integers over their common denominator."""
+        scaled = _int_rows(M)
+        return MatOver(M) if scaled is None else MatOver(scaled[0][0], scaled[1] or 1)
 
     def __getitem__(self, rows: slice) -> MatOver:
         return MatOver(self.N[rows], self.den)
@@ -555,6 +560,9 @@ class MatOver:
     def __eq__(self, other: MatOver) -> bool:
         return mat_eq(*_at_lcm([self, other])[0])
 
+    def is_zero(self) -> bool:
+        return vec_is_zero(_flat(self.N))
+
     def max_abs(self):
         """max |N| / den, the residual of an identity."""
         return MatOver([[max_abs(_flat(self.N))]], self.den).mat()[0][0]
@@ -580,7 +588,10 @@ def _at_lcm(values: list[MatOver]) -> tuple[list[Mat], int]:
 
 
 def stacked(values: list[MatOver]) -> MatOver:
-    """The rows of all values, in order, as one value."""
+    """The rows of all values, in order, as one value (a tower value's, ``tower``)."""
+    from .tower import tower_stacked  # the tower form builds on this module
+    if (tower := tower_stacked(values)) is not None:
+        return tower
     mats, den = _at_lcm(values)
     return MatOver([row for M in mats for row in M], den)
 
@@ -589,7 +600,10 @@ def mat_solve(A: MatOver, B: MatOver) -> MatOver:
     """X with A X = B for a square A (ValueError when singular), off the RREF
     of [A.N | B.N] (``_reduced``): on rational rows row i of X is row i of the
     B block over its pivot, all at the lcm of the pivots; else it is the
-    RREF's, over 1."""
+    RREF's, over 1.  A tower B over a rational A solves on classes (``tower``)."""
+    from .tower import tower_solve
+    if (tower := tower_solve(A, B)) is not None:
+        return tower
     n, aug = len(A.N), [[*a, *b] for a, b in zip(A.N, B.N)]
     R, pivots, heads = _reduced(aug) if aug else ([], [], None)
     if pivots[:n] != list(range(n)):
@@ -639,26 +653,6 @@ def char_poly(M: Mat) -> list:
 
 def _shifted(M: Mat, root) -> Mat:
     return [[s_sub(x, root) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
-
-
-def _restricted(M: Mat) -> Mat:
-    """rho(M), the tower matrix M as the rational matrix of the same Q-linear map
-    (restriction of scalars: S. Lang, Algebra, ch. VI 8; H. Cohen, GTM 138,
-    ch. 4), in the basis sqrt(t) e_j, t over the square classes its radicands
-    generate, ascending: entry (i, s), (j, t) is the coefficient of sqrt(s) in
-    M_ij sqrt(t), and sqrt(r) sqrt(t) = g sqrt(r t / g^2) for g = gcd(r, t)."""
-    terms = [[x.terms if isinstance(x, Ext) else {1: x} if x else {} for x in row] for row in M]
-    classes = [1]  # a group: a new radicand doubles it by a coset
-    for r in {r for row in terms for ts in row for r in ts}:
-        classes += [] if r in classes else [r * t // math.gcd(r, t) ** 2 for t in classes]
-    m, at = len(classes), {t: k for k, t in enumerate(sorted(classes))}
-    R = zeros(len(M) * m, len(M) * m)
-    for (i, row), (t, k) in itertools.product(enumerate(terms), at.items()):
-        for j, ts in enumerate(row):
-            for r, c in ts.items():
-                g = math.gcd(r, t)
-                R[i * m + at[r * t // g**2]][j * m + k] += c * g
-    return R
 
 
 def _min_poly(index: list[list[tuple]], v: list[int]) -> list[int]:
@@ -733,7 +727,7 @@ def eig_sym_exact(M: Mat, den: int = 1) -> list[tuple[Fraction, int, list[Vec]]]
     splits over the tower with non-rational eigenvalues is outside the
     supported normal-form pipeline).
 
-    A tower M runs as rho(M) (``_restricted``): rho is injective, so rho(M)
+    A tower M runs as rho(M) (``tower.restricted``): rho is injective, so rho(M)
     has M's rational eigenvalues, each with m times its dimension over the m
     square classes, and is diagonalizable over the rationals exactly when M
     is.  The rational matrix (M or rho(M)) / den is scale P for its primitive
@@ -748,8 +742,9 @@ def eig_sym_exact(M: Mat, den: int = 1) -> list[tuple[Fraction, int, list[Vec]]]
     large.  A repeated or irrational root, or eigenspaces that do not span,
     raise.
     """
+    from .tower import restricted  # the tower form builds on this module
     n, scaled = len(M), _int_rows(M)
-    (ints,), d = scaled or _int_rows(_restricted(M))
+    (ints,), d = scaled or restricted(M)
     content = math.gcd(*_flat(ints)) or 1
     P, scale = [[x // content for x in row] for row in ints], Fraction(content, (d or 1) * den)
     index, spaces = _int_index(P), {}

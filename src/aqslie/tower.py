@@ -1,0 +1,187 @@
+"""Square-root tower values: sum_t sqrt(t) N_t / den, one integer matrix N_t per
+squarefree class t over one positive den (number-field elements as integer
+vectors over one denominator: H. Cohen, GTM 138, ch. 4).
+
+``LieAlgebra._operands`` makes them once per computation in which every
+constant and operand is exact and one holds an ``Ext``; a rational operand is
+the one-class case.  A product is one ``_int_products`` per pair of nonzero
+classes (r, s), landing in the class r s / g^2 scaled by g = gcd(r, s); the
+linear operations act class by class at the lcm of the denominators, and a
+``mat_solve`` with a rational left side solves every class in one integer
+RREF.  Scalars are built only where a value leaves (``mat``, and ``N`` for
+the readers without a class route); an exact MatOver operand is split.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import operator
+from fractions import Fraction
+
+from .linalg import Mat, MatOver, _int_products, _int_rows, mat_solve, transpose
+from .scalars import ZERO, Ext, normalize
+
+
+def tower_values(mats: list[Mat], den: int = 1) -> list[TowerOver]:
+    """The exact matrices mats / den in class form over one denominator, their
+    rows split together: class t of an entry holds its coefficient of sqrt(t)."""
+    rows = [row for M in mats for row in M]
+    if (scaled := _int_rows(rows)) is not None:
+        parts, d = {1: scaled[0][0]}, scaled[1] or 1
+    else:
+        nonzero = [(i, j, x.terms if type(x) is Ext else {1: x})
+                   for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+        d = math.lcm(*(c.denominator for *_, ts in nonzero for c in ts.values()))
+        classes = {1}.union(*(ts for *_, ts in nonzero))
+        parts = {t: [[0] * len(row) for row in rows] for t in classes}
+        for i, j, ts in nonzero:
+            for t, c in ts.items():
+                parts[t][i][j] = c.numerator * (d // c.denominator)
+    out, at = [], 0
+    for M in mats:
+        out.append(TowerOver({t: P[at:at + len(M)] for t, P in parts.items()}, d * den))
+        at += len(M)
+    return out
+
+
+def _classes(v: MatOver) -> TowerOver:
+    return v if isinstance(v, TowerOver) else tower_values([v.N], v.den)[0]
+
+
+def _live(parts: dict) -> dict:
+    """The classes of parts with a nonzero entry."""
+    return {t: M for t, M in parts.items() if any(map(any, M))}
+
+
+def _products(rows: dict, cols: dict) -> dict:
+    """{u: the sum of g _int_products(rows[r], cols[s]) over the nonzero classes
+    r of rows and s of cols with r s / g^2 = u, g = gcd(r, s)}: one integer
+    product per pair of classes, sqrt(r) sqrt(s) = g sqrt(r s / g^2)."""
+    out: dict = {}
+    for (r, A), (s, B) in itertools.product(_live(rows).items(), _live(cols).items()):
+        g = math.gcd(r, s)
+        P, u = _int_products(A, B), r * s // (g * g)
+        P = [[g * x for x in row] for row in P] if g > 1 else P
+        out[u] = [list(map(operator.add, a, b)) for a, b in zip(out[u], P)] if u in out else P
+    out.setdefault(1, [[0] * len(cols[1]) for _ in rows[1]])
+    return out
+
+
+def _aligned(values: list[MatOver]) -> tuple[list[dict], int]:
+    """The parts of the values at the lcm of their denominators, each over the
+    classes of all of them (zero where it has none)."""
+    values = list(map(_classes, values))
+    den, classes = math.lcm(*(v.den for v in values)), set().union(*(v.parts for v in values))
+    out = []
+    for v in values:
+        k, zero = den // v.den, [[0] * len(row) for row in v.parts[1]]
+        out.append({t: zero if (M := v.parts.get(t)) is None else M if k == 1
+                    else [[k * x for x in row] for row in M] for t in classes})
+    return out, den
+
+
+def _combined(v: MatOver, other: MatOver, op) -> TowerOver:
+    """v op other entry by entry, class by class."""
+    (a, b), den = _aligned([v, other])
+    return TowerOver({t: [list(map(op, x, y)) for x, y in zip(a[t], b[t])] for t in a}, den)
+
+
+class TowerOver(MatOver):
+    """sum_t sqrt(t) parts[t] / den (module docstring), class 1 always among the
+    parts, all of one shape: a MatOver whose N is built where it is read."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: dict, den: int = 1):
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "den", den)
+
+    N = property(lambda self: self.parts[1] if _live(self.parts).keys() <= {1} else self.mat(1))
+    T = property(lambda self: self.regroup(transpose))
+
+    def __getitem__(self, rows: slice) -> TowerOver:
+        return self.regroup(operator.itemgetter(rows))
+
+    def regroup(self, fn) -> TowerOver:
+        return TowerOver({t: fn(M) for t, M in self.parts.items()}, self.den)
+
+    def __matmul__(self, other: MatOver) -> TowerOver:
+        o = _classes(other)
+        return TowerOver(_products(self.parts, o.T.parts), self.den * o.den)
+
+    def __rmatmul__(self, other: MatOver) -> TowerOver:
+        return _classes(other) @ self
+
+    def on_rows(self, V: MatOver) -> TowerOver:
+        o = _classes(V)
+        return TowerOver(_products(o.parts, self.parts), self.den * o.den)
+
+    __add__ = __radd__ = functools.partialmethod(_combined, op=operator.add)
+    __sub__ = functools.partialmethod(_combined, op=operator.sub)
+
+    def __neg__(self) -> TowerOver:
+        return self.regroup(lambda M: [[-x for x in row] for row in M])
+
+    def __mul__(self, c) -> TowerOver:
+        """c self, c an int or a Fraction, whose denominator joins den."""
+        scaled = self.regroup(lambda M: [[c.numerator * x for x in row] for row in M])
+        return TowerOver(scaled.parts, self.den * c.denominator)
+
+    def __eq__(self, other: MatOver) -> bool:
+        return (self - other).is_zero()
+
+    def is_zero(self) -> bool:
+        return not _live(self.parts)
+
+    def mat(self, den: int | None = None) -> Mat:
+        """The entries over den (self.den when None): a Fraction where an entry
+        is rational, else an Ext."""
+        live, d = sorted(_live(self.parts)) or [1], den or self.den
+        if live == [1]:
+            return [[Fraction(x, d) if x else ZERO for x in row] for row in self.parts[1]]
+        return [[normalize(Ext({t: Fraction(x, d) for t, x in zip(live, xs) if x})) if any(xs)
+                 else ZERO for xs in zip(*rows)] for rows in zip(*(self.parts[t] for t in live))]
+
+
+def restricted(M: Mat) -> tuple[list[Mat], int]:
+    """([R], den), R / den = rho(M): the tower matrix M as the rational matrix of
+    the same Q-linear map (restriction of scalars: S. Lang, Algebra, ch. VI 8), in
+    the basis sqrt(t) e_j, t over the square classes its radicands generate,
+    ascending: entry (i, u), (j, t) is the coefficient of sqrt(u) in M_ij sqrt(t),
+    read off the classes of M: sqrt(r) sqrt(t) = g sqrt(r t / g^2), g = gcd(r, t)."""
+    (V,) = tower_values([M])
+    classes = [1]  # a group: a new radicand doubles it by a coset
+    for r in V.parts:
+        classes += [] if r in classes else [r * t // math.gcd(r, t) ** 2 for t in classes]
+    m, at = len(classes), {t: k for k, t in enumerate(sorted(classes))}
+    R = [[0] * (len(M) * m) for _ in range(len(M) * m)]
+    for (r, N), (t, k) in itertools.product(V.parts.items(), at.items()):
+        g = math.gcd(r, t)
+        for i, row in enumerate(N):
+            for j in itertools.compress(range(len(row)), row):
+                R[i * m + at[r * t // g**2]][j * m + k] += row[j] * g
+    return [R], V.den
+
+
+def tower_stacked(values: list[MatOver]) -> TowerOver | None:
+    """The rows of all values as one tower value when one of them is one."""
+    if TowerOver in map(type, values):
+        parts, den = _aligned(values)
+        return TowerOver({t: [row for p in parts for row in p[t]] for t in parts[0]}, den)
+    return None
+
+
+def tower_solve(A: MatOver, B: MatOver) -> TowerOver | None:
+    """X with A X = B when A or B is a tower value and A is rational: the
+    classes of B side by side in one integer RREF (``mat_solve``); else None."""
+    if not (isinstance(A, TowerOver) or isinstance(B, TowerOver)) or \
+            _live((a := _classes(A)).parts).keys() - {1}:
+        return None
+    b = _classes(B)
+    classes, width = sorted(b.parts), len(b.parts[1][0]) if b.parts[1] else 0
+    X = mat_solve(MatOver(a.parts[1], a.den), MatOver([sum(rows, []) for rows in zip(
+        *(b.parts[t] for t in classes))], b.den))
+    return TowerOver({t: [row[k * width:k * width + width] for row in X.N]
+                      for k, t in enumerate(classes)}, X.den)

@@ -51,7 +51,6 @@ from aqslie.exterior import (
     wedge,
 )
 from aqslie.invariant_forms import (
-    center_of_k,
     centralizer_of_torus,
     extension_by_zero_derivation_check,
     invariant_closed_2forms,
@@ -245,7 +244,7 @@ def test_criterion_6_flag_manifold_shadow():
     )
     sols3 = invariant_closed_2forms(R3)
     assert len(sols3) == 2
-    assert len(center_of_k(R3)) == 2  # = dim z(k)
+    assert len(R3.center) == 2  # = dim z(k)
     # moment elements with exact round trip
     for g, R, sols in ((g2, R2, sols2), (g3, R3, sols3)):
         B = [list(r) for r in killing_form(g).matrix]

@@ -748,8 +748,10 @@ def test_xi_sectional_curvatures_are_two_table_products(monkeypatch, tmp_path):
     from aqslie.cli import main
     from floatcopy import float_doc
 
-    rows, real = [], acm.mat_mul
+    rows, real, nablas = [], acm.mat_mul, acm.ConnectionTable.nablas
     monkeypatch.setattr(acm, "mat_mul", lambda A, B: rows.append(len(A)) or real(A, B))
+    monkeypatch.setattr(acm.ConnectionTable, "nablas",
+                        lambda table, pairs: rows.append(len(pairs)) or nablas(table, pairs))
     for n, weights in ((2, [1, 2]), (3, [1, 2, 3])):
         doc = aqio.structure_to_json(weighted_heisenberg_4n1(n, weights)[1][0])
         for key, d in (("exact", doc), ("float", float_doc(doc))):

@@ -21,7 +21,6 @@ from aqslie.constructors import (
 from aqslie.errors import NoSolution, NotCompactSemisimple, PreconditionError
 from aqslie.exterior import KForm, bilinear_from_form, form_scale
 from aqslie.invariant_forms import (
-    center_of_k,
     centralizer_of_torus,
     extension_by_zero_derivation_check,
     invariant_closed_2forms,
@@ -154,7 +153,7 @@ def test_solution_space_dimensions():
     _, R3 = su3_split()
     sols = invariant_closed_2forms(R3)
     assert len(sols) == 2
-    assert len(center_of_k(R3)) == 2  # = dim z(k)
+    assert len(R3.center) == 2  # = dim z(k)
     # k = g means m = 0: no forms
     g = su2()
     k_full = Subspace.from_vectors(3, [g.basis_vector(i) for i in range(3)])

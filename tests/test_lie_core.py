@@ -64,9 +64,11 @@ def test_bracket_heisenberg_and_antisymmetry():
 
 
 def _ad_numerators(L, X):
-    """(numerators, denominator) of ad_X as a value."""
+    """(numerators, denominator) of ad_X as a value; a tower value's entries over 1."""
+    from aqslie.tower import TowerOver
+
     V = ad_value(L, MatOver([X]))
-    return V.N, V.den
+    return (V.mat(), 1) if isinstance(V, TowerOver) else (V.N, V.den)
 
 
 def test_ad_value_carries_the_table_denominator():
@@ -508,9 +510,12 @@ def test_basis_ad_is_the_bracket_columns_bit_for_bit():
 
 
 def test_ad_values_across_fields_keep_the_true_ad_matrices():
-    # a rational algebra with a tower or float matrix is no integer route: its
-    # ad matrices are the stored constants, not the table integers, over 1
+    # a rational algebra with a tower or float matrix is no integer route, and
+    # neither is a tower algebra with a rational matrix.  Exact ones are tower
+    # values: one integer matrix per square class, the ad matrices over one
+    # denominator; with a float the ad matrices are the stored constants over 1
     from aqslie.scalars import parse_scalar
+    from aqslie.tower import TowerOver
 
     rational = weighted_heisenberg_4n1(2, [F(1, 3), F(3, 4)])[0]
     assert rational._tables()[1] == 6
@@ -521,9 +526,15 @@ def test_ad_values_across_fields_keep_the_true_ad_matrices():
         "rational-h9-float-matrix": (rational, matrix(lambda i, j: 0.5 * i - j)),
         "sqrt-h9-rational-matrix": (sqrt_h9, matrix(lambda i, j: F(i - j, 3))),
     }
+    classes = {"rational-h9-sqrt2-matrix": ([1, 2], 1, 6), "sqrt-h9-rational-matrix": ([1], 3, 1)}
     for name, (L, M) in cases.items():
         ads, (V,) = L.ad_values(M)
-        assert (V.N, V.den) == (M, 1) and {ad.den for ad in ads} == {1}, name
+        if name in classes:
+            assert all(isinstance(X, TowerOver) for X in [V, *ads]), name
+            assert (sorted(V.parts), V.den, *{ad.den for ad in ads}) == classes[name], name
+            assert V.mat() == M, name
+        else:
+            assert (V.N, V.den) == (M, 1) and {ad.den for ad in ads} == {1}, name
         for i in range(L.dim):
             got, want = ads[i].mat(), ad_matrix(L, L.basis_vector(i))
             assert [list(map(_bits, r)) for r in got] == [list(map(_bits, r)) for r in want], (name, i)

@@ -47,6 +47,7 @@ from aqslie.linalg import (
     vec_is_zero,
 )
 from aqslie.scalars import ONE, ZERO, Ext, s_add, s_eq, s_inv, s_is_zero, s_mul, s_sub
+from aqslie.tower import TowerOver, restricted
 from oracles import eig_sym_char_poly, rational_roots
 
 small_mats = st.integers(-4, 4)
@@ -582,8 +583,8 @@ def test_restriction_of_scalars_is_multiplicative_by_sympy(primes):
     rng, roots = random.Random(len(primes)), [Ext.of_sqrt(p) for p in primes]
 
     def rho(X):
-        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                             for row in linalg._restricted(X)])
+        (R,), den = restricted(X)
+        return sympy.Matrix([[sympy.Rational(x, den) for x in row] for row in R])
 
     def tower(n):
         M = [[sum((F(rng.randrange(-3, 4)) * r for r in roots if rng.random() < 0.6),
@@ -943,10 +944,13 @@ def test_values_divide_back_to_their_matrices(A, B, kind):
     assert [list(map(_bits, row)) for M in back for row in M] == \
         [list(map(_bits, row)) for M in (A, B) for row in M]
     mats, (den,) = [V.N for V in vals], {V.den for V in vals}
+    flat = [x for M in (A, B) for row in M for x in row]
     if kind == "fraction":
         assert all(type(x) is int for M in mats for row in M for x in row)
-        flat = [x for M in (A, B) for row in M for x in row]
         assert den == math.lcm(*(x.denominator for x in flat))
+    elif kind == "tower":  # sqrt(2) times a rational: one class besides 1, over one den
+        assert all(isinstance(V, TowerOver) and set(V.parts) <= {1, 2} for V in vals)
+        assert den == math.lcm(*(c.denominator for x in flat if x for c in x.terms.values()))
     else:
         assert (mats, den) == ([A, B], 1)
     # a matrix of another kind over a denominator other than 1 is divided entrywise

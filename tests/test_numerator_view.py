@@ -128,15 +128,23 @@ def test_ricci_on_numerators_matches_the_gamma_loop(name):
         set_tolerance(DEFAULT_TOLERANCE)
 
 
-def test_exact_curvature_reads_no_divided_back_table(monkeypatch):
-    ricci, scalar = stage_ricci(CASES["h13c"]())
+def test_exact_curvature_reads_no_divided_back_table():
+    # neither Ricci nor the nablas of the sectional curvatures divide the
+    # connection table back: only what they return leaves it
+    class Unread(linalg.MatOver):
+        def mat(self):
+            raise AssertionError("connection table divided back")
 
-    def unread(table):
-        raise AssertionError("ConnectionTable._back read")
-
-    monkeypatch.setattr(acm.ConnectionTable, "_back", property(unread))
-    data = curvature(CASES["h13c"]())
-    assert rep(data.ricci) == rep(ricci) and rep(data.scalar) == rep(scalar)
+    for name in ("h13c", "sqrt-h13"):
+        ricci, scalar = stage_ricci(CASES[name]())
+        S = CASES[name]()
+        T = acm.rational_rescaling(S).S if acm.rational_rescaling(S) else S
+        table = levi_civita(T)
+        want = table.nablas([(T.xi_vec(), v) for v in T.g_mat()])
+        T._memo["connection"] = acm.ConnectionTable(Unread(table.columns.N, table.columns.den))
+        data = curvature(S)
+        assert rep(data.ricci) == rep(ricci) and rep(data.scalar) == rep(scalar), name
+        assert rep(data.connection.nablas([(T.xi_vec(), v) for v in T.g_mat()])) == rep(want)
 
 
 def test_a_classify_builds_at_most_half_the_fractions_it_did(monkeypatch):
@@ -237,7 +245,7 @@ def test_xi_killing_verdict_is_kept_and_its_contradiction_raised_again(monkeypat
     assert [list(X) for X in builds].count(xi) == 1
     # a Killing xi with d eta(xi, .) != 0 raises on every call, nothing kept:
     # the Killing test (n^2 entries) passes, the eta([xi, .]) = 0 test (n) fails
-    monkeypatch.setattr(acm, "vec_is_zero", lambda v: len(v) != S.L.dim)
+    monkeypatch.setattr(linalg.MatOver, "is_zero", lambda X: len(linalg._flat(X.N)) != S.L.dim)
     T = CASES["h9c"]()
     for _ in range(2):
         with pytest.raises(InternalContradiction, match="Killing xi"):

@@ -492,6 +492,78 @@ def test_products_outside_the_integer_route_are_one_sparse_fold():
         "7 mat_mul skips _int_products"]
 
 
+def tower_product_offenders(source: str) -> list[str]:
+    """Where tower's source calls a per-scalar product (a kernel of
+    PRODUCT_KERNELS, s_mul or s_add), calls _int_products other than once in a
+    loop over the pairs of classes (itertools.product), or has a product
+    method, __matmul__ or on_rows, that does not reach that loop, _products."""
+    tree = ast.parse(source)
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    offenders = [f"{node.lineno} calls {_callee(node)}" for node in calls
+                 if _callee(node) in (*PRODUCT_KERNELS, "s_mul", "s_add")]
+    pair_loops = {id(node) for loop in ast.walk(tree) if isinstance(loop, ast.For)
+                  and isinstance(loop.iter, ast.Call) and _callee(loop.iter) == "product"
+                  for node in ast.walk(loop)}
+    products = [node for node in calls if _callee(node) == "_int_products"]
+    offenders += [f"{node.lineno} _int_products outside the class pairs"
+                  for node in products if id(node) not in pair_loops]
+    offenders += [f"{len(products)} calls of _int_products"] if len(products) != 1 else []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("__matmul__", "on_rows"):
+            called = {_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            if "_products" not in called:
+                offenders.append(f"{fn.lineno} {fn.name} skips _products")
+    return offenders
+
+
+def test_tower_products_are_one_integer_product_per_pair_of_classes():
+    path = Path(aqslie.__file__).parent / "tower.py"
+    assert tower_product_offenders(path.read_text("utf-8")) == []
+    # a per-scalar product of the rebuilt entries, and an integer product per
+    # class beside the pairs, are what the check is for
+    forked = (
+        "def __matmul__(self, other):\n"
+        "    return MatOver(mat_mul(self.N, other.N), self.den * other.den)\n"
+        "def on_rows(self, V):\n"
+        "    return TowerOver({t: _int_products(V.parts[t], M) for t, M in self.parts.items()})\n"
+        "def _products(rows, cols):\n"
+        "    for (r, A), (s, B) in itertools.product(rows.items(), cols.items()):\n"
+        "        out[r * s] = _fold(A, B)\n"
+    )
+    assert tower_product_offenders(forked) == [
+        "2 calls mat_mul", "7 calls _fold", "4 _int_products outside the class pairs",
+        "1 __matmul__ skips _products", "3 on_rows skips _products"]
+
+
+def test_tower_structures_make_no_per_scalar_fold(monkeypatch):
+    # the square-root-weight qS h7 and the third companion of the
+    # square-root-weight h13 have no rational rescaling: their documents'
+    # classify_structure and curvature decide the tower form once, fold
+    # nothing per scalar, and make one integer product per pair of classes
+    import aqslie.io as aqio
+    from aqslie import acm, linalg, tower
+    from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
+    from aqslie.scalars import parse_scalar
+
+    weights = [parse_scalar(w) for w in ("sqrt(2)", "1", "3/2*sqrt(5)")]
+    s1, _, s3 = weighted_heisenberg_4n1(3, weights)[1]
+    docs = {"2n1": aqio.structure_to_json(weighted_heisenberg_2n1(3, weights)[1]),
+            "4n1": aqio.structure_to_json(s1, companions=[s3.phi_mat()])}
+    folds, pairs, products = [], [], []
+    real_fold, real_products, real_int = linalg._fold, tower._products, tower._int_products
+    monkeypatch.setattr(linalg, "_fold", lambda *a, **k: folds.append(a) or real_fold(*a, **k))
+    monkeypatch.setattr(tower, "_products", lambda rows, cols: pairs.append(
+        len(tower._live(rows)) * len(tower._live(cols))) or real_products(rows, cols))
+    monkeypatch.setattr(tower, "_int_products", lambda A, B: products.append(1) or real_int(A, B))
+    for key, stage in (("2n1", acm.classify_structure), ("2n1", acm.curvature),
+                       ("4n1", acm.classify_structure)):
+        S, companions = aqio.read(aqio.loads(aqio.dumps(docs[key])), "acm_structure")[1]
+        S = companions[-1] if companions else S
+        assert acm.rational_rescaling(S) is None
+        stage(S)
+    assert folds == [] and len(products) == sum(pairs) > 0
+
+
 def reachable_calls(source: str, start: str) -> set[str]:
     """Names called by the function start of source, directly or through the
     module-level functions of source that it calls."""

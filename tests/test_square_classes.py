@@ -139,6 +139,7 @@ def test_a_classify_reads_no_characteristic_polynomial(monkeypatch, tmp_path):
     # the h9c rescaled by square roots on the per-scalar route, and on the qS
     # h7 with square-root weights, whose spectrum is irrational
     import aqslie.linalg as linalg
+    import aqslie.tower as tower
 
     S = conjugate_structure(BASES["h13"](), random_unimodular(13, random.Random(7)))
     d = [2, 3, 1, 5, 6, 1, 10, 1, 15]
@@ -148,9 +149,9 @@ def test_a_classify_reads_no_characteristic_polynomial(monkeypatch, tmp_path):
     path = tmp_path / "s7.json"
     path.write_text(aqio.dumps(aqio.structure_to_json(S7)), "utf-8")
     calls = []
-    for name in ("char_poly", "_bareiss_det", "_restricted"):
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name: calls.append(name)
+    for module, name in ((linalg, "char_poly"), (linalg, "_bareiss_det"), (tower, "restricted")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name)
                             or real(*a))
     assert classify_nilpotent_aqs(S).weights == (3, 2, 1)
     with pytest.MonkeyPatch.context() as mp:
@@ -159,7 +160,7 @@ def test_a_classify_reads_no_characteristic_polynomial(monkeypatch, tmp_path):
     assert _payload_digest(["classify", str(path)])[:2] == (3, {
         "code": "IrrationalSpectrum", "family": "precondition",
         "message": "minimal polynomial does not split over the rationals (residual degree 2)"})
-    assert calls == ["_restricted", "_restricted"]
+    assert calls == ["restricted", "restricted"]
 
 
 def test_xi_sectional_curvatures_of_a_rescaled_structure_run_on_integers(monkeypatch):
