@@ -29,10 +29,11 @@ integrability of J on m-blocks C_m ad_U M in ``invariant_forms``.
 For a left-invariant metric the Koszul formula reads 2 g Gamma_i = g ad_i -
 ad_i^T g - B_i with (B_i)_kj = g([b_j, b_k], b_i), Gamma_i b_j = nabla_{b_i} b_j
 (J. Milnor, "Curvatures of left invariant metrics on Lie groups", Adv. Math.
-21, 1976).  Classification reads only psi = -nabla xi, from one Koszul solve
-along xi (:func:`psi_matrix`) certified by the two halves of g psi: g psi +
+21, 1976).  Classification reads only psi = -nabla xi (:func:`psi_matrix`),
+one Koszul solve along xi on exact views and the rows Gamma_a b_k, k in the
+support of xi, on float ones, certified by the two halves of g psi: g psi +
 (g psi)^T = -L_xi g and g psi - (g psi)^T = d eta.  The whole connection is
-built for curvature and for float psi, as the n^2 vectors Gamma_i b_j,
+built for curvature only, as the n^2 vectors Gamma_i b_j,
 certified by Gamma_i b_j - Gamma_j b_i = [b_i, b_j] and g Gamma_i +
 Gamma_i^T g = 0.  Ricci reads them: Ric_ij = sum_a R(b_a, b_i)_aj with
 R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, O(n^4).
@@ -55,10 +56,9 @@ maps its residual entries, Ricci tensor and F back.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 from .errors import (
     AqslieError,
@@ -279,8 +279,8 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     """All satisfied class tags among contact metric / Sasakian / cokahler /
     quasi-Sasakian / anti-quasi-Sasakian, each read from the residuals that
     CLASS_RESIDUALS names for it.  With a rational rescaling the work runs on
-    it and each memo keeps the result in its own basis: the rescaling's the
-    entries as computed, S's each entry mapped back (the tags are the same)."""
+    it and each memo keeps the result in its own basis: the rescaling's the entries
+    as computed, S's each nonzero entry mapped back (the tags are the same)."""
     if "classification" in S._memo:
         return S._memo["classification"]
     r = rational_rescaling(S)
@@ -289,33 +289,41 @@ def classify_structure(S: AcmStructure) -> StructureClass:
         raise InvalidStructure(
             f"not an almost contact metric structure (worst: {validate_acm(S).worst_check})"
         )
-    v, pairs = numerator_view(T), _pairs(T.L.dim)
+    triples, entries = _residual_entries(T)
+    residuals = {name: X.max_abs() for name, X in entries.items()}
+    tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
+    T._memo["classification"] = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
+    if r is not None:  # S's residuals in its own basis: a column's scale made once, if nonzero
+        scale, pairs = cache(lambda I: reduce(s_mul, map(r.down.__getitem__, I))), _pairs(T.L.dim)
+
+        def mapped(name: str, X: MatOver):  # diag(left) X diag(the scales of its columns)
+            right = [scale(I) if any(col) else None  # the columns are pairs, or triples
+                     for I, col in zip(triples if name == "d_phi" else pairs, zip(*X.N))]
+            left = r.up if name in ("n_phi", "anti_normal") else None
+            return X.regroup(lambda N: diag_scaled(N, left, right)).max_abs()
+
+        S._memo["classification"] = replace(T._memo["classification"], residuals={
+            name: mapped(name, X) for name, X in entries.items()})
+        S._memo["d_eta"] = _d_eta(T).regroup(lambda N: diag_scaled(N, r.down, r.down))
+    return S._memo["classification"]
+
+
+def _residual_entries(S: AcmStructure) -> tuple[list, dict]:
+    """(d Phi's triples, each residual's entries: the pairs, or triples, as columns)."""
+    v, pairs = numerator_view(S), _pairs(S.L.dim)
     W = v.g @ v.phi  # W_kl = Phi(b_k, b_l) = g(b_k, phi b_l)
     if not (W + W.T).is_zero():
         raise InvalidStructure("g(., phi .) is not alternating; structure invalid")
     at_pairs = lambda X: X.regroup(lambda N: [[N[i][j] for i, j in pairs]])  # noqa: E731
     # d Phi from Phi([b_a, b_b], b_l), one product with the pair brackets; d eta on the pairs
     triples, d_phi = d_of_pairs(_pair_brackets(v, pairs) @ W, pairs)
-    deta_pairs = at_pairs(_d_eta(T))
-    # each residual's entries, the basis pairs as columns: N_phi = [phi, phi] + d eta (x) xi
+    deta_pairs = at_pairs(_d_eta(S))
+    # N_phi = [phi, phi] + d eta (x) xi
     xi_deta = v.xi.T @ deta_pairs
     n_phi = _nijenhuis_columns(v.ads, v.phi) + xi_deta
-    entries = {"d_phi": d_phi, "d_eta": deta_pairs, "n_phi": n_phi,
-               "anti_normal": n_phi - xi_deta * 2,
-               "contact_metric": deta_pairs - at_pairs(W) * 2}
-    residuals = {name: X.max_abs() for name, X in entries.items()}
-    tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
-    T._memo["classification"] = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
-    if r is not None:  # S's residuals are read in its own basis: each entry maps back
-        by_pair = [r.down[i] * r.down[j] for i, j in pairs]
-        scalings = {"d_phi": (None, [math.prod(map(r.down.__getitem__, I)) for I in triples]),
-                    "n_phi": (r.up, by_pair), "anti_normal": (r.up, by_pair)}
-        mapped = {name: X.regroup(lambda N: diag_scaled(N, *scalings.get(name, (None, by_pair))))
-                  for name, X in entries.items()}
-        S._memo["classification"] = replace(T._memo["classification"], residuals={
-            name: X.max_abs() for name, X in mapped.items()})
-        S._memo["d_eta"] = _d_eta(T).regroup(lambda N: diag_scaled(N, r.down, r.down))
-    return S._memo["classification"]
+    return triples, {"d_phi": d_phi, "d_eta": deta_pairs, "n_phi": n_phi,
+                     "anti_normal": n_phi - xi_deta * 2,
+                     "contact_metric": deta_pairs - at_pairs(W) * 2}
 
 
 def xi_killing_check(S: AcmStructure) -> bool:
@@ -378,30 +386,36 @@ def _pair_brackets(v: TensorNumerators, pairs: list) -> MatOver:
     return stacked([ad.T for ad in v.ads]).regroup(lambda N: [N[i * n + j] for i, j in pairs])
 
 
+def _koszul_rows(v: TensorNumerators, g_inv: MatOver, pairs: list) -> MatOver:
+    """Row p: Gamma_i b_j for the p-th pair (i, j), g^-1 / 2 times its Koszul column
+    (g([b_i, b_j], b_k) - g([b_j, b_k], b_i)) + g([b_k, b_i], b_j) over k, in this
+    float order, all in one product.  Each entry keeps its own fold, so a row is the
+    same bits whichever other pairs are built with it."""
+    n = len(v.ads)
+
+    def koszul(T: Mat) -> Mat:  # T[i n + k][j] = g([b_i, b_j], b_k); n pairs at a time:
+        rows = []  # all at once, the n^3 temporaries raise the heap peak by a sixth
+        for ps in (pairs[c:c + n] for c in range(0, len(pairs), n)):
+            rows += mat_add(mat_sub([[T[i * n + k][j] for k in range(n)] for i, j in ps],
+                                    [T[j * n + i] for i, j in ps]),
+                            [[T[k * n + j][i] for k in range(n)] for i, j in ps])
+        return rows
+
+    return (g_inv * (ONE / 2)).on_rows(stacked([v.g @ ad for ad in v.ads]).regroup(koszul))
+
+
 def levi_civita(S: AcmStructure) -> ConnectionTable:
-    """The Koszul formula in matrix form (module docstring): g^-1 / 2 times all
-    n^2 Koszul columns in one product, certified in whole-table passes (torsion
-    on the pairs i < j, g Gamma_i + Gamma_i^T g from one product with g).  Each
-    output entry keeps its own fold, so the batching moves no float bit."""
+    """The Koszul formula in matrix form (module docstring): all n^2 rows of
+    :func:`_koszul_rows`, certified in whole-table passes (torsion on the pairs
+    i < j, g Gamma_i + Gamma_i^T g from one product with g).  Built for curvature
+    only: psi reads the rows along xi (:func:`psi_matrix`)."""
     if "connection" in S._memo:
         return S._memo["connection"]
     v, n = numerator_view(S), S.L.dim
     _metric_preconditions(g := v.g)
     g_inv = mat_solve(g, v.one)
     S._memo["g_inverse"] = g_inv.mat()  # the scalar curvature reads it
-
-    def koszul(T: Mat) -> Mat:  # T[i n + k][j] = g([b_i, b_j], b_k)
-        cols = []  # column j of Koszul matrix i at i n + j, in the historical float order:
-        for i in range(n):  # (g([b_i,b_j],b_k) - g([b_j,b_k],b_i)) + g([b_k,b_i],b_j)
-            B = [[T[j * n + i][k] for j in range(n)] for k in range(n)]
-            C = [[T[k * n + j][i] for j in range(n)] for k in range(n)]  # = -ad_i^T g
-            cols += transpose(mat_add(mat_sub(T[i * n:i * n + n], B), C))
-        return cols
-
-    # each n^3 list is dropped once used: kept to the end, they raise the peak heap by half
-    K = stacked([g @ ad for ad in v.ads]).regroup(koszul)
-    table = ConnectionTable((g_inv * (ONE / 2)).on_rows(K))
-    del K
+    table = ConnectionTable(_koszul_rows(v, g_inv, [(i, j) for i in range(n) for j in range(n)]))
     # certify the table: Gamma_i b_j - Gamma_j b_i = [b_i, b_j], g Gamma_i + Gamma_i^T g = 0
     pairs = _pairs(n)
     swapped = table.columns.regroup(lambda N: mat_sub([N[i * n + j] for i, j in pairs],
@@ -452,18 +466,22 @@ class OperatorPack:
 
 
 def psi_matrix(S: AcmStructure) -> MatOver:
-    """psi = -nabla xi, column j = -nabla_{b_j} xi, off the connection table
-    for a float view.  An exact view solves 2 g nabla xi = K = -(G + G^T) - B,
-    G = g ad_xi, B the matrix of d eta, by one elimination g psi = -K / 2,
-    certified by g psi + (g psi)^T = -L_xi g and g psi - (g psi)^T = d eta."""
+    """psi = -nabla xi, column j = -nabla_{b_j} xi, certified by the two halves of g
+    psi, which determine it: g psi + (g psi)^T = -L_xi g = G + G^T, G = g ad_xi, and
+    g psi - (g psi)^T = d eta = B.  An exact view solves 2 g nabla xi = -(G + G^T) - B
+    by one elimination; a float view builds only the rows Gamma_a b_k, k in the
+    support of xi (:func:`_koszul_rows`), folded on xi as the whole table's, bit for bit."""
     v, n = numerator_view(S), S.L.dim
-    if not is_exact(v.g.N[0][0]):
-        C = levi_civita(S).columns
-        return -stacked([C[j * n:j * n + n].T.on_rows(v.xi) for j in range(n)]).T
     _metric_preconditions(v.g)
     G, B = _g_ad_xi(S)[1], _d_eta(S)
     sym = G + G.T
-    psi = mat_solve(v.g, sym + B) * (ONE / 2)
+    if is_exact(v.g.N[0][0]):
+        psi = mat_solve(v.g, sym + B) * (ONE / 2)
+    else:  # a near-zero xi_k makes no pair of the fold: row 0 stands in for an empty support
+        ks = [k for k, x in enumerate(v.xi.N[0]) if not s_is_zero(x)] or [0]
+        C = _koszul_rows(v, mat_solve(v.g, v.one), [(a, k) for a in range(n) for k in ks])
+        xi, m = v.xi.regroup(lambda N: [[N[0][k] for k in ks]]), len(ks)
+        psi = -stacked([C[a * m:a * m + m].T.on_rows(xi) for a in range(n)]).T
     P = v.g @ psi
     _require_zero(P + P.T - sym, "Koszul solve along xi: g psi lost its symmetric part -L_xi g")
     _require_zero(P - P.T - B, "Koszul solve along xi: g psi lost its skew part d eta")

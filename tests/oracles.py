@@ -14,7 +14,9 @@ roots (``rational_roots``, on the squarefree part) that
 structure constant lookup, the sum and difference of forms, and the closed
 invariant 2-forms of a reductive split from their defining equations, one row
 per invariance and closedness condition, which ``invariant_closed_2forms``
-reads as the kernel of the one differential.
+reads as the kernel of the one differential; psi read off the whole
+Levi-Civita table on a float view, and the classification residuals of a
+rescaled structure with every column scale made before any is read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from itertools import combinations
 from fractions import Fraction
 
 from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, ConnectionTable, levi_civita
-from aqslie.acm import _pairs, operators_A_psi, rational_rescaling
+from aqslie.acm import _pairs, _residual_entries, numerator_view, operators_A_psi
+from aqslie.acm import rational_rescaling
 from aqslie.adapted import AdaptedFrame, _psi2_orbits, require_maximal
 from aqslie.classifier import HeisenbergIso
 from aqslie.constructors import weighted_heisenberg_4n1
@@ -314,6 +317,22 @@ def stage_classification(S: AcmStructure) -> dict:
     }
 
 
+def eager_mapped_residuals(S: AcmStructure) -> dict:
+    """The classification residuals of S read on its rational rescaling, when
+    there is one, with every column scale made and every entry mapped back
+    before any is read: the map-back ``acm.classify_structure`` ran before it
+    made a column's scale only where the column has a nonzero entry."""
+    r = rational_rescaling(S)
+    triples, entries = _residual_entries(S if r is None else r.S)
+    if r is None:
+        return {name: X.max_abs() for name, X in entries.items()}
+    by_pair = [r.down[i] * r.down[j] for i, j in _pairs(S.L.dim)]
+    scalings = {"d_phi": (None, [math.prod(map(r.down.__getitem__, I)) for I in triples]),
+                "n_phi": (r.up, by_pair), "anti_normal": (r.up, by_pair)}
+    return {name: X.regroup(lambda N: diag_scaled(N, *scalings.get(name, (None, by_pair))))
+            .max_abs() for name, X in entries.items()}
+
+
 def stage_connection(S: AcmStructure) -> tuple:
     """Gamma_i as rows, the Koszul solve on numerators divided back at once."""
     L, g = S.L, S.g_mat()
@@ -384,6 +403,15 @@ def stage_operators(S: AcmStructure) -> tuple:
         "psi_skew": _res(transpose(gpsi), gpsi, mat_add),
     }
     return A, psi, residuals
+
+
+def table_psi(S: AcmStructure) -> MatOver:
+    """psi = -nabla xi off the whole Levi-Civita table: column j is Gamma_j
+    folded on xi, the route ``acm.psi_matrix`` took on a float view before it
+    built only the rows Gamma_a b_k along the support of xi."""
+    v, n = numerator_view(S), S.L.dim
+    C = levi_civita(S).columns
+    return -stacked([C[j * n:j * n + n].T.on_rows(v.xi) for j in range(n)]).T
 
 
 def stage_spectrum(S: AcmStructure) -> list:

@@ -598,6 +598,23 @@ def test_cohomology_builds_no_whole_differential():
     assert "ce_d_matrix" in reachable_calls(forked, "ce_bettis")
 
 
+def test_psi_builds_no_connection_table():
+    # psi = -nabla xi is one solve along xi (exact) or the Koszul rows along
+    # xi (float); the whole table is built for curvature alone
+    acm = reachable_calls((Path(aqslie.__file__).parent / "acm.py").read_text("utf-8"),
+                          "psi_matrix")
+    assert "_koszul_rows" in acm and "levi_civita" not in acm
+    # psi read off the whole table on a float view is what the check is for
+    forked = (
+        "def psi_matrix(S):\n"
+        "    v, n = numerator_view(S), S.L.dim\n"
+        "    if not is_exact(v.g.N[0][0]):\n"
+        "        C = levi_civita(S).columns\n"
+        "        return -stacked([C[j * n:j * n + n].T.on_rows(v.xi) for j in range(n)]).T\n"
+    )
+    assert "levi_civita" in reachable_calls(forked, "psi_matrix")
+
+
 def private_differentials(source: str) -> list[str]:
     """Where source, invariant_forms, defines _block or calls s_add, and
     whether its invariant_closed_2forms misses exterior.cocycles: the closed

@@ -22,14 +22,17 @@ from hypothesis import strategies as st
 
 import aqslie.io as aqio
 import aqslie.lie_core as lie_core
-from aqslie.acm import conjugate_structure, rational_rescaling, rescaled
+from aqslie.acm import AcmStructure, classify_structure, conjugate_structure, rational_rescaling
+from aqslie.acm import rescaled
 from aqslie.classifier import classify_nilpotent_aqs
 from aqslie.cli import main
 from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from aqslie.lie_core import bracket
-from aqslie.linalg import inverse, mat_eq, mat_mul, mat_vec, random_unimodular, transpose, vec_eq
+from aqslie.linalg import identity, inverse, mat_eq, mat_mul, mat_vec, random_unimodular, transpose
+from aqslie.linalg import vec_eq
 from aqslie.scalars import Ext, s_sqrt
 from floatcopy import float_structure
+from oracles import eager_mapped_residuals
 
 CLASSES = (1, 2, 3, 5, 6, 10, 15, 30)
 SQRT_WEIGHTS = [Ext.of_sqrt(2), Fraction(1), Fraction(3, 2) * Ext.of_sqrt(5)]
@@ -106,6 +109,60 @@ def test_the_square_root_weights_rescale_where_their_entries_factor():
     # phi pairs tau_1 and tau_4, and [tau_1, tau_4] = 2 sqrt(2) xi
     assert rational_rescaling(S7) is None
     assert S7.L.sqrt_basis() is not None  # the algebra alone rescales, for cohomology
+
+
+def _sqrt_document_structures(family: str) -> list:
+    """The structures of the square-root-weight document of family, read back:
+    S and both companions for 4n1, S for 2n1."""
+    if family == "4n1":
+        _, (S, c1, c2) = weighted_heisenberg_4n1(3, SQRT_WEIGHTS)
+        doc = aqio.structure_to_json(S, companions=[c1.phi_mat(), c2.phi_mat()])
+    else:
+        doc = aqio.structure_to_json(weighted_heisenberg_2n1(3, SQRT_WEIGHTS)[1])
+    S, companions = aqio.read(aqio.loads(aqio.dumps(doc)), "acm_structure")[1]
+    return [S, *companions]
+
+
+def _not_closed():
+    # [xi, b_1] = b_1 and Phi(b_1, b_2) = 1: d Phi != 0, in the basis (1, sqrt(2), 3 sqrt(3))
+    L = lie_core.LieAlgebra.from_brackets(3, {(0, 1): {1: 1}}, check=True)
+    phi = [[Fraction(0)] * 3 for _ in range(3)]
+    phi[2][1], phi[1][2] = Fraction(1), Fraction(-1)
+    S = AcmStructure.make(L, phi, L.basis_vector(0), L.basis_vector(0), identity(3))
+    up = [Fraction(1), Ext.of_sqrt(2), 3 * Ext.of_sqrt(3)]
+    return rescaled(S, up, [1 / x for x in up])
+
+
+MAP_BACK_CASES = {
+    **{f"4n1-{i}": (lambda i=i: _sqrt_document_structures("4n1")[i]) for i in range(3)},
+    "2n1": lambda: _sqrt_document_structures("2n1")[0],
+    "not-closed": _not_closed,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_BACK_CASES))
+def test_residuals_map_back_as_the_eager_map_did(name):
+    # a column's scale made only where the column is nonzero: the same residuals,
+    # by str, as every scale and entry mapped back first (the 4n1 S and first
+    # companion rescale, and the structure with d Phi != 0; the others are read
+    # as they are)
+    S, reference = MAP_BACK_CASES[name](), MAP_BACK_CASES[name]()
+    got, want = classify_structure(S).residuals, eager_mapped_residuals(reference)
+    assert {k: str(x) for k, x in got.items()} == {k: str(x) for k, x in want.items()}
+    assert (rational_rescaling(S) is not None) == (name in ("4n1-0", "4n1-1", "not-closed"))
+    assert (got["d_phi"] != 0) == (name == "not-closed")
+
+
+def test_a_rescaled_classify_makes_few_tower_products(monkeypatch):
+    # the d Phi triple scales and the pair scales of all-zero columns are not
+    # made: 399 Ext products when every scale was built before any was read
+    import aqslie.scalars as scalars
+
+    S = _sqrt_document_structures("4n1")[0]
+    real, products = scalars._product, []
+    monkeypatch.setattr(scalars, "_product", lambda a, b: products.append(1) or real(a, b))
+    classify_structure(S)
+    assert 0 < len(products) <= 59
 
 
 def test_multi_term_and_float_entries_keep_the_per_scalar_route():

@@ -1,12 +1,14 @@
 """psi = -nabla xi from one Koszul solve along xi.
 
 On an exact numerator view ``acm.psi_matrix`` solves 2 g nabla xi =
--(g ad_xi + ad_xi^T g) + E, E_kj = eta([b_k, b_j]), and certifies the
-symmetric part of g psi against -L_xi g and its skew part against d eta; the
-Levi-Civita table is not built.  A float view still reads psi off the table.
-The solve is compared by repr with the table's psi (``oracles.stage_operators``)
-on a structure whose xi is not Killing, its conjugates, per-scalar tower
-structures, and conjugations whose tensors or ad matrices are over 4 or 3.
+-(g ad_xi + ad_xi^T g) + E, E_kj = eta([b_k, b_j]); a float view builds only
+the table rows Gamma_a b_k for k in the support of xi and folds them on xi.
+Both certify the symmetric part of g psi against -L_xi g and its skew part
+against d eta, and neither builds the Levi-Civita table.  The solve is
+compared by repr with the table's psi (``oracles.stage_operators``) on a
+structure whose xi is not Killing, its conjugates, per-scalar tower
+structures, and conjugations whose tensors or ad matrices are over 4 or 3;
+the float rows with psi read off the whole table (``oracles.table_psi``).
 """
 
 import random
@@ -17,14 +19,15 @@ import pytest
 
 import aqslie.acm as acm
 import aqslie.io as aqio
-from aqslie.acm import AcmStructure, conjugate_structure, operators_A_psi, psi_matrix
+from aqslie.acm import AcmStructure, conjugate_structure, numerator_view, operators_A_psi
+from aqslie.acm import psi_matrix
 from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from aqslie.errors import InternalContradiction
 from aqslie.lie_core import LieAlgebra
 from aqslie.linalg import MatOver, identity, random_unimodular, zeros
-from aqslie.scalars import Ext
+from aqslie.scalars import DEFAULT_TOLERANCE, Ext, set_tolerance
 from floatcopy import float_structure
-from oracles import stage_operators
+from oracles import stage_operators, table_psi
 from test_payload_digests import EXPECTED, SQRT_WEIGHTS, _conjugated, _outcome, _run
 
 TOWER_WEIGHTS = [Ext.of_sqrt(2), F(1), F(3, 2) * Ext.of_sqrt(5)]
@@ -120,7 +123,39 @@ def test_exact_classifies_build_no_connection_table(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_a_float_view_keeps_the_table():
-    S = float_structure(_h9())
-    operators_A_psi(S)
-    assert "connection" in S._memo
+def _exact_xi(S):
+    # the float tensors with xi the exact basis vector: ONE and ZERO among floats
+    F = float_structure(S)
+    return AcmStructure.make(F.L, F.phi_mat(), S.L.basis_vector(0), F.eta_row(), F.g_mat())
+
+
+def _h(n, weights):
+    return weighted_heisenberg_4n1(n, weights)[1][0]
+
+
+FLOAT_CASES = {
+    "h5": lambda: float_structure(_h(1, [1])),
+    "h9": lambda: float_structure(_h9()),
+    "h13": lambda: float_structure(_h(3, [1, 2, 3])),
+    **{f"f9c{seed}": (lambda seed=seed: float_structure(_conjugated(_h9(), seed)))
+       for seed in (1, 2, 3)},
+    "qs7": lambda: float_structure(weighted_heisenberg_2n1(3, [1, 2, 3])[1]),
+    "qs9c1": lambda: float_structure(_conjugated(weighted_heisenberg_2n1(4, [1, 2, 3, 4])[1], 1)),
+    "exact-xi-h9": lambda: _exact_xi(_h9()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CASES))
+def test_a_float_view_reads_psi_off_the_rows_along_xi(name):
+    # bit for bit the psi of the whole table, with no table in the memo; the
+    # conjugations certify at 1e-6, as the digest entry f9c1 does
+    S, reference = FLOAT_CASES[name](), FLOAT_CASES[name]()
+    set_tolerance(1e-6)
+    try:
+        assert _rep(psi_matrix(S).mat()) == _rep(table_psi(reference).mat())
+        operators_A_psi(S)
+    finally:
+        set_tolerance(DEFAULT_TOLERANCE)
+    assert "connection" not in S._memo and "connection" in reference._memo
+    exact = {type(x) is not float for x in numerator_view(S).xi.N[0]}
+    assert exact == {name == "exact-xi-h9"}
