@@ -42,16 +42,16 @@ R(X, Y)Y are one table product, the outer ones another.
 
 The field is decided once per structure, by its numerator view
 (:func:`numerator_view`): phi, g, the rows xi and eta, the identity and the
-basis ad matrices as ``linalg.MatOver`` values: integers over a denominator
-when all are rational, one integer matrix per square class over a denominator
-(``tower.TowerOver``) when all are exact, else the tensors over 1, per scalar
-(float or mixed).  Identities are written on
-values, which meet at a common denominator by themselves, and a value is
-divided back only where it leaves (a residual, a table, an operator, a frame
-or an isomorphism).  A tower structure whose entries are one term each and
-factor over their indices runs on its :func:`rational_rescaling`, rational in
-the basis sqrt(d_k) e_k (``LieAlgebra.sqrt_basis``); ``linalg.diag_scaled``
-maps its residual entries, Ricci tensor and F back.
+basis ad matrices as values, one integer matrix per square class over a
+denominator (``tower.TowerOver``, the class 1 alone when all are rational)
+when all are exact, else ``linalg.MatOver``s of the tensors over 1.
+Identities are written on values, which meet at a common denominator by
+themselves, and a value is divided back only where it leaves (a residual, a
+table, an operator, a frame or an isomorphism).  A tower structure whose
+entries are one term each and factor over their indices runs on its
+:func:`rational_rescaling`, rational in the basis sqrt(d_k) e_k
+(``LieAlgebra.sqrt_basis``); ``linalg.diag_scaled`` maps its residual
+entries, Ricci tensor and F back.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ from .linalg import (
     vec_is_zero,
     vec_sub,
 )
-from .scalars import ONE, ZERO, get_tolerance, is_exact, s_abs, s_div, s_is_zero, s_lt, s_mul, s_sub
+from .scalars import ONE, ZERO, get_tolerance, s_abs, s_div, s_is_zero, s_lt, s_mul, s_sub
+from .tower import TowerOver
 
 CLASS_CONTACT_METRIC = "ContactMetric"
 CLASS_SASAKIAN = "Sasakian"
@@ -300,11 +301,11 @@ def classify_structure(S: AcmStructure) -> StructureClass:
             right = [scale(I) if any(col) else None  # the columns are pairs, or triples
                      for I, col in zip(triples if name == "d_phi" else pairs, zip(*X.N))]
             left = r.up if name in ("n_phi", "anti_normal") else None
-            return X.regroup(lambda N: diag_scaled(N, left, right)).max_abs()
+            return max_abs(_flat(diag_scaled(X.mat(), left, right)))
 
         S._memo["classification"] = replace(T._memo["classification"], residuals={
             name: mapped(name, X) for name, X in entries.items()})
-        S._memo["d_eta"] = _d_eta(T).regroup(lambda N: diag_scaled(N, r.down, r.down))
+        S._memo["d_eta"] = MatOver.of(diag_scaled(_d_eta(T).mat(), r.down, r.down))
     return S._memo["classification"]
 
 
@@ -376,7 +377,8 @@ class ConnectionTable:
         used = sorted(set().union(*coeffs))
         if not used:  # no pair has a coefficient
             return [[ZERO] * n for _ in pairs]
-        K = MatOver.of([[c.get(u, ZERO) for u in used] for c in coeffs])
+        rows = [[c.get(u, ZERO) for u in used] for c in coeffs]  # on the table's field
+        K = MatOver.of(rows) if isinstance(self.columns, TowerOver) else MatOver(rows)
         return (K @ self.columns.regroup(lambda N: [N[u] for u in used])).mat()
 
 
@@ -475,7 +477,7 @@ def psi_matrix(S: AcmStructure) -> MatOver:
     _metric_preconditions(v.g)
     G, B = _g_ad_xi(S)[1], _d_eta(S)
     sym = G + G.T
-    if is_exact(v.g.N[0][0]):
+    if isinstance(v.g, TowerOver):
         psi = mat_solve(v.g, sym + B) * (ONE / 2)
     else:  # a near-zero xi_k makes no pair of the fold: row 0 stands in for an empty support
         ks = [k for k, x in enumerate(v.xi.N[0]) if not s_is_zero(x)] or [0]
@@ -575,7 +577,7 @@ def curvature(S: AcmStructure) -> CurvatureData:
     terms = [lefts[a:a + 1].regroup(lambda N: [N[0][i * n:i * n + n] for i in range(n)])
              - R.on_rows(C[a * n:a * n + n]).T - R.T.on_rows(ads[a].T) for a, R in enumerate(rows)]
     # summed from the first term: no float term is -0.0, so ZERO + term is term
-    ricci = reduce(MatOver.__add__, terms).mat()
+    ricci = sum(terms[1:], terms[0]).mat()
     scal = dot(_flat(S._memo["g_inverse"]), _flat(ricci))  # as levi_civita kept it
     return CurvatureData(conn, tuple(tuple(r) for r in ricci), scal)
 

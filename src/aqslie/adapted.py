@@ -103,7 +103,7 @@ def eigen_orbits(M: MatOver, g: MatOver, maps: list[MatOver]) -> list[tuple]:
         orbits: list[tuple] = []
         for _ in range(mult // size):
             v = _orthogonal_pivot(basis, [x for orbit in orbits for x in orbit], g.N)
-            orbits.append((v, *(m.on_rows(MatOver([v])).mat()[0] for m in maps)))
+            orbits.append((v, *(m.on_rows(MatOver.of([v])).mat()[0] for m in maps)))
         out.append((ev, mult, orbits))
     return out
 

@@ -56,7 +56,7 @@ from .linalg import (
     zeros,
 )
 from .scalars import ONE, ZERO, Ext, coerce, s_is_zero, s_sqrt
-from .tower import tower_values
+from .tower import TowerOver, tower_values
 
 BracketTable = dict  # {(i, j): {k: scalar}} with i < j
 
@@ -199,7 +199,7 @@ class LieAlgebra:
         terms = [current]
         while True:
             # [g, V] is spanned by the columns of ad_w, w in the basis of V
-            ads = [ad_value(self, MatOver([list(w)])) for w in current.basis]
+            ads = [ad_value(self, self.values([list(w)])[0]) for w in current.basis]
             cols = _distinct_lines([col for ad in ads for col in ad.T.N])
             nxt = Subspace.from_vectors(self.dim, cols)
             if nxt.dim == current.dim:
@@ -218,18 +218,19 @@ class LieAlgebra:
         rational algebra with rational or all-int mats gives the integer table,
         c_ij^k = entry / den, the numerators of mats over dm and the zero 0;
         otherwise the stored constants, den None, mats as they are over 1 and
-        ZERO.  values(Ns, d) makes the route's values Ns / d: tower values
-        (``tower.tower_values``) off the integer table where no constant and no
-        entry of mats is a float, else MatOvers."""
+        ZERO.  values(Ns, d) makes the route's values Ns / d: class values
+        (``tower.TowerOver``) where no constant and no entry of mats is a float,
+        integers straight into the class 1 off the integer table, else MatOvers."""
         table, den = self._tables()
         scaled = _int_rows(*mats) if den is not None else None
-        mat_values = lambda Ns, d: [MatOver(N, d) for N in Ns]  # noqa: E731
         if scaled is None:  # the stored constants; a cached table with a den holds integers
             entries = itertools.chain.from_iterable(itertools.chain.from_iterable(mats))
             floats = self._float_constants or any(map(_is_float, entries))
+            over = lambda Ns, d: [MatOver(N) * Fraction(1, d) for N in Ns]  # noqa: E731
             return ((table if den is None else self._stored), None, ZERO, list(mats), 1,
-                    mat_values if floats else tower_values)
-        return table, den, 0, scaled[0], scaled[1] or 1, mat_values
+                    over if floats else tower_values)
+        classes = lambda Ns, d: [TowerOver({1: N}, d) for N in Ns]  # noqa: E731  no second scan
+        return table, den, 0, scaled[0], scaled[1] or 1, classes
 
     def values(self, *mats: Mat) -> list[MatOver]:
         """The matrices that act with the table, as values on its field: the
@@ -325,7 +326,7 @@ def in_basis(L: LieAlgebra, Q: Mat, Q_inv: Mat) -> LieAlgebra:
 
 def ad_matrix(L: LieAlgebra, X: Vec) -> Mat:
     """Matrix of ad_X, column j = [X, b_j]."""
-    return ad_value(L, MatOver([X])).mat()
+    return ad_value(L, L.values([X])[0]).mat()
 
 
 def jacobi_check(L: LieAlgebra) -> list[tuple[int, int, int]]:
@@ -381,7 +382,7 @@ def killing_form(L: LieAlgebra) -> KillingForm:
     B = zeros(n, n)
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         B[i][j] = B[j][i] = dot(rows[i], cols[j])  # sum over (a, b) of ad_i[a][b] ad_j[b][a]
-    B = MatOver(B, ads[0].den ** 2 if ads else 1).mat()
+    B = (MatOver.of(B) * Fraction(1, ads[0].den ** 2 if ads else 1)).mat()
     pos, neg, zero = inertia_symmetric(B)
     if pos and neg:
         label = "indefinite"

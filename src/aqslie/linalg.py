@@ -1,11 +1,15 @@
 """Small dense linear algebra over the scalar tower (exact) or floats.
 
-Matrices are lists of rows, vectors plain lists.  The field is decided once,
-from the whole input, with three outcomes:
+Matrices are lists of rows, vectors plain lists.  A computation decides its
+field once, as values of one of two kinds: exact, ``tower.TowerOver``, one
+integer matrix per square class over one denominator (a rational matrix is
+the class 1 alone), or float and mixed, :class:`MatOver`, the matrix itself
+over 1.  ``LieAlgebra.values`` and ``MatOver.of`` decide, and ``mat``
+divides a value back where it leaves.  The list kernels decide per call:
 
 * rational (or all-int) input runs on Python integers over a common
-  denominator, decided per kernel call by ``_int_scaled``: products
-  (Gustavson's row-wise product, as on every field; one per ``mat_vecs``),
+  denominator, decided by ``_int_scaled``: products (Gustavson's row-wise
+  product, as on every field; one per ``mat_vecs``),
   ``mat_add``/``mat_sub``/``mat_scale``, ``dot``, ``mat_eq``, ``max_abs``,
   fraction-free Gauss-Jordan with row-content removal (``rref``, ``rank``,
   ``nullspace``, ``solve``, ``mat_solve``), Bareiss (``det``), Krylov
@@ -15,13 +19,9 @@ from the whole input, with three outcomes:
   (``inertia_symmetric``).  On all-int input products, sums and scalings
   return ints, and elimination, spectra and inertia what the same values
   give as Fractions;
-* exact tower input runs by square class: ``tower.TowerOver`` values hold
-  one integer matrix per class for the integer kernels, and a tower matrix
-  takes its spectrum through rho(M), the rational matrix of the same
-  Q-linear map in the basis sqrt(t) e_j over its square classes t
-  (restriction of scalars), its other eliminations per scalar.  A structure
-  whose entries are each one term q sqrt(s), radicands factoring over the
-  indices, is rational in the basis sqrt(d_i) e_i (``LieAlgebra.sqrt_basis``);
+* a tower matrix takes its spectrum through rho(M), the rational matrix of
+  the same Q-linear map in the basis sqrt(t) e_j over its square classes t
+  (restriction of scalars), its other eliminations per scalar;
 * float or mixed input is per-scalar: products are one sparse fold,
   ``_fold``, over the pairs of nonzero entries, whose exact sum turns float
   where the full fold's does (pure finite-float input sums from 0.0 and
@@ -29,16 +29,11 @@ from the whole input, with three outcomes:
   pivoting.
 
 The exact routes return the same values: a normalised ``Fraction`` is
-unique.  A computation of several kernels stays on integers in one value,
-:class:`MatOver`, integer numerators over a denominator that meets another
-at their lcm by itself (float matrices are their own numerators over 1);
-``LieAlgebra.values`` builds values, ``mat_solve`` solves on them from one
-integer RREF, and ``MatOver.mat`` divides a value back where it leaves.
-``nullspace``, ``solve`` and ``mat_solve`` read the integer rows and pivots
-of ``_reduced`` and divide only the entries they return; ``rref`` divides
-every entry back, for ``Subspace.from_vectors``.  ``eigenspaces`` serves
-every eigendecomposition of a g-symmetric operator (the float eigenvalue
-clustering lives only there).
+unique.  ``nullspace``, ``solve`` and ``mat_solve`` read the integer rows
+and pivots of ``_reduced`` and divide only the entries they return; ``rref``
+divides every entry back, for ``Subspace.from_vectors``.  ``eigenspaces``
+serves every eigendecomposition of a g-symmetric operator (the float
+eigenvalue clustering lives only there).
 """
 
 from __future__ import annotations
@@ -502,116 +497,107 @@ def det(M: Mat):
 
 
 def inverse(M: Mat) -> Mat:
-    return mat_solve(MatOver(M), MatOver(identity(len(M)))).mat()
+    return mat_solve(MatOver.of(M), MatOver.of(identity(len(M)))).mat()
 
 
 # ---------------------------------------------------------------------------
-# values: numerators over one denominator
+# values over 1 (float); exact values are tower.TowerOver
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True, eq=False)
 class MatOver:
-    """N / den, den a positive int: ints N on the integer route, any other N (float,
-    Fraction, mixed; tower values are ``tower.TowerOver``) over 1, each operation the
-    kernel on N bit for bit.  Operands meet at the lcm of their denominators."""
+    """A float or mixed matrix N over 1 as a value, each operation the list
+    kernel on N and the other operand's scalars bit for bit (the per-scalar
+    ``_fold`` route).  Exact values are ``tower.TowerOver``; ``of`` decides."""
 
     N: Mat
-    den: int = 1
+    den = 1
 
-    T = property(lambda self: MatOver(transpose(self.N), self.den))
+    T = property(lambda self: self.regroup(transpose))
 
     @staticmethod
     def of(M: Mat) -> MatOver:
-        """M as a value: a rational M as integers over their common denominator."""
-        scaled = _int_rows(M)
-        return MatOver(M) if scaled is None else MatOver(scaled[0][0], scaled[1] or 1)
+        """M as a value: a class value (``tower.tower_values``) when it holds no float."""
+        from .tower import tower_values  # the tower form builds on this module
+        return MatOver(M) if any(map(_is_float, _flat(M))) else tower_values([M])[0]
 
     def __getitem__(self, rows: slice) -> MatOver:
-        return MatOver(self.N[rows], self.den)
+        return self.regroup(operator.itemgetter(rows))
 
     def regroup(self, fn) -> MatOver:
-        """fn(N) over den, for a linear fn: picks, moves, sums, diagonal scalings."""
-        return MatOver(fn(self.N), self.den)
+        """fn(N), for a linear fn: picks, moves, sums, diagonal scalings."""
+        return MatOver(fn(self.N))
 
     def __matmul__(self, other: MatOver) -> MatOver:
-        return MatOver(mat_mul(self.N, other.N), self.den * other.den)
+        return MatOver(mat_mul(self.N, other.mat()))
 
     def on_rows(self, V: MatOver) -> MatOver:
         """Row k: self times row k of V, one ``mat_vecs`` call."""
-        return MatOver(mat_vecs(self.N, V.N), self.den * V.den)
+        return MatOver(mat_vecs(self.N, V.mat()))
 
     def __add__(self, other: MatOver) -> MatOver:
-        (A, B), den = _at_lcm([self, other])
-        return MatOver(mat_add(A, B), den)
+        return MatOver(mat_add(self.N, other.mat()))
 
     def __sub__(self, other: MatOver) -> MatOver:
-        (A, B), den = _at_lcm([self, other])
-        return MatOver(mat_sub(A, B), den)
+        return MatOver(mat_sub(self.N, other.mat()))
 
     def __neg__(self) -> MatOver:
-        return MatOver([[s_neg(x) for x in row] for row in self.N], self.den)
+        return self.regroup(lambda M: [[-x for x in row] for row in M])
 
     def __mul__(self, c) -> MatOver:
-        """c self, c an int or a Fraction, whose denominator joins den on integers."""
-        if c.denominator == 1 or (ints := _int_rows(self.N)) and ints[1] is None:
-            return MatOver(mat_scale(self.N, c.numerator), self.den * c.denominator)
-        return MatOver(mat_scale(self.N, c), self.den)
+        """c self, c an int or a Fraction, a whole c as its int."""
+        return MatOver(mat_scale(self.N, c.numerator if c.denominator == 1 else c))
 
     def __eq__(self, other: MatOver) -> bool:
-        return mat_eq(*_at_lcm([self, other])[0])
+        return mat_eq(self.N, other.mat())
 
     def is_zero(self) -> bool:
         return vec_is_zero(_flat(self.N))
 
     def max_abs(self):
-        """max |N| / den, the residual of an identity."""
-        return MatOver([[max_abs(_flat(self.N))]], self.den).mat()[0][0]
+        """max |N|, the residual of an identity."""
+        return max_abs(_flat(self.N))
 
     def eigenspaces(self, G: MatOver) -> list:
         """``eigenspaces`` of N / den and G.N."""
         return eigenspaces(self.N, G.N, self.den)
 
     def mat(self) -> Mat:
-        """N / den: one normalised Fraction per nonzero entry of an all-int N, or
-        of a rational N over den > 1, ZERO for the zeros; any other N is itself
-        over 1 (float, tower or Fraction numerators), else divided entry by entry."""
-        N, den = self.N, self.den
-        scaled = None if den == 1 and not {int}.issuperset(map(type, _flat(N))) else _int_rows(N)
-        if scaled is not None:
-            return _back(scaled[0][0], scaled[1], den)
-        return N if den == 1 else [[s_div(x, den) for x in row] for row in N]
-
-
-def _at_lcm(values: list[MatOver]) -> tuple[list[Mat], int]:
-    den = math.lcm(*(v.den for v in values))
-    return [v.N if v.den == den else mat_scale(v.N, den // v.den) for v in values], den
+        return self.N
 
 
 def stacked(values: list[MatOver]) -> MatOver:
-    """The rows of all values, in order, as one value (a tower value's, ``tower``)."""
-    from .tower import tower_stacked  # the tower form builds on this module
-    if (tower := tower_stacked(values)) is not None:
-        return tower
-    mats, den = _at_lcm(values)
-    return MatOver([row for M in mats for row in M], den)
+    """The rows of all values, in order, as one value: class values class by class."""
+    from .tower import TowerOver, _aligned  # the tower form builds on this module
+    if values and isinstance(values[0], TowerOver):
+        parts, den = _aligned(values)
+        return TowerOver({t: [row for p in parts for row in p[t]] for t in parts[0]}, den)
+    return MatOver([row for v in values for row in v.mat()])
+
+
+def _solved(A: Mat, B: Mat) -> tuple[Mat, int | None]:
+    """(X, den), A X = den B for a square A (ValueError when singular), off the
+    RREF of [A | B] (``_reduced``): on rational rows row i of X is row i of the B
+    block over its pivot, at the lcm of the pivots; else the RREF's, den None."""
+    n, aug = len(A), [[*a, *b] for a, b in zip(A, B)]
+    R, pivots, heads = _reduced(aug) if aug else ([], [], [])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    if heads is None:
+        return [row[n:] for row in R], None
+    den = math.lcm(*heads)
+    return [row[n:] if h == den else [x * (den // h) for x in row[n:]]
+            for row, h in zip(R, heads)], den
 
 
 def mat_solve(A: MatOver, B: MatOver) -> MatOver:
-    """X with A X = B for a square A (ValueError when singular), off the RREF
-    of [A.N | B.N] (``_reduced``): on rational rows row i of X is row i of the
-    B block over its pivot, all at the lcm of the pivots; else it is the
-    RREF's, over 1.  A tower B over a rational A solves on classes (``tower``)."""
-    from .tower import tower_solve
-    if (tower := tower_solve(A, B)) is not None:
-        return tower
-    n, aug = len(A.N), [[*a, *b] for a, b in zip(A.N, B.N)]
-    R, pivots, heads = _reduced(aug) if aug else ([], [], None)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    heads = heads or [1] * n  # the RREF's pivots are 1
-    den = math.lcm(*heads)
-    X = [row[n:] if h == den else [x * (den // h) for x in row[n:]] for row, h in zip(R, heads)]
-    return MatOver(X, den * B.den) * A.den  # (A.N / a)^-1 B.N / b = a A.N^-1 B.N / b
+    """X with A X = B for a square A (ValueError when singular): a class value
+    A on classes (``tower.tower_solve``), a float A off the RREF of the scalars."""
+    from .tower import TowerOver, tower_solve
+    if isinstance(A, TowerOver):
+        return tower_solve(A, B)
+    X, den = _solved(A.N, B.mat())
+    return MatOver(X if den is None else _back(X, den))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Square-root tower values: sum_t sqrt(t) N_t / den, one integer matrix N_t per
 squarefree class t over one positive den (number-field elements as integer
-vectors over one denominator: H. Cohen, GTM 138, ch. 4).
+vectors over one denominator: H. Cohen, GTM 138, ch. 4), the one form of an
+exact value: a rational matrix is the class 1 alone.
 
 ``LieAlgebra._operands`` makes them once per computation in which every
-constant and operand is exact and one holds an ``Ext``; a rational operand is
-the one-class case.  A product is one ``_int_products`` per pair of nonzero
-classes (r, s), landing in the class r s / g^2 scaled by g = gcd(r, s); the
-linear operations act class by class at the lcm of the denominators, and a
-``mat_solve`` with a rational left side solves every class in one integer
-RREF.  Scalars are built only where a value leaves (``mat``, and ``N`` for
-the readers without a class route); an exact MatOver operand is split.
+constant and operand is exact.  A product is one integer product per pair of
+nonzero classes (r, s), landing in the class r s / g^2 scaled by g = gcd(r, s),
+each class of the right operand indexed once; the linear operations act class
+by class at the lcm of the denominators, and a ``mat_solve`` with a rational
+left side solves every class in one integer RREF.  Scalars are built only
+where a value leaves (``mat``, and ``N`` for the readers without a class
+route, the integers themselves for a rational value).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .linalg import Mat, MatOver, _int_products, _int_rows, mat_solve, transpose
-from .scalars import ZERO, Ext, normalize
+from .linalg import Mat, MatOver, _flat, _int_index, _int_rows, _rowwise, _solved, max_abs
+from .scalars import ZERO, Ext, normalize, s_div
 
 
 def tower_values(mats: list[Mat], den: int = 1) -> list[TowerOver]:
@@ -46,33 +47,30 @@ def tower_values(mats: list[Mat], den: int = 1) -> list[TowerOver]:
     return out
 
 
-def _classes(v: MatOver) -> TowerOver:
-    return v if isinstance(v, TowerOver) else tower_values([v.N], v.den)[0]
-
-
 def _live(parts: dict) -> dict:
     """The classes of parts with a nonzero entry."""
     return {t: M for t, M in parts.items() if any(map(any, M))}
 
 
 def _products(rows: dict, cols: dict) -> dict:
-    """{u: the sum of g _int_products(rows[r], cols[s]) over the nonzero classes
-    r of rows and s of cols with r s / g^2 = u, g = gcd(r, s)}: one integer
-    product per pair of classes, sqrt(r) sqrt(s) = g sqrt(r s / g^2)."""
+    """{u: the sum of g rows[r] cols[s]^T over the nonzero classes r of rows and
+    s of cols with r s / g^2 = u, g = gcd(r, s)}: each class of cols indexed once
+    (``_int_index``), one integer product (``_rowwise``) per pair of classes,
+    sqrt(r) sqrt(s) = g sqrt(r s / g^2)."""
     out: dict = {}
-    for (r, A), (s, B) in itertools.product(_live(rows).items(), _live(cols).items()):
+    width, index = len(cols[1]), {s: _int_index(B) for s, B in _live(cols).items()}
+    for (r, A), (s, nz) in itertools.product(_live(rows).items(), index.items()):
         g = math.gcd(r, s)
-        P, u = _int_products(A, B), r * s // (g * g)
+        P, u = _rowwise(A, nz, width, 0), r * s // (g * g)
         P = [[g * x for x in row] for row in P] if g > 1 else P
         out[u] = [list(map(operator.add, a, b)) for a, b in zip(out[u], P)] if u in out else P
-    out.setdefault(1, [[0] * len(cols[1]) for _ in rows[1]])
+    out.setdefault(1, [[0] * width for _ in rows[1]])
     return out
 
 
-def _aligned(values: list[MatOver]) -> tuple[list[dict], int]:
+def _aligned(values: list[TowerOver]) -> tuple[list[dict], int]:
     """The parts of the values at the lcm of their denominators, each over the
     classes of all of them (zero where it has none)."""
-    values = list(map(_classes, values))
     den, classes = math.lcm(*(v.den for v in values)), set().union(*(v.parts for v in values))
     out = []
     for v in values:
@@ -82,7 +80,7 @@ def _aligned(values: list[MatOver]) -> tuple[list[dict], int]:
     return out, den
 
 
-def _combined(v: MatOver, other: MatOver, op) -> TowerOver:
+def _combined(v: TowerOver, other: TowerOver, op) -> TowerOver:
     """v op other entry by entry, class by class."""
     (a, b), den = _aligned([v, other])
     return TowerOver({t: [list(map(op, x, y)) for x, y in zip(a[t], b[t])] for t in a}, den)
@@ -90,50 +88,47 @@ def _combined(v: MatOver, other: MatOver, op) -> TowerOver:
 
 class TowerOver(MatOver):
     """sum_t sqrt(t) parts[t] / den (module docstring), class 1 always among the
-    parts, all of one shape: a MatOver whose N is built where it is read."""
+    parts, all of one shape and of ints only: the exact value, N built where it is read."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "den")
 
     def __init__(self, parts: dict, den: int = 1):
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "den", den)
 
-    N = property(lambda self: self.parts[1] if _live(self.parts).keys() <= {1} else self.mat(1))
-    T = property(lambda self: self.regroup(transpose))
+    N = property(lambda self: self.parts[1] if self._rational() else self.mat(1))
 
-    def __getitem__(self, rows: slice) -> TowerOver:
-        return self.regroup(operator.itemgetter(rows))
+    def _rational(self) -> bool:
+        return len(self.parts) == 1 or _live(self.parts).keys() <= {1}
 
     def regroup(self, fn) -> TowerOver:
         return TowerOver({t: fn(M) for t, M in self.parts.items()}, self.den)
 
-    def __matmul__(self, other: MatOver) -> TowerOver:
-        o = _classes(other)
-        return TowerOver(_products(self.parts, o.T.parts), self.den * o.den)
+    def __matmul__(self, other: TowerOver) -> TowerOver:
+        return TowerOver(_products(self.parts, other.T.parts), self.den * other.den)
 
-    def __rmatmul__(self, other: MatOver) -> TowerOver:
-        return _classes(other) @ self
+    def on_rows(self, V: TowerOver) -> TowerOver:
+        return TowerOver(_products(V.parts, self.parts), self.den * V.den)
 
-    def on_rows(self, V: MatOver) -> TowerOver:
-        o = _classes(V)
-        return TowerOver(_products(o.parts, self.parts), self.den * o.den)
-
-    __add__ = __radd__ = functools.partialmethod(_combined, op=operator.add)
+    __add__ = functools.partialmethod(_combined, op=operator.add)
     __sub__ = functools.partialmethod(_combined, op=operator.sub)
-
-    def __neg__(self) -> TowerOver:
-        return self.regroup(lambda M: [[-x for x in row] for row in M])
 
     def __mul__(self, c) -> TowerOver:
         """c self, c an int or a Fraction, whose denominator joins den."""
         scaled = self.regroup(lambda M: [[c.numerator * x for x in row] for row in M])
         return TowerOver(scaled.parts, self.den * c.denominator)
 
-    def __eq__(self, other: MatOver) -> bool:
+    def __eq__(self, other: TowerOver) -> bool:
         return (self - other).is_zero()
 
     def is_zero(self) -> bool:
         return not _live(self.parts)
+
+    def max_abs(self):
+        """max |entry|, the residual of an identity: on the integers of a rational value."""
+        if self._rational():
+            return Fraction(max((abs(x) for row in self.parts[1] for x in row), default=0), self.den)
+        return s_div(max_abs(_flat(self.N)), self.den)
 
     def mat(self, den: int | None = None) -> Mat:
         """The entries over den (self.den when None): a Fraction where an entry
@@ -165,23 +160,13 @@ def restricted(M: Mat) -> tuple[list[Mat], int]:
     return [R], V.den
 
 
-def tower_stacked(values: list[MatOver]) -> TowerOver | None:
-    """The rows of all values as one tower value when one of them is one."""
-    if TowerOver in map(type, values):
-        parts, den = _aligned(values)
-        return TowerOver({t: [row for p in parts for row in p[t]] for t in parts[0]}, den)
-    return None
-
-
-def tower_solve(A: MatOver, B: MatOver) -> TowerOver | None:
-    """X with A X = B when A or B is a tower value and A is rational: the
-    classes of B side by side in one integer RREF (``mat_solve``); else None."""
-    if not (isinstance(A, TowerOver) or isinstance(B, TowerOver)) or \
-            _live((a := _classes(A)).parts).keys() - {1}:
-        return None
-    b = _classes(B)
-    classes, width = sorted(b.parts), len(b.parts[1][0]) if b.parts[1] else 0
-    X = mat_solve(MatOver(a.parts[1], a.den), MatOver([sum(rows, []) for rows in zip(
-        *(b.parts[t] for t in classes))], b.den))
-    return TowerOver({t: [row[k * width:k * width + width] for row in X.N]
-                      for k, t in enumerate(classes)}, X.den)
+def tower_solve(A: TowerOver, B: TowerOver) -> TowerOver:
+    """X with A X = B (``linalg.mat_solve``): for a rational A the classes of B
+    side by side in one integer RREF (``linalg._solved``), else per scalar on
+    the numerators, (A.N / a)^-1 B.N / b = a A.N^-1 B.N / b."""
+    if not A._rational():
+        return tower_values([_solved(A.N, B.N)[0]], B.den)[0] * A.den
+    classes, width = sorted(B.parts), len(B.parts[1][0]) if B.parts[1] else 0
+    X, den = _solved(A.parts[1], [sum(rows, []) for rows in zip(*(B.parts[t] for t in classes))])
+    return TowerOver({t: [row[k * width:k * width + width] for row in X]
+                      for k, t in enumerate(classes)}, den * B.den) * A.den

@@ -52,6 +52,7 @@ from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, solve
 from aqslie.linalg import transpose, vec_eq, vec_is_zero, vec_scale, zeros
 from aqslie.scalars import ONE, ZERO, Ext, is_exact, s_abs, s_add, s_div, s_eq, s_inv, s_is_zero
 from aqslie.scalars import s_mul, s_neg, s_sqrt, s_sub
+from aqslie.tower import TowerOver, tower_values
 
 
 def wedge_power(a: KForm, p: int) -> KForm:
@@ -329,8 +330,8 @@ def eager_mapped_residuals(S: AcmStructure) -> dict:
     by_pair = [r.down[i] * r.down[j] for i, j in _pairs(S.L.dim)]
     scalings = {"d_phi": (None, [math.prod(map(r.down.__getitem__, I)) for I in triples]),
                 "n_phi": (r.up, by_pair), "anti_normal": (r.up, by_pair)}
-    return {name: X.regroup(lambda N: diag_scaled(N, *scalings.get(name, (None, by_pair))))
-            .max_abs() for name, X in entries.items()}
+    return {name: max_abs(_flat(diag_scaled(X.mat(), *scalings.get(name, (None, by_pair)))))
+            for name, X in entries.items()}
 
 
 def stage_connection(S: AcmStructure) -> tuple:
@@ -347,8 +348,18 @@ def stage_connection(S: AcmStructure) -> tuple:
         C = [[gads[k][j][i] for j in range(n)] for k in range(n)]
         koszul += transpose(mat_add(mat_sub(gads[i], B), C))
     solved = mat_vecs(half_g_inv, koszul)
-    return tuple(tuple(map(tuple, MatOver(transpose(solved[i * n:i * n + n]), den).mat()))
+    return tuple(tuple(map(tuple, divided_back(transpose(solved[i * n:i * n + n]), den)))
                  for i in range(n))
+
+
+def divided_back(N: Mat, den: int) -> Mat:
+    """N / den as a value divides it back: exact N as a class value, float N over 1."""
+    return tower_values([N], den)[0].mat() if all(map(is_exact, _flat(N))) else N
+
+
+def value_like(V: MatOver, N: Mat) -> MatOver:
+    """The numerators N over the denominator of V, of V's kind (a rational V's class 1)."""
+    return TowerOver({1: N}, V.den) if isinstance(V, TowerOver) else MatOver(N)
 
 
 def gamma_rows(conn: ConnectionTable) -> tuple:

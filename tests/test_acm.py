@@ -37,7 +37,6 @@ from aqslie.errors import InternalContradiction, NotAqs, PreconditionError, Tole
 from aqslie.exterior import bilinear_from_form, ce_d
 from aqslie.lie_core import LieAlgebra, ad_matrix, bracket
 from aqslie.linalg import (
-    MatOver,
     identity,
     inverse,
     mat_add,
@@ -69,7 +68,7 @@ from aqslie.scalars import (
     set_tolerance,
 )
 from floatcopy import float_structure
-from oracles import evaluate, fundamental_form, gamma_rows
+from oracles import divided_back, evaluate, fundamental_form, gamma_rows, value_like
 
 
 def h5_structures():
@@ -276,7 +275,7 @@ def test_levi_civita_certificate_catches_corrupted_coefficient(monkeypatch):
         # the table stores numerators over den: one more in a numerator
         rows, n = [list(row) for row in columns.N], len(columns.N[0])
         rows[1 * n + 0][4] += 1  # row 4, column 0 of Gamma_1
-        return real(MatOver(rows, columns.den))
+        return real(value_like(columns, rows))
 
     monkeypatch.setattr(acm, "ConnectionTable", corrupting)
     with pytest.raises(InternalContradiction, match="Koszul solve lost"):
@@ -297,7 +296,7 @@ def test_levi_civita_metric_certificate_names_the_worst_residual(monkeypatch):
             for i, j in ((0, 1), (1, 0)):
                 for r, x in shift.items():
                     rows[i * n + j][r] += x  # row r, column j of Gamma_i
-            return real(MatOver(rows, columns.den))
+            return real(value_like(columns, rows))
         return make
 
     monkeypatch.setattr(acm, "ConnectionTable", shifted({2: 1, 3: 2}))
@@ -626,7 +625,6 @@ def _per_index_product(M, B):
 def _reference_koszul(S):
     """The Gamma table as levi_civita solved it before the n Koszul matrices
     became one product: one g^-1 / 2 product per i, on the same numerators."""
-    from aqslie.linalg import MatOver
     from aqslie.scalars import ONE
 
     L, g = S.L, S.g_mat()
@@ -640,7 +638,7 @@ def _reference_koszul(S):
         B = [[gads[j][i][k] for j in range(n)] for k in range(n)]
         C = [[gads[k][j][i] for j in range(n)] for k in range(n)]
         koszul = mat_add(mat_sub(gads[i], B), C)
-        gammas.append(MatOver(_per_index_product(half_g_inv, koszul), den).mat())
+        gammas.append(divided_back(_per_index_product(half_g_inv, koszul), den))
     return gammas
 
 
@@ -700,11 +698,11 @@ def test_connection_and_ricci_are_whole_table_products(monkeypatch):
     # n^3 more entries at once, at 0.40-0.41 MB
     import tracemalloc
 
-    import aqslie.linalg as linalg
+    import aqslie.tower as tower
 
     n = 13
     h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
-    calls = {"mat_vecs": 0, "mat_mul": 0}
+    calls = {"_products": 0, "__matmul__": 0}  # every product, and those of the form A @ B
 
     def counting(name, real):
         def kernel(*args):
@@ -712,13 +710,14 @@ def test_connection_and_ricci_are_whole_table_products(monkeypatch):
             return real(*args)
         return kernel
 
-    for name in calls:
-        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    monkeypatch.setattr(tower, "_products", counting("_products", tower._products))
+    monkeypatch.setattr(tower.TowerOver, "__matmul__",
+                        counting("__matmul__", tower.TowerOver.__matmul__))
     levi_civita(h13)
-    assert calls["mat_vecs"] <= n + 1 and calls["mat_mul"] == n
-    calls.update(mat_vecs=0, mat_mul=0)
+    assert calls["_products"] <= 2 * n + 1 and calls["__matmul__"] == n
+    calls.update(_products=0, __matmul__=0)
     curvature(h13)
-    assert calls["mat_vecs"] <= 2 * n + 1 and calls["mat_mul"] == 0
+    assert calls["_products"] <= 2 * n + 1 and calls["__matmul__"] == 0
     monkeypatch.undo()
 
     S = conjugate_structure(h13, random_unimodular(n, random.Random(7)))

@@ -34,9 +34,10 @@ from aqslie.lie_core import (
     lower_central_series,
 )
 from aqslie.linalg import (
-    MatOver,
     Subspace,
+    _int_scaled,
     identity,
+    mat_eq,
     mat_vec,
     nullspace,
     random_unimodular,
@@ -44,6 +45,7 @@ from aqslie.linalg import (
     vec_is_zero,
 )
 from aqslie.scalars import Ext, get_tolerance, s_add, s_eq, s_is_zero, s_mul, set_tolerance
+from aqslie.tower import TowerOver
 from bracket_routes import ad_matrix_routes, bracket_routes
 from oracles import quotient_by_center_line, structure_constant
 
@@ -64,11 +66,12 @@ def test_bracket_heisenberg_and_antisymmetry():
 
 
 def _ad_numerators(L, X):
-    """(numerators, denominator) of ad_X as a value; a tower value's entries over 1."""
-    from aqslie.tower import TowerOver
-
-    V = ad_value(L, MatOver([X]))
-    return (V.mat(), 1) if isinstance(V, TowerOver) else (V.N, V.den)
+    """(numerators, denominator) of ad_X as a value: the class 1 and its
+    denominator where the oracle takes the integer route (a rational table, X
+    all rational or all int), else the entries over 1."""
+    V = ad_value(L, L.values([X])[0])
+    integer = L._tables()[1] is not None and _int_scaled(X) is not None
+    return (V.parts[1], V.den) if integer else (V.mat(), 1)
 
 
 def test_ad_value_carries_the_table_denominator():
@@ -80,16 +83,18 @@ def test_ad_value_carries_the_table_denominator():
     N, den = _ad_numerators(L, X)
     assert den == 6 and all(type(x) is int for row in N for x in row)
     exact = ad_matrix(L, [F(x) for x in X])
-    assert MatOver(N, den).mat() == ad_matrix(L, X) == exact
+    assert TowerOver({1: N}, den).mat() == ad_matrix(L, X) == exact
     assert _ad_numerators(L, [F(x, 5) for x in X]) == (N, 30)
     # a vector over its own denominator joins the table's
-    V = ad_value(L, MatOver([X], 5))
-    assert (V.N, V.den) == (N, 30)
+    V = ad_value(L, TowerOver({1: [X]}, 5))
+    assert (V.parts[1], V.den) == (N, 30)
     assert bracket(L, [1, 0, 0], [0, 1, 0]) == [0, 0, F(1, 2)]
     assert all(type(x) is F for x in bracket(L, [1, 0, 0], [0, 1, 0]))
     Lf = LieAlgebra.from_brackets(3, {(0, 1): {2: 0.5}, (0, 2): {1: -1 / 3}}, mode="float")
     Nf, df = _ad_numerators(Lf, [2.0, 3.0, 0.0])
     assert df == 1 and Nf == ad_matrix(Lf, [2.0, 3.0, 0.0])
+    # a class value over its denominator meets a float table divided back
+    assert mat_eq(ad_value(Lf, TowerOver({1: [X]}, 5)).mat(), ad_matrix(Lf, [0.4, 0.6, 0.0]))
 
 
 def test_bracket_abelian():
@@ -515,7 +520,6 @@ def test_ad_values_across_fields_keep_the_true_ad_matrices():
     # values: one integer matrix per square class, the ad matrices over one
     # denominator; with a float the ad matrices are the stored constants over 1
     from aqslie.scalars import parse_scalar
-    from aqslie.tower import TowerOver
 
     rational = weighted_heisenberg_4n1(2, [F(1, 3), F(3, 4)])[0]
     assert rational._tables()[1] == 6

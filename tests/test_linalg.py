@@ -47,7 +47,7 @@ from aqslie.linalg import (
     vec_is_zero,
 )
 from aqslie.scalars import ONE, ZERO, Ext, s_add, s_eq, s_inv, s_is_zero, s_mul, s_sub
-from aqslie.tower import TowerOver, restricted
+from aqslie.tower import TowerOver, restricted, tower_values
 from oracles import eig_sym_char_poly, rational_roots
 
 small_mats = st.integers(-4, 4)
@@ -953,8 +953,8 @@ def test_values_divide_back_to_their_matrices(A, B, kind):
         assert den == math.lcm(*(c.denominator for x in flat if x for c in x.terms.values()))
     else:
         assert (mats, den) == ([A, B], 1)
-    # a matrix of another kind over a denominator other than 1 is divided entrywise
-    assert _same(MatOver(A, 3).mat(), [[s_mul(x, F(1, 3)) for x in row] for row in A])
+    # exact matrices are class values, float ones MatOvers of themselves over 1
+    assert all(type(V) is (MatOver if kind == "float" else TowerOver) for V in vals)
 
 
 def test_entrywise_kernels_fall_back_on_mixed_input():
@@ -1027,15 +1027,16 @@ def test_inertia_agrees_with_sympy_eigenvalue_signs():
 
 
 # ---------------------------------------------------------------------------
-# MatOver: numerators over one denominator
+# values: rational classes over one denominator, or matrices over 1
 # ---------------------------------------------------------------------------
 
 @st.composite
 def values(draw, m, n, exact):
-    """An m x n MatOver: ints or Fractions over 1..12, or numerators of every
-    kind (tower, float, -0.0, inf, nan, zeros of each kind) over 1."""
+    """An m x n value: ints or Fractions over 1..12 in class form, or a
+    MatOver of entries of every kind (tower, float, -0.0, inf, nan, zeros of
+    each kind) over 1."""
     if exact:
-        return MatOver(draw(integer_route(m, n, 0.5)), draw(st.integers(1, 12)))
+        return tower_values([draw(integer_route(m, n, 0.5))], draw(st.integers(1, 12)))[0]
     return MatOver(draw(sparse_mixed(m, n, 0.5)))
 
 
@@ -1075,7 +1076,7 @@ def test_values_match_the_kernels_on_their_divided_back_matrices(m, k, p, exact,
     B, V = data.draw(values(k, p, exact)), data.draw(values(p, k, exact))
     Q, X = data.draw(values(k, k, exact)), data.draw(values(k, p, exact))
     c = data.draw(st.sampled_from([1, 2, -3, F(1, 2), F(-5, 3), F(4)]))
-    same = MatOver(mat_scale(A.N, 3), A.den * 3) if exact else A
+    same = TowerOver({1: mat_scale(A.N, 3)}, A.den * 3) if exact else A
     for got, want in (
         (lambda: A @ B, lambda: mat_mul(A.mat(), B.mat())),
         (lambda: A.on_rows(V), lambda: mat_vecs(A.mat(), V.mat())),
@@ -1093,8 +1094,7 @@ def test_values_match_the_kernels_on_their_divided_back_matrices(m, k, p, exact,
         assert _outcome(got) == _outcome(want)
     if exact:  # a value is equal to itself over any denominator
         assert _outcome(lambda: A == same) == (bool, True)
-        if all(type(x) is int for x in _flat(A.N)):  # c's denominator joins den
-            assert all(type(x) is int for x in _flat((A * c).N))
+        assert all(type(x) is int for x in _flat((A * c).N))  # c's denominator joins den
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1104,9 +1104,10 @@ def test_value_eigenspaces_divide_the_eigenvalues(seed):
     P = random_unimodular(4, random.Random(seed))
     D = [[[3, 3, -6, 12][i] if i == j else 0 for j in range(4)] for i in range(4)]
     N = [[int(x) for x in row] for row in mat_mul(P, mat_mul(D, inverse(P)))]
-    G = MatOver(identity(4))
-    assert repr(MatOver(N, 6).eigenspaces(G)) == repr(eigenspaces(MatOver(N, 6).mat(), G.mat()))
+    G = MatOver.of(identity(4))
+    assert repr(TowerOver({1: N}, 6).eigenspaces(G)) == \
+        repr(eigenspaces(TowerOver({1: N}, 6).mat(), G.mat()))
     floats = [[float(x) for x in row] for row in N]
     assert repr(MatOver(floats).eigenspaces(G)) == repr(eigenspaces(floats, G.mat()))
     with pytest.raises(ValueError, match="singular"):
-        mat_solve(MatOver([[0] * 4 for _ in range(4)], 5), MatOver(N))
+        mat_solve(TowerOver({1: [[0] * 4 for _ in range(4)]}, 5), MatOver.of(N))

@@ -1,9 +1,10 @@
 """The classify stages on one numerator view per structure.
 
 A rational structure keeps phi, g, xi, eta and the basis ad matrices as
-``linalg.MatOver`` values, integers over a denominator that each value
-carries (``acm.numerator_view``), and the stages pass values to each other;
-tower and float structures are their own values over 1.  The stages are
+``tower.TowerOver`` values of the one class 1, integers over a denominator
+that each value carries (``acm.numerator_view``), and the stages pass values
+to each other; tower structures hold a class per radicand, and float
+structures are ``linalg.MatOver`` values of themselves over 1.  The stages are
 compared by repr with the formulas they ran before (``oracles.stage_*``), on
 rational structures, conjugated ones (one of them over a denominator of 4),
 square-root weights and float copies.
@@ -36,6 +37,7 @@ from aqslie.constructors import weighted_heisenberg_4n1
 from aqslie.errors import InternalContradiction
 from aqslie.linalg import random_unimodular
 from aqslie.scalars import DEFAULT_TOLERANCE, Ext, set_tolerance
+from aqslie.tower import TowerOver
 from floatcopy import float_structure
 from oracles import (
     gamma_rows,
@@ -131,8 +133,8 @@ def test_ricci_on_numerators_matches_the_gamma_loop(name):
 def test_exact_curvature_reads_no_divided_back_table():
     # neither Ricci nor the nablas of the sectional curvatures divide the
     # connection table back: only what they return leaves it
-    class Unread(linalg.MatOver):
-        def mat(self):
+    class Unread(TowerOver):
+        def mat(self, den=None):
             raise AssertionError("connection table divided back")
 
     for name in ("h13c", "sqrt-h13"):
@@ -141,7 +143,7 @@ def test_exact_curvature_reads_no_divided_back_table():
         T = acm.rational_rescaling(S).S if acm.rational_rescaling(S) else S
         table = levi_civita(T)
         want = table.nablas([(T.xi_vec(), v) for v in T.g_mat()])
-        T._memo["connection"] = acm.ConnectionTable(Unread(table.columns.N, table.columns.den))
+        T._memo["connection"] = acm.ConnectionTable(Unread(table.columns.parts, table.columns.den))
         data = curvature(S)
         assert rep(data.ricci) == rep(ricci) and rep(data.scalar) == rep(scalar), name
         assert rep(data.connection.nablas([(T.xi_vec(), v) for v in T.g_mat()])) == rep(want)
@@ -196,12 +198,15 @@ def test_nijenhuis_products_match_the_loop_over_i(name):
 
 def test_a_classify_differentiates_nothing_and_multiplies_little(monkeypatch):
     # d Phi is read off one product with the pair brackets, d eta off one with
-    # eta and [phi, phi] off four: no ce_d, and 14 mat_mul calls on the
-    # conjugated h13 (49 when [phi, phi] made four products per i)
+    # eta and [phi, phi] off four: no ce_d, and 14 products A @ B of values or
+    # mat_mul calls on the conjugated h13 (49 when [phi, phi] made four
+    # products per i)
     S, calls, ce_d, mat_mul = CASES["h13c"](), [], exterior.ce_d, linalg.mat_mul
+    matmul = TowerOver.__matmul__
     monkeypatch.setattr(exterior, "ce_d", lambda L, w: calls.append("ce_d") or ce_d(L, w))
     for module in (acm, linalg):
         monkeypatch.setattr(module, "mat_mul", lambda A, B: calls.append("mul") or mat_mul(A, B))
+    monkeypatch.setattr(TowerOver, "__matmul__", lambda A, B: calls.append("mul") or matmul(A, B))
     classify_structure(S)
     assert "ce_d" not in calls
     assert calls.count("mul") <= 14, calls.count("mul")
@@ -245,7 +250,7 @@ def test_xi_killing_verdict_is_kept_and_its_contradiction_raised_again(monkeypat
     assert [list(X) for X in builds].count(xi) == 1
     # a Killing xi with d eta(xi, .) != 0 raises on every call, nothing kept:
     # the Killing test (n^2 entries) passes, the eta([xi, .]) = 0 test (n) fails
-    monkeypatch.setattr(linalg.MatOver, "is_zero", lambda X: len(linalg._flat(X.N)) != S.L.dim)
+    monkeypatch.setattr(TowerOver, "is_zero", lambda X: len(linalg._flat(X.N)) != S.L.dim)
     T = CASES["h9c"]()
     for _ in range(2):
         with pytest.raises(InternalContradiction, match="Killing xi"):

@@ -190,8 +190,8 @@ def hand_carried_denominators(source: str) -> list[str]:
     """Where source reads .den or .da, calls a producer of (numerators, den)
     tuples, builds, returns or unpacks a tuple that holds a denominator, or
     applies *, ** or // to one.  Outside linalg, lie_core and exterior
-    denominators live in linalg.MatOver values, which bring operands to one
-    themselves."""
+    denominators live in the values (tower.TowerOver), which bring operands to
+    one themselves."""
     offenders = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in ("den", "da"):
@@ -494,9 +494,10 @@ def test_products_outside_the_integer_route_are_one_sparse_fold():
 
 def tower_product_offenders(source: str) -> list[str]:
     """Where tower's source calls a per-scalar product (a kernel of
-    PRODUCT_KERNELS, s_mul or s_add), calls _int_products other than once in a
-    loop over the pairs of classes (itertools.product), or has a product
-    method, __matmul__ or on_rows, that does not reach that loop, _products."""
+    PRODUCT_KERNELS, s_mul or s_add), calls the integer product _rowwise other
+    than once in a loop over the pairs of classes (itertools.product), builds
+    an index (_int_index) inside that loop, or has a product method,
+    __matmul__ or on_rows, that does not reach the loop, _products."""
     tree = ast.parse(source)
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     offenders = [f"{node.lineno} calls {_callee(node)}" for node in calls
@@ -504,10 +505,12 @@ def tower_product_offenders(source: str) -> list[str]:
     pair_loops = {id(node) for loop in ast.walk(tree) if isinstance(loop, ast.For)
                   and isinstance(loop.iter, ast.Call) and _callee(loop.iter) == "product"
                   for node in ast.walk(loop)}
-    products = [node for node in calls if _callee(node) == "_int_products"]
-    offenders += [f"{node.lineno} _int_products outside the class pairs"
+    products = [node for node in calls if _callee(node) == "_rowwise"]
+    offenders += [f"{node.lineno} _rowwise outside the class pairs"
                   for node in products if id(node) not in pair_loops]
-    offenders += [f"{len(products)} calls of _int_products"] if len(products) != 1 else []
+    offenders += [f"{node.lineno} _int_index inside the class pairs" for node in calls
+                  if _callee(node) == "_int_index" and id(node) in pair_loops]
+    offenders += [f"{len(products)} calls of _rowwise"] if len(products) != 1 else []
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef) and fn.name in ("__matmul__", "on_rows"):
             called = {_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
@@ -519,19 +522,22 @@ def tower_product_offenders(source: str) -> list[str]:
 def test_tower_products_are_one_integer_product_per_pair_of_classes():
     path = Path(aqslie.__file__).parent / "tower.py"
     assert tower_product_offenders(path.read_text("utf-8")) == []
-    # a per-scalar product of the rebuilt entries, and an integer product per
-    # class beside the pairs, are what the check is for
+    # a per-scalar product of the rebuilt entries, an integer product per
+    # class beside the pairs, and an index rebuilt for every pair are what the
+    # check is for
     forked = (
         "def __matmul__(self, other):\n"
         "    return MatOver(mat_mul(self.N, other.N), self.den * other.den)\n"
         "def on_rows(self, V):\n"
-        "    return TowerOver({t: _int_products(V.parts[t], M) for t, M in self.parts.items()})\n"
+        "    return TowerOver({t: _rowwise(V.parts[t], _int_index(M), len(M), 0) for t, M in self.parts.items()})\n"
         "def _products(rows, cols):\n"
         "    for (r, A), (s, B) in itertools.product(rows.items(), cols.items()):\n"
         "        out[r * s] = _fold(A, B)\n"
+        "        out[r * s] = _rowwise(A, _int_index(B), len(B), 0)\n"
     )
     assert tower_product_offenders(forked) == [
-        "2 calls mat_mul", "7 calls _fold", "4 _int_products outside the class pairs",
+        "2 calls mat_mul", "7 calls _fold", "4 _rowwise outside the class pairs",
+        "8 _int_index inside the class pairs", "2 calls of _rowwise",
         "1 __matmul__ skips _products", "3 on_rows skips _products"]
 
 
@@ -539,7 +545,8 @@ def test_tower_structures_make_no_per_scalar_fold(monkeypatch):
     # the square-root-weight qS h7 and the third companion of the
     # square-root-weight h13 have no rational rescaling: their documents'
     # classify_structure and curvature decide the tower form once, fold
-    # nothing per scalar, and make one integer product per pair of classes
+    # nothing per scalar, make one integer product per pair of classes and
+    # index each live class of a product's right operand once
     import aqslie.io as aqio
     from aqslie import acm, linalg, tower
     from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
@@ -549,12 +556,19 @@ def test_tower_structures_make_no_per_scalar_fold(monkeypatch):
     s1, _, s3 = weighted_heisenberg_4n1(3, weights)[1]
     docs = {"2n1": aqio.structure_to_json(weighted_heisenberg_2n1(3, weights)[1]),
             "4n1": aqio.structure_to_json(s1, companions=[s3.phi_mat()])}
-    folds, pairs, products = [], [], []
-    real_fold, real_products, real_int = linalg._fold, tower._products, tower._int_products
+    folds, pairs, right, products, indexes = [], [], [], [], []
+    real_fold, real_products = linalg._fold, tower._products
+    real_rowwise, real_index = tower._rowwise, tower._int_index
+
+    def counted(rows, cols):
+        pairs.append(len(tower._live(rows)) * len(tower._live(cols)))
+        right.append(len(tower._live(cols)))
+        return real_products(rows, cols)
+
     monkeypatch.setattr(linalg, "_fold", lambda *a, **k: folds.append(a) or real_fold(*a, **k))
-    monkeypatch.setattr(tower, "_products", lambda rows, cols: pairs.append(
-        len(tower._live(rows)) * len(tower._live(cols))) or real_products(rows, cols))
-    monkeypatch.setattr(tower, "_int_products", lambda A, B: products.append(1) or real_int(A, B))
+    monkeypatch.setattr(tower, "_products", counted)
+    monkeypatch.setattr(tower, "_rowwise", lambda *a: products.append(1) or real_rowwise(*a))
+    monkeypatch.setattr(tower, "_int_index", lambda B: indexes.append(1) or real_index(B))
     for key, stage in (("2n1", acm.classify_structure), ("2n1", acm.curvature),
                        ("4n1", acm.classify_structure)):
         S, companions = aqio.read(aqio.loads(aqio.dumps(docs[key])), "acm_structure")[1]
@@ -562,6 +576,96 @@ def test_tower_structures_make_no_per_scalar_fold(monkeypatch):
         assert acm.rational_rescaling(S) is None
         stage(S)
     assert folds == [] and len(products) == sum(pairs) > 0
+    assert len(indexes) == sum(right) < sum(pairs)
+
+
+def _value_readers(S) -> dict:
+    """{reader: the values it returns on S}: the numerator view,
+    LieAlgebra.values and ad_values, ad_value, pair_brackets, mat_solve and
+    MatOver.of."""
+    from aqslie.acm import numerator_view
+    from aqslie.lie_core import ad_value, pair_brackets
+    from aqslie.linalg import MatOver, mat_solve
+
+    v, L = numerator_view(S), S.L
+    ads, (g,) = L.ad_values(S.g_mat())
+    return {"numerator_view": [*v[:-1], *v.ads], "values": L.values(S.phi_mat(), [S.xi_vec()]),
+            "ad_values": [*ads, g], "ad_value": [ad_value(L, v.xi)],
+            "pair_brackets": [pair_brackets(L, v.one, [(0, 1), (1, 2)])],
+            "mat_solve": [mat_solve(v.g, v.one)], "MatOver.of": [MatOver.of(S.g_mat())]}
+
+
+def wrong_kinds(readers: dict, exact: bool) -> list[str]:
+    """The readers with a value not of the kind of their input: exact input
+    gives class values (tower.TowerOver), float input MatOvers over 1."""
+    from aqslie.linalg import MatOver
+    from aqslie.tower import TowerOver
+
+    def right(V):
+        return type(V) is TowerOver if exact else type(V) is MatOver and V.den == 1
+    return sorted(name for name, values in readers.items() if not all(map(right, values)))
+
+
+def integer_matrix_routes(source: str) -> list[str]:
+    """Where linalg's source defines _at_lcm, the meeting of two integer
+    MatOvers, or MatOver.mat scales integers (_int_rows)."""
+    tree = ast.parse(source)
+    offenders = [f"{node.lineno} def _at_lcm" for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_at_lcm"]
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "MatOver":
+            offenders += [f"{node.lineno} MatOver.mat calls _int_rows" for fn in cls.body
+                          if isinstance(fn, ast.FunctionDef) and fn.name == "mat"
+                          for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and _callee(node) == "_int_rows"]
+    return offenders
+
+
+def test_exact_values_are_class_values_and_float_values_matrices_over_one(monkeypatch):
+    # one exact representation: on rational, square-root-weight and conjugated
+    # structures every value the readers return is a TowerOver, a rational one
+    # the class 1 alone; on their float copies each is a MatOver over 1
+    import random
+
+    from aqslie.acm import conjugate_structure
+    from aqslie.constructors import weighted_heisenberg_4n1
+    from aqslie.lie_core import LieAlgebra
+    from aqslie.linalg import MatOver, random_unimodular
+    from aqslie.scalars import parse_scalar
+    from floatcopy import float_structure
+
+    def structures():
+        h9 = weighted_heisenberg_4n1(2, [1, 2])[1][0]
+        sqrt_weights = [parse_scalar(w) for w in ("sqrt(2)", "1", "3/2*sqrt(5)")]
+        return {"h9": h9, "sqrt-h13": weighted_heisenberg_4n1(3, sqrt_weights)[1][0],
+                "h9c1": conjugate_structure(h9, random_unimodular(9, random.Random(1)))}
+
+    for name, S in structures().items():
+        assert wrong_kinds(_value_readers(S), exact=True) == [], name
+        assert wrong_kinds(_value_readers(float_structure(S)), exact=False) == [], name
+    package = Path(aqslie.__file__).parent
+    assert integer_matrix_routes((package / "linalg.py").read_text("utf-8")) == []
+    # the integer route of MatOver is what the source check is for
+    forked = (
+        "class MatOver:\n"
+        "    def mat(self):\n"
+        "        return _back(*_int_rows(self.N), self.den)\n"
+        "def _at_lcm(values):\n"
+        "    return [v.N for v in values], math.lcm(*(v.den for v in values))\n"
+    )
+    assert integer_matrix_routes(forked) == ["4 def _at_lcm", "3 MatOver.mat calls _int_rows"]
+    # and the old _operands, the rational route's integers in MatOvers, is
+    # what the value check is for
+    real = LieAlgebra._operands
+
+    def old(self, *mats):
+        table, den, zero, ints, dm, values = real(self, *mats)
+        rational = den is not None
+        return table, den, zero, ints, dm, (lambda Ns, d: list(map(MatOver, Ns))) if rational else values
+
+    monkeypatch.setattr(LieAlgebra, "_operands", old)
+    assert wrong_kinds(_value_readers(structures()["h9"]), exact=True) == [
+        "ad_value", "ad_values", "mat_solve", "numerator_view", "pair_brackets", "values"]
 
 
 def reachable_calls(source: str, start: str) -> set[str]:

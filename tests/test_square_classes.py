@@ -133,10 +133,19 @@ def _not_closed():
     return rescaled(S, up, [1 / x for x in up])
 
 
+def _xi_class_2():
+    # the rational aqS h9 with xi scaled by 1 / sqrt(2): N_phi = 2 d eta (x) xi lives
+    # in the row of xi, whose scale up_0 = sqrt(2) maps the largest entry back
+    S = weighted_heisenberg_4n1(2, [1, 2])[1][0]
+    up = [Ext.of_sqrt(2)] + [Fraction(1)] * 8
+    return rescaled(S, up, [1 / x for x in up])
+
+
 MAP_BACK_CASES = {
     **{f"4n1-{i}": (lambda i=i: _sqrt_document_structures("4n1")[i]) for i in range(3)},
     "2n1": lambda: _sqrt_document_structures("2n1")[0],
     "not-closed": _not_closed,
+    "xi-class-2": _xi_class_2,
 }
 
 
@@ -144,12 +153,15 @@ MAP_BACK_CASES = {
 def test_residuals_map_back_as_the_eager_map_did(name):
     # a column's scale made only where the column is nonzero: the same residuals,
     # by str, as every scale and entry mapped back first (the 4n1 S and first
-    # companion rescale, and the structure with d Phi != 0; the others are read
-    # as they are)
+    # companion rescale, the structure with d Phi != 0, and the h9 whose largest
+    # N_phi entry is in a row scaled by sqrt(2); the others are read as they are)
     S, reference = MAP_BACK_CASES[name](), MAP_BACK_CASES[name]()
     got, want = classify_structure(S).residuals, eager_mapped_residuals(reference)
     assert {k: str(x) for k, x in got.items()} == {k: str(x) for k, x in want.items()}
-    assert (rational_rescaling(S) is not None) == (name in ("4n1-0", "4n1-1", "not-closed"))
+    rescaling = rational_rescaling(S)
+    assert (rescaling is not None) == (name in ("4n1-0", "4n1-1", "not-closed", "xi-class-2"))
+    if name == "xi-class-2":
+        assert rescaling.up[0] == Ext.of_sqrt(2) and str(got["n_phi"]) == "4*sqrt(2)"
     assert (got["d_phi"] != 0) == (name == "not-closed")
 
 

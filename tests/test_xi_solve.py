@@ -24,10 +24,10 @@ from aqslie.acm import psi_matrix
 from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from aqslie.errors import InternalContradiction
 from aqslie.lie_core import LieAlgebra
-from aqslie.linalg import MatOver, identity, random_unimodular, zeros
+from aqslie.linalg import identity, random_unimodular, zeros
 from aqslie.scalars import DEFAULT_TOLERANCE, Ext, set_tolerance
 from floatcopy import float_structure
-from oracles import stage_operators, table_psi
+from oracles import stage_operators, table_psi, value_like
 from test_payload_digests import EXPECTED, SQRT_WEIGHTS, _conjugated, _outcome, _run
 
 TOWER_WEIGHTS = [Ext.of_sqrt(2), F(1), F(3, 2) * Ext.of_sqrt(5)]
@@ -84,7 +84,7 @@ def test_xi_solve_certificate_catches_a_corrupted_numerator(name, monkeypatch):
         X = real(A, B)
         N = [list(row) for row in X.N]
         N[1][2] += 1
-        return MatOver(N, X.den)
+        return value_like(X, N)
 
     monkeypatch.setattr(acm, "mat_solve", corrupting)
     with pytest.raises(InternalContradiction, match="Koszul solve along xi"):
