@@ -56,6 +56,7 @@ entries, Ricci tensor and F back.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, reduce
@@ -93,7 +94,7 @@ from .linalg import (
     vec_is_zero,
     vec_sub,
 )
-from .scalars import ONE, ZERO, get_tolerance, s_abs, s_div, s_is_zero, s_lt, s_mul, s_sub
+from .scalars import ONE, ZERO, get_tolerance, s_abs, s_div, s_is_zero, s_lt, s_mul, s_sub, units
 from .tower import TowerOver
 
 CLASS_CONTACT_METRIC = "ContactMetric"
@@ -167,7 +168,7 @@ def numerator_view(S: AcmStructure) -> TensorNumerators:
     its algebra and tensors together), kept in the memo."""
     if "numerators" not in S._memo:
         ads, tensors = S.L.ad_values(
-            S.phi_mat(), S.g_mat(), [S.xi_vec()], [S.eta_row()], identity(S.L.dim))
+            S.phi_mat(), S.g_mat(), [S.xi_vec()], [S.eta_row()], identity(S.L.dim, S.L.floats))
         S._memo["numerators"] = TensorNumerators(*tensors, ads)
     return S._memo["numerators"]
 
@@ -203,17 +204,17 @@ class ValidationReport:
 
 def validate_acm(S: AcmStructure) -> ValidationReport:
     """Check the defining identities; failures are report entries."""
-    v = numerator_view(S)
+    v, one = numerator_view(S), units(S.L.floats)[1]
     phi, g, xi, eta, pd = v.phi, v.g, v.xi, v.eta, is_positive_definite(v.g.N)
     residuals = {
         "phi_squared": (phi @ phi - (xi.T @ eta - v.one)).max_abs(),
-        "eta_xi": s_abs(s_sub((eta @ xi.T).mat()[0][0], ONE)),
+        "eta_xi": s_abs(s_sub((eta @ xi.T).mat()[0][0], one)),
         "g_symmetric": (g - g.T).max_abs(),
         # g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y): phi^T g phi = g - eta^T eta
         "compatibility": (phi.T @ (g @ phi) - (g - eta.T @ eta)).max_abs(),
         "phi_xi": phi.on_rows(xi).max_abs(),
         "eta_phi": phi.T.on_rows(eta).max_abs(),
-        "xi_unit": s_abs(s_sub((xi @ g.on_rows(xi).T).mat()[0][0], ONE)),
+        "xi_unit": s_abs(s_sub((xi @ g.on_rows(xi).T).mat()[0][0], one)),
         "g_positive_definite": ZERO if pd else ONE,
     }
 
@@ -366,19 +367,17 @@ class ConnectionTable:
         """nabla_X Y for each (X, Y) of pairs: the sums of (X_i Y_j) Gamma_i b_j over
         the (i, j) in order, near-zero X_i and Y_j skipped, as one product of the
         coefficient rows, one value, with the table rows i n + j the pairs use,
-        ascending; the table is never divided back.  A row is ZERO off its own
-        pairs; on a float table a row of exact coefficients meets the other rows'
-        floats, so where its own rows hold none it reads 0.0, not ZERO."""
-        n = len(pairs[0][0]) if pairs else 0
+        ascending; the table is never divided back."""
+        n, tower = len(pairs[0][0]) if pairs else 0, isinstance(self.columns, TowerOver)
         supports = [[(i, x) for i, x in enumerate(v) if not s_is_zero(x)]
                     for pair in pairs for v in pair]  # X, then Y, of each pair
         coeffs = [{i * n + j: s_mul(x, y) for i, x in xs for j, y in ys}
                   for xs, ys in zip(supports[::2], supports[1::2])]
-        used = sorted(set().union(*coeffs))
+        used, zero = sorted(set().union(*coeffs)), units(not tower)[0]  # the table's field
         if not used:  # no pair has a coefficient
-            return [[ZERO] * n for _ in pairs]
-        rows = [[c.get(u, ZERO) for u in used] for c in coeffs]  # on the table's field
-        K = MatOver.of(rows) if isinstance(self.columns, TowerOver) else MatOver(rows)
+            return [[zero] * n for _ in pairs]
+        rows = [[c.get(u, zero) for u in used] for c in coeffs]
+        K = MatOver.of(rows) if tower else MatOver(rows)
         return (K @ self.columns.regroup(lambda N: [N[u] for u in used])).mat()
 
 
@@ -447,8 +446,12 @@ def _metric_preconditions(g: MatOver) -> None:
 def certificate_failure(what: str, residuals) -> AqslieError:
     """The error for a failed certificate, given its residual entries: a
     contradiction in exact arithmetic, a precision limit of the input when
-    the residuals are floats (rounding exceeded the absolute tolerance)."""
+    the residuals are floats (rounding exceeded the absolute tolerance, or a
+    float overflowed: the worst residual is then inf or nan)."""
     worst = max_abs(residuals)
+    if isinstance(worst, float) and not math.isfinite(worst):
+        return ToleranceExceeded(f"{what} at float precision: residual {worst} is not "
+                                 f"finite (float overflow); rerun in exact mode")
     if isinstance(worst, float):
         return ToleranceExceeded(
             f"{what} at float precision: residual {worst:.3g} exceeds the absolute "
@@ -576,7 +579,6 @@ def curvature(S: AcmStructure) -> CurvatureData:
     # (sum_k c_ai^k Gamma_k)_a with [b_a, b_i] the column i of ad_a, row i each
     terms = [lefts[a:a + 1].regroup(lambda N: [N[0][i * n:i * n + n] for i in range(n)])
              - R.on_rows(C[a * n:a * n + n]).T - R.T.on_rows(ads[a].T) for a, R in enumerate(rows)]
-    # summed from the first term: no float term is -0.0, so ZERO + term is term
     ricci = sum(terms[1:], terms[0]).mat()
     scal = dot(_flat(S._memo["g_inverse"]), _flat(ricci))  # as levi_civita kept it
     return CurvatureData(conn, tuple(tuple(r) for r in ricci), scal)

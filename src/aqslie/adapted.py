@@ -26,7 +26,9 @@ reduced-echelon kernel vector orthogonal to the orbits chosen so far
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 from .acm import (
     CLASS_ANTI_QUASI_SASAKIAN,
     AcmStructure,
@@ -57,10 +59,6 @@ from .linalg import (
     vec_scale,
 )
 from .scalars import (
-    ONE,
-    ZERO,
-    is_exact,
-    s_abs,
     s_div,
     s_is_zero,
     s_mul,
@@ -68,6 +66,7 @@ from .scalars import (
     s_sign,
     s_sqrt,
     s_sub,
+    units,
 )
 
 
@@ -112,9 +111,10 @@ def _psi2_orbits(S: AcmStructure) -> list:
     """eigen_orbits of psi^2 with the quadruples (v, Av, phi v, psi v)."""
     pack = operators_A_psi(S)
     if not pack.ok:  # exact residuals are a verdict, float ones a precision limit
-        if all(map(is_exact, pack.residuals.values())):
+        if not S.L.floats:
             raise NotAqs("operator identities fail; structure is not aqS")
-        name, worst = max(pack.residuals.items(), key=lambda item: s_abs(item[1]))
+        name, worst = max(pack.residuals.items(),  # an inf or a nan is the worst
+                          key=lambda item: (not math.isfinite(item[1]), item[1]))
         raise certificate_failure(f"operator identity {name}", [worst])
     (A, psi), v = pack.operators, numerator_view(S)
     spectrum = eigen_orbits(psi @ psi, v.g, [A, v.phi, psi])
@@ -156,25 +156,25 @@ def adapted_frame(S: AcmStructure) -> AdaptedFrame:
         quadruples.extend(orbits)
         weights.extend([weight] * len(orbits))
 
-    n = len(quadruples)
+    n, (zero, one) = len(quadruples), units(S.L.floats)
     norms_sq = [bilinear(v, g, v) for v, _, _, _ in quadruples]
     norms = [s_sqrt(x) for x in norms_sq]
-    inv = [s_div(ONE, x) for x in norms]
-    inv_w = [s_div(ONE, s_mul(w, x)) for w, x in zip(weights, norms)]
+    inv = [s_div(one, x) for x in norms]
+    inv_w = [s_div(one, s_mul(w, x)) for w, x in zip(weights, norms)]
     R = [S.xi_vec()] + [quad[b] for b in range(4) for quad in quadruples]
-    scales = [ONE] + inv + inv_w + inv + inv_w
+    scales = [one] + inv + inv_w + inv + inv_w
     frame = AdaptedFrame(n, tuple(weights), tuple(tuple(c) for c in R), tuple(scales))
     # certificate: the frame is g-orthonormal; exact frames check the Gram
     # matrix of R instead, R^T g R = Delta^-2, all in the input's field
-    if all(is_exact(x) for c in R for x in c):
+    if not S.L.floats:
         wide_sq = [s_mul(s_mul(w, w), x) for w, x in zip(weights, norms_sq)]
-        gram_cols, want = R, [ONE] + norms_sq + wide_sq + norms_sq + wide_sq
+        gram_cols, want = R, [one] + norms_sq + wide_sq + norms_sq + wide_sq
     else:
-        gram_cols, want = frame.columns(), [ONE] * len(R)
+        gram_cols, want = frame.columns(), [one] * len(R)
     gram = mat_mul(gram_cols, transpose(mat_vecs(g, gram_cols)))
     for a in range(len(R)):
         for b in range(a, len(R)):
-            residual = s_sub(gram[a][b], want[a] if a == b else ZERO)
+            residual = s_sub(gram[a][b], want[a] if a == b else zero)
             if not s_is_zero(residual):
                 what = f"frame is not orthonormal at pair ({a + 1}, {b + 1})"
                 raise certificate_failure(what, [residual])

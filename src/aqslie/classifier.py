@@ -61,14 +61,12 @@ from .linalg import (
     vec_scale,
 )
 from .scalars import (
-    ONE,
-    is_exact,
     s_abs,
     s_div,
     s_inv,
-    s_neg,
     s_sign,
     s_sqrt,
+    units,
 )
 
 
@@ -140,7 +138,7 @@ def _frame_isomorphism(S: AcmStructure, target_S: AcmStructure, columns: list,
     D_k e_k, D = 1 / scales (``acm.rescaled``); then F = D M.  Float frames
     invert T itself, so float F keeps its rounding."""
     R = transpose(columns)
-    if not all(is_exact(x) for row in R for x in row):
+    if S.L.floats:
         F = inverse(transpose([vec_scale(c, x) for c, x in zip(columns, scales)]))
         _verify_iso(S, target_S, F, inverse(F))
         return F
@@ -180,23 +178,24 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     if r := rational_rescaling(S):
         return _mapped_back(classify_nilpotent_qs(r.S), r.down)
     _common_preconditions(S, CLASS_QUASI_SASAKIAN)
-    g, view = S.g_mat(), numerator_view(S)
+    g, view, one = S.g_mat(), numerator_view(S), units(S.L.floats)[1]
     first, second, inv_norms, weights, signs = [], [], [], [], []
     for ev, _, orbits in eigen_orbits(operators_A_psi_qs(S), view.g, [view.phi]):
         sign = 1 if s_sign(ev) < 0 else -1  # bracket [u, phi u] = -2 ev |u|^2 xi
         for v, phv in orbits:
             first.append(v)
-            second.append(phv if sign > 0 else vec_scale(phv, s_neg(ONE)))
-            inv_norms.append(s_div(ONE, s_sqrt(bilinear(v, g, v))))
+            second.append(phv if sign > 0 else vec_scale(phv, -1))
+            inv_norms.append(s_div(one, s_sqrt(bilinear(v, g, v))))
             weights.append(s_abs(ev))
             signs.append(sign)
     n = len(first)
     target_L, target_S = weighted_heisenberg_2n1(n, weights)
-    signed_phi = _rotation(2 * n + 1, [(r, n + r, s) for r, s in enumerate(signs, start=1)])
+    signed_phi = _rotation(2 * n + 1, [(r, n + r, s) for r, s in enumerate(signs, start=1)],
+                           target_L.floats)
     signed_target = AcmStructure.make(
         target_L, signed_phi, target_S.xi_vec(), target_S.eta_row(), target_S.g_mat()
     )
-    F = _frame_isomorphism(S, signed_target, [S.xi_vec()] + first + second, [ONE] + inv_norms * 2)
+    F = _frame_isomorphism(S, signed_target, [S.xi_vec()] + first + second, [one] + inv_norms * 2)
     return HeisenbergIso("2n+1", n, tuple(weights), tuple(map(tuple, F)), tuple(signs), 1)
 
 

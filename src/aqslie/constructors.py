@@ -40,7 +40,7 @@ from .linalg import (
     vec_is_zero,
     zeros,
 )
-from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg, s_sub
+from .scalars import ZERO, coerce, s_add, s_is_zero, s_mul, s_neg, s_sub, units
 
 
 def _doubled_weights(n: int, weights) -> list:
@@ -53,28 +53,30 @@ def _doubled_weights(n: int, weights) -> list:
     return [s_mul(Fraction(2), x) for x in w]
 
 
-def _rotation(dim: int, pairs) -> Mat:
-    """The dim x dim matrix mapping b_a to s b_b and b_b to -s b_a for each
-    (a, b, s) of pairs, and every other basis vector to zero."""
-    R = zeros(dim, dim)
+def _rotation(dim: int, pairs, floats: bool = False) -> Mat:
+    """The dim x dim matrix mapping b_a to s b_b and b_b to -s b_a for each (a, b, s)
+    of pairs (s an int), every other basis vector to zero; of floats with floats."""
+    R, one = zeros(dim, dim, floats), units(floats)[1]
     for a, b, s in pairs:
-        R[b][a], R[a][b] = coerce(s), coerce(-s)
+        R[b][a], R[a][b] = s * one, -s * one
     return R
 
 
 def _heisenberg(n: int, weights, blocks, phis) -> tuple[LieAlgebra, tuple]:
     """h_w on xi, tau_1..tau_{2 len(blocks) n}, [tau_{a n+r}, tau_{b n+r}] = 2 w_r xi
     for (a, b) in blocks, with one structure (phi, xi, eta = xi^flat, I) per
-    entry of phis: phi rotates tau_{a n+r} to tau_{b n+r} for (a, b) in it."""
-    dim = 2 * len(blocks) * n + 1
+    entry of phis: phi rotates tau_{a n+r} to tau_{b n+r} for (a, b) in it.
+    Float weights make a float-mode algebra with float phi, xi and g."""
+    dim, doubled = 2 * len(blocks) * n + 1, _doubled_weights(n, weights)
+    floats = any(isinstance(c, float) for c in doubled)
     table = {(a * n + r, b * n + r): {0: c}
-             for r, c in enumerate(_doubled_weights(n, weights), start=1) if not s_is_zero(c)
-             for a, b in blocks}
-    L = LieAlgebra.from_brackets(dim, table, ["xi"] + [f"tau{l}" for l in range(1, dim)])
+             for r, c in enumerate(doubled, start=1) if not s_is_zero(c) for a, b in blocks}
+    L = LieAlgebra.from_brackets(dim, table, ["xi"] + [f"tau{l}" for l in range(1, dim)],
+                                 "float" if floats else "exact")
     xi = L.basis_vector(0)
     rotations = [_rotation(dim, [(a * n + r, b * n + r, 1) for a, b in pairs
-                                 for r in range(1, n + 1)]) for pairs in phis]
-    return L, tuple(AcmStructure.make(L, phi, xi, xi, identity(dim)) for phi in rotations)
+                                 for r in range(1, n + 1)], floats) for pairs in phis]
+    return L, tuple(AcmStructure.make(L, phi, xi, xi, identity(dim, floats)) for phi in rotations)
 
 
 def weighted_heisenberg_4n1(n: int, weights) -> tuple[LieAlgebra, tuple]:
@@ -125,7 +127,7 @@ def kahler(L: LieAlgebra, J: Mat, k: Mat) -> KahlerLieAlgebra:
     H = KahlerLieAlgebra(
         L, tuple(tuple(r) for r in J), tuple(tuple(r) for r in k)
     )
-    if not mat_eq(mat_mul(J, J), mat_scale(identity(n), s_neg(ONE))):
+    if not mat_eq(mat_mul(J, J), mat_scale(identity(n, L.floats), -1)):
         raise PreconditionError("J^2 != -I")
     if not is_positive_definite(k):
         raise PreconditionError("k is not positive definite")
@@ -153,7 +155,7 @@ def invariance_type(H: KahlerLieAlgebra, w: KForm) -> tuple[str, KForm, KForm]:
     n, J = H.L.dim, H.J_mat()
     if w.degree != 2 or w.dim != n:
         raise DimensionMismatch("need a 2-form on the Kahler algebra")
-    W = bilinear_from_form(w)
+    W = bilinear_from_form(w, H.L.floats)
     JWJ = mat_mul(transpose(J), mat_mul(W, J))
     half = Fraction(1, 2)
     inv, anti = (KForm.make(2, n, {(i, j): s_mul(half, op(W[i][j], JWJ[i][j]))
@@ -196,10 +198,11 @@ def central_extension(
         row = table.setdefault((a, b), {})
         row[m] = s_add(row.get(m, ZERO), s_neg(c))
     names = list(H.L.basis_names) + ["xi"]
-    L = LieAlgebra.from_brackets(dim, table, names)
+    L = LieAlgebra.from_brackets(dim, table, names, H.L.mode)
     # (J, k) on h, phi xi = 0, xi unit and orthogonal to h
-    phi = [list(row) + [ZERO] for row in H.J] + [[ZERO] * dim]
-    g = [list(row) + [ZERO] for row in H.k] + [[ZERO] * m + [ONE]]
+    zero, one = units(L.floats)
+    phi = [list(row) + [zero] for row in H.J] + [[zero] * dim]
+    g = [list(row) + [zero] for row in H.k] + [[zero] * m + [one]]
     S = AcmStructure.make(L, phi, L.basis_vector(m), L.basis_vector(m), g)
     return L, S
 

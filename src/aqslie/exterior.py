@@ -37,8 +37,8 @@ from math import comb
 
 from .errors import DimensionMismatch, InternalContradiction, PreconditionError
 from .lie_core import LieAlgebra
-from .linalg import Mat, MatOver, Vec, _int_scaled, nullspace, rank, stacked
-from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg
+from .linalg import Mat, MatOver, Vec, _int_scaled, identity, nullspace, rank, stacked
+from .scalars import ONE, ZERO, coerce, s_add, s_is_zero, s_mul, s_neg, units
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,12 @@ class KForm:
         cleaned = tuple(sorted((k, v) for k, v in acc.items() if not s_is_zero(v)))
         return KForm(degree, dim, cleaned)
 
-    def coeff(self, idx: tuple):
+    def coeff(self, idx: tuple, zero=ZERO):
         key, sign = _sort_with_sign(tuple(idx))
         for k, v in self.coeffs:
             if k == key:
                 return v if sign > 0 else s_neg(v)
-        return ZERO
+        return zero
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -141,11 +141,11 @@ def form_from_bilinear(M: Mat) -> KForm:
     )
 
 
-def bilinear_from_form(a: KForm) -> Mat:
+def bilinear_from_form(a: KForm, floats: bool = False) -> Mat:
     if a.degree != 2:
         raise DimensionMismatch("not a 2-form")
-    n = a.dim
-    M = [[ZERO] * n for _ in range(n)]
+    n, zero = a.dim, units(floats)[0]
+    M = [[zero] * n for _ in range(n)]
     for (i, j), c in a.coeffs:
         M[i][j] = c
         M[j][i] = s_neg(c)
@@ -230,8 +230,8 @@ def d_of_pairs(P: MatOver, pairs: list) -> tuple[list[tuple], MatOver]:
     The triples are all of them, ascending; a tower P scatters class by class."""
     at = {t: k for k, t in enumerate(combinations(range(1 + max(map(max, pairs), default=-1)), 3))}
 
-    def scatter(N: Mat) -> Mat:
-        acc = [0] * len(at)
+    def scatter(N: Mat) -> Mat:  # the integers of a class, or the floats of a float value
+        acc = [0.0 if type(P) is MatOver else 0] * len(at)
         for (a, b), row in zip(pairs, N):
             for l in compress(range(len(row)), row):
                 if l != a and l != b:
@@ -264,7 +264,7 @@ def ce_d_matrix(L: LieAlgebra, k: int) -> Mat:
     n = L.dim
     targets, den = _d_targets(L)
     columns = [_over(col, den) for col in _d_columns(targets, den, combinations(range(n), k))]
-    return _matrix(columns, combinations(range(n), k + 1), ZERO)
+    return _matrix(columns, combinations(range(n), k + 1), units(L.floats)[0])
 
 
 def _torus_weights(L: LieAlgebra) -> list[int]:
@@ -291,19 +291,19 @@ def _weight_blocks(weights: list[int], k: int) -> dict[int, list[tuple]]:
     return blocks
 
 
-def _d_block(targets: dict, den: int | None, monomials) -> Mat:
+def _d_block(targets: dict, den: int | None, monomials, floats: bool) -> Mat:
     """The matrix of d on the span of the theta^I, I in monomials: the columns
-    d theta^I, on the rows they reach."""
+    d theta^I, on the rows they reach, zero filled in the field (floats or not)."""
     columns = _d_columns(targets, den, monomials)
     rows = dict.fromkeys(J for col in columns for J in col)
-    return _matrix(columns, rows, ZERO if den is None else 0)
+    return _matrix(columns, rows, units(floats)[0] if den is None else 0)
 
 
-def _graded_rank(targets: dict, den: int | None, weights: list[int], k: int) -> int:
+def _graded_rank(targets: dict, den: int | None, weights: list, k: int, floats: bool) -> int:
     """rank d_k as the sum of the ranks of its weight blocks: d maps each
     weight space of Lambda^k into the same weight space of Lambda^{k+1}, so a
     block's rows are the (k+1)-subsets its columns reach."""
-    blocks = (_d_block(targets, den, block) for block in _weight_blocks(weights, k).values())
+    blocks = (_d_block(targets, den, I, floats) for I in _weight_blocks(weights, k).values())
     return sum(rank(M) for M in blocks if M)  # a block that reaches no row has rank 0
 
 
@@ -312,7 +312,8 @@ def cocycles(L: LieAlgebra, monomials: list[tuple]) -> list[Vec]:
     degree), as the vectors (c_I) in the order of monomials: the kernel of
     the columns d theta^I.  On the pairs of m in a basis k (+) m of g these
     are the relative 2-cocycles Z^2(g, k) (Chevalley-Eilenberg, 1948)."""
-    return nullspace(_d_block(*_d_targets(L), monomials), len(monomials))
+    block = _d_block(*_d_targets(L), monomials, L.floats)  # none when d vanishes on them all
+    return nullspace(block, len(monomials)) if block else identity(len(monomials), L.floats)
 
 
 def ce_betti(L: LieAlgebra, k: int) -> int:
@@ -335,7 +336,7 @@ def ce_bettis(L: LieAlgebra, degrees: list[int]) -> dict[int, int]:
         L = L.rescaled(*scales)
     targets, den = _d_targets(L)
     weights = _torus_weights(L)
-    ranks = {j: _graded_rank(targets, den, weights, j)
+    ranks = {j: _graded_rank(targets, den, weights, j, L.floats)
              for j in range(L.dim) if {j, j + 1} & {*degrees}}
     return {k: comb(L.dim, k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in degrees}
 
@@ -353,7 +354,7 @@ def rank_of_eta(L: LieAlgebra, eta: KForm) -> RankReport:
     """Constant rank (class) of a 1-form: ``covector_class`` of its d eta."""
     if eta.degree != 1:
         raise PreconditionError("eta must be a nonzero 1-form")
-    ads, (E,) = L.ad_values([[eta.coeff((i,)) for i in range(L.dim)]])
+    ads, (E,) = L.ad_values([[eta.coeff((i,), units(L.floats)[0]) for i in range(L.dim)]])
     return covector_class(d_of_covector(ads, E), E)
 
 

@@ -62,8 +62,9 @@ from .linalg import (
     transpose,
     vec_is_zero,
     vec_sub,
+    zeros,
 )
-from .scalars import ZERO, s_is_zero, s_mul, s_neg, s_sub
+from .scalars import s_is_zero, s_mul, s_neg, s_sub
 
 
 def centralizer_of_torus(g: LieAlgebra, S: Subspace) -> Subspace:
@@ -158,19 +159,19 @@ def moment_element(R: ReductiveSplit, w: KForm) -> Vec:
     if w.degree != 2 or w.dim != R.m.dim:
         raise PreconditionError("need a 2-form on m")
     B, zk = [list(r) for r in R.killing], [list(z) for z in R.center]
-    m_cols = R.m_cols()
+    m_cols, W = R.m_cols(), bilinear_from_form(w, R.g.floats)
     pairs = list(combinations(range(len(m_cols)), 2))
     # row (a, b): Kill([X_a, X_b], z) for z in z(k)
     brackets = [bracket(R.g, m_cols[a], m_cols[b]) for a, b in pairs]
     rows = mat_mul(brackets, mat_mul(B, transpose(zk)))
-    rhs = [w.coeff(p) for p in pairs]
+    rhs = [W[a][b] for a, b in pairs]
     coeffs = solve(rows, rhs)
     if coeffs is None:
         raise NoSolution("form admits no moment element in z(k)")
-    Z = mat_vec(transpose(zk), coeffs) if zk else [ZERO] * R.g.dim
+    Z = mat_vec(transpose(zk), coeffs) if zk else zeros(1, R.g.dim, R.g.floats)[0]
     ad_Z_M = mat_vecs(ad_matrix(R.g, Z), m_cols)  # rows of M^T ad_Z^T
     gram = mat_mul(ad_Z_M, mat_mul(B, transpose(m_cols)))
-    residual = vec_sub(mat_vec(rows, coeffs), rhs) + _flat(mat_sub(gram, bilinear_from_form(w)))
+    residual = vec_sub(mat_vec(rows, coeffs), rhs) + _flat(mat_sub(gram, W))
     if not vec_is_zero(residual):
         raise certificate_failure("moment element equalities fail", residual)
     return Z
@@ -189,7 +190,7 @@ def verify_invariant_complex_structure(R: ReductiveSplit, J: Mat) -> list[str]:
     matrix identity in m-coordinates (see the module docstring).  Returns
     failure names."""
     failures = []
-    minus_I = [[s_neg(x) for x in row] for row in identity(R.m.dim)]
+    minus_I = [[-x for x in row] for row in identity(R.m.dim, R.g.floats)]
     if not mat_eq(mat_mul(J, J), minus_I):
         failures.append("J_squared")
     if not all(mat_eq(mat_mul(J, N), mat_mul(N, J)) for N in map(R.ad_m, R.k_cols())):
@@ -213,7 +214,7 @@ def type_11_check(R: ReductiveSplit, forms: list[KForm], J: Mat) -> TypeReport:
     if failures:
         return TypeReport(False, failures, False, False)
     J_t = transpose(J)
-    Ws = [bilinear_from_form(w) for w in forms]
+    Ws = [bilinear_from_form(w, R.g.floats) for w in forms]
     invariant = all(mat_eq(mat_mul(J_t, mat_mul(W, J)), W) for W in Ws)
     return TypeReport(True, [], invariant, invariant)
 
@@ -246,7 +247,7 @@ def extension_by_zero_derivation_check(R: ReductiveSplit, w: KForm, Z: Vec) -> b
     Kill(phi X, Y) = w_ext(X, Y) must be a derivation of g (it is ad_Z)."""
     B = [list(r) for r in R.killing]
     Cm = [list(r) for r in R.coords[R.k.dim:]]
-    Omega = mat_mul(transpose(Cm), mat_mul(bilinear_from_form(w), Cm))
+    Omega = mat_mul(transpose(Cm), mat_mul(bilinear_from_form(w, R.g.floats), Cm))
     # phi^T B = Omega
     phi = transpose(mat_mul(Omega, inverse(B)))
     # Leibniz, phi ad_i - ad_i phi = ad_{phi b_i} = sum_j phi_ji ad_j, and phi = ad_Z

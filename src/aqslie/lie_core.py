@@ -55,7 +55,7 @@ from .linalg import (
     transpose,
     zeros,
 )
-from .scalars import ONE, ZERO, Ext, coerce, s_is_zero, s_sqrt
+from .scalars import ZERO, Ext, coerce, s_is_zero, s_sqrt, units
 from .tower import TowerOver, tower_values
 
 BracketTable = dict  # {(i, j): {k: scalar}} with i < j
@@ -124,6 +124,7 @@ class LieAlgebra:
                     raise DimensionMismatch(f"bad bracket target index {k}")
             if entries:
                 canon.append(((i, j), entries))
+        mode = "float" if any(_is_float(v) for _, es in canon for _, v in es) else mode
         L = LieAlgebra(dim, tuple(canon), tuple(basis_names), mode)
         if check:
             bad = jacobi_check(L)
@@ -157,8 +158,7 @@ class LieAlgebra:
         """table(), built once: a rational algebra's constants for other operands."""
         return self.table()
 
-    _float_constants = cached_property(lambda self: any(
-        _is_float(v) for _, entries in self.brackets for _, v in entries))
+    floats = property(lambda self: self.mode == "float")  # float constants make float mode
 
     def sqrt_basis(self, mats=(), vecs=()) -> tuple[list, list] | None:
         """(up, down), up_k = sqrt(d_k) = 1 / down_k, for the square classes d
@@ -210,7 +210,8 @@ class LieAlgebra:
                 return LowerCentralSeries(tuple(terms), True, len(terms) - 1)
 
     def basis_vector(self, i: int) -> Vec:
-        return [ONE if t == i else ZERO for t in range(self.dim)]
+        zero, one = units(self.floats)
+        return [one if t == i else zero for t in range(self.dim)]
 
     def _operands(self, *mats: Mat) -> tuple[dict, int | None, object, list[Mat], int, object]:
         """(table, den, zero, ints, dm, values): the one field decision of the
@@ -218,17 +219,18 @@ class LieAlgebra:
         rational algebra with rational or all-int mats gives the integer table,
         c_ij^k = entry / den, the numerators of mats over dm and the zero 0;
         otherwise the stored constants, den None, mats as they are over 1 and
+        the field's zero, 0.0 in float mode or with a float among mats, else
         ZERO.  values(Ns, d) makes the route's values Ns / d: class values
-        (``tower.TowerOver``) where no constant and no entry of mats is a float,
-        integers straight into the class 1 off the integer table, else MatOvers."""
+        (``tower.TowerOver``) on the exact field, integers straight into the
+        class 1 off the integer table, else MatOvers."""
         table, den = self._tables()
         scaled = _int_rows(*mats) if den is not None else None
         if scaled is None:  # the stored constants; a cached table with a den holds integers
             entries = itertools.chain.from_iterable(itertools.chain.from_iterable(mats))
-            floats = self._float_constants or any(map(_is_float, entries))
+            floats = self.floats or any(map(_is_float, entries))
             over = lambda Ns, d: [MatOver(N) * Fraction(1, d) for N in Ns]  # noqa: E731
-            return ((table if den is None else self._stored), None, ZERO, list(mats), 1,
-                    over if floats else tower_values)
+            return ((table if den is None else self._stored), None, units(floats)[0], list(mats),
+                    1, over if floats else tower_values)
         classes = lambda Ns, d: [TowerOver({1: N}, d) for N in Ns]  # noqa: E731  no second scan
         return table, den, 0, scaled[0], scaled[1] or 1, classes
 
@@ -399,10 +401,10 @@ def derivations(L: LieAlgebra) -> Subspace:
     Elements are row-major flattened N x N matrices (ambient dim N^2).
     """
     n, ads = L.dim, [ad.N for ad in L.ad_values()[0]]  # over a den: same kernel
-    rows: Mat = []
+    rows, zero = [], 0.0 if L.floats else 0
     for i, j in itertools.combinations(range(n), 2):
         for m in range(n):
-            row = [0] * (n * n)
+            row = [zero] * (n * n)
             for t in range(n):
                 row[m * n + t] += ads[i][t][j]  # D [b_i, b_j] on b_m: sum_t c_ij^t d_mt
                 row[t * n + i] += ads[j][m][t]  # -[D b_i, b_j]: -sum_t d_ti c_tj^m

@@ -1,11 +1,12 @@
 """Small dense linear algebra over the scalar tower (exact) or floats.
 
-Matrices are lists of rows, vectors plain lists.  A computation decides its
-field once, as values of one of two kinds: exact, ``tower.TowerOver``, one
-integer matrix per square class over one denominator (a rational matrix is
-the class 1 alone), or float and mixed, :class:`MatOver`, the matrix itself
-over 1.  ``LieAlgebra.values`` and ``MatOver.of`` decide, and ``mat``
-divides a value back where it leaves.  The list kernels decide per call:
+Matrices are lists of rows, vectors plain lists, each of one field: exact
+scalars, or floats alone.  A computation decides its field once, as values
+of one of two kinds: exact, ``tower.TowerOver``, one integer matrix per
+square class over one denominator (a rational matrix is the class 1 alone),
+or float, :class:`MatOver`, the matrix itself over 1.  ``LieAlgebra.values``
+and ``MatOver.of`` decide, and ``mat`` divides a value back where it leaves.
+The list kernels decide per call:
 
 * rational (or all-int) input runs on Python integers over a common
   denominator, decided by ``_int_scaled``: products (Gustavson's row-wise
@@ -22,11 +23,11 @@ divides a value back where it leaves.  The list kernels decide per call:
 * a tower matrix takes its spectrum through rho(M), the rational matrix of
   the same Q-linear map in the basis sqrt(t) e_j over its square classes t
   (restriction of scalars), its other eliminations per scalar;
-* float or mixed input is per-scalar: products are one sparse fold,
-  ``_fold``, over the pairs of nonzero entries, whose exact sum turns float
-  where the full fold's does (pure finite-float input sums from 0.0 and
-  keeps the bits); floats use tolerance-based zero tests and magnitude
-  pivoting.
+* tower and float lists are per scalar: products are one sparse fold,
+  ``_fold``, the row-wise product over the pairs of nonzero entries, summed
+  from ZERO on exact lists and from 0.0 on float ones; floats use
+  tolerance-based zero tests and magnitude pivoting, and make their
+  constants (an identity, a kernel's free entries) in floats.
 
 The exact routes return the same values: a normalised ``Fraction`` is
 unique.  ``nullspace``, ``solve`` and ``mat_solve`` read the integer rows
@@ -48,6 +49,7 @@ from .errors import IrrationalSpectrum
 from .scalars import (
     ONE,
     ZERO,
+    get_tolerance,
     is_exact,
     s_abs,
     s_add,
@@ -59,18 +61,20 @@ from .scalars import (
     s_neg,
     s_sign,
     s_sub,
+    units,
 )
 
 Vec = list
 Mat = list
 
 
-def zeros(m: int, n: int) -> Mat:
-    return [[ZERO for _ in range(n)] for _ in range(m)]
+def zeros(m: int, n: int, floats: bool = False) -> Mat:
+    return [[units(floats)[0]] * n for _ in range(m)]
 
 
-def identity(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+def identity(n: int, floats: bool = False) -> Mat:
+    zero, one = units(floats)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_copy(M: Mat) -> Mat:
@@ -159,14 +163,14 @@ def _int_index(cols: list[list[int]]) -> list[list[tuple]]:
     return nz
 
 
-def _rowwise(rows: list[Vec], nz: list[list[tuple]], width: int, zero) -> Mat:
-    """Gustavson's row-wise product (ACM TOMS 4(3), 1978) on integers and pure
-    floats, nz[j] holding (k, b) for each nonzero entry b at j of column k: a
-    row meets nz[j] only at its nonzero j, and k sums zero + row[j] b in order."""
-    out = []
+def _rowwise(rows: list[Vec], nz: list[list[tuple]], width: int, zero, every=False) -> Mat:
+    """Gustavson's row-wise product (ACM TOMS 4(3), 1978), nz[j] holding (k, b)
+    for each entry b at j of column k that makes a pair: a row meets nz[j] only
+    at its nonzero j (at every j with every), and k sums zero + row[j] b in order."""
+    out, js = [], range(len(nz))
     for row in rows:
         out.append(acc := [zero] * width)
-        for j in itertools.compress(range(len(nz)), row):
+        for j in js if every else itertools.compress(js, row):
             r = row[j]
             for k, b in nz[j]:
                 acc[k] += r * b
@@ -202,67 +206,32 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 
 def _fold(rows: list[Vec], cols: list[Vec], near_zero: bool = False) -> Mat:
-    """[[ZERO + row[0] col[0] + row[1] col[1] + ... for col in cols] for row in rows]
-    bit for bit, from the pairs of nonzero entries in index order (Gustavson's
-    row-wise product).  As in the full fold, the exact sum goes to float()
-    before the first pair at or past the first float of the row or the column,
-    or at the end.  An inf or a nan makes every pair visited (0 inf is nan).
-    With near_zero, only the col[j] not near zero make pairs.
-
-    Pure-float input (every nonzero entry a finite float) skips that
-    threshold: every pair is then a float product, so the full fold turns
-    float at the first pair anyway, and ZERO + x is float(ZERO) + x = 0.0 + x.
-    The sums start at 0.0 (``_rowwise``); an entry is left ZERO exactly where
-    the full fold meets no float: with near_zero, when column k makes no
-    pair, otherwise when neither the row nor the column holds a float."""
+    """[[zero + row[0] col[0] + row[1] col[1] + ... for col in cols] for row in rows]
+    bit for bit, zero 0.0 when the lists hold floats, else ZERO: ``_rowwise`` over
+    the pairs of nonzero entries.  The terms it skips are zeros, which change no
+    exact sum and no float sum from 0.0 (such a sum is never -0.0).  An inf or a
+    nan makes every pair visited (0 inf is nan).  With near_zero, only the col[j]
+    not near zero make pairs."""
     n = min(map(len, [*rows, *cols]), default=0)  # zip's length
     floats = list(filter(_is_float, itertools.chain(*rows, *cols)))
     dense = not all(map(math.isfinite, floats))
-    # exact input (no float at all) skips the scan for an exact nonzero
-    pure = bool(floats) and not dense and not any(
-        itertools.filterfalse(_is_float, itertools.chain(*rows, *cols)))
-    pairs = [[j for j in itertools.compress(range(n), col) if not s_is_zero(col[j])]
-             if near_zero else range(n) for col in cols]
     nz = [[] for _ in range(n)]
-    for k, (col, p) in enumerate(zip(cols, pairs)):
-        for j in p if near_zero or dense else itertools.compress(p, col):
-            nz[j].append((k, col[j]))
-    if pure:
-        has = list(map(bool, pairs)) if near_zero else [
-            any(map(_is_float, col[:n])) for col in cols]
-        return [[x if h else ZERO for x, h in zip(acc, has)]
-                if near_zero or not any(map(_is_float, row[:n])) else acc
-                for row, acc in zip(rows, _rowwise(rows, nz, len(cols), 0.0))]
-    tc = [_first_float(col, p, n) for col, p in zip(cols, pairs)]
-    out = []
-    for row in rows:
-        fa = _first_float(row, range(n), n)  # t[k]: the first float of row or column k at a pair
-        t = tc if fa == n else [min(c, _first_float(row, p, n) if near_zero else fa)
-                                for c, p in zip(tc, pairs)]
-        acc = [ZERO] * len(cols)
-        for j in range(n) if dense else itertools.compress(range(n), row):
-            for k, b in nz[j]:
-                acc[k] = (float(acc[k]) if j >= t[k] else acc[k]) + row[j] * b
-        out.append([(0.0 if x is ZERO else float(x)) if c < n else x for x, c in zip(acc, t)])
-    return out
-
-
-def _first_float(v: Vec, idx, stop: int) -> int:
-    """The first j in idx with v[j] a float, else stop."""
-    return next(itertools.compress(idx, map(_is_float, map(v.__getitem__, idx))), stop)
+    for k, col in enumerate(cols):
+        pairs = range(n) if dense else itertools.compress(range(n), col)
+        for j in pairs:
+            if not (near_zero and s_is_zero(col[j])):
+                nz[j].append((k, col[j]))
+    return _rowwise(rows, nz, len(cols), 0.0 if floats else ZERO, dense)
 
 
 def _entrywise(A: Mat, B: Mat, int_op, scalar_op) -> Mat:
     """A op B entry by entry; two rational (or two all-int) matrices of one
-    shape combine as integers over their common denominator.  Otherwise ZERO
-    op ZERO is ZERO, and ZERO meets a float as 0.0, as Fraction's fallback does."""
+    shape combine as integers over their common denominator."""
     scaled = _int_rows(A, B) if list(map(len, A)) == list(map(len, B)) else None
     if scaled is not None:
         (ai, bi), den = scaled
         return _back([list(map(int_op, ra, rb)) for ra, rb in zip(ai, bi)], den)
-    return [[ZERO if a is ZERO is b else scalar_op(0.0 if a is ZERO and _is_float(b) else a,
-                                                  0.0 if b is ZERO and _is_float(a) else b)
-             for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [list(map(scalar_op, ra, rb)) for ra, rb in zip(A, B)]
 
 
 def mat_add(A: Mat, B: Mat) -> Mat:
@@ -317,17 +286,19 @@ def dot(u: Vec, v: Vec):
 
 
 def max_abs(entries):
-    """The largest |x| over entries, ZERO for none: on integers for rational
-    input, else a fold under the float tolerance.  Zeros are skipped: they
-    cannot raise the maximum, and comparing a tower maximum with each of
-    them would cost an Ext.sign."""
-    xs = [x for x in entries if x]
-    scaled = _int_scaled(xs)
+    """The largest |x| over entries: a Fraction on integers for rational input
+    (ZERO for none), else by ``s_lt``, exact on the tower and by more than the
+    tolerance on floats (0.0 for none), the first inf or nan being the worst.
+    Exact zeros are skipped: comparing a tower maximum with each would cost an Ext.sign."""
+    xs = list(entries)
+    floats = any(map(_is_float, xs))
+    scaled = None if floats else _int_scaled(xs := [x for x in xs if x])
     if scaled is not None:
         return Fraction(max(map(abs, scaled[0]), default=0), scaled[1] or 1)
-    worst = ZERO
+    worst = 0.0 if floats else ZERO
     for x in dict.fromkeys(xs):  # an entry that repeats is compared once
-        a = s_abs(x)
+        if not math.isfinite(a := s_abs(x)):
+            return a
         if s_lt(worst, a):
             worst = a
     return worst
@@ -342,16 +313,14 @@ def bilinear(u: Vec, G: Mat, v: Vec):
 # elimination
 # ---------------------------------------------------------------------------
 
-def _pivot_row(M: Mat, rows: range, col: int, exact: bool) -> int | None:
-    best, best_mag = None, None
+def _pivot_row(M: Mat, rows: range, col: int, floats: bool) -> int | None:
+    """The first row nonzero in col; with floats the first largest past the tolerance."""
+    if not floats:
+        return next((r for r in rows if M[r][col]), None)
+    best, best_mag, tol = None, None, get_tolerance()
     for r in rows:
-        x = M[r][col]
-        if s_is_zero(x):
-            continue
-        if exact:
-            return r
-        mag = abs(float(x))
-        if best is None or mag > best_mag:
+        mag = abs(M[r][col])
+        if not mag <= tol and (best is None or mag > best_mag):
             best, best_mag = r, mag
     return best
 
@@ -391,26 +360,20 @@ def _reduced(M: Mat) -> tuple[Mat, list[int], list | None]:
         R = [r for r, _ in rows]
         pivots = _rref_int(R)
         return R, pivots, [row[c] for row, c in zip(R, pivots)]
-    A = mat_copy(M)
-    n_rows, n_cols = len(A), len(A[0])
-    exact = all(is_exact(x) for row in A for x in row)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
+    A, pivots, floats = mat_copy(M), [], any(map(_is_float, _flat(M)))
+    for c in range(len(A[0])):
+        if (r := len(pivots)) >= len(A):
             break
-        p = _pivot_row(A, range(r, n_rows), c, exact)
+        p = _pivot_row(A, range(r, len(A)), c, floats)
         if p is None:
             continue
         A[r], A[p] = A[p], A[r]
-        inv = s_div(ONE, A[r][c])
-        A[r] = [s_mul(inv, x) for x in A[r]]
-        for i in range(n_rows):
-            if i != r and not s_is_zero(A[i][c]):
-                f = A[i][c]
-                A[i] = [s_sub(x, s_mul(f, y)) for x, y in zip(A[i], A[r])]
+        inv = units(floats)[1] / A[r][c]
+        pr = A[r] = [inv * x for x in A[r]]
+        for i, row in enumerate(A):
+            if i != r and not s_is_zero(f := row[c]):
+                A[i] = [x - f * y for x, y in zip(row, pr)]
         pivots.append(c)
-        r += 1
     return A, pivots, None
 
 
@@ -437,20 +400,26 @@ def _divided(column: Vec, heads: list | None) -> Vec:
     return [Fraction(x, h) if x else ZERO for x, h in zip(column, heads)]
 
 
+def _field_of(R: Mat, heads: list | None) -> tuple:
+    """``units`` of the field of ``_reduced``'s rows R: a float RREF holds floats only."""
+    return units(heads is None and bool(R[0]) and _is_float(R[0][0]))
+
+
 def nullspace(M: Mat, n_cols: int | None = None) -> list[Vec]:
-    """Deterministic kernel basis from the RREF (free columns ascending)."""
+    """Deterministic kernel basis from the RREF (free columns ascending), in
+    the field of M (exact when M has no rows)."""
     if n_cols is None:
         n_cols = len(M[0]) if M else 0
     if not M:
-        return [[ONE if i == j else ZERO for i in range(n_cols)] for j in range(n_cols)]
+        return identity(n_cols)
     R, pivots, heads = _reduced(M)
-    basis = []
+    (zero, one), basis = _field_of(R, heads), []
     for free in range(n_cols):
         if free in pivots:
             continue
-        v = [ZERO] * n_cols
-        v[free] = ONE
-        for c, x in zip(pivots, _divided([s_neg(row[free]) for row in R[:len(pivots)]], heads)):
+        v = [zero] * n_cols
+        v[free] = one
+        for c, x in zip(pivots, _divided([-row[free] for row in R[:len(pivots)]], heads)):
             v[c] = x
         basis.append(v)
     return basis
@@ -465,7 +434,7 @@ def solve(M: Mat, b: Vec) -> Vec | None:
     R, pivots, heads = _reduced([row[:] + [bv] for row, bv in zip(M, b)])
     if n_cols in pivots:
         return None
-    x = [ZERO] * n_cols
+    x = [_field_of(R, heads)[0]] * n_cols
     for c, v in zip(pivots, _divided([row[n_cols] for row in R[:len(pivots)]], heads)):
         x[c] = v
     return x
@@ -476,28 +445,24 @@ def det(M: Mat):
     rows = [_int_scaled(row) for row in M]
     if None not in rows:
         return Fraction(_bareiss_det([r for r, _ in rows]), math.prod(d or 1 for _, d in rows))
-    A = mat_copy(M)
-    exact = all(is_exact(x) for row in A for x in row)
-    sign = 1
-    result = ONE
+    A, sign, result = mat_copy(M), 1, ONE
+    floats = any(map(_is_float, _flat(A)))
     for c in range(n):
-        p = _pivot_row(A, range(c, n), c, exact)
-        if p is None:
+        if (p := _pivot_row(A, range(c, n), c, floats)) is None:
             return ZERO
         if p != c:
-            A[c], A[p] = A[p], A[c]
-            sign = -sign
-        result = s_mul(result, A[c][c])
-        inv = s_div(ONE, A[c][c])
+            A[c], A[p], sign = A[p], A[c], -sign
+        result, inv = result * A[c][c], ONE / A[c][c]
         for i in range(c + 1, n):
             if not s_is_zero(A[i][c]):
-                f = s_mul(inv, A[i][c])
-                A[i] = [s_sub(x, s_mul(f, y)) for x, y in zip(A[i], A[c])]
-    return s_mul(Fraction(sign), result)
+                f = inv * A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
+    return Fraction(sign) * result
 
 
 def inverse(M: Mat) -> Mat:
-    return mat_solve(MatOver.of(M), MatOver.of(identity(len(M)))).mat()
+    A = MatOver.of(M)  # the identity in its field: floats for a float value
+    return mat_solve(A, MatOver.of(identity(len(M), type(A) is MatOver))).mat()
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +471,9 @@ def inverse(M: Mat) -> Mat:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class MatOver:
-    """A float or mixed matrix N over 1 as a value, each operation the list
-    kernel on N and the other operand's scalars bit for bit (the per-scalar
-    ``_fold`` route).  Exact values are ``tower.TowerOver``; ``of`` decides."""
+    """A float matrix N over 1 as a value, N and every operand of floats only,
+    each operation the list kernel on N and the other operand's floats (the
+    ``_fold`` route from 0.0).  Exact values are ``tower.TowerOver``; ``of`` decides."""
 
     N: Mat
     den = 1
@@ -554,9 +519,9 @@ class MatOver:
     def is_zero(self) -> bool:
         return vec_is_zero(_flat(self.N))
 
-    def max_abs(self):
-        """max |N|, the residual of an identity."""
-        return max_abs(_flat(self.N))
+    def max_abs(self) -> float:
+        """max |N|, the residual of an identity: a float, 0.0 for none."""
+        return max_abs([0.0, *_flat(self.N)])
 
     def eigenspaces(self, G: MatOver) -> list:
         """``eigenspaces`` of N / den and G.N."""
@@ -798,17 +763,10 @@ def eigh_g_float(M: Mat, G: Mat) -> tuple[list[float], Mat]:
     gd, gv = eigh_float(G)
     if any(d <= 0 for d in gd):
         raise ValueError("metric is not positive definite")
-    sq = [math.sqrt(d) for d in gd]
-    W = [
-        [sum(gv[i][k] * sq[k] * gv[j][k] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    Winv = [
-        [sum(gv[i][k] / sq[k] * gv[j][k] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    Mf = [[float(x) for x in row] for row in M]
-    Ms = mat_mul(W, mat_mul(Mf, Winv))
+    sq = [math.sqrt(d) for d in gd]  # W = gv diag(sq) gv^T = G^(1/2), Winv its inverse
+    W, Winv = (mat_mul([list(map(op, row, sq)) for row in gv], transpose(gv))
+               for op in (operator.mul, operator.truediv))
+    Ms = mat_mul(W, mat_mul(M, Winv))
     sym = [[(Ms[i][j] + Ms[j][i]) / 2 for j in range(n)] for i in range(n)]
     evals, U = eigh_float(sym)
     V = mat_mul(Winv, U)
@@ -829,8 +787,7 @@ def eigenspaces(M: Mat, G: Mat, den: int = 1) -> list[tuple[object, int, list[Ve
         return eig_sym_exact(M, den)
     evals, V = eigh_g_float(M, G)
     clustered: list = []
-    for idx, ev in enumerate(evals):
-        vec = [row[idx] for row in V]
+    for ev, vec in zip(evals, transpose(V)):
         if clustered and s_eq(clustered[-1][0], ev):
             first, mult, basis = clustered[-1]
             clustered[-1] = (first, mult + 1, basis + [vec])
@@ -938,11 +895,10 @@ def random_unimodular(n: int, rng, steps: int | None = None) -> Mat:
         if i == j:
             continue
         c = Fraction(rng.choice((-2, -1, 1, 2)))
-        for t in range(n):
-            A[i][t] = s_add(A[i][t], s_mul(c, A[j][t]))
+        A[i] = [x + c * y for x, y in zip(A[i], A[j])]
     for _ in range(n):
         i, j = rng.randrange(n), rng.randrange(n)
         A[i], A[j] = A[j], A[i]
         if rng.random() < 0.5:
-            A[i] = [s_neg(x) for x in A[i]]
+            A[i] = [-x for x in A[i]]
     return A

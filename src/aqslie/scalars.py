@@ -10,16 +10,17 @@ Square roots of positive rationals embed via sqrt(p/q) = sqrt(p*q)/q.
 Float mode stores plain Python floats; a single global tolerance (default
 1e-9) governs every equality and sign test on floats.
 
-The kinds combine in one place, the arithmetic operators of :class:`Ext`;
-Python's numeric protocol dispatches every other pairing (Fraction, int and
-float among themselves).  An int operand is exact.  A float operand demotes
-the result to float, computed as ``float(a) op float(b)``; algebras declare
-their mode explicitly, so this never happens silently for well-formed
-inputs.  An exact result that is rational is a Fraction.
+A computation holds one field: exact scalars (an int operand is exact, and
+an exact result that is rational is a Fraction), or floats alone, with their
+constants made by :func:`units`.  The exact kinds combine in the arithmetic
+operators of :class:`Ext`; Python's numeric protocol dispatches the rest.
+An Ext still meets a float as ``float(a) op float(b)``, but no computation
+of the package mixes the two.
 
 Most kernels call the named functions ``s_add``, ``s_mul``, ... so that one
 operation is one function a profiler or a counter can rebind; the product
-fold ``linalg._fold`` uses the operators, which are their bodies.  Only the
+fold ``linalg._fold`` and the per-scalar elimination ``linalg._reduced`` use
+the operators, which are their bodies.  Only the
 comparisons (``s_is_zero``, ``s_sign``) tell floats apart, for the tolerance.
 """
 
@@ -30,7 +31,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import ScalarParseError
+from .errors import PreconditionError, ScalarParseError
 
 DEFAULT_TOLERANCE = 1e-9
 _tolerance = DEFAULT_TOLERANCE
@@ -250,6 +251,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def units(floats: bool) -> tuple:
+    """(zero, one) of a field: 0.0 and 1.0 for floats, else ZERO and ONE."""
+    return (0.0, 1.0) if floats else (ZERO, ONE)
+
+
 def normalize(x) -> Scalar:
     if isinstance(x, Ext) and x.is_rational():
         return x.rational_part()
@@ -350,7 +356,10 @@ _PLAIN_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def s_str(a) -> str:
-    """Canonical string form; inverse of :func:`parse_scalar`."""
+    """Canonical string form; inverse of :func:`parse_scalar`.  An inf or a nan,
+    a float that overflowed, has none: a PreconditionError names it."""
+    if isinstance(a, float) and not math.isfinite(a):
+        raise PreconditionError(f"float overflow: a result is {a!r}; rerun in exact mode")
     return repr(a) if isinstance(a, float) else str(a)
 
 

@@ -7,18 +7,19 @@ table and a second route for every other field: ``bracket`` looped over
 from n ``bracket`` columns.  The tests compare the one loop, ad_X as the
 numerators and denominator of its value, with these routes by ``repr``, so
 the bits of a float, the sign of a zero and ``ZERO`` against ``0.0`` all
-show.
+show.  Both read one field: a float-mode algebra with float operands.
 """
 
 from fractions import Fraction
 
 from aqslie.linalg import _int_scaled, transpose
-from aqslie.scalars import ZERO, s_add, s_is_zero, s_mul, s_sub
+from aqslie.scalars import ZERO, s_add, s_is_zero, s_mul, s_sub, units
 
 
 def bracket_routes(L, X, Y):
     """[X, Y]: integers when the table is rational and X and Y each are all
-    rational or all int, else the scalar loop over the stored constants."""
+    rational or all int, else the scalar loop over the stored constants from
+    the zero of L's field (0.0 in float mode)."""
     table, den = L._tables()
     sx = _int_scaled(X) if den is not None else None
     sy = _int_scaled(Y) if sx is not None else None
@@ -32,7 +33,7 @@ def bracket_routes(L, X, Y):
                     acc[k] += coeff * v
         den *= (dx or 1) * (dy or 1)
         return [Fraction(a, den) if a else ZERO for a in acc]
-    out = [ZERO] * L.dim
+    out = [units(L.floats)[0]] * L.dim
     for (i, j), entries in L.brackets:
         if (not X[i] or not Y[j]) and (not X[j] or not Y[i]):
             continue

@@ -1,7 +1,8 @@
 """Float-mode copies of exact structures, shared by the float tests.
 
 Two routes give the same float structure (``test_float_mode`` checks this):
-``float_doc`` re-declares a JSON structure document in float mode, for tests
+``float_doc`` re-declares a JSON structure document in float mode
+(``float_algebra_doc`` an algebra document), for tests
 that go through the parser or the CLI; ``float_structure`` rebuilds an
 ``AcmStructure`` on ``float_algebra``, the algebra rebuilt from
 ``LieAlgebra.table()`` without a Jacobi check, for tests on float inputs that
@@ -23,12 +24,17 @@ def _floatify(v):
     return {k: _floatify(x) for k, x in v.items()}
 
 
+def float_algebra_doc(doc: dict) -> dict:
+    """The exact algebra document re-declared in float mode (fresh lists)."""
+    brackets = [dict(rec, coeffs=_floatify(rec["coeffs"])) for rec in doc["brackets"]]
+    return dict(doc, mode="float", brackets=brackets)
+
+
 def float_doc(doc: dict) -> dict:
     """The exact structure document re-declared in float mode (fresh lists)."""
-    out = dict(doc, mode="float")
+    out = float_algebra_doc(doc)
     for key in ("phi", "xi", "eta", "metric"):
         out[key] = _floatify(doc[key])
-    out["brackets"] = [dict(rec, coeffs=_floatify(rec["coeffs"])) for rec in doc["brackets"]]
     return out
 
 

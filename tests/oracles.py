@@ -51,7 +51,7 @@ from aqslie.linalg import inverse, is_positive_definite, mat_add, mat_eq, mat_mu
 from aqslie.linalg import mat_sub, mat_vec, mat_vecs, max_abs, nullspace, solve
 from aqslie.linalg import transpose, vec_eq, vec_is_zero, vec_scale, zeros
 from aqslie.scalars import ONE, ZERO, Ext, is_exact, s_abs, s_add, s_div, s_eq, s_inv, s_is_zero
-from aqslie.scalars import s_mul, s_neg, s_sqrt, s_sub
+from aqslie.scalars import s_mul, s_neg, s_sqrt, s_sub, units
 from aqslie.tower import TowerOver, tower_values
 
 
@@ -309,9 +309,10 @@ def stage_classification(S: AcmStructure) -> dict:
     xi_col = [[x] for x in S.xi]
     deta_pairs = [[deta_mat[i][j] for i, j in nij]]
     n_phi = mat_add(transpose(list(nij.values())), mat_mul(xi_col, deta_pairs))
+    zero = units(S.L.floats)[0]  # a form keeps no zero coefficient: read in S's field
     return {
-        "d_phi": max_abs(c for _, c in dPhi.coeffs),
-        "d_eta": max_abs(c for _, c in deta.coeffs),
+        "d_phi": max_abs([zero, *(c for _, c in dPhi.coeffs)]),
+        "d_eta": max_abs([zero, *(c for _, c in deta.coeffs)]),
         "n_phi": max_abs(_flat(n_phi)),
         "anti_normal": _res(n_phi, mat_mul(xi_col, mat_scale(deta_pairs, Fraction(2)))),
         "contact_metric": _res(deta_mat, mat_scale(bilinear_from_form(Phi), 2)),
@@ -450,12 +451,12 @@ def stage_frame(S: AcmStructure) -> tuple:
     for ev, _, orbits in stage_spectrum(S):
         quadruples.extend(orbits)
         weights.extend([s_sqrt(s_neg(ev))] * len(orbits))
-    g = S.g_mat()
+    g, one = S.g_mat(), units(S.L.floats)[1]  # the frame's scales in S's field
     norms = [s_sqrt(bilinear(v, g, v)) for v, _, _, _ in quadruples]
-    inv = [s_div(ONE, x) for x in norms]
-    inv_w = [s_div(ONE, s_mul(w, x)) for w, x in zip(weights, norms)]
+    inv = [s_div(one, x) for x in norms]
+    inv_w = [s_div(one, s_mul(w, x)) for w, x in zip(weights, norms)]
     R = [S.xi_vec()] + [quad[b] for b in range(4) for quad in quadruples]
-    return tuple(weights), tuple(tuple(c) for c in R), tuple([ONE] + inv + inv_w + inv + inv_w)
+    return tuple(weights), tuple(tuple(c) for c in R), tuple([one] + inv + inv_w + inv + inv_w)
 
 
 def stage_isomorphism(S: AcmStructure) -> Mat:

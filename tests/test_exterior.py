@@ -286,7 +286,7 @@ def test_graded_ranks_equal_the_whole_differential():
         targets, den = _d_targets(L)
         weights = _torus_weights(L)
         for k in range(top + 1):
-            graded = _graded_rank(targets, den, weights, k)
+            graded = _graded_rank(targets, den, weights, k, L.floats)
             assert graded == rank(ce_d_matrix(L, k)), (L.mode, L.dim, k)
 
 

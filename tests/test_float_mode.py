@@ -187,3 +187,135 @@ def test_float_copy_routes_agree():
                             T.phi, T.xi, T.eta, T.g)
         assert repr(fields(via_doc)) == repr(fields(via_table))
         assert isinstance(via_doc.g[0][0], float)
+
+
+def _scalars(x):
+    """Every entry of nested lists and tuples."""
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _scalars(y)
+    else:
+        yield x
+
+
+def _one_field_documents(tmp_path) -> dict:
+    """{name: path}: h9 with its companions, h13, the qS h9, the conjugated
+    h9, su3 and su2, each exact and as its float copy (named with an f)."""
+    import random
+
+    from aqslie.acm import conjugate_structure
+    from aqslie.constructors import su2, su3, weighted_heisenberg_2n1
+    from aqslie.linalg import random_unimodular
+    from floatcopy import float_algebra_doc
+
+    _, (h9, h9b, h9c) = weighted_heisenberg_4n1(2, [1, 2])
+    docs = {
+        "h9": aqio.structure_to_json(h9, companions=[h9b.phi_mat(), h9c.phi_mat()]),
+        "h13": _heisenberg_doc(3, [1, 2, 3]),
+        "qs9": aqio.structure_to_json(weighted_heisenberg_2n1(4, [1, 2, 3, 4])[1]),
+        "h9c1": aqio.structure_to_json(
+            conjugate_structure(h9, random_unimodular(9, random.Random(1)))),
+    }
+    docs.update({f"f{name[1:] if name[0] == 'h' else name}": float_doc(doc)
+                 for name, doc in docs.items()})
+    for name, algebra in (("su3", su3()), ("su2", su2())):
+        docs[name] = aqio.algebra_to_json(algebra)
+        docs[f"f{name}"] = float_algebra_doc(docs[name])
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(aqio.dumps(doc), "utf-8")
+    return paths
+
+
+def test_each_kernel_call_holds_one_field(tmp_path, monkeypatch, capsys):
+    # float mode makes its constants in floats: no product, entrywise or
+    # elimination call of a float command meets an exact scalar (an int, a
+    # Fraction, an Ext) beside a float, and no call of an exact command meets
+    # a float; every scalar string of a float payload is a float repr
+    from aqslie import linalg
+    from aqslie.cli import main
+
+    calls, mixed = [], []
+    for name in ("_fold", "_entrywise", "_reduced"):
+        def kernel(*args, real=getattr(linalg, name), name=name, **kwargs):
+            kinds = {type(x) for x in _scalars(list(args[:2]))}  # argv, floats: the run's
+            calls.append(name)
+            if float in kinds and (len(kinds) > 1 or not floats):
+                mixed.append((argv[0], argv[1].rsplit("/", 1)[-1], name, sorted(map(str, kinds))))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, kernel)
+    runs = [["invariant-forms", "--algebra", "{su}", "--torus", "{torus}"], ["cohomology", "{su}"]]
+    runs += [[command, "{h}"] for command in ("check", "classify", "curvature", "cohomology")]
+    old = get_tolerance()
+    try:
+        for name, path in _one_field_documents(tmp_path).items():
+            floats = name.startswith("f")
+            for template in runs:
+                if ("su" in name) != ("{su}" in template):
+                    continue
+                torus = "1,2" if "su3" in name else "3"  # d vanishes on the pairs of m for su2
+                argv = [str(path) if a in ("{h}", "{su}") else torus if a == "{torus}" else a
+                        for a in template]
+                set_tolerance(1e-6 if name == "f9c1" else old)  # its certificates need it
+                assert main(argv + ["--json"]) == 0, (name, argv)
+                payload = json.loads(capsys.readouterr().out)["payload"]
+                if floats and argv[0] != "check":  # check's passing residual is the exact 0
+                    for text in filter(_is_float_text, _payload_strings(payload)):
+                        assert repr(float(text)) == text, (name, argv[0], text)
+    finally:
+        set_tolerance(old)
+    assert len(calls) > 2000 and mixed == []
+
+
+def _payload_strings(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        for y in x:
+            yield from _payload_strings(y)
+    elif isinstance(x, str):
+        yield x
+
+
+def _is_float_text(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def test_float_overflow_is_a_precondition_never_a_verdict_or_a_payload(tmp_path, capsys):
+    # weights 10^200 and 1: ad products reach inf, and inf - inf is nan.  The
+    # operator identities fail on that nan (not on an exact zero beside it), and
+    # curvature refuses to print inf or nan; both exit 3, never 4 or 0
+    from aqslie.cli import main
+
+    S = weighted_heisenberg_4n1(2, [10**200, 1])[1][0]
+    path = tmp_path / "overflow.json"
+    path.write_text(aqio.dumps(float_doc(aqio.structure_to_json(S))), "utf-8")
+    for command, message in (
+        ("classify", "operator identity psi_A_anticommute at float precision: residual nan "
+                     "is not finite (float overflow); rerun in exact mode"),
+        ("curvature", "float overflow: a result is nan; rerun in exact mode"),
+    ):
+        assert main([command, str(path), "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["payload"] is None and report["error"]["message"] == message
+        assert report["error"]["family"] == "precondition"
+
+
+def test_float_weights_make_a_float_mode_target():
+    # the normal-form target of a float frame: a float-mode algebra with float
+    # phi, xi and g; a float constant makes an algebra float-mode by itself
+    from aqslie.exterior import rank_of_eta
+    from aqslie.lie_core import LieAlgebra
+
+    L, structures = weighted_heisenberg_4n1(2, [2.0, 1.0])
+    assert L.mode == "float" and L.basis_vector(1) == [0.0, 1.0] + [0.0] * 7
+    for S in structures:
+        tensors = [*_scalars(S.phi), *S.xi, *S.eta, *_scalars(S.g)]
+        assert {type(x) for x in tensors} == {float}
+    assert rank_of_eta(L, structures[0].eta_form()).is_maximal
+    assert LieAlgebra.from_brackets(3, {(0, 1): {2: 0.5}}).mode == "float"

@@ -515,11 +515,13 @@ def test_basis_ad_is_the_bracket_columns_bit_for_bit():
 
 
 def test_ad_values_across_fields_keep_the_true_ad_matrices():
-    # a rational algebra with a tower or float matrix is no integer route, and
-    # neither is a tower algebra with a rational matrix.  Exact ones are tower
-    # values: one integer matrix per square class, the ad matrices over one
-    # denominator; with a float the ad matrices are the stored constants over 1
+    # a rational algebra with a tower matrix is no integer route, and neither
+    # is a tower algebra with a rational matrix.  Exact ones are tower values:
+    # one integer matrix per square class, the ad matrices over one
+    # denominator; a float algebra with a float matrix (one field) has the
+    # stored constants over 1 as its ad matrices
     from aqslie.scalars import parse_scalar
+    from floatcopy import float_algebra
 
     rational = weighted_heisenberg_4n1(2, [F(1, 3), F(3, 4)])[0]
     assert rational._tables()[1] == 6
@@ -527,7 +529,7 @@ def test_ad_values_across_fields_keep_the_true_ad_matrices():
     matrix = lambda f: [[f(i, j) for j in range(9)] for i in range(9)]  # noqa: E731
     cases = {
         "rational-h9-sqrt2-matrix": (rational, matrix(lambda i, j: Ext.of_sqrt(2) * (i - j))),
-        "rational-h9-float-matrix": (rational, matrix(lambda i, j: 0.5 * i - j)),
+        "float-h9-float-matrix": (float_algebra(rational), matrix(lambda i, j: 0.5 * i - j)),
         "sqrt-h9-rational-matrix": (sqrt_h9, matrix(lambda i, j: F(i - j, 3))),
     }
     classes = {"rational-h9-sqrt2-matrix": ([1, 2], 1, 6), "sqrt-h9-rational-matrix": ([1], 3, 1)}
@@ -706,10 +708,10 @@ towers = st.builds(lambda a, b: a + b * SQRT2, fractions, fractions)
 # whose products land on it
 floats = st.floats(-4, 4) | st.sampled_from(
     [0.0, -0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1.5e-9, 3.2e-5, -3.1e-5, 0.1, 2.5])
-FIELDS = {  # constants, operand entries: an exact table meets exact operands
+FIELDS = {  # constants, operand entries: each table meets operands of its own field
     "rational": (rationals, rationals | exact_zeros),
     "tower": (towers, towers | rationals | exact_zeros),
-    "float": (floats, floats | rationals | exact_zeros),
+    "float": (floats, floats),
 }
 
 
@@ -723,10 +725,12 @@ def test_table_readers_match_the_two_routes_on_random_tables(field, n, data):
     mode = "float" if field == "float" else "exact"
     L = LieAlgebra.from_brackets(n, table, mode=mode, check=False)
     vector = st.lists(entries, min_size=n, max_size=n)
-    all_ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    all_ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+        lambda v: [float(x) for x in v] if field == "float" else v)
     X, Y = (data.draw(vector | all_ints) for _ in range(2))
     assert repr(bracket(L, X, Y)) == repr(bracket_routes(L, X, Y))
     assert repr(_ad_numerators(L, X)) == repr(ad_matrix_routes(L, X))
-    ints = [[int(x) for x in v] for v in ([1] * n, list(range(n)))]
+    as_field = float if field == "float" else int
+    ints = [[as_field(x) for x in v] for v in ([1] * n, list(range(n)))]
     assert repr(bracket(L, *ints)) == repr(bracket_routes(L, *ints))
     assert repr(_ad_numerators(L, ints[1])) == repr(ad_matrix_routes(L, ints[1]))

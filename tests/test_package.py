@@ -442,19 +442,29 @@ def _dense_sum(node: ast.AST) -> bool:
 
 
 def product_path_offenders(source: str) -> list[str]:
-    """Where linalg's source defines _dot, calls s_mul or s_add in a product
-    kernel (a call per pair), has a product kernel that calls neither _fold
-    nor another product kernel, sums a dense product outside dot, or has a
-    mat_mul or mat_vecs that does not reach _int_products.  Outside the
-    integer route every matrix, matrix-vector and vector product is the one
-    sparse fold; on it, every matrix product is the one Gustavson product of
+    """Where linalg's source defines _dot or _first_float, calls s_mul or
+    s_add in a product kernel (a call per pair), has a product kernel that
+    calls neither _fold nor another product kernel, sums a dense product
+    outside dot, has a mat_mul or mat_vecs that does not reach _int_products,
+    or has a _fold that multiplies by itself or makes other than one _rowwise
+    call.  Outside the integer route every matrix, matrix-vector and vector
+    product is the one sparse fold, Gustavson's row-wise loop from the field's
+    zero; on it, every matrix product is the one Gustavson product of
     _int_products, and only dot, with no index to amortise, sums every pair."""
     offenders = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, ast.FunctionDef):
             continue
-        if fn.name == "_dot":
-            offenders.append(f"{fn.lineno} def _dot")
+        if fn.name in ("_dot", "_first_float"):
+            offenders.append(f"{fn.lineno} def {fn.name}")
+        if fn.name == "_fold":
+            rowwise = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                       and _callee(node) == "_rowwise"]
+            offenders += [f"{fn.lineno} _fold makes {len(rowwise)} _rowwise calls"
+                          ] if len(rowwise) != 1 else []
+            offenders += [f"{node.lineno} _fold multiplies" for node in ast.walk(fn)
+                          if isinstance(node, (ast.BinOp, ast.AugAssign))
+                          and isinstance(node.op, ast.Mult)]
         if fn.name != "dot":
             offenders += [f"{node.lineno} {fn.name} sums every pair"
                           for node in ast.walk(fn) if _dense_sum(node)]
@@ -490,6 +500,24 @@ def test_products_outside_the_integer_route_are_one_sparse_fold():
         "1 def _dot", "3 mat_vecs skips _fold", "3 mat_vecs skips _int_products",
         "6 dot calls s_mul", "6 dot calls s_add", "9 mat_mul sums every pair",
         "7 mat_mul skips _int_products"]
+    # a mixed-kind fold beside the row-wise loop: a second loop of its own
+    # products past the first float, and the threshold helper it reads
+    mixed = (
+        "def _fold(rows, cols):\n"
+        "    if pure(rows, cols):\n"
+        "        return _rowwise(rows, index(cols), len(cols), 0.0)\n"
+        "    t = [_first_float(col) for col in cols]\n"
+        "    for row in rows:\n"
+        "        for j, b in pairs(row):\n"
+        "            acc[k] = float(acc[k]) + row[j] * b\n"
+        "def _first_float(v):\n"
+        "    return next(j for j, x in enumerate(v) if isinstance(x, float))\n"
+        "def _fold(rows, cols):\n"
+        "    return [[x * y for x, y in zip(row, col)] for col in cols for row in rows]\n"
+    )
+    assert product_path_offenders(mixed) == [
+        "7 _fold multiplies", "8 def _first_float", "10 _fold makes 0 _rowwise calls",
+        "11 _fold multiplies"]
 
 
 def tower_product_offenders(source: str) -> list[str]:

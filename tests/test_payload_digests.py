@@ -23,10 +23,10 @@ from pathlib import Path
 import aqslie.io as aqio
 from aqslie.acm import conjugate_structure
 from aqslie.cli import main
-from aqslie.constructors import weighted_heisenberg_2n1, weighted_heisenberg_4n1
+from aqslie.constructors import su3, weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from aqslie.linalg import random_unimodular
 from aqslie.scalars import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
-from floatcopy import float_doc
+from floatcopy import float_algebra_doc, float_doc
 
 SQRT_WEIGHTS = "sqrt(2),1,3/2*sqrt(5)"
 
@@ -101,6 +101,9 @@ def corpus_outcomes(workdir: Path) -> dict:
     # the operator identities fail on rounding alone: a precision limit, not NotAqs
     run("classify-f9c1-tol1e-8", ["classify", files["f9c1"], "--tolerance", "1e-8"])
     run("invariant-forms-su3-t12", ["invariant-forms", "--algebra", "su3", "--torus", "1,2"])
+    write("fsu3", float_algebra_doc(aqio.algebra_to_json(su3())))
+    run("invariant-forms-fsu3-t12",
+        ["invariant-forms", "--algebra", files["fsu3"], "--torus", "1,2"])
     run("invariant-forms-su2-t3", ["invariant-forms", "--algebra", "su2", "--torus", "3"])
     return outcomes
 
@@ -154,6 +157,7 @@ EXPECTED = {
     "classify-f9c1-tol1e-8": [3, "ToleranceExceeded", None],
     "invariant-forms-su3-t12": [0, None, "2de234e81e0a33cb2b41f2487a8e9882089858e0230d534aa29d7e5efbd2e52e"],
     "invariant-forms-su2-t3": [0, None, "dfc25162039a77e630a620e3770795deadce7b1a69661c8f731f5679e42b1536"],
+    "invariant-forms-fsu3-t12": [0, None, "a744cd0660b713760c3ba621fe3e9858629deb79f8b3b554065fd000627df7f1"],
 }
 
 

@@ -1,7 +1,7 @@
 """Square-root tower values (``aqslie.tower``) against the per-scalar route:
 every operation on the classes gives, entry by entry and type by type, what
-the fold (``linalg._fold``), the entrywise kernels and ``max_abs`` give on
-the divided-back entries."""
+the full fold from ZERO, the scalar operators, ``max_abs`` and the per-scalar
+RREF give on the divided-back entries."""
 
 import operator
 from fractions import Fraction as F
@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqslie.linalg import (
-    MatOver,
-    _entrywise,
     _flat,
-    _fold,
-    max_abs,
     mat_solve,
+    max_abs,
+    rref,
     stacked,
     transpose,
     vec_is_zero,
@@ -59,6 +57,15 @@ def bits(M):
     return [[(type(x), x) for x in row] for row in M]
 
 
+def full_fold(rows, cols):
+    """[[ZERO + row[0] col[0] + row[1] col[1] + ... for col in cols] for row in rows]."""
+    return [[sum(map(operator.mul, row, col), ZERO) for col in cols] for row in rows]
+
+
+def entrywise(A, B, op):
+    return [list(map(op, ra, rb)) for ra, rb in zip(A, B)]
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(towers(), st.data())
 def test_tower_values_match_the_per_scalar_route(tower, data):
@@ -71,10 +78,10 @@ def test_tower_values_match_the_per_scalar_route(tower, data):
     V, W, X = value(A, da, zero), value(B, db), value(C, dc, zero)
     Am, Bm, Cm = entries(A, da), entries(B, db), entries(C, dc)
     assert bits(V.mat()) == bits(Am)
-    assert bits((V @ W).mat()) == bits(_fold(Am, transpose(Bm)))
-    assert bits(V.on_rows(X).mat()) == bits(_fold(Cm, Am))
-    assert bits((V + X).mat()) == bits(_entrywise(Am, Cm, operator.add, s_add))
-    assert bits((V - X).mat()) == bits(_entrywise(Am, Cm, operator.sub, s_sub))
+    assert bits((V @ W).mat()) == bits(full_fold(Am, transpose(Bm)))
+    assert bits(V.on_rows(X).mat()) == bits(full_fold(Cm, Am))
+    assert bits((V + X).mat()) == bits(entrywise(Am, Cm, s_add))
+    assert bits((V - X).mat()) == bits(entrywise(Am, Cm, s_sub))
     assert bits((-V).mat()) == bits([[s_neg(x) for x in row] for row in Am])
     c = data.draw(small)
     assert bits((V * c).mat()) == bits([[s_mul(c, x) for x in row] for row in Am])
@@ -85,9 +92,6 @@ def test_tower_values_match_the_per_scalar_route(tower, data):
     assert bits(stacked([V, X, V]).mat()) == bits(Am + Cm + Am)
     assert V.max_abs() == max_abs(_flat(Am)) and V.is_zero() == vec_is_zero(_flat(Am))
     assert V.N == [[s_mul(x, V.den) for x in row] for row in Am]
-    # a MatOver reads a class value as its entries, on the per-scalar kernels
-    assert bits((MatOver(Am) @ W).mat()) == bits((V @ W).mat())
-    assert bits((MatOver(Cm) - V).mat()) == bits(_entrywise(Cm, Am, operator.sub, s_sub))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -101,7 +105,7 @@ def test_sums_that_cancel_come_back_rational(tower, data):
          for ra, rz in zip(A, Z)]
     total = (value(A, 1) + value(B, 1)).mat()
     assert all(type(x) is F for row in total for x in row)
-    assert total == _entrywise(A, B, operator.add, s_add)
+    assert total == entrywise(A, B, s_add)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -113,10 +117,8 @@ def test_solves_with_a_rational_left_side_match_the_per_scalar_elimination(tower
     n, p = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     A = data.draw(matrices(small, n, n))
     B, den = data.draw(matrices(entry, n, p)), data.draw(st.integers(1, 6))
-    try:
-        want = mat_solve(MatOver(A), MatOver(entries(B, den))).mat()
-    except ValueError:
-        want = None
+    R, pivots = rref([a + b for a, b in zip(A, entries(B, den))])
+    want = [row[n:] for row in R[:n]] if pivots[:n] == list(range(n)) else None
     try:
         X = mat_solve(value(A, 1), value(B, den))
     except ValueError:
