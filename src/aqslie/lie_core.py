@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .errors import DimensionMismatch, JacobiError
+from .errors import DimensionMismatch, InputError, JacobiError
 from .linalg import (
     Mat,
     MatOver,
@@ -124,7 +124,8 @@ class LieAlgebra:
                     raise DimensionMismatch(f"bad bracket target index {k}")
             if entries:
                 canon.append(((i, j), entries))
-        mode = "float" if any(_is_float(v) for _, es in canon for _, v in es) else mode
+        if any(_is_float(v) != (mode == "float") for _, es in canon for _, v in es):
+            raise InputError(f"{mode} mode: float mode takes float constants, exact mode none")
         L = LieAlgebra(dim, tuple(canon), tuple(basis_names), mode)
         if check:
             bad = jacobi_check(L)
@@ -158,7 +159,7 @@ class LieAlgebra:
         """table(), built once: a rational algebra's constants for other operands."""
         return self.table()
 
-    floats = property(lambda self: self.mode == "float")  # float constants make float mode
+    floats = property(lambda self: self.mode == "float")  # float mode holds float constants
 
     def sqrt_basis(self, mats=(), vecs=()) -> tuple[list, list] | None:
         """(up, down), up_k = sqrt(d_k) = 1 / down_k, for the square classes d
@@ -214,23 +215,21 @@ class LieAlgebra:
         return [one if t == i else zero for t in range(self.dim)]
 
     def _operands(self, *mats: Mat) -> tuple[dict, int | None, object, list[Mat], int, object]:
-        """(table, den, zero, ints, dm, values): the one field decision of the
-        readers of the table, for it and the matrices that act with it.  A
-        rational algebra with rational or all-int mats gives the integer table,
-        c_ij^k = entry / den, the numerators of mats over dm and the zero 0;
-        otherwise the stored constants, den None, mats as they are over 1 and
-        the field's zero, 0.0 in float mode or with a float among mats, else
-        ZERO.  values(Ns, d) makes the route's values Ns / d: class values
-        (``tower.TowerOver``) on the exact field, integers straight into the
-        class 1 off the integer table, else MatOvers."""
+        """(table, den, zero, ints, dm, values): the one route decision of the
+        readers of the table, for it and the matrices that act with it, on the
+        field of the algebra's mode.  A rational algebra with rational or
+        all-int mats gives the integer table, c_ij^k = entry / den, the
+        numerators of mats over dm and the zero 0; otherwise the stored
+        constants, den None, mats as they are over 1 and the mode's zero, 0.0
+        or ZERO.  values(Ns, d) makes the route's values Ns / d: class values
+        (``tower.TowerOver``) in exact mode, integers straight into the class 1
+        off the integer table, MatOvers in float mode."""
         table, den = self._tables()
         scaled = _int_rows(*mats) if den is not None else None
         if scaled is None:  # the stored constants; a cached table with a den holds integers
-            entries = itertools.chain.from_iterable(itertools.chain.from_iterable(mats))
-            floats = self.floats or any(map(_is_float, entries))
             over = lambda Ns, d: [MatOver(N) * Fraction(1, d) for N in Ns]  # noqa: E731
-            return ((table if den is None else self._stored), None, units(floats)[0], list(mats),
-                    1, over if floats else tower_values)
+            return ((table if den is None else self._stored), None, units(self.floats)[0],
+                    list(mats), 1, over if self.floats else tower_values)
         classes = lambda Ns, d: [TowerOver({1: N}, d) for N in Ns]  # noqa: E731  no second scan
         return table, den, 0, scaled[0], scaled[1] or 1, classes
 

@@ -297,7 +297,7 @@ def max_abs(entries):
         return Fraction(max(map(abs, scaled[0]), default=0), scaled[1] or 1)
     worst = 0.0 if floats else ZERO
     for x in dict.fromkeys(xs):  # an entry that repeats is compared once
-        if not math.isfinite(a := s_abs(x)):
+        if isinstance(a := s_abs(x), float) and not math.isfinite(a):  # exact: no float()
             return a
         if s_lt(worst, a):
             worst = a

@@ -2,11 +2,14 @@
 
 import json
 
+import pytest
+
 import aqslie.io as aqio
 from aqslie.acm import classify_structure, curvature
 from aqslie.adapted import adapted_frame
 from aqslie.classifier import classify_nilpotent_aqs
 from aqslie.constructors import weighted_heisenberg_4n1
+from aqslie.errors import InputError
 from aqslie.scalars import get_tolerance, set_tolerance
 from floatcopy import float_doc, float_structure
 from oracles import psi_squared_spectrum
@@ -308,7 +311,7 @@ def test_float_overflow_is_a_precondition_never_a_verdict_or_a_payload(tmp_path,
 
 def test_float_weights_make_a_float_mode_target():
     # the normal-form target of a float frame: a float-mode algebra with float
-    # phi, xi and g; a float constant makes an algebra float-mode by itself
+    # phi, xi and g; the mode holds constants of its field only
     from aqslie.exterior import rank_of_eta
     from aqslie.lie_core import LieAlgebra
 
@@ -318,4 +321,6 @@ def test_float_weights_make_a_float_mode_target():
         tensors = [*_scalars(S.phi), *S.xi, *S.eta, *_scalars(S.g)]
         assert {type(x) for x in tensors} == {float}
     assert rank_of_eta(L, structures[0].eta_form()).is_maximal
-    assert LieAlgebra.from_brackets(3, {(0, 1): {2: 0.5}}).mode == "float"
+    for table, mode in (({(0, 1): {2: 0.5}}, "exact"), ({(0, 1): {2: 1}}, "float")):
+        with pytest.raises(InputError, match=f"{mode} mode"):
+            LieAlgebra.from_brackets(3, table, mode=mode)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aqslie.linalg as linalg
-from aqslie.constructors import abelian
 from aqslie.errors import IrrationalSpectrum
+from aqslie.lie_core import LieAlgebra
 from aqslie.linalg import (
     MatOver,
     Subspace,
@@ -959,11 +959,13 @@ def test_nullspace_and_solve_of_an_int_matrix_build_only_their_results(monkeypat
 @settings(max_examples=60, deadline=None)
 @given(rational_matrices(), rational_matrices(), st.sampled_from(["fraction", "tower", "float"]))
 def test_values_divide_back_to_their_matrices(A, B, kind):
-    # the values a rational algebra gives the matrices that act with it
+    # the values an abelian algebra gives the matrices that act with it, in
+    # float mode for float matrices
     to = {"fraction": lambda x: x, "tower": lambda x: s_mul(SQRT2, x) if x else x,
           "float": float}[kind]
     A, B = _map(to, A), _map(to, B)
-    vals = abelian(1).values(A, B)
+    mode = "float" if kind == "float" else "exact"
+    vals = LieAlgebra.from_brackets(1, {}, mode=mode).values(A, B)
     back = [V.mat() for V in vals]
     assert [list(map(_bits, row)) for M in back for row in M] == \
         [list(map(_bits, row)) for M in (A, B) for row in M]

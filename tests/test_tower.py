@@ -126,3 +126,13 @@ def test_solves_with_a_rational_left_side_match_the_per_scalar_elimination(tower
     assert (X is None) == (want is None)
     if X is not None:
         assert isinstance(X, TowerOver) and bits(X.mat()) == bits(want)
+
+
+def test_an_exact_maximum_with_numerators_past_the_float_range_stays_exact():
+    # max |entry| of a multi-class value compares Exts: an integer numerator
+    # past 1.8e308 never meets float(), which would overflow
+    big = 10 ** 311
+    V = TowerOver({1: [[big, 0], [1, 0]], 2: [[0, 0], [1, 3 * big]]}, 7)
+    top = s_mul(Ext.of_sqrt(2), F(3 * big, 7))
+    assert V.max_abs() == top and max_abs(_flat(V.mat())) == top
+    assert max_abs([F(-big, 3), s_mul(Ext.of_sqrt(2), -big), ZERO]) == s_mul(Ext.of_sqrt(2), big)
