@@ -14,9 +14,9 @@ For psi^2 the eigenvalues are -w_i^2 and normalizing
 produces the orthonormal frame {xi, e_i, e_{n+i}, e_{2n+i}, e_{3n+i}}.  The
 frame is kept factored as T = R Delta: the columns of R are the unnormalized
 quadruples, in the input's field (rational for rational inputs), and the
-diagonal Delta = (1, 1/|v|, 1/(w|v|), ...) holds the square roots.  Exact
-frames are certified by the Gram check R^T g R = Delta^-2 in the input's
-field.
+diagonal Delta = (1, 1/|v|, 1/(w|v|), ...) holds the square roots.
+:func:`adapted_frame` certifies exact frames by the Gram check R^T g R =
+Delta^-2 in the input's field; the classifier, by its isomorphism.
 
 Determinism: eigenvalues are processed by descending |eigenvalue|, ties in
 ascending order, and the pivot inside an eigenspace is the first
@@ -142,43 +142,42 @@ class AdaptedFrame:
 def adapted_frame(S: AcmStructure) -> AdaptedFrame:
     """Orthonormal adapted frame of an aqS structure of maximal rank."""
     require_maximal(S, CLASS_ANTI_QUASI_SASAKIAN)
-    g = S.g_mat()
-    quadruples: list[tuple[Vec, Vec, Vec, Vec]] = []  # (v, Av, phi v, psi v)
-    weights = []
-    for ev, _, orbits in _psi2_orbits(S):
-        weight_sq = s_neg(ev)
-        try:
-            weight = s_sqrt(weight_sq)
-        except ValueError as exc:
-            raise IrrationalSpectrum(
-                f"weight^2 = {weight_sq} is not a rational square"
-            ) from exc
-        quadruples.extend(orbits)
-        weights.extend([weight] * len(orbits))
-
-    n, (zero, one) = len(quadruples), units(S.L.floats)
-    norms_sq = [bilinear(v, g, v) for v, _, _, _ in quadruples]
-    norms = [s_sqrt(x) for x in norms_sq]
-    inv = [s_div(one, x) for x in norms]
-    inv_w = [s_div(one, s_mul(w, x)) for w, x in zip(weights, norms)]
-    R = [S.xi_vec()] + [quad[b] for b in range(4) for quad in quadruples]
-    scales = [one] + inv + inv_w + inv + inv_w
-    frame = AdaptedFrame(n, tuple(weights), tuple(tuple(c) for c in R), tuple(scales))
+    frame, g, (zero, one) = _frame(S, _psi2_orbits(S)), S.g_mat(), units(S.L.floats)
     # certificate: the frame is g-orthonormal; exact frames check the Gram
     # matrix of R instead, R^T g R = Delta^-2, all in the input's field
     if not S.L.floats:
-        wide_sq = [s_mul(s_mul(w, w), x) for w, x in zip(weights, norms_sq)]
-        gram_cols, want = R, [one] + norms_sq + wide_sq + norms_sq + wide_sq
+        gram_cols, want = frame.unscaled, [s_div(one, s_mul(x, x)) for x in frame.scales]
     else:
-        gram_cols, want = frame.columns(), [one] * len(R)
+        gram_cols, want = frame.columns(), [one] * len(frame.scales)
     gram = mat_mul(gram_cols, transpose(mat_vecs(g, gram_cols)))
-    for a in range(len(R)):
-        for b in range(a, len(R)):
+    for a in range(len(want)):
+        for b in range(a, len(want)):
             residual = s_sub(gram[a][b], want[a] if a == b else zero)
             if not s_is_zero(residual):
                 what = f"frame is not orthonormal at pair ({a + 1}, {b + 1})"
                 raise certificate_failure(what, [residual])
     return frame
+
+
+def _frame(S: AcmStructure, spectrum: list) -> AdaptedFrame:
+    """The frame of the psi^2 orbits, unchecked (adapted_frame checks its Gram matrix)."""
+    quadruples: list[tuple[Vec, Vec, Vec, Vec]] = []  # (v, Av, phi v, psi v)
+    weights = []
+    for ev, _, orbits in spectrum:
+        weight_sq = s_neg(ev)
+        try:
+            weight = s_sqrt(weight_sq)
+        except ValueError as exc:
+            raise IrrationalSpectrum(f"weight^2 = {weight_sq} is not a rational square") from exc
+        quadruples.extend(orbits)
+        weights.extend([weight] * len(orbits))
+    g, one = S.g_mat(), units(S.L.floats)[1]
+    norms = [s_sqrt(bilinear(v, g, v)) for v, _, _, _ in quadruples]
+    inv = [s_div(one, x) for x in norms]
+    inv_w = [s_div(one, s_mul(w, x)) for w, x in zip(weights, norms)]
+    R = [S.xi_vec()] + [quad[b] for b in range(4) for quad in quadruples]
+    scales = [one] + inv + inv_w + inv + inv_w
+    return AdaptedFrame(len(quadruples), tuple(weights), tuple(map(tuple, R)), tuple(scales))
 
 
 def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:

@@ -1,21 +1,22 @@
 """Constructive normal forms: nilpotent maximal-rank structures are mapped
 onto weighted Heisenberg algebras with an explicit, re-verified isomorphism.
 
-Both families run one pipeline.  The gate ``adapted.require_maximal``
-checks the class tag and the rank of eta; the algebra must be nilpotent
-with Killing xi, center R xi, and [g, g] inside R xi (the quotient by the
-center is abelian).  Then ``adapted.eigen_orbits`` reads a frame off one
-g-symmetric operator, and the change of basis to the frame is the
-isomorphism onto the target:
+Both families are certificate first.  ``adapted.eigen_orbits`` reads a frame
+off one g-symmetric operator, and the change of basis to it is the
+isomorphism F onto the target that ``_verify_iso`` proves on every bracket
+pair and on phi, xi, eta and g.  The target is nilpotent, of the class and of
+maximal rank, with Killing xi, center R xi and [g, g] in it, so on exact
+input ``_common_preconditions`` only names a failure: it runs when the
+construction or the certificate raises (whose error stands if it passes).
+Float input is checked first: its certificate holds only within the tolerance.
 
 * anti-quasi-Sasakian: the adapted frame of psi^2 (quadruples
   (v, Av, phi v, psi v)) onto h^{4n+1}_w.  In frame terms the source phi
   acts by e_i -> e_{2n+i}, which is the phi_2 of the target family.
 * quasi-Sasakian: pairs (v, phi v) of A = phi psi onto h^{2n+1}_w.  A
-  positive eigenvalue of A forces a sign flip of e_{n+i}; the bracket
-  normal form absorbs the sign and the flip is recorded in phi_signs (the
-  pushed-forward phi then matches the target phi with those per-pair
-  signs).
+  positive eigenvalue of A forces a sign flip of e_{n+i}, which the bracket
+  normal form absorbs and phi_signs records (the pushed-forward phi matches
+  the target phi with those per-pair signs).
 
 For a frame T = R Delta, F = T^-1 = Delta^-1 R^-1: exact frames invert R in
 the input's field and check M = R^-1 against the target rewritten in the
@@ -39,7 +40,7 @@ from .acm import (
     rescaled,
     xi_killing_check,
 )
-from .adapted import adapted_frame, eigen_orbits, require_maximal
+from .adapted import _frame, adapted_frame, eigen_orbits, require_maximal
 from .constructors import _rotation, weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from .errors import (
     CenterTooBig,
@@ -154,30 +155,50 @@ def _mapped_back(iso: HeisenbergIso, down: list) -> HeisenbergIso:
     return replace(iso, F=tuple(map(tuple, diag_scaled(iso.F, None, down))))
 
 
+def _certified(S: AcmStructure, tag: str, build) -> HeisenbergIso:
+    """build(S) on S's rational rescaling if any; _common_preconditions(S, tag)
+    runs before it on float input, on exact input only after it raises."""
+    if r := rational_rescaling(S):
+        return _mapped_back(_certified(r.S, tag, build), r.down)
+    if S.L.floats:
+        _common_preconditions(S, tag)
+    try:
+        return build(S)
+    except Exception:
+        if not S.L.floats:
+            _common_preconditions(S, tag)
+        raise
+
+
 def classify_nilpotent_aqs(S: AcmStructure) -> HeisenbergIso:
     """Normal form of a nilpotent anti-quasi-Sasakian structure of maximal
     rank: an explicit isomorphism onto h^{4n+1}_w (source phi -> target
-    phi_2, per the adapted-frame convention).  A structure with a rational
-    rescaling is classified on it and F is mapped back."""
-    if r := rational_rescaling(S):
-        return _mapped_back(classify_nilpotent_aqs(r.S), r.down)
-    _common_preconditions(S, CLASS_ANTI_QUASI_SASAKIAN)
-    frame = adapted_frame(S)
-    n = frame.n
-    weights = list(frame.weights)
-    _, (_, t2, _) = weighted_heisenberg_4n1(n, weights)
-    F = _frame_isomorphism(S, t2, list(frame.unscaled), list(frame.scales))
-    return HeisenbergIso("4n+1", n, tuple(weights), tuple(map(tuple, F)), (1,) * n, 2)
+    phi_2, per the adapted-frame convention)."""
+    return _certified(S, CLASS_ANTI_QUASI_SASAKIAN, _aqs_iso)
+
+
+def _aqs_iso(S: AcmStructure) -> HeisenbergIso:
+    """The isomorphism of the adapted frame onto h^{4n+1}_w; an exact frame is
+    read off psi alone, with no identity suite or Gram check (F certifies it)."""
+    if S.L.floats:
+        frame = adapted_frame(S)
+    else:
+        v, psi = numerator_view(S), psi_matrix(S)
+        frame = _frame(S, eigen_orbits(psi @ psi, v.g, [v.phi @ psi, v.phi, psi]))
+    n, weights = frame.n, frame.weights
+    F = _frame_isomorphism(S, weighted_heisenberg_4n1(n, list(weights))[1][1],
+                           list(frame.unscaled), list(frame.scales))
+    return HeisenbergIso("4n+1", n, weights, tuple(map(tuple, F)), (1,) * n, 2)
 
 
 def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     """Normal form of a nilpotent quasi-Sasakian structure of maximal rank:
     eigenvectors of the symmetric operator A = phi psi give pairs
-    (e_i, phi e_i) and an isomorphism onto h^{2n+1}_w (mapped back from the
-    rational rescaling when there is one)."""
-    if r := rational_rescaling(S):
-        return _mapped_back(classify_nilpotent_qs(r.S), r.down)
-    _common_preconditions(S, CLASS_QUASI_SASAKIAN)
+    (e_i, phi e_i) and an isomorphism onto h^{2n+1}_w."""
+    return _certified(S, CLASS_QUASI_SASAKIAN, _qs_iso)
+
+
+def _qs_iso(S: AcmStructure) -> HeisenbergIso:
     g, view, one = S.g_mat(), numerator_view(S), units(S.L.floats)[1]
     first, second, inv_norms, weights, signs = [], [], [], [], []
     for ev, _, orbits in eigen_orbits(operators_A_psi_qs(S), view.g, [view.phi]):
@@ -192,9 +213,8 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
     target_L, target_S = weighted_heisenberg_2n1(n, weights)
     signed_phi = _rotation(2 * n + 1, [(r, n + r, s) for r, s in enumerate(signs, start=1)],
                            target_L.floats)
-    signed_target = AcmStructure.make(
-        target_L, signed_phi, target_S.xi_vec(), target_S.eta_row(), target_S.g_mat()
-    )
+    signed_target = AcmStructure.make(target_L, signed_phi, target_S.xi_vec(),
+                                      target_S.eta_row(), target_S.g_mat())
     F = _frame_isomorphism(S, signed_target, [S.xi_vec()] + first + second, [one] + inv_norms * 2)
     return HeisenbergIso("2n+1", n, tuple(weights), tuple(map(tuple, F)), tuple(signs), 1)
 

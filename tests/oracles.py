@@ -15,8 +15,9 @@ structure constant lookup, the sum and difference of forms, and the closed
 invariant 2-forms of a reductive split from their defining equations, one row
 per invariance and closedness condition, which ``invariant_closed_2forms``
 reads as the kernel of the one differential; psi read off the whole
-Levi-Civita table on a float view, and the classification residuals of a
-rescaled structure with every column scale made before any is read.
+Levi-Civita table on a float view, the classification residuals of a
+rescaled structure with every column scale made before any is read, and the
+normal forms with their preconditions checked before any frame is built.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from fractions import Fraction
 
 from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, ConnectionTable, levi_civita
 from aqslie.acm import _pairs, _residual_entries, numerator_view, operators_A_psi
-from aqslie.acm import rational_rescaling
-from aqslie.adapted import AdaptedFrame, _psi2_orbits, require_maximal
-from aqslie.classifier import HeisenbergIso
+from aqslie.acm import CLASS_QUASI_SASAKIAN, rational_rescaling
+from aqslie.adapted import AdaptedFrame, _psi2_orbits, adapted_frame, require_maximal
+from aqslie.classifier import HeisenbergIso, _common_preconditions, _frame_isomorphism
+from aqslie.classifier import _mapped_back, _qs_iso
 from aqslie.constructors import weighted_heisenberg_4n1
 from aqslie.errors import DimensionMismatch, IrrationalSpectrum, PreconditionError
 from aqslie.exterior import (
@@ -109,6 +111,24 @@ def psi_squared_spectrum(S: AcmStructure) -> list[tuple[object, int]]:
     """
     require_maximal(S, CLASS_ANTI_QUASI_SASAKIAN)
     return [(ev, mult) for ev, mult, _ in _psi2_orbits(S)]
+
+
+def precondition_first(S: AcmStructure, family: str) -> HeisenbergIso:
+    """The normal form of family ("aqs" or "qs") with every precondition checked
+    before the frame is built, and the aqS frame read off the public
+    ``adapted_frame``: its operator identity suite, psi^2 signs and Gram check.
+    A rational rescaling is classified instead and F mapped back."""
+    if r := rational_rescaling(S):
+        return _mapped_back(precondition_first(r.S, family), r.down)
+    if family == "qs":
+        _common_preconditions(S, CLASS_QUASI_SASAKIAN)
+        return _qs_iso(S)
+    _common_preconditions(S, CLASS_ANTI_QUASI_SASAKIAN)
+    frame = adapted_frame(S)
+    n, weights = frame.n, list(frame.weights)
+    _, (_, t2, _) = weighted_heisenberg_4n1(n, weights)
+    F = _frame_isomorphism(S, t2, list(frame.unscaled), list(frame.scales))
+    return HeisenbergIso("4n+1", n, tuple(weights), tuple(map(tuple, F)), (1,) * n, 2)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,22 @@ def test_failed_operator_identities_are_a_verdict_only_when_exact(monkeypatch):
         assert error is NotAqs or "5e-09" in str(info.value)
 
 
+def test_adapted_frame_keeps_its_gates(monkeypatch):
+    # the classifier builds its exact frames without them; the public frame
+    # still refuses a qS input and a phi whose operator identities fail
+    import aqslie.adapted as adapted
+    from aqslie.acm import OperatorPack
+
+    _, (S, _, S3) = weighted_heisenberg_4n1(1, [1])
+    with pytest.raises(NotAqs, match="not AntiQuasiSasakian"):
+        adapted_frame(S3)
+    pack = operators_A_psi(S)
+    monkeypatch.setattr(adapted, "operators_A_psi", lambda T: OperatorPack(
+        pack.operators, False, {**pack.residuals, "A_phi_eq_psi": ONE}))
+    with pytest.raises(NotAqs, match="operator identities fail"):
+        adapted_frame(S)
+
+
 def test_spectrum_irrational_exact_mode():
     # cross-coupled anti-invariant cocycle on R^8 has a non-splitting
     # characteristic polynomial; exact mode must refuse, not round

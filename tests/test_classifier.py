@@ -362,3 +362,145 @@ def test_center_and_quotient_errors(case):
     S = AcmStructure.make(L, zeros(5, 5), e, e, identity(5))
     with pytest.raises(error):
         _center_and_quotient(S)
+
+
+# ---------------------------------------------------------------------------
+# certificate first: the preconditions are checked only to name a failure
+# ---------------------------------------------------------------------------
+
+def _rotated(L, k, rotate=True):
+    """The structure xi = e_k, eta = e^k, g = I on a dimension-5 algebra, with phi
+    the rotation of the other four basis vectors in pairs, or phi = 0 (not an
+    acm structure) without rotate."""
+    phi, rest = zeros(5, 5), [i for i in range(5) if i != k]
+    for a, b in (rest[:2], rest[2:]) if rotate else ():
+        phi[b][a], phi[a][b] = F(1), F(-1)
+    e = L.basis_vector(k)
+    return AcmStructure.make(L, phi, e, e, identity(5))
+
+
+def _perturbed(S, key, a, b):
+    """S with the entry (a, b) of g (kept symmetric) or of phi raised by 1."""
+    phi, g = S.phi_mat(), S.g_mat()
+    M = g if key == "g" else phi
+    M[a][b] += 1
+    if M is g:
+        g[b][a] = g[a][b]
+    return AcmStructure.make(S.L, phi, S.xi_vec(), S.eta_row(), g)
+
+
+def _error_corpus() -> dict:
+    """name -> a builder of a fresh structure (an empty memo): phi_1, phi_2 and
+    phi_3 of h^9 and h^13, plain and conjugated, qS h^5 and the square-root h^7,
+    the negative controls, the center cases, perturbed tensors and float copies."""
+    import aqslie.io as aqio
+    from floatcopy import float_doc
+
+    table = {(0, 1): {2: F(1)}, (0, 2): {3: F(1)}, (0, 3): {4: F(1)}}
+    filiform = lambda: LieAlgebra.from_brackets(5, table)  # noqa: E731
+    root_weights = [Ext.of_sqrt(2), F(1), F(3, 2) * Ext.of_sqrt(5)]
+    cases = {}
+    for n, weights in ((2, [1, 2]), (3, [1, 2, 3])):
+        dim = 4 * n + 1
+        for i in range(3):
+            cases[f"h{dim}-phi{i + 1}"] = lambda n=n, w=weights, i=i: (
+                weighted_heisenberg_4n1(n, w)[1][i])
+            cases[f"h{dim}c-phi{i + 1}"] = lambda n=n, w=weights, i=i, d=dim: (
+                conjugate_structure(weighted_heisenberg_4n1(n, w)[1][i],
+                                    random_unimodular(d, random.Random(d + i))))
+    cases.update({
+        "qs5": lambda: weighted_heisenberg_2n1(2, [1, 3])[1],
+        "qs5c": lambda: conjugate_structure(weighted_heisenberg_2n1(2, [1, 3])[1],
+                                            random_unimodular(5, random.Random(2))),
+        "sqrt-qs7": lambda: weighted_heisenberg_2n1(3, root_weights)[1],
+        "su2+R2": lambda: _rotated(su2_plus_abelian(), 0),
+        "zero-weight": lambda: weighted_heisenberg_4n1(2, [1, 0])[1][0],
+        "abelian5-xi-e1": lambda: _rotated(abelian(5), 0, rotate=False),
+        "abelian5-xi-e1-phi": lambda: _rotated(abelian(5), 0),
+        "filiform5-xi-e5": lambda: _rotated(filiform(), 4, rotate=False),
+        "filiform5-xi-e5-phi": lambda: _rotated(filiform(), 4),
+    })
+    h9c = cases["h9c-phi1"]
+    cases.update({"h9c-g": lambda: _perturbed(h9c(), "g", 1, 1),
+                  "h9c-g-offdiagonal": lambda: _perturbed(h9c(), "g", 2, 5),
+                  "h9c-phi": lambda: _perturbed(h9c(), "phi", 3, 6)})
+    for name in ("h9-phi1", "h9c-phi1", "h9c-phi3", "h13c-phi2", "qs5c", "su2+R2",
+                 "zero-weight", "h9c-g"):
+        cases[f"float-{name}"] = lambda exact=cases[name]: aqio.structure_from_json(
+            float_doc(aqio.structure_to_json(exact())))[0]
+    return cases
+
+
+def _outcome(classify, S) -> tuple:
+    """The HeisenbergIso fields as strings, or the error's type and message."""
+    try:
+        iso = classify(S)
+    except Exception as exc:  # any error must be the oracle's, type and message
+        return type(exc), str(exc)
+    return (iso.family, iso.n, [s_str(w) for w in iso.weights],
+            [[s_str(x) for x in row] for row in iso.F], iso.phi_signs, iso.target_phi_index)
+
+
+@pytest.mark.parametrize("family", ["aqs", "qs"])
+def test_certificate_first_gives_the_answers_and_errors_of_the_precondition_gate(family):
+    from oracles import precondition_first
+
+    classify = classify_nilpotent_aqs if family == "aqs" else classify_nilpotent_qs
+    kinds = set()
+    for name, build in _error_corpus().items():
+        got = _outcome(classify, build())
+        assert got == _outcome(lambda S: precondition_first(S, family), build()), name
+        kinds.add(got[0].__name__ if isinstance(got[0], type) else got[0])
+    # the corpus reaches an answer and every error of the route; the center
+    # cases stop at an earlier gate on both routes, as nothing of maximal rank
+    # has a center larger than R xi
+    route = {"4n+1", "NotAqs"} if family == "aqs" else {"2n+1", "NotQs", "IrrationalSpectrum"}
+    assert kinds == route | {"NotNilpotent", "NotMaximalRank", "InvalidStructure",
+                             "ToleranceExceeded"}, kinds
+
+
+def test_an_exact_normal_form_runs_no_precondition_check(monkeypatch):
+    # an exact answer is proved by its isomorphism alone: no classification,
+    # rank, lower central series, center, Killing check or operator identity
+    # suite runs on the way; a failing input runs them in the gate's order,
+    # and a float input before its frame
+    import aqslie.acm as acm
+    import aqslie.adapted as adapted
+    import aqslie.classifier as classifier
+    import aqslie.lie_core as lie_core
+    from floatcopy import float_structure
+
+    calls = []
+    for name in ("classify_structure", "structure_rank", "lower_central_series", "center",
+                 "xi_killing_check", "operators_A_psi"):
+        for module in (acm, adapted, classifier, lie_core):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, real=real, name=name: (
+                    calls.append(name) or real(*a)))
+    h13, qs9 = weighted_heisenberg_4n1(3, [1, 2, 3])[1], weighted_heisenberg_2n1(4, [1, 2, 3, 4])[1]
+    classify_nilpotent_aqs(conjugate_structure(h13[0], random_unimodular(13, random.Random(7))))
+    classify_nilpotent_qs(conjugate_structure(qs9, random_unimodular(9, random.Random(5))))
+    assert calls == []
+    with pytest.raises(NotAqs):
+        classify_nilpotent_aqs(h13[2])
+    assert calls == ["lower_central_series", "classify_structure"]
+    calls.clear()
+    classify_nilpotent_aqs(float_structure(h13[0]))
+    gate = ["classify_structure", "structure_rank"]  # adapted_frame's own, read off the memo
+    assert calls == ["lower_central_series", *gate, "xi_killing_check", "center",
+                     "lower_central_series", *gate, "operators_A_psi"]
+
+
+def test_an_off_weight_target_fails_the_certificate(monkeypatch):
+    # with no check before the frame, the certificate is what refuses a wrong
+    # target: the first weight of h^{4n+1} doubled is a bracket pair that fails
+    import aqslie.classifier as classifier
+
+    real = classifier.weighted_heisenberg_4n1
+    monkeypatch.setattr(classifier, "weighted_heisenberg_4n1",
+                        lambda n, w: real(n, [w[0] * 2, *w[1:]]))
+    for S in _factored_frame_inputs().values():
+        with pytest.raises(InternalContradiction,
+                           match=r"^F is not a Lie algebra morphism at pair \(\d+, \d+\)$"):
+            classify_nilpotent_aqs(S)

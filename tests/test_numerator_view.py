@@ -223,16 +223,16 @@ def test_closedness_suite_reads_the_d_eta_of_the_classification(monkeypatch):
     assert len(calls) == 0
 
 
-def test_a_normal_form_ranks_eta_twice_and_differentiates_no_form(monkeypatch):
-    # the class of eta is rank d eta against the rank with eta stacked under
-    # it: no null space of eta and no ce_d on the conjugated h13
+def test_an_exact_normal_form_ranks_no_eta_and_differentiates_no_form(monkeypatch):
+    # the isomorphism certificate proves eta of maximal rank: no rank, no null
+    # space of eta and no ce_d on the conjugated h13
     calls = []
     for name in ("ce_d", "rank", "nullspace"):
         real = getattr(exterior, name)
         monkeypatch.setattr(exterior, name,
                             lambda *a, real=real, name=name: calls.append(name) or real(*a))
     classify_nilpotent_aqs(CASES["h13c"]())
-    assert calls == ["rank", "rank"]
+    assert calls == []
 
 
 def test_xi_killing_verdict_is_kept_and_its_contradiction_raised_again(monkeypatch):

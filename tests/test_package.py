@@ -43,6 +43,69 @@ def _payloads(argvs: list) -> list:
     return out
 
 
+def _under_O(name: str, argvs: list) -> list:
+    """What the function name of this module returns on argvs when python -O,
+    which strips every assert, runs it in a fresh process."""
+    import os
+    import subprocess
+
+    script = ("import json, sys\nimport test_package\n"
+              f"print(json.dumps([__debug__, test_package.{name}(json.loads(sys.argv[1]))]))")
+    path = os.pathsep.join([str(Path(aqslie.__file__).parent.parent), str(Path(__file__).parent)])
+    run = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(argvs)], check=True,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    debug, out = json.loads(run.stdout)
+    assert debug is False
+    return out
+
+
+def _off_weight_errors(argvs: list) -> list:
+    """[exit code, error code, message] of each in-process CLI call while the
+    classifier builds its aqS target with the first weight doubled."""
+    import contextlib
+    import io
+
+    import aqslie.classifier as classifier
+    from aqslie.cli import main
+
+    real, out = classifier.weighted_heisenberg_4n1, []
+    classifier.weighted_heisenberg_4n1 = lambda n, w: real(n, [w[0] * 2, *w[1:]])
+    try:
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                code = main(argv)
+            error = json.loads(text.getvalue())["error"]
+            out.append([code, error["code"], error["message"]])
+    finally:
+        classifier.weighted_heisenberg_4n1 = real
+    return out
+
+
+def test_an_off_weight_target_fails_the_certificate_under_python_O(tmp_path):
+    # no precondition check runs before the frame of an exact input: the
+    # isomorphism certificate alone stands between a wrong target and an
+    # answer, and it is a raise, which python -O keeps
+    import random
+
+    import aqslie.io as aqio
+    from aqslie.acm import conjugate_structure
+    from aqslie.constructors import weighted_heisenberg_4n1
+    from aqslie.linalg import random_unimodular
+
+    h9 = weighted_heisenberg_4n1(2, [1, 2])[1][0]
+    h9c = conjugate_structure(h9, random_unimodular(9, random.Random(3)))
+    argvs = []
+    for key, S in (("h9", h9), ("h9c", h9c)):
+        path = tmp_path / f"{key}.json"
+        path.write_text(aqio.dumps(aqio.structure_to_json(S)), "utf-8")
+        argvs.append(["classify", str(path), "--json"])
+    here = _off_weight_errors(argvs)
+    assert [(code, name) for code, name, _ in here] == [(4, "InternalContradiction")] * 2
+    assert all(re.fullmatch(r"F is not a Lie algebra morphism at pair \(\d+, \d+\)", message)
+               for _, _, message in here)
+    assert _under_O("_off_weight_errors", argvs) == here
+
+
 def test_certificates_survive_python_O(tmp_path):
     # the same classify and curvature payloads and errors, byte for byte, when
     # python -O has stripped every assert: of h9, of its float copy and of the
@@ -50,9 +113,7 @@ def test_certificates_survive_python_O(tmp_path):
     # the classify of a conjugated h13, whose eigenvalues come from a Krylov
     # minimal polynomial certified by raises (a repeated root, eigenspaces
     # that do not span)
-    import os
     import random
-    import subprocess
 
     import aqslie.io as aqio
     from aqslie.acm import conjugate_structure
@@ -72,14 +133,7 @@ def test_certificates_survive_python_O(tmp_path):
         path.write_text(aqio.dumps(d), "utf-8")
         commands = ("classify",) if key == "h13c" else ("classify", "curvature")
         argvs += [[command, str(path), "--json"] for command in commands]
-    here = _payloads(argvs)
-    script = ("import json, sys\nfrom test_package import _payloads\n"
-              "print(json.dumps([__debug__, _payloads(json.loads(sys.argv[1]))]))")
-    path = os.pathsep.join([str(Path(aqslie.__file__).parent.parent), str(Path(__file__).parent)])
-    run = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(argvs)], check=True,
-                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
-    debug, there = json.loads(run.stdout)
-    assert debug is False
+    here, there = _payloads(argvs), _under_O("_payloads", argvs)
     # the qS h7's classify ends in its typed error: the minimal polynomial of
     # a vector under the rational matrix of A = phi psi does not split
     assert [code for code, _, _ in here] == [0, 0, 0, 0, 3, 0, 0]
