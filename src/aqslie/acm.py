@@ -11,10 +11,12 @@ Shared formulas live here once: :func:`nijenhuis` is the Nijenhuis bracket
 of any endomorphism (phi here, the complex structure J of a Kahler algebra
 in ``constructors``), and :func:`psi_matrix` is psi = -nabla xi for both
 the anti-quasi-Sasakian operator pack and the quasi-Sasakian classifier.
-[J, J] is four products (every M_i = ad_{J b_i} - J ad_i at once, then M_i J e_j -
-J M_i e_j), d Phi and d g(., A .) the scatter onto triples of P = C W, C the pair
+[J, J] is ``lie_core.nijenhuis_columns``, at the cost of the nonzero constants and
+entries of J, d Phi and d g(., A .) the scatter onto triples of P = C W, C the pair
 brackets (``exterior.d_of_pairs``), and d eta = -eta([., .]) one product with the
-brackets (``exterior.d_of_covector``): no KForm is differentiated here.
+brackets (``exterior.d_of_covector``): no KForm is differentiated here.  The class
+tags are zero tests of the residual entries (:func:`classify_structure`); the
+magnitude of a residual is made where it is read (:meth:`StructureClass.residual`).
 
 Throughout the package a check on all basis pairs is one matrix identity,
 never a loop of per-pair evaluations.  2-forms and bilinear forms are
@@ -56,10 +58,11 @@ entries, Ricci tensor and F back.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, reduce
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial, reduce
 
 from .errors import (
     AqslieError,
@@ -71,7 +74,7 @@ from .errors import (
     ToleranceExceeded,
 )
 from .exterior import KForm, covector_class, covector_form, d_of_covector, d_of_pairs
-from .lie_core import LieAlgebra, ad_value, bracket, in_basis
+from .lie_core import LieAlgebra, ad_value, bracket, in_basis, nijenhuis_columns
 from .linalg import (
     Mat,
     MatOver,
@@ -226,41 +229,20 @@ def validate_acm(S: AcmStructure) -> ValidationReport:
     return ValidationReport(passed, residuals, worst, worst_name)
 
 
-def _all_vanish(residuals: dict, names=None) -> bool:
-    """Every residual, or every one named, is zero (under the float tolerance)."""
-    return all(s_is_zero(residuals[name]) for name in names or residuals)
+def _all_vanish(residuals: dict) -> bool:
+    """Every residual is zero (under the float tolerance)."""
+    return all(map(s_is_zero, residuals.values()))
 
 
 def nijenhuis(L: LieAlgebra, J: Mat) -> dict:
     """Nijenhuis bracket [J, J] of an endomorphism on basis pairs, i < j:
     {(i, j): [J b_i, J b_j] + J^2 [b_i, b_j] - J [b_i, J b_j] - J [J b_i, b_j]}."""
-    ads, (J,) = L.ad_values(J)
-    return dict(zip(_pairs(L.dim), _nijenhuis_columns(ads, J).T.mat()))
+    (J,) = L.values(J)
+    return dict(zip(_pairs(L.dim), nijenhuis_columns(L, J).T.mat()))
 
 
 def _pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _nijenhuis_columns(ads: list, J: MatOver) -> MatOver:
-    """[J, J] on the pairs i < j, in order, as the columns of one value: column (i, j)
-    = M_i J e_j - J M_i e_j, row k of M_i = ad_{J b_i} - J ad_i at row i n + k of M.  Each
-    entry keeps its own fold; ad_{J b_i} skips the near-zero J_ai, as the table's readers do.
-    Block i of M J is read at j > i: two products make 2/3 of it, cut at h = n // 2."""
-    n, pairs = len(ads), _pairs(len(ads))
-    rows = stacked(ads)  # row a n + k: row k of ad_a; J ad_i is block i of J_ad
-    ad_J = rows.regroup(lambda N: [[N[a * n + k][j] for a in range(n)]
-                                   for k in range(n) for j in range(n)]).on_rows(J.T)
-    J_ad = J @ rows.regroup(lambda N: [_flat(N[m::n]) for m in range(n)])
-    M = (ad_J.regroup(lambda N: [row[k * n:k * n + n] for row in N for k in range(n)])
-         - J_ad.regroup(lambda N: [row[i * n:i * n + n] for i in range(n) for row in N]))
-    on_pairs = lambda N: [[N[i * n + k][j] for i, j in pairs] for k in range(n)]  # noqa: E731
-    del ad_J, J_ad  # each n^3 list is dropped once used
-    h = n // 2  # the blocks below h from column 1 on, the others from column h + 1 on
-    MJ = stacked([M[a * n:b * n] @ J.regroup(lambda N, s=s: [row[s:] for row in N])
-                  for a, b, s in ((0, h, 1), (h, n, h + 1))])
-    return MJ.regroup(lambda N: [[N[i * n + k][j - (1 if i < h else h + 1)] for i, j in pairs]
-                                 for k in range(n)]) - J @ M.regroup(on_pairs)
 
 
 def nijenhuis_phi(S: AcmStructure) -> dict:
@@ -268,21 +250,42 @@ def nijenhuis_phi(S: AcmStructure) -> dict:
     return nijenhuis(S.L, S.phi_mat())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureClass:
+    """The class tags of a structure and behind them the magnitude max |entry| of
+    each residual of CLASS_RESIDUALS, made where it is read: :meth:`residual` makes
+    one, :attr:`residuals` all five."""
     tags: frozenset
-    residuals: dict = field(default_factory=dict)
+    magnitudes: dict = field(default_factory=dict)  # residual name -> its magnitude, uncalled
+    _kept: dict = field(default_factory=dict, init=False)  # the magnitudes made so far
 
     def has(self, tag: str) -> bool:
         return tag in self.tags
 
+    def residual(self, name: str):
+        """The magnitude of the named residual, made on its first read and kept."""
+        if name not in self._kept:
+            self._kept[name] = self.magnitudes[name]()
+        return self._kept[name]
+
+    residuals = cached_property(lambda self: {name: self.residual(name)
+                                              for name in self.magnitudes})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is StructureClass and (self.tags, self.residuals) == (
+            other.tags, other.residuals)
+
+    def __repr__(self) -> str:
+        return f"StructureClass(tags={self.tags!r}, residuals={self.residuals!r})"
+
 
 def classify_structure(S: AcmStructure) -> StructureClass:
     """All satisfied class tags among contact metric / Sasakian / cokahler /
-    quasi-Sasakian / anti-quasi-Sasakian, each read from the residuals that
-    CLASS_RESIDUALS names for it.  With a rational rescaling the work runs on
-    it and each memo keeps the result in its own basis: the rescaling's the entries
-    as computed, S's each nonzero entry mapped back (the tags are the same)."""
+    quasi-Sasakian / anti-quasi-Sasakian, each read from the zero tests of the
+    residuals that CLASS_RESIDUALS names for it; a magnitude is made only where it
+    is read.  With a rational rescaling the work runs on it and each memo keeps the
+    result in its own basis: the rescaling's magnitudes of the entries as computed,
+    S's of each nonzero entry mapped back (the tags are the same)."""
     if "classification" in S._memo:
         return S._memo["classification"]
     r = rational_rescaling(S)
@@ -292,9 +295,11 @@ def classify_structure(S: AcmStructure) -> StructureClass:
             f"not an almost contact metric structure (worst: {validate_acm(S).worst_check})"
         )
     triples, entries = _residual_entries(T)
-    residuals = {name: X.max_abs() for name, X in entries.items()}
-    tags = {tag for tag, names in CLASS_RESIDUALS.items() if _all_vanish(residuals, names)}
-    T._memo["classification"] = StructureClass(frozenset(tags or {CLASS_UNCLASSIFIED}), residuals)
+    vanish = {name: X.is_zero() for name, X in entries.items()}
+    tags = frozenset({tag for tag, names in CLASS_RESIDUALS.items()
+                      if all(map(vanish.__getitem__, names))} or {CLASS_UNCLASSIFIED})
+    T._memo["classification"] = StructureClass(tags, {
+        name: X.max_abs for name, X in entries.items()})
     if r is not None:  # S's residuals in its own basis: a column's scale made once, if nonzero
         scale, pairs = cache(lambda I: reduce(s_mul, map(r.down.__getitem__, I))), _pairs(T.L.dim)
 
@@ -304,9 +309,8 @@ def classify_structure(S: AcmStructure) -> StructureClass:
             left = r.up if name in ("n_phi", "anti_normal") else None
             return max_abs(_flat(diag_scaled(X.mat(), left, right)))
 
-        S._memo["classification"] = replace(T._memo["classification"], residuals={
-            name: mapped(name, X) for name, X in entries.items()})
-        S._memo["d_eta"] = MatOver.of(diag_scaled(_d_eta(T).mat(), r.down, r.down))
+        S._memo["classification"] = StructureClass(tags, {
+            name: partial(mapped, name, X) for name, X in entries.items()})
     return S._memo["classification"]
 
 
@@ -322,7 +326,7 @@ def _residual_entries(S: AcmStructure) -> tuple[list, dict]:
     deta_pairs = at_pairs(_d_eta(S))
     # N_phi = [phi, phi] + d eta (x) xi
     xi_deta = v.xi.T @ deta_pairs
-    n_phi = _nijenhuis_columns(v.ads, v.phi) + xi_deta
+    n_phi = nijenhuis_columns(S.L, v.phi) + xi_deta
     return triples, {"d_phi": d_phi, "d_eta": deta_pairs, "n_phi": n_phi,
                      "anti_normal": n_phi - xi_deta * 2,
                      "contact_metric": deta_pairs - at_pairs(W) * 2}
@@ -390,9 +394,12 @@ def _pair_brackets(v: TensorNumerators, pairs: list) -> MatOver:
 def _koszul_rows(v: TensorNumerators, g_inv: MatOver, pairs: list) -> MatOver:
     """Row p: Gamma_i b_j for the p-th pair (i, j), g^-1 / 2 times its Koszul column
     (g([b_i, b_j], b_k) - g([b_j, b_k], b_i)) + g([b_k, b_i], b_j) over k, in this
-    float order, all in one product.  Each entry keeps its own fold, so a row is the
-    same bits whichever other pairs are built with it."""
-    n = len(v.ads)
+    float order, all in one product.  The Koszul columns read T[i n + k][j] = (g ad_i)_kj
+    at the columns, rows and whole blocks j of the pairs: T is the n products g ad_i
+    when the pairs reach every j, else those entries alone (:func:`_koszul_reads`).
+    Each entry keeps its own fold, so a row is the same bits whichever other pairs
+    are built with it."""
+    n, js = len(v.ads), sorted({j for _, j in pairs})
 
     def koszul(T: Mat) -> Mat:  # T[i n + k][j] = g([b_i, b_j], b_k); n pairs at a time:
         rows = []  # all at once, the n^3 temporaries raise the heap peak by a sixth
@@ -402,7 +409,29 @@ def _koszul_rows(v: TensorNumerators, g_inv: MatOver, pairs: list) -> MatOver:
                             [[T[k * n + j][i] for k in range(n)] for i, j in ps])
         return rows
 
-    return (g_inv * (ONE / 2)).on_rows(stacked([v.g @ ad for ad in v.ads]).regroup(koszul))
+    T = stacked([v.g @ ad for ad in v.ads]) if len(js) == n else _koszul_reads(v, js)
+    return (g_inv * (ONE / 2)).on_rows(T.regroup(koszul))
+
+
+def _koszul_reads(v: TensorNumerators, js: list) -> MatOver:
+    """The entries of the stacked g ad_i (row i n + k, column j) that the Koszul rows of
+    pairs (i, j), j in js, read on a float view, the others 0.0: the blocks j, and the
+    columns js and rows js of every block, one product each, every entry folded as in
+    g ad_i."""
+    n, m, ads = len(v.ads), len(js), stacked(v.ads)  # row a n + r: row r of ad_a
+    cols = (v.g @ ads.regroup(lambda N: [[N[a * n + r][j] for a in range(n) for j in js]
+                                         for r in range(n)])).mat()  # column a m + x: ad_a b_j
+    rows = (v.g.regroup(lambda N: [N[j] for j in js]) @ ads.regroup(lambda N: [
+        list(itertools.chain.from_iterable(N[r::n])) for r in range(n)])).mat()
+    T = [[0.0] * n for _ in range(n * n)]
+    for x, j in enumerate(js):
+        for a, k in itertools.product(range(n), range(n)):
+            T[a * n + k][j] = cols[k][a * m + x]
+        for a in range(n):
+            T[a * n + j] = rows[x][a * n:a * n + n]
+    for j in js:
+        T[j * n:j * n + n] = (v.g @ v.ads[j]).mat()
+    return MatOver(T)
 
 
 def levi_civita(S: AcmStructure) -> ConnectionTable:
@@ -540,8 +569,8 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     # the matrices of g(., A .) and g(., psi .); d of the first off the pair brackets
     gA, g_psi = (v.g @ X if pack.ok else v.g * 0 for X in pack.operators)
     residuals = {"dA": d_of_pairs(_pair_brackets(v, pairs) @ gA, pairs)[1].max_abs(),
-                 "dPhi": cls.residuals["d_phi"],
-                 "deta_eq_2Psi": (B - g_psi * 2).max_abs()}  # B as classify built it
+                 "dPhi": cls.residual("d_phi"),
+                 "deta_eq_2Psi": (B - g_psi * 2).max_abs()}  # B the d eta of the memo
     if not pack.ok:
         residuals["operator_identities"] = ONE
     # d eta(phi X, phi Y) + d eta(X, Y) on basis pairs: phi^T B phi + B
@@ -632,9 +661,9 @@ def double_aqs_check(S1: AcmStructure, S2: AcmStructure, S3: AcmStructure) -> Do
                                   + vec_sub(S1.eta, b.eta) + _flat(mat_sub(S1.g, b.g))),
         "phi1_phi2_eq_phi3": max_abs(_flat(mat_sub(mat_mul(p1, p2), p3))),
         "phi2_phi1_eq_minus_phi3": max_abs(_flat(mat_add(mat_mul(p2, p1), p3))),
-        "dPhi1": classify_structure(S1).residuals["d_phi"],
-        "dPhi2": classify_structure(S2).residuals["d_phi"],
-        "deta_eq_2Phi3": classify_structure(S3).residuals["contact_metric"],
+        "dPhi1": classify_structure(S1).residual("d_phi"),
+        "dPhi2": classify_structure(S2).residual("d_phi"),
+        "deta_eq_2Phi3": classify_structure(S3).residual("contact_metric"),
     }
     return DoubleReport(_all_vanish(residuals), residuals)
 

@@ -13,8 +13,11 @@ table and a reader's operands: integers, square-root tower classes
 (``tower.TowerOver``) or scalars.  The table is read only as values
 (``linalg.MatOver``, numerators over a denominator): :meth:`values` puts
 matrices that act with it on that field, and :meth:`ad_values`,
-:func:`ad_value` and :func:`bracket` read the table in one sparse loop in
-pair order, the same for every field.
+:func:`ad_value`, :func:`bracket` and :func:`pair_brackets` read the table in
+one sparse loop in pair order, the same for every field.  The Nijenhuis
+bracket :func:`nijenhuis_columns` reads it by square class
+(:attr:`LieAlgebra._class_tables`) in row-wise products that cost the
+nonzero constants and entries of J.
 
 Jacobi, the center, the lower central series, the Killing form and the
 derivations are read off that table: one sparse Jacobi pass, [g, V] from the
@@ -45,9 +48,11 @@ from .linalg import (
     Subspace,
     Vec,
     _flat,
+    _int_index,
     _int_rows,
     _int_scaled,
     _is_float,
+    _rowwise,
     dot,
     inertia_symmetric,
     mat_vecs,
@@ -56,7 +61,7 @@ from .linalg import (
     zeros,
 )
 from .scalars import ZERO, Ext, coerce, s_is_zero, s_sqrt, units
-from .tower import TowerOver, tower_values
+from .tower import TowerOver, _live, tower_values
 
 BracketTable = dict  # {(i, j): {k: scalar}} with i < j
 
@@ -161,6 +166,24 @@ class LieAlgebra:
 
     floats = property(lambda self: self.mode == "float")  # float mode holds float constants
 
+    @cached_property
+    def _class_tables(self) -> tuple[dict, int]:
+        """({r: {(i, j): {k: entry}}}, den), the table by square class, built once:
+        c_ij^k = sum over r of sqrt(r) entry_r / den, integers in exact mode
+        (``tower.tower_values`` of the constants), the floats over 1 in float mode.
+        A class holds the pairs and targets where it is nonzero."""
+        table, den = self._tables()
+        if den is not None or self.floats:
+            return ({1: table} if table else {}), den or 1
+        (V,) = tower_values([[[v for es in table.values() for v in es.values()]]])
+        keys = [(pair, k) for pair, es in table.items() for k in es]
+        classes: dict = {}
+        for t, (row,) in V.parts.items():
+            for (pair, k), x in zip(keys, row):
+                if x:
+                    classes.setdefault(t, {}).setdefault(pair, {})[k] = x
+        return classes, V.den
+
     def sqrt_basis(self, mats=(), vecs=()) -> tuple[list, list] | None:
         """(up, down), up_k = sqrt(d_k) = 1 / down_k, for the square classes d
         (:func:`square_classes`) of the constants, the n x n mats and the
@@ -262,23 +285,31 @@ def _distinct_lines(rows: list[Vec]) -> list[Vec]:
     return list(map(list, dict.fromkeys(tuple(x // g for x in r) for g, r in signed)))
 
 
+def _brackets(table: dict, integers: bool, zero, rows: list, pairs: list) -> list:
+    """[x_a, x_b] for each (a, b) of pairs, x_a = rows[a], in one pass over the table in
+    pair order: each sum x_a[i] x_b[j] - x_a[j] x_b[i] is skipped on exact zeros at both
+    sides, and a coefficient is zero when it is 0 (integers), else by tolerance."""
+    out = [[zero] * len(rows[0]) for _ in pairs] if rows else [[] for _ in pairs]
+    operands = [(rows[a], rows[b], acc) for (a, b), acc in zip(pairs, out)]
+    for (i, j), entries in table.items():
+        for X, Y, acc in operands:
+            if (not X[i] or not Y[j]) and (not X[j] or not Y[i]):
+                continue
+            coeff = X[i] * Y[j] - X[j] * Y[i]
+            if coeff if integers else not s_is_zero(coeff):
+                for k, v in entries.items():
+                    acc[k] += coeff * v
+    return out
+
+
 def bracket(L: LieAlgebra, X: Vec, Y: Vec) -> Vec:
     """[X, Y] by bilinear expansion of the structure constants, on the field
     of :meth:`LieAlgebra._operands`: rational (or int) X and Y on a rational
     algebra run on integers."""
     if len(X) != L.dim or len(Y) != L.dim:
         raise DimensionMismatch("vector length != algebra dimension")
-    table, den, zero, ((X, Y),), d, _ = L._operands([X, Y])
-    integers = den is not None  # a coefficient is zero when it is 0, else by tolerance
-    acc = [zero] * L.dim
-    for (i, j), entries in table.items():
-        # exact zeros on both sides: the pair contributes nothing
-        if (not X[i] or not Y[j]) and (not X[j] or not Y[i]):
-            continue
-        coeff = X[i] * Y[j] - X[j] * Y[i]
-        if coeff if integers else not s_is_zero(coeff):
-            for k, v in entries.items():
-                acc[k] += coeff * v
+    table, den, zero, (rows,), d, _ = L._operands([X, Y])
+    (acc,) = _brackets(table, den is not None, zero, rows, [(0, 1)])
     if den is not None:
         acc = [Fraction(a, den * d * d) if a else ZERO for a in acc]
     return acc
@@ -310,10 +341,91 @@ def ad_value(L: LieAlgebra, X: MatOver) -> MatOver:
 
 
 def pair_brackets(L: LieAlgebra, X: MatOver, pairs: list) -> MatOver:
-    """Row p: [x_a, x_b] for the p-th pair (a, b), x_a the row a of X, from its numerators."""
-    rows = X.N
-    *_, ints, dm, values = L._operands([bracket(L, rows[a], rows[b]) for a, b in pairs])
-    return values(ints, dm * X.den ** 2)[0]
+    """Row p: [x_a, x_b] for the p-th pair (a, b), x_a the row a of X, from its
+    numerators: one pass over the table on the field of
+    :meth:`LieAlgebra._operands` for all pairs, each row the :func:`bracket` of
+    its two rows bit for bit."""
+    table, den, zero, (rows,), dx, values = L._operands(X.N)
+    N = _brackets(table, den is not None, zero, rows, pairs)
+    return values([N], (den or 1) * dx * dx * X.den ** 2)[0]
+
+
+def _nonzeros(rows) -> list[list[tuple]]:
+    """nz[m] = [(k, x) for each nonzero x at k of rows[m]]: ``_rowwise``'s index of a
+    matrix by its rows."""
+    return [list(zip(itertools.compress(itertools.count(), row), itertools.compress(row, row)))
+            if any(row) else [] for row in rows]
+
+
+def _class_rowwise(rows: dict, index: dict, width: int, zero) -> dict:
+    """{u: the sum of g rows[r] against index[s] over the class pairs (r, s) with
+    sqrt(r) sqrt(s) = g sqrt(u), g = gcd(r, s)}: one ``_rowwise`` per pair, so a
+    float value, the class 1 alone, sums as its product does."""
+    out: dict = {}
+    for (r, A), (s, nz) in itertools.product(rows.items(), index.items()):
+        g = math.gcd(r, s)
+        P = _rowwise([[g * x for x in row] for row in A] if g > 1 else A, nz, width, zero)
+        u = r * s // (g * g)
+        out[u] = [list(map(operator.add, a, b)) for a, b in zip(out[u], P)] if u in out else P
+    return out
+
+
+def nijenhuis_columns(L: LieAlgebra, J: MatOver) -> MatOver:
+    """[J, J] on the pairs i < j, in order, as the columns of one value, J a value on
+    the field of L's values, at the cost of the nonzero terms: with row m of P_i the
+    vector M_i b_m = [J b_i, b_m] - J [b_i, b_m], column (i, j) is
+    sum_m J_mj P_i[m] - J P_i[j] = M_i J b_j - J M_i b_j.  Four row-wise products
+    (``linalg._rowwise``) on the nonzero constants (``LieAlgebra._class_tables``) and
+    the nonzeros of J, class pair by class pair (:func:`_class_rowwise`): [J b_i, b_m]
+    from one pass over the table, J_ai entering where :func:`ad_value` keeps it;
+    J [b_a, b_b], a < b, from the stored brackets and J's columns, its negative at
+    (b, a); then the two sums over m.  Each entry sums over m ascending from the
+    field's zero, as the matrix products M_i = ad_{J b_i} - J ad_i, M_i J and J M_i
+    sum it, float bits included."""
+    n, tower = L.dim, isinstance(J, TowerOver)
+    zero, pairs = 0 if tower else 0.0, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    Js = _live(J.parts) if tower else {1: J.N}
+    by_column = {s: _int_index(M) for s, M in Js.items()}  # nz[m]: (k, J_km)
+    columns = {s: list(zip(*M)) for s, M in Js.items()}
+    live = columns if tower else {1: [[0.0 if x and s_is_zero(x) else x for x in col]
+                                      for col in columns[1]]}
+    classes, den = L._class_tables
+    first = {r: [[] for _ in range(n)] for r in classes}  # first[r][a]: (m n + k, c_am^k)
+    for r, table in classes.items():
+        for (p, q), entries in table.items():
+            first[r][p] += [(q * n + k, v) for k, v in entries.items()]
+            first[r][q] += [(p * n + k, -v) for k, v in entries.items()]
+    at = sorted(set().union(*classes.values()))  # the pairs a < b with a bracket
+    brackets = {r: [[table[p].get(k, zero) for k in range(n)] if p in table else [zero] * n
+                    for p in at] for r, table in classes.items()}
+    S1 = _class_rowwise(live, first, n * n, zero)  # row i: [J b_i, b_m] at m n + k
+    S2 = _class_rowwise(brackets, by_column, n, zero)  # row q: J [b_a, b_b], (a, b) = at[q]
+    P = {}  # row i n + m: row m of P_i
+    for u in S1.keys() | S2.keys():
+        P[u] = rows = ([row[m * n:m * n + n] for row in S1[u] for m in range(n)] if u in S1
+                       else [[zero] * n for _ in range(n * n)])
+        for (a, b), t in zip(at, S2.get(u, ())):
+            rows[a * n + b] = list(map(operator.sub, rows[a * n + b], t))
+            rows[b * n + a] = list(map(operator.add, rows[b * n + a], t))
+    none = lambda: [[zero] * n for _ in pairs]  # noqa: E731  a row per pair
+    out, start, by_row = {}, 0, {u: _nonzeros(R) for u, R in P.items()}
+    for i in range(n):  # sum_m J_mj P_i[m] for the pairs (i, j), j > i
+        for w, rows in _class_rowwise({s: cols[i + 1:] for s, cols in columns.items()},
+                                      {u: nz[i * n:i * n + n] for u, nz in by_row.items()},
+                                      n, zero).items():
+            if w not in out:
+                out[w] = none()
+            out[w][start:start + len(rows)] = rows
+        start += n - 1 - i
+    JM = _class_rowwise({u: [R[i * n + j] for i, j in pairs] for u, R in P.items()},
+                        by_column, n, zero)  # J P_i[j]
+    for w, rows in JM.items():
+        out[w] = [list(map(operator.sub, x, y)) for x, y in zip(out.get(w) or none(), rows)]
+    by_k = lambda R: [list(c) for c in zip(*R)] if pairs else [[] for _ in range(n)]  # noqa: E731
+    if not tower:
+        return MatOver(by_k(out.get(1) or none()))
+    parts = {w: by_k(rows) for w, rows in out.items()}
+    return TowerOver({1: by_k(none()), **parts}, den * J.den ** 2)
 
 
 def in_basis(L: LieAlgebra, Q: Mat, Q_inv: Mat) -> LieAlgebra:

@@ -510,14 +510,16 @@ class MatOver:
         return self.regroup(lambda M: [[-x for x in row] for row in M])
 
     def __mul__(self, c) -> MatOver:
-        """c self, c an int or a Fraction, a whole c as its int."""
-        return MatOver(mat_scale(self.N, c.numerator if c.denominator == 1 else c))
+        """c self, c an int or a Fraction: the floats times float(c), the bits of c x
+        (a Fraction times a float is its float times it); the int 1 copies."""
+        return MatOver(mat_scale(self.N, 1 if c == 1 else float(c)))
 
     def __eq__(self, other: MatOver) -> bool:
         return mat_eq(self.N, other.mat())
 
     def is_zero(self) -> bool:
-        return vec_is_zero(_flat(self.N))
+        """Every |entry| within the tolerance (``s_is_zero``): an inf or a nan is not."""
+        return all(map(get_tolerance().__ge__, map(abs, _flat(self.N))))
 
     def max_abs(self) -> float:
         """max |N|, the residual of an identity: a float, 0.0 for none."""

@@ -5,8 +5,9 @@ beside the tests: the exterior oracles (``evaluate``, the determinant minors
 the Gram products are held against), the paper checks of the adapted
 coframe, psi^2, the companion structures and the Reeb vector, the writers of
 Kahler and matrix documents, the central quotient the classifier does
-without (it tests [g, g] inside R xi by a rank), the 2-form Phi and the
-loop over i for [J, J] that classification no longer runs, the classify
+without (it tests [g, g] inside R xi by a rank), the 2-form Phi, the loop
+over i and the four products for [J, J] that classification no longer runs
+(``lie_core.nijenhuis_columns`` costs the nonzero terms), the classify
 stages as they ran before they passed numerators to each other, and the
 eigendecomposition through the characteristic polynomial and its rational
 roots (``rational_roots``, on the squarefree part) that
@@ -314,6 +315,28 @@ def nijenhuis_loop(L: LieAlgebra, J: Mat) -> dict:
         J_right, M_right = (X.regroup(lambda N: [row[i + 1:] for row in N]) for X in (J, M))
         blocks.append((M @ J_right - J @ M_right).T)
     return dict(zip(_pairs(L.dim), stacked(blocks).mat()))
+
+
+def nijenhuis_four_products(ads: list, J: MatOver) -> MatOver:
+    """[J, J] on the pairs i < j, in order, as the columns of one value, from four
+    products, as ``acm`` formed it before ``lie_core.nijenhuis_columns``: column (i, j)
+    = M_i J e_j - J M_i e_j, row k of M_i = ad_{J b_i} - J ad_i at row i n + k of M.
+    Each entry keeps its own fold; ad_{J b_i} skips the near-zero J_ai, as the table's
+    readers do.  Block i of M J is read at j > i: two products make 2/3 of it, cut at
+    h = n // 2."""
+    n, pairs = len(ads), _pairs(len(ads))
+    rows = stacked(ads)  # row a n + k: row k of ad_a; J ad_i is block i of J_ad
+    ad_J = rows.regroup(lambda N: [[N[a * n + k][j] for a in range(n)]
+                                   for k in range(n) for j in range(n)]).on_rows(J.T)
+    J_ad = J @ rows.regroup(lambda N: [_flat(N[m::n]) for m in range(n)])
+    M = (ad_J.regroup(lambda N: [row[k * n:k * n + n] for row in N for k in range(n)])
+         - J_ad.regroup(lambda N: [row[i * n:i * n + n] for i in range(n) for row in N]))
+    on_pairs = lambda N: [[N[i * n + k][j] for i, j in pairs] for k in range(n)]  # noqa: E731
+    h = n // 2  # the blocks below h from column 1 on, the others from column h + 1 on
+    MJ = stacked([M[a * n:b * n] @ J.regroup(lambda N, s=s: [row[s:] for row in N])
+                  for a, b, s in ((0, h, 1), (h, n, h + 1))])
+    return MJ.regroup(lambda N: [[N[i * n + k][j - (1 if i < h else h + 1)] for i, j in pairs]
+                                 for k in range(n)]) - J @ M.regroup(on_pairs)
 
 
 def fundamental_form(S: AcmStructure) -> KForm:

@@ -1,8 +1,11 @@
 """Float mode: the same pipelines under the global tolerance."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aqslie.io as aqio
 from aqslie.acm import classify_structure, curvature
@@ -10,7 +13,7 @@ from aqslie.adapted import adapted_frame
 from aqslie.classifier import classify_nilpotent_aqs
 from aqslie.constructors import weighted_heisenberg_4n1
 from aqslie.errors import InputError
-from aqslie.scalars import get_tolerance, set_tolerance
+from aqslie.scalars import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
 from floatcopy import float_doc, float_structure
 from oracles import psi_squared_spectrum
 
@@ -324,3 +327,24 @@ def test_float_weights_make_a_float_mode_target():
     for table, mode in (({(0, 1): {2: 0.5}}, "exact"), ({(0, 1): {2: 1}}, "float")):
         with pytest.raises(InputError, match=f"{mode} mode"):
             LieAlgebra.from_brackets(3, table, mode=mode)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.sampled_from([1e-9, 1e-6]), st.data())
+def test_a_float_zero_test_is_the_verdict_of_the_magnitude(n, tol, data):
+    # the class tags read X.is_zero(), a residual's magnitude is max |X|: on
+    # floats both give the verdict of s_is_zero, the tolerance edge, an inf and
+    # a nan included
+    from aqslie.linalg import MatOver, vec_is_zero
+    from aqslie.scalars import s_is_zero
+
+    edge = st.sampled_from([0.0, -0.0, 1e-12, -1e-9, 1e-9, 1.5e-9, -1e-6, 2e-6,
+                            math.inf, -math.inf, math.nan])
+    N = data.draw(st.lists(st.lists(st.floats(-1e-5, 1e-5) | edge, min_size=n, max_size=n),
+                           max_size=3))
+    set_tolerance(tol)
+    try:
+        X = MatOver(N)
+        assert X.is_zero() == s_is_zero(X.max_abs()) == vec_is_zero([x for r in N for x in r])
+    finally:
+        set_tolerance(DEFAULT_TOLERANCE)

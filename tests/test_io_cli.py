@@ -767,3 +767,29 @@ def test_cli_curvature_rejects_an_asymmetric_metric(tmp_path, capsys):
     assert (error["code"], error["message"]) == ("PreconditionError", "metric is not symmetric")
     assert main(["classify", path, "--json"]) == 3
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidStructure"
+
+
+def test_cli_classify_makes_only_the_residual_magnitudes_it_reads(tmp_path, capsys, monkeypatch):
+    # the tags are zero tests of the residual entries; of the fifteen magnitudes of
+    # the three-structure square-root-weight h13 document the double aqS-Sasakian
+    # check reads three (d Phi of the first two, d eta - 2 Phi of the third), and a
+    # one-structure document reads none
+    import aqslie.acm as acm
+    from aqslie.scalars import parse_scalar
+
+    made, real = [], acm.StructureClass.residual
+
+    def counted(self, name):
+        made.extend([] if name in self._kept else [name])
+        return real(self, name)
+
+    monkeypatch.setattr(acm.StructureClass, "residual", counted)
+    weights = [parse_scalar(w) for w in "sqrt(2),1,3/2*sqrt(5)".split(",")]
+    _, (S1, S2, S3) = weighted_heisenberg_4n1(3, weights)
+    for name, comps, want in (("three.json", [S2.phi_mat(), S3.phi_mat()],
+                               ["contact_metric", "d_phi", "d_phi"]), ("one.json", None, [])):
+        made.clear()
+        path = _write(tmp_path, name, aqio.structure_to_json(S1, companions=comps))
+        assert main(["classify", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["error"] is None
+        assert sorted(made) == want, name

@@ -734,3 +734,129 @@ def test_table_readers_match_the_two_routes_on_random_tables(field, n, data):
     ints = [[as_field(x) for x in v] for v in ([1] * n, list(range(n)))]
     assert repr(bracket(L, *ints)) == repr(bracket_routes(L, *ints))
     assert repr(_ad_numerators(L, ints[1])) == repr(ad_matrix_routes(L, ints[1]))
+
+
+# ---------------------------------------------------------------------------
+# pair_brackets and the Nijenhuis kernel, one pass over the table each
+
+def _pair_rows(L, X, pairs):
+    """pair_brackets of the rows of the value X, and the bracket of each pair of
+    its divided-back rows, both by repr."""
+    from aqslie.lie_core import pair_brackets
+
+    rows = X.mat()
+    return (repr(pair_brackets(L, X, pairs).mat()),
+            repr([bracket(L, rows[a], rows[b]) for a, b in pairs]))
+
+
+def test_pair_brackets_are_the_brackets_of_the_rows_on_the_structures():
+    # the columns of phi, the rows of g and xi: exact, tower and float values
+    for name, S in _reader_structures().items():
+        L = S.L
+        (X,) = L.values([*map(list, zip(*S.phi_mat())), *S.g_mat(), S.xi_vec()])
+        pairs = [(a, b) for a in range(2 * L.dim + 1) for b in range(2 * L.dim + 1)][::5]
+        got, want = _pair_rows(L, X, pairs)
+        assert got == want, name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FIELDS)), st.integers(2, 6), st.data())
+def test_pair_brackets_are_the_brackets_of_the_rows_on_random_tables(field, n, data):
+    constants, entries = FIELDS[field]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = {pair: data.draw(st.dictionaries(st.integers(0, n - 1), constants, max_size=3))
+             for pair in data.draw(st.lists(st.sampled_from(pairs), unique=True))}
+    L = LieAlgebra.from_brackets(n, table, mode="float" if field == "float" else "exact",
+                                 check=False)
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4))
+    (X,) = L.values(rows)
+    asked = data.draw(st.lists(st.tuples(*[st.integers(0, len(rows) - 1)] * 2), max_size=6))
+    got, want = _pair_rows(L, X, asked)
+    assert got == want
+
+
+def _kernel_and_oracle(L, J):
+    """repr of [J, J] from lie_core.nijenhuis_columns and from the four products
+    of the oracle, J a matrix on L's field."""
+    from aqslie.lie_core import nijenhuis_columns
+    from oracles import nijenhuis_four_products
+
+    ads, (V,) = L.ad_values(J)
+    return repr(nijenhuis_columns(L, V).mat()), repr(nijenhuis_four_products(ads, V).mat())
+
+
+@pytest.mark.parametrize("name", ["f9c1", "f13", "f13c2", "sqrt-h13", "h9c1", "h13c2",
+                                  "sqrt-h13-companion2"])
+def test_nijenhuis_kernel_matches_the_four_products_on_the_structures(name):
+    # J = phi and J = g: exact values equal, floats by repr (bits, sign of zero)
+    from aqslie.scalars import parse_scalar
+
+    sqrt_weights = [parse_scalar(w) for w in "sqrt(2),1,3/2*sqrt(5)".split(",")]
+    S = (weighted_heisenberg_4n1(3, sqrt_weights)[1][2] if name == "sqrt-h13-companion2"
+         else _reader_structures()[name])
+    for J in (S.phi_mat(), S.g_mat()):
+        got, want = _kernel_and_oracle(S.L, J)
+        assert got == want
+
+
+SQRT3, SQRT6 = Ext.of_sqrt(3), Ext.of_sqrt(6)
+# several square classes per entry, so no rational rescaling, and class products
+# with g = gcd(r, s) > 1 (sqrt(6) sqrt(2) = 2 sqrt(3))
+multi_towers = st.builds(lambda a, b, c, d: a + b * SQRT2 + c * SQRT3 + d * SQRT6,
+                         fractions, fractions, fractions, fractions)
+NIJENHUIS_FIELDS = {
+    "rational": (rationals, rationals | exact_zeros),
+    "tower": (multi_towers | towers, multi_towers | towers | rationals | exact_zeros),
+    "float": (floats, floats),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(NIJENHUIS_FIELDS)), st.integers(1, 6), st.booleans(), st.data())
+def test_nijenhuis_kernel_matches_the_four_products_on_random_tables(field, n, dense, data):
+    # sparse and dense tables and J, near-zero and -0.0 float entries
+    constants, entries = NIJENHUIS_FIELDS[field]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    targets = st.dictionaries(st.integers(0, n - 1), constants, min_size=n if dense else 0,
+                              max_size=n if dense else 2)
+    table = {pair: data.draw(targets) for pair in (pairs if dense else data.draw(
+        st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])}
+    L = LieAlgebra.from_brackets(n, table, mode="float" if field == "float" else "exact",
+                                 check=False)
+    zero = st.just(0.0 if field == "float" else F(0))
+    J = data.draw(st.lists(st.lists(entries if dense else zero | entries, min_size=n,
+                                    max_size=n), min_size=n, max_size=n))
+    got, want = _kernel_and_oracle(L, J)
+    assert got == want
+
+
+def test_nijenhuis_multiplies_the_nonzero_terms_only(monkeypatch):
+    # [phi, phi] makes at most one product per nonzero constant and nonzero of
+    # phi: 18 against 6 x 12 = 72 on the weight-basis h13 and on the third
+    # square-root companion (three square classes in the table), as the four
+    # products made; 34,056 against 621 x 151 = 93,771 on the conjugated h13,
+    # where the four products made 43,758
+    from aqslie import lie_core
+    from aqslie.acm import nijenhuis_phi
+    from aqslie.scalars import parse_scalar
+
+    count, real = [0], lie_core._rowwise
+
+    def counted(rows, nz, width, zero, every=False):  # each nonzero of a row times its index
+        for row in rows:
+            count[0] += sum(len(nz[j]) for j in range(len(nz)) if every or row[j])
+        return real(rows, nz, width, zero, every)
+
+    monkeypatch.setattr(lie_core, "_rowwise", counted)
+    sqrt_weights = [parse_scalar(w) for w in "sqrt(2),1,3/2*sqrt(5)".split(",")]
+    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
+    cases = {"h13": (h13, 18), "sqrt-h13-companion2": (weighted_heisenberg_4n1(
+        3, sqrt_weights)[1][2], 18), "h13c": (conjugate_structure(
+            h13, random_unimodular(13, random.Random(1))), None)}
+    for name, (S, want) in cases.items():
+        count[0] = 0
+        nijenhuis_phi(S)
+        constants = sum(len(entries) for _, entries in S.L.brackets)
+        nonzeros = sum(1 for row in S.phi for x in row if x)
+        assert 0 < count[0] <= constants * nonzeros, name
+        assert want is None or count[0] == want, name

@@ -652,9 +652,12 @@ def test_per_scalar_products_skip_zero_terms_bit_for_bit(pairs):
 
 def _ref_mat_vec(M, v):
     """Reference: one product decided per vector, the integer route when M and
-    v are all Fractions, else the per-scalar fold over the non-near-zero v[j]
+    v are all Fractions, int sums when both are all ints (the integer cores'
+    own input stays int), else the per-scalar fold over the non-near-zero v[j]
     from the zero of their field."""
     flat = [x for row in M for x in row]
+    if flat and v and all(type(x) is int for x in v + flat):
+        return [sum(map(operator.mul, row, v)) for row in M]
     if all(type(x) is F for x in v + flat):
         dv, dm = (math.lcm(*(x.denominator for x in xs)) for xs in (v, flat))
         vi, mi = ([x.numerator * (d // x.denominator) for x in xs]
