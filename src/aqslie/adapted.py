@@ -12,11 +12,12 @@ For psi^2 the eigenvalues are -w_i^2 and normalizing
     e_{n+i} = (1/w_i) A e_i,  e_{2n+i} = phi e_i,  e_{3n+i} = (1/w_i) psi e_i
 
 produces the orthonormal frame {xi, e_i, e_{n+i}, e_{2n+i}, e_{3n+i}}.  The
-frame is kept factored as T = R Delta: the columns of R are the unnormalized
-quadruples, in the input's field (rational for rational inputs), and the
-diagonal Delta = (1, 1/|v|, 1/(w|v|), ...) holds the square roots.
-:func:`adapted_frame` certifies exact frames by the Gram check R^T g R =
-Delta^-2 in the input's field; the classifier, by its isomorphism.
+frame is kept factored as T = R Delta^-1: the columns of R are the
+unnormalized quadruples, in the input's field (rational for rational
+inputs), and Delta = diag(1, |v|, w|v|, ...) holds their g-lengths, the
+square roots, beside their rational squares q = (1, v^T g v, w^2 v^T g v,
+...).  :func:`adapted_frame` certifies exact frames by the Gram check
+R^T g R = diag(q) in the input's field; the classifier, by its isomorphism.
 
 Determinism: eigenvalues are processed by descending |eigenvalue|, ties in
 ascending order, and the pivot inside an eigenspace is the first
@@ -128,11 +129,16 @@ def _psi2_orbits(S: AcmStructure) -> list:
 class AdaptedFrame:
     n: int  # number of quadruples; dim = 4n + 1
     weights: tuple  # w_1 >= w_2 >= ... > 0
-    # the factorization T = R Delta: columns of R in the input's field, in
-    # the order (xi, e_1..e_n, e_{n+1}..e_{2n}, ...), and the diagonal of
-    # Delta (1 for xi, then 1/|v| or 1/(w |v|))
+    # T = R Delta^-1: the columns of R in the input's field, ordered (xi, e_1..e_n,
+    # e_{n+1}..e_{2n}, ...), their g-lengths, the diagonal of Delta (1 for xi, then
+    # |v| or w |v|), and the squares of those, rational on exact input
     unscaled: tuple
-    scales: tuple
+    lengths: tuple
+    squares: tuple
+
+    @property
+    def scales(self) -> tuple:  # the diagonal of Delta^-1, in the field of xi's length 1
+        return tuple(s_div(self.lengths[0], x) for x in self.lengths)
 
     def columns(self) -> list[Vec]:
         """The frame vectors, the columns of T."""
@@ -144,11 +150,9 @@ def adapted_frame(S: AcmStructure) -> AdaptedFrame:
     require_maximal(S, CLASS_ANTI_QUASI_SASAKIAN)
     frame, g, (zero, one) = _frame(S, _psi2_orbits(S)), S.g_mat(), units(S.L.floats)
     # certificate: the frame is g-orthonormal; exact frames check the Gram
-    # matrix of R instead, R^T g R = Delta^-2, all in the input's field
-    if not S.L.floats:
-        gram_cols, want = frame.unscaled, [s_div(one, s_mul(x, x)) for x in frame.scales]
-    else:
-        gram_cols, want = frame.columns(), [one] * len(frame.scales)
+    # matrix of R instead, R^T g R = diag(squares), all in the input's field
+    gram_cols, want = ((frame.unscaled, frame.squares) if not S.L.floats
+                       else (frame.columns(), [one] * len(frame.lengths)))
     gram = mat_mul(gram_cols, transpose(mat_vecs(g, gram_cols)))
     for a in range(len(want)):
         for b in range(a, len(want)):
@@ -172,12 +176,13 @@ def _frame(S: AcmStructure, spectrum: list) -> AdaptedFrame:
         quadruples.extend(orbits)
         weights.extend([weight] * len(orbits))
     g, one = S.g_mat(), units(S.L.floats)[1]
-    norms = [s_sqrt(bilinear(v, g, v)) for v, _, _, _ in quadruples]
-    inv = [s_div(one, x) for x in norms]
-    inv_w = [s_div(one, s_mul(w, x)) for w, x in zip(weights, norms)]
+    sq = [bilinear(v, g, v) for v, _, _, _ in quadruples]  # |v|^2, then |A v|^2 = w^2 |v|^2
+    norms = [s_sqrt(q) for q in sq]
+    lengths = norms + [s_mul(w, x) for w, x in zip(weights, norms)]
+    squares = sq + [s_mul(s_mul(w, w), q) for w, q in zip(weights, sq)]
     R = [S.xi_vec()] + [quad[b] for b in range(4) for quad in quadruples]
-    scales = [one] + inv + inv_w + inv + inv_w
-    return AdaptedFrame(len(quadruples), tuple(weights), tuple(map(tuple, R)), tuple(scales))
+    return AdaptedFrame(len(quadruples), tuple(weights), tuple(map(tuple, R)),
+                        (one, *lengths, *lengths), (one, *squares, *squares))
 
 
 def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:

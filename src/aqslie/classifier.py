@@ -18,10 +18,10 @@ Float input is checked first: its certificate holds only within the tolerance.
   normal form absorbs and phi_signs records (the pushed-forward phi matches
   the target phi with those per-pair signs).
 
-For a frame T = R Delta, F = T^-1 = Delta^-1 R^-1: exact frames invert R in
-the input's field and check M = R^-1 against the target rewritten in the
-basis Delta_k^-1 e_k (rational for these targets); float frames invert T.
-Weights are reported positive and sorted descending.
+For a frame T = R Delta^-1, Delta the g-lengths of the columns of R, F = T^-1
+= Delta R^-1: exact frames take R^-1 = diag(1/q) R^T g from the squares q of
+the lengths and check it against the target in the basis Delta_k e_k; float
+frames invert T.  Weights are reported positive and sorted descending.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .linalg import (
     bilinear,
     diag_scaled,
     inverse,
+    mat_mul,
     transpose,
     vec_scale,
 )
@@ -132,21 +133,23 @@ def _verify_iso(S: AcmStructure, target_S: AcmStructure, F: Mat, F_inv: Mat) -> 
 
 
 def _frame_isomorphism(S: AcmStructure, target_S: AcmStructure, columns: list,
-                       scales: list) -> Mat:
-    """F = T^-1 for the frame T = R diag(scales), R with the given columns,
-    verified to be an isomorphism onto the target.  Exact frames invert R in
-    the input's field and check M = R^-1 against the target in the basis
-    D_k e_k, D = 1 / scales (``acm.rescaled``); then F = D M.  Float frames
-    invert T itself, so float F keeps its rounding."""
-    R = transpose(columns)
+                       lengths: list, squares: list) -> Mat:
+    """F = T^-1 = D M for the frame T = R diag(1/D), the columns of R of g-lengths
+    D_k with rational squares q_k, verified to be an isomorphism onto the target.
+    Exact frames take M = diag(1/q) R^T g, one product, and check it against
+    the target in the basis D_k e_k (``acm.rescaled``, 1/D_k = D_k/q_k), whose
+    metric is diag(q) as g_t = I.  That check proves M = R^-1: M xi = xi_t is off
+    ker eta_t, the image of M phi R = phi_t, so M and g = M^T diag(q) M are
+    invertible and the isometry reads R diag(1/q) R^T = g^-1, that is R M = 1.
+    Float frames invert T itself, so float F keeps its rounding."""
     if S.L.floats:
-        F = inverse(transpose([vec_scale(c, x) for c, x in zip(columns, scales)]))
+        F = inverse(transpose([vec_scale(c, s_div(1.0, x)) for c, x in zip(columns, lengths)]))
         _verify_iso(S, target_S, F, inverse(F))
         return F
-    D = [s_inv(x) for x in scales]
-    M = inverse(R)
-    _verify_iso(S, rescaled(target_S, D, scales), M, R)
-    return diag_scaled(M, D, None)
+    M = mat_mul(diag_scaled(columns, [s_inv(q) for q in squares], None), S.g_mat())
+    target = rescaled(target_S, lengths, [s_div(x, q) for x, q in zip(lengths, squares)])
+    _verify_iso(S, target, M, transpose(columns))
+    return diag_scaled(M, lengths, None)
 
 
 def _mapped_back(iso: HeisenbergIso, down: list) -> HeisenbergIso:
@@ -187,7 +190,7 @@ def _aqs_iso(S: AcmStructure) -> HeisenbergIso:
         frame = _frame(S, eigen_orbits(psi @ psi, v.g, [v.phi @ psi, v.phi, psi]))
     n, weights = frame.n, frame.weights
     F = _frame_isomorphism(S, weighted_heisenberg_4n1(n, list(weights))[1][1],
-                           list(frame.unscaled), list(frame.scales))
+                           list(frame.unscaled), list(frame.lengths), list(frame.squares))
     return HeisenbergIso("4n+1", n, weights, tuple(map(tuple, F)), (1,) * n, 2)
 
 
@@ -200,22 +203,22 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
 
 def _qs_iso(S: AcmStructure) -> HeisenbergIso:
     g, view, one = S.g_mat(), numerator_view(S), units(S.L.floats)[1]
-    first, second, inv_norms, weights, signs = [], [], [], [], []
+    first, second, squares, weights, signs = [], [], [], [], []
     for ev, _, orbits in eigen_orbits(operators_A_psi_qs(S), view.g, [view.phi]):
         sign = 1 if s_sign(ev) < 0 else -1  # bracket [u, phi u] = -2 ev |u|^2 xi
         for v, phv in orbits:
             first.append(v)
             second.append(phv if sign > 0 else vec_scale(phv, -1))
-            inv_norms.append(s_div(one, s_sqrt(bilinear(v, g, v))))
+            squares.append(bilinear(v, g, v))
             weights.append(s_abs(ev))
             signs.append(sign)
     n = len(first)
     target_L, target_S = weighted_heisenberg_2n1(n, weights)
     signed_phi = _rotation(2 * n + 1, [(r, n + r, s) for r, s in enumerate(signs, start=1)],
                            target_L.floats)
-    signed_target = AcmStructure.make(target_L, signed_phi, target_S.xi_vec(),
-                                      target_S.eta_row(), target_S.g_mat())
-    F = _frame_isomorphism(S, signed_target, [S.xi_vec()] + first + second, [one] + inv_norms * 2)
+    signed_target = replace(target_S, phi=tuple(map(tuple, signed_phi)))
+    F = _frame_isomorphism(S, signed_target, [S.xi_vec()] + first + second,
+                           [one] + [s_sqrt(q) for q in squares] * 2, [one] + squares * 2)
     return HeisenbergIso("2n+1", n, tuple(weights), tuple(map(tuple, F)), tuple(signs), 1)
 
 

@@ -52,7 +52,6 @@ from .scalars import (
     get_tolerance,
     is_exact,
     s_abs,
-    s_add,
     s_div,
     s_eq,
     s_is_zero,
@@ -224,22 +223,22 @@ def _fold(rows: list[Vec], cols: list[Vec], near_zero: bool = False) -> Mat:
     return _rowwise(rows, nz, len(cols), 0.0 if floats else ZERO, dense)
 
 
-def _entrywise(A: Mat, B: Mat, int_op, scalar_op) -> Mat:
-    """A op B entry by entry; two rational (or two all-int) matrices of one
-    shape combine as integers over their common denominator."""
+def _entrywise(A: Mat, B: Mat, op) -> Mat:
+    """A op B entry by entry, op operator.add or .sub: as integers over the common
+    denominator of two rational (or two all-int) matrices of one shape."""
     scaled = _int_rows(A, B) if list(map(len, A)) == list(map(len, B)) else None
     if scaled is not None:
         (ai, bi), den = scaled
-        return _back([list(map(int_op, ra, rb)) for ra, rb in zip(ai, bi)], den)
-    return [list(map(scalar_op, ra, rb)) for ra, rb in zip(A, B)]
+        return _back([list(map(op, ra, rb)) for ra, rb in zip(ai, bi)], den)
+    return [list(map(op, ra, rb)) for ra, rb in zip(A, B)]
 
 
 def mat_add(A: Mat, B: Mat) -> Mat:
-    return _entrywise(A, B, operator.add, s_add)
+    return _entrywise(A, B, operator.add)
 
 
 def mat_sub(A: Mat, B: Mat) -> Mat:
-    return _entrywise(A, B, operator.sub, s_sub)
+    return _entrywise(A, B, operator.sub)
 
 
 def mat_scale(M: Mat, c) -> Mat:

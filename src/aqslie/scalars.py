@@ -233,6 +233,9 @@ def _sum_terms(a, b, op):
 def _product(a, b):
     """a * b with an Ext operand: sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2)
     for g = gcd(r1, r2)."""
+    x, c = (a, b) if isinstance(a, Ext) else (b, a)
+    if type(c) in (int, Fraction):  # the loop's terms, one product each, in x's order
+        return normalize(Ext({r: v * c for r, v in x.terms.items()}))
     ta, tb = _exact_terms(a), _exact_terms(b)
     if ta is None or tb is None:
         return _float_or_not_implemented(a, b, operator.mul)

@@ -17,8 +17,10 @@ invariant 2-forms of a reductive split from their defining equations, one row
 per invariance and closedness condition, which ``invariant_closed_2forms``
 reads as the kernel of the one differential; psi read off the whole
 Levi-Civita table on a float view, the classification residuals of a
-rescaled structure with every column scale made before any is read, and the
-normal forms with their preconditions checked before any frame is built.
+rescaled structure with every column scale made before any is read, the
+normal forms with their preconditions checked before any frame is built, and
+the frame isomorphism that inverted an exact frame by elimination before
+``classifier._frame_isomorphism`` took the inverse from the Gram identity.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from fractions import Fraction
 
 from aqslie.acm import CLASS_ANTI_QUASI_SASAKIAN, AcmStructure, ConnectionTable, levi_civita
 from aqslie.acm import _pairs, _residual_entries, numerator_view, operators_A_psi
-from aqslie.acm import CLASS_QUASI_SASAKIAN, rational_rescaling
+from aqslie.acm import CLASS_QUASI_SASAKIAN, rational_rescaling, rescaled
 from aqslie.adapted import AdaptedFrame, _psi2_orbits, adapted_frame, require_maximal
-from aqslie.classifier import HeisenbergIso, _common_preconditions, _frame_isomorphism
-from aqslie.classifier import _mapped_back, _qs_iso
+from aqslie.classifier import HeisenbergIso, _common_preconditions, _mapped_back, _qs_iso
+from aqslie.classifier import _verify_iso
 from aqslie.constructors import weighted_heisenberg_4n1
 from aqslie.errors import DimensionMismatch, IrrationalSpectrum, PreconditionError
 from aqslie.exterior import (
@@ -128,8 +130,25 @@ def precondition_first(S: AcmStructure, family: str) -> HeisenbergIso:
     frame = adapted_frame(S)
     n, weights = frame.n, list(frame.weights)
     _, (_, t2, _) = weighted_heisenberg_4n1(n, weights)
-    F = _frame_isomorphism(S, t2, list(frame.unscaled), list(frame.scales))
+    F = eliminated_frame_isomorphism(S, t2, list(frame.unscaled), list(frame.scales))
     return HeisenbergIso("4n+1", n, tuple(weights), tuple(map(tuple, F)), (1,) * n, 2)
+
+
+def eliminated_frame_isomorphism(S: AcmStructure, target_S: AcmStructure, columns: list,
+                                 scales: list) -> Mat:
+    """``classifier._frame_isomorphism`` as it ran before the Gram identity
+    inverted exact frames: F = T^-1 for T = R diag(scales), an exact frame's
+    M = R^-1 by elimination, checked against the target in the basis D_k e_k,
+    D = 1 / scales, and F = D M; a float frame's T inverted itself."""
+    R = transpose(columns)
+    if S.L.floats:
+        F = inverse(transpose([vec_scale(c, x) for c, x in zip(columns, scales)]))
+        _verify_iso(S, target_S, F, inverse(F))
+        return F
+    D = [s_inv(x) for x in scales]
+    M = inverse(R)
+    _verify_iso(S, rescaled(target_S, D, scales), M, R)
+    return diag_scaled(M, D, None)
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ def test_coframe_detects_sign_flip():
     fr = adapted_frame(S1)
     cols = list(fr.unscaled)
     cols[4] = [s_mul(F(-1), x) for x in cols[4]]  # negate e_{3n+i}
-    bad = AdaptedFrame(fr.n, fr.weights, tuple(tuple(c) for c in cols), fr.scales)
+    bad = AdaptedFrame(fr.n, fr.weights, tuple(tuple(c) for c in cols), fr.lengths, fr.squares)
     rep = coframe_expansion_check(S1, bad)
     assert not rep.ok
     names = {name for name, _, _, _ in rep.mismatches}

@@ -48,7 +48,7 @@ from aqslie.linalg import (
     zeros,
 )
 from aqslie.lie_core import LieAlgebra, bracket
-from aqslie.scalars import Ext, ONE, is_exact, s_abs, s_eq, s_inv, s_is_zero, s_neg, s_str
+from aqslie.scalars import Ext, ONE, is_exact, s_abs, s_div, s_eq, s_inv, s_is_zero, s_neg, s_str
 from oracles import companion_structures, psi_squared_spectrum, reeb_uniqueness_check
 
 
@@ -334,19 +334,145 @@ def test_perturbed_M_fails_with_the_message_of_the_check_on_F(monkeypatch):
     R = transpose([list(c) for c in frame.unscaled])
     D = [s_inv(x) for x in frame.scales]
     target_L, (_, t2, _) = weighted_heisenberg_4n1(2, list(frame.weights))
-    real_inverse = classifier_module.inverse
     for a, b in ((0, 0), (3, 5), (8, 2)):
         M = inverse(R)
         M[a][b] += 1
         with pytest.raises(InternalContradiction) as old:
             old_verify_iso(S0, target_L, t2, [vec_scale(row, d) for row, d in zip(M, D)])
-        monkeypatch.setattr(
-            classifier_module, "inverse", lambda A, M=M: M if A == R else real_inverse(A)
-        )
+        # M = diag(1/q) R^T g is the classifier's one mat_mul
+        monkeypatch.setattr(classifier_module, "mat_mul", lambda *args, M=M: M)
         S = AcmStructure.make(S0.L, S0.phi_mat(), S0.xi_vec(), S0.eta_row(), S0.g_mat())
         with pytest.raises(InternalContradiction) as new:
             classify_nilpotent_aqs(S)
         assert str(new.value) == str(old.value), (a, b)
+
+
+def _differential_corpus() -> dict:
+    """name -> (family, structure): conjugated aqS h^9, h^13 and qS h^9 over
+    several seeds, the square-root weight documents (classified on their
+    rational rescalings), the conjugated square-root h^9 that has none, and
+    float copies."""
+    from aqslie.acm import rational_rescaling
+    from floatcopy import float_structure
+
+    h9, h13 = (weighted_heisenberg_4n1(n, w)[1][0] for n, w in ((2, [1, 2]), (3, [1, 2, 3])))
+    qs9 = weighted_heisenberg_2n1(4, [1, 2, 3, 4])[1]
+    root_weights = [Ext.of_sqrt(2), F(1), F(3, 2) * Ext.of_sqrt(5)]
+    cases = {}
+    for seed in (1, 2, 7):
+        for name, family, S in (("h9", "aqs", h9), ("h13", "aqs", h13), ("qs9", "qs", qs9)):
+            Q = random_unimodular(S.L.dim, random.Random(seed))
+            cases[f"{name}c-{seed}"] = family, conjugate_structure(S, Q)
+    sqrt_h9c = conjugate_structure(weighted_heisenberg_4n1(2, root_weights[:2])[1][0],
+                                   random_unimodular(9, random.Random(3)))
+    assert rational_rescaling(sqrt_h9c) is None
+    cases.update({
+        "sqrt-h13": ("aqs", weighted_heisenberg_4n1(3, root_weights)[1][0]),
+        "sqrt-h13-companion2": ("aqs", weighted_heisenberg_4n1(3, root_weights)[1][1]),
+        "sqrt-qs7": ("qs", weighted_heisenberg_2n1(3, root_weights)[1]),
+        "sqrt-h9c": ("aqs", sqrt_h9c),
+        "float-h9": ("aqs", float_structure(h9)),
+        "float-h13": ("aqs", float_structure(h13)),
+        "float-qs9c": ("qs", float_structure(cases["qs9c-2"][1])),
+    })
+    return cases
+
+
+def _repr_or_error(family: str, S) -> object:
+    classify = classify_nilpotent_aqs if family == "aqs" else classify_nilpotent_qs
+    try:
+        return repr(classify(S))
+    except Exception as exc:  # the same error on both routes
+        return type(exc), str(exc)
+
+
+def test_the_gram_identity_gives_the_isomorphisms_of_elimination(monkeypatch):
+    # F = D diag(1/q) R^T g is F = D R^-1 by elimination, repr for repr (float
+    # copies bit for bit), and the same error where there is no answer
+    import aqslie.classifier as classifier_module
+    from oracles import eliminated_frame_isomorphism
+
+    def eliminated(S, target_S, columns, lengths, squares):
+        scales = [s_div(lengths[0], x) for x in lengths]  # 1 / length in the field of 1
+        return eliminated_frame_isomorphism(S, target_S, columns, scales)
+
+    new = {name: _repr_or_error(*case) for name, case in _differential_corpus().items()}
+    monkeypatch.setattr(classifier_module, "_frame_isomorphism", eliminated)
+    old = {name: _repr_or_error(*case) for name, case in _differential_corpus().items()}
+    assert new == old
+    assert [name for name, out in new.items() if not isinstance(out, str)] == ["sqrt-qs7"]
+
+
+def _sheared_frame_outcome() -> list:
+    """[error type, message] of the exact classify of a conjugated h^9 whose
+    frame has column e_1 added to column e_2 (lengths and squares kept): R is
+    no longer g-orthogonal, so diag(1/q) R^T g is not R^-1."""
+    import aqslie.classifier as classifier_module
+    from dataclasses import replace
+
+    real = classifier_module._frame
+
+    def sheared(*args):
+        frame = real(*args)
+        cols = [list(c) for c in frame.unscaled]
+        cols[2] = [a + b for a, b in zip(cols[2], cols[1])]
+        return replace(frame, unscaled=tuple(map(tuple, cols)))
+
+    classifier_module._frame = sheared
+    try:
+        classify_nilpotent_aqs(_factored_frame_inputs()["h9"])
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    finally:
+        classifier_module._frame = real
+    return ["no error", ""]
+
+
+def test_a_frame_that_is_not_g_orthogonal_fails_the_certificate():
+    # the isometry check is what proves M = R^-1; it holds under python -O,
+    # which strips every assert
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import aqslie
+
+    got = _sheared_frame_outcome()
+    assert got[0] == "InternalContradiction" and got[1].startswith("F "), got
+    script = ("import json, test_classifier\n"
+              "print(json.dumps([__debug__, test_classifier._sheared_frame_outcome()]))")
+    path = os.pathsep.join([str(Path(aqslie.__file__).parent.parent), str(Path(__file__).parent)])
+    run = subprocess.run([sys.executable, "-O", "-c", script], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert json.loads(run.stdout) == [False, got]
+
+
+def test_an_exact_classify_makes_no_elimination_and_no_tower_inversion(monkeypatch):
+    # the exact frame is inverted by its Gram identity and carries its lengths
+    # and their rational squares: no inverse from the classifier, no 1 / Ext
+    import aqslie.classifier as classifier_module
+
+    counts = {"inverse": 0, "rtruediv": 0}
+    real_inverse, real_rtruediv = classifier_module.inverse, Ext.__rtruediv__
+
+    def inverse_counted(M):
+        counts["inverse"] += 1
+        return real_inverse(M)
+
+    def rtruediv_counted(x, other):
+        counts["rtruediv"] += 1
+        return real_rtruediv(x, other)
+
+    monkeypatch.setattr(classifier_module, "inverse", inverse_counted)
+    monkeypatch.setattr(Ext, "__rtruediv__", rtruediv_counted)
+    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
+    iso = classify_nilpotent_aqs(conjugate_structure(h13, random_unimodular(13, random.Random(1))))
+    assert counts == {"inverse": 0, "rtruediv": 0}
+    assert any(isinstance(x, Ext) for row in iso.F for x in row)  # the roots are there
+    classify_nilpotent_aqs(_factored_frame_inputs()["tower"])
+    assert counts == {"inverse": 0, "rtruediv": 0}
 
 
 @pytest.mark.parametrize("case", ["abelian5-xi-e1", "filiform5-xi-e5"])

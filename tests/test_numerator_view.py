@@ -282,12 +282,12 @@ def test_morphism_certificate_names_pairs_one_based(monkeypatch):
     import aqslie.classifier as classifier
 
     S = CASES["h9c"]()
-    real = classifier.inverse
+    real = classifier.mat_mul  # the classifier's one product: M = diag(1/q) R^T g
 
-    def doubled(M):
-        F = real(M)
+    def doubled(*args):
+        F = real(*args)
         return [[2 * row[0]] + row[1:] for row in F] if len(F) == S.L.dim else F
 
-    monkeypatch.setattr(classifier, "inverse", doubled)
+    monkeypatch.setattr(classifier, "mat_mul", doubled)
     with pytest.raises(InternalContradiction, match=r"morphism at pair \(1, 2\)"):
         classify_nilpotent_aqs(S)

@@ -69,6 +69,25 @@ def test_squarefree_split_matches_sympy_factorint(n):
                                    math.prod(p for p, e in factors.items() if e % 2))
 
 
+_RADICANDS = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30, 1001])
+_RATIONALS = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(_RADICANDS, _RATIONALS.map(F).filter(bool), min_size=1, max_size=5),
+       _RATIONALS)
+def test_a_rational_times_an_ext_is_the_product_of_the_loop(terms, c):
+    # an Ext times an int or a Fraction, either way round, scales each
+    # coefficient once; the loop over pairs of terms, run on c as the Ext
+    # {1: c}, gives the same value, kind, term order and float bits
+    x = Ext(terms)
+    for got, want in ((x * c, x * Ext({1: F(c)})), (c * x, Ext({1: F(c)}) * x)):
+        assert type(got) is type(want) and got == want
+        if isinstance(want, Ext):
+            assert list(got.terms.items()) == list(want.terms.items())
+        assert float(got).hex() == float(want).hex()
+
+
 def test_radical_multiplication_reduces():
     assert s_eq(s_mul(Ext.of_sqrt(2), Ext.of_sqrt(2)), F(2))
     assert s_eq(s_mul(Ext.of_sqrt(6), Ext.of_sqrt(10)), s_mul(F(2), Ext.of_sqrt(15)))
