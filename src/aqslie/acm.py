@@ -12,9 +12,10 @@ of any endomorphism (phi here, the complex structure J of a Kahler algebra
 in ``constructors``), and :func:`psi_matrix` is psi = -nabla xi for both
 the anti-quasi-Sasakian operator pack and the quasi-Sasakian classifier.
 [J, J] is ``lie_core.nijenhuis_columns``, at the cost of the nonzero constants and
-entries of J, d Phi and d g(., A .) the scatter onto triples of P = C W, C the pair
-brackets (``exterior.d_of_pairs``), and d eta = -eta([., .]) one product with the
-brackets (``exterior.d_of_covector``): no KForm is differentiated here.  The class
+entries of J, d Phi and d g(., A .) the scatter onto triples of P = C W, C the basis
+pair brackets read off the table (``lie_core.basis_brackets``, ``exterior.d_of_pairs``),
+and d eta = -eta([., .]) one pass over the table (``exterior.d_of_covector``): no
+KForm is differentiated here and no ad matrix is built for it.  The class
 tags are zero tests of the residual entries (:func:`classify_structure`); the
 magnitude of a residual is made where it is read (:meth:`StructureClass.residual`).
 
@@ -24,9 +25,9 @@ compared as Gram products: d eta(phi X, phi Y) = -d eta(X, Y) is
 phi^T B phi + B = 0 here, w(JX, JY) = w(X, Y) is J^T W J = W in
 ``constructors`` and ``invariant_forms``, d eta = 2 Phi is the matrix of
 d eta minus twice that of Phi, and the adapted frame is certified by
-R^T g R = Delta^-2.  Brackets are products of ad matrices: the Nijenhuis
-bracket and the Koszul solves here, the bracket inclusions, equivariance and
-integrability of J on m-blocks C_m ad_U M in ``invariant_forms``.
+R^T g R = Delta^-2.  Brackets are products of ad matrices in the Koszul
+solves here and in the bracket inclusions, equivariance and integrability of
+J on m-blocks C_m ad_U M in ``invariant_forms``.
 
 For a left-invariant metric the Koszul formula reads 2 g Gamma_i = g ad_i -
 ad_i^T g - B_i with (B_i)_kj = g([b_j, b_k], b_i), Gamma_i b_j = nabla_{b_i} b_j
@@ -43,10 +44,11 @@ Sectional curvatures through one X are a batch: the inner nablas of every
 R(X, Y)Y are one table product, the outer ones another.
 
 The field is decided once per structure, by its numerator view
-(:func:`numerator_view`): phi, g, the rows xi and eta, the identity and the
-basis ad matrices as values, one integer matrix per square class over a
-denominator (``tower.TowerOver``, the class 1 alone when all are rational)
-when all are exact, else ``linalg.MatOver``s of the tensors over 1.
+(:func:`numerator_view`): phi, g, the rows xi and eta and the identity as
+values, one integer matrix per square class over a denominator
+(``tower.TowerOver``, the class 1 alone when all are rational) when all are
+exact, else ``linalg.MatOver``s of the tensors over 1; the basis ad matrices
+join them on demand, for the Koszul readers and curvature.
 Identities are written on values, which meet at a common denominator by
 themselves, and a value is divided back only where it leaves (a residual, a
 table, an operator, a frame or an isomorphism).  A tower structure whose
@@ -74,7 +76,7 @@ from .errors import (
     ToleranceExceeded,
 )
 from .exterior import KForm, covector_class, covector_form, d_of_covector, d_of_pairs
-from .lie_core import LieAlgebra, ad_value, bracket, in_basis, nijenhuis_columns
+from .lie_core import LieAlgebra, ad_value, basis_brackets, bracket, in_basis, nijenhuis_columns
 from .linalg import (
     Mat,
     MatOver,
@@ -98,7 +100,7 @@ from .linalg import (
     vec_sub,
 )
 from .scalars import ONE, ZERO, get_tolerance, s_abs, s_div, s_is_zero, s_lt, s_mul, s_sub, units
-from .tower import TowerOver
+from .tower import TowerOver, outer_rows
 
 CLASS_CONTACT_METRIC = "ContactMetric"
 CLASS_SASAKIAN = "Sasakian"
@@ -162,17 +164,16 @@ class AcmStructure:
         return covector_form(list(self.eta))
 
 
-TensorNumerators = namedtuple("TensorNumerators", "phi g xi eta one ads")
+class TensorNumerators(namedtuple("TensorNumerators", "L phi g xi eta one")):
+    """The tensors as values, and the basis ad matrices made on their first read."""
+    ads = cached_property(lambda self: self.L.ad_values()[0])  # Koszul rows and Ricci read them
 
 
 def numerator_view(S: AcmStructure) -> TensorNumerators:
-    """phi, g, the rows xi and eta, the identity and the basis ad matrices as
-    values: the one field decision of a structure (``LieAlgebra.ad_values`` on
-    its algebra and tensors together), kept in the memo."""
+    """The tensors of S as values, the one field decision of a structure, in the memo."""
     if "numerators" not in S._memo:
-        ads, tensors = S.L.ad_values(
-            S.phi_mat(), S.g_mat(), [S.xi_vec()], [S.eta_row()], identity(S.L.dim, S.L.floats))
-        S._memo["numerators"] = TensorNumerators(*tensors, ads)
+        S._memo["numerators"] = TensorNumerators(S.L, *S.L.values(
+            S.phi_mat(), S.g_mat(), [S.xi_vec()], [S.eta_row()], identity(S.L.dim, S.L.floats)))
     return S._memo["numerators"]
 
 
@@ -322,7 +323,7 @@ def _residual_entries(S: AcmStructure) -> tuple[list, dict]:
         raise InvalidStructure("g(., phi .) is not alternating; structure invalid")
     at_pairs = lambda X: X.regroup(lambda N: [[N[i][j] for i, j in pairs]])  # noqa: E731
     # d Phi from Phi([b_a, b_b], b_l), one product with the pair brackets; d eta on the pairs
-    triples, d_phi = d_of_pairs(_pair_brackets(v, pairs) @ W, pairs)
+    triples, d_phi = d_of_pairs(basis_brackets(S.L, pairs) @ W, pairs)
     deta_pairs = at_pairs(_d_eta(S))
     # N_phi = [phi, phi] + d eta (x) xi
     xi_deta = v.xi.T @ deta_pairs
@@ -351,7 +352,7 @@ def xi_killing_check(S: AcmStructure) -> bool:
 def _d_eta(S: AcmStructure) -> MatOver:
     """The matrix of d eta on the numerator view (``exterior.d_of_covector``), in the memo."""
     if "d_eta" not in S._memo:
-        S._memo["d_eta"] = d_of_covector(numerator_view(S).ads, numerator_view(S).eta)
+        S._memo["d_eta"] = d_of_covector(S.L, numerator_view(S).eta)
     return S._memo["d_eta"]
 
 
@@ -370,25 +371,13 @@ class ConnectionTable:
     def nablas(self, pairs: list) -> list[Vec]:
         """nabla_X Y for each (X, Y) of pairs: the sums of (X_i Y_j) Gamma_i b_j over
         the (i, j) in order, near-zero X_i and Y_j skipped, as one product of the
-        coefficient rows, one value, with the table rows i n + j the pairs use,
-        ascending; the table is never divided back."""
-        n, tower = len(pairs[0][0]) if pairs else 0, isinstance(self.columns, TowerOver)
-        supports = [[(i, x) for i, x in enumerate(v) if not s_is_zero(x)]
-                    for pair in pairs for v in pair]  # X, then Y, of each pair
-        coeffs = [{i * n + j: s_mul(x, y) for i, x in xs for j, y in ys}
-                  for xs, ys in zip(supports[::2], supports[1::2])]
-        used, zero = sorted(set().union(*coeffs)), units(not tower)[0]  # the table's field
+        coefficient rows (``tower.outer_rows``) with the table rows i n + j the pairs
+        use, ascending; the table is never divided back."""
+        tower = isinstance(self.columns, TowerOver)
+        used, K = outer_rows(pairs, tower)
         if not used:  # no pair has a coefficient
-            return [[zero] * n for _ in pairs]
-        rows = [[c.get(u, zero) for u in used] for c in coeffs]
-        K = MatOver.of(rows) if tower else MatOver(rows)
+            return [[units(not tower)[0]] * len(X) for X, _ in pairs]  # the table's field
         return (K @ self.columns.regroup(lambda N: [N[u] for u in used])).mat()
-
-
-def _pair_brackets(v: TensorNumerators, pairs: list) -> MatOver:
-    """Row p: [b_i, b_j] for the p-th pair (i, j), the column j of ad_i."""
-    n = len(v.ads)
-    return stacked([ad.T for ad in v.ads]).regroup(lambda N: [N[i * n + j] for i, j in pairs])
 
 
 def _koszul_rows(v: TensorNumerators, g_inv: MatOver, pairs: list) -> MatOver:
@@ -450,7 +439,7 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     pairs = _pairs(n)
     swapped = table.columns.regroup(lambda N: mat_sub([N[i * n + j] for i, j in pairs],
                                                       [N[j * n + i] for i, j in pairs]))
-    _require_zero(swapped - _pair_brackets(v, pairs), "Koszul solve lost torsion-freeness")
+    _require_zero(swapped - basis_brackets(S.L, pairs), "Koszul solve lost torsion-freeness")
     g_cols = g.on_rows(table.columns)  # column j of g Gamma_i at i n + j
     blocks = (g_cols[i * n:i * n + n] for i in range(n))  # B + B^T: g Gamma_i + Gamma_i^T g
     _require_zero(stacked([B + B.T for B in blocks]), "Koszul solve lost metric compatibility")
@@ -568,7 +557,7 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     pack, v, pairs, B = operators_A_psi(S), numerator_view(S), _pairs(S.L.dim), _d_eta(S)
     # the matrices of g(., A .) and g(., psi .); d of the first off the pair brackets
     gA, g_psi = (v.g @ X if pack.ok else v.g * 0 for X in pack.operators)
-    residuals = {"dA": d_of_pairs(_pair_brackets(v, pairs) @ gA, pairs)[1].max_abs(),
+    residuals = {"dA": d_of_pairs(basis_brackets(S.L, pairs) @ gA, pairs)[1].max_abs(),
                  "dPhi": cls.residual("d_phi"),
                  "deta_eq_2Psi": (B - g_psi * 2).max_abs()}  # B the d eta of the memo
     if not pack.ok:
@@ -598,7 +587,7 @@ def curvature(S: AcmStructure) -> CurvatureData:
         data = curvature(r.S)
         return CurvatureData(data.connection, tuple(map(tuple, diag_scaled(
             data.ricci, r.down, r.down))), data.scalar)
-    conn, n, ads = levi_civita(S), S.L.dim, S.L.ad_values()[0]
+    conn, n, ads = levi_civita(S), S.L.dim, numerator_view(S).ads
     C = conn.columns  # C[i n + j] = Gamma_i b_j
     # rows[a][k] = row a of Gamma_k; lefts[a][i n + j] = (Gamma_a Gamma_i)_aj
     rows = [C.regroup(lambda N: [[N[k * n + j][a] for j in range(n)] for k in range(n)])

@@ -20,8 +20,10 @@ Float input is checked first: its certificate holds only within the tolerance.
 
 For a frame T = R Delta^-1, Delta the g-lengths of the columns of R, F = T^-1
 = Delta R^-1: exact frames take R^-1 = diag(1/q) R^T g from the squares q of
-the lengths and check it against the target in the basis Delta_k e_k; float
-frames invert T.  Weights are reported positive and sorted descending.
+the lengths and check it against the target built in the basis Delta_k e_k, where
+it is rational: h^{4n+1} with weights w_r^2 q_r (Delta_r Delta_{3n+r} = Delta_{n+r}
+Delta_{2n+r} = w_r q_r) or h^{2n+1} with weights w_r q_r, phi, xi and eta unchanged
+and metric diag(q).  Float frames invert T.  Weights are reported positive and sorted descending.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ from .acm import (
     CLASS_ANTI_QUASI_SASAKIAN,
     CLASS_QUASI_SASAKIAN,
     AcmStructure,
-    _pair_brackets,
     _pairs,
     certificate_failure,
     numerator_view,
     psi_matrix,
     rational_rescaling,
-    rescaled,
     xi_killing_check,
 )
 from .adapted import _frame, adapted_frame, eigen_orbits, require_maximal
@@ -50,7 +50,7 @@ from .errors import (
     NotQs,
     PreconditionError,
 )
-from .lie_core import center, lower_central_series, pair_brackets
+from .lie_core import basis_brackets, center, lower_central_series, pair_brackets
 from .linalg import (
     Mat,
     MatOver,
@@ -58,7 +58,6 @@ from .linalg import (
     bilinear,
     diag_scaled,
     inverse,
-    mat_mul,
     transpose,
     vec_scale,
 )
@@ -66,6 +65,7 @@ from .scalars import (
     s_abs,
     s_div,
     s_inv,
+    s_mul,
     s_sign,
     s_sqrt,
     units,
@@ -109,9 +109,9 @@ def _center_and_quotient(S: AcmStructure) -> None:
         raise NonAbelianQuotient("quotient by the center is not abelian")
 
 
-def _verify_iso(S: AcmStructure, target_S: AcmStructure, F: Mat, F_inv: Mat) -> None:
+def _verify_iso(S: AcmStructure, target_S: AcmStructure, F: MatOver, F_inv: MatOver) -> None:
     """F must be a Lie algebra isomorphism matching all structure tensors,
-    each identity checked on the values of F, F_inv and both structures."""
+    each identity checked on F, F_inv (values on S's field) and both structures."""
 
     def require(got: MatOver, want: MatOver, what: str) -> None:
         if not got == want:
@@ -120,9 +120,8 @@ def _verify_iso(S: AcmStructure, target_S: AcmStructure, F: Mat, F_inv: Mat) -> 
     v, target_L, pairs = numerator_view(S), target_S.L, _pairs(S.L.dim)
     phi_t, g_t, xi_t, eta_t = target_L.values(
         target_S.phi_mat(), target_S.g_mat(), [target_S.xi_vec()], [target_S.eta_row()])
-    F, F_inv = S.L.values(F, F_inv)
     # row p: F [b_a, b_b] (one product) and [F b_a, F b_b]; the first failing pair is named
-    pushed, rhs = (F @ _pair_brackets(v, pairs).T).T, pair_brackets(target_L, F.T, pairs)
+    pushed, rhs = (F @ basis_brackets(S.L, pairs).T).T, pair_brackets(target_L, F.T, pairs)
     for p, (a, b) in enumerate(() if pushed == rhs else pairs):
         require(pushed[p:p + 1], rhs[p:p + 1],
                 f"F is not a Lie algebra morphism at pair ({a + 1}, {b + 1})")
@@ -136,20 +135,27 @@ def _frame_isomorphism(S: AcmStructure, target_S: AcmStructure, columns: list,
                        lengths: list, squares: list) -> Mat:
     """F = T^-1 = D M for the frame T = R diag(1/D), the columns of R of g-lengths
     D_k with rational squares q_k, verified to be an isomorphism onto the target.
-    Exact frames take M = diag(1/q) R^T g, one product, and check it against
-    the target in the basis D_k e_k (``acm.rescaled``, 1/D_k = D_k/q_k), whose
-    metric is diag(q) as g_t = I.  That check proves M = R^-1: M xi = xi_t is off
-    ker eta_t, the image of M phi R = phi_t, so M and g = M^T diag(q) M are
-    invertible and the isometry reads R diag(1/q) R^T = g^-1, that is R M = 1.
-    Float frames invert T itself, so float F keeps its rounding."""
+    An exact frame's target comes in the basis D_k e_k, where it is rational (its
+    weights scaled by the products D_a D_b of its bracket pairs) and its metric is
+    diag(q), set here; M = diag(1/q) R^T g is one product (:func:`_gram_inverse`).
+    The check proves M = R^-1: M xi = xi_t is off ker eta_t, the image of M phi R =
+    phi_t, so M and g = M^T diag(q) M are invertible and the isometry reads
+    R diag(1/q) R^T = g^-1, that is R M = 1.  Float frames invert T itself, so float
+    F keeps its rounding."""
     if S.L.floats:
         F = inverse(transpose([vec_scale(c, s_div(1.0, x)) for c, x in zip(columns, lengths)]))
-        _verify_iso(S, target_S, F, inverse(F))
+        _verify_iso(S, target_S, *S.L.values(F, inverse(F)))
         return F
-    M = mat_mul(diag_scaled(columns, [s_inv(q) for q in squares], None), S.g_mat())
-    target = rescaled(target_S, lengths, [s_div(x, q) for x, q in zip(lengths, squares)])
-    _verify_iso(S, target, M, transpose(columns))
-    return diag_scaled(M, lengths, None)
+    M = _gram_inverse(S, columns, squares)
+    target = replace(target_S, g=tuple(map(tuple, diag_scaled(target_S.g, squares, None))))
+    _verify_iso(S, target, M, S.L.values(transpose(columns))[0])
+    return diag_scaled(M.mat(), lengths, None)
+
+
+def _gram_inverse(S: AcmStructure, columns: list, squares: list) -> MatOver:
+    """M = diag(1/q) R^T g, one product on S's field: R^-1 for a g-orthogonal R."""
+    (Q,) = S.L.values(diag_scaled(columns, list(map(s_inv, squares)), None))
+    return Q @ numerator_view(S).g
 
 
 def _mapped_back(iso: HeisenbergIso, down: list) -> HeisenbergIso:
@@ -188,9 +194,11 @@ def _aqs_iso(S: AcmStructure) -> HeisenbergIso:
     else:
         v, psi = numerator_view(S), psi_matrix(S)
         frame = _frame(S, eigen_orbits(psi @ psi, v.g, [v.phi @ psi, v.phi, psi]))
-    n, weights = frame.n, frame.weights
-    F = _frame_isomorphism(S, weighted_heisenberg_4n1(n, list(weights))[1][1],
-                           list(frame.unscaled), list(frame.lengths), list(frame.squares))
+    n, weights, q = frame.n, frame.weights, frame.squares
+    # exact: the weights in the basis D_k e_k are w_r^2 q_r = q_{n+r} (module docstring)
+    scaled = list(weights) if S.L.floats else list(q[n + 1:2 * n + 1])
+    F = _frame_isomorphism(S, weighted_heisenberg_4n1(n, scaled)[1][1],
+                           list(frame.unscaled), list(frame.lengths), list(q))
     return HeisenbergIso("4n+1", n, weights, tuple(map(tuple, F)), (1,) * n, 2)
 
 
@@ -212,8 +220,9 @@ def _qs_iso(S: AcmStructure) -> HeisenbergIso:
             squares.append(bilinear(v, g, v))
             weights.append(s_abs(ev))
             signs.append(sign)
-    n = len(first)
-    target_L, target_S = weighted_heisenberg_2n1(n, weights)
+    n = len(first)  # exact: in the basis D_k e_k, D_r D_{n+r} = q_r scales w_r
+    scaled = weights if S.L.floats else [s_mul(w, q) for w, q in zip(weights, squares)]
+    target_L, target_S = weighted_heisenberg_2n1(n, scaled)
     signed_phi = _rotation(2 * n + 1, [(r, n + r, s) for r, s in enumerate(signs, start=1)],
                            target_L.floats)
     signed_target = replace(target_S, phi=tuple(map(tuple, signed_phi)))

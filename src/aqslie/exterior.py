@@ -9,8 +9,8 @@ so on 1-forms d eta (X, Y) = -eta([X, Y]), the sign fixed throughout the
 package, and d(theta^m) = - sum_{i<j} c_ij^m theta^i ^ theta^j.  ``ce_d``
 and the columns d theta^I of each weight block are read off c_ij^k in one
 pass over the algebra's structure table (integers over a common denominator
-if rational); ``d_of_covector`` and ``d_of_pairs`` read d of a 1-form and
-of a 2-form off their products with the basis ad matrices and the pair
+if rational); ``d_of_covector`` reads d of a 1-form off the table in one
+pass as well, and ``d_of_pairs`` d of a 2-form off its product with the pair
 brackets, so ``acm`` and the rank of eta differentiate no KForm.  The Betti
 numbers never build the whole matrix of d_k; ``ce_d_matrix`` builds it for
 the tests and the benchmark's per-layer timing.
@@ -240,13 +240,21 @@ def d_of_pairs(P: MatOver, pairs: list) -> tuple[list[tuple], MatOver]:
     return list(at), P.regroup(scatter)
 
 
-def d_of_covector(ads: list[MatOver], E: MatOver) -> MatOver:
-    """The matrix of d eta, d eta(b_k, b_j) = -eta([b_k, b_j]), as a value, eta the
-    one row of E and ads the basis ad matrices: one product of eta with the
-    brackets of all basis pairs."""
-    n = len(ads)
-    P = stacked([ad.T for ad in ads]).on_rows(E)  # eta([b_k, b_j]) at k n + j
-    return -P.regroup(lambda N: [N[0][k * n:k * n + n] for k in range(n)])
+def d_of_covector(L: LieAlgebra, E: MatOver) -> MatOver:
+    """The matrix of d eta, d eta(b_i, b_j) = -eta([b_i, b_j]), as a value, eta the one
+    row of E, in one pass over the table on the field of ``LieAlgebra._operands``: for
+    i < j stored, c_ij^l eta_l and its negative summed over l ascending from the zero,
+    near-zero eta_l skipped, then negated (-0.0 where no float term): the ad route's bits."""
+    table, den, zero, ((eta,),), de, values = L._operands(E.N[:1])
+    live = [not s_is_zero(x) for x in eta]
+    N = [[-zero] * L.dim for _ in eta]
+    for (i, j), entries in table.items():
+        plus = minus = zero
+        for l in filter(live.__getitem__, entries):  # ascending, as stored
+            plus += entries[l] * eta[l]
+            minus += -entries[l] * eta[l]
+        N[i][j], N[j][i] = -plus, -minus
+    return values([N], (den or 1) * de * E.den)[0]
 
 
 def _matrix(columns: list[dict], rows, zero) -> Mat:
@@ -354,8 +362,8 @@ def rank_of_eta(L: LieAlgebra, eta: KForm) -> RankReport:
     """Constant rank (class) of a 1-form: ``covector_class`` of its d eta."""
     if eta.degree != 1:
         raise PreconditionError("eta must be a nonzero 1-form")
-    ads, (E,) = L.ad_values([[eta.coeff((i,), units(L.floats)[0]) for i in range(L.dim)]])
-    return covector_class(d_of_covector(ads, E), E)
+    (E,) = L.values([[eta.coeff((i,), units(L.floats)[0]) for i in range(L.dim)]])
+    return covector_class(d_of_covector(L, E), E)
 
 
 def covector_class(B: MatOver, E: MatOver) -> RankReport:

@@ -12,9 +12,9 @@ beside it.  :meth:`LieAlgebra._operands` decides the field once for the
 table and a reader's operands: integers, square-root tower classes
 (``tower.TowerOver``) or scalars.  The table is read only as values
 (``linalg.MatOver``, numerators over a denominator): :meth:`values` puts
-matrices that act with it on that field, and :meth:`ad_values`,
-:func:`ad_value`, :func:`bracket` and :func:`pair_brackets` read the table in
-one sparse loop in pair order, the same for every field.  The Nijenhuis
+matrices that act with it on that field, and :meth:`ad_values`, :func:`ad_value`,
+:func:`bracket`, :func:`pair_brackets`, :func:`basis_brackets` and d eta
+(``exterior``) read it in one sparse loop in pair order, for every field.  The Nijenhuis
 bracket :func:`nijenhuis_columns` reads it by square class
 (:attr:`LieAlgebra._class_tables`) in row-wise products that cost the
 nonzero constants and entries of J.
@@ -142,14 +142,14 @@ class LieAlgebra:
         return {(i, j): dict(entries) for (i, j), entries in self.brackets}
 
     def _tables(self) -> tuple[dict, int | None]:
-        """({(i, j): {k: entry}} for i < j, den), built once.  When every
-        constant is a Fraction the entries are integers over the common
+        """({(i, j): {k: entry}} for i < j, den), built once.  When every constant
+        is a Fraction (exact mode) the entries are integers over the common
         denominator den, c_ij^k = entry / den; otherwise they are the
         constants themselves and den is None."""
         cached = self.__dict__.get("_cached_tables")
         if cached is None:
-            scaled = _int_scaled([v for _, entries in self.brackets for _, v in entries])
-            if scaled is None:
+            scaled = not self.floats and _int_scaled([v for _, es in self.brackets for _, v in es])
+            if not scaled:
                 cached = (self.table(), None)
             else:
                 flat = iter(scaled[0])
@@ -348,6 +348,17 @@ def pair_brackets(L: LieAlgebra, X: MatOver, pairs: list) -> MatOver:
     table, den, zero, (rows,), dx, values = L._operands(X.N)
     N = _brackets(table, den is not None, zero, rows, pairs)
     return values([N], (den or 1) * dx * dx * X.den ** 2)[0]
+
+
+def basis_brackets(L: LieAlgebra, pairs: list) -> MatOver:
+    """Row p: [b_a, b_b] for the p-th pair (a, b), the column b of ad_a: the stored constants,
+    negated for a > b, on the field of :meth:`LieAlgebra._operands`, ``ad_values``'s bits."""
+    table, den, zero, _, _, values = L._operands()
+    N = [[zero] * L.dim for _ in pairs]
+    for row, (a, b) in zip(N, pairs):
+        for k, v in table.get((min(a, b), max(a, b)), {}).items():
+            row[k] = v if a < b else -v
+    return values([N], den or 1)[0]
 
 
 def _nonzeros(rows) -> list[list[tuple]]:

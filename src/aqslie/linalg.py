@@ -138,8 +138,14 @@ def _flat(M: Mat) -> list:
 
 
 def diag_scaled(A: Mat, left: Vec | None, right: Vec | None) -> Mat:
-    """diag(left) A diag(right), None for the identity: one product per
-    nonzero entry and scaled side, zeros kept."""
+    """diag(left) A diag(right), None for the identity: on integers for a rational (or
+    all-int) A and sides, else one product per nonzero entry and scaled side, zeros kept."""
+    sides = [([1] * k, None) if d is None else _int_scaled(d)
+             for d, k in ((left, len(A)), (right, len(A[0]) if A else 0))]
+    if all(sides) and (sa := _int_rows(A)):
+        (ls, dl), (rs, dr) = sides
+        return _back([[lv * x * rv for x, rv in zip(row, rs)] for lv, row in zip(ls, sa[0][0])],
+                     sa[1], dl, dr)
     if left is not None:
         A = [[s_mul(lv, x) if x else x for x in row] for lv, row in zip(left, A)]
     if right is None:

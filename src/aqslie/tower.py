@@ -22,7 +22,7 @@ import operator
 from fractions import Fraction
 
 from .linalg import Mat, MatOver, _flat, _int_index, _int_rows, _rowwise, _solved, max_abs
-from .scalars import ZERO, Ext, normalize, s_div
+from .scalars import ZERO, Ext, normalize, s_div, s_is_zero, units
 
 
 def tower_values(mats: list[Mat], den: int = 1) -> list[TowerOver]:
@@ -45,6 +45,22 @@ def tower_values(mats: list[Mat], den: int = 1) -> list[TowerOver]:
         out.append(TowerOver({t: P[at:at + len(M)] for t, P in parts.items()}, d * den))
         at += len(M)
     return out
+
+
+def outer_rows(pairs: list, exact: bool) -> tuple[list, MatOver]:
+    """(used, K): row p of K holds x_i y_j at column c, used[c] = i n + j ascending, for
+    the p-th pair (x, y) where neither is near zero; on rational pairs integers over the
+    square of their common denominator, else class values of the products, or floats."""
+    vectors = [v for pair in pairs for v in pair]
+    scaled = _int_rows(vectors) if exact else None
+    rows, n = scaled[0][0] if scaled else vectors, len(vectors[0]) if vectors else 0
+    supports = [[(i, x) for i, x in enumerate(v) if not s_is_zero(x)] for v in rows]
+    coeffs = [{i * n + j: x * y for i, x in xs for j, y in ys}
+              for xs, ys in zip(supports[::2], supports[1::2])]
+    used, zero = sorted(set().union(*coeffs)), 0 if scaled else units(not exact)[0]
+    K = [[c.get(u, zero) for u in used] for c in coeffs]
+    return used, (TowerOver({1: K}, (scaled[1] or 1) ** 2) if scaled
+                  else tower_values([K])[0] if exact else MatOver(K))
 
 
 def _live(parts: dict) -> dict:

@@ -20,13 +20,16 @@ Levi-Civita table on a float view, the classification residuals of a
 rescaled structure with every column scale made before any is read, the
 normal forms with their preconditions checked before any frame is built, and
 the frame isomorphism that inverted an exact frame by elimination before
-``classifier._frame_isomorphism`` took the inverse from the Gram identity.
+``classifier._frame_isomorphism`` took the inverse from the Gram identity; d eta
+and the basis pair brackets off the stacked ad matrices, before both were read
+off the table, and the exact target rescaled entry by entry into the frame basis,
+before it was built there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from fractions import Fraction
 
@@ -36,7 +39,7 @@ from aqslie.acm import CLASS_QUASI_SASAKIAN, rational_rescaling, rescaled
 from aqslie.adapted import AdaptedFrame, _psi2_orbits, adapted_frame, require_maximal
 from aqslie.classifier import HeisenbergIso, _common_preconditions, _mapped_back, _qs_iso
 from aqslie.classifier import _verify_iso
-from aqslie.constructors import weighted_heisenberg_4n1
+from aqslie.constructors import _rotation, weighted_heisenberg_2n1, weighted_heisenberg_4n1
 from aqslie.errors import DimensionMismatch, IrrationalSpectrum, PreconditionError
 from aqslie.exterior import (
     KForm,
@@ -143,12 +146,57 @@ def eliminated_frame_isomorphism(S: AcmStructure, target_S: AcmStructure, column
     R = transpose(columns)
     if S.L.floats:
         F = inverse(transpose([vec_scale(c, x) for c, x in zip(columns, scales)]))
-        _verify_iso(S, target_S, F, inverse(F))
+        _verify_iso(S, target_S, *S.L.values(F, inverse(F)))
         return F
     D = [s_inv(x) for x in scales]
     M = inverse(R)
-    _verify_iso(S, rescaled(target_S, D, scales), M, R)
+    _verify_iso(S, rescaled(target_S, D, scales), *S.L.values(M, R))
     return diag_scaled(M, D, None)
+
+
+def ad_stack_d_eta(ads: list, E: MatOver) -> MatOver:
+    """The matrix of d eta, d eta(b_k, b_j) = -eta([b_k, b_j]), as
+    ``exterior.d_of_covector`` formed it before it read the table: one product
+    of eta with the stacked columns of the basis ad matrices."""
+    n = len(ads)
+    P = stacked([ad.T for ad in ads]).on_rows(E)  # eta([b_k, b_j]) at k n + j
+    return -P.regroup(lambda N: [N[0][k * n:k * n + n] for k in range(n)])
+
+
+def ad_stack_pair_brackets(ads: list, pairs: list) -> MatOver:
+    """Row p: [b_i, b_j] for the p-th pair (i, j), the column j of ad_i, picked out
+    of the stacked ad matrices as ``acm`` did before ``lie_core.basis_brackets``."""
+    n = len(ads)
+    return stacked([ad.T for ad in ads]).regroup(lambda N: [N[i * n + j] for i, j in pairs])
+
+
+def scalar_outer_rows(pairs: list, exact: bool) -> tuple[list, MatOver]:
+    """``tower.outer_rows`` as ``acm.ConnectionTable.nablas`` formed its coefficient
+    rows before rational pairs ran on integers: one scalar product X_i Y_j per pair
+    of supports, the rows made a value afterwards."""
+    n = len(pairs[0][0]) if pairs else 0
+    supports = [[(i, x) for i, x in enumerate(v) if not s_is_zero(x)]
+                for pair in pairs for v in pair]
+    coeffs = [{i * n + j: s_mul(x, y) for i, x in xs for j, y in ys}
+              for xs, ys in zip(supports[::2], supports[1::2])]
+    used, zero = sorted(set().union(*coeffs)), units(not exact)[0]
+    rows = [[c.get(u, zero) for u in used] for c in coeffs]
+    return used, MatOver.of(rows) if exact else MatOver(rows)
+
+
+def rescaled_target(family: str, n: int, weights: list, signs: list, lengths: list,
+                    squares: list) -> AcmStructure:
+    """The target of an exact frame as ``classifier._frame_isomorphism`` built it
+    before the frame basis: h^{4n+1}_w with phi_2, or h^{2n+1}_w with the signed
+    phi, rewritten entry by entry in the basis D_k e_k (``acm.rescaled``, 1/D_k =
+    D_k / q_k) with the metric diag(q) that g = I becomes there."""
+    if family == "aqs":
+        target = weighted_heisenberg_4n1(n, weights)[1][1]
+    else:
+        target = weighted_heisenberg_2n1(n, weights)[1]
+        signed = [(r, n + r, x) for r, x in enumerate(signs, start=1)]
+        target = replace(target, phi=tuple(map(tuple, _rotation(2 * n + 1, signed))))
+    return rescaled(target, lengths, [s_div(x, q) for x, q in zip(lengths, squares)])
 
 
 @dataclass(frozen=True)

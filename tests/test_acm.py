@@ -930,3 +930,52 @@ def test_max_abs_compares_a_tower_maximum_with_no_zero(monkeypatch):
         assert str(max_abs([Ext.of_sqrt(2)] + [ZERO] * k)) == "sqrt(2)"
         counts.append(len(calls))
     assert counts == [counts[0]] * 3
+
+
+SQRT2 = Ext.of_sqrt(2)
+OUTER_ENTRIES = {  # the entries of the pairs a connection table of each kind meets
+    "rational": st.fractions(-5, 5, max_denominator=7) | st.just(F(0)),
+    "int": st.integers(-3, 3),
+    "tower": st.builds(lambda a, b: a + b * SQRT2, st.fractions(-3, 3, max_denominator=5),
+                       st.fractions(-3, 3, max_denominator=5)) | st.just(F(0)),
+    "float": st.floats(-4, 4) | st.sampled_from([0.0, -0.0, 1e-12, -1e-9, 1.5e-9]),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(OUTER_ENTRIES)), st.integers(1, 5), st.data())
+def test_outer_rows_are_the_scalar_coefficient_rows(field, n, data):
+    # the coefficients X_i Y_j of a batch of nablas: on integers over the square of
+    # one denominator for rational pairs, the same columns and values as the scalar
+    # products (floats bit for bit, near zeros skipped)
+    from aqslie.tower import outer_rows
+    from oracles import scalar_outer_rows
+
+    vector = st.lists(OUTER_ENTRIES[field], min_size=n, max_size=n)
+    pairs = data.draw(st.lists(st.tuples(vector, vector), max_size=5))
+    exact = field != "float"
+    (used, K), (want_used, want) = outer_rows(pairs, exact), scalar_outer_rows(pairs, exact)
+    assert used == want_used
+    assert repr(K.mat()) == repr(want.mat())
+
+
+def test_rational_nabla_coefficients_make_no_fraction_products(monkeypatch):
+    # a xi-sectional batch of a conjugated h13 on its connection table, with
+    # denominators in the vectors: the coefficient rows are integer products, and
+    # the nablas are those of the scalar rows
+    import aqslie.tower as tower
+    from oracles import scalar_outer_rows
+
+    S = conjugate_structure(weighted_heisenberg_4n1(3, [1, 2, 3])[1][0],
+                            random_unimodular(13, random.Random(1)))
+    table, L = levi_civita(S), S.L
+    Ys = [[x / (k + 2) for x in L.basis_vector(k)] for k in range(1, 13)] + [S.xi_vec()]
+    X = [x / 3 for x in S.xi_vec()]
+    pairs = [(Y, Y) for Y in Ys] + [(X, Y) for Y in Ys]
+    products, real = [], F.__mul__
+    monkeypatch.setattr(F, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    got = table.nablas(pairs)
+    assert products == []
+    monkeypatch.setattr(tower, "outer_rows", scalar_outer_rows)
+    monkeypatch.setattr(acm, "outer_rows", scalar_outer_rows)
+    assert got == table.nablas(pairs) and products

@@ -29,6 +29,7 @@ from aqslie.constructors import (
 from aqslie.errors import (
     CenterTooBig,
     InternalContradiction,
+    IrrationalSpectrum,
     NonAbelianQuotient,
     NotAqs,
     NotMaximalRank,
@@ -339,8 +340,9 @@ def test_perturbed_M_fails_with_the_message_of_the_check_on_F(monkeypatch):
         M[a][b] += 1
         with pytest.raises(InternalContradiction) as old:
             old_verify_iso(S0, target_L, t2, [vec_scale(row, d) for row, d in zip(M, D)])
-        # M = diag(1/q) R^T g is the classifier's one mat_mul
-        monkeypatch.setattr(classifier_module, "mat_mul", lambda *args, M=M: M)
+        # M = diag(1/q) R^T g is the classifier's one product, _gram_inverse
+        monkeypatch.setattr(classifier_module, "_gram_inverse",
+                            lambda S, *args, M=M: S.L.values(M)[0])
         S = AcmStructure.make(S0.L, S0.phi_mat(), S0.xi_vec(), S0.eta_row(), S0.g_mat())
         with pytest.raises(InternalContradiction) as new:
             classify_nilpotent_aqs(S)
@@ -389,11 +391,16 @@ def _repr_or_error(family: str, S) -> object:
 def test_the_gram_identity_gives_the_isomorphisms_of_elimination(monkeypatch):
     # F = D diag(1/q) R^T g is F = D R^-1 by elimination, repr for repr (float
     # copies bit for bit), and the same error where there is no answer
+    from dataclasses import replace
+
     import aqslie.classifier as classifier_module
+    from aqslie.acm import rescaled
     from oracles import eliminated_frame_isomorphism
 
     def eliminated(S, target_S, columns, lengths, squares):
         scales = [s_div(lengths[0], x) for x in lengths]  # 1 / length in the field of 1
+        if not S.L.floats:  # an exact target comes in the basis D_k e_k: back to e_k, g = I
+            target_S = replace(rescaled(target_S, scales, lengths), g=target_S.g)
         return eliminated_frame_isomorphism(S, target_S, columns, scales)
 
     new = {name: _repr_or_error(*case) for name, case in _differential_corpus().items()}
@@ -630,3 +637,92 @@ def test_an_off_weight_target_fails_the_certificate(monkeypatch):
         with pytest.raises(InternalContradiction,
                            match=r"^F is not a Lie algebra morphism at pair \(\d+, \d+\)$"):
             classify_nilpotent_aqs(S)
+
+
+def test_the_frame_basis_target_is_the_rescaled_target(monkeypatch):
+    # the exact target built in the basis D_k e_k (scaled weights, phi and xi, eta
+    # unchanged, metric diag(q)) is, entry for entry, the standard target rewritten
+    # there by acm.rescaled, for aqS and signed qS targets
+    import aqslie.classifier as classifier_module
+    from oracles import rescaled_target
+
+    seen = []
+    real_frame, real_verify = classifier_module._frame_isomorphism, classifier_module._verify_iso
+
+    def frame(S, target_S, columns, lengths, squares):
+        seen.append((lengths, squares))
+        return real_frame(S, target_S, columns, lengths, squares)
+
+    monkeypatch.setattr(classifier_module, "_frame_isomorphism", frame)
+    monkeypatch.setattr(classifier_module, "_verify_iso",
+                        lambda S, target, *a: seen.append(target) or real_verify(S, target, *a))
+    compared = []
+    for name, (family, S) in _differential_corpus().items():
+        seen.clear()
+        try:
+            iso = (classify_nilpotent_aqs if family == "aqs" else classify_nilpotent_qs)(S)
+        except IrrationalSpectrum:
+            continue
+        if S.L.floats:
+            continue
+        (lengths, squares), target = seen
+        want = rescaled_target(family, iso.n, list(iso.weights), list(iso.phi_signs),
+                               lengths, squares)
+        assert target.L == want.L and repr(target.L.brackets) == repr(want.L.brackets), name
+        for tensor in ("phi", "xi", "eta", "g"):
+            assert repr(getattr(target, tensor)) == repr(getattr(want, tensor)), (name, tensor)
+        compared.append(name)
+    assert len(compared) == 12 and "qs9c-7" in compared and "sqrt-h9c" in compared
+
+
+def test_an_exact_classify_reads_the_table_and_builds_its_target_rational(monkeypatch):
+    # no ad matrix (d eta and the pair brackets are read off the table), no
+    # acm.rescaled from the classifier, and no Ext product while the target is built
+    import inspect
+
+    import aqslie.acm as acm
+    import aqslie.classifier as classifier_module
+    import aqslie.scalars as scalars
+
+    counts = {"ad_values": 0, "rescaled": 0, "target Ext products": 0}
+    building = []
+    real_ad_values, real_rescaled, real_product = (LieAlgebra.ad_values, acm.rescaled,
+                                                   scalars._product)
+    real_target, real_verify = (classifier_module.weighted_heisenberg_4n1,
+                                classifier_module._verify_iso)
+
+    def ad_values(L, *mats):
+        counts["ad_values"] += 1
+        return real_ad_values(L, *mats)
+
+    def rescaled(*args):
+        caller = inspect.currentframe().f_back.f_globals["__name__"]
+        counts["rescaled"] += caller == "aqslie.classifier"
+        return real_rescaled(*args)
+
+    def product(a, b):
+        counts["target Ext products"] += bool(building)
+        return real_product(a, b)
+
+    def target(n, w):
+        building.append(1)
+        return real_target(n, w)
+
+    def verify(*args):
+        building.clear()  # the target is built: F = D M multiplies by the roots
+        return real_verify(*args)
+
+    monkeypatch.setattr(LieAlgebra, "ad_values", ad_values)
+    monkeypatch.setattr(acm, "rescaled", rescaled)
+    monkeypatch.setattr(scalars, "_product", product)
+    monkeypatch.setattr(classifier_module, "weighted_heisenberg_4n1", target)
+    monkeypatch.setattr(classifier_module, "_verify_iso", verify)
+    assert not hasattr(classifier_module, "rescaled")
+    h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
+    iso = classify_nilpotent_aqs(conjugate_structure(h13, random_unimodular(13, random.Random(1))))
+    assert counts == {"ad_values": 0, "rescaled": 0, "target Ext products": 0}
+    assert any(isinstance(x, Ext) for row in iso.F for x in row)  # the roots are in F
+    # the square-root weight h13 runs on its rational rescaling, which acm makes
+    sqrt_h13 = weighted_heisenberg_4n1(3, [Ext.of_sqrt(2), F(1), F(3, 2) * Ext.of_sqrt(5)])[1][0]
+    classify_nilpotent_aqs(sqrt_h13)
+    assert counts == {"ad_values": 0, "rescaled": 0, "target Ext products": 0}

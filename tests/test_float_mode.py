@@ -348,3 +348,22 @@ def test_a_float_zero_test_is_the_verdict_of_the_magnitude(n, tol, data):
         assert X.is_zero() == s_is_zero(X.max_abs()) == vec_is_zero([x for r in N for x in r])
     finally:
         set_tolerance(DEFAULT_TOLERANCE)
+
+
+def test_an_empty_float_table_is_read_as_floats():
+    # an abelian float algebra has no constant to decide its field by: its empty
+    # table is a float table, so the pair brackets meet the float tensors and the
+    # ad matrices and Killing form are floats
+    from aqslie.acm import AcmStructure, classify_structure
+    from aqslie.lie_core import LieAlgebra, basis_brackets, killing_form
+
+    L = LieAlgebra.from_brackets(3, {}, mode="float")
+    phi = [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
+    I3 = [[float(i == j) for j in range(3)] for i in range(3)]
+    S = AcmStructure.make(L, phi, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], I3)
+    cls = classify_structure(S)
+    assert cls.tags == {"Cokahler", "QuasiSasakian", "AntiQuasiSasakian"}
+    assert repr(cls.residuals) == repr({"d_phi": 0.0, "d_eta": 0.0, "n_phi": 0.0,
+                                        "anti_normal": 0.0, "contact_metric": 2.0})
+    assert repr(basis_brackets(L, [(0, 1)]).mat()) == repr([[0.0, 0.0, 0.0]])
+    assert repr(killing_form(L).matrix) == repr(((0.0,) * 3,) * 3)

@@ -793,3 +793,26 @@ def test_cli_classify_makes_only_the_residual_magnitudes_it_reads(tmp_path, caps
         assert main(["classify", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["error"] is None
         assert sorted(made) == want, name
+
+
+def test_cli_check_builds_no_ad_matrix(tmp_path, capsys, monkeypatch):
+    # check validates phi, xi, eta and g on the numerator view, which makes the
+    # basis ad matrices only for the Koszul readers: none for the square-root
+    # weight h13 document with its companions
+    from aqslie.lie_core import LieAlgebra
+    from aqslie.scalars import parse_scalar
+    import aqslie.lie_core as lie_core
+
+    calls = []
+    real_ad_values, real_ad_value = LieAlgebra.ad_values, lie_core.ad_value
+    monkeypatch.setattr(LieAlgebra, "ad_values",
+                        lambda *a: calls.append("ad_values") or real_ad_values(*a))
+    monkeypatch.setattr(lie_core, "ad_value",
+                        lambda *a: calls.append("ad_value") or real_ad_value(*a))
+    weights = [parse_scalar(w) for w in "sqrt(2),1,3/2*sqrt(5)".split(",")]
+    _, (S1, S2, S3) = weighted_heisenberg_4n1(3, weights)
+    path = _write(tmp_path, "three.json",
+                  aqio.structure_to_json(S1, companions=[S2.phi_mat(), S3.phi_mat()]))
+    assert main(["check", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["error"] is None
+    assert calls == []

@@ -860,3 +860,73 @@ def test_nijenhuis_multiplies_the_nonzero_terms_only(monkeypatch):
         nonzeros = sum(1 for row in S.phi for x in row if x)
         assert 0 < count[0] <= constants * nonzeros, name
         assert want is None or count[0] == want, name
+
+
+# ---------------------------------------------------------------------------
+# d eta and the basis pair brackets read off the table, against the ad stack
+
+def _table_reads_and_ad_stack(L, eta):
+    """repr of d eta (``exterior.d_of_covector``) and of the brackets of every basis
+    pair, both orders and the diagonal (``lie_core.basis_brackets``), and of the
+    same off the stacked ad matrices, eta a row on L's field."""
+    from aqslie.exterior import d_of_covector
+    from aqslie.lie_core import basis_brackets
+    from oracles import ad_stack_d_eta, ad_stack_pair_brackets
+
+    pairs = [(a, b) for a in range(L.dim) for b in range(L.dim)]
+    ads, (E,) = L.ad_values([eta])
+    return ((repr(d_of_covector(L, E).mat()), repr(basis_brackets(L, pairs).mat())),
+            (repr(ad_stack_d_eta(ads, E).mat()), repr(ad_stack_pair_brackets(ads, pairs).mat())))
+
+
+def test_table_reads_of_d_eta_and_the_pair_brackets_match_the_ad_stack_on_the_structures():
+    # eta, xi and a column of phi as the covector: rational, tower and float values
+    for name, S in _reader_structures().items():
+        for eta in (S.eta_row(), S.xi_vec(), [row[1] for row in S.phi_mat()]):
+            got, want = _table_reads_and_ad_stack(S.L, eta)
+            assert got == want, name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(NIJENHUIS_FIELDS)), st.integers(1, 6), st.data())
+def test_table_reads_of_d_eta_and_the_pair_brackets_match_the_ad_stack_on_random_tables(
+        field, n, data):
+    # rational, multi-class tower and float tables, sparse or with every pair, and
+    # eta with exact zeros, -0.0 and near-zeros; a float table is built under a finer
+    # tolerance, so it keeps near-zero constants that the readers must not skip
+    constants, entries = NIJENHUIS_FIELDS[field]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = {pair: data.draw(st.dictionaries(st.integers(0, n - 1), constants, max_size=n))
+             for pair in data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                                   if pairs else st.just([]))}
+    if field == "float":
+        tolerance = get_tolerance()
+        set_tolerance(1e-15)
+        try:
+            L = LieAlgebra.from_brackets(n, table, mode="float", check=False)
+        finally:
+            set_tolerance(tolerance)
+    else:
+        L = LieAlgebra.from_brackets(n, table, check=False)
+    eta = data.draw(st.lists(entries, min_size=n, max_size=n))
+    got, want = _table_reads_and_ad_stack(L, eta)
+    assert got == want
+
+
+def test_a_float_d_eta_skips_near_zero_eta_keeps_near_zero_constants_and_signs_zeros():
+    # c_12^1 = 1e-12 is below the tolerance and stays; eta_3 = 1e-12 is skipped;
+    # an entry with no term, and the diagonal, read -0.0 as -eta([b_i, b_j]) does
+    from aqslie.exterior import d_of_covector
+
+    tolerance = get_tolerance()
+    set_tolerance(1e-15)
+    try:
+        L = LieAlgebra.from_brackets(
+            3, {(0, 1): {0: 1e-12, 2: 2.0}, (0, 2): {2: 3.0}}, mode="float", check=False)
+    finally:
+        set_tolerance(tolerance)
+    (E,) = L.values([[0.5, 0.0, 1e-12]])
+    assert repr(d_of_covector(L, E).mat()) == repr(
+        [[-0.0, -5e-13, -0.0], [5e-13, -0.0, -0.0], [-0.0, -0.0, -0.0]])
+    got, want = _table_reads_and_ad_stack(L, [0.5, 0.0, 1e-12])
+    assert got == want

@@ -1139,3 +1139,33 @@ def test_value_eigenspaces_divide_the_eigenvalues(seed):
     assert repr(MatOver(floats).eigenspaces(G)) == repr(eigenspaces(floats, G.mat()))
     with pytest.raises(ValueError, match="singular"):
         mat_solve(TowerOver({1: [[0] * 4 for _ in range(4)]}, 5), MatOver.of(N))
+
+
+def _per_scalar_diag(A, left, right):
+    """diag(left) A diag(right) with one product per nonzero entry and scaled side,
+    zeros kept: the route of every field before rational input ran on integers."""
+    if left is not None:
+        A = [[s_mul(lv, x) if x else x for x in row] for lv, row in zip(left, A)]
+    return [list(row) if right is None else [s_mul(x, rv) if x else x for rv, x in zip(right, row)]
+            for row in A]
+
+
+DIAG_ENTRIES = {  # one kind per matrix and its sides, zeros included
+    "fraction": st.fractions(-6, 6, max_denominator=9),
+    "int": st.integers(-6, 6),
+    "tower": st.builds(lambda a, b: a + b * Ext.of_sqrt(3), st.fractions(-3, 3, max_denominator=4),
+                       st.fractions(-3, 3, max_denominator=4)) | st.just(ZERO),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(DIAG_ENTRIES)), st.integers(0, 4), st.integers(1, 4), st.data())
+def test_diag_scaled_is_the_per_scalar_product(kind, m, n, data):
+    # rational (or all-int) A and sides run on integers and give the same values,
+    # kinds and zeros as the per-scalar products; tower sides keep that route
+    entries = DIAG_ENTRIES[kind]
+    A = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    left, right = (data.draw(st.none() | st.lists(entries, min_size=k, max_size=k))
+                   for k in (m, n))
+    got = linalg.diag_scaled(A, left, right)
+    assert repr(got) == repr(_per_scalar_diag(A, left, right))

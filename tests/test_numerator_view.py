@@ -282,12 +282,11 @@ def test_morphism_certificate_names_pairs_one_based(monkeypatch):
     import aqslie.classifier as classifier
 
     S = CASES["h9c"]()
-    real = classifier.mat_mul  # the classifier's one product: M = diag(1/q) R^T g
+    real = classifier._gram_inverse  # the classifier's one product: M = diag(1/q) R^T g
 
     def doubled(*args):
-        F = real(*args)
-        return [[2 * row[0]] + row[1:] for row in F] if len(F) == S.L.dim else F
+        return real(*args).regroup(lambda N: [[2 * row[0]] + row[1:] for row in N])
 
-    monkeypatch.setattr(classifier, "mat_mul", doubled)
+    monkeypatch.setattr(classifier, "_gram_inverse", doubled)
     with pytest.raises(InternalContradiction, match=r"morphism at pair \(1, 2\)"):
         classify_nilpotent_aqs(S)

@@ -663,17 +663,21 @@ def test_tower_structures_make_no_per_scalar_fold(monkeypatch):
 
 def _value_readers(S) -> dict:
     """{reader: the values it returns on S}: the numerator view,
-    LieAlgebra.values and ad_values, ad_value, pair_brackets, mat_solve and
-    MatOver.of."""
+    LieAlgebra.values and ad_values, ad_value, the pair brackets (of rows,
+    lie_core.pair_brackets; of the basis and eta on them, lie_core.basis_brackets
+    and exterior.d_of_covector), mat_solve and MatOver.of."""
     from aqslie.acm import numerator_view
-    from aqslie.lie_core import ad_value, pair_brackets
+    from aqslie.exterior import d_of_covector
+    from aqslie.lie_core import ad_value, basis_brackets, pair_brackets
     from aqslie.linalg import MatOver, mat_solve
 
     v, L = numerator_view(S), S.L
     ads, (g,) = L.ad_values(S.g_mat())
-    return {"numerator_view": [*v[:-1], *v.ads], "values": L.values(S.phi_mat(), [S.xi_vec()]),
+    return {"numerator_view": [v.phi, v.g, v.xi, v.eta, v.one, *v.ads],
+            "values": L.values(S.phi_mat(), [S.xi_vec()]),
             "ad_values": [*ads, g], "ad_value": [ad_value(L, v.xi)],
-            "pair_brackets": [pair_brackets(L, v.one, [(0, 1), (1, 2)])],
+            "pair_brackets": [pair_brackets(L, v.one, [(0, 1), (1, 2)]),
+                              basis_brackets(L, [(0, 1), (2, 1)]), d_of_covector(L, v.eta)],
             "mat_solve": [mat_solve(v.g, v.one)], "MatOver.of": [MatOver.of(S.g_mat())]}
 
 
