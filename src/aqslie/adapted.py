@@ -95,7 +95,7 @@ def eigen_orbits(M: MatOver, g: MatOver, maps: list[MatOver]) -> list[tuple]:
     size = len(maps) + 1
     out = []
     nonzero = [entry for entry in spectrum if not s_is_zero(entry[0])]
-    for ev, mult, basis in sorted(nonzero, key=lambda entry: -abs(float(entry[0]))):
+    for ev, mult, basis in sorted(nonzero, key=lambda entry: -abs(entry[0])):
         if mult % size:
             raise InternalContradiction(
                 f"eigenvalue {ev} has multiplicity {mult}, not divisible by {size}"

@@ -140,11 +140,12 @@ def _frame_isomorphism(S: AcmStructure, target_S: AcmStructure, columns: list,
     diag(q), set here; M = diag(1/q) R^T g is one product (:func:`_gram_inverse`).
     The check proves M = R^-1: M xi = xi_t is off ker eta_t, the image of M phi R =
     phi_t, so M and g = M^T diag(q) M are invertible and the isometry reads
-    R diag(1/q) R^T = g^-1, that is R M = 1.  Float frames invert T itself, so float
-    F keeps its rounding."""
+    R diag(1/q) R^T = g^-1, that is R M = 1.  Float frames invert T itself, once, so
+    float F keeps its rounding, and T goes to the check as F^-1, as R goes as M^-1."""
     if S.L.floats:
-        F = inverse(transpose([vec_scale(c, s_div(1.0, x)) for c, x in zip(columns, lengths)]))
-        _verify_iso(S, target_S, *S.L.values(F, inverse(F)))
+        T = transpose([vec_scale(c, s_div(1.0, x)) for c, x in zip(columns, lengths)])
+        F = inverse(T)
+        _verify_iso(S, target_S, *S.L.values(F, T))
         return F
     M = _gram_inverse(S, columns, squares)
     target = replace(target_S, g=tuple(map(tuple, diag_scaled(target_S.g, squares, None))))

@@ -16,8 +16,8 @@ matrices that act with it on that field, and :meth:`ad_values`, :func:`ad_value`
 :func:`bracket`, :func:`pair_brackets`, :func:`basis_brackets` and d eta
 (``exterior``) read it in one sparse loop in pair order, for every field.  The Nijenhuis
 bracket :func:`nijenhuis_columns` reads it by square class
-(:attr:`LieAlgebra._class_tables`) in row-wise products that cost the
-nonzero constants and entries of J.
+(:attr:`LieAlgebra._class_tables`) in the class-pair products of ``tower``,
+at the cost of the nonzero constants and entries of J.
 
 Jacobi, the center, the lower central series, the Killing form and the
 derivations are read off that table: one sparse Jacobi pass, [g, V] from the
@@ -52,7 +52,6 @@ from .linalg import (
     _int_rows,
     _int_scaled,
     _is_float,
-    _rowwise,
     dot,
     inertia_symmetric,
     mat_vecs,
@@ -61,7 +60,7 @@ from .linalg import (
     zeros,
 )
 from .scalars import ZERO, Ext, coerce, s_is_zero, s_sqrt, units
-from .tower import TowerOver, _live, tower_values
+from .tower import TowerOver, _class_products, _live, tower_values
 
 BracketTable = dict  # {(i, j): {k: scalar}} with i < j
 
@@ -361,33 +360,13 @@ def basis_brackets(L: LieAlgebra, pairs: list) -> MatOver:
     return values([N], den or 1)[0]
 
 
-def _nonzeros(rows) -> list[list[tuple]]:
-    """nz[m] = [(k, x) for each nonzero x at k of rows[m]]: ``_rowwise``'s index of a
-    matrix by its rows."""
-    return [list(zip(itertools.compress(itertools.count(), row), itertools.compress(row, row)))
-            if any(row) else [] for row in rows]
-
-
-def _class_rowwise(rows: dict, index: dict, width: int, zero) -> dict:
-    """{u: the sum of g rows[r] against index[s] over the class pairs (r, s) with
-    sqrt(r) sqrt(s) = g sqrt(u), g = gcd(r, s)}: one ``_rowwise`` per pair, so a
-    float value, the class 1 alone, sums as its product does."""
-    out: dict = {}
-    for (r, A), (s, nz) in itertools.product(rows.items(), index.items()):
-        g = math.gcd(r, s)
-        P = _rowwise([[g * x for x in row] for row in A] if g > 1 else A, nz, width, zero)
-        u = r * s // (g * g)
-        out[u] = [list(map(operator.add, a, b)) for a, b in zip(out[u], P)] if u in out else P
-    return out
-
-
 def nijenhuis_columns(L: LieAlgebra, J: MatOver) -> MatOver:
     """[J, J] on the pairs i < j, in order, as the columns of one value, J a value on
     the field of L's values, at the cost of the nonzero terms: with row m of P_i the
     vector M_i b_m = [J b_i, b_m] - J [b_i, b_m], column (i, j) is
     sum_m J_mj P_i[m] - J P_i[j] = M_i J b_j - J M_i b_j.  Four row-wise products
-    (``linalg._rowwise``) on the nonzero constants (``LieAlgebra._class_tables``) and
-    the nonzeros of J, class pair by class pair (:func:`_class_rowwise`): [J b_i, b_m]
+    on the nonzero constants (``LieAlgebra._class_tables``) and the nonzeros of J,
+    class pair by class pair (``tower._class_products``, TowerOver's): [J b_i, b_m]
     from one pass over the table, J_ai entering where :func:`ad_value` keeps it;
     J [b_a, b_b], a < b, from the stored brackets and J's columns, its negative at
     (b, a); then the two sums over m.  Each entry sums over m ascending from the
@@ -409,8 +388,8 @@ def nijenhuis_columns(L: LieAlgebra, J: MatOver) -> MatOver:
     at = sorted(set().union(*classes.values()))  # the pairs a < b with a bracket
     brackets = {r: [[table[p].get(k, zero) for k in range(n)] if p in table else [zero] * n
                     for p in at] for r, table in classes.items()}
-    S1 = _class_rowwise(live, first, n * n, zero)  # row i: [J b_i, b_m] at m n + k
-    S2 = _class_rowwise(brackets, by_column, n, zero)  # row q: J [b_a, b_b], (a, b) = at[q]
+    S1 = _class_products(live, first, n * n, zero)  # row i: [J b_i, b_m] at m n + k
+    S2 = _class_products(brackets, by_column, n, zero)  # row q: J [b_a, b_b], (a, b) = at[q]
     P = {}  # row i n + m: row m of P_i
     for u in S1.keys() | S2.keys():
         P[u] = rows = ([row[m * n:m * n + n] for row in S1[u] for m in range(n)] if u in S1
@@ -419,17 +398,17 @@ def nijenhuis_columns(L: LieAlgebra, J: MatOver) -> MatOver:
             rows[a * n + b] = list(map(operator.sub, rows[a * n + b], t))
             rows[b * n + a] = list(map(operator.add, rows[b * n + a], t))
     none = lambda: [[zero] * n for _ in pairs]  # noqa: E731  a row per pair
-    out, start, by_row = {}, 0, {u: _nonzeros(R) for u, R in P.items()}
+    out, start, by_row = {}, 0, {u: _int_index(transpose(R)) for u, R in P.items()}
     for i in range(n):  # sum_m J_mj P_i[m] for the pairs (i, j), j > i
-        for w, rows in _class_rowwise({s: cols[i + 1:] for s, cols in columns.items()},
-                                      {u: nz[i * n:i * n + n] for u, nz in by_row.items()},
-                                      n, zero).items():
+        for w, rows in _class_products({s: cols[i + 1:] for s, cols in columns.items()},
+                                       {u: nz[i * n:i * n + n] for u, nz in by_row.items()},
+                                       n, zero).items():
             if w not in out:
                 out[w] = none()
             out[w][start:start + len(rows)] = rows
         start += n - 1 - i
-    JM = _class_rowwise({u: [R[i * n + j] for i, j in pairs] for u, R in P.items()},
-                        by_column, n, zero)  # J P_i[j]
+    JM = _class_products({u: [R[i * n + j] for i, j in pairs] for u, R in P.items()},
+                         by_column, n, zero)  # J P_i[j]
     for w, rows in JM.items():
         out[w] = [list(map(operator.sub, x, y)) for x, y in zip(out.get(w) or none(), rows)]
     by_k = lambda R: [list(c) for c in zip(*R)] if pairs else [[] for _ in range(n)]  # noqa: E731

@@ -24,10 +24,10 @@ The list kernels decide per call:
   the same Q-linear map in the basis sqrt(t) e_j over its square classes t
   (restriction of scalars), its other eliminations per scalar;
 * tower and float lists are per scalar: products are one sparse fold,
-  ``_fold``, the row-wise product over the pairs of nonzero entries, summed
-  from ZERO on exact lists and from 0.0 on float ones; floats use
-  tolerance-based zero tests and magnitude pivoting, and make their
-  constants (an identity, a kernel's free entries) in floats.
+  ``_fold``, the row-wise product over the pairs of nonzero entries from
+  ZERO on exact lists and 0.0 on float ones, indexed by ``_int_index`` as
+  every product is; floats use tolerance-based zero tests and magnitude
+  pivoting, and make their constants (identities, free kernel entries) in floats.
 
 The exact routes return the same values: a normalised ``Fraction`` is
 unique.  ``nullspace``, ``solve`` and ``mat_solve`` read the integer rows
@@ -159,12 +159,16 @@ def _int_products(rows: list[list[int]], cols: list[list[int]]) -> list[list[int
     return _rowwise(rows, _int_index(cols), len(cols), 0)
 
 
-def _int_index(cols: list[list[int]]) -> list[list[tuple]]:
-    """nz[j] = [(k, col[j]) for each col k nonzero at j], ``_rowwise``'s index."""
-    nz = [[] for _ in range(max(map(len, cols), default=0))]
+def _int_index(cols: list[Vec], n: int | None = None, every=False, near_zero=False) -> list:
+    """nz[j] = [(k, col[j]) for each col k nonzero at j < n], ``_rowwise``'s index of
+    integers, scalars or floats, n the longest col by default; with every at each
+    j < n, with near_zero only where col[j] is not near zero."""
+    js = range(max(map(len, cols), default=0) if n is None else n)
+    nz = [[] for _ in js]
     for k, col in enumerate(cols):
-        for j in itertools.compress(range(len(col)), col):
-            nz[j].append((k, col[j]))
+        for j in js if every else itertools.compress(js, col):
+            if not (near_zero and s_is_zero(col[j])):
+                nz[j].append((k, col[j]))
     return nz
 
 
@@ -213,19 +217,14 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 def _fold(rows: list[Vec], cols: list[Vec], near_zero: bool = False) -> Mat:
     """[[zero + row[0] col[0] + row[1] col[1] + ... for col in cols] for row in rows]
     bit for bit, zero 0.0 when the lists hold floats, else ZERO: ``_rowwise`` over
-    the pairs of nonzero entries.  The terms it skips are zeros, which change no
-    exact sum and no float sum from 0.0 (such a sum is never -0.0).  An inf or a
-    nan makes every pair visited (0 inf is nan).  With near_zero, only the col[j]
-    not near zero make pairs."""
+    the pairs of nonzero entries, indexed by ``_int_index``.  The terms it skips are
+    zeros, which change no exact sum and no float sum from 0.0 (such a sum is never
+    -0.0).  An inf or a nan makes every pair visited (0 inf is nan).  With near_zero,
+    only the col[j] not near zero make pairs."""
     n = min(map(len, [*rows, *cols]), default=0)  # zip's length
     floats = list(filter(_is_float, itertools.chain(*rows, *cols)))
     dense = not all(map(math.isfinite, floats))
-    nz = [[] for _ in range(n)]
-    for k, col in enumerate(cols):
-        pairs = range(n) if dense else itertools.compress(range(n), col)
-        for j in pairs:
-            if not (near_zero and s_is_zero(col[j])):
-                nz[j].append((k, col[j]))
+    nz = _int_index(cols, n, dense, near_zero)
     return _rowwise(rows, nz, len(cols), 0.0 if floats else ZERO, dense)
 
 

@@ -6,11 +6,12 @@ exact value: a rational matrix is the class 1 alone.
 ``LieAlgebra._operands`` makes them once per computation in which every
 constant and operand is exact.  A product is one integer product per pair of
 nonzero classes (r, s), landing in the class r s / g^2 scaled by g = gcd(r, s),
-each class of the right operand indexed once; the linear operations act class
-by class at the lcm of the denominators, and a ``mat_solve`` with a rational
-left side solves every class in one integer RREF.  Scalars are built only
-where a value leaves (``mat``, and ``N`` for the readers without a class
-route, the integers themselves for a rational value).
+each class of the right operand indexed once: ``_class_products``, which the
+Nijenhuis bracket runs too (floats as the class 1, from 0.0).  The linear
+operations act class by class at the lcm of the denominators, a ``mat_solve``
+with a rational left side solves every class in one integer RREF, and scalars
+are built only where a value leaves (``mat``, and ``N`` for the readers
+without a class route, the integers themselves for a rational value).
 """
 
 from __future__ import annotations
@@ -68,18 +69,23 @@ def _live(parts: dict) -> dict:
     return {t: M for t, M in parts.items() if any(map(any, M))}
 
 
-def _products(rows: dict, cols: dict) -> dict:
-    """{u: the sum of g rows[r] cols[s]^T over the nonzero classes r of rows and
-    s of cols with r s / g^2 = u, g = gcd(r, s)}: each class of cols indexed once
-    (``_int_index``), one integer product (``_rowwise``) per pair of classes,
-    sqrt(r) sqrt(s) = g sqrt(r s / g^2)."""
+def _class_products(rows: dict, index: dict, width: int, zero=0) -> dict:
+    """{u: the sum of g rows[r] against index[s] (``_int_index``) over the class pairs
+    (r, s) with sqrt(r) sqrt(s) = g sqrt(u), g = gcd(r, s)}: one ``_rowwise`` per pair,
+    from the field's zero, so a float value, the class 1 alone, sums as its product does."""
     out: dict = {}
-    width, index = len(cols[1]), {s: _int_index(B) for s, B in _live(cols).items()}
-    for (r, A), (s, nz) in itertools.product(_live(rows).items(), index.items()):
+    for (r, A), (s, nz) in itertools.product(rows.items(), index.items()):
         g = math.gcd(r, s)
-        P, u = _rowwise(A, nz, width, 0), r * s // (g * g)
-        P = [[g * x for x in row] for row in P] if g > 1 else P
+        P = _rowwise([[g * x for x in row] for row in A] if g > 1 else A, nz, width, zero)
+        u = r * s // (g * g)
         out[u] = [list(map(operator.add, a, b)) for a, b in zip(out[u], P)] if u in out else P
+    return out
+
+
+def _products(rows: dict, cols: dict) -> dict:
+    """rows cols^T by class, ``_class_products`` of the live classes, class 1 among them."""
+    width, index = len(cols[1]), {s: _int_index(B) for s, B in _live(cols).items()}
+    out = _class_products(_live(rows), index, width)
     out.setdefault(1, [[0] * width for _ in rows[1]])
     return out
 

@@ -142,6 +142,39 @@ def test_cli_classify_qs_family(tmp_path, capsys):
     assert out["payload"]["normal_form"]["weights"] == ["3", "1"]
 
 
+def _large_weight_structures() -> dict:
+    """{name: (structure, weights descending)}: eigenvalues past the float range,
+    and a pair of weights whose squares are one float."""
+    import random
+    from dataclasses import replace
+
+    from aqslie.acm import conjugate_structure
+    from aqslie.linalg import random_unimodular
+
+    big = weighted_heisenberg_4n1(2, [10**170, 1])[1][0]
+    _, tie = weighted_heisenberg_2n1(2, [10**20, 10**20 + 1])
+    return {
+        "h9-1e170": (big, [10**170, 1]),
+        "h9-1e170-conjugated": (conjugate_structure(
+            big, random_unimodular(9, random.Random(3))), [10**170, 1]),
+        "h5-1e400": (weighted_heisenberg_2n1(2, [10**400, 1])[1], [10**400, 1]),
+        "h5-float-tie-negated": (replace(tie, phi=[[-x for x in row] for row in tie.phi]),
+                                 [10**20 + 1, 10**20]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_large_weight_structures()))
+def test_cli_classify_orders_exact_weights_by_exact_magnitude(tmp_path, capsys, name):
+    # the eigenvalues of psi^2 are compared exactly: no float of them overflows,
+    # and weights equal as floats still come out descending
+    S, weights = _large_weight_structures()[name]
+    path = _write(tmp_path, "s.json", aqio.structure_to_json(S))
+    code = main(["classify", path, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["error"] is None
+    assert out["payload"]["normal_form"]["weights"] == [str(w) for w in weights]
+
+
 ALGEBRA_DOC = {
     "kind": "lie_algebra",
     "mode": "exact",

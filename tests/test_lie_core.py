@@ -836,18 +836,18 @@ def test_nijenhuis_multiplies_the_nonzero_terms_only(monkeypatch):
     # square-root companion (three square classes in the table), as the four
     # products made; 34,056 against 621 x 151 = 93,771 on the conjugated h13,
     # where the four products made 43,758
-    from aqslie import lie_core
+    from aqslie import tower
     from aqslie.acm import nijenhuis_phi
     from aqslie.scalars import parse_scalar
 
-    count, real = [0], lie_core._rowwise
+    count, real = [0], tower._rowwise  # the class-pair product's one integer product
 
     def counted(rows, nz, width, zero, every=False):  # each nonzero of a row times its index
         for row in rows:
             count[0] += sum(len(nz[j]) for j in range(len(nz)) if every or row[j])
         return real(rows, nz, width, zero, every)
 
-    monkeypatch.setattr(lie_core, "_rowwise", counted)
+    monkeypatch.setattr(tower, "_rowwise", counted)
     sqrt_weights = [parse_scalar(w) for w in "sqrt(2),1,3/2*sqrt(5)".split(",")]
     h13 = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
     cases = {"h13": (h13, 18), "sqrt-h13-companion2": (weighted_heisenberg_4n1(

@@ -641,15 +641,25 @@ def test_tower_structures_make_no_per_scalar_fold(monkeypatch):
     folds, pairs, right, products, indexes = [], [], [], [], []
     real_fold, real_products = linalg._fold, tower._products
     real_rowwise, real_index = tower._rowwise, tower._int_index
+    inside = [False]  # the class-pair product also serves the Nijenhuis bracket
 
     def counted(rows, cols):
         pairs.append(len(tower._live(rows)) * len(tower._live(cols)))
         right.append(len(tower._live(cols)))
-        return real_products(rows, cols)
+        inside[0] = True
+        try:
+            return real_products(rows, cols)
+        finally:
+            inside[0] = False
+
+    def rowwise(*a):
+        if inside[0]:
+            products.append(1)
+        return real_rowwise(*a)
 
     monkeypatch.setattr(linalg, "_fold", lambda *a, **k: folds.append(a) or real_fold(*a, **k))
     monkeypatch.setattr(tower, "_products", counted)
-    monkeypatch.setattr(tower, "_rowwise", lambda *a: products.append(1) or real_rowwise(*a))
+    monkeypatch.setattr(tower, "_rowwise", rowwise)
     monkeypatch.setattr(tower, "_int_index", lambda B: indexes.append(1) or real_index(B))
     for key, stage in (("2n1", acm.classify_structure), ("2n1", acm.curvature),
                        ("4n1", acm.classify_structure)):
@@ -935,3 +945,47 @@ def test_every_definition_is_reached_by_the_cli_the_criteria_or_perfbench():
     # and a member that only a local variable of its name hides
     forked["a.py"] += "class Algebra:\n    def c(self, i, j, k):\n        return 0\n"
     assert unreached_definitions(forked, {"gamma"}) == ["a.Algebra.c"]
+
+
+def benchmark_name_offenders(metrics: list, layers_source: str, modules: dict) -> list[str]:
+    """Where a per-layer metric <layer>.<fn>.<stat> names no public function
+    defined at the top of modules[<layer>.py], or a name of perfbench's
+    SCALAR_OPS (scalars.py) or ELIMINATIONS (linalg.py) names none.  perfbench
+    looks these up when it runs; a traced run finds a missing one only at its end."""
+    named = {}
+    for node in ast.parse(layers_source).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            named[node.targets[0].id] = node.value
+    wanted = [(*metric["name"].split(".")[:2], metric["name"]) for metric in metrics
+              if metric["name"].count(".") == 2]
+    wanted += [(layer, fn, f"{group} {fn}") for group, layer in
+               (("SCALAR_OPS", "scalars"), ("ELIMINATIONS", "linalg"))
+               for fn in (ast.literal_eval(named[group]) if group in named else ["?"])]
+    defined = {name: {node.name for node in ast.parse(source).body
+                      if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+               for name, source in modules.items()}
+    return [what for layer, fn, what in wanted if fn not in defined.get(f"{layer}.py", ())]
+
+
+def test_benchmark_named_functions_stay_in_src():
+    # the per-layer metrics and the scalar and elimination counters of
+    # perfbench name functions of src by string: each must stay defined there
+    package, root = Path(aqslie.__file__).parent, Path(__file__).parent.parent
+    modules = {path.name: path.read_text("utf-8") for path in sorted(package.glob("*.py"))}
+    metrics = json.loads((root / "BENCHMARK.json").read_text("utf-8"))["per_layer"]
+    layers = (root / "perfbench" / "layers.py").read_text("utf-8")
+    assert "adapted.adapted_frame.self_s" in {metric["name"] for metric in metrics}
+    assert benchmark_name_offenders(metrics, layers, modules) == []
+    # a timed function moved out of its layer, a counted kernel gone private
+    # or renamed, and a lost list are what the check is for
+    forked = {"adapted.py": "def eigen_orbits():\n    pass\n",
+              "scalars.py": "def s_add():\n    pass\ndef _s_mul():\n    pass\n",
+              "linalg.py": "def rank():\n    pass\nclass MatOver:\n    def solve(self):\n"
+                           "        pass\n"}
+    assert benchmark_name_offenders(
+        [{"name": "adapted.adapted_frame.self_s"}, {"name": "adapted.self_s"},
+         {"name": "linalg.rank.calls"}, {"name": "exterior.ce_d.calls"}],
+        "SCALAR_OPS = ('s_add', 's_mul')\nELIMINATIONS = ('rank', 'solve')\n", forked) == [
+        "adapted.adapted_frame.self_s", "exterior.ce_d.calls", "SCALAR_OPS s_mul",
+        "ELIMINATIONS solve"]
+    assert benchmark_name_offenders([], "", forked) == ["SCALAR_OPS ?", "ELIMINATIONS ?"]
