@@ -454,7 +454,7 @@ def _require_zero(residual: MatOver, what: str) -> None:
 
 
 def _metric_preconditions(g: MatOver) -> None:
-    """What both Koszul solves require of the view's metric g."""
+    """What :func:`levi_civita` and :func:`operators_A_psi` require of the view's g."""
     if not g == g.T:
         raise PreconditionError("metric is not symmetric")
     if not is_positive_definite(g.N):
@@ -493,9 +493,10 @@ def psi_matrix(S: AcmStructure) -> MatOver:
     psi, which determine it: g psi + (g psi)^T = -L_xi g = G + G^T, G = g ad_xi, and
     g psi - (g psi)^T = d eta = B.  An exact view solves 2 g nabla xi = -(G + G^T) - B
     by one elimination; a float view builds only the rows Gamma_a b_k, k in the
-    support of xi (:func:`_koszul_rows`), folded on xi as the whole table's, bit for bit."""
+    support of xi (:func:`_koszul_rows`), folded on xi as the whole table's, bit for bit.
+    It needs only an invertible g (``mat_solve`` raises): :func:`operators_A_psi`
+    checks the rest first, and the classifier's certificate proves g positive definite."""
     v, n = numerator_view(S), S.L.dim
-    _metric_preconditions(v.g)
     G, B = _g_ad_xi(S)[1], _d_eta(S)
     sym = G + G.T
     if isinstance(v.g, TowerOver):
@@ -515,10 +516,11 @@ def operators_A_psi(S: AcmStructure) -> OperatorPack:
     """Operators A = -phi o nabla xi and psi = -nabla xi (:func:`psi_matrix`),
     with the identity suite (A phi = psi = -phi A, phi psi = A = -psi phi,
     psi A = -phi A^2 = -A psi, A xi = psi xi = 0, skew-symmetry) asserted, not
-    assumed, on the values of the numerator view."""
+    assumed, on the values of the numerator view, whose metric is checked first."""
     if "operators" in S._memo:
         return S._memo["operators"]
-    v, psi = numerator_view(S), psi_matrix(S)
+    _metric_preconditions((v := numerator_view(S)).g)
+    psi = psi_matrix(S)
     phi, g, xi, eta, A = v.phi, v.g, v.xi, v.eta, v.phi @ psi
     psiA, gA, gpsi = psi @ A, g @ A, g @ psi
     residuals = {

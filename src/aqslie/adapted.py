@@ -86,26 +86,29 @@ def eigen_orbits(M: MatOver, g: MatOver, maps: list[MatOver]) -> list[tuple]:
     """[(eigenvalue, multiplicity, orbits)] of the g-symmetric operator M off
     its kernel R xi, largest |eigenvalue| first.  Each eigenspace splits into
     g-orthogonal orbits (v, M_1 v, M_2 v, ...) of the given maps, v the
-    first kernel vector orthogonal to the orbits chosen before it.  M, g and
-    the maps are values, divided back once, as eigenvalues and orbits leave."""
+    first kernel vector orthogonal to the orbits chosen before it.  Orbits
+    are made by level: the k-th pivot of each eigenspace needs only the
+    images of the ones before it, so a level is one ``on_rows`` per map, each
+    row its own product.  M, g and the maps are values, divided back once, as
+    eigenvalues and orbits leave."""
     spectrum = M.eigenspaces(g)
     kernel = sum(mult for ev, mult, _ in spectrum if s_is_zero(ev))
     if kernel != 1:
         raise NotMaximalRank(f"kernel of dimension {kernel}, not the line R xi")
     size = len(maps) + 1
-    out = []
-    nonzero = [entry for entry in spectrum if not s_is_zero(entry[0])]
-    for ev, mult, basis in sorted(nonzero, key=lambda entry: -abs(entry[0])):
+    out = sorted(((ev, mult, basis, []) for ev, mult, basis in spectrum if not s_is_zero(ev)),
+                 key=lambda entry: -abs(entry[0]))
+    for ev, mult, _, _ in out:
         if mult % size:
-            raise InternalContradiction(
-                f"eigenvalue {ev} has multiplicity {mult}, not divisible by {size}"
-            )
-        orbits: list[tuple] = []
-        for _ in range(mult // size):
-            v = _orthogonal_pivot(basis, [x for orbit in orbits for x in orbit], g.N)
-            orbits.append((v, *(m.on_rows(MatOver.of([v])).mat()[0] for m in maps)))
-        out.append((ev, mult, orbits))
-    return out
+            raise InternalContradiction(f"eigenvalue {ev} has multiplicity {mult}, "
+                                        f"not divisible by {size}")
+    while live := [(basis, orbits) for _, mult, basis, orbits in out if len(orbits) < mult // size]:
+        pivots = [_orthogonal_pivot(basis, [x for orbit in orbits for x in orbit], g.N)
+                  for basis, orbits in live]
+        images = [m.on_rows(MatOver.of(pivots)).mat() for m in maps]
+        for (_, orbits), *orbit in zip(live, pivots, *images):
+            orbits.append(tuple(orbit))
+    return [(ev, mult, orbits) for ev, mult, _, orbits in out]
 
 
 def _psi2_orbits(S: AcmStructure) -> list:
@@ -186,15 +189,10 @@ def _frame(S: AcmStructure, spectrum: list) -> AdaptedFrame:
 
 
 def _orthogonal_pivot(eig_basis: list[Vec], chosen: list[Vec], g: Mat) -> Vec:
-    """First vector of the eigenspace g-orthogonal to everything chosen
-    (the reduced-echelon convention of the module docstring)."""
+    """First vector of the eigenspace g-orthogonal to everything chosen (the
+    reduced-echelon convention of the module docstring): fewer vectors are
+    chosen than the eigenspace's dimension, so the kernel below is never empty."""
     if not chosen:
         return list(eig_basis[0])
-    rows = []
-    for c in chosen:
-        gc = mat_vec(g, c)
-        rows.append([dot(gc, v) for v in eig_basis])
-    coeff_basis = nullspace(rows, len(eig_basis))
-    if not coeff_basis:
-        raise InternalContradiction("eigenspace exhausted before its multiplicity")
-    return mat_vec(transpose(eig_basis), coeff_basis[0])
+    rows = [[dot(gc, v) for v in eig_basis] for gc in mat_vecs(g, chosen)]
+    return mat_vec(transpose(eig_basis), nullspace(rows, len(eig_basis))[0])

@@ -23,7 +23,9 @@ For a frame T = R Delta^-1, Delta the g-lengths of the columns of R, F = T^-1
 the lengths and check it against the target built in the basis Delta_k e_k, where
 it is rational: h^{4n+1} with weights w_r^2 q_r (Delta_r Delta_{3n+r} = Delta_{n+r}
 Delta_{2n+r} = w_r q_r) or h^{2n+1} with weights w_r q_r, phi, xi and eta unchanged
-and metric diag(q).  Float frames invert T.  Weights are reported positive and sorted descending.
+and metric diag(q).  No metric check runs first: every q_k > 0 (``s_sqrt`` raises
+below 0, 1/q at 0), so the certified isometry g = M^T diag(q) M, M = R^-1, makes g
+positive definite.  Float frames invert T.  Weights are positive and descending.
 """
 
 from __future__ import annotations
@@ -139,9 +141,10 @@ def _frame_isomorphism(S: AcmStructure, target_S: AcmStructure, columns: list,
     weights scaled by the products D_a D_b of its bracket pairs) and its metric is
     diag(q), set here; M = diag(1/q) R^T g is one product (:func:`_gram_inverse`).
     The check proves M = R^-1: M xi = xi_t is off ker eta_t, the image of M phi R =
-    phi_t, so M and g = M^T diag(q) M are invertible and the isometry reads
-    R diag(1/q) R^T = g^-1, that is R M = 1.  Float frames invert T itself, once, so
-    float F keeps its rounding, and T goes to the check as F^-1, as R goes as M^-1."""
+    phi_t, so M and g = M^T diag(q) M are invertible (g positive definite, every
+    q_k > 0) and the isometry reads R diag(1/q) R^T = g^-1, that is R M = 1.  D M is
+    read off M's integers (``TowerOver.scaled_mat``).  Float frames invert T itself,
+    once, so float F keeps its rounding, and T goes to the check as F^-1, as R as M^-1."""
     if S.L.floats:
         T = transpose([vec_scale(c, s_div(1.0, x)) for c, x in zip(columns, lengths)])
         F = inverse(T)
@@ -150,7 +153,7 @@ def _frame_isomorphism(S: AcmStructure, target_S: AcmStructure, columns: list,
     M = _gram_inverse(S, columns, squares)
     target = replace(target_S, g=tuple(map(tuple, diag_scaled(target_S.g, squares, None))))
     _verify_iso(S, target, M, S.L.values(transpose(columns))[0])
-    return diag_scaled(M.mat(), lengths, None)
+    return M.scaled_mat(lengths)
 
 
 def _gram_inverse(S: AcmStructure, columns: list, squares: list) -> MatOver:
@@ -212,15 +215,12 @@ def classify_nilpotent_qs(S: AcmStructure) -> HeisenbergIso:
 
 def _qs_iso(S: AcmStructure) -> HeisenbergIso:
     g, view, one = S.g_mat(), numerator_view(S), units(S.L.floats)[1]
-    first, second, squares, weights, signs = [], [], [], [], []
-    for ev, _, orbits in eigen_orbits(operators_A_psi_qs(S), view.g, [view.phi]):
-        sign = 1 if s_sign(ev) < 0 else -1  # bracket [u, phi u] = -2 ev |u|^2 xi
-        for v, phv in orbits:
-            first.append(v)
-            second.append(phv if sign > 0 else vec_scale(phv, -1))
-            squares.append(bilinear(v, g, v))
-            weights.append(s_abs(ev))
-            signs.append(sign)
+    spectrum = eigen_orbits(operators_A_psi_qs(S), view.g, [view.phi])
+    pairs = [(ev, v, phv) for ev, _, orbits in spectrum for v, phv in orbits]
+    signs = [1 if s_sign(ev) < 0 else -1 for ev, _, _ in pairs]  # [u, phi u] = -2 ev |u|^2 xi
+    first, weights = [v for _, v, _ in pairs], [s_abs(ev) for ev, _, _ in pairs]
+    second = [phv if sign > 0 else vec_scale(phv, -1) for (*_, phv), sign in zip(pairs, signs)]
+    squares = [bilinear(v, g, v) for v in first]
     n = len(first)  # exact: in the basis D_k e_k, D_r D_{n+r} = q_r scales w_r
     scaled = weights if S.L.floats else [s_mul(w, q) for w, q in zip(weights, squares)]
     target_L, target_S = weighted_heisenberg_2n1(n, scaled)

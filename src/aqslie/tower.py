@@ -10,8 +10,8 @@ each class of the right operand indexed once: ``_class_products``, which the
 Nijenhuis bracket runs too (floats as the class 1, from 0.0).  The linear
 operations act class by class at the lcm of the denominators, a ``mat_solve``
 with a rational left side solves every class in one integer RREF, and scalars
-are built only where a value leaves (``mat``, and ``N`` for the readers
-without a class route, the integers themselves for a rational value).
+are built only where a value leaves (``mat``, ``scaled_mat``, and ``N`` for the
+readers without a class route, the integers themselves for a rational value).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .linalg import Mat, MatOver, _flat, _int_index, _int_rows, _rowwise, _solved, max_abs
+from .linalg import (Mat, MatOver, _flat, _int_index, _int_rows, _rowwise, _solved, diag_scaled,
+                     max_abs)
 from .scalars import ZERO, Ext, normalize, s_div, s_is_zero, units
 
 
@@ -160,6 +161,20 @@ class TowerOver(MatOver):
             return [[Fraction(x, d) if x else ZERO for x in row] for row in self.parts[1]]
         return [[normalize(Ext({t: Fraction(x, d) for t, x in zip(live, xs) if x})) if any(xs)
                  else ZERO for xs in zip(*rows)] for rows in zip(*(self.parts[t] for t in live))]
+
+    def scaled_mat(self, left: list) -> Mat:
+        """The entries of diag(left) self, each left[k] one class c sqrt(t): on a rational
+        value entry (k, j) is the one Fraction c N_kj / den, an Ext when t != 1; other
+        values take ``linalg.diag_scaled`` of their entries, one product per entry."""
+        if not self._rational():
+            return diag_scaled(self.mat(), left, None)
+        out = []
+        for x, row in zip(left, self.parts[1]):
+            ((t, c),) = x.terms.items() if type(x) is Ext else ((1, x),)
+            n, d = c.numerator, c.denominator * self.den
+            fs = [Fraction(n * y, d) if y else ZERO for y in row]
+            out.append(fs if t == 1 else [Ext({t: f}) if f else ZERO for f in fs])
+        return out
 
 
 def restricted(M: Mat) -> tuple[list[Mat], int]:

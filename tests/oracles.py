@@ -23,7 +23,8 @@ the frame isomorphism that inverted an exact frame by elimination before
 ``classifier._frame_isomorphism`` took the inverse from the Gram identity; d eta
 and the basis pair brackets off the stacked ad matrices, before both were read
 off the table, and the exact target rescaled entry by entry into the frame basis,
-before it was built there.
+before it was built there; the eigenspace orbits made one orbit at a time, each
+image one single-row product, before ``adapted.eigen_orbits`` made them by level.
 """
 
 from __future__ import annotations
@@ -152,6 +153,25 @@ def eliminated_frame_isomorphism(S: AcmStructure, target_S: AcmStructure, column
     M = inverse(R)
     _verify_iso(S, rescaled(target_S, D, scales), *S.L.values(M, R))
     return diag_scaled(M, D, None)
+
+
+def per_orbit_eigen_orbits(M: MatOver, g: MatOver, maps: list) -> list[tuple]:
+    """``adapted.eigen_orbits`` one orbit at a time: each pivot g-orthogonal to the
+    orbits before it (one ``mat_vec`` per chosen vector), each image one ``on_rows``
+    of the pivot alone."""
+    spectrum, size, out = M.eigenspaces(g), len(maps) + 1, []
+    nonzero = [entry for entry in spectrum if not s_is_zero(entry[0])]
+    for ev, mult, basis in sorted(nonzero, key=lambda entry: -abs(entry[0])):
+        orbits: list[tuple] = []
+        for _ in range(mult // size):
+            chosen = [x for orbit in orbits for x in orbit]
+            v = list(basis[0])
+            if chosen:
+                rows = [[dot(mat_vec(g.N, c), b) for b in basis] for c in chosen]
+                v = mat_vec(transpose(basis), nullspace(rows, len(basis))[0])
+            orbits.append((v, *(m.on_rows(MatOver.of([v])).mat()[0] for m in maps)))
+        out.append((ev, mult, orbits))
+    return out
 
 
 def ad_stack_d_eta(ads: list, E: MatOver) -> MatOver:

@@ -216,3 +216,56 @@ def test_degenerate_multiplicity_iteration():
     fr = adapted_frame(S1)
     assert [s_str(w) for w in fr.weights] == ["2", "2"]
     assert coframe_expansion_check(S1, fr).ok
+
+
+def _orbit_inputs() -> dict:
+    """name -> (M, g, maps) as the normal forms split them: psi^2 with (A, phi, psi)
+    on conjugated aqS h^13, A = phi psi with phi on conjugated qS h^9, each with
+    distinct weights and with a repeated one (two or three orbits in one eigenspace)."""
+    from aqslie.acm import numerator_view
+    from aqslie.classifier import operators_A_psi_qs
+    from aqslie.constructors import weighted_heisenberg_2n1
+
+    out = {}
+    for weights, seed in (([1, 2, 3], 7), ([2, 2, 1], 4)):
+        S = conjugate_structure(weighted_heisenberg_4n1(3, weights)[1][0],
+                                random_unimodular(13, random.Random(seed)))
+        (A, psi), v = operators_A_psi(S).operators, numerator_view(S)
+        out[f"aqs13-{weights}"] = psi @ psi, v.g, [A, v.phi, psi]
+    for weights, seed in (([1, 2, 3, 4], 5), ([3, 3, 3, 1], 2)):
+        S = conjugate_structure(weighted_heisenberg_2n1(4, weights)[1],
+                                random_unimodular(9, random.Random(seed)))
+        out[f"qs9-{weights}"] = operators_A_psi_qs(S), numerator_view(S).g, [numerator_view(S).phi]
+    return out
+
+
+def test_orbits_by_level_are_the_orbits_made_one_at_a_time():
+    # the same eigenvalues, pivots and images, exact and as float bits
+    from aqslie.adapted import eigen_orbits
+    from aqslie.linalg import MatOver
+    from oracles import per_orbit_eigen_orbits
+
+    for name, (M, g, maps) in _orbit_inputs().items():
+        assert repr(eigen_orbits(M, g, maps)) == repr(per_orbit_eigen_orbits(M, g, maps)), name
+        floats = [MatOver([[float(x) for x in row] for row in X.mat()]) for X in (M, g, *maps)]
+        assert repr(eigen_orbits(*floats[:2], floats[2:])) == repr(
+            per_orbit_eigen_orbits(*floats[:2], floats[2:])), name
+
+
+def test_orbit_images_are_one_product_per_map_and_level(monkeypatch):
+    from aqslie.adapted import eigen_orbits
+    from aqslie.tower import TowerOver
+
+    calls = []
+    real = TowerOver.on_rows
+    monkeypatch.setattr(TowerOver, "on_rows", lambda self, V: calls.append(len(V.parts[1]))
+                        or real(self, V))
+    counts = {}
+    for name, (M, g, maps) in _orbit_inputs().items():
+        calls.clear()
+        eigen_orbits(M, g, maps)
+        counts[name] = calls[:]
+    # one level of three pivots for h^13, of four for h^9; a weight of multiplicity
+    # m adds m - 1 levels, each with the pivots of the eigenspaces that still grow
+    assert counts == {"aqs13-[1, 2, 3]": [3, 3, 3], "aqs13-[2, 2, 1]": [2, 2, 2, 1, 1, 1],
+                      "qs9-[1, 2, 3, 4]": [4], "qs9-[3, 3, 3, 1]": [2, 1, 1]}

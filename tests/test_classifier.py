@@ -594,9 +594,9 @@ def test_certificate_first_gives_the_answers_and_errors_of_the_precondition_gate
 
 def test_an_exact_normal_form_runs_no_precondition_check(monkeypatch):
     # an exact answer is proved by its isomorphism alone: no classification,
-    # rank, lower central series, center, Killing check or operator identity
-    # suite runs on the way; a failing input runs them in the gate's order,
-    # and a float input before its frame
+    # rank, lower central series, center, Killing check, operator identity
+    # suite or metric inertia runs on the way; a failing input runs them in
+    # the gate's order, and a float input before its frame
     import aqslie.acm as acm
     import aqslie.adapted as adapted
     import aqslie.classifier as classifier
@@ -605,7 +605,7 @@ def test_an_exact_normal_form_runs_no_precondition_check(monkeypatch):
 
     calls = []
     for name in ("classify_structure", "structure_rank", "lower_central_series", "center",
-                 "xi_killing_check", "operators_A_psi"):
+                 "xi_killing_check", "operators_A_psi", "is_positive_definite"):
         for module in (acm, adapted, classifier, lie_core):
             if hasattr(module, name):
                 real = getattr(module, name)
@@ -617,12 +617,64 @@ def test_an_exact_normal_form_runs_no_precondition_check(monkeypatch):
     assert calls == []
     with pytest.raises(NotAqs):
         classify_nilpotent_aqs(h13[2])
-    assert calls == ["lower_central_series", "classify_structure"]
+    # the metric's inertia is read by the validation of the class tags, and on
+    # the float route again by operators_A_psi, before its Koszul solve
+    assert calls == ["lower_central_series", "classify_structure", "is_positive_definite"]
     calls.clear()
     classify_nilpotent_aqs(float_structure(h13[0]))
     gate = ["classify_structure", "structure_rank"]  # adapted_frame's own, read off the memo
-    assert calls == ["lower_central_series", *gate, "xi_killing_check", "center",
-                     "lower_central_series", *gate, "operators_A_psi"]
+    assert calls == ["lower_central_series", gate[0], "is_positive_definite", gate[1],
+                     "xi_killing_check", "center", "lower_central_series", *gate,
+                     "operators_A_psi", "is_positive_definite"]
+
+
+METRIC_DEFECTS = {
+    "g00 negated": lambda g: [[-x if (i, j) == (0, 0) else x for j, x in enumerate(r)]
+                              for i, r in enumerate(g)],
+    "g12 + 1/3": lambda g: [[x + F(1, 3) if (i, j) == (1, 2) else x for j, x in enumerate(r)]
+                            for i, r in enumerate(g)],
+    "g22 = 0": lambda g: [[0 * x if (i, j) == (2, 2) else x for j, x in enumerate(r)]
+                          for i, r in enumerate(g)],
+    "2g": lambda g: [[2 * x for x in r] for r in g],
+    "zero": lambda g: [[0 * x for x in r] for r in g],
+    "-g": lambda g: [[-x for x in r] for r in g],
+}
+
+
+def test_invalid_metrics_keep_their_errors_with_no_inertia_before_the_frame():
+    # no metric check runs before an exact frame: a classify of an invalid
+    # metric still ends in the gate's verdict, and operators_A_psi, which no
+    # certificate follows, in its own metric preconditions (2g is a metric)
+    from dataclasses import replace
+
+    from aqslie.acm import operators_A_psi
+    from aqslie.errors import InvalidStructure, PreconditionError
+
+    bases = {"aqs9": weighted_heisenberg_4n1(2, [1, 2])[1][0],
+             "aqs13": weighted_heisenberg_4n1(3, [1, 2, 3])[1][0],
+             "qs9": weighted_heisenberg_2n1(4, [1, 2, 3, 4])[1]}
+    for name, base in bases.items():
+        Q = random_unimodular(base.L.dim, random.Random(3))
+        for conjugated, S in ((False, base), (True, conjugate_structure(base, Q))):
+            for defect, change in METRIC_DEFECTS.items():
+                T = replace(S, g=tuple(map(tuple, change(S.g))))
+                # conjugation grows the entries: the compatibility residual passes 1/3
+                asymmetric = defect == "g12 + 1/3" and not conjugated
+                worst = "g_symmetric" if asymmetric else "compatibility"
+                cell = name, conjugated, defect
+                for classify in (classify_nilpotent_aqs, classify_nilpotent_qs):
+                    with pytest.raises(InvalidStructure) as info:
+                        classify(T)
+                    assert type(info.value) is InvalidStructure and str(info.value) == (
+                        f"not an almost contact metric structure (worst: {worst})"), cell
+                if defect == "2g":  # the identities hold for aqS, not for qS
+                    assert operators_A_psi(T).ok == name.startswith("aqs"), cell
+                    continue
+                with pytest.raises(PreconditionError) as info:
+                    operators_A_psi(T)
+                what = "symmetric" if defect == "g12 + 1/3" else "positive definite"
+                assert type(info.value) is PreconditionError, cell
+                assert str(info.value) == f"metric is not {what}", cell
 
 
 def test_an_off_weight_target_fails_the_certificate(monkeypatch):

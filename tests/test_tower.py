@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from aqslie.linalg import (
     _flat,
+    diag_scaled,
     mat_solve,
     max_abs,
     rref,
@@ -136,3 +137,45 @@ def test_an_exact_maximum_with_numerators_past_the_float_range_stays_exact():
     top = s_mul(Ext.of_sqrt(2), F(3 * big, 7))
     assert V.max_abs() == top and max_abs(_flat(V.mat())) == top
     assert max_abs([F(-big, 3), s_mul(Ext.of_sqrt(2), -big), ZERO]) == s_mul(Ext.of_sqrt(2), big)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(towers(), st.data())
+def test_a_left_diagonal_of_single_classes_is_diag_scaled(tower, data):
+    # diag(left) V, each left[k] one class c sqrt(t): entry for entry, type for type
+    # and term for term the per-scalar products of diag_scaled, rational V or not
+    classes, entry = tower
+    rational = data.draw(st.booleans())
+    M = data.draw(matrices(small if rational else entry, 3, 4))
+    V = value(M, data.draw(st.integers(1, 12)))
+    left = [c * Ext.of_sqrt(t) for t, c in data.draw(
+        st.lists(st.tuples(st.sampled_from(classes), small), min_size=3, max_size=3))]
+    assert repr(V.scaled_mat(left)) == repr(diag_scaled(V.mat(), left, None))
+
+
+def test_f_from_a_rational_m_makes_no_ext_product(monkeypatch):
+    # F = D M of the conjugated h^13 frame: one Fraction per entry of M's integers,
+    # where diag_scaled of the divided-back M makes an Ext product per entry
+    import random
+
+    import aqslie.classifier as classifier
+    import aqslie.scalars as scalars
+    from aqslie.acm import conjugate_structure
+    from aqslie.constructors import weighted_heisenberg_4n1
+    from aqslie.linalg import random_unimodular
+
+    seen = []
+    real = classifier._frame_isomorphism
+    monkeypatch.setattr(classifier, "_frame_isomorphism", lambda S, t, c, lengths, q: (
+        seen.append((classifier._gram_inverse(S, c, q), lengths)) or real(S, t, c, lengths, q)))
+    S = weighted_heisenberg_4n1(3, [1, 2, 3])[1][0]
+    classifier.classify_nilpotent_aqs(conjugate_structure(S, random_unimodular(13, random.Random(3))))
+    (M, lengths), = seen
+    assert M._rational() and any(type(x) is Ext for x in lengths)
+    products = []
+    real_product = scalars._product
+    monkeypatch.setattr(scalars, "_product", lambda a, b: products.append(1) or real_product(a, b))
+    F = M.scaled_mat(lengths)
+    assert products == []
+    want = diag_scaled(M.mat(), lengths, None)
+    assert products and repr(F) == repr(want)
