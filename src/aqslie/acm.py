@@ -47,8 +47,7 @@ The field is decided once per structure, by its numerator view
 (:func:`numerator_view`): phi, g, the rows xi and eta and the identity as
 values, one integer matrix per square class over a denominator
 (``tower.TowerOver``, the class 1 alone when all are rational) when all are
-exact, else ``linalg.MatOver``s of the tensors over 1; the basis ad matrices
-join them on demand, for the Koszul readers and curvature.
+exact, else ``linalg.MatOver``s of the tensors over 1.
 Identities are written on values, which meet at a common denominator by
 themselves, and a value is divided back only where it leaves (a residual, a
 table, an operator, a frame or an isomorphism).  A tower structure whose
@@ -56,15 +55,18 @@ entries are one term each and factor over their indices runs on its
 :func:`rational_rescaling`, rational in the basis sqrt(d_k) e_k
 (``LieAlgebra.sqrt_basis``); ``linalg.diag_scaled`` maps its residual
 entries, Ricci tensor and F back.
+
+Each derived quantity is kept once, by its owner: what is read off the tensors
+alone (the ad matrices, d eta, g ad_xi and g^-1) is a cached property of the view,
+and the result of a function of the structure is kept in its memo by :func:`_kept`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce, wraps
 
 from .errors import (
     AqslieError,
@@ -165,16 +167,32 @@ class AcmStructure:
 
 
 class TensorNumerators(namedtuple("TensorNumerators", "L phi g xi eta one")):
-    """The tensors as values, and the basis ad matrices made on their first read."""
-    ads = cached_property(lambda self: self.L.ad_values()[0])  # Koszul rows and Ricci read them
+    """The tensors as values, and what is read off them alone, made on its first read:
+    the basis ad matrices, d eta (``exterior.d_of_covector``), (ad_xi, g ad_xi), and
+    g^-1, which the Koszul rows and the scalar curvature share."""
+    ads = cached_property(lambda self: self.L.ad_values()[0])
+    d_eta = cached_property(lambda self: d_of_covector(self.L, self.eta))
+    g_ad_xi = cached_property(lambda self: (ad := ad_value(self.L, self.xi), self.g @ ad))
+    g_inv = cached_property(lambda self: mat_solve(self.g, self.one))
 
 
+def _kept(key: str):
+    """f(S) made on the first call and kept in S._memo[key]; an exception is not kept."""
+    def keep(f):
+        @wraps(f)
+        def kept(S: AcmStructure):
+            if key not in S._memo:
+                S._memo[key] = f(S)
+            return S._memo[key]
+        return kept
+    return keep
+
+
+@_kept("numerators")
 def numerator_view(S: AcmStructure) -> TensorNumerators:
-    """The tensors of S as values, the one field decision of a structure, in the memo."""
-    if "numerators" not in S._memo:
-        S._memo["numerators"] = TensorNumerators(S.L, *S.L.values(
-            S.phi_mat(), S.g_mat(), [S.xi_vec()], [S.eta_row()], identity(S.L.dim, S.L.floats)))
-    return S._memo["numerators"]
+    """The tensors of S as values, the one field decision of a structure."""
+    return TensorNumerators(S.L, *S.L.values(
+        S.phi_mat(), S.g_mat(), [S.xi_vec()], [S.eta_row()], identity(S.L.dim, S.L.floats)))
 
 
 Rescaling = namedtuple("Rescaling", "S up down")  # S in the basis up_k e_k, down = 1 / up
@@ -188,14 +206,13 @@ def rescaled(S: AcmStructure, up: list, down: list) -> AcmStructure:
         S.L.rescaled(up, down), diag_scaled(S.phi, down, up), xi, eta, diag_scaled(S.g, up, up))
 
 
+@_kept("rescaling")
 def rational_rescaling(S: AcmStructure) -> Rescaling | None:
     """S in the basis sqrt(d_k) e_k of the square classes of its constants,
     phi, g, xi and eta (``LieAlgebra.sqrt_basis``), where it is rational; None
-    when there is none.  Kept in the memo."""
-    if "rescaling" not in S._memo:
-        scales = S.L.sqrt_basis([S.phi, S.g], [S.xi, S.eta])
-        S._memo["rescaling"] = scales and Rescaling(rescaled(S, *scales), *scales)
-    return S._memo["rescaling"]
+    when there is none."""
+    scales = S.L.sqrt_basis([S.phi, S.g], [S.xi, S.eta])
+    return scales and Rescaling(rescaled(S, *scales), *scales)
 
 
 @dataclass(frozen=True)
@@ -280,6 +297,7 @@ class StructureClass:
         return f"StructureClass(tags={self.tags!r}, residuals={self.residuals!r})"
 
 
+@_kept("classification")
 def classify_structure(S: AcmStructure) -> StructureClass:
     """All satisfied class tags among contact metric / Sasakian / cokahler /
     quasi-Sasakian / anti-quasi-Sasakian, each read from the zero tests of the
@@ -287,8 +305,6 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     is read.  With a rational rescaling the work runs on it and each memo keeps the
     result in its own basis: the rescaling's magnitudes of the entries as computed,
     S's of each nonzero entry mapped back (the tags are the same)."""
-    if "classification" in S._memo:
-        return S._memo["classification"]
     r = rational_rescaling(S)
     T = S if r is None else r.S
     if not validate_acm(T).passed:  # the worst check is named in the input basis
@@ -299,20 +315,19 @@ def classify_structure(S: AcmStructure) -> StructureClass:
     vanish = {name: X.is_zero() for name, X in entries.items()}
     tags = frozenset({tag for tag, names in CLASS_RESIDUALS.items()
                       if all(map(vanish.__getitem__, names))} or {CLASS_UNCLASSIFIED})
-    T._memo["classification"] = StructureClass(tags, {
-        name: X.max_abs for name, X in entries.items()})
-    if r is not None:  # S's residuals in its own basis: a column's scale made once, if nonzero
-        scale, pairs = cache(lambda I: reduce(s_mul, map(r.down.__getitem__, I))), _pairs(T.L.dim)
+    classification = StructureClass(tags, {name: X.max_abs for name, X in entries.items()})
+    if r is None:
+        return classification
+    T._memo["classification"] = classification  # S's residuals in its own basis below
+    scale, pairs = cache(lambda I: reduce(s_mul, map(r.down.__getitem__, I))), _pairs(T.L.dim)
 
-        def mapped(name: str, X: MatOver):  # diag(left) X diag(the scales of its columns)
-            right = [scale(I) if any(col) else None  # the columns are pairs, or triples
-                     for I, col in zip(triples if name == "d_phi" else pairs, zip(*X.N))]
-            left = r.up if name in ("n_phi", "anti_normal") else None
-            return max_abs(_flat(diag_scaled(X.mat(), left, right)))
+    def mapped(name: str, X: MatOver):  # diag(left) X diag(the scales of its nonzero columns)
+        right = [scale(I) if any(col) else None  # the columns are pairs, or triples
+                 for I, col in zip(triples if name == "d_phi" else pairs, zip(*X.N))]
+        left = r.up if name in ("n_phi", "anti_normal") else None
+        return max_abs(_flat(diag_scaled(X.mat(), left, right)))
 
-        S._memo["classification"] = StructureClass(tags, {
-            name: partial(mapped, name, X) for name, X in entries.items()})
-    return S._memo["classification"]
+    return StructureClass(tags, {name: partial(mapped, name, X) for name, X in entries.items()})
 
 
 def _residual_entries(S: AcmStructure) -> tuple[list, dict]:
@@ -324,7 +339,7 @@ def _residual_entries(S: AcmStructure) -> tuple[list, dict]:
     at_pairs = lambda X: X.regroup(lambda N: [[N[i][j] for i, j in pairs]])  # noqa: E731
     # d Phi from Phi([b_a, b_b], b_l), one product with the pair brackets; d eta on the pairs
     triples, d_phi = d_of_pairs(basis_brackets(S.L, pairs) @ W, pairs)
-    deta_pairs = at_pairs(_d_eta(S))
+    deta_pairs = at_pairs(v.d_eta)
     # N_phi = [phi, phi] + d eta (x) xi
     xi_deta = v.xi.T @ deta_pairs
     n_phi = nijenhuis_columns(S.L, v.phi) + xi_deta
@@ -333,35 +348,18 @@ def _residual_entries(S: AcmStructure) -> tuple[list, dict]:
                      "contact_metric": deta_pairs - at_pairs(W) * 2}
 
 
+@_kept("xi_killing")
 def xi_killing_check(S: AcmStructure) -> bool:
     """g([xi, X], Y) + g(X, [xi, Y]) = 0 on all basis pairs, i.e. g ad_xi +
-    (g ad_xi)^T = 0 on the view; the verdict is kept in the memo, an exception
-    raised again on every call.  Read on the rational rescaling if there is one."""
+    (g ad_xi)^T = 0 on the view.  Read on the rational rescaling if there is one."""
     if r := rational_rescaling(S):
         return xi_killing_check(r.S)
-    if "xi_killing" not in S._memo:
-        ad_xi, M = _g_ad_xi(S)
-        killing = (M + M.T).is_zero()
-        # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
-        if killing and not ad_xi.T.on_rows(numerator_view(S).eta).is_zero():
-            raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
-        S._memo["xi_killing"] = killing
-    return S._memo["xi_killing"]
-
-
-def _d_eta(S: AcmStructure) -> MatOver:
-    """The matrix of d eta on the numerator view (``exterior.d_of_covector``), in the memo."""
-    if "d_eta" not in S._memo:
-        S._memo["d_eta"] = d_of_covector(S.L, numerator_view(S).eta)
-    return S._memo["d_eta"]
-
-
-def _g_ad_xi(S: AcmStructure) -> tuple[MatOver, MatOver]:
-    """(ad_xi, g ad_xi) on the numerator view, kept for the Killing check and psi."""
-    if "g_ad_xi" not in S._memo:
-        ad_xi = ad_value(S.L, numerator_view(S).xi)
-        S._memo["g_ad_xi"] = ad_xi, numerator_view(S).g @ ad_xi
-    return S._memo["g_ad_xi"]
+    ad_xi, M = (v := numerator_view(S)).g_ad_xi
+    killing = (M + M.T).is_zero()
+    # consequence: d eta (xi, .) = 0, i.e. eta([xi, .]) = 0
+    if killing and not ad_xi.T.on_rows(v.eta).is_zero():
+        raise InternalContradiction("Killing xi with d eta(xi,.) != 0")
+    return killing
 
 
 @dataclass(frozen=True)
@@ -380,15 +378,13 @@ class ConnectionTable:
         return (K @ self.columns.regroup(lambda N: [N[u] for u in used])).mat()
 
 
-def _koszul_rows(v: TensorNumerators, g_inv: MatOver, pairs: list) -> MatOver:
-    """Row p: Gamma_i b_j for the p-th pair (i, j), g^-1 / 2 times its Koszul column
-    (g([b_i, b_j], b_k) - g([b_j, b_k], b_i)) + g([b_k, b_i], b_j) over k, in this
-    float order, all in one product.  The Koszul columns read T[i n + k][j] = (g ad_i)_kj
-    at the columns, rows and whole blocks j of the pairs: T is the n products g ad_i
-    when the pairs reach every j, else those entries alone (:func:`_koszul_reads`).
-    Each entry keeps its own fold, so a row is the same bits whichever other pairs
-    are built with it."""
-    n, js = len(v.ads), sorted({j for _, j in pairs})
+def _koszul_rows(v: TensorNumerators, pairs: list) -> MatOver:
+    """Row p: Gamma_i b_j for the p-th pair (i, j), the view's g^-1 / 2 times its Koszul
+    column (g([b_i, b_j], b_k) - g([b_j, b_k], b_i)) + g([b_k, b_i], b_j) over k, in
+    this float order, all in one product.  The Koszul columns read T[i n + k][j] =
+    (g ad_i)_kj off T, the n products g ad_i, whatever the pairs.  Each entry keeps
+    its own fold, so a row is the same bits whichever other pairs are built with it."""
+    n = len(v.ads)
 
     def koszul(T: Mat) -> Mat:  # T[i n + k][j] = g([b_i, b_j], b_k); n pairs at a time:
         rows = []  # all at once, the n^3 temporaries raise the heap peak by a sixth
@@ -398,43 +394,19 @@ def _koszul_rows(v: TensorNumerators, g_inv: MatOver, pairs: list) -> MatOver:
                             [[T[k * n + j][i] for k in range(n)] for i, j in ps])
         return rows
 
-    T = stacked([v.g @ ad for ad in v.ads]) if len(js) == n else _koszul_reads(v, js)
-    return (g_inv * (ONE / 2)).on_rows(T.regroup(koszul))
+    T = stacked([v.g @ ad for ad in v.ads])
+    return (v.g_inv * (ONE / 2)).on_rows(T.regroup(koszul))
 
 
-def _koszul_reads(v: TensorNumerators, js: list) -> MatOver:
-    """The entries of the stacked g ad_i (row i n + k, column j) that the Koszul rows of
-    pairs (i, j), j in js, read on a float view, the others 0.0: the blocks j, and the
-    columns js and rows js of every block, one product each, every entry folded as in
-    g ad_i."""
-    n, m, ads = len(v.ads), len(js), stacked(v.ads)  # row a n + r: row r of ad_a
-    cols = (v.g @ ads.regroup(lambda N: [[N[a * n + r][j] for a in range(n) for j in js]
-                                         for r in range(n)])).mat()  # column a m + x: ad_a b_j
-    rows = (v.g.regroup(lambda N: [N[j] for j in js]) @ ads.regroup(lambda N: [
-        list(itertools.chain.from_iterable(N[r::n])) for r in range(n)])).mat()
-    T = [[0.0] * n for _ in range(n * n)]
-    for x, j in enumerate(js):
-        for a, k in itertools.product(range(n), range(n)):
-            T[a * n + k][j] = cols[k][a * m + x]
-        for a in range(n):
-            T[a * n + j] = rows[x][a * n:a * n + n]
-    for j in js:
-        T[j * n:j * n + n] = (v.g @ v.ads[j]).mat()
-    return MatOver(T)
-
-
+@_kept("connection")
 def levi_civita(S: AcmStructure) -> ConnectionTable:
     """The Koszul formula in matrix form (module docstring): all n^2 rows of
-    :func:`_koszul_rows`, certified in whole-table passes (torsion on the pairs
-    i < j, g Gamma_i + Gamma_i^T g from one product with g).  Built for curvature
-    only: psi reads the rows along xi (:func:`psi_matrix`)."""
-    if "connection" in S._memo:
-        return S._memo["connection"]
+    :func:`_koszul_rows` once the metric is checked, certified in whole-table passes
+    (torsion on the pairs i < j, g Gamma_i + Gamma_i^T g from one product with g).
+    Built for curvature only: psi reads the rows along xi (:func:`psi_matrix`)."""
     v, n = numerator_view(S), S.L.dim
     _metric_preconditions(g := v.g)
-    g_inv = mat_solve(g, v.one)
-    S._memo["g_inverse"] = g_inv.mat()  # the scalar curvature reads it
-    table = ConnectionTable(_koszul_rows(v, g_inv, [(i, j) for i in range(n) for j in range(n)]))
+    table = ConnectionTable(_koszul_rows(v, [(i, j) for i in range(n) for j in range(n)]))
     # certify the table: Gamma_i b_j - Gamma_j b_i = [b_i, b_j], g Gamma_i + Gamma_i^T g = 0
     pairs = _pairs(n)
     swapped = table.columns.regroup(lambda N: mat_sub([N[i * n + j] for i, j in pairs],
@@ -443,7 +415,6 @@ def levi_civita(S: AcmStructure) -> ConnectionTable:
     g_cols = g.on_rows(table.columns)  # column j of g Gamma_i at i n + j
     blocks = (g_cols[i * n:i * n + n] for i in range(n))  # B + B^T: g Gamma_i + Gamma_i^T g
     _require_zero(stacked([B + B.T for B in blocks]), "Koszul solve lost metric compatibility")
-    S._memo["connection"] = table
     return table
 
 
@@ -492,18 +463,18 @@ def psi_matrix(S: AcmStructure) -> MatOver:
     """psi = -nabla xi, column j = -nabla_{b_j} xi, certified by the two halves of g
     psi, which determine it: g psi + (g psi)^T = -L_xi g = G + G^T, G = g ad_xi, and
     g psi - (g psi)^T = d eta = B.  An exact view solves 2 g nabla xi = -(G + G^T) - B
-    by one elimination; a float view builds only the rows Gamma_a b_k, k in the
-    support of xi (:func:`_koszul_rows`), folded on xi as the whole table's, bit for bit.
-    It needs only an invertible g (``mat_solve`` raises): :func:`operators_A_psi`
+    by one elimination; a float view the rows Gamma_a b_k, k in the support of xi
+    (:func:`_koszul_rows` on the view's g^-1), folded on xi as the whole table's, bit for
+    bit.  It needs only an invertible g (``mat_solve`` raises): :func:`operators_A_psi`
     checks the rest first, and the classifier's certificate proves g positive definite."""
     v, n = numerator_view(S), S.L.dim
-    G, B = _g_ad_xi(S)[1], _d_eta(S)
+    G, B = v.g_ad_xi[1], v.d_eta
     sym = G + G.T
     if isinstance(v.g, TowerOver):
         psi = mat_solve(v.g, sym + B) * (ONE / 2)
     else:  # a near-zero xi_k makes no pair of the fold: row 0 stands in for an empty support
         ks = [k for k, x in enumerate(v.xi.N[0]) if not s_is_zero(x)] or [0]
-        C = _koszul_rows(v, mat_solve(v.g, v.one), [(a, k) for a in range(n) for k in ks])
+        C = _koszul_rows(v, [(a, k) for a in range(n) for k in ks])
         xi, m = v.xi.regroup(lambda N: [[N[0][k] for k in ks]]), len(ks)
         psi = -stacked([C[a * m:a * m + m].T.on_rows(xi) for a in range(n)]).T
     P = v.g @ psi
@@ -512,13 +483,12 @@ def psi_matrix(S: AcmStructure) -> MatOver:
     return psi
 
 
+@_kept("operators")
 def operators_A_psi(S: AcmStructure) -> OperatorPack:
     """Operators A = -phi o nabla xi and psi = -nabla xi (:func:`psi_matrix`),
     with the identity suite (A phi = psi = -phi A, phi psi = A = -psi phi,
     psi A = -phi A^2 = -A psi, A xi = psi xi = 0, skew-symmetry) asserted, not
     assumed, on the values of the numerator view, whose metric is checked first."""
-    if "operators" in S._memo:
-        return S._memo["operators"]
     _metric_preconditions((v := numerator_view(S)).g)
     psi = psi_matrix(S)
     phi, g, xi, eta, A = v.phi, v.g, v.xi, v.eta, v.phi @ psi
@@ -536,9 +506,7 @@ def operators_A_psi(S: AcmStructure) -> OperatorPack:
         "A_skew": (gA.T + gA).max_abs(),
         "psi_skew": (gpsi.T + gpsi).max_abs(),
     }
-    pack = OperatorPack((A, psi), _all_vanish(residuals), residuals)
-    S._memo["operators"] = pack
-    return pack
+    return OperatorPack((A, psi), _all_vanish(residuals), residuals)
 
 
 @dataclass(frozen=True)
@@ -556,16 +524,16 @@ def closedness_suite(S: AcmStructure) -> ClosednessReport:
     cls = classify_structure(S)
     if CLASS_ANTI_QUASI_SASAKIAN not in cls.tags:
         raise NotAqs("closedness suite requires an anti-quasi-Sasakian structure")
-    pack, v, pairs, B = operators_A_psi(S), numerator_view(S), _pairs(S.L.dim), _d_eta(S)
+    pack, v, pairs = operators_A_psi(S), numerator_view(S), _pairs(S.L.dim)
     # the matrices of g(., A .) and g(., psi .); d of the first off the pair brackets
     gA, g_psi = (v.g @ X if pack.ok else v.g * 0 for X in pack.operators)
     residuals = {"dA": d_of_pairs(basis_brackets(S.L, pairs) @ gA, pairs)[1].max_abs(),
                  "dPhi": cls.residual("d_phi"),
-                 "deta_eq_2Psi": (B - g_psi * 2).max_abs()}  # B the d eta of the memo
+                 "deta_eq_2Psi": (v.d_eta - g_psi * 2).max_abs()}
     if not pack.ok:
         residuals["operator_identities"] = ONE
-    # d eta(phi X, phi Y) + d eta(X, Y) on basis pairs: phi^T B phi + B
-    anti = (v.phi.T @ (B @ v.phi) + B).mat()
+    # d eta(phi X, phi Y) + d eta(X, Y) on basis pairs: phi^T B phi + B, B = d eta
+    anti = (v.phi.T @ (v.d_eta @ v.phi) + v.d_eta).mat()
     witness = next(((i, j) for i, j in pairs if not s_is_zero(anti[i][j])), None)
     residuals["deta_anti_invariance"] = max_abs(anti[i][j] for i, j in pairs)
     return ClosednessReport(_all_vanish(residuals), residuals, witness)
@@ -581,10 +549,10 @@ class CurvatureData:
 def curvature(S: AcmStructure) -> CurvatureData:
     """Ricci tensor and scalar curvature: Ric_ij = sum over a of entry (a, j) of
     R(b_a, b_i) = [Gamma_a, Gamma_i] - sum_k c_ai^k Gamma_k, row a only, on the
-    values of the table and the ad matrices.  The rows a of every Gamma_a
-    Gamma_i are one product, the other terms one per a, summed over a in order
-    (float entries keep their bits).  With a rational rescaling it runs there,
-    Ric_ij = Ric'_ij down_i down_j, and the scalar curvature is invariant."""
+    values of the table and the ad matrices, paired with the view's g^-1 for the scalar.
+    The rows a of every Gamma_a Gamma_i are one product, the other terms one per a,
+    summed over a in order (float entries keep their bits).  With a rational rescaling
+    it runs there, Ric_ij = Ric'_ij down_i down_j, and the scalar curvature is invariant."""
     if r := rational_rescaling(S):
         data = curvature(r.S)
         return CurvatureData(data.connection, tuple(map(tuple, diag_scaled(
@@ -600,7 +568,7 @@ def curvature(S: AcmStructure) -> CurvatureData:
     terms = [lefts[a:a + 1].regroup(lambda N: [N[0][i * n:i * n + n] for i in range(n)])
              - R.on_rows(C[a * n:a * n + n]).T - R.T.on_rows(ads[a].T) for a, R in enumerate(rows)]
     ricci = sum(terms[1:], terms[0]).mat()
-    scal = dot(_flat(S._memo["g_inverse"]), _flat(ricci))  # as levi_civita kept it
+    scal = dot(_flat(numerator_view(S).g_inv.mat()), _flat(ricci))
     return CurvatureData(conn, tuple(tuple(r) for r in ricci), scal)
 
 
@@ -671,11 +639,10 @@ def conjugate_structure(S: AcmStructure, Q: Mat) -> AcmStructure:
     return AcmStructure.make(L2, phi2, xi2, eta2, g2)
 
 
+@_kept("rank")
 def structure_rank(S: AcmStructure):
     """Rank report of eta for this structure (invariant: read on the rational
-    rescaling when there is one), from the d eta in the memo."""
+    rescaling when there is one), from the view's d eta."""
     if r := rational_rescaling(S):
         return structure_rank(r.S)
-    if "rank" not in S._memo:
-        S._memo["rank"] = covector_class(_d_eta(S), numerator_view(S).eta)
-    return S._memo["rank"]
+    return covector_class((v := numerator_view(S)).d_eta, v.eta)

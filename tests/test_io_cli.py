@@ -367,10 +367,11 @@ EMPTY_ITEMS = ["", " ", " , ", "1,,2"]
     *(pytest.param("--degrees", v, id=v) for v in EMPTY_ITEMS),
     *(pytest.param(flag, v, id=f"{flag}={v}") for flag in ("--weights", "--torus")
       for v in EMPTY_ITEMS),
+    *(pytest.param(flag, "1,x", id=f"{flag}=1,x") for flag in ("--degrees", "--torus")),
 ])
 def test_cli_cohomology_empty_degrees_is_a_usage_error(tmp_path, capsys, flag, value):
     # only a missing --degrees means every degree; an empty item of any
-    # comma list is an error, never skipped
+    # comma list is an error, never skipped, and so is a non-integer index
     argv = {
         "--degrees": ["cohomology", _structure_file(tmp_path, 1, (1,))],
         "--weights": ["construct", "heisenberg", "--dim-family", "4n1"],
@@ -585,6 +586,14 @@ def test_cli_invariant_forms_with_j_file(tmp_path, capsys):
     assert code == 0
     t11 = out["payload"]["type_11"]
     assert t11["j_ok"] and t11["invariant"] and t11["anti_projection_zero"]
+    # a J of another size than dim m = 6 is refused
+    jpath = _write(tmp_path, "j3.json", matrix_to_json([row[:3] for row in J[:3]]))
+    code = main(
+        ["invariant-forms", "--algebra", "su3", "--torus", "1,2", "--J", jpath, "--json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["payload"] is None and out["error"]["code"] == "InputError"
+    assert out["error"]["message"] == "J size must match dim m"
 
 
 def test_cohomology_ranks_each_differential_once(tmp_path, capsys, monkeypatch):
@@ -849,3 +858,26 @@ def test_cli_check_builds_no_ad_matrix(tmp_path, capsys, monkeypatch):
     assert main(["check", path, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["error"] is None
     assert calls == []
+
+
+def test_cli_check_of_a_kahler_document(tmp_path, capsys):
+    path = _write(tmp_path, "k.json", kahler_to_json(standard_kahler(2)))
+    assert main(["check", path, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] is None
+    assert out["payload"] == {"kind": "kahler_lie_algebra", "valid": True}
+
+
+def test_cli_classify_of_a_structure_in_neither_class_is_not_aqs(tmp_path, capsys):
+    # the central extension by the "neither" form 3 th^12 + th^34 + 5 th^13 is a
+    # valid structure, neither anti-quasi-Sasakian nor quasi-Sasakian
+    from aqslie.constructors import central_extension
+
+    w = KForm.make(2, 4, {(0, 1): F(3), (2, 3): F(1), (0, 2): F(5)})
+    _, S = central_extension(standard_kahler(2), w)
+    path = _write(tmp_path, "neither.json", aqio.structure_to_json(S))
+    assert main(["classify", path, "--json"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["payload"] is None and out["error"]["code"] == "NotAqs"
+    assert out["error"]["message"] == (
+        "structure is neither anti-quasi-Sasakian nor quasi-Sasakian")

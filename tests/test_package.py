@@ -815,6 +815,57 @@ def test_psi_builds_no_connection_table():
     assert "levi_civita" in reachable_calls(forked, "psi_matrix")
 
 
+def memo_offenders(source: str) -> list[str]:
+    """Where source, acm, keeps a derived quantity beside the one memo: a write
+    into a _memo (an item assignment, setdefault or update) outside _kept and
+    classify_structure's entry of the rescaled structure, a "g_inverse" string,
+    and a definition of _koszul_reads."""
+    offenders = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.FunctionDef) and node.name == "_koszul_reads":
+                offenders.append(f"{node.lineno} def _koszul_reads")
+            if isinstance(node, ast.Constant) and node.value == "g_inverse":
+                offenders.append(f"{node.lineno} 'g_inverse'")
+            writes = [t for t in getattr(node, "targets", [getattr(node, "target", None)])
+                      if isinstance(t, ast.Subscript)]
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                    node.func.attr in ("setdefault", "update")):
+                writes.append(node.func)
+            for w in writes:
+                if not (isinstance(w.value, ast.Attribute) and w.value.attr == "_memo"):
+                    continue
+                key = getattr(getattr(w, "slice", None), "value", None)
+                if owner != "_kept" and (owner, key) != ("classify_structure", "classification"):
+                    offenders.append(f"{node.lineno} _memo write in {owner}")
+    return sorted(offenders, key=lambda o: int(o.split()[0]))  # by line, stable
+
+
+def test_acm_keeps_each_derived_quantity_in_one_memo():
+    # results of functions of a structure are kept by _kept, what is read off
+    # the tensors alone on the numerator view, and the Koszul rows read one table
+    acm = (Path(aqslie.__file__).parent / "acm.py").read_text("utf-8")
+    assert memo_offenders(acm) == []
+    # a hand-rolled memo, a side-channel key and a second Koszul reader are
+    # what the check is for
+    forked = (
+        "def _kept(key):\n"
+        "    S._memo[key] = f(S)\n"
+        "def classify_structure(S):\n"
+        "    T._memo['classification'] = c\n"
+        "    S._memo['rank'] = r\n"
+        "def levi_civita(S):\n"
+        "    S._memo['g_inverse'] = g_inv.mat()\n"
+        "    S._memo.setdefault('d_eta', B)\n"
+        "def _koszul_reads(v, js):\n"
+        "    pass\n"
+    )
+    assert memo_offenders(forked) == [
+        "5 _memo write in classify_structure", "7 _memo write in levi_civita",
+        "7 'g_inverse'", "8 _memo write in levi_civita", "9 def _koszul_reads"]
+
+
 def private_differentials(source: str) -> list[str]:
     """Where source, invariant_forms, defines _block or calls s_add, and
     whether its invariant_closed_2forms misses exterior.cocycles: the closed

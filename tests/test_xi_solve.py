@@ -159,3 +159,14 @@ def test_a_float_view_reads_psi_off_the_rows_along_xi(name):
     assert "connection" not in S._memo and "connection" in reference._memo
     exact = {type(x) is not float for x in numerator_view(S).xi.N[0]}
     assert exact == {name == "exact-xi-h9"}
+
+
+def test_psi_and_curvature_share_one_g_inverse(monkeypatch):
+    # g^-1 is read off the view once: the float psi's Koszul rows, the whole
+    # table of curvature and its scalar all take the same one
+    S, solves, real = FLOAT_CASES["h9"](), [], acm.mat_solve
+    g = numerator_view(S).g
+    monkeypatch.setattr(acm, "mat_solve", lambda A, B: solves.append(A is g) or real(A, B))
+    psi_matrix(S)
+    acm.curvature(S)
+    assert solves.count(True) == 1
