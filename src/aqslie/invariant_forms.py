@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
 )
 from .exterior import KForm, bilinear_from_form, cocycles
-from .lie_core import LieAlgebra, ad_matrix, bracket, in_basis, killing_form
+from .lie_core import LieAlgebra, ad_matrix, in_basis, killing_form, pair_brackets
 from .linalg import (
     Mat,
     Subspace,
@@ -153,16 +153,16 @@ def invariant_closed_2forms(R: ReductiveSplit) -> list[KForm]:
 
 
 def moment_element(R: ReductiveSplit, w: KForm) -> Vec:
-    """Z_w in z(k) with w(X, Y) = Kill([X, Y], Z_w) = Kill([Z_w, X], Y): the
-    first equality is solved on the pairs a < b and certified by the residual
-    of the solve, the second by the Gram product M^T ad_Z^T B M = W."""
+    """Z_w in z(k) with w(X, Y) = Kill([X, Y], Z_w) = Kill([Z_w, X], Y): the first
+    equality is solved on the pairs a < b, bracketed in one pass (``pair_brackets``),
+    certified by the residual of the solve, the second by the Gram product M^T ad_Z^T B M = W."""
     if w.degree != 2 or w.dim != R.m.dim:
         raise PreconditionError("need a 2-form on m")
     B, zk = [list(r) for r in R.killing], [list(z) for z in R.center]
     m_cols, W = R.m_cols(), bilinear_from_form(w, R.g.floats)
     pairs = list(combinations(range(len(m_cols)), 2))
     # row (a, b): Kill([X_a, X_b], z) for z in z(k)
-    brackets = [bracket(R.g, m_cols[a], m_cols[b]) for a, b in pairs]
+    brackets = pair_brackets(R.g, R.g.values(m_cols)[0], pairs).mat()
     rows = mat_mul(brackets, mat_mul(B, transpose(zk)))
     rhs = [W[a][b] for a, b in pairs]
     coeffs = solve(rows, rhs)

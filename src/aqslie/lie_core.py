@@ -4,20 +4,20 @@ Structure constants are stored sparsely for i < j only, so antisymmetry is
 a storage invariant rather than a runtime check.  Indices are 0-based
 internally; the file format is 1-based (see io.py).
 
-Each algebra builds, on first use, a lookup table {(i, j): {k: c_ij^k}}:
-integers over one common denominator when every constant is a Fraction.  The table is a private
-attribute, not a dataclass field, so equality, hashing and serialization
-see only the sparse tuple; a rational algebra keeps its stored constants
-beside it.  :meth:`LieAlgebra._operands` decides the field once for the
-table and a reader's operands: integers, square-root tower classes
-(``tower.TowerOver``) or scalars.  The table is read only as values
-(``linalg.MatOver``, numerators over a denominator): :meth:`values` puts
-matrices that act with it on that field, and :meth:`ad_values`, :func:`ad_value`,
-:func:`bracket`, :func:`pair_brackets`, :func:`basis_brackets` and d eta
-(``exterior``) read it in one sparse loop in pair order, for every field.  The Nijenhuis
-bracket :func:`nijenhuis_columns` reads it by square class
-(:attr:`LieAlgebra._class_tables`) in the class-pair products of ``tower``,
-at the cost of the nonzero constants and entries of J.
+Each algebra keeps, on first use, the lookup table {(i, j): {k: c_ij^k}} in two
+forms: the stored constants (:attr:`LieAlgebra._stored`) and, for a rational
+algebra, integers over one common denominator (:meth:`LieAlgebra._tables`).  Both
+are private attributes, not dataclass fields, so equality, hashing and
+serialization see only the sparse tuple.  :meth:`LieAlgebra._operands` decides the
+field once for the table and a reader's operands: integers, square-root tower
+classes (``tower.TowerOver``) or scalars.  The table is read only as values
+(``linalg.MatOver``, numerators over a denominator): :meth:`values` puts matrices
+that act with it on that field, and :meth:`ad_values`, :func:`ad_value`,
+:func:`bracket`, :func:`pair_brackets` (a batch of pairs), :func:`basis_brackets`
+and d eta (``exterior``) read it in one sparse loop in pair order, for every field.
+The Nijenhuis bracket :func:`nijenhuis_columns` reads the stored pairs' basis
+brackets, split by square class, in the class-pair products of ``tower``, at the
+cost of the nonzero constants and entries of J.
 
 Jacobi, the center, the lower central series, the Killing form and the
 derivations are read off that table: one sparse Jacobi pass, [g, V] from the
@@ -143,13 +143,13 @@ class LieAlgebra:
     def _tables(self) -> tuple[dict, int | None]:
         """({(i, j): {k: entry}} for i < j, den), built once.  When every constant
         is a Fraction (exact mode) the entries are integers over the common
-        denominator den, c_ij^k = entry / den; otherwise they are the
-        constants themselves and den is None."""
+        denominator den, c_ij^k = entry / den; otherwise the table is
+        :attr:`_stored` itself and den is None."""
         cached = self.__dict__.get("_cached_tables")
         if cached is None:
             scaled = not self.floats and _int_scaled([v for _, es in self.brackets for _, v in es])
             if not scaled:
-                cached = (self.table(), None)
+                cached = (self._stored, None)
             else:
                 flat = iter(scaled[0])
                 table = {pair: {k: next(flat) for k, _ in entries}
@@ -160,28 +160,11 @@ class LieAlgebra:
 
     @cached_property
     def _stored(self) -> BracketTable:
-        """table(), built once: a rational algebra's constants for other operands."""
+        """table(), built once: the scalar table of every algebra, the one a
+        rational algebra reads for operands off the integer route."""
         return self.table()
 
     floats = property(lambda self: self.mode == "float")  # float mode holds float constants
-
-    @cached_property
-    def _class_tables(self) -> tuple[dict, int]:
-        """({r: {(i, j): {k: entry}}}, den), the table by square class, built once:
-        c_ij^k = sum over r of sqrt(r) entry_r / den, integers in exact mode
-        (``tower.tower_values`` of the constants), the floats over 1 in float mode.
-        A class holds the pairs and targets where it is nonzero."""
-        table, den = self._tables()
-        if den is not None or self.floats:
-            return ({1: table} if table else {}), den or 1
-        (V,) = tower_values([[[v for es in table.values() for v in es.values()]]])
-        keys = [(pair, k) for pair, es in table.items() for k in es]
-        classes: dict = {}
-        for t, (row,) in V.parts.items():
-            for (pair, k), x in zip(keys, row):
-                if x:
-                    classes.setdefault(t, {}).setdefault(pair, {})[k] = x
-        return classes, V.den
 
     def sqrt_basis(self, mats=(), vecs=()) -> tuple[list, list] | None:
         """(up, down), up_k = sqrt(d_k) = 1 / down_k, for the square classes d
@@ -241,17 +224,17 @@ class LieAlgebra:
         readers of the table, for it and the matrices that act with it, on the
         field of the algebra's mode.  A rational algebra with rational or
         all-int mats gives the integer table, c_ij^k = entry / den, the
-        numerators of mats over dm and the zero 0; otherwise the stored
-        constants, den None, mats as they are over 1 and the mode's zero, 0.0
-        or ZERO.  values(Ns, d) makes the route's values Ns / d: class values
+        numerators of mats over dm and the zero 0; otherwise :attr:`_stored`,
+        den None, mats as they are over 1 and the mode's zero, 0.0 or ZERO.
+        values(Ns, d) makes the route's values Ns / d: class values
         (``tower.TowerOver``) in exact mode, integers straight into the class 1
         off the integer table, MatOvers in float mode."""
         table, den = self._tables()
         scaled = _int_rows(*mats) if den is not None else None
         if scaled is None:  # the stored constants; a cached table with a den holds integers
             over = lambda Ns, d: [MatOver(N) * Fraction(1, d) for N in Ns]  # noqa: E731
-            return ((table if den is None else self._stored), None, units(self.floats)[0],
-                    list(mats), 1, over if self.floats else tower_values)
+            return (self._stored, None, units(self.floats)[0], list(mats), 1,
+                    over if self.floats else tower_values)
         classes = lambda Ns, d: [TowerOver({1: N}, d) for N in Ns]  # noqa: E731  no second scan
         return table, den, 0, scaled[0], scaled[1] or 1, classes
 
@@ -364,12 +347,12 @@ def nijenhuis_columns(L: LieAlgebra, J: MatOver) -> MatOver:
     """[J, J] on the pairs i < j, in order, as the columns of one value, J a value on
     the field of L's values, at the cost of the nonzero terms: with row m of P_i the
     vector M_i b_m = [J b_i, b_m] - J [b_i, b_m], column (i, j) is
-    sum_m J_mj P_i[m] - J P_i[j] = M_i J b_j - J M_i b_j.  Four row-wise products
-    on the nonzero constants (``LieAlgebra._class_tables``) and the nonzeros of J,
-    class pair by class pair (``tower._class_products``, TowerOver's): [J b_i, b_m]
-    from one pass over the table, J_ai entering where :func:`ad_value` keeps it;
-    J [b_a, b_b], a < b, from the stored brackets and J's columns, its negative at
-    (b, a); then the two sums over m.  Each entry sums over m ascending from the
+    sum_m J_mj P_i[m] - J P_i[j] = M_i J b_j - J M_i b_j.  Four row-wise products on
+    the nonzero constants, the :func:`basis_brackets` of the stored pairs a < b split by
+    square class, and the nonzeros of J, class pair by class pair (``tower._class_products``,
+    TowerOver's): [J b_i, b_m] from one pass over those rows, J_ai entering where
+    :func:`ad_value` keeps it; J [b_a, b_b] from the rows and J's columns, its negative
+    at (b, a); then the two sums over m.  Each entry sums over m ascending from the
     field's zero, as the matrix products M_i = ad_{J b_i} - J ad_i, M_i J and J M_i
     sum it, float bits included."""
     n, tower = L.dim, isinstance(J, TowerOver)
@@ -379,15 +362,13 @@ def nijenhuis_columns(L: LieAlgebra, J: MatOver) -> MatOver:
     columns = {s: list(zip(*M)) for s, M in Js.items()}
     live = columns if tower else {1: [[0.0 if x and s_is_zero(x) else x for x in col]
                                       for col in columns[1]]}
-    classes, den = L._class_tables
-    first = {r: [[] for _ in range(n)] for r in classes}  # first[r][a]: (m n + k, c_am^k)
-    for r, table in classes.items():
-        for (p, q), entries in table.items():
-            first[r][p] += [(q * n + k, v) for k, v in entries.items()]
-            first[r][q] += [(p * n + k, -v) for k, v in entries.items()]
-    at = sorted(set().union(*classes.values()))  # the pairs a < b with a bracket
-    brackets = {r: [[table[p].get(k, zero) for k in range(n)] if p in table else [zero] * n
-                    for p in at] for r, table in classes.items()}
+    B = basis_brackets(L, at := sorted(L._tables()[0]))  # the pairs a < b with a bracket
+    brackets = _live(B.parts if tower else {1: B.N})  # stored constants are nonzero
+    first = {r: [[] for _ in range(n)] for r in brackets}  # first[r][a]: (m n + k, c_am^k)
+    for r, rows in brackets.items():
+        for (p, q), row in zip(at, rows):
+            first[r][p] += [(q * n + k, row[k]) for k in itertools.compress(range(n), row)]
+            first[r][q] += [(p * n + k, -row[k]) for k in itertools.compress(range(n), row)]
     S1 = _class_products(live, first, n * n, zero)  # row i: [J b_i, b_m] at m n + k
     S2 = _class_products(brackets, by_column, n, zero)  # row q: J [b_a, b_b], (a, b) = at[q]
     P = {}  # row i n + m: row m of P_i
@@ -415,14 +396,14 @@ def nijenhuis_columns(L: LieAlgebra, J: MatOver) -> MatOver:
     if not tower:
         return MatOver(by_k(out.get(1) or none()))
     parts = {w: by_k(rows) for w, rows in out.items()}
-    return TowerOver({1: by_k(none()), **parts}, den * J.den ** 2)
+    return TowerOver({1: by_k(none()), **parts}, B.den * J.den ** 2)
 
 
 def in_basis(L: LieAlgebra, Q: Mat, Q_inv: Mat) -> LieAlgebra:
     """L in the basis b1, b2, ... whose j-th vector is column j of Q, Q_inv the
-    inverse of Q: c'_ab = Q_inv [q_a, q_b] on the pairs a < b."""
+    inverse of Q: c'_ab = Q_inv [q_a, q_b] on the pairs a < b, one :func:`pair_brackets`."""
     cols, pairs = transpose(Q), list(itertools.combinations(range(L.dim), 2))
-    images = mat_vecs(Q_inv, [bracket(L, cols[a], cols[b]) for a, b in pairs])  # zeros drop
+    images = mat_vecs(Q_inv, pair_brackets(L, L.values(cols)[0], pairs).mat())  # zeros drop
     return LieAlgebra.from_brackets(L.dim, {p: dict(enumerate(w)) for p, w in zip(pairs, images)},
                                     [f"b{i+1}" for i in range(L.dim)], L.mode, check=False)
 

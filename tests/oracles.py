@@ -24,7 +24,10 @@ the frame isomorphism that inverted an exact frame by elimination before
 and the basis pair brackets off the stacked ad matrices, before both were read
 off the table, and the exact target rescaled entry by entry into the frame basis,
 before it was built there; the eigenspace orbits made one orbit at a time, each
-image one single-row product, before ``adapted.eigen_orbits`` made them by level.
+image one single-row product, before ``adapted.eigen_orbits`` made them by level;
+the change of basis and the moment element with one ``bracket`` per pair, before
+``lie_core.in_basis`` and ``invariant_forms.moment_element`` bracketed their pairs
+in one ``pair_brackets`` pass.
 """
 
 from __future__ import annotations
@@ -765,3 +768,24 @@ def invariant_closed_2forms_by_equations(R: ReductiveSplit) -> list[KForm]:
     return [
         KForm.make(2, dm, {pairs[t]: v[t] for t in range(len(pairs))}) for v in basis
     ]
+
+
+def in_basis_by_brackets(L: LieAlgebra, Q: Mat, Q_inv: Mat) -> LieAlgebra:
+    """``lie_core.in_basis`` with one ``bracket`` per pair a < b of columns of Q,
+    as it ran before it read all the pairs in one ``pair_brackets`` pass."""
+    cols, pairs = transpose(Q), list(combinations(range(L.dim), 2))
+    images = mat_vecs(Q_inv, [bracket(L, cols[a], cols[b]) for a, b in pairs])
+    return LieAlgebra.from_brackets(L.dim, {p: dict(enumerate(w)) for p, w in zip(pairs, images)},
+                                    [f"b{i+1}" for i in range(L.dim)], L.mode, check=False)
+
+
+def moment_element_by_brackets(R: ReductiveSplit, w: KForm) -> Vec:
+    """Z_w of ``invariant_forms.moment_element``, uncertified, from one ``bracket``
+    per pair a < b of m, as it was solved before the pairs were bracketed in one
+    ``pair_brackets`` pass: Kill([X_a, X_b], Z_w) = w(X_a, X_b) over z(k)."""
+    B, zk = [list(r) for r in R.killing], [list(z) for z in R.center]
+    m_cols, W = R.m_cols(), bilinear_from_form(w, R.g.floats)
+    pairs = list(combinations(range(len(m_cols)), 2))
+    brackets = [bracket(R.g, m_cols[a], m_cols[b]) for a, b in pairs]
+    coeffs = solve(mat_mul(brackets, mat_mul(B, transpose(zk))), [W[a][b] for a, b in pairs])
+    return mat_vec(transpose(zk), coeffs) if zk else zeros(1, R.g.dim, R.g.floats)[0]

@@ -259,6 +259,32 @@ def test_moment_no_solution_outside_space():
         moment_element(R3, w_bad)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_moment_elements_bracket_their_pairs_in_one_pass(mode, monkeypatch):
+    # su3 at the torus h1, h2 (the CLI's --torus 1,2): the 15 pairs of m are read
+    # in one pair_brackets pass per form, where one bracket per pair made 15 calls,
+    # and give the per-pair route's moment elements, floats bit for bit
+    from aqslie import invariant_forms, lie_core
+    from aqslie.lie_core import bracket
+    from oracles import moment_element_by_brackets
+
+    g, as_field = (su3(), F) if mode == "exact" else (float_algebra(su3()), float)
+    R = split_on(g, [list(map(as_field, v)) for v in TORI["su3-t12"][1]])
+    forms = invariant_closed_2forms(R)
+    want = [repr(moment_element_by_brackets(R, w)) for w in forms]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(lie_core, "bracket", counted)
+    monkeypatch.setattr(invariant_forms, "bracket", counted, raising=False)
+    got = [repr(moment_element(R, w)) for w in forms]
+    assert calls == [] and len(forms) == 2
+    assert got == want
+
+
 def test_type_11_su2():
     _, R = su2_split()
     sols = invariant_closed_2forms(R)

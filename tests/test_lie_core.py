@@ -775,6 +775,57 @@ def test_pair_brackets_are_the_brackets_of_the_rows_on_random_tables(field, n, d
     assert got == want
 
 
+def test_in_basis_brackets_its_pairs_in_one_pass(monkeypatch):
+    # the conjugated h13 reads its 78 pairs in one pair_brackets pass, where one
+    # bracket per pair made 78 calls
+    from aqslie import lie_core
+
+    calls = []
+    monkeypatch.setattr(lie_core, "bracket", lambda *args: calls.append(args) or bracket(*args))
+    S = conjugate_structure(weighted_heisenberg_4n1(3, [1, 2, 3])[1][0],
+                            random_unimodular(13, random.Random(1)))
+    assert calls == [] and S.L.dim == 13
+
+
+def _in_basis_and_per_pair(L, Q):
+    """repr of in_basis(L, Q, Q^-1) and of the per-pair oracle, Q a matrix on L's field."""
+    from aqslie.lie_core import in_basis
+    from aqslie.linalg import inverse
+    from oracles import in_basis_by_brackets
+
+    Q_inv = inverse(Q)
+    return repr(in_basis(L, Q, Q_inv)), repr(in_basis_by_brackets(L, Q, Q_inv))
+
+
+def test_in_basis_matches_the_per_pair_brackets_on_the_structures():
+    # rational, square-root tower and float tables in a dense unimodular basis,
+    # and the tower table in a basis with a sqrt(2) row
+    for name, S in _reader_structures().items():
+        L, as_field = S.L, float if S.L.floats else F
+        Q = [[as_field(x) for x in row] for row in random_unimodular(L.dim, random.Random(4))]
+        got, want = _in_basis_and_per_pair(L, Q)
+        assert got == want, name
+        if name == "sqrt-h13":
+            got, want = _in_basis_and_per_pair(L, [[SQRT2 * x for x in Q[0]], *Q[1:]])
+            assert got == want, name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FIELDS)), st.integers(1, 5), st.integers(0, 99), st.data())
+def test_in_basis_matches_the_per_pair_brackets_on_random_tables(field, n, seed, data):
+    constants, _ = FIELDS[field]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = {pair: data.draw(st.dictionaries(st.integers(0, n - 1), constants, max_size=3))
+             for pair in (data.draw(st.lists(st.sampled_from(pairs), unique=True))
+                          if pairs else [])}
+    L = LieAlgebra.from_brackets(n, table, mode="float" if field == "float" else "exact",
+                                 check=False)
+    as_field = float if field == "float" else F
+    Q = [[as_field(x) for x in row] for row in random_unimodular(n, random.Random(seed))]
+    got, want = _in_basis_and_per_pair(L, Q)
+    assert got == want
+
+
 def _kernel_and_oracle(L, J):
     """repr of [J, J] from lie_core.nijenhuis_columns and from the four products
     of the oracle, J a matrix on L's field."""

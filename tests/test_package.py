@@ -897,6 +897,69 @@ def test_closed_invariant_forms_are_read_by_the_one_differential():
         "def _kernel(R):\n    return cocycles(R.split, pairs)\n") == []
 
 
+# the caches of LieAlgebra: the table in its two forms (the integer table of
+# _tables, kept as _cached_tables, and the stored constants), the center and
+# the lower central series
+LIE_ALGEBRA_CACHES = {"_cached_tables", "_stored", "center", "lower_central_series"}
+
+
+def table_copies(source: str) -> list[str]:
+    """Where source, lie_core, keeps the structure table in a third form: a
+    cached_property of LieAlgebra or a name it sets by object.__setattr__ outside
+    LIE_ALGEBRA_CACHES, a read of _class_tables; and whether nijenhuis_columns
+    misses basis_brackets, the one reader of the stored pairs' brackets."""
+    tree, offenders = ast.parse(source), []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "LieAlgebra"):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name not in LIE_ALGEBRA_CACHES and any(
+                    getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+                    for d in fn.decorator_list):
+                offenders.append(f"{fn.lineno} cached {fn.name}")
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Call) and _callee(node) == "__setattr__"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value not in LIE_ALGEBRA_CACHES):
+                offenders.append(f"{node.lineno} sets {node.args[1].value}")
+    offenders += [f"{node.lineno} ._class_tables" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_class_tables"]
+    if "basis_brackets" not in reachable_calls(source, "nijenhuis_columns"):
+        offenders.append("nijenhuis_columns skips basis_brackets")
+    return offenders
+
+
+def test_the_structure_table_is_kept_in_two_forms():
+    # the Nijenhuis kernel reads the stored pairs' basis brackets, split by
+    # square class, and in_basis and the moment element bracket their pairs
+    # in one pair_brackets pass
+    package = Path(aqslie.__file__).parent
+    lie_core = (package / "lie_core.py").read_text("utf-8")
+    assert table_copies(lie_core) == []
+    assert "bracket" not in reachable_calls(lie_core, "in_basis")
+    forms = (package / "invariant_forms.py").read_text("utf-8")
+    assert "bracket" not in reachable_calls(forms, "moment_element")
+    # a per-class copy of the table, read by the kernel, is what the check is for
+    forked = (
+        "class LieAlgebra:\n"
+        "    @cached_property\n"
+        "    def _stored(self):\n"
+        "        return self.table()\n"
+        "    @functools.cached_property\n"
+        "    def _class_tables(self):\n"
+        "        object.__setattr__(self, '_by_class', {1: self._stored})\n"
+        "        return self._by_class\n"
+        "def nijenhuis_columns(L, J):\n"
+        "    classes, den = L._class_tables\n"
+    )
+    assert table_copies(forked) == [
+        "6 cached _class_tables", "7 sets _by_class", "10 ._class_tables",
+        "nijenhuis_columns skips basis_brackets"]
+    assert "bracket" in reachable_calls(
+        "def in_basis(L, Q, Q_inv):\n    return _images(L, transpose(Q))\n"
+        "def _images(L, cols):\n    return [bracket(L, cols[0], cols[1])]\n", "in_basis")
+
+
 
 UNREACHED_ALLOWED = {"derivations"}  # README kernel API, a table reader guarded above
 
